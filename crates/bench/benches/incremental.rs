@@ -156,7 +156,8 @@ fn bench_live_steady_state(c: &mut Criterion) {
     engine
         .snapshot()
         .engine()
-        .force_sharded_labels()
+        .sharded()
+        .force()
         .expect("bench graph fits the default shard budget");
 
     // correctness gate: after a write, label-backed answers equal plain BFS
@@ -191,7 +192,7 @@ fn bench_live_steady_state(c: &mut Criterion) {
                 // retired the index; in production the next write pause
                 // lets the background rebuild land — stand in for that
                 // pause so the stream stays in the repair regime
-                report.snapshot.engine().force_sharded_labels().unwrap();
+                report.snapshot.engine().sharded().force().unwrap();
             }
             black_box((report.applied, report.index.labels_repaired))
         })
@@ -209,10 +210,10 @@ fn bench_live_steady_state(c: &mut Criterion) {
     // timed stream above may have ended on a declined batch)
     let snap = loop {
         let s = engine.snapshot();
-        if s.index_state() == IndexState::Repaired && s.engine().sharded_ready() {
+        if s.index_state() == IndexState::Repaired && s.engine().sharded().get().is_some() {
             break s;
         }
-        s.engine().force_sharded_labels().unwrap();
+        s.engine().sharded().force().unwrap();
         write_seed += 1;
         engine
             .apply(&random_updates(write_seed, 2, LIVE_NODES as u32))
@@ -227,7 +228,7 @@ fn bench_live_steady_state(c: &mut Criterion) {
             snap.graph().as_ref().clone(),
             snap.engine().config().clone(),
         );
-        frozen.snapshot().engine().force_sharded_labels().unwrap();
+        frozen.snapshot().engine().sharded().force().unwrap();
         let ro = frozen.snapshot();
         b.iter(|| black_box(ro.run_batch(&queries).len()))
     });

@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_core::predicate::Predicate;
 use rpq_core::rq::Rq;
-use rpq_engine::{EngineConfig, Plan, Query, QueryEngine};
+use rpq_engine::{EngineConfig, Query, QueryEngine};
 use rpq_graph::gen::youtube_like;
 use rpq_graph::{DistanceMatrix, Graph};
 use rpq_regex::FRegex;
@@ -52,9 +52,9 @@ fn engine(g: &Arc<Graph>, matrix_limit: usize, hop_budget: usize) -> QueryEngine
     )
 }
 
-fn assert_plan(e: &QueryEngine, q: &Query, want: Plan) {
-    let got = e.plan_query(q);
-    assert_eq!(got, want, "bench engine must exercise the {want:?} path");
+fn assert_plan(e: &QueryEngine, q: &Query, want: &str) {
+    let got = e.plan_query(q).name();
+    assert_eq!(got, want, "bench engine must exercise the {want} path");
 }
 
 fn bench_small_three_way(c: &mut Criterion) {
@@ -64,11 +64,11 @@ fn bench_small_three_way(c: &mut Criterion) {
     let dm = engine(&g, usize::MAX, 0);
     dm.force_matrix();
     let hop = engine(&g, 0, 256 << 20);
-    hop.force_hop_labels().expect("labels fit");
+    hop.hop().force().expect("labels fit");
     let bibfs = engine(&g, 0, 0);
-    assert_plan(&dm, &queries[0], Plan::RqDm);
-    assert_plan(&hop, &queries[0], Plan::RqHop);
-    assert_plan(&bibfs, &queries[0], Plan::RqBiBfs);
+    assert_plan(&dm, &queries[0], "DM");
+    assert_plan(&hop, &queries[0], "hop");
+    assert_plan(&bibfs, &queries[0], "biBFS");
 
     let mut group = c.benchmark_group("rq_index_small_1500n");
     group.sample_size(10);
@@ -96,10 +96,10 @@ fn bench_large_hop_vs_bibfs(c: &mut Criterion) {
     // 64 MiB budget: the concrete layers fit in ~10 MiB; the wildcard
     // (union-graph) layer blows past the remainder and is dropped — the
     // graceful-degradation path production budgets hit at this scale.
-    // The workload is concrete-color, so every query still plans RqHop.
+    // The workload is concrete-color, so every query still plans `hop`.
     let hop = engine(&g, 2048, 64 << 20);
     let t0 = Instant::now();
-    let labels = hop.force_hop_labels().expect("concrete layers fit 64 MiB");
+    let labels = hop.hop().force().expect("concrete layers fit 64 MiB");
     let stats = labels.stats();
     println!("hop-label build: {:?} — {stats}", t0.elapsed());
     println!(
@@ -110,8 +110,8 @@ fn bench_large_hop_vs_bibfs(c: &mut Criterion) {
     );
     assert!(stats.bytes < DistanceMatrix::bytes_for(&g));
     let bibfs = engine(&g, 2048, 0);
-    assert_plan(&hop, &queries[0], Plan::RqHop);
-    assert_plan(&bibfs, &queries[0], Plan::RqBiBfs);
+    assert_plan(&hop, &queries[0], "hop");
+    assert_plan(&bibfs, &queries[0], "biBFS");
 
     // one-shot acceptance line: identical answers, ≥5x wall-clock gap
     let t_hop = Instant::now();

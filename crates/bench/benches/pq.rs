@@ -22,7 +22,7 @@ use rpq_core::predicate::Predicate;
 use rpq_core::reach::ProbeReach;
 use rpq_core::{join_match::JoinMatch, split_match::SplitMatch};
 use rpq_engine::planner::SPLIT_CROSSOVER;
-use rpq_engine::{EngineConfig, Plan, Query, QueryEngine};
+use rpq_engine::{Backend, EngineConfig, Query, QueryEngine};
 use rpq_graph::gen::youtube_like;
 use rpq_graph::{DistanceMatrix, Graph};
 use rpq_regex::FRegex;
@@ -99,15 +99,15 @@ fn bench_small_three_way(c: &mut Criterion) {
     let dm = engine(&g, usize::MAX, 0);
     dm.force_matrix();
     let hop = engine(&g, 0, 256 << 20);
-    hop.force_hop_labels().expect("labels fit");
+    hop.hop().force().expect("labels fit");
     let cached = engine(&g, 0, 0);
     for (e, want) in [
-        (&dm, &[Plan::PqJoinMatrix, Plan::PqSplitMatrix][..]),
-        (&hop, &[Plan::PqJoinHop, Plan::PqSplitHop][..]),
-        (&cached, &[Plan::PqJoinCached, Plan::PqSplitCached][..]),
+        (&dm, Backend::Matrix),
+        (&hop, Backend::Hop),
+        (&cached, Backend::Search),
     ] {
         for q in &queries {
-            assert!(want.contains(&e.plan_query(q)), "regime mix-up");
+            assert_eq!(e.plan_query(q).backend(), want, "regime mix-up");
         }
     }
 
@@ -221,18 +221,20 @@ fn bench_large_hop_vs_cached(c: &mut Criterion) {
 
     let hop = engine(&g, 2048, 256 << 20);
     let t0 = Instant::now();
-    let labels = hop.force_hop_labels().expect("labels fit the budget");
+    let labels = hop.hop().force().expect("labels fit the budget");
     println!("hop-label build: {:?} — {}", t0.elapsed(), labels.stats());
     let cached = engine(&g, 2048, 0);
     for q in &queries {
         let p = hop.plan_query(q);
-        assert!(
-            matches!(p, Plan::PqJoinHop | Plan::PqSplitHop),
+        assert_eq!(
+            p.backend(),
+            Backend::Hop,
             "hop engine must exercise the hop PQ plans, got {p:?}"
         );
         let p = cached.plan_query(q);
-        assert!(
-            matches!(p, Plan::PqJoinCached | Plan::PqSplitCached),
+        assert_eq!(
+            p.backend(),
+            Backend::Search,
             "fallback engine must exercise the cached plans, got {p:?}"
         );
     }

@@ -67,7 +67,7 @@ fn bench_sharded(c: &mut Criterion) {
             .build()
             .unwrap(),
     );
-    let hop = hop_engine.force_hop_labels().expect("fits default budget");
+    let hop = hop_engine.hop().force().expect("fits default budget");
 
     // the sharded stack, with its build/shape numbers printed once
     let sharded_engine = ShardedEngine::build(

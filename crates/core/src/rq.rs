@@ -127,7 +127,7 @@ impl Rq {
     /// Index-generic strategy: the DM algorithm of §4 over **any**
     /// [`DistProbe`] backend — the dense [`DistanceMatrix`] under its node
     /// limit, or pruned 2-hop labels (`rpq_index::HopLabels`, the engine's
-    /// `Plan::RqHop`) beyond it. Results are identical across backends;
+    /// `hop` plan) beyond it. Results are identical across backends;
     /// only the probe cost differs.
     ///
     /// Implementation notes: per-atom reachability is read off bounded

@@ -6,7 +6,7 @@ use rpq_core::lang::LangError;
 use rpq_core::pq::{Pq, PqResult};
 use rpq_core::predicate::Predicate;
 use rpq_core::rq::{Rq, RqResult};
-use rpq_graph::Graph;
+use rpq_graph::{Color, Graph};
 use rpq_regex::FRegex;
 use std::sync::Arc;
 use std::time::Duration;
@@ -74,6 +74,20 @@ impl Query {
         rpq_core::lang::parse_pq(text, graph.schema(), graph.alphabet())
             .map(Query::Pq)
             .map_err(lang_error)
+    }
+
+    /// Does `ok` hold for every edge color this query's regexes probe?
+    /// (The index-coverage check: a label index serves a query only if it
+    /// has a layer for each of them.)
+    pub(crate) fn all_colors(&self, ok: impl Fn(Color) -> bool) -> bool {
+        match self {
+            Query::Rq(rq) => rq.regex.atoms().iter().all(|a| ok(a.color)),
+            Query::Pq(pq) => pq
+                .edges()
+                .iter()
+                .flat_map(|e| e.regex.atoms())
+                .all(|a| ok(a.color)),
+        }
     }
 }
 

@@ -3,18 +3,20 @@
 
 use crate::batch::{BatchItem, BatchResult, Query, QueryOutput};
 use crate::error::ConfigError;
+use crate::explain::{query_summary, CountingProbe};
 use crate::memo::ReachMemo;
-use crate::planner::{self, Plan};
+use crate::planner::{self, Algo, Backend, Plan, Rationale};
+use crate::slot::IndexSlot;
 use rpq_core::canonical::{canonical_pq, canonical_rq};
 use rpq_core::join_match::JoinMatch;
 use rpq_core::pq::Pq;
 use rpq_core::predicate::Predicate;
-use rpq_core::reach::{CachedReach, ProbeReach};
+use rpq_core::reach::{CachedReach, ProbeReach, ReachEngine};
 use rpq_core::rq::{Rq, RqResult};
 use rpq_core::split_match::SplitMatch;
 use rpq_graph::{DistanceMatrix, Graph, NodeId};
-use rpq_index::{HopConfig, HopLabels, ShardedConfig, ShardedLabels};
-use rpq_regex::FRegex;
+use rpq_index::{DistProbe, HopConfig, HopLabels, ShardedConfig, ShardedLabels};
+use rpq_trace::QueryProfile;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -62,12 +64,6 @@ pub struct EngineConfig {
     /// concrete colors stay indexed); if even those do not fit, the engine
     /// serves search/cached plans permanently.
     pub hop_label_budget: usize,
-    /// Landmarks processed per hop-label layer; `0` (the default) means
-    /// all nodes, which is what makes label probes exact. A nonzero value
-    /// below `|V|` would yield upper-bound-only probes, so the engine
-    /// treats it as "hop labels disabled" rather than serve inexact
-    /// answers — it is a build-cost ceiling, not an approximation dial.
-    pub hop_landmarks: usize,
     /// Normalized pattern size (`|Vp| + |Ep|` post-dummy-rewrite) at and
     /// above which a cyclic pattern on the matrix backend plans
     /// `SplitMatch`. Defaults to the measured
@@ -80,9 +76,9 @@ pub struct EngineConfig {
     /// limit whose single hop-label build **fails its budget** (or is
     /// disabled) gets a sharded index instead: k per-shard label builds —
     /// run in parallel, each under [`shard_memory_budget`](EngineConfig::shard_memory_budget)
-    /// — plus boundary-overlay labels, serving `Plan::RqSharded` /
-    /// `Plan::PqJoinSharded`. The single-index build stays preferred when
-    /// it fits: its probes don't pay the overlay stitch.
+    /// — plus boundary-overlay labels, serving the `sharded` /
+    /// `JoinMatch/sharded` plans. The single-index build stays preferred
+    /// when it fits: its probes don't pay the overlay stitch.
     pub shards: usize,
     /// Byte budget for **each** per-shard label build of the sharded
     /// backend; `0` means unlimited (matching `HopConfig::budget_bytes`
@@ -110,7 +106,6 @@ impl Default for EngineConfig {
             matrix_node_limit: 2048,
             reach_cache_capacity: 1 << 16,
             hop_label_budget: 256 << 20,
-            hop_landmarks: 0,
             split_crossover: planner::SPLIT_CROSSOVER,
             shards: 1,
             shard_memory_budget: 0,
@@ -127,6 +122,19 @@ impl EngineConfig {
     pub fn builder() -> EngineConfigBuilder {
         EngineConfigBuilder {
             config: EngineConfig::default(),
+        }
+    }
+
+    /// The one derivation of the sharded build's settings — fresh builds,
+    /// the [`ShardedEngine`](crate::ShardedEngine) constructors and the
+    /// live-update repair all go through it, so a repaired index can
+    /// never be built under different settings from a fresh one.
+    pub(crate) fn sharded_config(&self) -> ShardedConfig {
+        ShardedConfig {
+            shards: self.shards,
+            shard_budget_bytes: self.shard_memory_budget,
+            wildcard_layer: true,
+            build_workers: 0,
         }
     }
 }
@@ -166,12 +174,6 @@ impl EngineConfigBuilder {
     /// labels).
     pub fn hop_label_budget(mut self, bytes: usize) -> Self {
         self.config.hop_label_budget = bytes;
-        self
-    }
-
-    /// Landmarks per hop-label layer; `0` (default) = all nodes (exact).
-    pub fn hop_landmarks(mut self, landmarks: usize) -> Self {
-        self.config.hop_landmarks = landmarks;
         self
     }
 
@@ -234,21 +236,16 @@ pub struct QueryEngine {
     graph: Arc<Graph>,
     config: EngineConfig,
     matrix: OnceLock<DistanceMatrix>,
-    /// `None` inside = the build failed (over budget) — permanent fallback.
-    hop: Arc<OnceLock<Option<Arc<HopLabels>>>>,
-    /// Builder-role claim: exactly one build (background or forced) runs
-    /// at a time; a cancelled background build releases the claim.
-    hop_started: Arc<AtomicBool>,
     /// Set by [`retire_index_builds`](QueryEngine::retire_index_builds)
-    /// when this engine's graph version is superseded: an in-flight
-    /// background label build checks it between landmarks and aborts.
+    /// (or drop): in-flight background label builds abort at their next
+    /// checkpoint. Shared with both slots.
     retired: Arc<AtomicBool>,
-    /// The partitioned fallback index: built (in the background, or via
-    /// [`force_sharded_labels`](QueryEngine::force_sharded_labels)) once
-    /// the single hop-label build has failed its budget and
-    /// `config.shards ≥ 2`. `None` inside = that build failed too.
-    sharded: Arc<OnceLock<Option<Arc<ShardedLabels>>>>,
-    sharded_started: Arc<AtomicBool>,
+    /// The whole-graph label index, built in the background off the first
+    /// over-limit batch (or by [`hop().force()`](IndexSlot::force)).
+    hop: Arc<IndexSlot<HopLabels>>,
+    /// The partitioned fallback index: built once the single hop-label
+    /// build has failed its budget (or is disabled) and `shards ≥ 2`.
+    sharded: Arc<IndexSlot<ShardedLabels>>,
 }
 
 impl QueryEngine {
@@ -259,15 +256,51 @@ impl QueryEngine {
 
     /// Engine over `graph` with explicit configuration.
     pub fn with_config(graph: Arc<Graph>, config: EngineConfig) -> Self {
+        let retired = Arc::new(AtomicBool::new(false));
+        // policy, build closure and description: the only per-backend
+        // lifecycle code. Hop labels: over the matrix limit (under it the
+        // strictly faster matrix wins) with a nonzero budget.
+        let over_limit = graph.node_count() > config.matrix_node_limit;
+        let hop_allowed = over_limit && config.hop_label_budget > 0;
+        // all landmarks: what makes label probes exact
+        let build_config = HopConfig {
+            landmarks: 0,
+            budget_bytes: config.hop_label_budget,
+            wildcard_layer: true,
+        };
+        let g = Arc::clone(&graph);
+        let hop = IndexSlot::new(
+            "hop-build",
+            &retired,
+            move || hop_allowed,
+            |l: &HopLabels| format!("bytes={}", l.bytes()),
+            move |cancel| HopLabels::build_with(&g, &build_config, cancel),
+        );
+        // Sharded labels: only when a single-machine index cannot serve —
+        // sharding configured, and the hop build either disabled by policy
+        // or already failed its budget. While a single-index build is
+        // still possible (or in flight) it stays preferred: its probes
+        // don't pay the overlay stitch.
+        let sharded_wanted = over_limit && config.shards >= 2;
+        let (g, build_config) = (Arc::clone(&graph), config.sharded_config());
+        let single = Arc::clone(&hop);
+        let sharded = IndexSlot::new(
+            "sharded-build",
+            &retired,
+            move || sharded_wanted && (!hop_allowed || single.over_budget()),
+            |l: &ShardedLabels| {
+                let stats = l.stats();
+                format!("shards={} bytes={}", stats.shards, stats.total_bytes())
+            },
+            move |cancel| ShardedLabels::build_with(&g, &build_config, cancel),
+        );
         QueryEngine {
             graph,
             config,
             matrix: OnceLock::new(),
-            hop: Arc::new(OnceLock::new()),
-            hop_started: Arc::new(AtomicBool::new(false)),
-            retired: Arc::new(AtomicBool::new(false)),
-            sharded: Arc::new(OnceLock::new()),
-            sharded_started: Arc::new(AtomicBool::new(false)),
+            retired,
+            hop,
+            sharded,
         }
     }
 
@@ -292,10 +325,7 @@ impl QueryEngine {
     /// `None` when the graph is over the node limit and no matrix exists.
     pub fn matrix(&self) -> Option<&DistanceMatrix> {
         if self.graph.node_count() <= self.config.matrix_node_limit {
-            Some(
-                self.matrix
-                    .get_or_init(|| DistanceMatrix::build(&self.graph)),
-            )
+            Some(self.force_matrix())
         } else {
             self.matrix.get()
         }
@@ -308,125 +338,36 @@ impl QueryEngine {
             .get_or_init(|| DistanceMatrix::build(&self.graph))
     }
 
-    /// Does policy allow a hop-label index for this graph? (Over the
-    /// matrix limit — under it the strictly faster matrix wins — with a
-    /// nonzero budget and no exactness-breaking landmark cap.)
-    fn hop_policy_allows(&self) -> bool {
-        self.graph.node_count() > self.config.matrix_node_limit
-            && self.config.hop_label_budget > 0
-            && (self.config.hop_landmarks == 0
-                || self.config.hop_landmarks >= self.graph.node_count())
+    /// The whole-graph hop-label index: [`get`](IndexSlot::get) it once
+    /// built, or [`force`](IndexSlot::force) the build on the calling
+    /// thread. Policy allows it over the matrix limit with a nonzero
+    /// [`hop_label_budget`](EngineConfig::hop_label_budget).
+    pub fn hop(&self) -> &IndexSlot<HopLabels> {
+        &self.hop
     }
 
-    fn hop_config(&self) -> HopConfig {
-        HopConfig {
-            landmarks: 0,
-            budget_bytes: self.config.hop_label_budget,
-            wildcard_layer: true,
+    /// The partitioned fallback index. Policy allows it only once the
+    /// single hop-label index is out (disabled, or failed its budget) and
+    /// [`shards`](EngineConfig::shards) ≥ 2.
+    pub fn sharded(&self) -> &IndexSlot<ShardedLabels> {
+        &self.sharded
+    }
+
+    /// Does this deployment's config call for a label index (hop or
+    /// sharded) on this graph at all? The live-update layer's
+    /// `Rebuilding` vs `Stale` verdict.
+    pub(crate) fn label_index_expected(&self) -> bool {
+        self.hop.allowed() || self.sharded.allowed()
+    }
+
+    /// Without a matrix, kick off whichever background label build
+    /// policy allows and nobody has started; queries keep planning
+    /// against whatever is ready right now (fallback-while-stale).
+    fn ensure_index_builds(&self) {
+        if !self.matrix_available() {
+            self.hop.ensure_background();
+            self.sharded.ensure_background();
         }
-    }
-
-    /// The hop-label index, if its build has completed and fit the budget.
-    /// Never blocks.
-    pub fn hop_labels(&self) -> Option<Arc<HopLabels>> {
-        self.hop.get().and_then(|o| o.clone())
-    }
-
-    /// True once the hop-label index is built and usable for planning.
-    pub fn hop_ready(&self) -> bool {
-        self.hop.get().is_some_and(|o| o.is_some())
-    }
-
-    /// Build the hop-label index *now*, on the calling thread (benches and
-    /// tests that need a deterministic `RqHop` plan; production traffic
-    /// relies on the background build instead). If a background build is
-    /// already in flight, waits for its result rather than building the
-    /// same index twice. `None` when policy forbids the index or the build
-    /// exceeded the budget.
-    pub fn force_hop_labels(&self) -> Option<Arc<HopLabels>> {
-        if !self.hop_policy_allows() {
-            return self.hop_labels();
-        }
-        loop {
-            if let Some(outcome) = self.hop.get() {
-                return outcome.clone();
-            }
-            // claim the builder role; if someone else holds it, a build is
-            // in flight — it will either fill the cell or (cancelled) give
-            // the role back, so poll cheaply instead of duplicating work
-            if !self.hop_started.swap(true, Ordering::AcqRel) {
-                return self
-                    .hop
-                    .get_or_init(|| {
-                        HopLabels::build_with(&self.graph, &self.hop_config(), None)
-                            .ok()
-                            .map(Arc::new)
-                    })
-                    .clone();
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-    }
-
-    /// Kick off the background label build if policy allows and nobody has
-    /// yet. Queries keep falling back to search plans until it lands.
-    fn ensure_hop_build(&self) {
-        if !self.hop_policy_allows()
-            || self.retired.load(Ordering::Relaxed)
-            || self.hop.get().is_some()
-            || self.hop_started.swap(true, Ordering::AcqRel)
-        {
-            return;
-        }
-        let graph = Arc::clone(&self.graph);
-        let cell = Arc::clone(&self.hop);
-        let retired = Arc::clone(&self.retired);
-        let started = Arc::clone(&self.hop_started);
-        let config = self.hop_config();
-        std::thread::spawn(move || {
-            let t0 = Instant::now();
-            match HopLabels::build_with(&graph, &config, Some(&retired)) {
-                Ok(labels) => {
-                    let detail = format!("ok bytes={}", labels.bytes());
-                    rpq_trace::tracer().record_span("index", "hop-build", t0.elapsed(), &detail);
-                    let _ = cell.set(Some(Arc::new(labels)));
-                }
-                // over budget: pin the failure — retrying cannot succeed
-                Err(rpq_index::HopBuildError::OverBudget { .. }) => {
-                    rpq_trace::tracer().record_span(
-                        "index",
-                        "hop-build",
-                        t0.elapsed(),
-                        "over-budget: search fallback pinned",
-                    );
-                    let _ = cell.set(None);
-                }
-                // cancelled (version superseded or engine dropped): hand
-                // the builder role back so a deliberate force on a
-                // still-live engine can still build
-                Err(rpq_index::HopBuildError::Cancelled) => {
-                    rpq_trace::tracer().record_span(
-                        "index",
-                        "hop-build",
-                        t0.elapsed(),
-                        "cancelled: version superseded",
-                    );
-                    started.store(false, Ordering::Release);
-                }
-                Err(rpq_index::HopBuildError::RepairTooBroad { .. }) => {
-                    unreachable!("build_with never runs the repair path")
-                }
-            }
-        });
-    }
-
-    /// Seed the hop cell with labels built (or repaired) elsewhere — the
-    /// live-update layer's carry-forward path, mirroring
-    /// [`adopt_sharded_labels`](QueryEngine::adopt_sharded_labels). No-op
-    /// if a build already landed.
-    pub(crate) fn adopt_hop_labels(&self, labels: Arc<HopLabels>) {
-        self.hop_started.store(true, Ordering::Release);
-        let _ = self.hop.set(Some(labels));
     }
 
     /// Mark this engine's graph version as superseded: any in-flight
@@ -438,193 +379,32 @@ impl QueryEngine {
         self.retired.store(true, Ordering::Relaxed);
     }
 
-    /// Is the hop index usable for this regex — built, and covering every
-    /// color the regex probes (the wildcard layer may have been dropped on
-    /// budget)?
-    fn hop_usable_for(&self, regex: &FRegex) -> bool {
-        match self.hop.get() {
-            Some(Some(labels)) => regex.atoms().iter().all(|a| labels.has_layer(a.color)),
-            _ => false,
+    /// The best backend usable for `query` right now: matrix → hop →
+    /// sharded → search, a label index counting only once built and
+    /// covering every color the query probes.
+    fn best_backend(&self, query: &Query) -> Backend {
+        if self.matrix_available() {
+            Backend::Matrix
+        } else if self.hop.covers(query, HopLabels::has_layer) {
+            Backend::Hop
+        } else if self.sharded.covers(query, ShardedLabels::has_layer) {
+            Backend::Sharded
+        } else {
+            Backend::Search
         }
     }
 
-    /// Is the hop index usable for this whole pattern — built, and
-    /// covering every color probed by every edge regex?
-    pub(crate) fn hop_usable_for_pq(&self, pq: &Pq) -> bool {
-        match self.hop.get() {
-            Some(Some(labels)) => pq
-                .edges()
-                .iter()
-                .flat_map(|e| e.regex.atoms())
-                .all(|a| labels.has_layer(a.color)),
-            _ => false,
-        }
-    }
-
-    /// Does policy allow the **sharded** fallback index? Only when a
-    /// single-machine index cannot serve: over the matrix limit, sharding
-    /// configured, and the single hop-label build either disabled by
-    /// policy or already failed its budget. While a single-index build is
-    /// still possible (or in flight), it stays preferred — its probes
-    /// don't pay the overlay stitch.
-    fn sharded_policy_allows(&self) -> bool {
-        self.graph.node_count() > self.config.matrix_node_limit
-            && self.config.shards >= 2
-            && (!self.hop_policy_allows() || matches!(self.hop.get(), Some(None)))
-    }
-
-    fn sharded_config(&self) -> ShardedConfig {
-        ShardedConfig {
-            shards: self.config.shards,
-            shard_budget_bytes: self.config.shard_memory_budget,
-            wildcard_layer: true,
-            build_workers: 0,
-        }
-    }
-
-    /// The sharded index, if its build has completed within the per-shard
-    /// budgets. Never blocks.
-    pub fn sharded_labels(&self) -> Option<Arc<ShardedLabels>> {
-        self.sharded.get().and_then(|o| o.clone())
-    }
-
-    /// True once the sharded index is built and usable for planning.
-    pub fn sharded_ready(&self) -> bool {
-        self.sharded.get().is_some_and(|o| o.is_some())
-    }
-
-    /// Build the sharded index *now*, on the calling thread (benches and
-    /// tests that need deterministic `RqSharded`/`PqJoinSharded` plans;
-    /// production traffic relies on the background build). `None` when
-    /// policy forbids it or a per-shard build exceeded its budget.
-    pub fn force_sharded_labels(&self) -> Option<Arc<ShardedLabels>> {
-        if !self.sharded_policy_allows() {
-            return self.sharded_labels();
-        }
-        loop {
-            if let Some(outcome) = self.sharded.get() {
-                return outcome.clone();
-            }
-            if !self.sharded_started.swap(true, Ordering::AcqRel) {
-                return self
-                    .sharded
-                    .get_or_init(|| {
-                        ShardedLabels::build_with(&self.graph, &self.sharded_config(), None)
-                            .ok()
-                            .map(Arc::new)
-                    })
-                    .clone();
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-    }
-
-    /// Seed the sharded cell with an index built elsewhere (the
-    /// [`ShardedEngine`](crate::ShardedEngine) constructor, which owns
-    /// the build so it can surface build errors and stats). No-op if a
-    /// build already landed.
-    pub(crate) fn adopt_sharded_labels(&self, labels: Arc<ShardedLabels>) {
-        self.sharded_started.store(true, Ordering::Release);
-        let _ = self.sharded.set(Some(labels));
-    }
-
-    /// Kick off the background sharded build if the single-index path is
-    /// out (disabled or over budget) and nobody has yet.
-    fn ensure_sharded_build(&self) {
-        if !self.sharded_policy_allows()
-            || self.retired.load(Ordering::Relaxed)
-            || self.sharded.get().is_some()
-            || self.sharded_started.swap(true, Ordering::AcqRel)
-        {
-            return;
-        }
-        let graph = Arc::clone(&self.graph);
-        let cell = Arc::clone(&self.sharded);
-        let retired = Arc::clone(&self.retired);
-        let started = Arc::clone(&self.sharded_started);
-        let config = self.sharded_config();
-        std::thread::spawn(move || {
-            let t0 = Instant::now();
-            match ShardedLabels::build_with(&graph, &config, Some(&retired)) {
-                Ok(labels) => {
-                    let stats = labels.stats();
-                    let detail =
-                        format!("ok shards={} bytes={}", stats.shards, stats.total_bytes());
-                    rpq_trace::tracer().record_span(
-                        "index",
-                        "sharded-build",
-                        t0.elapsed(),
-                        &detail,
-                    );
-                    let _ = cell.set(Some(Arc::new(labels)));
-                }
-                // over a per-shard budget: pin the failure — retrying the
-                // same partition under the same budget cannot succeed
-                Err(rpq_index::HopBuildError::OverBudget { .. }) => {
-                    rpq_trace::tracer().record_span(
-                        "index",
-                        "sharded-build",
-                        t0.elapsed(),
-                        "over-budget: search fallback pinned",
-                    );
-                    let _ = cell.set(None);
-                }
-                // cancelled (version superseded): hand the role back
-                Err(rpq_index::HopBuildError::Cancelled) => {
-                    rpq_trace::tracer().record_span(
-                        "index",
-                        "sharded-build",
-                        t0.elapsed(),
-                        "cancelled: version superseded",
-                    );
-                    started.store(false, Ordering::Release);
-                }
-                Err(rpq_index::HopBuildError::RepairTooBroad { .. }) => {
-                    unreachable!("build_with never runs the repair path")
-                }
-            }
-        });
-    }
-
-    /// Is the sharded index usable for this regex — built, and covering
-    /// every color it probes?
-    fn sharded_usable_for(&self, regex: &FRegex) -> bool {
-        match self.sharded.get() {
-            Some(Some(labels)) => regex.atoms().iter().all(|a| labels.has_layer(a.color)),
-            _ => false,
-        }
-    }
-
-    /// Is the sharded index usable for this whole pattern?
-    pub(crate) fn sharded_usable_for_pq(&self, pq: &Pq) -> bool {
-        match self.sharded.get() {
-            Some(Some(labels)) => pq
-                .edges()
-                .iter()
-                .flat_map(|e| e.regex.atoms())
-                .all(|a| labels.has_layer(a.color)),
-            _ => false,
+    fn plan(&self, query: &Query, shared_in_batch: bool) -> (Plan, Rationale) {
+        let backend = self.best_backend(query);
+        match query {
+            Query::Rq(rq) => planner::plan_rq(&rq.regex, backend, shared_in_batch),
+            Query::Pq(pq) => planner::plan_pq(pq, backend, self.config.split_crossover),
         }
     }
 
     /// The plan the engine would pick for `query` outside any batch.
     pub fn plan_query(&self, query: &Query) -> Plan {
-        match query {
-            Query::Rq(rq) => planner::plan_rq(
-                &rq.regex,
-                self.matrix_available(),
-                self.hop_usable_for(&rq.regex),
-                self.sharded_usable_for(&rq.regex),
-                false,
-            ),
-            Query::Pq(pq) => planner::plan_pq(
-                pq,
-                self.matrix_available(),
-                self.hop_usable_for_pq(pq),
-                self.sharded_usable_for_pq(pq),
-                self.config.split_crossover,
-            ),
-        }
+        self.plan(query, false).0
     }
 
     /// Evaluate one query (a batch of one, on the calling thread).
@@ -636,24 +416,151 @@ impl QueryEngine {
     /// snapshot layer passes a snapshot-lifetime memo so repeated keys are
     /// shared across batches, not just within one).
     pub fn run_query_with_memo(&self, query: &Query, memo: &ReachMemo) -> QueryOutput {
+        self.run_one(query, None, memo, false).0
+    }
+
+    /// Evaluate one query and return its execution profile alongside the
+    /// output: chosen plan + rationale, contiguous stage timings (their
+    /// sum equals the profile's wall time by construction), probe
+    /// counts, memo hit/miss, shard fan-out, and worker utilization.
+    /// This is the `explain` surface.
+    pub fn run_query_profiled(&self, query: &Query) -> (QueryOutput, QueryProfile) {
+        self.run_query_profiled_with_memo(query, &ReachMemo::new())
+    }
+
+    /// [`run_query_profiled`](QueryEngine::run_query_profiled) against a
+    /// caller-provided memo (the snapshot layer passes its
+    /// snapshot-lifetime memo so the profile's hit/miss numbers reflect
+    /// real serving behavior, not a cold per-call memo).
+    pub fn run_query_profiled_with_memo(
+        &self,
+        query: &Query,
+        memo: &ReachMemo,
+    ) -> (QueryOutput, QueryProfile) {
+        let (out, profile) = self.run_one(query, None, memo, true);
+        (out, profile.expect("profiled run"))
+    }
+
+    /// Profiled evaluation under a **caller-chosen** plan, bypassing the
+    /// planner — the test/bench surface that lets parity suites drive
+    /// every servable entry of [`Plan::ALL`] (like [`IndexSlot::force`],
+    /// this is for deterministic harnesses, not production traffic).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` does not match the query kind, requires an index
+    /// that is not built (force the build first), or is the `standing`
+    /// plan — standing answers are served by the snapshot layer
+    /// (`Snapshot::run_query_profiled`), not the engine.
+    pub fn run_query_with_plan_profiled(
+        &self,
+        query: &Query,
+        plan: Plan,
+    ) -> (QueryOutput, QueryProfile) {
+        let (out, profile) = self.run_one(query, Some(plan), &ReachMemo::new(), true);
+        (out, profile.expect("profiled run"))
+    }
+
+    /// The one single-query path: canonicalise → plan (unless `forced`)
+    /// → prepare → eval, on the calling thread with the whole worker
+    /// budget. With `profiled`, the same evaluation runs behind a
+    /// probe-counting decorator and the stage boundaries become a
+    /// [`QueryProfile`] — contiguous sub-intervals of one clock
+    /// (`t0 → t1 → t2 → t3`), so their sum equals the wall time exactly.
+    fn run_one(
+        &self,
+        query: &Query,
+        forced: Option<Plan>,
+        memo: &ReachMemo,
+        profiled: bool,
+    ) -> (QueryOutput, Option<QueryProfile>) {
+        let t0 = Instant::now();
+        // minimize-before-plan: evaluate the canonical form
         let canon = canonical_query(query);
-        let query = &canon;
-        if !self.matrix_available() {
-            self.ensure_hop_build();
-            // no-op unless the single-index path is disabled or has
-            // already failed its budget — the sharded fallback regime
-            self.ensure_sharded_build();
-        }
-        let plan = self.plan_query(query);
-        if plan_needs_matrix(plan) {
+        let (plan, why) = match forced {
+            Some(plan) => (plan, Rationale::Forced(plan)),
+            None => {
+                self.ensure_index_builds();
+                self.plan(&canon, false)
+            }
+        };
+        let t1 = Instant::now();
+        let needs_matrix = plan.backend() == Backend::Matrix;
+        if needs_matrix {
             self.matrix();
         }
+        let t2 = Instant::now();
+        let before = (memo.semantic_stats(), memo.stats());
+        let workers = self.configured_workers();
         let mut cached = CachedReach::new(self.config.reach_cache_capacity);
-        // a single query owns the whole worker budget for its refinement
-        let t = Instant::now();
-        let out = self.eval_one(query, plan, memo, &mut cached, self.configured_workers());
-        self.note_if_slow(query, plan, t.elapsed());
-        out
+        let job = Job {
+            g: &self.graph,
+            query: &canon,
+            plan,
+            memo,
+            pq_workers: workers,
+            count_probes: profiled,
+        };
+        let (out, probes) = self.eval_one(job, &mut cached);
+        let t3 = Instant::now();
+        self.note_if_slow(&canon, plan, t3 - t2);
+        if !profiled {
+            return (out, None);
+        }
+
+        let mut profile = QueryProfile::new(
+            query_summary(query, &self.graph),
+            plan.name().to_owned(),
+            why.to_string(),
+        );
+        if canon != *query {
+            profile.canonical = query_summary(&canon, &self.graph);
+        }
+        let indices = format!("hop={:?} sharded={:?}", self.hop, self.sharded);
+        profile.stage("plan", t1 - t0, indices);
+        let prepared = if needs_matrix {
+            "distance matrix ready"
+        } else {
+            "no shared index to prepare"
+        };
+        profile.stage("prepare", t2 - t1, prepared.to_owned());
+        profile.stage("eval", t3 - t2, format!("probes={probes}"));
+        profile.probes = probes;
+        let (s0, (hits0, misses0)) = before;
+        let (s1, (hits1, misses1)) = (memo.semantic_stats(), memo.stats());
+        profile.memo_hits = hits1 - hits0;
+        profile.memo_misses = misses1 - misses0;
+        // one query ran: at most one semantic-cache event moved (under
+        // concurrent batches sharing the memo this is approximate, like
+        // the hit/miss deltas above)
+        profile.semcache = if s1.exact_hits > s0.exact_hits {
+            "exact_hit"
+        } else if s1.subsumption_hits > s0.subsumption_hits {
+            "subsumption_hit"
+        } else if s1.misses > s0.misses {
+            "miss"
+        } else {
+            // the plan never consulted the cache (PQ backends)
+            ""
+        }
+        .to_owned();
+        profile.workers = workers;
+        if plan.backend() == Backend::Sharded {
+            profile.shard_fanout = self.sharded.ready().sharded_graph().k() as u32;
+        }
+        profile.matches = out.match_count() as u64;
+        profile.wall = t3 - t0;
+
+        let tracer = rpq_trace::tracer();
+        if tracer.enabled() {
+            let detail = format!(
+                "plan={} probes={probes} matches={}",
+                plan.name(),
+                profile.matches
+            );
+            tracer.record_span("engine", "explain", profile.wall, &detail);
+        }
+        (out, Some(profile))
     }
 
     /// Evaluate a batch: plan each query (batch-aware), then pull queries
@@ -690,53 +597,31 @@ impl QueryEngine {
                 *key_count.entry((&rq.from, &rq.regex)).or_insert(0) += 1;
             }
         }
-        let matrix_available = self.matrix_available();
-        if !matrix_available {
-            // over the matrix limit: start the background label build off
-            // this batch; *this* batch still plans against whatever is
-            // ready right now (fallback-while-stale). The sharded build
-            // only kicks once the single-index path is disabled or has
-            // failed its budget.
-            self.ensure_hop_build();
-            self.ensure_sharded_build();
-        }
+        self.ensure_index_builds();
         let plans: Vec<Plan> = queries
             .iter()
-            .map(|q| match q {
-                Query::Rq(rq) => {
-                    let shared = key_count[&(&rq.from, &rq.regex)] > 1;
-                    planner::plan_rq(
-                        &rq.regex,
-                        matrix_available,
-                        self.hop_usable_for(&rq.regex),
-                        self.sharded_usable_for(&rq.regex),
-                        shared,
-                    )
-                }
-                Query::Pq(pq) => planner::plan_pq(
-                    pq,
-                    matrix_available,
-                    self.hop_usable_for_pq(pq),
-                    self.sharded_usable_for_pq(pq),
-                    self.config.split_crossover,
-                ),
+            .map(|q| {
+                let shared = match q {
+                    Query::Rq(rq) => key_count[&(&rq.from, &rq.regex)] > 1,
+                    Query::Pq(_) => false,
+                };
+                self.plan(q, shared).0
             })
             .collect();
 
         // build the shared index once, before workers start
-        if plans.iter().any(|&p| plan_needs_matrix(p)) {
+        if plans.iter().any(|p| p.backend() == Backend::Matrix) {
             self.matrix();
         }
 
-        let workers = self.worker_count(queries.len());
+        let workers = self.configured_workers().clamp(1, queries.len());
         // worker budget left over by a short batch goes to PQ refinement:
         // each index-backed PQ evaluation chunks its per-edge source tests
         // over this many threads, so one big PQ in a batch of one still
         // saturates the machine
         let pq_workers = (self.configured_workers() / workers).max(1);
         let next = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<(QueryOutput, std::time::Duration)>> =
-            (0..queries.len()).map(|_| OnceLock::new()).collect();
+        let slots: Vec<OnceLock<BatchItem>> = queries.iter().map(|_| OnceLock::new()).collect();
 
         std::thread::scope(|s| {
             for _ in 0..workers {
@@ -747,13 +632,26 @@ impl QueryEngine {
                         if i >= queries.len() {
                             break;
                         }
+                        let job = Job {
+                            g: &self.graph,
+                            query: &queries[i],
+                            plan: plans[i],
+                            memo,
+                            pq_workers,
+                            count_probes: false,
+                        };
                         let t = Instant::now();
-                        let out =
-                            self.eval_one(&queries[i], plans[i], memo, &mut cached, pq_workers);
-                        let elapsed = t.elapsed();
-                        self.note_if_slow(&queries[i], plans[i], elapsed);
+                        let (output, _) = self.eval_one(job, &mut cached);
+                        let time = t.elapsed();
+                        self.note_if_slow(job.query, job.plan, time);
+                        let item = BatchItem {
+                            output,
+                            plan: job.plan,
+                            time,
+                            profile: None,
+                        };
                         slots[i]
-                            .set((out, elapsed))
+                            .set(item)
                             .unwrap_or_else(|_| unreachable!("each index is claimed once"));
                     }
                 });
@@ -762,16 +660,7 @@ impl QueryEngine {
 
         let items = slots
             .into_iter()
-            .zip(&plans)
-            .map(|(slot, &plan)| {
-                let (output, time) = slot.into_inner().expect("worker filled every slot");
-                BatchItem {
-                    output,
-                    plan,
-                    time,
-                    profile: None,
-                }
-            })
+            .map(|slot| slot.into_inner().expect("worker filled every slot"))
             .collect();
         let (hits1, misses1) = memo.stats();
         BatchResult::new(
@@ -792,148 +681,41 @@ impl QueryEngine {
         }
     }
 
-    fn worker_count(&self, batch_len: usize) -> usize {
-        self.configured_workers().clamp(1, batch_len.max(1))
-    }
-
-    fn eval_one(
-        &self,
-        query: &Query,
-        plan: Plan,
-        memo: &ReachMemo,
-        cached: &mut CachedReach,
-        pq_workers: usize,
-    ) -> QueryOutput {
-        let g = self.graph.as_ref();
-        match (query, plan) {
-            (Query::Rq(rq), Plan::RqDm) => {
-                if let Some(hits) = self.memo_served(g, rq, memo) {
-                    return QueryOutput::Rq(RqResult::from_pairs(hits));
-                }
-                let m = self.matrix.get().expect("DM plan requires the matrix");
-                QueryOutput::Rq(Self::rq_indexed(g, rq, m, memo))
-            }
-            (Query::Rq(rq), Plan::RqHop) => {
-                if let Some(hits) = self.memo_served(g, rq, memo) {
-                    return QueryOutput::Rq(RqResult::from_pairs(hits));
-                }
-                let labels = self.hop_labels().expect("hop plan requires built labels");
-                QueryOutput::Rq(Self::rq_indexed(g, rq, labels.as_ref(), memo))
-            }
-            (Query::Rq(rq), Plan::RqSharded) => {
-                if let Some(hits) = self.memo_served(g, rq, memo) {
-                    return QueryOutput::Rq(RqResult::from_pairs(hits));
-                }
-                let labels = self
-                    .sharded_labels()
-                    .expect("sharded plan requires built labels");
-                QueryOutput::Rq(Self::rq_indexed(g, rq, labels.as_ref(), memo))
-            }
-            (Query::Rq(rq), Plan::RqBiBfs) => {
-                if let Some(hits) = self.memo_served(g, rq, memo) {
-                    return QueryOutput::Rq(RqResult::from_pairs(hits));
-                }
-                QueryOutput::Rq(rq.eval_bibfs(g))
-            }
-            (Query::Rq(rq), Plan::RqBfsMemo) => {
-                let pairs = memo.reach_pairs(g, &rq.from, &rq.regex);
-                let hits = pairs
-                    .iter()
-                    .filter(|&&(_, y)| rq.to.matches(g.attrs(y)))
-                    .copied()
-                    .collect();
-                QueryOutput::Rq(RqResult::from_pairs(hits))
-            }
-            (Query::Pq(pq), Plan::PqJoinMatrix) => {
-                let m = self.matrix.get().expect("DM plan requires the matrix");
-                let mut reach = ProbeReach::with_workers(m, pq_workers);
-                QueryOutput::Pq(Arc::new(JoinMatch::eval(pq, g, &mut reach)))
-            }
-            (Query::Pq(pq), Plan::PqSplitMatrix) => {
-                let m = self.matrix.get().expect("DM plan requires the matrix");
-                let mut reach = ProbeReach::with_workers(m, pq_workers);
-                QueryOutput::Pq(Arc::new(SplitMatch::eval(pq, g, &mut reach)))
-            }
-            (Query::Pq(pq), Plan::PqJoinHop) => {
-                let labels = self.hop_labels().expect("hop plan requires built labels");
-                let mut reach = ProbeReach::with_workers(labels.as_ref(), pq_workers);
-                QueryOutput::Pq(Arc::new(JoinMatch::eval(pq, g, &mut reach)))
-            }
-            (Query::Pq(pq), Plan::PqSplitHop) => {
-                let labels = self.hop_labels().expect("hop plan requires built labels");
-                let mut reach = ProbeReach::with_workers(labels.as_ref(), pq_workers);
-                QueryOutput::Pq(Arc::new(SplitMatch::eval(pq, g, &mut reach)))
-            }
-            (Query::Pq(pq), Plan::PqJoinSharded) => {
-                let labels = self
-                    .sharded_labels()
-                    .expect("sharded plan requires built labels");
-                let mut reach = ProbeReach::with_workers(labels.as_ref(), pq_workers);
-                QueryOutput::Pq(Arc::new(JoinMatch::eval(pq, g, &mut reach)))
-            }
-            (Query::Pq(pq), Plan::PqSplitSharded) => {
-                let labels = self
-                    .sharded_labels()
-                    .expect("sharded plan requires built labels");
-                let mut reach = ProbeReach::with_workers(labels.as_ref(), pq_workers);
-                QueryOutput::Pq(Arc::new(SplitMatch::eval(pq, g, &mut reach)))
-            }
-            (Query::Pq(pq), Plan::PqJoinCached) => {
-                QueryOutput::Pq(Arc::new(JoinMatch::eval(pq, g, cached)))
-            }
-            (Query::Pq(pq), Plan::PqSplitCached) => {
-                QueryOutput::Pq(Arc::new(SplitMatch::eval(pq, g, cached)))
-            }
-            (Query::Rq(_), _) | (Query::Pq(_), _) => {
-                unreachable!("planner assigned a {plan:?} plan to a mismatched query kind")
+    /// The one execution path: resolve `plan`'s backend to its probe and
+    /// evaluate the plan's algorithm over it. Returns the output and —
+    /// with `count_probes`, the explain surface — the number of distance
+    /// probes issued (0 for plans that probe no index: the searches, the
+    /// cached backend, and answers served from the semantic cache).
+    fn eval_one(&self, job: Job<'_>, cached: &mut CachedReach) -> (QueryOutput, u64) {
+        let Job { g, query, memo, .. } = job;
+        let algo = job.plan.algo();
+        // semantic-cache probe for index-backed and search RQ plans: a
+        // completed exact cell or a containing cached entry answers —
+        // filtered down by the query's target predicate — without touching
+        // the index; a cold cache costs one lookup and falls through to the
+        // plan's own backend (`SemanticMemo::try_answer` never blocks on
+        // in-flight computations). `BFS+memo` *is* the memo's own path.
+        if let (Query::Rq(rq), true) = (query, algo != Algo::RqBfsMemo) {
+            if let Some((pairs, _kind)) = memo.try_answer(g, &rq.from, &rq.regex) {
+                return (rq_targets(g, rq, &pairs), 0);
             }
         }
-    }
-
-    /// Semantic-cache probe for index-backed and search RQ plans: a
-    /// completed exact cell or a containing cached entry answers —
-    /// filtered down by the query's target predicate — without touching
-    /// the index; a cold cache costs one lookup and falls through to the
-    /// plan's own backend ([`SemanticMemo::try_answer`](crate::memo::SemanticMemo::try_answer)
-    /// never blocks on in-flight computations).
-    fn memo_served(&self, g: &Graph, rq: &Rq, memo: &ReachMemo) -> Option<Vec<(NodeId, NodeId)>> {
-        let (pairs, _kind) = memo.try_answer(g, &rq.from, &rq.regex)?;
-        Some(
-            pairs
-                .iter()
-                .filter(|&&(_, y)| rq.to.matches(g.attrs(y)))
-                .copied()
-                .collect(),
-        )
-    }
-
-    /// Index-backed RQ evaluation after a declined cache probe. Against
-    /// a [`persistent`](crate::memo::SemanticMemo::persistent) memo (the
-    /// sharded engine's, a snapshot's) the key's *full* reach set is
-    /// computed through the index — target predicate widened to `true`,
-    /// trading the backward-pruning pass for a reusable cache entry —
-    /// installed via [`insert`](crate::memo::SemanticMemo::insert), and
-    /// filtered down to the query's targets; the next exact or contained
-    /// query on the key is a cache hit. Throwaway per-call memos skip
-    /// the wider evaluation and run the query directly.
-    fn rq_indexed<D: rpq_index::DistProbe + ?Sized>(
-        g: &Graph,
-        rq: &Rq,
-        probe: &D,
-        memo: &ReachMemo,
-    ) -> RqResult {
-        if !memo.populates_on_miss() {
-            return rq.eval_with_dist(g, probe);
+        match job.plan.backend() {
+            Backend::Matrix => eval_on(job, self.matrix.get().expect("prepared by the caller")),
+            Backend::Hop => eval_on(job, self.hop.ready()),
+            Backend::Sharded => eval_on(job, self.sharded.ready()),
+            Backend::Search => {
+                let out = match (query, algo) {
+                    (Query::Rq(rq), Algo::RqBiBfs) => QueryOutput::Rq(rq.eval_bibfs(g)),
+                    (Query::Rq(rq), Algo::RqBfsMemo) => {
+                        rq_targets(g, rq, &memo.reach_pairs(g, &rq.from, &rq.regex))
+                    }
+                    (Query::Pq(pq), _) => eval_pq(algo, pq, g, cached),
+                    (Query::Rq(_), _) => mismatched(job.plan),
+                };
+                (out, 0)
+            }
         }
-        let wide = Rq::new(rq.from.clone(), Predicate::always_true(), rq.regex.clone());
-        let pairs = memo.insert(&rq.from, &rq.regex, wide.eval_with_dist(g, probe).pairs());
-        RqResult::from_pairs(
-            pairs
-                .iter()
-                .filter(|&&(_, y)| rq.to.matches(g.attrs(y)))
-                .copied()
-                .collect(),
-        )
     }
 
     /// Slow-query log hook: with a nonzero
@@ -957,273 +739,10 @@ impl QueryEngine {
                 dur,
                 &format!(
                     "threshold_us={threshold} {}",
-                    crate::explain::query_summary(query, &self.graph)
+                    query_summary(query, &self.graph)
                 ),
             );
         }
-    }
-
-    /// The plan for `query` plus the planner's rationale: which signal
-    /// won and the values it saw (index availability, pattern shape,
-    /// crossover) at decision time.
-    pub fn plan_query_explain(&self, query: &Query) -> (Plan, String) {
-        match query {
-            Query::Rq(rq) => planner::plan_rq_explain(
-                &rq.regex,
-                self.matrix_available(),
-                self.hop_usable_for(&rq.regex),
-                self.sharded_usable_for(&rq.regex),
-                false,
-            ),
-            Query::Pq(pq) => planner::plan_pq_explain(
-                pq,
-                self.matrix_available(),
-                self.hop_usable_for_pq(pq),
-                self.sharded_usable_for_pq(pq),
-                self.config.split_crossover,
-            ),
-        }
-    }
-
-    /// Evaluate one query and return its execution profile alongside the
-    /// output: chosen plan + rationale, contiguous stage timings (their
-    /// sum equals the profile's wall time by construction), probe
-    /// counts, memo hit/miss, shard fan-out, and worker utilization.
-    /// This is the `explain` surface; the unprofiled
-    /// [`run_query`](QueryEngine::run_query) path pays nothing for it.
-    pub fn run_query_profiled(&self, query: &Query) -> (QueryOutput, rpq_trace::QueryProfile) {
-        self.run_query_profiled_with_memo(query, &ReachMemo::new())
-    }
-
-    /// [`run_query_profiled`](QueryEngine::run_query_profiled) against a
-    /// caller-provided memo (the snapshot layer passes its
-    /// snapshot-lifetime memo so the profile's hit/miss numbers reflect
-    /// real serving behavior, not a cold per-call memo).
-    pub fn run_query_profiled_with_memo(
-        &self,
-        query: &Query,
-        memo: &ReachMemo,
-    ) -> (QueryOutput, rpq_trace::QueryProfile) {
-        let t0 = Instant::now();
-        if !self.matrix_available() {
-            self.ensure_hop_build();
-            self.ensure_sharded_build();
-        }
-        let (plan, rationale) = self.plan_query_explain(query);
-        self.profiled_run(query, plan, rationale, memo, t0)
-    }
-
-    /// Profiled evaluation under a **caller-chosen** plan, bypassing the
-    /// planner — the test/bench surface that lets parity suites drive
-    /// every servable [`Plan`] variant (like
-    /// [`force_hop_labels`](QueryEngine::force_hop_labels), this is for
-    /// deterministic harnesses, not production traffic).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plan` does not match the query kind, requires an index
-    /// that is not built (force the build first), or is
-    /// [`Plan::PqStanding`] — standing answers are served by the snapshot
-    /// layer (`Snapshot::run_query_profiled`), not the engine.
-    pub fn run_query_with_plan_profiled(
-        &self,
-        query: &Query,
-        plan: Plan,
-    ) -> (QueryOutput, rpq_trace::QueryProfile) {
-        let memo = ReachMemo::new();
-        let t0 = Instant::now();
-        let rationale = format!("plan {} forced by caller (test/bench surface)", plan.name());
-        self.profiled_run(query, plan, rationale, &memo, t0)
-    }
-
-    /// Shared profiled-evaluation core. Stages are contiguous
-    /// sub-intervals of one clock (`t0 → t1 → t2 → t3`), so their sum
-    /// equals the reported wall time exactly.
-    fn profiled_run(
-        &self,
-        query: &Query,
-        plan: Plan,
-        rationale: String,
-        memo: &ReachMemo,
-        t0: Instant,
-    ) -> (QueryOutput, rpq_trace::QueryProfile) {
-        let mut profile = rpq_trace::QueryProfile::new(
-            crate::explain::query_summary(query, &self.graph),
-            plan.name().to_owned(),
-            rationale,
-        );
-        // minimize-before-plan, reported: evaluate the canonical form and
-        // surface it in the profile when it differs from the submission
-        let canon = canonical_query(query);
-        if canon != *query {
-            profile.canonical = crate::explain::query_summary(&canon, &self.graph);
-        }
-        let query = &canon;
-        let t1 = Instant::now();
-        profile.stage(
-            "plan",
-            t1 - t0,
-            format!(
-                "matrix_available={} hop_ready={} sharded_ready={}",
-                self.matrix_available(),
-                self.hop_ready(),
-                self.sharded_ready()
-            ),
-        );
-
-        let matrix_needed = plan_needs_matrix(plan);
-        if matrix_needed {
-            self.matrix();
-        }
-        let t2 = Instant::now();
-        profile.stage(
-            "prepare",
-            t2 - t1,
-            if matrix_needed {
-                "distance matrix ready".to_owned()
-            } else {
-                "no shared index to prepare".to_owned()
-            },
-        );
-
-        let s0 = memo.semantic_stats();
-        let (hits0, misses0) = memo.stats();
-        let workers = self.configured_workers();
-        let mut cached = CachedReach::new(self.config.reach_cache_capacity);
-        let (out, probes) = self.eval_one_profiled(query, plan, memo, &mut cached, workers);
-        let t3 = Instant::now();
-        let (hits1, misses1) = memo.stats();
-        let s1 = memo.semantic_stats();
-        profile.stage("eval", t3 - t2, format!("probes={probes}"));
-        profile.probes = probes;
-        profile.memo_hits = hits1 - hits0;
-        profile.memo_misses = misses1 - misses0;
-        // one query ran: at most one semantic-cache event moved (under
-        // concurrent batches sharing the memo this is approximate, like
-        // the hit/miss deltas above)
-        profile.semcache = if s1.exact_hits > s0.exact_hits {
-            "exact_hit"
-        } else if s1.subsumption_hits > s0.subsumption_hits {
-            "subsumption_hit"
-        } else if s1.misses > s0.misses {
-            "miss"
-        } else {
-            // the plan never consulted the cache (PQ backends)
-            ""
-        }
-        .to_owned();
-        profile.workers = workers;
-        profile.shard_fanout = match plan {
-            Plan::RqSharded | Plan::PqJoinSharded | Plan::PqSplitSharded => self
-                .sharded_labels()
-                .map_or(0, |l| l.sharded_graph().k() as u32),
-            _ => 0,
-        };
-        profile.matches = out.match_count() as u64;
-        profile.wall = t3 - t0;
-        self.note_if_slow(query, plan, t3 - t2);
-
-        let tracer = rpq_trace::tracer();
-        if tracer.enabled() {
-            tracer.record_span(
-                "engine",
-                "explain",
-                profile.wall,
-                &format!(
-                    "plan={} probes={probes} matches={}",
-                    plan.name(),
-                    profile.matches
-                ),
-            );
-        }
-        (out, profile)
-    }
-
-    /// [`eval_one`](QueryEngine::eval_one) with probe counting: index
-    /// backends are wrapped in a counting decorator that still delegates
-    /// to their optimized bulk implementations. Returns the output and
-    /// the number of distance probes issued (0 for plans that do not
-    /// probe an index — pure searches and the cached backend).
-    fn eval_one_profiled(
-        &self,
-        query: &Query,
-        plan: Plan,
-        memo: &ReachMemo,
-        cached: &mut CachedReach,
-        pq_workers: usize,
-    ) -> (QueryOutput, u64) {
-        use crate::explain::CountingProbe;
-        let g = self.graph.as_ref();
-        // index-backed RQ plans consult the semantic cache first, exactly
-        // like the unprofiled path — a served answer reports 0 probes
-        if let (Query::Rq(rq), Plan::RqDm | Plan::RqHop | Plan::RqSharded) = (query, plan) {
-            if let Some(hits) = self.memo_served(g, rq, memo) {
-                return (QueryOutput::Rq(RqResult::from_pairs(hits)), 0);
-            }
-        }
-        match (query, plan) {
-            (Query::Rq(rq), Plan::RqDm) => {
-                let m = self.matrix.get().expect("DM plan requires the matrix");
-                let p = CountingProbe::new(m);
-                let out = QueryOutput::Rq(Self::rq_indexed(g, rq, &p, memo));
-                (out, p.probes())
-            }
-            (Query::Rq(rq), Plan::RqHop) => {
-                let labels = self.hop_labels().expect("hop plan requires built labels");
-                let p = CountingProbe::new(labels.as_ref());
-                let out = QueryOutput::Rq(Self::rq_indexed(g, rq, &p, memo));
-                (out, p.probes())
-            }
-            (Query::Rq(rq), Plan::RqSharded) => {
-                let labels = self
-                    .sharded_labels()
-                    .expect("sharded plan requires built labels");
-                let p = CountingProbe::new(labels.as_ref());
-                let out = QueryOutput::Rq(Self::rq_indexed(g, rq, &p, memo));
-                (out, p.probes())
-            }
-            (Query::Pq(pq), Plan::PqJoinMatrix | Plan::PqSplitMatrix) => {
-                let m = self.matrix.get().expect("DM plan requires the matrix");
-                let p = CountingProbe::new(m);
-                let out = Self::eval_pq_probed(pq, g, &p, plan, pq_workers);
-                (out, p.probes())
-            }
-            (Query::Pq(pq), Plan::PqJoinHop | Plan::PqSplitHop) => {
-                let labels = self.hop_labels().expect("hop plan requires built labels");
-                let p = CountingProbe::new(labels.as_ref());
-                let out = Self::eval_pq_probed(pq, g, &p, plan, pq_workers);
-                (out, p.probes())
-            }
-            (Query::Pq(pq), Plan::PqJoinSharded | Plan::PqSplitSharded) => {
-                let labels = self
-                    .sharded_labels()
-                    .expect("sharded plan requires built labels");
-                let p = CountingProbe::new(labels.as_ref());
-                let out = Self::eval_pq_probed(pq, g, &p, plan, pq_workers);
-                (out, p.probes())
-            }
-            // the remaining plans never touch a DistProbe backend: run
-            // them through the unprofiled path and report 0 probes
-            _ => (self.eval_one(query, plan, memo, cached, pq_workers), 0),
-        }
-    }
-
-    /// PQ evaluation over a counting probe, split/join chosen by plan.
-    fn eval_pq_probed<P: rpq_index::DistProbe + Sync + ?Sized>(
-        pq: &Pq,
-        g: &Graph,
-        probe: &P,
-        plan: Plan,
-        pq_workers: usize,
-    ) -> QueryOutput {
-        let mut reach = ProbeReach::with_workers(probe, pq_workers);
-        let result = match plan {
-            Plan::PqSplitMatrix | Plan::PqSplitHop | Plan::PqSplitSharded => {
-                SplitMatch::eval(pq, g, &mut reach)
-            }
-            _ => JoinMatch::eval(pq, g, &mut reach),
-        };
-        QueryOutput::Pq(Arc::new(result))
     }
 }
 
@@ -1238,8 +757,82 @@ impl Drop for QueryEngine {
     }
 }
 
-fn plan_needs_matrix(plan: Plan) -> bool {
-    matches!(plan, Plan::RqDm | Plan::PqJoinMatrix | Plan::PqSplitMatrix)
+/// What one probe-backed evaluation needs besides the probe.
+#[derive(Clone, Copy)]
+struct Job<'a> {
+    g: &'a Graph,
+    query: &'a Query,
+    plan: Plan,
+    memo: &'a ReachMemo,
+    /// Threads an index-backed PQ chunks its bulk refinement steps over.
+    pq_workers: usize,
+    count_probes: bool,
+}
+
+/// Evaluate `job` over `probe` — the one generic evaluator every index
+/// backend shares, statically dispatched per probe type. Profiling is the
+/// [`CountingProbe`] decorator around the same call: it still delegates to
+/// the backend's optimized bulk implementations.
+fn eval_on<P: DistProbe + Sync>(job: Job<'_>, probe: &P) -> (QueryOutput, u64) {
+    if job.count_probes {
+        let counting = CountingProbe::new(probe);
+        (eval_probing(job, &counting), counting.probes())
+    } else {
+        (eval_probing(job, probe), 0)
+    }
+}
+
+fn eval_probing<P: DistProbe + Sync>(job: Job<'_>, probe: &P) -> QueryOutput {
+    match (job.query, job.plan.algo()) {
+        (Query::Rq(rq), Algo::RqDm) => rq_indexed(job.g, rq, probe, job.memo),
+        (Query::Pq(pq), algo) => {
+            let mut reach = ProbeReach::with_workers(probe, job.pq_workers);
+            eval_pq(algo, pq, job.g, &mut reach)
+        }
+        (Query::Rq(_), algo) => mismatched(algo),
+    }
+}
+
+/// §5's two PQ algorithms over whichever reachability backend `reach` is.
+fn eval_pq<R: ReachEngine>(algo: Algo, pq: &Pq, g: &Graph, reach: &mut R) -> QueryOutput {
+    QueryOutput::Pq(Arc::new(match algo {
+        Algo::Join => JoinMatch::eval(pq, g, reach),
+        Algo::Split => SplitMatch::eval(pq, g, reach),
+        _ => mismatched(algo),
+    }))
+}
+
+fn mismatched(plan: impl std::fmt::Debug) -> ! {
+    unreachable!("{plan:?} does not evaluate this query kind on this backend")
+}
+
+/// `pairs` — a reach set of `rq`'s `(source predicate, regex)` key —
+/// filtered down to the query's target predicate.
+fn rq_targets(g: &Graph, rq: &Rq, pairs: &[(NodeId, NodeId)]) -> QueryOutput {
+    let hits = pairs
+        .iter()
+        .filter(|&&(_, y)| rq.to.matches(g.attrs(y)))
+        .copied()
+        .collect();
+    QueryOutput::Rq(RqResult::from_pairs(hits))
+}
+
+/// Index-backed RQ evaluation after a declined cache probe. Against
+/// a [`persistent`](crate::memo::SemanticMemo::persistent) memo (the
+/// sharded engine's, a snapshot's) the key's *full* reach set is
+/// computed through the index — target predicate widened to `true`,
+/// trading the backward-pruning pass for a reusable cache entry —
+/// installed via [`insert`](crate::memo::SemanticMemo::insert), and
+/// filtered down to the query's targets; the next exact or contained
+/// query on the key is a cache hit. Throwaway per-call memos skip
+/// the wider evaluation and run the query directly.
+fn rq_indexed<D: DistProbe>(g: &Graph, rq: &Rq, probe: &D, memo: &ReachMemo) -> QueryOutput {
+    if !memo.populates_on_miss() {
+        return QueryOutput::Rq(rq.eval_with_dist(g, probe));
+    }
+    let wide = Rq::new(rq.from.clone(), Predicate::always_true(), rq.regex.clone());
+    let pairs = memo.insert(&rq.from, &rq.regex, wide.eval_with_dist(g, probe).pairs());
+    rq_targets(g, rq, &pairs)
 }
 
 /// The query with every regex in run-normal canonical form
@@ -1325,7 +918,7 @@ mod tests {
         assert!(engine.matrix_available());
         assert!(engine.matrix.get().is_none(), "matrix must be lazy");
         let q = Query::Rq(rq(&g, "job = \"doctor\"", "job = \"doctor\"", "fa"));
-        assert_eq!(engine.plan_query(&q), Plan::RqDm);
+        assert_eq!(engine.plan_query(&q).name(), "DM");
         engine.run_query(&q);
         assert!(
             engine.matrix.get().is_some(),
@@ -1356,9 +949,9 @@ mod tests {
             Query::Rq(solo.clone()),
         ]);
         assert!(engine.matrix.get().is_none());
-        assert_eq!(batch.items()[0].plan, Plan::RqBfsMemo);
-        assert_eq!(batch.items()[1].plan, Plan::RqBfsMemo);
-        assert_eq!(batch.items()[2].plan, Plan::RqBiBfs);
+        assert_eq!(batch.items()[0].plan.algo(), Algo::RqBfsMemo);
+        assert_eq!(batch.items()[1].plan.algo(), Algo::RqBfsMemo);
+        assert_eq!(batch.items()[2].plan.algo(), Algo::RqBiBfs);
         // outputs still equal the reference strategies
         assert_eq!(
             batch.items()[0].output.as_rq().unwrap(),
@@ -1390,24 +983,24 @@ mod tests {
             },
         );
         assert!(!engine.matrix_available());
-        assert!(!engine.hop_ready(), "index must be lazy");
+        assert!(engine.hop().get().is_none(), "index must be lazy");
         let q = rq(&g, "a0 <= 4", "a1 >= 6", "c0^2 c1");
 
         // deterministic path for the assertion: build inline
-        let labels = engine.force_hop_labels().expect("within default budget");
+        let labels = engine.hop().force().expect("within default budget");
         assert!(labels.is_exact());
-        assert!(engine.hop_ready());
-        assert_eq!(engine.plan_query(&Query::Rq(q.clone())), Plan::RqHop);
+        assert!(engine.hop().get().is_some());
+        assert_eq!(engine.plan_query(&Query::Rq(q.clone())).name(), "hop");
 
         let batch = engine.run_batch(&[Query::Rq(q.clone()), Query::Rq(q.clone())]);
-        assert_eq!(batch.items()[0].plan, Plan::RqHop);
-        assert_eq!(batch.items()[1].plan, Plan::RqHop);
+        assert_eq!(batch.items()[0].plan.name(), "hop");
+        assert_eq!(batch.items()[1].plan.name(), "hop");
         // bit-identical to search-based evaluation
         assert_eq!(batch.items()[0].output.as_rq().unwrap(), &q.eval_bfs(&g));
         assert_eq!(batch.items()[0].output, batch.items()[1].output);
         // wildcard queries are covered too (wildcard layer fit the budget)
         let wq = rq(&g, "a0 <= 9", "a1 >= 2", "_^2");
-        assert_eq!(engine.plan_query(&Query::Rq(wq.clone())), Plan::RqHop);
+        assert_eq!(engine.plan_query(&Query::Rq(wq.clone())).name(), "hop");
         assert_eq!(
             engine.run_query(&Query::Rq(wq.clone())).as_rq().unwrap(),
             &wq.eval_bfs(&g)
@@ -1449,15 +1042,15 @@ mod tests {
         // before the index lands: cached fallback plans
         for pq in [&join_pq, &ring_pq] {
             assert_eq!(
-                engine.plan_query(&Query::Pq(pq.clone())),
-                Plan::PqJoinCached
+                engine.plan_query(&Query::Pq(pq.clone())).name(),
+                "JoinMatch/cache"
             );
         }
 
-        engine.force_hop_labels().expect("within default budget");
+        engine.hop().force().expect("within default budget");
         let batch = engine.run_batch(&[Query::Pq(join_pq.clone()), Query::Pq(ring_pq.clone())]);
-        assert_eq!(batch.items()[0].plan, Plan::PqJoinHop);
-        assert_eq!(batch.items()[1].plan, Plan::PqJoinHop);
+        assert_eq!(batch.items()[0].plan.name(), "JoinMatch/hop");
+        assert_eq!(batch.items()[1].plan.name(), "JoinMatch/hop");
         // bit-identical to the reference fixpoint
         assert_eq!(
             batch.items()[0].output.as_pq().unwrap(),
@@ -1470,8 +1063,8 @@ mod tests {
         // the same large ring under the matrix limit is the split regime
         let small_engine = QueryEngine::new(Arc::clone(&g));
         assert_eq!(
-            small_engine.plan_query(&Query::Pq(ring_pq.clone())),
-            Plan::PqSplitMatrix
+            small_engine.plan_query(&Query::Pq(ring_pq.clone())).name(),
+            "SplitMatch/DM"
         );
         assert_eq!(
             small_engine
@@ -1510,7 +1103,7 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let labels = engine.force_hop_labels().expect("concrete layers fit");
+        let labels = engine.hop().force().expect("concrete layers fit");
         assert!(!labels.has_layer(rpq_graph::WILDCARD));
 
         let mk = |re: &str| {
@@ -1520,11 +1113,9 @@ mod tests {
             pq.add_edge(a, b, FRegex::parse(re, g.alphabet()).unwrap());
             pq
         };
-        assert_eq!(engine.plan_query(&Query::Pq(mk("c0 c1"))), Plan::PqJoinHop);
-        assert_eq!(
-            engine.plan_query(&Query::Pq(mk("c0 _^2"))),
-            Plan::PqJoinCached
-        );
+        let backend = |re: &str| engine.plan_query(&Query::Pq(mk(re))).backend();
+        assert_eq!(backend("c0 c1"), Backend::Hop);
+        assert_eq!(backend("c0 _^2"), Backend::Search);
         // and both still answer correctly
         for re in ["c0 c1", "c0 _^2"] {
             let pq = mk(re);
@@ -1554,12 +1145,15 @@ mod tests {
         assert_eq!(first.items()[0].output.as_rq().unwrap(), &reference);
         // wait for the background build to land
         let t0 = std::time::Instant::now();
-        while !engine.hop_ready() && t0.elapsed() < std::time::Duration::from_secs(30) {
+        while engine.hop().get().is_none() && t0.elapsed() < std::time::Duration::from_secs(30) {
             std::thread::yield_now();
         }
-        assert!(engine.hop_ready(), "background build never landed");
+        assert!(
+            engine.hop().get().is_some(),
+            "background build never landed"
+        );
         let second = engine.run_batch(&[Query::Rq(q.clone())]);
-        assert_eq!(second.items()[0].plan, Plan::RqHop);
+        assert_eq!(second.items()[0].plan.name(), "hop");
         assert_eq!(second.items()[0].output.as_rq().unwrap(), &reference);
     }
 
@@ -1574,9 +1168,12 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        assert!(engine.force_hop_labels().is_none());
+        assert!(engine.hop().force().is_none());
         let q = rq(&g, "a0 <= 5", "a1 >= 5", "c0 c1");
-        assert_ne!(engine.plan_query(&Query::Rq(q.clone())), Plan::RqHop);
+        assert_eq!(
+            engine.plan_query(&Query::Rq(q.clone())).backend(),
+            Backend::Search
+        );
         assert_eq!(
             engine.run_query(&Query::Rq(q.clone())).as_rq().unwrap(),
             &q.eval_bfs(&g)
@@ -1599,29 +1196,63 @@ mod tests {
         );
         // while the hop build hasn't failed yet, sharding stays out of
         // policy — the single index is still preferred
-        assert!(engine.force_sharded_labels().is_none());
-        assert!(engine.force_hop_labels().is_none(), "hop build over budget");
+        assert!(engine.sharded().force().is_none());
+        assert!(engine.hop().force().is_none(), "hop build over budget");
         // now the flip: policy admits the sharded fallback
-        let labels = engine.force_sharded_labels().expect("sharded build fits");
+        let labels = engine.sharded().force().expect("sharded build fits");
         assert_eq!(labels.sharded_graph().k(), 4);
-        assert!(engine.sharded_ready());
+        assert!(engine.sharded().get().is_some());
 
         let q = rq(&g, "a0 <= 4", "a1 >= 6", "c0^2 c1");
-        assert_eq!(engine.plan_query(&Query::Rq(q.clone())), Plan::RqSharded);
+        assert_eq!(engine.plan_query(&Query::Rq(q.clone())).name(), "sharded");
         let mut pq = Pq::new();
         let a = pq.add_node("a", Predicate::parse("a0 <= 3", g.schema()).unwrap());
         let b = pq.add_node("b", Predicate::parse("a1 >= 5", g.schema()).unwrap());
         pq.add_edge(a, b, FRegex::parse("c0 c1", g.alphabet()).unwrap());
         assert_eq!(
-            engine.plan_query(&Query::Pq(pq.clone())),
-            Plan::PqJoinSharded
+            engine.plan_query(&Query::Pq(pq.clone())).name(),
+            "JoinMatch/sharded"
         );
 
         let batch = engine.run_batch(&[Query::Rq(q.clone()), Query::Pq(pq.clone())]);
-        assert_eq!(batch.items()[0].plan, Plan::RqSharded);
-        assert_eq!(batch.items()[1].plan, Plan::PqJoinSharded);
+        assert_eq!(batch.items()[0].plan.name(), "sharded");
+        assert_eq!(batch.items()[1].plan.name(), "JoinMatch/sharded");
         assert_eq!(batch.items()[0].output.as_rq().unwrap(), &q.eval_bfs(&g));
         assert_eq!(batch.items()[1].output.as_pq().unwrap(), &pq.eval_naive(&g));
+    }
+
+    #[test]
+    fn backend_preference_is_matrix_hop_sharded_search() {
+        // the one place index availability is ranked: each better index,
+        // once usable, displaces the one below it for RQs and PQs alike
+        let g = Arc::new(rpq_graph::gen::clustered(300, 1200, 3, 2, 3, 60, 11));
+        let engine = QueryEngine::with_config(
+            Arc::clone(&g),
+            EngineConfig {
+                matrix_node_limit: 0,
+                ..EngineConfig::default()
+            },
+        );
+        let q = Query::Rq(rq(&g, "a0 <= 4", "a1 >= 6", "c0^2 c1"));
+        let mut pq = Pq::new();
+        let a = pq.add_node("a", Predicate::parse("a0 <= 3", g.schema()).unwrap());
+        let b = pq.add_node("b", Predicate::always_true());
+        pq.add_edge(a, b, FRegex::parse("c0 c1", g.alphabet()).unwrap());
+        let pq = Query::Pq(pq);
+        let backends = || [&q, &pq].map(|query| engine.plan_query(query).backend());
+
+        assert_eq!(backends(), [Backend::Search; 2]);
+        // (policy only builds the sharded index once the single index is
+        // out, so seed it the way the carry path does)
+        let sharded = ShardedLabels::build_with(&g, &engine.config.sharded_config(), None);
+        engine.sharded().adopt(Arc::new(sharded.unwrap()));
+        assert_eq!(backends(), [Backend::Sharded; 2]);
+        engine.hop().force().expect("within default budget");
+        assert_eq!(backends(), [Backend::Hop; 2]);
+        engine.force_matrix();
+        assert_eq!(backends(), [Backend::Matrix; 2]);
+        // and every rung answers identically
+        assert_eq!(engine.run_query(&q), QueryEngine::new(g).run_query(&q));
     }
 
     #[test]
@@ -1641,8 +1272,10 @@ mod tests {
         // normalized size 8: join under the default crossover of 16
         let default_engine = QueryEngine::new(Arc::clone(&g));
         assert_eq!(
-            default_engine.plan_query(&Query::Pq(ring_pq.clone())),
-            Plan::PqJoinMatrix
+            default_engine
+                .plan_query(&Query::Pq(ring_pq.clone()))
+                .name(),
+            "JoinMatch/DM"
         );
         // a deployment lowering the crossover flips the same pattern
         let tuned = QueryEngine::with_config(
@@ -1653,8 +1286,8 @@ mod tests {
             },
         );
         assert_eq!(
-            tuned.plan_query(&Query::Pq(ring_pq.clone())),
-            Plan::PqSplitMatrix
+            tuned.plan_query(&Query::Pq(ring_pq.clone())).name(),
+            "SplitMatch/DM"
         );
         // and both answer identically
         assert_eq!(
@@ -1712,14 +1345,13 @@ mod tests {
             },
         );
         engine.retire_index_builds();
-        engine.ensure_hop_build();
-        // the background build is cancelled at its first landmark check and
-        // leaves the cell empty (whether it has run yet or not)
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(engine.hop.get().is_none(), "cancel must not pin a failure");
-        assert!(!engine.hop_ready());
+        engine.ensure_index_builds();
+        // a retired engine never starts a background build, so nothing
+        // can pin a failure
+        assert!(engine.hop().get().is_none());
+        assert!(!engine.hop.over_budget(), "cancel must not pin a failure");
         // a forced build on a retired engine still works (force is
         // deliberate and synchronous, so the epoch flag does not apply)
-        assert!(engine.force_hop_labels().is_some());
+        assert!(engine.hop().force().is_some());
     }
 }

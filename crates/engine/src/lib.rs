@@ -7,13 +7,20 @@
 //! * [`QueryEngine`] owns an `Arc<Graph>` plus lazily-built shared indices
 //!   (the per-color [`DistanceMatrix`](rpq_graph::DistanceMatrix) when the
 //!   graph is small enough to afford its O(|Σ|·|V|²) footprint);
-//! * a [`planner`] picks the evaluation strategy per query — **DM** matrix
-//!   probes, **hop** labels, **sharded** labels, **biBFS**
-//!   meet-in-the-middle, or memoized **BFS** for RQs;
-//!   `JoinMatch`/`SplitMatch` over the matrix, hop-label, sharded or
-//!   cached backend for PQs (backend by index availability, algorithm
-//!   by pattern shape) — replacing the hard-picked strategy calls in
-//!   `rpq_core::rq`;
+//! * every query runs under a [`Plan`] = [`Algo`] × [`Backend`], the way
+//!   the paper states its evaluators once and parameterises them by the
+//!   reachability oracle: the engine picks the best usable backend
+//!   (matrix → hop labels → sharded labels → search) and the [`planner`]
+//!   the algorithm on it — **DM** probes, **biBFS** meet-in-the-middle or
+//!   memoized **BFS** for RQs by batch shape, `JoinMatch`/`SplitMatch`
+//!   for PQs by pattern shape — replacing the hard-picked strategy calls
+//!   in `rpq_core::rq`. One generic evaluator serves every probe type;
+//!   [`Plan::ALL`] is the table of servable combinations (see the
+//!   [`planner`] docs for the ones that are servable but never planned);
+//! * the label indices behind [`Backend::Hop`] and [`Backend::Sharded`]
+//!   share one lifecycle, [`IndexSlot`]: built in the background off the
+//!   first batch that needs them, forced on demand, cancelled when their
+//!   graph version is superseded, pinned when over budget;
 //! * a concurrent semantic [`memo`] table keyed on `(source predicate,
 //!   canonical regex)` shares product-automaton reach sets: queries are
 //!   rewritten into run-normal canonical form before planning so
@@ -36,7 +43,7 @@
 //!   pinned snapshot without ever blocking on writers, indices are
 //!   versioned per snapshot, and registered standing PQs are maintained
 //!   incrementally and served from their standing answers
-//!   ([`Plan::PqStanding`]) instead of being re-evaluated;
+//!   ([`Algo::Standing`]) instead of being re-evaluated;
 //! * [`QueryService`] unifies the four engine types behind one
 //!   object-safe trait — the boundary the `rpq-server` front-end and the
 //!   bench harness program against — with boundary failures surfaced as
@@ -75,6 +82,7 @@ pub mod memo;
 pub mod planner;
 mod service;
 mod sharded;
+mod slot;
 mod snapshot;
 mod updatable;
 
@@ -82,9 +90,10 @@ pub use batch::{BatchItem, BatchResult, Query, QueryOutput};
 pub use engine::{EngineConfig, EngineConfigBuilder, QueryEngine};
 pub use error::{ConfigError, EngineError};
 pub use memo::{CacheKind, ReachMemo, SemanticMemo, SemanticStats};
-pub use planner::Plan;
+pub use planner::{Algo, Backend, Plan, Rationale};
 pub use service::QueryService;
 pub use sharded::ShardedEngine;
+pub use slot::IndexSlot;
 pub use snapshot::{IndexState, Snapshot};
 pub use updatable::{ApplyReport, IndexMaintenance, StandingId, UpdatableEngine};
 // the profile types live in rpq-trace (every layer records into it);

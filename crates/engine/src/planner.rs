@@ -1,177 +1,226 @@
-//! Per-query strategy selection.
+//! Per-query strategy selection: [`Plan`] = [`Algo`] × [`Backend`].
 //!
-//! The seed library makes callers hard-pick an RQ strategy
-//! (`eval_with_matrix` / `eval_bibfs` / `eval_bfs`) and a PQ algorithm ×
-//! backend; the engine chooses per query from four signals:
+//! The paper describes its evaluators once and parameterises them by the
+//! reachability oracle — §4's DM / biBFS / BFS for RQs, §5's `JoinMatch`
+//! and `SplitMatch` "using the distance matrix or the cache" for PQs. A
+//! plan is that pair, and the two halves are chosen independently:
 //!
-//! * **index availability** — matrix probes are strictly cheapest when the
-//!   per-color [`DistanceMatrix`](rpq_graph::DistanceMatrix) exists; the
-//!   engine builds it lazily only for graphs under the configured node
-//!   limit (its footprint is O(|Σ|·|V|²)). Above the limit, pruned 2-hop
-//!   labels (`rpq_index::HopLabels`) take its place once their background
-//!   build lands — label probes beat any per-query search, and the index
-//!   costs memory proportional to label size, not |V|²;
-//! * **batch shape** — when several queries in a batch share a
-//!   `(source predicate, regex)` key, the memoized forward product search
-//!   computes their reach set once, so sharing beats a per-query biBFS;
-//! * **regex shape** — multi-atom expressions split well in the middle
-//!   (biBFS meets after half the atoms); single-atom expressions gain
-//!   nothing from bidirectionality, so they run the plain product BFS;
-//! * **pattern shape** (PQs) — both §5 algorithms run over whichever
-//!   reachability backend is available (matrix → hop labels → sharded
-//!   labels → cached search, in that order of preference); between them,
-//!   large cyclic patterns take `SplitMatch` and everything else
-//!   `JoinMatch`, per the configurable crossover defaulting to the
-//!   measured [`SPLIT_CROSSOVER`].
+//! * the **backend** is the engine's call, from index availability alone:
+//!   the best usable of matrix → hop labels → sharded labels → search
+//!   (an index is *usable* once built and covering every color the query
+//!   probes; a build still in flight reads as not usable — the query
+//!   falls back rather than wait). Matrix probes are O(1) but cost
+//!   O(|Σ|·|V|²) memory, so the matrix exists only under the configured
+//!   node limit; hop labels cost memory proportional to label size;
+//!   sharded labels stitch per-shard labels through a boundary overlay —
+//!   costlier probes, still far ahead of any per-query search;
+//! * the **algorithm** is the planner's, from query shape on that
+//!   backend. RQs probe whenever there is an index (§4 "DM" over any
+//!   [`DistProbe`](rpq_index::DistProbe)); on search, a `(source
+//!   predicate, regex)` key shared within the batch takes the memoized
+//!   BFS (its reach set is computed once), an unshared multi-atom regex
+//!   takes biBFS (it meets in the middle), and a single atom gains
+//!   nothing from bidirectionality. PQs take `SplitMatch` only for cyclic
+//!   patterns past the measured [`SPLIT_CROSSOVER`] **on the matrix**, and
+//!   `JoinMatch` everywhere else.
+//!
+//! [`Plan::ALL`] is the table of servable combinations. `SplitMatch` off
+//! the matrix (hop, sharded, search) is servable — the parity suites and
+//! benches drive it directly — but never planned: label scans are cheap
+//! enough that `JoinMatch` measured ahead on every shape there.
 
 use rpq_core::pq::Pq;
 use rpq_regex::FRegex;
+use std::fmt;
 
-/// The evaluation strategy chosen for one query.
+/// The evaluation algorithm half of a [`Plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Plan {
-    /// RQ via distance-matrix probes (`Rq::eval_with_matrix`, §4 "DM").
+pub enum Algo {
+    /// RQ by per-atom distance probes (`Rq::eval_with_dist`, §4 "DM") —
+    /// over the matrix, or over label indices beyond the node limit.
     RqDm,
-    /// RQ via pruned 2-hop label probes (`Rq::eval_with_dist` over
-    /// `rpq_index::HopLabels`) — the DM algorithm beyond the matrix node
-    /// limit.
-    RqHop,
-    /// RQ via bi-directional search (`Rq::eval_bibfs`, §4 "biBFS").
+    /// RQ by bi-directional product search (`Rq::eval_bibfs`, §4 "biBFS").
     RqBiBfs,
-    /// RQ via the forward product search, memoized per
-    /// `(source predicate, regex)` across the batch (`§4 "BFS"`).
+    /// RQ by the forward product search, memoized per `(source predicate,
+    /// regex)` across the batch (§4 "BFS").
     RqBfsMemo,
-    /// PQ via `JoinMatch` over the matrix backend (normalized, §5.1).
-    PqJoinMatrix,
-    /// PQ via `JoinMatch` over the pruned 2-hop label backend (normalized,
-    /// §5.1 refinement with label-scan probes) — the PQ strategy beyond
-    /// the matrix node limit.
-    PqJoinHop,
-    /// PQ via `JoinMatch` over the LRU-cached bi-directional backend (§4–5).
-    PqJoinCached,
-    /// PQ via `SplitMatch` over the matrix backend (§5.2) — picked for
-    /// large/cyclic patterns past the measured crossover.
-    PqSplitMatrix,
-    /// PQ via `SplitMatch` over the hop-label backend (§5.2 beyond the
-    /// matrix node limit).
-    PqSplitHop,
-    /// PQ via `SplitMatch` over the LRU-cached backend.
-    PqSplitCached,
-    /// RQ via sharded label probes (`Rq::eval_with_dist` over
-    /// `rpq_index::ShardedLabels`) — the DM algorithm over a partitioned
-    /// graph, picked when no single-machine index fits.
-    RqSharded,
-    /// PQ via `JoinMatch` over the sharded backend (per-shard labels
-    /// stitched through the boundary overlay).
-    PqJoinSharded,
-    /// PQ via `SplitMatch` over the sharded backend. Servable (the parity
-    /// suite evaluates it) but never the planner's pick — like the other
-    /// label backends, bulk scans are cheap enough that `JoinMatch` stays
-    /// ahead on every shape.
-    PqSplitSharded,
+    /// PQ by `JoinMatch` (normalized, §5.1).
+    Join,
+    /// PQ by `SplitMatch` (§5.2).
+    Split,
     /// PQ answered from a registered standing query's incrementally
     /// maintained match sets — no evaluation at all (§7, live serving).
-    PqStanding,
+    Standing,
+}
+
+/// The reachability-oracle half of a [`Plan`], best first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Backend {
+    /// The per-color [`DistanceMatrix`](rpq_graph::DistanceMatrix).
+    Matrix,
+    /// Pruned 2-hop labels (`rpq_index::HopLabels`).
+    Hop,
+    /// Per-shard labels stitched through the boundary overlay
+    /// (`rpq_index::ShardedLabels`).
+    Sharded,
+    /// No index: per-query product search (LRU-cached pair answers for
+    /// PQs — also what maintains standing match sets).
+    Search,
+}
+
+/// The evaluation strategy chosen for one query: an [`Algo`] over a
+/// [`Backend`]. Only the combinations in [`Plan::ALL`] exist.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Plan {
+    algo: Algo,
+    backend: Backend,
 }
 
 impl Plan {
-    /// Short label for reports.
+    /// Every servable combination, in report order.
+    pub const ALL: [Plan; 14] = {
+        use Algo::*;
+        use Backend::*;
+        const fn p(algo: Algo, backend: Backend) -> Plan {
+            Plan { algo, backend }
+        }
+        [
+            p(RqDm, Matrix),
+            p(RqDm, Hop),
+            p(RqBiBfs, Search),
+            p(RqBfsMemo, Search),
+            p(Join, Matrix),
+            p(Join, Hop),
+            p(Join, Search),
+            p(Split, Matrix),
+            p(Split, Hop),
+            p(Split, Search),
+            p(RqDm, Sharded),
+            p(Join, Sharded),
+            p(Split, Sharded),
+            p(Standing, Search),
+        ]
+    };
+
+    /// The algorithm half.
+    pub fn algo(self) -> Algo {
+        self.algo
+    }
+
+    /// The backend half.
+    pub fn backend(self) -> Backend {
+        self.backend
+    }
+
+    /// Short label for reports and the `/metrics` `plan=` label.
     pub fn name(self) -> &'static str {
-        match self {
-            Plan::RqDm => "DM",
-            Plan::RqHop => "hop",
-            Plan::RqBiBfs => "biBFS",
-            Plan::RqBfsMemo => "BFS+memo",
-            Plan::PqJoinMatrix => "JoinMatch/DM",
-            Plan::PqJoinHop => "JoinMatch/hop",
-            Plan::PqJoinCached => "JoinMatch/cache",
-            Plan::PqSplitMatrix => "SplitMatch/DM",
-            Plan::PqSplitHop => "SplitMatch/hop",
-            Plan::PqSplitCached => "SplitMatch/cache",
-            Plan::RqSharded => "sharded",
-            Plan::PqJoinSharded => "JoinMatch/sharded",
-            Plan::PqSplitSharded => "SplitMatch/sharded",
-            Plan::PqStanding => "standing",
+        use Backend::*;
+        match (self.algo, self.backend) {
+            (Algo::RqDm, Matrix) => "DM",
+            (Algo::RqDm, Hop) => "hop",
+            (Algo::RqDm, Sharded) => "sharded",
+            (Algo::RqBiBfs, _) => "biBFS",
+            (Algo::RqBfsMemo, _) => "BFS+memo",
+            (Algo::Join, Matrix) => "JoinMatch/DM",
+            (Algo::Join, Hop) => "JoinMatch/hop",
+            (Algo::Join, Sharded) => "JoinMatch/sharded",
+            (Algo::Join, Search) => "JoinMatch/cache",
+            (Algo::Split, Matrix) => "SplitMatch/DM",
+            (Algo::Split, Hop) => "SplitMatch/hop",
+            (Algo::Split, Sharded) => "SplitMatch/sharded",
+            (Algo::Split, Search) => "SplitMatch/cache",
+            (Algo::Standing, _) => "standing",
+            (Algo::RqDm, Search) => unreachable!("not in Plan::ALL"),
         }
     }
 }
 
-/// Choose the strategy for one RQ.
-///
-/// `matrix_available` — the distance matrix is (or will be) built for this
-/// graph; `hop_usable` — the hop-label index is *built* and has a layer for
-/// every color this regex probes (a background build still in flight, or a
-/// wildcard layer dropped on budget, reads as `false` — the query falls
-/// back to search rather than wait); `sharded_usable` — the partitioned
-/// index is built and covers every probed color (the regime where even one
-/// whole-graph label build busts the budget; label probes there stitch
-/// through the boundary overlay, costlier than one-index probes but still
-/// far ahead of per-query search); `shared_in_batch` — at least one other
-/// query in the batch has the same `(source predicate, regex)` key.
-pub fn plan_rq(
-    regex: &FRegex,
-    matrix_available: bool,
-    hop_usable: bool,
-    sharded_usable: bool,
-    shared_in_batch: bool,
-) -> Plan {
-    plan_rq_explain(
-        regex,
-        matrix_available,
-        hop_usable,
-        sharded_usable,
-        shared_in_batch,
-    )
-    .0
+/// Why the planner chose a plan: the signal that won and the values it
+/// saw at decision time. A small `Copy` value — the serving path drops it
+/// unformatted; the explain surface renders it through [`fmt::Display`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rationale {
+    /// An RQ decision: the plan, the atoms in the regex, and whether
+    /// another query in the batch has the same `(source, regex)` key.
+    Rq(Plan, usize, bool),
+    /// A PQ decision: the plan, the normalized pattern size (see
+    /// [`SPLIT_CROSSOVER`]), whether the query graph is cyclic, and the
+    /// crossover in force.
+    Pq(Plan, usize, bool, usize),
+    /// The pattern equals a registered standing query.
+    Standing,
+    /// The caller picked the plan (test/bench surface).
+    Forced(Plan),
 }
 
-/// [`plan_rq`] plus the decision rationale (the explain/profile surface):
-/// which signal won and the values it saw at decision time.
-pub fn plan_rq_explain(
-    regex: &FRegex,
-    matrix_available: bool,
-    hop_usable: bool,
-    sharded_usable: bool,
-    shared_in_batch: bool,
-) -> (Plan, String) {
-    if matrix_available {
-        (
-            Plan::RqDm,
-            "distance matrix available: O(1) probes win".to_owned(),
-        )
-    } else if hop_usable {
-        // near-constant atom probes beat both the shared memo and search
-        (
-            Plan::RqHop,
-            "no matrix; hop labels cover every probed color".to_owned(),
-        )
-    } else if sharded_usable {
-        // stitched label probes still beat every per-query search
-        (
-            Plan::RqSharded,
-            "no matrix or single index; sharded labels cover every probed color".to_owned(),
-        )
-    } else if shared_in_batch {
-        // the memo computes this reach set once for the whole batch
-        (
-            Plan::RqBfsMemo,
-            "no index; (source, regex) key shared in batch — memoized BFS computes it once"
-                .to_owned(),
-        )
-    } else if regex.atoms().len() >= 2 {
-        (
-            Plan::RqBiBfs,
-            format!(
-                "no index; {} atoms >= 2 — bidirectional search meets in the middle",
-                regex.atoms().len()
+impl fmt::Display for Rationale {
+    /// Composed like the plan itself: the backend clause (which index
+    /// won, shared by RQs and PQs), then the shape clause behind the
+    /// algorithm.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let plan = match *self {
+            Rationale::Rq(plan, ..) | Rationale::Pq(plan, ..) => plan,
+            Rationale::Standing => {
+                return f.write_str(
+                    "pattern equals a registered standing query — answered from its \
+                     incrementally maintained match sets, no evaluation",
+                )
+            }
+            Rationale::Forced(plan) => {
+                return write!(
+                    f,
+                    "plan {} forced by caller (test/bench surface)",
+                    plan.name()
+                )
+            }
+        };
+        f.write_str(match plan.backend {
+            Backend::Matrix => "distance matrix available: O(1) probes win",
+            Backend::Hop => "no matrix; hop labels cover every probed color",
+            Backend::Sharded => {
+                "no matrix or single index; sharded labels cover every probed color"
+            }
+            Backend::Search => "no usable index",
+        })?;
+        match (*self, plan.algo) {
+            (Rationale::Rq(_, atoms, _), Algo::RqBiBfs) => write!(
+                f,
+                "; {atoms} atoms >= 2 — bidirectional search meets in the middle"
             ),
-        )
-    } else {
-        (
-            Plan::RqBfsMemo,
-            "no index; single-atom regex gains nothing from bidirectionality".to_owned(),
-        )
+            (Rationale::Rq(_, _, true), Algo::RqBfsMemo) => {
+                f.write_str("; (source, regex) key shared in batch — memoized BFS computes it once")
+            }
+            (Rationale::Rq(..), Algo::RqBfsMemo) => {
+                f.write_str("; single-atom regex gains nothing from bidirectionality")
+            }
+            (Rationale::Pq(_, size, cyclic, crossover), algo) => write!(
+                f,
+                "; {} pattern, normalized size {size} vs crossover {crossover} — {}",
+                if cyclic { "cyclic" } else { "acyclic" },
+                match (algo, plan.backend) {
+                    (Algo::Split, _) => "SplitMatch bounds per-round bookkeeping by blocks",
+                    (_, Backend::Matrix) => "JoinMatch's reverse-topological order wins",
+                    _ => "JoinMatch measured ahead of split off the matrix at every size",
+                }
+            ),
+            _ => Ok(()),
+        }
     }
+}
+
+/// Choose the algorithm for one RQ over `backend` — the best index usable
+/// for this regex, per the engine. `shared_in_batch` — at least one other
+/// query in the batch has the same `(source predicate, regex)` key.
+pub fn plan_rq(regex: &FRegex, backend: Backend, shared_in_batch: bool) -> (Plan, Rationale) {
+    let atoms = regex.atoms().len();
+    let algo = match backend {
+        Backend::Search if !shared_in_batch && atoms >= 2 => Algo::RqBiBfs,
+        Backend::Search => Algo::RqBfsMemo,
+        // probes beat both the shared memo and any search
+        _ => Algo::RqDm,
+    };
+    let plan = Plan { algo, backend };
+    (plan, Rationale::Rq(plan, atoms, shared_in_batch))
 }
 
 /// Default of [`EngineConfig::split_crossover`](crate::EngineConfig::split_crossover):
@@ -208,135 +257,32 @@ fn pattern_shape(pq: &Pq) -> (usize, bool) {
     (size, pq.has_cycle())
 }
 
-/// Choose the strategy for one PQ from backend availability and pattern
-/// shape.
-///
-/// Backend: the matrix wins when available (O(1) probes); otherwise hop
-/// labels when built and covering every color the pattern probes
-/// (`hop_usable`); otherwise the sharded backend under the same coverage
-/// rule (`sharded_usable`); otherwise the LRU-cached product search.
-/// Shape: on the matrix backend, cyclic patterns of normalized size ≥
-/// `split_crossover` take `SplitMatch` (§5.2) — the threshold is an
-/// [`EngineConfig`](crate::EngineConfig) knob defaulting to the measured
-/// [`SPLIT_CROSSOVER`]; every other combination measured `JoinMatch`
-/// ahead — see the crossover constant for the numbers. The split
-/// variants of the other backends ([`Plan::PqSplitHop`],
-/// [`Plan::PqSplitCached`], [`Plan::PqSplitSharded`]) stay servable (the
-/// parity suite and benches evaluate them directly) but are never the
-/// planner's pick.
-pub fn plan_pq(
-    pq: &Pq,
-    matrix_available: bool,
-    hop_usable: bool,
-    sharded_usable: bool,
-    split_crossover: usize,
-) -> Plan {
-    plan_pq_explain(
-        pq,
-        matrix_available,
-        hop_usable,
-        sharded_usable,
-        split_crossover,
-    )
-    .0
-}
-
-/// [`plan_pq`] plus the decision rationale (the explain/profile surface),
-/// including the pattern-shape numbers and crossover value seen at
-/// decision time.
-pub fn plan_pq_explain(
-    pq: &Pq,
-    matrix_available: bool,
-    hop_usable: bool,
-    sharded_usable: bool,
-    split_crossover: usize,
-) -> (Plan, String) {
+/// Choose the algorithm for one PQ over `backend` — the best index usable
+/// for every edge regex of the pattern, per the engine. Cyclic patterns
+/// of normalized size ≥ `split_crossover` take `SplitMatch` (§5.2) on the
+/// matrix — the threshold is an [`EngineConfig`](crate::EngineConfig)
+/// knob defaulting to the measured [`SPLIT_CROSSOVER`]; every other
+/// combination measured `JoinMatch` ahead.
+pub fn plan_pq(pq: &Pq, backend: Backend, split_crossover: usize) -> (Plan, Rationale) {
     let (size, cyclic) = pattern_shape(pq);
-    let split = cyclic && size >= split_crossover;
-    match (matrix_available, hop_usable, sharded_usable) {
-        (true, _, _) if split => (
-            Plan::PqSplitMatrix,
-            format!(
-                "matrix backend; cyclic pattern, normalized size {size} >= crossover \
-                 {split_crossover} — SplitMatch bounds per-round bookkeeping by blocks"
-            ),
-        ),
-        (true, _, _) => (
-            Plan::PqJoinMatrix,
-            format!(
-                "matrix backend; {} pattern, normalized size {size} (crossover \
-                 {split_crossover}) — JoinMatch's reverse-topological order wins",
-                if cyclic { "cyclic" } else { "acyclic" }
-            ),
-        ),
-        (false, true, _) => (
-            Plan::PqJoinHop,
-            format!(
-                "no matrix; hop labels cover every probed color — JoinMatch ahead of \
-                 split on label backends at every size (normalized size {size})"
-            ),
-        ),
-        (false, false, true) => (
-            Plan::PqJoinSharded,
-            "no matrix or single index; sharded labels cover every probed color".to_owned(),
-        ),
-        (false, false, false) => (
-            Plan::PqJoinCached,
-            "no usable index; LRU-cached bidirectional probes".to_owned(),
-        ),
-    }
-}
-
-/// Choose the strategy for one PQ served from a live snapshot: a PQ equal
-/// to a registered standing query is answered from its maintained match
-/// sets — beating any evaluation strategy — and everything else falls back
-/// to [`plan_pq`] with the snapshot's index state (in particular, a live
-/// snapshot whose hop-label build has landed serves `PqJoinHop`/`PqSplitHop`,
-/// never the cached fallback).
-pub fn plan_pq_live(
-    pq: &Pq,
-    is_standing: bool,
-    matrix_available: bool,
-    hop_usable: bool,
-    sharded_usable: bool,
-    split_crossover: usize,
-) -> Plan {
-    plan_pq_live_explain(
-        pq,
-        is_standing,
-        matrix_available,
-        hop_usable,
-        sharded_usable,
-        split_crossover,
-    )
-    .0
-}
-
-/// [`plan_pq_live`] plus the decision rationale.
-pub fn plan_pq_live_explain(
-    pq: &Pq,
-    is_standing: bool,
-    matrix_available: bool,
-    hop_usable: bool,
-    sharded_usable: bool,
-    split_crossover: usize,
-) -> (Plan, String) {
-    if is_standing {
-        (
-            Plan::PqStanding,
-            "pattern equals a registered standing query — answered from its \
-             incrementally maintained match sets, no evaluation"
-                .to_owned(),
-        )
+    let algo = if backend == Backend::Matrix && cyclic && size >= split_crossover {
+        Algo::Split
     } else {
-        plan_pq_explain(
-            pq,
-            matrix_available,
-            hop_usable,
-            sharded_usable,
-            split_crossover,
-        )
-    }
+        Algo::Join
+    };
+    let plan = Plan { algo, backend };
+    (plan, Rationale::Pq(plan, size, cyclic, split_crossover))
+}
+
+/// The plan for a PQ equal to a registered standing query on a live
+/// snapshot: served from its maintained match sets, which beats any
+/// evaluation strategy whatever the index state.
+pub fn plan_standing() -> (Plan, Rationale) {
+    let plan = Plan {
+        algo: Algo::Standing,
+        backend: Backend::Search,
+    };
+    (plan, Rationale::Standing)
 }
 
 #[cfg(test)]
@@ -345,6 +291,13 @@ mod tests {
     use rpq_core::predicate::Predicate;
     use rpq_graph::{Color, WILDCARD};
     use rpq_regex::{Atom, Quant};
+
+    const BACKENDS: [Backend; 4] = [
+        Backend::Matrix,
+        Backend::Hop,
+        Backend::Sharded,
+        Backend::Search,
+    ];
 
     fn re(n: usize) -> FRegex {
         FRegex::new(
@@ -378,107 +331,90 @@ mod tests {
         pq
     }
 
+    fn rq(atoms: usize, backend: Backend, shared: bool) -> Plan {
+        plan_rq(&re(atoms), backend, shared).0
+    }
+
+    fn pq(pq: &Pq, backend: Backend) -> Plan {
+        plan_pq(pq, backend, SPLIT_CROSSOVER).0
+    }
+
     #[test]
-    fn matrix_always_wins() {
-        for atoms in 1..4 {
-            for hop in [false, true] {
+    fn plan_names_are_golden() {
+        // the frozen surface: `/metrics` labels, the ledger's plan shares
+        // and every report key on these strings, in this order
+        let names = Plan::ALL.map(Plan::name);
+        assert_eq!(
+            names,
+            [
+                "DM",
+                "hop",
+                "biBFS",
+                "BFS+memo",
+                "JoinMatch/DM",
+                "JoinMatch/hop",
+                "JoinMatch/cache",
+                "SplitMatch/DM",
+                "SplitMatch/hop",
+                "SplitMatch/cache",
+                "sharded",
+                "JoinMatch/sharded",
+                "SplitMatch/sharded",
+                "standing",
+            ]
+        );
+        for (i, a) in names.iter().enumerate() {
+            assert!(!names[..i].contains(a), "two plans share the name {a}");
+        }
+    }
+
+    #[test]
+    fn the_planner_only_returns_servable_plans() {
+        for backend in BACKENDS {
+            for atoms in 1..4 {
                 for shared in [false, true] {
-                    assert_eq!(plan_rq(&re(atoms), true, hop, false, shared), Plan::RqDm);
+                    assert!(Plan::ALL.contains(&rq(atoms, backend, shared)));
+                }
+            }
+            for pat in [chain(2), ring(2), ring(SPLIT_CROSSOVER)] {
+                let (plan, why) = plan_pq(&pat, backend, SPLIT_CROSSOVER);
+                assert!(Plan::ALL.contains(&plan));
+                assert_eq!(plan.backend(), backend, "the backend is the engine's call");
+                assert!(!why.to_string().is_empty());
+            }
+        }
+        assert_eq!(plan_standing().0.name(), "standing");
+        assert!(Plan::ALL.contains(&plan_standing().0));
+    }
+
+    #[test]
+    fn every_index_backend_probes_whatever_the_batch_shape() {
+        // matrix, hop and sharded probes all beat the shared memo and
+        // every per-query search
+        for backend in [Backend::Matrix, Backend::Hop, Backend::Sharded] {
+            for atoms in 1..4 {
+                for shared in [false, true] {
+                    let plan = rq(atoms, backend, shared);
+                    assert_eq!((plan.algo(), plan.backend()), (Algo::RqDm, backend));
                 }
             }
         }
-        for hop in [false, true] {
-            assert_eq!(
-                plan_pq(&chain(2), true, hop, false, SPLIT_CROSSOVER),
-                Plan::PqJoinMatrix
-            );
-        }
-    }
-
-    #[test]
-    fn hop_labels_beat_every_search() {
-        for atoms in 1..4 {
-            for shared in [false, true] {
-                assert_eq!(plan_rq(&re(atoms), false, true, false, shared), Plan::RqHop);
-            }
-        }
-        assert_eq!(Plan::RqHop.name(), "hop");
-        assert_eq!(
-            plan_pq(&chain(2), false, true, false, SPLIT_CROSSOVER),
-            Plan::PqJoinHop
-        );
-        assert_eq!(
-            plan_pq(&chain(2), false, false, false, SPLIT_CROSSOVER),
-            Plan::PqJoinCached
-        );
-    }
-
-    #[test]
-    fn sharded_backend_slots_between_hop_and_search() {
-        // sharded probes beat every search but lose to a single index
-        for atoms in 1..4 {
-            for shared in [false, true] {
-                assert_eq!(
-                    plan_rq(&re(atoms), false, false, true, shared),
-                    Plan::RqSharded
-                );
-                assert_eq!(plan_rq(&re(atoms), false, true, true, shared), Plan::RqHop);
-            }
-            assert_eq!(plan_rq(&re(atoms), true, false, true, false), Plan::RqDm);
-        }
-        assert_eq!(Plan::RqSharded.name(), "sharded");
-        assert_eq!(
-            plan_pq(&chain(2), false, false, true, SPLIT_CROSSOVER),
-            Plan::PqJoinSharded
-        );
-        assert_eq!(
-            plan_pq(&chain(2), false, true, true, SPLIT_CROSSOVER),
-            Plan::PqJoinHop
-        );
-        // like hop/cached, the sharded split variant is never the pick
-        let big_ring = ring(SPLIT_CROSSOVER);
-        assert_eq!(
-            plan_pq(&big_ring, false, false, true, SPLIT_CROSSOVER),
-            Plan::PqJoinSharded
-        );
-        assert_eq!(Plan::PqJoinSharded.name(), "JoinMatch/sharded");
-        assert_eq!(Plan::PqSplitSharded.name(), "SplitMatch/sharded");
-    }
-
-    #[test]
-    fn split_crossover_is_tunable() {
-        // the satellite lift: the crossover is a config value, not a
-        // baked-in constant — a deployment can move it and plans follow
-        let small_ring = ring(3); // normalized size 6
-        assert!(small_ring.has_cycle());
-        assert_eq!(
-            plan_pq(&small_ring, true, false, false, SPLIT_CROSSOVER),
-            Plan::PqJoinMatrix
-        );
-        assert_eq!(
-            plan_pq(&small_ring, true, false, false, 6),
-            Plan::PqSplitMatrix
-        );
-        assert_eq!(
-            plan_pq(&small_ring, true, false, false, usize::MAX),
-            Plan::PqJoinMatrix,
-            "usize::MAX disables split entirely"
-        );
     }
 
     #[test]
     fn sharing_prefers_memoized_bfs() {
-        assert_eq!(plan_rq(&re(3), false, false, false, true), Plan::RqBfsMemo);
+        assert_eq!(rq(3, Backend::Search, true).algo(), Algo::RqBfsMemo);
+        let why = plan_rq(&re(3), Backend::Search, true).1;
+        assert!(why.to_string().contains("shared in batch"), "{why}");
     }
 
     #[test]
     fn unshared_multi_atom_takes_bibfs() {
-        assert_eq!(plan_rq(&re(2), false, false, false, false), Plan::RqBiBfs);
-        assert_eq!(plan_rq(&re(1), false, false, false, false), Plan::RqBfsMemo);
-        assert_eq!(
-            plan_pq(&chain(1), false, false, false, SPLIT_CROSSOVER),
-            Plan::PqJoinCached
-        );
+        assert_eq!(rq(2, Backend::Search, false).algo(), Algo::RqBiBfs);
+        assert_eq!(rq(1, Backend::Search, false).algo(), Algo::RqBfsMemo);
+        assert_eq!(pq(&chain(1), Backend::Search).name(), "JoinMatch/cache");
+        let why = plan_rq(&re(2), Backend::Search, false).1;
+        assert!(why.to_string().contains("2 atoms >= 2"), "{why}");
     }
 
     #[test]
@@ -487,50 +423,38 @@ mod tests {
         // matrix backend, where the two algorithms measured at parity
         let big_ring = ring(SPLIT_CROSSOVER); // normalized size = 2·edges
         assert!(big_ring.has_cycle());
-        let pp = |pq: &Pq, m: bool, h: bool| plan_pq(pq, m, h, false, SPLIT_CROSSOVER);
-        assert_eq!(pp(&big_ring, true, false), Plan::PqSplitMatrix);
-        // hop and cached backends measured JoinMatch ahead on every
-        // cyclic size — the planner never picks their split variants
-        assert_eq!(pp(&big_ring, false, true), Plan::PqJoinHop);
-        assert_eq!(pp(&big_ring, false, false), Plan::PqJoinCached);
+        assert_eq!(pq(&big_ring, Backend::Matrix).algo(), Algo::Split);
+        // hop, sharded and cached backends measured JoinMatch ahead on
+        // every cyclic size — the planner never picks their split variants
+        for backend in [Backend::Hop, Backend::Sharded, Backend::Search] {
+            assert_eq!(pq(&big_ring, backend).algo(), Algo::Join, "{backend:?}");
+        }
         // a chain of the same size is acyclic: join keeps it
         let big_chain = chain(SPLIT_CROSSOVER);
-        assert_eq!(pp(&big_chain, true, false), Plan::PqJoinMatrix);
-        assert_eq!(pp(&big_chain, false, true), Plan::PqJoinHop);
+        for backend in BACKENDS {
+            assert_eq!(pq(&big_chain, backend).algo(), Algo::Join, "{backend:?}");
+        }
         // a tiny cycle stays under the crossover: join again
         let small_ring = ring(2);
         assert!(small_ring.has_cycle());
-        assert_eq!(pp(&small_ring, true, false), Plan::PqJoinMatrix);
+        assert_eq!(pq(&small_ring, Backend::Matrix).algo(), Algo::Join);
         // multi-atom regexes count toward normalized size: a ring whose
         // edges each expand to several atoms crosses over sooner
         let mut fat_ring = ring(2);
         let a = fat_ring.add_node("a", Predicate::always_true());
         fat_ring.add_edge(0, a, re(SPLIT_CROSSOVER));
-        assert_eq!(pp(&fat_ring, true, false), Plan::PqSplitMatrix);
+        assert_eq!(pq(&fat_ring, Backend::Matrix).algo(), Algo::Split);
     }
 
     #[test]
-    fn standing_answer_beats_everything() {
-        let pq = ring(SPLIT_CROSSOVER);
-        let pl = |pq: &Pq, st: bool, m: bool, h: bool| {
-            plan_pq_live(pq, st, m, h, false, SPLIT_CROSSOVER)
-        };
-        for m in [false, true] {
-            for h in [false, true] {
-                assert_eq!(pl(&pq, true, m, h), Plan::PqStanding);
-            }
-        }
-        assert_eq!(pl(&pq, false, true, false), Plan::PqSplitMatrix);
-        // the satellite fix: a live snapshot with a built index must plan
-        // hop, never silently fall back to the cached plan
-        assert_eq!(pl(&chain(2), false, false, true), Plan::PqJoinHop);
-        assert_eq!(pl(&pq, false, false, true), Plan::PqJoinHop);
-        assert_eq!(pl(&chain(2), false, false, false), Plan::PqJoinCached);
-        assert_eq!(
-            plan_pq_live(&chain(2), false, false, false, true, SPLIT_CROSSOVER),
-            Plan::PqJoinSharded,
-            "a live snapshot with a sharded index never serves the cached fallback"
-        );
-        assert_eq!(Plan::PqStanding.name(), "standing");
+    fn split_crossover_is_tunable() {
+        // the crossover is a config value, not a baked-in constant — a
+        // deployment can move it and plans follow
+        let small_ring = ring(3); // normalized size 6
+        assert!(small_ring.has_cycle());
+        let at = |crossover| plan_pq(&small_ring, Backend::Matrix, crossover).0.algo();
+        assert_eq!(at(SPLIT_CROSSOVER), Algo::Join);
+        assert_eq!(at(6), Algo::Split);
+        assert_eq!(at(usize::MAX), Algo::Join, "usize::MAX disables split");
     }
 }

@@ -21,16 +21,16 @@
 //!   query saturates all shards' labels at once; results gather in
 //!   submission order, bit-identical to any other backend.
 //!
-//! Plans come out as [`Plan::RqSharded`](crate::Plan::RqSharded) /
-//! [`Plan::PqJoinSharded`](crate::Plan::PqJoinSharded) — the existing
-//! RQ/PQ evaluation algorithms run unchanged over the stitched
+//! Plans come out on [`Backend::Sharded`](crate::Backend::Sharded)
+//! (`sharded` / `JoinMatch/sharded`) — the existing RQ/PQ evaluation
+//! algorithms run unchanged over the stitched
 //! [`DistProbe`](rpq_index::DistProbe); only the probe changes.
 
 use crate::engine::{EngineConfig, QueryEngine};
 use crate::error::EngineError;
 use crate::memo::{ReachMemo, SemanticStats};
 use rpq_graph::{Graph, ShardedGraph};
-use rpq_index::{ShardedConfig, ShardedLabels, ShardedStats};
+use rpq_index::{ShardedLabels, ShardedStats};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -63,29 +63,25 @@ impl ShardedEngine {
     /// edges, no overlay stitch cost — which is occasionally useful as a
     /// baseline but serves no scaling purpose.
     pub fn build(graph: Arc<Graph>, config: EngineConfig) -> Result<Self, EngineError> {
-        let sharded_config = ShardedConfig {
-            shards: config.shards.max(1),
-            shard_budget_bytes: config.shard_memory_budget,
-            wildcard_layer: true,
-            build_workers: 0,
-        };
         let t0 = Instant::now();
-        let labels = Arc::new(ShardedLabels::build_with(&graph, &sharded_config, None)?);
+        let labels = Arc::new(ShardedLabels::build_with(
+            &graph,
+            &config.sharded_config(),
+            None,
+        )?);
         Ok(Self::with_labels(graph, config, labels, t0.elapsed()))
     }
 
     /// Build over a caller-partitioned [`ShardedGraph`] (external
     /// partitioners, benches pinning a specific cut).
     pub fn build_on(sharded: Arc<ShardedGraph>, config: EngineConfig) -> Result<Self, EngineError> {
-        let sharded_config = ShardedConfig {
-            shards: sharded.k(),
-            shard_budget_bytes: config.shard_memory_budget,
-            wildcard_layer: true,
-            build_workers: 0,
-        };
         let t0 = Instant::now();
         let graph = Arc::clone(sharded.graph());
-        let labels = Arc::new(ShardedLabels::build_on(sharded, &sharded_config, None)?);
+        let labels = Arc::new(ShardedLabels::build_on(
+            sharded,
+            &config.sharded_config(),
+            None,
+        )?);
         Ok(Self::with_labels(graph, config, labels, t0.elapsed()))
     }
 
@@ -106,7 +102,7 @@ impl ShardedEngine {
                 ..config
             },
         );
-        inner.adopt_sharded_labels(Arc::clone(&labels));
+        inner.sharded().adopt(Arc::clone(&labels));
         ShardedEngine {
             inner,
             labels,
@@ -156,11 +152,10 @@ impl ShardedEngine {
     }
 
     /// The inner batch engine, pinned to the sharded regime. Querying goes
-    /// through [`QueryService`](crate::QueryService) — plans come out as
-    /// [`Plan::RqSharded`](crate::Plan::RqSharded) /
-    /// [`Plan::PqJoinSharded`](crate::Plan::PqJoinSharded) whenever the
-    /// index covers the probed colors, search fallbacks otherwise (a
-    /// dropped wildcard layer).
+    /// through [`QueryService`](crate::QueryService) — plans come out on
+    /// [`Backend::Sharded`](crate::Backend::Sharded) whenever the index
+    /// covers the probed colors, search fallbacks otherwise (a dropped
+    /// wildcard layer).
     pub fn engine(&self) -> &QueryEngine {
         &self.inner
     }
@@ -170,7 +165,7 @@ impl ShardedEngine {
 mod tests {
     use super::*;
     use crate::batch::Query;
-    use crate::planner::Plan;
+    use crate::planner::Backend;
     use crate::service::QueryService;
     use rpq_core::pq::Pq;
     use rpq_core::predicate::Predicate;
@@ -202,20 +197,21 @@ mod tests {
         assert!(engine.build_time() > Duration::ZERO);
 
         let q = rq(&g, "a0 <= 4", "a1 >= 6", "c0^2 c1");
-        assert_eq!(engine.plan_query(&Query::Rq(q.clone())), Plan::RqSharded);
+        assert_eq!(engine.plan_query(&Query::Rq(q.clone())).name(), "sharded");
 
         let mut pq = Pq::new();
         let a = pq.add_node("a", Predicate::parse("a0 <= 3", g.schema()).unwrap());
         let b = pq.add_node("b", Predicate::parse("a1 >= 5", g.schema()).unwrap());
         pq.add_edge(a, b, FRegex::parse("c0 c1", g.alphabet()).unwrap());
         assert_eq!(
-            engine.plan_query(&Query::Pq(pq.clone())),
-            Plan::PqJoinSharded
+            engine.plan_query(&Query::Pq(pq.clone())).name(),
+            "JoinMatch/sharded"
         );
 
         let batch = engine.run_batch(&[Query::Rq(q.clone()), Query::Pq(pq.clone())]);
-        assert_eq!(batch.items()[0].plan, Plan::RqSharded);
-        assert_eq!(batch.items()[1].plan, Plan::PqJoinSharded);
+        for item in batch.items() {
+            assert_eq!(item.plan.backend(), Backend::Sharded);
+        }
         // bit-identical to the search references
         assert_eq!(batch.items()[0].output.as_rq().unwrap(), &q.eval_bfs(&g));
         assert_eq!(batch.items()[1].output.as_pq().unwrap(), &pq.eval_naive(&g));

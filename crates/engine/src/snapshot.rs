@@ -222,21 +222,14 @@ impl Snapshot {
 
     /// The plan this snapshot would pick for `query`: a PQ equal to a
     /// registered standing query is served from its maintained match sets
-    /// ([`Plan::PqStanding`]); everything else gets the batch engine's
-    /// plan — including this version's hop-label index once its build has
-    /// landed, so a live snapshot never silently serves the cached
-    /// fallback past that point.
+    /// (the `standing` plan, which beats any evaluation strategy);
+    /// everything else gets the batch engine's plan — including this
+    /// version's label index once its build has landed, so a live
+    /// snapshot never silently serves the cached fallback past that point.
     pub fn plan_query(&self, query: &Query) -> Plan {
         match query {
-            Query::Pq(pq) => planner::plan_pq_live(
-                pq,
-                self.standing_match(pq).is_some(),
-                self.engine.matrix_available(),
-                self.engine.hop_usable_for_pq(pq),
-                self.engine.sharded_usable_for_pq(pq),
-                self.engine.config().split_crossover,
-            ),
-            Query::Rq(_) => self.engine.plan_query(query),
+            Query::Pq(pq) if self.standing_match(pq).is_some() => planner::plan_standing().0,
+            _ => self.engine.plan_query(query),
         }
     }
 
@@ -255,26 +248,19 @@ impl Snapshot {
     /// Evaluate one query with its execution profile (the snapshot's
     /// explain surface). A PQ equal to a registered standing query is
     /// served from the maintained match sets and profiled as a
-    /// [`Plan::PqStanding`] answer (one `standing-answer` stage covering
+    /// `standing` answer (one `standing-answer` stage covering
     /// lazy assembly); everything else delegates to the engine's
     /// detailed profiled path, planned with this snapshot's live state.
     pub fn run_query_profiled(&self, query: &Query) -> (QueryOutput, rpq_trace::QueryProfile) {
         if let Query::Pq(pq) = query {
             if let Some(i) = self.standing_match(pq) {
                 let t0 = Instant::now();
-                let (plan, rationale) = planner::plan_pq_live_explain(
-                    pq,
-                    true,
-                    self.engine.matrix_available(),
-                    self.engine.hop_usable_for_pq(pq),
-                    self.engine.sharded_usable_for_pq(pq),
-                    self.engine.config().split_crossover,
-                );
+                let (plan, why) = planner::plan_standing();
                 let g = self.graph();
                 let mut profile = rpq_trace::QueryProfile::new(
                     format!("standing pq #{i} (version {})", self.version),
                     plan.name().to_owned(),
-                    rationale,
+                    why.to_string(),
                 );
                 let t1 = Instant::now();
                 profile.stage(
@@ -306,7 +292,7 @@ impl Snapshot {
     /// [`QueryEngine::run_batch`] except that
     ///
     /// * PQs equal to a registered standing query are answered from the
-    ///   maintained match sets (plan [`Plan::PqStanding`]) instead of being
+    ///   maintained match sets (the `standing` plan) instead of being
     ///   re-evaluated, and
     /// * reach sets are shared through the snapshot-lifetime memo, so hot
     ///   keys are computed once per graph version rather than once per
@@ -342,7 +328,7 @@ impl Snapshot {
                     let output = QueryOutput::Pq(self.standing[*i].answer(self.graph()));
                     BatchItem {
                         output,
-                        plan: Plan::PqStanding,
+                        plan: planner::plan_standing().0,
                         time: t.elapsed(),
                         profile: None,
                     }

@@ -23,7 +23,7 @@
 //! evaluated once and from then on *maintained*, not re-evaluated: each
 //! published snapshot carries their current answers, and the snapshot's
 //! batch path serves a matching PQ from those answers with plan
-//! [`Plan::PqStanding`](crate::Plan::PqStanding).
+//! [`Algo::Standing`](crate::Algo::Standing).
 
 use crate::engine::{EngineConfig, QueryEngine};
 use crate::error::EngineError;
@@ -32,7 +32,6 @@ use crate::snapshot::{IndexState, Snapshot, StandingEntry};
 use rpq_core::incremental::{DynamicGraph, IncrementalMatcher, Update};
 use rpq_core::pq::{Pq, PqResult};
 use rpq_graph::{Color, DriftMonitor, Graph, NodeId};
-use rpq_index::ShardedConfig;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -211,13 +210,11 @@ impl UpdatableEngine {
     /// every published snapshot's batch engine).
     pub fn with_config(graph: Graph, config: EngineConfig) -> Self {
         let dynamic = DynamicGraph::new(graph);
-        let state = regime_state(&config, dynamic.graph_arc().node_count());
+        let engine = QueryEngine::with_config(dynamic.graph_arc(), config.clone());
+        let state = regime_state(&engine);
         let snapshot = Arc::new(Snapshot::new(
             dynamic.version(),
-            Arc::new(QueryEngine::with_config(
-                dynamic.graph_arc(),
-                config.clone(),
-            )),
+            Arc::new(engine),
             Arc::new(ReachMemo::persistent()),
             Vec::new(),
             state,
@@ -424,14 +421,7 @@ impl UpdatableEngine {
             })
             .collect();
         let prev = self.snapshot();
-        let mut index = carry_index(
-            &prev,
-            &engine,
-            &new_graph,
-            &changes,
-            &self.config,
-            &mut state.drift,
-        );
+        let mut index = carry_index(&prev, &engine, &changes, &mut state.drift);
         let t_carried = Instant::now();
         let snapshot = Arc::new(Snapshot::new(
             state.dynamic.version(),
@@ -526,13 +516,11 @@ fn push_matcher(state: &mut WriterState, pq: &Pq, config: &EngineConfig) -> usiz
 }
 
 /// The index state a snapshot starts in before any carry has happened:
-/// `Rebuilding` when this deployment's config calls for a label index on
-/// a graph of `n` nodes (a background build will serve it), `Stale` when
+/// `Rebuilding` when the engine's own build policy calls for a label
+/// index on its graph (a background build will serve it), `Stale` when
 /// none applies (matrix regime, or labels disabled).
-fn regime_state(config: &EngineConfig, n: usize) -> IndexState {
-    let labels_apply =
-        n > config.matrix_node_limit && (config.hop_label_budget > 0 || config.shards >= 2);
-    if labels_apply {
+fn regime_state(engine: &QueryEngine) -> IndexState {
+    if engine.label_index_expected() {
         IndexState::Rebuilding
     } else {
         IndexState::Stale
@@ -555,17 +543,16 @@ const HOP_REPAIR_LIMIT_DIVISOR: usize = 4;
 fn carry_index(
     prev: &Snapshot,
     next_engine: &QueryEngine,
-    new_graph: &Arc<Graph>,
     changes: &[(NodeId, NodeId, Color)],
-    config: &EngineConfig,
     drift: &mut Option<DriftMonitor>,
 ) -> IndexMaintenance {
     let t0 = Instant::now();
+    let (new_graph, config) = (next_engine.graph(), next_engine.config());
     let mut m = IndexMaintenance {
-        state: regime_state(config, new_graph.node_count()),
+        state: regime_state(next_engine),
         ..IndexMaintenance::default()
     };
-    if let Some(hop) = prev.engine().hop_labels() {
+    if let Some(hop) = prev.engine().hop().get() {
         let landmarks = hop.node_count();
         let limit = (landmarks / HOP_REPAIR_LIMIT_DIVISOR).max(1);
         match hop.repair(new_graph, changes, config.hop_label_budget, limit, None) {
@@ -575,7 +562,7 @@ fn carry_index(
                 m.labels_repaired = rep.landmarks_invalidated;
                 m.labels_carried = landmarks - rep.landmarks_invalidated;
                 m.phases = rep.phases;
-                next_engine.adopt_hop_labels(Arc::new(rep.labels));
+                next_engine.hop().adopt(Arc::new(rep.labels));
             }
             // RepairTooBroad / OverBudget: keep the Rebuilding verdict —
             // the new engine's background build takes over
@@ -585,7 +572,7 @@ fn carry_index(
                 &format!("hop repair declined, background rebuild takes over: {e}"),
             ),
         }
-    } else if let Some(sl) = prev.engine().sharded_labels() {
+    } else if let Some(sl) = prev.engine().sharded().get() {
         let old_sg = sl.sharded_graph();
         let k = old_sg.k();
         // graph layer first: patch the sharded view in place
@@ -623,12 +610,7 @@ fn carry_index(
         }
         m.shards_touched = reworked.iter().filter(|&&t| t).count();
         if m.shards_touched <= k / 2 {
-            let scfg = ShardedConfig {
-                shards: k,
-                shard_budget_bytes: config.shard_memory_budget,
-                wildcard_layer: true,
-                build_workers: 0,
-            };
+            let scfg = config.sharded_config();
             match sl.repair(Arc::new(new_sg), changes, &rebuild_shards, &scfg, None) {
                 Ok(rep) => {
                     m.state = IndexState::Repaired;
@@ -637,7 +619,7 @@ fn carry_index(
                     m.labels_rebuilt = rep.shards_rebuilt;
                     m.landmarks_invalidated = rep.landmarks_invalidated;
                     m.phases = rep.phases;
-                    next_engine.adopt_sharded_labels(Arc::new(rep.labels));
+                    next_engine.sharded().adopt(Arc::new(rep.labels));
                 }
                 Err(e) => rpq_trace::tracer().event(
                     "apply",
@@ -665,7 +647,7 @@ fn carry_index(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Plan, Query};
+    use crate::{Algo, Backend, Query};
     use rpq_core::predicate::Predicate;
     use rpq_core::rq::Rq;
     use rpq_graph::gen::essembly;
@@ -727,10 +709,13 @@ mod tests {
 
         let snap = engine.snapshot();
         assert_eq!(snap.standing_count(), 1);
-        assert_eq!(snap.plan_query(&Query::Pq(pq.clone())), Plan::PqStanding);
+        assert_eq!(
+            snap.plan_query(&Query::Pq(pq.clone())).algo(),
+            Algo::Standing
+        );
 
         let batch = snap.run_batch(&[Query::Pq(pq.clone())]);
-        assert_eq!(batch.items()[0].plan, Plan::PqStanding);
+        assert_eq!(batch.items()[0].plan.algo(), Algo::Standing);
         assert_eq!(
             batch.items()[0].output.as_pq().unwrap(),
             &*snap.standing_result(id).unwrap()
@@ -738,7 +723,7 @@ mod tests {
         // a PQ that is NOT registered still gets an evaluation plan
         let mut other = fn_pq(&g);
         other.add_node("c", Predicate::always_true());
-        assert_ne!(snap.plan_query(&Query::Pq(other)), Plan::PqStanding);
+        assert_ne!(snap.plan_query(&Query::Pq(other)).algo(), Algo::Standing);
     }
 
     #[test]
@@ -846,7 +831,7 @@ mod tests {
         );
         let first = engine.snapshot();
         assert_eq!(first.index_state(), crate::IndexState::Rebuilding);
-        first.engine().force_hop_labels().expect("fits budget");
+        first.engine().hop().force().expect("fits budget");
         let n = first.graph().node_count();
 
         // a small batch: the labels must be carried, not retired
@@ -865,7 +850,7 @@ mod tests {
         assert_eq!(report.index.state, crate::IndexState::Repaired);
         assert_eq!(report.snapshot.index_state(), crate::IndexState::Repaired);
         assert!(
-            report.snapshot.engine().hop_ready(),
+            report.snapshot.engine().hop().get().is_some(),
             "carried labels must be adopted, not rebuilt"
         );
         assert!(report.index.landmarks_invalidated > 0);
@@ -883,8 +868,8 @@ mod tests {
         let g1 = report.snapshot.graph().clone();
         let q = rq(&g1, "a0 <= 4", "a1 >= 6", "c0^2 c1");
         assert_eq!(
-            report.snapshot.plan_query(&Query::Rq(q.clone())),
-            Plan::RqHop
+            report.snapshot.plan_query(&Query::Rq(q.clone())).backend(),
+            Backend::Hop
         );
         assert_eq!(
             report
@@ -926,7 +911,7 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        engine.snapshot().engine().force_hop_labels().unwrap();
+        engine.snapshot().engine().hop().force().unwrap();
         // a hub-making batch: 150 new edges out of one node invalidate
         // far more than a quarter of the landmarks
         let c0 = rpq_graph::Color(0);
@@ -937,7 +922,7 @@ mod tests {
         assert_eq!(report.index.state, crate::IndexState::Rebuilding);
         assert_eq!(report.snapshot.index_state(), crate::IndexState::Rebuilding);
         assert!(
-            !report.snapshot.engine().hop_ready(),
+            report.snapshot.engine().hop().get().is_none(),
             "declined repair must not adopt stale labels"
         );
         // answers stay correct on the fallback path
@@ -967,13 +952,13 @@ mod tests {
                 .unwrap(),
         );
         let first = engine.snapshot();
-        first.engine().force_sharded_labels().expect("builds");
+        first.engine().sharded().force().expect("builds");
 
         let g0 = first.graph().clone();
         let (u, v, c) = g0.edges().next().unwrap();
         let report = engine.apply(&[Update::Delete(u, v, c)]).unwrap();
         assert_eq!(report.index.state, crate::IndexState::Repaired);
-        assert!(report.snapshot.engine().sharded_ready());
+        assert!(report.snapshot.engine().sharded().get().is_some());
         assert_eq!(
             report.index.labels_carried
                 + report.index.labels_repaired
@@ -986,8 +971,8 @@ mod tests {
         let g1 = report.snapshot.graph().clone();
         let q = rq(&g1, "a0 <= 4", "a1 >= 6", "c0^2 c1");
         assert_eq!(
-            report.snapshot.plan_query(&Query::Rq(q.clone())),
-            Plan::RqSharded
+            report.snapshot.plan_query(&Query::Rq(q.clone())).backend(),
+            Backend::Sharded
         );
         assert_eq!(
             report
@@ -1069,8 +1054,14 @@ mod tests {
 
         // each registration is served standing, in its own node order
         let snap = engine.snapshot();
-        assert_eq!(snap.plan_query(&Query::Pq(a.clone())), Plan::PqStanding);
-        assert_eq!(snap.plan_query(&Query::Pq(b.clone())), Plan::PqStanding);
+        assert_eq!(
+            snap.plan_query(&Query::Pq(a.clone())).algo(),
+            Algo::Standing
+        );
+        assert_eq!(
+            snap.plan_query(&Query::Pq(b.clone())).algo(),
+            Algo::Standing
+        );
         assert_eq!(&*snap.standing_result(id_a).unwrap(), &a.eval_naive(&g));
         assert_eq!(&*snap.standing_result(id_b).unwrap(), &b.eval_naive(&g));
 
@@ -1081,8 +1072,8 @@ mod tests {
         let v1 = a_variant.add_node("q", a.node(1).pred.clone());
         a_variant.add_edge(v0, v1, FRegex::parse("fn^2 fn", g.alphabet()).unwrap());
         assert_eq!(
-            snap.plan_query(&Query::Pq(a_variant.clone())),
-            Plan::PqStanding
+            snap.plan_query(&Query::Pq(a_variant.clone())).algo(),
+            Algo::Standing
         );
         assert_eq!(
             snap.run_query(&Query::Pq(a_variant.clone()))

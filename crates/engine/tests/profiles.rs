@@ -1,9 +1,11 @@
-//! Plan-coverage suite for the explain surface: every [`Plan`] variant
+//! Plan-coverage suite for the explain surface: every [`Plan::ALL`] entry
 //! must yield a well-formed [`QueryProfile`] — named stages with nonzero
 //! spans, stage timings that sum to the profile's wall time (within 10%),
 //! a rationale, and an output identical to the unprofiled path.
 
-use rpq_engine::{EngineConfig, Plan, Query, QueryEngine, QueryProfile, UpdatableEngine};
+use rpq_engine::{
+    Algo, Backend, EngineConfig, Plan, Query, QueryEngine, QueryProfile, UpdatableEngine,
+};
 use rpq_graph::gen::essembly;
 use rpq_graph::Graph;
 use std::sync::Arc;
@@ -35,7 +37,7 @@ fn hop_engine() -> QueryEngine {
         .build()
         .unwrap();
     let engine = QueryEngine::with_config(Arc::new(essembly()), config);
-    engine.force_hop_labels().expect("unbudgeted build fits");
+    engine.hop().force().expect("unbudgeted build fits");
     engine
 }
 
@@ -48,9 +50,7 @@ fn sharded_engine() -> QueryEngine {
         .build()
         .unwrap();
     let engine = QueryEngine::with_config(Arc::new(essembly()), config);
-    engine
-        .force_sharded_labels()
-        .expect("unbudgeted build fits");
+    engine.sharded().force().expect("unbudgeted build fits");
     engine
 }
 
@@ -106,62 +106,67 @@ fn drive(engine: &QueryEngine, query: &Query, plan: Plan) -> QueryProfile {
     profile
 }
 
+/// Drive every [`Plan::ALL`] entry the engine evaluates on `backend`
+/// (all but `standing`, which the snapshot layer serves). Both matches
+/// are exhaustive on purpose: a new [`Backend`] or [`Algo`] does not
+/// compile until it is given an engine and a query here, so a future
+/// plan cannot dodge profile coverage.
+fn drive_backend(backend: Backend) -> Vec<(Plan, QueryProfile)> {
+    let engine = match backend {
+        // searches need no index: any engine evaluates them
+        Backend::Matrix | Backend::Search => matrix_engine(),
+        Backend::Hop => hop_engine(),
+        Backend::Sharded => sharded_engine(),
+    };
+    let g = engine.graph();
+    Plan::ALL
+        .into_iter()
+        .filter(|plan| plan.backend() == backend)
+        .filter_map(|plan| {
+            let query = match plan.algo() {
+                Algo::RqDm | Algo::RqBiBfs | Algo::RqBfsMemo => rq(g),
+                Algo::Join | Algo::Split => pq(g),
+                Algo::Standing => return None,
+            };
+            Some((plan, drive(&engine, &query, plan)))
+        })
+        .collect()
+}
+
 #[test]
 fn matrix_backed_plans_profile_with_probe_counts() {
-    let engine = matrix_engine();
-    let g = engine.graph();
-    {
-        let plan = Plan::RqDm;
-        let p = drive(&engine, &rq(g), plan);
+    let driven = drive_backend(Backend::Matrix);
+    assert!(!driven.is_empty());
+    for (plan, p) in driven {
         assert!(p.probes > 0, "{}: DM evaluation must probe", plan.name());
-    }
-    for plan in [Plan::PqJoinMatrix, Plan::PqSplitMatrix] {
-        let p = drive(&engine, &pq(g), plan);
-        assert!(p.probes > 0, "{}: DM evaluation must probe", plan.name());
+        assert_eq!(p.shard_fanout, 0);
     }
 }
 
 #[test]
 fn search_and_cached_plans_profile_without_probes() {
-    let engine = matrix_engine();
-    let g = engine.graph();
-    for plan in [Plan::RqBiBfs, Plan::RqBfsMemo] {
-        let p = drive(&engine, &rq(g), plan);
+    let driven = drive_backend(Backend::Search);
+    assert!(!driven.is_empty());
+    for (plan, p) in driven {
         assert_eq!(p.probes, 0, "{}: searches probe no index", plan.name());
-    }
-    for plan in [Plan::PqJoinCached, Plan::PqSplitCached] {
-        let p = drive(&engine, &pq(g), plan);
-        assert_eq!(
-            p.probes,
-            0,
-            "{}: cached backend probes no index",
-            plan.name()
-        );
     }
 }
 
 #[test]
 fn hop_backed_plans_profile_with_probe_counts() {
-    let engine = hop_engine();
-    let g = engine.graph();
-    let p = drive(&engine, &rq(g), Plan::RqHop);
-    assert!(p.probes > 0);
-    for plan in [Plan::PqJoinHop, Plan::PqSplitHop] {
-        let p = drive(&engine, &pq(g), plan);
+    let driven = drive_backend(Backend::Hop);
+    assert!(!driven.is_empty());
+    for (plan, p) in driven {
         assert!(p.probes > 0, "{}: hop evaluation must probe", plan.name());
+        assert_eq!(p.shard_fanout, 0);
     }
 }
 
 #[test]
 fn sharded_plans_profile_with_fanout() {
-    let engine = sharded_engine();
-    let g = engine.graph();
-    for (query, plan) in [
-        (rq(g), Plan::RqSharded),
-        (pq(g), Plan::PqJoinSharded),
-        (pq(g), Plan::PqSplitSharded),
-    ] {
-        let p = drive(&engine, &query, plan);
+    let driven = drive_backend(Backend::Sharded);
+    assert!(!driven.is_empty());
+    for (plan, p) in driven {
         assert!(
             p.probes > 0,
             "{}: sharded evaluation must probe",
@@ -180,9 +185,12 @@ fn standing_plan_profiles_through_the_snapshot() {
     };
     engine.register_pq(pattern.clone());
     let snapshot = engine.snapshot();
-    let (out, profile) = snapshot.run_query_profiled(&Query::Pq(pattern.clone()));
-    assert_well_formed(&profile, Plan::PqStanding);
-    assert_eq!(out, snapshot.run_query(&Query::Pq(pattern)));
+    // every plan `drive_backend` leaves to the snapshot layer
+    for plan in Plan::ALL.into_iter().filter(|p| p.algo() == Algo::Standing) {
+        let (out, profile) = snapshot.run_query_profiled(&Query::Pq(pattern.clone()));
+        assert_well_formed(&profile, plan);
+        assert_eq!(out, snapshot.run_query(&Query::Pq(pattern.clone())));
+    }
 }
 
 #[test]

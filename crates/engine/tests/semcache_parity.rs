@@ -59,7 +59,7 @@ fn backends() -> &'static Backends {
                 .build()
                 .unwrap(),
         );
-        hop.force_hop_labels();
+        hop.hop().force();
         let sharded = ShardedEngine::build(
             Arc::clone(g),
             EngineConfig::builder()

@@ -19,7 +19,7 @@
 //!
 //! * the **matrix** under its node limit (fastest probes),
 //! * **hop labels** above it while the label budget holds
-//!   (`Plan::RqHop`, `Plan::PqJoinHop`, `Plan::PqSplitHop` in
+//!   (the `Backend::Hop` plans — `hop`, `JoinMatch/hop`, `SplitMatch/hop` — in
 //!   `rpq-engine`), and
 //! * per-query search (biBFS / memoized BFS for RQs, the LRU-cached
 //!   product search for PQs) as the final fallback.

@@ -562,7 +562,7 @@ fn handle_update(req: &Request, shared: &Shared) -> Response {
 fn index_bytes(snapshot: &Snapshot) -> u64 {
     let engine = snapshot.engine();
     let mut bytes = 0u64;
-    if let Some(labels) = engine.hop_labels() {
+    if let Some(labels) = engine.hop().get() {
         bytes += labels.bytes() as u64;
     }
     if engine.matrix().is_some() {

@@ -130,7 +130,7 @@ fn main() {
                 .map(|i| i.output.match_count())
                 .sum::<usize>(),
         );
-        if let Some(labels) = engine.hop_labels() {
+        if let Some(labels) = engine.hop().get() {
             if tick == 0 || per_plan.contains_key("hop") {
                 println!("  index: {}", labels.stats());
             }

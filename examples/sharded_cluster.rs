@@ -95,7 +95,7 @@ fn main() {
             .build()
             .unwrap(),
     );
-    reference.force_hop_labels().expect("fits default budget");
+    reference.hop().force().expect("fits default budget");
     let ref_out = reference.run_batch(&queries);
     let agree = out
         .items()

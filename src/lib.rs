@@ -152,10 +152,10 @@ pub mod prelude {
     pub use rpq_core::rq::{Rq, RqResult};
     pub use rpq_core::split_match::SplitMatch;
     pub use rpq_engine::{
-        ApplyReport, BatchItem, BatchResult, CacheKind, ConfigError, EngineConfig,
-        EngineConfigBuilder, EngineError, IndexMaintenance, IndexState, Plan, Query, QueryEngine,
-        QueryOutput, QueryService, ReachMemo, SemanticMemo, SemanticStats, ShardedEngine, Snapshot,
-        StandingId, UpdatableEngine,
+        Algo, ApplyReport, Backend, BatchItem, BatchResult, CacheKind, ConfigError, EngineConfig,
+        EngineConfigBuilder, EngineError, IndexMaintenance, IndexSlot, IndexState, Plan, Query,
+        QueryEngine, QueryOutput, QueryService, ReachMemo, SemanticMemo, SemanticStats,
+        ShardedEngine, Snapshot, StandingId, UpdatableEngine,
     };
     pub use rpq_graph::{
         Alphabet, AttrId, AttrValue, Attrs, Color, DistanceMatrix, Graph, GraphBuilder, NodeId,

@@ -66,7 +66,7 @@ fn batch_of_64_rqs_on_10k_graph_matches_sequential() {
     let memoized = batch
         .items()
         .iter()
-        .filter(|it| it.plan == Plan::RqBfsMemo)
+        .filter(|it| it.plan.algo() == Algo::RqBfsMemo)
         .count();
     assert!(
         memoized >= 16,
@@ -102,7 +102,7 @@ fn mixed_batch_on_small_graph_matches_sequential() {
             &rq.eval_with_matrix(&g, &m),
             "RQ {i}"
         );
-        assert_eq!(batch.items()[i].plan, Plan::RqDm);
+        assert_eq!(batch.items()[i].plan.name(), "DM");
     }
     for (i, pq) in pqs.iter().enumerate() {
         // either matrix-backed algorithm may be planned (shape-aware
@@ -113,19 +113,19 @@ fn mixed_batch_on_small_graph_matches_sequential() {
             "PQ {i}"
         );
         let plan = batch.items()[12 + i].plan;
-        assert!(
-            matches!(plan, Plan::PqJoinMatrix | Plan::PqSplitMatrix),
+        assert_eq!(
+            plan.backend(),
+            Backend::Matrix,
             "PQ {i} must run a matrix-backed plan, got {plan:?}"
         );
         assert_eq!(
             plan,
             rpq::engine::planner::plan_pq(
                 pq,
-                true,
-                false,
-                false,
+                Backend::Matrix,
                 rpq::engine::planner::SPLIT_CROSSOVER
             )
+            .0
         );
     }
 }
@@ -182,9 +182,9 @@ fn batch_result_reports_plans_and_timing() {
     ];
     let batch = engine.run_batch(&queries);
 
-    assert_eq!(batch.items()[0].plan, Plan::RqBfsMemo);
-    assert_eq!(batch.items()[1].plan, Plan::RqBfsMemo);
-    assert_eq!(batch.items()[2].plan, Plan::RqBiBfs);
+    assert_eq!(batch.items()[0].plan.algo(), Algo::RqBfsMemo);
+    assert_eq!(batch.items()[1].plan.algo(), Algo::RqBfsMemo);
+    assert_eq!(batch.items()[2].plan.algo(), Algo::RqBiBfs);
     for item in batch.items() {
         assert!(!item.plan.name().is_empty());
     }

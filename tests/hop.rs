@@ -1,4 +1,4 @@
-//! Integration tests for the hop-label (`Plan::RqHop`) serving path: the
+//! Integration tests for the hop-label (`Backend::Hop`) serving path: the
 //! planner picks it automatically over the matrix node limit, its answers
 //! are bit-identical to search, and under a live update stream every
 //! post-update query through the per-version hop index matches full
@@ -50,14 +50,14 @@ fn reference(q: &Query, g: &Graph) -> RqResult {
 fn planner_selects_hop_over_the_limit_and_answers_match_search() {
     let g = Arc::new(test_graph(77));
     let engine = QueryEngine::with_config(Arc::clone(&g), over_limit_config());
-    let labels = engine.force_hop_labels().expect("fits default budget");
+    let labels = engine.hop().force().expect("fits default budget");
     assert!(labels.is_exact());
     assert!(labels.bytes() < DistanceMatrix::bytes_for(&g));
 
     let qs = queries(&g);
     let batch = engine.run_batch(&qs);
     for (item, q) in batch.items().iter().zip(&qs) {
-        assert_eq!(item.plan, Plan::RqHop, "automatic selection");
+        assert_eq!(item.plan.name(), "hop", "automatic selection");
         assert_eq!(item.output.as_rq().unwrap(), &reference(q, &g));
     }
 }
@@ -104,10 +104,10 @@ fn hop_path_tracks_update_stream() {
         }
 
         // force the per-version build (deterministic RqHop), re-ask
-        snap.engine().force_hop_labels().expect("fits budget");
+        snap.engine().hop().force().expect("fits budget");
         let indexed = snap.run_batch(&qs);
         for (item, q) in indexed.items().iter().zip(&qs) {
-            assert_eq!(item.plan, Plan::RqHop, "round {round}");
+            assert_eq!(item.plan.name(), "hop", "round {round}");
             assert_eq!(
                 item.output.as_rq().unwrap(),
                 &reference(q, &g),
@@ -124,7 +124,7 @@ fn hop_path_tracks_update_stream() {
 fn pinned_snapshot_keeps_its_own_index_version() {
     let engine = UpdatableEngine::with_config(test_graph(3), over_limit_config());
     let pinned = engine.snapshot();
-    pinned.engine().force_hop_labels().unwrap();
+    pinned.engine().hop().force().unwrap();
     let g0 = pinned.graph().clone();
     let qs = queries(&g0);
     let before: Vec<_> = qs.iter().map(|q| pinned.run_query(q)).collect();
@@ -142,7 +142,7 @@ fn pinned_snapshot_keeps_its_own_index_version() {
     }
     // and the current version answers against the *new* graph
     let now = engine.snapshot();
-    now.engine().force_hop_labels().unwrap();
+    now.engine().hop().force().unwrap();
     let g1 = now.graph().clone();
     for q in &qs {
         assert_eq!(now.run_query(q).as_rq().unwrap(), &reference(q, &g1));

@@ -76,7 +76,7 @@ fn standing_pq_tracks_update_stream() {
 
         // the batch path serves the standing answer under the standing plan
         let batch = snap.run_batch(&[Query::Pq(pq.clone())]);
-        assert_eq!(batch.items()[0].plan, Plan::PqStanding, "step {step}");
+        assert_eq!(batch.items()[0].plan.algo(), Algo::Standing, "step {step}");
         assert_eq!(batch.items()[0].output.as_pq().unwrap(), &reference);
     }
     assert!(published >= 10, "stream too short: {published} batches");

@@ -150,14 +150,15 @@ fn repaired_index_serves_a_mixed_stream_at_50k() {
     engine
         .snapshot()
         .engine()
-        .force_sharded_labels()
+        .sharded()
+        .force()
         .expect("unbudgeted build cannot fail");
     let rebuild_time = t1.elapsed();
     println!("initial sharded build (= per-batch rebuild cost): {rebuild_time:.1?}");
 
     // the read-only reference: same graph, same config, no writes
     let frozen = UpdatableEngine::with_config(g, config);
-    frozen.snapshot().engine().force_sharded_labels().unwrap();
+    frozen.snapshot().engine().sharded().force().unwrap();
     let frozen_snap = frozen.snapshot();
 
     let mut rng = StdRng::seed_from_u64(97);

@@ -3,7 +3,7 @@
 //! matrix, pruned 2-hop labels, LRU-cached product search — must answer
 //! bit-identically to the `eval_naive` reference fixpoint on random graphs
 //! and patterns; and an `UpdatableEngine` stream test drives the new
-//! PQ-hop serving path (`Plan::PqJoinHop` / `Plan::PqSplitHop`) across 12
+//! PQ-hop serving path (`JoinMatch`/`SplitMatch` over `Backend::Hop`) across 12
 //! published versions.
 
 use proptest::prelude::*;
@@ -93,7 +93,7 @@ fn engine_pq_plans_cover_all_backends_identically() {
             .build()
             .unwrap(),
     );
-    hop_engine.force_hop_labels().expect("fits default budget");
+    hop_engine.hop().force().expect("fits default budget");
     let cached_engine = QueryEngine::with_config(
         Arc::clone(&g),
         EngineConfig::builder()
@@ -120,21 +120,12 @@ fn engine_pq_plans_cover_all_backends_identically() {
     }
     for plan in &seen {
         assert!(
-            matches!(
-                plan,
-                Plan::PqJoinMatrix
-                    | Plan::PqSplitMatrix
-                    | Plan::PqJoinHop
-                    | Plan::PqSplitHop
-                    | Plan::PqJoinCached
-                    | Plan::PqSplitCached
-            ),
+            matches!(plan.algo(), Algo::Join | Algo::Split) && plan.backend() != Backend::Sharded,
             "unexpected plan {plan:?}"
         );
     }
     assert!(
-        seen.iter()
-            .any(|p| matches!(p, Plan::PqJoinHop | Plan::PqSplitHop)),
+        seen.iter().any(|p| p.backend() == Backend::Hop),
         "hop engine never planned a hop backend: {seen:?}"
     );
 }
@@ -205,11 +196,11 @@ fn pq_hop_path_tracks_update_stream() {
         }
 
         // force the per-version build: every PQ must plan a hop backend
-        snap.engine().force_hop_labels().expect("fits budget");
+        snap.engine().hop().force().expect("fits budget");
         let indexed = snap.run_batch(&queries);
         for (item, pq) in indexed.items().iter().zip(&pqs) {
             assert!(
-                matches!(item.plan, Plan::PqJoinHop | Plan::PqSplitHop),
+                item.plan.backend() == Backend::Hop,
                 "round {round}: expected a hop plan, got {:?}",
                 item.plan
             );
@@ -223,8 +214,8 @@ fn pq_hop_path_tracks_update_stream() {
         // the standing query is still served from maintained sets and
         // equals full re-evaluation on the current graph
         assert_eq!(
-            snap.plan_query(&Query::Pq(standing.clone())),
-            Plan::PqStanding,
+            snap.plan_query(&Query::Pq(standing.clone())).algo(),
+            Algo::Standing,
             "round {round}"
         );
         let served = snap.run_query(&Query::Pq(standing.clone()));

@@ -146,7 +146,7 @@ fn sharded_batch_matches_hop_backend_at_100k() {
             .unwrap(),
     );
     let t1 = Instant::now();
-    let hop = hop_engine.force_hop_labels().expect("reference build fits");
+    let hop = hop_engine.hop().force().expect("reference build fits");
     println!(
         "unsharded reference build: {:.1?}, {} KiB",
         t1.elapsed(),
@@ -167,7 +167,7 @@ fn sharded_batch_matches_hop_backend_at_100k() {
     let mut sharded_plans = 0usize;
     for (i, (h, s)) in hop_out.items().iter().zip(sharded_out.items()).enumerate() {
         assert_eq!(h.output, s.output, "query {i} diverged across backends");
-        if matches!(s.plan, Plan::RqSharded | Plan::PqJoinSharded) {
+        if s.plan.backend() == Backend::Sharded {
             sharded_plans += 1;
         }
     }
