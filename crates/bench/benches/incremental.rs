@@ -13,8 +13,7 @@
 //!   with incremental index repair vs. the from-scratch sharded rebuild
 //!   the retire-and-rebuild design paid, and query latency on a snapshot
 //!   that keeps its index through writes vs. the read-only baseline.
-//!   Answers are asserted exact before anything is timed. With
-//!   `BENCH_JSON_DIR` set, medians land in `BENCH_incremental.json`.
+//!   Answers are asserted exact before anything is timed.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -136,9 +135,6 @@ fn live_queries(g: &Graph, count: usize, seed: u64) -> Vec<Query> {
 
 fn bench_live_steady_state(c: &mut Criterion) {
     let g = clustered(LIVE_NODES, LIVE_EDGES, LIVE_SHARDS, 2, 3, 20, 13);
-    criterion::report_context("live_graph_nodes", g.node_count());
-    criterion::report_context("live_graph_edges", g.edge_count());
-    criterion::report_context("live_shards", LIVE_SHARDS);
 
     let engine = UpdatableEngine::with_config(
         g,

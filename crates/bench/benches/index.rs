@@ -9,15 +9,19 @@
 //!   built for. Label memory is reported against the dense-matrix
 //!   equivalent, and a one-shot speedup line is printed so the ≥5x
 //!   acceptance bar is visible in plain bench output.
+//!
+//! The engines plan the workload and their first (cold) batch is checked
+//! for identical answers; the timed rows then evaluate straight over each
+//! regime's index, because an engine serves every repeat of a batch from
+//! its memo and these rows compare indices, not cache hits.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_core::predicate::Predicate;
-use rpq_core::rq::Rq;
+use rpq_core::rq::{Rq, RqResult};
 use rpq_engine::{EngineConfig, Query, QueryEngine};
 use rpq_graph::gen::youtube_like;
 use rpq_graph::{DistanceMatrix, Graph};
 use rpq_regex::FRegex;
-use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -57,14 +61,25 @@ fn assert_plan(e: &QueryEngine, q: &Query, want: &str) {
     assert_eq!(got, want, "bench engine must exercise the {want} path");
 }
 
+type Eval<'a> = &'a dyn Fn(&Rq) -> RqResult;
+
+/// One uncached pass of the workload through `eval`.
+fn eval_all(queries: &[Query], eval: Eval) -> usize {
+    let rqs = queries.iter().map(|q| match q {
+        Query::Rq(rq) => rq,
+        Query::Pq(_) => unreachable!("the workload is RQ-only"),
+    });
+    rqs.map(|rq| eval(rq).len()).sum()
+}
+
 fn bench_small_three_way(c: &mut Criterion) {
     let g = Arc::new(youtube_like(1_500, 11));
     let queries = workload(&g, 64);
 
     let dm = engine(&g, usize::MAX, 0);
-    dm.force_matrix();
+    let matrix = dm.force_matrix();
     let hop = engine(&g, 0, 256 << 20);
-    hop.hop().force().expect("labels fit");
+    let labels = hop.hop().force().expect("labels fit");
     let bibfs = engine(&g, 0, 0);
     assert_plan(&dm, &queries[0], "DM");
     assert_plan(&hop, &queries[0], "hop");
@@ -72,9 +87,14 @@ fn bench_small_three_way(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("rq_index_small_1500n");
     group.sample_size(10);
-    for (name, e) in [("dm", &dm), ("hop", &hop), ("bibfs", &bibfs)] {
+    let regimes: [(&str, Eval); 3] = [
+        ("dm", &|rq| rq.eval_with_dist(&g, matrix)),
+        ("hop", &|rq| rq.eval_with_dist(&g, &*labels)),
+        ("bibfs", &|rq| rq.eval_bibfs(&g)),
+    ];
+    for (name, eval) in regimes {
         group.bench_with_input(BenchmarkId::new(name, 64), &queries, |b, qs| {
-            b.iter(|| black_box(e.run_batch(qs)))
+            b.iter(|| eval_all(qs, eval))
         });
     }
     group.finish();
@@ -135,12 +155,12 @@ fn bench_large_hop_vs_bibfs(c: &mut Criterion) {
     // acceptance comparison
     group.sample_size(2);
     group.bench_with_input(BenchmarkId::new("hop", queries.len()), &queries, |b, qs| {
-        b.iter(|| black_box(hop.run_batch(qs)))
+        b.iter(|| eval_all(qs, &|rq| rq.eval_with_dist(&g, &*labels)))
     });
     group.bench_with_input(
         BenchmarkId::new("bibfs", queries.len()),
         &queries,
-        |b, qs| b.iter(|| black_box(bibfs.run_batch(qs))),
+        |b, qs| b.iter(|| eval_all(qs, &|rq| rq.eval_bibfs(&g))),
     );
     group.finish();
 }

@@ -2,9 +2,9 @@
 //! and scoped-thread batch evaluation.
 
 use crate::batch::{BatchItem, BatchResult, Query, QueryOutput};
-use crate::error::ConfigError;
+use crate::error::{ConfigError, EngineError};
 use crate::explain::{query_summary, CountingProbe};
-use crate::memo::ReachMemo;
+use crate::memo::{SemanticMemo, SemanticStats};
 use crate::planner::{self, Algo, Backend, Plan, Rationale};
 use crate::slot::IndexSlot;
 use rpq_core::canonical::{canonical_pq, canonical_rq};
@@ -125,10 +125,10 @@ impl EngineConfig {
         }
     }
 
-    /// The one derivation of the sharded build's settings — fresh builds,
-    /// the [`ShardedEngine`](crate::ShardedEngine) constructors and the
-    /// live-update repair all go through it, so a repaired index can
-    /// never be built under different settings from a fresh one.
+    /// The one derivation of the sharded build's settings — background
+    /// builds, [`QueryEngine::build_sharded`] and the live-update repair
+    /// all go through it, so a repaired index can never be built under
+    /// different settings from a fresh one.
     pub(crate) fn sharded_config(&self) -> ShardedConfig {
         ShardedConfig {
             shards: self.shards,
@@ -236,6 +236,13 @@ pub struct QueryEngine {
     graph: Arc<Graph>,
     config: EngineConfig,
     matrix: OnceLock<DistanceMatrix>,
+    /// The one reach-set memo of this graph version: an RQ's reach set
+    /// is a function of (graph, source predicate, regex) alone, so every
+    /// run on this engine shares it. The graph is immutable for the life
+    /// of the engine, so nothing ever invalidates an entry; the live
+    /// layer publishes a fresh engine — and with it an empty memo — per
+    /// version.
+    memo: SemanticMemo,
     /// Set by [`retire_index_builds`](QueryEngine::retire_index_builds)
     /// (or drop): in-flight background label builds abort at their next
     /// checkpoint. Shared with both slots.
@@ -298,10 +305,36 @@ impl QueryEngine {
             graph,
             config,
             matrix: OnceLock::new(),
+            memo: SemanticMemo::new(),
             retired,
             hop,
             sharded,
         }
+    }
+
+    /// Engine whose one index is the sharded backend, built **now**: the
+    /// graph is partitioned into `config.shards` pieces (clamped to
+    /// `1..=|V|` by the partitioner) and labelled by parallel per-shard
+    /// builds, each under `config.shard_memory_budget` bytes (`0` =
+    /// unlimited). What a deployment runs when the graph is known up
+    /// front to exceed any single-index budget: no matrix and no single
+    /// hop index race the planner, and a per-shard build over its budget
+    /// fails here with [`EngineError::IndexOverBudget`] instead of
+    /// degrading to search plans. The index is reachable through
+    /// [`sharded().get()`](QueryEngine::sharded).
+    pub fn build_sharded(graph: Arc<Graph>, config: EngineConfig) -> Result<Self, EngineError> {
+        let labels = ShardedLabels::build_with(&graph, &config.sharded_config(), None)?;
+        let engine = Self::with_config(
+            graph,
+            EngineConfig {
+                matrix_node_limit: 0,
+                hop_label_budget: 0,
+                shards: labels.sharded_graph().k(),
+                ..config
+            },
+        );
+        engine.sharded.adopt(Arc::new(labels));
+        Ok(engine)
     }
 
     /// The shared graph.
@@ -351,6 +384,25 @@ impl QueryEngine {
     /// [`shards`](EngineConfig::shards) ≥ 2.
     pub fn sharded(&self) -> &IndexSlot<ShardedLabels> {
         &self.sharded
+    }
+
+    /// Bytes held by the indices built so far (matrix + hop labels +
+    /// sharded labels). A gauge: it never triggers a build.
+    pub fn index_bytes(&self) -> u64 {
+        let matrix = self
+            .matrix
+            .get()
+            .map_or(0, |_| DistanceMatrix::bytes_for(&self.graph));
+        let hop = self.hop.get().map_or(0, |l| l.bytes());
+        let sharded = self.sharded.get().map_or(0, |l| l.stats().total_bytes());
+        (matrix + hop + sharded) as u64
+    }
+
+    /// Cumulative counters of this engine's semantic reach-set memo —
+    /// exact hits, subsumption hits, misses, and filter time — over
+    /// every query run since construction.
+    pub fn semantic_stats(&self) -> SemanticStats {
+        self.memo.semantic_stats()
     }
 
     /// Does this deployment's config call for a label index (hop or
@@ -409,14 +461,7 @@ impl QueryEngine {
 
     /// Evaluate one query (a batch of one, on the calling thread).
     pub fn run_query(&self, query: &Query) -> QueryOutput {
-        self.run_query_with_memo(query, &ReachMemo::new())
-    }
-
-    /// Evaluate one query against a caller-provided reach-set memo (the
-    /// snapshot layer passes a snapshot-lifetime memo so repeated keys are
-    /// shared across batches, not just within one).
-    pub fn run_query_with_memo(&self, query: &Query, memo: &ReachMemo) -> QueryOutput {
-        self.run_one(query, None, memo, false).0
+        self.run_one(query, None, false).0
     }
 
     /// Evaluate one query and return its execution profile alongside the
@@ -425,26 +470,18 @@ impl QueryEngine {
     /// counts, memo hit/miss, shard fan-out, and worker utilization.
     /// This is the `explain` surface.
     pub fn run_query_profiled(&self, query: &Query) -> (QueryOutput, QueryProfile) {
-        self.run_query_profiled_with_memo(query, &ReachMemo::new())
-    }
-
-    /// [`run_query_profiled`](QueryEngine::run_query_profiled) against a
-    /// caller-provided memo (the snapshot layer passes its
-    /// snapshot-lifetime memo so the profile's hit/miss numbers reflect
-    /// real serving behavior, not a cold per-call memo).
-    pub fn run_query_profiled_with_memo(
-        &self,
-        query: &Query,
-        memo: &ReachMemo,
-    ) -> (QueryOutput, QueryProfile) {
-        let (out, profile) = self.run_one(query, None, memo, true);
+        let (out, profile) = self.run_one(query, None, true);
         (out, profile.expect("profiled run"))
     }
 
     /// Profiled evaluation under a **caller-chosen** plan, bypassing the
     /// planner — the test/bench surface that lets parity suites drive
     /// every servable entry of [`Plan::ALL`] (like [`IndexSlot::force`],
-    /// this is for deterministic harnesses, not production traffic).
+    /// this is for deterministic harnesses, not production traffic). It
+    /// also bypasses the engine's memo: the run evaluates against a
+    /// scratch memo local to the call, so it exercises the plan rather
+    /// than the cache, and leaves [`semantic_stats`](Self::semantic_stats)
+    /// untouched.
     ///
     /// # Panics
     ///
@@ -457,45 +494,79 @@ impl QueryEngine {
         query: &Query,
         plan: Plan,
     ) -> (QueryOutput, QueryProfile) {
-        let (out, profile) = self.run_one(query, Some(plan), &ReachMemo::new(), true);
+        let (out, profile) = self.run_one(query, Some(plan), true);
         (out, profile.expect("profiled run"))
     }
 
-    /// The one single-query path: canonicalise → plan (unless `forced`)
-    /// → prepare → eval, on the calling thread with the whole worker
-    /// budget. With `profiled`, the same evaluation runs behind a
-    /// probe-counting decorator and the stage boundaries become a
-    /// [`QueryProfile`] — contiguous sub-intervals of one clock
-    /// (`t0 → t1 → t2 → t3`), so their sum equals the wall time exactly.
+    /// The one prologue of every run: canonicalise → kick the background
+    /// index builds → plan each query (batch-aware, or `forced`) → build
+    /// the matrix if a plan needs it, before any worker starts. Returns
+    /// the canonical queries, their plans, and the instant planning
+    /// ended and index preparation began (a profile's stage boundary).
+    fn prologue(
+        &self,
+        queries: &[Query],
+        forced: Option<Plan>,
+    ) -> (Vec<Query>, Vec<(Plan, Rationale)>, Instant) {
+        // minimize-before-plan: every query is rewritten into its
+        // run-normal canonical form (shape- and answer-preserving), so
+        // syntactic variants of one language share a memo key, a plan,
+        // and one reach-set computation
+        let queries: Vec<Query> = queries.iter().map(canonical_query).collect();
+        let plans: Vec<(Plan, Rationale)> = match forced {
+            Some(plan) => vec![(plan, Rationale::Forced(plan)); queries.len()],
+            None => {
+                // batch-shape analysis: RQ keys that repeat share one
+                // reach set
+                let mut key_count: HashMap<_, u32> = HashMap::new();
+                for q in &queries {
+                    if let Query::Rq(rq) = q {
+                        *key_count.entry((&rq.from, &rq.regex)).or_insert(0) += 1;
+                    }
+                }
+                self.ensure_index_builds();
+                let plan = |q: &Query| {
+                    let shared = match q {
+                        Query::Rq(rq) => key_count[&(&rq.from, &rq.regex)] > 1,
+                        Query::Pq(_) => false,
+                    };
+                    self.plan(q, shared)
+                };
+                queries.iter().map(plan).collect()
+            }
+        };
+        let planned = Instant::now();
+        if plans.iter().any(|(p, _)| p.backend() == Backend::Matrix) {
+            self.matrix();
+        }
+        (queries, plans, planned)
+    }
+
+    /// The one single-query path: [`prologue`](Self::prologue) → eval, on
+    /// the calling thread with the whole worker budget. With `profiled`,
+    /// the same evaluation runs behind a probe-counting decorator and the
+    /// stage boundaries become a [`QueryProfile`] — contiguous
+    /// sub-intervals of one clock (`t0 → t1 → t2 → t3`), so their sum
+    /// equals the wall time exactly.
     fn run_one(
         &self,
         query: &Query,
         forced: Option<Plan>,
-        memo: &ReachMemo,
         profiled: bool,
     ) -> (QueryOutput, Option<QueryProfile>) {
         let t0 = Instant::now();
-        // minimize-before-plan: evaluate the canonical form
-        let canon = canonical_query(query);
-        let (plan, why) = match forced {
-            Some(plan) => (plan, Rationale::Forced(plan)),
-            None => {
-                self.ensure_index_builds();
-                self.plan(&canon, false)
-            }
-        };
-        let t1 = Instant::now();
-        let needs_matrix = plan.backend() == Backend::Matrix;
-        if needs_matrix {
-            self.matrix();
-        }
+        let (canon, plans, t1) = self.prologue(std::slice::from_ref(query), forced);
+        let (canon, (plan, why)) = (&canon[0], plans[0]);
         let t2 = Instant::now();
+        // a forced plan must exercise the plan, not the cache
+        let scratch = forced.map(|_| SemanticMemo::new());
+        let memo = scratch.as_ref().unwrap_or(&self.memo);
         let before = (memo.semantic_stats(), memo.stats());
         let workers = self.configured_workers();
         let mut cached = CachedReach::new(self.config.reach_cache_capacity);
         let job = Job {
             g: &self.graph,
-            query: &canon,
+            query: canon,
             plan,
             memo,
             pq_workers: workers,
@@ -503,7 +574,7 @@ impl QueryEngine {
         };
         let (out, probes) = self.eval_one(job, &mut cached);
         let t3 = Instant::now();
-        self.note_if_slow(&canon, plan, t3 - t2);
+        self.note_if_slow(canon, plan, t3 - t2);
         if !profiled {
             return (out, None);
         }
@@ -513,12 +584,12 @@ impl QueryEngine {
             plan.name().to_owned(),
             why.to_string(),
         );
-        if canon != *query {
-            profile.canonical = query_summary(&canon, &self.graph);
+        if canon != query {
+            profile.canonical = query_summary(canon, &self.graph);
         }
         let indices = format!("hop={:?} sharded={:?}", self.hop, self.sharded);
         profile.stage("plan", t1 - t0, indices);
-        let prepared = if needs_matrix {
+        let prepared = if plan.backend() == Backend::Matrix {
             "distance matrix ready"
         } else {
             "no shared index to prepare"
@@ -567,52 +638,18 @@ impl QueryEngine {
     /// off a shared counter from `workers` scoped threads. Outputs come
     /// back in submission order and are identical to sequential
     /// single-query evaluation — the strategies differ only in cost.
+    /// Reach sets are shared through the engine's memo, so hot keys are
+    /// computed once per engine rather than once per batch; the reported
+    /// memo stats are this batch's delta (approximate under concurrent
+    /// batches).
     pub fn run_batch(&self, queries: &[Query]) -> BatchResult {
-        self.run_batch_with_memo(queries, &ReachMemo::new())
-    }
-
-    /// [`run_batch`](QueryEngine::run_batch) against a caller-provided
-    /// memo, so reach sets survive across batches for as long as the memo
-    /// does (one graph version, in snapshot-based serving). The reported
-    /// memo stats are this batch's delta; under concurrent batches sharing
-    /// one memo they are approximate.
-    pub fn run_batch_with_memo(&self, queries: &[Query], memo: &ReachMemo) -> BatchResult {
         let t0 = Instant::now();
+        let memo = &self.memo;
         let (hits0, misses0) = memo.stats();
         if queries.is_empty() {
             return BatchResult::new(Vec::new(), t0.elapsed(), 0, (0, 0));
         }
-
-        // minimize-before-plan: every query is rewritten into its
-        // run-normal canonical form (shape- and answer-preserving), so
-        // syntactic variants of one language share a memo key, a plan,
-        // and — below — one reach-set computation
-        let queries: Vec<Query> = queries.iter().map(canonical_query).collect();
-        let queries = queries.as_slice();
-
-        // batch-shape analysis: RQ keys that repeat share one reach set
-        let mut key_count: HashMap<_, u32> = HashMap::new();
-        for q in queries {
-            if let Query::Rq(rq) = q {
-                *key_count.entry((&rq.from, &rq.regex)).or_insert(0) += 1;
-            }
-        }
-        self.ensure_index_builds();
-        let plans: Vec<Plan> = queries
-            .iter()
-            .map(|q| {
-                let shared = match q {
-                    Query::Rq(rq) => key_count[&(&rq.from, &rq.regex)] > 1,
-                    Query::Pq(_) => false,
-                };
-                self.plan(q, shared).0
-            })
-            .collect();
-
-        // build the shared index once, before workers start
-        if plans.iter().any(|p| p.backend() == Backend::Matrix) {
-            self.matrix();
-        }
+        let (queries, plans, _) = self.prologue(queries, None);
 
         let workers = self.configured_workers().clamp(1, queries.len());
         // worker budget left over by a short batch goes to PQ refinement:
@@ -635,7 +672,7 @@ impl QueryEngine {
                         let job = Job {
                             g: &self.graph,
                             query: &queries[i],
-                            plan: plans[i],
+                            plan: plans[i].0,
                             memo,
                             pq_workers,
                             count_probes: false,
@@ -763,7 +800,7 @@ struct Job<'a> {
     g: &'a Graph,
     query: &'a Query,
     plan: Plan,
-    memo: &'a ReachMemo,
+    memo: &'a SemanticMemo,
     /// Threads an index-backed PQ chunks its bulk refinement steps over.
     pq_workers: usize,
     count_probes: bool,
@@ -817,19 +854,13 @@ fn rq_targets(g: &Graph, rq: &Rq, pairs: &[(NodeId, NodeId)]) -> QueryOutput {
     QueryOutput::Rq(RqResult::from_pairs(hits))
 }
 
-/// Index-backed RQ evaluation after a declined cache probe. Against
-/// a [`persistent`](crate::memo::SemanticMemo::persistent) memo (the
-/// sharded engine's, a snapshot's) the key's *full* reach set is
-/// computed through the index — target predicate widened to `true`,
-/// trading the backward-pruning pass for a reusable cache entry —
-/// installed via [`insert`](crate::memo::SemanticMemo::insert), and
-/// filtered down to the query's targets; the next exact or contained
-/// query on the key is a cache hit. Throwaway per-call memos skip
-/// the wider evaluation and run the query directly.
-fn rq_indexed<D: DistProbe>(g: &Graph, rq: &Rq, probe: &D, memo: &ReachMemo) -> QueryOutput {
-    if !memo.populates_on_miss() {
-        return QueryOutput::Rq(rq.eval_with_dist(g, probe));
-    }
+/// Index-backed RQ evaluation after a declined cache probe: the key's
+/// *full* reach set is computed through the index — target predicate
+/// widened to `true`, trading the backward-pruning pass for a reusable
+/// cache entry — installed via [`SemanticMemo::insert`], and filtered
+/// down to the query's targets; the next exact or contained query on the
+/// key is a cache hit.
+fn rq_indexed<D: DistProbe>(g: &Graph, rq: &Rq, probe: &D, memo: &SemanticMemo) -> QueryOutput {
     let wide = Rq::new(rq.from.clone(), Predicate::always_true(), rq.regex.clone());
     let pairs = memo.insert(&rq.from, &rq.regex, wide.eval_with_dist(g, probe).pairs());
     rq_targets(g, rq, &pairs)
@@ -917,6 +948,8 @@ mod tests {
         let engine = QueryEngine::new(Arc::clone(&g));
         assert!(engine.matrix_available());
         assert!(engine.matrix.get().is_none(), "matrix must be lazy");
+        assert_eq!(engine.index_bytes(), 0);
+        assert!(engine.matrix.get().is_none(), "the gauge must not build");
         let q = Query::Rq(rq(&g, "job = \"doctor\"", "job = \"doctor\"", "fa"));
         assert_eq!(engine.plan_query(&q).name(), "DM");
         engine.run_query(&q);
@@ -924,6 +957,7 @@ mod tests {
             engine.matrix.get().is_some(),
             "DM plan should have built it"
         );
+        assert!(engine.index_bytes() > 0);
     }
 
     #[test]
@@ -1219,6 +1253,61 @@ mod tests {
         assert_eq!(batch.items()[1].plan.name(), "JoinMatch/sharded");
         assert_eq!(batch.items()[0].output.as_rq().unwrap(), &q.eval_bfs(&g));
         assert_eq!(batch.items()[1].output.as_pq().unwrap(), &pq.eval_naive(&g));
+    }
+
+    #[test]
+    fn build_sharded_serves_sharded_plans() {
+        let g = Arc::new(rpq_graph::gen::clustered(500, 2000, 4, 2, 3, 60, 17));
+        let engine = QueryEngine::build_sharded(
+            Arc::clone(&g),
+            EngineConfig {
+                shards: 4,
+                workers: 2,
+                ..EngineConfig::default()
+            },
+        )
+        .expect("unbudgeted build");
+        let labels = engine.sharded().get().expect("built eagerly");
+        assert_eq!(labels.sharded_graph().k(), 4);
+        assert!(labels.stats().wildcard);
+        assert_eq!(engine.index_bytes(), labels.stats().total_bytes() as u64);
+        // the sharded regime is pinned: no other index can race the planner
+        assert!(!engine.matrix_available());
+        assert!(engine.hop().force().is_none());
+
+        let q = rq(&g, "a0 <= 4", "a1 >= 6", "c0^2 c1");
+        assert_eq!(engine.plan_query(&Query::Rq(q.clone())).name(), "sharded");
+
+        let mut pq = Pq::new();
+        let a = pq.add_node("a", Predicate::parse("a0 <= 3", g.schema()).unwrap());
+        let b = pq.add_node("b", Predicate::parse("a1 >= 5", g.schema()).unwrap());
+        pq.add_edge(a, b, FRegex::parse("c0 c1", g.alphabet()).unwrap());
+        assert_eq!(
+            engine.plan_query(&Query::Pq(pq.clone())).name(),
+            "JoinMatch/sharded"
+        );
+
+        let batch = engine.run_batch(&[Query::Rq(q.clone()), Query::Pq(pq.clone())]);
+        for item in batch.items() {
+            assert_eq!(item.plan.backend(), Backend::Sharded);
+        }
+        // bit-identical to the search references
+        assert_eq!(batch.items()[0].output.as_rq().unwrap(), &q.eval_bfs(&g));
+        assert_eq!(batch.items()[1].output.as_pq().unwrap(), &pq.eval_naive(&g));
+    }
+
+    #[test]
+    fn build_sharded_fails_eagerly_over_budget() {
+        let g = Arc::new(rpq_graph::gen::synthetic(300, 1200, 2, 3, 3));
+        let err = QueryEngine::build_sharded(
+            Arc::clone(&g),
+            EngineConfig {
+                shards: 3,
+                shard_memory_budget: 1,
+                ..EngineConfig::default()
+            },
+        );
+        assert!(matches!(err, Err(EngineError::IndexOverBudget { .. })));
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! this crate is the serving layer that amortizes shared work across
 //! *batches* of concurrent queries against one immutable graph:
 //!
-//! * [`QueryEngine`] owns an `Arc<Graph>` plus lazily-built shared indices
+//! * [`QueryEngine`] owns an `Arc<Graph>`, lazily-built shared indices
 //!   (the per-color [`DistanceMatrix`](rpq_graph::DistanceMatrix) when the
-//!   graph is small enough to afford its O(|Σ|·|V|²) footprint);
+//!   graph is small enough to afford its O(|Σ|·|V|²) footprint) and the
+//!   one reach-set memo of that graph version;
 //! * every query runs under a [`Plan`] = [`Algo`] × [`Backend`], the way
 //!   the paper states its evaluators once and parameterises them by the
 //!   reachability oracle: the engine picks the best usable backend
@@ -21,8 +22,9 @@
 //!   share one lifecycle, [`IndexSlot`]: built in the background off the
 //!   first batch that needs them, forced on demand, cancelled when their
 //!   graph version is superseded, pinned when over budget;
-//! * a concurrent semantic [`memo`] table keyed on `(source predicate,
-//!   canonical regex)` shares product-automaton reach sets: queries are
+//! * the engine's concurrent semantic [`memo`] table, keyed on `(source
+//!   predicate, canonical regex)`, shares reach sets across every run on
+//!   the engine (an RQ's reach set depends on nothing else): queries are
 //!   rewritten into run-normal canonical form before planning so
 //!   syntactic variants share one cell, and on an exact miss the
 //!   [`SemanticMemo`] looks for a cached *containing* entry
@@ -31,11 +33,12 @@
 //!   re-traversing the graph;
 //! * [`BatchResult`] carries per-query outputs, chosen plans and timings
 //!   for the bench harness;
-//! * [`ShardedEngine`] serves graphs past any single-index budget: the
-//!   storage→index→engine stack re-founded on a shard topology (per-shard
-//!   label builds on a per-shard worker set, boundary-overlay stitching),
-//!   scatter-gathering batches with answers bit-identical to every other
-//!   backend; the [`QueryEngine`] reaches the same index as a background
+//! * [`QueryEngine::build_sharded`] serves graphs known up front to
+//!   exceed any single-index budget: the shard topology as the primary
+//!   regime (per-shard label builds on a per-shard worker set,
+//!   boundary-overlay stitching, a typed eager failure when a shard
+//!   busts its budget), answers bit-identical to every other backend;
+//!   a plain [`QueryEngine`] reaches the same index as a background
 //!   fallback when its single hop-label build busts the budget;
 //! * [`UpdatableEngine`] serves a *mutating* graph (§7): writers apply
 //!   [`Update`](rpq_core::incremental::Update) batches and publish
@@ -44,10 +47,9 @@
 //!   versioned per snapshot, and registered standing PQs are maintained
 //!   incrementally and served from their standing answers
 //!   ([`Algo::Standing`]) instead of being re-evaluated;
-//! * [`QueryService`] unifies the four engine types behind one
-//!   object-safe trait — the boundary the `rpq-server` front-end and the
-//!   bench harness program against — with boundary failures surfaced as
-//!   typed [`EngineError`] values instead of panics.
+//! * [`QueryService`] unifies the three engine types behind one
+//!   object-safe trait, with boundary failures surfaced as typed
+//!   [`EngineError`] values instead of panics.
 //!
 //! Workers are plain `std::thread::scope` scoped threads pulling query
 //! indices off an atomic counter — no external dependencies.
@@ -81,7 +83,6 @@ mod explain;
 pub mod memo;
 pub mod planner;
 mod service;
-mod sharded;
 mod slot;
 mod snapshot;
 mod updatable;
@@ -89,10 +90,9 @@ mod updatable;
 pub use batch::{BatchItem, BatchResult, Query, QueryOutput};
 pub use engine::{EngineConfig, EngineConfigBuilder, QueryEngine};
 pub use error::{ConfigError, EngineError};
-pub use memo::{CacheKind, ReachMemo, SemanticMemo, SemanticStats};
+pub use memo::{CacheKind, SemanticMemo, SemanticStats};
 pub use planner::{Algo, Backend, Plan, Rationale};
 pub use service::QueryService;
-pub use sharded::ShardedEngine;
 pub use slot::IndexSlot;
 pub use snapshot::{IndexState, Snapshot};
 pub use updatable::{ApplyReport, IndexMaintenance, StandingId, UpdatableEngine};

@@ -12,9 +12,9 @@
 //! 1. **Canonical keys.** Every regex is keyed by its run-normal form
 //!    ([`rpq_regex::canon::canonicalize`]), so `a^2 a` and `a a^2` share
 //!    one cell, one computation, one `Arc`.
-//! 2. **Exact sharing** (the original `ReachMemo` contract): the first
-//!    worker to need a key computes the full `(source, reachable)` pair
-//!    set; every later worker gets the `Arc` for free.
+//! 2. **Exact sharing**: the first worker to need a key computes the
+//!    full `(source, reachable)` pair set; every later worker gets the
+//!    `Arc` for free.
 //! 3. **Containment answering.** On an exact miss the memo consults a
 //!    candidate index — completed cells bucketed by regex *skeleton*
 //!    (run-color sequence) — for a cached entry whose predicate/regex
@@ -30,9 +30,11 @@
 //!
 //! Completed cells are bounded by an LRU byte budget; eviction removes a
 //! cell from the table and the candidate index while outstanding `Arc`s
-//! keep served answers alive. Invalidation is by construction: the
-//! updatable engine publishes a fresh memo with every snapshot version
-//! (the PR 7 repair path), so no stale pair set survives a write.
+//! keep served answers alive. Invalidation is by construction: a memo
+//! belongs to one [`QueryEngine`](crate::QueryEngine), whose graph never
+//! changes, and the updatable engine publishes a fresh engine — so a
+//! fresh memo — with every snapshot version, so no stale pair set
+//! survives a write.
 //!
 //! Concurrency scheme: a mutex-guarded map from key to a per-key
 //! `OnceLock` cell. The map lock is held only to clone the cell's `Arc`
@@ -99,30 +101,51 @@ impl SemanticStats {
     }
 }
 
-/// Bookkeeping for a completed (computed) cell.
+/// LRU bookkeeping of a completed (computed) cell.
 struct Completed {
     bytes: usize,
     tick: u64,
 }
 
+/// One key's slot in the table: the cell, plus its LRU state once the
+/// value has been computed and charged to the byte budget.
+struct Entry {
+    cell: Cell,
+    completed: Option<Completed>,
+}
+
 #[derive(Default)]
 struct Table {
-    map: HashMap<Predicate, HashMap<FRegex, Cell>>,
+    map: HashMap<Predicate, HashMap<FRegex, Entry>>,
     /// Candidate index over *completed* cells: regex skeleton → keys.
     index: HashMap<Vec<Color>, Vec<(Predicate, FRegex)>>,
-    /// LRU state per completed cell.
-    completed: HashMap<(Predicate, FRegex), Completed>,
     tick: u64,
     bytes: usize,
 }
 
 impl Table {
-    fn touch(&mut self, from: &Predicate, regex: &FRegex) {
+    /// The cell of `(from, regex)`, marked most recently used.
+    fn touch(&mut self, from: &Predicate, regex: &FRegex) -> Option<&Cell> {
+        let entry = self.map.get_mut(from)?.get_mut(regex)?;
         self.tick += 1;
-        let tick = self.tick;
-        if let Some(c) = self.completed.get_mut(&(from.clone(), regex.clone())) {
-            c.tick = tick;
+        if let Some(c) = &mut entry.completed {
+            c.tick = self.tick;
         }
+        Some(&entry.cell)
+    }
+
+    /// Claim `(from, regex)`: its existing cell, or a fresh one.
+    fn claim(&mut self, from: &Predicate, regex: &FRegex) -> Cell {
+        let entry = self
+            .map
+            .entry(from.clone())
+            .or_default()
+            .entry(regex.clone())
+            .or_insert_with(|| Entry {
+                cell: Arc::new(OnceLock::new()),
+                completed: None,
+            });
+        Arc::clone(&entry.cell)
     }
 
     /// Find a completed cached entry containing `(from, regex)`:
@@ -151,7 +174,7 @@ impl Table {
                     .map
                     .get(dpred)
                     .and_then(|inner| inner.get(dregex))
-                    .and_then(|cell| cell.get())
+                    .and_then(|entry| entry.cell.get())
                     .cloned();
                 let Some(pairs) = pairs else { continue };
                 if equal {
@@ -190,13 +213,7 @@ pub struct SemanticMemo {
     probe_misses: AtomicU64,
     filter_nanos: AtomicU64,
     byte_budget: usize,
-    populate_on_miss: bool,
 }
-
-/// The historical name: the exact-sharing contract of the original batch
-/// memo is a strict subset of [`SemanticMemo`]'s, so every existing call
-/// site keeps working unchanged.
-pub type ReachMemo = SemanticMemo;
 
 impl std::fmt::Debug for SemanticMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -225,27 +242,6 @@ impl SemanticMemo {
         }
     }
 
-    /// An engine-lifetime memo: index-backed RQ plans *populate* it on a
-    /// miss — computing the key's full unfiltered reach set through
-    /// their index and installing it via [`SemanticMemo::insert`] —
-    /// instead of only probing it. The wider cold evaluation (no
-    /// target-side pruning) pays off only when the memo outlives a
-    /// single call, so the sharded engine and published snapshots use
-    /// this constructor while the throwaway per-call memos of
-    /// `run_query` keep [`SemanticMemo::new`].
-    pub fn persistent() -> Self {
-        SemanticMemo {
-            populate_on_miss: true,
-            ..Self::new()
-        }
-    }
-
-    /// True when index-backed plans should install the reach sets they
-    /// compute (see [`SemanticMemo::persistent`]).
-    pub fn populates_on_miss(&self) -> bool {
-        self.populate_on_miss
-    }
-
     /// All `(x, y)` with `x ⊨ from` and a nonempty path `x ⇝ y` spelling a
     /// word of `L(regex)` — computed at most once per canonical key per
     /// table, sorted by `(x, y)`. Served from a containing cached entry
@@ -254,21 +250,14 @@ impl SemanticMemo {
         let canon = canonicalize(regex);
         let resolved = {
             let mut table = self.cells.lock().expect("memo poisoned");
-            match table.map.get(from).and_then(|inner| inner.get(&canon)) {
+            match table.touch(from, &canon).cloned() {
                 Some(c) => {
                     self.exact_hits.fetch_add(1, Ordering::Relaxed);
-                    let c = Arc::clone(c);
-                    table.touch(from, &canon);
                     Resolved::Claimed(c)
                 }
                 None => {
                     let donor = table.find_donor(from, &canon);
-                    let c: Cell = Arc::new(OnceLock::new());
-                    table
-                        .map
-                        .entry(from.clone())
-                        .or_default()
-                        .insert(canon.clone(), Arc::clone(&c));
+                    let c = table.claim(from, &canon);
                     match donor {
                         Some((pairs, equal)) => {
                             self.subsumption_hits.fetch_add(1, Ordering::Relaxed);
@@ -309,28 +298,18 @@ impl SemanticMemo {
         let canon = canonicalize(regex);
         let resolved = {
             let mut table = self.cells.lock().expect("memo poisoned");
-            match table.map.get(from).and_then(|inner| inner.get(&canon)) {
-                Some(c) => match c.get() {
-                    Some(pairs) => {
-                        self.exact_hits.fetch_add(1, Ordering::Relaxed);
-                        let pairs = Arc::clone(pairs);
-                        table.touch(from, &canon);
-                        return Some((pairs, CacheKind::Exact));
-                    }
-                    // in flight on another worker: don't wait on it, the
-                    // index answers faster than an unfinished traversal
-                    None => return None,
-                },
+            match table.touch(from, &canon).map(|cell| cell.get().cloned()) {
+                Some(Some(pairs)) => {
+                    self.exact_hits.fetch_add(1, Ordering::Relaxed);
+                    return Some((pairs, CacheKind::Exact));
+                }
+                // in flight on another worker: don't wait on it, the
+                // index answers faster than an unfinished traversal
+                Some(None) => return None,
                 None => match table.find_donor(from, &canon) {
                     Some((pairs, equal)) => {
                         self.subsumption_hits.fetch_add(1, Ordering::Relaxed);
-                        let c: Cell = Arc::new(OnceLock::new());
-                        table
-                            .map
-                            .entry(from.clone())
-                            .or_default()
-                            .insert(canon.clone(), Arc::clone(&c));
-                        Resolved::Derive(c, pairs, equal)
+                        Resolved::Derive(table.claim(from, &canon), pairs, equal)
                     }
                     None => {
                         self.probe_misses.fetch_add(1, Ordering::Relaxed);
@@ -349,10 +328,9 @@ impl SemanticMemo {
     /// Install an externally computed reach set for `(from, regex)`.
     ///
     /// Index-backed plans call this after a declined
-    /// [`try_answer`](SemanticMemo::try_answer) against a
-    /// [`persistent`](SemanticMemo::persistent) memo, so the reach sets
-    /// they compute through their index become donors for later exact
-    /// and containment lookups. `pairs` must be the key's *complete*
+    /// [`try_answer`](SemanticMemo::try_answer), so the reach sets they
+    /// compute through their index become donors for later exact and
+    /// containment lookups. `pairs` must be the key's *complete*
     /// reach set — every `(x, y)` with `x ⊨ from`, unfiltered by any
     /// target predicate (sorting is established here). Counters are
     /// untouched: the probe that preceded the computation already
@@ -366,17 +344,11 @@ impl SemanticMemo {
     ) -> PairSet {
         let canon = canonicalize(regex);
         pairs.sort_unstable();
-        let cell = {
-            let mut table = self.cells.lock().expect("memo poisoned");
-            Arc::clone(
-                table
-                    .map
-                    .entry(from.clone())
-                    .or_default()
-                    .entry(canon.clone())
-                    .or_insert_with(|| Arc::new(OnceLock::new())),
-            )
-        };
+        let cell = self
+            .cells
+            .lock()
+            .expect("memo poisoned")
+            .claim(from, &canon);
         let mut computed = false;
         let out = Arc::clone(cell.get_or_init(|| {
             computed = true;
@@ -423,41 +395,47 @@ impl SemanticMemo {
     fn register_completed(&self, from: &Predicate, canon: &FRegex, len: usize) {
         let bytes = len * std::mem::size_of::<(NodeId, NodeId)>();
         let mut table = self.cells.lock().expect("memo poisoned");
+        let table = &mut *table;
         table.tick += 1;
         let tick = table.tick;
-        let key = (from.clone(), canon.clone());
-        if table.completed.contains_key(&key) {
+        let Some(entry) = table
+            .map
+            .get_mut(from)
+            .and_then(|inner| inner.get_mut(canon))
+        else {
+            return;
+        };
+        if entry.completed.is_some() {
             return; // eviction + recompute race: already registered
         }
+        entry.completed = Some(Completed { bytes, tick });
         table
             .index
             .entry(skeleton(canon))
             .or_default()
-            .push(key.clone());
-        table
-            .completed
-            .insert(key.clone(), Completed { bytes, tick });
+            .push((from.clone(), canon.clone()));
         table.bytes += bytes;
-        while table.bytes > self.byte_budget && table.completed.len() > 1 {
+        while table.bytes > self.byte_budget {
+            // the least recently used completed cell other than this one
             let Some(victim) = table
-                .completed
+                .map
                 .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, c)| c.tick)
-                .map(|(k, _)| k.clone())
+                .flat_map(|(p, inner)| inner.iter().map(move |(r, e)| (p, r, e)))
+                .filter(|&(p, r, _)| (p, r) != (from, canon))
+                .filter_map(|(p, r, e)| Some((e.completed.as_ref()?.tick, p, r)))
+                .min_by_key(|&(tick, ..)| tick)
+                .map(|(_, p, r)| (p.clone(), r.clone()))
             else {
                 break;
             };
-            let freed = table.completed.remove(&victim).map_or(0, |c| c.bytes);
-            table.bytes -= freed;
             if let Some(bucket) = table.index.get_mut(&skeleton(&victim.1)) {
                 bucket.retain(|k| *k != victim);
             }
-            if let Some(inner) = table.map.get_mut(&victim.0) {
-                inner.remove(&victim.1);
-                if inner.is_empty() {
-                    table.map.remove(&victim.0);
-                }
+            let inner = table.map.get_mut(&victim.0).expect("victim is in the map");
+            let freed = inner.remove(&victim.1).and_then(|e| e.completed);
+            table.bytes -= freed.map_or(0, |c| c.bytes);
+            if inner.is_empty() {
+                table.map.remove(&victim.0);
             }
         }
     }
@@ -567,7 +545,7 @@ mod tests {
     #[test]
     fn memo_computes_once_and_shares() {
         let g = essembly();
-        let memo = ReachMemo::new();
+        let memo = SemanticMemo::new();
         let from = Predicate::parse("job = \"biologist\"", g.schema()).unwrap();
         let re = FRegex::parse("fa^2 fn", g.alphabet()).unwrap();
         let a = memo.reach_pairs(&g, &from, &re);
@@ -593,7 +571,7 @@ mod tests {
     #[test]
     fn memo_matches_direct_eval() {
         let g = essembly();
-        let memo = ReachMemo::new();
+        let memo = SemanticMemo::new();
         let from = Predicate::parse("job = \"biologist\" && sp = \"cloning\"", g.schema()).unwrap();
         let re = FRegex::parse("fa^2 fn", g.alphabet()).unwrap();
         let pairs = memo.reach_pairs(&g, &from, &re);
@@ -611,7 +589,7 @@ mod tests {
     #[test]
     fn concurrent_same_key_computes_once() {
         let g = essembly();
-        let memo = ReachMemo::new();
+        let memo = SemanticMemo::new();
         let from = Predicate::always_true();
         let re = FRegex::parse("fa+", g.alphabet()).unwrap();
         let sets: Vec<_> = std::thread::scope(|s| {

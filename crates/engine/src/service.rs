@@ -1,35 +1,30 @@
 //! The unified serving surface: [`QueryService`].
 //!
-//! The repo grew four engine types — [`QueryEngine`] (one immutable
-//! graph), [`Snapshot`] (one pinned version of a live graph),
-//! [`ShardedEngine`] (partitioned index as the primary regime) and
-//! [`UpdatableEngine`] (the live writer/reader pair) — and each
-//! re-declared `run_query`/`run_batch`/`plan_query` ad hoc. Anything
-//! that serves queries without caring which engine backs them (the
-//! `rpq-server` front-end, the bench harness, parity tests) had to be
-//! generic-by-duplication. [`QueryService`] is the one trait they all
-//! implement; serving code takes `&dyn QueryService` and the choice of
-//! backend becomes deployment configuration.
+//! The repo has three engine types — [`QueryEngine`] (one immutable
+//! graph, whichever index regime its config or constructor picks),
+//! [`Snapshot`] (one pinned version of a live graph) and
+//! [`UpdatableEngine`] (the live writer/reader pair). Anything that
+//! serves queries without caring which one backs it (parity tests, the
+//! examples) programs against [`QueryService`], the one trait they all
+//! implement, and the choice of backend becomes deployment configuration.
 
 use crate::batch::{BatchResult, Query, QueryOutput};
 use crate::engine::QueryEngine;
 use crate::planner::Plan;
-use crate::sharded::ShardedEngine;
 use crate::snapshot::Snapshot;
 use crate::updatable::UpdatableEngine;
 use rpq_graph::Graph;
 use std::sync::Arc;
 
-/// A backend that evaluates RQ/PQ queries: the one interface the server,
-/// the bench harness and parity tests program against.
+/// A backend that evaluates RQ/PQ queries: the one interface parity
+/// tests and backend-agnostic serving code program against.
 ///
-/// All four engine types implement it:
+/// All three engine types implement it:
 ///
 /// | implementor | graph | notes |
 /// |---|---|---|
-/// | [`QueryEngine`] | immutable | lazily-built matrix / hop / sharded indices |
+/// | [`QueryEngine`] | immutable | matrix / hop / sharded indices, one reach-set memo |
 /// | [`Snapshot`] | one pinned version | standing-query answers spliced in |
-/// | [`ShardedEngine`] | immutable, partitioned | pinned to sharded plans |
 /// | [`UpdatableEngine`] | live | each call runs on the *current* snapshot |
 ///
 /// The contract every implementor keeps: outputs are **bit-identical**
@@ -72,29 +67,9 @@ pub trait QueryService: Send + Sync {
     fn run_batch(&self, queries: &[Query]) -> BatchResult;
 
     /// Evaluate one query and return its execution profile — the
-    /// `explain` surface. The default implementation wraps
-    /// [`plan_query`](QueryService::plan_query) +
-    /// [`run_query`](QueryService::run_query) in a coarse two-stage
-    /// profile, so external implementors get a well-formed (if shallow)
-    /// profile for free; the in-tree engines override it with detailed
-    /// stage timings, rationale, probe counts, and fan-out.
-    fn run_query_profiled(&self, query: &Query) -> (QueryOutput, rpq_trace::QueryProfile) {
-        let t0 = std::time::Instant::now();
-        let plan = self.plan_query(query);
-        let mut profile = rpq_trace::QueryProfile::new(
-            String::new(),
-            plan.name().to_owned(),
-            "profiled through the QueryService default (no engine-level detail)".to_owned(),
-        );
-        let t1 = std::time::Instant::now();
-        profile.stage("plan", t1 - t0, String::new());
-        let out = self.run_query(query);
-        let t2 = std::time::Instant::now();
-        profile.stage("eval", t2 - t1, String::new());
-        profile.matches = out.match_count() as u64;
-        profile.wall = t2 - t0;
-        (out, profile)
-    }
+    /// `explain` surface: stage timings, rationale, probe counts, memo
+    /// hit/miss and fan-out.
+    fn run_query_profiled(&self, query: &Query) -> (QueryOutput, rpq_trace::QueryProfile);
 }
 
 impl QueryService for QueryEngine {
@@ -141,33 +116,6 @@ impl QueryService for Snapshot {
     }
 }
 
-/// Serving goes through the engine-lifetime memo
-/// ([`ShardedEngine::memo`]): repeated and semantically-contained RQ
-/// traffic is answered from cache across calls, and profiles report the
-/// persistent cache's hit/miss behavior rather than a cold per-call one.
-impl QueryService for ShardedEngine {
-    fn graph(&self) -> Arc<Graph> {
-        Arc::clone(ShardedEngine::graph(self))
-    }
-
-    fn plan_query(&self, query: &Query) -> Plan {
-        self.engine().plan_query(query)
-    }
-
-    fn run_query(&self, query: &Query) -> QueryOutput {
-        self.engine().run_query_with_memo(query, self.memo())
-    }
-
-    fn run_batch(&self, queries: &[Query]) -> BatchResult {
-        self.engine().run_batch_with_memo(queries, self.memo())
-    }
-
-    fn run_query_profiled(&self, query: &Query) -> (QueryOutput, rpq_trace::QueryProfile) {
-        self.engine()
-            .run_query_profiled_with_memo(query, self.memo())
-    }
-}
-
 /// Every call runs against the snapshot current *at that call* — two
 /// queries of one `run_batch` see one version, two `run_batch` calls may
 /// not. Pin a [`Snapshot`] (itself a `QueryService`) when several batches
@@ -199,42 +147,18 @@ mod tests {
     use super::*;
     use rpq_graph::gen::essembly;
 
-    type NamedServices = Vec<(&'static str, Box<dyn QueryService>)>;
-
-    fn services() -> (NamedServices, Arc<Graph>) {
+    #[test]
+    fn backends_agree_through_the_trait() {
         let g = Arc::new(essembly());
         let fixed = QueryEngine::new(Arc::clone(&g));
         let live = UpdatableEngine::new(essembly());
-        let snap: Arc<Snapshot> = live.snapshot();
         // a snapshot pulled out of a live engine is a service of its own
-        struct Pinned(Arc<Snapshot>);
-        impl QueryService for Pinned {
-            fn graph(&self) -> Arc<Graph> {
-                QueryService::graph(&*self.0)
-            }
-            fn plan_query(&self, q: &Query) -> Plan {
-                self.0.plan_query(q)
-            }
-            fn run_query(&self, q: &Query) -> QueryOutput {
-                self.0.run_query(q)
-            }
-            fn run_batch(&self, qs: &[Query]) -> BatchResult {
-                self.0.run_batch(qs)
-            }
-        }
-        (
-            vec![
-                ("engine", Box::new(fixed)),
-                ("live", Box::new(live)),
-                ("snapshot", Box::new(Pinned(snap))),
-            ],
-            g,
-        )
-    }
-
-    #[test]
-    fn backends_agree_through_the_trait() {
-        let (services, g) = services();
+        let snapshot = live.snapshot();
+        let services: [(&str, &dyn QueryService); 3] = [
+            ("engine", &fixed),
+            ("live", &live),
+            ("snapshot", &*snapshot),
+        ];
         let rq = Query::parse_rq(
             "job = \"biologist\" && sp = \"cloning\"",
             "job = \"doctor\"",
@@ -244,7 +168,7 @@ mod tests {
         .unwrap();
         let pq = Query::parse_pq("node a: job = \"doctor\"; node b; edge a -> b: fn+", &g).unwrap();
         let mut reference: Option<Vec<QueryOutput>> = None;
-        for (name, svc) in &services {
+        for (name, svc) in services {
             assert_eq!(svc.graph().node_count(), g.node_count(), "{name}");
             let batch = svc.run_batch(&[rq.clone(), pq.clone()]);
             let outputs: Vec<QueryOutput> = batch.outputs().cloned().collect();

@@ -102,9 +102,9 @@ impl<T: Send + Sync + 'static> IndexSlot<T> {
     }
 
     /// Seed the slot with an index built (or repaired) elsewhere — the
-    /// live-update layer's carry-forward path, the
-    /// [`ShardedEngine`](crate::ShardedEngine) constructor. No-op once a
-    /// build has landed.
+    /// live-update layer's carry-forward path and
+    /// [`QueryEngine::build_sharded`](crate::QueryEngine::build_sharded).
+    /// No-op once a build has landed.
     pub(crate) fn adopt(&self, index: Arc<T>) {
         self.claimed.store(true, Ordering::Release);
         let _ = self.cell.set(Some(index));

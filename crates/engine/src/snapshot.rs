@@ -8,11 +8,11 @@
 //! * the indices for that version — the lazily-built
 //!   [`DistanceMatrix`](rpq_graph::DistanceMatrix) (small graphs) or
 //!   hop-label index (`rpq_index::HopLabels`, built in the background off
-//!   the first over-limit batch) inside an owned [`QueryEngine`], plus a
-//!   snapshot-lifetime [`ReachMemo`] — all *versioned with the snapshot*:
-//!   an update batch publishes a fresh snapshot with fresh (lazily
-//!   rebuilt) indices, so no reader ever sees an index computed against a
-//!   different graph version. Until a version's label build lands, its
+//!   the first over-limit batch) and the reach-set memo, all inside an
+//!   owned [`QueryEngine`] and so *versioned with the snapshot*: an
+//!   update batch publishes a fresh snapshot with a fresh engine (lazily
+//!   rebuilt indices, empty memo), so no reader ever sees an index or a
+//!   cached reach set computed against a different graph version. Until a version's label build lands, its
 //!   queries fall back to search — stale indices are never consulted —
 //!   and publishing a newer version retires the superseded build
 //!   ([`QueryEngine::retire_index_builds`]), and
@@ -27,7 +27,6 @@
 
 use crate::batch::{BatchItem, BatchResult, Query, QueryOutput};
 use crate::engine::QueryEngine;
-use crate::memo::ReachMemo;
 use crate::planner::{self, Plan};
 use crate::updatable::StandingId;
 use rpq_core::pq::{Pq, PqResult};
@@ -120,7 +119,6 @@ impl IndexState {
 pub struct Snapshot {
     version: u64,
     engine: Arc<QueryEngine>,
-    memo: Arc<ReachMemo>,
     standing: Vec<StandingEntry>,
     index_state: IndexState,
 }
@@ -129,14 +127,12 @@ impl Snapshot {
     pub(crate) fn new(
         version: u64,
         engine: Arc<QueryEngine>,
-        memo: Arc<ReachMemo>,
         standing: Vec<StandingEntry>,
         index_state: IndexState,
     ) -> Self {
         Snapshot {
             version,
             engine,
-            memo,
             standing,
             index_state,
         }
@@ -174,17 +170,13 @@ impl Snapshot {
         Arc::clone(&self.engine)
     }
 
-    pub(crate) fn memo_arc(&self) -> Arc<ReachMemo> {
-        Arc::clone(&self.memo)
-    }
-
-    /// Cumulative counters of this snapshot's semantic reach-cache —
+    /// Cumulative counters of this version's semantic reach-cache —
     /// exact hits, subsumption hits, misses, and filter time — since the
-    /// snapshot was published (the memo is versioned with the snapshot,
+    /// version was published (the memo lives in the per-version engine,
     /// so a fresh version starts from zero). The server's `/metrics`
     /// exposition accumulates deltas of these across batches.
     pub fn semantic_stats(&self) -> crate::memo::SemanticStats {
-        self.memo.semantic_stats()
+        self.engine.semantic_stats()
     }
 
     pub(crate) fn standing_entries(&self) -> &[StandingEntry] {
@@ -234,15 +226,15 @@ impl Snapshot {
     }
 
     /// Evaluate one query against this snapshot (standing answers are
-    /// served without evaluation; everything else reuses the snapshot's
-    /// memo and indices).
+    /// served without evaluation; everything else runs on this version's
+    /// engine).
     pub fn run_query(&self, query: &Query) -> QueryOutput {
         if let Query::Pq(pq) = query {
             if let Some(i) = self.standing_match(pq) {
                 return QueryOutput::Pq(self.standing[i].answer(self.graph()));
             }
         }
-        self.engine.run_query_with_memo(query, &self.memo)
+        self.engine.run_query(query)
     }
 
     /// Evaluate one query with its execution profile (the snapshot's
@@ -285,18 +277,13 @@ impl Snapshot {
                 return (output, profile);
             }
         }
-        self.engine.run_query_profiled_with_memo(query, &self.memo)
+        self.engine.run_query_profiled(query)
     }
 
     /// Evaluate a batch against this snapshot. Identical to
-    /// [`QueryEngine::run_batch`] except that
-    ///
-    /// * PQs equal to a registered standing query are answered from the
-    ///   maintained match sets (the `standing` plan) instead of being
-    ///   re-evaluated, and
-    /// * reach sets are shared through the snapshot-lifetime memo, so hot
-    ///   keys are computed once per graph version rather than once per
-    ///   batch.
+    /// [`QueryEngine::run_batch`] except that PQs equal to a registered
+    /// standing query are answered from the maintained match sets (the
+    /// `standing` plan) instead of being re-evaluated.
     pub fn run_batch(&self, queries: &[Query]) -> BatchResult {
         let t0 = Instant::now();
         let standing_of: Vec<Option<usize>> = queries
@@ -307,7 +294,7 @@ impl Snapshot {
             })
             .collect();
         if standing_of.iter().all(Option::is_none) {
-            return self.engine.run_batch_with_memo(queries, &self.memo);
+            return self.engine.run_batch(queries);
         }
 
         let rest: Vec<Query> = queries
@@ -316,7 +303,7 @@ impl Snapshot {
             .filter(|(_, s)| s.is_none())
             .map(|(q, _)| q.clone())
             .collect();
-        let sub = self.engine.run_batch_with_memo(&rest, &self.memo);
+        let sub = self.engine.run_batch(&rest);
         let workers = sub.workers();
         let memo_stats = sub.memo_stats();
         let mut rest_items = sub.into_items().into_iter();

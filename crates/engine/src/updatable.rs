@@ -27,7 +27,6 @@
 
 use crate::engine::{EngineConfig, QueryEngine};
 use crate::error::EngineError;
-use crate::memo::ReachMemo;
 use crate::snapshot::{IndexState, Snapshot, StandingEntry};
 use rpq_core::incremental::{DynamicGraph, IncrementalMatcher, Update};
 use rpq_core::pq::{Pq, PqResult};
@@ -215,7 +214,6 @@ impl UpdatableEngine {
         let snapshot = Arc::new(Snapshot::new(
             dynamic.version(),
             Arc::new(engine),
-            Arc::new(ReachMemo::persistent()),
             Vec::new(),
             state,
         ));
@@ -309,15 +307,14 @@ impl UpdatableEngine {
         });
         let id = StandingId(state.registrations.len() - 1);
 
-        // republish: same graph version, same (possibly warmed) indices,
-        // one more standing answer
+        // republish: same graph version, same engine — its (possibly
+        // warmed) indices and memo carry over — one more standing answer
         let mut current = self.current.write().expect("snapshot lock poisoned");
         let mut standing = current.standing_entries().to_vec();
         standing.push(entry);
         *current = Arc::new(Snapshot::new(
             current.version(),
             current.engine_arc(),
-            current.memo_arc(),
             standing,
             current.index_state(),
         ));
@@ -426,7 +423,6 @@ impl UpdatableEngine {
         let snapshot = Arc::new(Snapshot::new(
             state.dynamic.version(),
             engine,
-            Arc::new(ReachMemo::persistent()),
             standing,
             index.state,
         ));

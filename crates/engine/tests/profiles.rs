@@ -106,18 +106,26 @@ fn drive(engine: &QueryEngine, query: &Query, plan: Plan) -> QueryProfile {
     profile
 }
 
-/// Drive every [`Plan::ALL`] entry the engine evaluates on `backend`
-/// (all but `standing`, which the snapshot layer serves). Both matches
-/// are exhaustive on purpose: a new [`Backend`] or [`Algo`] does not
-/// compile until it is given an engine and a query here, so a future
-/// plan cannot dodge profile coverage.
-fn drive_backend(backend: Backend) -> Vec<(Plan, QueryProfile)> {
-    let engine = match backend {
+/// A fresh engine serving `backend`. The match is exhaustive on
+/// purpose: a new [`Backend`] does not compile until it is given an
+/// engine here.
+fn engine_on(backend: Backend) -> QueryEngine {
+    match backend {
         // searches need no index: any engine evaluates them
         Backend::Matrix | Backend::Search => matrix_engine(),
         Backend::Hop => hop_engine(),
         Backend::Sharded => sharded_engine(),
-    };
+    }
+}
+
+const INDEX_BACKENDS: [Backend; 3] = [Backend::Matrix, Backend::Hop, Backend::Sharded];
+
+/// Drive every [`Plan::ALL`] entry the engine evaluates on `backend`
+/// (all but `standing`, which the snapshot layer serves). The match on
+/// [`Algo`] is exhaustive on purpose, like [`engine_on`]'s: a future plan
+/// cannot dodge profile coverage.
+fn drive_backend(backend: Backend) -> Vec<(Plan, QueryProfile)> {
+    let engine = engine_on(backend);
     let g = engine.graph();
     Plan::ALL
         .into_iter()
@@ -207,4 +215,64 @@ fn planner_path_profiles_with_planner_rationale() {
         profile.rationale
     );
     assert!(profile.query.starts_with("rq: "), "{}", profile.query);
+}
+
+/// The engine's memo is visible in profiles on every index backend: a
+/// cold RQ populates it, the repeat is an exact hit, a narrower source
+/// predicate is answered by subsumption — all bit-identical to search.
+#[test]
+fn profiles_report_engine_memo_hits_on_every_index_backend() {
+    for backend in INDEX_BACKENDS {
+        let engine = engine_on(backend);
+        let g = engine.graph();
+        let broad =
+            Query::parse_rq("job = \"biologist\"", "job = \"doctor\"", "fa^2 fn", g).unwrap();
+        assert_eq!(engine.plan_query(&broad).backend(), backend);
+
+        let (out0, p0) = engine.run_query_profiled(&broad);
+        assert_eq!(p0.semcache, "miss", "{backend:?}: cold query populates");
+        let (out1, p1) = engine.run_query_profiled(&broad);
+        assert_eq!(out0, out1);
+        assert_eq!(p1.semcache, "exact_hit", "{backend:?}");
+        assert_eq!(p1.probes, 0, "{backend:?}: served without the index");
+        let stats = engine.semantic_stats();
+        assert_eq!((stats.exact_hits, stats.misses), (1, 1), "{backend:?}");
+
+        let narrow = rq(g);
+        let (out2, p2) = engine.run_query_profiled(&narrow);
+        assert_eq!(p2.semcache, "subsumption_hit", "{backend:?}");
+        assert_eq!(engine.semantic_stats().subsumption_hits, 1);
+        let Query::Rq(reference) = &narrow else {
+            unreachable!()
+        };
+        assert_eq!(
+            out2.as_rq().unwrap(),
+            &reference.eval_bfs(g),
+            "{backend:?}: subsumption answer is bit-identical to direct evaluation"
+        );
+    }
+}
+
+/// A forced plan evaluates against a scratch memo: however warm the
+/// engine's memo is, the harness entry exercises the plan's index and
+/// leaves the engine's counters alone.
+#[test]
+fn forced_plans_bypass_the_engine_memo() {
+    for backend in INDEX_BACKENDS {
+        let engine = engine_on(backend);
+        let query = rq(engine.graph());
+        let warm = engine.run_query(&query);
+        let stats = engine.semantic_stats();
+        assert_eq!(stats.misses, 1, "{backend:?}: the warm-up populated");
+        let forced = Plan::ALL
+            .into_iter()
+            .filter(|p| p.backend() == backend && p.algo() == Algo::RqDm);
+        for plan in forced {
+            let (out, profile) = engine.run_query_with_plan_profiled(&query, plan);
+            assert_eq!(out, warm);
+            assert!(profile.probes > 0, "{}: served from a cache", plan.name());
+            assert_eq!(profile.semcache, "miss", "{}", plan.name());
+        }
+        assert_eq!(engine.semantic_stats(), stats, "{backend:?}");
+    }
 }

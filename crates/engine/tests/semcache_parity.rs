@@ -15,9 +15,7 @@ use proptest::prelude::*;
 use rpq_core::incremental::Update;
 use rpq_core::predicate::Predicate;
 use rpq_core::rq::Rq;
-use rpq_engine::{
-    EngineConfig, Query, QueryEngine, QueryService, SemanticMemo, ShardedEngine, UpdatableEngine,
-};
+use rpq_engine::{EngineConfig, Query, QueryEngine, QueryService, UpdatableEngine};
 use rpq_graph::{gen, Color, Graph, NodeId};
 use rpq_regex::canon::{equivalent_canonical, runs};
 use rpq_regex::{Atom, FRegex, Quant};
@@ -31,15 +29,10 @@ fn graph() -> &'static Arc<Graph> {
     G.get_or_init(|| Arc::new(gen::synthetic(N_NODES, 480, 2, N_COLORS, 11)))
 }
 
-/// The three index-backed engines, built once for every case.
-struct Backends {
-    matrix: QueryEngine,
-    hop: QueryEngine,
-    sharded: ShardedEngine,
-}
-
-fn backends() -> &'static Backends {
-    static B: OnceLock<Backends> = OnceLock::new();
+/// The three index-backed engines, built once for every case (their
+/// memos stay warm across cases — one more cache state to be right in).
+fn backends() -> &'static [(&'static str, QueryEngine); 3] {
+    static B: OnceLock<[(&str, QueryEngine); 3]> = OnceLock::new();
     B.get_or_init(|| {
         let g = graph();
         let matrix = QueryEngine::with_config(
@@ -60,7 +53,7 @@ fn backends() -> &'static Backends {
                 .unwrap(),
         );
         hop.hop().force();
-        let sharded = ShardedEngine::build(
+        let sharded = QueryEngine::build_sharded(
             Arc::clone(g),
             EngineConfig::builder()
                 .workers(1)
@@ -69,11 +62,7 @@ fn backends() -> &'static Backends {
                 .unwrap(),
         )
         .expect("unbudgeted sharded build");
-        Backends {
-            matrix,
-            hop,
-            sharded,
-        }
+        [("matrix", matrix), ("hop", hop), ("sharded", sharded)]
     })
 }
 
@@ -189,43 +178,15 @@ proptest! {
             rq_query(&narrow, &to, &variant),// repeat as exact hit
         ];
 
-        let b = backends();
-        for (name, svc) in [
-            ("matrix", &b.matrix as &dyn QueryService),
-            ("hop", &b.hop),
-            ("sharded", &b.sharded),
-        ] {
-            // engine-level entry with an explicit persistent memo, so the
-            // matrix/hop engines exercise the populate-and-serve path the
-            // sharded engine gets from its own engine-lifetime memo
-            let memo = SemanticMemo::persistent();
-            let engine = match name {
-                "matrix" => Some(&b.matrix),
-                "hop" => Some(&b.hop),
-                _ => None,
-            };
+        for (name, engine) in backends() {
+            let before = engine.semantic_stats();
             for q in &workload {
                 for pass in ["cold", "warm"] {
-                    let ctx = format!("{name}/{pass}");
-                    match engine {
-                        Some(e) => {
-                            let out = e.run_query_with_memo(q, &memo);
-                            let Query::Rq(rq) = q else { unreachable!() };
-                            prop_assert_eq!(
-                                out.as_rq().expect("rq output"),
-                                &rq.eval_bfs(g),
-                                "{}: cached RQ diverged", ctx
-                            );
-                        }
-                        None => assert_parity(svc, g, q, &ctx),
-                    }
+                    assert_parity(engine, g, q, &format!("{name}/{pass}"));
                 }
             }
-            let stats = match engine {
-                Some(_) => memo.semantic_stats(),
-                None => b.sharded.semantic_stats(),
-            };
-            prop_assert!(stats.hits() > 0, "{}: workload never hit the cache", name);
+            let hits = engine.semantic_stats().hits() - before.hits();
+            prop_assert!(hits > 0, "{}: workload never hit the cache", name);
         }
     }
 
@@ -255,12 +216,7 @@ proptest! {
         let pq = build_pq(&re);
         let pq_var = build_pq(&variant);
 
-        let b = backends();
-        for (name, svc) in [
-            ("matrix", &b.matrix as &dyn QueryService),
-            ("hop", &b.hop),
-            ("sharded", &b.sharded),
-        ] {
+        for (name, svc) in backends() {
             assert_parity(svc, g, &Query::Pq(pq.clone()), name);
             assert_parity(svc, g, &Query::Pq(pq_var.clone()), name);
             prop_assert_eq!(
@@ -272,8 +228,8 @@ proptest! {
     }
 
     /// Live invalidation: cached answers never leak across an
-    /// `UpdatableEngine::apply` — each published version's snapshot memo
-    /// starts cold, and every post-update answer matches a reference
+    /// `UpdatableEngine::apply` — each published version's memo starts
+    /// cold, and every post-update answer matches a reference
     /// evaluation of the *new* graph.
     #[test]
     fn cache_never_survives_an_update_round(
@@ -302,7 +258,7 @@ proptest! {
             let snap = live.snapshot();
             let g = snap.graph();
             for q in &workload {
-                // twice: the second run is served from the snapshot memo
+                // twice: the second run is served from the version's memo
                 assert_parity(snap.as_ref(), g, q, &format!("round {round} cold"));
                 assert_parity(snap.as_ref(), g, q, &format!("round {round} warm"));
             }

@@ -12,10 +12,12 @@
 //!   [`UpdatableEngine::apply`] (the engine serializes writers
 //!   internally), gated by a concurrent-writer cap.
 //! * **coalescer thread** — drains the admission queue, concatenates the
-//!   pending submissions into one batch, runs it through the engine as a
-//!   [`QueryService`] against one snapshot, and hands each submission its
-//!   slice of the answers. Cross-connection coalescing is what lets the
-//!   engine's batch-wide reach-set memoization work across clients.
+//!   pending submissions into one batch, runs it against one snapshot,
+//!   and hands each submission its slice of the answers. Coalescing
+//!   amortizes the per-batch costs (one snapshot pin, one planning pass,
+//!   one worker fan-out) across connections; reach-set memoization does
+//!   not depend on it — the memo lives as long as the graph version and
+//!   is shared by every batch on the snapshot, coalesced or not.
 //!
 //! ## Admission control
 //!
@@ -29,7 +31,7 @@
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::metrics::Metrics;
 use crate::wire;
-use rpq_engine::{Query, QueryService, Snapshot, UpdatableEngine};
+use rpq_engine::{Query, UpdatableEngine};
 use rpq_graph::AttrId;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, Write};
@@ -52,7 +54,7 @@ pub struct ServerConfig {
     /// How long the coalescer waits after work arrives before draining,
     /// letting concurrent submissions pile into one batch. Zero (the
     /// default) serves lowest-latency; a few ms trades latency for
-    /// batch-wide memoization.
+    /// fewer, larger engine batches.
     pub coalesce_window: Duration,
     /// Concurrent update requests admitted before writers get 429.
     pub max_pending_updates: usize,
@@ -347,7 +349,7 @@ fn coalescer_loop(shared: &Shared) {
         // the memo is pinned with the snapshot Arc, so the delta is exact
         // even if a writer publishes a newer version mid-batch
         let sem0 = snapshot.semantic_stats();
-        let result = run_on_service(snapshot.as_ref(), &all);
+        let result = snapshot.run_batch(&all);
         shared
             .metrics
             .record_semcache(&sem0, &snapshot.semantic_stats());
@@ -398,13 +400,6 @@ fn coalescer_loop(shared: &Shared) {
             );
         }
     }
-}
-
-/// The single point where answers are computed: everything the server
-/// serves goes through the object-safe [`QueryService`] surface, so any
-/// backend implementing the trait could sit here.
-fn run_on_service(service: &dyn QueryService, queries: &[Query]) -> rpq_engine::BatchResult {
-    service.run_batch(queries)
 }
 
 fn handle_connection(stream: TcpStream, shared: &Shared) {
@@ -559,18 +554,6 @@ fn handle_update(req: &Request, shared: &Shared) -> Response {
     }
 }
 
-fn index_bytes(snapshot: &Snapshot) -> u64 {
-    let engine = snapshot.engine();
-    let mut bytes = 0u64;
-    if let Some(labels) = engine.hop().get() {
-        bytes += labels.bytes() as u64;
-    }
-    if engine.matrix().is_some() {
-        bytes += rpq_graph::DistanceMatrix::bytes_for(snapshot.graph()) as u64;
-    }
-    bytes
-}
-
 /// `POST /v1/explain` — same wire body as `/v1/query`, but every query
 /// runs through the profiled path and the response is one
 /// [`QueryProfile`](rpq_trace::QueryProfile) JSON object per line instead
@@ -629,7 +612,7 @@ fn handle_metrics(req: &Request, shared: &Shared) -> Response {
     let snapshot = shared.engine.snapshot();
     let depth = shared.queue.depth();
     let version = snapshot.version();
-    let bytes = index_bytes(&snapshot);
+    let bytes = snapshot.engine().index_bytes();
     let state = snapshot.index_state().as_str();
     let wants_json = req
         .header("accept")

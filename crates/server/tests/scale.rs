@@ -9,10 +9,6 @@
 //! ```text
 //! cargo test --release -p rpq-server --test scale -- --ignored --nocapture
 //! ```
-//!
-//! When `BENCH_JSON_DIR` is set the run emits `BENCH_server.json` in the
-//! same shape the criterion shim writes, so CI uploads it with the other
-//! bench artifacts.
 
 use rpq_bench::loadgen::{run_load, LoadConfig};
 use rpq_bench::querygen::{generate_pq, generate_rq, QueryParams};
@@ -25,45 +21,6 @@ use std::time::Duration;
 const CONNECTIONS: usize = 1024;
 const GRAPH_NODES: usize = 1_000;
 const SEED: u64 = 42;
-
-fn emit_bench_json(report: &rpq_bench::loadgen::LoadReport) {
-    let Ok(dir) = std::env::var("BENCH_JSON_DIR") else {
-        return;
-    };
-    // mirror the criterion shim's report shape (target/mode/context/benches)
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"target\": \"server\",\n",
-            "  \"mode\": \"timed\",\n",
-            "  \"context\": {{\"connections\": \"{conns}\", \"graph_nodes\": \"{nodes}\", ",
-            "\"requests\": \"{reqs}\", \"queries\": \"{queries}\", ",
-            "\"updates_applied\": \"{updates}\", \"rejected\": \"{rejected}\", ",
-            "\"qps\": \"{qps:.0}\"}},\n",
-            "  \"benches\": [\n",
-            "    {{\"name\": \"request_p50\", \"median_ns\": {p50}}},\n",
-            "    {{\"name\": \"request_p99\", \"median_ns\": {p99}}}\n",
-            "  ]\n}}\n"
-        ),
-        conns = CONNECTIONS,
-        nodes = GRAPH_NODES,
-        reqs = report.requests,
-        queries = report.queries,
-        updates = report.updates_applied,
-        rejected = report.rejected,
-        qps = report.qps,
-        p50 = report.p50_us * 1_000,
-        p99 = report.p99_us * 1_000,
-    );
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let path = std::path::Path::new(&dir).join("BENCH_server.json");
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("wrote {}", path.display());
-        }
-    }
-}
 
 #[test]
 #[ignore = "release acceptance: ~1k threads; run with --release --ignored"]
@@ -174,7 +131,6 @@ fn thousand_connection_mixed_load() {
     assert_eq!(resp.body, expected, "post-load parity broke");
 
     server.shutdown();
-    emit_bench_json(&report);
 }
 
 /// Backpressure under saturation, deterministically: a capacity-1 queue

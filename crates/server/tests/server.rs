@@ -251,6 +251,46 @@ fn metrics_report_index_maintenance() {
     server.shutdown();
 }
 
+/// The `index_bytes` gauge reads what is built and never builds: a scrape
+/// before the first query leaves the matrix unbuilt, and a sharded-regime
+/// server reports its labels once they are ready.
+#[test]
+fn metrics_index_gauge_covers_every_index_without_building() {
+    let (engine, server, graph) = start(ServerConfig::default());
+    let mut client = Client::connect(server.addr()).unwrap();
+    let gauge = |client: &mut Client| {
+        let m = client.metrics().unwrap();
+        m.get("index_bytes").and_then(|v| v.as_u64()).unwrap()
+    };
+    assert_eq!(gauge(&mut client), 0);
+    assert_eq!(
+        engine.snapshot().engine().index_bytes(),
+        0,
+        "the scrape built the matrix"
+    );
+    let queries = mixed_queries(&graph, 3, 5);
+    assert_eq!(client.query(&queries, &graph).unwrap().status, 200);
+    assert!(gauge(&mut client) > 0, "matrix built by the first batch");
+    server.shutdown();
+
+    let engine = Arc::new(UpdatableEngine::with_config(
+        youtube_like(500, 3),
+        rpq_engine::EngineConfig::builder()
+            .matrix_node_limit(0)
+            .hop_label_budget(0)
+            .shards(2)
+            .build()
+            .unwrap(),
+    ));
+    let labels = engine.snapshot().engine().sharded().force();
+    let bytes = labels.expect("unbudgeted build").stats().total_bytes() as u64;
+    let server = Server::start(Arc::clone(&engine), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    assert!(bytes > 0);
+    assert_eq!(gauge(&mut client), bytes);
+    server.shutdown();
+}
+
 /// `/v1/schema` hands a client the vocabulary it needs to build queries.
 #[test]
 fn schema_endpoint_describes_the_vocabulary() {

@@ -13,133 +13,9 @@
 //! body exactly once and reports nothing, so CI can smoke-test benches
 //! without paying measurement time. All other flags cargo forwards (e.g.
 //! `--bench`, filter strings) are accepted and ignored.
-//!
-//! ## Machine-readable results
-//!
-//! When the environment variable `BENCH_JSON_DIR` is set,
-//! [`Criterion::final_summary`] writes `BENCH_<target>.json` into that
-//! directory: one record per benchmark with its **median** sample in
-//! nanoseconds, plus whatever context the bench registered through
-//! [`report_context`] (graph sizes, worker counts). In `--test` mode the
-//! single smoke iteration is timed and recorded, so CI gets a coarse
-//! perf trajectory for free on every run; full `cargo bench` runs emit
-//! real medians. The report's `"mode"` field says which regime produced
-//! it (`"smoke"` vs `"timed"`), so consumers never compare the two. The file is valid JSON, hand-rolled — the workspace is
-//! offline, so no serde.
 
-use std::collections::BTreeMap;
 use std::fmt::Display;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Collected `(benchmark name, median ns)` records of this process.
-static RECORDS: Mutex<Vec<(String, u128)>> = Mutex::new(Vec::new());
-/// Whether this process ran in `--test` smoke mode (single coarse
-/// iteration per benchmark) — stamped into the JSON so consumers never
-/// mix smoke samples with real medians.
-static SMOKE_MODE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-/// Context key/values registered by the bench (e.g. graph size).
-static CONTEXT: Mutex<BTreeMap<String, String>> = Mutex::new(BTreeMap::new());
-
-/// Attach a context key/value to this bench target's JSON report (e.g.
-/// `report_context("graph_nodes", 50_000)`). No-op for the console
-/// output; last write per key wins.
-pub fn report_context(key: &str, value: impl Display) {
-    CONTEXT
-        .lock()
-        .expect("context lock")
-        .insert(key.to_owned(), value.to_string());
-}
-
-fn record(name: &str, median: Duration) {
-    RECORDS
-        .lock()
-        .expect("records lock")
-        .push((name.to_owned(), median.as_nanos()));
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// The bench target name: executable file stem minus cargo's trailing
-/// `-<hash>` disambiguator.
-fn target_name() -> String {
-    let arg0 = std::env::args().next().unwrap_or_default();
-    let stem = std::path::Path::new(&arg0)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("bench")
-        .to_owned();
-    match stem.rsplit_once('-') {
-        Some((base, hash))
-            if !base.is_empty()
-                && hash.len() == 16
-                && hash.bytes().all(|b| b.is_ascii_hexdigit()) =>
-        {
-            base.to_owned()
-        }
-        _ => stem,
-    }
-}
-
-fn write_json_report() {
-    let Ok(dir) = std::env::var("BENCH_JSON_DIR") else {
-        return;
-    };
-    let records = RECORDS.lock().expect("records lock");
-    if records.is_empty() {
-        return;
-    }
-    let target = target_name();
-    let mode = if SMOKE_MODE.load(std::sync::atomic::Ordering::Relaxed) {
-        "smoke" // one coarse un-calibrated iteration per benchmark
-    } else {
-        "timed" // real medians over `sample_size` samples
-    };
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"target\": \"{}\",\n", json_escape(&target)));
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    out.push_str("  \"context\": {");
-    let context = CONTEXT.lock().expect("context lock");
-    let ctx: Vec<String> = context
-        .iter()
-        .map(|(k, v)| format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)))
-        .collect();
-    out.push_str(&ctx.join(", "));
-    out.push_str("},\n");
-    out.push_str("  \"benches\": [\n");
-    let rows: Vec<String> = records
-        .iter()
-        .map(|(name, ns)| {
-            format!(
-                "    {{\"name\": \"{}\", \"median_ns\": {}}}",
-                json_escape(name),
-                ns
-            )
-        })
-        .collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let path = std::path::Path::new(&dir).join(format!("BENCH_{target}.json"));
-        if let Err(e) = std::fs::write(&path, out) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        }
-    }
-}
 
 /// Top-level harness handle.
 pub struct Criterion {
@@ -180,13 +56,6 @@ impl Criterion {
         let sample_size = self.default_sample_size;
         run_one(self.test_mode, name, sample_size, &mut f);
         self
-    }
-
-    /// Report finalization: writes the `BENCH_<target>.json` record file
-    /// when `BENCH_JSON_DIR` is set (no-op otherwise, mirroring
-    /// criterion).
-    pub fn final_summary(&self) {
-        write_json_report();
     }
 }
 
@@ -323,11 +192,7 @@ fn run_one(test_mode: bool, name: &str, sample_size: usize, f: &mut dyn FnMut(&m
             mode: BenchMode::Once,
             samples: Vec::new(),
         };
-        let t0 = Instant::now();
         f(&mut b);
-        // one coarse sample so smoke runs still leave a perf trajectory
-        SMOKE_MODE.store(true, std::sync::atomic::Ordering::Relaxed);
-        record(name, t0.elapsed());
         println!("test {name} ... ok");
         return;
     }
@@ -340,9 +205,6 @@ fn run_one(test_mode: bool, name: &str, sample_size: usize, f: &mut dyn FnMut(&m
         println!("{name:<48} (no samples)");
         return;
     }
-    let mut sorted = b.samples.clone();
-    sorted.sort_unstable();
-    record(name, sorted[sorted.len() / 2]);
     let min = b.samples.iter().min().expect("nonempty");
     let max = b.samples.iter().max().expect("nonempty");
     let mean = b.samples.iter().sum::<Duration>() / b.samples.len() as u32;
@@ -387,7 +249,6 @@ macro_rules! criterion_main {
         fn main() {
             let mut c = $crate::Criterion::default().configure_from_args();
             $( $group(&mut c); )+
-            c.final_summary();
         }
     };
 }

@@ -53,12 +53,12 @@ fn main() {
     ));
 
     let t0 = Instant::now();
-    let engine = ShardedEngine::build(
+    let engine = QueryEngine::build_sharded(
         Arc::clone(&g),
         EngineConfig::builder().shards(shards).build().unwrap(),
     )
     .expect("unbudgeted build cannot fail");
-    let stats = engine.stats();
+    let stats = engine.sharded().get().expect("built eagerly").stats();
     println!("sharded build in {:.2?}: {stats}", t0.elapsed());
     println!(
         "  per-shard label KiB: {:?} (total {} KiB incl. overlay)",

@@ -25,18 +25,19 @@
 //! * [`engine`] — the serving layer: a
 //!   [`QueryEngine`](prelude::QueryEngine) that owns a shared graph,
 //!   plans a strategy per query, and evaluates
-//!   batches of mixed RQs/PQs on scoped worker threads with batch-wide
-//!   reach-set memoization; an
+//!   batches of mixed RQs/PQs on scoped worker threads, sharing reach
+//!   sets through the one memo of its graph version; an
 //!   [`UpdatableEngine`](prelude::UpdatableEngine) serving a *mutating*
 //!   graph through versioned snapshots and incrementally maintained
-//!   standing queries; and a [`ShardedEngine`](prelude::ShardedEngine)
+//!   standing queries; and
+//!   [`QueryEngine::build_sharded`](prelude::QueryEngine::build_sharded),
 //!   serving graphs past any single-index memory budget from a
 //!   partitioned [`ShardedGraph`](prelude::ShardedGraph) — per-shard
 //!   label indices stitched through boundary-overlay labels
 //!   ([`ShardedLabels`](prelude::ShardedLabels)), answers bit-identical
 //!   to every other backend. Every entry point minimizes queries to
 //!   canonical form before planning and serves repeats, respellings and
-//!   *contained* queries from a semantic subsumption cache
+//!   *contained* queries from the engine's semantic subsumption cache
 //!   ([`SemanticMemo`](prelude::SemanticMemo)).
 //!
 //! ## Quickstart
@@ -154,8 +155,8 @@ pub mod prelude {
     pub use rpq_engine::{
         Algo, ApplyReport, Backend, BatchItem, BatchResult, CacheKind, ConfigError, EngineConfig,
         EngineConfigBuilder, EngineError, IndexMaintenance, IndexSlot, IndexState, Plan, Query,
-        QueryEngine, QueryOutput, QueryService, ReachMemo, SemanticMemo, SemanticStats,
-        ShardedEngine, Snapshot, StandingId, UpdatableEngine,
+        QueryEngine, QueryOutput, QueryService, SemanticMemo, SemanticStats, Snapshot, StandingId,
+        UpdatableEngine,
     };
     pub use rpq_graph::{
         Alphabet, AttrId, AttrValue, Attrs, Color, DistanceMatrix, Graph, GraphBuilder, NodeId,

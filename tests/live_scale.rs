@@ -19,11 +19,6 @@
 //! * steady-state query latency on the written-to engine stays within
 //!   ~2x of a read-only engine serving the same graph;
 //! * served answers are bit-identical to uncached BFS evaluation.
-//!
-//! When `BENCH_JSON_DIR` is set the run emits `BENCH_incremental.json`
-//! (mode `timed`) in the criterion shim's report shape, so the scale job
-//! leaves the same machine-readable perf trajectory as the bench-smoke
-//! job's smoke-mode file.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,51 +69,6 @@ fn random_updates(rng: &mut StdRng, count: usize) -> Vec<Update> {
             }
         })
         .collect()
-}
-
-fn emit_bench_json(
-    rebuild: Duration,
-    avg_repair: Duration,
-    read_live: Duration,
-    read_only: Duration,
-) {
-    let Ok(dir) = std::env::var("BENCH_JSON_DIR") else {
-        return;
-    };
-    // mirror the criterion shim's report shape (target/mode/context/benches)
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"target\": \"incremental\",\n",
-            "  \"mode\": \"timed\",\n",
-            "  \"context\": {{\"graph_nodes\": \"{nodes}\", \"graph_edges\": \"{edges}\", ",
-            "\"shards\": \"{shards}\", \"write_batches\": \"{batches}\", ",
-            "\"updates_per_batch\": \"{upd}\"}},\n",
-            "  \"benches\": [\n",
-            "    {{\"name\": \"live_scale/rebuild_from_scratch\", \"median_ns\": {rebuild}}},\n",
-            "    {{\"name\": \"live_scale/repair_per_batch\", \"median_ns\": {repair}}},\n",
-            "    {{\"name\": \"live_scale/read16_after_writes\", \"median_ns\": {live}}},\n",
-            "    {{\"name\": \"live_scale/read16_read_only\", \"median_ns\": {ro}}}\n",
-            "  ]\n}}\n"
-        ),
-        nodes = NODES,
-        edges = EDGES,
-        shards = SHARDS,
-        batches = WRITE_BATCHES,
-        upd = UPDATES_PER_BATCH,
-        rebuild = rebuild.as_nanos(),
-        repair = avg_repair.as_nanos(),
-        live = read_live.as_nanos(),
-        ro = read_only.as_nanos(),
-    );
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let path = std::path::Path::new(&dir).join("BENCH_incremental.json");
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("wrote {}", path.display());
-        }
-    }
 }
 
 #[test]
@@ -235,11 +185,5 @@ fn repaired_index_serves_a_mixed_stream_at_50k() {
 
     let final_state = engine.snapshot().index_state();
     assert_eq!(final_state, IndexState::Repaired);
-    emit_bench_json(
-        rebuild_time,
-        avg_repair,
-        live_read / WRITE_BATCHES as u32,
-        ro_read / WRITE_BATCHES as u32,
-    );
     println!("total {:.1?}", t0.elapsed());
 }

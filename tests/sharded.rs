@@ -187,9 +187,9 @@ fn all_edges_cut_bipartite() {
     }
 }
 
-/// End to end through the serving layer: a `ShardedEngine` answers a
-/// mixed RQ/PQ batch identically to a hop-backed `QueryEngine` over the
-/// same graph, under sharded plans.
+/// End to end through the serving layer: an engine built in the sharded
+/// regime answers a mixed RQ/PQ batch identically to a hop-backed one over
+/// the same graph, under sharded plans.
 #[test]
 fn sharded_engine_matches_hop_engine_on_mixed_batch() {
     let g = Arc::new(rpq::graph::gen::clustered(600, 2400, 4, 2, 3, 60, 21));
@@ -213,7 +213,7 @@ fn sharded_engine_matches_hop_engine_on_mixed_batch() {
             .unwrap(),
     );
     hop_engine.hop().force().expect("fits default budget");
-    let sharded_engine = ShardedEngine::build(
+    let sharded_engine = QueryEngine::build_sharded(
         Arc::clone(&g),
         EngineConfig::builder()
             .shards(4)
@@ -222,7 +222,8 @@ fn sharded_engine_matches_hop_engine_on_mixed_batch() {
             .unwrap(),
     )
     .expect("unbudgeted build");
-    assert!(sharded_engine.stats().wildcard);
+    let labels = sharded_engine.sharded().get().expect("built eagerly");
+    assert!(labels.stats().wildcard);
 
     let hop_out = hop_engine.run_batch(&queries);
     let sharded_out = sharded_engine.run_batch(&queries);

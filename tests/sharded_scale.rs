@@ -6,11 +6,10 @@
 //! ```
 //!
 //! On a 100k-node clustered graph with `shards = 4`, a mixed 64-query
-//! RQ/PQ batch through the [`ShardedEngine`] must return answers
-//! **identical** to the unsharded hop-label backend, with every shard's
-//! label footprint within the configured per-shard memory budget. Build
-//! time, edge-cut ratio and batch timings are printed for the perf
-//! trajectory (BENCH_sharded.json carries the bench-side numbers).
+//! RQ/PQ batch through an engine from [`QueryEngine::build_sharded`] must
+//! return answers **identical** to the unsharded hop-label backend, with
+//! every shard's label footprint within the configured per-shard memory
+//! budget. Build time, edge-cut ratio and batch timings are printed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,7 +95,8 @@ fn sharded_batch_matches_hop_backend_at_100k() {
     assert!(g.node_count() >= 100_000);
 
     // the sharded stack: partition + 4 parallel per-shard builds + overlay
-    let sharded_engine = ShardedEngine::build(
+    let t1 = Instant::now();
+    let sharded_engine = QueryEngine::build_sharded(
         Arc::clone(&g),
         EngineConfig::builder()
             .shards(SHARDS)
@@ -105,11 +105,9 @@ fn sharded_batch_matches_hop_backend_at_100k() {
             .unwrap(),
     )
     .expect("per-shard builds fit the budget");
-    let stats = sharded_engine.stats();
-    println!(
-        "sharded build: {:.1?} — {stats}",
-        sharded_engine.build_time()
-    );
+    let labels = sharded_engine.sharded().get().expect("built eagerly");
+    let stats = labels.stats();
+    println!("sharded build: {:.1?} — {stats}", t1.elapsed());
     println!(
         "edge-cut ratio {:.3}%, per-shard label bytes {:?}, overlay {} KiB",
         100.0 * stats.edge_cut_ratio,
@@ -123,7 +121,7 @@ fn sharded_batch_matches_hop_backend_at_100k() {
     );
     for c in g.alphabet().colors() {
         assert!(
-            sharded_engine.labels().has_layer(c),
+            labels.has_layer(c),
             "every concrete color must stay covered"
         );
     }
