@@ -13,12 +13,15 @@
 //! errors were observed client-side — the CI smoke contract.
 //! `--explain-sample N` sends N representative queries through
 //! `POST /v1/explain` after the run and prints the aggregated stage-time
-//! table. `--assert-observability` additionally requires the default
-//! `/metrics` body to round-trip a Prometheus text parser and every
+//! table. `--assert-observability` additionally requires the
+//! `/metrics` body to carry the core metric families and every
 //! `/debug/trace` line to be valid JSON. With `--shutdown` it asks the
 //! server to drain afterwards.
 
-use rpq_bench::loadgen::{assert_observability, run_load, sample_explain, LoadConfig};
+use rpq_bench::loadgen::{
+    assert_observability, run_load, sample_explain, scrape_metrics, LoadConfig,
+};
+use rpq_server::metrics::sample;
 use rpq_server::Client;
 use std::sync::Arc;
 
@@ -108,17 +111,28 @@ fn main() {
     );
 
     let mut failures = 0;
-    match Client::connect(&addr).and_then(|mut c| c.metrics()) {
-        Ok(metrics) => {
-            println!("server /metrics: {metrics:?}");
+    let scraped = Client::connect(&addr)
+        .map_err(|e| format!("connect: {e}"))
+        .and_then(|mut c| scrape_metrics(&mut c));
+    match scraped {
+        Ok(samples) => {
+            let get = |series: &str| sample(&samples, series).unwrap_or(0.0);
+            let served = get("rpq_queries_total");
+            let qps = served / get("rpq_uptime_seconds").max(1e-9);
+            println!(
+                "server /metrics: {served} queries ({qps:.1} q/s), {} errors, {} rejected, \
+                 snapshot v{}, {} slow queries",
+                get("rpq_errors_total"),
+                get("rpq_rejected_total"),
+                get("rpq_snapshot_version"),
+                get("rpq_slow_queries_total"),
+            );
             if assert_qps {
-                let qps = metrics.get("qps").and_then(|v| v.as_f64()).unwrap_or(0.0);
                 if qps <= 0.0 {
                     eprintln!("FAIL: server reports qps = {qps}");
                     failures += 1;
                 }
-                let served = metrics.get("queries").and_then(|v| v.as_u64()).unwrap_or(0);
-                if served < report.queries {
+                if served < report.queries as f64 {
                     eprintln!(
                         "FAIL: server served {served} queries, client completed {}",
                         report.queries

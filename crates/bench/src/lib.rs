@@ -1,18 +1,16 @@
-//! # rpq-bench — experiment harness for Fan et al. (ICDE 2011), §6
+//! # rpq-bench — the workload library
 //!
-//! Everything needed to regenerate the paper's evaluation figures:
+//! Not a measurement harness: the repo's one benchmark is the ledger
+//! (`bench/`, declared by `BENCHMARK.json`). This crate holds the inputs
+//! and the load driver that the ledger, the server tests, the examples and
+//! CI share:
 //!
-//! * [`querygen`] — the paper's query generator with its five parameters
-//!   `(|Vp|, |Ep|, |pred|, b, c)`,
-//! * [`measure`] — F-measure (precision/recall against PQ ground truth),
-//!   the Exp-1 effectiveness metric,
-//! * [`harness`] — timing and table-printing helpers shared by the
-//!   `experiments` binary and the Criterion benches,
+//! * [`querygen`] — the paper's query generator (§6) with its five
+//!   parameters `(|Vp|, |Ep|, |pred|, b, c)`. Its output per seed is part
+//!   of the ledger's fingerprinted inputs — do not change it.
 //! * [`loadgen`] — the closed-loop load generator driving `rpq-server`
 //!   over its wire protocol (the `rpq-load` binary and the server
-//!   acceptance test are built on it).
+//!   acceptance tests are built on it).
 
-pub mod harness;
 pub mod loadgen;
-pub mod measure;
 pub mod querygen;

@@ -295,22 +295,28 @@ pub fn sample_explain(
     Ok(summary)
 }
 
-/// The smoke job's observability contract: the default `/metrics` body
-/// must round-trip a Prometheus text parser with the core families
-/// present, and every `/debug/trace` line must be valid JSON.
-pub fn assert_observability(addr: &str) -> Result<(), String> {
-    let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
+/// Scrape `/metrics` and validate it as Prometheus text exposition: the
+/// samples as `(series, value)` pairs.
+pub fn scrape_metrics(client: &mut Client) -> Result<Vec<(String, f64)>, String> {
     let text = client
         .metrics_prometheus()
         .map_err(|e| format!("/metrics scrape: {e}"))?;
-    let samples = rpq_server::metrics::parse_prometheus_text(&text)
-        .map_err(|e| format!("/metrics is not valid Prometheus exposition: {e}"))?;
+    rpq_server::metrics::parse_prometheus_text(&text)
+        .map_err(|e| format!("/metrics is not valid Prometheus exposition: {e}"))
+}
+
+/// The smoke job's observability contract: the `/metrics` body must
+/// round-trip a Prometheus text parser with the core families present,
+/// and every `/debug/trace` line must be valid JSON.
+pub fn assert_observability(addr: &str) -> Result<(), String> {
+    let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    let samples = scrape_metrics(&mut client)?;
     for family in [
         "rpq_queries_total",
         "rpq_request_latency_seconds_count",
         "rpq_uptime_seconds",
     ] {
-        if !samples.iter().any(|(s, _)| s == family) {
+        if rpq_server::metrics::sample(&samples, family).is_none() {
             return Err(format!("/metrics lacks the {family} series"));
         }
     }

@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use rpq_core::pq::Pq;
 use rpq_core::predicate::{CompOp, PredAtom, Predicate};
 use rpq_core::rq::Rq;
-use rpq_graph::{AttrValue, DistanceMatrix, Graph};
+use rpq_graph::{AttrValue, Graph};
 use rpq_regex::{Atom, FRegex, Quant};
 
 /// The five paper parameters plus generation controls.
@@ -38,7 +38,7 @@ pub struct QueryParams {
     /// Maximum atoms per edge constraint `c` (each edge draws `k ∈ 1..=c`).
     pub colors: usize,
     /// Draw predicates/regexes from small pools to induce redundancy
-    /// (used by the Fig. 10(a) minimization experiment).
+    /// (the paper's Fig. 10(a) minimization workload).
     pub redundant: bool,
 }
 
@@ -203,190 +203,6 @@ pub fn generate_pq(g: &Graph, p: &QueryParams, seed: u64) -> Pq {
     pq
 }
 
-/// Generate one PQ that is guaranteed to have a **nonempty answer** on
-/// `g` — the paper's "meaningful" queries.
-///
-/// Pattern nodes are *anchored* at data nodes discovered by color-respecting
-/// random walks: the backbone edge from node `j` to node `i` follows an
-/// actual path `x_j ⇝ x_i` whose color segments become the constraint
-/// `c1^b … ck^b` (k ≤ `colors` segments, each ≤ min(b,2) data hops), and
-/// extra edges are added between anchor pairs the distance matrix confirms
-/// reachable. The anchor assignment is then a post-fixpoint of the
-/// revised-simulation refinement, so every query node keeps at least its
-/// anchor as a match.
-pub fn generate_pq_anchored(g: &Graph, m: &DistanceMatrix, p: &QueryParams, seed: u64) -> Pq {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = g.node_count() as u32;
-    let rand_node = |rng: &mut StdRng| rpq_graph::NodeId(rng.gen_range(0..n));
-
-    // one color-respecting walk segment of 1..=min(b,2) hops, forward
-    // (follow out-edges) or backward (follow in-edges)
-    let walk_segment = |start: rpq_graph::NodeId,
-                        forward: bool,
-                        rng: &mut StdRng|
-     -> Option<(rpq_graph::NodeId, rpq_graph::Color)> {
-        let adj = |v: rpq_graph::NodeId| {
-            if forward {
-                g.out_edges(v)
-            } else {
-                g.in_edges(v)
-            }
-        };
-        let outs = adj(start);
-        if outs.is_empty() {
-            return None;
-        }
-        let first = outs[rng.gen_range(0..outs.len())];
-        let color = first.color;
-        let mut cur = first.node;
-        let max_hops = p.bound.clamp(1, 2);
-        for _ in 1..max_hops {
-            if !rng.gen_bool(0.5) {
-                break;
-            }
-            let nexts: Vec<_> = adj(cur).iter().filter(|e| e.color == color).collect();
-            if nexts.is_empty() {
-                break;
-            }
-            cur = nexts[rng.gen_range(0..nexts.len())].node;
-        }
-        Some((cur, color))
-    };
-    let quant = if p.bound <= 1 {
-        Quant::One
-    } else {
-        Quant::AtMost(p.bound)
-    };
-
-    // anchors + backbone: extend from an existing anchor by a forward walk
-    // (edge j → new) or a backward walk (edge new → j). Only the very
-    // first anchor may be re-rooted, and only while no edge exists yet.
-    let mut anchors: Vec<rpq_graph::NodeId> = vec![rand_node(&mut rng)];
-    let mut backbone: Vec<(usize, usize, FRegex)> = Vec::new();
-    let mut stuck = 0;
-    while anchors.len() < p.nodes {
-        let j = rng.gen_range(0..anchors.len());
-        let forward = rng.gen_bool(0.5);
-        let k = rng.gen_range(1..=p.colors.max(1));
-        let mut cur = anchors[j];
-        let mut atoms = Vec::new();
-        for _ in 0..k {
-            match walk_segment(cur, forward, &mut rng) {
-                Some((next, color)) => {
-                    cur = next;
-                    atoms.push(Atom::new(color, quant));
-                }
-                None => break,
-            }
-        }
-        if atoms.is_empty() {
-            stuck += 1;
-            if anchors.len() == 1 && backbone.is_empty() && stuck < 100 {
-                anchors[0] = rand_node(&mut rng);
-            }
-            if stuck > 400 {
-                // pathological graph (no edges at all): give up extending;
-                // remaining nodes become isolated pattern nodes
-                while anchors.len() < p.nodes {
-                    anchors.push(rand_node(&mut rng));
-                }
-                break;
-            }
-            continue;
-        }
-        if !forward {
-            // the walk ran over in-edges from x_j, so the data path and the
-            // atom order run cur → … → x_j: flip both
-            atoms.reverse();
-        }
-        let i = anchors.len();
-        anchors.push(cur);
-        if forward {
-            backbone.push((j, i, FRegex::new(atoms)));
-        } else {
-            backbone.push((i, j, FRegex::new(atoms)));
-        }
-    }
-
-    let mut pq = Pq::new();
-    for (i, &a) in anchors.iter().enumerate() {
-        let pred = sample_predicate_at(g, a, p.preds, &mut rng);
-        pq.add_node(&format!("u{i}"), pred);
-    }
-    for (j, i, re) in backbone {
-        pq.add_edge(j, i, re);
-    }
-    // extra edges between anchors the matrix confirms connected
-    let colors: Vec<_> = g.alphabet().colors().collect();
-    let mut guard = 0;
-    while pq.edge_count() < p.edges && guard < 200 {
-        guard += 1;
-        let j = rng.gen_range(0..p.nodes);
-        let i = rng.gen_range(0..p.nodes);
-        let c = colors[rng.gen_range(0..colors.len())];
-        if m.reaches_within(g, anchors[j], anchors[i], c, Some(p.bound)) {
-            pq.add_edge(j, i, FRegex::atom(c, quant));
-        }
-    }
-    pq
-}
-
-/// Generate a "meaningful" PQ that provably contains redundancy — the
-/// Fig. 10(a) workload.
-///
-/// A smaller anchored base query is generated first, then random nodes are
-/// *duplicated* (same predicate, same out-edges, and copies of the
-/// originals' in-edges) until the requested `|Vp|` is reached. A duplicate
-/// is simulation-equivalent to its original by construction, so `minPQs`
-/// can fold the query back to roughly the base size — mirroring the
-/// paper's observation that its larger generated queries had "a higher
-/// probability to contain redundant nodes and edges" (their (12,18)
-/// queries minimized to (7,9) on average).
-pub fn generate_pq_with_redundancy(
-    g: &Graph,
-    m: &DistanceMatrix,
-    p: &QueryParams,
-    seed: u64,
-) -> Pq {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let base_nodes = (p.nodes * 3 / 5).max(2);
-    let base_edges = (p.edges * 3 / 5).max(base_nodes.saturating_sub(1));
-    let base_params = QueryParams {
-        nodes: base_nodes,
-        edges: base_edges,
-        ..*p
-    };
-    let mut pq = generate_pq_anchored(g, m, &base_params, seed);
-    while pq.node_count() < p.nodes {
-        let u = rng.gen_range(0..pq.node_count());
-        let twin = pq.add_node(
-            &format!("{}'", pq.node(u).label.clone()),
-            pq.node(u).pred.clone(),
-        );
-        let outs: Vec<(usize, FRegex)> = pq
-            .out_edges(u)
-            .iter()
-            .map(|&e| (pq.edge(e).to, pq.edge(e).regex.clone()))
-            .collect();
-        for (to, re) in outs {
-            // a self-loop duplicates to a self-loop on the twin
-            let to = if to == u { twin } else { to };
-            pq.add_edge(twin, to, re);
-        }
-        let ins: Vec<(usize, FRegex)> = pq
-            .in_edges(u)
-            .iter()
-            .map(|&e| (pq.edge(e).from, pq.edge(e).regex.clone()))
-            .collect();
-        for (from, re) in ins {
-            if from != u {
-                pq.add_edge(from, twin, re);
-            }
-        }
-    }
-    pq
-}
-
 /// Generate one RQ (the PQ special case with two nodes and one edge) whose
 /// constraint uses exactly `k` distinct colors, each bounded by `b` —
 /// the Fig. 10(b) workload `c1^b … ck^b`.
@@ -476,77 +292,6 @@ mod tests {
             let rq = generate_rq(&g, 3, 5, k, 11);
             assert_eq!(rq.regex.len(), k);
             assert_eq!(rq.regex.distinct_colors(), k);
-        }
-    }
-
-    #[test]
-    fn anchored_queries_have_nonempty_answers() {
-        use rpq_core::{JoinMatch, MatrixReach};
-        let g = rpq_graph::gen::terrorism_like(5);
-        let m = DistanceMatrix::build(&g);
-        for seed in 0..8 {
-            for nodes in [3usize, 5, 7] {
-                let p = QueryParams {
-                    nodes,
-                    edges: nodes + 1,
-                    preds: 2,
-                    bound: 2,
-                    colors: 1,
-                    redundant: false,
-                };
-                let pq = generate_pq_anchored(&g, &m, &p, seed);
-                assert_eq!(pq.node_count(), nodes);
-                assert!(pq.edge_count() >= nodes - 1);
-                let res = JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m));
-                assert!(
-                    !res.is_empty(),
-                    "anchored query must match (seed {seed}, nodes {nodes})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn redundant_queries_shrink_under_minimization() {
-        let g = rpq_graph::gen::terrorism_like(5);
-        let m = DistanceMatrix::build(&g);
-        let p = QueryParams {
-            nodes: 10,
-            edges: 15,
-            preds: 2,
-            bound: 3,
-            colors: 2,
-            redundant: false,
-        };
-        let mut shrunk = 0;
-        for seed in 0..5 {
-            let pq = generate_pq_with_redundancy(&g, &m, &p, seed);
-            assert_eq!(pq.node_count(), 10);
-            let slim = rpq_core::minimize(&pq);
-            assert!(rpq_core::pq_equivalent(&slim, &pq), "seed {seed}");
-            assert!(slim.size() <= pq.size());
-            if slim.size() < pq.size() {
-                shrunk += 1;
-            }
-        }
-        assert!(shrunk >= 4, "planted redundancy must usually be removable");
-    }
-
-    #[test]
-    fn anchored_single_color_edges_when_c_is_1() {
-        let g = rpq_graph::gen::terrorism_like(5);
-        let m = DistanceMatrix::build(&g);
-        let p = QueryParams {
-            nodes: 5,
-            edges: 6,
-            preds: 2,
-            bound: 2,
-            colors: 1,
-            redundant: false,
-        };
-        let pq = generate_pq_anchored(&g, &m, &p, 3);
-        for e in pq.edges() {
-            assert_eq!(e.regex.len(), 1, "c = 1 must yield single-atom edges");
         }
     }
 

@@ -133,9 +133,8 @@ impl IncrementalMatcher {
     }
 
     /// Like [`new`](IncrementalMatcher::new) with an explicit LRU capacity
-    /// for the matcher's reachability cache — serving layers thread their
-    /// configured `reach_cache_capacity` through here instead of this
-    /// module hard-coding one.
+    /// for the matcher's reachability cache — the serving layer passes
+    /// its own per-worker capacity instead of this module's default.
     pub fn with_cache_capacity(pq: Pq, g: &DynamicGraph, capacity: usize) -> Self {
         let mut engine = CachedReach::new(capacity);
         let mats = match crate::join_match::refine(&pq, g.graph(), &mut engine) {
@@ -371,7 +370,7 @@ mod tests {
     fn large_batch_apply_matches_reference_set() {
         // 1k-update batch on a 10k-edge graph: the edge-indexed apply must
         // agree with a reference set simulation (the perf side — O(U + E),
-        // not O(U·E) — is covered by benches/incremental.rs)
+        // not O(U·E) — is the ledger's `graph.apply_us`)
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         use std::collections::HashSet;

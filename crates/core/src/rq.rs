@@ -17,7 +17,6 @@
 
 use crate::predicate::Predicate;
 use crate::reach::product_reach_set;
-use rpq_graph::algo::{bfs_distances, Direction};
 use rpq_graph::{DistanceMatrix, Graph, NodeId};
 use rpq_index::DistProbe;
 use rpq_regex::{Atom, FRegex, Nfa};
@@ -117,9 +116,9 @@ impl Rq {
     }
 
     /// **DM** strategy (§4): decompose `fe` into single-color atoms (the
-    /// dummy-node rewrite) and evaluate with matrix probes. Equivalent to
-    /// [`eval_with_dist`](Rq::eval_with_dist) over the dense matrix —
-    /// kept as the named strategy entry point of Fig. 10(b).
+    /// dummy-node rewrite) and evaluate with matrix probes:
+    /// [`eval_with_dist`](Rq::eval_with_dist) over the dense matrix, under
+    /// the name Fig. 10(b) gives the strategy.
     pub fn eval_with_matrix(&self, g: &Graph, m: &DistanceMatrix) -> RqResult {
         self.eval_with_dist(g, m)
     }
@@ -320,18 +319,6 @@ pub fn backward_reach_set(g: &Graph, re: &FRegex, y: NodeId) -> Vec<NodeId> {
         .filter(|(_, &h)| h)
         .map(|(i, _)| NodeId(i as u32))
         .collect()
-}
-
-/// Per-color single-pair distance via bi-directional BFS with no index —
-/// exposed for the RQ experiments (Fig. 10(b) probes single colors).
-pub fn pair_distance(g: &Graph, x: NodeId, y: NodeId, color: rpq_graph::Color) -> Option<u32> {
-    rpq_graph::algo::bidirectional_distance(g, x, y, color)
-}
-
-/// Single-source truncated distances (helper shared by the experiment
-/// binaries; wraps the substrate BFS).
-pub fn distances_from(g: &Graph, x: NodeId, color: rpq_graph::Color) -> Vec<u16> {
-    bfs_distances(g, x, color, Direction::Forward)
 }
 
 #[cfg(test)]

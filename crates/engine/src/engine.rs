@@ -22,6 +22,13 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+/// Capacity of each worker's LRU reachability cache: the cached PQ
+/// backend (`JoinMatch/cache`, `SplitMatch/cache`, serving graphs too large
+/// for the matrix while no label index is usable) and the standing-query
+/// matchers of the live engine memoize `(x, y, regex) → bool` pair answers
+/// in it, ~tens of bytes each.
+pub(crate) const REACH_CACHE_CAPACITY: usize = 1 << 16;
+
 /// Engine tuning knobs.
 ///
 /// Construct via [`EngineConfig::default`] or the validating
@@ -48,13 +55,6 @@ pub struct EngineConfig {
     /// `|V| <= matrix_node_limit` (the matrix costs O(|Σ|·|V|²) memory —
     /// the default keeps it a few tens of megabytes).
     pub matrix_node_limit: usize,
-    /// Capacity of each worker's LRU reachability cache, used by the
-    /// cached PQ backend (`JoinMatch/cache`, `SplitMatch/cache`) on graphs
-    /// too large for the matrix while no hop-label index is usable, and by
-    /// the standing-query matchers of the live engine. Default `1 << 16`
-    /// entries per worker (an entry is a memoized `(x, y, regex) → bool`
-    /// pair answer, ~tens of bytes).
-    pub reach_cache_capacity: usize,
     /// Byte budget for the pruned 2-hop label index built for graphs
     /// *above* the matrix node limit (`0` disables hop labels entirely).
     /// The build runs in the background off the first over-limit batch;
@@ -64,13 +64,6 @@ pub struct EngineConfig {
     /// concrete colors stay indexed); if even those do not fit, the engine
     /// serves search/cached plans permanently.
     pub hop_label_budget: usize,
-    /// Normalized pattern size (`|Vp| + |Ep|` post-dummy-rewrite) at and
-    /// above which a cyclic pattern on the matrix backend plans
-    /// `SplitMatch`. Defaults to the measured
-    /// [`SPLIT_CROSSOVER`](crate::planner::SPLIT_CROSSOVER); lifted into
-    /// the config so deployments and benches can tune the crossover
-    /// without patching source (`usize::MAX` disables split entirely).
-    pub split_crossover: usize,
     /// Number of shards for the partitioned fallback backend; `< 2`
     /// disables sharding. With `shards ≥ 2`, a graph over the matrix
     /// limit whose single hop-label build **fails its budget** (or is
@@ -104,9 +97,7 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: 0,
             matrix_node_limit: 2048,
-            reach_cache_capacity: 1 << 16,
             hop_label_budget: 256 << 20,
-            split_crossover: planner::SPLIT_CROSSOVER,
             shards: 1,
             shard_memory_budget: 0,
             slow_query_us: 0,
@@ -164,24 +155,10 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Per-worker LRU reachability-cache capacity (entries, must be ≥ 1).
-    pub fn reach_cache_capacity(mut self, capacity: usize) -> Self {
-        self.config.reach_cache_capacity = capacity;
-        self
-    }
-
     /// Byte budget for the pruned 2-hop label index (`0` disables hop
     /// labels).
     pub fn hop_label_budget(mut self, bytes: usize) -> Self {
         self.config.hop_label_budget = bytes;
-        self
-    }
-
-    /// Normalized pattern size at which cyclic patterns switch to
-    /// `SplitMatch` on the matrix backend (`usize::MAX` disables split;
-    /// must be ≥ 1).
-    pub fn split_crossover(mut self, crossover: usize) -> Self {
-        self.config.split_crossover = crossover;
         self
     }
 
@@ -207,14 +184,8 @@ impl EngineConfigBuilder {
     /// Validate and produce the config.
     pub fn build(self) -> Result<EngineConfig, ConfigError> {
         let c = &self.config;
-        if c.reach_cache_capacity == 0 {
-            return Err(ConfigError::ZeroReachCache);
-        }
         if c.shards == 0 {
             return Err(ConfigError::ZeroShards);
-        }
-        if c.split_crossover == 0 {
-            return Err(ConfigError::ZeroSplitCrossover);
         }
         if c.workers > Self::MAX_WORKERS {
             return Err(ConfigError::TooManyWorkers {
@@ -450,7 +421,7 @@ impl QueryEngine {
         let backend = self.best_backend(query);
         match query {
             Query::Rq(rq) => planner::plan_rq(&rq.regex, backend, shared_in_batch),
-            Query::Pq(pq) => planner::plan_pq(pq, backend, self.config.split_crossover),
+            Query::Pq(pq) => planner::plan_pq(pq, backend),
         }
     }
 
@@ -563,7 +534,7 @@ impl QueryEngine {
         let memo = scratch.as_ref().unwrap_or(&self.memo);
         let before = (memo.semantic_stats(), memo.stats());
         let workers = self.configured_workers();
-        let mut cached = CachedReach::new(self.config.reach_cache_capacity);
+        let mut cached = CachedReach::new(REACH_CACHE_CAPACITY);
         let job = Job {
             g: &self.graph,
             query: canon,
@@ -663,7 +634,7 @@ impl QueryEngine {
         std::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| {
-                    let mut cached = CachedReach::new(self.config.reach_cache_capacity);
+                    let mut cached = CachedReach::new(REACH_CACHE_CAPACITY);
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= queries.len() {
@@ -1345,50 +1316,6 @@ mod tests {
     }
 
     #[test]
-    fn split_crossover_config_changes_plans() {
-        let g = Arc::new(essembly());
-        let mut ring_pq = Pq::new();
-        let ring: Vec<usize> = (0..4)
-            .map(|i| ring_pq.add_node(&format!("n{i}"), Predicate::always_true()))
-            .collect();
-        for i in 0..4 {
-            ring_pq.add_edge(
-                ring[i],
-                ring[(i + 1) % 4],
-                FRegex::parse("fa", g.alphabet()).unwrap(),
-            );
-        }
-        // normalized size 8: join under the default crossover of 16
-        let default_engine = QueryEngine::new(Arc::clone(&g));
-        assert_eq!(
-            default_engine
-                .plan_query(&Query::Pq(ring_pq.clone()))
-                .name(),
-            "JoinMatch/DM"
-        );
-        // a deployment lowering the crossover flips the same pattern
-        let tuned = QueryEngine::with_config(
-            Arc::clone(&g),
-            EngineConfig {
-                split_crossover: 8,
-                ..EngineConfig::default()
-            },
-        );
-        assert_eq!(
-            tuned.plan_query(&Query::Pq(ring_pq.clone())).name(),
-            "SplitMatch/DM"
-        );
-        // and both answer identically
-        assert_eq!(
-            tuned
-                .run_query(&Query::Pq(ring_pq.clone()))
-                .as_pq()
-                .unwrap(),
-            &ring_pq.eval_naive(&g)
-        );
-    }
-
-    #[test]
     fn builder_validates() {
         let built = EngineConfig::builder()
             .workers(2)
@@ -1406,16 +1333,8 @@ mod tests {
         );
 
         assert_eq!(
-            EngineConfig::builder().reach_cache_capacity(0).build(),
-            Err(ConfigError::ZeroReachCache)
-        );
-        assert_eq!(
             EngineConfig::builder().shards(0).build(),
             Err(ConfigError::ZeroShards)
-        );
-        assert_eq!(
-            EngineConfig::builder().split_crossover(0).build(),
-            Err(ConfigError::ZeroSplitCrossover)
         );
         assert!(matches!(
             EngineConfig::builder().workers(usize::MAX).build(),

@@ -115,16 +115,9 @@ impl From<ConfigError> for EngineError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {
-    /// `reach_cache_capacity` was zero — the cached PQ backend and the
-    /// standing-query matchers need at least one LRU slot.
-    ZeroReachCache,
     /// `shards` was zero — `1` means "sharding disabled"; zero shards can
     /// partition nothing.
     ZeroShards,
-    /// `split_crossover` was zero — every cyclic pattern would plan
-    /// `SplitMatch`, including the tiny ones the measurement showed it
-    /// losing on. Use `usize::MAX` to disable split instead.
-    ZeroSplitCrossover,
     /// `workers` exceeded the sanity cap (the engine spawns this many
     /// scoped threads per batch).
     TooManyWorkers {
@@ -138,16 +131,9 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::ZeroReachCache => {
-                write!(f, "reach_cache_capacity must be at least 1")
-            }
             ConfigError::ZeroShards => {
                 write!(f, "shards must be at least 1 (1 = sharding disabled)")
             }
-            ConfigError::ZeroSplitCrossover => write!(
-                f,
-                "split_crossover must be at least 1 (usize::MAX disables split)"
-            ),
             ConfigError::TooManyWorkers { workers, max } => {
                 write!(f, "workers = {workers} exceeds the cap of {max}")
             }

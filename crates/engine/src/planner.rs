@@ -144,9 +144,8 @@ pub enum Rationale {
     /// another query in the batch has the same `(source, regex)` key.
     Rq(Plan, usize, bool),
     /// A PQ decision: the plan, the normalized pattern size (see
-    /// [`SPLIT_CROSSOVER`]), whether the query graph is cyclic, and the
-    /// crossover in force.
-    Pq(Plan, usize, bool, usize),
+    /// [`SPLIT_CROSSOVER`]) and whether the query graph is cyclic.
+    Pq(Plan, usize, bool),
     /// The pattern equals a registered standing query.
     Standing,
     /// The caller picked the plan (test/bench surface).
@@ -193,9 +192,9 @@ impl fmt::Display for Rationale {
             (Rationale::Rq(..), Algo::RqBfsMemo) => {
                 f.write_str("; single-atom regex gains nothing from bidirectionality")
             }
-            (Rationale::Pq(_, size, cyclic, crossover), algo) => write!(
+            (Rationale::Pq(_, size, cyclic), algo) => write!(
                 f,
-                "; {} pattern, normalized size {size} vs crossover {crossover} — {}",
+                "; {} pattern, normalized size {size} vs crossover {SPLIT_CROSSOVER} — {}",
                 if cyclic { "cyclic" } else { "acyclic" },
                 match (algo, plan.backend) {
                     (Algo::Split, _) => "SplitMatch bounds per-round bookkeeping by blocks",
@@ -223,8 +222,7 @@ pub fn plan_rq(regex: &FRegex, backend: Backend, shared_in_batch: bool) -> (Plan
     (plan, Rationale::Rq(plan, atoms, shared_in_batch))
 }
 
-/// Default of [`EngineConfig::split_crossover`](crate::EngineConfig::split_crossover):
-/// the normalized pattern size (`|Vp| + |Ep|` after the dummy-node
+/// The normalized pattern size (`|Vp| + |Ep|` after the dummy-node
 /// rewrite — what the refinement loop actually iterates over) at and
 /// above which a **cyclic** pattern on the **matrix** backend plans
 /// `SplitMatch` instead of `JoinMatch`.
@@ -259,19 +257,18 @@ fn pattern_shape(pq: &Pq) -> (usize, bool) {
 
 /// Choose the algorithm for one PQ over `backend` — the best index usable
 /// for every edge regex of the pattern, per the engine. Cyclic patterns
-/// of normalized size ≥ `split_crossover` take `SplitMatch` (§5.2) on the
-/// matrix — the threshold is an [`EngineConfig`](crate::EngineConfig)
-/// knob defaulting to the measured [`SPLIT_CROSSOVER`]; every other
-/// combination measured `JoinMatch` ahead.
-pub fn plan_pq(pq: &Pq, backend: Backend, split_crossover: usize) -> (Plan, Rationale) {
+/// of normalized size ≥ the measured [`SPLIT_CROSSOVER`] take `SplitMatch`
+/// (§5.2) on the matrix; every other combination measured `JoinMatch`
+/// ahead.
+pub fn plan_pq(pq: &Pq, backend: Backend) -> (Plan, Rationale) {
     let (size, cyclic) = pattern_shape(pq);
-    let algo = if backend == Backend::Matrix && cyclic && size >= split_crossover {
+    let algo = if backend == Backend::Matrix && cyclic && size >= SPLIT_CROSSOVER {
         Algo::Split
     } else {
         Algo::Join
     };
     let plan = Plan { algo, backend };
-    (plan, Rationale::Pq(plan, size, cyclic, split_crossover))
+    (plan, Rationale::Pq(plan, size, cyclic))
 }
 
 /// The plan for a PQ equal to a registered standing query on a live
@@ -336,7 +333,7 @@ mod tests {
     }
 
     fn pq(pq: &Pq, backend: Backend) -> Plan {
-        plan_pq(pq, backend, SPLIT_CROSSOVER).0
+        plan_pq(pq, backend).0
     }
 
     #[test]
@@ -377,7 +374,7 @@ mod tests {
                 }
             }
             for pat in [chain(2), ring(2), ring(SPLIT_CROSSOVER)] {
-                let (plan, why) = plan_pq(&pat, backend, SPLIT_CROSSOVER);
+                let (plan, why) = plan_pq(&pat, backend);
                 assert!(Plan::ALL.contains(&plan));
                 assert_eq!(plan.backend(), backend, "the backend is the engine's call");
                 assert!(!why.to_string().is_empty());
@@ -444,17 +441,5 @@ mod tests {
         let a = fat_ring.add_node("a", Predicate::always_true());
         fat_ring.add_edge(0, a, re(SPLIT_CROSSOVER));
         assert_eq!(pq(&fat_ring, Backend::Matrix).algo(), Algo::Split);
-    }
-
-    #[test]
-    fn split_crossover_is_tunable() {
-        // the crossover is a config value, not a baked-in constant — a
-        // deployment can move it and plans follow
-        let small_ring = ring(3); // normalized size 6
-        assert!(small_ring.has_cycle());
-        let at = |crossover| plan_pq(&small_ring, Backend::Matrix, crossover).0.algo();
-        assert_eq!(at(SPLIT_CROSSOVER), Algo::Join);
-        assert_eq!(at(6), Algo::Split);
-        assert_eq!(at(usize::MAX), Algo::Join, "usize::MAX disables split");
     }
 }

@@ -25,7 +25,7 @@
 //! batch path serves a matching PQ from those answers with plan
 //! [`Algo::Standing`](crate::Algo::Standing).
 
-use crate::engine::{EngineConfig, QueryEngine};
+use crate::engine::{EngineConfig, QueryEngine, REACH_CACHE_CAPACITY};
 use crate::error::EngineError;
 use crate::snapshot::{IndexState, Snapshot, StandingEntry};
 use rpq_core::incremental::{DynamicGraph, IncrementalMatcher, Update};
@@ -285,16 +285,12 @@ impl UpdatableEngine {
                     });
                 match shared {
                     Some((mi, k)) => (fi, mi, Some(k)),
-                    None => (fi, push_matcher(state, &pq, &self.config), None),
+                    None => (fi, push_matcher(state, &pq), None),
                 }
             }
             None => {
                 state.families.push(form);
-                (
-                    state.families.len() - 1,
-                    push_matcher(state, &pq, &self.config),
-                    None,
-                )
+                (state.families.len() - 1, push_matcher(state, &pq), None)
             }
         };
         let mats = remap_mats(state.matchers[matcher].match_sets(), kappa.as_deref());
@@ -502,11 +498,11 @@ impl UpdatableEngine {
 
 /// Create and seed an incremental matcher for `pq` (the one initial full
 /// evaluation a non-deduplicated registration pays).
-fn push_matcher(state: &mut WriterState, pq: &Pq, config: &EngineConfig) -> usize {
+fn push_matcher(state: &mut WriterState, pq: &Pq) -> usize {
     state.matchers.push(IncrementalMatcher::with_cache_capacity(
         pq.clone(),
         &state.dynamic,
-        config.reach_cache_capacity,
+        REACH_CACHE_CAPACITY,
     ));
     state.matchers.len() - 1
 }

@@ -6,7 +6,7 @@
 //! module generates seeded random graphs with the *same schema, size,
 //! color alphabet and density*; every algorithm in `rpq-core` is driven
 //! only by attributes, colors and connectivity, so these stand-ins exercise
-//! identical code paths (see DESIGN.md, "Substitutions").
+//! identical code paths.
 //!
 //! [`essembly`] is different: it is a verbatim reconstruction of the Fig. 1
 //! example graph, built so that the worked Examples 2.2 and 2.3 of the paper

@@ -63,21 +63,8 @@ impl Client {
 
     /// Send one request, read one response.
     pub fn request(&mut self, method: &str, path: &str, body: &str) -> io::Result<WireResponse> {
-        self.request_accept(method, path, body, None)
-    }
-
-    /// Send one request with an explicit `Accept` header (content
-    /// negotiation on `/metrics`), read one response.
-    pub fn request_accept(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: &str,
-        accept: Option<&str>,
-    ) -> io::Result<WireResponse> {
-        let accept = accept.map_or(String::new(), |a| format!("Accept: {a}\r\n"));
         let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: rpq\r\n{accept}Content-Length: {}\r\n\r\n",
+            "{method} {path} HTTP/1.1\r\nHost: rpq\r\nContent-Length: {}\r\n\r\n",
             body.len()
         );
         self.writer.write_all(head.as_bytes())?;
@@ -109,16 +96,8 @@ impl Client {
         self.request("POST", "/v1/update", &wire::encode_updates(updates, graph))
     }
 
-    /// Scrape `/metrics` as parsed JSON (sends `Accept:
-    /// application/json`; the server's default exposition is Prometheus
-    /// text).
-    pub fn metrics(&mut self) -> io::Result<Json> {
-        let resp = self.request_accept("GET", "/metrics", "", Some("application/json"))?;
-        Json::parse(&resp.body)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-    }
-
-    /// Scrape `/metrics` in its default Prometheus text exposition.
+    /// Scrape `/metrics` (Prometheus text exposition; decode it with
+    /// [`parse_prometheus_text`](crate::metrics::parse_prometheus_text)).
     pub fn metrics_prometheus(&mut self) -> io::Result<String> {
         Ok(self.request("GET", "/metrics", "")?.body)
     }

@@ -10,21 +10,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// Escape a string for embedding in a JSON string literal (no quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use rpq_trace::escape_json as escape;
 
 /// A parsed JSON value. Numbers are kept as `f64` (the wire format never
 /// sends integers large enough to lose precision: node ids are `u32`,

@@ -1,6 +1,6 @@
 //! Lock-free serving metrics: counters plus log-bucketed latency
-//! histograms, rendered either as the legacy `/metrics` JSON document or
-//! as Prometheus text exposition (content-negotiated by the server).
+//! histograms, rendered as the Prometheus text exposition `/metrics`
+//! serves.
 //!
 //! Every hot-path touch is a relaxed atomic increment; percentile math
 //! happens only at scrape time. The histogram is log₂-bucketed with four
@@ -324,70 +324,14 @@ impl Metrics {
         self.started.elapsed().as_secs_f64().max(1e-9)
     }
 
-    /// Queries per second over the server's lifetime.
-    pub fn qps(&self) -> f64 {
-        self.queries.load(Ordering::Relaxed) as f64 / self.uptime_secs()
-    }
-
-    /// Render the legacy `/metrics` JSON document (served under
-    /// `Accept: application/json`). The engine-side gauges (queue depth,
-    /// snapshot version, index bytes, index state) are sampled by the
-    /// caller at scrape time; `index_state` is the current snapshot's
-    /// [`IndexState::as_str`](rpq_engine::IndexState::as_str).
-    pub fn render(
-        &self,
-        queue_depth: usize,
-        snapshot_version: u64,
-        index_bytes: u64,
-        index_state: &str,
-    ) -> String {
-        let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        format!(
-            concat!(
-                "{{\"qps\": {:.3}, \"p50_us\": {}, \"p99_us\": {}, ",
-                "\"queries\": {}, \"query_requests\": {}, ",
-                "\"updates\": {}, \"update_requests\": {}, ",
-                "\"rejected\": {}, \"errors\": {}, \"connections\": {}, ",
-                "\"queue_depth\": {}, \"snapshot_version\": {}, ",
-                "\"index_bytes\": {}, \"index_state\": \"{}\", ",
-                "\"index_repairs\": {}, \"index_rebuilds\": {}, ",
-                "\"landmarks_invalidated\": {}, \"index_fresh_s\": {:.3}, ",
-                "\"semcache_exact\": {}, \"semcache_subsumption\": {}, ",
-                "\"semcache_misses\": {}, \"semcache_filter_s\": {:.6}, ",
-                "\"slow_queries\": {}, \"uptime_s\": {:.3}}}\n"
-            ),
-            self.qps(),
-            self.latency.quantile(0.50),
-            self.latency.quantile(0.99),
-            g(&self.queries),
-            g(&self.query_requests),
-            g(&self.updates),
-            g(&self.update_requests),
-            g(&self.rejected),
-            g(&self.errors),
-            g(&self.connections),
-            queue_depth,
-            snapshot_version,
-            index_bytes,
-            index_state,
-            g(&self.index_repairs),
-            g(&self.index_rebuilds),
-            g(&self.landmarks_invalidated),
-            self.index_fresh_secs(),
-            g(&self.semcache_exact),
-            g(&self.semcache_subsumption),
-            g(&self.semcache_misses),
-            g(&self.semcache_filter_us) as f64 / 1e6,
-            rpq_trace::tracer().slow_queries(),
-            self.uptime_secs(),
-        )
-    }
-
-    /// Render the Prometheus text exposition (format 0.0.4) — the default
-    /// `/metrics` body. Families:
+    /// Render the Prometheus text exposition (format 0.0.4) — the
+    /// `/metrics` body. The engine-side gauges (queue depth, snapshot
+    /// version, index bytes, index state) are sampled by the caller at
+    /// scrape time; `index_state` is the current snapshot's
+    /// [`IndexState::as_str`](rpq_engine::IndexState::as_str). Families:
     ///
-    /// * `rpq_*_total` counters mirroring the JSON counters, plus
-    ///   `rpq_slow_queries_total` from the process tracer;
+    /// * `rpq_*_total` counters, including `rpq_slow_queries_total` from
+    ///   the process tracer;
     /// * gauges: `rpq_uptime_seconds`, `rpq_queue_depth`,
     ///   `rpq_snapshot_version`, `rpq_index_bytes`,
     ///   `rpq_index_fresh_seconds`, one-hot `rpq_index_state{state=...}`;
@@ -595,6 +539,13 @@ impl Metrics {
     }
 }
 
+/// The value of `series` (metric name with its label set verbatim)
+/// among the samples [`parse_prometheus_text`] returned.
+pub fn sample(samples: &[(String, f64)], series: &str) -> Option<f64> {
+    let found = samples.iter().find(|(s, _)| s == series);
+    found.map(|&(_, value)| value)
+}
+
 impl Default for Metrics {
     fn default() -> Self {
         Self::new()
@@ -736,19 +687,6 @@ mod tests {
     }
 
     #[test]
-    fn render_is_valid_json() {
-        let m = Metrics::new();
-        m.latency.record(120);
-        m.queries.fetch_add(7, Ordering::Relaxed);
-        let doc = crate::json::Json::parse(&m.render(3, 9, 4096, "repaired")).unwrap();
-        assert_eq!(doc.get("queries").unwrap().as_u64(), Some(7));
-        assert_eq!(doc.get("queue_depth").unwrap().as_u64(), Some(3));
-        assert_eq!(doc.get("snapshot_version").unwrap().as_u64(), Some(9));
-        assert_eq!(doc.get("index_state").unwrap().as_str(), Some("repaired"));
-        assert!(doc.get("qps").unwrap().as_f64().unwrap() > 0.0);
-    }
-
-    #[test]
     fn prometheus_exposition_round_trips_the_parser() {
         let m = Metrics::new();
         m.latency.record(120);
@@ -776,14 +714,13 @@ mod tests {
         let text = m.render_prometheus(3, 9, 4096, "repaired");
         let samples = parse_prometheus_text(&text).expect("exposition must parse");
         let get = |series: &str| {
-            samples
-                .iter()
-                .find(|(s, _)| s == series)
+            sample(&samples, series)
                 .unwrap_or_else(|| panic!("missing series {series} in:\n{text}"))
-                .1
         };
         assert_eq!(get("rpq_queries_total"), 7.0);
         assert_eq!(get("rpq_queue_depth"), 3.0);
+        assert_eq!(get("rpq_snapshot_version"), 9.0);
+        assert_eq!(get("rpq_index_bytes"), 4096.0);
         assert_eq!(get("rpq_index_state{state=\"repaired\"}"), 1.0);
         assert_eq!(get("rpq_index_state{state=\"stale\"}"), 0.0);
         // exact cumulative counts at power-of-two le edges
@@ -875,10 +812,12 @@ mod tests {
         assert_eq!(m.index_rebuilds.load(Ordering::Relaxed), 1);
         assert_eq!(m.landmarks_invalidated.load(Ordering::Relaxed), 24);
         assert!(m.index_fresh_secs() < m.uptime_secs());
-        let doc = crate::json::Json::parse(&m.render(0, 1, 0, "rebuilding")).unwrap();
-        assert_eq!(doc.get("index_repairs").unwrap().as_u64(), Some(2));
-        assert_eq!(doc.get("index_rebuilds").unwrap().as_u64(), Some(1));
-        assert_eq!(doc.get("landmarks_invalidated").unwrap().as_u64(), Some(24));
-        assert!(doc.get("index_fresh_s").unwrap().as_f64().unwrap() >= 0.0);
+        let text = m.render_prometheus(0, 1, 0, "rebuilding");
+        let samples = parse_prometheus_text(&text).unwrap();
+        let get = |series: &str| sample(&samples, series).unwrap();
+        assert_eq!(get("rpq_index_repairs_total"), 2.0);
+        assert_eq!(get("rpq_index_rebuilds_total"), 1.0);
+        assert_eq!(get("rpq_landmarks_invalidated_total"), 24.0);
+        assert!(get("rpq_index_fresh_seconds") >= 0.0);
     }
 }

@@ -417,6 +417,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             Ok(None) => break,              // clean EOF
             Err(HttpError::Io(_)) => break, // timeout or reset
             Err(HttpError::TooLarge) => {
+                shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
                 let _ = Response::error(413, "request too large").write(&mut writer, false);
                 break;
             }
@@ -445,7 +446,7 @@ fn dispatch(req: &Request, shared: &Shared) -> Response {
         ("POST", "/v1/query") => handle_query(req, shared),
         ("POST", "/v1/explain") => handle_explain(req, shared),
         ("POST", "/v1/update") => handle_update(req, shared),
-        ("GET", "/metrics") => handle_metrics(req, shared),
+        ("GET", "/metrics") => handle_metrics(shared),
         ("GET", "/debug/trace") => handle_trace(),
         ("GET", "/v1/schema") => handle_schema(shared),
         ("POST", "/v1/shutdown") => {
@@ -606,28 +607,19 @@ fn handle_trace() -> Response {
     )
 }
 
-/// `GET /metrics`, content-negotiated: Prometheus text exposition by
-/// default, the legacy JSON document under `Accept: application/json`.
-fn handle_metrics(req: &Request, shared: &Shared) -> Response {
+/// `GET /metrics`: Prometheus text exposition.
+fn handle_metrics(shared: &Shared) -> Response {
     let snapshot = shared.engine.snapshot();
-    let depth = shared.queue.depth();
-    let version = snapshot.version();
-    let bytes = snapshot.engine().index_bytes();
-    let state = snapshot.index_state().as_str();
-    let wants_json = req
-        .header("accept")
-        .is_some_and(|a| a.contains("application/json"));
-    if wants_json {
-        Response::json(200, shared.metrics.render(depth, version, bytes, state))
-    } else {
-        Response::text(
-            200,
-            "text/plain; version=0.0.4; charset=utf-8",
-            shared
-                .metrics
-                .render_prometheus(depth, version, bytes, state),
-        )
-    }
+    Response::text(
+        200,
+        "text/plain; version=0.0.4; charset=utf-8",
+        shared.metrics.render_prometheus(
+            shared.queue.depth(),
+            snapshot.version(),
+            snapshot.engine().index_bytes(),
+            snapshot.index_state().as_str(),
+        ),
+    )
 }
 
 fn handle_schema(shared: &Shared) -> Response {

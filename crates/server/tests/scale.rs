@@ -10,7 +10,7 @@
 //! cargo test --release -p rpq-server --test scale -- --ignored --nocapture
 //! ```
 
-use rpq_bench::loadgen::{run_load, LoadConfig};
+use rpq_bench::loadgen::{run_load, scrape_metrics, LoadConfig};
 use rpq_bench::querygen::{generate_pq, generate_rq, QueryParams};
 use rpq_engine::{Query, UpdatableEngine};
 use rpq_graph::gen::youtube_like;
@@ -93,18 +93,16 @@ fn thousand_connection_mixed_load() {
 
     // server-side metrics agree the traffic happened
     let mut client = Client::connect(server.addr()).unwrap();
-    let m = client.metrics().unwrap();
-    let served = m.get("queries").and_then(|v| v.as_u64()).unwrap();
+    let samples = scrape_metrics(&mut client).unwrap();
+    let get = |series: &str| rpq_server::metrics::sample(&samples, series).unwrap();
+    let served = get("rpq_queries_total");
     assert!(
-        served >= report.queries,
+        served >= report.queries as f64,
         "server served {served}, clients completed {}",
         report.queries
     );
-    assert!(m.get("qps").unwrap().as_f64().unwrap() > 0.0);
-    assert_eq!(
-        m.get("snapshot_version").and_then(|v| v.as_u64()).unwrap(),
-        engine.version()
-    );
+    assert!(served / get("rpq_uptime_seconds") > 0.0);
+    assert_eq!(get("rpq_snapshot_version"), engine.version() as f64);
 
     // parity after the churn: wire answers are bit-identical to an
     // in-process run_batch on the final snapshot

@@ -6,6 +6,7 @@
 //! on the same snapshot — coalescing across connections, keep-alive
 //! reuse, and the process boundary change nothing about the bytes.
 
+use rpq_bench::loadgen::scrape_metrics;
 use rpq_bench::querygen::{generate_pq, generate_rq, QueryParams};
 use rpq_core::incremental::Update;
 use rpq_engine::{Query, UpdatableEngine};
@@ -19,6 +20,15 @@ fn start(config: ServerConfig) -> (Arc<UpdatableEngine>, Server, Arc<Graph>) {
     let graph = Arc::clone(engine.snapshot().graph());
     let server = Server::start(Arc::clone(&engine), config).expect("bind loopback");
     (engine, server, graph)
+}
+
+/// Scrape `/metrics` into a by-series lookup.
+fn scrape(client: &mut Client) -> impl Fn(&str) -> f64 {
+    let samples = scrape_metrics(client).unwrap();
+    move |series| {
+        rpq_server::metrics::sample(&samples, series)
+            .unwrap_or_else(|| panic!("no {series} series"))
+    }
 }
 
 fn mixed_queries(g: &Graph, count: usize, seed: u64) -> Vec<Query> {
@@ -154,6 +164,27 @@ fn errors_map_to_statuses_not_dead_connections() {
     server.shutdown();
 }
 
+/// A body over `max_body_bytes` is refused with 413 and counted as an
+/// error; the server closes that connection and keeps serving new ones.
+#[test]
+fn oversized_body_is_a_counted_413() {
+    let (_engine, server, graph) = start(ServerConfig {
+        max_body_bytes: 1024,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(server.addr()).unwrap();
+    let resp = client
+        .request("POST", "/v1/query", &"x".repeat(1025))
+        .unwrap();
+    assert_eq!(resp.status, 413, "{}", resp.body);
+
+    let mut fresh = Client::connect(server.addr()).unwrap();
+    assert_eq!(scrape(&mut fresh)("rpq_errors_total"), 1.0);
+    let queries = mixed_queries(&graph, 1, 5);
+    assert_eq!(fresh.query(&queries, &graph).unwrap().status, 200);
+    server.shutdown();
+}
+
 /// A full admission queue answers 429 + `Retry-After` instead of
 /// buffering without bound.
 #[test]
@@ -184,8 +215,7 @@ fn full_queue_gets_backpressure() {
     assert_eq!(resp.status, 200, "{}", resp.body);
 
     // after the rejection, the metrics counted it
-    let metrics = client.metrics().unwrap();
-    assert!(metrics.get("rejected").unwrap().as_u64().unwrap() >= 1);
+    assert!(scrape(&mut client)("rpq_rejected_total") >= 1.0);
     server.shutdown();
 }
 
@@ -203,22 +233,25 @@ fn metrics_scrape_reflects_served_traffic() {
         .update(&[Update::Insert(NodeId(0), NodeId(1), Color(0))], &graph)
         .unwrap();
 
-    let m = client.metrics().unwrap();
-    let get = |k: &str| m.get(k).and_then(|v| v.as_u64()).unwrap_or(u64::MAX);
-    assert_eq!(get("queries"), 18);
-    assert_eq!(get("query_requests"), 3);
-    assert_eq!(get("update_requests"), 1);
-    assert_eq!(get("snapshot_version"), engine.version());
-    assert!(m.get("qps").unwrap().as_f64().unwrap() > 0.0);
-    assert!(get("p50_us") > 0, "latency histogram recorded nothing");
-    assert!(get("p99_us") >= get("p50_us"));
+    let get = scrape(&mut client);
+    assert_eq!(get("rpq_queries_total"), 18.0);
+    assert_eq!(get("rpq_query_requests_total"), 3.0);
+    assert_eq!(get("rpq_update_requests_total"), 1.0);
+    assert_eq!(get("rpq_snapshot_version"), engine.version() as f64);
+    assert!(get("rpq_uptime_seconds") > 0.0, "qps has no denominator");
+    // 3 query requests + 1 update request
+    assert_eq!(get("rpq_request_latency_seconds_count"), 4.0);
+    assert!(
+        get("rpq_request_latency_seconds_sum") > 0.0,
+        "latency histogram recorded nothing"
+    );
     // matrix regime: no label index applies, so the update stream counts
     // neither repairs nor rebuild fallbacks
-    assert_eq!(m.get("index_state").unwrap().as_str(), Some("stale"));
-    assert_eq!(get("index_repairs"), 0);
-    assert_eq!(get("index_rebuilds"), 0);
-    assert_eq!(get("landmarks_invalidated"), 0);
-    assert!(m.get("index_fresh_s").unwrap().as_f64().unwrap() >= 0.0);
+    assert_eq!(get("rpq_index_state{state=\"stale\"}"), 1.0);
+    assert_eq!(get("rpq_index_repairs_total"), 0.0);
+    assert_eq!(get("rpq_index_rebuilds_total"), 0.0);
+    assert_eq!(get("rpq_landmarks_invalidated_total"), 0.0);
+    assert!(get("rpq_index_fresh_seconds") >= 0.0);
     server.shutdown();
 }
 
@@ -243,11 +276,10 @@ fn metrics_report_index_maintenance() {
     client
         .update(&[Update::Insert(NodeId(0), NodeId(7), Color(0))], &graph)
         .unwrap();
-    let m = client.metrics().unwrap();
-    let get = |k: &str| m.get(k).and_then(|v| v.as_u64()).unwrap_or(u64::MAX);
-    assert_eq!(m.get("index_state").unwrap().as_str(), Some("rebuilding"));
-    assert_eq!(get("index_rebuilds"), 1);
-    assert_eq!(get("index_repairs"), 0);
+    let get = scrape(&mut client);
+    assert_eq!(get("rpq_index_state{state=\"rebuilding\"}"), 1.0);
+    assert_eq!(get("rpq_index_rebuilds_total"), 1.0);
+    assert_eq!(get("rpq_index_repairs_total"), 0.0);
     server.shutdown();
 }
 
@@ -258,10 +290,7 @@ fn metrics_report_index_maintenance() {
 fn metrics_index_gauge_covers_every_index_without_building() {
     let (engine, server, graph) = start(ServerConfig::default());
     let mut client = Client::connect(server.addr()).unwrap();
-    let gauge = |client: &mut Client| {
-        let m = client.metrics().unwrap();
-        m.get("index_bytes").and_then(|v| v.as_u64()).unwrap()
-    };
+    let gauge = |client: &mut Client| scrape(client)("rpq_index_bytes") as u64;
     assert_eq!(gauge(&mut client), 0);
     assert_eq!(
         engine.snapshot().engine().index_bytes(),
@@ -368,15 +397,13 @@ fn explain_endpoint_profiles_every_query() {
         assert!(profile.get("wall_us").unwrap().as_u64().is_some());
     }
     // explained traffic counts as served queries
-    let m = client.metrics().unwrap();
-    assert_eq!(m.get("queries").unwrap().as_u64(), Some(5));
+    assert_eq!(scrape(&mut client)("rpq_queries_total"), 5.0);
     server.shutdown();
 }
 
-/// `/metrics` defaults to Prometheus text exposition (which must
-/// round-trip the crate's own parser) and still serves the legacy JSON
-/// under `Accept: application/json`; `/debug/trace` yields JSON lines
-/// once tracing is on.
+/// `/metrics` is Prometheus text exposition (which must round-trip the
+/// crate's own parser); `/debug/trace` yields JSON lines once tracing is
+/// on.
 #[test]
 fn prometheus_exposition_and_trace_ring_round_trip() {
     rpq_trace::tracer().set_enabled(true);
@@ -395,11 +422,8 @@ fn prometheus_exposition_and_trace_ring_round_trip() {
     let samples =
         rpq_server::metrics::parse_prometheus_text(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
     let get = |series: &str| {
-        samples
-            .iter()
-            .find(|(s, _)| s == series)
+        rpq_server::metrics::sample(&samples, series)
             .unwrap_or_else(|| panic!("missing {series} in:\n{text}"))
-            .1
     };
     assert_eq!(get("rpq_queries_total"), 4.0);
     assert_eq!(get("rpq_request_latency_seconds_count"), 1.0);
@@ -411,10 +435,6 @@ fn prometheus_exposition_and_trace_ring_round_trip() {
             .any(|(s, _)| s.starts_with("rpq_plan_latency_seconds{plan=")),
         "no per-plan summary in:\n{text}"
     );
-
-    // the JSON document is still there under content negotiation
-    let m = client.metrics().unwrap();
-    assert_eq!(m.get("queries").unwrap().as_u64(), Some(4));
 
     // the trace ring captured server spans; every line is valid JSON
     let trace = client.debug_trace().unwrap();

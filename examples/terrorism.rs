@@ -1,6 +1,6 @@
 //! Fig. 9(a), right side: pattern query Q2 on the terrorist-organization
 //! collaboration network (a seeded stand-in for the paper's GTD-derived
-//! graph — see DESIGN.md "Substitutions").
+//! graph — see the `rpq_graph::gen` module docs).
 //!
 //! The query anchors on the planted "Hamas" organization and looks for
 //! collaboration triangles through international (`ic`) and domestic

@@ -1,6 +1,6 @@
 //! Fig. 9(a), left side: pattern query Q1 on a YouTube-like video network
-//! (a seeded stand-in for the paper's crawl — see DESIGN.md
-//! "Substitutions"), plus the minimization workflow of Exp-2.
+//! (a seeded stand-in for the paper's crawl — see the `rpq_graph::gen`
+//! module docs), plus the minimization workflow of Exp-2.
 //!
 //! Run with: `cargo run --release --example youtube`
 

@@ -118,15 +118,7 @@ fn mixed_batch_on_small_graph_matches_sequential() {
             Backend::Matrix,
             "PQ {i} must run a matrix-backed plan, got {plan:?}"
         );
-        assert_eq!(
-            plan,
-            rpq::engine::planner::plan_pq(
-                pq,
-                Backend::Matrix,
-                rpq::engine::planner::SPLIT_CROSSOVER
-            )
-            .0
-        );
+        assert_eq!(plan, rpq::engine::planner::plan_pq(pq, Backend::Matrix).0);
     }
 }
 
