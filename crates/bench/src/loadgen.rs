@@ -8,8 +8,10 @@
 //! instead of melting, which is the whole point of admission control.
 //!
 //! Per-request latencies are collected across all connections; the
-//! [`LoadReport`] carries the percentiles the acceptance test asserts and
-//! the numbers `BENCH_server.json` records.
+//! [`LoadReport`] carries the percentiles the acceptance test asserts.
+//! Recorded wire-level numbers are the ledger's (`BENCHMARK.json`:
+//! `read_p50_ms`, `read_p95_ms`, `read_qps`, `server.write_roundtrip_ms`),
+//! measured by its own closed loop, not by this module.
 
 use crate::querygen::{generate_pq, generate_rq, QueryParams};
 use rand::rngs::StdRng;

@@ -15,23 +15,23 @@
 //!   appear, none disappear), and
 //! * deleting a data edge can only **shrink** them.
 //!
-//! On insertion the matcher re-seeds every *predicate-eligible* node that
-//! is not currently a match and re-runs the refinement — the fixpoint
-//! restarted from a superset converges to the new answer. On deletion it
-//! re-runs refinement from the *current* match sets, which are a superset
-//! of the new answer. Both directions therefore reuse the standing match
-//! sets instead of starting from all of `V`, which is where the savings
-//! come from on localized updates; the worst case remains a full
-//! re-evaluation, as the paper anticipates ("nontrivial to … minimize
-//! unnecessary recomputation").
+//! A greatest fixpoint restarted from any superset of the answer
+//! converges to it, so evaluation and maintenance are **one loop** —
+//! [`join_match::refine_from`](crate::join_match), JoinMatch's SCC-ordered
+//! worklist — and differ only in the seed: the initial evaluation and
+//! every batch containing an insertion seed with the *predicate-eligible*
+//! nodes (a fresh evaluation is maintenance from nothing), a delete-only
+//! batch seeds with the *standing* match sets, which is where the savings
+//! come from; the worst case remains a full re-evaluation, as the paper
+//! anticipates ("nontrivial to … minimize unnecessary recomputation").
 //!
 //! The data graph is wrapped in [`DynamicGraph`], an overlay that applies
 //! edge insertions/deletions by rebuilding the CSR image (the substrate is
 //! immutable by design); the matcher keeps its own state across updates.
 
+use crate::join_match::{refine, refine_from};
 use crate::pq::{Pq, PqResult};
 use crate::reach::CachedReach;
-use crate::rq::matches_of;
 use rpq_graph::{Color, Graph, GraphBuilder, NodeId};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -121,8 +121,6 @@ pub struct IncrementalMatcher {
     /// current match sets per query node (sorted)
     mats: Vec<Vec<NodeId>>,
     engine: CachedReach,
-    /// statistics: nodes re-examined by the last update
-    last_reseeded: usize,
 }
 
 impl IncrementalMatcher {
@@ -137,27 +135,14 @@ impl IncrementalMatcher {
     /// its own per-worker capacity instead of this module's default.
     pub fn with_cache_capacity(pq: Pq, g: &DynamicGraph, capacity: usize) -> Self {
         let mut engine = CachedReach::new(capacity);
-        let mats = match crate::join_match::refine(&pq, g.graph(), &mut engine) {
-            Some(mats) => mats,
-            None => vec![Vec::new(); pq.node_count()],
-        };
-        IncrementalMatcher {
-            pq,
-            mats,
-            engine,
-            last_reseeded: 0,
-        }
+        let mats = refine(&pq, g.graph(), &mut engine)
+            .unwrap_or_else(|| vec![Vec::new(); pq.node_count()]);
+        IncrementalMatcher { pq, mats, engine }
     }
 
     /// The query being maintained.
     pub fn pq(&self) -> &Pq {
         &self.pq
-    }
-
-    /// Number of candidate nodes the last update re-examined (diagnostic:
-    /// how much work the incremental path saved over `|V|·|Vp|`).
-    pub fn last_reseeded(&self) -> usize {
-        self.last_reseeded
     }
 
     /// Current matches of query node `u`.
@@ -178,79 +163,27 @@ impl IncrementalMatcher {
         self.mats.iter().any(|m| m.is_empty())
     }
 
-    /// Maintain the answer after `g` has applied `effective` updates.
-    ///
-    /// Insertions can only grow match sets: candidates are re-seeded from
-    /// the predicate-eligible nodes and refinement re-runs to the new
-    /// greatest fixpoint. Deletions can only shrink them: refinement
-    /// re-runs from the standing sets. A batch with both kinds is handled
-    /// as a deletion-style refinement after insertion-style reseeding.
+    /// Maintain the answer after `g` has applied `effective` updates: one
+    /// `join_match::refine_from` call, seeded by the kind of batch.
+    /// Insertions can only grow match sets, so a batch with any insert
+    /// restarts from the predicate-eligible nodes (a node excluded by an
+    /// earlier refinement may now have a witness).
+    /// Deletions can only shrink them, so a delete-only batch restarts
+    /// from the standing sets — and an empty standing answer stays empty
+    /// (the seeded loop returns at once on an empty seed).
     pub fn on_update(&mut self, g: &DynamicGraph, effective: &[Update]) {
         if effective.is_empty() {
             return;
         }
         // reachability answers are stale after any topology change
         self.engine = CachedReach::new(self.engine.capacity());
-
-        let had_insert = effective.iter().any(|u| matches!(u, Update::Insert(..)));
-        self.last_reseeded = 0;
-        if had_insert || self.is_empty() {
-            // grow phase: candidates = standing matches ∪ predicate-eligible
-            // nodes (a node excluded by an earlier refinement may now have
-            // a witness). Restarting from this superset converges to the
-            // new greatest fixpoint because refinement removes exactly the
-            // nodes with no witness chain.
-            let full: Vec<Vec<NodeId>> = (0..self.pq.node_count())
-                .map(|u| matches_of(g.graph(), &self.pq.node(u).pred))
-                .collect();
-            self.last_reseeded = full
-                .iter()
-                .zip(&self.mats)
-                .map(|(f, m)| f.len().saturating_sub(m.len()))
-                .sum();
-            self.mats = full;
-        }
-        // shrink phase (also validates grown sets)
-        self.refine_in_place(g.graph());
-    }
-
-    /// Re-run the refinement fixpoint starting from the current `mats`.
-    fn refine_in_place(&mut self, g: &Graph) {
-        let pq = &self.pq;
-        loop {
-            let mut changed = false;
-            for e in pq.edges() {
-                let (from, to) = (e.from, e.to);
-                let ok = crate::join_match::survivors(
-                    g,
-                    &mut self.engine,
-                    &self.mats[from],
-                    &self.mats[to],
-                    &e.regex,
-                );
-                let kept: Vec<NodeId> = self.mats[from]
-                    .iter()
-                    .zip(&ok)
-                    .filter(|(_, &o)| o)
-                    .map(|(&x, _)| x)
-                    .collect();
-                if kept.len() != self.mats[from].len() {
-                    self.mats[from] = kept;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        if self.mats.iter().any(|m| m.is_empty()) {
-            for m in &mut self.mats {
-                m.clear();
-            }
-        }
-        for m in &mut self.mats {
-            m.sort_unstable();
-        }
+        let refined = if effective.iter().any(|u| matches!(u, Update::Insert(..))) {
+            refine(&self.pq, g.graph(), &mut self.engine)
+        } else {
+            let standing = std::mem::take(&mut self.mats);
+            refine_from(&self.pq, g.graph(), &mut self.engine, standing)
+        };
+        self.mats = refined.unwrap_or_else(|| vec![Vec::new(); self.pq.node_count()]);
     }
 
     /// Assemble the full per-edge result from the standing match sets.
@@ -449,47 +382,60 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(99);
-        for trial in 0..4u64 {
-            let g = synthetic(35, 110, 2, 3, 4400 + trial);
-            let mut dg = DynamicGraph::new(g);
-            let mut pq = Pq::new();
-            let a = pq.add_node(
-                "a",
-                Predicate::parse(
-                    &format!("a0 <= {}", rng.gen_range(4..9)),
-                    dg.graph().schema(),
-                )
-                .unwrap(),
-            );
-            let b = pq.add_node("b", Predicate::always_true());
-            pq.add_edge(
-                a,
-                b,
-                FRegex::parse("c0^2 c1", dg.graph().alphabet()).unwrap(),
-            );
-            pq.add_edge(b, a, FRegex::parse("_+", dg.graph().alphabet()).unwrap());
-            let mut inc = IncrementalMatcher::new(pq, &dg);
-            for step in 0..12 {
-                let x = NodeId(rng.gen_range(0..35));
-                let y = NodeId(rng.gen_range(0..35));
-                let c = Color(rng.gen_range(0..3));
-                let upd = if rng.gen_bool(0.5) {
-                    Update::Insert(x, y, c)
-                } else {
-                    Update::Delete(x, y, c)
-                };
-                if x == y {
-                    continue;
-                }
-                let eff = dg.apply(&[upd]);
-                inc.on_update(&dg, &eff);
-                assert_eq!(
-                    inc.result(&dg),
-                    inc.full_reeval(&dg),
-                    "trial {trial} step {step} after {upd:?}"
+        let (mut emptied, mut revived) = (0, 0);
+        // (nodes, edges, colors, steps, a→b regex, b→a regex): a dense
+        // graph whose answer only grows and shrinks, then a sparse
+        // one-color graph where the cyclic pattern holds iff a cycle
+        // exists, so single flips empty the answer and later revive it
+        for (n, edges, colors, steps, ab, ba) in [
+            (35u32, 110, 3u8, 12, "c0^2 c1", "_+"),
+            (5, 4, 1, 40, "c0+", "c0+"),
+        ] {
+            for trial in 0..4u64 {
+                let g = synthetic(n as usize, edges, 2, colors as usize, 4400 + trial);
+                let mut dg = DynamicGraph::new(g);
+                let mut pq = Pq::new();
+                let a = pq.add_node(
+                    "a",
+                    Predicate::parse(
+                        &format!("a0 <= {}", rng.gen_range(4..9)),
+                        dg.graph().schema(),
+                    )
+                    .unwrap(),
                 );
+                let b = pq.add_node("b", Predicate::always_true());
+                pq.add_edge(a, b, FRegex::parse(ab, dg.graph().alphabet()).unwrap());
+                pq.add_edge(b, a, FRegex::parse(ba, dg.graph().alphabet()).unwrap());
+                let mut inc = IncrementalMatcher::new(pq, &dg);
+                for step in 0..steps {
+                    let x = NodeId(rng.gen_range(0..n));
+                    let y = NodeId(rng.gen_range(0..n));
+                    let c = Color(rng.gen_range(0..colors));
+                    let upd = if rng.gen_bool(0.5) {
+                        Update::Insert(x, y, c)
+                    } else {
+                        Update::Delete(x, y, c)
+                    };
+                    if x == y {
+                        continue;
+                    }
+                    let was_empty = inc.is_empty();
+                    let eff = dg.apply(&[upd]);
+                    inc.on_update(&dg, &eff);
+                    assert_eq!(
+                        inc.result(&dg),
+                        inc.full_reeval(&dg),
+                        "{n} nodes, trial {trial} step {step} after {upd:?}"
+                    );
+                    emptied += usize::from(!was_empty && inc.is_empty());
+                    revived += usize::from(was_empty && !inc.is_empty());
+                }
             }
         }
+        assert!(
+            emptied > 0 && revived > 0,
+            "streams must cross the empty answer both ways: {emptied} emptied, {revived} revived"
+        );
     }
 
     #[test]

@@ -43,16 +43,34 @@ impl JoinMatch {
     }
 }
 
-/// Core refinement loop shared with the baselines: computes the greatest
-/// simulation-style fixpoint of match sets over `work`'s nodes, or `None`
-/// if some set empties. Exposed crate-internally.
+/// From-scratch refinement: [`refine_from`] seeded with every
+/// predicate-eligible node.
 pub(crate) fn refine<R: ReachEngine>(
     work: &Pq,
     g: &Graph,
     engine: &mut R,
 ) -> Option<Vec<Vec<NodeId>>> {
+    let seed = (0..work.node_count())
+        .map(|u| matches_of(g, &work.node(u).pred))
+        .collect();
+    refine_from(work, g, engine, seed)
+}
+
+/// The one refinement loop (`JoinMatch`, the baselines and the standing
+/// matcher all run it): shrinks the seed `mats` to the greatest
+/// simulation-style fixpoint of match sets over `work`'s nodes, or `None`
+/// if some set empties. The fixpoint is a *greatest* one, so any seed that
+/// contains the answer converges to it — a fresh evaluation seeds with the
+/// predicate matches ([`refine`]), maintenance after a delete-only batch
+/// with the standing sets. Pruning only filters, so each set keeps its
+/// seed's order.
+pub(crate) fn refine_from<R: ReachEngine>(
+    work: &Pq,
+    g: &Graph,
+    engine: &mut R,
+    mut mats: Vec<Vec<NodeId>>,
+) -> Option<Vec<Vec<NodeId>>> {
     let n = work.node_count();
-    let mut mats: Vec<Vec<NodeId>> = (0..n).map(|u| matches_of(g, &work.node(u).pred)).collect();
     if mats.iter().any(|m| m.is_empty()) {
         return None;
     }
@@ -122,8 +140,8 @@ pub(crate) fn refine<R: ReachEngine>(
     Some(mats)
 }
 
-/// One refinement step's witness test, shared by `JoinMatch`, `SplitMatch`
-/// and the incremental matcher: `out[i]` = does `sources[i]` reach some
+/// One refinement step's witness test, shared by [`refine_from`] and
+/// `SplitMatch`: `out[i]` = does `sources[i]` reach some
 /// target through `regex`? Single-atom expressions go through the bulk
 /// [`ReachEngine::sources_reaching_atom`] primitive (index backends answer
 /// it from aggregated label/row scans, possibly on several threads);

@@ -660,34 +660,12 @@ fn build_shard_graph(graph: &Graph, partition: &Partition, s: usize) -> Graph {
     b.build()
 }
 
-/// Derive the boundary-node directory from a cut-edge list: per-shard
-/// boundary locals (ascending), the global boundary list whose index
-/// order **is** the overlay id space, and the global→overlay map.
-/// Deterministic in the cut-edge *set* (order-insensitive), so a patched
-/// cut list yields the same directory as a from-scratch scan.
-#[allow(clippy::type_complexity)]
-fn boundary_directory(
-    n: usize,
-    partition: &Partition,
-    cut_edges: &[(NodeId, NodeId, Color)],
-) -> (Vec<Vec<NodeId>>, Vec<NodeId>, Vec<u32>) {
-    let mut is_boundary = vec![false; n];
-    for &(u, v, _) in cut_edges {
-        is_boundary[u.index()] = true;
-        is_boundary[v.index()] = true;
-    }
-    let mut boundary_globals = Vec::new();
-    let mut overlay_of = vec![UNASSIGNED; n];
-    let mut boundary_locals: Vec<Vec<NodeId>> = vec![Vec::new(); partition.k()];
-    for v in 0..n {
-        if is_boundary[v] {
-            overlay_of[v] = boundary_globals.len() as u32;
-            let id = NodeId(v as u32);
-            boundary_globals.push(id);
-            boundary_locals[partition.shard_of(id)].push(partition.local_of(id));
-        }
-    }
-    (boundary_locals, boundary_globals, overlay_of)
+/// The cross-shard edges of `graph` under `partition`: one O(|E|) scan.
+fn scan_cut_edges(graph: &Graph, partition: &Partition) -> Vec<(NodeId, NodeId, Color)> {
+    graph
+        .edges()
+        .filter(|&(u, v, _)| partition.shard_of(u) != partition.shard_of(v))
+        .collect()
 }
 
 /// A graph stored as `k` per-shard local graphs plus the cross-shard
@@ -728,17 +706,51 @@ impl ShardedGraph {
             graph.node_count(),
             "partition must cover the graph"
         );
+        let cut_edges = scan_cut_edges(&graph, &partition);
+        Self::assemble(graph, partition, cut_edges, |_| None)
+    }
+
+    /// The one constructor — a fresh build is maintenance from nothing:
+    /// [`with_partition`](ShardedGraph::with_partition) carries no shard,
+    /// [`apply_updates`](ShardedGraph::apply_updates) and
+    /// [`apply_moves`](ShardedGraph::apply_moves) carry their untouched
+    /// ones. A shard `carried` yields is taken by `Arc` (the caller vouches
+    /// that its membership and intra-shard edges are unchanged), every
+    /// other local graph is built from `graph`. The boundary directory —
+    /// per-shard boundary locals (ascending), the global boundary list
+    /// whose index order **is** the overlay id space, and the
+    /// global→overlay map — is derived from the cut-edge *set*
+    /// (order-insensitive, so a patched cut list yields the same directory
+    /// as a from-scratch scan).
+    fn assemble(
+        graph: Arc<Graph>,
+        partition: Partition,
+        cut_edges: Vec<(NodeId, NodeId, Color)>,
+        carried: impl Fn(usize) -> Option<Arc<Graph>>,
+    ) -> ShardedGraph {
         let n = graph.node_count();
         let k = partition.k();
-        let cut_edges: Vec<(NodeId, NodeId, Color)> = graph
-            .edges()
-            .filter(|&(u, v, _)| partition.shard_of(u) != partition.shard_of(v))
-            .collect();
         let shards: Vec<Arc<Graph>> = (0..k)
-            .map(|s| Arc::new(build_shard_graph(&graph, &partition, s)))
+            .map(|s| {
+                carried(s).unwrap_or_else(|| Arc::new(build_shard_graph(&graph, &partition, s)))
+            })
             .collect();
-        let (boundary_locals, boundary_globals, overlay_of) =
-            boundary_directory(n, &partition, &cut_edges);
+        let mut is_boundary = vec![false; n];
+        for &(u, v, _) in &cut_edges {
+            is_boundary[u.index()] = true;
+            is_boundary[v.index()] = true;
+        }
+        let mut boundary_globals = Vec::new();
+        let mut overlay_of = vec![UNASSIGNED; n];
+        let mut boundary_locals: Vec<Vec<NodeId>> = vec![Vec::new(); k];
+        for v in 0..n {
+            if is_boundary[v] {
+                overlay_of[v] = boundary_globals.len() as u32;
+                let id = NodeId(v as u32);
+                boundary_globals.push(id);
+                boundary_locals[partition.shard_of(id)].push(partition.local_of(id));
+            }
+        }
         ShardedGraph {
             graph,
             partition,
@@ -781,10 +793,8 @@ impl ShardedGraph {
             self.graph.node_count(),
             "apply_updates is edge-only: the node set must not change"
         );
-        let n = new_graph.node_count();
-        let k = self.k();
         let partition = self.partition.clone();
-        let mut touched = vec![false; k];
+        let mut touched = vec![false; self.k()];
         let mut cross_deletes: std::collections::HashSet<(NodeId, NodeId, Color)> =
             std::collections::HashSet::new();
         let mut cross_inserts: Vec<(NodeId, NodeId, Color)> = Vec::new();
@@ -809,26 +819,9 @@ impl ShardedGraph {
                 .collect()
         };
         cut_edges.extend(cross_inserts);
-        let shards: Vec<Arc<Graph>> = (0..k)
-            .map(|s| {
-                if touched[s] {
-                    Arc::new(build_shard_graph(&new_graph, &partition, s))
-                } else {
-                    Arc::clone(&self.shards[s])
-                }
-            })
-            .collect();
-        let (boundary_locals, boundary_globals, overlay_of) =
-            boundary_directory(n, &partition, &cut_edges);
-        ShardedGraph {
-            graph: new_graph,
-            partition,
-            shards,
-            boundary_locals,
-            boundary_globals,
-            overlay_of,
-            cut_edges,
-        }
+        Self::assemble(new_graph, partition, cut_edges, |s| {
+            (!touched[s]).then(|| Arc::clone(&self.shards[s]))
+        })
     }
 
     /// Apply a rebalancing move-set (from [`Partition::rebalance`])
@@ -847,7 +840,6 @@ impl ShardedGraph {
     /// means unchanged ids), which the index layer exploits to carry
     /// per-shard labels across a rebalance.
     pub fn apply_moves(&self, moves: &[(NodeId, u32)]) -> ShardedGraph {
-        let n = self.graph.node_count();
         let k = self.k();
         let mut shard_of = self.partition.shard_of.clone();
         let mut touched = vec![false; k];
@@ -861,31 +853,10 @@ impl ShardedGraph {
             }
         }
         let partition = Partition::from_shard_of(shard_of, k);
-        let cut_edges: Vec<(NodeId, NodeId, Color)> = self
-            .graph
-            .edges()
-            .filter(|&(u, v, _)| partition.shard_of(u) != partition.shard_of(v))
-            .collect();
-        let shards: Vec<Arc<Graph>> = (0..k)
-            .map(|s| {
-                if touched[s] {
-                    Arc::new(build_shard_graph(&self.graph, &partition, s))
-                } else {
-                    Arc::clone(&self.shards[s])
-                }
-            })
-            .collect();
-        let (boundary_locals, boundary_globals, overlay_of) =
-            boundary_directory(n, &partition, &cut_edges);
-        ShardedGraph {
-            graph: Arc::clone(&self.graph),
-            partition,
-            shards,
-            boundary_locals,
-            boundary_globals,
-            overlay_of,
-            cut_edges,
-        }
+        let cut_edges = scan_cut_edges(&self.graph, &partition);
+        Self::assemble(Arc::clone(&self.graph), partition, cut_edges, |s| {
+            (!touched[s]).then(|| Arc::clone(&self.shards[s]))
+        })
     }
 
     /// Number of shards.

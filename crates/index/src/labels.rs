@@ -24,8 +24,8 @@
 //! is already covered by earlier (higher-ranked) hubs. On hub-heavy graphs
 //! the prune fires almost immediately for late landmarks, which is what
 //! keeps total label size near-linear in practice while the cover stays
-//! **exact**: when every node is processed as a landmark (the default),
-//! probes equal BFS ground truth bit-for-bit.
+//! **exact**: every node is processed as a landmark, so probes equal BFS
+//! ground truth bit-for-bit.
 //!
 //! One layer is built per concrete color plus one *wildcard* layer over the
 //! union of all colors (the `_` of query regexes). The wildcard layer is
@@ -41,6 +41,7 @@ use rpq_graph::{Color, Graph, NodeId, INFINITY};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Distances saturate one below [`INFINITY`], mirroring
@@ -53,12 +54,6 @@ const UNSET: u16 = u16::MAX;
 /// Tuning knobs for [`HopLabels::build_with`].
 #[derive(Debug, Clone)]
 pub struct HopConfig {
-    /// How many ranked landmarks to process per layer; `0` means *all*
-    /// nodes, which is required for exact probes. A smaller count yields a
-    /// partial labeling whose probes are **upper bounds** (sound "yes
-    /// within k" answers, possibly missed reachability) — useful as a
-    /// filter, not for exact serving ([`HopLabels::is_exact`]).
-    pub landmarks: usize,
     /// Abort the build once the estimated index footprint exceeds this many
     /// bytes (`0` = unlimited). Exceeding the budget *inside the wildcard
     /// layer* keeps the finished concrete layers and drops only wildcard
@@ -71,7 +66,6 @@ pub struct HopConfig {
 impl Default for HopConfig {
     fn default() -> Self {
         HopConfig {
-            landmarks: 0,
             budget_bytes: 0,
             wildcard_layer: true,
         }
@@ -125,19 +119,22 @@ impl std::error::Error for HopBuildError {}
 
 /// One color layer: per-node `Lout`/`Lin` labels in CSR form (hubs stored
 /// as *ranks*, ascending, so probes are sorted-merge joins) plus the
-/// inverted `Lin` lists used by bounded neighborhood scans.
-#[derive(Debug, Clone, Default)]
+/// inverted `Lin` lists used by bounded neighborhood scans. The arrays
+/// are shared slices, so cloning a layer — how [`HopLabels::repair`]
+/// carries an untouched one — bumps nine reference counts and copies
+/// nothing, while probes reach the data exactly as through a `Vec`.
+#[derive(Debug, Clone)]
 struct Layer {
-    out_offsets: Vec<u32>,
-    out_hubs: Vec<u32>,
-    out_dists: Vec<u16>,
-    in_offsets: Vec<u32>,
-    in_hubs: Vec<u32>,
-    in_dists: Vec<u16>,
+    out_offsets: Arc<[u32]>,
+    out_hubs: Arc<[u32]>,
+    out_dists: Arc<[u16]>,
+    in_offsets: Arc<[u32]>,
+    in_hubs: Arc<[u32]>,
+    in_dists: Arc<[u16]>,
     /// inverted `Lin`: for hub rank `h`, every `(node, dist(h → node))`
-    inv_offsets: Vec<u32>,
-    inv_nodes: Vec<u32>,
-    inv_dists: Vec<u16>,
+    inv_offsets: Arc<[u32]>,
+    inv_nodes: Arc<[u32]>,
+    inv_dists: Arc<[u16]>,
 }
 
 impl Layer {
@@ -187,7 +184,7 @@ pub struct HopStats {
     pub colors: usize,
     /// Whether the wildcard layer was built (vs. dropped on budget).
     pub wildcard: bool,
-    /// Landmarks processed per layer.
+    /// Landmarks processed per layer: every node.
     pub landmarks: usize,
     /// Strongly connected components of the wildcard graph (ordering
     /// signal: big SCCs breed good hubs).
@@ -226,7 +223,6 @@ pub struct HopLabels {
     /// `layers[c]` for concrete color `c`; `layers[colors]` = wildcard
     /// (empty `Option` when dropped on budget or disabled).
     layers: Vec<Option<Layer>>,
-    landmarks: usize,
     scc_count: usize,
     /// The frozen landmark ranking (`order[rank] = node`). Kept so
     /// [`HopLabels::repair`] can re-run individual landmarks under the
@@ -237,8 +233,7 @@ pub struct HopLabels {
 }
 
 impl HopLabels {
-    /// Build exact labels with default configuration (all landmarks, no
-    /// budget). Cannot fail.
+    /// Build labels with default configuration (no budget). Cannot fail.
     pub fn build(g: &Graph) -> Self {
         Self::build_with(g, &HopConfig::default(), None)
             .expect("unbudgeted, uncancelled build cannot fail")
@@ -253,11 +248,6 @@ impl HopLabels {
     ) -> Result<Self, HopBuildError> {
         let n = g.node_count();
         let m = g.alphabet().len();
-        let landmarks = if config.landmarks == 0 {
-            n
-        } else {
-            config.landmarks.min(n)
-        };
 
         let t0 = Instant::now();
         // Landmark order: wildcard SCC size first (nodes inside a giant
@@ -273,70 +263,23 @@ impl HopLabels {
             (std::cmp::Reverse(scc), std::cmp::Reverse(deg), v)
         });
 
-        let tracer = rpq_trace::tracer();
-        tracer.record_span(
+        rpq_trace::tracer().record_span(
             "index",
             "hop-rank",
             t0.elapsed(),
             &format!("nodes={n} sccs={}", comps.len()),
         );
 
-        let mut builder = LayerBuilder::new(g, &order, landmarks);
-        let mut layers: Vec<Option<Layer>> = Vec::with_capacity(m + 1);
-        let mut bytes_so_far = 0usize;
-        for c in 0..m {
-            let tl = Instant::now();
-            // a concrete layer over budget fails the whole build: typical
-            // queries need every concrete color to be coverable
-            let layer =
-                builder.build_layer(Color(c as u8), config.budget_bytes, bytes_so_far, cancel)?;
-            tracer.record_span(
-                "index",
-                "hop-layer",
-                tl.elapsed(),
-                &format!("color={c} bytes={}", layer.bytes()),
-            );
-            bytes_so_far += layer.bytes();
-            layers.push(Some(layer));
-        }
-        if config.wildcard_layer {
-            let tl = Instant::now();
-            match builder.build_layer(
-                rpq_graph::WILDCARD,
-                config.budget_bytes,
-                bytes_so_far,
-                cancel,
-            ) {
-                Ok(layer) => {
-                    tracer.record_span(
-                        "index",
-                        "hop-layer",
-                        tl.elapsed(),
-                        &format!("color=_ bytes={}", layer.bytes()),
-                    );
-                    layers.push(Some(layer));
-                }
-                // graceful degradation: keep concrete coverage, drop `_`
-                Err(HopBuildError::OverBudget { .. }) => {
-                    tracer.record_span(
-                        "index",
-                        "hop-layer",
-                        tl.elapsed(),
-                        "color=_ dropped: over budget",
-                    );
-                    layers.push(None);
-                }
-                Err(e) => return Err(e),
-            }
-        } else {
-            layers.push(None);
-        }
-
+        // maintenance from nothing: no old layer, every rank to run
+        let fresh = |built: bool| built.then(|| (None, vec![true; n]));
+        let plan = (0..m)
+            .map(|_| fresh(true))
+            .chain([fresh(config.wildcard_layer)])
+            .collect();
         Ok(HopLabels {
             n,
             colors: m,
-            layers,
-            landmarks,
+            layers: LayerBuilder::run_layers(g, &order, plan, config.budget_bytes, cancel)?,
             scc_count: comps.len(),
             order,
         })
@@ -371,9 +314,7 @@ impl HopLabels {
     ///
     /// # Panics
     ///
-    /// If this index is not [`exact`](HopLabels::is_exact) (a partial
-    /// labeling cannot decide affectedness), or if `g` changed the node
-    /// set or alphabet (updates are edge-only).
+    /// If `g` changed the node set or alphabet (updates are edge-only).
     pub fn repair(
         &self,
         g: &Graph,
@@ -382,11 +323,6 @@ impl HopLabels {
         invalidation_limit: usize,
         cancel: Option<&AtomicBool>,
     ) -> Result<HopRepair, HopBuildError> {
-        assert!(
-            self.is_exact(),
-            "only exact hop labels can be repaired: partial labels cannot \
-             decide which landmarks an edge change touches"
-        );
         assert_eq!(g.node_count(), self.n, "updates must preserve the node set");
         assert_eq!(
             g.alphabet().len(),
@@ -397,27 +333,31 @@ impl HopLabels {
         // Phase 1: affected landmark set per layer, and the total up front
         // so the cost model can bail before any BFS runs.
         let t0 = Instant::now();
-        let mut affected: Vec<Option<Vec<bool>>> = Vec::with_capacity(self.layers.len());
-        let mut invalidated = 0usize;
-        for (li, layer) in self.layers.iter().enumerate() {
-            let Some(layer) = layer else {
-                affected.push(None);
-                continue;
-            };
-            let lc = self.layer_color(li);
-            let relevant: Vec<(NodeId, NodeId)> = changes
-                .iter()
-                .filter(|&&(_, _, ec)| lc.admits(ec))
-                .map(|&(u, v, _)| (u, v))
-                .collect();
-            if relevant.is_empty() {
-                affected.push(Some(Vec::new()));
-                continue;
-            }
-            let mut aff = vec![false; self.landmarks];
-            invalidated += self.mark_affected(layer, &relevant, &mut aff);
-            affected.push(Some(aff));
-        }
+        let plan: Vec<LayerPlan> = self
+            .layers
+            .iter()
+            .enumerate()
+            .map(|(li, layer)| {
+                let layer = layer.as_ref()?;
+                let lc = layer_color(li, self.colors);
+                let relevant: Vec<(NodeId, NodeId)> = changes
+                    .iter()
+                    .filter(|&&(_, _, ec)| lc.admits(ec))
+                    .map(|&(u, v, _)| (u, v))
+                    .collect();
+                let affected = if relevant.is_empty() {
+                    Vec::new()
+                } else {
+                    self.affected_ranks(layer, &relevant)
+                };
+                Some((Some(layer), affected))
+            })
+            .collect();
+        let invalidated: usize = plan
+            .iter()
+            .flatten()
+            .map(|(_, affected)| affected.iter().filter(|&&a| a).count())
+            .sum();
         if invalidation_limit != 0 && invalidated > invalidation_limit {
             return Err(HopBuildError::RepairTooBroad {
                 invalidated,
@@ -426,40 +366,10 @@ impl HopLabels {
         }
 
         // Phase 2: per touched layer, strip the affected ranks and re-run
-        // exactly those landmarks on the new graph.
+        // exactly those landmarks on the new graph; untouched layers are
+        // carried by reference.
         let t_invalidated = Instant::now();
-        let mut builder = LayerBuilder::new(g, &self.order, self.landmarks);
-        let mut layers: Vec<Option<Layer>> = Vec::with_capacity(self.layers.len());
-        let mut bytes_so_far = 0usize;
-        for (li, (layer, aff)) in self.layers.iter().zip(&affected).enumerate() {
-            let (Some(old), Some(aff)) = (layer, aff) else {
-                layers.push(None);
-                continue;
-            };
-            if aff.iter().all(|&a| !a) {
-                // untouched layer: carried forward verbatim
-                bytes_so_far += old.bytes();
-                layers.push(Some(old.clone()));
-                continue;
-            }
-            match builder.repair_layer(
-                self.layer_color(li),
-                old,
-                aff,
-                budget_bytes,
-                bytes_so_far,
-                cancel,
-            ) {
-                Ok(layer) => {
-                    bytes_so_far += layer.bytes();
-                    layers.push(Some(layer));
-                }
-                // same degradation as build_with: wildcard over budget is
-                // dropped, a concrete layer over budget fails the repair
-                Err(HopBuildError::OverBudget { .. }) if li == self.colors => layers.push(None),
-                Err(e) => return Err(e),
-            }
-        }
+        let layers = LayerBuilder::run_layers(g, &self.order, plan, budget_bytes, cancel)?;
 
         let t_rebuilt = Instant::now();
         let phases = vec![
@@ -472,7 +382,7 @@ impl HopLabels {
                 "index",
                 "hop-repair",
                 t_rebuilt - t0,
-                &format!("invalidated={invalidated}/{} landmarks", self.landmarks),
+                &format!("invalidated={invalidated}/{} landmarks", self.n),
             );
         }
         Ok(HopRepair {
@@ -480,7 +390,6 @@ impl HopLabels {
                 n: self.n,
                 colors: self.colors,
                 layers,
-                landmarks: self.landmarks,
                 scc_count: self.scc_count,
                 order: self.order.clone(),
             },
@@ -489,29 +398,14 @@ impl HopLabels {
         })
     }
 
-    /// The color a layer index stands for (`colors` = wildcard).
-    fn layer_color(&self, li: usize) -> Color {
-        if li == self.colors {
-            rpq_graph::WILDCARD
-        } else {
-            Color(li as u8)
-        }
-    }
-
-    /// Mark every rank that reached a changed tail or was reached by a
-    /// changed head (old graph, this layer); returns how many were newly
-    /// marked. Reachability is read off the 2-hop cover itself: `r ⇝ u`
-    /// iff `Lout(r)` and `Lin(u)` share a hub, so one bitmap of the
-    /// endpoints' hubs plus one sweep over all landmark labels decides
-    /// every rank in O(index size).
-    fn mark_affected(
-        &self,
-        layer: &Layer,
-        changes: &[(NodeId, NodeId)],
-        affected: &mut [bool],
-    ) -> usize {
-        let mut fwd_mark = vec![false; self.landmarks];
-        let mut bwd_mark = vec![false; self.landmarks];
+    /// Every rank that reached a changed tail or was reached by a changed
+    /// head (old graph, this layer). Reachability is read off the 2-hop
+    /// cover itself: `r ⇝ u` iff `Lout(r)` and `Lin(u)` share a hub, so
+    /// one bitmap of the endpoints' hubs plus one sweep over all landmark
+    /// labels decides every rank in O(index size).
+    fn affected_ranks(&self, layer: &Layer, changes: &[(NodeId, NodeId)]) -> Vec<bool> {
+        let mut fwd_mark = vec![false; self.n];
+        let mut bwd_mark = vec![false; self.n];
         for &(u, v) in changes {
             let (ih, _) = layer.in_label(u.index());
             for &h in ih {
@@ -522,31 +416,19 @@ impl HopLabels {
                 bwd_mark[h as usize] = true;
             }
         }
-        let mut marked = 0usize;
-        for (rank, slot) in affected.iter_mut().enumerate() {
-            let r = self.order[rank] as usize;
-            let (oh, _) = layer.out_label(r);
-            let hit = oh.iter().any(|&h| fwd_mark[h as usize]) || {
-                let (ih, _) = layer.in_label(r);
-                ih.iter().any(|&h| bwd_mark[h as usize])
-            };
-            if hit && !*slot {
-                *slot = true;
-                marked += 1;
-            }
-        }
-        marked
+        self.order
+            .iter()
+            .map(|&r| {
+                let (oh, _) = layer.out_label(r as usize);
+                let (ih, _) = layer.in_label(r as usize);
+                oh.iter().any(|&h| fwd_mark[h as usize]) || ih.iter().any(|&h| bwd_mark[h as usize])
+            })
+            .collect()
     }
 
     /// Number of nodes the index covers.
     pub fn node_count(&self) -> usize {
         self.n
-    }
-
-    /// True when every node was processed as a landmark, i.e. probes are
-    /// exact shortest distances. Partial builds answer upper bounds only.
-    pub fn is_exact(&self) -> bool {
-        self.landmarks >= self.n
     }
 
     /// Is `color` (possibly [`WILDCARD`](rpq_graph::WILDCARD)) answerable
@@ -567,7 +449,7 @@ impl HopLabels {
             nodes: self.n,
             colors: self.colors,
             wildcard: self.layers[self.colors].is_some(),
-            landmarks: self.landmarks,
+            landmarks: self.n,
             scc_count: self.scc_count,
             entries: self.layers.iter().flatten().map(Layer::entries).sum(),
             bytes: self.bytes(),
@@ -608,9 +490,9 @@ impl HopLabels {
         const NO_Y: u32 = u32::MAX;
         let mut agg = InSetAgg {
             color,
-            best: vec![UNSET; self.landmarks],
-            best_y: vec![NO_Y; self.landmarks],
-            second: vec![UNSET; self.landmarks],
+            best: vec![UNSET; self.n],
+            best_y: vec![NO_Y; self.n],
+            second: vec![UNSET; self.n],
         };
         for &(y, w) in items {
             let (ih, id) = layer.in_label(y.index());
@@ -637,7 +519,7 @@ impl HopLabels {
     /// origins instead of a plain minimum.
     pub(crate) fn in_aggregate2(&self, color: Color, items: &[(NodeId, Top2)]) -> InSetAgg2 {
         let layer = self.layer_or_panic(color);
-        let mut hubs = vec![Top2::NONE; self.landmarks];
+        let mut hubs = vec![Top2::NONE; self.n];
         for (y, t2) in items {
             let (ih, id) = layer.in_label(y.index());
             for (&h, &d) in ih.iter().zip(id) {
@@ -899,11 +781,9 @@ impl DistProbe for HopLabels {
     /// achieved by `x` (in particular `x`'s own hub, where the empty
     /// path contributes 0), `second_in` restores the cheapest distance
     /// to a *different* target, so `best_excl = min_{y ≠ x} dist(x, y)`
-    /// falls out of the same scan. Target membership is tracked with an
-    /// explicit mask (not inferred from a 0-sum, which a partial build
-    /// may never produce), and a source in the target set additionally
-    /// runs [`DistProbe::has_cycle_within`] — a graph edge scan,
-    /// independent of label completeness — for the cycle witness.
+    /// falls out of the same scan. A source in the target set
+    /// additionally runs [`DistProbe::has_cycle_within`] — a graph edge
+    /// scan — for the cycle witness.
     fn sources_reaching_within(
         &self,
         g: &Graph,
@@ -939,12 +819,25 @@ impl DistProbe for HopLabels {
     }
 }
 
+/// The color a layer index stands for (`colors` = wildcard).
+fn layer_color(li: usize, colors: usize) -> Color {
+    if li == colors {
+        rpq_graph::WILDCARD
+    } else {
+        Color(li as u8)
+    }
+}
+
+/// What [`LayerBuilder::run_layers`] does with one layer slot: `None`
+/// leaves it empty; `Some((old, rerun))` re-runs the `rerun` ranks over
+/// `old`'s other entries — or, with no rank to re-run, carries `old`.
+type LayerPlan<'a> = Option<(Option<&'a Layer>, Vec<bool>)>;
+
 /// Shared per-build scratch: reused across layers so one build allocates
 /// its working set once.
 struct LayerBuilder<'a> {
     g: &'a Graph,
     order: &'a [u32],
-    landmarks: usize,
     /// scratch: landmark's own label distances, indexed by hub rank
     tmp: Vec<u16>,
     /// scratch: BFS distances, indexed by node
@@ -954,12 +847,11 @@ struct LayerBuilder<'a> {
 }
 
 impl<'a> LayerBuilder<'a> {
-    fn new(g: &'a Graph, order: &'a [u32], landmarks: usize) -> Self {
+    fn new(g: &'a Graph, order: &'a [u32]) -> Self {
         let n = g.node_count();
         LayerBuilder {
             g,
             order,
-            landmarks,
             tmp: vec![UNSET; n],
             dist: vec![UNSET; n],
             touched: Vec::new(),
@@ -967,20 +859,92 @@ impl<'a> LayerBuilder<'a> {
         }
     }
 
-    fn build_layer(
+    /// The one layer loop — a fresh build is maintenance from nothing:
+    /// [`HopLabels::build_with`] plans every built layer as "no old layer,
+    /// every rank", [`HopLabels::repair`] as "the old layer, its affected
+    /// ranks". `plan[c]` is color `c`'s slot, the last one the wildcard's.
+    /// `budget` (`0` = unlimited) bounds the running footprint, carried
+    /// layers included: a concrete layer over it fails the whole call
+    /// (typical queries need every concrete color to be coverable), the
+    /// wildcard layer over it is dropped — graceful degradation that
+    /// keeps concrete coverage.
+    fn run_layers(
+        g: &Graph,
+        order: &[u32],
+        plan: Vec<LayerPlan>,
+        budget: usize,
+        cancel: Option<&AtomicBool>,
+    ) -> Result<Vec<Option<Layer>>, HopBuildError> {
+        let colors = plan.len() - 1;
+        let mut builder = LayerBuilder::new(g, order);
+        let mut layers = Vec::with_capacity(plan.len());
+        let mut bytes_so_far = 0usize;
+        for (li, slot) in plan.into_iter().enumerate() {
+            let layer = match slot {
+                None => None,
+                Some((Some(old), rerun)) if !rerun.contains(&true) => Some(old.clone()),
+                Some((old, rerun)) => {
+                    let tl = Instant::now();
+                    let color = layer_color(li, colors);
+                    let built =
+                        builder.repair_layer(color, old, &rerun, budget, bytes_so_far, cancel);
+                    let layer = match built {
+                        Ok(l) => Some(l),
+                        Err(HopBuildError::OverBudget { .. }) if li == colors => None,
+                        Err(e) => return Err(e),
+                    };
+                    let detail = match &layer {
+                        Some(l) => format!("color={color} bytes={}", l.bytes()),
+                        None => format!("color={color} dropped: over budget"),
+                    };
+                    rpq_trace::tracer().record_span("index", "hop-layer", tl.elapsed(), &detail);
+                    layer
+                }
+            };
+            bytes_so_far += layer.as_ref().map_or(0, |l| l.bytes());
+            layers.push(layer);
+        }
+        Ok(layers)
+    }
+
+    /// Thaw `old` into mutable per-node lists *minus* every entry owned by
+    /// a rank to re-run (no `old`: empty lists), then run exactly those
+    /// landmarks (ascending rank) against the mixed kept/re-run label set
+    /// — with every rank this is the canonical from-scratch pruned
+    /// labeling, with some the splice step of [`HopLabels::repair`]. Kept
+    /// entries stay in ascending rank order through the thaw; re-run
+    /// appends land at the tail, so touched lists are re-sorted before
+    /// freezing back to CSR (which also rebuilds the inverted lists
+    /// wholesale).
+    fn repair_layer(
         &mut self,
         color: Color,
+        old: Option<&Layer>,
+        rerun: &[bool],
         budget: usize,
         bytes_before: usize,
         cancel: Option<&AtomicBool>,
     ) -> Result<Layer, HopBuildError> {
         let n = self.g.node_count();
-        let mut lin: Vec<Vec<(u32, u16)>> = vec![Vec::new(); n];
-        let mut lout: Vec<Vec<(u32, u16)>> = vec![Vec::new(); n];
-        let mut out_entries = 0usize;
-        let mut in_entries = 0usize;
+        let thaw = |label: (&[u32], &[u16])| -> Vec<(u32, u16)> {
+            label
+                .0
+                .iter()
+                .zip(label.1)
+                .filter(|&(&h, _)| !rerun[h as usize])
+                .map(|(&h, &d)| (h, d))
+                .collect()
+        };
+        let (mut lin, mut lout): (Vec<_>, Vec<_>) = match old {
+            Some(old) => (0..n)
+                .map(|v| (thaw(old.in_label(v)), thaw(old.out_label(v))))
+                .unzip(),
+            None => (vec![Vec::new(); n], vec![Vec::new(); n]),
+        };
+        let mut in_entries: usize = lin.iter().map(Vec::len).sum();
+        let mut out_entries: usize = lout.iter().map(Vec::len).sum();
 
-        for rank in 0..self.landmarks {
+        for (rank, _) in rerun.iter().enumerate().filter(|&(_, &hit)| hit) {
             if let Some(flag) = cancel {
                 if flag.load(Ordering::Relaxed) {
                     return Err(HopBuildError::Cancelled);
@@ -1011,87 +975,17 @@ impl<'a> LayerBuilder<'a> {
             }
         }
 
-        Ok(Self::freeze(n, self.landmarks, lin, lout))
-    }
-
-    /// Thaw `old` into mutable per-node lists *minus* every entry owned by
-    /// an affected landmark, then re-run exactly the affected landmarks
-    /// (ascending rank) against the mixed kept/repaired label set — the
-    /// splice step of [`HopLabels::repair`]. Kept entries stay in ascending
-    /// rank order through the thaw; re-run appends land at the tail, so
-    /// touched lists are re-sorted before freezing back to CSR (which also
-    /// rebuilds the inverted lists wholesale).
-    fn repair_layer(
-        &mut self,
-        color: Color,
-        old: &Layer,
-        affected: &[bool],
-        budget: usize,
-        bytes_before: usize,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<Layer, HopBuildError> {
-        let n = self.g.node_count();
-        let thaw = |label: (&[u32], &[u16])| -> Vec<(u32, u16)> {
-            label
-                .0
-                .iter()
-                .zip(label.1)
-                .filter(|&(&h, _)| !affected[h as usize])
-                .map(|(&h, &d)| (h, d))
-                .collect()
-        };
-        let mut lin: Vec<Vec<(u32, u16)>> = Vec::with_capacity(n);
-        let mut lout: Vec<Vec<(u32, u16)>> = Vec::with_capacity(n);
-        let mut in_entries = 0usize;
-        let mut out_entries = 0usize;
-        for v in 0..n {
-            let l = thaw(old.in_label(v));
-            in_entries += l.len();
-            lin.push(l);
-            let l = thaw(old.out_label(v));
-            out_entries += l.len();
-            lout.push(l);
-        }
-
-        for (rank, &hit) in affected.iter().enumerate().take(self.landmarks) {
-            if !hit {
-                continue;
-            }
-            if let Some(flag) = cancel {
-                if flag.load(Ordering::Relaxed) {
-                    return Err(HopBuildError::Cancelled);
-                }
-            }
-            let r = NodeId(self.order[rank]);
-            self.seed_tmp(&lout[r.index()], rank);
-            in_entries += self.pruned_bfs(r, rank, color, true, &mut lin);
-            self.clear_tmp(&lout[r.index()], rank);
-            self.seed_tmp(&lin[r.index()], rank);
-            out_entries += self.pruned_bfs(r, rank, color, false, &mut lout);
-            self.clear_tmp(&lin[r.index()], rank);
-
-            if budget != 0 {
-                let so_far = bytes_before + bytes_for_entries(out_entries, in_entries, n + 1);
-                if so_far > budget {
-                    return Err(HopBuildError::OverBudget {
-                        budget,
-                        reached: so_far,
-                    });
-                }
-            }
-        }
-
         for l in lin.iter_mut().chain(lout.iter_mut()) {
             if l.windows(2).any(|w| w[0].0 > w[1].0) {
                 l.sort_unstable_by_key(|&(h, _)| h);
             }
         }
-        Ok(Self::freeze(n, self.landmarks, lin, lout))
+        Ok(Self::freeze(lin, lout))
     }
 
     /// Seed the scratch table from `r`'s opposite-direction label. Only
-    /// ranks **above** the current landmark participate in pruning — in a
-    /// from-scratch build every entry already satisfies `h < rank`, but a
+    /// ranks **above** the current landmark participate in pruning — when
+    /// every rank runs each entry already satisfies `h < rank`, but a
     /// repair re-runs a landmark against a label set that retains entries
     /// of *lower*-ranked (later) hubs, which must not prune it.
     fn seed_tmp(&mut self, label: &[(u32, u16)], rank: usize) {
@@ -1176,18 +1070,11 @@ impl<'a> LayerBuilder<'a> {
         added
     }
 
-    fn freeze(
-        n: usize,
-        landmarks: usize,
-        lin: Vec<Vec<(u32, u16)>>,
-        lout: Vec<Vec<(u32, u16)>>,
-    ) -> Layer {
-        let mut layer = Layer::default();
-        let pack = |labels: &[Vec<(u32, u16)>],
-                    offsets: &mut Vec<u32>,
-                    hubs: &mut Vec<u32>,
-                    dists: &mut Vec<u16>| {
-            offsets.reserve(n + 1);
+    fn freeze(lin: Vec<Vec<(u32, u16)>>, lout: Vec<Vec<(u32, u16)>>) -> Layer {
+        let n = lin.len();
+        let pack = |labels: &[Vec<(u32, u16)>]| {
+            let (mut offsets, mut hubs, mut dists) =
+                (Vec::with_capacity(n + 1), Vec::new(), Vec::new());
             offsets.push(0);
             for l in labels {
                 for &(h, d) in l {
@@ -1196,23 +1083,14 @@ impl<'a> LayerBuilder<'a> {
                 }
                 offsets.push(hubs.len() as u32);
             }
+            (offsets, hubs, dists)
         };
-        pack(
-            &lout,
-            &mut layer.out_offsets,
-            &mut layer.out_hubs,
-            &mut layer.out_dists,
-        );
-        pack(
-            &lin,
-            &mut layer.in_offsets,
-            &mut layer.in_hubs,
-            &mut layer.in_dists,
-        );
+        let (out_offsets, out_hubs, out_dists) = pack(&lout);
+        let (in_offsets, in_hubs, in_dists) = pack(&lin);
 
         // invert Lin by hub rank (counting sort: labels are already grouped
         // per node, we regroup per hub)
-        let mut counts = vec![0u32; landmarks + 1];
+        let mut counts = vec![0u32; n + 1];
         for l in &lin {
             for &(h, _) in l {
                 counts[h as usize + 1] += 1;
@@ -1221,20 +1099,30 @@ impl<'a> LayerBuilder<'a> {
         for i in 1..counts.len() {
             counts[i] += counts[i - 1];
         }
-        layer.inv_offsets = counts.clone();
+        let inv_offsets: Arc<[u32]> = counts.as_slice().into();
         let total = *counts.last().unwrap_or(&0) as usize;
-        layer.inv_nodes = vec![0; total];
-        layer.inv_dists = vec![0; total];
+        let mut inv_nodes = vec![0; total];
+        let mut inv_dists = vec![0; total];
         let mut cursor = counts;
         for (v, l) in lin.iter().enumerate() {
             for &(h, d) in l {
                 let slot = cursor[h as usize] as usize;
-                layer.inv_nodes[slot] = v as u32;
-                layer.inv_dists[slot] = d;
+                inv_nodes[slot] = v as u32;
+                inv_dists[slot] = d;
                 cursor[h as usize] += 1;
             }
         }
-        layer
+        Layer {
+            out_offsets: out_offsets.into(),
+            out_hubs: out_hubs.into(),
+            out_dists: out_dists.into(),
+            in_offsets: in_offsets.into(),
+            in_hubs: in_hubs.into(),
+            in_dists: in_dists.into(),
+            inv_offsets,
+            inv_nodes: inv_nodes.into(),
+            inv_dists: inv_dists.into(),
+        }
     }
 }
 
@@ -1253,7 +1141,6 @@ mod tests {
     fn assert_parity(g: &Graph) {
         let m = DistanceMatrix::build(g);
         let h = HopLabels::build(g);
-        assert!(h.is_exact());
         for c in all_colors(g) {
             for u in g.nodes() {
                 for v in g.nodes() {
@@ -1335,7 +1222,6 @@ mod tests {
             assert!(!eff.is_empty());
             let repaired = h.repair(&g2, &eff, 0, 0, None).unwrap();
             assert!(repaired.landmarks_invalidated > 0);
-            assert!(repaired.labels.is_exact());
             assert_probe_parity(&g2, &repaired.labels);
         }
     }
@@ -1433,64 +1319,52 @@ mod tests {
     }
 
     #[test]
-    fn partial_build_is_sound_upper_bound() {
-        let g = synthetic(50, 180, 2, 3, 3);
-        let m = DistanceMatrix::build(&g);
-        let cfg = HopConfig {
-            landmarks: 12,
-            ..HopConfig::default()
-        };
-        let h = HopLabels::build_with(&g, &cfg, None).unwrap();
-        assert!(!h.is_exact());
-        for u in g.nodes() {
-            for v in g.nodes() {
-                let est = DistProbe::dist(&h, u, v, WILDCARD);
-                let truth = m.dist(u, v, WILDCARD);
-                // an upper bound: a finite estimate implies real
-                // reachability at no smaller true distance
-                if est != INFINITY {
-                    assert!(truth <= est, "{u:?}->{v:?}: truth {truth} > est {est}");
-                }
-                if u == v {
-                    assert_eq!(est, 0);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn budget_fails_concrete_but_degrades_wildcard() {
-        let g = synthetic(200, 800, 2, 3, 8);
-        // 1 byte: even the first concrete layer cannot fit
-        let tiny = HopConfig {
-            budget_bytes: 1,
-            ..HopConfig::default()
-        };
-        match HopLabels::build_with(&g, &tiny, None) {
-            Err(HopBuildError::OverBudget { budget: 1, .. }) => {}
-            other => panic!("expected OverBudget, got {other:?}"),
-        }
-        // a budget that fits the sparse concrete layers but not the dense
-        // wildcard layer: concrete probes stay answerable
-        let full = HopLabels::build(&g);
-        let concrete_bytes: usize =
-            full.bytes() - full.layers[full.colors].as_ref().unwrap().bytes();
-        let mid = HopConfig {
-            budget_bytes: concrete_bytes + bytes_for_entries(2, 2, g.node_count() + 1),
-            ..HopConfig::default()
-        };
-        let h = HopLabels::build_with(&g, &mid, None).expect("concrete layers fit");
-        assert!(!h.has_layer(WILDCARD), "wildcard layer must be dropped");
-        for c in g.alphabet().colors() {
-            assert!(h.has_layer(c));
-        }
-        assert!(!h.stats().wildcard);
-        // concrete probes still exact
+        // the one layer loop entered from both sides: a fresh build of
+        // `g`, and a repair of the old graph's labels onto `g`
+        let g_old = synthetic(200, 800, 2, 3, 8);
+        let old = HopLabels::build(&g_old);
+        let (g, eff) = random_mutation_round(&g_old, 12, 0xB0D6E7);
         let m = DistanceMatrix::build(&g);
-        for u in g.nodes().take(40) {
-            for v in g.nodes().take(40) {
-                let c = Color(0);
-                assert_eq!(DistProbe::dist(&h, u, v, c), m.dist(u, v, c));
+        for repair in [false, true] {
+            let run = |budget_bytes: usize| {
+                if repair {
+                    old.repair(&g, &eff, budget_bytes, 0, None)
+                        .map(|r| r.labels)
+                } else {
+                    let cfg = HopConfig {
+                        budget_bytes,
+                        ..HopConfig::default()
+                    };
+                    HopLabels::build_with(&g, &cfg, None)
+                }
+            };
+            // 1 byte: even the first concrete layer cannot fit
+            match run(1) {
+                Err(HopBuildError::OverBudget { budget: 1, .. }) => {}
+                other => panic!("repair={repair}: expected OverBudget, got {other:?}"),
+            }
+            // a budget that fits the sparse concrete layers but not the
+            // dense wildcard layer: concrete probes stay answerable
+            let full = run(0).expect("unbudgeted");
+            let concrete_bytes: usize =
+                full.bytes() - full.layers[full.colors].as_ref().unwrap().bytes();
+            let mid = concrete_bytes + bytes_for_entries(2, 2, g.node_count() + 1);
+            let h = run(mid).expect("concrete layers fit");
+            assert!(
+                !h.has_layer(WILDCARD),
+                "repair={repair}: wildcard layer must be dropped"
+            );
+            for c in g.alphabet().colors() {
+                assert!(h.has_layer(c));
+            }
+            assert!(!h.stats().wildcard);
+            // concrete probes still exact
+            for u in g.nodes().take(40) {
+                for v in g.nodes().take(40) {
+                    let c = Color(0);
+                    assert_eq!(DistProbe::dist(&h, u, v, c), m.dist(u, v, c));
+                }
             }
         }
     }
@@ -1527,35 +1401,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn bulk_diagonal_cycle_found_under_partial_labeling() {
-        // a self-loop witness is a graph-edge fact, independent of label
-        // completeness: even a partial (non-exact) labeling must report a
-        // source that is its own only target when it carries a self-loop
-        let mut b = GraphBuilder::new();
-        let nodes: Vec<NodeId> = (0..30).map(|i| b.add_node(&format!("n{i}"), [])).collect();
-        let r = b.color("r");
-        for i in 0..29 {
-            b.add_edge(nodes[i], nodes[i + 1], r);
-        }
-        let looper = nodes[29]; // lowest-degree tail: never an early landmark
-        b.add_edge(looper, looper, r);
-        let g = b.build();
-        let cfg = HopConfig {
-            landmarks: 3,
-            ..HopConfig::default()
-        };
-        let h = HopLabels::build_with(&g, &cfg, None).unwrap();
-        assert!(!h.is_exact());
-        let got = h.sources_reaching_within(&g, &[looper], &[looper], r, Some(1));
-        assert_eq!(got, vec![true], "self-loop must be found without labels");
-        let m = DistanceMatrix::build(&g);
-        assert_eq!(
-            got,
-            m.sources_reaching_within(&g, &[looper], &[looper], r, Some(1))
-        );
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! # Construction
 //!
 //! [`ShardedLabels::build_with`] partitions the graph (or accepts a
-//! prebuilt [`ShardedGraph`]), then
+//! prebuilt [`ShardedGraph`]), then — on the one path it shares with
+//! [`ShardedLabels::repair`]: a fresh build is maintenance from nothing,
+//! every shard rebuilt and no label or closure row to carry —
 //!
 //! 1. builds one [`HopLabels`] **per shard, in parallel**, each over that
 //!    shard's local graph and each under the *per-shard* byte budget
@@ -71,9 +73,6 @@ pub struct ShardedConfig {
     pub shard_budget_bytes: usize,
     /// Build the wildcard (`_`) layers (per shard and on the overlay).
     pub wildcard_layer: bool,
-    /// Worker threads for the parallel per-shard builds; `0` means one
-    /// per shard.
-    pub build_workers: usize,
 }
 
 impl Default for ShardedConfig {
@@ -82,7 +81,6 @@ impl Default for ShardedConfig {
             shards: 4,
             shard_budget_bytes: 0,
             wildcard_layer: true,
-            build_workers: 0,
         }
     }
 }
@@ -144,6 +142,15 @@ impl std::fmt::Display for ShardedStats {
 /// that leave the shard untouched): `(i, j, dist)`.
 type ShardClosure = Vec<(u32, u32, u16)>;
 
+/// What [`ShardedLabels::maintain`] is asked to do with one shard's labels
+/// — and, in its per-shard outcome, what it did.
+#[derive(Clone, Copy, PartialEq)]
+enum Action {
+    Carry,
+    Repair,
+    Rebuild,
+}
+
 /// Per-shard 2-hop labels plus boundary-overlay labels, composed into one
 /// exact global [`DistProbe`]. See the module docs for the construction
 /// and the exactness argument.
@@ -197,73 +204,151 @@ impl ShardedLabels {
         config: &ShardedConfig,
         cancel: Option<&AtomicBool>,
     ) -> Result<Self, HopBuildError> {
+        let rebuild_all = vec![Action::Rebuild; sharded.k()];
+        Self::maintain(None, sharded, &rebuild_all, &[], config, cancel).map(|r| r.labels)
+    }
+
+    /// The one construction path — a fresh build is maintenance from
+    /// nothing: [`build_on`](ShardedLabels::build_on) asks for every shard
+    /// `Rebuild` with no `prev` to carry labels or closure rows from,
+    /// [`repair`](ShardedLabels::repair) for carry / repair / rebuild per
+    /// shard against `prev`.
+    ///
+    /// Scatter: one worker per shard, each individually budgeted
+    /// ([`ShardedConfig::shard_budget_bytes`]) and checking `cancel`
+    /// before it starts, so a superseded call stops *between* shards too,
+    /// not only at the landmark checkpoints inside one shard's labeling.
+    /// `Carry` costs one reference count; `Repair` runs
+    /// [`HopLabels::repair`] over `intra[shard]` (local ids) and falls
+    /// back to `Rebuild` when more than half the shard's landmarks are
+    /// dirty or the repaired labels outgrow the budget a freshly pruned
+    /// build might fit. Gather: [`build_overlays`](Self::build_overlays),
+    /// reusing `prev`'s closure rows only where nothing underneath moved —
+    /// same labels *and* the same boundary list (a cross-shard insert can
+    /// promote a node to boundary in an otherwise untouched shard).
+    fn maintain(
+        prev: Option<&ShardedLabels>,
+        sharded: Arc<ShardedGraph>,
+        action: &[Action],
+        intra: &[Vec<(NodeId, NodeId, Color)>],
+        config: &ShardedConfig,
+        cancel: Option<&AtomicBool>,
+    ) -> Result<ShardedRepair, HopBuildError> {
         let k = sharded.k();
         let hop_config = HopConfig {
-            landmarks: 0, // exactness is non-negotiable here
             budget_bytes: config.shard_budget_bytes,
             wildcard_layer: config.wildcard_layer,
         };
-
-        // scatter: per-shard label builds across the build worker set —
-        // each shard's build is independent and individually budgeted
-        let workers = if config.build_workers == 0 {
-            k.max(1)
-        } else {
-            config.build_workers.max(1)
-        };
-        let mut results: Vec<Option<Result<Arc<HopLabels>, HopBuildError>>> =
-            (0..k).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let chunk = k.div_ceil(workers);
-            for (w, slot_chunk) in results.chunks_mut(chunk.max(1)).enumerate() {
-                let sharded = &sharded;
-                let hop_config = &hop_config;
-                s.spawn(move || {
-                    for (i, slot) in slot_chunk.iter_mut().enumerate() {
-                        // a superseded build stops *between* shards too,
-                        // not only at the landmark checkpoints inside one
-                        // shard's build — retirement latency stays bounded
-                        // even when individual shards build fast
-                        if cancelled(cancel) {
-                            *slot = Some(Err(HopBuildError::Cancelled));
-                            continue;
-                        }
-                        let shard = sharded.shard(w * chunk + i);
-                        *slot =
-                            Some(HopLabels::build_with(shard, hop_config, cancel).map(Arc::new));
-                    }
-                });
+        let t0 = Instant::now();
+        let run_shard = |s: usize| -> Result<(Arc<HopLabels>, Action, usize), HopBuildError> {
+            if cancelled(cancel) {
+                return Err(HopBuildError::Cancelled);
             }
+            let old = prev.map(|p| &p.shard_labels[s]);
+            let shard_g = sharded.shard(s);
+            let ts = Instant::now();
+            match (action[s], old) {
+                (Action::Carry, Some(old)) => return Ok((Arc::clone(old), Action::Carry, 0)),
+                (Action::Repair, Some(old)) => {
+                    let limit = (old.node_count() / 2).max(1);
+                    match old.repair(shard_g, &intra[s], hop_config.budget_bytes, limit, cancel) {
+                        Ok(r) => {
+                            rpq_trace::tracer().record_span(
+                                "index",
+                                "shard-repair",
+                                ts.elapsed(),
+                                &format!("shard={s} invalidated={}", r.landmarks_invalidated),
+                            );
+                            return Ok((
+                                Arc::new(r.labels),
+                                Action::Repair,
+                                r.landmarks_invalidated,
+                            ));
+                        }
+                        Err(
+                            HopBuildError::RepairTooBroad { .. } | HopBuildError::OverBudget { .. },
+                        ) => {}
+                        Err(e) => return Err(e),
+                    }
+                }
+                _ => {}
+            }
+            let labels = HopLabels::build_with(shard_g, &hop_config, cancel)?;
+            rpq_trace::tracer().record_span(
+                "index",
+                "shard-rebuild",
+                ts.elapsed(),
+                &format!("shard={s} bytes={}", labels.bytes()),
+            );
+            Ok((Arc::new(labels), Action::Rebuild, 0))
+        };
+        let results: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..k)
+                .map(|s| {
+                    let run_shard = &run_shard;
+                    scope.spawn(move || run_shard(s))
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("shard worker panicked"))
+                .collect()
         });
         let mut shard_labels = Vec::with_capacity(k);
+        let (mut repaired, mut rebuilt, mut invalidated) = (0usize, 0usize, 0usize);
         for r in results {
-            shard_labels.push(r.expect("every shard built")?);
+            let (labels, done, dirty) = r?;
+            repaired += usize::from(done == Action::Repair);
+            rebuilt += usize::from(done == Action::Rebuild);
+            invalidated += dirty;
+            shard_labels.push(labels);
         }
 
-        let graph = sharded.graph();
-        let colors = graph.alphabet().len();
+        let t_scattered = Instant::now();
+        let reusable: Vec<bool> = (0..k)
+            .map(|s| {
+                prev.is_some_and(|p| {
+                    action[s] == Action::Carry
+                        && sharded.boundary_locals(s) == p.sharded.boundary_locals(s)
+                })
+            })
+            .collect();
+        let colors = sharded.graph().alphabet().len();
         let (overlay, closures) = Self::build_overlays(
             &sharded,
             &shard_labels,
             colors,
             config.wildcard_layer,
-            |_layer, _shard| None,
+            |layer, shard| {
+                prev.filter(|_| reusable[shard])
+                    .and_then(|p| p.closures[layer][shard].clone())
+            },
             cancel,
         )?;
+        let t_overlaid = Instant::now();
 
-        Ok(ShardedLabels {
-            n: graph.node_count(),
-            colors,
-            sharded,
-            shard_labels,
-            overlay,
-            closures,
+        Ok(ShardedRepair {
+            labels: ShardedLabels {
+                n: sharded.graph().node_count(),
+                colors,
+                sharded,
+                shard_labels,
+                overlay,
+                closures,
+            },
+            shards_carried: k - repaired - rebuilt,
+            shards_repaired: repaired,
+            shards_rebuilt: rebuilt,
+            landmarks_invalidated: invalidated,
+            phases: vec![
+                ("scatter", t_scattered - t0),
+                ("overlay", t_overlaid - t_scattered),
+            ],
         })
     }
 
-    /// Gather step shared by [`build_on`](ShardedLabels::build_on) and
-    /// [`repair`](ShardedLabels::repair): one overlay layer per color
-    /// (+ wildcard), built in parallel — cut edges at weight 1 plus
+    /// Gather step of [`maintain`](Self::maintain): one overlay layer per
+    /// color (+ wildcard), built in parallel — cut edges at weight 1 plus
     /// per-shard boundary closures. `reuse` may return a previously
     /// computed closure for a `(layer, shard)` whose rows are known to be
     /// unchanged; everything else is recomputed from the shard labels.
@@ -409,12 +494,12 @@ impl ShardedLabels {
             "updates must preserve the node set"
         );
 
-        #[derive(Clone, Copy, PartialEq)]
-        enum Action {
-            Carry,
-            Repair,
-            Rebuild,
-        }
+        assert_eq!(
+            new_sharded.graph().alphabet().len(),
+            self.colors,
+            "updates must preserve the alphabet"
+        );
+
         let part = new_sharded.partition();
         let mut action = vec![Action::Carry; k];
         for &s in rebuild_shards {
@@ -431,188 +516,26 @@ impl ShardedLabels {
                 }
             }
             // cross-shard changes only alter cut edges, which the overlay
-            // relabeling below reads fresh off `new_sharded`
+            // relabeling reads fresh off `new_sharded`
         }
 
-        let hop_config = HopConfig {
-            landmarks: 0,
-            budget_bytes: config.shard_budget_bytes,
-            wildcard_layer: config.wildcard_layer,
-        };
-
-        // scatter: per-shard repair/rebuild across the worker set;
-        // carried shards cost one reference count
-        struct ShardResult {
-            labels: Arc<HopLabels>,
-            invalidated: usize,
-            repaired: bool,
-            rebuilt: bool,
-        }
-        let workers = if config.build_workers == 0 {
-            k.max(1)
-        } else {
-            config.build_workers.max(1)
-        };
-        let t0 = Instant::now();
-        let mut results: Vec<Option<Result<ShardResult, HopBuildError>>> =
-            (0..k).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let chunk = k.div_ceil(workers);
-            for (w, slot_chunk) in results.chunks_mut(chunk.max(1)).enumerate() {
-                let new_sharded = &new_sharded;
-                let hop_config = &hop_config;
-                let action = &action;
-                let intra = &intra;
-                let old = &self.shard_labels;
-                scope.spawn(move || {
-                    for (i, slot) in slot_chunk.iter_mut().enumerate() {
-                        let s = w * chunk + i;
-                        if cancelled(cancel) {
-                            *slot = Some(Err(HopBuildError::Cancelled));
-                            continue;
-                        }
-                        *slot =
-                            Some(match action[s] {
-                                Action::Carry => Ok(ShardResult {
-                                    labels: Arc::clone(&old[s]),
-                                    invalidated: 0,
-                                    repaired: false,
-                                    rebuilt: false,
-                                }),
-                                Action::Repair => {
-                                    let ts = Instant::now();
-                                    let shard_g = new_sharded.shard(s);
-                                    let limit = (old[s].node_count() / 2).max(1);
-                                    match old[s].repair(
-                                        shard_g,
-                                        &intra[s],
-                                        hop_config.budget_bytes,
-                                        limit,
-                                        cancel,
-                                    ) {
-                                        Ok(r) => {
-                                            rpq_trace::tracer().record_span(
-                                                "index",
-                                                "shard-repair",
-                                                ts.elapsed(),
-                                                &format!(
-                                                    "shard={s} invalidated={}",
-                                                    r.landmarks_invalidated
-                                                ),
-                                            );
-                                            Ok(ShardResult {
-                                                labels: Arc::new(r.labels),
-                                                invalidated: r.landmarks_invalidated,
-                                                repaired: true,
-                                                rebuilt: false,
-                                            })
-                                        }
-                                        // over half the shard's landmarks are
-                                        // dirty, or the repaired labels outgrew
-                                        // the budget a freshly pruned build
-                                        // might fit — rebuild shard-locally
-                                        Err(
-                                            HopBuildError::RepairTooBroad { .. }
-                                            | HopBuildError::OverBudget { .. },
-                                        ) => HopLabels::build_with(shard_g, hop_config, cancel)
-                                            .map(|l| ShardResult {
-                                                labels: Arc::new(l),
-                                                invalidated: 0,
-                                                repaired: false,
-                                                rebuilt: true,
-                                            }),
-                                        Err(e) => Err(e),
-                                    }
-                                }
-                                Action::Rebuild => {
-                                    let ts = Instant::now();
-                                    HopLabels::build_with(new_sharded.shard(s), hop_config, cancel)
-                                        .map(|l| {
-                                            rpq_trace::tracer().record_span(
-                                                "index",
-                                                "shard-rebuild",
-                                                ts.elapsed(),
-                                                &format!("shard={s} bytes={}", l.bytes()),
-                                            );
-                                            ShardResult {
-                                                labels: Arc::new(l),
-                                                invalidated: 0,
-                                                repaired: false,
-                                                rebuilt: true,
-                                            }
-                                        })
-                                }
-                            });
-                    }
-                });
-            }
-        });
-        let mut shard_labels = Vec::with_capacity(k);
-        let (mut repaired, mut rebuilt, mut invalidated) = (0usize, 0usize, 0usize);
-        for r in results {
-            let r = r.expect("every shard handled")?;
-            repaired += usize::from(r.repaired);
-            rebuilt += usize::from(r.rebuilt);
-            invalidated += r.invalidated;
-            shard_labels.push(r.labels);
-        }
-
-        // closure rows are reusable only where nothing underneath moved:
-        // same labels *and* the same boundary list (a cross-shard insert
-        // can promote a node to boundary in an otherwise untouched shard)
-        let t_scattered = Instant::now();
-        let reusable: Vec<bool> = (0..k)
-            .map(|s| {
-                action[s] == Action::Carry
-                    && new_sharded.boundary_locals(s) == self.sharded.boundary_locals(s)
-            })
-            .collect();
-        let (overlay, closures) = Self::build_overlays(
-            &new_sharded,
-            &shard_labels,
-            self.colors,
-            config.wildcard_layer,
-            |layer, shard| {
-                if reusable[shard] {
-                    self.closures[layer][shard].clone()
-                } else {
-                    None
-                }
-            },
-            cancel,
-        )?;
-
-        let t_overlaid = Instant::now();
+        let repair = Self::maintain(Some(self), new_sharded, &action, &intra, config, cancel)?;
         let tracer = rpq_trace::tracer();
         if tracer.enabled() {
             tracer.record_span(
                 "index",
                 "sharded-repair",
-                t_overlaid - t0,
+                repair.phases.iter().map(|&(_, d)| d).sum(),
                 &format!(
-                    "carried={} repaired={repaired} rebuilt={rebuilt} invalidated={invalidated}",
-                    k - repaired - rebuilt
+                    "carried={} repaired={} rebuilt={} invalidated={}",
+                    repair.shards_carried,
+                    repair.shards_repaired,
+                    repair.shards_rebuilt,
+                    repair.landmarks_invalidated
                 ),
             );
         }
-        Ok(ShardedRepair {
-            labels: ShardedLabels {
-                n: self.n,
-                colors: self.colors,
-                sharded: new_sharded,
-                shard_labels,
-                overlay,
-                closures,
-            },
-            shards_carried: k - repaired - rebuilt,
-            shards_repaired: repaired,
-            shards_rebuilt: rebuilt,
-            landmarks_invalidated: invalidated,
-            phases: vec![
-                ("scatter", t_scattered - t0),
-                ("overlay", t_overlaid - t_scattered),
-            ],
-        })
+        Ok(repair)
     }
 
     /// The partitioned storage this index serves.
@@ -1373,6 +1296,5 @@ mod tests {
         assert!(stats.wildcard);
         let line = labels.stats().to_string();
         assert!(line.contains("1 shards"), "{line}");
-        assert!(labels.shard_labels(0).is_exact());
     }
 }

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use rpq_graph::gen::synthetic;
 use rpq_graph::{Color, DistanceMatrix, Graph, WILDCARD};
-use rpq_index::{DistProbe, HopConfig, HopLabels};
+use rpq_index::{DistProbe, HopLabels};
 
 fn colors_of(g: &Graph) -> Vec<Color> {
     let mut cs: Vec<Color> = g.alphabet().colors().collect();
@@ -44,7 +44,6 @@ proptest! {
         let g = synthetic(n, n * density, 2, colors, seed);
         let m = DistanceMatrix::build(&g);
         let h = HopLabels::build(&g);
-        prop_assert!(h.is_exact());
         assert_all_probes_equal(&g, &m, &h);
     }
 }
@@ -68,29 +67,6 @@ proptest! {
                     let mut got = vec![false; g.node_count()];
                     h.for_each_within(u, c, max, &mut |z| got[z.index()] = true);
                     prop_assert_eq!(&got, &want, "scan({:?}, {:?}, {})", u, c, max);
-                }
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-    #[test]
-    fn partial_labelings_stay_sound_upper_bounds(
-        n in 4usize..60,
-        landmarks in 1usize..20,
-        seed in 0u64..10_000,
-    ) {
-        let g = synthetic(n, n * 3, 2, 2, seed);
-        let cfg = HopConfig { landmarks, ..HopConfig::default() };
-        let h = HopLabels::build_with(&g, &cfg, None).unwrap();
-        let m = DistanceMatrix::build(&g);
-        for u in g.nodes() {
-            for v in g.nodes() {
-                let est = DistProbe::dist(&h, u, v, WILDCARD);
-                if est != rpq_graph::INFINITY {
-                    prop_assert!(m.dist(u, v, WILDCARD) <= est);
                 }
             }
         }

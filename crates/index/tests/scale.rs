@@ -11,12 +11,31 @@
 //! fall back to search (exercised by the 50k bench) — and checks the
 //! build fits a tight budget, probes agree with on-demand bidirectional
 //! BFS ground truth, and bounded scans agree with a fresh single-source
-//! BFS.
+//! BFS. It then flips 8 edges and repairs the labels: build and repair
+//! are one layer loop (`LayerBuilder::run_layers`), so the same probe
+//! parity on the repaired labels covers that path from its other entrance
+//! at scale.
 
 use rpq_graph::algo::{bfs_distances, bidirectional_distance, Direction};
 use rpq_graph::gen::youtube_like;
-use rpq_graph::{DistanceMatrix, NodeId, INFINITY, WILDCARD};
+use rpq_graph::{DistanceMatrix, Graph, GraphBuilder, NodeId, INFINITY, WILDCARD};
 use rpq_index::{DistProbe, HopConfig, HopLabels};
+
+/// Probe parity against per-pair bidirectional BFS ground truth on 2000
+/// sampled pairs, cycling through every concrete color.
+fn assert_pair_parity(g: &Graph, labels: &HopLabels, next: &mut impl FnMut() -> u32) {
+    let colors: Vec<_> = g.alphabet().colors().collect();
+    for i in 0..2_000 {
+        let (u, v) = (NodeId(next()), NodeId(next()));
+        let c = colors[i % colors.len()];
+        let got = labels.dist(u, v, c);
+        let want = match bidirectional_distance(g, u, v, c) {
+            None => INFINITY,
+            Some(d) => d.min(u32::from(u16::MAX - 1)) as u16,
+        };
+        assert_eq!(got, want, "dist({u:?}, {v:?}, {c:?})");
+    }
+}
 
 #[test]
 #[ignore = "builds a 100k-node label index; run in release via the CI scale job"]
@@ -33,12 +52,10 @@ fn hundred_k_nodes_probe_parity() {
     let cfg = HopConfig {
         budget_bytes: 512 << 20, // far more than concrete layers need
         wildcard_layer: false,
-        ..HopConfig::default()
     };
     let labels = HopLabels::build_with(&g, &cfg, None).expect("build within budget");
     let stats = labels.stats();
     println!("built in {:?}: {stats}", t0.elapsed());
-    assert!(labels.is_exact());
     assert!(!labels.has_layer(WILDCARD), "wildcard layer disabled");
     for c in g.alphabet().colors() {
         assert!(labels.has_layer(c));
@@ -57,8 +74,7 @@ fn hundred_k_nodes_probe_parity() {
         "labels must undercut DM 100x+"
     );
 
-    // probe parity against per-pair bidirectional BFS ground truth on a
-    // deterministic pseudo-random pair sample, every concrete color
+    // deterministic pseudo-random node sampler
     let colors: Vec<_> = g.alphabet().colors().collect();
     let mut x = 0x9E3779B97F4A7C15u64;
     let mut next = || {
@@ -67,16 +83,7 @@ fn hundred_k_nodes_probe_parity() {
         x ^= x << 17;
         (x % n as u64) as u32
     };
-    for i in 0..2_000 {
-        let (u, v) = (NodeId(next()), NodeId(next()));
-        let c = colors[i % colors.len()];
-        let got = labels.dist(u, v, c);
-        let want = match bidirectional_distance(&g, u, v, c) {
-            None => INFINITY,
-            Some(d) => d.min(u32::from(u16::MAX - 1)) as u16,
-        };
-        assert_eq!(got, want, "dist({u:?}, {v:?}, {c:?})");
-    }
+    assert_pair_parity(&g, &labels, &mut next);
 
     // bounded scans against a fresh BFS from a handful of sources
     for i in 0..40 {
@@ -92,4 +99,29 @@ fn hundred_k_nodes_probe_parity() {
             }
         }
     }
+
+    // the same loop from its other entrance: flip 8 edges, repair with no
+    // invalidation limit, and re-check probe parity on the new graph
+    let mut b = GraphBuilder::from_graph(&g);
+    let mut changes = Vec::new();
+    for i in 0..8 {
+        let (u, v) = (NodeId(next()), NodeId(next()));
+        let c = colors[i % colors.len()];
+        if b.insert_edge(u, v, c) || b.remove_edge(u, v, c) {
+            changes.push((u, v, c));
+        }
+    }
+    let g2 = b.build();
+    let t0 = std::time::Instant::now();
+    let repaired = labels
+        .repair(&g2, &changes, cfg.budget_bytes, 0, None)
+        .expect("repair within budget");
+    println!(
+        "repaired {} edge changes in {:?}: {} landmarks re-run",
+        changes.len(),
+        t0.elapsed(),
+        repaired.landmarks_invalidated
+    );
+    assert!(repaired.landmarks_invalidated > 0);
+    assert_pair_parity(&g2, &repaired.labels, &mut next);
 }

@@ -541,7 +541,11 @@ fn handle_update(req: &Request, shared: &Shared) -> Response {
                 .metrics
                 .update_requests
                 .fetch_add(1, Ordering::Relaxed);
-            shared.metrics.record_index(&report.index);
+            // a batch that changed nothing maintained nothing: its report
+            // only restates the snapshot's standing index state
+            if report.applied > 0 {
+                shared.metrics.record_index(&report.index);
+            }
             Response::json(
                 200,
                 format!(

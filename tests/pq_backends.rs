@@ -52,7 +52,6 @@ proptest! {
 
         let m = DistanceMatrix::build(&g);
         let labels = HopLabels::build(&g);
-        prop_assert!(labels.is_exact());
 
         prop_assert_eq!(&JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m)), &oracle, "join/matrix");
         prop_assert_eq!(&JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&labels)), &oracle, "join/hop");
