@@ -274,6 +274,19 @@ impl PqResult {
         }
     }
 
+    /// A result from its match sets, as a wire decoder or a codec test
+    /// holds them: `node_matches[u]` per query node, `edge_matches[e]`
+    /// (`Se`) per query edge, each sorted.
+    pub fn from_parts(
+        node_matches: Vec<Vec<NodeId>>,
+        edge_matches: Vec<Vec<(NodeId, NodeId)>>,
+    ) -> Self {
+        PqResult {
+            node_matches,
+            edge_matches,
+        }
+    }
+
     /// Number of query nodes this result covers.
     pub fn node_count(&self) -> usize {
         self.node_matches.len()

@@ -51,6 +51,17 @@ impl RqResult {
         RqResult { pairs }
     }
 
+    /// Build a result from pairs that are already strictly increasing —
+    /// sorted and duplicate-free, like a filtered slice of another result
+    /// or of a memoized reach set. One linear check instead of a sort;
+    /// `None` if the input is not what the caller claimed.
+    pub fn from_sorted_pairs(pairs: Vec<(NodeId, NodeId)>) -> Option<Self> {
+        pairs
+            .windows(2)
+            .all(|w| w[0] < w[1])
+            .then_some(RqResult { pairs })
+    }
+
     /// The matching pairs, sorted.
     pub fn pairs(&self) -> Vec<(NodeId, NodeId)> {
         self.pairs.clone()
@@ -332,6 +343,23 @@ mod tests {
             Predicate::parse("job = \"doctor\"", g.schema()).unwrap(),
             FRegex::parse("fa^2 fn", g.alphabet()).unwrap(),
         )
+    }
+
+    #[test]
+    fn sorted_input_constructor_checks_its_input() {
+        let p = |x, y| (NodeId(x), NodeId(y));
+        let sorted = vec![p(0, 3), p(0, 7), p(2, 1)];
+        assert_eq!(
+            RqResult::from_sorted_pairs(sorted.clone()),
+            Some(RqResult::from_pairs(sorted))
+        );
+        assert_eq!(
+            RqResult::from_sorted_pairs(Vec::new()),
+            Some(RqResult::from_pairs(Vec::new()))
+        );
+        assert_eq!(RqResult::from_sorted_pairs(vec![p(2, 1), p(0, 3)]), None);
+        assert_eq!(RqResult::from_sorted_pairs(vec![p(0, 7), p(0, 3)]), None);
+        assert_eq!(RqResult::from_sorted_pairs(vec![p(0, 3), p(0, 3)]), None);
     }
 
     /// Example 2.2: Q1(G) = {(C1,B1), (C1,B2), (C2,B1), (C2,B2)}.

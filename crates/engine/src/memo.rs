@@ -58,7 +58,8 @@ use std::time::{Duration, Instant};
 type PairSet = Arc<Vec<(NodeId, NodeId)>>;
 type Cell = Arc<OnceLock<PairSet>>;
 
-/// Default byte budget for completed cells (pairs only, 16 bytes each).
+/// Default byte budget for completed cells: pairs only, at the 8 bytes
+/// `register_completed` charges per `(NodeId, NodeId)` — about 4 M pairs.
 const DEFAULT_BYTE_BUDGET: usize = 32 << 20;
 
 /// How a semantic-memo lookup was answered.
@@ -232,7 +233,7 @@ impl SemanticMemo {
     }
 
     /// Empty table bounding completed pair sets to roughly
-    /// `byte_budget` bytes (16 bytes per cached pair); least-recently
+    /// `byte_budget` bytes (8 bytes per cached pair); least-recently
     /// used cells are evicted past the budget. A budget of 0 keeps at
     /// most one completed cell.
     pub fn with_byte_budget(byte_budget: usize) -> Self {
@@ -511,24 +512,18 @@ fn derive_from_donor(
     donor: &[(NodeId, NodeId)],
     equal_language: bool,
 ) -> Vec<(NodeId, NodeId)> {
+    // the donor is sorted: each distinct source is one contiguous block,
+    // and the predicate is evaluated once per block
+    let surviving = donor
+        .chunk_by(|a, b| a.0 == b.0)
+        .filter(|block| from.matches(g.attrs(block[0].0)));
     if equal_language {
-        return donor
-            .iter()
-            .filter(|&&(x, _)| from.matches(g.attrs(x)))
-            .copied()
-            .collect();
+        return surviving.flatten().copied().collect();
     }
     let nfa = Nfa::from_regex(regex);
     let mut pairs = Vec::new();
-    let mut last: Option<NodeId> = None;
-    for &(x, _) in donor {
-        if last == Some(x) {
-            continue; // donor is sorted: distinct sources come in blocks
-        }
-        last = Some(x);
-        if !from.matches(g.attrs(x)) {
-            continue;
-        }
+    for block in surviving {
+        let x = block[0].0;
         for y in product_reach_set(g, &nfa, x) {
             pairs.push((x, y));
         }

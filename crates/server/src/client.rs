@@ -81,7 +81,9 @@ impl Client {
             status,
             retry_after: header("retry-after"),
             version: header("x-rpq-version"),
-            body: String::from_utf8_lossy(&body).into_owned(),
+            // valid UTF-8 (every body this server sends) moves, uncopied
+            body: String::from_utf8(body)
+                .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
         })
     }
 

@@ -8,7 +8,7 @@
 //! request/response alternation — clients that need more belong behind a
 //! reverse proxy.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, IoSlice, Write};
 
 /// Cap on the request line plus all headers (a malformed peer cannot make
 /// the server buffer unboundedly).
@@ -194,10 +194,29 @@ impl Response {
             "Connection: close\r\n"
         });
         head.push_str("\r\n");
-        w.write_all(head.as_bytes())?;
-        w.write_all(&self.body)?;
+        write_both(w, head.as_bytes(), &self.body)?;
         w.flush()
     }
+}
+
+/// `write_all` of `head` then `body` through vectored writes: on a
+/// no-delay socket the two reach the peer as one segment train, so a
+/// blocked reader is woken once, not once for the head and again for the
+/// body. Short writes resume where they stopped.
+fn write_both(w: &mut impl Write, mut head: &[u8], mut body: &[u8]) -> io::Result<()> {
+    while !head.is_empty() {
+        match w.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) if n < head.len() => head = &head[n..],
+            Ok(n) => {
+                body = &body[n - head.len()..];
+                head = &[];
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    w.write_all(body)
 }
 
 /// Reason phrase for the handful of codes the server emits.
@@ -295,6 +314,33 @@ mod tests {
             read_request(&mut BufReader::new(&raw[..]), 10),
             Err(HttpError::TooLarge)
         ));
+    }
+
+    /// A writer that accepts at most three bytes per call, like a socket
+    /// with a nearly full send buffer.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(3);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_writes_lose_and_repeat_nothing() {
+        let resp = Response::json(200, "{\"ok\": true}").with_header("X-Rpq-Version", 7);
+        let mut whole = Vec::new();
+        resp.write(&mut whole, true).unwrap();
+        let mut trickled = Trickle(Vec::new());
+        resp.write(&mut trickled, true).unwrap();
+        assert_eq!(trickled.0, whole);
+        assert!(whole.ends_with(b"\r\n\r\n{\"ok\": true}"));
     }
 
     #[test]

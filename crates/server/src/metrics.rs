@@ -203,7 +203,7 @@ pub struct Metrics {
     pub latency: LatencyHistogram,
     /// Per-plan-variant engine evaluation latency, keyed by
     /// [`Plan::name`](rpq_engine::Plan::name). Registered lazily by the
-    /// coalescer (one lock per plan per batch, not per query).
+    /// executing thread (one lock per plan per batch, not per query).
     plan_latency: Mutex<Vec<(&'static str, Arc<LatencyHistogram>)>>,
     /// Cumulative µs per apply/repair phase, folded from
     /// [`IndexMaintenance::phases`](rpq_engine::IndexMaintenance) —

@@ -1,44 +1,60 @@
 //! The threaded serving core: listener, connection threads, a bounded
-//! admission queue, and a coalescing executor that feeds client batches
-//! into the scatter-gather engine.
+//! admission queue, and an executor role — held by one connection thread
+//! at a time — that feeds coalesced client batches into the
+//! scatter-gather engine.
 //!
 //! ## Threading model
 //!
 //! * **accept thread** — owns the [`TcpListener`]; spawns one small-stack
 //!   thread per connection. Stops on shutdown.
-//! * **connection threads** — parse HTTP requests, run the wire codec,
-//!   and *submit* query batches to the admission queue; they never touch
-//!   the engine for reads. Updates go straight to
-//!   [`UpdatableEngine::apply`] (the engine serializes writers
-//!   internally), gated by a concurrent-writer cap.
-//! * **coalescer thread** — drains the admission queue, concatenates the
-//!   pending submissions into one batch, runs it against one snapshot,
-//!   and hands each submission its slice of the answers. Coalescing
-//!   amortizes the per-batch costs (one snapshot pin, one planning pass,
-//!   one worker fan-out) across connections; reach-set memoization does
-//!   not depend on it — the memo lives as long as the graph version and
-//!   is shared by every batch on the snapshot, coalesced or not.
+//! * **connection threads** — parse HTTP requests, run the wire codec in
+//!   both directions, and *submit* query batches to the admission queue.
+//!   Each encodes its own answer (`serialize` span, recorded before the
+//!   reply goes out) and writes head and body in one vectored write, so
+//!   encoding one response overlaps evaluating the next. Updates go
+//!   straight to [`UpdatableEngine::apply`] (the engine serializes
+//!   writers internally), gated by a concurrent-writer cap.
+//! * **the executor role** ([`Executing`]) — there is no executor
+//!   thread. A submission admitted into an idle queue takes the role on
+//!   its own connection thread: it drains the queue, concatenates the
+//!   pending submissions into one batch, runs it against one snapshot
+//!   (`queue-wait` and `execute` spans), hands each submission the shared
+//!   result plus the range of items that is its own, and passes the role
+//!   to the oldest submission that queued up meanwhile. So batches still
+//!   run one at a time, each on a single snapshot, but a request that
+//!   finds the server idle is parsed, evaluated, encoded and written by
+//!   one thread: it waits for no other thread to wake, and nothing waits
+//!   for it. (With a dedicated coalescer thread every request paid two
+//!   cross-thread wake-ups, and on the ledger's two-core box their cost
+//!   — not evaluation — set `hop_zipf`'s throughput and made it differ
+//!   by ±8 % from one run to the next.) Coalescing amortizes the
+//!   per-batch costs (one snapshot pin, one planning pass) across
+//!   connections; reach-set memoization does not depend on it — the memo
+//!   lives as long as the graph version and is shared by every batch on
+//!   the snapshot, coalesced or not. (Running several batches at once —
+//!   the executor pool — is ROADMAP item 1's open half.)
 //!
 //! ## Admission control
 //!
 //! The queue is bounded ([`ServerConfig::queue_capacity`]). A submission
 //! that finds it full is refused immediately with **429** and a
 //! `Retry-After` header — backpressure instead of unbounded buffering.
-//! [`ServerConfig::coalesce_window`] optionally holds the coalescer for a
+//! [`ServerConfig::coalesce_window`] optionally holds the executor for a
 //! beat after work arrives so concurrent clients land in one engine
 //! batch; it is also what makes backpressure deterministic to test.
 
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::metrics::Metrics;
 use crate::wire;
-use rpq_engine::{Query, UpdatableEngine};
+use rpq_engine::{BatchResult, Query, UpdatableEngine};
 use rpq_graph::AttrId;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -51,7 +67,7 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Max submissions coalesced into one engine batch.
     pub coalesce_max: usize,
-    /// How long the coalescer waits after work arrives before draining,
+    /// How long the executor waits after work arrives before draining,
     /// letting concurrent submissions pile into one batch. Zero (the
     /// default) serves lowest-latency; a few ms trades latency for
     /// fewer, larger engine batches.
@@ -81,17 +97,30 @@ impl Default for ServerConfig {
 /// `Retry-After` seconds sent with 429 responses.
 const RETRY_AFTER_SECS: u32 = 1;
 
-/// One admitted query submission waiting for the coalescer.
+/// One admitted query submission waiting to be executed.
 struct Pending {
     queries: Vec<Query>,
-    reply: mpsc::SyncSender<Answer>,
-    /// When the connection thread pushed this submission — the coalescer
-    /// derives the queue-wait trace span from the oldest one in a drain.
+    reply: mpsc::SyncSender<Reply>,
+    /// When the connection thread pushed this submission — the executing
+    /// thread derives the queue-wait trace span from the oldest one in a
+    /// drain.
     submitted: Instant,
 }
 
+/// What a waiting submission is sent.
+enum Reply {
+    /// Its batch ran: encode your items.
+    Answer(Answer),
+    /// Nothing is executing and yours is the oldest submission queued:
+    /// drain the queue and run the batch (see [`Executing`]).
+    Lead,
+}
+
+/// The whole batch's result, shared, and which of its items are this
+/// submission's. Encoding them is the connection thread's job.
 struct Answer {
-    body: String,
+    result: Arc<BatchResult>,
+    range: Range<usize>,
     version: u64,
 }
 
@@ -99,12 +128,17 @@ struct Answer {
 struct QueueState {
     items: VecDeque<Pending>,
     closed: bool,
+    /// A connection thread holds the executor role (an [`Executing`]
+    /// exists). Whenever `items` is non-empty this is true: whoever
+    /// pushes into an idle queue takes the role, and whoever lays it down
+    /// passes it to the oldest submission still queued.
+    executing: bool,
 }
 
-/// Bounded multi-producer queue with a single coalescing consumer.
+/// Bounded multi-producer queue whose consumer is whichever producer
+/// holds the executor role.
 struct WorkQueue {
     state: Mutex<QueueState>,
-    cond: Condvar,
     capacity: usize,
 }
 
@@ -112,49 +146,83 @@ impl WorkQueue {
     fn new(capacity: usize) -> Self {
         WorkQueue {
             state: Mutex::new(QueueState::default()),
-            cond: Condvar::new(),
             capacity,
         }
     }
 
-    /// Admit a submission, or refuse immediately when full/closed.
-    fn try_push(&self, p: Pending) -> Result<(), ()> {
+    /// Admit a submission, or refuse immediately when full/closed. An
+    /// admission into an idle queue comes back with the executor role.
+    fn try_push(&self, p: Pending) -> Result<Option<Executing<'_>>, ()> {
         let mut s = self.state.lock().expect("queue lock");
         if s.closed || s.items.len() >= self.capacity {
             return Err(());
         }
         s.items.push_back(p);
-        self.cond.notify_one();
-        Ok(())
+        let idle = !std::mem::replace(&mut s.executing, true);
+        Ok(idle.then(|| Executing(self)))
     }
 
     fn depth(&self) -> usize {
         self.state.lock().expect("queue lock").items.len()
     }
 
-    /// Block until work arrives (or the queue closes empty), then drain
-    /// up to `max` submissions. `window` holds the drain after the first
-    /// arrival so concurrent submissions coalesce.
-    fn pop_coalesced(&self, max: usize, window: Duration) -> Option<Vec<Pending>> {
-        let mut s = self.state.lock().expect("queue lock");
-        while s.items.is_empty() {
-            if s.closed {
-                return None;
+    /// A submission whose thread stops waiting: whatever reached `rx` is
+    /// taken and `rx` closed in one step with respect to role hand-offs
+    /// (which happen under the same lock), so a role passed to a thread
+    /// that is giving up is handed on instead of lost.
+    fn give_up(&self, rx: mpsc::Receiver<Reply>) -> Option<Answer> {
+        let last = {
+            let _s = self.state.lock().expect("queue lock");
+            let last = rx.try_recv().ok();
+            drop(rx);
+            last
+        };
+        match last? {
+            Reply::Answer(answer) => Some(answer),
+            Reply::Lead => {
+                drop(Executing(self));
+                None
             }
-            s = self.cond.wait(s).expect("queue lock");
         }
-        if !window.is_zero() {
-            drop(s);
-            thread::sleep(window);
-            s = self.state.lock().expect("queue lock");
-        }
-        let n = s.items.len().min(max);
-        Some(s.items.drain(..n).collect())
     }
 
     fn close(&self) {
         self.state.lock().expect("queue lock").closed = true;
-        self.cond.notify_all();
+    }
+}
+
+/// The executor role: at most one exists per queue, held by the
+/// connection thread that is running a batch. Dropping it — also when a
+/// batch panics — passes the role to the oldest submission still queued
+/// whose thread is still waiting, or lays it down when the queue is empty.
+struct Executing<'a>(&'a WorkQueue);
+
+impl Executing<'_> {
+    /// Drain up to `max` submissions, oldest first. The holder's own is
+    /// the oldest one still waited for, so it is among them (unless `max`
+    /// abandoned ones are ahead of it: then the role comes straight back
+    /// to it). `window` holds the drain so concurrent submissions
+    /// coalesce.
+    fn drain(&self, max: usize, window: Duration) -> Vec<Pending> {
+        if !window.is_zero() {
+            thread::sleep(window);
+        }
+        let mut s = self.0.state.lock().expect("queue lock");
+        let n = s.items.len().min(max);
+        s.items.drain(..n).collect()
+    }
+}
+
+impl Drop for Executing<'_> {
+    fn drop(&mut self) {
+        let mut s = self.0.state.lock().expect("queue lock");
+        // a submission reads a `Lead` before anything else can be sent to
+        // it (it is the one who sends what follows), so its one-slot
+        // channel is never full here; a closed one has given up
+        s.executing = s
+            .items
+            .iter()
+            .any(|p| p.reply.try_send(Reply::Lead).is_ok());
     }
 }
 
@@ -178,7 +246,6 @@ struct Shared {
 pub struct Server {
     shared: Arc<Shared>,
     accept: Option<thread::JoinHandle<()>>,
-    coalescer: Option<thread::JoinHandle<()>>,
 }
 
 /// A cheap clonable handle for signalling shutdown from another thread.
@@ -195,7 +262,7 @@ impl ServerHandle {
 }
 
 impl Server {
-    /// Bind, spawn the accept and coalescer threads, return immediately.
+    /// Bind, spawn the accept thread, return immediately.
     pub fn start(engine: Arc<UpdatableEngine>, config: ServerConfig) -> io::Result<Server> {
         let listener =
             TcpListener::bind(config.addr.to_socket_addrs()?.next().ok_or_else(|| {
@@ -215,12 +282,6 @@ impl Server {
             next_conn_id: AtomicU64::new(0),
         });
 
-        let coalescer = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("rpq-coalescer".into())
-                .spawn(move || coalescer_loop(&shared))?
-        };
         let accept = {
             let shared = Arc::clone(&shared);
             thread::Builder::new()
@@ -231,7 +292,6 @@ impl Server {
         Ok(Server {
             shared,
             accept: Some(accept),
-            coalescer: Some(coalescer),
         })
     }
 
@@ -256,9 +316,6 @@ impl Server {
     /// [`ServerHandle`], or `POST /v1/shutdown`), then drain gracefully.
     pub fn wait(mut self) {
         if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.coalescer.take() {
             let _ = t.join();
         }
         drain_connections(&self.shared);
@@ -332,73 +389,66 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-fn coalescer_loop(shared: &Shared) {
+/// Run one engine batch as the holder of the executor `role`: drain the
+/// queue, concatenate the submissions, evaluate them against one
+/// snapshot, and send each its share. The role is passed on (or laid
+/// down) when this returns.
+fn execute_batch(shared: &Shared, role: Executing<'_>) {
     let cfg = &shared.config;
     let tracer = rpq_trace::tracer();
-    while let Some(batch) = shared
-        .queue
-        .pop_coalesced(cfg.coalesce_max.max(1), cfg.coalesce_window)
-    {
-        let drained = Instant::now();
-        let mut all = Vec::with_capacity(batch.iter().map(|p| p.queries.len()).sum());
-        for p in &batch {
-            all.extend_from_slice(&p.queries);
-        }
-        let snapshot = shared.engine.snapshot();
-        // diff the snapshot memo's cumulative counters around the batch:
-        // the memo is pinned with the snapshot Arc, so the delta is exact
-        // even if a writer publishes a newer version mid-batch
-        let sem0 = snapshot.semantic_stats();
-        let result = snapshot.run_batch(&all);
+    let batch = role.drain(cfg.coalesce_max.max(1), cfg.coalesce_window);
+    let drained = Instant::now();
+    let mut all = Vec::with_capacity(batch.iter().map(|p| p.queries.len()).sum());
+    for p in &batch {
+        all.extend_from_slice(&p.queries);
+    }
+    let snapshot = shared.engine.snapshot();
+    // diff the snapshot memo's cumulative counters around the batch:
+    // the memo is pinned with the snapshot Arc, so the delta is exact
+    // even if a writer publishes a newer version mid-batch
+    let sem0 = snapshot.semantic_stats();
+    let result = Arc::new(snapshot.run_batch(&all));
+    shared
+        .metrics
+        .record_semcache(&sem0, &snapshot.semantic_stats());
+    let executed = Instant::now();
+    // per-plan-variant evaluation latency (worker wall time, not
+    // request time — isolates engine cost from queueing)
+    for item in result.items() {
         shared
             .metrics
-            .record_semcache(&sem0, &snapshot.semantic_stats());
-        let executed = Instant::now();
-        // per-plan-variant evaluation latency (worker wall time, not
-        // request time — isolates engine cost from queueing)
-        for item in result.items() {
-            shared
-                .metrics
-                .plan_histogram(item.plan.name())
-                .record(item.time.as_micros() as u64);
-        }
-        let version = snapshot.version();
-        // queue-wait and execute are recorded *before* the replies go
-        // out, so a client that got its answer is guaranteed to see its
-        // batch's spans in /debug/trace
-        if tracer.enabled() {
-            let oldest = batch.iter().map(|p| p.submitted).min().unwrap_or(drained);
-            tracer.record_span(
-                "server",
-                "queue-wait",
-                drained - oldest,
-                &format!("submissions={} queries={}", batch.len(), all.len()),
-            );
-            tracer.record_span(
-                "server",
-                "execute",
-                executed - drained,
-                &format!("queries={} version={version}", all.len()),
-            );
-        }
-        let mut offset = 0;
-        for p in &batch {
-            let items = &result.items()[offset..offset + p.queries.len()];
-            offset += p.queries.len();
-            // a receiver that gave up (timeout, dead connection) is fine
-            let _ = p.reply.send(Answer {
-                body: wire::encode_items(items),
-                version,
-            });
-        }
-        if tracer.enabled() {
-            tracer.record_span(
-                "server",
-                "serialize",
-                executed.elapsed(),
-                &format!("responses={}", batch.len()),
-            );
-        }
+            .plan_histogram(item.plan.name())
+            .record(item.time.as_micros() as u64);
+    }
+    let version = snapshot.version();
+    // queue-wait and execute are recorded *before* the replies go
+    // out, so a client that got its answer is guaranteed to see its
+    // batch's spans in /debug/trace
+    if tracer.enabled() {
+        let oldest = batch.iter().map(|p| p.submitted).min().unwrap_or(drained);
+        tracer.record_span(
+            "server",
+            "queue-wait",
+            drained - oldest,
+            &format!("submissions={} queries={}", batch.len(), all.len()),
+        );
+        tracer.record_span(
+            "server",
+            "execute",
+            executed - drained,
+            &format!("queries={} version={version}", all.len()),
+        );
+    }
+    let mut offset = 0;
+    for p in &batch {
+        let range = offset..offset + p.queries.len();
+        offset = range.end;
+        // a receiver that gave up (timeout, dead connection) is fine
+        let _ = p.reply.send(Reply::Answer(Answer {
+            result: Arc::clone(&result),
+            range,
+            version,
+        }));
     }
 }
 
@@ -484,27 +534,59 @@ fn handle_query(req: &Request, shared: &Shared) -> Response {
         reply: tx,
         submitted: started,
     };
-    if shared.queue.try_push(pending).is_err() {
-        shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-        return Response::error(429, "admission queue full")
-            .with_header("Retry-After", RETRY_AFTER_SECS);
-    }
-    match rx.recv_timeout(Duration::from_secs(120)) {
-        Ok(answer) => {
-            let us = started.elapsed().as_micros() as u64;
-            shared.metrics.latency.record(us);
-            shared
-                .metrics
-                .queries
-                .fetch_add(n as u64, Ordering::Relaxed);
-            shared
-                .metrics
-                .query_requests
-                .fetch_add(1, Ordering::Relaxed);
-            Response::json(200, answer.body).with_header("X-Rpq-Version", answer.version)
+    let mut role = match shared.queue.try_push(pending) {
+        Ok(role) => role,
+        Err(()) => {
+            shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+            return Response::error(429, "admission queue full")
+                .with_header("Retry-After", RETRY_AFTER_SECS);
         }
-        Err(_) => Response::error(503, "server is shutting down"),
+    };
+    let answer = loop {
+        if let Some(role) = role.take() {
+            execute_batch(shared, role);
+        }
+        match rx.recv_timeout(Duration::from_secs(120)) {
+            Ok(Reply::Answer(answer)) => break answer,
+            Ok(Reply::Lead) => role = Some(Executing(&shared.queue)),
+            Err(e) => match (shared.queue.give_up(rx), e) {
+                (Some(answer), _) => break answer,
+                (None, mpsc::RecvTimeoutError::Timeout) => {
+                    return Response::error(503, "evaluation timed out")
+                }
+                (None, mpsc::RecvTimeoutError::Disconnected) => {
+                    return Response::error(503, "server is shutting down")
+                }
+            },
+        }
+    };
+
+    let received = Instant::now();
+    let mut body = Vec::new();
+    wire::encode_items_into(&mut body, &answer.result.items()[answer.range]);
+    // like queue-wait and execute, recorded *before* the reply goes out:
+    // a client that has its answer finds the span
+    let tracer = rpq_trace::tracer();
+    if tracer.enabled() {
+        tracer.record_span(
+            "server",
+            "serialize",
+            received.elapsed(),
+            &format!("queries={n} bytes={}", body.len()),
+        );
     }
+    // request in → response ready: encoding is inside the latency
+    let us = started.elapsed().as_micros() as u64;
+    shared.metrics.latency.record(us);
+    shared
+        .metrics
+        .queries
+        .fetch_add(n as u64, Ordering::Relaxed);
+    shared
+        .metrics
+        .query_requests
+        .fetch_add(1, Ordering::Relaxed);
+    Response::json(200, body).with_header("X-Rpq-Version", answer.version)
 }
 
 fn handle_update(req: &Request, shared: &Shared) -> Response {
@@ -653,4 +735,95 @@ fn handle_schema(shared: &Shared) -> Response {
             colors.join(", "),
         ),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn submission() -> (Pending, mpsc::Receiver<Reply>) {
+        let (tx, rx) = mpsc::sync_channel(1);
+        let pending = Pending {
+            queries: Vec::new(),
+            reply: tx,
+            submitted: Instant::now(),
+        };
+        (pending, rx)
+    }
+
+    fn leads(rx: &mpsc::Receiver<Reply>) -> bool {
+        matches!(rx.try_recv(), Ok(Reply::Lead))
+    }
+
+    #[test]
+    fn the_role_goes_to_whoever_finds_the_queue_idle_then_down_the_queue() {
+        let queue = WorkQueue::new(8);
+        let (first, _rx1) = submission();
+        let role = queue.try_push(first).unwrap().expect("idle queue");
+        let (second, rx2) = submission();
+        let (third, rx3) = submission();
+        assert!(queue.try_push(second).unwrap().is_none(), "one role");
+        assert!(queue.try_push(third).unwrap().is_none());
+
+        // the first holder runs a batch of one; the role passes to the
+        // oldest submission left, and only to it
+        assert_eq!(role.drain(1, Duration::ZERO).len(), 1);
+        drop(role);
+        assert!(leads(&rx2));
+        assert!(!leads(&rx3));
+
+        // the second drains everything: the role is laid down, and the
+        // next admission picks it up again
+        let role = Executing(&queue);
+        assert_eq!(role.drain(8, Duration::ZERO).len(), 2);
+        drop(role);
+        assert!(!leads(&rx3));
+        assert_eq!(queue.depth(), 0);
+        let (fourth, _rx4) = submission();
+        assert!(queue.try_push(fourth).unwrap().is_some());
+    }
+
+    #[test]
+    fn a_submission_that_gave_up_neither_keeps_nor_loses_the_role() {
+        let queue = WorkQueue::new(8);
+        let (first, _rx1) = submission();
+        let role = queue.try_push(first).unwrap().expect("idle queue");
+        let (gone, rx_gone) = submission();
+        let (late, rx_late) = submission();
+        let (waiting, rx_waiting) = submission();
+        for p in [gone, late, waiting] {
+            assert!(queue.try_push(p).unwrap().is_none());
+        }
+        role.drain(1, Duration::ZERO);
+
+        // one thread stopped waiting before the role reached it: skipped
+        assert!(queue.give_up(rx_gone).is_none());
+        drop(role);
+        assert!(!leads(&rx_waiting));
+        // the next one stops waiting with the role already in its
+        // channel: it hands the role on instead of taking it to the grave
+        assert!(queue.give_up(rx_late).is_none());
+        assert!(leads(&rx_waiting));
+
+        // the abandoned submissions are still executed (and their answers
+        // dropped); after that the queue is idle again
+        let role = Executing(&queue);
+        assert_eq!(role.drain(8, Duration::ZERO).len(), 3);
+        drop(role);
+        let (next, _rx) = submission();
+        assert!(queue.try_push(next).unwrap().is_some());
+    }
+
+    #[test]
+    fn a_closed_or_full_queue_admits_nothing() {
+        let queue = WorkQueue::new(1);
+        let (first, _rx1) = submission();
+        let _role = queue.try_push(first).unwrap();
+        let (second, _rx2) = submission();
+        assert!(queue.try_push(second).is_err(), "full");
+        let queue = WorkQueue::new(1);
+        queue.close();
+        let (third, _rx3) = submission();
+        assert!(queue.try_push(third).is_err(), "closed");
+    }
 }

@@ -260,58 +260,184 @@ pub fn parse_update_body(body: &str, g: &Graph) -> Result<Vec<Update>, EngineErr
     Ok(updates)
 }
 
-/// Encode one answered query as its canonical JSON line (no newline).
-pub fn encode_item(item: &BatchItem) -> String {
+/// Where the answer layout goes: the byte counter that sizes the buffer,
+/// then the buffer itself — one description of the format, two passes.
+trait Sink {
+    fn bytes(&mut self, b: &[u8]);
+    fn decimal(&mut self, n: u32);
+
+    /// `[x,y]` — the unit answers are made of; a sink may do it faster.
+    fn pair(&mut self, x: u32, y: u32) {
+        self.bytes(b"[");
+        self.decimal(x);
+        self.bytes(b",");
+        self.decimal(y);
+        self.bytes(b"]");
+    }
+}
+
+/// Counts what a `Vec<u8>` sink would receive.
+struct ByteCount(usize);
+
+impl Sink for ByteCount {
+    fn bytes(&mut self, b: &[u8]) {
+        self.0 += b.len();
+    }
+
+    fn decimal(&mut self, n: u32) {
+        self.0 += decimal_len(n);
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn bytes(&mut self, b: &[u8]) {
+        self.extend_from_slice(b);
+    }
+
+    fn decimal(&mut self, n: u32) {
+        let mut buf = [0u8; 10]; // u32::MAX has ten digits
+        let at = decimal_before(&mut buf, 10, n);
+        self.extend_from_slice(&buf[at..]);
+    }
+
+    fn pair(&mut self, x: u32, y: u32) {
+        // composed back to front on the stack, appended in one copy
+        let mut buf = [0u8; 23];
+        buf[22] = b']';
+        let at = decimal_before(&mut buf, 22, y) - 1;
+        buf[at] = b',';
+        let at = decimal_before(&mut buf, at, x) - 1;
+        buf[at] = b'[';
+        self.extend_from_slice(&buf[at..]);
+    }
+}
+
+/// Number of decimal digits of `n`.
+fn decimal_len(n: u32) -> usize {
+    const POWERS: [u32; 9] = [
+        10,
+        100,
+        1_000,
+        10_000,
+        100_000,
+        1_000_000,
+        10_000_000,
+        100_000_000,
+        1_000_000_000,
+    ];
+    1 + POWERS.iter().filter(|&&p| n >= p).count()
+}
+
+/// `"00" "01" … "99"`: two digits per table lookup halves the divisions.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Write `n` in decimal so that it ends just before `buf[end]`; returns
+/// where it starts. No `fmt` machinery, no allocation.
+fn decimal_before(buf: &mut [u8], end: usize, mut n: u32) -> usize {
+    let mut at = end;
+    while n >= 100 {
+        let d = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    }
+    if n >= 10 {
+        let d = n as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + n as u8;
+    }
+    at
+}
+
+/// `a,b,c` — `each` laid out per element, comma-separated.
+fn write_list<S: Sink, I: IntoIterator>(
+    out: &mut S,
+    list: I,
+    mut each: impl FnMut(&mut S, I::Item),
+) {
+    for (i, x) in list.into_iter().enumerate() {
+        if i > 0 {
+            out.bytes(b",");
+        }
+        each(out, x);
+    }
+}
+
+fn write_pairs<S: Sink>(out: &mut S, pairs: &[(NodeId, NodeId)]) {
+    write_list(out, pairs, |out, (x, y)| out.pair(x.0, y.0));
+}
+
+/// One answered query as its canonical JSON line, newline included.
+fn write_item<S: Sink>(out: &mut S, item: &BatchItem) {
+    let plan = crate::json::escape(item.plan.name());
     match &item.output {
         QueryOutput::Rq(r) => {
-            let pairs: Vec<String> = r
-                .as_slice()
-                .iter()
-                .map(|(x, y)| format!("[{},{}]", x.0, y.0))
-                .collect();
-            format!(
-                "{{\"kind\":\"rq\",\"plan\":\"{}\",\"pairs\":[{}]}}",
-                crate::json::escape(item.plan.name()),
-                pairs.join(",")
-            )
+            out.bytes(b"{\"kind\":\"rq\",\"plan\":\"");
+            out.bytes(plan.as_bytes());
+            out.bytes(b"\",\"pairs\":[");
+            write_pairs(out, r.as_slice());
+            out.bytes(b"]}\n");
         }
         QueryOutput::Pq(r) => {
-            let nodes: Vec<String> = (0..r.node_count())
-                .map(|u| {
-                    let ids: Vec<String> =
-                        r.node_matches(u).iter().map(|n| n.0.to_string()).collect();
-                    format!("[{}]", ids.join(","))
-                })
-                .collect();
-            let edges: Vec<String> = (0..r.edge_count())
-                .map(|e| {
-                    let pairs: Vec<String> = r
-                        .edge_matches(e)
-                        .iter()
-                        .map(|(x, y)| format!("[{},{}]", x.0, y.0))
-                        .collect();
-                    format!("[{}]", pairs.join(","))
-                })
-                .collect();
-            format!(
-                "{{\"kind\":\"pq\",\"plan\":\"{}\",\"nodes\":[{}],\"edges\":[{}]}}",
-                crate::json::escape(item.plan.name()),
-                nodes.join(","),
-                edges.join(",")
-            )
+            out.bytes(b"{\"kind\":\"pq\",\"plan\":\"");
+            out.bytes(plan.as_bytes());
+            out.bytes(b"\",\"nodes\":[");
+            write_list(out, 0..r.node_count(), |out, u| {
+                out.bytes(b"[");
+                write_list(out, r.node_matches(u), |out, n| out.decimal(n.0));
+                out.bytes(b"]");
+            });
+            out.bytes(b"],\"edges\":[");
+            write_list(out, 0..r.edge_count(), |out, e| {
+                out.bytes(b"[");
+                write_pairs(out, r.edge_matches(e));
+                out.bytes(b"]");
+            });
+            out.bytes(b"]}\n");
         }
     }
+}
+
+/// Append the canonical JSON lines of `items` — the body of a `/v1/query`
+/// response — to `out`. The layout is counted first and `out` grown once,
+/// by exactly that much; no pair, id or line allocates on its own.
+pub fn encode_items_into(out: &mut Vec<u8>, items: &[BatchItem]) {
+    let mut len = ByteCount(0);
+    for item in items {
+        write_item(&mut len, item);
+    }
+    out.reserve_exact(len.0);
+    let start = out.len();
+    for item in items {
+        write_item(out, item);
+    }
+    debug_assert_eq!(
+        out.len() - start,
+        len.0,
+        "counted and written layouts agree"
+    );
+}
+
+/// Encode one answered query as its canonical JSON line (no newline).
+pub fn encode_item(item: &BatchItem) -> String {
+    let mut line = encode_items(std::slice::from_ref(item));
+    line.pop(); // the line terminator
+    line
 }
 
 /// Encode a run of answered queries, one JSON line per query — the body
 /// of a `/v1/query` response.
 pub fn encode_items(items: &[BatchItem]) -> String {
-    let mut out = String::new();
-    for item in items {
-        out.push_str(&encode_item(item));
-        out.push('\n');
-    }
-    out
+    let mut out = Vec::new();
+    encode_items_into(&mut out, items);
+    String::from_utf8(out).expect("digits, ASCII punctuation and JSON-escaped plan names")
 }
 
 /// The HTTP status an [`EngineError`] maps onto: client mistakes are
@@ -331,7 +457,157 @@ pub fn status_for(e: &EngineError) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rpq_core::pq::PqResult;
+    use rpq_core::rq::RqResult;
+    use rpq_engine::Plan;
     use rpq_graph::gen::essembly;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    /// The reference encoder the proptests hold the real one against:
+    /// `format!` per pair, `join` per list, `format!` per line.
+    fn encode_item_by_format(item: &BatchItem) -> String {
+        let pair_list = |pairs: &[(NodeId, NodeId)]| {
+            let pairs: Vec<String> = pairs
+                .iter()
+                .map(|(x, y)| format!("[{},{}]", x.0, y.0))
+                .collect();
+            pairs.join(",")
+        };
+        match &item.output {
+            QueryOutput::Rq(r) => format!(
+                "{{\"kind\":\"rq\",\"plan\":\"{}\",\"pairs\":[{}]}}",
+                crate::json::escape(item.plan.name()),
+                pair_list(r.as_slice())
+            ),
+            QueryOutput::Pq(r) => {
+                let nodes: Vec<String> = (0..r.node_count())
+                    .map(|u| {
+                        let ids: Vec<String> =
+                            r.node_matches(u).iter().map(|n| n.0.to_string()).collect();
+                        format!("[{}]", ids.join(","))
+                    })
+                    .collect();
+                let edges: Vec<String> = (0..r.edge_count())
+                    .map(|e| format!("[{}]", pair_list(r.edge_matches(e))))
+                    .collect();
+                format!(
+                    "{{\"kind\":\"pq\",\"plan\":\"{}\",\"nodes\":[{}],\"edges\":[{}]}}",
+                    crate::json::escape(item.plan.name()),
+                    nodes.join(","),
+                    edges.join(",")
+                )
+            }
+        }
+    }
+
+    fn item(output: QueryOutput, plan: usize) -> BatchItem {
+        BatchItem {
+            output,
+            plan: Plan::ALL[plan % Plan::ALL.len()],
+            time: Duration::ZERO,
+            profile: None,
+        }
+    }
+
+    /// Node ids around every digit-count boundary the graphs in use reach,
+    /// and the extremes of the type.
+    fn node_id() -> impl Strategy<Value = NodeId> {
+        prop_oneof![
+            Just(0u32),
+            Just(9),
+            Just(10),
+            Just(99_999),
+            Just(u32::MAX),
+            0u32..100_000,
+            any::<u32>(),
+        ]
+        .prop_map(NodeId)
+    }
+
+    fn pair_list() -> impl Strategy<Value = Vec<(NodeId, NodeId)>> {
+        proptest::collection::vec((node_id(), node_id()), 0..12)
+    }
+
+    fn output() -> impl Strategy<Value = QueryOutput> {
+        prop_oneof![
+            pair_list().prop_map(|pairs| QueryOutput::Rq(RqResult::from_pairs(pairs))),
+            (
+                proptest::collection::vec(proptest::collection::vec(node_id(), 0..6), 0..5),
+                proptest::collection::vec(pair_list(), 0..5),
+            )
+                .prop_map(|(nodes, edges)| {
+                    QueryOutput::Pq(Arc::new(PqResult::from_parts(nodes, edges)))
+                }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The allocation-free encoder writes the oracle's bytes: per line,
+        /// per body, and appended behind whatever the buffer already holds.
+        #[test]
+        fn encoder_matches_the_format_oracle(
+            outputs in proptest::collection::vec((output(), 0usize..14), 0..5),
+        ) {
+            let items: Vec<BatchItem> =
+                outputs.into_iter().map(|(o, plan)| item(o, plan)).collect();
+            let mut expected = String::new();
+            for it in &items {
+                let line = encode_item_by_format(it);
+                prop_assert_eq!(&encode_item(it), &line);
+                expected.push_str(&line);
+                expected.push('\n');
+            }
+            prop_assert_eq!(&encode_items(&items), &expected);
+            let mut body = b"kept".to_vec();
+            encode_items_into(&mut body, &items);
+            prop_assert_eq!(body, [b"kept", expected.as_bytes()].concat());
+        }
+    }
+
+    #[test]
+    fn every_plan_name_and_empty_answers_encode_like_the_oracle() {
+        for plan in 0..Plan::ALL.len() {
+            for output in [
+                QueryOutput::Rq(RqResult::from_pairs(Vec::new())),
+                QueryOutput::Rq(RqResult::from_pairs(vec![(NodeId(0), NodeId(u32::MAX))])),
+                QueryOutput::Pq(Arc::new(PqResult::from_parts(Vec::new(), Vec::new()))),
+                QueryOutput::Pq(Arc::new(PqResult::from_parts(
+                    vec![Vec::new(), vec![NodeId(9), NodeId(10)]],
+                    vec![Vec::new(), vec![(NodeId(99_999), NodeId(0))]],
+                ))),
+            ] {
+                let it = item(output, plan);
+                assert_eq!(encode_item(&it), encode_item_by_format(&it));
+            }
+        }
+        assert_eq!(encode_items(&[]), "");
+    }
+
+    #[test]
+    fn decimal_writer_agrees_with_to_string() {
+        let mut probes = vec![0u32, 1, u32::MAX - 1, u32::MAX];
+        for k in 1..10 {
+            let p = 10u32.pow(k);
+            probes.extend([p - 1, p, p + 1]);
+        }
+        for n in probes {
+            let text = n.to_string();
+            let mut out = Vec::new();
+            Sink::decimal(&mut out, n);
+            assert_eq!(out, text.as_bytes());
+            assert_eq!(decimal_len(n), text.len(), "{n}");
+            let mut counted = ByteCount(0);
+            counted.pair(n, n);
+            let mut out = Vec::new();
+            out.pair(n, n);
+            assert_eq!(out, format!("[{n},{n}]").as_bytes());
+            assert_eq!(counted.0, out.len());
+        }
+    }
 
     #[test]
     fn field_escaping_round_trips() {

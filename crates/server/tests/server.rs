@@ -55,23 +55,31 @@ fn mixed_queries(g: &Graph, count: usize, seed: u64) -> Vec<Query> {
 /// evaluation on the same engine.
 #[test]
 fn concurrent_clients_get_bit_identical_answers() {
+    rpq_trace::tracer().set_enabled(true);
     let (engine, server, graph) = start(ServerConfig {
-        // a coalescing window wide enough that the three clients'
-        // batches routinely merge into one engine batch
-        coalesce_window: Duration::from_millis(10),
+        // a coalescing window far wider than the spread of three sends
+        // released by one barrier: each round's submissions merge into one
+        // engine batch, and every connection must still be handed exactly
+        // its own slice of it
+        coalesce_window: Duration::from_millis(150),
         ..ServerConfig::default()
     });
     let addr = server.addr().to_string();
+    let round_start = Arc::new(std::sync::Barrier::new(3));
 
     let handles: Vec<_> = (0..3)
         .map(|c| {
             let addr = addr.clone();
             let graph = Arc::clone(&graph);
             let engine = Arc::clone(&engine);
+            let round_start = Arc::clone(&round_start);
             std::thread::spawn(move || {
                 let mut client = Client::connect(&addr).unwrap();
                 for round in 0..4 {
-                    let queries = mixed_queries(&graph, 5, 1000 * c + round);
+                    // a different count per client, so a slice handed to
+                    // the wrong connection cannot even have the right length
+                    let queries = mixed_queries(&graph, 3 + c as usize, 1000 * c + round);
+                    round_start.wait();
                     let resp = client.query(&queries, &graph).unwrap();
                     assert_eq!(resp.status, 200, "{}", resp.body);
                     assert_eq!(resp.version, Some(0), "no writes in this test");
@@ -86,6 +94,15 @@ fn concurrent_clients_get_bit_identical_answers() {
     for h in handles {
         h.join().unwrap();
     }
+    // the answers above did come out of coalesced batches: some round's
+    // three submissions (3 + 4 + 5 queries) ran as one
+    let trace = Client::connect(&addr).unwrap().debug_trace().unwrap();
+    assert!(
+        trace.lines().any(
+            |l| l.contains("\"name\":\"queue-wait\"") && l.contains("submissions=3 queries=12")
+        ),
+        "no fully coalesced queue-wait span in:\n{trace}"
+    );
     server.shutdown();
 }
 
@@ -449,6 +466,19 @@ fn prometheus_exposition_and_trace_ring_round_trip() {
     assert!(
         trace.lines().any(|l| l.contains("\"scope\":\"server\"")),
         "no server-scope span in:\n{trace}"
+    );
+    // the connection thread records its encode span before it replies, so
+    // a client that has its answer finds it — with the body size it read
+    let body_len = client
+        .query(&mixed_queries(&graph, 4, 23), &graph)
+        .unwrap()
+        .body
+        .len();
+    let trace = client.debug_trace().unwrap();
+    assert!(
+        trace.lines().any(|l| l.contains("\"name\":\"serialize\"")
+            && l.contains(&format!("queries=4 bytes={body_len}"))),
+        "no serialize span for the {body_len}-byte answer in:\n{trace}"
     );
     server.shutdown();
 }
