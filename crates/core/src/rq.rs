@@ -67,6 +67,12 @@ impl RqResult {
         self.pairs.clone()
     }
 
+    /// The matching pairs, sorted, without the copy [`pairs`](Self::pairs)
+    /// makes — for a caller that is done with the result.
+    pub fn into_pairs(self) -> Vec<(NodeId, NodeId)> {
+        self.pairs
+    }
+
     /// Borrowed view of the matching pairs.
     pub fn as_slice(&self) -> &[(NodeId, NodeId)] {
         &self.pairs

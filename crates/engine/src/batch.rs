@@ -1,6 +1,7 @@
 //! Batch inputs and outputs: [`Query`], [`QueryOutput`], [`BatchResult`].
 
 use crate::error::EngineError;
+use crate::memo::SemanticStats;
 use crate::planner::Plan;
 use rpq_core::lang::LangError;
 use rpq_core::pq::{Pq, PqResult};
@@ -184,8 +185,7 @@ pub struct BatchResult {
     items: Vec<BatchItem>,
     wall: Duration,
     workers: usize,
-    memo_hits: u64,
-    memo_misses: u64,
+    semantic: SemanticStats,
 }
 
 impl BatchResult {
@@ -193,14 +193,13 @@ impl BatchResult {
         items: Vec<BatchItem>,
         wall: Duration,
         workers: usize,
-        memo_stats: (u64, u64),
+        semantic: SemanticStats,
     ) -> Self {
         BatchResult {
             items,
             wall,
             workers,
-            memo_hits: memo_stats.0,
-            memo_misses: memo_stats.1,
+            semantic,
         }
     }
 
@@ -245,8 +244,16 @@ impl BatchResult {
         self.workers
     }
 
-    /// `(hits, misses)` of the batch's shared reach-set memo.
+    /// What this batch's own lookups did in the engine's reach-set memo:
+    /// one exact hit, subsumption hit or miss per RQ (a PQ consults no
+    /// cell). Tallied per item by the batch's workers, so the counts are
+    /// exact however many other batches share the memo.
+    pub fn semantic_stats(&self) -> SemanticStats {
+        self.semantic
+    }
+
+    /// `(hits, misses)` of [`semantic_stats`](Self::semantic_stats).
     pub fn memo_stats(&self) -> (u64, u64) {
-        (self.memo_hits, self.memo_misses)
+        (self.semantic.hits(), self.semantic.misses)
     }
 }

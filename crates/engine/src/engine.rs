@@ -4,7 +4,7 @@
 use crate::batch::{BatchItem, BatchResult, Query, QueryOutput};
 use crate::error::{ConfigError, EngineError};
 use crate::explain::{query_summary, CountingProbe};
-use crate::memo::{SemanticMemo, SemanticStats};
+use crate::memo::{CacheKind, Lookup, SemanticMemo, SemanticStats};
 use crate::planner::{self, Algo, Backend, Plan, Rationale};
 use crate::slot::IndexSlot;
 use rpq_core::canonical::{canonical_pq, canonical_rq};
@@ -116,6 +116,19 @@ impl EngineConfig {
         }
     }
 
+    /// [`workers`](EngineConfig::workers) with its `0` resolved: the
+    /// number of threads this deployment evaluates queries on — one per
+    /// available core unless configured. One batch spreads over that many
+    /// (`run_batch`), and the server runs at most that many batches at
+    /// once.
+    pub fn worker_budget(&self) -> usize {
+        if self.workers == 0 {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        } else {
+            self.workers
+        }
+    }
+
     /// The one derivation of the sharded build's settings — background
     /// builds, [`QueryEngine::build_sharded`] and the live-update repair
     /// all go through it, so a repaired index can never be built under
@@ -213,6 +226,9 @@ pub struct QueryEngine {
     /// layer publishes a fresh engine — and with it an empty memo — per
     /// version.
     memo: SemanticMemo,
+    /// `run_batch` calls in flight on this engine: they share the worker
+    /// budget between them.
+    running_batches: AtomicUsize,
     /// Set by [`retire_index_builds`](QueryEngine::retire_index_builds)
     /// (or drop): in-flight background label builds abort at their next
     /// checkpoint. Shared with both slots.
@@ -274,6 +290,7 @@ impl QueryEngine {
             config,
             matrix: OnceLock::new(),
             memo: SemanticMemo::new(),
+            running_batches: AtomicUsize::new(0),
             retired,
             hop,
             sharded,
@@ -529,8 +546,7 @@ impl QueryEngine {
         // a forced plan must exercise the plan, not the cache
         let scratch = forced.map(|_| SemanticMemo::new());
         let memo = scratch.as_ref().unwrap_or(&self.memo);
-        let before = (memo.semantic_stats(), memo.stats());
-        let workers = self.configured_workers();
+        let workers = self.config.worker_budget();
         let mut cached = CachedReach::new(REACH_CACHE_CAPACITY);
         let job = Job {
             g: &self.graph,
@@ -540,10 +556,7 @@ impl QueryEngine {
             pq_workers: workers,
             count_probes: profiled,
         };
-        let (out, probes) = match self.cached_answer(job) {
-            Some(out) => (out, 0),
-            None => self.evaluate(job, &mut cached),
-        };
+        let (out, probes, lookup) = self.answer(job, &mut cached, || {});
         let t3 = Instant::now();
         self.note_if_slow(canon, plan, t3 - t2);
         if !profiled {
@@ -568,22 +581,17 @@ impl QueryEngine {
         profile.stage("prepare", t2 - t1, prepared.to_owned());
         profile.stage("eval", t3 - t2, format!("probes={probes}"));
         profile.probes = probes;
-        let (s0, (hits0, misses0)) = before;
-        let (s1, (hits1, misses1)) = (memo.semantic_stats(), memo.stats());
-        profile.memo_hits = hits1 - hits0;
-        profile.memo_misses = misses1 - misses0;
-        // one query ran: at most one semantic-cache event moved (under
-        // concurrent batches sharing the memo this is approximate, like
-        // the hit/miss deltas above)
-        profile.semcache = if s1.exact_hits > s0.exact_hits {
-            "exact_hit"
-        } else if s1.subsumption_hits > s0.subsumption_hits {
-            "subsumption_hit"
-        } else if s1.misses > s0.misses {
-            "miss"
-        } else {
+        // this query's own lookup, not a delta of the shared counters:
+        // exact whatever else runs on the memo meanwhile
+        let hit = lookup.map(|l| l.kind);
+        profile.memo_hits = u64::from(matches!(hit, Some(Some(_))));
+        profile.memo_misses = u64::from(hit == Some(None));
+        profile.semcache = match hit {
+            Some(Some(CacheKind::Exact)) => "exact_hit",
+            Some(Some(CacheKind::Subsumption)) => "subsumption_hit",
+            Some(None) => "miss",
             // the plan never consulted the cache (PQ backends)
-            ""
+            None => "",
         }
         .to_owned();
         profile.workers = workers;
@@ -606,35 +614,40 @@ impl QueryEngine {
     }
 
     /// Evaluate a batch: plan each query (batch-aware), then pull queries
-    /// off a shared counter — on the calling thread, joined by up to
-    /// `workers - 1` scoped helper threads from the first query the memo
-    /// cannot answer. A batch of cache hits therefore never leaves its
-    /// caller: starting and joining a thread costs more than filtering a
-    /// cached pair set (`engine.run_batch_ms` on the ledger's `hop_zipf`:
-    /// 0.88 ms with the threads, 0.40 without). Outputs come
-    /// back in submission order and are identical to sequential
-    /// single-query evaluation — the strategies differ only in cost.
-    /// Reach sets are shared through the engine's memo, so hot keys are
-    /// computed once per engine rather than once per batch; the reported
-    /// memo stats are this batch's delta (approximate under concurrent
-    /// batches).
+    /// off a shared counter — on the calling thread, joined by scoped
+    /// helper threads from the first query the memo cannot answer. A
+    /// batch of cache hits therefore never leaves its caller: starting
+    /// and joining a thread costs more than filtering a cached pair set
+    /// (`engine.run_batch_ms` on the ledger's `hop_zipf`: 0.88 ms with
+    /// the threads, 0.40 without). The worker budget is shared between
+    /// the batches running on this engine at once: a batch that starts
+    /// while `k − 1` others run takes `budget / k` threads (at least its
+    /// caller), so concurrent callers do not each start a full set of
+    /// helpers onto the same cores. Outputs come back in submission order
+    /// and are identical to sequential single-query evaluation — the
+    /// strategies differ only in cost. Reach sets are shared through the
+    /// engine's memo, so hot keys are computed once per engine rather
+    /// than once per batch; the reported semantic stats are this batch's
+    /// own lookups, tallied per item.
     pub fn run_batch(&self, queries: &[Query]) -> BatchResult {
         let t0 = Instant::now();
         let memo = &self.memo;
-        let (hits0, misses0) = memo.stats();
         if queries.is_empty() {
-            return BatchResult::new(Vec::new(), t0.elapsed(), 0, (0, 0));
+            return BatchResult::new(Vec::new(), t0.elapsed(), 0, SemanticStats::default());
         }
         let (queries, plans, _) = self.prologue(queries, None);
 
-        let workers = self.configured_workers().clamp(1, queries.len());
+        let running = RunningBatch::enter(&self.running_batches);
+        let budget = (self.config.worker_budget() / running.count).max(1);
+        let workers = budget.min(queries.len());
         // worker budget left over by a short batch goes to PQ refinement:
         // each index-backed PQ evaluation chunks its per-edge source tests
         // over this many threads, so one big PQ in a batch of one still
         // saturates the machine
-        let pq_workers = (self.configured_workers() / workers).max(1);
+        let pq_workers = (budget / workers).max(1);
         let next = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<BatchItem>> = queries.iter().map(|_| OnceLock::new()).collect();
+        let slots: Vec<OnceLock<(BatchItem, Option<Lookup>)>> =
+            queries.iter().map(|_| OnceLock::new()).collect();
 
         // one worker's loop; `before_eval(i)` runs when query `i` turns
         // out to need evaluating, before it is evaluated
@@ -654,10 +667,7 @@ impl QueryEngine {
                     count_probes: false,
                 };
                 let t = Instant::now();
-                let output = self.cached_answer(job).unwrap_or_else(|| {
-                    before_eval(i);
-                    self.evaluate(job, &mut cached).0
-                });
+                let (output, _, lookup) = self.answer(job, &mut cached, || before_eval(i));
                 let time = t.elapsed();
                 self.note_if_slow(job.query, job.plan, time);
                 let item = BatchItem {
@@ -667,7 +677,7 @@ impl QueryEngine {
                     profile: None,
                 };
                 slots[i]
-                    .set(item)
+                    .set((item, lookup))
                     .unwrap_or_else(|_| unreachable!("each index is claimed once"));
             }
         };
@@ -685,55 +695,65 @@ impl QueryEngine {
                 }
             });
         });
+        drop(running);
 
+        let mut semantic = SemanticStats::default();
         let items = slots
             .into_iter()
-            .map(|slot| slot.into_inner().expect("worker filled every slot"))
+            .map(|slot| {
+                let (item, lookup) = slot.into_inner().expect("worker filled every slot");
+                if let Some(lookup) = lookup {
+                    semantic.record(lookup);
+                }
+                item
+            })
             .collect();
-        let (hits1, misses1) = memo.stats();
-        BatchResult::new(
-            items,
-            t0.elapsed(),
-            threads,
-            (hits1 - hits0, misses1 - misses0),
-        )
+        BatchResult::new(items, t0.elapsed(), threads, semantic)
     }
 
-    /// The configured worker budget (`0` = one per available core).
-    fn configured_workers(&self) -> usize {
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if self.config.workers == 0 {
-            hw
-        } else {
-            self.config.workers
-        }
-    }
-
-    /// Semantic-cache probe for index-backed and search RQ plans: a
+    /// Answer `job`: from the memo if it can, else by evaluating the plan
+    /// (`before_eval` runs first). Returns the output, the distance
+    /// probes issued (see [`evaluate`](Self::evaluate)) and the one memo
+    /// lookup the query made — `None` for a PQ, which has no cell.
+    ///
+    /// Index-backed and search RQ plans probe the semantic cache first: a
     /// completed exact cell or a containing cached entry answers —
     /// filtered down by the query's target predicate — without touching
     /// the index; a cold cache costs one lookup and declines
     /// (`SemanticMemo::try_answer` never blocks on in-flight
-    /// computations). `BFS+memo` *is* the memo's own path, and PQs have
-    /// no cell: both always decline.
-    fn cached_answer(&self, job: Job<'_>) -> Option<QueryOutput> {
-        let Query::Rq(rq) = job.query else {
-            return None;
+    /// computations). `BFS+memo` *is* the memo's own path: its lookup
+    /// computes what it cannot find.
+    fn answer(
+        &self,
+        job: Job<'_>,
+        cached: &mut CachedReach,
+        before_eval: impl FnOnce(),
+    ) -> (QueryOutput, u64, Option<Lookup>) {
+        let Job { g, memo, .. } = job;
+        let lookup = match job.query {
+            Query::Pq(_) => None,
+            Query::Rq(rq) if job.plan.algo() == Algo::RqBfsMemo => {
+                before_eval();
+                let (pairs, lookup) = memo.lookup(g, &rq.from, &rq.regex);
+                return (rq_targets(g, rq, &pairs), 0, Some(lookup));
+            }
+            Query::Rq(rq) => match memo.try_answer(g, &rq.from, &rq.regex) {
+                Some((pairs, hit)) => return (rq_targets(g, rq, &pairs), 0, Some(hit)),
+                None => Some(Lookup::MISS),
+            },
         };
-        if job.plan.algo() == Algo::RqBfsMemo {
-            return None;
-        }
-        let (pairs, _kind) = job.memo.try_answer(job.g, &rq.from, &rq.regex)?;
-        Some(rq_targets(job.g, rq, &pairs))
+        before_eval();
+        let (out, probes) = self.evaluate(job, cached);
+        (out, probes, lookup)
     }
 
-    /// What [`cached_answer`](Self::cached_answer) declined: resolve
-    /// `plan`'s backend to its probe and evaluate the plan's algorithm
-    /// over it. Returns the output and — with `count_probes`, the explain
-    /// surface — the number of distance probes issued (0 for plans that
-    /// probe no index: the searches and the cached backend).
+    /// What the memo could not answer: resolve `plan`'s backend to its
+    /// probe and evaluate the plan's algorithm over it. Returns the
+    /// output and — with `count_probes`, the explain surface — the number
+    /// of distance probes issued (0 for plans that probe no index: the
+    /// searches and the cached backend).
     fn evaluate(&self, job: Job<'_>, cached: &mut CachedReach) -> (QueryOutput, u64) {
-        let Job { g, query, memo, .. } = job;
+        let Job { g, query, .. } = job;
         let algo = job.plan.algo();
         match job.plan.backend() {
             Backend::Matrix => eval_on(job, self.matrix.get().expect("prepared by the caller")),
@@ -742,9 +762,6 @@ impl QueryEngine {
             Backend::Search => {
                 let out = match (query, algo) {
                     (Query::Rq(rq), Algo::RqBiBfs) => QueryOutput::Rq(rq.eval_bibfs(g)),
-                    (Query::Rq(rq), Algo::RqBfsMemo) => {
-                        rq_targets(g, rq, &memo.reach_pairs(g, &rq.from, &rq.regex))
-                    }
                     (Query::Pq(pq), _) => eval_pq(algo, pq, g, cached),
                     (Query::Rq(_), _) => mismatched(job.plan),
                 };
@@ -789,6 +806,29 @@ impl Drop for QueryEngine {
     /// while readers may still pin them.)
     fn drop(&mut self) {
         self.retired.store(true, Ordering::Relaxed);
+    }
+}
+
+/// One `run_batch` call counted into its engine's `running_batches`
+/// until dropped — also when the batch panics, so a caught panic does
+/// not halve the worker budget for good.
+struct RunningBatch<'a> {
+    running: &'a AtomicUsize,
+    /// Batches running when this one started, itself included.
+    count: usize,
+}
+
+impl<'a> RunningBatch<'a> {
+    fn enter(running: &'a AtomicUsize) -> Self {
+        // a statistic that sizes a thread count: publishes no data
+        let count = running.fetch_add(1, Ordering::Relaxed) + 1;
+        RunningBatch { running, count }
+    }
+}
+
+impl Drop for RunningBatch<'_> {
+    fn drop(&mut self) {
+        self.running.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -874,7 +914,11 @@ fn rq_targets(g: &Graph, rq: &Rq, pairs: &[(NodeId, NodeId)]) -> QueryOutput {
 /// key is a cache hit.
 fn rq_indexed<D: DistProbe>(g: &Graph, rq: &Rq, probe: &D, memo: &SemanticMemo) -> QueryOutput {
     let wide = Rq::new(rq.from.clone(), Predicate::always_true(), rq.regex.clone());
-    let pairs = memo.insert(&rq.from, &rq.regex, wide.eval_with_dist(g, probe).pairs());
+    let pairs = memo.insert(
+        &rq.from,
+        &rq.regex,
+        wide.eval_with_dist(g, probe).into_pairs(),
+    );
     rq_targets(g, rq, &pairs)
 }
 
@@ -1005,9 +1049,11 @@ mod tests {
             &shared.eval_bfs(&g)
         );
         assert_eq!(batch.items()[2].output.as_rq().unwrap(), &solo.eval_bfs(&g));
+        // three RQs, three lookups: the shared key computed once and then
+        // reused, and the solo's probe of the cold cache declined
         let (hits, misses) = batch.memo_stats();
-        assert_eq!(misses, 1, "shared key computed once");
         assert_eq!(hits, 1, "second probe reused it");
+        assert_eq!(misses, 2, "shared key computed once");
     }
 
     #[test]
@@ -1103,6 +1149,97 @@ mod tests {
         mixed.swap(2, 3);
         mixed[3] = Query::Rq(rq(&g, "job = \"doctor\"", "", "sa^2 sn"));
         assert_eq!(engine.run_batch(&mixed).workers(), 1);
+    }
+
+    #[test]
+    fn batches_running_at_once_share_the_worker_budget() {
+        let g = Arc::new(essembly());
+        let engine = QueryEngine::with_config(
+            Arc::clone(&g),
+            EngineConfig {
+                workers: 4,
+                ..EngineConfig::default()
+            },
+        );
+        let cold = |res: [&str; 4]| -> Vec<Query> {
+            res.iter()
+                .map(|re| Query::Rq(rq(&g, "job = \"doctor\"", "job = \"biologist\"", re)))
+                .collect()
+        };
+        // with another batch in flight a cold batch takes half the budget
+        let other = RunningBatch::enter(&engine.running_batches);
+        assert_eq!(
+            engine.run_batch(&cold(["fa", "fn", "sa", "sn"])).workers(),
+            2
+        );
+        drop(other);
+        // ... alone, all of it; and a panicking batch does not stay counted
+        let unwound = std::panic::catch_unwind(|| {
+            let _running = RunningBatch::enter(&engine.running_batches);
+            panic!("a batch panics");
+        });
+        assert!(unwound.is_err());
+        let batch = engine.run_batch(&cold(["fa^2", "fn^2", "sa^2", "sn^2"]));
+        assert_eq!(batch.workers(), 4);
+    }
+
+    #[test]
+    fn overlapping_batches_each_tally_their_own_lookups() {
+        let g = Arc::new(essembly());
+        let engine = QueryEngine::with_config(
+            Arc::clone(&g),
+            EngineConfig {
+                workers: 2,
+                ..EngineConfig::default()
+            },
+        );
+        let mut pq = Pq::new();
+        let a = pq.add_node("a", Predicate::always_true());
+        let b = pq.add_node("b", Predicate::always_true());
+        pq.add_edge(a, b, FRegex::parse("fn+", g.alphabet()).unwrap());
+        // 5 RQs over 3 keys (one a narrowing of another, one spelled two
+        // ways) and a PQ
+        let queries = vec![
+            Query::Rq(rq(&g, "job = \"biologist\"", "", "fa^2 fn")),
+            Query::Rq(rq(&g, "job = \"biologist\"", "job = \"doctor\"", "fa^2 fn")),
+            Query::Pq(pq),
+            Query::Rq(rq(
+                &g,
+                "job = \"biologist\" && sp = \"cloning\"",
+                "",
+                "fa^2 fn",
+            )),
+            Query::Rq(rq(&g, "job = \"doctor\"", "", "sa sa^2")),
+            Query::Rq(rq(&g, "job = \"doctor\"", "", "sa^2 sa")),
+        ];
+        let (threads, rounds) = (4, 50);
+        let start = std::sync::Barrier::new(threads);
+        let tallies: Vec<SemanticStats> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let mut mine = SemanticStats::default();
+                        for _ in 0..rounds {
+                            let stats = engine.run_batch(&queries).semantic_stats();
+                            assert_eq!(stats.hits() + stats.misses, 5, "one lookup per RQ");
+                            mine.exact_hits += stats.exact_hits;
+                            mine.subsumption_hits += stats.subsumption_hits;
+                            mine.misses += stats.misses;
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        // together the batches account for everything the memo counted
+        let total = engine.semantic_stats();
+        let sum = |f: fn(&SemanticStats) -> u64| tallies.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|s| s.exact_hits), total.exact_hits);
+        assert_eq!(sum(|s| s.subsumption_hits), total.subsumption_hits);
+        assert_eq!(sum(|s| s.misses), total.misses);
+        assert_eq!(total.hits() + total.misses, (threads * rounds * 5) as u64);
     }
 
     #[test]

@@ -100,6 +100,47 @@ impl SemanticStats {
     pub fn hits(&self) -> u64 {
         self.exact_hits + self.subsumption_hits
     }
+
+    /// Count one lookup. A caller that tallies the lookups *it* made —
+    /// one batch, one explain request — gets counters that are exact
+    /// however many other callers share the memo, which deltas of the
+    /// memo's cumulative [`semantic_stats`](SemanticMemo::semantic_stats)
+    /// taken around the work are not.
+    pub fn record(&mut self, lookup: Lookup) {
+        match lookup.kind {
+            Some(CacheKind::Exact) => self.exact_hits += 1,
+            Some(CacheKind::Subsumption) => self.subsumption_hits += 1,
+            None => self.misses += 1,
+        }
+        self.filter_time += lookup.filter_time;
+    }
+}
+
+/// What one lookup did: the counter of [`SemanticStats`] it moved, and
+/// the filter time it spent doing so.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lookup {
+    /// How the lookup was answered; `None` is a miss — nothing cached
+    /// could answer, or the key was still being computed elsewhere.
+    pub kind: Option<CacheKind>,
+    /// Time this lookup spent filtering a donor's pair set (zero unless
+    /// it derived a subsumption answer itself).
+    pub filter_time: Duration,
+}
+
+impl Lookup {
+    /// A lookup no cached entry could answer.
+    pub const MISS: Lookup = Lookup {
+        kind: None,
+        filter_time: Duration::ZERO,
+    };
+
+    fn hit(kind: CacheKind, filter_time: Duration) -> Self {
+        Lookup {
+            kind: Some(kind),
+            filter_time,
+        }
+    }
 }
 
 /// LRU bookkeeping of a completed (computed) cell.
@@ -248,6 +289,12 @@ impl SemanticMemo {
     /// table, sorted by `(x, y)`. Served from a containing cached entry
     /// when one exists (see module docs).
     pub fn reach_pairs(&self, g: &Graph, from: &Predicate, regex: &FRegex) -> PairSet {
+        self.lookup(g, from, regex).0
+    }
+
+    /// [`reach_pairs`](SemanticMemo::reach_pairs), plus what this one
+    /// lookup did to the counters.
+    pub fn lookup(&self, g: &Graph, from: &Predicate, regex: &FRegex) -> (PairSet, Lookup) {
         let canon = canonicalize(regex);
         let resolved = {
             let mut table = self.cells.lock().expect("memo poisoned");
@@ -273,15 +320,19 @@ impl SemanticMemo {
             }
         };
         match resolved {
-            Resolved::Claimed(cell) => Arc::clone(cell.get_or_init(|| {
-                // raced claim: the key was handed out before its value
-                // existed; compute here like the original claimant would
-                Arc::new(full_eval(g, from, &canon))
-            })),
-            Resolved::Derive(cell, donor, equal) => {
-                self.fill(g, from, &canon, cell, Some((donor, equal)))
+            Resolved::Claimed(cell) => {
+                let pairs = Arc::clone(cell.get_or_init(|| {
+                    // raced claim: the key was handed out before its value
+                    // existed; compute here like the original claimant would
+                    Arc::new(full_eval(g, from, &canon))
+                }));
+                (pairs, Lookup::hit(CacheKind::Exact, Duration::ZERO))
             }
-            Resolved::Compute(cell) => self.fill(g, from, &canon, cell, None),
+            Resolved::Derive(cell, donor, equal) => {
+                let (pairs, filter_time) = self.fill(g, from, &canon, cell, Some((donor, equal)));
+                (pairs, Lookup::hit(CacheKind::Subsumption, filter_time))
+            }
+            Resolved::Compute(cell) => (self.fill(g, from, &canon, cell, None).0, Lookup::MISS),
         }
     }
 
@@ -289,24 +340,28 @@ impl SemanticMemo {
     /// completed exact cell or a containing donor answers — and a
     /// derived answer is installed as a new cell — but a full miss
     /// returns `None` without claiming anything, leaving the backend to
-    /// evaluate with its own index.
+    /// evaluate with its own index. `None` is always a miss
+    /// ([`Lookup::MISS`]): the returned [`Lookup`] is a hit's.
     pub fn try_answer(
         &self,
         g: &Graph,
         from: &Predicate,
         regex: &FRegex,
-    ) -> Option<(PairSet, CacheKind)> {
+    ) -> Option<(PairSet, Lookup)> {
         let canon = canonicalize(regex);
         let resolved = {
             let mut table = self.cells.lock().expect("memo poisoned");
             match table.touch(from, &canon).map(|cell| cell.get().cloned()) {
                 Some(Some(pairs)) => {
                     self.exact_hits.fetch_add(1, Ordering::Relaxed);
-                    return Some((pairs, CacheKind::Exact));
+                    return Some((pairs, Lookup::hit(CacheKind::Exact, Duration::ZERO)));
                 }
                 // in flight on another worker: don't wait on it, the
                 // index answers faster than an unfinished traversal
-                Some(None) => return None,
+                Some(None) => {
+                    self.probe_misses.fetch_add(1, Ordering::Relaxed);
+                    return None;
+                }
                 None => match table.find_donor(from, &canon) {
                     Some((pairs, equal)) => {
                         self.subsumption_hits.fetch_add(1, Ordering::Relaxed);
@@ -322,8 +377,8 @@ impl SemanticMemo {
         let Resolved::Derive(cell, donor, equal) = resolved else {
             unreachable!("try_answer only escapes the lock to derive");
         };
-        let pairs = self.fill(g, from, &canon, cell, Some((donor, equal)));
-        Some((pairs, CacheKind::Subsumption))
+        let (pairs, filter_time) = self.fill(g, from, &canon, cell, Some((donor, equal)));
+        Some((pairs, Lookup::hit(CacheKind::Subsumption, filter_time)))
     }
 
     /// Install an externally computed reach set for `(from, regex)`.
@@ -333,7 +388,9 @@ impl SemanticMemo {
     /// compute through their index become donors for later exact and
     /// containment lookups. `pairs` must be the key's *complete*
     /// reach set — every `(x, y)` with `x ⊨ from`, unfiltered by any
-    /// target predicate (sorting is established here). Counters are
+    /// target predicate (order is established here: checked in one pass,
+    /// and sorted only if the check fails — index evaluation already
+    /// yields its pairs sorted). Counters are
     /// untouched: the probe that preceded the computation already
     /// recorded the miss. Returns the cached set — the caller's, or the
     /// racing winner's if another worker installed the key first.
@@ -344,7 +401,9 @@ impl SemanticMemo {
         mut pairs: Vec<(NodeId, NodeId)>,
     ) -> PairSet {
         let canon = canonicalize(regex);
-        pairs.sort_unstable();
+        if !pairs.is_sorted() {
+            pairs.sort_unstable();
+        }
         let cell = self
             .cells
             .lock()
@@ -362,7 +421,9 @@ impl SemanticMemo {
     }
 
     /// Fill `cell` (computing or deriving), then register the completed
-    /// result with the candidate index and the LRU budget.
+    /// result with the candidate index and the LRU budget. Also returns
+    /// the donor-filtering time this call spent (zero when it computed
+    /// from scratch, or lost the race for the cell).
     fn fill(
         &self,
         g: &Graph,
@@ -370,16 +431,18 @@ impl SemanticMemo {
         canon: &FRegex,
         cell: Cell,
         donor: Option<(PairSet, bool)>,
-    ) -> PairSet {
+    ) -> (PairSet, Duration) {
         let mut computed = false;
+        let mut filter_time = Duration::ZERO;
         let pairs = Arc::clone(cell.get_or_init(|| {
             computed = true;
             match donor {
                 Some((donor_pairs, equal)) => {
                     let started = Instant::now();
                     let derived = derive_from_donor(g, from, canon, &donor_pairs, equal);
+                    filter_time = started.elapsed();
                     self.filter_nanos
-                        .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                        .fetch_add(filter_time.as_nanos() as u64, Ordering::Relaxed);
                     Arc::new(derived)
                 }
                 None => Arc::new(full_eval(g, from, canon)),
@@ -388,7 +451,7 @@ impl SemanticMemo {
         if computed {
             self.register_completed(from, canon, pairs.len());
         }
-        pairs
+        (pairs, filter_time)
     }
 
     /// Make a freshly computed cell visible to containment lookups and
@@ -659,18 +722,34 @@ mod tests {
         assert!(memo.try_answer(&g, &from, &re).is_none(), "cold cache");
         assert_eq!(memo.semantic_stats().misses, 1);
         let computed = memo.reach_pairs(&g, &from, &re);
-        let (pairs, kind) = memo.try_answer(&g, &from, &re).expect("now cached");
-        assert_eq!(kind, CacheKind::Exact);
+        let (pairs, lookup) = memo.try_answer(&g, &from, &re).expect("now cached");
+        assert_eq!(lookup.kind, Some(CacheKind::Exact));
         assert!(Arc::ptr_eq(&computed, &pairs));
         // a narrower probe is derived and installed
         let narrow =
             Predicate::parse("job = \"biologist\" && sp = \"cloning\"", g.schema()).unwrap();
-        let (subsumed, kind) = memo.try_answer(&g, &narrow, &re).expect("donor answers");
-        assert_eq!(kind, CacheKind::Subsumption);
+        let (subsumed, lookup) = memo.try_answer(&g, &narrow, &re).expect("donor answers");
+        assert_eq!(lookup.kind, Some(CacheKind::Subsumption));
+        assert!(lookup.filter_time > Duration::ZERO);
         let direct = SemanticMemo::new().reach_pairs(&g, &narrow, &re);
         assert_eq!(*subsumed, *direct);
-        let (_, kind) = memo.try_answer(&g, &narrow, &re).expect("installed");
-        assert_eq!(kind, CacheKind::Exact);
+        let (_, lookup) = memo.try_answer(&g, &narrow, &re).expect("installed");
+        assert_eq!(lookup.kind, Some(CacheKind::Exact));
+    }
+
+    #[test]
+    fn insert_keeps_sorted_input_and_sorts_the_rest() {
+        let g = essembly();
+        let from = Predicate::always_true();
+        let re = FRegex::parse("fa", g.alphabet()).unwrap();
+        let sorted = SemanticMemo::new().reach_pairs(&g, &from, &re);
+        assert!(sorted.len() > 1);
+        let mut reversed = sorted.to_vec();
+        reversed.reverse();
+        for input in [sorted.to_vec(), reversed] {
+            let memo = SemanticMemo::new();
+            assert_eq!(*memo.insert(&from, &re, input), *sorted);
+        }
     }
 
     #[test]

@@ -173,8 +173,9 @@ impl Snapshot {
     /// Cumulative counters of this version's semantic reach-cache —
     /// exact hits, subsumption hits, misses, and filter time — since the
     /// version was published (the memo lives in the per-version engine,
-    /// so a fresh version starts from zero). The server's `/metrics`
-    /// exposition accumulates deltas of these across batches.
+    /// so a fresh version starts from zero). Cumulative over *every*
+    /// caller: what one batch did is
+    /// [`BatchResult::semantic_stats`](crate::BatchResult::semantic_stats).
     pub fn semantic_stats(&self) -> crate::memo::SemanticStats {
         self.engine.semantic_stats()
     }
@@ -305,7 +306,7 @@ impl Snapshot {
             .collect();
         let sub = self.engine.run_batch(&rest);
         let workers = sub.workers();
-        let memo_stats = sub.memo_stats();
+        let semantic = sub.semantic_stats();
         let mut rest_items = sub.into_items().into_iter();
         let items: Vec<BatchItem> = standing_of
             .iter()
@@ -325,6 +326,6 @@ impl Snapshot {
                     .expect("one evaluated item per non-standing query"),
             })
             .collect();
-        BatchResult::new(items, t0.elapsed(), workers, memo_stats)
+        BatchResult::new(items, t0.elapsed(), workers, semantic)
     }
 }

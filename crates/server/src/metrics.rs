@@ -199,6 +199,9 @@ pub struct Metrics {
     /// Cumulative µs spent filtering/re-verifying cached reach sets for
     /// subsumption answers.
     semcache_filter_us: AtomicU64,
+    /// Batches whose evaluation panicked: every submission in one was
+    /// answered 500, and the connection threads lived on.
+    pub worker_panics: AtomicU64,
     /// Request latency (admission to response ready), µs.
     pub latency: LatencyHistogram,
     /// Per-plan-variant engine evaluation latency, keyed by
@@ -230,6 +233,7 @@ impl Metrics {
             semcache_subsumption: AtomicU64::new(0),
             semcache_misses: AtomicU64::new(0),
             semcache_filter_us: AtomicU64::new(0),
+            worker_panics: AtomicU64::new(0),
             latency: LatencyHistogram::default(),
             plan_latency: Mutex::new(Vec::new()),
             repair_phase_us: Mutex::new(Vec::new()),
@@ -249,31 +253,21 @@ impl Metrics {
         h
     }
 
-    /// Fold one serving window's semantic-cache activity into the
-    /// counters. `before`/`after` are samples of one snapshot memo's
-    /// cumulative [`SemanticStats`](rpq_engine::SemanticStats) taken
-    /// around a batch (the memo is versioned with the snapshot, so the
-    /// caller diffs samples of the *same* snapshot and this accumulator
-    /// survives version rotation).
-    pub fn record_semcache(
-        &self,
-        before: &rpq_engine::SemanticStats,
-        after: &rpq_engine::SemanticStats,
-    ) {
-        let add = |a: &AtomicU64, x: u64, y: u64| {
-            a.fetch_add(y.saturating_sub(x), Ordering::Relaxed);
+    /// Fold the semantic-cache lookups one batch (or explain request)
+    /// made into the counters — its own tally
+    /// ([`BatchResult::semantic_stats`](rpq_engine::BatchResult::semantic_stats)),
+    /// so batches that overlap on one snapshot's memo are each counted
+    /// once, and the accumulator survives version rotation.
+    pub fn record_semcache(&self, lookups: &rpq_engine::SemanticStats) {
+        let add = |a: &AtomicU64, n: u64| {
+            a.fetch_add(n, Ordering::Relaxed);
         };
-        add(&self.semcache_exact, before.exact_hits, after.exact_hits);
-        add(
-            &self.semcache_subsumption,
-            before.subsumption_hits,
-            after.subsumption_hits,
-        );
-        add(&self.semcache_misses, before.misses, after.misses);
+        add(&self.semcache_exact, lookups.exact_hits);
+        add(&self.semcache_subsumption, lookups.subsumption_hits);
+        add(&self.semcache_misses, lookups.misses);
         add(
             &self.semcache_filter_us,
-            before.filter_time.as_micros() as u64,
-            after.filter_time.as_micros() as u64,
+            lookups.filter_time.as_micros() as u64,
         );
     }
 
@@ -325,14 +319,13 @@ impl Metrics {
     }
 
     /// Render the Prometheus text exposition (format 0.0.4) — the
-    /// `/metrics` body. The engine-side gauges (queue depth, snapshot
-    /// version, index bytes, index state) are sampled by the caller at
-    /// scrape time; `index_state` is the current snapshot's
-    /// [`IndexState::as_str`](rpq_engine::IndexState::as_str). Families:
+    /// `/metrics` body. The queue- and engine-side [`Gauges`] are sampled
+    /// by the caller at scrape time. Families:
     ///
     /// * `rpq_*_total` counters, including `rpq_slow_queries_total` from
     ///   the process tracer;
     /// * gauges: `rpq_uptime_seconds`, `rpq_queue_depth`,
+    ///   `rpq_executors_busy`, `rpq_executors_cap`,
     ///   `rpq_snapshot_version`, `rpq_index_bytes`,
     ///   `rpq_index_fresh_seconds`, one-hot `rpq_index_state{state=...}`;
     /// * `rpq_request_latency_seconds` histogram with power-of-two `le`
@@ -341,13 +334,15 @@ impl Metrics {
     ///   (q0.5/q0.99 + `_sum`/`_count`);
     /// * `rpq_repair_phase_seconds_total{phase=...}` counters from the
     ///   live engine's apply/repair phase accounting.
-    pub fn render_prometheus(
-        &self,
-        queue_depth: usize,
-        snapshot_version: u64,
-        index_bytes: u64,
-        index_state: &str,
-    ) -> String {
+    pub fn render_prometheus(&self, gauges: &Gauges) -> String {
+        let Gauges {
+            queue_depth,
+            executors_busy,
+            executors_cap,
+            snapshot_version,
+            index_bytes,
+            index_state,
+        } = *gauges;
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let mut out = String::with_capacity(4096);
         let mut counter = |name: &str, help: &str, value: u64| {
@@ -411,6 +406,11 @@ impl Metrics {
             "Semantic reach-cache lookups no cached entry could answer.",
             g(&self.semcache_misses),
         );
+        counter(
+            "rpq_worker_panics_total",
+            "Batches whose evaluation panicked (answered 500).",
+            g(&self.worker_panics),
+        );
 
         out.push_str(concat!(
             "# HELP rpq_semcache_hits_total Semantic reach-cache hits by kind.\n",
@@ -446,6 +446,16 @@ impl Metrics {
             "rpq_queue_depth",
             "Admission-queue depth at scrape time.",
             queue_depth.to_string(),
+        );
+        gauge(
+            "rpq_executors_busy",
+            "Executor roles held at scrape time (batches in flight).",
+            executors_busy.to_string(),
+        );
+        gauge(
+            "rpq_executors_cap",
+            "Most batches that run at once (the engine's worker budget).",
+            executors_cap.to_string(),
         );
         gauge(
             "rpq_snapshot_version",
@@ -537,6 +547,25 @@ impl Metrics {
         }
         out
     }
+}
+
+/// What [`Metrics::render_prometheus`] cannot count for itself: the
+/// admission queue's and the engine's state at scrape time.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Gauges {
+    /// Submissions in the admission queue.
+    pub queue_depth: usize,
+    /// Executor roles held (batches in flight).
+    pub executors_busy: usize,
+    /// Most batches that run at once.
+    pub executors_cap: usize,
+    /// Currently published snapshot version.
+    pub snapshot_version: u64,
+    /// Resident bytes of the current snapshot's shared indices.
+    pub index_bytes: u64,
+    /// The current snapshot's
+    /// [`IndexState::as_str`](rpq_engine::IndexState::as_str).
+    pub index_state: &'static str,
 }
 
 /// The value of `series` (metric name with its label set verbatim)
@@ -702,16 +731,21 @@ mod tests {
             ],
             ..Default::default()
         });
-        m.record_semcache(
-            &rpq_engine::SemanticStats::default(),
-            &rpq_engine::SemanticStats {
-                exact_hits: 5,
-                subsumption_hits: 2,
-                misses: 3,
-                filter_time: std::time::Duration::from_micros(1500),
-            },
-        );
-        let text = m.render_prometheus(3, 9, 4096, "repaired");
+        m.record_semcache(&rpq_engine::SemanticStats {
+            exact_hits: 5,
+            subsumption_hits: 2,
+            misses: 3,
+            filter_time: std::time::Duration::from_micros(1500),
+        });
+        m.worker_panics.fetch_add(1, Ordering::Relaxed);
+        let text = m.render_prometheus(&Gauges {
+            queue_depth: 3,
+            executors_busy: 1,
+            executors_cap: 2,
+            snapshot_version: 9,
+            index_bytes: 4096,
+            index_state: "repaired",
+        });
         let samples = parse_prometheus_text(&text).expect("exposition must parse");
         let get = |series: &str| {
             sample(&samples, series)
@@ -719,6 +753,9 @@ mod tests {
         };
         assert_eq!(get("rpq_queries_total"), 7.0);
         assert_eq!(get("rpq_queue_depth"), 3.0);
+        assert_eq!(get("rpq_executors_busy"), 1.0);
+        assert_eq!(get("rpq_executors_cap"), 2.0);
+        assert_eq!(get("rpq_worker_panics_total"), 1.0);
         assert_eq!(get("rpq_snapshot_version"), 9.0);
         assert_eq!(get("rpq_index_bytes"), 4096.0);
         assert_eq!(get("rpq_index_state{state=\"repaired\"}"), 1.0);
@@ -777,7 +814,7 @@ mod tests {
             // render concurrently with the writers: must not panic and
             // must stay parseable mid-flight
             for _ in 0..20 {
-                let text = m.render_prometheus(0, 0, 0, "stale");
+                let text = m.render_prometheus(&Gauges::default());
                 parse_prometheus_text(&text).expect("mid-flight exposition parses");
             }
         });
@@ -812,7 +849,7 @@ mod tests {
         assert_eq!(m.index_rebuilds.load(Ordering::Relaxed), 1);
         assert_eq!(m.landmarks_invalidated.load(Ordering::Relaxed), 24);
         assert!(m.index_fresh_secs() < m.uptime_secs());
-        let text = m.render_prometheus(0, 1, 0, "rebuilding");
+        let text = m.render_prometheus(&Gauges::default());
         let samples = parse_prometheus_text(&text).unwrap();
         let get = |series: &str| sample(&samples, series).unwrap();
         assert_eq!(get("rpq_index_repairs_total"), 2.0);

@@ -1,7 +1,7 @@
 //! The threaded serving core: listener, connection threads, a bounded
-//! admission queue, and an executor role — held by one connection thread
-//! at a time — that feeds coalesced client batches into the
-//! scatter-gather engine.
+//! admission queue, and executor roles — as many as the engine has worker
+//! threads, each held by one connection thread at a time — that feed
+//! coalesced client batches into the scatter-gather engine.
 //!
 //! ## Threading model
 //!
@@ -14,44 +14,86 @@
 //!   encoding one response overlaps evaluating the next. Updates go
 //!   straight to [`UpdatableEngine::apply`] (the engine serializes
 //!   writers internally), gated by a concurrent-writer cap.
-//! * **the executor role** ([`Executing`]) — there is no executor
-//!   thread. A submission admitted into an idle queue takes the role on
-//!   its own connection thread: it drains the queue, concatenates the
-//!   pending submissions into one batch, runs it against one snapshot
-//!   (`queue-wait` and `execute` spans), hands each submission the shared
-//!   result plus the range of items that is its own, and passes the role
-//!   to the oldest submission that queued up meanwhile. So batches still
-//!   run one at a time, each on a single snapshot, but a request that
-//!   finds the server idle is parsed, evaluated, encoded and written by
-//!   one thread: it waits for no other thread to wake, and nothing waits
-//!   for it. (With a dedicated coalescer thread every request paid two
-//!   cross-thread wake-ups, and on the ledger's two-core box their cost
-//!   — not evaluation — set `hop_zipf`'s throughput and made it differ
-//!   by ±8 % from one run to the next.) Coalescing amortizes the
-//!   per-batch costs (one snapshot pin, one planning pass) across
-//!   connections; reach-set memoization does not depend on it — the memo
-//!   lives as long as the graph version and is shared by every batch on
-//!   the snapshot, coalesced or not. (Running several batches at once —
-//!   the executor pool — is ROADMAP item 1's open half.)
+//! * **executor roles** (`Executing`) — there is no executor thread,
+//!   and the role is a count, not a flag. Evaluation only reads the graph
+//!   and its indices, so batches on immutable snapshots cannot change one
+//!   another's answers, and up to *cap* of them run at once. The cap is
+//!   the engine's worker budget ([`EngineConfig::worker_budget`]: its
+//!   `workers`, one per core when 0) — on one core a single role, which is
+//!   the one-batch-at-a-time server this was before. A submission
+//!   admitted while a role is free takes it on its own connection thread:
+//!   it drains the queue, concatenates what it drained into one batch,
+//!   pins *its own* snapshot and runs the batch against it (`queue-wait`
+//!   and `execute` spans), and hands each submission the shared result
+//!   plus the range of items that is its own. A submission admitted while
+//!   every role is held waits in the queue; whoever lays a role down
+//!   passes it (`Reply::Lead`) to the oldest such submission. So a
+//!   request that finds a role free is parsed, evaluated, encoded and
+//!   written by one thread: it waits for no other thread to wake, and
+//!   nothing waits for it. (With a dedicated coalescer thread every
+//!   request paid two cross-thread wake-ups, and on the ledger's two-core
+//!   box their cost — not evaluation — set `hop_zipf`'s throughput; with
+//!   one role, the second closed-loop connection spent half of every
+//!   request waiting for the first one's batch: `hop_unique`
+//!   `read_p50_ms` 9.6 against a one-connection round trip of 5.8.)
+//!
+//!   *What coalesces, and when:* only what queued up while every role was
+//!   held — those submissions are drained together by the next role to
+//!   come free — or, with a [`ServerConfig::coalesce_window`], what
+//!   arrived during the first holder's window beyond the submissions that
+//!   took the remaining roles. Coalescing amortizes the per-batch costs
+//!   (one snapshot pin, one planning pass) across connections; reach-set
+//!   memoization does not depend on it — the memo lives as long as the
+//!   graph version and is shared by every batch on the snapshot,
+//!   coalesced or not, concurrent or not.
+//!
+//!   Three things keep the protocol sound with more than one role; the
+//!   model test at the bottom of this file walks random interleavings of
+//!   them. A submission that holds a role it has yet to drain with, or
+//!   has been sent one, is marked `led` under the queue lock and never
+//!   sent a second: an unread `Lead` in its one-slot channel would leak a
+//!   role, or block the executor that sends it its answer. A role holder
+//!   whose own submission another executor's drain already took may find
+//!   the queue empty: it records nothing and goes back to waiting. And the
+//!   engine shares its worker budget between the batches running on it
+//!   ([`QueryEngine::run_batch`](rpq_engine::QueryEngine::run_batch)):
+//!   two concurrent batches on two cores each evaluate on their caller
+//!   alone instead of both starting a helper thread.
+//!
+//!   Both engine-side questions were settled on the ledger (two cores,
+//!   two closed-loop connections). Sharing the helper budget **stays**:
+//!   without it `hop_unique` read 7.3 ms `read_p50_ms` / 974 q/s /
+//!   166 MiB peak RSS, with it 6.8 ms / 1076 q/s / 143 MiB, same runs
+//!   alternated. Turning the semantic memo's exact-hit path into a read
+//!   lock was **not** done: on `hop_zipf`'s 91 %-hit stream 0.36 % of
+//!   `try_answer`'s lock acquisitions found the mutex held (526 of
+//!   146 568), waiting 0.57 ms in total over 36 665 requests — about
+//!   16 ns of a ≈ 300 µs `server.execute_us`.
 //!
 //! ## Admission control
 //!
 //! The queue is bounded ([`ServerConfig::queue_capacity`]). A submission
 //! that finds it full is refused immediately with **429** and a
 //! `Retry-After` header — backpressure instead of unbounded buffering.
-//! [`ServerConfig::coalesce_window`] optionally holds the executor for a
+//! [`ServerConfig::coalesce_window`] optionally holds an executor for a
 //! beat after work arrives so concurrent clients land in one engine
-//! batch; it is also what makes backpressure deterministic to test.
+//! batch; it is also what makes backpressure deterministic to test. A
+//! batch whose evaluation panics answers each of its submissions **500**
+//! (`rpq_worker_panics_total`); its connection threads and its role
+//! survive it.
+//!
+//! [`EngineConfig::worker_budget`]: rpq_engine::EngineConfig::worker_budget
 
 use crate::http::{read_request, HttpError, Request, Response};
-use crate::metrics::Metrics;
+use crate::metrics::{Gauges, Metrics};
 use crate::wire;
-use rpq_engine::{BatchResult, Query, UpdatableEngine};
+use rpq_engine::{BatchResult, Query, SemanticStats, UpdatableEngine};
 use rpq_graph::AttrId;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -105,14 +147,25 @@ struct Pending {
     /// thread derives the queue-wait trace span from the oldest one in a
     /// drain.
     submitted: Instant,
+    /// Identifies the submission to the role its thread holds (see
+    /// [`Executing`]).
+    ticket: u64,
+    /// Its thread holds an executor role it has yet to drain with, or has
+    /// been sent one: it must not be sent another. A second `Lead` would
+    /// sit unread in the one-slot channel — a role leaked for good if the
+    /// thread is answered first, and until it is read, a block on the
+    /// executor trying to send that answer. Written under the queue lock.
+    led: bool,
 }
 
 /// What a waiting submission is sent.
 enum Reply {
     /// Its batch ran: encode your items.
     Answer(Answer),
-    /// Nothing is executing and yours is the oldest submission queued:
-    /// drain the queue and run the batch (see [`Executing`]).
+    /// Its batch panicked: answer 500.
+    Failed,
+    /// An executor role is free and yours is the oldest submission queued
+    /// without one: drain the queue and run the batch (see [`Executing`]).
     Lead,
 }
 
@@ -128,49 +181,80 @@ struct Answer {
 struct QueueState {
     items: VecDeque<Pending>,
     closed: bool,
-    /// A connection thread holds the executor role (an [`Executing`]
-    /// exists). Whenever `items` is non-empty this is true: whoever
-    /// pushes into an idle queue takes the role, and whoever lays it down
-    /// passes it to the oldest submission still queued.
-    executing: bool,
+    /// Executor roles held (live [`Executing`]s, plus `Lead`s sent and not
+    /// yet read), at most [`WorkQueue::cap`]. Whenever `items` holds a
+    /// submission that is not `led` and whose thread still waits, this
+    /// equals the cap: whoever pushes while a role is free takes it, and
+    /// whoever lays one down passes it to the oldest such submission.
+    executing: usize,
+    next_ticket: u64,
 }
 
-/// Bounded multi-producer queue whose consumer is whichever producer
-/// holds the executor role.
+/// Bounded multi-producer queue whose consumers are whichever producers
+/// hold an executor role.
 struct WorkQueue {
     state: Mutex<QueueState>,
     capacity: usize,
+    /// Most batches in flight at once.
+    cap: usize,
 }
 
 impl WorkQueue {
-    fn new(capacity: usize) -> Self {
+    fn new(capacity: usize, cap: usize) -> Self {
         WorkQueue {
             state: Mutex::new(QueueState::default()),
             capacity,
+            cap,
         }
     }
 
-    /// Admit a submission, or refuse immediately when full/closed. An
-    /// admission into an idle queue comes back with the executor role.
-    fn try_push(&self, p: Pending) -> Result<Option<Executing<'_>>, ()> {
+    /// Admit a submission, or refuse immediately when full/closed. Returns
+    /// its ticket, and an executor role if one was free.
+    fn try_push(
+        &self,
+        queries: Vec<Query>,
+        reply: mpsc::SyncSender<Reply>,
+        submitted: Instant,
+    ) -> Result<(u64, Option<Executing<'_>>), ()> {
         let mut s = self.state.lock().expect("queue lock");
         if s.closed || s.items.len() >= self.capacity {
             return Err(());
         }
-        s.items.push_back(p);
-        let idle = !std::mem::replace(&mut s.executing, true);
-        Ok(idle.then(|| Executing(self)))
+        let ticket = s.next_ticket;
+        s.next_ticket += 1;
+        let led = s.executing < self.cap;
+        s.executing += usize::from(led);
+        s.items.push_back(Pending {
+            queries,
+            reply,
+            submitted,
+            ticket,
+            led,
+        });
+        Ok((ticket, led.then(|| self.role(ticket))))
+    }
+
+    /// The role a thread holds after [`try_push`](Self::try_push) granted
+    /// it one or it read a [`Reply::Lead`]: `executing` already counts it.
+    fn role(&self, owner: u64) -> Executing<'_> {
+        Executing { queue: self, owner }
     }
 
     fn depth(&self) -> usize {
         self.state.lock().expect("queue lock").items.len()
     }
 
+    /// Executor roles held right now.
+    fn executing(&self) -> usize {
+        self.state.lock().expect("queue lock").executing
+    }
+
     /// A submission whose thread stops waiting: whatever reached `rx` is
     /// taken and `rx` closed in one step with respect to role hand-offs
     /// (which happen under the same lock), so a role passed to a thread
-    /// that is giving up is handed on instead of lost.
-    fn give_up(&self, rx: mpsc::Receiver<Reply>) -> Option<Answer> {
+    /// that is giving up is handed on instead of lost. Returns the reply
+    /// it had after all, never a `Lead`.
+    fn give_up(&self, rx: mpsc::Receiver<Reply>, ticket: u64) -> Option<Reply> {
         let last = {
             let _s = self.state.lock().expect("queue lock");
             let last = rx.try_recv().ok();
@@ -178,11 +262,11 @@ impl WorkQueue {
             last
         };
         match last? {
-            Reply::Answer(answer) => Some(answer),
             Reply::Lead => {
-                drop(Executing(self));
+                drop(self.role(ticket));
                 None
             }
+            settled => Some(settled),
         }
     }
 
@@ -191,23 +275,29 @@ impl WorkQueue {
     }
 }
 
-/// The executor role: at most one exists per queue, held by the
-/// connection thread that is running a batch. Dropping it — also when a
-/// batch panics — passes the role to the oldest submission still queued
-/// whose thread is still waiting, or lays it down when the queue is empty.
-struct Executing<'a>(&'a WorkQueue);
+/// An executor role: at most [`WorkQueue::cap`] exist per queue, each
+/// held by a connection thread that is running a batch. Dropping it —
+/// also when a batch panics — passes the role to the oldest submission
+/// still queued that has none and whose thread is still waiting, or lays
+/// it down when there is no such submission.
+struct Executing<'a> {
+    queue: &'a WorkQueue,
+    /// Ticket of the holder's own submission.
+    owner: u64,
+}
 
 impl Executing<'_> {
-    /// Drain up to `max` submissions, oldest first. The holder's own is
-    /// the oldest one still waited for, so it is among them (unless `max`
-    /// abandoned ones are ahead of it: then the role comes straight back
-    /// to it). `window` holds the drain so concurrent submissions
-    /// coalesce.
+    /// Drain up to `max` submissions, oldest first; `window` holds the
+    /// drain so concurrent submissions coalesce. The holder's own need not
+    /// be among them: another executor's drain may have taken it already
+    /// (then the queue may even be empty), or `max` older ones are ahead
+    /// of it (then the role comes straight back to it when this one is
+    /// dropped).
     fn drain(&self, max: usize, window: Duration) -> Vec<Pending> {
         if !window.is_zero() {
             thread::sleep(window);
         }
-        let mut s = self.0.state.lock().expect("queue lock");
+        let mut s = self.queue.state.lock().expect("queue lock");
         let n = s.items.len().min(max);
         s.items.drain(..n).collect()
     }
@@ -215,14 +305,28 @@ impl Executing<'_> {
 
 impl Drop for Executing<'_> {
     fn drop(&mut self) {
-        let mut s = self.0.state.lock().expect("queue lock");
-        // a submission reads a `Lead` before anything else can be sent to
-        // it (it is the one who sends what follows), so its one-slot
-        // channel is never full here; a closed one has given up
-        s.executing = s
+        // every update below leaves the state valid, and a drop must not
+        // panic: a poisoned lock is still good
+        let mut s = self
+            .queue
+            .state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        // the holder's own submission, if still queued, is led by nobody
+        // once this role is gone
+        if let Some(own) = s.items.iter_mut().find(|p| p.ticket == self.owner) {
+            own.led = false;
+        }
+        // a submission without a role has been sent nothing yet, so its
+        // one-slot channel is empty; a closed one has given up
+        let next = s
             .items
-            .iter()
-            .any(|p| p.reply.try_send(Reply::Lead).is_ok());
+            .iter_mut()
+            .find(|p| !p.led && p.reply.try_send(Reply::Lead).is_ok());
+        match next {
+            Some(p) => p.led = true,
+            None => s.executing -= 1,
+        }
     }
 }
 
@@ -239,6 +343,9 @@ struct Shared {
     /// keep-alive reads instead of waiting out their timeout.
     conn_streams: Mutex<HashMap<u64, TcpStream>>,
     next_conn_id: AtomicU64,
+    /// Fail point: the next batch to run panics instead.
+    #[cfg(test)]
+    fail_next_batch: AtomicBool,
 }
 
 /// A running server. Dropping it without calling [`Server::shutdown`]
@@ -269,10 +376,13 @@ impl Server {
                 io::Error::new(io::ErrorKind::InvalidInput, "unresolvable addr")
             })?)?;
         let addr = listener.local_addr()?;
+        // as many batches at once as the engine has threads to run them
+        // on: on one core, one at a time
+        let cap = engine.config().worker_budget().max(1);
         let shared = Arc::new(Shared {
             engine,
             metrics: Arc::new(Metrics::new()),
-            queue: WorkQueue::new(config.queue_capacity.max(1)),
+            queue: WorkQueue::new(config.queue_capacity.max(1), cap),
             config,
             addr,
             shutdown: AtomicBool::new(false),
@@ -280,6 +390,8 @@ impl Server {
             pending_updates: AtomicUsize::new(0),
             conn_streams: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(0),
+            #[cfg(test)]
+            fail_next_batch: AtomicBool::new(false),
         });
 
         let accept = {
@@ -389,28 +501,62 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Run one engine batch as the holder of the executor `role`: drain the
+/// Run one engine batch as the holder of an executor `role`: drain the
 /// queue, concatenate the submissions, evaluate them against one
-/// snapshot, and send each its share. The role is passed on (or laid
-/// down) when this returns.
+/// snapshot — pinned here, by this holder, for this batch — and send each
+/// its share. The role is passed on (or laid down) when this returns.
 fn execute_batch(shared: &Shared, role: Executing<'_>) {
     let cfg = &shared.config;
-    let tracer = rpq_trace::tracer();
     let batch = role.drain(cfg.coalesce_max.max(1), cfg.coalesce_window);
+    if batch.is_empty() {
+        // another executor's drain took this holder's submission along
+        // with its own: nothing ran here, so there is nothing to record —
+        // the holder goes back to waiting for that executor's answer
+        return;
+    }
     let drained = Instant::now();
-    let mut all = Vec::with_capacity(batch.iter().map(|p| p.queries.len()).sum());
+    // a panicking evaluation must neither take the connection thread down
+    // nor leave the other submissions of its batch unanswered
+    let ran = catch_unwind(AssertUnwindSafe(|| evaluate(shared, &batch, drained)));
+    if ran.is_err() {
+        shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
+    }
+    let mut offset = 0;
     for p in &batch {
+        let range = offset..offset + p.queries.len();
+        offset = range.end;
+        let reply = match &ran {
+            Ok((result, version)) => Reply::Answer(Answer {
+                result: Arc::clone(result),
+                range,
+                version: *version,
+            }),
+            Err(_) => Reply::Failed,
+        };
+        // a receiver that gave up (timeout, dead connection) is fine; one
+        // with an unread `Lead` in its slot reads it at once
+        let _ = p.reply.send(reply);
+    }
+}
+
+/// The part of [`execute_batch`] that can panic: evaluate `batch` on the
+/// current snapshot and record what it did. Returns the result and the
+/// version it was evaluated at.
+fn evaluate(shared: &Shared, batch: &[Pending], drained: Instant) -> (Arc<BatchResult>, u64) {
+    let mut all = Vec::with_capacity(batch.iter().map(|p| p.queries.len()).sum());
+    for p in batch {
         all.extend_from_slice(&p.queries);
     }
     let snapshot = shared.engine.snapshot();
-    // diff the snapshot memo's cumulative counters around the batch:
-    // the memo is pinned with the snapshot Arc, so the delta is exact
-    // even if a writer publishes a newer version mid-batch
-    let sem0 = snapshot.semantic_stats();
+    #[cfg(test)]
+    if shared.fail_next_batch.swap(false, Ordering::SeqCst) {
+        panic!("fail point: batch panics");
+    }
     let result = Arc::new(snapshot.run_batch(&all));
-    shared
-        .metrics
-        .record_semcache(&sem0, &snapshot.semantic_stats());
+    // the batch's own lookups, not a delta of the snapshot memo's
+    // counters: batches overlapping on one snapshot would each count the
+    // other's
+    shared.metrics.record_semcache(&result.semantic_stats());
     let executed = Instant::now();
     // per-plan-variant evaluation latency (worker wall time, not
     // request time — isolates engine cost from queueing)
@@ -424,6 +570,7 @@ fn execute_batch(shared: &Shared, role: Executing<'_>) {
     // queue-wait and execute are recorded *before* the replies go
     // out, so a client that got its answer is guaranteed to see its
     // batch's spans in /debug/trace
+    let tracer = rpq_trace::tracer();
     if tracer.enabled() {
         let oldest = batch.iter().map(|p| p.submitted).min().unwrap_or(drained);
         tracer.record_span(
@@ -439,17 +586,7 @@ fn execute_batch(shared: &Shared, role: Executing<'_>) {
             &format!("queries={} version={version}", all.len()),
         );
     }
-    let mut offset = 0;
-    for p in &batch {
-        let range = offset..offset + p.queries.len();
-        offset = range.end;
-        // a receiver that gave up (timeout, dead connection) is fine
-        let _ = p.reply.send(Reply::Answer(Answer {
-            result: Arc::clone(&result),
-            range,
-            version,
-        }));
-    }
+    (result, version)
 }
 
 fn handle_connection(stream: TcpStream, shared: &Shared) {
@@ -529,35 +666,32 @@ fn handle_query(req: &Request, shared: &Shared) -> Response {
     }
 
     let (tx, rx) = mpsc::sync_channel(1);
-    let pending = Pending {
-        queries,
-        reply: tx,
-        submitted: started,
-    };
-    let mut role = match shared.queue.try_push(pending) {
-        Ok(role) => role,
-        Err(()) => {
-            shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            return Response::error(429, "admission queue full")
-                .with_header("Retry-After", RETRY_AFTER_SECS);
-        }
+    let Ok((ticket, mut role)) = shared.queue.try_push(queries, tx, started) else {
+        shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+        return Response::error(429, "admission queue full")
+            .with_header("Retry-After", RETRY_AFTER_SECS);
     };
     let answer = loop {
         if let Some(role) = role.take() {
             execute_batch(shared, role);
         }
-        match rx.recv_timeout(Duration::from_secs(120)) {
-            Ok(Reply::Answer(answer)) => break answer,
-            Ok(Reply::Lead) => role = Some(Executing(&shared.queue)),
-            Err(e) => match (shared.queue.give_up(rx), e) {
-                (Some(answer), _) => break answer,
-                (None, mpsc::RecvTimeoutError::Timeout) => {
+        let settled = match rx.recv_timeout(Duration::from_secs(120)) {
+            Ok(Reply::Lead) => {
+                role = Some(shared.queue.role(ticket));
+                continue;
+            }
+            Ok(settled) => settled,
+            Err(e) => match shared.queue.give_up(rx, ticket) {
+                Some(settled) => settled,
+                None if e == mpsc::RecvTimeoutError::Timeout => {
                     return Response::error(503, "evaluation timed out")
                 }
-                (None, mpsc::RecvTimeoutError::Disconnected) => {
-                    return Response::error(503, "server is shutting down")
-                }
+                None => return Response::error(503, "server is shutting down"),
             },
+        };
+        match settled {
+            Reply::Answer(answer) => break answer,
+            _ => return Response::error(500, "evaluation failed"),
         }
     };
 
@@ -658,15 +792,21 @@ fn handle_explain(req: &Request, shared: &Shared) -> Response {
         Err(e) => return engine_error_response(&e),
     };
     let mut out = String::new();
-    let sem0 = snapshot.semantic_stats();
+    // each profile names its own query's lookup; the filter time of a
+    // subsumption answer is not in it, and goes uncounted here
+    let mut lookups = SemanticStats::default();
     for query in &queries {
         let (_, profile) = snapshot.run_query_profiled(query);
+        match profile.semcache.as_str() {
+            "exact_hit" => lookups.exact_hits += 1,
+            "subsumption_hit" => lookups.subsumption_hits += 1,
+            "miss" => lookups.misses += 1,
+            _ => {} // a PQ: no lookup
+        }
         out.push_str(&profile.to_json());
         out.push('\n');
     }
-    shared
-        .metrics
-        .record_semcache(&sem0, &snapshot.semantic_stats());
+    shared.metrics.record_semcache(&lookups);
     shared
         .metrics
         .latency
@@ -699,12 +839,14 @@ fn handle_metrics(shared: &Shared) -> Response {
     Response::text(
         200,
         "text/plain; version=0.0.4; charset=utf-8",
-        shared.metrics.render_prometheus(
-            shared.queue.depth(),
-            snapshot.version(),
-            snapshot.engine().index_bytes(),
-            snapshot.index_state().as_str(),
-        ),
+        shared.metrics.render_prometheus(&Gauges {
+            queue_depth: shared.queue.depth(),
+            executors_busy: shared.queue.executing(),
+            executors_cap: shared.queue.cap,
+            snapshot_version: snapshot.version(),
+            index_bytes: snapshot.engine().index_bytes(),
+            index_state: snapshot.index_state().as_str(),
+        }),
     )
 }
 
@@ -740,90 +882,303 @@ fn handle_schema(shared: &Shared) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn submission() -> (Pending, mpsc::Receiver<Reply>) {
+    /// One admitted submission as its connection thread sees it.
+    struct Submitted<'a> {
+        ticket: u64,
+        role: Option<Executing<'a>>,
+        rx: mpsc::Receiver<Reply>,
+    }
+
+    fn submit(queue: &WorkQueue) -> Result<Submitted<'_>, ()> {
         let (tx, rx) = mpsc::sync_channel(1);
-        let pending = Pending {
-            queries: Vec::new(),
-            reply: tx,
-            submitted: Instant::now(),
-        };
-        (pending, rx)
+        let (ticket, role) = queue.try_push(Vec::new(), tx, Instant::now())?;
+        Ok(Submitted { ticket, role, rx })
     }
 
     fn leads(rx: &mpsc::Receiver<Reply>) -> bool {
         matches!(rx.try_recv(), Ok(Reply::Lead))
     }
 
+    /// With a cap of two: "idle" is "a role is free".
     #[test]
     fn the_role_goes_to_whoever_finds_the_queue_idle_then_down_the_queue() {
-        let queue = WorkQueue::new(8);
-        let (first, _rx1) = submission();
-        let role = queue.try_push(first).unwrap().expect("idle queue");
-        let (second, rx2) = submission();
-        let (third, rx3) = submission();
-        assert!(queue.try_push(second).unwrap().is_none(), "one role");
-        assert!(queue.try_push(third).unwrap().is_none());
+        let queue = WorkQueue::new(8, 2);
+        let first = submit(&queue).unwrap();
+        let second = submit(&queue).unwrap();
+        let third = submit(&queue).unwrap();
+        let fourth = submit(&queue).unwrap();
+        let role1 = first.role.expect("idle queue");
+        let role2 = second.role.expect("a second role while the first is held");
+        assert!(third.role.is_none() && fourth.role.is_none(), "two roles");
+        assert_eq!(queue.executing(), 2);
 
-        // the first holder runs a batch of one; the role passes to the
-        // oldest submission left, and only to it
-        assert_eq!(role.drain(1, Duration::ZERO).len(), 1);
-        drop(role);
-        assert!(leads(&rx2));
-        assert!(!leads(&rx3));
+        // the first holder runs a batch of one; its role passes to the
+        // oldest submission without one — not to the second, which holds
+        // one it has yet to drain with — and only to it
+        assert_eq!(role1.drain(1, Duration::ZERO).len(), 1);
+        drop(role1);
+        assert!(!leads(&second.rx));
+        assert!(leads(&third.rx));
+        assert!(!leads(&fourth.rx));
+        assert_eq!(queue.executing(), 2);
 
-        // the second drains everything: the role is laid down, and the
-        // next admission picks it up again
-        let role = Executing(&queue);
-        assert_eq!(role.drain(8, Duration::ZERO).len(), 2);
-        drop(role);
-        assert!(!leads(&rx3));
-        assert_eq!(queue.depth(), 0);
-        let (fourth, _rx4) = submission();
-        assert!(queue.try_push(fourth).unwrap().is_some());
+        // the second drains everything, the third's submission included:
+        // the third finds the queue empty and lays its role down
+        assert_eq!(role2.drain(8, Duration::ZERO).len(), 3);
+        let role3 = queue.role(third.ticket);
+        assert!(role3.drain(8, Duration::ZERO).is_empty());
+        drop(role3);
+        assert_eq!(queue.executing(), 1);
+        drop(role2);
+        assert!(!leads(&fourth.rx));
+        assert_eq!((queue.executing(), queue.depth()), (0, 0));
+        assert!(submit(&queue).unwrap().role.is_some());
     }
 
     #[test]
     fn a_submission_that_gave_up_neither_keeps_nor_loses_the_role() {
-        let queue = WorkQueue::new(8);
-        let (first, _rx1) = submission();
-        let role = queue.try_push(first).unwrap().expect("idle queue");
-        let (gone, rx_gone) = submission();
-        let (late, rx_late) = submission();
-        let (waiting, rx_waiting) = submission();
-        for p in [gone, late, waiting] {
-            assert!(queue.try_push(p).unwrap().is_none());
-        }
-        role.drain(1, Duration::ZERO);
+        let queue = WorkQueue::new(8, 2);
+        let role1 = submit(&queue).unwrap().role.expect("idle queue");
+        let role2 = submit(&queue).unwrap().role.expect("second role");
+        let gone = submit(&queue).unwrap();
+        let late = submit(&queue).unwrap();
+        let waiting = submit(&queue).unwrap();
+        assert_eq!(role1.drain(2, Duration::ZERO).len(), 2);
 
-        // one thread stopped waiting before the role reached it: skipped
-        assert!(queue.give_up(rx_gone).is_none());
-        drop(role);
-        assert!(!leads(&rx_waiting));
+        // one thread stopped waiting before a role reached it: skipped
+        assert!(queue.give_up(gone.rx, gone.ticket).is_none());
+        drop(role1);
+        assert!(!leads(&waiting.rx));
         // the next one stops waiting with the role already in its
         // channel: it hands the role on instead of taking it to the grave
-        assert!(queue.give_up(rx_late).is_none());
-        assert!(leads(&rx_waiting));
+        assert!(queue.give_up(late.rx, late.ticket).is_none());
+        assert!(leads(&waiting.rx));
+        assert_eq!(queue.executing(), 2);
 
         // the abandoned submissions are still executed (and their answers
         // dropped); after that the queue is idle again
-        let role = Executing(&queue);
-        assert_eq!(role.drain(8, Duration::ZERO).len(), 3);
-        drop(role);
-        let (next, _rx) = submission();
-        assert!(queue.try_push(next).unwrap().is_some());
+        assert_eq!(role2.drain(8, Duration::ZERO).len(), 3);
+        drop(role2);
+        drop(queue.role(waiting.ticket));
+        assert_eq!(queue.executing(), 0);
+        assert!(submit(&queue).unwrap().role.is_some());
     }
 
     #[test]
     fn a_closed_or_full_queue_admits_nothing() {
-        let queue = WorkQueue::new(1);
-        let (first, _rx1) = submission();
-        let _role = queue.try_push(first).unwrap();
-        let (second, _rx2) = submission();
-        assert!(queue.try_push(second).is_err(), "full");
-        let queue = WorkQueue::new(1);
+        let queue = WorkQueue::new(1, 2);
+        let _first = submit(&queue).unwrap();
+        assert!(submit(&queue).is_err(), "full");
+        let queue = WorkQueue::new(1, 2);
         queue.close();
-        let (third, _rx3) = submission();
-        assert!(queue.try_push(third).is_err(), "closed");
+        assert!(submit(&queue).is_err(), "closed");
+    }
+
+    /// A connection thread of the model below: where it is in
+    /// `handle_query`'s loop.
+    enum Client<'a> {
+        /// In `execute_batch`, before the drain (`batch` is `None`) or
+        /// between drain and replies.
+        Executing {
+            role: Executing<'a>,
+            batch: Option<Vec<Pending>>,
+            rx: mpsc::Receiver<Reply>,
+        },
+        /// In `recv_timeout`.
+        Waiting(mpsc::Receiver<Reply>),
+        /// Answered, or gave up.
+        Done,
+    }
+
+    /// The role protocol over every interleaving a seed can reach: the
+    /// real `WorkQueue`, driven one step of one connection thread at a
+    /// time. `Reply::Failed` stands in for an answer.
+    struct Model<'a> {
+        queue: &'a WorkQueue,
+        max: usize,
+        /// By ticket.
+        clients: Vec<Client<'a>>,
+    }
+
+    impl<'a> Model<'a> {
+        fn push(&mut self) {
+            let Ok(Submitted { ticket, role, rx }) = submit(self.queue) else {
+                return;
+            };
+            assert_eq!(ticket as usize, self.clients.len());
+            self.clients.push(match role {
+                Some(role) => Client::Executing {
+                    role,
+                    batch: None,
+                    rx,
+                },
+                None => Client::Waiting(rx),
+            });
+        }
+
+        /// One step of client `c`; false if it has none left to take.
+        fn step(&mut self, c: usize) -> bool {
+            match std::mem::replace(&mut self.clients[c], Client::Done) {
+                Client::Executing {
+                    role,
+                    batch: None,
+                    rx,
+                } => {
+                    let batch = Some(role.drain(self.max, Duration::ZERO));
+                    self.clients[c] = Client::Executing { role, batch, rx };
+                }
+                Client::Executing {
+                    role,
+                    batch: Some(batch),
+                    rx,
+                } => {
+                    self.clients[c] = Client::Waiting(rx);
+                    for p in batch {
+                        self.answer(p);
+                    }
+                    drop(role);
+                }
+                Client::Waiting(rx) => match rx.try_recv() {
+                    Ok(Reply::Lead) => {
+                        let role = self.queue.role(c as u64);
+                        self.clients[c] = Client::Executing {
+                            role,
+                            batch: None,
+                            rx,
+                        };
+                    }
+                    Ok(_) => {}
+                    Err(_) => {
+                        self.clients[c] = Client::Waiting(rx);
+                        return false;
+                    }
+                },
+                Client::Done => return false,
+            }
+            true
+        }
+
+        /// `p.reply.send(..)` of `execute_batch`: blocks while `p`'s slot
+        /// holds an unread `Lead`, which its thread must be there to read.
+        fn answer(&mut self, p: Pending) {
+            if let Err(mpsc::TrySendError::Full(reply)) = p.reply.try_send(Reply::Failed) {
+                let c = p.ticket as usize;
+                assert!(
+                    matches!(self.clients[c], Client::Waiting(_)),
+                    "an answer is blocked behind a Lead sent to a thread that holds a role"
+                );
+                assert!(self.step(c), "the full slot holds a Lead");
+                assert!(p.reply.try_send(reply).is_ok(), "the slot was read");
+            }
+        }
+
+        fn give_up(&mut self, c: usize) {
+            match std::mem::replace(&mut self.clients[c], Client::Done) {
+                Client::Waiting(rx) => {
+                    let last = self.queue.give_up(rx, c as u64);
+                    assert!(!matches!(last, Some(Reply::Lead)));
+                }
+                busy => self.clients[c] = busy,
+            }
+        }
+
+        fn check(&self) {
+            let s = self.queue.state.lock().unwrap();
+            assert!(s.executing <= self.queue.cap, "more roles than the cap");
+            let holders = self
+                .clients
+                .iter()
+                .filter(|c| matches!(c, Client::Executing { .. }))
+                .count();
+            assert!(s.executing >= holders, "a held role is not counted");
+            // nobody waits in the queue while a role is free
+            for p in &s.items {
+                let waits = matches!(self.clients[p.ticket as usize], Client::Waiting(_));
+                assert!(
+                    p.led || !waits || s.executing == self.queue.cap,
+                    "submission {} waits with {} of {} roles held",
+                    p.ticket,
+                    s.executing,
+                    self.queue.cap
+                );
+            }
+        }
+
+        /// Let every thread run until none can move.
+        fn settle(&mut self) {
+            while (0..self.clients.len()).fold(false, |moved, c| self.step(c) | moved) {
+                self.check();
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn the_role_protocol_holds_on_every_interleaving(
+            cap in 1usize..4,
+            max in 1usize..4,
+            ops in proptest::collection::vec((0u8..8, 0usize..64), 0..80),
+        ) {
+            let queue = WorkQueue::new(6, cap);
+            let mut model = Model { queue: &queue, max, clients: Vec::new() };
+            for (op, pick) in ops {
+                let c = pick % model.clients.len().max(1);
+                match op {
+                    0 | 1 => model.push(),
+                    2 => {
+                        if c < model.clients.len() {
+                            model.give_up(c);
+                        }
+                    }
+                    _ => {
+                        if c < model.clients.len() {
+                            model.step(c);
+                        }
+                    }
+                }
+                model.check();
+            }
+            model.settle();
+            // everything still waited for was answered, every role is
+            // back, and no channel holds a `Lead` nobody will read
+            for (c, client) in model.clients.iter().enumerate() {
+                prop_assert!(matches!(client, Client::Done), "submission {c} was never answered");
+            }
+            prop_assert_eq!(queue.executing(), 0);
+            // what is left queued was abandoned: the next admission
+            // takes a role and, batch by batch, all of it
+            while queue.depth() > 0 {
+                model.push();
+                model.settle();
+                prop_assert_eq!(queue.executing(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_batch_answers_500_and_the_connection_lives_on() {
+        let graph = rpq_graph::gen::essembly();
+        let queries = [Query::parse_rq("job = \"doctor\"", "", "fn", &graph).unwrap()];
+        let engine = Arc::new(UpdatableEngine::new(graph.clone()));
+        let server = Server::start(engine, ServerConfig::default()).unwrap();
+        let mut client = crate::Client::connect(server.addr()).unwrap();
+        assert_eq!(client.query(&queries, &graph).unwrap().status, 200);
+
+        server.shared.fail_next_batch.store(true, Ordering::SeqCst);
+        let failed = client.query(&queries, &graph).unwrap();
+        assert_eq!(failed.status, 500, "{}", failed.body);
+        assert!(failed.body.contains("evaluation failed"), "{}", failed.body);
+
+        // same connection, next request: served, and the role came back
+        assert_eq!(client.query(&queries, &graph).unwrap().status, 200);
+        assert_eq!(server.shared.queue.executing(), 0);
+        let metrics = server.metrics();
+        assert_eq!(metrics.worker_panics.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.errors.load(Ordering::Relaxed), 1);
+        server.shutdown();
     }
 }

@@ -106,6 +106,135 @@ fn concurrent_clients_get_bit_identical_answers() {
     server.shutdown();
 }
 
+/// More clients than executor roles, a writer publishing versions under
+/// them, default config (no window): every answer is what in-process
+/// evaluation gives on the snapshot named by its `X-Rpq-Version`, batches
+/// did run concurrently, and the semantic-cache counters count each RQ
+/// once however the batches overlapped.
+#[test]
+fn overlapping_batches_answer_from_their_own_snapshot() {
+    // 11 queries a request: no other test of this binary (they share the
+    // process tracer) runs a batch whose size is a multiple of it
+    const PER_REQUEST: usize = 11;
+    const CLIENTS: u64 = 8;
+    const ROUNDS: u64 = 24;
+    rpq_trace::tracer().set_enabled(true);
+    let (engine, server, graph) = start(ServerConfig::default());
+    let addr = server.addr();
+    let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+
+    // the one writer: after each acknowledged update the published
+    // snapshot is the acknowledged version, and it keeps them all
+    let writer = {
+        let (engine, graph, done) = (Arc::clone(&engine), Arc::clone(&graph), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            let colors: Vec<Color> = graph.alphabet().colors().collect();
+            let mut snapshots = vec![engine.snapshot()];
+            let mut step = 0u32;
+            while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                step += 1;
+                let (a, b) = (NodeId(step % 97), NodeId((step * 7 + 1) % 89));
+                let update = Update::Insert(a, b, colors[step as usize % colors.len()]);
+                let resp = client.update(&[update], &graph).unwrap();
+                assert_eq!(resp.status, 200, "{}", resp.body);
+                let snapshot = engine.snapshot();
+                if snapshot.version() as usize == snapshots.len() {
+                    snapshots.push(snapshot);
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            snapshots
+        })
+    };
+
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let graph = Arc::clone(&graph);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                (0..ROUNDS)
+                    .map(|round| {
+                        let queries = mixed_queries(&graph, PER_REQUEST, 100 * c + round % 6);
+                        let resp = client.query(&queries, &graph).unwrap();
+                        assert_eq!(resp.status, 200, "{}", resp.body);
+                        (queries, resp.version.expect("X-Rpq-Version"), resp.body)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let answers: Vec<_> = clients
+        .into_iter()
+        .flat_map(|h| h.join().unwrap())
+        .collect();
+    done.store(true, std::sync::atomic::Ordering::SeqCst);
+    let snapshots = writer.join().unwrap();
+
+    // read the server's own accounts before evaluating anything here
+    let mut client = Client::connect(addr).unwrap();
+    let get = scrape(&mut client);
+    let rqs = answers
+        .iter()
+        .flat_map(|(queries, ..)| queries)
+        .filter(|q| matches!(q, Query::Rq(_)))
+        .count();
+    assert_eq!(
+        get("rpq_semcache_hits_total{kind=\"exact\"}")
+            + get("rpq_semcache_hits_total{kind=\"subsumption\"}")
+            + get("rpq_semcache_misses_total"),
+        rqs as f64,
+        "one lookup per RQ, each counted once"
+    );
+    assert_eq!(get("rpq_executors_busy"), 0.0);
+    assert!(get("rpq_executors_cap") >= 1.0);
+    assert_eq!(get("rpq_worker_panics_total"), 0.0);
+    let trace = client.debug_trace().unwrap();
+
+    assert!(snapshots.len() > 1, "the writer published nothing");
+    for (queries, version, body) in &answers {
+        let expected =
+            rpq_server::wire::encode_items(snapshots[*version as usize].run_batch(queries).items());
+        assert_eq!(body, &expected, "answer diverged from version {version}");
+    }
+
+    // this test's batches in the ring: `[start, end]` of each `execute`
+    let field = |line: &str, key: &str| -> u64 {
+        let rest = &line[line.find(key).unwrap_or_else(|| panic!("{key} in {line}")) + key.len()..];
+        let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+        rest[..digits].parse().unwrap()
+    };
+    let mine = |l: &&str| l.contains("\"scope\":\"server\"") && field(l, "queries=") % 11 == 0;
+    assert!(
+        !trace.lines().any(|l| l.contains("submissions=0 ")),
+        "an executor that found the queue empty recorded a span:\n{trace}"
+    );
+    let spans: Vec<(u64, u64)> = trace
+        .lines()
+        .filter(|l| l.contains("\"name\":\"execute\""))
+        .filter(mine)
+        .map(|l| {
+            let (end, dur) = (field(l, "\"at_us\":"), field(l, "\"dur_us\":"));
+            (end.saturating_sub(dur), end)
+        })
+        .collect();
+    assert!(
+        !spans.is_empty(),
+        "no execute span of this test in:\n{trace}"
+    );
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2 {
+        // (a span's end is stamped a few µs after the batch's: ask for
+        // more overlap than that)
+        let overlap = spans.iter().enumerate().any(|(i, a)| {
+            spans[i + 1..]
+                .iter()
+                .any(|b| a.1.min(b.1).saturating_sub(a.0.max(b.0)) >= 50)
+        });
+        assert!(overlap, "no two execute spans overlap in:\n{trace}");
+    }
+    server.shutdown();
+}
+
 /// Updates round-trip: version advances, answers change, the applied
 /// count is reported.
 #[test]
