@@ -5,7 +5,7 @@ use crate::batch::{BatchItem, BatchResult, Query, QueryOutput};
 use crate::error::{ConfigError, EngineError};
 use crate::explain::{query_summary, CountingProbe};
 use crate::memo::{CacheKind, Lookup, SemanticMemo, SemanticStats};
-use crate::planner::{self, Algo, Backend, Plan, Rationale};
+use crate::planner::{self, Algo, Backend, Plan, Rationale, Uncovered};
 use crate::slot::IndexSlot;
 use rpq_core::canonical::{canonical_pq, canonical_rq};
 use rpq_core::join_match::JoinMatch;
@@ -259,31 +259,39 @@ impl QueryEngine {
             budget_bytes: config.hop_label_budget,
             wildcard_layer: true,
         };
-        let g = Arc::clone(&graph);
+        // The hop build's two stages are the two calls of
+        // `HopLabels::build_with`; the slot publishes between them.
+        let (g1, g2) = (Arc::clone(&graph), Arc::clone(&graph));
+        let budget = build_config.budget_bytes;
         let hop = IndexSlot::new(
-            "hop-build",
+            "hop",
             &retired,
             move || hop_allowed,
             |l: &HopLabels| format!("bytes={}", l.bytes()),
-            move |cancel| HopLabels::build_with(&g, &build_config, cancel),
+            HopLabels::layer_progress,
+            move |cancel| HopLabels::build_concrete(&g1, &build_config, cancel),
+            move |labels, cancel| labels.build_wildcard(&g2, budget, cancel),
         );
         // Sharded labels: only when a single-machine index cannot serve —
         // sharding configured, and the hop build either disabled by policy
         // or already failed its budget. While a single-index build is
         // still possible (or in flight) it stays preferred: its probes
-        // don't pay the overlay stitch.
+        // don't pay the overlay stitch. Built in one stage: each shard's
+        // index is small and the stitch needs all of them.
         let sharded_wanted = over_limit && config.shards >= 2;
         let (g, build_config) = (Arc::clone(&graph), config.sharded_config());
         let single = Arc::clone(&hop);
         let sharded = IndexSlot::new(
-            "sharded-build",
+            "sharded",
             &retired,
             move || sharded_wanted && (!hop_allowed || single.over_budget()),
             |l: &ShardedLabels| {
                 let stats = l.stats();
                 format!("shards={} bytes={}", stats.shards, stats.total_bytes())
             },
+            |_| (1, 1),
             move |cancel| ShardedLabels::build_with(&g, &build_config, cancel),
+            |_, _| Ok(()),
         );
         QueryEngine {
             graph,
@@ -357,7 +365,9 @@ impl QueryEngine {
     }
 
     /// The whole-graph hop-label index: [`get`](IndexSlot::get) it once
-    /// built, or [`force`](IndexSlot::force) the build on the calling
+    /// its concrete layers are published (the wildcard layer may still be
+    /// building — [`HopLabels::layer_progress`]), or
+    /// [`force`](IndexSlot::force) the complete build on the calling
     /// thread. Policy allows it over the matrix limit with a nonzero
     /// [`hop_label_budget`](EngineConfig::hop_label_budget).
     pub fn hop(&self) -> &IndexSlot<HopLabels> {
@@ -417,8 +427,8 @@ impl QueryEngine {
     }
 
     /// The best backend usable for `query` right now: matrix → hop →
-    /// sharded → search, a label index counting only once built and
-    /// covering every color the query probes.
+    /// sharded → search, a label index counting only once published and
+    /// holding a layer for every color the query probes.
     fn best_backend(&self, query: &Query) -> Backend {
         if self.matrix_available() {
             Backend::Matrix
@@ -433,10 +443,22 @@ impl QueryEngine {
 
     fn plan(&self, query: &Query, shared_in_batch: bool) -> (Plan, Rationale) {
         let backend = self.best_backend(query);
-        match query {
+        let (plan, why) = match query {
             Query::Rq(rq) => planner::plan_rq(&rq.regex, backend, shared_in_batch),
             Query::Pq(pq) => planner::plan_pq(pq, backend),
+        };
+        if backend != Backend::Search {
+            return (plan, why);
         }
+        // a published index that does not cover the query lacks exactly
+        // the wildcard layer: still building (hop labels only), or dropped
+        let hop = self.hop.get().map(|l| l.layer_progress());
+        let uncovered = match (hop, self.sharded.get()) {
+            (Some((built, planned)), _) if built < planned => Uncovered::WildcardBuilding,
+            (Some(_), _) | (None, Some(_)) => Uncovered::WildcardDropped,
+            (None, None) => Uncovered::NoIndex,
+        };
+        (plan, why.uncovered(uncovered))
     }
 
     /// The plan the engine would pick for `query` outside any batch.
@@ -1343,6 +1365,151 @@ mod tests {
                 .unwrap(),
             &ring_pq.eval_naive(&g)
         );
+    }
+
+    /// One concrete-color and one `_`-bearing query of each kind, with
+    /// their reference answers (`Rq::eval_bfs` / `Pq::eval_naive`).
+    fn layer_probe_queries(g: &Graph) -> (Vec<Query>, Vec<QueryOutput>) {
+        let pq = |re: &str| {
+            let mut pq = Pq::new();
+            let a = pq.add_node("a", Predicate::parse("a0 <= 5", g.schema()).unwrap());
+            let b = pq.add_node("b", Predicate::always_true());
+            pq.add_edge(a, b, FRegex::parse(re, g.alphabet()).unwrap());
+            Query::Pq(pq)
+        };
+        let queries = vec![
+            Query::Rq(rq(g, "a0 <= 4", "a1 >= 6", "c0^2 c1")),
+            Query::Rq(rq(g, "a0 <= 9", "a1 >= 2", "_^2")),
+            pq("c0 c1"),
+            pq("c0 _^2"),
+        ];
+        let reference = queries
+            .iter()
+            .map(|q| match q {
+                Query::Rq(rq) => QueryOutput::Rq(rq.eval_bfs(g)),
+                Query::Pq(pq) => QueryOutput::Pq(Arc::new(pq.eval_naive(g))),
+            })
+            .collect();
+        (queries, reference)
+    }
+
+    #[test]
+    fn each_hop_layer_serves_the_moment_it_is_built() {
+        let g = Arc::new(rpq_graph::gen::synthetic(600, 2400, 2, 3, 21));
+        let engine = QueryEngine::with_config(
+            Arc::clone(&g),
+            EngineConfig {
+                matrix_node_limit: 0,
+                workers: 2,
+                ..EngineConfig::default()
+            },
+        );
+        let (queries, reference) = layer_probe_queries(&g);
+        let plans = || -> Vec<&str> {
+            let name = |q| match engine.plan_query(q) {
+                plan if plan.backend() == Backend::Search => "search",
+                plan => plan.name(),
+            };
+            queries.iter().map(name).collect()
+        };
+        let answers = |batch: BatchResult| -> Vec<QueryOutput> {
+            batch.items().iter().map(|i| i.output.clone()).collect()
+        };
+
+        // hold the background build open between its two stages; the
+        // first batch kicks it
+        let latch = engine.hop.hold_between_stages();
+        assert_eq!(answers(engine.run_batch(&queries)), reference);
+        latch.wait_serving();
+
+        // Serving: the concrete layers answer, `_` still falls back
+        assert_eq!(format!("{:?}", engine.hop()), "Serving(3/4)");
+        assert_eq!(plans(), ["hop", "search", "JoinMatch/hop", "search"]);
+        let serving_bytes = engine.index_bytes();
+        assert!(serving_bytes > 0);
+        assert_eq!(answers(engine.run_batch(&queries)), reference);
+        let (_, profile) = engine.run_query_profiled(&queries[3]);
+        assert!(
+            profile.rationale.contains("wildcard layer still building"),
+            "{}",
+            profile.rationale
+        );
+        assert!(
+            profile.stages[0].detail.contains("hop=Serving(3/4)"),
+            "{}",
+            profile.stages[0].detail
+        );
+
+        // the layer lands in the published index: same slot, same `Arc`
+        let serving = Arc::clone(engine.hop().get().expect("published"));
+        drop(latch);
+        engine.hop.join_background();
+        assert_eq!(format!("{:?}", engine.hop()), "Ready");
+        assert!(serving.has_layer(rpq_graph::WILDCARD));
+        assert_eq!(plans(), ["hop", "hop", "JoinMatch/hop", "JoinMatch/hop"]);
+        assert!(
+            engine.index_bytes() > serving_bytes,
+            "the gauge grows when the layer lands"
+        );
+        assert_eq!(answers(engine.run_batch(&queries)), reference);
+        // reach sets memoized before the transition still answer after it
+        // — whichever plan wrote them — and the new layer computes the
+        // same ones
+        for (q, want) in queries.iter().zip(&reference) {
+            if let Query::Rq(_) = q {
+                let (out, profile) = engine.run_query_profiled(q);
+                assert_eq!((&out, profile.semcache.as_str()), (want, "exact_hit"));
+            }
+            let (out, profile) = engine.run_query_with_plan_profiled(q, engine.plan_query(q));
+            assert_eq!(&out, want);
+            assert!(profile.probes > 0, "evaluated over the index, not the memo");
+        }
+    }
+
+    #[test]
+    fn a_retired_build_leaves_its_layer_pending_and_force_completes_it() {
+        let g = Arc::new(rpq_graph::gen::synthetic(600, 2400, 2, 3, 21));
+        let (queries, reference) = layer_probe_queries(&g);
+        for drop_the_engine in [false, true] {
+            let engine = QueryEngine::with_config(
+                Arc::clone(&g),
+                EngineConfig {
+                    matrix_node_limit: 0,
+                    workers: 2,
+                    ..EngineConfig::default()
+                },
+            );
+            let slot = Arc::clone(&engine.hop);
+            let latch = slot.hold_between_stages();
+            engine.run_query(&queries[0]);
+            latch.wait_serving();
+            // superseded (or gone) between the stages: stage two is work
+            // for nobody, so the thread exits and the layer stays pending
+            let engine = if drop_the_engine {
+                drop(engine);
+                None
+            } else {
+                engine.retire_index_builds();
+                Some(engine)
+            };
+            drop(latch);
+            slot.join_background();
+            assert_eq!(format!("{slot:?}"), "Serving(3/4)");
+            if let Some(engine) = &engine {
+                // readers pinning the retired version keep exact answers
+                assert_eq!(engine.plan_query(&queries[1]).backend(), Backend::Search);
+                assert_eq!(&engine.run_query(&queries[1]), &reference[1]);
+            }
+            // a force is deliberate: it returns a settled index, never
+            // the pending one the cancelled build left behind
+            let labels = slot.force().expect("within default budget");
+            assert!(labels.has_layer(rpq_graph::WILDCARD));
+            assert_eq!(format!("{slot:?}"), "Ready");
+            if let Some(engine) = &engine {
+                assert_eq!(engine.plan_query(&queries[1]).name(), "hop");
+                assert_eq!(&engine.run_query(&queries[3]), &reference[3]);
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!
 //! * the **backend** is the engine's call, from index availability alone:
 //!   the best usable of matrix → hop labels → sharded labels → search
-//!   (an index is *usable* once built and covering every color the query
-//!   probes; a build still in flight reads as not usable — the query
-//!   falls back rather than wait). Matrix probes are O(1) but cost
+//!   (an index is *usable* once published with a layer for every color
+//!   the query probes; a layer still building reads as not usable — the
+//!   query falls back rather than wait, and [`Rationale`] says which). Matrix probes are O(1) but cost
 //!   O(|Σ|·|V|²) memory, so the matrix exists only under the configured
 //!   node limit; hop labels cost memory proportional to label size;
 //!   sharded labels stitch per-shard labels through a boundary overlay —
@@ -135,21 +135,50 @@ impl Plan {
     }
 }
 
+/// Why a query planned on [`Backend::Search`] found no index to probe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Uncovered {
+    /// No label index is published: none allowed, its first stage still
+    /// building, or over budget.
+    NoIndex,
+    /// An index serves the concrete colors, but the query probes `_` and
+    /// the wildcard layer is still being built.
+    WildcardBuilding,
+    /// An index serves the concrete colors, but the query probes `_` and
+    /// the wildcard layer was dropped on budget.
+    WildcardDropped,
+}
+
 /// Why the planner chose a plan: the signal that won and the values it
 /// saw at decision time. A small `Copy` value — the serving path drops it
 /// unformatted; the explain surface renders it through [`fmt::Display`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rationale {
-    /// An RQ decision: the plan, the atoms in the regex, and whether
-    /// another query in the batch has the same `(source, regex)` key.
-    Rq(Plan, usize, bool),
+    /// An RQ decision: the plan, the atoms in the regex, whether another
+    /// query in the batch has the same `(source, regex)` key, and — on
+    /// the search backend — why no index covers the query.
+    Rq(Plan, usize, bool, Uncovered),
     /// A PQ decision: the plan, the normalized pattern size (see
-    /// [`SPLIT_CROSSOVER`]) and whether the query graph is cyclic.
-    Pq(Plan, usize, bool),
+    /// [`SPLIT_CROSSOVER`]), whether the query graph is cyclic, and — on
+    /// the search backend — why no index covers the query.
+    Pq(Plan, usize, bool, Uncovered),
     /// The pattern equals a registered standing query.
     Standing,
     /// The caller picked the plan (test/bench surface).
     Forced(Plan),
+}
+
+impl Rationale {
+    /// This decision, with the engine's reason no index covers the query
+    /// (the planner itself sees only the backend, and says
+    /// [`Uncovered::NoIndex`]).
+    pub fn uncovered(self, why: Uncovered) -> Rationale {
+        match self {
+            Rationale::Rq(plan, atoms, shared, _) => Rationale::Rq(plan, atoms, shared, why),
+            Rationale::Pq(plan, size, cyclic, _) => Rationale::Pq(plan, size, cyclic, why),
+            other => other,
+        }
+    }
 }
 
 impl fmt::Display for Rationale {
@@ -157,8 +186,8 @@ impl fmt::Display for Rationale {
     /// won, shared by RQs and PQs), then the shape clause behind the
     /// algorithm.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let plan = match *self {
-            Rationale::Rq(plan, ..) | Rationale::Pq(plan, ..) => plan,
+        let (plan, uncovered) = match *self {
+            Rationale::Rq(plan, .., why) | Rationale::Pq(plan, .., why) => (plan, why),
             Rationale::Standing => {
                 return f.write_str(
                     "pattern equals a registered standing query — answered from its \
@@ -179,20 +208,28 @@ impl fmt::Display for Rationale {
             Backend::Sharded => {
                 "no matrix or single index; sharded labels cover every probed color"
             }
-            Backend::Search => "no usable index",
+            Backend::Search => match uncovered {
+                Uncovered::NoIndex => "no usable index",
+                Uncovered::WildcardBuilding => {
+                    "label index serving, wildcard layer still building — `_` falls back to search"
+                }
+                Uncovered::WildcardDropped => {
+                    "label index ready, wildcard layer dropped on budget — `_` falls back to search"
+                }
+            },
         })?;
         match (*self, plan.algo) {
-            (Rationale::Rq(_, atoms, _), Algo::RqBiBfs) => write!(
+            (Rationale::Rq(_, atoms, ..), Algo::RqBiBfs) => write!(
                 f,
                 "; {atoms} atoms >= 2 — bidirectional search meets in the middle"
             ),
-            (Rationale::Rq(_, _, true), Algo::RqBfsMemo) => {
+            (Rationale::Rq(_, _, true, _), Algo::RqBfsMemo) => {
                 f.write_str("; (source, regex) key shared in batch — memoized BFS computes it once")
             }
             (Rationale::Rq(..), Algo::RqBfsMemo) => {
                 f.write_str("; single-atom regex gains nothing from bidirectionality")
             }
-            (Rationale::Pq(_, size, cyclic), algo) => write!(
+            (Rationale::Pq(_, size, cyclic, _), algo) => write!(
                 f,
                 "; {} pattern, normalized size {size} vs crossover {SPLIT_CROSSOVER} — {}",
                 if cyclic { "cyclic" } else { "acyclic" },
@@ -219,7 +256,10 @@ pub fn plan_rq(regex: &FRegex, backend: Backend, shared_in_batch: bool) -> (Plan
         _ => Algo::RqDm,
     };
     let plan = Plan { algo, backend };
-    (plan, Rationale::Rq(plan, atoms, shared_in_batch))
+    (
+        plan,
+        Rationale::Rq(plan, atoms, shared_in_batch, Uncovered::NoIndex),
+    )
 }
 
 /// The normalized pattern size (`|Vp| + |Ep|` after the dummy-node
@@ -268,7 +308,7 @@ pub fn plan_pq(pq: &Pq, backend: Backend) -> (Plan, Rationale) {
         Algo::Join
     };
     let plan = Plan { algo, backend };
-    (plan, Rationale::Pq(plan, size, cyclic))
+    (plan, Rationale::Pq(plan, size, cyclic, Uncovered::NoIndex))
 }
 
 /// The plan for a PQ equal to a registered standing query on a live
@@ -403,6 +443,26 @@ mod tests {
         assert_eq!(rq(3, Backend::Search, true).algo(), Algo::RqBfsMemo);
         let why = plan_rq(&re(3), Backend::Search, true).1;
         assert!(why.to_string().contains("shared in batch"), "{why}");
+    }
+
+    #[test]
+    fn the_search_clause_names_the_missing_wildcard_layer() {
+        let clause = |why: Uncovered| {
+            let rq = plan_rq(&re(2), Backend::Search, false).1.uncovered(why);
+            let pq = plan_pq(&chain(1), Backend::Search).1.uncovered(why);
+            let head = |r: Rationale| r.to_string().split(';').next().unwrap().to_owned();
+            assert_eq!(head(rq), head(pq), "one backend clause for RQs and PQs");
+            head(rq)
+        };
+        assert_eq!(clause(Uncovered::NoIndex), "no usable index");
+        assert!(clause(Uncovered::WildcardBuilding).contains("wildcard layer still building"));
+        assert!(clause(Uncovered::WildcardDropped).contains("wildcard layer dropped on budget"));
+        // an index-backed decision has nothing uncovered to report
+        let hop = plan_rq(&re(2), Backend::Hop, false).1;
+        assert_eq!(
+            hop.uncovered(Uncovered::WildcardDropped).to_string(),
+            hop.to_string()
+        );
     }
 
     #[test]

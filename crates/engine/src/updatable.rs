@@ -547,7 +547,19 @@ fn carry_index(
     if let Some(hop) = prev.engine().hop().get() {
         let landmarks = hop.node_count();
         let limit = (landmarks / HOP_REPAIR_LIMIT_DIVISOR).max(1);
-        match hop.repair(new_graph, changes, config.hop_label_budget, limit, None) {
+        // a layer still pending: a repair now would see only the small
+        // concrete layers, slip under the limit, and adopt an index whose
+        // wildcard layer nobody would ever build
+        let (built, planned) = hop.layer_progress();
+        let repaired = if built < planned {
+            Err(format!(
+                "hop index serving {built}/{planned} layers, wildcard layer still building"
+            ))
+        } else {
+            hop.repair(new_graph, changes, config.hop_label_budget, limit, None)
+                .map_err(|e| format!("hop repair declined: {e}"))
+        };
+        match repaired {
             Ok(rep) => {
                 m.state = IndexState::Repaired;
                 m.landmarks_invalidated = rep.landmarks_invalidated;
@@ -556,12 +568,12 @@ fn carry_index(
                 m.phases = rep.phases;
                 next_engine.hop().adopt(Arc::new(rep.labels));
             }
-            // RepairTooBroad / OverBudget: keep the Rebuilding verdict —
-            // the new engine's background build takes over
-            Err(e) => rpq_trace::tracer().event(
+            // pending / RepairTooBroad / OverBudget: keep the Rebuilding
+            // verdict — the new engine's background build takes over
+            Err(why) => rpq_trace::tracer().event(
                 "apply",
                 "carry-fallback",
-                &format!("hop repair declined, background rebuild takes over: {e}"),
+                &format!("{why}; background rebuild takes over"),
             ),
         }
     } else if let Some(sl) = prev.engine().sharded().get() {
@@ -881,6 +893,62 @@ mod tests {
             )])
             .unwrap();
         assert_eq!(report2.index.state, crate::IndexState::Repaired);
+        let g2 = report2.snapshot.graph().clone();
+        assert_eq!(
+            report2
+                .snapshot
+                .run_query(&Query::Rq(q.clone()))
+                .as_rq()
+                .unwrap(),
+            &q.eval_bfs(&g2)
+        );
+    }
+
+    #[test]
+    fn apply_while_a_layer_is_pending_rebuilds_instead_of_carrying() {
+        // the graph and batch `apply_repairs_hop_labels_across_versions`
+        // carries: only the pending layer makes this one decline
+        let g = rpq_graph::gen::synthetic(300, 280, 2, 3, 41);
+        let engine = UpdatableEngine::with_config(
+            g,
+            EngineConfig::builder()
+                .matrix_node_limit(0)
+                .workers(2)
+                .build()
+                .unwrap(),
+        );
+        let first = engine.snapshot();
+        let g0 = first.graph().clone();
+        let q = rq(&g0, "a0 <= 4", "a1 >= 6", "c0^2 c1");
+        let latch = first.engine().hop().hold_between_stages();
+        first.run_query(&Query::Rq(q.clone())); // kicks the background build
+        latch.wait_serving();
+
+        let c0 = rpq_graph::Color(0);
+        let insert = |u, v| Update::Insert(rpq_graph::NodeId(u), rpq_graph::NodeId(v), c0);
+        let report = engine.apply(&[insert(3, 250)]).unwrap();
+        // a repair of the concrete layers alone would have fit the limit;
+        // adopting it would leave a wildcard layer nobody ever builds
+        assert_eq!(report.index.state, crate::IndexState::Rebuilding);
+        assert_eq!(report.index.landmarks_invalidated, 0);
+        assert!(
+            report.snapshot.engine().hop().get().is_none(),
+            "an index with a pending layer must not be adopted"
+        );
+        // the superseded build stops between its stages ...
+        drop(latch);
+        first.engine().hop().join_background();
+        assert_eq!(format!("{:?}", first.engine().hop()), "Serving(3/4)");
+        // ... and the new version builds its own index, every layer of it
+        let rebuilt = report.snapshot.engine().hop().force().expect("fits");
+        assert_eq!(rebuilt.layer_progress(), (4, 4));
+
+        // once nothing is pending, the next write is carried as ever
+        let report2 = engine.apply(&[insert(7, 100)]).unwrap();
+        assert_eq!(report2.index.state, crate::IndexState::Repaired);
+        assert!(report2.index.landmarks_invalidated > 0);
+        let carried = report2.snapshot.engine().hop().get().expect("adopted");
+        assert_eq!(carried.layer_progress(), (4, 4));
         let g2 = report2.snapshot.graph().clone();
         assert_eq!(
             report2

@@ -33,7 +33,10 @@
 //! while building the wildcard layer, the concrete layers are kept and
 //! wildcard probes are simply reported as uncovered
 //! ([`HopLabels::has_layer`]) so the planner can fall back to search for
-//! wildcard queries only.
+//! wildcard queries only. It is also built last and on its own
+//! ([`HopLabels::build_wildcard`], into an index that already serves the
+//! concrete colors): it holds most of the entries and takes most of the
+//! build time, yet only `_`-bearing queries ever probe it.
 
 use crate::probe::DistProbe;
 use rpq_graph::algo::condensation;
@@ -41,7 +44,7 @@ use rpq_graph::{Color, Graph, NodeId, INFINITY};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Distances saturate one below [`INFINITY`], mirroring
@@ -216,13 +219,24 @@ impl fmt::Display for HopStats {
 /// Pruned 2-hop distance labels: one layer per concrete color, plus an
 /// optional wildcard layer. Implements [`DistProbe`], so RQ evaluation runs
 /// unchanged against it (see `Rq::eval_with_dist` in `rpq-core`).
+///
+/// The layer is the unit of readiness: the concrete layers exist from
+/// construction, the wildcard layer lives in a write-once cell that
+/// [`build_wildcard`](HopLabels::build_wildcard) fills through `&self` —
+/// so an index shared behind an `Arc` can serve concrete-color probes
+/// while its densest layer is still being built, and
+/// [`has_layer`](HopLabels::has_layer)`(WILDCARD)` turns true for every
+/// holder at once. Reading the cell is one atomic load; no probe takes a
+/// lock.
 #[derive(Debug, Clone)]
 pub struct HopLabels {
     n: usize,
-    colors: usize,
-    /// `layers[c]` for concrete color `c`; `layers[colors]` = wildcard
-    /// (empty `Option` when dropped on budget or disabled).
-    layers: Vec<Option<Layer>>,
+    /// `layers[c]` for concrete color `c` (a concrete layer over budget
+    /// fails the whole build, so none is ever missing).
+    layers: Vec<Layer>,
+    /// Unset = pending (stage two has not run to its end); `None` =
+    /// disabled in the config or dropped on budget.
+    wildcard: OnceLock<Option<Layer>>,
     scc_count: usize,
     /// The frozen landmark ranking (`order[rank] = node`). Kept so
     /// [`HopLabels::repair`] can re-run individual landmarks under the
@@ -239,9 +253,28 @@ impl HopLabels {
             .expect("unbudgeted, uncancelled build cannot fail")
     }
 
-    /// Build labels under `config`, checking `cancel` between landmarks so
-    /// a superseded build (newer graph version) stops wasting CPU.
+    /// Build the complete index under `config`, checking `cancel` between
+    /// landmarks so a superseded build (newer graph version) stops wasting
+    /// CPU: [`build_concrete`](HopLabels::build_concrete) followed by
+    /// [`build_wildcard`](HopLabels::build_wildcard) inline. A caller that
+    /// wants to serve between the stages runs the same two calls itself.
     pub fn build_with(
+        g: &Graph,
+        config: &HopConfig,
+        cancel: Option<&AtomicBool>,
+    ) -> Result<Self, HopBuildError> {
+        let labels = Self::build_concrete(g, config, cancel)?;
+        labels.build_wildcard(g, config.budget_bytes, cancel)?;
+        Ok(labels)
+    }
+
+    /// Stage one: rank the landmarks and build every concrete color layer
+    /// under `config.budget_bytes`. The returned index answers every
+    /// concrete color; its wildcard layer is *pending* (see
+    /// [`layer_progress`](HopLabels::layer_progress)) until
+    /// [`build_wildcard`](HopLabels::build_wildcard) has run — unless
+    /// `config.wildcard_layer` is off, in which case nothing is pending.
+    pub fn build_concrete(
         g: &Graph,
         config: &HopConfig,
         cancel: Option<&AtomicBool>,
@@ -271,18 +304,50 @@ impl HopLabels {
         );
 
         // maintenance from nothing: no old layer, every rank to run
-        let fresh = |built: bool| built.then(|| (None, vec![true; n]));
-        let plan = (0..m)
-            .map(|_| fresh(true))
-            .chain([fresh(config.wildcard_layer)])
-            .collect();
+        let plan = (0..m).map(|c| (Color(c as u8), None, vec![true; n]));
+        let layers = LayerBuilder::run_layers(g, &order, plan, config.budget_bytes, 0, cancel)?;
+        let wildcard = OnceLock::new();
+        if !config.wildcard_layer {
+            let _ = wildcard.set(None);
+        }
         Ok(HopLabels {
             n,
-            colors: m,
-            layers: LayerBuilder::run_layers(g, &order, plan, config.budget_bytes, cancel)?,
+            layers,
+            wildcard,
             scc_count: comps.len(),
             order,
         })
+    }
+
+    /// Stage two: build the pending wildcard layer over `g` — the graph
+    /// stage one ran on — into this index, visible to every holder the
+    /// moment it lands. The budget's running footprint starts from the
+    /// concrete layers' bytes, exactly as in a one-call build; over it the
+    /// layer is *dropped* (the cell is settled empty, `Ok`): graceful
+    /// degradation that keeps concrete coverage. A cancelled stage leaves
+    /// the layer pending, so it can be run again. No-op when nothing is
+    /// pending.
+    pub fn build_wildcard(
+        &self,
+        g: &Graph,
+        budget_bytes: usize,
+        cancel: Option<&AtomicBool>,
+    ) -> Result<(), HopBuildError> {
+        assert_eq!(
+            g.node_count(),
+            self.n,
+            "stage two runs on stage one's graph"
+        );
+        if self.wildcard.get().is_some() {
+            return Ok(());
+        }
+        let plan = [(rpq_graph::WILDCARD, None, vec![true; self.n])];
+        let built =
+            LayerBuilder::run_layers(g, &self.order, plan, budget_bytes, self.bytes(), cancel)?;
+        // a concurrent second run of this stage built the same layer: the
+        // first to land wins, the other copy is dropped
+        let _ = self.wildcard.set(built.into_iter().next());
+        Ok(())
     }
 
     /// Repair the labels in place of a full rebuild after `changes` were
@@ -326,20 +391,19 @@ impl HopLabels {
         assert_eq!(g.node_count(), self.n, "updates must preserve the node set");
         assert_eq!(
             g.alphabet().len(),
-            self.colors,
+            self.layers.len(),
             "updates must preserve the alphabet"
         );
 
         // Phase 1: affected landmark set per layer, and the total up front
-        // so the cost model can bail before any BFS runs.
+        // so the cost model can bail before any BFS runs. A wildcard layer
+        // that is pending or dropped has nothing to repair and stays so.
         let t0 = Instant::now();
-        let plan: Vec<LayerPlan> = self
-            .layers
-            .iter()
-            .enumerate()
-            .map(|(li, layer)| {
-                let layer = layer.as_ref()?;
-                let lc = layer_color(li, self.colors);
+        let concrete = (self.layers.iter().enumerate()).map(|(c, l)| (Color(c as u8), l));
+        let wildcard = self.layer(rpq_graph::WILDCARD);
+        let plan: Vec<LayerPlan> = concrete
+            .chain(wildcard.map(|l| (rpq_graph::WILDCARD, l)))
+            .map(|(lc, layer)| {
                 let relevant: Vec<(NodeId, NodeId)> = changes
                     .iter()
                     .filter(|&&(_, _, ec)| lc.admits(ec))
@@ -350,13 +414,12 @@ impl HopLabels {
                 } else {
                     self.affected_ranks(layer, &relevant)
                 };
-                Some((Some(layer), affected))
+                (lc, Some(layer), affected)
             })
             .collect();
         let invalidated: usize = plan
             .iter()
-            .flatten()
-            .map(|(_, affected)| affected.iter().filter(|&&a| a).count())
+            .map(|(_, _, affected)| affected.iter().filter(|&&a| a).count())
             .sum();
         if invalidation_limit != 0 && invalidated > invalidation_limit {
             return Err(HopBuildError::RepairTooBroad {
@@ -369,7 +432,15 @@ impl HopLabels {
         // exactly those landmarks on the new graph; untouched layers are
         // carried by reference.
         let t_invalidated = Instant::now();
-        let layers = LayerBuilder::run_layers(g, &self.order, plan, budget_bytes, cancel)?;
+        let mut layers = LayerBuilder::run_layers(g, &self.order, plan, budget_bytes, 0, cancel)?;
+        // settled stays settled (a repaired layer may newly drop on
+        // budget); pending stays pending
+        let repaired_wildcard = match wildcard {
+            // planned last: present unless it was dropped just now
+            Some(_) if layers.len() > self.layers.len() => OnceLock::from(layers.pop()),
+            Some(_) => OnceLock::from(None),
+            None => self.wildcard.clone(),
+        };
 
         let t_rebuilt = Instant::now();
         let phases = vec![
@@ -388,8 +459,8 @@ impl HopLabels {
         Ok(HopRepair {
             labels: HopLabels {
                 n: self.n,
-                colors: self.colors,
                 layers,
+                wildcard: repaired_wildcard,
                 scc_count: self.scc_count,
                 order: self.order.clone(),
             },
@@ -432,38 +503,54 @@ impl HopLabels {
     }
 
     /// Is `color` (possibly [`WILDCARD`](rpq_graph::WILDCARD)) answerable
-    /// from this index? False only for a wildcard layer dropped on budget
-    /// or disabled in the config.
+    /// from this index right now? False only for a wildcard layer that is
+    /// still pending, was dropped on budget, or is disabled in the config.
     pub fn has_layer(&self, color: Color) -> bool {
         self.layer(color).is_some()
     }
 
-    /// Estimated resident bytes of all layers.
+    /// `(answerable, planned)` layer counts: they differ only while the
+    /// wildcard layer is pending — built concrete layers, but
+    /// [`build_wildcard`](HopLabels::build_wildcard) has not settled the
+    /// last one yet (a layer dropped on budget is no longer planned).
+    pub fn layer_progress(&self) -> (usize, usize) {
+        let answerable = self.layers.len() + usize::from(self.has_layer(rpq_graph::WILDCARD));
+        let pending = self.wildcard.get().is_none();
+        (answerable, answerable + usize::from(pending))
+    }
+
+    fn built_layers(&self) -> impl Iterator<Item = &Layer> {
+        self.layers.iter().chain(self.layer(rpq_graph::WILDCARD))
+    }
+
+    /// Estimated resident bytes of the layers built so far.
     pub fn bytes(&self) -> usize {
-        self.layers.iter().flatten().map(Layer::bytes).sum()
+        self.built_layers().map(Layer::bytes).sum()
     }
 
     /// Build statistics for logs and bench reports.
     pub fn stats(&self) -> HopStats {
         HopStats {
             nodes: self.n,
-            colors: self.colors,
-            wildcard: self.layers[self.colors].is_some(),
+            colors: self.layers.len(),
+            wildcard: self.has_layer(rpq_graph::WILDCARD),
             landmarks: self.n,
             scc_count: self.scc_count,
-            entries: self.layers.iter().flatten().map(Layer::entries).sum(),
+            entries: self.built_layers().map(Layer::entries).sum(),
             bytes: self.bytes(),
         }
     }
 
     fn layer(&self, color: Color) -> Option<&Layer> {
-        let idx = if color.is_wildcard() {
-            self.colors
+        if color.is_wildcard() {
+            self.wildcard.get().and_then(Option::as_ref)
         } else {
-            debug_assert!((color.0 as usize) < self.colors, "color outside alphabet");
-            color.0 as usize
-        };
-        self.layers[idx].as_ref()
+            debug_assert!(
+                (color.0 as usize) < self.layers.len(),
+                "color outside alphabet"
+            );
+            Some(&self.layers[color.0 as usize])
+        }
     }
 
     fn layer_or_panic(&self, color: Color) -> &Layer {
@@ -819,19 +906,10 @@ impl DistProbe for HopLabels {
     }
 }
 
-/// The color a layer index stands for (`colors` = wildcard).
-fn layer_color(li: usize, colors: usize) -> Color {
-    if li == colors {
-        rpq_graph::WILDCARD
-    } else {
-        Color(li as u8)
-    }
-}
-
-/// What [`LayerBuilder::run_layers`] does with one layer slot: `None`
-/// leaves it empty; `Some((old, rerun))` re-runs the `rerun` ranks over
-/// `old`'s other entries — or, with no rank to re-run, carries `old`.
-type LayerPlan<'a> = Option<(Option<&'a Layer>, Vec<bool>)>;
+/// One layer for [`LayerBuilder::run_layers`] to produce: its color, then
+/// `(old, rerun)` — re-run the `rerun` ranks over `old`'s other entries
+/// or, with no rank to re-run, carry `old`.
+type LayerPlan<'a> = (Color, Option<&'a Layer>, Vec<bool>);
 
 /// Shared per-build scratch: reused across layers so one build allocates
 /// its working set once.
@@ -859,49 +937,54 @@ impl<'a> LayerBuilder<'a> {
         }
     }
 
-    /// The one layer loop — a fresh build is maintenance from nothing:
-    /// [`HopLabels::build_with`] plans every built layer as "no old layer,
-    /// every rank", [`HopLabels::repair`] as "the old layer, its affected
-    /// ranks". `plan[c]` is color `c`'s slot, the last one the wildcard's.
-    /// `budget` (`0` = unlimited) bounds the running footprint, carried
-    /// layers included: a concrete layer over it fails the whole call
-    /// (typical queries need every concrete color to be coverable), the
-    /// wildcard layer over it is dropped — graceful degradation that
-    /// keeps concrete coverage.
-    fn run_layers(
+    /// The one layer loop — a fresh build is maintenance from nothing: the
+    /// two build stages plan their layers as "no old layer, every rank",
+    /// [`HopLabels::repair`] as "the old layer, its affected ranks".
+    /// `budget` (`0` = unlimited) bounds the running footprint, which
+    /// starts at `bytes_before` (the layers an earlier stage built) and
+    /// counts carried layers: a concrete layer over it fails the whole
+    /// call (typical queries need every concrete color to be coverable),
+    /// the wildcard layer — whoever plans it plans it last — over it is
+    /// dropped, absent from the result: graceful degradation that keeps
+    /// concrete coverage.
+    fn run_layers<'p>(
         g: &Graph,
         order: &[u32],
-        plan: Vec<LayerPlan>,
+        plan: impl IntoIterator<Item = LayerPlan<'p>>,
         budget: usize,
+        bytes_before: usize,
         cancel: Option<&AtomicBool>,
-    ) -> Result<Vec<Option<Layer>>, HopBuildError> {
-        let colors = plan.len() - 1;
+    ) -> Result<Vec<Layer>, HopBuildError> {
         let mut builder = LayerBuilder::new(g, order);
-        let mut layers = Vec::with_capacity(plan.len());
-        let mut bytes_so_far = 0usize;
-        for (li, slot) in plan.into_iter().enumerate() {
-            let layer = match slot {
-                None => None,
-                Some((Some(old), rerun)) if !rerun.contains(&true) => Some(old.clone()),
-                Some((old, rerun)) => {
+        let mut layers = Vec::new();
+        let mut bytes_so_far = bytes_before;
+        for (color, old, rerun) in plan {
+            let layer = match old {
+                Some(old) if !rerun.contains(&true) => old.clone(),
+                _ => {
                     let tl = Instant::now();
-                    let color = layer_color(li, colors);
-                    let built =
-                        builder.repair_layer(color, old, &rerun, budget, bytes_so_far, cancel);
-                    let layer = match built {
+                    let built = match builder.repair_layer(
+                        color,
+                        old,
+                        &rerun,
+                        budget,
+                        bytes_so_far,
+                        cancel,
+                    ) {
                         Ok(l) => Some(l),
-                        Err(HopBuildError::OverBudget { .. }) if li == colors => None,
+                        Err(HopBuildError::OverBudget { .. }) if color.is_wildcard() => None,
                         Err(e) => return Err(e),
                     };
-                    let detail = match &layer {
+                    let detail = match &built {
                         Some(l) => format!("color={color} bytes={}", l.bytes()),
                         None => format!("color={color} dropped: over budget"),
                     };
                     rpq_trace::tracer().record_span("index", "hop-layer", tl.elapsed(), &detail);
+                    let Some(layer) = built else { continue };
                     layer
                 }
             };
-            bytes_so_far += layer.as_ref().map_or(0, |l| l.bytes());
+            bytes_so_far += layer.bytes();
             layers.push(layer);
         }
         Ok(layers)
@@ -1031,20 +1114,18 @@ impl<'a> LayerBuilder<'a> {
             // is (r ⇝ u) already covered by higher-ranked hubs? forward
             // covers r → u via hubs h: d(r→h) (tmp, from Lout(r)) +
             // d(h→u) (Lin(u) = the side being written); backward is the
-            // mirror image
-            let mut best = u32::MAX;
-            for &(h, dh) in side[u.index()].iter() {
+            // mirror image. The first certifying hub decides: the prune
+            // needs *a* cover no longer than `du`, not the shortest one.
+            let covered = side[u.index()].iter().any(|&(h, dh)| {
                 // `h < rank` mirrors `seed_tmp`: during a repair the side
                 // being written still holds entries of lower-ranked hubs,
                 // which the canonical construction must ignore
-                if (h as usize) < rank {
+                (h as usize) < rank && {
                     let t = self.tmp[h as usize];
-                    if t != UNSET {
-                        best = best.min(t as u32 + dh as u32);
-                    }
+                    t != UNSET && t as u32 + dh as u32 <= du as u32
                 }
-            }
-            if best <= du as u32 {
+            });
+            if covered {
                 continue;
             }
             side[u.index()].push((rank as u32, du));
@@ -1347,8 +1428,7 @@ mod tests {
             // a budget that fits the sparse concrete layers but not the
             // dense wildcard layer: concrete probes stay answerable
             let full = run(0).expect("unbudgeted");
-            let concrete_bytes: usize =
-                full.bytes() - full.layers[full.colors].as_ref().unwrap().bytes();
+            let concrete_bytes: usize = full.bytes() - full.layer(WILDCARD).unwrap().bytes();
             let mid = concrete_bytes + bytes_for_entries(2, 2, g.node_count() + 1);
             let h = run(mid).expect("concrete layers fit");
             assert!(
@@ -1367,6 +1447,91 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn first_certifying_hub_prunes_like_the_minimum() {
+        // `pruned_bfs` stops scanning at the first hub that certifies the
+        // prune instead of minimizing over all of them: the decision, and
+        // so every label, is the one the full minimum gave — these are
+        // the counts of the build that took the minimum
+        for (g, entries, bytes) in [
+            (synthetic(200, 800, 2, 3, 8), 15035, 145044),
+            (essembly(), 111, 1482),
+        ] {
+            let h = HopLabels::build(&g);
+            assert_eq!((h.stats().entries, h.bytes()), (entries, bytes));
+        }
+    }
+
+    #[test]
+    fn staged_build_serves_concrete_layers_then_equals_the_one_call_build() {
+        let g = synthetic(200, 800, 2, 3, 8);
+        let cfg = HopConfig::default();
+        let full = HopLabels::build_with(&g, &cfg, None).unwrap();
+        let wildcard_bytes = full.layer(WILDCARD).unwrap().bytes();
+
+        let staged = HopLabels::build_concrete(&g, &cfg, None).unwrap();
+        assert_eq!(staged.layer_progress(), (3, 4));
+        assert!(!staged.has_layer(WILDCARD) && !staged.stats().wildcard);
+        assert_eq!(staged.bytes(), full.bytes() - wildcard_bytes);
+        let m = DistanceMatrix::build(&g);
+        for c in g.alphabet().colors() {
+            for (u, v) in g.nodes().zip(g.nodes().skip(7)) {
+                assert_eq!(DistProbe::dist(&staged, u, v, c), m.dist(u, v, c));
+            }
+        }
+
+        // a cancelled stage two leaves the layer pending, to be run again
+        let shared = Arc::new(staged);
+        let stop = AtomicBool::new(true);
+        assert_eq!(
+            shared.build_wildcard(&g, 0, Some(&stop)),
+            Err(HopBuildError::Cancelled)
+        );
+        assert_eq!(shared.layer_progress(), (3, 4));
+
+        // a repair has nothing to repair in a pending layer and keeps it
+        // pending rather than settling it as dropped
+        let (g2, eff) = random_mutation_round(&g, 4, 0x51A6ED);
+        let repaired = shared.repair(&g2, &eff, 0, 0, None).unwrap().labels;
+        assert_eq!(repaired.layer_progress(), (3, 4));
+
+        // the layer lands through `&self`: every holder of the `Arc` sees it
+        let reader = Arc::clone(&shared);
+        shared.build_wildcard(&g, 0, None).unwrap();
+        assert!(reader.has_layer(WILDCARD));
+        assert_eq!(reader.layer_progress(), (4, 4));
+        assert_eq!(
+            (reader.bytes(), reader.stats().entries),
+            (full.bytes(), full.stats().entries)
+        );
+        assert_probe_parity(&g, &reader);
+
+        // stage two's footprint starts from the concrete layers' bytes:
+        // the budget that drops the wildcard layer in one call drops it
+        // here, and the largest budget it fits under fits here too
+        for (budget, kept) in [(full.bytes() - 1, false), (full.bytes(), true)] {
+            let cfg = HopConfig {
+                budget_bytes: budget,
+                ..HopConfig::default()
+            };
+            let one_call = HopLabels::build_with(&g, &cfg, None).unwrap();
+            let staged = HopLabels::build_concrete(&g, &cfg, None).unwrap();
+            staged.build_wildcard(&g, budget, None).unwrap();
+            for h in [&one_call, &staged] {
+                assert_eq!(h.has_layer(WILDCARD), kept, "budget {budget}");
+                assert_eq!(h.layer_progress().0, h.layer_progress().1);
+            }
+        }
+
+        // a disabled wildcard layer is never pending
+        let off = HopConfig {
+            wildcard_layer: false,
+            ..HopConfig::default()
+        };
+        let h = HopLabels::build_concrete(&g, &off, None).unwrap();
+        assert_eq!(h.layer_progress(), (3, 3));
     }
 
     #[test]

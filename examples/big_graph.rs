@@ -3,8 +3,10 @@
 //!
 //! Demonstrates the hop-label subsystem end to end: generate (or load) a
 //! large 4-color graph, watch the first batch fall back to search while
-//! the label index builds in the background, then watch later batches
-//! switch to `hop` / `JoinMatch/hop` plans and report the speedup. One
+//! the concrete color layers of the label index build in the background,
+//! then watch later batches switch to `hop` / `JoinMatch/hop` plans —
+//! while the wildcard layer, which none of these queries probes, is still
+//! building — and report the speedup. One
 //! query in eight is a pattern query, so the tick lines show both query
 //! classes flipping off their fallbacks at once.
 //!
@@ -131,11 +133,18 @@ fn main() {
                 .sum::<usize>(),
         );
         if let Some(labels) = engine.hop().get() {
+            let (built, planned) = labels.layer_progress();
+            if built < planned {
+                println!(
+                    "  index: {built}/{planned} hop-label layers serving, wildcard layer \
+                     still building (only `_` queries wait for it)"
+                );
+            }
             if tick == 0 || per_plan.contains_key("hop") {
                 println!("  index: {}", labels.stats());
             }
         } else if !engine.matrix_available() {
-            println!("  index: hop-label build in flight, serving search fallback");
+            println!("  index: concrete hop-label layers in flight, serving search fallback");
             // give the background build a moment before the next tick, so
             // the demo visibly flips from fallback to hop plans
             std::thread::sleep(Duration::from_millis(500));
