@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! rpq-server [ADDR] [--gen N [--seed S]] [--graph FILE]
-//!            [--queue N] [--window-ms MS] [--matrix-limit N]
-//!            [--no-trace] [--slow-query-us US]
+//!            [--queue N] [--matrix-limit N] [--no-trace]
+//!            [--slow-query-us US]
 //! ```
 //!
 //! With `--graph`, the file is read in the edge-list format of
@@ -16,7 +16,6 @@ use rpq_engine::{EngineConfig, UpdatableEngine};
 use rpq_server::{Server, ServerConfig};
 use std::io::BufReader;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn fail(msg: &str) -> ! {
     eprintln!("rpq-server: {msg}");
@@ -56,13 +55,6 @@ fn main() {
                     .parse()
                     .unwrap_or_else(|_| fail("--queue expects a count"))
             }
-            "--window-ms" => {
-                config.coalesce_window = Duration::from_millis(
-                    value("--window-ms")
-                        .parse()
-                        .unwrap_or_else(|_| fail("--window-ms expects milliseconds")),
-                )
-            }
             "--matrix-limit" => {
                 matrix_limit = Some(
                     value("--matrix-limit")
@@ -79,7 +71,7 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: rpq-server [ADDR] [--gen N] [--seed S] [--graph FILE] \
-                     [--queue N] [--window-ms MS] [--matrix-limit N] \
+                     [--queue N] [--matrix-limit N] \
                      [--no-trace] [--slow-query-us US]"
                 );
                 return;

@@ -8,7 +8,7 @@
 //! request/response alternation — clients that need more belong behind a
 //! reverse proxy.
 
-use std::io::{self, BufRead, IoSlice, Write};
+use std::io::{self, BufRead, IoSlice, Read, Write};
 
 /// Cap on the request line plus all headers (a malformed peer cannot make
 /// the server buffer unboundedly).
@@ -61,24 +61,40 @@ impl From<io::Error> for HttpError {
     }
 }
 
+/// Read one head line — the request line or a header — into `buf` and
+/// return it without its line ending, charged to `left`, the head budget
+/// still unspent. `Ok(None)` is EOF. The read stops one byte past the
+/// budget, so a peer that never sends a newline is refused at the cap
+/// instead of buffered.
+fn read_head_line<'a>(
+    r: &mut impl BufRead,
+    buf: &'a mut Vec<u8>,
+    left: &mut usize,
+) -> Result<Option<&'a str>, HttpError> {
+    buf.clear();
+    let n = r.by_ref().take(*left as u64 + 1).read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(None);
+    }
+    *left = left.checked_sub(n).ok_or(HttpError::TooLarge)?;
+    let line =
+        std::str::from_utf8(buf).map_err(|_| HttpError::Malformed("head is not valid utf-8"))?;
+    Ok(Some(line.trim_end_matches(['\r', '\n'])))
+}
+
 /// Read one request. `Ok(None)` means the peer closed cleanly before
 /// sending anything (the normal end of a keep-alive connection).
 pub fn read_request(r: &mut impl BufRead, max_body: usize) -> Result<Option<Request>, HttpError> {
-    let mut head_bytes = 0usize;
-    let mut line = String::new();
+    let mut head_left = MAX_HEAD_BYTES;
+    let mut buf = Vec::new();
     // tolerate a stray blank line between pipelined requests
-    loop {
-        line.clear();
-        let n = r.read_line(&mut line)?;
-        if n == 0 {
-            return Ok(None);
+    let request_line = loop {
+        match read_head_line(r, &mut buf, &mut head_left)? {
+            None => return Ok(None),
+            Some("") => {}
+            Some(line) => break line.to_owned(),
         }
-        head_bytes += n;
-        if !line.trim_end_matches(['\r', '\n']).is_empty() {
-            break;
-        }
-    }
-    let request_line = line.trim_end_matches(['\r', '\n']).to_owned();
+    };
     let mut parts = request_line.split_ascii_whitespace();
     let method = parts
         .next()
@@ -97,20 +113,12 @@ pub fn read_request(r: &mut impl BufRead, max_body: usize) -> Result<Option<Requ
 
     let mut headers = Vec::new();
     loop {
-        line.clear();
-        let n = r.read_line(&mut line)?;
-        if n == 0 {
-            return Err(HttpError::Malformed("eof inside headers"));
-        }
-        head_bytes += n;
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(HttpError::TooLarge);
-        }
-        let trimmed = line.trim_end_matches(['\r', '\n']);
-        if trimmed.is_empty() {
+        let line = read_head_line(r, &mut buf, &mut head_left)?
+            .ok_or(HttpError::Malformed("eof inside headers"))?;
+        if line.is_empty() {
             break;
         }
-        let (name, value) = trimmed
+        let (name, value) = line
             .split_once(':')
             .ok_or(HttpError::Malformed("header without ':'"))?;
         headers.push((name.trim().to_owned(), value.trim().to_owned()));
@@ -314,6 +322,51 @@ mod tests {
             read_request(&mut BufReader::new(&raw[..]), 10),
             Err(HttpError::TooLarge)
         ));
+    }
+
+    /// A reader that counts the bytes drawn from it.
+    struct Counted<R> {
+        inner: R,
+        read: usize,
+    }
+
+    impl<R: Read> Read for Counted<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_head_without_a_newline_is_refused_at_the_cap() {
+        let flood = Counted {
+            inner: io::repeat(b'A').take(1 << 20),
+            read: 0,
+        };
+        let mut r = BufReader::new(flood);
+        assert!(matches!(
+            read_request(&mut r, 1024),
+            Err(HttpError::TooLarge)
+        ));
+        let read = r.get_ref().read;
+        assert!(
+            read <= MAX_HEAD_BYTES + r.capacity(),
+            "{read} bytes read to refuse a head"
+        );
+    }
+
+    #[test]
+    fn a_head_line_that_is_not_utf8_is_malformed() {
+        for raw in [
+            &b"GET / HTTP/1.1\r\nX-Bad: \xff\xfe\r\n\r\n"[..],
+            &b"GET /\xff HTTP/1.1\r\n\r\n"[..],
+        ] {
+            assert!(matches!(
+                read_request(&mut BufReader::new(raw), 1024),
+                Err(HttpError::Malformed(_))
+            ));
+        }
     }
 
     /// A writer that accepts at most three bytes per call, like a socket

@@ -11,14 +11,13 @@
 //!   answers, and the [`EngineError`](rpq_engine::EngineError) → HTTP
 //!   status mapping.
 //! * [`server`] — listener, per-connection threads, the bounded
-//!   admission queue (full ⇒ **429** + `Retry-After`), the coalescing
-//!   executor that merges concurrent clients into one scatter-gather
-//!   batch, and graceful shutdown.
+//!   admission queue (full ⇒ **429** + `Retry-After`) — a monitor whose
+//!   submitting threads run the batches themselves, each draining what
+//!   queued up into one scatter-gather batch — and graceful shutdown.
 //! * [`metrics`] — the `/metrics` registry: qps, interpolated p50/p99
 //!   latency, queue depth, snapshot version, index bytes, per-plan
 //!   latency summaries and repair-phase timings — rendered as Prometheus
-//!   text exposition by default, legacy JSON under
-//!   `Accept: application/json`.
+//!   text exposition.
 //! * [`client`] — the blocking client the load generator and tests use.
 //! * [`http`] / [`json`] — the minimal protocol plumbing underneath.
 //!
@@ -29,7 +28,7 @@
 //! | `POST /v1/query`    | one query per line → one JSON answer per line  |
 //! | `POST /v1/explain`  | same body → one `QueryProfile` JSON per line   |
 //! | `POST /v1/update`   | one edge update per line → `{version, applied}`|
-//! | `GET /metrics`      | Prometheus text (JSON via `Accept` header)     |
+//! | `GET /metrics`      | Prometheus text                                |
 //! | `GET /debug/trace`  | trace ring as JSON lines, oldest first         |
 //! | `GET /v1/schema`    | graph vocabulary (attrs, colors, sizes)        |
 //! | `POST /v1/shutdown` | graceful shutdown                              |

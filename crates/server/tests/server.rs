@@ -9,17 +9,74 @@
 use rpq_bench::loadgen::scrape_metrics;
 use rpq_bench::querygen::{generate_pq, generate_rq, QueryParams};
 use rpq_core::incremental::Update;
-use rpq_engine::{Query, UpdatableEngine};
+use rpq_engine::{EngineConfig, Query, UpdatableEngine};
 use rpq_graph::{gen::youtube_like, Color, Graph, NodeId, WILDCARD};
-use rpq_server::{Client, Server, ServerConfig};
+use rpq_server::{Client, Server, ServerConfig, WireResponse};
+use std::net::SocketAddr;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn start(config: ServerConfig) -> (Arc<UpdatableEngine>, Server, Arc<Graph>) {
-    let engine = Arc::new(UpdatableEngine::new(youtube_like(500, 3)));
+    start_engine(UpdatableEngine::new(youtube_like(500, 3)), config)
+}
+
+fn start_engine(
+    engine: UpdatableEngine,
+    config: ServerConfig,
+) -> (Arc<UpdatableEngine>, Server, Arc<Graph>) {
+    let engine = Arc::new(engine);
     let graph = Arc::clone(engine.snapshot().graph());
     let server = Server::start(Arc::clone(&engine), config).expect("bind loopback");
     (engine, server, graph)
+}
+
+/// A server with a single executor role, on the search backend so that
+/// [`block`] has a slow query to hold the role with.
+fn start_with_one_role(config: ServerConfig) -> (Arc<UpdatableEngine>, Server, Arc<Graph>) {
+    let engine = UpdatableEngine::with_config(
+        youtube_like(500, 3),
+        EngineConfig::builder()
+            .workers(1)
+            .matrix_node_limit(0)
+            .hop_label_budget(0)
+            .build()
+            .unwrap(),
+    );
+    start_engine(engine, config)
+}
+
+/// Send a deliberately slow query on a connection of its own — a ring of
+/// 16 `_+` edges, ≈ 0.2 s of JoinMatch on the search backend — and
+/// return once its batch holds the server's one role.
+fn block(addr: SocketAddr, graph: &Arc<Graph>, probe: &mut Client) -> JoinHandle<WireResponse> {
+    const RING: usize = 16;
+    let nodes: String = (0..RING).map(|i| format!("node n{i}; ")).collect();
+    let edges: Vec<String> = (0..RING)
+        .map(|i| format!("edge n{i} -> n{}: _+", (i + 1) % RING))
+        .collect();
+    let slow = Query::parse_pq(&(nodes + &edges.join("; ")), graph).unwrap();
+    let graph = Arc::clone(graph);
+    let blocker = std::thread::spawn(move || {
+        Client::connect(addr)
+            .unwrap()
+            .query(&[slow], &graph)
+            .unwrap()
+    });
+    await_gauge(probe, "rpq_executors_busy", 1.0, &blocker);
+    blocker
+}
+
+/// Scrape `/metrics` until `gauge` reads `value` — a state that can only
+/// arise while `blocker` holds the role.
+fn await_gauge(probe: &mut Client, gauge: &str, value: f64, blocker: &JoinHandle<WireResponse>) {
+    while scrape(probe)(gauge) != value {
+        assert!(
+            !blocker.is_finished(),
+            "the blocker's batch ended before {gauge} reached {value}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// Scrape `/metrics` into a by-series lookup.
@@ -56,30 +113,25 @@ fn mixed_queries(g: &Graph, count: usize, seed: u64) -> Vec<Query> {
 #[test]
 fn concurrent_clients_get_bit_identical_answers() {
     rpq_trace::tracer().set_enabled(true);
-    let (engine, server, graph) = start(ServerConfig {
-        // a coalescing window far wider than the spread of three sends
-        // released by one barrier: each round's submissions merge into one
-        // engine batch, and every connection must still be handed exactly
-        // its own slice of it
-        coalesce_window: Duration::from_millis(150),
-        ..ServerConfig::default()
-    });
-    let addr = server.addr().to_string();
-    let round_start = Arc::new(std::sync::Barrier::new(3));
+    let (engine, server, graph) = start_with_one_role(ServerConfig::default());
+    let addr = server.addr();
+    let mut probe = Client::connect(addr).unwrap();
+    let mut clients: Vec<Client> = (0..3).map(|_| Client::connect(addr).unwrap()).collect();
 
-    let handles: Vec<_> = (0..3)
-        .map(|c| {
-            let addr = addr.clone();
-            let graph = Arc::clone(&graph);
-            let engine = Arc::clone(&engine);
-            let round_start = Arc::clone(&round_start);
-            std::thread::spawn(move || {
-                let mut client = Client::connect(&addr).unwrap();
-                for round in 0..4 {
+    for round in 0..4 {
+        // the one role is busy, so this round's three submissions queue up
+        // behind it and the next batch to run takes all three: every
+        // connection must still be handed exactly its own slice of it
+        let blocker = block(addr, &graph, &mut probe);
+        let sent: Vec<_> = clients
+            .into_iter()
+            .enumerate()
+            .map(|(c, mut client)| {
+                let (graph, engine) = (Arc::clone(&graph), Arc::clone(&engine));
+                std::thread::spawn(move || {
                     // a different count per client, so a slice handed to
                     // the wrong connection cannot even have the right length
-                    let queries = mixed_queries(&graph, 3 + c as usize, 1000 * c + round);
-                    round_start.wait();
+                    let queries = mixed_queries(&graph, 3 + c, 1000 * c as u64 + round);
                     let resp = client.query(&queries, &graph).unwrap();
                     assert_eq!(resp.status, 200, "{}", resp.body);
                     assert_eq!(resp.version, Some(0), "no writes in this test");
@@ -87,27 +139,28 @@ fn concurrent_clients_get_bit_identical_answers() {
                         engine.snapshot().run_batch(&queries).items(),
                     );
                     assert_eq!(resp.body, expected, "wire answers diverged (client {c})");
-                }
+                    client
+                })
             })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
+            .collect();
+        await_gauge(&mut probe, "rpq_queue_depth", 3.0, &blocker);
+        assert_eq!(blocker.join().unwrap().status, 200);
+        clients = sent.into_iter().map(|h| h.join().unwrap()).collect();
+        // the three submissions (3 + 4 + 5 queries) ran as one batch
+        let trace = probe.debug_trace().unwrap();
+        assert!(
+            trace
+                .lines()
+                .any(|l| l.contains("\"name\":\"queue-wait\"")
+                    && l.contains("submissions=3 queries=12")),
+            "no fully coalesced queue-wait span in:\n{trace}"
+        );
     }
-    // the answers above did come out of coalesced batches: some round's
-    // three submissions (3 + 4 + 5 queries) ran as one
-    let trace = Client::connect(&addr).unwrap().debug_trace().unwrap();
-    assert!(
-        trace.lines().any(
-            |l| l.contains("\"name\":\"queue-wait\"") && l.contains("submissions=3 queries=12")
-        ),
-        "no fully coalesced queue-wait span in:\n{trace}"
-    );
     server.shutdown();
 }
 
 /// More clients than executor roles, a writer publishing versions under
-/// them, default config (no window): every answer is what in-process
+/// them, default config: every answer is what in-process
 /// evaluation gives on the snapshot named by its `X-Rpq-Version`, batches
 /// did run concurrently, and the semantic-cache counters count each RQ
 /// once however the batches overlapped.
@@ -335,33 +388,33 @@ fn oversized_body_is_a_counted_413() {
 /// buffering without bound.
 #[test]
 fn full_queue_gets_backpressure() {
-    let (_engine, server, graph) = start(ServerConfig {
+    let (_engine, server, graph) = start_with_one_role(ServerConfig {
         queue_capacity: 1,
-        // hold the coalescer long enough that the queue is observably full
-        coalesce_window: Duration::from_millis(400),
         ..ServerConfig::default()
     });
     let addr = server.addr();
+    let mut client = Client::connect(addr).unwrap();
 
-    // first request occupies the queue slot for the whole window
+    // the one role is busy; the occupant takes the one queue slot behind it
+    let blocker = block(addr, &graph, &mut client);
     let g1 = Arc::clone(&graph);
-    let first = std::thread::spawn(move || {
+    let occupant = std::thread::spawn(move || {
         let mut client = Client::connect(addr).unwrap();
         client.query(&mixed_queries(&g1, 1, 1), &g1).unwrap()
     });
+    await_gauge(&mut client, "rpq_queue_depth", 1.0, &blocker);
 
-    std::thread::sleep(Duration::from_millis(100));
-    let mut client = Client::connect(addr).unwrap();
     let resp = client.query(&mixed_queries(&graph, 1, 2), &graph).unwrap();
     assert_eq!(resp.status, 429, "{}", resp.body);
     assert_eq!(resp.retry_after, Some(1), "429 must carry Retry-After");
 
-    // the occupant is answered normally once the window closes
-    let resp = first.join().unwrap();
+    // the occupant is answered normally once the blocker's batch ends
+    assert_eq!(blocker.join().unwrap().status, 200);
+    let resp = occupant.join().unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body);
 
     // after the rejection, the metrics counted it
-    assert!(scrape(&mut client)("rpq_rejected_total") >= 1.0);
+    assert_eq!(scrape(&mut client)("rpq_rejected_total"), 1.0);
     server.shutdown();
 }
 
@@ -578,7 +631,7 @@ fn prometheus_exposition_and_trace_ring_round_trip() {
     assert_eq!(get("rpq_queries_total"), 4.0);
     assert_eq!(get("rpq_request_latency_seconds_count"), 1.0);
     assert!(get("rpq_uptime_seconds") > 0.0);
-    // the coalescer recorded per-plan evaluation latency
+    // the batch recorded per-plan evaluation latency
     assert!(
         samples
             .iter()
