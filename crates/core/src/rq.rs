@@ -19,7 +19,7 @@ use crate::predicate::Predicate;
 use crate::reach::product_reach_set;
 use rpq_graph::{DistanceMatrix, Graph, NodeId};
 use rpq_index::DistProbe;
-use rpq_regex::{Atom, FRegex, Nfa};
+use rpq_regex::{FRegex, Nfa};
 use std::collections::HashMap;
 
 /// A reachability query.
@@ -146,100 +146,113 @@ impl Rq {
     /// `hop` plan) beyond it. Results are identical across backends;
     /// only the probe cost differs.
     ///
-    /// Implementation notes: per-atom reachability is read off bounded
-    /// neighborhood scans ([`DistProbe::for_each_within`] — contiguous row
-    /// scans for the matrix, inverted hub lists for labels; the scan may
-    /// report a node more than once, which the mask/bitset sinks below
-    /// absorb). The candidate sets are pruned in both directions before
-    /// pairs are composed: forward masks from the sources, then backward
-    /// masks from the targets inside the forward ones, then per-source
-    /// composition inside the backward ones — the paper's "compose these
-    /// partial results" with the search space already cut to nodes that can
-    /// both be reached and complete a match.
+    /// Implementation notes — one recorded pass, rows only for live nodes.
+    /// Level 0 is the sorted sources; level `i + 1` is the sorted set of
+    /// distinct nodes the scans of atom `i` hit from level `i`. Each level
+    /// node is scanned once ([`DistProbe::for_each_reaching_within`] —
+    /// contiguous row scans for the matrix, inverted hub lists for labels,
+    /// with the |path| ≥ 1 diagonal folded in), and its hits are recorded,
+    /// deduplicated per row, as a CSR row into the next level. The target
+    /// predicate is evaluated on the last level only. The paper's
+    /// "compose these partial results" then runs backward over the
+    /// recorded rows: a level node's bitset over the kept targets is the
+    /// OR of its successors' — one `|level| × ⌈targets / 64⌉` word table
+    /// per level, never one per graph node, and no second scan. Sources
+    /// come out ascending and each row's bits in target order, so the
+    /// pairs are sorted as produced.
     pub fn eval_with_dist<D: DistProbe + ?Sized>(&self, g: &Graph, m: &D) -> RqResult {
-        let atoms = self.regex.atoms();
-        let h = atoms.len();
+        const NONE: u32 = u32::MAX;
         let n = g.node_count();
-        let sources = self.matches_from(g);
-        let targets = self.matches_to(g);
-        if sources.is_empty() || targets.is_empty() {
-            return RqResult::new(Vec::new());
-        }
-
-        // one scan: all z with a nonempty ≤k path from w — the shared
-        // diagonal-aware step of the probe layer
-        let scan = |w: NodeId, atom: &Atom, hit: &mut dyn FnMut(usize)| {
-            m.for_each_reaching_within(g, w, atom.color, atom.quant.max(), &mut |z| hit(z.index()));
-        };
-
-        // forward masks: fwd[i] = nodes reachable from a source through
-        // atoms 0..i
-        let mut fwd: Vec<Vec<bool>> = Vec::with_capacity(h + 1);
-        fwd.push(node_mask(g, &sources));
-        for atom in atoms {
-            let prev = fwd.last().expect("nonempty");
-            let mut next = vec![false; n];
-            for (w, &live) in prev.iter().enumerate() {
-                if live {
-                    scan(NodeId(w as u32), atom, &mut |z| next[z] = true);
-                }
-            }
-            if next.iter().all(|&b| !b) {
+        let mut levels: Vec<Vec<NodeId>> = vec![self.matches_from(g)];
+        let mut steps: Vec<Step> = Vec::with_capacity(self.regex.len());
+        // stamp[z]: the last row whose scan hit z (per-row deduplication);
+        // slot[z]: z's position in the level being built (NONE = absent)
+        let (mut stamp, mut slot) = (vec![NONE; n], vec![NONE; n]);
+        let mut row_id = 0u32;
+        for atom in self.regex.atoms() {
+            let level = levels.last().expect("level 0 is the sources");
+            if level.is_empty() {
                 return RqResult::new(Vec::new());
             }
-            fwd.push(next);
-        }
-
-        // backward bitset propagation over target sets: D_i[x] = the set of
-        // *targets* reachable from x by completing atoms i..h. One pass per
-        // atom over the forward-reachable rows; cost is independent of how
-        // many sources there are, and the final pairs are read off D_0
-        // directly — the "composition of partial results".
-        let kept_targets: Vec<NodeId> = targets
-            .iter()
-            .copied()
-            .filter(|y| fwd[h][y.index()])
-            .collect();
-        if kept_targets.is_empty() {
-            return RqResult::new(Vec::new());
-        }
-        let words = kept_targets.len().div_ceil(64);
-        let mut d = vec![0u64; n * words];
-        for (ti, y) in kept_targets.iter().enumerate() {
-            d[y.index() * words + ti / 64] |= 1 << (ti % 64);
-        }
-        let mut acc = vec![0u64; words];
-        for i in (0..h).rev() {
-            let mut d_new = vec![0u64; n * words];
-            for x in 0..n {
-                if !fwd[i][x] {
-                    continue;
-                }
-                acc.iter_mut().for_each(|w| *w = 0);
-                scan(NodeId(x as u32), &atoms[i], &mut |z| {
-                    let src = &d[z * words..(z + 1) * words];
-                    for (a, &s) in acc.iter_mut().zip(src) {
-                        *a |= s;
+            let mut step = Step {
+                offsets: Vec::with_capacity(level.len() + 1),
+                hits: Vec::new(),
+            };
+            step.offsets.push(0);
+            for &w in level {
+                m.for_each_reaching_within(g, w, atom.color, atom.quant.max(), &mut |z| {
+                    let zi = z.index();
+                    if stamp[zi] != row_id {
+                        stamp[zi] = row_id;
+                        slot[zi] = 0;
+                        step.hits.push(z.0);
                     }
                 });
-                d_new[x * words..(x + 1) * words].copy_from_slice(&acc);
+                row_id += 1;
+                step.offsets.push(step.hits.len());
             }
-            d = d_new;
+            let mut next = Vec::new();
+            for (z, s) in slot.iter_mut().enumerate() {
+                if *s != NONE {
+                    *s = next.len() as u32;
+                    next.push(NodeId(z as u32));
+                }
+            }
+            for hit in &mut step.hits {
+                *hit = slot[*hit as usize];
+            }
+            for z in &next {
+                slot[z.index()] = NONE;
+            }
+            steps.push(step);
+            levels.push(next);
+        }
+
+        // kept targets: the last level's nodes that match `to`, ascending;
+        // bit_of[p] = the bit of last-level position p (NONE = not kept)
+        let mut kept: Vec<NodeId> = Vec::new();
+        let bit_of: Vec<u32> = levels[levels.len() - 1]
+            .iter()
+            .map(|&y| {
+                if !self.to.matches(g.attrs(y)) {
+                    return NONE;
+                }
+                kept.push(y);
+                kept.len() as u32 - 1
+            })
+            .collect();
+        if kept.is_empty() {
+            return RqResult::new(Vec::new());
+        }
+        let words = kept.len().div_ceil(64);
+        let last = steps.pop().expect("F expressions are nonempty");
+        let mut rows = last.compose(words, |p, row| {
+            let b = bit_of[p as usize];
+            if b != NONE {
+                row[b as usize / 64] |= 1 << (b % 64);
+            }
+        });
+        while let Some(step) = steps.pop() {
+            rows = step.compose(words, |p, row| {
+                let succ = &rows[p as usize * words..(p as usize + 1) * words];
+                for (a, &s) in row.iter_mut().zip(succ) {
+                    *a |= s;
+                }
+            });
         }
 
         let mut pairs = Vec::new();
-        for &x in &sources {
-            let bits = &d[x.index() * words..(x.index() + 1) * words];
+        for (&x, bits) in levels[0].iter().zip(rows.chunks_exact(words)) {
             for (w, &word) in bits.iter().enumerate() {
                 let mut word = word;
                 while word != 0 {
                     let b = word.trailing_zeros() as usize;
                     word &= word - 1;
-                    pairs.push((x, kept_targets[w * 64 + b]));
+                    pairs.push((x, kept[w * 64 + b]));
                 }
             }
         }
-        RqResult::new(pairs)
+        RqResult::from_sorted_pairs(pairs).expect("ascending sources, ascending targets per source")
     }
 
     /// **biBFS** strategy (§4): split the expression in the middle; expand
@@ -294,6 +307,29 @@ impl Rq {
             }
         }
         RqResult::new(pairs)
+    }
+}
+
+/// One atom's recorded scans in [`Rq::eval_with_dist`]: row `r` (the
+/// `r`-th node of a level) hit the next level's positions
+/// `hits[offsets[r]..offsets[r + 1]]`, each once — so the record grows
+/// with the scans' own distinct output, 4 bytes per (row, hit).
+struct Step {
+    offsets: Vec<usize>,
+    hits: Vec<u32>,
+}
+
+impl Step {
+    /// This level's bitset rows (`words` per row), each the fold of
+    /// `or_succ(p, row)` over the row's recorded hits `p`.
+    fn compose(&self, words: usize, mut or_succ: impl FnMut(u32, &mut [u64])) -> Vec<u64> {
+        let mut rows = vec![0u64; (self.offsets.len() - 1) * words];
+        for (row, span) in rows.chunks_exact_mut(words).zip(self.offsets.windows(2)) {
+            for &p in &self.hits[span[0]..span[1]] {
+                or_succ(p, row);
+            }
+        }
+        rows
     }
 }
 

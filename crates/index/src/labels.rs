@@ -27,6 +27,12 @@
 //! **exact**: every node is processed as a landmark, so probes equal BFS
 //! ground truth bit-for-bit.
 //!
+//! A finished layer also reads off its own labels, once, the length of
+//! the shortest nonempty cycle through every node (4 bytes per node), so
+//! the paper's |path| ≥ 1 diagonal — [`DistProbe::has_cycle_within`], one
+//! test per scanned node in RQ evaluation — is a table read rather than
+//! an edge walk with a label merge per edge.
+//!
 //! One layer is built per concrete color plus one *wildcard* layer over the
 //! union of all colors (the `_` of query regexes). The wildcard layer is
 //! the densest; when a memory budget is configured and it is exceeded
@@ -120,12 +126,16 @@ impl fmt::Display for HopBuildError {
 
 impl std::error::Error for HopBuildError {}
 
+/// No admitted cycle through the node, in [`Layer::cycle`].
+const NO_CYCLE: u32 = u32::MAX;
+
 /// One color layer: per-node `Lout`/`Lin` labels in CSR form (hubs stored
 /// as *ranks*, ascending, so probes are sorted-merge joins) plus the
-/// inverted `Lin` lists used by bounded neighborhood scans. The arrays
-/// are shared slices, so cloning a layer — how [`HopLabels::repair`]
-/// carries an untouched one — bumps nine reference counts and copies
-/// nothing, while probes reach the data exactly as through a `Vec`.
+/// inverted `Lin` lists used by bounded neighborhood scans and the
+/// per-node shortest-cycle table. The arrays are shared slices, so
+/// cloning a layer — how [`HopLabels::repair`] carries an untouched one —
+/// bumps ten reference counts and copies nothing, while probes reach the
+/// data exactly as through a `Vec`.
 #[derive(Debug, Clone)]
 struct Layer {
     out_offsets: Arc<[u32]>,
@@ -138,6 +148,10 @@ struct Layer {
     inv_offsets: Arc<[u32]>,
     inv_nodes: Arc<[u32]>,
     inv_dists: Arc<[u16]>,
+    /// per node `v`: the length of the shortest nonempty cycle through `v`
+    /// in this layer's color — min over admitted out-edges `(v, u)` of 1
+    /// if `u = v`, else `1 + dist(u, v)` ([`NO_CYCLE`] = none)
+    cycle: Arc<[u32]>,
 }
 
 impl Layer {
@@ -164,18 +178,15 @@ impl Layer {
     }
 
     fn bytes(&self) -> usize {
-        bytes_for_entries(
-            self.out_hubs.len(),
-            self.in_hubs.len(),
-            self.out_offsets.len(),
-        )
+        bytes_for_entries(self.out_hubs.len(), self.in_hubs.len(), self.cycle.len())
     }
 }
 
 /// Label entries are `(u32 rank, u16 dist)`; `Lin` entries appear twice
-/// (once inverted). Offset arrays add three `u32` per node per layer.
-fn bytes_for_entries(out_entries: usize, in_entries: usize, offsets: usize) -> usize {
-    (out_entries + 2 * in_entries) * 6 + 3 * offsets * 4
+/// (once inverted). Three offset arrays of `nodes + 1` entries and the
+/// cycle table add four `u32` per node per layer.
+fn bytes_for_entries(out_entries: usize, in_entries: usize, nodes: usize) -> usize {
+    (out_entries + 2 * in_entries) * 6 + (3 * (nodes + 1) + nodes) * 4
 }
 
 /// Aggregate build statistics, for logs and bench reports.
@@ -854,6 +865,20 @@ impl DistProbe for HopLabels {
         }
     }
 
+    /// One read of the layer's cycle table — the trait default's edge
+    /// walk, precomputed when the layer was built: the shortest nonempty
+    /// cycle through `from` fits `max_len` (`None` = unbounded).
+    fn has_cycle_within(
+        &self,
+        _g: &Graph,
+        from: NodeId,
+        color: Color,
+        max_len: Option<u32>,
+    ) -> bool {
+        let shortest = self.layer_or_panic(color).cycle[from.index()];
+        shortest != NO_CYCLE && max_len.is_none_or(|k| shortest <= k)
+    }
+
     /// Target-side hub aggregation: fold every target's `Lin` into a
     /// per-hub minimum (`best_in[h] = min_y d(h → y)`, with its
     /// minimizing target `best_y[h]`) *and* the runner-up over a
@@ -869,8 +894,8 @@ impl DistProbe for HopLabels {
     /// path contributes 0), `second_in` restores the cheapest distance
     /// to a *different* target, so `best_excl = min_{y ≠ x} dist(x, y)`
     /// falls out of the same scan. A source in the target set
-    /// additionally runs [`DistProbe::has_cycle_within`] — a graph edge
-    /// scan — for the cycle witness.
+    /// additionally reads [`DistProbe::has_cycle_within`] — one lookup in
+    /// the layer's cycle table — for the cycle witness.
     fn sources_reaching_within(
         &self,
         g: &Graph,
@@ -998,7 +1023,8 @@ impl<'a> LayerBuilder<'a> {
     /// entries stay in ascending rank order through the thaw; re-run
     /// appends land at the tail, so touched lists are re-sorted before
     /// freezing back to CSR (which also rebuilds the inverted lists
-    /// wholesale).
+    /// wholesale). The cycle table is recomputed from the finished labels
+    /// on every call — a re-run rank can shorten or break any cycle.
     fn repair_layer(
         &mut self,
         color: Color,
@@ -1048,7 +1074,7 @@ impl<'a> LayerBuilder<'a> {
             self.clear_tmp(&lin[r.index()], rank);
 
             if budget != 0 {
-                let so_far = bytes_before + bytes_for_entries(out_entries, in_entries, n + 1);
+                let so_far = bytes_before + bytes_for_entries(out_entries, in_entries, n);
                 if so_far > budget {
                     return Err(HopBuildError::OverBudget {
                         budget,
@@ -1063,7 +1089,54 @@ impl<'a> LayerBuilder<'a> {
                 l.sort_unstable_by_key(|&(h, _)| h);
             }
         }
-        Ok(Self::freeze(lin, lout))
+        let cycle = self.cycle_table(color, &lin, &lout);
+        Ok(Self::freeze(lin, lout, cycle))
+    }
+
+    /// The finished layer's [`Layer::cycle`], read off its own labels: per
+    /// node `v`, `Lin(v)` is spread into the rank-indexed scratch once and
+    /// each admitted out-edge `(v, u)` scans `Lout(u)` against it —
+    /// `dist(u, v)` as a probe's merge computes it, saturated alike.
+    fn cycle_table(
+        &mut self,
+        color: Color,
+        lin: &[Vec<(u32, u16)>],
+        lout: &[Vec<(u32, u16)>],
+    ) -> Vec<u32> {
+        let g = self.g;
+        let tmp = &mut self.tmp;
+        g.nodes()
+            .map(|v| {
+                let mut shortest = NO_CYCLE;
+                let mut seeded = false;
+                for e in g.out_edges(v).iter().filter(|e| color.admits(e.color)) {
+                    if e.node == v {
+                        shortest = 1;
+                        continue;
+                    }
+                    if !seeded {
+                        for &(h, d) in &lin[v.index()] {
+                            tmp[h as usize] = d;
+                        }
+                        seeded = true;
+                    }
+                    let back = lout[e.node.index()]
+                        .iter()
+                        .filter(|&&(h, _)| tmp[h as usize] != UNSET)
+                        .map(|&(h, d)| d as u32 + tmp[h as usize] as u32)
+                        .min();
+                    if let Some(back) = back {
+                        shortest = shortest.min(1 + back.min(DIST_CAP as u32));
+                    }
+                }
+                if seeded {
+                    for &(h, _) in &lin[v.index()] {
+                        tmp[h as usize] = UNSET;
+                    }
+                }
+                shortest
+            })
+            .collect()
     }
 
     /// Seed the scratch table from `r`'s opposite-direction label. Only
@@ -1151,7 +1224,7 @@ impl<'a> LayerBuilder<'a> {
         added
     }
 
-    fn freeze(lin: Vec<Vec<(u32, u16)>>, lout: Vec<Vec<(u32, u16)>>) -> Layer {
+    fn freeze(lin: Vec<Vec<(u32, u16)>>, lout: Vec<Vec<(u32, u16)>>, cycle: Vec<u32>) -> Layer {
         let n = lin.len();
         let pack = |labels: &[Vec<(u32, u16)>]| {
             let (mut offsets, mut hubs, mut dists) =
@@ -1203,6 +1276,7 @@ impl<'a> LayerBuilder<'a> {
             inv_offsets,
             inv_nodes: inv_nodes.into(),
             inv_dists: inv_dists.into(),
+            cycle: cycle.into(),
         }
     }
 }
@@ -1220,19 +1294,7 @@ mod tests {
     }
 
     fn assert_parity(g: &Graph) {
-        let m = DistanceMatrix::build(g);
-        let h = HopLabels::build(g);
-        for c in all_colors(g) {
-            for u in g.nodes() {
-                for v in g.nodes() {
-                    assert_eq!(
-                        DistProbe::dist(&h, u, v, c),
-                        m.dist(u, v, c),
-                        "dist({u:?},{v:?},{c:?})"
-                    );
-                }
-            }
-        }
+        assert_probe_parity(g, &HopLabels::build(g));
     }
 
     fn lcg(s: &mut u64) -> u64 {
@@ -1285,6 +1347,14 @@ mod tests {
                 let mut got = vec![false; g.node_count()];
                 h.for_each_within(u, c, 3, &mut |z| got[z.index()] = true);
                 assert_eq!(got, want, "scan from {u:?} color {c:?}");
+                // the cycle table against the matrix's edge walk
+                for k in [Some(0u32), Some(1), Some(2), Some(3), None] {
+                    assert_eq!(
+                        h.has_cycle_within(g, u, c, k),
+                        m.has_cycle_within(g, u, c, k),
+                        "cycle at {u:?} color {c:?} within {k:?}"
+                    );
+                }
             }
         }
     }
@@ -1429,7 +1499,7 @@ mod tests {
             // dense wildcard layer: concrete probes stay answerable
             let full = run(0).expect("unbudgeted");
             let concrete_bytes: usize = full.bytes() - full.layer(WILDCARD).unwrap().bytes();
-            let mid = concrete_bytes + bytes_for_entries(2, 2, g.node_count() + 1);
+            let mid = concrete_bytes + bytes_for_entries(2, 2, g.node_count());
             let h = run(mid).expect("concrete layers fit");
             assert!(
                 !h.has_layer(WILDCARD),
@@ -1454,13 +1524,18 @@ mod tests {
         // `pruned_bfs` stops scanning at the first hub that certifies the
         // prune instead of minimizing over all of them: the decision, and
         // so every label, is the one the full minimum gave — these are
-        // the counts of the build that took the minimum
-        for (g, entries, bytes) in [
+        // the counts of the build that took the minimum (its label bytes,
+        // plus each layer's 4-byte-per-node cycle table)
+        for (g, entries, label_bytes) in [
             (synthetic(200, 800, 2, 3, 8), 15035, 145044),
             (essembly(), 111, 1482),
         ] {
             let h = HopLabels::build(&g);
-            assert_eq!((h.stats().entries, h.bytes()), (entries, bytes));
+            let cycle_bytes = 4 * g.node_count() * (g.alphabet().len() + 1);
+            assert_eq!(
+                (h.stats().entries, h.bytes()),
+                (entries, label_bytes + cycle_bytes)
+            );
         }
     }
 
@@ -1610,5 +1685,6 @@ mod tests {
         assert_eq!(DistProbe::dist(&h, z, z, r), 0);
         assert!(h.reaches_within(&g, x, x, r, Some(1)), "self loop");
         assert!(!h.reaches_within(&g, y, y, r, None));
+        assert_probe_parity(&g, &h);
     }
 }

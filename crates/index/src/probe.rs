@@ -11,7 +11,10 @@
 //! 3. the nonempty-path diagonal case — a cycle through the node itself
 //!    ([`DistProbe::has_cycle_within`]), which no symmetric-distance store
 //!    can read off directly because the diagonal holds 0 while the paper's
-//!    semantics requires |path| ≥ 1.
+//!    semantics requires |path| ≥ 1. The trait default walks the node's
+//!    out-edges with one distance probe each; a backend may instead answer
+//!    from a per-layer table of shortest cycle lengths computed at build
+//!    time ([`HopLabels`](crate::HopLabels) does — one read per call).
 //!
 //! Both the dense [`DistanceMatrix`] (O(1) probes, O(|Σ|·|V|²) memory) and
 //! the pruned 2-hop [`HopLabels`](crate::HopLabels) (label-merge probes,
@@ -72,6 +75,14 @@ pub trait DistProbe {
 
     /// Nonempty-cycle test at `from`: one admitted edge out, then back,
     /// within `max_len` total hops (`None` = unbounded).
+    ///
+    /// The default walks `from`'s out-edges in `g` with one
+    /// [`dist`](DistProbe::dist) per admitted edge. A backend whose cycles
+    /// stay inside its own structure may answer from a per-layer table of
+    /// shortest cycle lengths instead — the same arithmetic, precomputed
+    /// (`1` for a self-loop, else `1 + dist(u, from)`, minimized over the
+    /// edges). A backend whose cycles can leave its structure (a shard)
+    /// keeps the default.
     fn has_cycle_within(
         &self,
         g: &Graph,

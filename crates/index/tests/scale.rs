@@ -10,13 +10,13 @@
 //! expander-like data, so production budgets drop it and wildcard queries
 //! fall back to search (exercised by the 50k bench) — and checks the
 //! build fits a tight budget, probes agree with on-demand bidirectional
-//! BFS ground truth, and bounded scans agree with a fresh single-source
-//! BFS. It then flips 8 edges and repairs the labels: build and repair
-//! are one layer loop (`LayerBuilder::run_layers`), so the same probe
-//! parity on the repaired labels covers that path from its other entrance
-//! at scale.
+//! BFS ground truth, the per-layer cycle table agrees with a backward BFS,
+//! and bounded scans agree with a fresh single-source BFS. It then flips
+//! 8 edges and repairs the labels: build and repair are one layer loop
+//! (`LayerBuilder::run_layers`), so the same probe and cycle parity on the
+//! repaired labels covers that path from its other entrance at scale.
 
-use rpq_graph::algo::{bfs_distances, bidirectional_distance, Direction};
+use rpq_graph::algo::{bfs_distances, bidirectional_distance, condensation, Direction};
 use rpq_graph::gen::youtube_like;
 use rpq_graph::{DistanceMatrix, Graph, GraphBuilder, NodeId, INFINITY, WILDCARD};
 use rpq_index::{DistProbe, HopConfig, HopLabels};
@@ -35,6 +35,61 @@ fn assert_pair_parity(g: &Graph, labels: &HopLabels, next: &mut impl FnMut() -> 
         };
         assert_eq!(got, want, "dist({u:?}, {v:?}, {c:?})");
     }
+}
+
+/// The per-layer cycle table against ground truth on 40 sampled nodes: one
+/// backward BFS to `u` gives `dist(w, u)` for every out-neighbour `w`, so
+/// the shortest nonempty cycle through `u` is `1 + min dist(w, u)` over
+/// its admitted out-edges (a self-loop is `w = u` at distance 0). Each
+/// color alone is sparse (out-degree ≈ 0.9), so a uniform sample almost
+/// never lies on a cycle: every other sample is drawn from the color's
+/// strongly connected components of two or more nodes instead.
+fn assert_cycle_parity(g: &Graph, labels: &HopLabels, next: &mut impl FnMut() -> u32) {
+    let colors: Vec<_> = g.alphabet().colors().collect();
+    let cyclic: Vec<Vec<u32>> = colors
+        .iter()
+        .map(|&c| {
+            let (_, comps) = condensation(g.node_count(), |v| {
+                g.out_edges(NodeId(v as u32))
+                    .iter()
+                    .filter(move |e| c.admits(e.color))
+                    .map(|e| e.node.index())
+            });
+            let big = comps.into_iter().filter(|comp| comp.len() > 1);
+            big.flatten().map(|v| v as u32).collect()
+        })
+        .collect();
+    let mut on_cycle = 0;
+    for i in 0..40 {
+        let c = colors[i % colors.len()];
+        let pool = &cyclic[i % colors.len()];
+        let u = NodeId(if i % 2 == 0 && !pool.is_empty() {
+            pool[next() as usize % pool.len()]
+        } else {
+            next()
+        });
+        let back = bfs_distances(g, u, c, Direction::Backward);
+        let shortest = g
+            .out_edges(u)
+            .iter()
+            .filter(|e| c.admits(e.color) && back[e.node.index()] != INFINITY)
+            .map(|e| 1 + u32::from(back[e.node.index()]))
+            .min();
+        on_cycle += usize::from(shortest.is_some());
+        for k in [Some(0u32), Some(1), Some(2), Some(3), Some(6), None] {
+            let want = shortest.is_some_and(|s| k.is_none_or(|k| s <= k));
+            assert_eq!(
+                labels.has_cycle_within(g, u, c, k),
+                want,
+                "cycle at {u:?} {c:?} within {k:?} (shortest {shortest:?})"
+            );
+        }
+    }
+    println!("cycle table: {on_cycle}/40 sampled nodes on a cycle of their color");
+    assert!(
+        on_cycle > 0,
+        "no sampled node lies on a cycle: vacuous check"
+    );
 }
 
 #[test]
@@ -84,6 +139,7 @@ fn hundred_k_nodes_probe_parity() {
         (x % n as u64) as u32
     };
     assert_pair_parity(&g, &labels, &mut next);
+    assert_cycle_parity(&g, &labels, &mut next);
 
     // bounded scans against a fresh BFS from a handful of sources
     for i in 0..40 {
@@ -124,4 +180,5 @@ fn hundred_k_nodes_probe_parity() {
     );
     assert!(repaired.landmarks_invalidated > 0);
     assert_pair_parity(&g2, &repaired.labels, &mut next);
+    assert_cycle_parity(&g2, &repaired.labels, &mut next);
 }

@@ -44,8 +44,14 @@ fn arb_graph() -> impl Strategy<Value = (u64, usize, usize)> {
     (0u64..10_000, 3usize..26, 0usize..70)
 }
 
+/// `synthetic` never draws a self-loop; one is added (node and color from
+/// the seed) so the |path| ≥ 1 diagonal's shortest case is always present.
 fn build_graph(seed: u64, n: usize, e: usize) -> Graph {
-    rpq::graph::gen::synthetic(n, e.min(n * (n - 1) / 2), 2, NUM_COLORS, seed)
+    let g = rpq::graph::gen::synthetic(n, e.min(n * (n - 1) / 2), 2, NUM_COLORS, seed);
+    let mut b = GraphBuilder::from_graph(&g);
+    let v = NodeId((seed % n as u64) as u32);
+    b.insert_edge(v, v, rpq::graph::Color((seed % NUM_COLORS as u64) as u8));
+    b.build()
 }
 
 proptest! {
@@ -90,22 +96,32 @@ proptest! {
     // graph-valued cases are costlier; fewer of them
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// All three RQ strategies return identical results.
+    /// All three RQ strategies return identical results — DM over the
+    /// matrix and over hop labels alike. The target predicate is trivial
+    /// (as the engine's widened evaluation runs it) or overlaps the
+    /// sources and keeps only part of the last level.
     #[test]
     fn rq_strategies_interchangeable(
         (seed, n, e) in arb_graph(),
         re in arb_regex(),
         lo in 0i64..8,
+        hi in prop::option::of(0i64..10),
     ) {
         let g = build_graph(seed, n, e);
         let m = DistanceMatrix::build(&g);
+        let hop = rpq::index::HopLabels::build(&g);
+        let to = match hi {
+            Some(hi) => Predicate::parse(&format!("a0 <= {hi}"), g.schema()).unwrap(),
+            None => Predicate::always_true(),
+        };
         let rq = Rq::new(
             Predicate::parse(&format!("a0 >= {lo}"), g.schema()).unwrap(),
-            Predicate::always_true(),
+            to,
             re,
         );
         let a = rq.eval_bfs(&g);
         prop_assert_eq!(&a, &rq.eval_with_matrix(&g, &m), "DM");
+        prop_assert_eq!(&a, &rq.eval_with_dist(&g, &hop), "DM over hop labels");
         prop_assert_eq!(&a, &rq.eval_bibfs(&g), "biBFS");
     }
 
@@ -227,15 +243,30 @@ fn mutation_round(
 
 /// Every observation the engine makes of a label index — point probes,
 /// bounded scans, batched reverse reachability — must be identical
-/// between `repaired` and `fresh` on `g`.
+/// between `repaired` and `fresh` on `g`, and the nonempty-cycle test of
+/// both must equal the distance matrix's edge walk.
 fn assert_probe_equal(g: &Graph, repaired: &dyn DistProbe, fresh: &dyn DistProbe) {
     let colors: Vec<rpq::graph::Color> = (0..NUM_COLORS as u8)
         .map(rpq::graph::Color)
         .chain([WILDCARD])
         .collect();
     let nodes: Vec<NodeId> = g.nodes().collect();
+    let m = DistanceMatrix::build(g);
     for &c in &colors {
         for &u in &nodes {
+            for k in [Some(0u32), Some(1), Some(2), Some(3), None] {
+                let want = m.has_cycle_within(g, u, c, k);
+                assert_eq!(
+                    repaired.has_cycle_within(g, u, c, k),
+                    want,
+                    "repaired cycle at {u:?} {c:?} within {k:?}"
+                );
+                assert_eq!(
+                    fresh.has_cycle_within(g, u, c, k),
+                    want,
+                    "fresh cycle at {u:?} {c:?} within {k:?}"
+                );
+            }
             for &v in &nodes {
                 assert_eq!(
                     repaired.dist(u, v, c),
