@@ -482,7 +482,7 @@ impl QueryEngine {
     }
 
     /// Profiled evaluation under a **caller-chosen** plan, bypassing the
-    /// planner — the test/bench surface that lets parity suites drive
+    /// planner — the test/bench surface that lets the differential oracle drive
     /// every servable entry of [`Plan::ALL`] (like [`IndexSlot::force`],
     /// this is for deterministic harnesses, not production traffic). It
     /// also bypasses the engine's memo: the run evaluates against a

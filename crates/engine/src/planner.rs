@@ -25,8 +25,8 @@
 //!   `JoinMatch` everywhere else.
 //!
 //! [`Plan::ALL`] is the table of servable combinations. `SplitMatch` off
-//! the matrix (hop, sharded, search) is servable — the parity suites and
-//! benches drive it directly — but never planned: label scans are cheap
+//! the matrix (hop, sharded, search) is servable — the differential oracle
+//! and the benches drive it directly — but never planned: label scans are cheap
 //! enough that `JoinMatch` measured ahead on every shape there.
 
 use rpq_core::pq::Pq;

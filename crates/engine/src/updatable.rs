@@ -65,10 +65,11 @@ pub struct ApplyReport {
 /// one, observable without timing side channels.
 ///
 /// The `labels_*` counters speak the unit of the regime that ran: for a
-/// whole-graph hop index they count **landmark label sets** (carried =
-/// kept verbatim, repaired = re-run pruned BFS); for the sharded index
-/// they count **shards** (carried by `Arc`, repaired in place, or rebuilt
-/// from scratch — membership moves and too-broad shard repairs).
+/// whole-graph hop index they count **label sets**, one per (layer,
+/// landmark) and `n × layers` in all (carried = kept verbatim, repaired =
+/// re-run pruned BFS); for the sharded index they count **shards**
+/// (carried by `Arc`, repaired in place, or rebuilt from scratch —
+/// membership moves and too-broad shard repairs).
 #[derive(Debug, Clone)]
 pub struct IndexMaintenance {
     /// The verdict, also published as
@@ -561,10 +562,15 @@ fn carry_index(
         };
         match repaired {
             Ok(rep) => {
+                // the unit is one landmark's label set in one layer: the
+                // invalidation count sums over layers, so the total does too
+                // (saturating: a wildcard layer the repair dropped on budget
+                // was counted in `landmarks_invalidated` but is gone)
+                let label_sets = landmarks * rep.labels.layer_progress().0;
                 m.state = IndexState::Repaired;
                 m.landmarks_invalidated = rep.landmarks_invalidated;
                 m.labels_repaired = rep.landmarks_invalidated;
-                m.labels_carried = landmarks - rep.landmarks_invalidated;
+                m.labels_carried = label_sets.saturating_sub(rep.landmarks_invalidated);
                 m.phases = rep.phases;
                 next_engine.hop().adopt(Arc::new(rep.labels));
             }
@@ -860,8 +866,9 @@ mod tests {
         assert!(report.index.landmarks_invalidated > 0);
         assert_eq!(
             report.index.labels_carried + report.index.labels_repaired,
-            n,
-            "every landmark is either carried or repaired"
+            n * 4,
+            "every label set — one per landmark in each of the three color \
+             layers and the wildcard layer — is either carried or repaired"
         );
         assert!(
             report.index.labels_carried > report.index.labels_repaired,

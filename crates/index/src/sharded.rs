@@ -36,9 +36,9 @@
 //! ```
 //!
 //! and every term of the stitched minimum is realized by a real path, so
-//! probes are **exact** — bit-identical to a whole-graph index (the parity
-//! suite in `tests/sharded.rs` pins this against both the matrix and
-//! unsharded hop labels). Note the same-shard case still takes the
+//! probes are **exact** — bit-identical to a whole-graph index (the
+//! differential oracle, `tests/oracle.rs`, pins sharded answers to the
+//! paper's semantics, on label-propagation and all-edges-cut partitions). Note the same-shard case still takes the
 //! stitched minimum too: the shortest path between two nodes of one shard
 //! may leave the shard and return.
 //!

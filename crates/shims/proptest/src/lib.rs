@@ -10,9 +10,9 @@
 //!
 //! Differences from real proptest, deliberately accepted:
 //!
-//! * **no shrinking** — a failing case panics with the generated inputs'
-//!   `Debug` rendering via the standard assert message instead of a
-//!   minimized counterexample;
+//! * **no shrinking** — a failing case panics with its assertion's own
+//!   message, not a minimized counterexample, and a drop guard prints the
+//!   property's path and the case index (`case i/N`) to stderr;
 //! * **derived determinism** — each `(test, case-index)` pair seeds a
 //!   SplitMix64 stream, so failures reproduce exactly on re-run;
 //! * `prop_assert!` / `prop_assert_eq!` panic immediately rather than
@@ -102,10 +102,12 @@ macro_rules! __proptest_items {
         fn $name() {
             let __cfg: $crate::test_runner::ProptestConfig = $cfg;
             for __case in 0..__cfg.cases {
-                let mut __rng = $crate::test_runner::TestRng::for_case(
-                    concat!(module_path!(), "::", stringify!($name)),
-                    __case,
-                );
+                let __guard = $crate::test_runner::CaseGuard {
+                    test: concat!(module_path!(), "::", stringify!($name)),
+                    case: __case,
+                    cases: __cfg.cases,
+                };
+                let mut __rng = $crate::test_runner::TestRng::for_case(__guard.test, __case);
                 $( let $pat = $crate::strategy::Strategy::generate(&($strat), &mut __rng); )+
                 $body
             }

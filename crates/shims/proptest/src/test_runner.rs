@@ -22,6 +22,28 @@ impl Default for ProptestConfig {
     }
 }
 
+/// Names the failing case: dropped while its thread unwinds from a
+/// panic in the case, it prints the property's path and the case index to
+/// stderr. The case RNG is a function of both, so that is the whole
+/// reproduction.
+#[doc(hidden)]
+pub struct CaseGuard {
+    pub test: &'static str,
+    pub case: u32,
+    pub cases: u32,
+}
+
+impl Drop for CaseGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!(
+                "proptest: {} failed at case {}/{} (TestRng::for_case({:?}, {}) replays it)",
+                self.test, self.case, self.cases, self.test, self.case
+            );
+        }
+    }
+}
+
 /// Deterministic per-case RNG (SplitMix64 seeded from the test's module
 /// path and the case index, so every failure reproduces on re-run).
 #[derive(Debug, Clone)]

@@ -1,156 +1,11 @@
-//! Randomized cross-validation spanning all three crates: on seeded
-//! synthetic graphs, every PQ evaluation route (JoinMatch/SplitMatch ×
-//! matrix/cache) must equal the naive fixpoint semantics, and every RQ
-//! strategy must agree.
+//! Randomized cross-validation of the paper's SubIso baseline: every
+//! match pair it reports satisfies its node predicate and the local edge
+//! structure. (Answers of the RQ/PQ evaluators are the differential
+//! oracle's, `tests/oracle.rs`.)
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rpq::prelude::*;
-
-fn random_pattern(g: &Graph, rng: &mut StdRng, max_nodes: usize) -> Pq {
-    let mut pq = Pq::new();
-    let n_nodes = rng.gen_range(2..=max_nodes);
-    for i in 0..n_nodes {
-        let pred = match rng.gen_range(0..3) {
-            0 => Predicate::always_true(),
-            1 => Predicate::parse(&format!("a0 <= {}", rng.gen_range(2..9)), g.schema()).unwrap(),
-            _ => Predicate::parse(
-                &format!(
-                    "a0 >= {} && a1 != {}",
-                    rng.gen_range(0..5),
-                    rng.gen_range(0..10)
-                ),
-                g.schema(),
-            )
-            .unwrap(),
-        };
-        pq.add_node(&format!("u{i}"), pred);
-    }
-    let pool = [
-        "c0",
-        "c1",
-        "c0^2",
-        "c1^3",
-        "c0+",
-        "c0 c1",
-        "c1^2 c0^2",
-        "_^2",
-        "_+",
-        "_ c0",
-    ];
-    for _ in 0..rng.gen_range(1..=n_nodes + 2) {
-        let u = rng.gen_range(0..n_nodes);
-        let v = rng.gen_range(0..n_nodes);
-        let r = pool[rng.gen_range(0..pool.len())];
-        pq.add_edge(u, v, FRegex::parse(r, g.alphabet()).unwrap());
-    }
-    pq
-}
-
-#[test]
-fn pq_routes_agree_with_semantics() {
-    let mut rng = StdRng::seed_from_u64(2024);
-    for trial in 0..10u64 {
-        let g = rpq::graph::gen::synthetic(50, 170, 2, 2, 7000 + trial);
-        let m = DistanceMatrix::build(&g);
-        let pq = random_pattern(&g, &mut rng, 4);
-        let oracle = pq.eval_naive(&g);
-        assert_eq!(
-            JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m)),
-            oracle,
-            "JoinMatchM trial {trial}"
-        );
-        assert_eq!(
-            JoinMatch::eval(&pq, &g, &mut CachedReach::new(1 << 14)),
-            oracle,
-            "JoinMatchC trial {trial}"
-        );
-        assert_eq!(
-            SplitMatch::eval(&pq, &g, &mut MatrixReach::new(&m)),
-            oracle,
-            "SplitMatchM trial {trial}"
-        );
-        assert_eq!(
-            SplitMatch::eval(&pq, &g, &mut CachedReach::new(1 << 14)),
-            oracle,
-            "SplitMatchC trial {trial}"
-        );
-    }
-}
-
-#[test]
-fn rq_strategies_agree() {
-    let mut rng = StdRng::seed_from_u64(31);
-    for trial in 0..10u64 {
-        let g = rpq::graph::gen::synthetic(60, 220, 2, 3, 8000 + trial);
-        let m = DistanceMatrix::build(&g);
-        for _ in 0..6 {
-            let pool = ["c0", "c2^2", "c0+", "c0 c1", "c1^2 c2^2 c0", "_^3", "_+ c0"];
-            let rq = Rq::new(
-                Predicate::parse(&format!("a0 <= {}", rng.gen_range(3..9)), g.schema()).unwrap(),
-                Predicate::parse(&format!("a1 >= {}", rng.gen_range(0..6)), g.schema()).unwrap(),
-                FRegex::parse(pool[rng.gen_range(0..pool.len())], g.alphabet()).unwrap(),
-            );
-            let a = rq.eval_bfs(&g);
-            assert_eq!(a, rq.eval_with_matrix(&g, &m), "DM, trial {trial}");
-            assert_eq!(a, rq.eval_bibfs(&g), "biBFS, trial {trial}");
-        }
-    }
-}
-
-#[test]
-fn rq_pairs_really_have_matching_paths() {
-    // semantic spot-check: every reported pair is connected by a path whose
-    // color word the regex accepts (verified by explicit path enumeration)
-    let g = rpq::graph::gen::synthetic(25, 60, 1, 2, 99);
-    let re = FRegex::parse("c0^2 c1", g.alphabet()).unwrap();
-    let rq = Rq::new(
-        Predicate::always_true(),
-        Predicate::always_true(),
-        re.clone(),
-    );
-    let result = rq.eval_bfs(&g);
-    // enumerate all words along paths up to length 3 from each source
-    for &(x, y) in result.as_slice() {
-        let mut found = false;
-        let mut stack: Vec<(NodeId, Vec<rpq::graph::Color>)> = vec![(x, vec![])];
-        while let Some((u, word)) = stack.pop() {
-            if word.len() > 3 {
-                continue;
-            }
-            if u == y && !word.is_empty() && re.matches(&word) {
-                found = true;
-                break;
-            }
-            if word.len() < 3 {
-                for e in g.out_edges(u) {
-                    let mut w = word.clone();
-                    w.push(e.color);
-                    stack.push((e.node, w));
-                }
-            }
-        }
-        assert!(found, "reported pair ({x:?},{y:?}) has no accepting path");
-    }
-}
-
-#[test]
-fn minimized_patterns_evaluate_equivalently() {
-    let mut rng = StdRng::seed_from_u64(555);
-    for trial in 0..6u64 {
-        let g = rpq::graph::gen::synthetic(40, 130, 2, 2, 600 + trial);
-        let m = DistanceMatrix::build(&g);
-        let pq = random_pattern(&g, &mut rng, 4);
-        let slim = minimize(&pq);
-        assert!(rpq::core::pq_equivalent(&slim, &pq), "trial {trial}");
-        assert!(slim.size() <= pq.size());
-        let a = JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m));
-        let b = JoinMatch::eval(&slim, &g, &mut MatrixReach::new(&m));
-        // equivalence implies the same emptiness and, for each edge of the
-        // minimized query, a covering edge of the original (and vice versa)
-        assert_eq!(a.is_empty(), b.is_empty(), "trial {trial}");
-    }
-}
 
 #[test]
 fn subiso_embeddings_are_sound() {

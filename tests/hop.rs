@@ -1,11 +1,9 @@
 //! Integration tests for the hop-label (`Backend::Hop`) serving path: the
 //! planner picks it automatically over the matrix node limit, its answers
-//! are bit-identical to search, and under a live update stream every
-//! post-update query through the per-version hop index matches full
-//! re-evaluation on the new graph.
+//! are bit-identical to search, and a pinned snapshot keeps its own index
+//! version. (Answers across an update stream are the differential
+//! oracle's, `tests/oracle.rs`.)
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use rpq::prelude::*;
 use std::sync::Arc;
 
@@ -58,61 +56,6 @@ fn planner_selects_hop_over_the_limit_and_answers_match_search() {
     for (item, q) in batch.items().iter().zip(&qs) {
         assert_eq!(item.plan.name(), "hop", "automatic selection");
         assert_eq!(item.output.as_rq().unwrap(), &reference(q, &g));
-    }
-}
-
-/// Acceptance: under a stream of ≥ 10 update batches, every post-update
-/// query evaluated through the (per-version, rebuilt) hop-label path
-/// equals full re-evaluation on the updated graph — and while a version's
-/// index has not been built yet, the engine serves the same answers
-/// through its search fallback.
-#[test]
-fn hop_path_tracks_update_stream() {
-    let mut rng = StdRng::seed_from_u64(42);
-    let engine = UpdatableEngine::with_config(test_graph(9), over_limit_config());
-
-    for round in 0..12 {
-        let updates: Vec<Update> = (0..30)
-            .filter_map(|_| {
-                let x = NodeId(rng.gen_range(0..NODES as u32));
-                let y = NodeId(rng.gen_range(0..NODES as u32));
-                if x == y {
-                    return None;
-                }
-                let c = Color(rng.gen_range(0..COLORS));
-                Some(if rng.gen_bool(0.5) {
-                    Update::Insert(x, y, c)
-                } else {
-                    Update::Delete(x, y, c)
-                })
-            })
-            .collect();
-        let report = engine.apply(&updates).unwrap();
-        let snap = report.snapshot;
-        let g = snap.graph().clone();
-        let qs = queries(&g);
-
-        // before this version's index lands: fallback plans, same answers
-        let stale = snap.run_batch(&qs);
-        for (item, q) in stale.items().iter().zip(&qs) {
-            assert_eq!(
-                item.output.as_rq().unwrap(),
-                &reference(q, &g),
-                "round {round} stale"
-            );
-        }
-
-        // force the per-version build (deterministic RqHop), re-ask
-        snap.engine().hop().force().expect("fits budget");
-        let indexed = snap.run_batch(&qs);
-        for (item, q) in indexed.items().iter().zip(&qs) {
-            assert_eq!(item.plan.name(), "hop", "round {round}");
-            assert_eq!(
-                item.output.as_rq().unwrap(),
-                &reference(q, &g),
-                "round {round} through hop labels"
-            );
-        }
     }
 }
 

@@ -1,0 +1,881 @@
+//! The differential oracle: one generator, one assertion, one sweep.
+//!
+//! The paper defines RQ and PQ answers declaratively (§2); every §4–§5
+//! evaluator, backend, plan, memo state, graph version and transport must
+//! return exactly those answers. The reference is `Rq::eval_bfs` /
+//! `Pq::eval_naive` ([`Truth::check`] is the one assertion), and one seeded
+//! [`Case`] — a graph, a partition, an update stream and a mix of RQs and
+//! PQs — is swept over
+//!
+//! * **engines**: the matrix, hop, sharded and search-only regimes, each
+//!   answering `run_batch` cold and warm and every `Plan::ALL` row of its
+//!   backend forced, then every query once more on a fresh engine whose
+//!   profiles name the memo path taken (miss, exact or subsumption hit);
+//! * **core**: `eval_with_dist`, `JoinMatch` and `SplitMatch` over the
+//!   matrix, hop and sharded probes (one and four refinement workers, the
+//!   sharded labels on the case's own partition), `CachedReach` and
+//!   `eval_bibfs`;
+//! * **versions**: an `UpdatableEngine` per regime with a standing PQ,
+//!   queried after every update round as published and again with its
+//!   index forced, plus the standing answer and plan;
+//! * **wire**: an `rpq_server::Server` on loopback over that engine; each
+//!   version's body must spell the checked answers of the snapshot named
+//!   by `X-Rpq-Version`.
+//!
+//! A coverage ledger counts what was checked and fails the run if a
+//! dimension never came up; `cargo test -q --test oracle -- --nocapture`
+//! prints it. A failing random case prints `oracle::random_cases failed at
+//! case i/N`; the case RNG is deterministic, so a re-run replays it.
+
+use proptest::prelude::*;
+use proptest::test_runner::TestRng;
+use rpq::prelude::*;
+use rpq_regex::canon::runs;
+use rpq_regex::{Atom, Quant};
+use rpq_server::{wire, Client, Server, ServerConfig};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::rc::Rc;
+use std::sync::{Arc, Mutex};
+
+// ---- the generator -------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum GraphSpec {
+    /// `synthetic(nodes, edges)` over attributes `a0`, `a1`, plus one
+    /// self-loop.
+    Synthetic {
+        nodes: usize,
+        edges: usize,
+        colors: usize,
+        seed: u64,
+    },
+    /// 16 nodes, edges only between even and odd ones: split by parity,
+    /// every edge is cut and every path threads the overlay.
+    Bipartite,
+    /// Six nodes holding a self-loop, a 2-cycle and a 3-cycle.
+    Loops,
+}
+
+impl GraphSpec {
+    /// `(nodes, colors)`.
+    fn size(&self) -> (usize, usize) {
+        match *self {
+            GraphSpec::Synthetic { nodes, colors, .. } => (nodes, colors),
+            GraphSpec::Bipartite => (16, 2),
+            GraphSpec::Loops => (6, 2),
+        }
+    }
+
+    fn build(&self) -> Graph {
+        let edges: Vec<(usize, usize, usize)> = match *self {
+            GraphSpec::Synthetic {
+                nodes,
+                edges,
+                colors,
+                seed,
+            } => {
+                // `synthetic` never draws a self-loop; one is added so the
+                // |path| ≥ 1 diagonal's shortest case is always present
+                let g = rpq::graph::gen::synthetic(nodes, edges, 2, colors, seed);
+                let mut b = GraphBuilder::from_graph(&g);
+                let v = NodeId((seed % nodes as u64) as u32);
+                b.insert_edge(v, v, Color((seed % colors as u64) as u8));
+                return b.build();
+            }
+            GraphSpec::Bipartite => (0..16)
+                .step_by(2)
+                .flat_map(|i| (1..16).step_by(2).map(move |j| (i, j)))
+                .flat_map(|(i, j)| {
+                    let there = ((i + j) % 3 == 0).then_some((i, j, 0));
+                    let back = ((i * j) % 5 == 1).then_some((j, i, 1));
+                    there.into_iter().chain(back)
+                })
+                .collect(),
+            GraphSpec::Loops => vec![
+                (0, 0, 0),
+                (0, 1, 0),
+                (1, 2, 1),
+                (2, 1, 1),
+                (2, 3, 1),
+                (3, 4, 0),
+                (4, 5, 0),
+                (5, 3, 0),
+                (5, 0, 1),
+            ],
+        };
+        let (n, colors) = self.size();
+        let mut b = GraphBuilder::new();
+        let (a0, a1) = (b.attr("a0"), b.attr("a1"));
+        let nodes: Vec<NodeId> = (0..n as i64)
+            .map(|i| {
+                b.add_node(
+                    &format!("n{i}"),
+                    [(a0, (i % 10).into()), (a1, (i * 7 % 10).into())],
+                )
+            })
+            .collect();
+        let c: Vec<Color> = (0..colors).map(|i| b.color(&format!("c{i}"))).collect();
+        for (u, v, k) in edges {
+            b.add_edge(nodes[u], nodes[v], c[k]);
+        }
+        b.build()
+    }
+}
+
+#[derive(Debug, Clone)]
+enum UpdateSpec {
+    /// Sometimes of an edge already there.
+    Insert(u32, u32, u8),
+    /// Usually a no-op: the edge is rarely there.
+    Delete(u32, u32, u8),
+    /// Delete the graph's `i mod |E|`-th edge.
+    DeleteExisting(usize),
+    /// Re-insert what the previous round deleted: answers a deletion
+    /// shrank grow back.
+    Restore,
+}
+
+impl UpdateSpec {
+    /// The updates this stands for on `g`, after a round that issued the
+    /// deletes `deleted`.
+    fn on(&self, g: &Graph, deleted: &[Update]) -> Vec<Update> {
+        let (u, v, c) = match *self {
+            UpdateSpec::Insert(u, v, c) => {
+                return vec![Update::Insert(NodeId(u), NodeId(v), Color(c))]
+            }
+            UpdateSpec::Delete(u, v, c) => (NodeId(u), NodeId(v), Color(c)),
+            UpdateSpec::DeleteExisting(i) => (g.edges().nth(i % g.edge_count().max(1)))
+                .unwrap_or((NodeId(0), NodeId(0), Color(0))),
+            UpdateSpec::Restore => {
+                let insert = |u: &Update| match *u {
+                    Update::Delete(x, y, c) => Update::Insert(x, y, c),
+                    other => other,
+                };
+                return deleted.iter().map(insert).collect();
+            }
+        };
+        vec![Update::Delete(u, v, c)]
+    }
+}
+
+#[derive(Debug, Clone)]
+struct RqSpec {
+    from: String,
+    to: String,
+    regex: FRegex,
+    /// Where [`respell`] moves each run's slack.
+    picks: Vec<usize>,
+    /// The narrowed variant adds `a1 >= narrow` to the source predicate.
+    narrow: i64,
+}
+
+#[derive(Debug, Clone)]
+struct PqSpec {
+    preds: Vec<String>,
+    edges: Vec<(usize, usize, FRegex)>,
+}
+
+impl PqSpec {
+    fn build(&self, g: &Graph) -> Pq {
+        let mut pq = Pq::new();
+        for (i, p) in self.preds.iter().enumerate() {
+            pq.add_node(&format!("u{i}"), pred(p, g));
+        }
+        for (u, v, re) in &self.edges {
+            pq.add_edge(*u, *v, re.clone());
+        }
+        pq
+    }
+}
+
+#[derive(Debug, Clone)]
+struct Case {
+    graph: GraphSpec,
+    /// Nodes dealt `v mod shards` (nearly every edge cut) instead of
+    /// label propagation.
+    round_robin: bool,
+    shards: usize,
+    rounds: Vec<Vec<UpdateSpec>>,
+    rqs: Vec<RqSpec>,
+    /// The first one is also registered as the standing PQ.
+    pqs: Vec<PqSpec>,
+}
+
+fn pred(text: &str, g: &Graph) -> Predicate {
+    Predicate::parse(text, g.schema()).unwrap()
+}
+
+impl Case {
+    /// Each RQ in the four versions that drive every memo path — a
+    /// widened containing RQ, the RQ, a respelling, a predicate-narrowed
+    /// variant — then each PQ as drawn and respelled.
+    fn queries(&self, g: &Graph) -> Vec<Query> {
+        let mut out = Vec::new();
+        for q in &self.rqs {
+            let (from, to) = (pred(&q.from, g), pred(&q.to, g));
+            let narrowed = match q.from.as_str() {
+                "" => format!("a1 >= {}", q.narrow),
+                from => format!("{from} && a1 >= {}", q.narrow),
+            };
+            let rq = |from: &Predicate, re| Query::Rq(Rq::new(from.clone(), to.clone(), re));
+            out.push(rq(&from, widen(&q.regex)));
+            out.push(rq(&from, q.regex.clone()));
+            out.push(rq(&from, respell(&q.regex, &q.picks)));
+            out.push(rq(&pred(&narrowed, g), q.regex.clone()));
+        }
+        for p in &self.pqs {
+            let respelled = PqSpec {
+                edges: (p.edges.iter().enumerate())
+                    .map(|(i, (u, v, re))| (*u, *v, respell(re, &[i, i + 1, i + 2])))
+                    .collect(),
+                ..p.clone()
+            };
+            out.extend([p, &respelled].map(|p| Query::Pq(p.build(g))));
+        }
+        out
+    }
+}
+
+fn random_regex(colors: usize) -> impl Strategy<Value = FRegex> {
+    let color = prop_oneof![
+        3 => (0..colors as u8).prop_map(Color),
+        1 => Just(WILDCARD),
+    ];
+    let quant = prop_oneof![
+        2 => Just(Quant::One),
+        2 => (2u32..4).prop_map(Quant::AtMost),
+        1 => Just(Quant::Plus),
+    ];
+    prop::collection::vec((color, quant), 1..4)
+        .prop_map(|atoms| FRegex::new(atoms.into_iter().map(|(c, q)| Atom::new(c, q)).collect()))
+}
+
+fn random_pred() -> impl Strategy<Value = String> {
+    prop_oneof![
+        1 => Just(String::new()),
+        2 => (2i64..10).prop_map(|v| format!("a0 <= {v}")),
+        1 => (0i64..5, 0i64..10).prop_map(|(lo, v)| format!("a0 >= {lo} && a1 != {v}")),
+    ]
+}
+
+fn random_rq(colors: usize) -> impl Strategy<Value = RqSpec> {
+    (
+        random_pred(),
+        random_pred(),
+        random_regex(colors),
+        prop::collection::vec(0usize..8, 3..4),
+        0i64..10,
+    )
+        .prop_map(|(from, to, regex, picks, narrow)| RqSpec {
+            from,
+            to,
+            regex,
+            picks,
+            narrow,
+        })
+}
+
+/// 2–5 pattern nodes; half of the patterns close a cycle over their
+/// first edge (the others may hold one anyway).
+fn random_pq(colors: usize) -> impl Strategy<Value = PqSpec> {
+    (2usize..6).prop_flat_map(move |n| {
+        (
+            prop::collection::vec(random_pred(), n..n + 1),
+            prop::collection::vec((0..n, 0..n, random_regex(colors)), 1..n + 2),
+            any::<bool>(),
+        )
+            .prop_map(|(preds, mut edges, close)| {
+                if close {
+                    let (u, v, re) = edges[0].clone();
+                    edges.push((v, u, re));
+                }
+                PqSpec { preds, edges }
+            })
+    })
+}
+
+/// One round of updates: inserts, deletes of present edges, no-op
+/// deletes and re-inserts of the previous round's deletes — sometimes the
+/// first one twice.
+fn random_round(nodes: usize, colors: usize) -> impl Strategy<Value = Vec<UpdateSpec>> {
+    let (n, k) = (nodes as u32, colors as u8);
+    let update = prop_oneof![
+        2 => (0..n, 0..n, 0..k).prop_map(|(u, v, c)| UpdateSpec::Insert(u, v, c)),
+        1 => (0..n, 0..n, 0..k).prop_map(|(u, v, c)| UpdateSpec::Delete(u, v, c)),
+        2 => any::<usize>().prop_map(UpdateSpec::DeleteExisting),
+        1 => Just(UpdateSpec::Restore),
+    ];
+    (prop::collection::vec(update, 1..5), any::<bool>()).prop_map(|(mut round, twice)| {
+        if twice {
+            round.push(round[0].clone());
+        }
+        round
+    })
+}
+
+/// Everything of a case but its graph.
+fn workload(graph: GraphSpec) -> impl Strategy<Value = Case> {
+    let (nodes, colors) = graph.size();
+    (
+        any::<bool>(),
+        2usize..5,
+        prop::collection::vec(random_round(nodes, colors), 1..5),
+        prop::collection::vec(random_rq(colors), 1..3),
+        prop::collection::vec(random_pq(colors), 1..3),
+    )
+        .prop_map(move |(round_robin, shards, rounds, rqs, pqs)| Case {
+            graph: graph.clone(),
+            round_robin,
+            shards,
+            rounds,
+            rqs,
+            pqs,
+        })
+}
+
+fn random_case() -> impl Strategy<Value = Case> {
+    (12usize..81, 2usize..4, 1usize..7, any::<u64>()).prop_flat_map(
+        |(nodes, colors, half_degree, seed)| {
+            workload(GraphSpec::Synthetic {
+                nodes,
+                edges: nodes * half_degree / 2,
+                colors,
+                seed,
+            })
+        },
+    )
+}
+
+/// The fixed cases beside the random ones: the bipartite graph split by
+/// parity (every edge cut), and the cycle graph.
+fn fixed_cases() -> Vec<Case> {
+    let draw = |graph, name| workload(graph).generate(&mut TestRng::for_case(name, 0));
+    vec![
+        Case {
+            round_robin: true,
+            shards: 2,
+            ..draw(GraphSpec::Bipartite, "bipartite")
+        },
+        draw(GraphSpec::Loops, "loops"),
+    ]
+}
+
+/// A syntactic variant with the same language: each maximal same-color
+/// run is respelled with its quantifier slack moved to a picked
+/// position. `picks` drives the (deterministic) position choices.
+fn respell(re: &FRegex, picks: &[usize]) -> FRegex {
+    let mut atoms = Vec::new();
+    for (i, run) in runs(re).into_iter().enumerate() {
+        let n = run.min as usize;
+        let pos = picks.get(i).copied().unwrap_or(0) % n;
+        let tail = match run.max {
+            None => Quant::Plus,
+            Some(m) => {
+                let slack = (m - run.min as u64) as u32;
+                if slack == 0 {
+                    Quant::One
+                } else {
+                    Quant::AtMost(slack + 1)
+                }
+            }
+        };
+        for j in 0..n {
+            let q = if j == pos { tail } else { Quant::One };
+            atoms.push(Atom::new(run.color, q));
+        }
+    }
+    FRegex::new(atoms)
+}
+
+/// A regex whose language strictly contains `re`'s: every atom keeps its
+/// minimum (one edge) and grows its maximum, so each run's interval
+/// nests inside the widened run's.
+fn widen(re: &FRegex) -> FRegex {
+    FRegex::new(
+        re.atoms()
+            .iter()
+            .map(|a| {
+                let q = match a.quant {
+                    Quant::One => Quant::AtMost(2),
+                    Quant::AtMost(k) => Quant::AtMost(k + 1),
+                    Quant::Plus => Quant::Plus,
+                };
+                Atom::new(a.color, q)
+            })
+            .collect(),
+    )
+}
+
+// ---- the assertion -------------------------------------------------------
+
+/// The paper's §2 answers on one graph version, each computed once.
+struct Truth {
+    g: Arc<Graph>,
+    answers: RefCell<Vec<(Query, QueryOutput)>>,
+}
+
+impl Truth {
+    fn of(g: &Arc<Graph>) -> Self {
+        Truth {
+            g: Arc::clone(g),
+            answers: RefCell::default(),
+        }
+    }
+
+    /// The one assertion: `output` is bit-identical to `Rq::eval_bfs` /
+    /// `Pq::eval_naive` of `query` on this graph version.
+    fn check(&self, query: &Query, output: &QueryOutput, at: &str) {
+        let mut answers = self.answers.borrow_mut();
+        let i = match answers.iter().position(|(q, _)| q == query) {
+            Some(i) => i,
+            None => {
+                let want = match query {
+                    Query::Rq(rq) => QueryOutput::Rq(rq.eval_bfs(&self.g)),
+                    Query::Pq(pq) => QueryOutput::Pq(Arc::new(pq.eval_naive(&self.g))),
+                };
+                answers.push((query.clone(), want));
+                answers.len() - 1
+            }
+        };
+        assert_eq!(output, &answers[i].1, "{at}: {query:?}");
+    }
+}
+
+// ---- the coverage ledger -------------------------------------------------
+
+static LEDGER: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
+
+fn tally(key: String) {
+    *LEDGER.lock().unwrap().entry(key).or_default() += 1;
+}
+
+/// Fail unless every dimension the sweep must cover was checked.
+fn assert_covered(ledger: &BTreeMap<String, u64>) {
+    let count = |key: &str| ledger.get(key).copied().unwrap_or(0);
+    let mut required: Vec<String> = Plan::ALL
+        .iter()
+        .map(|p| format!("plan {}", p.name()))
+        .collect();
+    for backend in ["matrix", "hop", "sharded"] {
+        for kind in ["miss", "exact_hit", "subsumption_hit"] {
+            required.push(format!("memo {backend} {kind}"));
+        }
+        required.push(format!("wire {backend}"));
+    }
+    for regime in ["hop", "sharded"] {
+        for state in ["Rebuilding", "Repaired", "Ready"] {
+            required.push(format!("state {regime} {state}"));
+        }
+    }
+    let missing: Vec<&String> = required.iter().filter(|k| count(k) == 0).collect();
+    assert!(missing.is_empty(), "never checked: {missing:?}");
+    for regime in ["matrix", "hop", "sharded"] {
+        let versions = count(&format!("versions {regime}"));
+        assert!(versions > 0, "no {regime} version checked");
+        assert_eq!(
+            count(&format!("standing {regime}")),
+            versions,
+            "{regime}: a version's standing answer went unchecked"
+        );
+    }
+}
+
+// ---- the sweep -----------------------------------------------------------
+
+/// The engine configuration of the regime whose best backend is `b`.
+fn config(b: Backend, shards: usize) -> EngineConfig {
+    let c = EngineConfig::builder().workers(2);
+    match b {
+        Backend::Matrix => c,
+        Backend::Hop => c.matrix_node_limit(0),
+        Backend::Sharded => c.matrix_node_limit(0).hop_label_budget(0).shards(shards),
+        Backend::Search => c.matrix_node_limit(0).hop_label_budget(0),
+    }
+    .build()
+    .unwrap()
+}
+
+/// A fresh engine of that regime with its index built.
+fn fresh_engine(b: Backend, g: &Arc<Graph>, shards: usize) -> QueryEngine {
+    if b == Backend::Sharded {
+        return QueryEngine::build_sharded(Arc::clone(g), config(b, shards)).unwrap();
+    }
+    let engine = QueryEngine::with_config(Arc::clone(g), config(b, shards));
+    engine.hop().force();
+    engine
+}
+
+/// Every engine regime: batches cold and warm, every plan row of its
+/// backend forced, and the memo path of each query read off its profile.
+fn sweep_engines(case: &Case, g: &Arc<Graph>, queries: &[Query], truth: &Truth) {
+    for b in [
+        Backend::Matrix,
+        Backend::Hop,
+        Backend::Sharded,
+        Backend::Search,
+    ] {
+        let r = format!("{b:?}").to_lowercase();
+        let engine = fresh_engine(b, g, case.shards);
+        for pass in ["cold", "warm"] {
+            let batch = engine.run_batch(queries);
+            for (q, item) in queries.iter().zip(batch.items()) {
+                truth.check(q, &item.output, &format!("{r} batch {pass}"));
+                assert_eq!(
+                    item.plan.backend(),
+                    b,
+                    "{r} batch {pass}: the regime's backend plans"
+                );
+                tally(format!("plan {}", item.plan.name()));
+            }
+        }
+        let rows = Plan::ALL
+            .into_iter()
+            .filter(|p| p.backend() == b && p.algo() != Algo::Standing);
+        for plan in rows {
+            let rq_plan = matches!(plan.algo(), Algo::RqDm | Algo::RqBiBfs | Algo::RqBfsMemo);
+            for q in queries
+                .iter()
+                .filter(|q| matches!(q, Query::Rq(_)) == rq_plan)
+            {
+                let (out, _) = engine.run_query_with_plan_profiled(q, plan);
+                truth.check(q, &out, &format!("{r} forced {}", plan.name()));
+                tally(format!("plan {}", plan.name()));
+            }
+        }
+        let fresh = fresh_engine(b, g, case.shards);
+        for q in queries {
+            let (out, profile) = fresh.run_query_profiled(q);
+            truth.check(q, &out, &format!("{r} profiled {}", profile.plan));
+            if !profile.semcache.is_empty() {
+                tally(format!("memo {r} {}", profile.semcache));
+            }
+        }
+    }
+}
+
+/// The evaluators below the engine, over every probe type — the sharded
+/// labels on the case's own partition, which `build_sharded` cannot take.
+fn sweep_core(case: &Case, g: &Arc<Graph>, queries: &[Query], truth: &Truth) {
+    let k = case.shards;
+    let (partition, sg) = if case.round_robin {
+        let shard_of = (0..g.node_count() as u32).map(|v| v % k as u32).collect();
+        let sg = ShardedGraph::with_partition(Arc::clone(g), Partition::from_shard_of(shard_of, k));
+        // an edge is cut iff its ends differ mod k: on the bipartite case, every edge
+        let cut = g
+            .edges()
+            .filter(|(u, v, _)| u.0 % k as u32 != v.0 % k as u32);
+        assert_eq!(sg.cut_edges().len(), cut.count());
+        ("round-robin", sg)
+    } else {
+        ("label-propagation", ShardedGraph::new(Arc::clone(g), k))
+    };
+    let config = ShardedConfig {
+        shards: k,
+        ..ShardedConfig::default()
+    };
+    let m = DistanceMatrix::build(g);
+    let hop = HopLabels::build(g);
+    let sharded = ShardedLabels::build_on(Arc::new(sg), &config, None).unwrap();
+    let partition = format!("sharded/{partition}");
+    let probes: [(&str, &(dyn DistProbe + Sync)); 3] =
+        [("matrix", &m), ("hop", &hop), (&partition, &sharded)];
+    let pq_out = |r: PqResult| QueryOutput::Pq(Arc::new(r));
+    for q in queries {
+        match q {
+            Query::Rq(rq) => {
+                for (name, probe) in probes {
+                    let out = QueryOutput::Rq(rq.eval_with_dist(g, probe));
+                    truth.check(q, &out, &format!("eval_with_dist over {name}"));
+                    tally(format!("core {name}"));
+                }
+                truth.check(q, &QueryOutput::Rq(rq.eval_bibfs(g)), "eval_bibfs");
+            }
+            Query::Pq(pq) => {
+                for (name, probe) in probes {
+                    for workers in [1, 4] {
+                        let at = format!("over {name}, {workers} workers");
+                        let mut reach = ProbeReach::with_workers(probe, workers);
+                        let join = JoinMatch::eval(pq, g, &mut reach);
+                        truth.check(q, &pq_out(join), &format!("JoinMatch {at}"));
+                        let split = SplitMatch::eval(pq, g, &mut reach);
+                        truth.check(q, &pq_out(split), &format!("SplitMatch {at}"));
+                    }
+                    tally(format!("core {name}"));
+                }
+                let mut cached = CachedReach::new(1 << 12);
+                let join = JoinMatch::eval(pq, g, &mut cached);
+                truth.check(q, &pq_out(join), "JoinMatch/cache");
+                let split = SplitMatch::eval(pq, g, &mut cached);
+                truth.check(q, &pq_out(split), "SplitMatch/cache");
+            }
+        }
+    }
+}
+
+/// The `/v1/query` body of `items`, spelled with `format!` from the
+/// answers themselves — independent of the server's encoder.
+fn render(items: &[BatchItem]) -> String {
+    let join = |parts: Vec<String>| parts.join(",");
+    let pairs = |ps: &[(NodeId, NodeId)]| {
+        join(
+            ps.iter()
+                .map(|(x, y)| format!("[{},{}]", x.0, y.0))
+                .collect(),
+        )
+    };
+    let mut body = String::new();
+    for item in items {
+        let plan = item.plan.name();
+        body += &match &item.output {
+            QueryOutput::Rq(r) => format!(
+                "{{\"kind\":\"rq\",\"plan\":\"{plan}\",\"pairs\":[{}]}}\n",
+                pairs(r.as_slice())
+            ),
+            QueryOutput::Pq(r) => {
+                let node = |u| join(r.node_matches(u).iter().map(|x| x.0.to_string()).collect());
+                let nodes = join(
+                    (0..r.node_count())
+                        .map(|u| format!("[{}]", node(u)))
+                        .collect(),
+                );
+                let edge = |e| format!("[{}]", pairs(r.edge_matches(e)));
+                let edges = join((0..r.edge_count()).map(edge).collect());
+                format!("{{\"kind\":\"pq\",\"plan\":\"{plan}\",\"nodes\":[{nodes}],\"edges\":[{edges}]}}\n")
+            }
+        };
+    }
+    body
+}
+
+/// The update stream through an `UpdatableEngine` per regime, with a
+/// standing PQ registered and a server on loopback over the same engine.
+fn sweep_versions(case: &Case, g: &Arc<Graph>, queries: &[Query]) {
+    for b in [Backend::Matrix, Backend::Hop, Backend::Sharded] {
+        let r = format!("{b:?}").to_lowercase();
+        let live = Arc::new(UpdatableEngine::with_config(
+            Graph::clone(g),
+            config(b, case.shards),
+        ));
+        let standing = queries.len();
+        let id = live.register_pq(case.pqs[0].build(g));
+        let mut batch = queries.to_vec();
+        batch.push(Query::Pq(case.pqs[0].build(g)));
+        let server = Server::start(Arc::clone(&live), ServerConfig::default()).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        // every published version with the answers it is held to
+        let mut pinned: HashMap<u64, Rc<(Arc<Snapshot>, Truth)>> = HashMap::new();
+        let mut current = live.snapshot();
+        let mut deleted = Vec::new();
+        for round in 0..=case.rounds.len() {
+            if round > 0 {
+                let graph = current.graph();
+                let updates: Vec<Update> = (case.rounds[round - 1].iter())
+                    .flat_map(|u| u.on(graph, &deleted))
+                    .collect();
+                deleted = (updates.iter())
+                    .filter(|u| matches!(u, Update::Delete(..)))
+                    .copied()
+                    .collect();
+                let report = live.apply(&updates).unwrap();
+                let bumped = u64::from(report.applied > 0);
+                assert_eq!(report.version, current.version() + bumped);
+                if report.applied > 0 {
+                    tally(format!("state {r} {:?}", report.index.state));
+                }
+                current = report.snapshot;
+            }
+            let version =
+                Rc::clone(pinned.entry(current.version()).or_insert_with(|| {
+                    Rc::new((Arc::clone(&current), Truth::of(current.graph())))
+                }));
+            let (snap, truth) = &*version;
+            tally(format!("versions {r}"));
+            let at = |what: &str| format!("{r} v{} round {round}: {what}", snap.version());
+            let check_batch = |out: &BatchResult, at: &str| {
+                for (q, item) in batch.iter().zip(out.items()) {
+                    truth.check(q, &item.output, at);
+                    tally(format!("plan {}", item.plan.name()));
+                }
+                assert_eq!(out.items()[standing].plan.algo(), Algo::Standing, "{at}");
+            };
+            check_batch(&snap.run_batch(&batch), &at("as published"));
+            let engine = snap.engine();
+            let hop = engine.hop().force().map(|_| format!("{:?}", engine.hop()));
+            let sharded = engine
+                .sharded()
+                .force()
+                .map(|_| format!("{:?}", engine.sharded()));
+            for state in hop.into_iter().chain(sharded) {
+                assert_eq!(state, "Ready", "{}", at("forced"));
+                tally(format!("state {r} Ready"));
+            }
+            let forced = snap.run_batch(&batch);
+            check_batch(&forced, &at("forced"));
+            // with its index forced, the regime's backend serves every query
+            let on_b = |i: &BatchItem| i.plan.backend() == b || i.plan.algo() == Algo::Standing;
+            assert!(forced.items().iter().all(on_b), "{}", at("forced"));
+            let kept = QueryOutput::Pq(snap.standing_result(id).unwrap());
+            truth.check(&batch[standing], &kept, &at("standing answer"));
+            assert_eq!(snap.plan_query(&batch[standing]).algo(), Algo::Standing);
+            tally(format!("standing {r}"));
+
+            let resp = client.query(&batch, snap.graph()).unwrap();
+            assert!(resp.is_ok(), "{}: {}", at("wire"), resp.body);
+            let served = &pinned[&resp.version.expect("X-Rpq-Version")];
+            let items = served.0.run_batch(&batch);
+            check_batch(&items, &at("wire"));
+            assert_eq!(
+                resp.body,
+                wire::encode_items(items.items()),
+                "{}",
+                at("wire")
+            );
+            assert_eq!(resp.body, render(items.items()), "{}", at("wire"));
+            tally(format!("wire {r}"));
+        }
+        drop(client);
+        server.shutdown();
+    }
+}
+
+fn sweep(case: &Case) {
+    let g = Arc::new(case.graph.build());
+    let queries = case.queries(&g);
+    let truth = Truth::of(&g);
+    sweep_engines(case, &g, &queries, &truth);
+    sweep_core(case, &g, &queries, &truth);
+    sweep_versions(case, &g, &queries);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    fn random_cases(case in random_case()) {
+        sweep(&case);
+    }
+}
+
+#[test]
+fn oracle() {
+    for case in fixed_cases() {
+        sweep(&case);
+    }
+    random_cases();
+    let ledger = LEDGER.lock().unwrap();
+    for (key, n) in ledger.iter() {
+        println!("{key:<44} {n:>6}");
+    }
+    assert_covered(&ledger);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+    /// `minPQs` on the oracle's patterns: equivalent, never larger, and
+    /// with an answer on a graph exactly when the original has one.
+    #[test]
+    fn minimized_patterns_evaluate_equivalently(case in random_case()) {
+        let g = case.graph.build();
+        for spec in &case.pqs {
+            let pq = spec.build(&g);
+            let slim = minimize(&pq);
+            prop_assert!(rpq::core::pq_equivalent(&slim, &pq), "{:?}", pq);
+            prop_assert!(slim.size() <= pq.size());
+            prop_assert_eq!(slim.eval_naive(&g).is_empty(), pq.eval_naive(&g).is_empty());
+        }
+    }
+}
+
+// ---- the reference itself ------------------------------------------------
+
+/// The pairs `(x, y)` joined by a walk of at most `max_len` edges whose
+/// color word `re` accepts: §2's path semantics, by enumeration.
+fn walks(g: &Graph, re: &FRegex, max_len: usize) -> BTreeSet<(NodeId, NodeId)> {
+    let mut out = BTreeSet::new();
+    let mut stack: Vec<(NodeId, NodeId, Vec<Color>)> = g.nodes().map(|x| (x, x, vec![])).collect();
+    while let Some((x, u, word)) = stack.pop() {
+        if !word.is_empty() && re.matches(&word) {
+            out.insert((x, u));
+        }
+        if word.len() < max_len {
+            for e in g.out_edges(u) {
+                let mut w = word.clone();
+                w.push(e.color);
+                stack.push((x, e.node, w));
+            }
+        }
+    }
+    out
+}
+
+/// The longest walk an answer can need: each atom's bound, and |V| for a
+/// `+` atom (a shortest nonempty one-color walk never takes more).
+fn walk_bound(g: &Graph, re: &FRegex) -> usize {
+    let atom = |q| match q {
+        Quant::One => 1,
+        Quant::AtMost(k) => k as usize,
+        Quant::Plus => g.node_count(),
+    };
+    re.atoms().iter().map(|a| atom(a.quant)).sum()
+}
+
+/// The reference against §2 itself, on a graph sparse enough to
+/// enumerate every walk an answer can need: `eval_bfs` reports exactly
+/// the pairs an accepted walk joins (sound and complete), and
+/// `eval_naive` on a 2-node cyclic pattern is the greatest fixpoint over
+/// those pair sets.
+#[test]
+fn reference_equals_path_semantics() {
+    let g = rpq::graph::gen::synthetic(10, 14, 2, 2, 99);
+    let parse = |re: &str| FRegex::parse(re, g.alphabet()).unwrap();
+    let reach = |re: &FRegex| walks(&g, re, walk_bound(&g, re));
+    for text in ["c0^2 c1", "_ c1", "c1 _^2", "_^3", "c0+", "_+ c0", "c1 c0+"] {
+        let re = parse(text);
+        let rq = Rq::new(
+            Predicate::always_true(),
+            Predicate::always_true(),
+            re.clone(),
+        );
+        let want: Vec<_> = reach(&re).into_iter().collect();
+        assert!(
+            !want.is_empty(),
+            "{text}: no accepted walk to compare against"
+        );
+        assert_eq!(rq.eval_bfs(&g).pairs(), want, "{text}");
+    }
+    for (there, back) in [("c0^2", "_+"), ("_ c1", "c0"), ("c1+", "_^2")] {
+        let mut pq = Pq::new();
+        let a = pq.add_node("a", pred("a0 <= 6", &g));
+        let b = pq.add_node("b", Predicate::always_true());
+        pq.add_edge(a, b, parse(there));
+        pq.add_edge(b, a, parse(back));
+        let sets = [reach(&parse(there)), reach(&parse(back))];
+        let mut mats = [
+            rpq::core::rq::matches_of(&g, &pq.node(a).pred),
+            g.nodes().collect(),
+        ];
+        loop {
+            let before = mats.clone();
+            for (e, (u, v)) in [(a, b), (b, a)].into_iter().enumerate() {
+                let targets = mats[v].clone();
+                mats[u].retain(|&x| targets.iter().any(|&y| sets[e].contains(&(x, y))));
+            }
+            if mats == before {
+                break;
+            }
+        }
+        let got = pq.eval_naive(&g);
+        let at = format!("{there} / {back}");
+        if mats.iter().any(Vec::is_empty) {
+            assert!(got.is_empty(), "{at}");
+            continue;
+        }
+        for (e, (u, v)) in [(a, b), (b, a)].into_iter().enumerate() {
+            assert_eq!(got.node_matches(u), &mats[u][..], "{at}");
+            let edge: Vec<_> = (sets[e].iter())
+                .filter(|(x, y)| mats[u].contains(x) && mats[v].contains(y))
+                .copied()
+                .collect();
+            assert_eq!(got.edge_matches(e), &edge[..], "{at}");
+        }
+    }
+}
