@@ -24,6 +24,9 @@
 //! batch seeds with the *standing* match sets, which is where the savings
 //! come from; the worst case remains a full re-evaluation, as the paper
 //! anticipates ("nontrivial to … minimize unnecessary recomputation").
+//! The loop refines the *normalized* pattern over the graph itself
+//! ([`GraphProbe`]): each `Join` step is one backward sweep, and there is
+//! no reachability cache for an update to make stale.
 //!
 //! The data graph is wrapped in [`DynamicGraph`], an overlay that applies
 //! edge insertions/deletions by rebuilding the CSR image (the substrate is
@@ -31,8 +34,9 @@
 
 use crate::join_match::{refine, refine_from};
 use crate::pq::{Pq, PqResult};
-use crate::reach::CachedReach;
+use crate::reach::ProbeReach;
 use rpq_graph::{Color, Graph, GraphBuilder, NodeId};
+use rpq_index::GraphProbe;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -118,26 +122,24 @@ impl DynamicGraph {
 /// graph updates.
 pub struct IncrementalMatcher {
     pq: Pq,
-    /// current match sets per query node (sorted)
+    /// `pq` normalized: the pattern the refinement runs on
+    work: Pq,
+    /// current match sets per node of `work` (sorted): `pq`'s nodes first,
+    /// then the dummies
     mats: Vec<Vec<NodeId>>,
-    engine: CachedReach,
 }
 
 impl IncrementalMatcher {
-    /// Evaluate `pq` on the current graph and set up maintenance state
-    /// (default reachability-cache capacity).
+    /// Evaluate `pq` on the current graph and set up maintenance state.
     pub fn new(pq: Pq, g: &DynamicGraph) -> Self {
-        Self::with_cache_capacity(pq, g, CachedReach::DEFAULT_CAPACITY)
-    }
-
-    /// Like [`new`](IncrementalMatcher::new) with an explicit LRU capacity
-    /// for the matcher's reachability cache — the serving layer passes
-    /// its own per-worker capacity instead of this module's default.
-    pub fn with_cache_capacity(pq: Pq, g: &DynamicGraph, capacity: usize) -> Self {
-        let mut engine = CachedReach::new(capacity);
-        let mats = refine(&pq, g.graph(), &mut engine)
-            .unwrap_or_else(|| vec![Vec::new(); pq.node_count()]);
-        IncrementalMatcher { pq, mats, engine }
+        let work = pq.normalize();
+        let mats = refine(
+            &work,
+            g.graph(),
+            &mut ProbeReach::new(&GraphProbe::new(g.graph())),
+        )
+        .unwrap_or_else(|| vec![Vec::new(); work.node_count()]);
+        IncrementalMatcher { pq, work, mats }
     }
 
     /// The query being maintained.
@@ -150,12 +152,12 @@ impl IncrementalMatcher {
         &self.mats[u]
     }
 
-    /// The standing match sets, indexed by query node. Snapshot-based
-    /// serving copies these out per published version and assembles the
-    /// full per-edge result lazily via
-    /// [`join_match::assemble`](crate::join_match::assemble).
+    /// The standing match sets, indexed by query node (the normalized
+    /// pattern's dummies left out). Snapshot-based serving copies these
+    /// out per published version and assembles the full per-edge result
+    /// lazily via [`join_match::assemble`](crate::join_match::assemble).
     pub fn match_sets(&self) -> &[Vec<NodeId>] {
-        &self.mats
+        &self.mats[..self.pq.node_count()]
     }
 
     /// True if the standing answer is empty.
@@ -175,15 +177,15 @@ impl IncrementalMatcher {
         if effective.is_empty() {
             return;
         }
-        // reachability answers are stale after any topology change
-        self.engine = CachedReach::new(self.engine.capacity());
+        let graph = GraphProbe::new(g.graph());
+        let reach = &mut ProbeReach::new(&graph);
         let refined = if effective.iter().any(|u| matches!(u, Update::Insert(..))) {
-            refine(&self.pq, g.graph(), &mut self.engine)
+            refine(&self.work, g.graph(), reach)
         } else {
             let standing = std::mem::take(&mut self.mats);
-            refine_from(&self.pq, g.graph(), &mut self.engine, standing)
+            refine_from(&self.work, g.graph(), reach, standing)
         };
-        self.mats = refined.unwrap_or_else(|| vec![Vec::new(); self.pq.node_count()]);
+        self.mats = refined.unwrap_or_else(|| vec![Vec::new(); self.work.node_count()]);
     }
 
     /// Assemble the full per-edge result from the standing match sets.
@@ -191,14 +193,14 @@ impl IncrementalMatcher {
         if self.is_empty() {
             return PqResult::empty(&self.pq);
         }
-        crate::join_match::assemble(&self.pq, g.graph(), &self.mats)
+        crate::join_match::assemble(&self.pq, g.graph(), self.match_sets())
     }
 
     /// Reference check: a full from-scratch evaluation (tests compare the
     /// incremental answer against this).
     pub fn full_reeval(&self, g: &DynamicGraph) -> PqResult {
-        let mut engine = CachedReach::with_default_capacity();
-        crate::join_match::JoinMatch::eval(&self.pq, g.graph(), &mut engine)
+        let graph = GraphProbe::new(g.graph());
+        crate::join_match::JoinMatch::eval(&self.pq, g.graph(), &mut ProbeReach::new(&graph))
     }
 }
 

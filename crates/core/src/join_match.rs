@@ -14,14 +14,15 @@
 //!    per-edge match sets `Se` of the *original* query.
 //!
 //! With the matrix backend this runs in O(|E'p|·|V|²) refinement time as
-//! the paper shows; with the cached backend each probe may itself search.
+//! the paper shows; over the graph itself (no index) each `Join` step is
+//! one backward sweep, O(|V| + |E|).
 
 use crate::pq::{Pq, PqResult};
-use crate::reach::{product_reach_set, ReachEngine};
+use crate::reach::{ProbeReach, ReachEngine};
 use crate::rq::matches_of;
 use rpq_graph::algo::condensation;
 use rpq_graph::{Graph, NodeId};
-use rpq_regex::Nfa;
+use rpq_index::GraphProbe;
 use std::collections::VecDeque;
 
 /// Marker type for the join-based algorithm.
@@ -165,37 +166,6 @@ pub(crate) fn survivors<R: ReachEngine + ?Sized>(
     }
 }
 
-/// The engine-less assembly backend: plain product-space searches with
-/// NFA reuse per distinct regex — what [`assemble`] has always done,
-/// expressed as a [`ReachEngine`] so `assemble` and [`assemble_with`]
-/// share one loop.
-#[derive(Default)]
-struct ProductReach {
-    nfas: std::collections::HashMap<rpq_regex::FRegex, Nfa>,
-}
-
-impl ProductReach {
-    fn nfa(&mut self, re: &rpq_regex::FRegex) -> &Nfa {
-        self.nfas
-            .entry(re.clone())
-            .or_insert_with(|| Nfa::from_regex(re))
-    }
-}
-
-impl ReachEngine for ProductReach {
-    fn prefers_normalized(&self) -> bool {
-        false
-    }
-
-    fn reaches(&mut self, g: &Graph, x: NodeId, y: NodeId, re: &rpq_regex::FRegex) -> bool {
-        crate::reach::product_pair_reaches(g, self.nfa(re), x, y)
-    }
-
-    fn reach_set(&mut self, g: &Graph, x: NodeId, re: &rpq_regex::FRegex) -> Vec<NodeId> {
-        product_reach_set(g, self.nfa(re), x)
-    }
-}
-
 /// Result assembly (Fig. 7 lines 15-16) over the *original* edges: for each
 /// surviving source, enumerate its regex-reachable targets and intersect
 /// with the target match set.
@@ -204,9 +174,11 @@ impl ReachEngine for ProductReach {
 /// snapshot holding a standing query's maintained sets) assemble the full
 /// per-edge result lazily, on first read, instead of on every update.
 /// `mats[u]` must be the match set of query node `u` at a fixpoint of the
-/// refinement on `g` — anything else yields garbage pairs, not an error.
+/// refinement on `g` (entries past `pq`'s nodes, e.g. the dummies of a
+/// normalized refinement, are ignored) — anything else yields garbage
+/// pairs, not an error. Enumerates over the graph itself ([`GraphProbe`]).
 pub fn assemble(pq: &Pq, g: &Graph, mats: &[Vec<NodeId>]) -> PqResult {
-    assemble_with(pq, g, mats, &mut ProductReach::default())
+    assemble_with(pq, g, mats, &mut ProbeReach::new(&GraphProbe::new(g)))
 }
 
 /// [`assemble`] through a [`ReachEngine`]: per-source enumeration goes
@@ -261,7 +233,7 @@ fn finish_assembly(
 mod tests {
     use super::*;
     use crate::predicate::Predicate;
-    use crate::reach::{CachedReach, MatrixReach};
+    use crate::reach::MatrixReach;
     use rpq_graph::gen::{essembly, synthetic};
     use rpq_graph::DistanceMatrix;
     use rpq_regex::FRegex;
@@ -297,8 +269,10 @@ mod tests {
         let m = DistanceMatrix::build(&g);
         let with_matrix = JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m));
         assert_eq!(with_matrix, oracle, "JoinMatchM");
-        let with_cache = JoinMatch::eval(&pq, &g, &mut CachedReach::new(4096));
-        assert_eq!(with_cache, oracle, "JoinMatchC");
+        // "cache": the no-index backend's frozen name — over the graph
+        let graph = GraphProbe::new(&g);
+        let with_graph = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&graph));
+        assert_eq!(with_graph, oracle, "JoinMatch over the graph");
         assert_eq!(with_matrix.size(), 8);
     }
 
@@ -329,8 +303,9 @@ mod tests {
         let oracle = pq.eval_naive(&g);
         let m = DistanceMatrix::build(&g);
         assert_eq!(JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m)), oracle);
+        let graph = GraphProbe::new(&g);
         assert_eq!(
-            JoinMatch::eval(&pq, &g, &mut CachedReach::new(1024)),
+            JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&graph)),
             oracle
         );
     }
@@ -365,9 +340,9 @@ mod tests {
             let oracle = pq.eval_naive(&g);
             let m = DistanceMatrix::build(&g);
             let a = JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m));
-            let b = JoinMatch::eval(&pq, &g, &mut CachedReach::new(4096));
+            let b = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&GraphProbe::new(&g)));
             assert_eq!(a, oracle, "matrix vs naive, trial {trial}");
-            assert_eq!(b, oracle, "cached vs naive, trial {trial}");
+            assert_eq!(b, oracle, "graph vs naive, trial {trial}");
         }
     }
 

@@ -47,6 +47,6 @@ pub use join_match::JoinMatch;
 pub use minimize::minimize;
 pub use pq::{Pq, PqEdge, PqNode, PqResult};
 pub use predicate::{CompOp, PredAtom, Predicate};
-pub use reach::{CachedReach, MatrixReach, ReachEngine};
+pub use reach::{MatrixReach, ReachEngine};
 pub use rq::{Rq, RqResult};
 pub use split_match::SplitMatch;

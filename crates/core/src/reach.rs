@@ -3,40 +3,38 @@
 //!
 //! Both PQ evaluation algorithms (§5) and RQ evaluation (§4) reduce to one
 //! primitive: *does a nonempty path from `x` to `y` spell a word of
-//! `L(fe)`?* The paper gives two ways to answer it, reflected here as
-//! implementations of [`ReachEngine`]:
+//! `L(fe)`?* [`ProbeReach`] answers it over **any** [`DistProbe`]: the dense
+//! per-color [`DistanceMatrix`] (O(1) atom tests, the regime under the
+//! engine's matrix node limit), the pruned 2-hop or sharded labels of
+//! `rpq_index` beyond it, and — with no index at all — the graph itself
+//! ([`GraphProbe`](rpq_index::GraphProbe): breadth-first sweeps). Atom
+//! tests are cheap on every one of them, so callers *normalize* queries
+//! (split every edge into single-atom edges with dummy nodes) and get the
+//! paper's per-edge refinement; the bulk
+//! [`ReachEngine::sources_reaching_atom`] lets a backend answer a whole
+//! `Join` step at once — one target-side label aggregation, or one
+//! backward sweep over the graph — and spreads large source sets over
+//! worker threads ([`ProbeReach::with_workers`]).
 //!
-//! * [`ProbeReach`] — backed by **any** distance index implementing
-//!   [`DistProbe`]: the dense per-color [`DistanceMatrix`] (O(1) atom
-//!   tests, the regime under the engine's matrix node limit) or the pruned
-//!   2-hop labels of `rpq_index::HopLabels` (label-merge tests, the regime
-//!   beyond it). Because atom tests are cheap on both, callers should
-//!   *normalize* queries (split every edge into single-atom edges with
-//!   dummy nodes) and get the paper's per-edge refinement; the bulk
-//!   [`ReachEngine::sources_reaching_atom`] additionally lets index
-//!   backends aggregate the target side once per `Join` step and spread
-//!   large source sets over worker threads
-//!   ([`ProbeReach::with_workers`]).
-//! * [`CachedReach`] — no index: each pair test runs a bi-directional BFS
-//!   over the (data node × NFA state) product space, memoized in a
-//!   hand-rolled LRU cache, exactly the "distance cache using hashmap as
-//!   indices" of §4. The final fallback while an index build is in flight
-//!   or over budget.
+//! §4's fallback for graphs too big for the matrix, a "distance cache using
+//! hashmap as indices" memoizing pairwise bi-directional searches, is gone:
+//! the graph probe answers in one sweep per `Join` step every pair the
+//! cache searched for one at a time, and measured faster on every RQ and
+//! PQ shape (≈ 2000× per concrete-pattern `JoinMatch` on a 5 000-node
+//! graph).
 //!
 //! [`MatrixReach`] survives as an alias for `ProbeReach<DistanceMatrix>`:
 //! the unification of this layer means `JoinMatch`/`SplitMatch` run
-//! *unchanged* over matrix or hop labels — the planner picks the backend,
-//! the algorithms stay the same.
+//! *unchanged* over any backend — the planner picks it, the algorithms
+//! stay the same.
 //!
-//! The free functions [`product_reach_set`] and [`product_pair_reaches`]
-//! are the underlying product-space searches, usable on their own (they
-//! also serve as the oracle in tests).
+//! The free function [`product_reach_set`] is the underlying product-space
+//! search, usable on its own (the reference evaluators are built on it).
 
-use rpq_graph::cache::LruCache;
 use rpq_graph::{DistanceMatrix, Graph, NodeId};
 use rpq_index::DistProbe;
 use rpq_regex::{Atom, FRegex, Nfa, Quant};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// All nodes `y` such that `(x, y) ⊨ re`, by forward BFS over the
 /// (node × NFA state) product. O(states · (|V| + |E|)).
@@ -68,63 +66,10 @@ pub fn product_reach_set(g: &Graph, nfa: &Nfa, x: NodeId) -> Vec<NodeId> {
         .collect()
 }
 
-/// Single-pair test `(x, y) ⊨ re` by **bi-directional** search over the
-/// product space (§4): a forward frontier from `(x, start)` and a backward
-/// frontier from `{(y, accept)}`; the smaller frontier expands each round.
-pub fn product_pair_reaches(g: &Graph, nfa: &Nfa, x: NodeId, y: NodeId) -> bool {
-    let mut fwd: HashSet<(NodeId, u32)> = HashSet::new();
-    let mut bwd: HashSet<(NodeId, u32)> = HashSet::new();
-    let mut fq: Vec<(NodeId, u32)> = Vec::new();
-    let mut bq: Vec<(NodeId, u32)> = Vec::new();
-
-    fwd.insert((x, nfa.start()));
-    fq.push((x, nfa.start()));
-    for a in nfa.accepting_states() {
-        bwd.insert((y, a));
-        bq.push((y, a));
-    }
-
-    while !fq.is_empty() && !bq.is_empty() {
-        if fq.len() <= bq.len() {
-            let mut next = Vec::new();
-            for &(u, s) in &fq {
-                for e in g.out_edges(u) {
-                    for t in nfa.successors(s, e.color) {
-                        let pair = (e.node, t);
-                        if bwd.contains(&pair) {
-                            return true;
-                        }
-                        if fwd.insert(pair) {
-                            next.push(pair);
-                        }
-                    }
-                }
-            }
-            fq = next;
-        } else {
-            let mut next = Vec::new();
-            for &(v, t) in &bq {
-                for e in g.in_edges(v) {
-                    for s in nfa.predecessors(t, e.color) {
-                        let pair = (e.node, s);
-                        if fwd.contains(&pair) {
-                            return true;
-                        }
-                        if bwd.insert(pair) {
-                            next.push(pair);
-                        }
-                    }
-                }
-            }
-            bq = next;
-        }
-    }
-    false
-}
-
 /// A backend answering regex-constrained reachability tests.
 ///
-/// `&mut self` because the cached backend memoizes.
+/// `&mut self` because a backend may keep per-evaluation scratch
+/// ([`ProbeReach`]'s frontier dedup mask).
 pub trait ReachEngine {
     /// Should PQ algorithms normalize queries (single-atom edges with
     /// dummy nodes) before refinement? True exactly when single-atom tests
@@ -144,10 +89,10 @@ pub trait ReachEngine {
     /// Bulk `Join`-step primitive: `out[i]` is true iff some `y ∈ targets`
     /// satisfies `(sources[i], y) ⊨ atom`. The default short-circuits
     /// pairwise [`reaches_atom`](ReachEngine::reaches_atom) probes (right
-    /// for the memoizing cached backend); index backends override it so a
-    /// whole refinement step is answered from label/row scans instead of
-    /// per-pair probes — and, for [`ProbeReach::with_workers`], spread
-    /// across threads.
+    /// for adjacency lookups); [`ProbeReach`] overrides it so a whole
+    /// refinement step is answered from label/row scans or one graph sweep
+    /// instead of per-pair probes — and, with
+    /// [`with_workers`](ProbeReach::with_workers), spread across threads.
     fn sources_reaching_atom(
         &mut self,
         g: &Graph,
@@ -163,20 +108,18 @@ pub trait ReachEngine {
 
     /// All `y` with `(x, y) ⊨ re` — the per-source enumeration PQ result
     /// assembly is built from. The default runs the forward
-    /// product-automaton search ([`product_reach_set`], the only option
-    /// without an index); [`ProbeReach`] overrides it with per-atom
-    /// frontier stepping over bounded neighborhood scans, so assembly on
-    /// index backends never touches the product space.
+    /// product-automaton search ([`product_reach_set`]); [`ProbeReach`]
+    /// overrides it with per-atom frontier stepping, so assembly never
+    /// touches the product space.
     fn reach_set(&mut self, g: &Graph, x: NodeId, re: &FRegex) -> Vec<NodeId> {
         product_reach_set(g, &Nfa::from_regex(re), x)
     }
 }
 
-/// Index-backed engine over any [`DistProbe`] — the unified replacement
-/// for the former matrix-only backend. Atom tests are direct index probes;
-/// multi-atom expressions fall back to frontier stepping with bounded
-/// neighborhood scans (the paper's dummy-node decomposition, evaluated
-/// in-place), so both the dense matrix and the pruned 2-hop labels serve
+/// Engine over any [`DistProbe`] — an index, or the graph itself
+/// ([`GraphProbe`](rpq_index::GraphProbe)). Atom tests are direct probes;
+/// multi-atom expressions fall back to frontier stepping (the paper's
+/// dummy-node decomposition, evaluated in place), so every backend serves
 /// `JoinMatch`/`SplitMatch` through one code path.
 ///
 /// The probe itself is shared immutably (`&P`): one index can back any
@@ -198,8 +141,9 @@ pub struct ProbeReach<'a, P: DistProbe + ?Sized> {
 const PAR_SOURCE_THRESHOLD: usize = 512;
 
 impl<'a, P: DistProbe + ?Sized> ProbeReach<'a, P> {
-    /// Wrap a pre-built index (a [`DistanceMatrix`] or
-    /// `rpq_index::HopLabels`).
+    /// Wrap a probe: a pre-built index (a [`DistanceMatrix`],
+    /// `rpq_index::HopLabels`, …) or the graph's
+    /// [`GraphProbe`](rpq_index::GraphProbe).
     pub fn new(probe: &'a P) -> Self {
         Self::with_workers(probe, 1)
     }
@@ -230,13 +174,13 @@ impl<P: DistProbe + ?Sized> ProbeReach<'_, P> {
     /// Advance a frontier through `atoms` one at a time — the paper's
     /// dummy-node decomposition evaluated in place, using bounded
     /// neighborhood scans (row scans on the matrix, inverted hub lists on
-    /// labels — never per-pair probes against all of V). Returns the set
-    /// of nodes reachable from `x` through every atom, i.e. exactly
-    /// `{ y : (x, y) ⊨ atoms }` under the nonempty-path semantics
-    /// ([`DistProbe::for_each_reaching_within`] is the per-atom step).
-    /// Each step costs scan-output work, not O(|V|): the reusable scratch
-    /// mask only dedups, and is restored to all-false via the nodes
-    /// actually collected.
+    /// labels, one sweep over the graph — never per-pair probes against
+    /// all of V). Returns the set of nodes reachable from `x` through
+    /// every atom, i.e. exactly `{ y : (x, y) ⊨ atoms }` under the
+    /// nonempty-path semantics ([`DistProbe::for_each_reaching_from`] is
+    /// the per-atom step). Each step costs scan-output work, not O(|V|):
+    /// the reusable scratch mask only dedups, and is restored to all-false
+    /// via the nodes actually collected.
     fn frontier_sweep(&mut self, g: &Graph, x: NodeId, atoms: &[Atom]) -> Vec<NodeId> {
         if self.scratch.len() < g.node_count() {
             self.scratch.resize(g.node_count(), false);
@@ -246,14 +190,12 @@ impl<P: DistProbe + ?Sized> ProbeReach<'_, P> {
         let mut frontier: Vec<NodeId> = vec![x];
         for atom in atoms {
             let mut next: Vec<NodeId> = Vec::new();
-            for &w in &frontier {
-                probe.for_each_reaching_within(g, w, atom.color, atom.quant.max(), &mut |z| {
-                    if !mask[z.index()] {
-                        mask[z.index()] = true;
-                        next.push(z);
-                    }
-                });
-            }
+            probe.for_each_reaching_from(g, &frontier, atom.color, atom.quant.max(), &mut |z| {
+                if !mask[z.index()] {
+                    mask[z.index()] = true;
+                    next.push(z);
+                }
+            });
             for &z in &next {
                 mask[z.index()] = false;
             }
@@ -336,118 +278,6 @@ impl<P: DistProbe + Sync + ?Sized> ReachEngine for ProbeReach<'_, P> {
     }
 }
 
-/// LRU-cached runtime engine: pair tests run the bi-directional product
-/// search; results are memoized per `(x, y, regex)`.
-pub struct CachedReach {
-    nfas: Vec<Nfa>,
-    ids: HashMap<FRegex, u32>,
-    results: LruCache<(NodeId, NodeId, u32), bool>,
-    atom_ids: HashMap<Atom, u32>,
-}
-
-impl CachedReach {
-    /// Default LRU capacity, tuned for the paper's workloads (millions of
-    /// pair probes against graphs of a few thousand nodes).
-    pub const DEFAULT_CAPACITY: usize = 1 << 20;
-
-    /// Engine with an LRU of `capacity` memoized pair answers.
-    pub fn new(capacity: usize) -> Self {
-        CachedReach {
-            nfas: Vec::new(),
-            ids: HashMap::new(),
-            results: LruCache::new(capacity),
-            atom_ids: HashMap::new(),
-        }
-    }
-
-    /// Default capacity ([`DEFAULT_CAPACITY`](CachedReach::DEFAULT_CAPACITY)).
-    pub fn with_default_capacity() -> Self {
-        CachedReach::new(Self::DEFAULT_CAPACITY)
-    }
-
-    /// The configured LRU capacity.
-    pub fn capacity(&self) -> usize {
-        self.results.capacity()
-    }
-
-    fn intern(&mut self, re: &FRegex) -> u32 {
-        if let Some(&id) = self.ids.get(re) {
-            return id;
-        }
-        let id = self.nfas.len() as u32;
-        self.nfas.push(Nfa::from_regex(re));
-        self.ids.insert(re.clone(), id);
-        id
-    }
-
-    /// `(hits, misses)` of the underlying cache.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.results.stats()
-    }
-
-    fn probe(&mut self, g: &Graph, x: NodeId, y: NodeId, id: u32) -> bool {
-        if let Some(&v) = self.results.get(&(x, y, id)) {
-            return v;
-        }
-        let answer = product_pair_reaches(g, &self.nfas[id as usize], x, y);
-        self.results.insert((x, y, id), answer);
-        answer
-    }
-}
-
-impl ReachEngine for CachedReach {
-    fn prefers_normalized(&self) -> bool {
-        false
-    }
-
-    fn reaches(&mut self, g: &Graph, x: NodeId, y: NodeId, re: &FRegex) -> bool {
-        let id = self.intern(re);
-        self.probe(g, x, y, id)
-    }
-
-    fn reaches_atom(&mut self, g: &Graph, x: NodeId, y: NodeId, atom: &Atom) -> bool {
-        let id = if let Some(&id) = self.atom_ids.get(atom) {
-            id
-        } else {
-            let id = self.intern(&FRegex::new(vec![*atom]));
-            self.atom_ids.insert(*atom, id);
-            id
-        };
-        self.probe(g, x, y, id)
-    }
-
-    fn reach_set(&mut self, g: &Graph, x: NodeId, re: &FRegex) -> Vec<NodeId> {
-        // reuse the interned NFA instead of recompiling per source
-        let id = self.intern(re);
-        product_reach_set(g, &self.nfas[id as usize], x)
-    }
-}
-
-/// Plain forward product BFS pair test — the unindexed, uncached baseline
-/// ("BFS" in Fig. 10(b)).
-pub fn product_pair_reaches_forward(g: &Graph, nfa: &Nfa, x: NodeId, y: NodeId) -> bool {
-    let states = nfa.state_count();
-    let mut visited = vec![false; g.node_count() * states];
-    let mut queue = VecDeque::new();
-    visited[x.index() * states + nfa.start() as usize] = true;
-    queue.push_back((x, nfa.start()));
-    while let Some((u, s)) = queue.pop_front() {
-        for e in g.out_edges(u) {
-            for t in nfa.successors(s, e.color) {
-                if e.node == y && nfa.is_accepting(t) {
-                    return true;
-                }
-                let slot = e.node.index() * states + t as usize;
-                if !visited[slot] {
-                    visited[slot] = true;
-                    queue.push_back((e.node, t));
-                }
-            }
-        }
-    }
-    false
-}
-
 /// Quantifier helper: total hop budget of a regex (`None` if unbounded),
 /// used by the bounded-simulation baseline.
 pub fn total_bound(re: &FRegex) -> Option<u32> {
@@ -462,6 +292,7 @@ pub fn total_bound(re: &FRegex) -> Option<u32> {
 mod tests {
     use super::*;
     use rpq_graph::{Color, GraphBuilder, WILDCARD};
+    use rpq_index::GraphProbe;
 
     /// The Essembly graph from Fig. 1.
     fn g() -> Graph {
@@ -502,19 +333,17 @@ mod tests {
         ];
         let matrix = DistanceMatrix::build(&g);
         let labels = rpq_index::HopLabels::build(&g);
+        let graph = GraphProbe::new(&g);
         let mut mx = MatrixReach::new(&matrix);
         let mut hop = ProbeReach::new(&labels);
-        let mut cached = CachedReach::new(1024);
+        let mut search = ProbeReach::new(&graph);
         for r in &regexes {
             let nfa = Nfa::from_regex(r);
             for x in g.nodes() {
+                let reached = product_reach_set(&g, &nfa, x);
+                assert_eq!(search.reach_set(&g, x, r).len(), reached.len(), "{r:?}");
                 for y in g.nodes() {
-                    let oracle = product_pair_reaches_forward(&g, &nfa, x, y);
-                    assert_eq!(
-                        product_pair_reaches(&g, &nfa, x, y),
-                        oracle,
-                        "bidir {x:?}->{y:?} {r:?}"
-                    );
+                    let oracle = reached.contains(&y);
                     assert_eq!(
                         mx.reaches(&g, x, y, r),
                         oracle,
@@ -528,23 +357,20 @@ mod tests {
                         oracle,
                         "hop labels {x:?}->{y:?} {r:?}"
                     );
-                    assert_eq!(cached.reaches(&g, x, y, r), oracle, "cached {x:?}->{y:?}");
-                    // twice: exercise the cache-hit path
-                    assert_eq!(cached.reaches(&g, x, y, r), oracle);
+                    assert_eq!(search.reaches(&g, x, y, r), oracle, "graph {x:?}->{y:?}");
                 }
             }
         }
-        let (hits, misses) = cached.cache_stats();
-        assert!(hits >= misses, "expected cache hits on repeat probes");
     }
 
     #[test]
     fn parallel_bulk_matches_sequential() {
         // the chunked multi-worker path must agree with one-shot bulk and
-        // with pairwise probes, on both index backends
+        // with pairwise probes, on both index backends and the graph
         let g = rpq_graph::gen::synthetic(1500, 6000, 1, 3, 13);
         let matrix = DistanceMatrix::build(&g);
         let labels = rpq_index::HopLabels::build(&g);
+        let graph = GraphProbe::new(&g);
         let sources: Vec<NodeId> = g.nodes().collect();
         let targets: Vec<NodeId> = g.nodes().filter(|n| n.index() % 7 == 0).collect();
         for atom in [
@@ -567,6 +393,9 @@ mod tests {
                 let got_h = ProbeReach::with_workers(&labels, workers)
                     .sources_reaching_atom(&g, &sources, &targets, &atom);
                 assert_eq!(got_h, want, "labels, {workers} workers, {atom:?}");
+                let got_g = ProbeReach::with_workers(&graph, workers)
+                    .sources_reaching_atom(&g, &sources, &targets, &atom);
+                assert_eq!(got_g, want, "graph, {workers} workers, {atom:?}");
             }
         }
     }
@@ -582,13 +411,14 @@ mod tests {
         b.add_edge(x, y, c);
         let g = b.build();
         let matrix = DistanceMatrix::build(&g);
+        let graph = GraphProbe::new(&g);
         let mut mx = MatrixReach::new(&matrix);
-        let mut cd = CachedReach::new(64);
+        let mut search = ProbeReach::new(&graph);
         let rc = FRegex::parse("c+", g.alphabet()).unwrap();
         assert!(mx.reaches(&g, x, x, &rc));
-        assert!(cd.reaches(&g, x, x, &rc));
+        assert!(search.reaches(&g, x, x, &rc));
         assert!(!mx.reaches(&g, y, y, &rc));
-        assert!(!cd.reaches(&g, y, y, &rc));
+        assert!(!search.reaches(&g, y, y, &rc));
     }
 
     #[test]

@@ -197,9 +197,10 @@ mod tests {
     use super::*;
     use crate::join_match::JoinMatch;
     use crate::predicate::Predicate;
-    use crate::reach::{CachedReach, MatrixReach};
+    use crate::reach::{MatrixReach, ProbeReach};
     use rpq_graph::gen::{essembly, synthetic};
     use rpq_graph::DistanceMatrix;
+    use rpq_index::GraphProbe;
     use rpq_regex::FRegex;
 
     fn q2(g: &Graph) -> Pq {
@@ -233,8 +234,9 @@ mod tests {
         let oracle = pq.eval_naive(&g);
         let m = DistanceMatrix::build(&g);
         assert_eq!(SplitMatch::eval(&pq, &g, &mut MatrixReach::new(&m)), oracle);
+        let graph = GraphProbe::new(&g);
         assert_eq!(
-            SplitMatch::eval(&pq, &g, &mut CachedReach::new(4096)),
+            SplitMatch::eval(&pq, &g, &mut ProbeReach::new(&graph)),
             oracle
         );
     }
@@ -266,10 +268,13 @@ mod tests {
             }
             let join = JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m));
             let split_m = SplitMatch::eval(&pq, &g, &mut MatrixReach::new(&m));
-            let split_c = SplitMatch::eval(&pq, &g, &mut CachedReach::new(4096));
+            let split_c = SplitMatch::eval(&pq, &g, &mut ProbeReach::new(&GraphProbe::new(&g)));
             let naive = pq.eval_naive(&g);
             assert_eq!(split_m, naive, "splitM vs naive, trial {trial}");
-            assert_eq!(split_c, naive, "splitC vs naive, trial {trial}");
+            assert_eq!(
+                split_c, naive,
+                "split over the graph vs naive, trial {trial}"
+            );
             assert_eq!(join, naive, "join vs naive, trial {trial}");
         }
     }

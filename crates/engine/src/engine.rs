@@ -11,23 +11,15 @@ use rpq_core::canonical::{canonical_pq, canonical_rq};
 use rpq_core::join_match::JoinMatch;
 use rpq_core::pq::Pq;
 use rpq_core::predicate::Predicate;
-use rpq_core::reach::{CachedReach, ProbeReach, ReachEngine};
+use rpq_core::reach::{ProbeReach, ReachEngine};
 use rpq_core::rq::{Rq, RqResult};
 use rpq_core::split_match::SplitMatch;
 use rpq_graph::{DistanceMatrix, Graph, NodeId};
-use rpq_index::{DistProbe, HopConfig, HopLabels, ShardedConfig, ShardedLabels};
+use rpq_index::{DistProbe, GraphProbe, HopConfig, HopLabels, ShardedConfig, ShardedLabels};
 use rpq_trace::QueryProfile;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-
-/// Capacity of each worker's LRU reachability cache: the cached PQ
-/// backend (`JoinMatch/cache`, `SplitMatch/cache`, serving graphs too large
-/// for the matrix while no label index is usable) and the standing-query
-/// matchers of the live engine memoize `(x, y, regex) → bool` pair answers
-/// in it, ~tens of bytes each.
-pub(crate) const REACH_CACHE_CAPACITY: usize = 1 << 16;
 
 /// Engine tuning knobs.
 ///
@@ -58,11 +50,11 @@ pub struct EngineConfig {
     /// Byte budget for the pruned 2-hop label index built for graphs
     /// *above* the matrix node limit (`0` disables hop labels entirely).
     /// The build runs in the background off the first over-limit batch;
-    /// until it lands, RQs fall back to search and PQs to the cached
-    /// backend. If the budget is exceeded mid-build, the wildcard layer is
-    /// dropped first and the concrete layers kept (queries probing only
-    /// concrete colors stay indexed); if even those do not fit, the engine
-    /// serves search/cached plans permanently.
+    /// until it lands, queries are answered over the graph itself (the
+    /// search backend's plans). If the budget is exceeded mid-build, the
+    /// wildcard layer is dropped first and the concrete layers kept
+    /// (queries probing only concrete colors stay indexed); if even those
+    /// do not fit, the engine serves search plans permanently.
     pub hop_label_budget: usize,
     /// Number of shards for the partitioned fallback backend; `< 2`
     /// disables sharding. With `shards ≥ 2`, a graph over the matrix
@@ -441,10 +433,10 @@ impl QueryEngine {
         }
     }
 
-    fn plan(&self, query: &Query, shared_in_batch: bool) -> (Plan, Rationale) {
+    fn plan(&self, query: &Query) -> (Plan, Rationale) {
         let backend = self.best_backend(query);
         let (plan, why) = match query {
-            Query::Rq(rq) => planner::plan_rq(&rq.regex, backend, shared_in_batch),
+            Query::Rq(rq) => planner::plan_rq(&rq.regex, backend),
             Query::Pq(pq) => planner::plan_pq(pq, backend),
         };
         if backend != Backend::Search {
@@ -463,7 +455,7 @@ impl QueryEngine {
 
     /// The plan the engine would pick for `query` outside any batch.
     pub fn plan_query(&self, query: &Query) -> Plan {
-        self.plan(query, false).0
+        self.plan(query).0
     }
 
     /// Evaluate one query (a batch of one, on the calling thread).
@@ -506,7 +498,7 @@ impl QueryEngine {
     }
 
     /// The one prologue of every run: canonicalise → kick the background
-    /// index builds → plan each query (batch-aware, or `forced`) → build
+    /// index builds → plan each query (or take the `forced` plan) → build
     /// the matrix if a plan needs it, before any worker starts. Returns
     /// the canonical queries, their plans, and the instant planning
     /// ended and index preparation began (a profile's stage boundary).
@@ -523,23 +515,8 @@ impl QueryEngine {
         let plans: Vec<(Plan, Rationale)> = match forced {
             Some(plan) => vec![(plan, Rationale::Forced(plan)); queries.len()],
             None => {
-                // batch-shape analysis: RQ keys that repeat share one
-                // reach set
-                let mut key_count: HashMap<_, u32> = HashMap::new();
-                for q in &queries {
-                    if let Query::Rq(rq) = q {
-                        *key_count.entry((&rq.from, &rq.regex)).or_insert(0) += 1;
-                    }
-                }
                 self.ensure_index_builds();
-                let plan = |q: &Query| {
-                    let shared = match q {
-                        Query::Rq(rq) => key_count[&(&rq.from, &rq.regex)] > 1,
-                        Query::Pq(_) => false,
-                    };
-                    self.plan(q, shared)
-                };
-                queries.iter().map(plan).collect()
+                queries.iter().map(|q| self.plan(q)).collect()
             }
         };
         let planned = Instant::now();
@@ -569,7 +546,6 @@ impl QueryEngine {
         let scratch = forced.map(|_| SemanticMemo::new());
         let memo = scratch.as_ref().unwrap_or(&self.memo);
         let workers = self.config.worker_budget();
-        let mut cached = CachedReach::new(REACH_CACHE_CAPACITY);
         let job = Job {
             g: &self.graph,
             query: canon,
@@ -578,7 +554,7 @@ impl QueryEngine {
             pq_workers: workers,
             count_probes: profiled,
         };
-        let (out, probes, lookup) = self.answer(job, &mut cached, || {});
+        let (out, probes, lookup) = self.answer(job, || {});
         let t3 = Instant::now();
         self.note_if_slow(canon, plan, t3 - t2);
         if !profiled {
@@ -635,7 +611,7 @@ impl QueryEngine {
         (out, Some(profile))
     }
 
-    /// Evaluate a batch: plan each query (batch-aware), then pull queries
+    /// Evaluate a batch: plan each query, then pull queries
     /// off a shared counter — on the calling thread, joined by scoped
     /// helper threads from the first query the memo cannot answer. A
     /// batch of cache hits therefore never leaves its caller: starting
@@ -673,35 +649,32 @@ impl QueryEngine {
 
         // one worker's loop; `before_eval(i)` runs when query `i` turns
         // out to need evaluating, before it is evaluated
-        let work = |before_eval: &mut dyn FnMut(usize)| {
-            let mut cached = CachedReach::new(REACH_CACHE_CAPACITY);
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= queries.len() {
-                    break;
-                }
-                let job = Job {
-                    g: &self.graph,
-                    query: &queries[i],
-                    plan: plans[i].0,
-                    memo,
-                    pq_workers,
-                    count_probes: false,
-                };
-                let t = Instant::now();
-                let (output, _, lookup) = self.answer(job, &mut cached, || before_eval(i));
-                let time = t.elapsed();
-                self.note_if_slow(job.query, job.plan, time);
-                let item = BatchItem {
-                    output,
-                    plan: job.plan,
-                    time,
-                    profile: None,
-                };
-                slots[i]
-                    .set((item, lookup))
-                    .unwrap_or_else(|_| unreachable!("each index is claimed once"));
+        let work = |before_eval: &mut dyn FnMut(usize)| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= queries.len() {
+                break;
             }
+            let job = Job {
+                g: &self.graph,
+                query: &queries[i],
+                plan: plans[i].0,
+                memo,
+                pq_workers,
+                count_probes: false,
+            };
+            let t = Instant::now();
+            let (output, _, lookup) = self.answer(job, || before_eval(i));
+            let time = t.elapsed();
+            self.note_if_slow(job.query, job.plan, time);
+            let item = BatchItem {
+                output,
+                plan: job.plan,
+                time,
+                profile: None,
+            };
+            slots[i]
+                .set((item, lookup))
+                .unwrap_or_else(|_| unreachable!("each index is claimed once"));
         };
         let mut threads = 1;
         std::thread::scope(|s| {
@@ -738,57 +711,42 @@ impl QueryEngine {
     /// probes issued (see [`evaluate`](Self::evaluate)) and the one memo
     /// lookup the query made — `None` for a PQ, which has no cell.
     ///
-    /// Index-backed and search RQ plans probe the semantic cache first: a
-    /// completed exact cell or a containing cached entry answers —
-    /// filtered down by the query's target predicate — without touching
-    /// the index; a cold cache costs one lookup and declines
+    /// Every RQ plan probes the semantic cache first: a completed exact
+    /// cell or a containing cached entry answers — filtered down by the
+    /// query's target predicate — without touching the index or the
+    /// graph; a cold cache costs one lookup and declines
     /// (`SemanticMemo::try_answer` never blocks on in-flight
-    /// computations). `BFS+memo` *is* the memo's own path: its lookup
-    /// computes what it cannot find.
+    /// computations).
     fn answer(
         &self,
         job: Job<'_>,
-        cached: &mut CachedReach,
         before_eval: impl FnOnce(),
     ) -> (QueryOutput, u64, Option<Lookup>) {
         let Job { g, memo, .. } = job;
         let lookup = match job.query {
             Query::Pq(_) => None,
-            Query::Rq(rq) if job.plan.algo() == Algo::RqBfsMemo => {
-                before_eval();
-                let (pairs, lookup) = memo.lookup(g, &rq.from, &rq.regex);
-                return (rq_targets(g, rq, &pairs), 0, Some(lookup));
-            }
             Query::Rq(rq) => match memo.try_answer(g, &rq.from, &rq.regex) {
                 Some((pairs, hit)) => return (rq_targets(g, rq, &pairs), 0, Some(hit)),
                 None => Some(Lookup::MISS),
             },
         };
         before_eval();
-        let (out, probes) = self.evaluate(job, cached);
+        let (out, probes) = self.evaluate(job);
         (out, probes, lookup)
     }
 
     /// What the memo could not answer: resolve `plan`'s backend to its
-    /// probe and evaluate the plan's algorithm over it. Returns the
-    /// output and — with `count_probes`, the explain surface — the number
-    /// of distance probes issued (0 for plans that probe no index: the
-    /// searches and the cached backend).
-    fn evaluate(&self, job: Job<'_>, cached: &mut CachedReach) -> (QueryOutput, u64) {
-        let Job { g, query, .. } = job;
-        let algo = job.plan.algo();
+    /// probe — an index, or on [`Backend::Search`] the graph itself
+    /// ([`GraphProbe`]) — and evaluate the plan's algorithm over it.
+    /// Returns the output and — with `count_probes`, the explain surface —
+    /// the number of distance probes issued (0 for `biBFS`, which probes
+    /// nothing).
+    fn evaluate(&self, job: Job<'_>) -> (QueryOutput, u64) {
         match job.plan.backend() {
             Backend::Matrix => eval_on(job, self.matrix.get().expect("prepared by the caller")),
             Backend::Hop => eval_on(job, self.hop.ready()),
             Backend::Sharded => eval_on(job, self.sharded.ready()),
-            Backend::Search => {
-                let out = match (query, algo) {
-                    (Query::Rq(rq), Algo::RqBiBfs) => QueryOutput::Rq(rq.eval_bibfs(g)),
-                    (Query::Pq(pq), _) => eval_pq(algo, pq, g, cached),
-                    (Query::Rq(_), _) => mismatched(job.plan),
-                };
-                (out, 0)
-            }
+            Backend::Search => eval_on(job, &GraphProbe::new(job.g)),
         }
     }
 
@@ -866,8 +824,8 @@ struct Job<'a> {
     count_probes: bool,
 }
 
-/// Evaluate `job` over `probe` — the one generic evaluator every index
-/// backend shares, statically dispatched per probe type. Profiling is the
+/// Evaluate `job` over `probe` — the one generic evaluator every backend
+/// shares, statically dispatched per probe type. Profiling is the
 /// [`CountingProbe`] decorator around the same call: it still delegates to
 /// the backend's optimized bulk implementations.
 fn eval_on<P: DistProbe + Sync>(job: Job<'_>, probe: &P) -> (QueryOutput, u64) {
@@ -881,7 +839,9 @@ fn eval_on<P: DistProbe + Sync>(job: Job<'_>, probe: &P) -> (QueryOutput, u64) {
 
 fn eval_probing<P: DistProbe + Sync>(job: Job<'_>, probe: &P) -> QueryOutput {
     match (job.query, job.plan.algo()) {
-        (Query::Rq(rq), Algo::RqDm) => rq_indexed(job.g, rq, probe, job.memo),
+        (Query::Rq(rq), Algo::RqDm | Algo::RqBfsMemo) => rq_indexed(job.g, rq, probe, job.memo),
+        // the paper's baseline, servable when forced: it probes nothing
+        (Query::Rq(rq), Algo::RqBiBfs) => QueryOutput::Rq(rq.eval_bibfs(job.g)),
         (Query::Pq(pq), algo) => {
             let mut reach = ProbeReach::with_workers(probe, job.pq_workers);
             eval_pq(algo, pq, job.g, &mut reach)
@@ -928,12 +888,12 @@ fn rq_targets(g: &Graph, rq: &Rq, pairs: &[(NodeId, NodeId)]) -> QueryOutput {
     )
 }
 
-/// Index-backed RQ evaluation after a declined cache probe: the key's
-/// *full* reach set is computed through the index — target predicate
-/// widened to `true`, trading the backward-pruning pass for a reusable
-/// cache entry — installed via [`SemanticMemo::insert`], and filtered
-/// down to the query's targets; the next exact or contained query on the
-/// key is a cache hit.
+/// Probe-backed RQ evaluation after a declined cache probe: the key's
+/// *full* reach set is computed through the index (or the graph) —
+/// target predicate widened to `true`, trading the backward-pruning pass
+/// for a reusable cache entry — installed via [`SemanticMemo::insert`],
+/// and filtered down to the query's targets; the next exact or contained
+/// query on the key is a cache hit.
 fn rq_indexed<D: DistProbe>(g: &Graph, rq: &Rq, probe: &D, memo: &SemanticMemo) -> QueryOutput {
     let wide = Rq::new(rq.from.clone(), Predicate::always_true(), rq.regex.clone());
     let pairs = memo.insert(
@@ -1046,7 +1006,8 @@ mod tests {
             Arc::clone(&g),
             EngineConfig {
                 matrix_node_limit: 0,
-                workers: 2,
+                // one worker: the batch's lookups happen in order
+                workers: 1,
                 // keep plans deterministic: no background label build racing
                 // the batch's planning pass
                 hop_label_budget: 0,
@@ -1062,9 +1023,11 @@ mod tests {
             Query::Rq(solo.clone()),
         ]);
         assert!(engine.matrix.get().is_none());
-        assert_eq!(batch.items()[0].plan.algo(), Algo::RqBfsMemo);
-        assert_eq!(batch.items()[1].plan.algo(), Algo::RqBfsMemo);
-        assert_eq!(batch.items()[2].plan.algo(), Algo::RqBiBfs);
+        // search RQs plan the memoized per-atom sweep over the graph,
+        // whatever the batch shape
+        for item in batch.items() {
+            assert_eq!(item.plan.algo(), Algo::RqBfsMemo);
+        }
         // outputs still equal the reference strategies
         assert_eq!(
             batch.items()[0].output.as_rq().unwrap(),
@@ -1072,10 +1035,18 @@ mod tests {
         );
         assert_eq!(batch.items()[2].output.as_rq().unwrap(), &solo.eval_bfs(&g));
         // three RQs, three lookups: the shared key computed once and then
-        // reused, and the solo's probe of the cold cache declined
+        // reused, the solo's probe of the cold cache declined
         let (hits, misses) = batch.memo_stats();
         assert_eq!(hits, 1, "second probe reused it");
         assert_eq!(misses, 2, "shared key computed once");
+        // biBFS, the paper's baseline, is served only when forced
+        let bibfs = Plan::ALL
+            .into_iter()
+            .find(|p| p.algo() == Algo::RqBiBfs)
+            .unwrap();
+        let (out, profile) = engine.run_query_with_plan_profiled(&Query::Rq(solo.clone()), bibfs);
+        assert_eq!(out.as_rq().unwrap(), &solo.eval_bfs(&g));
+        assert_eq!((profile.plan.as_str(), profile.probes), ("biBFS", 0));
     }
 
     #[test]
@@ -1311,9 +1282,8 @@ mod tests {
             },
         );
         // a small acyclic pattern and a large cyclic one: over the matrix
-        // limit both route to JoinMatch (the hop/cached backends measured
-        // it ahead on every shape — split is a matrix-only pick), and the
-        // backend flips cached → hop once the index lands
+        // limit both route to JoinMatch (split is a matrix-only pick), and
+        // the backend flips search → hop once the index lands
         let mut join_pq = Pq::new();
         let a = join_pq.add_node("a", Predicate::parse("a0 <= 4", g.schema()).unwrap());
         let b = join_pq.add_node("b", Predicate::parse("a1 >= 5", g.schema()).unwrap());
@@ -1331,7 +1301,7 @@ mod tests {
             );
         }
 
-        // before the index lands: cached fallback plans
+        // before the index lands: the search backend's plans
         for pq in [&join_pq, &ring_pq] {
             assert_eq!(
                 engine.plan_query(&Query::Pq(pq.clone())).name(),

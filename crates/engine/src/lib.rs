@@ -11,11 +11,11 @@
 //! * every query runs under a [`Plan`] = [`Algo`] × [`Backend`], the way
 //!   the paper states its evaluators once and parameterises them by the
 //!   reachability oracle: the engine picks the best usable backend
-//!   (matrix → hop labels → sharded labels → search) and the [`planner`]
-//!   the algorithm on it — **DM** probes, **biBFS** meet-in-the-middle or
-//!   memoized **BFS** for RQs by batch shape, `JoinMatch`/`SplitMatch`
-//!   for PQs by pattern shape — replacing the hard-picked strategy calls
-//!   in `rpq_core::rq`. One generic evaluator serves every probe type;
+//!   (matrix → hop labels → sharded labels → search, where the graph
+//!   itself is the probe) and the [`planner`] the algorithm on it — **DM**
+//!   probes for RQs, `JoinMatch`/`SplitMatch` for PQs by pattern shape —
+//!   replacing the hard-picked strategy calls in `rpq_core::rq`. One
+//!   generic evaluator serves every probe type;
 //!   [`Plan::ALL`] is the table of servable combinations (see the
 //!   [`planner`] docs for the ones that are servable but never planned);
 //! * the label indices behind [`Backend::Hop`] and [`Backend::Sharded`]

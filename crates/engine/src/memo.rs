@@ -1,20 +1,21 @@
-//! Concurrent semantic memo for product-automaton reach sets: exact
-//! sharing plus containment-driven reuse.
+//! Concurrent semantic memo for RQ reach sets: exact sharing plus
+//! containment-driven reuse.
 //!
-//! RQ evaluation by forward product search does one
-//! [`product_reach_set`] per candidate
-//! source — work that depends only on the query's *source predicate* and
-//! *regex*, not on its target predicate. Batches of real traffic repeat
-//! those keys constantly, and — at many-users scale — repeat them in
-//! *syntactic variants* and in *subsumed* forms (ROADMAP item 2). The
-//! [`SemanticMemo`] turns all three kinds of redundancy into cache hits:
+//! An RQ's reach set — every `(source, reachable)` pair — depends only on
+//! the query's *source predicate* and *regex*, not on its target
+//! predicate. Batches of real traffic repeat those keys constantly, and —
+//! at many-users scale — repeat them in *syntactic variants* and in
+//! *subsumed* forms. The [`SemanticMemo`] turns all three kinds of
+//! redundancy into cache hits:
 //!
 //! 1. **Canonical keys.** Every regex is keyed by its run-normal form
 //!    ([`rpq_regex::canon::canonicalize`]), so `a^2 a` and `a a^2` share
 //!    one cell, one computation, one `Arc`.
-//! 2. **Exact sharing**: the first worker to need a key computes the
-//!    full `(source, reachable)` pair set; every later worker gets the
-//!    `Arc` for free.
+//! 2. **Exact sharing**: an evaluation that found nothing cached
+//!    ([`SemanticMemo::try_answer`]) computes the key's full pair set
+//!    over its index or the graph and installs it
+//!    ([`SemanticMemo::insert`]); every later lookup gets the `Arc` for
+//!    free.
 //! 3. **Containment answering.** On an exact miss the memo consults a
 //!    candidate index — completed cells bucketed by regex *skeleton*
 //!    (run-color sequence) — for a cached entry whose predicate/regex
@@ -25,8 +26,9 @@
 //!    strictly-containing donor additionally re-verifies each surviving
 //!    source with the probe's (tighter) automaton — still skipping the
 //!    full `matches_of` scan and every source the donor already proved
-//!    unreachable. The derived set is inserted as a first-class cell, so
-//!    repeats of the narrow query exact-hit from then on.
+//!    unreachable (with [`product_reach_set`]). The derived set is
+//!    inserted as a first-class cell, so repeats of the narrow query
+//!    exact-hit from then on.
 //!
 //! Completed cells are bounded by an LRU byte budget; eviction removes a
 //! cell from the table and the candidate index while outstanding `Arc`s
@@ -38,15 +40,14 @@
 //!
 //! Concurrency scheme: a mutex-guarded map from key to a per-key
 //! `OnceLock` cell. The map lock is held only to clone the cell's `Arc`
-//! (and, on a miss, to consult the candidate index); the expensive
-//! reach-set computation or donor filtering runs outside it, so workers
-//! computing *different* keys never serialize, while workers racing on
-//! the *same* key block in `OnceLock::get_or_init` and share the one
-//! result.
+//! (and, on a miss, to consult the candidate index); reach-set
+//! computation and donor filtering run outside it. A lookup never waits
+//! on a key another worker is still filling: it declines, and the
+//! caller evaluates itself — the first `insert` wins the cell, and every
+//! racer gets its `Arc`.
 
 use rpq_core::predicate::Predicate;
 use rpq_core::reach::product_reach_set;
-use rpq_core::rq::matches_of;
 use rpq_graph::{Color, Graph, NodeId};
 use rpq_regex::canon::{canonicalize, contains_fast, skeleton, wildcard_skeleton};
 use rpq_regex::{FRegex, Nfa};
@@ -229,16 +230,6 @@ impl Table {
     }
 }
 
-/// What a lookup resolved to, decided under the table lock.
-enum Resolved {
-    /// Cell existed (computed or in flight elsewhere).
-    Claimed(Cell),
-    /// Fresh cell to fill by filtering a donor's pair set.
-    Derive(Cell, PairSet, bool),
-    /// Fresh cell to fill by full evaluation.
-    Compute(Cell),
-}
-
 /// Shared `(source predicate, canonical regex) → reach pairs` table with
 /// containment-driven reuse. See the module docs for the full contract.
 ///
@@ -252,7 +243,6 @@ pub struct SemanticMemo {
     exact_hits: AtomicU64,
     subsumption_hits: AtomicU64,
     misses: AtomicU64,
-    probe_misses: AtomicU64,
     filter_nanos: AtomicU64,
     byte_budget: usize,
 }
@@ -284,64 +274,12 @@ impl SemanticMemo {
         }
     }
 
-    /// All `(x, y)` with `x ⊨ from` and a nonempty path `x ⇝ y` spelling a
-    /// word of `L(regex)` — computed at most once per canonical key per
-    /// table, sorted by `(x, y)`. Served from a containing cached entry
-    /// when one exists (see module docs).
-    pub fn reach_pairs(&self, g: &Graph, from: &Predicate, regex: &FRegex) -> PairSet {
-        self.lookup(g, from, regex).0
-    }
-
-    /// [`reach_pairs`](SemanticMemo::reach_pairs), plus what this one
-    /// lookup did to the counters.
-    pub fn lookup(&self, g: &Graph, from: &Predicate, regex: &FRegex) -> (PairSet, Lookup) {
-        let canon = canonicalize(regex);
-        let resolved = {
-            let mut table = self.cells.lock().expect("memo poisoned");
-            match table.touch(from, &canon).cloned() {
-                Some(c) => {
-                    self.exact_hits.fetch_add(1, Ordering::Relaxed);
-                    Resolved::Claimed(c)
-                }
-                None => {
-                    let donor = table.find_donor(from, &canon);
-                    let c = table.claim(from, &canon);
-                    match donor {
-                        Some((pairs, equal)) => {
-                            self.subsumption_hits.fetch_add(1, Ordering::Relaxed);
-                            Resolved::Derive(c, pairs, equal)
-                        }
-                        None => {
-                            self.misses.fetch_add(1, Ordering::Relaxed);
-                            Resolved::Compute(c)
-                        }
-                    }
-                }
-            }
-        };
-        match resolved {
-            Resolved::Claimed(cell) => {
-                let pairs = Arc::clone(cell.get_or_init(|| {
-                    // raced claim: the key was handed out before its value
-                    // existed; compute here like the original claimant would
-                    Arc::new(full_eval(g, from, &canon))
-                }));
-                (pairs, Lookup::hit(CacheKind::Exact, Duration::ZERO))
-            }
-            Resolved::Derive(cell, donor, equal) => {
-                let (pairs, filter_time) = self.fill(g, from, &canon, cell, Some((donor, equal)));
-                (pairs, Lookup::hit(CacheKind::Subsumption, filter_time))
-            }
-            Resolved::Compute(cell) => (self.fill(g, from, &canon, cell, None).0, Lookup::MISS),
-        }
-    }
-
-    /// Lookup-only probe for index-backed plans (matrix/hop/sharded): a
-    /// completed exact cell or a containing donor answers — and a
-    /// derived answer is installed as a new cell — but a full miss
-    /// returns `None` without claiming anything, leaving the backend to
-    /// evaluate with its own index. `None` is always a miss
-    /// ([`Lookup::MISS`]): the returned [`Lookup`] is a hit's.
+    /// The one lookup: a completed exact cell or a containing donor
+    /// answers — and a derived answer is installed as a new cell — but a
+    /// full miss returns `None` without claiming anything, leaving the
+    /// caller to evaluate over its index or the graph and
+    /// [`insert`](SemanticMemo::insert) the result. `None` is always a
+    /// miss ([`Lookup::MISS`]): the returned [`Lookup`] is a hit's.
     pub fn try_answer(
         &self,
         g: &Graph,
@@ -349,7 +287,7 @@ impl SemanticMemo {
         regex: &FRegex,
     ) -> Option<(PairSet, Lookup)> {
         let canon = canonicalize(regex);
-        let resolved = {
+        let derive = {
             let mut table = self.cells.lock().expect("memo poisoned");
             match table.touch(from, &canon).map(|cell| cell.get().cloned()) {
                 Some(Some(pairs)) => {
@@ -357,36 +295,37 @@ impl SemanticMemo {
                     return Some((pairs, Lookup::hit(CacheKind::Exact, Duration::ZERO)));
                 }
                 // in flight on another worker: don't wait on it, the
-                // index answers faster than an unfinished traversal
-                Some(None) => {
-                    self.probe_misses.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                }
-                None => match table.find_donor(from, &canon) {
-                    Some((pairs, equal)) => {
-                        self.subsumption_hits.fetch_add(1, Ordering::Relaxed);
-                        Resolved::Derive(table.claim(from, &canon), pairs, equal)
-                    }
-                    None => {
-                        self.probe_misses.fetch_add(1, Ordering::Relaxed);
-                        return None;
-                    }
-                },
+                // caller's own probes answer faster than an unfinished
+                // evaluation hands its result over
+                Some(None) => None,
+                None => table
+                    .find_donor(from, &canon)
+                    .map(|(pairs, equal)| (table.claim(from, &canon), pairs, equal)),
             }
         };
-        let Resolved::Derive(cell, donor, equal) = resolved else {
-            unreachable!("try_answer only escapes the lock to derive");
+        let Some((cell, donor, equal)) = derive else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
         };
-        let (pairs, filter_time) = self.fill(g, from, &canon, cell, Some((donor, equal)));
+        self.subsumption_hits.fetch_add(1, Ordering::Relaxed);
+        let mut filter_time = Duration::ZERO;
+        let pairs = self.fill(from, &canon, &cell, || {
+            let started = Instant::now();
+            let derived = derive_from_donor(g, from, &canon, &donor, equal);
+            filter_time = started.elapsed();
+            self.filter_nanos
+                .fetch_add(filter_time.as_nanos() as u64, Ordering::Relaxed);
+            derived
+        });
         Some((pairs, Lookup::hit(CacheKind::Subsumption, filter_time)))
     }
 
     /// Install an externally computed reach set for `(from, regex)`.
     ///
-    /// Index-backed plans call this after a declined
-    /// [`try_answer`](SemanticMemo::try_answer), so the reach sets they
-    /// compute through their index become donors for later exact and
-    /// containment lookups. `pairs` must be the key's *complete*
+    /// Every RQ plan but `biBFS` calls this after a declined
+    /// [`try_answer`](SemanticMemo::try_answer), so the reach sets it
+    /// computes through its index or the graph become donors for later
+    /// exact and containment lookups. `pairs` must be the key's *complete*
     /// reach set — every `(x, y)` with `x ⊨ from`, unfiltered by any
     /// target predicate (order is established here: checked in one pass,
     /// and sorted only if the check fails — index evaluation already
@@ -409,49 +348,28 @@ impl SemanticMemo {
             .lock()
             .expect("memo poisoned")
             .claim(from, &canon);
-        let mut computed = false;
-        let out = Arc::clone(cell.get_or_init(|| {
-            computed = true;
-            Arc::new(pairs)
-        }));
-        if computed {
-            self.register_completed(from, &canon, out.len());
-        }
-        out
+        self.fill(from, &canon, &cell, || pairs)
     }
 
-    /// Fill `cell` (computing or deriving), then register the completed
-    /// result with the candidate index and the LRU budget. Also returns
-    /// the donor-filtering time this call spent (zero when it computed
-    /// from scratch, or lost the race for the cell).
+    /// Fill `cell` with `compute()` unless a racer already did, then
+    /// register the completed result with the candidate index and the LRU
+    /// budget. Returns the cell's value, whoever computed it.
     fn fill(
         &self,
-        g: &Graph,
         from: &Predicate,
         canon: &FRegex,
-        cell: Cell,
-        donor: Option<(PairSet, bool)>,
-    ) -> (PairSet, Duration) {
+        cell: &Cell,
+        compute: impl FnOnce() -> Vec<(NodeId, NodeId)>,
+    ) -> PairSet {
         let mut computed = false;
-        let mut filter_time = Duration::ZERO;
         let pairs = Arc::clone(cell.get_or_init(|| {
             computed = true;
-            match donor {
-                Some((donor_pairs, equal)) => {
-                    let started = Instant::now();
-                    let derived = derive_from_donor(g, from, canon, &donor_pairs, equal);
-                    filter_time = started.elapsed();
-                    self.filter_nanos
-                        .fetch_add(filter_time.as_nanos() as u64, Ordering::Relaxed);
-                    Arc::new(derived)
-                }
-                None => Arc::new(full_eval(g, from, canon)),
-            }
+            Arc::new(compute())
         }));
         if computed {
             self.register_completed(from, canon, pairs.len());
         }
-        (pairs, filter_time)
+        pairs
     }
 
     /// Make a freshly computed cell visible to containment lookups and
@@ -504,24 +422,13 @@ impl SemanticMemo {
         }
     }
 
-    /// `(hits, misses)` — a *hit* is a lookup answered from cached state
-    /// (exact key already claimed, even if still being computed by
-    /// another worker, or a containment donor); a *miss* claimed a fresh
-    /// key for full evaluation.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.exact_hits.load(Ordering::Relaxed) + self.subsumption_hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Per-kind counters of the semantic layer, including lookup-only
-    /// probes declined by [`SemanticMemo::try_answer`].
+    /// Per-kind counters of the semantic layer: every
+    /// [`try_answer`](SemanticMemo::try_answer) counts once.
     pub fn semantic_stats(&self) -> SemanticStats {
         SemanticStats {
             exact_hits: self.exact_hits.load(Ordering::Relaxed),
             subsumption_hits: self.subsumption_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed) + self.probe_misses.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
             filter_time: Duration::from_nanos(self.filter_nanos.load(Ordering::Relaxed)),
         }
     }
@@ -546,20 +453,6 @@ impl SemanticMemo {
     pub fn cached_bytes(&self) -> usize {
         self.cells.lock().expect("memo poisoned").bytes
     }
-}
-
-/// The uncached evaluation: full source scan + one product search per
-/// source.
-fn full_eval(g: &Graph, from: &Predicate, regex: &FRegex) -> Vec<(NodeId, NodeId)> {
-    let nfa = Nfa::from_regex(regex);
-    let mut pairs = Vec::new();
-    for x in matches_of(g, from) {
-        for y in product_reach_set(g, &nfa, x) {
-            pairs.push((x, y));
-        }
-    }
-    pairs.sort_unstable();
-    pairs
 }
 
 /// Answer `(from, regex)` from a containing donor's pair set. With an
@@ -598,7 +491,24 @@ fn derive_from_donor(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpq_core::rq::Rq;
     use rpq_graph::gen::essembly;
+
+    /// The key's complete reach set, by the reference evaluator.
+    fn reach(g: &Graph, from: &Predicate, re: &FRegex) -> Vec<(NodeId, NodeId)> {
+        Rq::new(from.clone(), Predicate::always_true(), re.clone())
+            .eval_bfs(g)
+            .into_pairs()
+    }
+
+    /// What the engine does for an RQ: look up, and on a miss evaluate and
+    /// install.
+    fn answer(memo: &SemanticMemo, g: &Graph, from: &Predicate, re: &FRegex) -> PairSet {
+        match memo.try_answer(g, from, re) {
+            Some((pairs, _)) => pairs,
+            None => memo.insert(from, re, reach(g, from, re)),
+        }
+    }
 
     #[test]
     fn memo_computes_once_and_shares() {
@@ -606,21 +516,22 @@ mod tests {
         let memo = SemanticMemo::new();
         let from = Predicate::parse("job = \"biologist\"", g.schema()).unwrap();
         let re = FRegex::parse("fa^2 fn", g.alphabet()).unwrap();
-        let a = memo.reach_pairs(&g, &from, &re);
-        let b = memo.reach_pairs(&g, &from, &re);
+        let a = answer(&memo, &g, &from, &re);
+        let b = answer(&memo, &g, &from, &re);
         assert!(Arc::ptr_eq(&a, &b), "same key must share one Arc");
-        assert_eq!(memo.stats(), (1, 1));
+        let s = memo.semantic_stats();
+        assert_eq!((s.hits(), s.misses), (1, 1));
         assert_eq!(memo.len(), 1);
 
         let other = Predicate::parse("job = \"doctor\"", g.schema()).unwrap();
-        let c = memo.reach_pairs(&g, &other, &re);
+        let c = answer(&memo, &g, &other, &re);
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(memo.len(), 2);
 
         // same predicate, different regex: a distinct key in the second
         // map level
         let re2 = FRegex::parse("fn", g.alphabet()).unwrap();
-        let d = memo.reach_pairs(&g, &from, &re2);
+        let d = answer(&memo, &g, &from, &re2);
         assert!(!Arc::ptr_eq(&a, &d));
         assert_eq!(memo.len(), 3);
         assert!(!memo.is_empty());
@@ -628,40 +539,40 @@ mod tests {
 
     #[test]
     fn memo_matches_direct_eval() {
+        // every path a lookup can take — miss then insert, exact hit,
+        // subsumption hit — serves exactly the direct evaluation
         let g = essembly();
         let memo = SemanticMemo::new();
-        let from = Predicate::parse("job = \"biologist\" && sp = \"cloning\"", g.schema()).unwrap();
         let re = FRegex::parse("fa^2 fn", g.alphabet()).unwrap();
-        let pairs = memo.reach_pairs(&g, &from, &re);
-        let nfa = Nfa::from_regex(&re);
-        let mut expect = Vec::new();
-        for x in matches_of(&g, &from) {
-            for y in product_reach_set(&g, &nfa, x) {
-                expect.push((x, y));
-            }
+        let broad = Predicate::parse("job = \"biologist\"", g.schema()).unwrap();
+        let narrow =
+            Predicate::parse("job = \"biologist\" && sp = \"cloning\"", g.schema()).unwrap();
+        for from in [&broad, &broad, &narrow] {
+            assert_eq!(*answer(&memo, &g, from, &re), reach(&g, from, &re));
         }
-        expect.sort_unstable();
-        assert_eq!(*pairs.as_ref(), expect);
+        let s = memo.semantic_stats();
+        assert_eq!((s.exact_hits, s.subsumption_hits, s.misses), (1, 1, 1));
     }
 
     #[test]
-    fn concurrent_same_key_computes_once() {
+    fn concurrent_same_key_shares_one_cell() {
         let g = essembly();
         let memo = SemanticMemo::new();
         let from = Predicate::always_true();
         let re = FRegex::parse("fa+", g.alphabet()).unwrap();
         let sets: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
-                .map(|_| s.spawn(|| memo.reach_pairs(&g, &from, &re)))
+                .map(|_| s.spawn(|| answer(&memo, &g, &from, &re)))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         for w in &sets[1..] {
             assert!(Arc::ptr_eq(&sets[0], w));
         }
-        let (hits, misses) = memo.stats();
-        assert_eq!(hits + misses, 8);
+        let s = memo.semantic_stats();
+        assert_eq!(s.hits() + s.misses, 8);
         assert_eq!(memo.len(), 1);
+        assert_eq!(*sets[0], reach(&g, &from, &re));
     }
 
     #[test]
@@ -669,8 +580,9 @@ mod tests {
         let g = essembly();
         let memo = SemanticMemo::new();
         let from = Predicate::parse("job = \"biologist\"", g.schema()).unwrap();
-        let a = memo.reach_pairs(&g, &from, &FRegex::parse("fa^2 fa", g.alphabet()).unwrap());
-        let b = memo.reach_pairs(&g, &from, &FRegex::parse("fa fa^2", g.alphabet()).unwrap());
+        let re = |text: &str| FRegex::parse(text, g.alphabet()).unwrap();
+        let a = answer(&memo, &g, &from, &re("fa^2 fa"));
+        let b = answer(&memo, &g, &from, &re("fa fa^2"));
         assert!(Arc::ptr_eq(&a, &b), "canonical keys unify variants");
         assert_eq!(memo.len(), 1);
         let s = memo.semantic_stats();
@@ -685,17 +597,21 @@ mod tests {
         let broad = Predicate::parse("job = \"biologist\"", g.schema()).unwrap();
         let narrow =
             Predicate::parse("job = \"biologist\" && sp = \"cloning\"", g.schema()).unwrap();
-        let _ = memo.reach_pairs(&g, &broad, &re);
-        let served = memo.reach_pairs(&g, &narrow, &re);
+        let _ = answer(&memo, &g, &broad, &re);
+        let (served, lookup) = memo.try_answer(&g, &narrow, &re).expect("donor answers");
+        assert_eq!(lookup.kind, Some(CacheKind::Subsumption));
         let s = memo.semantic_stats();
-        assert_eq!(s.subsumption_hits, 1, "filtered from the broad entry");
-        assert_eq!(s.misses, 1);
+        assert_eq!(
+            (s.subsumption_hits, s.misses),
+            (1, 1),
+            "filtered from the broad entry"
+        );
         assert!(s.filter_time > Duration::ZERO);
         // bit-identical to direct evaluation
-        let direct = SemanticMemo::new().reach_pairs(&g, &narrow, &re);
-        assert_eq!(*served, *direct);
+        assert_eq!(*served, reach(&g, &narrow, &re));
         // and now cached exactly
-        let again = memo.reach_pairs(&g, &narrow, &re);
+        let (again, lookup) = memo.try_answer(&g, &narrow, &re).expect("installed");
+        assert_eq!(lookup.kind, Some(CacheKind::Exact));
         assert!(Arc::ptr_eq(&served, &again));
     }
 
@@ -706,11 +622,14 @@ mod tests {
         let from = Predicate::parse("job = \"biologist\"", g.schema()).unwrap();
         let broad = FRegex::parse("fa^3 fn", g.alphabet()).unwrap();
         let narrow = FRegex::parse("fa^2 fn", g.alphabet()).unwrap();
-        let _ = memo.reach_pairs(&g, &from, &broad);
-        let served = memo.reach_pairs(&g, &from, &narrow);
+        let _ = answer(&memo, &g, &from, &broad);
+        let (served, _) = memo.try_answer(&g, &from, &narrow).expect("donor answers");
         assert_eq!(memo.semantic_stats().subsumption_hits, 1);
-        let direct = SemanticMemo::new().reach_pairs(&g, &from, &narrow);
-        assert_eq!(*served, *direct, "tighter regex re-verified per source");
+        assert_eq!(
+            *served,
+            reach(&g, &from, &narrow),
+            "tighter regex re-verified per source"
+        );
     }
 
     #[test]
@@ -720,21 +639,16 @@ mod tests {
         let from = Predicate::parse("job = \"biologist\"", g.schema()).unwrap();
         let re = FRegex::parse("fa^2 fn", g.alphabet()).unwrap();
         assert!(memo.try_answer(&g, &from, &re).is_none(), "cold cache");
+        assert!(memo.is_empty(), "a declined lookup claims nothing");
         assert_eq!(memo.semantic_stats().misses, 1);
-        let computed = memo.reach_pairs(&g, &from, &re);
+        let computed = memo.insert(&from, &re, reach(&g, &from, &re));
         let (pairs, lookup) = memo.try_answer(&g, &from, &re).expect("now cached");
         assert_eq!(lookup.kind, Some(CacheKind::Exact));
         assert!(Arc::ptr_eq(&computed, &pairs));
-        // a narrower probe is derived and installed
-        let narrow =
-            Predicate::parse("job = \"biologist\" && sp = \"cloning\"", g.schema()).unwrap();
-        let (subsumed, lookup) = memo.try_answer(&g, &narrow, &re).expect("donor answers");
-        assert_eq!(lookup.kind, Some(CacheKind::Subsumption));
-        assert!(lookup.filter_time > Duration::ZERO);
-        let direct = SemanticMemo::new().reach_pairs(&g, &narrow, &re);
-        assert_eq!(*subsumed, *direct);
-        let (_, lookup) = memo.try_answer(&g, &narrow, &re).expect("installed");
-        assert_eq!(lookup.kind, Some(CacheKind::Exact));
+        // an unrelated key still declines
+        let other = FRegex::parse("sn", g.alphabet()).unwrap();
+        assert!(memo.try_answer(&g, &from, &other).is_none());
+        assert_eq!(memo.semantic_stats().misses, 2);
     }
 
     #[test]
@@ -742,13 +656,13 @@ mod tests {
         let g = essembly();
         let from = Predicate::always_true();
         let re = FRegex::parse("fa", g.alphabet()).unwrap();
-        let sorted = SemanticMemo::new().reach_pairs(&g, &from, &re);
+        let sorted = reach(&g, &from, &re);
         assert!(sorted.len() > 1);
-        let mut reversed = sorted.to_vec();
+        let mut reversed = sorted.clone();
         reversed.reverse();
-        for input in [sorted.to_vec(), reversed] {
+        for input in [sorted.clone(), reversed] {
             let memo = SemanticMemo::new();
-            assert_eq!(*memo.insert(&from, &re, input), *sorted);
+            assert_eq!(*memo.insert(&from, &re, input), sorted);
         }
     }
 
@@ -758,15 +672,16 @@ mod tests {
         // budget of one pair: every new completed cell evicts the last
         let memo = SemanticMemo::with_byte_budget(std::mem::size_of::<(NodeId, NodeId)>());
         let from = Predicate::always_true();
+        let re = |text: &str| FRegex::parse(text, g.alphabet()).unwrap();
         let res = ["fa", "fn", "sa"];
         for r in res {
-            let _ = memo.reach_pairs(&g, &from, &FRegex::parse(r, g.alphabet()).unwrap());
+            let _ = answer(&memo, &g, &from, &re(r));
         }
         assert!(memo.len() < res.len(), "older cells evicted");
         assert!(memo.cached_bytes() > 0);
-        // evicted keys recompute as fresh misses, not hits
+        // evicted keys miss again, not hit
         let before = memo.semantic_stats().misses;
-        let _ = memo.reach_pairs(&g, &from, &FRegex::parse("fa", g.alphabet()).unwrap());
+        let _ = answer(&memo, &g, &from, &re("fa"));
         assert_eq!(memo.semantic_stats().misses, before + 1);
     }
 }

@@ -9,25 +9,29 @@
 //!   the best usable of matrix → hop labels → sharded labels → search
 //!   (an index is *usable* once published with a layer for every color
 //!   the query probes; a layer still building reads as not usable — the
-//!   query falls back rather than wait, and [`Rationale`] says which). Matrix probes are O(1) but cost
-//!   O(|Σ|·|V|²) memory, so the matrix exists only under the configured
-//!   node limit; hop labels cost memory proportional to label size;
-//!   sharded labels stitch per-shard labels through a boundary overlay —
-//!   costlier probes, still far ahead of any per-query search;
+//!   query falls back rather than wait, and [`Rationale`] says which).
+//!   Matrix probes are O(1) but cost O(|Σ|·|V|²) memory, so the matrix
+//!   exists only under the configured node limit; hop labels cost memory
+//!   proportional to label size; sharded labels stitch per-shard labels
+//!   through a boundary overlay. The search backend has no index: the
+//!   graph itself answers the same probes by breadth-first sweeps
+//!   ([`GraphProbe`](rpq_index::GraphProbe)), which replaced §4's pairwise
+//!   distance cache;
 //! * the **algorithm** is the planner's, from query shape on that
-//!   backend. RQs probe whenever there is an index (§4 "DM" over any
-//!   [`DistProbe`](rpq_index::DistProbe)); on search, a `(source
-//!   predicate, regex)` key shared within the batch takes the memoized
-//!   BFS (its reach set is computed once), an unshared multi-atom regex
-//!   takes biBFS (it meets in the middle), and a single atom gains
-//!   nothing from bidirectionality. PQs take `SplitMatch` only for cyclic
-//!   patterns past the measured [`SPLIT_CROSSOVER`] **on the matrix**, and
-//!   `JoinMatch` everywhere else.
+//!   backend. RQs always probe, one bounded scan per level node and atom
+//!   (§4 "DM" over any [`DistProbe`](rpq_index::DistProbe)); on search
+//!   that plan keeps its frozen name `BFS+memo` — per-atom bounded BFS
+//!   over the graph, its reach set memoized. PQs take `SplitMatch` only
+//!   for cyclic patterns past the measured [`SPLIT_CROSSOVER`] **on the
+//!   matrix**, and `JoinMatch` everywhere else; on search the frozen names
+//!   `JoinMatch/cache` / `SplitMatch/cache` mean "no index: over the
+//!   graph".
 //!
-//! [`Plan::ALL`] is the table of servable combinations. `SplitMatch` off
-//! the matrix (hop, sharded, search) is servable — the differential oracle
-//! and the benches drive it directly — but never planned: label scans are cheap
-//! enough that `JoinMatch` measured ahead on every shape there.
+//! [`Plan::ALL`] is the table of servable combinations. Some rows are
+//! servable — the differential oracle and the benches drive them
+//! directly — but never planned: `biBFS`, the paper's bi-directional
+//! baseline, which every probe-based plan beats, and `SplitMatch` off the
+//! matrix, where `JoinMatch` measured ahead on every shape.
 
 use rpq_core::pq::Pq;
 use rpq_regex::FRegex;
@@ -39,10 +43,12 @@ pub enum Algo {
     /// RQ by per-atom distance probes (`Rq::eval_with_dist`, §4 "DM") —
     /// over the matrix, or over label indices beyond the node limit.
     RqDm,
-    /// RQ by bi-directional product search (`Rq::eval_bibfs`, §4 "biBFS").
+    /// RQ by bi-directional product search (`Rq::eval_bibfs`, §4 "biBFS"):
+    /// the paper's baseline, servable when forced but never planned.
     RqBiBfs,
-    /// RQ by the forward product search, memoized per `(source predicate,
-    /// regex)` across the batch (§4 "BFS").
+    /// RQ on the search backend: per-atom bounded BFS over the graph
+    /// (`Rq::eval_with_dist` over `GraphProbe`), its reach set memoized per
+    /// `(source predicate, regex)`.
     RqBfsMemo,
     /// PQ by `JoinMatch` (normalized, §5.1).
     Join,
@@ -63,8 +69,9 @@ pub enum Backend {
     /// Per-shard labels stitched through the boundary overlay
     /// (`rpq_index::ShardedLabels`).
     Sharded,
-    /// No index: per-query product search (LRU-cached pair answers for
-    /// PQs — also what maintains standing match sets).
+    /// No index: the graph itself answers the probes
+    /// ([`GraphProbe`](rpq_index::GraphProbe), breadth-first sweeps) — also
+    /// what maintains standing match sets.
     Search,
 }
 
@@ -154,10 +161,9 @@ pub enum Uncovered {
 /// unformatted; the explain surface renders it through [`fmt::Display`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rationale {
-    /// An RQ decision: the plan, the atoms in the regex, whether another
-    /// query in the batch has the same `(source, regex)` key, and — on
-    /// the search backend — why no index covers the query.
-    Rq(Plan, usize, bool, Uncovered),
+    /// An RQ decision: the plan, the atoms in the regex, and — on the
+    /// search backend — why no index covers the query.
+    Rq(Plan, usize, Uncovered),
     /// A PQ decision: the plan, the normalized pattern size (see
     /// [`SPLIT_CROSSOVER`]), whether the query graph is cyclic, and — on
     /// the search backend — why no index covers the query.
@@ -174,7 +180,7 @@ impl Rationale {
     /// [`Uncovered::NoIndex`]).
     pub fn uncovered(self, why: Uncovered) -> Rationale {
         match self {
-            Rationale::Rq(plan, atoms, shared, _) => Rationale::Rq(plan, atoms, shared, why),
+            Rationale::Rq(plan, atoms, _) => Rationale::Rq(plan, atoms, why),
             Rationale::Pq(plan, size, cyclic, _) => Rationale::Pq(plan, size, cyclic, why),
             other => other,
         }
@@ -187,7 +193,7 @@ impl fmt::Display for Rationale {
     /// algorithm.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (plan, uncovered) = match *self {
-            Rationale::Rq(plan, .., why) | Rationale::Pq(plan, .., why) => (plan, why),
+            Rationale::Rq(plan, _, why) | Rationale::Pq(plan, .., why) => (plan, why),
             Rationale::Standing => {
                 return f.write_str(
                     "pattern equals a registered standing query — answered from its \
@@ -209,26 +215,20 @@ impl fmt::Display for Rationale {
                 "no matrix or single index; sharded labels cover every probed color"
             }
             Backend::Search => match uncovered {
-                Uncovered::NoIndex => "no usable index",
+                Uncovered::NoIndex => "no usable index — the graph answers",
                 Uncovered::WildcardBuilding => {
-                    "label index serving, wildcard layer still building — `_` falls back to search"
+                    "label index serving, wildcard layer still building — `_` is answered by the graph"
                 }
                 Uncovered::WildcardDropped => {
-                    "label index ready, wildcard layer dropped on budget — `_` falls back to search"
+                    "label index ready, wildcard layer dropped on budget — `_` is answered by the graph"
                 }
             },
         })?;
         match (*self, plan.algo) {
-            (Rationale::Rq(_, atoms, ..), Algo::RqBiBfs) => write!(
+            (Rationale::Rq(_, atoms, _), Algo::RqBfsMemo) => write!(
                 f,
-                "; {atoms} atoms >= 2 — bidirectional search meets in the middle"
+                "; {atoms}-atom regex — one bounded BFS per level node and atom, reach set memoized"
             ),
-            (Rationale::Rq(_, _, true, _), Algo::RqBfsMemo) => {
-                f.write_str("; (source, regex) key shared in batch — memoized BFS computes it once")
-            }
-            (Rationale::Rq(..), Algo::RqBfsMemo) => {
-                f.write_str("; single-atom regex gains nothing from bidirectionality")
-            }
             (Rationale::Pq(_, size, cyclic, _), algo) => write!(
                 f,
                 "; {} pattern, normalized size {size} vs crossover {SPLIT_CROSSOVER} — {}",
@@ -245,21 +245,16 @@ impl fmt::Display for Rationale {
 }
 
 /// Choose the algorithm for one RQ over `backend` — the best index usable
-/// for this regex, per the engine. `shared_in_batch` — at least one other
-/// query in the batch has the same `(source predicate, regex)` key.
-pub fn plan_rq(regex: &FRegex, backend: Backend, shared_in_batch: bool) -> (Plan, Rationale) {
-    let atoms = regex.atoms().len();
+/// for this regex, per the engine. Every backend probes: `DM` over an
+/// index, `BFS+memo` (the same algorithm over the graph) on search.
+pub fn plan_rq(regex: &FRegex, backend: Backend) -> (Plan, Rationale) {
     let algo = match backend {
-        Backend::Search if !shared_in_batch && atoms >= 2 => Algo::RqBiBfs,
         Backend::Search => Algo::RqBfsMemo,
-        // probes beat both the shared memo and any search
         _ => Algo::RqDm,
     };
     let plan = Plan { algo, backend };
-    (
-        plan,
-        Rationale::Rq(plan, atoms, shared_in_batch, Uncovered::NoIndex),
-    )
+    let atoms = regex.atoms().len();
+    (plan, Rationale::Rq(plan, atoms, Uncovered::NoIndex))
 }
 
 /// The normalized pattern size (`|Vp| + |Ep|` after the dummy-node
@@ -281,8 +276,9 @@ pub fn plan_rq(regex: &FRegex, backend: Backend, shared_in_batch: bool) -> (Plan
 /// bookkeeping by blocks rather than nodes (the §5.2 regime) at no
 /// measured cost. Over **hop labels** the bulk label scans are so cheap
 /// that `SplitMatch`'s partition bookkeeping dominates and `JoinMatch`
-/// wins every measured cyclic size by 1.3–2x (ratios 0.45–0.76), so the
-/// hop and cached backends keep `JoinMatch` for every shape.
+/// wins every measured cyclic size by 1.3–2x (ratios 0.45–0.76), so every
+/// backend but the matrix — hop, sharded, and the graph, whose `Join`
+/// step is one sweep — keeps `JoinMatch` for every shape.
 pub const SPLIT_CROSSOVER: usize = 16;
 
 /// The shape signals [`plan_pq`] needs from a pattern: its normalized size
@@ -368,8 +364,8 @@ mod tests {
         pq
     }
 
-    fn rq(atoms: usize, backend: Backend, shared: bool) -> Plan {
-        plan_rq(&re(atoms), backend, shared).0
+    fn rq(atoms: usize, backend: Backend) -> Plan {
+        plan_rq(&re(atoms), backend).0
     }
 
     fn pq(pq: &Pq, backend: Backend) -> Plan {
@@ -409,9 +405,7 @@ mod tests {
     fn the_planner_only_returns_servable_plans() {
         for backend in BACKENDS {
             for atoms in 1..4 {
-                for shared in [false, true] {
-                    assert!(Plan::ALL.contains(&rq(atoms, backend, shared)));
-                }
+                assert!(Plan::ALL.contains(&rq(atoms, backend)));
             }
             for pat in [chain(2), ring(2), ring(SPLIT_CROSSOVER)] {
                 let (plan, why) = plan_pq(&pat, backend);
@@ -426,52 +420,56 @@ mod tests {
 
     #[test]
     fn every_index_backend_probes_whatever_the_batch_shape() {
-        // matrix, hop and sharded probes all beat the shared memo and
-        // every per-query search
+        // matrix, hop and sharded probes: DM, whatever the regex
         for backend in [Backend::Matrix, Backend::Hop, Backend::Sharded] {
             for atoms in 1..4 {
-                for shared in [false, true] {
-                    let plan = rq(atoms, backend, shared);
-                    assert_eq!((plan.algo(), plan.backend()), (Algo::RqDm, backend));
-                }
+                let plan = rq(atoms, backend);
+                assert_eq!((plan.algo(), plan.backend()), (Algo::RqDm, backend));
             }
         }
     }
 
     #[test]
-    fn sharing_prefers_memoized_bfs() {
-        assert_eq!(rq(3, Backend::Search, true).algo(), Algo::RqBfsMemo);
-        let why = plan_rq(&re(3), Backend::Search, true).1;
-        assert!(why.to_string().contains("shared in batch"), "{why}");
+    fn search_rqs_sweep_the_graph_and_bibfs_is_never_planned() {
+        // search probes the graph with the same algorithm, under its
+        // frozen name `BFS+memo`, whatever the regex shape; biBFS is
+        // servable when forced, never planned
+        for atoms in 1..4 {
+            assert_eq!(rq(atoms, Backend::Search).algo(), Algo::RqBfsMemo);
+        }
+        for backend in BACKENDS {
+            assert_ne!(rq(2, backend).algo(), Algo::RqBiBfs);
+        }
+        assert_eq!(rq(2, Backend::Search).name(), "BFS+memo");
+        assert_eq!(pq(&chain(1), Backend::Search).name(), "JoinMatch/cache");
+        let why = plan_rq(&re(2), Backend::Search).1.to_string();
+        assert!(
+            why.contains("2-atom regex") && why.contains("memoized"),
+            "{why}"
+        );
     }
 
     #[test]
     fn the_search_clause_names_the_missing_wildcard_layer() {
         let clause = |why: Uncovered| {
-            let rq = plan_rq(&re(2), Backend::Search, false).1.uncovered(why);
+            let rq = plan_rq(&re(2), Backend::Search).1.uncovered(why);
             let pq = plan_pq(&chain(1), Backend::Search).1.uncovered(why);
             let head = |r: Rationale| r.to_string().split(';').next().unwrap().to_owned();
             assert_eq!(head(rq), head(pq), "one backend clause for RQs and PQs");
             head(rq)
         };
-        assert_eq!(clause(Uncovered::NoIndex), "no usable index");
+        assert_eq!(
+            clause(Uncovered::NoIndex),
+            "no usable index — the graph answers"
+        );
         assert!(clause(Uncovered::WildcardBuilding).contains("wildcard layer still building"));
         assert!(clause(Uncovered::WildcardDropped).contains("wildcard layer dropped on budget"));
         // an index-backed decision has nothing uncovered to report
-        let hop = plan_rq(&re(2), Backend::Hop, false).1;
+        let hop = plan_rq(&re(2), Backend::Hop).1;
         assert_eq!(
             hop.uncovered(Uncovered::WildcardDropped).to_string(),
             hop.to_string()
         );
-    }
-
-    #[test]
-    fn unshared_multi_atom_takes_bibfs() {
-        assert_eq!(rq(2, Backend::Search, false).algo(), Algo::RqBiBfs);
-        assert_eq!(rq(1, Backend::Search, false).algo(), Algo::RqBfsMemo);
-        assert_eq!(pq(&chain(1), Backend::Search).name(), "JoinMatch/cache");
-        let why = plan_rq(&re(2), Backend::Search, false).1;
-        assert!(why.to_string().contains("2 atoms >= 2"), "{why}");
     }
 
     #[test]
@@ -481,8 +479,8 @@ mod tests {
         let big_ring = ring(SPLIT_CROSSOVER); // normalized size = 2·edges
         assert!(big_ring.has_cycle());
         assert_eq!(pq(&big_ring, Backend::Matrix).algo(), Algo::Split);
-        // hop, sharded and cached backends measured JoinMatch ahead on
-        // every cyclic size — the planner never picks their split variants
+        // hop, sharded and the graph measured JoinMatch ahead on every
+        // cyclic size — the planner never picks their split variants
         for backend in [Backend::Hop, Backend::Sharded, Backend::Search] {
             assert_eq!(pq(&big_ring, backend).algo(), Algo::Join, "{backend:?}");
         }

@@ -170,7 +170,7 @@ impl Snapshot {
         Arc::clone(&self.engine)
     }
 
-    /// Cumulative counters of this version's semantic reach-cache —
+    /// Cumulative counters of this version's semantic reach-set memo —
     /// exact hits, subsumption hits, misses, and filter time — since the
     /// version was published (the memo lives in the per-version engine,
     /// so a fresh version starts from zero). Cumulative over *every*

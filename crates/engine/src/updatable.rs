@@ -25,7 +25,7 @@
 //! batch path serves a matching PQ from those answers with plan
 //! [`Algo::Standing`](crate::Algo::Standing).
 
-use crate::engine::{EngineConfig, QueryEngine, REACH_CACHE_CAPACITY};
+use crate::engine::{EngineConfig, QueryEngine};
 use crate::error::EngineError;
 use crate::snapshot::{IndexState, Snapshot, StandingEntry};
 use rpq_core::incremental::{DynamicGraph, IncrementalMatcher, Update};
@@ -500,11 +500,9 @@ impl UpdatableEngine {
 /// Create and seed an incremental matcher for `pq` (the one initial full
 /// evaluation a non-deduplicated registration pays).
 fn push_matcher(state: &mut WriterState, pq: &Pq) -> usize {
-    state.matchers.push(IncrementalMatcher::with_cache_capacity(
-        pq.clone(),
-        &state.dynamic,
-        REACH_CACHE_CAPACITY,
-    ));
+    state
+        .matchers
+        .push(IncrementalMatcher::new(pq.clone(), &state.dynamic));
     state.matchers.len() - 1
 }
 
@@ -760,9 +758,12 @@ mod tests {
         let maintained = report.snapshot.standing_result(id).unwrap();
 
         // reference: full evaluation on the new graph
-        let mut cached = rpq_core::reach::CachedReach::with_default_capacity();
-        let reference =
-            rpq_core::join_match::JoinMatch::eval(&pq, report.snapshot.graph(), &mut cached);
+        let graph = rpq_index::GraphProbe::new(report.snapshot.graph());
+        let reference = rpq_core::join_match::JoinMatch::eval(
+            &pq,
+            report.snapshot.graph(),
+            &mut rpq_core::reach::ProbeReach::new(&graph),
+        );
         assert_eq!(&*maintained, &reference);
         assert_ne!(&*maintained, &*initial, "the cut must change the answer");
         // the pinned pre-update snapshot keeps serving the old answer

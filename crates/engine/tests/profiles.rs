@@ -152,11 +152,20 @@ fn matrix_backed_plans_profile_with_probe_counts() {
 }
 
 #[test]
-fn search_and_cached_plans_profile_without_probes() {
+fn search_plans_probe_the_graph_and_bibfs_probes_nothing() {
     let driven = drive_backend(Backend::Search);
     assert!(!driven.is_empty());
     for (plan, p) in driven {
-        assert_eq!(p.probes, 0, "{}: searches probe no index", plan.name());
+        if plan.algo() == Algo::RqBiBfs {
+            assert_eq!(p.probes, 0, "biBFS searches the product space");
+        } else {
+            assert!(
+                p.probes > 0,
+                "{}: the graph answers the probes",
+                plan.name()
+            );
+        }
+        assert_eq!(p.shard_fanout, 0);
     }
 }
 

@@ -7,9 +7,9 @@
 //! take constant time.
 //!
 //! As the paper notes, the O((m+1)·|V|²) space is the price of the fastest
-//! evaluation strategy; for graphs where it is unaffordable, the runtime
-//! bi-directional search backed by [`crate::cache::LruCache`] is used
-//! instead.
+//! evaluation strategy; for graphs where it is unaffordable, the engine
+//! probes label indices or, with none usable, sweeps the graph itself
+//! (`rpq_index::GraphProbe`).
 
 use crate::algo::{bfs_distances_into, Direction};
 use crate::color::{Color, WILDCARD};

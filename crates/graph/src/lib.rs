@@ -17,8 +17,6 @@
 //! * graph algorithms the query engine relies on ([`algo`]): per-color BFS,
 //!   Tarjan's strongly-connected components, reverse topological order,
 //! * the per-color shortest-distance matrix of §4 ([`distance`]),
-//! * a hand-rolled LRU cache used by the runtime (bi-directional BFS)
-//!   evaluation strategy ([`cache`]),
 //! * dataset generators standing in for the paper's real-life data ([`gen`]),
 //! * edge-cut partitioning and the sharded storage view ([`partition`]):
 //!   [`Partition`] assigns nodes to `k` balanced shards, [`ShardedGraph`]
@@ -28,7 +26,6 @@
 pub mod algo;
 pub mod attr;
 pub mod builder;
-pub mod cache;
 pub mod color;
 pub mod distance;
 pub mod gen;

@@ -1,161 +1,10 @@
-//! Property-based tests for the graph substrate: the LRU cache against a
-//! naive model, BFS against pairwise bidirectional search, the distance
-//! matrix against fresh BFS, and text-format round-trips.
+//! Property-based tests for the graph substrate: BFS against pairwise
+//! bidirectional search, the distance matrix against fresh BFS, and
+//! text-format round-trips.
 
 use proptest::prelude::*;
 use rpq_graph::algo::{bfs_distances, bidirectional_distance, Direction};
-use rpq_graph::cache::LruCache;
 use rpq_graph::{Color, DistanceMatrix, GraphBuilder, NodeId, INFINITY, WILDCARD};
-
-#[derive(Debug, Clone)]
-enum CacheOp {
-    Insert(u8, u16),
-    Get(u8),
-    Remove(u8),
-}
-
-fn arb_ops() -> impl Strategy<Value = Vec<CacheOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            (any::<u8>(), any::<u16>()).prop_map(|(k, v)| CacheOp::Insert(k % 24, v)),
-            any::<u8>().prop_map(|k| CacheOp::Get(k % 24)),
-            any::<u8>().prop_map(|k| CacheOp::Remove(k % 24)),
-        ],
-        0..200,
-    )
-}
-
-proptest! {
-    #[test]
-    fn lru_matches_reference_model(ops in arb_ops(), cap in 1usize..12) {
-        let mut cache = LruCache::new(cap);
-        let mut model: Vec<(u8, u16)> = Vec::new(); // front = most recent
-        for op in ops {
-            match op {
-                CacheOp::Insert(k, v) => {
-                    if let Some(pos) = model.iter().position(|&(mk, _)| mk == k) {
-                        model.remove(pos);
-                    } else if model.len() == cap {
-                        model.pop();
-                    }
-                    model.insert(0, (k, v));
-                    cache.insert(k, v);
-                }
-                CacheOp::Get(k) => {
-                    let want = model.iter().position(|&(mk, _)| mk == k).map(|pos| {
-                        let e = model.remove(pos);
-                        model.insert(0, e);
-                        e.1
-                    });
-                    prop_assert_eq!(cache.get(&k).copied(), want);
-                }
-                CacheOp::Remove(k) => {
-                    let want = model
-                        .iter()
-                        .position(|&(mk, _)| mk == k)
-                        .map(|pos| model.remove(pos).1);
-                    prop_assert_eq!(cache.remove(&k), want);
-                }
-            }
-            prop_assert_eq!(cache.len(), model.len());
-        }
-    }
-}
-
-/// Interleaved get/insert sequences only (no removes): the shape of
-/// concurrent engine traffic, where workers probe and memoize but never
-/// invalidate.
-fn arb_get_insert_ops() -> impl Strategy<Value = Vec<CacheOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            (any::<u8>(), any::<u16>()).prop_map(|(k, v)| CacheOp::Insert(k % 32, v)),
-            any::<u8>().prop_map(|k| CacheOp::Get(k % 32)),
-        ],
-        0..300,
-    )
-}
-
-proptest! {
-    /// After any interleaved get/insert sequence: the number of entries
-    /// never exceeds capacity, and every eviction removes exactly the
-    /// least-recently-used key (gets count as uses).
-    #[test]
-    fn lru_capacity_and_eviction_order(ops in arb_get_insert_ops(), cap in 1usize..10) {
-        let mut cache = LruCache::new(cap);
-        let mut order: Vec<u8> = Vec::new(); // front = most recently used
-        for op in ops {
-            match op {
-                CacheOp::Insert(k, v) => {
-                    let evicted = cache.insert(k, v);
-                    if let Some(pos) = order.iter().position(|&x| x == k) {
-                        order.remove(pos);
-                        prop_assert_eq!(evicted, None, "re-insert of a live key must not evict");
-                    } else if order.len() == cap {
-                        let lru = order.pop().expect("full cache is nonempty");
-                        prop_assert_eq!(
-                            evicted.map(|(ek, _)| ek),
-                            Some(lru),
-                            "eviction must take the LRU key"
-                        );
-                    } else {
-                        prop_assert_eq!(evicted, None, "eviction below capacity");
-                    }
-                    order.insert(0, k);
-                }
-                CacheOp::Get(k) => {
-                    let hit = cache.get(&k).is_some();
-                    let pos = order.iter().position(|&x| x == k);
-                    prop_assert_eq!(hit, pos.is_some());
-                    if let Some(pos) = pos {
-                        let e = order.remove(pos);
-                        order.insert(0, e);
-                    }
-                }
-                CacheOp::Remove(_) => unreachable!("generator emits no removes"),
-            }
-            prop_assert!(cache.len() <= cap, "capacity exceeded: {} > {cap}", cache.len());
-        }
-    }
-}
-
-/// Engine-style concurrent use: worker threads hammer one shared cache
-/// with interleaved get/insert. Capacity must never be exceeded and every
-/// hit must return the value inserted for that key.
-#[test]
-fn lru_capacity_never_exceeded_under_concurrent_use() {
-    use std::sync::Mutex;
-
-    const CAP: usize = 16;
-    const THREADS: u64 = 4;
-    const OPS: u64 = 5_000;
-    let cache = Mutex::new(LruCache::new(CAP));
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let cache = &cache;
-            s.spawn(move || {
-                // SplitMix64-ish per-thread stream
-                let mut x = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t + 1);
-                for _ in 0..OPS {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    let key = (x >> 33) % 64;
-                    let mut c = cache.lock().unwrap();
-                    if x.is_multiple_of(2) {
-                        c.insert(key, key * 31);
-                    } else if let Some(&v) = c.get(&key) {
-                        assert_eq!(v, key * 31, "foreign value for key {key}");
-                    }
-                    assert!(c.len() <= CAP, "capacity exceeded: {}", c.len());
-                }
-            });
-        }
-    });
-    let c = cache.into_inner().unwrap();
-    assert!(c.len() <= CAP && !c.is_empty());
-    let (hits, misses) = c.stats();
-    assert!(hits + misses > 0);
-}
 
 fn arb_graph() -> impl Strategy<Value = (usize, Vec<(u8, u8, u8)>)> {
     (2usize..14).prop_flat_map(|n| {

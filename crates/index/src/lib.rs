@@ -21,8 +21,8 @@
 //! * **hop labels** above it while the label budget holds
 //!   (the `Backend::Hop` plans — `hop`, `JoinMatch/hop`, `SplitMatch/hop` — in
 //!   `rpq-engine`), and
-//! * per-query search (biBFS / memoized BFS for RQs, the LRU-cached
-//!   product search for PQs) as the final fallback.
+//! * the graph itself ([`GraphProbe`]: breadth-first sweeps, one backward
+//!   sweep per `Join` step) when no index is usable.
 //!
 //! Beyond point probes, [`DistProbe::sources_reaching_within`] is the bulk
 //! primitive PQ refinement runs on: [`HopLabels`] answers a whole
@@ -82,5 +82,5 @@ mod probe;
 mod sharded;
 
 pub use labels::{HopBuildError, HopConfig, HopLabels, HopRepair, HopStats, InSetAgg};
-pub use probe::DistProbe;
+pub use probe::{DistProbe, GraphProbe};
 pub use sharded::{ShardedConfig, ShardedLabels, ShardedRepair, ShardedStats};

@@ -20,9 +20,12 @@
 //! the pruned 2-hop [`HopLabels`](crate::HopLabels) (label-merge probes,
 //! memory proportional to total label size) implement the trait, so the
 //! evaluation algorithms in `rpq-core` are backend-generic: the planner
-//! picks the index, the algorithm stays the same.
+//! picks the index, the algorithm stays the same. With no index at all,
+//! [`GraphProbe`] asks the graph the same questions by breadth-first sweeps.
 
 use rpq_graph::{Color, DistanceMatrix, Graph, NodeId, INFINITY};
+use std::ops::RangeInclusive;
+use std::sync::Mutex;
 
 /// A per-color shortest-distance oracle usable as an RQ atom-test backend.
 ///
@@ -70,6 +73,25 @@ pub trait DistProbe {
         self.for_each_within(from, color, max, f);
         if self.has_cycle_within(g, from, color, max_len) {
             f(from);
+        }
+    }
+
+    /// [`for_each_reaching_within`](DistProbe::for_each_reaching_within)
+    /// from every node of `frontier`: `f(z)` for every `z` with a nonempty
+    /// path of length ≤ `max_len` from some frontier node — one step of a
+    /// frontier sweep through an atom. The default scans per frontier
+    /// node; [`GraphProbe`] advances the whole frontier in one sweep. `f`
+    /// may be called more than once per node.
+    fn for_each_reaching_from(
+        &self,
+        g: &Graph,
+        frontier: &[NodeId],
+        color: Color,
+        max_len: Option<u32>,
+        f: &mut dyn FnMut(NodeId),
+    ) {
+        for &w in frontier {
+            self.for_each_reaching_within(g, w, color, max_len, f);
         }
     }
 
@@ -139,7 +161,7 @@ pub trait DistProbe {
     /// into one per-hub minimum and then answers each source with a single
     /// `Lout` scan, so a `Join` step over `|S|` sources and `|T|` targets
     /// costs `O(Σ|Lin| + Σ|Lout|)` label entries instead of `|S|·|T|` hub
-    /// merges.
+    /// merges; [`GraphProbe`] answers with one backward sweep.
     fn sources_reaching_within(
         &self,
         g: &Graph,
@@ -202,13 +224,264 @@ impl DistProbe for DistanceMatrix {
     }
 }
 
+/// The graph itself as a [`DistProbe`]: no index, every question answered
+/// by a breadth-first sweep over the edges of `g` that `color` admits — the
+/// backend of the engine's search plans, the standing-query matcher and
+/// engine-less PQ assembly.
+///
+/// Sweeps are set-at-a-time where the question is.
+/// [`sources_reaching_within`](DistProbe::sources_reaching_within) runs
+/// **one** backward sweep from the whole target set, capped at depth
+/// `k − 1`, and keeps a source iff one of its admitted out-edges lands
+/// inside it: the nonempty-path rule for a whole `Join` step in
+/// O(|V| + |E|), whatever |S| and |T|.
+/// [`for_each_reaching_from`](DistProbe::for_each_reaching_from) advances
+/// a whole frontier with one forward sweep seeded at depth 1.
+///
+/// A sweep marks visited nodes with an epoch stamp in an O(|V|) buffer
+/// that is reused, not re-zeroed, across calls: each thread probing at
+/// once takes a buffer from the probe's pool and puts it back, so a probe
+/// built per evaluation allocates one buffer per concurrent thread. The
+/// pool is the only state, and the probe stays `Sync` for the scoped
+/// refinement workers of `ProbeReach::with_workers` (rpq-core).
+pub struct GraphProbe<'g> {
+    g: &'g Graph,
+    pool: Mutex<Vec<Sweep>>,
+}
+
+/// One thread's sweep scratch: `seen[v] == epoch` marks `v` visited by the
+/// current sweep; `queue` holds the visited nodes in BFS order.
+struct Sweep {
+    seen: Vec<u32>,
+    epoch: u32,
+    queue: Vec<NodeId>,
+}
+
+impl Sweep {
+    /// Visit, breadth first over the `color`-admitted edges (in-edges when
+    /// `backward`), every node reachable from `seeds` — which sit at depth
+    /// `depths.start()` — down to depth `depths.end()`. `reached(z, depth)`
+    /// runs once per visited node, seeds included; returning `true` stops
+    /// the sweep, and `run` returns `true`.
+    fn run(
+        &mut self,
+        g: &Graph,
+        backward: bool,
+        color: Color,
+        seeds: impl IntoIterator<Item = NodeId>,
+        depths: RangeInclusive<u32>,
+        mut reached: impl FnMut(NodeId, u32) -> bool,
+    ) -> bool {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+        self.queue.clear();
+        let (first, max) = depths.into_inner();
+        if first > max {
+            return false;
+        }
+        for s in seeds {
+            if self.mark(s) {
+                self.queue.push(s);
+                if reached(s, first) {
+                    return true;
+                }
+            }
+        }
+        let (mut head, mut depth) = (0, first);
+        while depth < max && head < self.queue.len() {
+            depth += 1;
+            let end = self.queue.len();
+            while head < end {
+                let u = self.queue[head];
+                head += 1;
+                let edges = if backward {
+                    g.in_edges(u)
+                } else {
+                    g.out_edges(u)
+                };
+                for e in edges {
+                    if color.admits(e.color) && self.mark(e.node) {
+                        self.queue.push(e.node);
+                        if reached(e.node, depth) {
+                            return true;
+                        }
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    #[inline]
+    fn mark(&mut self, v: NodeId) -> bool {
+        let stamp = &mut self.seen[v.index()];
+        let fresh = *stamp != self.epoch;
+        *stamp = self.epoch;
+        fresh
+    }
+
+    #[inline]
+    fn visited(&self, v: NodeId) -> bool {
+        self.seen[v.index()] == self.epoch
+    }
+}
+
+impl<'g> GraphProbe<'g> {
+    /// A probe over `g`; allocates nothing until the first sweep.
+    pub fn new(g: &'g Graph) -> Self {
+        GraphProbe {
+            g,
+            pool: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Run `f` on a sweep buffer of this probe's pool (a fresh one when
+    /// every buffer is in use, e.g. by another worker or a nested call).
+    fn with_sweep<R>(&self, f: impl FnOnce(&mut Sweep) -> R) -> R {
+        let pooled = self.pool.lock().expect("sweep pool poisoned").pop();
+        let mut sweep = pooled.unwrap_or_else(|| Sweep {
+            seen: vec![0; self.g.node_count()],
+            epoch: 0,
+            queue: Vec::new(),
+        });
+        let out = f(&mut sweep);
+        self.pool.lock().expect("sweep pool poisoned").push(sweep);
+        out
+    }
+
+    /// The nodes one admitted edge out of `from` reaches: where a nonempty
+    /// path from `from` is at depth 1.
+    fn successors(&self, from: NodeId, color: Color) -> impl Iterator<Item = NodeId> + 'g {
+        let g: &'g Graph = self.g;
+        g.out_edges(from)
+            .iter()
+            .filter(move |e| color.admits(e.color))
+            .map(|e| e.node)
+    }
+}
+
+impl DistProbe for GraphProbe<'_> {
+    fn node_count(&self) -> usize {
+        self.g.node_count()
+    }
+
+    fn dist(&self, from: NodeId, to: NodeId, color: Color) -> u16 {
+        if from == to {
+            return 0;
+        }
+        let mut found = INFINITY;
+        self.with_sweep(|s| {
+            s.run(self.g, false, color, [from], 0..=u32::MAX, |z, depth| {
+                if z == to {
+                    found = depth.min(u32::from(u16::MAX - 1)) as u16;
+                }
+                z == to
+            })
+        });
+        found
+    }
+
+    fn for_each_within(&self, from: NodeId, color: Color, max: u16, f: &mut dyn FnMut(NodeId)) {
+        self.with_sweep(|s| {
+            s.run(self.g, false, color, [from], 0..=u32::from(max), |z, _| {
+                if z != from {
+                    f(z);
+                }
+                false
+            })
+        });
+    }
+
+    fn for_each_reaching_within(
+        &self,
+        g: &Graph,
+        from: NodeId,
+        color: Color,
+        max_len: Option<u32>,
+        f: &mut dyn FnMut(NodeId),
+    ) {
+        self.for_each_reaching_from(g, &[from], color, max_len, f);
+    }
+
+    fn for_each_reaching_from(
+        &self,
+        _: &Graph,
+        frontier: &[NodeId],
+        color: Color,
+        max_len: Option<u32>,
+        f: &mut dyn FnMut(NodeId),
+    ) {
+        let seeds = frontier.iter().flat_map(|&w| self.successors(w, color));
+        let max = max_len.unwrap_or(u32::MAX);
+        self.with_sweep(|s| {
+            s.run(self.g, false, color, seeds, 1..=max, |z, _| {
+                f(z);
+                false
+            })
+        });
+    }
+
+    fn has_cycle_within(
+        &self,
+        g: &Graph,
+        from: NodeId,
+        color: Color,
+        max_len: Option<u32>,
+    ) -> bool {
+        self.reaches_within(g, from, from, color, max_len)
+    }
+
+    fn reaches_within(
+        &self,
+        _: &Graph,
+        from: NodeId,
+        to: NodeId,
+        color: Color,
+        max_len: Option<u32>,
+    ) -> bool {
+        let max = max_len.unwrap_or(u32::MAX);
+        let seeds = self.successors(from, color);
+        self.with_sweep(|s| s.run(self.g, false, color, seeds, 1..=max, |z, _| z == to))
+    }
+
+    fn sources_reaching_within(
+        &self,
+        _: &Graph,
+        sources: &[NodeId],
+        targets: &[NodeId],
+        color: Color,
+        max_len: Option<u32>,
+    ) -> Vec<bool> {
+        // a nonempty path of length ≤ k is one admitted edge onto a node
+        // at most k − 1 backward steps from a target
+        let Some(cap) = max_len.map_or(Some(u32::MAX), |k| k.checked_sub(1)) else {
+            return vec![false; sources.len()];
+        };
+        let g = self.g;
+        self.with_sweep(|s| {
+            s.run(g, true, color, targets.iter().copied(), 0..=cap, |_, _| {
+                false
+            });
+            sources
+                .iter()
+                .map(|&x| {
+                    (g.out_edges(x).iter()).any(|e| color.admits(e.color) && s.visited(e.node))
+                })
+                .collect()
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rpq_graph::GraphBuilder;
 
-    #[test]
-    fn matrix_probe_matches_inherent_api() {
+    /// A 3-cycle x → y → z → x of color r.
+    fn triangle() -> (rpq_graph::Graph, [NodeId; 3], Color) {
         let mut b = GraphBuilder::new();
         let x = b.add_node("x", []);
         let y = b.add_node("y", []);
@@ -217,14 +490,15 @@ mod tests {
         b.add_edge(x, y, r);
         b.add_edge(y, z, r);
         b.add_edge(z, x, r);
-        let g = b.build();
-        let m = DistanceMatrix::build(&g);
-        let p: &dyn DistProbe = &m;
+        (b.build(), [x, y, z], r)
+    }
+
+    fn probe_the_triangle(g: &Graph, p: &dyn DistProbe, [x, y, z]: [NodeId; 3], r: Color) {
         assert_eq!(p.node_count(), 3);
         assert_eq!(p.dist(x, z, r), 2);
         assert_eq!(p.dist(x, x, r), 0);
-        assert!(p.reaches_within(&g, x, x, r, Some(3)), "3-cycle");
-        assert!(!p.reaches_within(&g, x, x, r, Some(2)));
+        assert!(p.reaches_within(g, x, x, r, Some(3)), "3-cycle");
+        assert!(!p.reaches_within(g, x, x, r, Some(2)));
         let mut seen = Vec::new();
         p.for_each_within(x, r, 1, &mut |v| seen.push(v));
         assert_eq!(seen, vec![y]);
@@ -232,5 +506,20 @@ mod tests {
         p.for_each_within(x, r, 2, &mut |v| seen.push(v));
         seen.sort_unstable();
         assert_eq!(seen, vec![y, z]);
+        // z is one edge from the target x, y two: only z within 1
+        let got = p.sources_reaching_within(g, &[x, y, z], &[x], r, Some(1));
+        assert_eq!(got, vec![false, false, true]);
+    }
+
+    #[test]
+    fn matrix_probe_matches_inherent_api() {
+        let (g, nodes, r) = triangle();
+        probe_the_triangle(&g, &DistanceMatrix::build(&g), nodes, r);
+    }
+
+    #[test]
+    fn graph_probe_answers_like_the_matrix() {
+        let (g, nodes, r) = triangle();
+        probe_the_triangle(&g, &GraphProbe::new(&g), nodes, r);
     }
 }

@@ -47,8 +47,10 @@ fn start_with_one_role(config: ServerConfig) -> (Arc<UpdatableEngine>, Server, A
 }
 
 /// Send a deliberately slow query on a connection of its own — a ring of
-/// 16 `_+` edges, ≈ 0.2 s of JoinMatch on the search backend — and
-/// return once its batch holds the server's one role.
+/// 16 `_+` edges, ≈ 0.2 s of JoinMatch on the search backend (two-core
+/// box), nearly all of it assembling the 3.2 M matched pairs, so it stays
+/// slow however cheap refinement over the graph gets — and return once
+/// its batch holds the server's one role.
 fn block(addr: SocketAddr, graph: &Arc<Graph>, probe: &mut Client) -> JoinHandle<WireResponse> {
     const RING: usize = 16;
     let nodes: String = (0..RING).map(|i| format!("node n{i}; ")).collect();

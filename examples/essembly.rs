@@ -100,7 +100,7 @@ fn main() {
     );
     assert_eq!(
         res,
-        JoinMatch::eval(&q2, &g, &mut CachedReach::with_default_capacity())
+        JoinMatch::eval(&q2, &g, &mut ProbeReach::new(&GraphProbe::new(&g)))
     );
-    println!("\nJoinMatch (matrix), SplitMatch (matrix) and JoinMatch (cache) agree.");
+    println!("\nJoinMatch (matrix), SplitMatch (matrix) and JoinMatch (graph, no index) agree.");
 }

@@ -87,8 +87,9 @@ fn main() {
         let labels: Vec<&str> = res.node_matches(u).iter().map(|&v| g.label(v)).collect();
         println!("  {name}: {labels:?}");
     }
-    // SplitMatch and the cached backend give the same answer
-    let res2 = SplitMatch::eval(&pq, &g, &mut CachedReach::with_default_capacity());
+    // SplitMatch with no index (probing the graph itself) gives the same
+    // answer
+    let res2 = SplitMatch::eval(&pq, &g, &mut ProbeReach::new(&GraphProbe::new(&g)));
     assert_eq!(res, res2);
 
     // ---- minimization ----------------------------------------------------

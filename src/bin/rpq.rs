@@ -10,12 +10,17 @@
 //!
 //! Graph files use the `rpq-graph` text format (see `rpq_graph::io`);
 //! pattern-query files use the `rpq-core` query language (see
-//! `rpq_core::lang`).
+//! `rpq_core::lang`). `pq --backend matrix` probes the per-color distance
+//! matrix; `--backend cache` (the name the engine's `JoinMatch/cache` /
+//! `SplitMatch/cache` plans share) builds no index and probes the graph
+//! itself, one breadth-first sweep per refinement step.
 
 use rpq::core::lang::{format_pq, parse_pq};
-use rpq::core::{minimize, CachedReach, GRq, JoinMatch, MatrixReach, Rq, SplitMatch};
+use rpq::core::reach::ProbeReach;
+use rpq::core::{minimize, GRq, JoinMatch, MatrixReach, Rq, SplitMatch};
 use rpq::graph::io::read_graph;
 use rpq::graph::{DistanceMatrix, Graph};
+use rpq::index::GraphProbe;
 use rpq::prelude::{FRegex, Predicate};
 use rpq_regex::GRegex;
 use std::fs::File;
@@ -51,7 +56,9 @@ fn run() -> Result<(), String> {
     }
 }
 
-const USAGE: &str = "usage: rpq <GRAPH-FILE> <stats | rq FROM TO REGEX | grq FROM TO REGEX | pq QUERY-FILE [--algo join|split] [--backend matrix|cache] | min QUERY-FILE>";
+const USAGE: &str = "usage: rpq <GRAPH-FILE> <stats | rq FROM TO REGEX | grq FROM TO REGEX | pq QUERY-FILE [--algo join|split] [--backend matrix|cache] | min QUERY-FILE>
+  pq --backend matrix: probe the per-color distance matrix (built first)
+  pq --backend cache:  no index, probe the graph itself by breadth-first sweeps";
 
 fn stats(g: &Graph) -> Result<(), String> {
     println!("nodes:  {}", g.node_count());
@@ -115,19 +122,18 @@ fn pq(g: &Graph, rest: &[String]) -> Result<(), String> {
         .map_err(|e| format!("cannot read {query_path}: {e}"))?;
     let query = parse_pq(&text, g.schema(), g.alphabet()).map_err(|e| e.to_string())?;
 
+    let graph = GraphProbe::new(g);
     let res = match (algo, backend) {
         ("join", "matrix") => {
             let m = DistanceMatrix::build(g);
             JoinMatch::eval(&query, g, &mut MatrixReach::new(&m))
         }
-        ("join", "cache") => JoinMatch::eval(&query, g, &mut CachedReach::with_default_capacity()),
+        ("join", "cache") => JoinMatch::eval(&query, g, &mut ProbeReach::new(&graph)),
         ("split", "matrix") => {
             let m = DistanceMatrix::build(g);
             SplitMatch::eval(&query, g, &mut MatrixReach::new(&m))
         }
-        ("split", "cache") => {
-            SplitMatch::eval(&query, g, &mut CachedReach::with_default_capacity())
-        }
+        ("split", "cache") => SplitMatch::eval(&query, g, &mut ProbeReach::new(&graph)),
         _ => return Err(format!("unknown algo/backend {algo:?}/{backend:?}")),
     };
 

@@ -149,7 +149,7 @@ pub mod prelude {
     pub use rpq_core::minimize::minimize;
     pub use rpq_core::pq::{Pq, PqResult};
     pub use rpq_core::predicate::Predicate;
-    pub use rpq_core::reach::{CachedReach, MatrixReach, ProbeReach, ReachEngine};
+    pub use rpq_core::reach::{MatrixReach, ProbeReach, ReachEngine};
     pub use rpq_core::rq::{Rq, RqResult};
     pub use rpq_core::split_match::SplitMatch;
     pub use rpq_engine::{
@@ -163,7 +163,8 @@ pub mod prelude {
         Partition, Schema, ShardStats, ShardedGraph, WILDCARD,
     };
     pub use rpq_index::{
-        DistProbe, HopConfig, HopLabels, HopStats, ShardedConfig, ShardedLabels, ShardedStats,
+        DistProbe, GraphProbe, HopConfig, HopLabels, HopStats, ShardedConfig, ShardedLabels,
+        ShardedStats,
     };
     pub use rpq_regex::{FRegex, GRegex};
     pub use rpq_trace::{tracer, QueryProfile, StageTiming, TraceEvent, Tracer};

@@ -29,7 +29,7 @@ fn queries_on_the_empty_graph() {
     let b2 = pq.add_node("b", Predicate::always_true());
     pq.add_edge(a, b2, FRegex::parse("c", g.alphabet()).unwrap());
     assert!(JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m)).is_empty());
-    assert!(SplitMatch::eval(&pq, &g, &mut CachedReach::new(16)).is_empty());
+    assert!(SplitMatch::eval(&pq, &g, &mut ProbeReach::new(&GraphProbe::new(&g))).is_empty());
 
     // the truly empty graph (no colors either) at least survives stats
     let e = empty_graph();

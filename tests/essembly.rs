@@ -69,7 +69,7 @@ fn example_2_3_q2_result_all_algorithms() {
         ),
         (
             "JoinMatchC",
-            JoinMatch::eval(&pq, &g, &mut CachedReach::new(1 << 12)),
+            JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&GraphProbe::new(&g))),
         ),
         (
             "SplitMatchM",
@@ -77,7 +77,7 @@ fn example_2_3_q2_result_all_algorithms() {
         ),
         (
             "SplitMatchC",
-            SplitMatch::eval(&pq, &g, &mut CachedReach::new(1 << 12)),
+            SplitMatch::eval(&pq, &g, &mut ProbeReach::new(&GraphProbe::new(&g))),
         ),
     ];
     for (name, res) in &variants {

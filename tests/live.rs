@@ -47,8 +47,7 @@ fn random_updates(rng: &mut StdRng, count: usize) -> Vec<Update> {
 }
 
 fn full_eval(pq: &Pq, g: &Graph) -> PqResult {
-    let mut cached = CachedReach::with_default_capacity();
-    JoinMatch::eval(pq, g, &mut cached)
+    JoinMatch::eval(pq, g, &mut ProbeReach::new(&GraphProbe::new(g)))
 }
 
 /// Acceptance: an RQ/PQ batch issued against a snapshot taken *before* an

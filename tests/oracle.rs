@@ -12,8 +12,8 @@
 //!   backend forced, then every query once more on a fresh engine whose
 //!   profiles name the memo path taken (miss, exact or subsumption hit);
 //! * **core**: `eval_with_dist`, `JoinMatch` and `SplitMatch` over the
-//!   matrix, hop and sharded probes (one and four refinement workers, the
-//!   sharded labels on the case's own partition), `CachedReach` and
+//!   matrix, hop, sharded and graph probes (one and four refinement
+//!   workers, the sharded labels on the case's own partition), and
 //!   `eval_bibfs`;
 //! * **versions**: an `UpdatableEngine` per regime with a standing PQ,
 //!   queried after every update round as published and again with its
@@ -457,11 +457,16 @@ fn assert_covered(ledger: &BTreeMap<String, u64>) {
         .iter()
         .map(|p| format!("plan {}", p.name()))
         .collect();
-    for backend in ["matrix", "hop", "sharded"] {
+    for backend in ["matrix", "hop", "sharded", "search"] {
         for kind in ["miss", "exact_hit", "subsumption_hit"] {
             required.push(format!("memo {backend} {kind}"));
         }
-        required.push(format!("wire {backend}"));
+    }
+    for probe in ["matrix", "hop", "graph"] {
+        required.push(format!("core {probe}"));
+    }
+    for regime in ["matrix", "hop", "sharded"] {
+        required.push(format!("wire {regime}"));
     }
     for regime in ["hop", "sharded"] {
         for state in ["Rebuilding", "Repaired", "Ready"] {
@@ -577,9 +582,14 @@ fn sweep_core(case: &Case, g: &Arc<Graph>, queries: &[Query], truth: &Truth) {
     let m = DistanceMatrix::build(g);
     let hop = HopLabels::build(g);
     let sharded = ShardedLabels::build_on(Arc::new(sg), &config, None).unwrap();
+    let graph = GraphProbe::new(g);
     let partition = format!("sharded/{partition}");
-    let probes: [(&str, &(dyn DistProbe + Sync)); 3] =
-        [("matrix", &m), ("hop", &hop), (&partition, &sharded)];
+    let probes: [(&str, &(dyn DistProbe + Sync)); 4] = [
+        ("matrix", &m),
+        ("hop", &hop),
+        (&partition, &sharded),
+        ("graph", &graph),
+    ];
     let pq_out = |r: PqResult| QueryOutput::Pq(Arc::new(r));
     for q in queries {
         match q {
@@ -603,11 +613,6 @@ fn sweep_core(case: &Case, g: &Arc<Graph>, queries: &[Query], truth: &Truth) {
                     }
                     tally(format!("core {name}"));
                 }
-                let mut cached = CachedReach::new(1 << 12);
-                let join = JoinMatch::eval(pq, g, &mut cached);
-                truth.check(q, &pq_out(join), "JoinMatch/cache");
-                let split = SplitMatch::eval(pq, g, &mut cached);
-                truth.check(q, &pq_out(split), "SplitMatch/cache");
             }
         }
     }

@@ -5,7 +5,8 @@
 //! * minimization preserves equivalence and never grows a query,
 //! * PQ containment is a preorder consistent with evaluation,
 //! * incremental index repair is observationally identical to a
-//!   from-scratch rebuild (hop labels and sharded labels alike).
+//!   from-scratch rebuild (hop labels and sharded labels alike), and the
+//!   graph probe to the distance matrix.
 //!
 //! Answers of the evaluators themselves are the differential oracle's
 //! (`tests/oracle.rs`).
@@ -188,10 +189,11 @@ fn mutation_round(
     (b.build(), eff)
 }
 
-/// Every observation the engine makes of a label index — point probes,
-/// bounded scans, batched reverse reachability — must be identical
-/// between `repaired` and `fresh` on `g`, and the nonempty-cycle test of
-/// both must equal the distance matrix's edge walk.
+/// Every observation the engine makes of a probe — point probes, bounded
+/// scans with and without the diagonal, batched reverse reachability —
+/// must be identical between `repaired` and `fresh` on `g` (every node ×
+/// color, `_` included), and the nonempty-cycle test of both must equal
+/// the distance matrix's edge walk.
 fn assert_probe_equal(g: &Graph, repaired: &dyn DistProbe, fresh: &dyn DistProbe) {
     let colors: Vec<rpq::graph::Color> = (0..NUM_COLORS as u8)
         .map(rpq::graph::Color)
@@ -199,9 +201,10 @@ fn assert_probe_equal(g: &Graph, repaired: &dyn DistProbe, fresh: &dyn DistProbe
         .collect();
     let nodes: Vec<NodeId> = g.nodes().collect();
     let m = DistanceMatrix::build(g);
+    let bounds = [Some(0u32), Some(1), Some(2), Some(3), None];
     for &c in &colors {
         for &u in &nodes {
-            for k in [Some(0u32), Some(1), Some(2), Some(3), None] {
+            for k in bounds {
                 let want = m.has_cycle_within(g, u, c, k);
                 assert_eq!(
                     repaired.has_cycle_within(g, u, c, k),
@@ -213,6 +216,16 @@ fn assert_probe_equal(g: &Graph, repaired: &dyn DistProbe, fresh: &dyn DistProbe
                     want,
                     "fresh cycle at {u:?} {c:?} within {k:?}"
                 );
+                let reached = |p: &dyn DistProbe| {
+                    let mut got = vec![false; g.node_count()];
+                    p.for_each_reaching_within(g, u, c, k, &mut |z| got[z.index()] = true);
+                    got
+                };
+                assert_eq!(
+                    reached(repaired),
+                    reached(fresh),
+                    "reaching scan from {u:?} color {c:?} within {k:?}"
+                );
             }
             for &v in &nodes {
                 assert_eq!(
@@ -221,7 +234,7 @@ fn assert_probe_equal(g: &Graph, repaired: &dyn DistProbe, fresh: &dyn DistProbe
                     "dist({u:?},{v:?},{c:?})"
                 );
             }
-            for max in [1u16, 3] {
+            for max in [0u16, 1, 2, 3] {
                 let mut got = vec![false; g.node_count()];
                 repaired.for_each_within(u, c, max, &mut |z| got[z.index()] = true);
                 let mut want = vec![false; g.node_count()];
@@ -230,7 +243,7 @@ fn assert_probe_equal(g: &Graph, repaired: &dyn DistProbe, fresh: &dyn DistProbe
             }
         }
         let targets: Vec<NodeId> = nodes.iter().copied().step_by(3).collect();
-        for max_len in [None, Some(2u32)] {
+        for max_len in bounds {
             assert_eq!(
                 repaired.sources_reaching_within(g, &nodes, &targets, c, max_len),
                 fresh.sources_reaching_within(g, &nodes, &targets, c, max_len),
@@ -271,6 +284,7 @@ proptest! {
             g = g2;
         }
         assert_probe_equal(&g, &labels, &rpq::index::HopLabels::build(&g));
+        assert_probe_equal(&g, &GraphProbe::new(&g), &DistanceMatrix::build(&g));
     }
 
     /// Repaired sharded labels equal a from-scratch sharded build, on a
