@@ -51,10 +51,10 @@ pub struct EngineConfig {
     /// *above* the matrix node limit (`0` disables hop labels entirely).
     /// The build runs in the background off the first over-limit batch;
     /// until it lands, queries are answered over the graph itself (the
-    /// search backend's plans). If the budget is exceeded mid-build, the
-    /// wildcard layer is dropped first and the concrete layers kept
-    /// (queries probing only concrete colors stay indexed); if even those
-    /// do not fit, the engine serves search plans permanently.
+    /// search backend's plans). The index holds one layer per concrete
+    /// color — queries mentioning `_` are always answered by the graph —
+    /// and if those layers do not fit the budget, nothing is published and
+    /// the engine serves search plans permanently.
     pub hop_label_budget: usize,
     /// Number of shards for the partitioned fallback backend; `< 2`
     /// disables sharding. With `shards ≥ 2`, a graph over the matrix
@@ -129,7 +129,6 @@ impl EngineConfig {
         ShardedConfig {
             shards: self.shards,
             shard_budget_bytes: self.shard_memory_budget,
-            wildcard_layer: true,
         }
     }
 }
@@ -249,27 +248,20 @@ impl QueryEngine {
         let hop_allowed = over_limit && config.hop_label_budget > 0;
         let build_config = HopConfig {
             budget_bytes: config.hop_label_budget,
-            wildcard_layer: true,
         };
-        // The hop build's two stages are the two calls of
-        // `HopLabels::build_with`; the slot publishes between them.
-        let (g1, g2) = (Arc::clone(&graph), Arc::clone(&graph));
-        let budget = build_config.budget_bytes;
+        let g = Arc::clone(&graph);
         let hop = IndexSlot::new(
             "hop",
             &retired,
             move || hop_allowed,
             |l: &HopLabels| format!("bytes={}", l.bytes()),
-            HopLabels::layer_progress,
-            move |cancel| HopLabels::build_concrete(&g1, &build_config, cancel),
-            move |labels, cancel| labels.build_wildcard(&g2, budget, cancel),
+            move |cancel| HopLabels::build_with(&g, &build_config, cancel),
         );
         // Sharded labels: only when a single-machine index cannot serve —
         // sharding configured, and the hop build either disabled by policy
         // or already failed its budget. While a single-index build is
         // still possible (or in flight) it stays preferred: its probes
-        // don't pay the overlay stitch. Built in one stage: each shard's
-        // index is small and the stitch needs all of them.
+        // don't pay the overlay stitch.
         let sharded_wanted = over_limit && config.shards >= 2;
         let (g, build_config) = (Arc::clone(&graph), config.sharded_config());
         let single = Arc::clone(&hop);
@@ -281,9 +273,7 @@ impl QueryEngine {
                 let stats = l.stats();
                 format!("shards={} bytes={}", stats.shards, stats.total_bytes())
             },
-            |_| (1, 1),
             move |cancel| ShardedLabels::build_with(&g, &build_config, cancel),
-            |_, _| Ok(()),
         );
         QueryEngine {
             graph,
@@ -357,11 +347,11 @@ impl QueryEngine {
     }
 
     /// The whole-graph hop-label index: [`get`](IndexSlot::get) it once
-    /// its concrete layers are published (the wildcard layer may still be
-    /// building — [`HopLabels::layer_progress`]), or
-    /// [`force`](IndexSlot::force) the complete build on the calling
-    /// thread. Policy allows it over the matrix limit with a nonzero
-    /// [`hop_label_budget`](EngineConfig::hop_label_budget).
+    /// the background build has published it, or
+    /// [`force`](IndexSlot::force) the build on the calling thread. It
+    /// holds one layer per concrete color; queries mentioning `_` are
+    /// answered by the graph. Policy allows it over the matrix limit with
+    /// a nonzero [`hop_label_budget`](EngineConfig::hop_label_budget).
     pub fn hop(&self) -> &IndexSlot<HopLabels> {
         &self.hop
     }
@@ -439,18 +429,11 @@ impl QueryEngine {
             Query::Rq(rq) => planner::plan_rq(&rq.regex, backend),
             Query::Pq(pq) => planner::plan_pq(pq, backend),
         };
-        if backend != Backend::Search {
-            return (plan, why);
+        // off the matrix, a query mentioning `_` is never index-backed
+        if backend == Backend::Search && !query.all_colors(|c| !c.is_wildcard()) {
+            return (plan, why.uncovered(Uncovered::Wildcard));
         }
-        // a published index that does not cover the query lacks exactly
-        // the wildcard layer: still building (hop labels only), or dropped
-        let hop = self.hop.get().map(|l| l.layer_progress());
-        let uncovered = match (hop, self.sharded.get()) {
-            (Some((built, planned)), _) if built < planned => Uncovered::WildcardBuilding,
-            (Some(_), _) | (None, Some(_)) => Uncovered::WildcardDropped,
-            (None, None) => Uncovered::NoIndex,
-        };
-        (plan, why.uncovered(uncovered))
+        (plan, why)
     }
 
     /// The plan the engine would pick for `query` outside any batch.
@@ -1261,9 +1244,9 @@ mod tests {
         // bit-identical to search-based evaluation
         assert_eq!(batch.items()[0].output.as_rq().unwrap(), &q.eval_bfs(&g));
         assert_eq!(batch.items()[0].output, batch.items()[1].output);
-        // wildcard queries are covered too (wildcard layer fit the budget)
+        // `_` is answered by the graph, beside the published index
         let wq = rq(&g, "a0 <= 9", "a1 >= 2", "_^2");
-        assert_eq!(engine.plan_query(&Query::Rq(wq.clone())).name(), "hop");
+        assert_eq!(engine.plan_query(&Query::Rq(wq.clone())).name(), "BFS+memo");
         assert_eq!(
             engine.run_query(&Query::Rq(wq.clone())).as_rq().unwrap(),
             &wq.eval_bfs(&g)
@@ -1297,7 +1280,7 @@ mod tests {
             ring_pq.add_edge(
                 ring[i],
                 ring[(i + 1) % 10],
-                FRegex::parse(if i % 2 == 0 { "c0" } else { "_+" }, g.alphabet()).unwrap(),
+                FRegex::parse(if i % 2 == 0 { "c0" } else { "c1+" }, g.alphabet()).unwrap(),
             );
         }
 
@@ -1364,173 +1347,47 @@ mod tests {
     }
 
     #[test]
-    fn each_hop_layer_serves_the_moment_it_is_built() {
-        let g = Arc::new(rpq_graph::gen::synthetic(600, 2400, 2, 3, 21));
-        let engine = QueryEngine::with_config(
-            Arc::clone(&g),
-            EngineConfig {
-                matrix_node_limit: 0,
-                workers: 2,
-                ..EngineConfig::default()
-            },
-        );
-        let (queries, reference) = layer_probe_queries(&g);
-        let plans = || -> Vec<&str> {
-            let name = |q| match engine.plan_query(q) {
-                plan if plan.backend() == Backend::Search => "search",
-                plan => plan.name(),
-            };
-            queries.iter().map(name).collect()
-        };
-        let answers = |batch: BatchResult| -> Vec<QueryOutput> {
-            batch.items().iter().map(|i| i.output.clone()).collect()
-        };
-
-        // hold the background build open between its two stages; the
-        // first batch kicks it
-        let latch = engine.hop.hold_between_stages();
-        assert_eq!(answers(engine.run_batch(&queries)), reference);
-        latch.wait_serving();
-
-        // Serving: the concrete layers answer, `_` still falls back
-        assert_eq!(format!("{:?}", engine.hop()), "Serving(3/4)");
-        assert_eq!(plans(), ["hop", "search", "JoinMatch/hop", "search"]);
-        let serving_bytes = engine.index_bytes();
-        assert!(serving_bytes > 0);
-        assert_eq!(answers(engine.run_batch(&queries)), reference);
-        let (_, profile) = engine.run_query_profiled(&queries[3]);
-        assert!(
-            profile.rationale.contains("wildcard layer still building"),
-            "{}",
-            profile.rationale
-        );
-        assert!(
-            profile.stages[0].detail.contains("hop=Serving(3/4)"),
-            "{}",
-            profile.stages[0].detail
-        );
-
-        // the layer lands in the published index: same slot, same `Arc`
-        let serving = Arc::clone(engine.hop().get().expect("published"));
-        drop(latch);
-        engine.hop.join_background();
-        assert_eq!(format!("{:?}", engine.hop()), "Ready");
-        assert!(serving.has_layer(rpq_graph::WILDCARD));
-        assert_eq!(plans(), ["hop", "hop", "JoinMatch/hop", "JoinMatch/hop"]);
-        assert!(
-            engine.index_bytes() > serving_bytes,
-            "the gauge grows when the layer lands"
-        );
-        assert_eq!(answers(engine.run_batch(&queries)), reference);
-        // reach sets memoized before the transition still answer after it
-        // — whichever plan wrote them — and the new layer computes the
-        // same ones
-        for (q, want) in queries.iter().zip(&reference) {
-            if let Query::Rq(_) = q {
-                let (out, profile) = engine.run_query_profiled(q);
-                assert_eq!((&out, profile.semcache.as_str()), (want, "exact_hit"));
-            }
-            let (out, profile) = engine.run_query_with_plan_profiled(q, engine.plan_query(q));
-            assert_eq!(&out, want);
-            assert!(profile.probes > 0, "evaluated over the index, not the memo");
-        }
-    }
-
-    #[test]
-    fn a_retired_build_leaves_its_layer_pending_and_force_completes_it() {
+    fn wildcard_dropped_on_budget_falls_back_for_pqs() {
+        // `_` is answered by the graph whether or not an index serves the
+        // concrete colors; a hop build one byte over its budget publishes
+        // nothing, which pins search for every query
         let g = Arc::new(rpq_graph::gen::synthetic(600, 2400, 2, 3, 21));
         let (queries, reference) = layer_probe_queries(&g);
-        for drop_the_engine in [false, true] {
+        let full = HopLabels::build(&g).bytes();
+        for (budget, indexed) in [(full, true), (full - 1, false)] {
             let engine = QueryEngine::with_config(
                 Arc::clone(&g),
                 EngineConfig {
                     matrix_node_limit: 0,
+                    hop_label_budget: budget,
                     workers: 2,
                     ..EngineConfig::default()
                 },
             );
-            let slot = Arc::clone(&engine.hop);
-            let latch = slot.hold_between_stages();
-            engine.run_query(&queries[0]);
-            latch.wait_serving();
-            // superseded (or gone) between the stages: stage two is work
-            // for nobody, so the thread exits and the layer stays pending
-            let engine = if drop_the_engine {
-                drop(engine);
-                None
+            assert_eq!(engine.hop().force().is_some(), indexed);
+            let slot = if indexed {
+                "hop=Ready"
             } else {
-                engine.retire_index_builds();
-                Some(engine)
+                "hop=OverBudget"
             };
-            drop(latch);
-            slot.join_background();
-            assert_eq!(format!("{slot:?}"), "Serving(3/4)");
-            if let Some(engine) = &engine {
-                // readers pinning the retired version keep exact answers
-                assert_eq!(engine.plan_query(&queries[1]).backend(), Backend::Search);
-                assert_eq!(&engine.run_query(&queries[1]), &reference[1]);
+            for (i, (q, want)) in queries.iter().zip(&reference).enumerate() {
+                let wildcard = i % 2 == 1;
+                let (out, profile) = engine.run_query_profiled(q);
+                assert_eq!(&out, want, "{}", profile.plan);
+                let why = &profile.rationale;
+                let backend = engine.plan_query(q).backend();
+                if wildcard {
+                    assert_eq!(backend, Backend::Search, "{why}");
+                    assert!(why.contains("label indices hold concrete colours"), "{why}");
+                } else if indexed {
+                    assert_eq!(backend, Backend::Hop, "{why}");
+                } else {
+                    assert_eq!(backend, Backend::Search, "{why}");
+                    assert!(why.contains("no usable index"), "{why}");
+                }
+                let detail = &profile.stages[0].detail;
+                assert!(detail.contains(slot), "{detail}");
             }
-            // a force is deliberate: it returns a settled index, never
-            // the pending one the cancelled build left behind
-            let labels = slot.force().expect("within default budget");
-            assert!(labels.has_layer(rpq_graph::WILDCARD));
-            assert_eq!(format!("{slot:?}"), "Ready");
-            if let Some(engine) = &engine {
-                assert_eq!(engine.plan_query(&queries[1]).name(), "hop");
-                assert_eq!(&engine.run_query(&queries[3]), &reference[3]);
-            }
-        }
-    }
-
-    #[test]
-    fn wildcard_dropped_on_budget_falls_back_for_pqs() {
-        // a budget that fits concrete layers only: a PQ probing `_` is not
-        // hop-usable and must keep its cached plan, while a concrete-color
-        // PQ flips to the hop backend
-        let g = Arc::new(rpq_graph::gen::synthetic(400, 1600, 2, 3, 33));
-        let full = rpq_index::HopLabels::build(&g);
-        let wildcard_bytes = {
-            let all = full.bytes();
-            let concrete = {
-                let cfg = HopConfig {
-                    wildcard_layer: false,
-                    ..HopConfig::default()
-                };
-                rpq_index::HopLabels::build_with(&g, &cfg, None)
-                    .unwrap()
-                    .bytes()
-            };
-            all - concrete
-        };
-        let engine = QueryEngine::with_config(
-            Arc::clone(&g),
-            EngineConfig {
-                matrix_node_limit: 0,
-                hop_label_budget: full.bytes() - wildcard_bytes / 2,
-                ..EngineConfig::default()
-            },
-        );
-        let labels = engine.hop().force().expect("concrete layers fit");
-        assert!(!labels.has_layer(rpq_graph::WILDCARD));
-
-        let mk = |re: &str| {
-            let mut pq = Pq::new();
-            let a = pq.add_node("a", Predicate::parse("a0 <= 5", g.schema()).unwrap());
-            let b = pq.add_node("b", Predicate::always_true());
-            pq.add_edge(a, b, FRegex::parse(re, g.alphabet()).unwrap());
-            pq
-        };
-        let backend = |re: &str| engine.plan_query(&Query::Pq(mk(re))).backend();
-        assert_eq!(backend("c0 c1"), Backend::Hop);
-        assert_eq!(backend("c0 _^2"), Backend::Search);
-        // and both still answer correctly
-        for re in ["c0 c1", "c0 _^2"] {
-            let pq = mk(re);
-            assert_eq!(
-                engine.run_query(&Query::Pq(pq.clone())).as_pq().unwrap(),
-                &pq.eval_naive(&g),
-                "{re}"
-            );
         }
     }
 
@@ -1642,7 +1499,6 @@ mod tests {
         .expect("unbudgeted build");
         let labels = engine.sharded().get().expect("built eagerly");
         assert_eq!(labels.sharded_graph().k(), 4);
-        assert!(labels.stats().wildcard);
         assert_eq!(engine.index_bytes(), labels.stats().total_bytes() as u64);
         // the sharded regime is pinned: no other index can race the planner
         assert!(!engine.matrix_available());

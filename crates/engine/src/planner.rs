@@ -8,8 +8,8 @@
 //! * the **backend** is the engine's call, from index availability alone:
 //!   the best usable of matrix → hop labels → sharded labels → search
 //!   (an index is *usable* once published with a layer for every color
-//!   the query probes; a layer still building reads as not usable — the
-//!   query falls back rather than wait, and [`Rationale`] says which).
+//!   the query probes — never for `_`, which label indices do not hold:
+//!   such queries plan search, and [`Rationale`] says why).
 //!   Matrix probes are O(1) but cost O(|Σ|·|V|²) memory, so the matrix
 //!   exists only under the configured node limit; hop labels cost memory
 //!   proportional to label size; sharded labels stitch per-shard labels
@@ -145,15 +145,11 @@ impl Plan {
 /// Why a query planned on [`Backend::Search`] found no index to probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Uncovered {
-    /// No label index is published: none allowed, its first stage still
-    /// building, or over budget.
+    /// No label index is published: none allowed, still building, or
+    /// over budget.
     NoIndex,
-    /// An index serves the concrete colors, but the query probes `_` and
-    /// the wildcard layer is still being built.
-    WildcardBuilding,
-    /// An index serves the concrete colors, but the query probes `_` and
-    /// the wildcard layer was dropped on budget.
-    WildcardDropped,
+    /// The query probes `_`: label indices hold concrete colors only.
+    Wildcard,
 }
 
 /// Why the planner chose a plan: the signal that won and the values it
@@ -216,11 +212,8 @@ impl fmt::Display for Rationale {
             }
             Backend::Search => match uncovered {
                 Uncovered::NoIndex => "no usable index — the graph answers",
-                Uncovered::WildcardBuilding => {
-                    "label index serving, wildcard layer still building — `_` is answered by the graph"
-                }
-                Uncovered::WildcardDropped => {
-                    "label index ready, wildcard layer dropped on budget — `_` is answered by the graph"
+                Uncovered::Wildcard => {
+                    "label indices hold concrete colours — `_` is answered by the graph"
                 }
             },
         })?;
@@ -450,7 +443,7 @@ mod tests {
     }
 
     #[test]
-    fn the_search_clause_names_the_missing_wildcard_layer() {
+    fn the_search_clause_names_the_graph_for_wildcards() {
         let clause = |why: Uncovered| {
             let rq = plan_rq(&re(2), Backend::Search).1.uncovered(why);
             let pq = plan_pq(&chain(1), Backend::Search).1.uncovered(why);
@@ -462,12 +455,14 @@ mod tests {
             clause(Uncovered::NoIndex),
             "no usable index — the graph answers"
         );
-        assert!(clause(Uncovered::WildcardBuilding).contains("wildcard layer still building"));
-        assert!(clause(Uncovered::WildcardDropped).contains("wildcard layer dropped on budget"));
+        assert_eq!(
+            clause(Uncovered::Wildcard),
+            "label indices hold concrete colours — `_` is answered by the graph"
+        );
         // an index-backed decision has nothing uncovered to report
         let hop = plan_rq(&re(2), Backend::Hop).1;
         assert_eq!(
-            hop.uncovered(Uncovered::WildcardDropped).to_string(),
+            hop.uncovered(Uncovered::Wildcard).to_string(),
             hop.to_string()
         );
     }

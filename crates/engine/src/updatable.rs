@@ -546,38 +546,24 @@ fn carry_index(
     if let Some(hop) = prev.engine().hop().get() {
         let landmarks = hop.node_count();
         let limit = (landmarks / HOP_REPAIR_LIMIT_DIVISOR).max(1);
-        // a layer still pending: a repair now would see only the small
-        // concrete layers, slip under the limit, and adopt an index whose
-        // wildcard layer nobody would ever build
-        let (built, planned) = hop.layer_progress();
-        let repaired = if built < planned {
-            Err(format!(
-                "hop index serving {built}/{planned} layers, wildcard layer still building"
-            ))
-        } else {
-            hop.repair(new_graph, changes, config.hop_label_budget, limit, None)
-                .map_err(|e| format!("hop repair declined: {e}"))
-        };
-        match repaired {
+        match hop.repair(new_graph, changes, config.hop_label_budget, limit, None) {
             Ok(rep) => {
                 // the unit is one landmark's label set in one layer: the
                 // invalidation count sums over layers, so the total does too
-                // (saturating: a wildcard layer the repair dropped on budget
-                // was counted in `landmarks_invalidated` but is gone)
-                let label_sets = landmarks * rep.labels.layer_progress().0;
+                let label_sets = landmarks * new_graph.alphabet().len();
                 m.state = IndexState::Repaired;
                 m.landmarks_invalidated = rep.landmarks_invalidated;
                 m.labels_repaired = rep.landmarks_invalidated;
-                m.labels_carried = label_sets.saturating_sub(rep.landmarks_invalidated);
+                m.labels_carried = label_sets - rep.landmarks_invalidated;
                 m.phases = rep.phases;
                 next_engine.hop().adopt(Arc::new(rep.labels));
             }
-            // pending / RepairTooBroad / OverBudget: keep the Rebuilding
-            // verdict — the new engine's background build takes over
-            Err(why) => rpq_trace::tracer().event(
+            // RepairTooBroad / OverBudget: keep the Rebuilding verdict —
+            // the new engine's background build takes over
+            Err(e) => rpq_trace::tracer().event(
                 "apply",
                 "carry-fallback",
-                &format!("{why}; background rebuild takes over"),
+                &format!("hop repair declined: {e}; background rebuild takes over"),
             ),
         }
     } else if let Some(sl) = prev.engine().sharded().get() {
@@ -867,9 +853,9 @@ mod tests {
         assert!(report.index.landmarks_invalidated > 0);
         assert_eq!(
             report.index.labels_carried + report.index.labels_repaired,
-            n * 4,
+            n * 3,
             "every label set — one per landmark in each of the three color \
-             layers and the wildcard layer — is either carried or repaired"
+             layers — is either carried or repaired"
         );
         assert!(
             report.index.labels_carried > report.index.labels_repaired,
@@ -913,10 +899,11 @@ mod tests {
     }
 
     #[test]
-    fn apply_while_a_layer_is_pending_rebuilds_instead_of_carrying() {
-        // the graph and batch `apply_repairs_hop_labels_across_versions`
-        // carries: only the pending layer makes this one decline
-        let g = rpq_graph::gen::synthetic(300, 280, 2, 3, 41);
+    fn ledger_shaped_writes_repair_the_hop_index() {
+        // the ledger's hop-regime write, twelve times in a row: two
+        // inserts anywhere and two deletes of existing edges. Every batch
+        // is repaired in place — no write retires the index
+        let g = rpq_graph::gen::youtube_like(2000, 1);
         let engine = UpdatableEngine::with_config(
             g,
             EngineConfig::builder()
@@ -925,47 +912,59 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        let first = engine.snapshot();
-        let g0 = first.graph().clone();
-        let q = rq(&g0, "a0 <= 4", "a1 >= 6", "c0^2 c1");
-        let latch = first.engine().hop().hold_between_stages();
-        first.run_query(&Query::Rq(q.clone())); // kicks the background build
-        latch.wait_serving();
-
-        let c0 = rpq_graph::Color(0);
-        let insert = |u, v| Update::Insert(rpq_graph::NodeId(u), rpq_graph::NodeId(v), c0);
-        let report = engine.apply(&[insert(3, 250)]).unwrap();
-        // a repair of the concrete layers alone would have fit the limit;
-        // adopting it would leave a wildcard layer nobody ever builds
-        assert_eq!(report.index.state, crate::IndexState::Rebuilding);
-        assert_eq!(report.index.landmarks_invalidated, 0);
-        assert!(
-            report.snapshot.engine().hop().get().is_none(),
-            "an index with a pending layer must not be adopted"
-        );
-        // the superseded build stops between its stages ...
-        drop(latch);
-        first.engine().hop().join_background();
-        assert_eq!(format!("{:?}", first.engine().hop()), "Serving(3/4)");
-        // ... and the new version builds its own index, every layer of it
-        let rebuilt = report.snapshot.engine().hop().force().expect("fits");
-        assert_eq!(rebuilt.layer_progress(), (4, 4));
-
-        // once nothing is pending, the next write is carried as ever
-        let report2 = engine.apply(&[insert(7, 100)]).unwrap();
-        assert_eq!(report2.index.state, crate::IndexState::Repaired);
-        assert!(report2.index.landmarks_invalidated > 0);
-        let carried = report2.snapshot.engine().hop().get().expect("adopted");
-        assert_eq!(carried.layer_progress(), (4, 4));
-        let g2 = report2.snapshot.graph().clone();
-        assert_eq!(
-            report2
-                .snapshot
-                .run_query(&Query::Rq(q.clone()))
-                .as_rq()
-                .unwrap(),
-            &q.eval_bfs(&g2)
-        );
+        engine
+            .snapshot()
+            .engine()
+            .hop()
+            .force()
+            .expect("fits budget");
+        let g0 = engine.snapshot().graph().clone();
+        let (n, colors) = (g0.node_count(), g0.alphabet().len());
+        let mut seed = 1u64;
+        let mut next = |bound: usize| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) as usize % bound
+        };
+        for batch in 0..12 {
+            let edges: Vec<_> = engine.snapshot().graph().edges().collect();
+            let mut updates = Vec::new();
+            for _ in 0..2 {
+                let (u, v) = (NodeId(next(n) as u32), NodeId(next(n) as u32));
+                updates.push(Update::Insert(u, v, Color(next(colors) as u8)));
+                let (u, v, c) = edges[next(edges.len())];
+                updates.push(Update::Delete(u, v, c));
+            }
+            let report = engine.apply(&updates).unwrap();
+            let m = &report.index;
+            assert_eq!(m.state, crate::IndexState::Repaired, "batch {batch}");
+            assert!(
+                m.landmarks_invalidated < n / 4,
+                "batch {batch}: {} landmarks invalidated",
+                m.landmarks_invalidated
+            );
+            assert_eq!(
+                m.labels_carried + m.labels_repaired,
+                n * colors,
+                "batch {batch}: one label set per landmark and color layer"
+            );
+            let g1 = report.snapshot.graph().clone();
+            let q = rq(&g1, "cat = \"Music\"", "", "fc^2 fr");
+            assert_eq!(
+                report.snapshot.plan_query(&Query::Rq(q.clone())).name(),
+                "hop"
+            );
+            assert_eq!(
+                report
+                    .snapshot
+                    .run_query(&Query::Rq(q.clone()))
+                    .as_rq()
+                    .unwrap(),
+                &q.eval_bfs(&g1),
+                "batch {batch}"
+            );
+        }
     }
 
     #[test]

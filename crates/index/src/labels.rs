@@ -18,7 +18,7 @@
 //!
 //! Labels are built by **pruned BFS** in the style of Akiba, Iwata &
 //! Yoshida (SIGMOD'13), adapted to directed, per-color layers: nodes are
-//! ranked by (wildcard SCC size, degree) — members of a giant strongly
+//! ranked by (union-graph SCC size, degree) — members of a giant strongly
 //! connected component cover the most shortest paths — and processed in
 //! rank order; the BFS from landmark `r` prunes every node whose distance
 //! is already covered by earlier (higher-ranked) hubs. On hub-heavy graphs
@@ -33,16 +33,14 @@
 //! test per scanned node in RQ evaluation — is a table read rather than
 //! an edge walk with a label merge per edge.
 //!
-//! One layer is built per concrete color plus one *wildcard* layer over the
-//! union of all colors (the `_` of query regexes). The wildcard layer is
-//! the densest; when a memory budget is configured and it is exceeded
-//! while building the wildcard layer, the concrete layers are kept and
-//! wildcard probes are simply reported as uncovered
-//! ([`HopLabels::has_layer`]) so the planner can fall back to search for
-//! wildcard queries only. It is also built last and on its own
-//! ([`HopLabels::build_wildcard`], into an index that already serves the
-//! concrete colors): it holds most of the entries and takes most of the
-//! build time, yet only `_`-bearing queries ever probe it.
+//! One layer is built per concrete color, and none for the wildcard `_` of
+//! query regexes: [`HopLabels::has_layer`]`(WILDCARD)` is false, and the
+//! engine answers `_`-bearing queries over the graph itself
+//! (`GraphProbe`). A layer over the union of all colors would hold most
+//! of the entries (the union graph's giant SCC makes every label long),
+//! take most of the build time, and — because every edge change lies in
+//! that SCC's cone — invalidate nearly every landmark on each write, while
+//! a bounded BFS answers the same `_` probes faster.
 
 use crate::probe::DistProbe;
 use rpq_graph::algo::condensation;
@@ -50,7 +48,7 @@ use rpq_graph::{Color, Graph, NodeId, INFINITY};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Distances saturate one below [`INFINITY`], mirroring
@@ -61,31 +59,18 @@ const DIST_CAP: u16 = u16::MAX - 1;
 const UNSET: u16 = u16::MAX;
 
 /// Tuning knobs for [`HopLabels::build_with`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HopConfig {
     /// Abort the build once the estimated index footprint exceeds this many
-    /// bytes (`0` = unlimited). Exceeding the budget *inside the wildcard
-    /// layer* keeps the finished concrete layers and drops only wildcard
-    /// coverage.
+    /// bytes (`0` = unlimited).
     pub budget_bytes: usize,
-    /// Build the wildcard (`_`) layer over the union of all colors.
-    pub wildcard_layer: bool,
 }
 
-impl Default for HopConfig {
-    fn default() -> Self {
-        HopConfig {
-            budget_bytes: 0,
-            wildcard_layer: true,
-        }
-    }
-}
-
-/// Why a build did not produce a (full) index.
+/// Why a build did not produce an index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HopBuildError {
     /// The estimated footprint exceeded [`HopConfig::budget_bytes`] while a
-    /// concrete color layer was under construction.
+    /// color layer was under construction.
     OverBudget {
         /// The configured budget.
         budget: usize,
@@ -194,13 +179,11 @@ fn bytes_for_entries(out_entries: usize, in_entries: usize, nodes: usize) -> usi
 pub struct HopStats {
     /// Nodes the index covers.
     pub nodes: usize,
-    /// Concrete color layers built (the alphabet size).
+    /// Color layers built (the alphabet size).
     pub colors: usize,
-    /// Whether the wildcard layer was built (vs. dropped on budget).
-    pub wildcard: bool,
     /// Landmarks processed per layer: every node.
     pub landmarks: usize,
-    /// Strongly connected components of the wildcard graph (ordering
+    /// Strongly connected components of the union graph (ordering
     /// signal: big SCCs breed good hubs).
     pub scc_count: usize,
     /// Total label entries across all layers and both directions.
@@ -211,14 +194,12 @@ pub struct HopStats {
 
 impl fmt::Display for HopStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let layers = self.colors + usize::from(self.wildcard);
-        let per_node = self.entries as f64 / (self.nodes.max(1) * 2 * layers.max(1)) as f64;
+        let per_node = self.entries as f64 / (self.nodes.max(1) * 2 * self.colors.max(1)) as f64;
         write!(
             f,
-            "{} nodes, {} color layers{}, {} sccs, {} entries (avg {:.1}/node/layer/dir), ~{} KiB",
+            "{} nodes, {} color layers, {} sccs, {} entries (avg {:.1}/node/layer/dir), ~{} KiB",
             self.nodes,
             self.colors,
-            if self.wildcard { " + wildcard" } else { "" },
             self.scc_count,
             self.entries,
             per_node,
@@ -227,27 +208,15 @@ impl fmt::Display for HopStats {
     }
 }
 
-/// Pruned 2-hop distance labels: one layer per concrete color, plus an
-/// optional wildcard layer. Implements [`DistProbe`], so RQ evaluation runs
-/// unchanged against it (see `Rq::eval_with_dist` in `rpq-core`).
-///
-/// The layer is the unit of readiness: the concrete layers exist from
-/// construction, the wildcard layer lives in a write-once cell that
-/// [`build_wildcard`](HopLabels::build_wildcard) fills through `&self` —
-/// so an index shared behind an `Arc` can serve concrete-color probes
-/// while its densest layer is still being built, and
-/// [`has_layer`](HopLabels::has_layer)`(WILDCARD)` turns true for every
-/// holder at once. Reading the cell is one atomic load; no probe takes a
-/// lock.
+/// Pruned 2-hop distance labels: one layer per concrete color. Implements
+/// [`DistProbe`] for those colors, so RQ evaluation runs unchanged against
+/// it (see `Rq::eval_with_dist` in `rpq-core`).
 #[derive(Debug, Clone)]
 pub struct HopLabels {
     n: usize,
-    /// `layers[c]` for concrete color `c` (a concrete layer over budget
-    /// fails the whole build, so none is ever missing).
+    /// `layers[c]` for concrete color `c` (a layer over budget fails the
+    /// whole build, so none is ever missing).
     layers: Vec<Layer>,
-    /// Unset = pending (stage two has not run to its end); `None` =
-    /// disabled in the config or dropped on budget.
-    wildcard: OnceLock<Option<Layer>>,
     scc_count: usize,
     /// The frozen landmark ranking (`order[rank] = node`). Kept so
     /// [`HopLabels::repair`] can re-run individual landmarks under the
@@ -264,28 +233,10 @@ impl HopLabels {
             .expect("unbudgeted, uncancelled build cannot fail")
     }
 
-    /// Build the complete index under `config`, checking `cancel` between
-    /// landmarks so a superseded build (newer graph version) stops wasting
-    /// CPU: [`build_concrete`](HopLabels::build_concrete) followed by
-    /// [`build_wildcard`](HopLabels::build_wildcard) inline. A caller that
-    /// wants to serve between the stages runs the same two calls itself.
+    /// Rank the landmarks and build every color layer under
+    /// `config.budget_bytes`, checking `cancel` between landmarks so a
+    /// superseded build (newer graph version) stops wasting CPU.
     pub fn build_with(
-        g: &Graph,
-        config: &HopConfig,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<Self, HopBuildError> {
-        let labels = Self::build_concrete(g, config, cancel)?;
-        labels.build_wildcard(g, config.budget_bytes, cancel)?;
-        Ok(labels)
-    }
-
-    /// Stage one: rank the landmarks and build every concrete color layer
-    /// under `config.budget_bytes`. The returned index answers every
-    /// concrete color; its wildcard layer is *pending* (see
-    /// [`layer_progress`](HopLabels::layer_progress)) until
-    /// [`build_wildcard`](HopLabels::build_wildcard) has run — unless
-    /// `config.wildcard_layer` is off, in which case nothing is pending.
-    pub fn build_concrete(
         g: &Graph,
         config: &HopConfig,
         cancel: Option<&AtomicBool>,
@@ -294,7 +245,7 @@ impl HopLabels {
         let m = g.alphabet().len();
 
         let t0 = Instant::now();
-        // Landmark order: wildcard SCC size first (nodes inside a giant
+        // Landmark order: union-graph SCC size first (nodes inside a giant
         // component lie on the most shortest paths), then total degree.
         let (comp_of, comps) = condensation(n, |v| {
             g.out_edges(NodeId(v as u32)).iter().map(|e| e.node.index())
@@ -316,49 +267,13 @@ impl HopLabels {
 
         // maintenance from nothing: no old layer, every rank to run
         let plan = (0..m).map(|c| (Color(c as u8), None, vec![true; n]));
-        let layers = LayerBuilder::run_layers(g, &order, plan, config.budget_bytes, 0, cancel)?;
-        let wildcard = OnceLock::new();
-        if !config.wildcard_layer {
-            let _ = wildcard.set(None);
-        }
+        let layers = LayerBuilder::run_layers(g, &order, plan, config.budget_bytes, cancel)?;
         Ok(HopLabels {
             n,
             layers,
-            wildcard,
             scc_count: comps.len(),
             order,
         })
-    }
-
-    /// Stage two: build the pending wildcard layer over `g` — the graph
-    /// stage one ran on — into this index, visible to every holder the
-    /// moment it lands. The budget's running footprint starts from the
-    /// concrete layers' bytes, exactly as in a one-call build; over it the
-    /// layer is *dropped* (the cell is settled empty, `Ok`): graceful
-    /// degradation that keeps concrete coverage. A cancelled stage leaves
-    /// the layer pending, so it can be run again. No-op when nothing is
-    /// pending.
-    pub fn build_wildcard(
-        &self,
-        g: &Graph,
-        budget_bytes: usize,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<(), HopBuildError> {
-        assert_eq!(
-            g.node_count(),
-            self.n,
-            "stage two runs on stage one's graph"
-        );
-        if self.wildcard.get().is_some() {
-            return Ok(());
-        }
-        let plan = [(rpq_graph::WILDCARD, None, vec![true; self.n])];
-        let built =
-            LayerBuilder::run_layers(g, &self.order, plan, budget_bytes, self.bytes(), cancel)?;
-        // a concurrent second run of this stage built the same layer: the
-        // first to land wins, the other copy is dropped
-        let _ = self.wildcard.set(built.into_iter().next());
-        Ok(())
     }
 
     /// Repair the labels in place of a full rebuild after `changes` were
@@ -385,8 +300,8 @@ impl HopLabels {
     /// re-runs across layers; beyond it the call fails fast with
     /// [`HopBuildError::RepairTooBroad`] *before* doing any BFS work, so
     /// callers can cheaply decide "repair or rebuild". `budget_bytes`
-    /// mirrors [`HopConfig::budget_bytes`]: a concrete layer over budget
-    /// fails the repair, a wildcard layer over budget is dropped.
+    /// mirrors [`HopConfig::budget_bytes`]: a layer over budget fails the
+    /// repair.
     ///
     /// # Panics
     ///
@@ -407,14 +322,11 @@ impl HopLabels {
         );
 
         // Phase 1: affected landmark set per layer, and the total up front
-        // so the cost model can bail before any BFS runs. A wildcard layer
-        // that is pending or dropped has nothing to repair and stays so.
+        // so the cost model can bail before any BFS runs.
         let t0 = Instant::now();
-        let concrete = (self.layers.iter().enumerate()).map(|(c, l)| (Color(c as u8), l));
-        let wildcard = self.layer(rpq_graph::WILDCARD);
-        let plan: Vec<LayerPlan> = concrete
-            .chain(wildcard.map(|l| (rpq_graph::WILDCARD, l)))
-            .map(|(lc, layer)| {
+        let plan: Vec<LayerPlan> = (self.layers.iter().enumerate())
+            .map(|(c, layer)| {
+                let lc = Color(c as u8);
                 let relevant: Vec<(NodeId, NodeId)> = changes
                     .iter()
                     .filter(|&&(_, _, ec)| lc.admits(ec))
@@ -443,15 +355,7 @@ impl HopLabels {
         // exactly those landmarks on the new graph; untouched layers are
         // carried by reference.
         let t_invalidated = Instant::now();
-        let mut layers = LayerBuilder::run_layers(g, &self.order, plan, budget_bytes, 0, cancel)?;
-        // settled stays settled (a repaired layer may newly drop on
-        // budget); pending stays pending
-        let repaired_wildcard = match wildcard {
-            // planned last: present unless it was dropped just now
-            Some(_) if layers.len() > self.layers.len() => OnceLock::from(layers.pop()),
-            Some(_) => OnceLock::from(None),
-            None => self.wildcard.clone(),
-        };
+        let layers = LayerBuilder::run_layers(g, &self.order, plan, budget_bytes, cancel)?;
 
         let t_rebuilt = Instant::now();
         let phases = vec![
@@ -471,7 +375,6 @@ impl HopLabels {
             labels: HopLabels {
                 n: self.n,
                 layers,
-                wildcard: repaired_wildcard,
                 scc_count: self.scc_count,
                 order: self.order.clone(),
             },
@@ -513,30 +416,16 @@ impl HopLabels {
         self.n
     }
 
-    /// Is `color` (possibly [`WILDCARD`](rpq_graph::WILDCARD)) answerable
-    /// from this index right now? False only for a wildcard layer that is
-    /// still pending, was dropped on budget, or is disabled in the config.
+    /// Is `color` answerable from this index? True for every concrete
+    /// color, false for [`WILDCARD`](rpq_graph::WILDCARD): label indices
+    /// hold concrete colors, `_` is answered by the graph.
     pub fn has_layer(&self, color: Color) -> bool {
-        self.layer(color).is_some()
+        !color.is_wildcard()
     }
 
-    /// `(answerable, planned)` layer counts: they differ only while the
-    /// wildcard layer is pending — built concrete layers, but
-    /// [`build_wildcard`](HopLabels::build_wildcard) has not settled the
-    /// last one yet (a layer dropped on budget is no longer planned).
-    pub fn layer_progress(&self) -> (usize, usize) {
-        let answerable = self.layers.len() + usize::from(self.has_layer(rpq_graph::WILDCARD));
-        let pending = self.wildcard.get().is_none();
-        (answerable, answerable + usize::from(pending))
-    }
-
-    fn built_layers(&self) -> impl Iterator<Item = &Layer> {
-        self.layers.iter().chain(self.layer(rpq_graph::WILDCARD))
-    }
-
-    /// Estimated resident bytes of the layers built so far.
+    /// Estimated resident bytes of the index.
     pub fn bytes(&self) -> usize {
-        self.built_layers().map(Layer::bytes).sum()
+        self.layers.iter().map(Layer::bytes).sum()
     }
 
     /// Build statistics for logs and bench reports.
@@ -544,30 +433,17 @@ impl HopLabels {
         HopStats {
             nodes: self.n,
             colors: self.layers.len(),
-            wildcard: self.has_layer(rpq_graph::WILDCARD),
             landmarks: self.n,
             scc_count: self.scc_count,
-            entries: self.built_layers().map(Layer::entries).sum(),
+            entries: self.layers.iter().map(Layer::entries).sum(),
             bytes: self.bytes(),
         }
     }
 
-    fn layer(&self, color: Color) -> Option<&Layer> {
-        if color.is_wildcard() {
-            self.wildcard.get().and_then(Option::as_ref)
-        } else {
-            debug_assert!(
-                (color.0 as usize) < self.layers.len(),
-                "color outside alphabet"
-            );
-            Some(&self.layers[color.0 as usize])
-        }
-    }
-
     fn layer_or_panic(&self, color: Color) -> &Layer {
-        self.layer(color).unwrap_or_else(|| {
-            panic!("hop-label layer for {color:?} was not built (check has_layer first)")
-        })
+        self.layers
+            .get(usize::from(color.0))
+            .unwrap_or_else(|| panic!("no hop-label layer for {color:?} (check has_layer first)"))
     }
 
     /// Fold a **weighted set** of entry points into one per-hub minimum:
@@ -963,49 +839,30 @@ impl<'a> LayerBuilder<'a> {
     }
 
     /// The one layer loop — a fresh build is maintenance from nothing: the
-    /// two build stages plan their layers as "no old layer, every rank",
+    /// build plans its layers as "no old layer, every rank",
     /// [`HopLabels::repair`] as "the old layer, its affected ranks".
-    /// `budget` (`0` = unlimited) bounds the running footprint, which
-    /// starts at `bytes_before` (the layers an earlier stage built) and
-    /// counts carried layers: a concrete layer over it fails the whole
-    /// call (typical queries need every concrete color to be coverable),
-    /// the wildcard layer — whoever plans it plans it last — over it is
-    /// dropped, absent from the result: graceful degradation that keeps
-    /// concrete coverage.
+    /// `budget` (`0` = unlimited) bounds the running footprint, carried
+    /// layers included: a layer over it fails the whole call (typical
+    /// queries need every color to be coverable).
     fn run_layers<'p>(
         g: &Graph,
         order: &[u32],
         plan: impl IntoIterator<Item = LayerPlan<'p>>,
         budget: usize,
-        bytes_before: usize,
         cancel: Option<&AtomicBool>,
     ) -> Result<Vec<Layer>, HopBuildError> {
         let mut builder = LayerBuilder::new(g, order);
         let mut layers = Vec::new();
-        let mut bytes_so_far = bytes_before;
+        let mut bytes_so_far = 0;
         for (color, old, rerun) in plan {
             let layer = match old {
                 Some(old) if !rerun.contains(&true) => old.clone(),
                 _ => {
                     let tl = Instant::now();
-                    let built = match builder.repair_layer(
-                        color,
-                        old,
-                        &rerun,
-                        budget,
-                        bytes_so_far,
-                        cancel,
-                    ) {
-                        Ok(l) => Some(l),
-                        Err(HopBuildError::OverBudget { .. }) if color.is_wildcard() => None,
-                        Err(e) => return Err(e),
-                    };
-                    let detail = match &built {
-                        Some(l) => format!("color={color} bytes={}", l.bytes()),
-                        None => format!("color={color} dropped: over budget"),
-                    };
+                    let layer =
+                        builder.repair_layer(color, old, &rerun, budget, bytes_so_far, cancel)?;
+                    let detail = format!("color={color} bytes={}", layer.bytes());
                     rpq_trace::tracer().record_span("index", "hop-layer", tl.elapsed(), &detail);
-                    let Some(layer) = built else { continue };
                     layer
                 }
             };
@@ -1288,9 +1145,7 @@ mod tests {
     use rpq_graph::{DistanceMatrix, GraphBuilder, WILDCARD};
 
     fn all_colors(g: &Graph) -> Vec<Color> {
-        let mut cs: Vec<Color> = g.alphabet().colors().collect();
-        cs.push(WILDCARD);
-        cs
+        g.alphabet().colors().collect()
     }
 
     fn assert_parity(g: &Graph) {
@@ -1476,47 +1331,42 @@ mod tests {
         let g_old = synthetic(200, 800, 2, 3, 8);
         let old = HopLabels::build(&g_old);
         let (g, eff) = random_mutation_round(&g_old, 12, 0xB0D6E7);
-        let m = DistanceMatrix::build(&g);
         for repair in [false, true] {
             let run = |budget_bytes: usize| {
                 if repair {
                     old.repair(&g, &eff, budget_bytes, 0, None)
                         .map(|r| r.labels)
                 } else {
-                    let cfg = HopConfig {
-                        budget_bytes,
-                        ..HopConfig::default()
-                    };
-                    HopLabels::build_with(&g, &cfg, None)
+                    HopLabels::build_with(&g, &HopConfig { budget_bytes }, None)
                 }
             };
-            // 1 byte: even the first concrete layer cannot fit
+            // 1 byte: even the first layer cannot fit — nothing degrades,
+            // the whole call fails (the engine then pins search)
             match run(1) {
                 Err(HopBuildError::OverBudget { budget: 1, .. }) => {}
                 other => panic!("repair={repair}: expected OverBudget, got {other:?}"),
             }
-            // a budget that fits the sparse concrete layers but not the
-            // dense wildcard layer: concrete probes stay answerable
+            // the exact footprint fits, and what fits is every concrete
+            // layer and no `_` layer
             let full = run(0).expect("unbudgeted");
-            let concrete_bytes: usize = full.bytes() - full.layer(WILDCARD).unwrap().bytes();
-            let mid = concrete_bytes + bytes_for_entries(2, 2, g.node_count());
-            let h = run(mid).expect("concrete layers fit");
-            assert!(
-                !h.has_layer(WILDCARD),
-                "repair={repair}: wildcard layer must be dropped"
-            );
+            let h = run(full.bytes()).expect("the exact footprint fits");
+            assert_eq!(h.bytes(), full.bytes());
+            assert!(!h.has_layer(WILDCARD), "repair={repair}");
             for c in g.alphabet().colors() {
                 assert!(h.has_layer(c));
             }
-            assert!(!h.stats().wildcard);
-            // concrete probes still exact
-            for u in g.nodes().take(40) {
-                for v in g.nodes().take(40) {
-                    let c = Color(0);
-                    assert_eq!(DistProbe::dist(&h, u, v, c), m.dist(u, v, c));
-                }
-            }
+            assert_probe_parity(&g, &h);
         }
+        // every layer counts against a build's budget: one byte short of
+        // the whole index fails it
+        let full = HopLabels::build(&g);
+        let short = HopConfig {
+            budget_bytes: full.bytes() - 1,
+        };
+        assert!(matches!(
+            HopLabels::build_with(&g, &short, None),
+            Err(HopBuildError::OverBudget { .. })
+        ));
     }
 
     #[test]
@@ -1524,89 +1374,19 @@ mod tests {
         // `pruned_bfs` stops scanning at the first hub that certifies the
         // prune instead of minimizing over all of them: the decision, and
         // so every label, is the one the full minimum gave — these are
-        // the counts of the build that took the minimum (its label bytes,
-        // plus each layer's 4-byte-per-node cycle table)
+        // the counts of the build that took the minimum (its color layers'
+        // label bytes, plus each layer's 4-byte-per-node cycle table)
         for (g, entries, label_bytes) in [
-            (synthetic(200, 800, 2, 3, 8), 15035, 145044),
-            (essembly(), 111, 1482),
+            (synthetic(200, 800, 2, 3, 8), 5874, 59082),
+            (essembly(), 73, 1044),
         ] {
             let h = HopLabels::build(&g);
-            let cycle_bytes = 4 * g.node_count() * (g.alphabet().len() + 1);
+            let cycle_bytes = 4 * g.node_count() * g.alphabet().len();
             assert_eq!(
                 (h.stats().entries, h.bytes()),
                 (entries, label_bytes + cycle_bytes)
             );
         }
-    }
-
-    #[test]
-    fn staged_build_serves_concrete_layers_then_equals_the_one_call_build() {
-        let g = synthetic(200, 800, 2, 3, 8);
-        let cfg = HopConfig::default();
-        let full = HopLabels::build_with(&g, &cfg, None).unwrap();
-        let wildcard_bytes = full.layer(WILDCARD).unwrap().bytes();
-
-        let staged = HopLabels::build_concrete(&g, &cfg, None).unwrap();
-        assert_eq!(staged.layer_progress(), (3, 4));
-        assert!(!staged.has_layer(WILDCARD) && !staged.stats().wildcard);
-        assert_eq!(staged.bytes(), full.bytes() - wildcard_bytes);
-        let m = DistanceMatrix::build(&g);
-        for c in g.alphabet().colors() {
-            for (u, v) in g.nodes().zip(g.nodes().skip(7)) {
-                assert_eq!(DistProbe::dist(&staged, u, v, c), m.dist(u, v, c));
-            }
-        }
-
-        // a cancelled stage two leaves the layer pending, to be run again
-        let shared = Arc::new(staged);
-        let stop = AtomicBool::new(true);
-        assert_eq!(
-            shared.build_wildcard(&g, 0, Some(&stop)),
-            Err(HopBuildError::Cancelled)
-        );
-        assert_eq!(shared.layer_progress(), (3, 4));
-
-        // a repair has nothing to repair in a pending layer and keeps it
-        // pending rather than settling it as dropped
-        let (g2, eff) = random_mutation_round(&g, 4, 0x51A6ED);
-        let repaired = shared.repair(&g2, &eff, 0, 0, None).unwrap().labels;
-        assert_eq!(repaired.layer_progress(), (3, 4));
-
-        // the layer lands through `&self`: every holder of the `Arc` sees it
-        let reader = Arc::clone(&shared);
-        shared.build_wildcard(&g, 0, None).unwrap();
-        assert!(reader.has_layer(WILDCARD));
-        assert_eq!(reader.layer_progress(), (4, 4));
-        assert_eq!(
-            (reader.bytes(), reader.stats().entries),
-            (full.bytes(), full.stats().entries)
-        );
-        assert_probe_parity(&g, &reader);
-
-        // stage two's footprint starts from the concrete layers' bytes:
-        // the budget that drops the wildcard layer in one call drops it
-        // here, and the largest budget it fits under fits here too
-        for (budget, kept) in [(full.bytes() - 1, false), (full.bytes(), true)] {
-            let cfg = HopConfig {
-                budget_bytes: budget,
-                ..HopConfig::default()
-            };
-            let one_call = HopLabels::build_with(&g, &cfg, None).unwrap();
-            let staged = HopLabels::build_concrete(&g, &cfg, None).unwrap();
-            staged.build_wildcard(&g, budget, None).unwrap();
-            for h in [&one_call, &staged] {
-                assert_eq!(h.has_layer(WILDCARD), kept, "budget {budget}");
-                assert_eq!(h.layer_progress().0, h.layer_progress().1);
-            }
-        }
-
-        // a disabled wildcard layer is never pending
-        let off = HopConfig {
-            wildcard_layer: false,
-            ..HopConfig::default()
-        };
-        let h = HopLabels::build_concrete(&g, &off, None).unwrap();
-        assert_eq!(h.layer_progress(), (3, 3));
     }
 
     #[test]
@@ -1660,7 +1440,6 @@ mod tests {
         let s = h.stats();
         assert_eq!(s.nodes, 80);
         assert_eq!(s.colors, 4);
-        assert!(s.wildcard);
         assert_eq!(s.landmarks, 80);
         assert!(s.entries > 0);
         assert_eq!(s.bytes, h.bytes());

@@ -40,7 +40,9 @@
 //! overlay**, the weighted digraph whose nodes are the endpoints of cut
 //! edges and whose edges are (a) the cut edges themselves at weight 1 and
 //! (b) a closure edge per intra-shard boundary pair, weighted by that
-//! shard's local distance, one layer per color and one for the wildcard.
+//! shard's local distance, one layer per concrete color. Neither index
+//! holds a layer for the wildcard `_`: the engine answers `_` over the
+//! graph itself ([`GraphProbe`]).
 //!
 //! *Exactness.* A global path either stays inside one shard — then it
 //! appears verbatim in that shard's local graph — or it uses ≥ 1 cut
@@ -61,7 +63,7 @@
 //!
 //! ```
 //! use rpq_graph::gen::synthetic;
-//! use rpq_graph::{DistanceMatrix, WILDCARD};
+//! use rpq_graph::{Color, DistanceMatrix};
 //! use rpq_index::{DistProbe, HopLabels};
 //!
 //! let g = synthetic(300, 900, 2, 3, 7);
@@ -70,7 +72,7 @@
 //! // exact labels agree with the dense matrix on every probe
 //! for u in g.nodes().take(10) {
 //!     for v in g.nodes().take(10) {
-//!         assert_eq!(labels.dist(u, v, WILDCARD), matrix.dist(u, v, WILDCARD));
+//!         assert_eq!(labels.dist(u, v, Color(1)), matrix.dist(u, v, Color(1)));
 //!     }
 //! }
 //! assert!(labels.bytes() < DistanceMatrix::bytes_for(&g) * 4); // tiny graph; at scale the gap inverts hugely

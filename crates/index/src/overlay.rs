@@ -24,9 +24,7 @@
 //! already covered by higher-ranked hubs. Every node is processed, so
 //! probes are exact.
 //!
-//! Layers are keyed like [`HopLabels`]: one per concrete color plus the
-//! wildcard union layer. A layer is absent when its closure could not be
-//! computed (a shard's wildcard layer was dropped on budget).
+//! Layers are keyed like [`HopLabels`]: one per concrete color.
 
 use crate::labels::Top2;
 #[cfg(test)]

@@ -53,7 +53,7 @@
 use crate::labels::{HopBuildError, HopConfig, HopLabels, Top2};
 use crate::overlay::{OverlayEdge, OverlayLayer};
 use crate::probe::DistProbe;
-use rpq_graph::{Color, Graph, NodeId, ShardedGraph, INFINITY, WILDCARD};
+use rpq_graph::{Color, Graph, NodeId, ShardedGraph, INFINITY};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -66,13 +66,9 @@ pub struct ShardedConfig {
     /// Number of shards to partition into (clamped to `1..=|V|`).
     pub shards: usize,
     /// Byte budget for **each** per-shard label build (`0` = unlimited).
-    /// A concrete color layer exceeding it fails the whole build
-    /// ([`HopBuildError::OverBudget`]); a wildcard layer exceeding it is
-    /// dropped shard-locally, which drops wildcard coverage of the whole
-    /// sharded index ([`ShardedLabels::has_layer`]).
+    /// A shard exceeding it fails the whole build
+    /// ([`HopBuildError::OverBudget`]).
     pub shard_budget_bytes: usize,
-    /// Build the wildcard (`_`) layers (per shard and on the overlay).
-    pub wildcard_layer: bool,
 }
 
 impl Default for ShardedConfig {
@@ -80,7 +76,6 @@ impl Default for ShardedConfig {
         ShardedConfig {
             shards: 4,
             shard_budget_bytes: 0,
-            wildcard_layer: true,
         }
     }
 }
@@ -103,8 +98,6 @@ pub struct ShardedStats {
     pub shard_bytes: Vec<usize>,
     /// Estimated resident bytes of the overlay labels (all layers).
     pub overlay_bytes: usize,
-    /// Whether wildcard probes are covered.
-    pub wildcard: bool,
 }
 
 impl ShardedStats {
@@ -124,7 +117,7 @@ impl std::fmt::Display for ShardedStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} shards / {} nodes: {} boundary, {} cut ({:.1}%), max shard {} KiB, overlay {} KiB{}",
+            "{} shards / {} nodes: {} boundary, {} cut ({:.1}%), max shard {} KiB, overlay {} KiB",
             self.shards,
             self.nodes,
             self.boundary_nodes,
@@ -132,7 +125,6 @@ impl std::fmt::Display for ShardedStats {
             100.0 * self.edge_cut_ratio,
             self.max_shard_bytes() / 1024,
             self.overlay_bytes / 1024,
-            if self.wildcard { "" } else { ", no wildcard" }
         )
     }
 }
@@ -160,14 +152,13 @@ pub struct ShardedLabels {
     /// `Arc` so [`ShardedLabels::repair`] carries untouched shards forward
     /// without copying their label arrays.
     shard_labels: Vec<Arc<HopLabels>>,
-    /// `overlay[c]` for concrete color `c`; `overlay[colors]` = wildcard.
-    /// `None` = layer uncoverable (a shard dropped its wildcard layer).
-    overlay: Vec<Option<OverlayLayer>>,
-    /// `closures[layer][shard]`: the boundary closure rows each overlay
-    /// layer was built from, retained so a repair recomputes only the
-    /// rows of shards whose labels or boundary set actually changed.
-    /// `None` where the layer was not built.
-    closures: Vec<Vec<Option<ShardClosure>>>,
+    /// `overlay[c]` for color `c`: like the shards' labels, the overlay
+    /// holds concrete colors only — `_` is answered by the graph.
+    overlay: Vec<OverlayLayer>,
+    /// `closures[c][shard]`: the boundary closure rows each overlay layer
+    /// was built from, retained so a repair recomputes only the rows of
+    /// shards whose labels or boundary set actually changed.
+    closures: Vec<Vec<ShardClosure>>,
     colors: usize,
     n: usize,
 }
@@ -237,7 +228,6 @@ impl ShardedLabels {
         let k = sharded.k();
         let hop_config = HopConfig {
             budget_bytes: config.shard_budget_bytes,
-            wildcard_layer: config.wildcard_layer,
         };
         let t0 = Instant::now();
         let run_shard = |s: usize| -> Result<(Arc<HopLabels>, Action, usize), HopBuildError> {
@@ -318,10 +308,9 @@ impl ShardedLabels {
             &sharded,
             &shard_labels,
             colors,
-            config.wildcard_layer,
             |layer, shard| {
                 prev.filter(|_| reusable[shard])
-                    .and_then(|p| p.closures[layer][shard].clone())
+                    .map(|p| p.closures[layer][shard].clone())
             },
             cancel,
         )?;
@@ -348,7 +337,7 @@ impl ShardedLabels {
     }
 
     /// Gather step of [`maintain`](Self::maintain): one overlay layer per
-    /// color (+ wildcard), built in parallel — cut edges at weight 1 plus
+    /// color, built in parallel — cut edges at weight 1 plus
     /// per-shard boundary closures. `reuse` may return a previously
     /// computed closure for a `(layer, shard)` whose rows are known to be
     /// unchanged; everything else is recomputed from the shard labels.
@@ -361,10 +350,9 @@ impl ShardedLabels {
         sharded: &Arc<ShardedGraph>,
         shard_labels: &[Arc<HopLabels>],
         colors: usize,
-        wildcard: bool,
         reuse: impl Fn(usize, usize) -> Option<ShardClosure> + Sync,
         cancel: Option<&AtomicBool>,
-    ) -> Result<(Vec<Option<OverlayLayer>>, Vec<Vec<Option<ShardClosure>>>), HopBuildError> {
+    ) -> Result<(Vec<OverlayLayer>, Vec<Vec<ShardClosure>>), HopBuildError> {
         let k = sharded.k();
         let b = sharded.boundary_globals().len();
 
@@ -383,16 +371,11 @@ impl ShardedLabels {
             })
             .collect();
 
-        let wildcard_ok = wildcard && shard_labels.iter().all(|l| l.has_layer(WILDCARD));
-        let layer_colors: Vec<Option<Color>> = (0..colors)
-            .map(|c| Some(Color(c as u8)))
-            .chain(std::iter::once(wildcard_ok.then_some(WILDCARD)))
-            .collect();
         let mut built: Vec<Option<(OverlayLayer, Vec<ShardClosure>)>> =
-            (0..=colors).map(|_| None).collect();
+            (0..colors).map(|_| None).collect();
         std::thread::scope(|s| {
-            for (li, (slot, &layer_color)) in built.iter_mut().zip(&layer_colors).enumerate() {
-                let Some(color) = layer_color else { continue };
+            for (li, slot) in built.iter_mut().enumerate() {
+                let color = Color(li as u8);
                 let boundary_ov = &boundary_ov;
                 let reuse = &reuse;
                 s.spawn(move || {
@@ -433,25 +416,12 @@ impl ShardedLabels {
                 });
             }
         });
-        if cancelled(cancel) {
-            return Err(HopBuildError::Cancelled);
+        // a layer missing its slot stopped on the cancel flag
+        let built: Option<Vec<_>> = built.into_iter().collect();
+        match built {
+            Some(layers) if !cancelled(cancel) => Ok(layers.into_iter().unzip()),
+            _ => Err(HopBuildError::Cancelled),
         }
-
-        let mut overlay = Vec::with_capacity(colors + 1);
-        let mut closures = Vec::with_capacity(colors + 1);
-        for slot in built {
-            match slot {
-                Some((layer, rows)) => {
-                    overlay.push(Some(layer));
-                    closures.push(rows.into_iter().map(Some).collect());
-                }
-                None => {
-                    overlay.push(None);
-                    closures.push(vec![None; k]);
-                }
-            }
-        }
-        Ok((overlay, closures))
     }
 
     /// Repair this index after `changes` were applied to the graph it was
@@ -548,10 +518,10 @@ impl ShardedLabels {
         &self.shard_labels[s]
     }
 
-    /// Is `color` (possibly wildcard) answerable? False only when a
-    /// shard's wildcard layer was dropped on budget.
+    /// Is `color` answerable? True for every concrete color, false for
+    /// the wildcard — as for [`HopLabels::has_layer`].
     pub fn has_layer(&self, color: Color) -> bool {
-        self.overlay_layer(color).is_some() && self.shard_labels.iter().all(|l| l.has_layer(color))
+        !color.is_wildcard()
     }
 
     /// Build/shape statistics.
@@ -564,25 +534,14 @@ impl ShardedLabels {
             cut_edges: sg_stats.cut_edges,
             edge_cut_ratio: sg_stats.edge_cut_ratio(),
             shard_bytes: self.shard_labels.iter().map(|l| l.bytes()).collect(),
-            overlay_bytes: self.overlay.iter().flatten().map(OverlayLayer::bytes).sum(),
-            wildcard: self.has_layer(WILDCARD),
+            overlay_bytes: self.overlay.iter().map(OverlayLayer::bytes).sum(),
         }
     }
 
-    fn overlay_layer(&self, color: Color) -> Option<&OverlayLayer> {
-        let idx = if color.is_wildcard() {
-            self.colors
-        } else {
-            debug_assert!((color.0 as usize) < self.colors, "color outside alphabet");
-            color.0 as usize
-        };
-        self.overlay[idx].as_ref()
-    }
-
     fn overlay_or_panic(&self, color: Color) -> &OverlayLayer {
-        self.overlay_layer(color).unwrap_or_else(|| {
-            panic!("sharded layer for {color:?} was not built (check has_layer first)")
-        })
+        self.overlay
+            .get(usize::from(color.0))
+            .unwrap_or_else(|| panic!("no sharded layer for {color:?} (check has_layer first)"))
     }
 
     /// `(shard, local)` of a global node.
@@ -896,12 +855,10 @@ impl DistProbe for ShardedLabels {
 mod tests {
     use super::*;
     use rpq_graph::gen::{clustered, essembly, synthetic};
-    use rpq_graph::{DistanceMatrix, GraphBuilder, Partition};
+    use rpq_graph::{DistanceMatrix, GraphBuilder, Partition, WILDCARD};
 
     fn all_colors(g: &Graph) -> Vec<Color> {
-        let mut cs: Vec<Color> = g.alphabet().colors().collect();
-        cs.push(WILDCARD);
-        cs
+        g.alphabet().colors().collect()
     }
 
     fn assert_probe_parity(g: &Arc<Graph>, labels: &ShardedLabels) {
@@ -1025,42 +982,27 @@ mod tests {
         let tiny = ShardedConfig {
             shards: 3,
             shard_budget_bytes: 1,
-            ..ShardedConfig::default()
         };
         assert!(matches!(
             ShardedLabels::build_with(&g, &tiny, None),
             Err(HopBuildError::OverBudget { budget: 1, .. })
         ));
-        // a budget fitting the concrete layers but not the per-shard
-        // wildcard layer drops wildcard coverage of the whole index
+        // a budget of exactly the largest shard's footprint fits every
+        // shard; what fits is every concrete layer and no `_` layer
         let full = ShardedLabels::build(&g, 3);
-        let concrete_max = (0..3)
-            .map(|s| {
-                let cfg = HopConfig {
-                    wildcard_layer: false,
-                    ..HopConfig::default()
-                };
-                HopLabels::build_with(full.sharded_graph().shard(s), &cfg, None)
-                    .unwrap()
-                    .bytes()
-            })
-            .max()
-            .unwrap();
-        let mid = ShardedConfig {
+        let fit = ShardedConfig {
             shards: 3,
-            shard_budget_bytes: concrete_max + 64,
-            ..ShardedConfig::default()
+            shard_budget_bytes: full.stats().max_shard_bytes(),
         };
-        let labels = ShardedLabels::build_with(&g, &mid, None).expect("concrete layers fit");
+        let labels = ShardedLabels::build_with(&g, &fit, None).expect("every shard fits");
         assert!(!labels.has_layer(WILDCARD));
-        assert!(!labels.stats().wildcard);
         for c in g.alphabet().colors() {
             assert!(labels.has_layer(c));
         }
         let stats = labels.stats();
         for &bytes in &stats.shard_bytes {
             assert!(
-                bytes <= mid.shard_budget_bytes,
+                bytes <= fit.shard_budget_bytes,
                 "{bytes} over per-shard budget"
             );
         }
@@ -1293,7 +1235,6 @@ mod tests {
             stats.overlay_bytes + stats.shard_bytes[0],
             stats.total_bytes()
         );
-        assert!(stats.wildcard);
         let line = labels.stats().to_string();
         assert!(line.contains("1 shards"), "{line}");
     }

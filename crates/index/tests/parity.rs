@@ -5,13 +5,12 @@
 
 use proptest::prelude::*;
 use rpq_graph::gen::synthetic;
-use rpq_graph::{Color, DistanceMatrix, Graph, WILDCARD};
+use rpq_graph::{Color, DistanceMatrix, Graph};
 use rpq_index::{DistProbe, HopLabels};
 
+/// The colors the labels hold a layer for (`_` is answered by the graph).
 fn colors_of(g: &Graph) -> Vec<Color> {
-    let mut cs: Vec<Color> = g.alphabet().colors().collect();
-    cs.push(WILDCARD);
-    cs
+    g.alphabet().colors().collect()
 }
 
 fn assert_all_probes_equal(g: &Graph, m: &DistanceMatrix, h: &HopLabels) {

@@ -10,11 +10,13 @@
 //! * **engines**: the matrix, hop, sharded and search-only regimes, each
 //!   answering `run_batch` cold and warm and every `Plan::ALL` row of its
 //!   backend forced, then every query once more on a fresh engine whose
-//!   profiles name the memo path taken (miss, exact or subsumption hit);
+//!   profiles name the memo path taken (miss, exact or subsumption hit).
+//!   Label indices hold concrete colors only: on the hop and sharded
+//!   regimes a `_`-bearing query plans search, and says so;
 //! * **core**: `eval_with_dist`, `JoinMatch` and `SplitMatch` over the
 //!   matrix, hop, sharded and graph probes (one and four refinement
-//!   workers, the sharded labels on the case's own partition), and
-//!   `eval_bibfs`;
+//!   workers, the sharded labels on the case's own partition, the label
+//!   indices on the queries they cover), and `eval_bibfs`;
 //! * **versions**: an `UpdatableEngine` per regime with a standing PQ,
 //!   queried after every update round as published and again with its
 //!   index forced, plus the standing answer and plan;
@@ -465,6 +467,8 @@ fn assert_covered(ledger: &BTreeMap<String, u64>) {
     for probe in ["matrix", "hop", "graph"] {
         required.push(format!("core {probe}"));
     }
+    // `_` plans search on the label regimes, and is still checked there
+    required.push("wildcard search".to_owned());
     for regime in ["matrix", "hop", "sharded"] {
         required.push(format!("wire {regime}"));
     }
@@ -487,6 +491,27 @@ fn assert_covered(ledger: &BTreeMap<String, u64>) {
 }
 
 // ---- the sweep -----------------------------------------------------------
+
+/// The search clause of a `_`-bearing query's rationale on a label regime.
+const WILDCARD_CLAUSE: &str = "label indices hold concrete colours — `_` is answered by the graph";
+
+/// Does `q` mention `_`?
+fn mentions_wildcard(q: &Query) -> bool {
+    let regexes: Vec<&FRegex> = match q {
+        Query::Rq(rq) => vec![&rq.regex],
+        Query::Pq(pq) => pq.edges().iter().map(|e| &e.regex).collect(),
+    };
+    (regexes.iter()).any(|re| re.atoms().iter().any(|a| a.color == WILDCARD))
+}
+
+/// The backend regime `b` plans `q` on once its index is built: label
+/// indices hold concrete colors only, so `_` is answered by the graph.
+fn planned_backend(b: Backend, q: &Query) -> Backend {
+    match b {
+        Backend::Hop | Backend::Sharded if mentions_wildcard(q) => Backend::Search,
+        b => b,
+    }
+}
 
 /// The engine configuration of the regime whose best backend is `b`.
 fn config(b: Backend, shards: usize) -> EngineConfig {
@@ -528,7 +553,7 @@ fn sweep_engines(case: &Case, g: &Arc<Graph>, queries: &[Query], truth: &Truth) 
                 truth.check(q, &item.output, &format!("{r} batch {pass}"));
                 assert_eq!(
                     item.plan.backend(),
-                    b,
+                    planned_backend(b, q),
                     "{r} batch {pass}: the regime's backend plans"
                 );
                 tally(format!("plan {}", item.plan.name()));
@@ -539,9 +564,10 @@ fn sweep_engines(case: &Case, g: &Arc<Graph>, queries: &[Query], truth: &Truth) 
             .filter(|p| p.backend() == b && p.algo() != Algo::Standing);
         for plan in rows {
             let rq_plan = matches!(plan.algo(), Algo::RqDm | Algo::RqBiBfs | Algo::RqBfsMemo);
+            // a label index is forced only onto the queries it covers
             for q in queries
                 .iter()
-                .filter(|q| matches!(q, Query::Rq(_)) == rq_plan)
+                .filter(|q| matches!(q, Query::Rq(_)) == rq_plan && planned_backend(b, q) == b)
             {
                 let (out, _) = engine.run_query_with_plan_profiled(q, plan);
                 truth.check(q, &out, &format!("{r} forced {}", plan.name()));
@@ -552,8 +578,15 @@ fn sweep_engines(case: &Case, g: &Arc<Graph>, queries: &[Query], truth: &Truth) 
         for q in queries {
             let (out, profile) = fresh.run_query_profiled(q);
             truth.check(q, &out, &format!("{r} profiled {}", profile.plan));
+            let on = planned_backend(b, q);
+            if on != b {
+                let why = &profile.rationale;
+                assert!(why.starts_with(WILDCARD_CLAUSE), "{r}: {why}");
+                tally("wildcard search".to_owned());
+            }
             if !profile.semcache.is_empty() {
-                tally(format!("memo {r} {}", profile.semcache));
+                let on = format!("{on:?}").to_lowercase();
+                tally(format!("memo {on} {}", profile.semcache));
             }
         }
     }
@@ -584,17 +617,19 @@ fn sweep_core(case: &Case, g: &Arc<Graph>, queries: &[Query], truth: &Truth) {
     let sharded = ShardedLabels::build_on(Arc::new(sg), &config, None).unwrap();
     let graph = GraphProbe::new(g);
     let partition = format!("sharded/{partition}");
-    let probes: [(&str, &(dyn DistProbe + Sync)); 4] = [
+    let all: [(&str, &(dyn DistProbe + Sync)); 4] = [
         ("matrix", &m),
+        ("graph", &graph),
         ("hop", &hop),
         (&partition, &sharded),
-        ("graph", &graph),
     ];
     let pq_out = |r: PqResult| QueryOutput::Pq(Arc::new(r));
     for q in queries {
+        // the label indices run only on the queries they cover
+        let probes = &all[..if mentions_wildcard(q) { 2 } else { 4 }];
         match q {
             Query::Rq(rq) => {
-                for (name, probe) in probes {
+                for &(name, probe) in probes {
                     let out = QueryOutput::Rq(rq.eval_with_dist(g, probe));
                     truth.check(q, &out, &format!("eval_with_dist over {name}"));
                     tally(format!("core {name}"));
@@ -602,7 +637,7 @@ fn sweep_core(case: &Case, g: &Arc<Graph>, queries: &[Query], truth: &Truth) {
                 truth.check(q, &QueryOutput::Rq(rq.eval_bibfs(g)), "eval_bibfs");
             }
             Query::Pq(pq) => {
-                for (name, probe) in probes {
+                for &(name, probe) in probes {
                     for workers in [1, 4] {
                         let at = format!("over {name}, {workers} workers");
                         let mut reach = ProbeReach::with_workers(probe, workers);
@@ -717,9 +752,22 @@ fn sweep_versions(case: &Case, g: &Arc<Graph>, queries: &[Query]) {
             }
             let forced = snap.run_batch(&batch);
             check_batch(&forced, &at("forced"));
-            // with its index forced, the regime's backend serves every query
-            let on_b = |i: &BatchItem| i.plan.backend() == b || i.plan.algo() == Algo::Standing;
-            assert!(forced.items().iter().all(on_b), "{}", at("forced"));
+            // with its index forced, the regime's backend serves every
+            // query it covers, and the graph every `_`-bearing one
+            for (q, item) in batch.iter().zip(forced.items()) {
+                if item.plan.algo() == Algo::Standing {
+                    continue;
+                }
+                let on = planned_backend(b, q);
+                assert_eq!(item.plan.backend(), on, "{}", at("forced"));
+                if on != b {
+                    let (out, profile) = snap.run_query_profiled(q);
+                    truth.check(q, &out, &at("profiled"));
+                    let why = &profile.rationale;
+                    assert!(why.starts_with(WILDCARD_CLAUSE), "{}: {why}", at("forced"));
+                    tally("wildcard search".to_owned());
+                }
+            }
             let kept = QueryOutput::Pq(snap.standing_result(id).unwrap());
             truth.check(&batch[standing], &kept, &at("standing answer"));
             assert_eq!(snap.plan_query(&batch[standing]).algo(), Algo::Standing);
