@@ -16,8 +16,9 @@
 
 use crate::join_match::JoinMatch;
 use crate::pq::{Pq, PqResult};
-use crate::reach::{total_bound, ReachEngine};
+use crate::reach::{total_bound, ProbeReach};
 use rpq_graph::{Graph, WILDCARD};
+use rpq_index::DistProbe;
 use rpq_regex::{FRegex, Quant};
 
 /// Rewrite a PQ into its bounded-simulation relaxation: same nodes and
@@ -39,7 +40,11 @@ pub fn to_bounded_wildcard(pq: &Pq) -> Pq {
 
 /// Evaluate the `Match` baseline: bounded simulation of `pq`'s relaxation
 /// on `g`. Returns a [`PqResult`] over the same node/edge indices as `pq`.
-pub fn bounded_sim_match<R: ReachEngine>(pq: &Pq, g: &Graph, engine: &mut R) -> PqResult {
+pub fn bounded_sim_match<P: DistProbe + Sync + ?Sized>(
+    pq: &Pq,
+    g: &Graph,
+    engine: &mut ProbeReach<'_, P>,
+) -> PqResult {
     let relaxed = to_bounded_wildcard(pq);
     JoinMatch::eval(&relaxed, g, engine)
 }

@@ -12,5 +12,5 @@ pub mod plain_sim;
 pub mod subiso;
 
 pub use bounded_sim::{bounded_sim_match, to_bounded_wildcard};
-pub use plain_sim::{plain_sim_match, to_plain, EdgeReach};
+pub use plain_sim::{plain_sim_match, to_plain};
 pub use subiso::{subiso_match, SubIsoResult};

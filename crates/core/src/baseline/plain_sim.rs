@@ -8,11 +8,12 @@
 //! simulation, this paper). Exposed as a baseline so the expressiveness
 //! ladder can be compared end to end.
 
-use crate::join_match::{assemble, refine};
+use crate::join_match::JoinMatch;
 use crate::pq::{Pq, PqResult};
-use crate::reach::ReachEngine;
-use rpq_graph::{Graph, NodeId};
-use rpq_regex::{Atom, FRegex, Quant};
+use crate::reach::ProbeReach;
+use rpq_graph::Graph;
+use rpq_index::GraphProbe;
+use rpq_regex::{FRegex, Quant};
 
 /// Strip every edge constraint down to a single one-hop atom of its first
 /// color: the plain-simulation reading of a PQ.
@@ -28,43 +29,17 @@ pub fn to_plain(pq: &Pq) -> Pq {
     out
 }
 
-/// A direct edge-at-a-time engine for plain simulation: `(x, y) ⊨ c` iff
-/// the data edge `x → y` of admissible color exists. No index, no search —
-/// adjacency lookups only.
-#[derive(Debug, Default)]
-pub struct EdgeReach;
-
-impl ReachEngine for EdgeReach {
-    fn prefers_normalized(&self) -> bool {
-        false
-    }
-
-    fn reaches(&mut self, g: &Graph, x: NodeId, y: NodeId, re: &FRegex) -> bool {
-        debug_assert_eq!(re.len(), 1, "EdgeReach serves single-atom constraints");
-        self.reaches_atom(g, x, y, &re.atoms()[0])
-    }
-
-    fn reaches_atom(&mut self, g: &Graph, x: NodeId, y: NodeId, atom: &Atom) -> bool {
-        debug_assert_eq!(atom.quant, Quant::One, "plain simulation is one-hop");
-        g.has_edge_admitting(x, y, atom.color)
-    }
-}
-
 /// Evaluate the plain-simulation reading of `pq` on `g`: the greatest
-/// simulation relation, reported in the usual [`PqResult`] form.
+/// simulation relation, reported in the usual [`PqResult`] form. Every
+/// constraint of [`to_plain`]'s pattern is one hop of one color, so each
+/// refinement probe over the graph is a direct edge lookup.
 pub fn plain_sim_match(pq: &Pq, g: &Graph) -> PqResult {
-    let plain = to_plain(pq);
-    let mut engine = EdgeReach;
-    match refine(&plain, g, &mut engine) {
-        Some(mats) => assemble(&plain, g, &mats),
-        None => PqResult::empty(&plain),
-    }
+    JoinMatch::eval(&to_plain(pq), g, &mut ProbeReach::new(&GraphProbe::new(g)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::join_match::JoinMatch;
     use crate::predicate::Predicate;
     use crate::reach::MatrixReach;
     use rpq_graph::gen::essembly;

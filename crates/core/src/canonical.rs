@@ -1,27 +1,16 @@
 //! Query canonicalization: the normal forms the engine's semantic cache
-//! and standing-query dedup key on.
+//! and the snapshot's standing-answer lookup key on.
 //!
-//! Two cooperating layers:
-//!
-//! * **Regex canonicalization** — every edge constraint is rewritten into
-//!   the run-normal form of [`rpq_regex::canon`], so syntactic spellings
-//!   of one language (`a^2 a` vs `a a^2`) become structurally equal and
-//!   collapse onto one memo key / one plan. [`canonical_rq`] and
-//!   [`canonical_pq`] are *shape-preserving*: they touch only the regexes,
-//!   never the node/edge structure, so results stay bit-identical to the
-//!   submitted query's shape.
-//! * **Pattern canonicalization** — [`standing_form`] additionally runs
-//!   the paper's `minPQs` minimization (§3.2), producing the form standing
-//!   queries are deduplicated under, and [`pq_isomorphism`] decides
-//!   whether two patterns are the same query up to node renumbering and
-//!   display labels, returning the witnessing node mapping so one
-//!   incrementally-maintained match set can serve both registrants.
+//! Every edge constraint is rewritten into the run-normal form of
+//! [`rpq_regex::canon`], so syntactic spellings of one language (`a^2 a`
+//! vs `a a^2`) become structurally equal and collapse onto one memo key /
+//! one plan. [`canonical_rq`] and [`canonical_pq`] are *shape-preserving*:
+//! they touch only the regexes, never the node/edge structure, so results
+//! stay bit-identical to the submitted query's shape.
 
-use crate::minimize::minimize;
 use crate::pq::Pq;
 use crate::rq::Rq;
 use rpq_regex::canon::canonicalize;
-use rpq_regex::FRegex;
 
 /// The RQ with its regex in run-normal canonical form. Language- and
 /// therefore answer-preserving; predicates are untouched.
@@ -41,14 +30,6 @@ pub fn canonical_pq(pq: &Pq) -> Pq {
         out.add_edge(e.from, e.to, canonicalize(&e.regex));
     }
     out
-}
-
-/// The standing-query dedup form: edge regexes canonicalized, then the
-/// pattern minimized by the paper's cubic `minPQs` (§3.2). Two queries
-/// whose standing forms are isomorphic (see [`pq_isomorphism`]) denote
-/// the same standing query and may share one incremental matcher.
-pub fn standing_form(pq: &Pq) -> Pq {
-    minimize(&canonical_pq(pq))
 }
 
 /// Are `a` and `b` the same pattern under the *identity* node mapping,
@@ -72,85 +53,13 @@ pub fn pq_same_shape(a: &Pq, b: &Pq) -> bool {
         })
 }
 
-/// A pattern isomorphism from `a` onto `b`: a node bijection `κ` with
-/// equal predicates (`pred_a(u) = pred_b(κ(u))`) under which the edge
-/// multisets correspond with language-equal regexes. Returns `κ` as
-/// `map[u] = κ(u)`, or `None` if no isomorphism exists. Labels carry no
-/// semantics and are ignored.
-///
-/// Backtracking search with predicate/degree pruning — exponential in the
-/// worst case but instantaneous on query-sized patterns (a handful of
-/// nodes), which is the only place it runs.
-pub fn pq_isomorphism(a: &Pq, b: &Pq) -> Option<Vec<usize>> {
-    let n = a.node_count();
-    if n != b.node_count() || a.edge_count() != b.edge_count() {
-        return None;
-    }
-    let ca: Vec<FRegex> = a.edges().iter().map(|e| canonicalize(&e.regex)).collect();
-    let cb: Vec<FRegex> = b.edges().iter().map(|e| canonicalize(&e.regex)).collect();
-    let mut map = vec![usize::MAX; n];
-    let mut used = vec![false; n];
-    if assign(a, b, &ca, &cb, 0, &mut map, &mut used) {
-        Some(map)
-    } else {
-        None
-    }
-}
-
-fn assign(
-    a: &Pq,
-    b: &Pq,
-    ca: &[FRegex],
-    cb: &[FRegex],
-    u: usize,
-    map: &mut Vec<usize>,
-    used: &mut Vec<bool>,
-) -> bool {
-    if u == a.node_count() {
-        return edges_correspond(a, b, ca, cb, map);
-    }
-    for w in 0..b.node_count() {
-        if used[w]
-            || a.node(u).pred != b.node(w).pred
-            || a.out_edges(u).len() != b.out_edges(w).len()
-            || a.in_edges(u).len() != b.in_edges(w).len()
-        {
-            continue;
-        }
-        map[u] = w;
-        used[w] = true;
-        if assign(a, b, ca, cb, u + 1, map, used) {
-            return true;
-        }
-        used[w] = false;
-        map[u] = usize::MAX;
-    }
-    false
-}
-
-/// Under a full node assignment, do the edge multisets correspond with
-/// language-equal constraints?
-fn edges_correspond(a: &Pq, b: &Pq, ca: &[FRegex], cb: &[FRegex], map: &[usize]) -> bool {
-    let mut unmatched: Vec<usize> = (0..b.edge_count()).collect();
-    for (i, e) in a.edges().iter().enumerate() {
-        let (f, t) = (map[e.from], map[e.to]);
-        let Some(pos) = unmatched.iter().position(|&j| {
-            let be = b.edge(j);
-            be.from == f && be.to == t && cb[j] == ca[i]
-        }) else {
-            return false;
-        };
-        unmatched.swap_remove(pos);
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::contain::pq_equivalent;
     use crate::predicate::Predicate;
     use rpq_graph::{Alphabet, Schema};
+    use rpq_regex::FRegex;
 
     fn vocab() -> (Schema, Alphabet) {
         let mut schema = Schema::new();
@@ -210,68 +119,5 @@ mod tests {
             &mk(("x", "y"), "c^2"),
             &mk(("x", "y"), "c^3")
         ));
-    }
-
-    #[test]
-    fn isomorphism_finds_node_renumbering() {
-        let (schema, al) = vocab();
-        let p1 = Predicate::parse("t = 1", &schema).unwrap();
-        let p2 = Predicate::parse("t = 2", &schema).unwrap();
-        let re = |s: &str| FRegex::parse(s, &al).unwrap();
-        // a: node0 = p1, node1 = p2, edge 0→1
-        let mut a = Pq::new();
-        let a0 = a.add_node("A", p1.clone());
-        let a1 = a.add_node("B", p2.clone());
-        a.add_edge(a0, a1, re("c^2 c"));
-        // b: nodes swapped, labels different, regex respelled
-        let mut b = Pq::new();
-        let b0 = b.add_node("X", p2);
-        let b1 = b.add_node("Y", p1);
-        b.add_edge(b1, b0, re("c c^2"));
-        let map = pq_isomorphism(&a, &b).expect("isomorphic");
-        assert_eq!(map, vec![1, 0]);
-        // an extra edge breaks it
-        b.add_edge(0, 0, re("d"));
-        assert!(pq_isomorphism(&a, &b).is_none());
-    }
-
-    #[test]
-    fn isomorphism_respects_edge_multiplicity() {
-        let (schema, al) = vocab();
-        let p = Predicate::parse("t = 1", &schema).unwrap();
-        let re = |s: &str| FRegex::parse(s, &al).unwrap();
-        let mk = |res: &[&str]| {
-            let mut q = Pq::new();
-            let x = q.add_node("x", p.clone());
-            let y = q.add_node("y", p.clone());
-            for r in res {
-                q.add_edge(x, y, re(r));
-            }
-            q
-        };
-        // parallel edges must match as a multiset
-        assert!(pq_isomorphism(&mk(&["c", "d"]), &mk(&["d", "c"])).is_some());
-        assert!(pq_isomorphism(&mk(&["c", "c"]), &mk(&["c", "d"])).is_none());
-    }
-
-    #[test]
-    fn standing_form_drops_redundancy() {
-        // Fig. 3 shape: two edges to equivalent sink nodes where one
-        // contains the other — minimize folds them together
-        let (schema, al) = vocab();
-        let bp = Predicate::parse("t = 1", &schema).unwrap();
-        let cp = Predicate::parse("t = 2", &schema).unwrap();
-        let re = |s: &str| FRegex::parse(s, &al).unwrap();
-        let mut q = Pq::new();
-        let b = q.add_node("B", bp);
-        let c1 = q.add_node("C1", cp.clone());
-        let c2 = q.add_node("C2", cp.clone());
-        let c3 = q.add_node("C3", cp);
-        q.add_edge(b, c1, re("c"));
-        q.add_edge(b, c2, re("c^2"));
-        q.add_edge(b, c3, re("c^3"));
-        let form = standing_form(&q);
-        assert!(form.size() < q.size(), "redundant middle edge dropped");
-        assert!(pq_equivalent(&form, &q));
     }
 }

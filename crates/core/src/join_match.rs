@@ -1,9 +1,9 @@
 //! `JoinMatch` — the join-based PQ evaluation algorithm (§5.1, Fig. 7).
 //!
 //! The algorithm:
-//! 1. If the reachability backend prefers it (matrix), **normalize** the
-//!    query: split every multi-atom edge into single-atom edges through
-//!    dummy nodes, so each refinement probe is O(1).
+//! 1. **Normalize** the query: split every multi-atom edge into
+//!    single-atom edges through dummy nodes, so each refinement step is
+//!    one bulk atom probe.
 //! 2. Initialize each query node's match set `mat(u)` from its predicate.
 //! 3. Compute the SCC DAG of the (normalized) query with Tarjan's
 //!    algorithm and process components in **reversed topological order**,
@@ -18,11 +18,11 @@
 //! one backward sweep, O(|V| + |E|).
 
 use crate::pq::{Pq, PqResult};
-use crate::reach::{ProbeReach, ReachEngine};
+use crate::reach::ProbeReach;
 use crate::rq::matches_of;
 use rpq_graph::algo::condensation;
 use rpq_graph::{Graph, NodeId};
-use rpq_index::GraphProbe;
+use rpq_index::{DistProbe, GraphProbe};
 use std::collections::VecDeque;
 
 /// Marker type for the join-based algorithm.
@@ -30,13 +30,12 @@ pub struct JoinMatch;
 
 impl JoinMatch {
     /// Evaluate `pq` on `g` using `engine` for reachability probes.
-    pub fn eval<R: ReachEngine>(pq: &Pq, g: &Graph, engine: &mut R) -> PqResult {
-        let work = if engine.prefers_normalized() {
-            pq.normalize()
-        } else {
-            pq.clone()
-        };
-        let mats = match refine(&work, g, engine) {
+    pub fn eval<P: DistProbe + Sync + ?Sized>(
+        pq: &Pq,
+        g: &Graph,
+        engine: &mut ProbeReach<'_, P>,
+    ) -> PqResult {
+        let mats = match refine(&pq.normalize(), g, engine) {
             Some(mats) => mats,
             None => return PqResult::empty(pq),
         };
@@ -46,10 +45,10 @@ impl JoinMatch {
 
 /// From-scratch refinement: [`refine_from`] seeded with every
 /// predicate-eligible node.
-pub(crate) fn refine<R: ReachEngine>(
+pub(crate) fn refine<P: DistProbe + Sync + ?Sized>(
     work: &Pq,
     g: &Graph,
-    engine: &mut R,
+    engine: &mut ProbeReach<'_, P>,
 ) -> Option<Vec<Vec<NodeId>>> {
     let seed = (0..work.node_count())
         .map(|u| matches_of(g, &work.node(u).pred))
@@ -58,17 +57,18 @@ pub(crate) fn refine<R: ReachEngine>(
 }
 
 /// The one refinement loop (`JoinMatch`, the baselines and the standing
-/// matcher all run it): shrinks the seed `mats` to the greatest
+/// matcher all run it) over a pattern of single-atom edges (a normalized
+/// one): shrinks the seed `mats` to the greatest
 /// simulation-style fixpoint of match sets over `work`'s nodes, or `None`
 /// if some set empties. The fixpoint is a *greatest* one, so any seed that
 /// contains the answer converges to it — a fresh evaluation seeds with the
 /// predicate matches ([`refine`]), maintenance after a delete-only batch
 /// with the standing sets. Pruning only filters, so each set keeps its
 /// seed's order.
-pub(crate) fn refine_from<R: ReachEngine>(
+pub(crate) fn refine_from<P: DistProbe + Sync + ?Sized>(
     work: &Pq,
     g: &Graph,
-    engine: &mut R,
+    engine: &mut ProbeReach<'_, P>,
     mut mats: Vec<Vec<NodeId>>,
 ) -> Option<Vec<Vec<NodeId>>> {
     let n = work.node_count();
@@ -107,9 +107,8 @@ pub(crate) fn refine_from<R: ReachEngine>(
             queued[ei] = false;
             let edge = work.edge(ei);
             let (u_from, u_to) = (edge.from, edge.to);
-            // procedure Join: prune sources with no surviving witness. The
-            // single-atom case (every edge, once normalized) runs as ONE
-            // bulk backend call so index backends answer the whole step
+            // procedure Join: prune sources with no surviving witness, as
+            // ONE bulk backend call so index backends answer the whole step
             // from label/row scans — and can parallelize it.
             let (kept, removed) = {
                 let (from_mat, to_mat) = (&mats[u_from], &mats[u_to]);
@@ -142,28 +141,21 @@ pub(crate) fn refine_from<R: ReachEngine>(
 }
 
 /// One refinement step's witness test, shared by [`refine_from`] and
-/// `SplitMatch`: `out[i]` = does `sources[i]` reach some
-/// target through `regex`? Single-atom expressions go through the bulk
-/// [`ReachEngine::sources_reaching_atom`] primitive (index backends answer
-/// it from aggregated label/row scans, possibly on several threads);
-/// multi-atom expressions — only seen by non-normalizing backends — fall
-/// back to pairwise probes.
-pub(crate) fn survivors<R: ReachEngine + ?Sized>(
+/// `SplitMatch`: `out[i]` = does `sources[i]` reach some target through
+/// `regex`? The edges they refine are single-atom, so this is one bulk
+/// [`ProbeReach::sources_reaching_atom`] call (index backends answer it
+/// from aggregated label/row scans, possibly on several threads).
+pub(crate) fn survivors<P: DistProbe + Sync + ?Sized>(
     g: &Graph,
-    engine: &mut R,
+    engine: &mut ProbeReach<'_, P>,
     sources: &[NodeId],
     targets: &[NodeId],
     regex: &rpq_regex::FRegex,
 ) -> Vec<bool> {
-    let atoms = regex.atoms();
-    if atoms.len() == 1 {
-        engine.sources_reaching_atom(g, sources, targets, &atoms[0])
-    } else {
-        sources
-            .iter()
-            .map(|&x| targets.iter().any(|&y| engine.reaches(g, x, y, regex)))
-            .collect()
-    }
+    let [atom] = regex.atoms() else {
+        panic!("refinement runs on single-atom edges (normalize the pattern first)");
+    };
+    engine.sources_reaching_atom(g, sources, targets, atom)
 }
 
 /// Result assembly (Fig. 7 lines 15-16) over the *original* edges: for each
@@ -181,16 +173,16 @@ pub fn assemble(pq: &Pq, g: &Graph, mats: &[Vec<NodeId>]) -> PqResult {
     assemble_with(pq, g, mats, &mut ProbeReach::new(&GraphProbe::new(g)))
 }
 
-/// [`assemble`] through a [`ReachEngine`]: per-source enumeration goes
-/// through [`ReachEngine::reach_set`], so index backends assemble from
+/// [`assemble`] through a [`ProbeReach`]: per-source enumeration goes
+/// through [`ProbeReach::reach_set`], so index backends assemble from
 /// bounded neighborhood scans instead of product-space searches — on large
 /// graphs the assembly step would otherwise dominate the whole hop-backed
 /// evaluation. Identical output by construction.
-pub fn assemble_with<R: ReachEngine + ?Sized>(
+pub fn assemble_with<P: DistProbe + Sync + ?Sized>(
     pq: &Pq,
     g: &Graph,
     mats: &[Vec<NodeId>],
-    engine: &mut R,
+    engine: &mut ProbeReach<'_, P>,
 ) -> PqResult {
     let mut edge_matches = Vec::with_capacity(pq.edge_count());
     for e in pq.edges() {

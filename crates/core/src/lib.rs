@@ -10,13 +10,14 @@
 //! * [`predicate`] — node search conditions and their implication (§2, §3.1)
 //! * [`rq`] — reachability queries and their three evaluation strategies (§4)
 //! * [`pq`] — pattern queries, semantics, reference evaluator (§2)
-//! * [`reach`] — matrix and cached-bi-BFS reachability backends (§4–5)
+//! * [`reach`] — [`reach::ProbeReach`], regex-constrained reachability over any
+//!   index probe or the graph itself (§4–5)
 //! * [`join_match`] — the join-based PQ algorithm, Fig. 7 (§5.1)
 //! * [`split_match`] — the split-based PQ algorithm, Fig. 8 (§5.2)
 //! * [`simulation`] — revised query-to-query similarity (§3.1)
 //! * [`contain`] — containment and equivalence of RQs/PQs (§3.1)
-//! * [`canonical`] — run-normal canonical forms and pattern isomorphism,
-//!   the keys of the engine's semantic cache and standing-query dedup
+//! * [`canonical`] — run-normal canonical forms, the keys of the engine's
+//!   semantic cache and standing-answer lookup
 //! * [`mod@minimize`] — the cubic-time `minPQs` minimization, Fig. 6 (§3.2)
 //! * [`baseline`] — `SubIso` and bounded-simulation `Match` baselines (§6)
 //! * [`incremental`] — standing-query maintenance under graph updates
@@ -37,7 +38,7 @@ pub mod rq;
 pub mod simulation;
 pub mod split_match;
 
-pub use canonical::{canonical_pq, canonical_rq, pq_isomorphism, pq_same_shape, standing_form};
+pub use canonical::{canonical_pq, canonical_rq, pq_same_shape};
 pub use contain::{
     pq_contained_in, pq_equivalent, rq_contained_in, rq_contained_in_fast, rq_equivalent,
 };
@@ -47,6 +48,6 @@ pub use join_match::JoinMatch;
 pub use minimize::minimize;
 pub use pq::{Pq, PqEdge, PqNode, PqResult};
 pub use predicate::{CompOp, PredAtom, Predicate};
-pub use reach::{MatrixReach, ReachEngine};
+pub use reach::MatrixReach;
 pub use rq::{Rq, RqResult};
 pub use split_match::SplitMatch;

@@ -11,7 +11,7 @@
 //! tests are cheap on every one of them, so callers *normalize* queries
 //! (split every edge into single-atom edges with dummy nodes) and get the
 //! paper's per-edge refinement; the bulk
-//! [`ReachEngine::sources_reaching_atom`] lets a backend answer a whole
+//! [`ProbeReach::sources_reaching_atom`] lets a backend answer a whole
 //! `Join` step at once — one target-side label aggregation, or one
 //! backward sweep over the graph — and spreads large source sets over
 //! worker threads ([`ProbeReach::with_workers`]).
@@ -66,61 +66,11 @@ pub fn product_reach_set(g: &Graph, nfa: &Nfa, x: NodeId) -> Vec<NodeId> {
         .collect()
 }
 
-/// A backend answering regex-constrained reachability tests.
-///
-/// `&mut self` because a backend may keep per-evaluation scratch
-/// ([`ProbeReach`]'s frontier dedup mask).
-pub trait ReachEngine {
-    /// Should PQ algorithms normalize queries (single-atom edges with
-    /// dummy nodes) before refinement? True exactly when single-atom tests
-    /// are cheap index probes, i.e. for the [`ProbeReach`] backends (§5.1:
-    /// "if one wants to use a distance matrix … Qp is normalized").
-    fn prefers_normalized(&self) -> bool;
-
-    /// Is there a nonempty path `x → y` whose colors spell a word in
-    /// `L(re)`?
-    fn reaches(&mut self, g: &Graph, x: NodeId, y: NodeId, re: &FRegex) -> bool;
-
-    /// Atom fast path: `(x, y) ⊨ c^k / c / c+`.
-    fn reaches_atom(&mut self, g: &Graph, x: NodeId, y: NodeId, atom: &Atom) -> bool {
-        self.reaches(g, x, y, &FRegex::new(vec![*atom]))
-    }
-
-    /// Bulk `Join`-step primitive: `out[i]` is true iff some `y ∈ targets`
-    /// satisfies `(sources[i], y) ⊨ atom`. The default short-circuits
-    /// pairwise [`reaches_atom`](ReachEngine::reaches_atom) probes (right
-    /// for adjacency lookups); [`ProbeReach`] overrides it so a whole
-    /// refinement step is answered from label/row scans or one graph sweep
-    /// instead of per-pair probes — and, with
-    /// [`with_workers`](ProbeReach::with_workers), spread across threads.
-    fn sources_reaching_atom(
-        &mut self,
-        g: &Graph,
-        sources: &[NodeId],
-        targets: &[NodeId],
-        atom: &Atom,
-    ) -> Vec<bool> {
-        sources
-            .iter()
-            .map(|&x| targets.iter().any(|&y| self.reaches_atom(g, x, y, atom)))
-            .collect()
-    }
-
-    /// All `y` with `(x, y) ⊨ re` — the per-source enumeration PQ result
-    /// assembly is built from. The default runs the forward
-    /// product-automaton search ([`product_reach_set`]); [`ProbeReach`]
-    /// overrides it with per-atom frontier stepping, so assembly never
-    /// touches the product space.
-    fn reach_set(&mut self, g: &Graph, x: NodeId, re: &FRegex) -> Vec<NodeId> {
-        product_reach_set(g, &Nfa::from_regex(re), x)
-    }
-}
-
-/// Engine over any [`DistProbe`] — an index, or the graph itself
-/// ([`GraphProbe`](rpq_index::GraphProbe)). Atom tests are direct probes;
-/// multi-atom expressions fall back to frontier stepping (the paper's
-/// dummy-node decomposition, evaluated in place), so every backend serves
-/// `JoinMatch`/`SplitMatch` through one code path.
+/// The one reachability engine, over any [`DistProbe`] — an index, or the
+/// graph itself ([`GraphProbe`](rpq_index::GraphProbe)). Atom tests are
+/// direct probes; multi-atom expressions fall back to frontier stepping
+/// (the paper's dummy-node decomposition, evaluated in place), so every
+/// backend serves `JoinMatch`/`SplitMatch` through one code path.
 ///
 /// The probe itself is shared immutably (`&P`): one index can back any
 /// number of concurrently running engines, which is what lets a single
@@ -170,7 +120,7 @@ impl<'a, P: DistProbe + ?Sized> ProbeReach<'a, P> {
 /// over the dense [`DistanceMatrix`].
 pub type MatrixReach<'a> = ProbeReach<'a, DistanceMatrix>;
 
-impl<P: DistProbe + ?Sized> ProbeReach<'_, P> {
+impl<P: DistProbe + Sync + ?Sized> ProbeReach<'_, P> {
     /// Advance a frontier through `atoms` one at a time — the paper's
     /// dummy-node decomposition evaluated in place, using bounded
     /// neighborhood scans (row scans on the matrix, inverted hub lists on
@@ -206,14 +156,10 @@ impl<P: DistProbe + ?Sized> ProbeReach<'_, P> {
         }
         frontier
     }
-}
 
-impl<P: DistProbe + Sync + ?Sized> ReachEngine for ProbeReach<'_, P> {
-    fn prefers_normalized(&self) -> bool {
-        true
-    }
-
-    fn reaches(&mut self, g: &Graph, x: NodeId, y: NodeId, re: &FRegex) -> bool {
+    /// Is there a nonempty path `x → y` whose colors spell a word in
+    /// `L(re)`?
+    pub fn reaches(&mut self, g: &Graph, x: NodeId, y: NodeId, re: &FRegex) -> bool {
         let atoms = re.atoms();
         if atoms.len() == 1 {
             return self.reaches_atom(g, x, y, &atoms[0]);
@@ -230,16 +176,24 @@ impl<P: DistProbe + Sync + ?Sized> ReachEngine for ProbeReach<'_, P> {
             .any(|&b| b)
     }
 
-    fn reach_set(&mut self, g: &Graph, x: NodeId, re: &FRegex) -> Vec<NodeId> {
+    /// All `y` with `(x, y) ⊨ re` — the per-source enumeration PQ result
+    /// assembly is built from, by per-atom frontier stepping (never the
+    /// product space).
+    pub fn reach_set(&mut self, g: &Graph, x: NodeId, re: &FRegex) -> Vec<NodeId> {
         self.frontier_sweep(g, x, re.atoms())
     }
 
-    fn reaches_atom(&mut self, g: &Graph, x: NodeId, y: NodeId, atom: &Atom) -> bool {
+    /// Atom fast path: `(x, y) ⊨ c^k / c / c+`.
+    pub fn reaches_atom(&mut self, g: &Graph, x: NodeId, y: NodeId, atom: &Atom) -> bool {
         self.probe
             .reaches_within(g, x, y, atom.color, atom.quant.max())
     }
 
-    fn sources_reaching_atom(
+    /// Bulk `Join`-step primitive: `out[i]` is true iff some `y ∈ targets`
+    /// satisfies `(sources[i], y) ⊨ atom`, answered from label/row scans or
+    /// one graph sweep instead of per-pair probes — and, with
+    /// [`with_workers`](ProbeReach::with_workers), spread across threads.
+    pub fn sources_reaching_atom(
         &mut self,
         g: &Graph,
         sources: &[NodeId],

@@ -17,8 +17,9 @@
 //! blocks by `O(|V|·|V'p|)` as in the paper's analysis.
 
 use crate::pq::{Pq, PqResult};
-use crate::reach::ReachEngine;
+use crate::reach::ProbeReach;
 use rpq_graph::{Graph, NodeId};
+use rpq_index::DistProbe;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Marker type for the split-based algorithm.
@@ -75,12 +76,12 @@ struct SplitOutcome {
 
 impl SplitMatch {
     /// Evaluate `pq` on `g` using `engine` for reachability probes.
-    pub fn eval<R: ReachEngine>(pq: &Pq, g: &Graph, engine: &mut R) -> PqResult {
-        let work = if engine.prefers_normalized() {
-            pq.normalize()
-        } else {
-            pq.clone()
-        };
+    pub fn eval<P: DistProbe + Sync + ?Sized>(
+        pq: &Pq,
+        g: &Graph,
+        engine: &mut ProbeReach<'_, P>,
+    ) -> PqResult {
+        let work = pq.normalize();
         let nq = work.node_count();
 
         // --- initial ⟨par, rel⟩: signature-grouped blocks -------------

@@ -11,7 +11,7 @@ use rpq_core::canonical::{canonical_pq, canonical_rq};
 use rpq_core::join_match::JoinMatch;
 use rpq_core::pq::Pq;
 use rpq_core::predicate::Predicate;
-use rpq_core::reach::{ProbeReach, ReachEngine};
+use rpq_core::reach::ProbeReach;
 use rpq_core::rq::{Rq, RqResult};
 use rpq_core::split_match::SplitMatch;
 use rpq_graph::{DistanceMatrix, Graph, NodeId};
@@ -833,8 +833,13 @@ fn eval_probing<P: DistProbe + Sync>(job: Job<'_>, probe: &P) -> QueryOutput {
     }
 }
 
-/// §5's two PQ algorithms over whichever reachability backend `reach` is.
-fn eval_pq<R: ReachEngine>(algo: Algo, pq: &Pq, g: &Graph, reach: &mut R) -> QueryOutput {
+/// §5's two PQ algorithms over whichever probe backs `reach`.
+fn eval_pq<P: DistProbe + Sync + ?Sized>(
+    algo: Algo,
+    pq: &Pq,
+    g: &Graph,
+    reach: &mut ProbeReach<'_, P>,
+) -> QueryOutput {
     QueryOutput::Pq(Arc::new(match algo {
         Algo::Join => JoinMatch::eval(pq, g, reach),
         Algo::Split => SplitMatch::eval(pq, g, reach),

@@ -203,10 +203,8 @@ impl Snapshot {
     /// structural equality, or [`rpq_core::pq_same_shape`] — the same node
     /// and edge structure with language-equal (canonical-form) regex
     /// spellings — so syntactic variants of a registered query are served
-    /// from the maintained match sets too. Variants that additionally
-    /// permute node order are deduplicated at registration time instead
-    /// ([`UpdatableEngine::register_pq`](crate::UpdatableEngine::register_pq)),
-    /// where the isomorphism is known and the match sets can be remapped.
+    /// from the maintained match sets too. A variant that also permutes
+    /// node order is evaluated, unless it is registered itself.
     fn standing_match(&self, pq: &Pq) -> Option<usize> {
         self.standing
             .iter()

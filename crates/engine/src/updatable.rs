@@ -30,7 +30,7 @@ use crate::error::EngineError;
 use crate::snapshot::{IndexState, Snapshot, StandingEntry};
 use rpq_core::incremental::{DynamicGraph, IncrementalMatcher, Update};
 use rpq_core::pq::{Pq, PqResult};
-use rpq_graph::{Color, DriftMonitor, Graph, NodeId};
+use rpq_graph::{Color, Graph, NodeId};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -68,8 +68,8 @@ pub struct ApplyReport {
 /// whole-graph hop index they count **label sets**, one per (layer,
 /// landmark) and `n × layers` in all (carried = kept verbatim, repaired =
 /// re-run pruned BFS); for the sharded index they count **shards**
-/// (carried by `Arc`, repaired in place, or rebuilt from scratch —
-/// membership moves and too-broad shard repairs).
+/// (carried by `Arc`, repaired in place, or rebuilt from scratch when a
+/// shard repair is too broad).
 #[derive(Debug, Clone)]
 pub struct IndexMaintenance {
     /// The verdict, also published as
@@ -84,7 +84,7 @@ pub struct IndexMaintenance {
     /// Landmarks whose pruned-BFS labels were invalidated by the batch,
     /// summed across layers (and shards).
     pub landmarks_invalidated: usize,
-    /// Shards the batch touched (intra-shard changes + membership moves);
+    /// Shards the batch touched (those holding an intra-shard change);
     /// `0` in the whole-graph regime.
     pub shards_touched: usize,
     /// Wall-clock time of the carry/repair step (zero when nothing ran).
@@ -117,43 +117,12 @@ impl Default for IndexMaintenance {
     }
 }
 
-/// One registered standing query: which dedup family it belongs to,
-/// which incremental matcher maintains its match sets, and how to read
-/// them. With `kappa: Some(κ)`, the registrant shares a matcher whose
-/// pattern is the registrant's under the node renumbering κ — its match
-/// sets are `matcher_mats[κ[u]]`, bit-identical in the registrant's own
-/// node order. `None` means the matcher maintains this exact pattern.
-struct StandingReg {
-    pq: Pq,
-    family: usize,
-    matcher: usize,
-    kappa: Option<Vec<usize>>,
-}
-
-/// Mutable state owned by the writer lock: the dynamic graph, the
-/// maintenance state of every standing query, and the drift monitor
-/// watching the sharded partition (created when the first sharded index
-/// is carried).
+/// Mutable state owned by the writer lock: the dynamic graph and one
+/// incremental matcher per registered standing query, in [`StandingId`]
+/// order.
 struct WriterState {
     dynamic: DynamicGraph,
-    /// One matcher per *distinct pattern shape* being maintained —
-    /// deduplicated registrations share an entry (≤ one per registration).
     matchers: Vec<IncrementalMatcher>,
-    /// All registrations, in [`StandingId`] order.
-    registrations: Vec<StandingReg>,
-    /// Dedup family representatives: the [`rpq_core::standing_form`]
-    /// (canonicalized + minimized) of each family's first registrant.
-    families: Vec<Pq>,
-    drift: Option<DriftMonitor>,
-}
-
-/// Read a matcher's maintained match sets in a registration's own node
-/// order (identity when it owns the matcher, through κ when shared).
-fn remap_mats(mats: &[Vec<NodeId>], kappa: Option<&[usize]>) -> Vec<Vec<NodeId>> {
-    match kappa {
-        Some(k) => k.iter().map(|&w| mats[w].clone()).collect(),
-        None => mats.to_vec(),
-    }
 }
 
 /// A query engine over a *mutating* graph: writers apply update batches,
@@ -223,9 +192,6 @@ impl UpdatableEngine {
             writer: Mutex::new(WriterState {
                 dynamic,
                 matchers: Vec::new(),
-                registrations: Vec::new(),
-                families: Vec::new(),
-                drift: None,
             }),
             current: RwLock::new(snapshot),
         }
@@ -252,57 +218,16 @@ impl UpdatableEngine {
     /// by every subsequent [`apply`](UpdatableEngine::apply), and served
     /// from the maintained answer whenever it appears in a batch.
     ///
-    /// Registrations are **semantically deduplicated**: the query's
-    /// [`rpq_core::standing_form`] (edge regexes canonicalized, pattern
-    /// minimized by the paper's `minPQs`) is matched against existing
-    /// families up to isomorphism, so two users registering syntactic
-    /// variants of one query land in the same family — see
-    /// [`standing_family`](UpdatableEngine::standing_family). When the new
-    /// registrant's own shape maps onto an already-maintained pattern
-    /// (identity for re-registrations, a node renumbering for permuted
-    /// variants), **no new matcher is created and no evaluation runs**:
-    /// the registration reads the shared matcher's match sets through the
-    /// renumbering, bit-identical in its own node order. Only an
-    /// equivalent query with a genuinely different shape (e.g. carrying a
-    /// redundant edge the minimizer would fold) gets a private matcher,
-    /// since its per-node answer shape cannot be served from the family's.
+    /// Every registration gets its own matcher. A batch query that
+    /// respells a registered pattern (other node labels, equivalent regex
+    /// spellings, the same node order) is served from the registered
+    /// answer too: the snapshot matches it by shape at read time.
     pub fn register_pq(&self, pq: Pq) -> StandingId {
         let mut writer = self.writer.lock().expect("writer lock poisoned");
-        let state = &mut *writer;
-        let form = rpq_core::standing_form(&pq);
-        let family = state
-            .families
-            .iter()
-            .position(|f| rpq_core::pq_isomorphism(&form, f).is_some());
-        let (family, matcher, kappa) = match family {
-            Some(fi) => {
-                let shared = state
-                    .registrations
-                    .iter()
-                    .filter(|r| r.family == fi)
-                    .find_map(|r| {
-                        rpq_core::pq_isomorphism(&pq, state.matchers[r.matcher].pq())
-                            .map(|k| (r.matcher, k))
-                    });
-                match shared {
-                    Some((mi, k)) => (fi, mi, Some(k)),
-                    None => (fi, push_matcher(state, &pq), None),
-                }
-            }
-            None => {
-                state.families.push(form);
-                (state.families.len() - 1, push_matcher(state, &pq), None)
-            }
-        };
-        let mats = remap_mats(state.matchers[matcher].match_sets(), kappa.as_deref());
-        let entry = StandingEntry::new(pq.clone(), mats);
-        state.registrations.push(StandingReg {
-            pq,
-            family,
-            matcher,
-            kappa,
-        });
-        let id = StandingId(state.registrations.len() - 1);
+        let matcher = IncrementalMatcher::new(pq.clone(), &writer.dynamic);
+        let entry = StandingEntry::new(pq, matcher.match_sets().to_vec());
+        writer.matchers.push(matcher);
+        let id = StandingId(writer.matchers.len() - 1);
 
         // republish: same graph version, same engine — its (possibly
         // warmed) indices and memo carry over — one more standing answer
@@ -330,13 +255,6 @@ impl UpdatableEngine {
     /// indices, refreshed standing answers) replaces the current one with
     /// a single `Arc` swap. A batch that changes nothing publishes
     /// nothing.
-    ///
-    /// In the sharded regime the carry step also watches for **partition
-    /// drift**: when a sliding window of cut-ratio/balance samples
-    /// degrades past the monitor's threshold, a bounded rebalancing
-    /// move-set is computed ([`rpq_graph::Partition::rebalance`]) and
-    /// applied without re-sharding; only the shards whose membership
-    /// moved get their labels rebuilt.
     ///
     /// # Errors
     ///
@@ -387,18 +305,11 @@ impl UpdatableEngine {
             matcher.on_update(&state.dynamic, &effective);
         }
         // copy out the maintained match sets only; the full per-edge result
-        // is assembled lazily by the snapshot when (and if) it is read.
-        // One entry per *registration* — deduplicated registrations read
-        // the shared matcher's sets through their node renumbering
+        // is assembled lazily by the snapshot when (and if) it is read
         let standing: Vec<StandingEntry> = state
-            .registrations
+            .matchers
             .iter()
-            .map(|r| {
-                StandingEntry::new(
-                    r.pq.clone(),
-                    remap_mats(state.matchers[r.matcher].match_sets(), r.kappa.as_deref()),
-                )
-            })
+            .map(|m| StandingEntry::new(m.pq().clone(), m.match_sets().to_vec()))
             .collect();
         let t_standing = Instant::now();
         let new_graph = state.dynamic.graph_arc();
@@ -415,7 +326,7 @@ impl UpdatableEngine {
             })
             .collect();
         let prev = self.snapshot();
-        let mut index = carry_index(&prev, &engine, &changes, &mut state.drift);
+        let mut index = carry_index(&prev, &engine, &changes);
         let t_carried = Instant::now();
         let snapshot = Arc::new(Snapshot::new(
             state.dynamic.version(),
@@ -474,36 +385,6 @@ impl UpdatableEngine {
     pub fn standing_result(&self, id: StandingId) -> Option<Arc<PqResult>> {
         self.snapshot().standing_result(id)
     }
-
-    /// The dedup family of registration `id`: registrations whose
-    /// minimized canonical forms ([`rpq_core::standing_form`]) are
-    /// isomorphic share one family — and, whenever their shapes permit,
-    /// one incremental matcher. `None` for an unknown id.
-    pub fn standing_family(&self, id: StandingId) -> Option<usize> {
-        let writer = self.writer.lock().expect("writer lock poisoned");
-        writer.registrations.get(id.index()).map(|r| r.family)
-    }
-
-    /// Number of incremental matchers actually maintained — at most one
-    /// per registration, strictly fewer when dedup shares them (the
-    /// observable cost of [`register_pq`](UpdatableEngine::register_pq)'s
-    /// dedup: `apply` maintains each shared pattern once).
-    pub fn standing_matcher_count(&self) -> usize {
-        self.writer
-            .lock()
-            .expect("writer lock poisoned")
-            .matchers
-            .len()
-    }
-}
-
-/// Create and seed an incremental matcher for `pq` (the one initial full
-/// evaluation a non-deduplicated registration pays).
-fn push_matcher(state: &mut WriterState, pq: &Pq) -> usize {
-    state
-        .matchers
-        .push(IncrementalMatcher::new(pq.clone(), &state.dynamic));
-    state.matchers.len() - 1
 }
 
 /// The index state a snapshot starts in before any carry has happened:
@@ -535,7 +416,6 @@ fn carry_index(
     prev: &Snapshot,
     next_engine: &QueryEngine,
     changes: &[(NodeId, NodeId, Color)],
-    drift: &mut Option<DriftMonitor>,
 ) -> IndexMaintenance {
     let t0 = Instant::now();
     let (new_graph, config) = (next_engine.graph(), next_engine.config());
@@ -567,45 +447,20 @@ fn carry_index(
             ),
         }
     } else if let Some(sl) = prev.engine().sharded().get() {
-        let old_sg = sl.sharded_graph();
-        let k = old_sg.k();
-        // graph layer first: patch the sharded view in place
-        let mut new_sg = old_sg.apply_updates(Arc::clone(new_graph), changes);
-        // drift watch: a full degraded window triggers a bounded
-        // rebalance, applied as a move-set (no re-sharding); only the
-        // shards whose membership moved must rebuild their labels
-        let mon = drift.get_or_insert_with(|| DriftMonitor::new(&old_sg.stats()));
-        mon.record(&new_sg.stats());
-        let mut rebuild_shards: Vec<usize> = Vec::new();
-        if mon.drifting() {
-            let max_moves = (new_graph.node_count() / 8).max(16);
-            let moves = new_sg.partition().rebalance(new_graph, max_moves);
-            if !moves.is_empty() {
-                let mut moved = vec![false; k];
-                for &(v, s) in &moves {
-                    moved[new_sg.partition().shard_of(v)] = true;
-                    moved[s as usize] = true;
-                }
-                new_sg = new_sg.apply_moves(&moves);
-                rebuild_shards = (0..k).filter(|&s| moved[s]).collect();
-            }
-            mon.rebaseline(&new_sg.stats());
-        }
-        // cost model: how many shards would the label layer rework?
+        // cost model: how many shards would the label layer rework? The
+        // partition is fixed for the life of the index
+        let part = sl.sharded_graph().partition();
+        let k = part.k();
         let mut reworked = vec![false; k];
-        for &s in &rebuild_shards {
-            reworked[s] = true;
-        }
         for &(u, v, _) in changes {
-            let p = new_sg.partition();
-            if p.shard_of(u) == p.shard_of(v) {
-                reworked[p.shard_of(u)] = true;
+            if part.shard_of(u) == part.shard_of(v) {
+                reworked[part.shard_of(u)] = true;
             }
         }
         m.shards_touched = reworked.iter().filter(|&&t| t).count();
         if m.shards_touched <= k / 2 {
             let scfg = config.sharded_config();
-            match sl.repair(Arc::new(new_sg), changes, &rebuild_shards, &scfg, None) {
+            match sl.repair(Arc::clone(new_graph), changes, &scfg, None) {
                 Ok(rep) => {
                     m.state = IndexState::Repaired;
                     m.labels_carried = rep.shards_carried;
@@ -1019,7 +874,7 @@ mod tests {
                 .unwrap(),
         );
         let first = engine.snapshot();
-        first.engine().sharded().force().expect("builds");
+        let built = first.engine().sharded().force().expect("builds");
 
         let g0 = first.graph().clone();
         let (u, v, c) = g0.edges().next().unwrap();
@@ -1073,6 +928,17 @@ mod tests {
             crate::IndexState::Repaired,
             "steady-state writes keep the index carried"
         );
+        // the partition is fixed for the life of the index: every repaired
+        // version keeps the first build's node→shard assignment
+        let last = engine.snapshot();
+        let published = last.engine().sharded().get().unwrap();
+        let (p0, p1) = (
+            built.sharded_graph().partition(),
+            published.sharded_graph().partition(),
+        );
+        for v in g0.nodes() {
+            assert_eq!(p1.to_local(v), p0.to_local(v), "node {v:?} moved");
+        }
     }
 
     #[test]
@@ -1093,63 +959,34 @@ mod tests {
     }
 
     #[test]
-    fn standing_variants_share_one_matcher() {
+    fn unregistered_respelling_is_served_standing() {
         let engine = UpdatableEngine::new(essembly());
         let g = engine.snapshot().graph().clone();
         let doctor = Predicate::parse("job = \"doctor\"", g.schema()).unwrap();
-
-        // user 1's registration
         let mut a = Pq::new();
-        let a0 = a.add_node("a", doctor.clone());
+        let a0 = a.add_node("a", doctor);
         let a1 = a.add_node("b", Predicate::always_true());
         a.add_edge(a0, a1, FRegex::parse("fn fn^2", g.alphabet()).unwrap());
-        // user 2's: the same query with nodes permuted, labels renamed,
-        // and the regex respelled
-        let mut b = Pq::new();
-        let b0 = b.add_node("x", Predicate::always_true());
-        let b1 = b.add_node("y", doctor);
-        b.add_edge(b1, b0, FRegex::parse("fn^2 fn", g.alphabet()).unwrap());
+        engine.register_pq(a.clone());
 
-        let id_a = engine.register_pq(a.clone());
-        let id_b = engine.register_pq(b.clone());
-        assert_eq!(engine.standing_family(id_a), engine.standing_family(id_b));
-        assert_eq!(
-            engine.standing_matcher_count(),
-            1,
-            "the variant must share the existing matcher, not spawn one"
-        );
+        // the registered query with labels renamed and the regex respelled
+        let mut variant = Pq::new();
+        let v0 = variant.add_node("p", a.node(0).pred.clone());
+        let v1 = variant.add_node("q", a.node(1).pred.clone());
+        variant.add_edge(v0, v1, FRegex::parse("fn^2 fn", g.alphabet()).unwrap());
+        let check = |snap: &Snapshot| {
+            let g = snap.graph();
+            assert_eq!(
+                snap.plan_query(&Query::Pq(variant.clone())).algo(),
+                Algo::Standing
+            );
+            assert_eq!(
+                snap.run_query(&Query::Pq(variant.clone())).as_pq().unwrap(),
+                &variant.eval_naive(g)
+            );
+        };
+        check(&engine.snapshot());
 
-        // each registration is served standing, in its own node order
-        let snap = engine.snapshot();
-        assert_eq!(
-            snap.plan_query(&Query::Pq(a.clone())).algo(),
-            Algo::Standing
-        );
-        assert_eq!(
-            snap.plan_query(&Query::Pq(b.clone())).algo(),
-            Algo::Standing
-        );
-        assert_eq!(&*snap.standing_result(id_a).unwrap(), &a.eval_naive(&g));
-        assert_eq!(&*snap.standing_result(id_b).unwrap(), &b.eval_naive(&g));
-
-        // an unregistered respelling of user 1's query (same node order)
-        // is also served from the maintained answer
-        let mut a_variant = Pq::new();
-        let v0 = a_variant.add_node("p", a.node(0).pred.clone());
-        let v1 = a_variant.add_node("q", a.node(1).pred.clone());
-        a_variant.add_edge(v0, v1, FRegex::parse("fn^2 fn", g.alphabet()).unwrap());
-        assert_eq!(
-            snap.plan_query(&Query::Pq(a_variant.clone())).algo(),
-            Algo::Standing
-        );
-        assert_eq!(
-            snap.run_query(&Query::Pq(a_variant.clone()))
-                .as_pq()
-                .unwrap(),
-            &a_variant.eval_naive(&g)
-        );
-
-        // maintenance flows through the one matcher into both answers
         let hub = g.node_by_label("B1").unwrap();
         let fnc = g.alphabet().get("fn").unwrap();
         let cuts: Vec<Update> = g
@@ -1159,24 +996,7 @@ mod tests {
             .map(|e| Update::Delete(hub, e.node, fnc))
             .collect();
         assert!(!cuts.is_empty());
-        let report = engine.apply(&cuts).unwrap();
-        let g1 = report.snapshot.graph().clone();
-        assert_eq!(
-            &*report.snapshot.standing_result(id_a).unwrap(),
-            &a.eval_naive(&g1)
-        );
-        assert_eq!(
-            &*report.snapshot.standing_result(id_b).unwrap(),
-            &b.eval_naive(&g1)
-        );
-
-        // a semantically different pattern still gets its own family
-        let id_other = engine.register_pq(fn_pq(&g));
-        assert_ne!(
-            engine.standing_family(id_other),
-            engine.standing_family(id_a)
-        );
-        assert_eq!(engine.standing_matcher_count(), 2);
+        check(&engine.apply(&cuts).unwrap().snapshot);
     }
 
     #[test]

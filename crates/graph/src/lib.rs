@@ -38,4 +38,4 @@ pub use builder::GraphBuilder;
 pub use color::{Alphabet, Color, WILDCARD};
 pub use distance::{DistanceMatrix, INFINITY};
 pub use graph::{EdgeRef, Graph, NodeId};
-pub use partition::{DriftMonitor, Partition, ShardStats, ShardedGraph};
+pub use partition::{Partition, ShardStats, ShardedGraph};

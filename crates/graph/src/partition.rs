@@ -87,29 +87,16 @@ const UNASSIGNED: u32 = u32::MAX;
 ///    cost. This is what repairs a capped community that
 ///    straddled two clusters during propagation.
 ///
-/// Runs up to four passes or until a pass changes nothing, stopping
-/// early once `max_changes` assignment changes have been made (a swap
-/// counts as two). Mutates `shard_of`/`sizes` in place and returns the
-/// number of changes. This is both the final polish of
-/// [`Partition::edge_cut`] and the whole of [`Partition::rebalance`] —
-/// incremental rebalancing is refinement re-run on the drifted graph.
-fn refine_assignment(
-    g: &Graph,
-    shard_of: &mut [u32],
-    sizes: &mut [usize],
-    cap: usize,
-    max_changes: usize,
-) -> usize {
+/// Runs up to four passes or until a pass changes nothing, mutating
+/// `shard_of`/`sizes` in place. This is the final polish of
+/// [`Partition::edge_cut`].
+fn refine_assignment(g: &Graph, shard_of: &mut [u32], sizes: &mut [usize], cap: usize) {
     let n = shard_of.len();
     let k = sizes.len();
-    let mut changed = 0usize;
     let mut votes = vec![0u32; k];
     for _pass in 0..4 {
         let mut moved = 0usize;
         for v in 0..n {
-            if changed >= max_changes {
-                return changed;
-            }
             let id = NodeId(v as u32);
             votes.iter_mut().for_each(|t| *t = 0);
             for e in g.out_edges(id).iter().chain(g.in_edges(id)) {
@@ -126,7 +113,6 @@ fn refine_assignment(
                 sizes[cur] -= 1;
                 sizes[best] += 1;
                 moved += 1;
-                changed += 1;
             }
         }
         // swap phase: collect would-be movers per (from, to) pair
@@ -163,13 +149,9 @@ fn refine_assignment(
                 bwd.sort_unstable_by_key(|&(gain, v)| (std::cmp::Reverse(gain), v));
                 let m = fwd.len().min(bwd.len());
                 for i in 0..m {
-                    if changed + 2 > max_changes {
-                        return changed;
-                    }
                     shard_of[fwd[i].1 as usize] = b;
                     shard_of[bwd[i].1 as usize] = a;
                     moved += 2;
-                    changed += 2;
                 }
             }
         }
@@ -177,7 +159,6 @@ fn refine_assignment(
             break;
         }
     }
-    changed
 }
 
 /// An assignment of graph nodes to `k` shards, with per-shard dense local
@@ -369,8 +350,8 @@ impl Partition {
             }
         }
 
-        // --- boundary refinement (shared with [`Partition::rebalance`])
-        refine_assignment(g, &mut shard_of, &mut sizes, cap, usize::MAX);
+        // --- boundary refinement
+        refine_assignment(g, &mut shard_of, &mut sizes, cap);
 
         // --- no shard stays empty: since k ≤ |V|, every empty shard can
         // take one node from the currently largest shard (the packing
@@ -459,123 +440,6 @@ impl Partition {
     /// Number of nodes in shard `s`.
     pub fn shard_size(&self, s: usize) -> usize {
         self.globals[s].len()
-    }
-
-    /// Propose an **incremental rebalancing** of this partition against
-    /// `g` (typically the same graph after a stream of edge updates has
-    /// degraded the cut): re-runs the bounded capped-move/swap refinement
-    /// of [`Partition::edge_cut`] on the current assignment and returns
-    /// the resulting move-set as `(node, new shard)` pairs — only nodes
-    /// whose final shard differs from their current one appear.
-    ///
-    /// `max_moves` caps the refinement work (each single move or half of
-    /// a swap counts as one change), so a drifted partition is repaired
-    /// in bounded slices instead of one unbounded sweep; the returned
-    /// set can be applied without re-sharding through
-    /// [`ShardedGraph::apply_moves`]. An empty result means refinement
-    /// found nothing to improve — the partition is at a local optimum
-    /// and only a full repartition could do better.
-    pub fn rebalance(&self, g: &Graph, max_moves: usize) -> Vec<(NodeId, u32)> {
-        assert_eq!(
-            g.node_count(),
-            self.node_count(),
-            "rebalance needs the graph this partition covers"
-        );
-        let n = self.node_count();
-        let k = self.k();
-        if n == 0 || max_moves == 0 {
-            return Vec::new();
-        }
-        let cap = n.div_ceil(k);
-        let mut shard_of = self.shard_of.clone();
-        let mut sizes: Vec<usize> = (0..k).map(|s| self.shard_size(s)).collect();
-        refine_assignment(g, &mut shard_of, &mut sizes, cap, max_moves);
-        shard_of
-            .iter()
-            .enumerate()
-            .filter(|&(v, &s)| s != self.shard_of[v])
-            .map(|(v, &s)| (NodeId(v as u32), s))
-            .collect()
-    }
-}
-
-/// Sliding-window detector for **partition drift**: the slow decay of a
-/// once-good edge-cut as updates keep landing on a fixed assignment.
-///
-/// Feed it the [`ShardStats`] of each published sharded snapshot via
-/// [`DriftMonitor::record`]; [`DriftMonitor::drifting`] reports true once
-/// a *full* window of samples averages worse than the recorded baseline
-/// by the slack factor — on either the cut ratio or the balance. The
-/// full-window warm-up keeps one noisy batch from triggering a
-/// rebalance, and [`DriftMonitor::rebaseline`] resets both the baseline
-/// and the window after a rebalance (or full repartition) has been
-/// applied, so the monitor tracks degradation *since the last repair*
-/// rather than since the beginning of time.
-#[derive(Debug, Clone)]
-pub struct DriftMonitor {
-    window: usize,
-    slack: f64,
-    baseline_cut: f64,
-    baseline_balance: f64,
-    samples: VecDeque<(f64, f64)>,
-}
-
-impl DriftMonitor {
-    /// Default window: 8 recorded snapshots.
-    pub const DEFAULT_WINDOW: usize = 8;
-    /// Default slack: 1.25× the baseline before drift is declared.
-    pub const DEFAULT_SLACK: f64 = 1.25;
-
-    /// Monitor with the default window and slack, baselined at `stats`.
-    pub fn new(baseline: &ShardStats) -> DriftMonitor {
-        Self::with_params(baseline, Self::DEFAULT_WINDOW, Self::DEFAULT_SLACK)
-    }
-
-    /// Monitor with an explicit window length (≥ 1) and slack factor
-    /// (> 1), baselined at `stats`.
-    pub fn with_params(baseline: &ShardStats, window: usize, slack: f64) -> DriftMonitor {
-        assert!(window >= 1, "window must hold at least one sample");
-        assert!(slack > 1.0, "slack must leave room above the baseline");
-        DriftMonitor {
-            window,
-            slack,
-            baseline_cut: baseline.edge_cut_ratio(),
-            baseline_balance: baseline.balance(),
-            samples: VecDeque::with_capacity(window),
-        }
-    }
-
-    /// Record the stats of a freshly published sharded snapshot.
-    pub fn record(&mut self, stats: &ShardStats) {
-        if self.samples.len() == self.window {
-            self.samples.pop_front();
-        }
-        self.samples
-            .push_back((stats.edge_cut_ratio(), stats.balance()));
-    }
-
-    /// True when a full window of samples averages worse than the
-    /// baseline by the slack factor, on cut ratio or balance. The cut
-    /// threshold carries a small absolute floor so a zero-cut baseline
-    /// (e.g. disconnected clusters split perfectly) does not declare
-    /// drift on the first cross-shard edge.
-    pub fn drifting(&self) -> bool {
-        if self.samples.len() < self.window {
-            return false;
-        }
-        let inv = 1.0 / self.samples.len() as f64;
-        let avg_cut: f64 = self.samples.iter().map(|&(c, _)| c).sum::<f64>() * inv;
-        let avg_bal: f64 = self.samples.iter().map(|&(_, b)| b).sum::<f64>() * inv;
-        avg_cut > self.baseline_cut * self.slack + 0.01
-            || avg_bal > self.baseline_balance * self.slack
-    }
-
-    /// Reset the baseline to `stats` and clear the window — call after
-    /// applying a rebalance so the monitor measures new degradation.
-    pub fn rebaseline(&mut self, stats: &ShardStats) {
-        self.baseline_cut = stats.edge_cut_ratio();
-        self.baseline_balance = stats.balance();
-        self.samples.clear();
     }
 }
 
@@ -676,9 +540,9 @@ fn scan_cut_edges(graph: &Graph, partition: &Partition) -> Vec<(NodeId, NodeId, 
 pub struct ShardedGraph {
     graph: Arc<Graph>,
     partition: Partition,
-    /// Per-shard local graphs, `Arc`'d so the incremental constructors
-    /// ([`ShardedGraph::apply_updates`], [`ShardedGraph::apply_moves`])
-    /// can carry untouched shards into the successor for free.
+    /// Per-shard local graphs, `Arc`'d so the incremental constructor
+    /// ([`ShardedGraph::apply_updates`]) can carry untouched shards into
+    /// the successor for free.
     shards: Vec<Arc<Graph>>,
     /// per shard: boundary nodes as **local** ids, ascending.
     boundary_locals: Vec<Vec<NodeId>>,
@@ -712,10 +576,9 @@ impl ShardedGraph {
 
     /// The one constructor — a fresh build is maintenance from nothing:
     /// [`with_partition`](ShardedGraph::with_partition) carries no shard,
-    /// [`apply_updates`](ShardedGraph::apply_updates) and
-    /// [`apply_moves`](ShardedGraph::apply_moves) carry their untouched
+    /// [`apply_updates`](ShardedGraph::apply_updates) carries its untouched
     /// ones. A shard `carried` yields is taken by `Arc` (the caller vouches
-    /// that its membership and intra-shard edges are unchanged), every
+    /// that its intra-shard edges are unchanged), every
     /// other local graph is built from `graph`. The boundary directory —
     /// per-shard boundary locals (ascending), the global boundary list
     /// whose index order **is** the overlay id space, and the
@@ -820,41 +683,6 @@ impl ShardedGraph {
         };
         cut_edges.extend(cross_inserts);
         Self::assemble(new_graph, partition, cut_edges, |s| {
-            (!touched[s]).then(|| Arc::clone(&self.shards[s]))
-        })
-    }
-
-    /// Apply a rebalancing move-set (from [`Partition::rebalance`])
-    /// **without re-sharding**: the assignment is patched, only shards a
-    /// node moved out of or into get their local graph rebuilt (the rest
-    /// are carried by `Arc`), and the cut is re-scanned in one O(|E|)
-    /// pass — membership changes can flip the cut status of any edge
-    /// incident to a moved node, so the scan is the cheapest sound
-    /// re-derivation. No-op moves (a node "moved" to its current shard)
-    /// are ignored.
-    ///
-    /// The result is identical to
-    /// `with_partition(graph, Partition::from_shard_of(patched, k))`:
-    /// untouched shards keep their exact local graphs (dense local ids
-    /// are assigned in ascending global order, so unchanged membership
-    /// means unchanged ids), which the index layer exploits to carry
-    /// per-shard labels across a rebalance.
-    pub fn apply_moves(&self, moves: &[(NodeId, u32)]) -> ShardedGraph {
-        let k = self.k();
-        let mut shard_of = self.partition.shard_of.clone();
-        let mut touched = vec![false; k];
-        for &(v, s) in moves {
-            assert!((s as usize) < k, "move target {s} >= k={k}");
-            let old = shard_of[v.index()];
-            if old != s {
-                touched[old as usize] = true;
-                touched[s as usize] = true;
-                shard_of[v.index()] = s;
-            }
-        }
-        let partition = Partition::from_shard_of(shard_of, k);
-        let cut_edges = scan_cut_edges(&self.graph, &partition);
-        Self::assemble(Arc::clone(&self.graph), partition, cut_edges, |s| {
             (!touched[s]).then(|| Arc::clone(&self.shards[s]))
         })
     }
@@ -1171,126 +999,5 @@ mod tests {
             &inc2,
             &ShardedGraph::with_partition(after, inc.partition().clone()),
         );
-    }
-
-    #[test]
-    fn apply_moves_matches_full_resharding() {
-        let g = Arc::new(synthetic(70, 280, 2, 3, 29));
-        let sg = ShardedGraph::new(Arc::clone(&g), 4);
-        // move the first two nodes of shard 0 into shard 1
-        let p = sg.partition();
-        let moves = vec![
-            (p.to_global(0, NodeId(0)), 1u32),
-            (p.to_global(0, NodeId(1)), 1u32),
-            // and a no-op move that must not dirty its shard
-            (p.to_global(2, NodeId(0)), 2u32),
-        ];
-        let inc = sg.apply_moves(&moves);
-        let mut shard_of: Vec<u32> = (0..g.node_count())
-            .map(|v| p.shard_of(NodeId(v as u32)) as u32)
-            .collect();
-        for &(v, s) in &moves {
-            shard_of[v.index()] = s;
-        }
-        let full =
-            ShardedGraph::with_partition(Arc::clone(&g), Partition::from_shard_of(shard_of, 4));
-        assert_same_view(&inc, &full);
-        check_invariants(&inc);
-        // shards 2 and 3 saw no membership change: carried by Arc
-        for s in [2usize, 3] {
-            assert!(Arc::ptr_eq(&sg.shards()[s], &inc.shards()[s]));
-        }
-        for s in [0usize, 1] {
-            assert!(!Arc::ptr_eq(&sg.shards()[s], &inc.shards()[s]));
-        }
-    }
-
-    /// Count the edges of `g` crossing shards under `shard_of`.
-    fn cut_count(g: &Graph, shard_of: &[u32]) -> usize {
-        g.edges()
-            .filter(|&(u, v, _)| shard_of[u.index()] != shard_of[v.index()])
-            .count()
-    }
-
-    #[test]
-    fn rebalance_repairs_a_scrambled_partition() {
-        let g = Arc::new(clustered(200, 800, 4, 2, 3, 20, 5));
-        let p = Partition::edge_cut(&g, 4);
-        // scramble: swap node pairs between shards 0 and 1 (balance-
-        // preserving, cut-destroying)
-        let mut shard_of: Vec<u32> = (0..g.node_count())
-            .map(|v| p.shard_of(NodeId(v as u32)) as u32)
-            .collect();
-        let zeros: Vec<usize> = (0..shard_of.len()).filter(|&v| shard_of[v] == 0).collect();
-        let ones: Vec<usize> = (0..shard_of.len()).filter(|&v| shard_of[v] == 1).collect();
-        for i in 0..6.min(zeros.len()).min(ones.len()) {
-            shard_of[zeros[i]] = 1;
-            shard_of[ones[i]] = 0;
-        }
-        let scrambled = Partition::from_shard_of(shard_of.clone(), 4);
-        let before = cut_count(&g, &shard_of);
-        let moves = scrambled.rebalance(&g, 1000);
-        assert!(
-            !moves.is_empty(),
-            "refinement should find the misplaced nodes"
-        );
-        let mut repaired = shard_of.clone();
-        for &(v, s) in &moves {
-            repaired[v.index()] = s;
-        }
-        let after = cut_count(&g, &repaired);
-        assert!(
-            after < before,
-            "rebalance should improve the cut: {before} -> {after}"
-        );
-        // the cap is a hard bound on refinement work
-        assert!(scrambled.rebalance(&g, 2).len() <= 2);
-        assert!(scrambled.rebalance(&g, 0).is_empty());
-    }
-
-    #[test]
-    fn drift_monitor_needs_a_full_degraded_window() {
-        let base = ShardStats {
-            shards: 4,
-            nodes: 1000,
-            edges: 4000,
-            cut_edges: 400,
-            boundary_nodes: 300,
-            max_shard_nodes: 260,
-            min_shard_nodes: 240,
-        };
-        let mut mon = DriftMonitor::with_params(&base, 3, 1.25);
-        // healthy samples never trigger
-        for _ in 0..5 {
-            mon.record(&base);
-        }
-        assert!(!mon.drifting());
-        // degradation: cut ratio 0.10 -> 0.15, above the 0.135 threshold
-        // only once it fills the whole window
-        let bad = ShardStats {
-            cut_edges: 600,
-            ..base.clone()
-        };
-        mon.record(&bad);
-        mon.record(&bad);
-        assert!(!mon.drifting(), "window still averages below threshold");
-        mon.record(&bad);
-        assert!(mon.drifting(), "full window of degraded cut must trigger");
-        // rebaselining at the degraded level clears the alarm
-        mon.rebaseline(&bad);
-        assert!(!mon.drifting(), "window cleared");
-        for _ in 0..3 {
-            mon.record(&bad);
-        }
-        assert!(!mon.drifting(), "degraded level is the new baseline");
-        // balance degradation triggers independently of the cut
-        let skewed = ShardStats {
-            max_shard_nodes: 600,
-            ..base.clone()
-        };
-        let mut mon = DriftMonitor::with_params(&base, 2, 1.25);
-        mon.record(&skewed);
-        mon.record(&skewed);
-        assert!(mon.drifting(), "balance 2.4 vs baseline 1.04");
     }
 }

@@ -13,8 +13,8 @@
 //!
 //! The [`DistProbe`] trait is the seam: both the dense matrix and the hop
 //! labels implement it, so RQ evaluation in `rpq-core`
-//! (`Rq::eval_with_dist`) **and PQ evaluation** (the `ReachEngine` layer —
-//! `ProbeReach<P: DistProbe>` backs `JoinMatch`/`SplitMatch`) are
+//! (`Rq::eval_with_dist`) **and PQ evaluation** (`ProbeReach<P:
+//! DistProbe>` backs `JoinMatch`/`SplitMatch`) are
 //! backend-generic and the engine's planner is free to pick
 //!
 //! * the **matrix** under its node limit (fastest probes),

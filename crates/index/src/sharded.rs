@@ -425,21 +425,21 @@ impl ShardedLabels {
     }
 
     /// Repair this index after `changes` were applied to the graph it was
-    /// built on, yielding `new_sharded` — shard-local work instead of a
-    /// whole-index rebuild.
+    /// built on, yielding the index of `new_graph` — shard-local work
+    /// instead of a whole-index rebuild.
     ///
-    /// `new_sharded` must partition the updated graph with the **same
-    /// shard count and node assignment** as this index, except for shards
-    /// listed in `rebuild_shards` (a drift-rebalancing move-set), whose
-    /// membership may differ. Changes are `(from, to, color)` in global
-    /// ids, both inserts and deletes.
+    /// The successor storage is this index's own sharded graph re-imaged
+    /// through [`ShardedGraph::apply_updates`], so the partition is fixed
+    /// for the life of the index: the carried labels are always over the
+    /// shards they were built on. `new_graph` must hold the same node set
+    /// and alphabet; changes are `(from, to, color)` in global ids, both
+    /// inserts and deletes.
     ///
     /// Per shard:
     /// * an **intra-shard** change triggers [`HopLabels::repair`] on that
     ///   shard's labels (falling back to a shard-local rebuild when more
     ///   than half its landmarks are dirty or the repaired labels outgrow
     ///   the per-shard budget, where a freshly pruned build might not);
-    /// * shards in `rebuild_shards` are rebuilt from scratch;
     /// * every other shard's labels are carried forward by reference.
     ///
     /// The overlay layers are then relabeled from the new cut-edge set
@@ -447,43 +447,31 @@ impl ShardedLabels {
     /// closures — recomputing only the closure rows of shards whose labels
     /// or boundary set changed and reusing the retained rows of untouched
     /// shards. The result answers every probe identically to
-    /// [`build_on`](ShardedLabels::build_on) over `new_sharded`.
+    /// [`build_on`](ShardedLabels::build_on) over the same partition of
+    /// `new_graph`.
     pub fn repair(
         &self,
-        new_sharded: Arc<ShardedGraph>,
+        new_graph: Arc<Graph>,
         changes: &[(NodeId, NodeId, Color)],
-        rebuild_shards: &[usize],
         config: &ShardedConfig,
         cancel: Option<&AtomicBool>,
     ) -> Result<ShardedRepair, HopBuildError> {
-        let k = self.sharded.k();
-        assert_eq!(new_sharded.k(), k, "repair cannot change the shard count");
         assert_eq!(
-            new_sharded.graph().node_count(),
-            self.n,
-            "updates must preserve the node set"
-        );
-
-        assert_eq!(
-            new_sharded.graph().alphabet().len(),
+            new_graph.alphabet().len(),
             self.colors,
             "updates must preserve the alphabet"
         );
-
+        let new_sharded = Arc::new(self.sharded.apply_updates(new_graph, changes));
+        let k = self.sharded.k();
         let part = new_sharded.partition();
         let mut action = vec![Action::Carry; k];
-        for &s in rebuild_shards {
-            action[s] = Action::Rebuild;
-        }
         let mut intra: Vec<Vec<(NodeId, NodeId, Color)>> = vec![Vec::new(); k];
         for &(u, v, c) in changes {
             let (su, lu) = part.to_local(u);
             let (sv, lv) = part.to_local(v);
             if su == sv {
                 intra[su].push((lu, lv, c));
-                if action[su] == Action::Carry {
-                    action[su] = Action::Repair;
-                }
+                action[su] = Action::Repair;
             }
             // cross-shard changes only alter cut edges, which the overlay
             // relabeling reads fresh off `new_sharded`
@@ -597,8 +585,7 @@ pub struct ShardedRepair {
     pub shards_carried: usize,
     /// Shards repaired in place via [`HopLabels::repair`].
     pub shards_repaired: usize,
-    /// Shards rebuilt from scratch (rebalancing move-sets, or repairs
-    /// that fell back).
+    /// Shards rebuilt from scratch (repairs that fell back).
     pub shards_rebuilt: usize,
     /// Landmarks re-run across all repaired shards.
     pub landmarks_invalidated: usize,
@@ -1052,22 +1039,6 @@ mod tests {
         (Arc::new(b.build()), eff)
     }
 
-    fn shard_of_vec(sg: &ShardedGraph) -> Vec<u32> {
-        let part = sg.partition();
-        (0..sg.graph().node_count())
-            .map(|v| part.to_local(NodeId(v as u32)).0 as u32)
-            .collect()
-    }
-
-    /// Rebuild a ShardedGraph over `g2` with the same node assignment.
-    fn same_partition(sg: &ShardedGraph, g2: Arc<Graph>) -> Arc<ShardedGraph> {
-        let shard_of = shard_of_vec(sg);
-        Arc::new(ShardedGraph::with_partition(
-            g2,
-            Partition::from_shard_of(shard_of, sg.k()),
-        ))
-    }
-
     #[test]
     fn repair_matches_rebuild_after_updates() {
         for (seed, k) in [(5u64, 2usize), (9, 3), (23, 4)] {
@@ -1075,9 +1046,8 @@ mod tests {
             let labels = ShardedLabels::build(&g, k);
             let (g2, eff) = random_mutation_round(&g, 12, seed ^ 0xFACE);
             assert!(!eff.is_empty());
-            let sg2 = same_partition(labels.sharded_graph(), Arc::clone(&g2));
             let r = labels
-                .repair(sg2, &eff, &[], &ShardedConfig::default(), None)
+                .repair(Arc::clone(&g2), &eff, &ShardedConfig::default(), None)
                 .unwrap();
             assert_eq!(
                 r.shards_carried + r.shards_repaired + r.shards_rebuilt,
@@ -1104,9 +1074,13 @@ mod tests {
         let applied = b.insert_edge(u, v, c) || b.remove_edge(u, v, c);
         assert!(applied);
         let g2 = Arc::new(b.build());
-        let sg2 = same_partition(labels.sharded_graph(), Arc::clone(&g2));
         let r = labels
-            .repair(sg2, &[(u, v, c)], &[], &ShardedConfig::default(), None)
+            .repair(
+                Arc::clone(&g2),
+                &[(u, v, c)],
+                &ShardedConfig::default(),
+                None,
+            )
             .unwrap();
         assert_eq!(r.shards_repaired + r.shards_rebuilt, 1);
         assert_eq!(r.shards_carried, k - 1);
@@ -1126,9 +1100,13 @@ mod tests {
         let applied = b.insert_edge(u, v, c) || b.remove_edge(u, v, c);
         assert!(applied);
         let g2 = Arc::new(b.build());
-        let sg2 = same_partition(labels.sharded_graph(), Arc::clone(&g2));
         let r = labels
-            .repair(sg2, &[(u, v, c)], &[], &ShardedConfig::default(), None)
+            .repair(
+                Arc::clone(&g2),
+                &[(u, v, c)],
+                &ShardedConfig::default(),
+                None,
+            )
             .unwrap();
         // only the overlay moves: every shard's labels carried by reference
         assert_eq!(r.shards_carried, k);
@@ -1164,12 +1142,10 @@ mod tests {
         assert!(gb.remove_edge(nodes[0], nodes[1], r));
         assert!(gb.insert_edge(nodes[2], nodes[9], s));
         let g2 = Arc::new(gb.build());
-        let sg2 = same_partition(&sg, Arc::clone(&g2));
         let rep = labels
             .repair(
-                sg2,
+                Arc::clone(&g2),
                 &[(nodes[0], nodes[1], r), (nodes[2], nodes[9], s)],
-                &[],
                 &ShardedConfig::default(),
                 None,
             )
@@ -1178,36 +1154,13 @@ mod tests {
     }
 
     #[test]
-    fn repair_rebuilds_shards_whose_membership_moved() {
-        let g = Arc::new(synthetic(36, 140, 2, 2, 41));
-        let k = 3;
-        let labels = ShardedLabels::build(&g, k);
-        // move one node from its shard into another: both shards must be
-        // rebuilt (local id spaces shift), the rest carried
-        let mut shard_of = shard_of_vec(labels.sharded_graph());
-        let moved = shard_of.iter().position(|&s| s == 0).unwrap();
-        shard_of[moved] = 1;
-        let sg2 = Arc::new(ShardedGraph::with_partition(
-            Arc::clone(&g),
-            Partition::from_shard_of(shard_of, k),
-        ));
-        let r = labels
-            .repair(sg2, &[], &[0, 1], &ShardedConfig::default(), None)
-            .unwrap();
-        assert_eq!(r.shards_rebuilt, 2);
-        assert_eq!(r.shards_carried, k - 2);
-        assert_probe_parity(&g, &r.labels);
-    }
-
-    #[test]
     fn repair_cancel_aborts() {
         let g = Arc::new(synthetic(40, 150, 2, 2, 3));
         let labels = ShardedLabels::build(&g, 3);
         let (g2, eff) = random_mutation_round(&g, 6, 77);
-        let sg2 = same_partition(labels.sharded_graph(), g2);
         let flag = AtomicBool::new(true);
         assert!(matches!(
-            labels.repair(sg2, &eff, &[], &ShardedConfig::default(), Some(&flag)),
+            labels.repair(g2, &eff, &ShardedConfig::default(), Some(&flag)),
             Err(HopBuildError::Cancelled)
         ));
     }

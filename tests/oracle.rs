@@ -688,8 +688,22 @@ fn render(items: &[BatchItem]) -> String {
     body
 }
 
+/// `pq` with its node order reversed: the same query, numbered apart.
+fn reversed(pq: &Pq) -> Pq {
+    let n = pq.node_count();
+    let mut out = Pq::new();
+    for u in (0..n).rev() {
+        out.add_node(&pq.node(u).label, pq.node(u).pred.clone());
+    }
+    for e in pq.edges() {
+        out.add_edge(n - 1 - e.from, n - 1 - e.to, e.regex.clone());
+    }
+    out
+}
+
 /// The update stream through an `UpdatableEngine` per regime, with a
-/// standing PQ registered and a server on loopback over the same engine.
+/// standing PQ and its node-permuted twin registered (one matcher each)
+/// and a server on loopback over the same engine.
 fn sweep_versions(case: &Case, g: &Arc<Graph>, queries: &[Query]) {
     for b in [Backend::Matrix, Backend::Hop, Backend::Sharded] {
         let r = format!("{b:?}").to_lowercase();
@@ -699,6 +713,9 @@ fn sweep_versions(case: &Case, g: &Arc<Graph>, queries: &[Query]) {
         ));
         let standing = queries.len();
         let id = live.register_pq(case.pqs[0].build(g));
+        let twin = reversed(&case.pqs[0].build(g));
+        let twin_id = live.register_pq(twin.clone());
+        let twin = Query::Pq(twin);
         let mut batch = queries.to_vec();
         batch.push(Query::Pq(case.pqs[0].build(g)));
         let server = Server::start(Arc::clone(&live), ServerConfig::default()).unwrap();
@@ -771,6 +788,9 @@ fn sweep_versions(case: &Case, g: &Arc<Graph>, queries: &[Query]) {
             let kept = QueryOutput::Pq(snap.standing_result(id).unwrap());
             truth.check(&batch[standing], &kept, &at("standing answer"));
             assert_eq!(snap.plan_query(&batch[standing]).algo(), Algo::Standing);
+            let kept = QueryOutput::Pq(snap.standing_result(twin_id).unwrap());
+            truth.check(&twin, &kept, &at("twin standing answer"));
+            assert_eq!(snap.plan_query(&twin).algo(), Algo::Standing);
             tally(format!("standing {r}"));
 
             let resp = client.query(&batch, snap.graph()).unwrap();

@@ -312,12 +312,12 @@ proptest! {
 
         let (g2, eff) = mutation_round(&g, flips, seed ^ 0xA5A5);
         let g2 = Arc::new(g2);
-        let new_sharded = Arc::new(sharded.apply_updates(Arc::clone(&g2), &eff));
         let repaired = labels
-            .repair(Arc::clone(&new_sharded), &eff, &[], &config, None)
+            .repair(Arc::clone(&g2), &eff, &config, None)
             .expect("unbudgeted repair cannot fail")
             .labels;
-        let fresh = ShardedLabels::build_on(new_sharded, &config, None).unwrap();
+        let new_sharded = ShardedGraph::with_partition(Arc::clone(&g2), sharded.partition().clone());
+        let fresh = ShardedLabels::build_on(Arc::new(new_sharded), &config, None).unwrap();
         assert_probe_equal(&g2, &repaired, &fresh, false);
     }
 }
