@@ -9,7 +9,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// A [`DistProbe`] decorator that counts probe calls while delegating
 /// every method to the wrapped backend — so the profiled path exercises
 /// the backend's own optimized implementations (e.g. the hop-label bulk
-/// `sources_reaching_within`), not the trait defaults.
+/// `sources_reaching_within`, the graph's one-sweep frontier step), not
+/// the trait defaults. A call counts once, whatever it fans out to, except
+/// `sources_reaching_within`, which counts its sources.
 pub(crate) struct CountingProbe<'a, P: DistProbe + ?Sized> {
     inner: &'a P,
     probes: AtomicU64,
@@ -42,6 +44,32 @@ impl<P: DistProbe + ?Sized> DistProbe for CountingProbe<'_, P> {
     fn for_each_within(&self, from: NodeId, color: Color, max: u16, f: &mut dyn FnMut(NodeId)) {
         self.probes.fetch_add(1, Ordering::Relaxed);
         self.inner.for_each_within(from, color, max, f)
+    }
+
+    fn for_each_reaching_within(
+        &self,
+        g: &Graph,
+        from: NodeId,
+        color: Color,
+        max_len: Option<u32>,
+        f: &mut dyn FnMut(NodeId),
+    ) {
+        self.probes.fetch_add(1, Ordering::Relaxed);
+        self.inner
+            .for_each_reaching_within(g, from, color, max_len, f)
+    }
+
+    fn for_each_reaching_from(
+        &self,
+        g: &Graph,
+        frontier: &[NodeId],
+        color: Color,
+        max_len: Option<u32>,
+        f: &mut dyn FnMut(NodeId),
+    ) {
+        self.probes.fetch_add(1, Ordering::Relaxed);
+        self.inner
+            .for_each_reaching_from(g, frontier, color, max_len, f)
     }
 
     fn has_cycle_within(
@@ -96,5 +124,66 @@ pub(crate) fn query_summary(query: &Query, g: &Graph) -> String {
             let text = rpq_core::lang::format_pq(pq, g.schema(), g.alphabet());
             format!("pq: {}", text.replace('\n', " "))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rpq_graph::GraphBuilder;
+
+    /// A backend whose scans exist only as the reaching overrides: the
+    /// trait defaults, which go through `for_each_within`, panic.
+    struct OverridesOnly;
+
+    impl DistProbe for OverridesOnly {
+        fn node_count(&self) -> usize {
+            2
+        }
+
+        fn dist(&self, _: NodeId, _: NodeId, _: Color) -> u16 {
+            unreachable!("dist")
+        }
+
+        fn for_each_within(&self, _: NodeId, _: Color, _: u16, _: &mut dyn FnMut(NodeId)) {
+            panic!("the trait default ran instead of the backend's override");
+        }
+
+        fn for_each_reaching_within(
+            &self,
+            _: &Graph,
+            from: NodeId,
+            _: Color,
+            _: Option<u32>,
+            f: &mut dyn FnMut(NodeId),
+        ) {
+            f(from);
+        }
+
+        fn for_each_reaching_from(
+            &self,
+            _: &Graph,
+            frontier: &[NodeId],
+            _: Color,
+            _: Option<u32>,
+            f: &mut dyn FnMut(NodeId),
+        ) {
+            frontier.iter().for_each(|&w| f(w));
+        }
+    }
+
+    #[test]
+    fn counting_forwards_the_reaching_overrides_once_per_call() {
+        let mut b = GraphBuilder::new();
+        let (x, y) = (b.add_node("x", []), b.add_node("y", []));
+        let r = b.color("r");
+        b.add_edge(x, y, r);
+        let g = b.build();
+        let probe = CountingProbe::new(&OverridesOnly);
+        let mut seen = Vec::new();
+        probe.for_each_reaching_within(&g, x, r, Some(2), &mut |z| seen.push(z));
+        probe.for_each_reaching_from(&g, &[x, y], r, None, &mut |z| seen.push(z));
+        assert_eq!(seen, [x, x, y]);
+        assert_eq!(probe.probes(), 2);
     }
 }

@@ -13,7 +13,8 @@
 //!   Matrix probes are O(1) but cost O(|Σ|·|V|²) memory, so the matrix
 //!   exists only under the configured node limit; hop labels cost memory
 //!   proportional to label size; sharded labels stitch per-shard labels
-//!   through a boundary overlay. The search backend has no index: the
+//!   through a boundary overlay for point probes and sweep the graph for
+//!   everything else. The search backend has no index: the
 //!   graph itself answers the same probes by breadth-first sweeps
 //!   ([`GraphProbe`](rpq_index::GraphProbe)), which replaced §4's pairwise
 //!   distance cache;
@@ -66,8 +67,8 @@ pub enum Backend {
     Matrix,
     /// Pruned 2-hop labels (`rpq_index::HopLabels`).
     Hop,
-    /// Per-shard labels stitched through the boundary overlay
-    /// (`rpq_index::ShardedLabels`).
+    /// Per-shard labels stitched through the boundary overlay for point
+    /// probes, graph sweeps for set questions (`rpq_index::ShardedLabels`).
     Sharded,
     /// No index: the graph itself answers the probes
     /// ([`GraphProbe`](rpq_index::GraphProbe), breadth-first sweeps) — also
@@ -208,7 +209,8 @@ impl fmt::Display for Rationale {
             Backend::Matrix => "distance matrix available: O(1) probes win",
             Backend::Hop => "no matrix; hop labels cover every probed color",
             Backend::Sharded => {
-                "no matrix or single index; sharded labels cover every probed color"
+                "no matrix or single index; sharded labels answer point probes, \
+                 graph sweeps answer scans and Join steps"
             }
             Backend::Search => match uncovered {
                 Uncovered::NoIndex => "no usable index — the graph answers",
@@ -420,6 +422,12 @@ mod tests {
                 assert_eq!((plan.algo(), plan.backend()), (Algo::RqDm, backend));
             }
         }
+        // the sharded clause says which questions its labels keep
+        assert_eq!(
+            plan_rq(&re(2), Backend::Sharded).1.to_string(),
+            "no matrix or single index; sharded labels answer point probes, \
+             graph sweeps answer scans and Join steps"
+        );
     }
 
     #[test]

@@ -446,20 +446,15 @@ impl HopLabels {
             .unwrap_or_else(|| panic!("no hop-label layer for {color:?} (check has_layer first)"))
     }
 
-    /// Fold a **weighted set** of entry points into one per-hub minimum:
-    /// for every hub rank `h`,
-    /// `best[h] = min over (y, w) of dist(h → y) + w`, alongside the
-    /// minimizing `y` and the runner-up over a **different** `y` (what
-    /// makes diagonal exclusion in [`HopLabels::dist_into`] possible).
-    /// With all weights 0 this is the plain "distance into a target set"
-    /// aggregation of PQ refinement; with per-entry weights it is the
-    /// composition step of the sharded backend, where `w` carries the
-    /// distance already accumulated beyond this label space (overlay path
-    /// plus far-side tail). Entries must name distinct nodes for the
-    /// runner-up column to be meaningful.
+    /// Fold a target set into one per-hub minimum — the "distance into a
+    /// target set" aggregation of PQ refinement: for every hub rank `h`,
+    /// `best[h] = min over y of dist(h → y)`, alongside the minimizing `y`
+    /// and the runner-up over a **different** `y` (what makes diagonal
+    /// exclusion in [`HopLabels::dist_into`] possible). Targets must be
+    /// distinct for the runner-up column to be meaningful.
     ///
-    /// Cost: one pass over the entries' `Lin` labels — `O(Σ|Lin(y)|)`.
-    pub fn in_aggregate(&self, color: Color, items: &[(NodeId, u16)]) -> InSetAgg {
+    /// Cost: one pass over the targets' `Lin` labels — `O(Σ|Lin(y)|)`.
+    pub fn in_aggregate(&self, color: Color, targets: &[NodeId]) -> InSetAgg {
         let layer = self.layer_or_panic(color);
         const NO_Y: u32 = u32::MAX;
         let mut agg = InSetAgg {
@@ -468,11 +463,10 @@ impl HopLabels {
             best_y: vec![NO_Y; self.n],
             second: vec![UNSET; self.n],
         };
-        for &(y, w) in items {
+        for &y in targets {
             let (ih, id) = layer.in_label(y.index());
             for (&h, &d) in ih.iter().zip(id) {
                 let h = h as usize;
-                let d = (d as u32 + w as u32).min(DIST_CAP as u32) as u16;
                 if d < agg.best[h] {
                     if agg.best_y[h] != y.0 {
                         agg.second[h] = agg.best[h];
@@ -487,41 +481,12 @@ impl HopLabels {
         agg
     }
 
-    /// Origin-tracked sibling of [`HopLabels::in_aggregate`]: every item
-    /// carries a whole [`Top2`] (accumulated downstream cost plus its
-    /// origin provenance), and the per-hub fold keeps top-2 over distinct
-    /// origins instead of a plain minimum.
-    pub(crate) fn in_aggregate2(&self, color: Color, items: &[(NodeId, Top2)]) -> InSetAgg2 {
-        let layer = self.layer_or_panic(color);
-        let mut hubs = vec![Top2::NONE; self.n];
-        for (y, t2) in items {
-            let (ih, id) = layer.in_label(y.index());
-            for (&h, &d) in ih.iter().zip(id) {
-                hubs[h as usize].add_shifted(t2, d);
-            }
-        }
-        InSetAgg2 { color, hubs }
-    }
-
-    /// One `Lout` scan against an origin-tracked aggregation: the
-    /// [`Top2`] of `min over items of dist(from, y) + cost` — read `min`
-    /// or [`Top2::excluding`] off the result.
-    pub(crate) fn dist_into2(&self, from: NodeId, agg: &InSetAgg2) -> Top2 {
-        let layer = self.layer_or_panic(agg.color);
-        let (oh, od) = layer.out_label(from.index());
-        let mut out = Top2::NONE;
-        for (&h, &d1) in oh.iter().zip(od) {
-            out.add_shifted(&agg.hubs[h as usize], d1);
-        }
-        out
-    }
-
-    /// The minimum weighted distance from `from` into an aggregated set:
-    /// `min over (y, w) of dist(from, y) + w`, read off one `Lout` scan
+    /// The distance from `from` into an aggregated target set:
+    /// `min over y of dist(from, y)`, read off one `Lout` scan
     /// against the per-hub table of [`HopLabels::in_aggregate`]. With
-    /// `exclude = Some(x)` entries whose minimum is owed to `x` fall back
+    /// `exclude = Some(x)` hubs whose minimum is owed to `x` fall back
     /// to the runner-up, yielding `min over y ≠ x` — the diagonal case of
-    /// bulk refinement. Returns [`INFINITY`] when no entry is reachable;
+    /// bulk refinement. Returns [`INFINITY`] when no target is reachable;
     /// finite results saturate at the BFS cap like every other probe.
     pub fn dist_into(&self, from: NodeId, agg: &InSetAgg, exclude: Option<NodeId>) -> u16 {
         let layer = self.layer_or_panic(agg.color);
@@ -562,132 +527,19 @@ pub struct HopRepair {
     pub phases: Vec<(&'static str, Duration)>,
 }
 
-/// Per-hub minima over a weighted entry set — see
+/// Per-hub minima over a target set — see
 /// [`HopLabels::in_aggregate`]. Opaque outside the crate; produced once
 /// per (set, color) and consumed by any number of
 /// [`HopLabels::dist_into`] scans.
 #[derive(Debug, Clone)]
 pub struct InSetAgg {
     color: Color,
-    /// per hub rank: min over entries of `dist(h → y) + w` ([`UNSET`] = none).
+    /// per hub rank: min over targets of `dist(h → y)` ([`UNSET`] = none).
     best: Vec<u16>,
-    /// the node id of the entry achieving `best`.
+    /// the target achieving `best`.
     best_y: Vec<u32>,
-    /// min over entries with a different node than `best_y`.
+    /// min over targets other than `best_y`.
     second: Vec<u16>,
-}
-
-/// A distance pair `(min, runner-up over a distinct origin)` where the
-/// *origin* is the target node a stitched path ultimately ends at.
-///
-/// This is the value the sharded backend's multi-level aggregation runs
-/// on: the single-level runner-up column of [`InSetAgg`] cannot survive
-/// composition (a per-hub minimum computed one level down has already
-/// forgotten which target produced it, so a source that is itself a
-/// target masks every witness behind its own zero-length path), but the
-/// top-2-over-distinct-keys semiring composes exactly: merging two pairs
-/// keeps the global minimum and the minimum over origins different from
-/// its origin, at every level. The final probe reads `min` for ordinary
-/// sources and [`Top2::excluding`] for diagonal ones.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Top2 {
-    best: u16,
-    best_o: u32,
-    second: u16,
-    second_o: u32,
-}
-
-impl Top2 {
-    pub(crate) const NONE: Top2 = Top2 {
-        best: UNSET,
-        best_o: u32::MAX,
-        second: UNSET,
-        second_o: u32::MAX,
-    };
-
-    /// A single candidate: distance `v` to origin `o`.
-    pub(crate) fn leaf(v: u16, o: u32) -> Top2 {
-        Top2 {
-            best: v,
-            best_o: o,
-            second: UNSET,
-            second_o: u32::MAX,
-        }
-    }
-
-    pub(crate) fn is_none(&self) -> bool {
-        self.best == UNSET
-    }
-
-    /// Insert one `(value, origin)` candidate.
-    fn add(&mut self, v: u16, o: u32) {
-        if o == self.best_o {
-            if v < self.best {
-                self.best = v;
-            }
-        } else if v < self.best {
-            self.second = self.best;
-            self.second_o = self.best_o;
-            self.best = v;
-            self.best_o = o;
-        } else if o == self.second_o {
-            if v < self.second {
-                self.second = v;
-            }
-        } else if v < self.second {
-            self.second = v;
-            self.second_o = o;
-        }
-    }
-
-    /// Merge `other` with every value shifted by `w` (saturating at the
-    /// BFS cap) — the "extend a stitched path by a segment of length `w`"
-    /// step.
-    pub(crate) fn add_shifted(&mut self, other: &Top2, w: u16) {
-        if other.best != UNSET {
-            self.add(
-                (other.best as u32 + w as u32).min(DIST_CAP as u32) as u16,
-                other.best_o,
-            );
-        }
-        if other.second != UNSET {
-            self.add(
-                (other.second as u32 + w as u32).min(DIST_CAP as u32) as u16,
-                other.second_o,
-            );
-        }
-    }
-
-    /// The minimum over all origins ([`INFINITY`]-valued `UNSET` = none).
-    pub(crate) fn min(&self) -> u16 {
-        if self.best == UNSET {
-            INFINITY
-        } else {
-            self.best
-        }
-    }
-
-    /// The minimum over origins other than `x`.
-    pub(crate) fn excluding(&self, x: u32) -> u16 {
-        let v = if self.best_o == x {
-            self.second
-        } else {
-            self.best
-        };
-        if v == UNSET {
-            INFINITY
-        } else {
-            v
-        }
-    }
-}
-
-/// Per-hub [`Top2`] aggregation — the origin-tracked sibling of
-/// [`InSetAgg`], used by the sharded backend's stitched bulk refinement.
-#[derive(Debug, Clone)]
-pub(crate) struct InSetAgg2 {
-    color: Color,
-    hubs: Vec<Top2>,
 }
 
 impl DistProbe for HopLabels {
@@ -781,8 +633,7 @@ impl DistProbe for HopLabels {
         max_len: Option<u32>,
     ) -> Vec<bool> {
         let budget = max_len.unwrap_or(u32::MAX);
-        let items: Vec<(NodeId, u16)> = targets.iter().map(|&y| (y, 0)).collect();
-        let agg = self.in_aggregate(color, &items);
+        let agg = self.in_aggregate(color, targets);
         let mut is_target = vec![false; self.n];
         for &y in targets {
             is_target[y.index()] = true;

@@ -54,10 +54,9 @@
 //! min_{b₁,b₂} local(u,b₁) + overlay(b₁,b₂) + local(b₂,v))`, every term
 //! realizable by a real path — probes are bit-identical to a whole-graph
 //! index, which the parity suite asserts against both the matrix and
-//! unsharded labels. The stitched minimum is evaluated by hub
-//! aggregation, never pairwise, so bulk refinement stays label-linear;
-//! the diagonal (a source that is itself a target) survives the
-//! multi-level fold through an origin-tracked (min, runner-up) pair.
+//! unsharded labels. Only point probes (`dist`) stitch; the set
+//! questions — bounded scans, cycle tests, whole `Join` steps — sweep the
+//! graph the index was built or repaired for, through [`GraphProbe`].
 //!
 //! ## Example
 //!

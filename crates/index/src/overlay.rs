@@ -26,7 +26,6 @@
 //!
 //! Layers are keyed like [`HopLabels`]: one per concrete color.
 
-use crate::labels::Top2;
 #[cfg(test)]
 use rpq_graph::INFINITY;
 use std::cmp::Reverse;
@@ -254,31 +253,6 @@ impl OverlayLayer {
         (&self.in_hubs[lo..hi], &self.in_dists[lo..hi])
     }
 
-    /// Mirror of [`aggregate_in`](OverlayLayer::aggregate_in) carrying
-    /// origin-tracked [`Top2`] costs — the composition-safe form the
-    /// sharded bulk refinement stitches through.
-    pub(crate) fn aggregate_in2(&self, seeds: &[(u32, Top2)], out: &mut Vec<Top2>) {
-        out.clear();
-        out.resize(self.hubs, Top2::NONE);
-        for (b, t2) in seeds {
-            let (hs, ds) = self.in_label(*b as usize);
-            for (&h, &d) in hs.iter().zip(ds) {
-                out[h as usize].add_shifted(t2, d);
-            }
-        }
-    }
-
-    /// Origin-tracked form of a source-to-set scan: the [`Top2`] of
-    /// `min_h dist(v ⇝ h) + agg_in[h]`.
-    pub(crate) fn dist_from2(&self, v: u32, agg_in: &[Top2]) -> Top2 {
-        let (hs, ds) = self.out_label(v as usize);
-        let mut out = Top2::NONE;
-        for (&h, &d) in hs.iter().zip(ds) {
-            out.add_shifted(&agg_in[h as usize], d);
-        }
-        out
-    }
-
     /// Point probe: overlay distance `u → v` (= global distance between
     /// the two boundary nodes). [`INFINITY`] when disconnected.
     #[cfg(test)]
@@ -341,35 +315,6 @@ impl OverlayLayer {
                 }
             }
         }
-    }
-
-    /// `min_h agg_out[h] + dist(h ⇝ v)` — the distance from an aggregated
-    /// source set to overlay node `v`. `u32::MAX` when unreachable.
-    pub(crate) fn dist_to(&self, agg_out: &[u32], v: u32) -> u32 {
-        let (hs, ds) = self.in_label(v as usize);
-        let mut best = u32::MAX;
-        for (&h, &d) in hs.iter().zip(ds) {
-            let a = agg_out[h as usize];
-            if a != u32::MAX {
-                best = best.min(a + d as u32);
-            }
-        }
-        best
-    }
-
-    /// `min_h dist(v ⇝ h) + agg_in[h]` — the distance from overlay node
-    /// `v` into an aggregated target set. `u32::MAX` when unreachable.
-    #[cfg(test)]
-    pub(crate) fn dist_from(&self, v: u32, agg_in: &[u32]) -> u32 {
-        let (hs, ds) = self.out_label(v as usize);
-        let mut best = u32::MAX;
-        for (&h, &d) in hs.iter().zip(ds) {
-            let a = agg_in[h as usize];
-            if a != u32::MAX {
-                best = best.min(d as u32 + a);
-            }
-        }
-        best
     }
 
     /// `min_h agg_out[h] + agg_in[h]` — source-set to target-set distance.
@@ -482,33 +427,32 @@ mod tests {
         let mut agg_in = Vec::new();
         layer.aggregate_out(&seeds, &mut agg_out);
         layer.aggregate_in(&seeds, &mut agg_in);
+        // one side a single node: seed set to v, and v to seed set
+        let mut point = Vec::new();
         for v in 0..b as u32 {
-            let want_to = seeds
-                .iter()
-                .map(|&(s, w)| {
-                    let d = layer.dist(s, v);
-                    if d == INFINITY {
-                        u32::MAX
-                    } else {
-                        w as u32 + d as u32
-                    }
-                })
+            let weighted = |d: u16, w: u16| {
+                if d == INFINITY {
+                    u32::MAX
+                } else {
+                    w as u32 + d as u32
+                }
+            };
+            let want_to = (seeds.iter())
+                .map(|&(s, w)| weighted(layer.dist(s, v), w))
                 .min()
                 .unwrap();
-            assert_eq!(layer.dist_to(&agg_out, v), want_to, "to {v}");
-            let want_from = seeds
-                .iter()
-                .map(|&(t, w)| {
-                    let d = layer.dist(v, t);
-                    if d == INFINITY {
-                        u32::MAX
-                    } else {
-                        d as u32 + w as u32
-                    }
-                })
+            layer.aggregate_in(&[(v, 0)], &mut point);
+            assert_eq!(OverlayLayer::combine(&agg_out, &point), want_to, "to {v}");
+            let want_from = (seeds.iter())
+                .map(|&(t, w)| weighted(layer.dist(v, t), w))
                 .min()
                 .unwrap();
-            assert_eq!(layer.dist_from(v, &agg_in), want_from, "from {v}");
+            layer.aggregate_out(&[(v, 0)], &mut point);
+            assert_eq!(
+                OverlayLayer::combine(&point, &agg_in),
+                want_from,
+                "from {v}"
+            );
         }
         // set-to-set: min over all (seed, seed) pairs
         let mut want = u32::MAX;

@@ -99,12 +99,12 @@ pub trait DistProbe {
     /// within `max_len` total hops (`None` = unbounded).
     ///
     /// The default walks `from`'s out-edges in `g` with one
-    /// [`dist`](DistProbe::dist) per admitted edge. A backend whose cycles
-    /// stay inside its own structure may answer from a per-layer table of
-    /// shortest cycle lengths instead — the same arithmetic, precomputed
-    /// (`1` for a self-loop, else `1 + dist(u, from)`, minimized over the
-    /// edges). A backend whose cycles can leave its structure (a shard)
-    /// keeps the default.
+    /// [`dist`](DistProbe::dist) per admitted edge. A label backend may
+    /// answer from a per-layer table of shortest cycle lengths instead —
+    /// the same arithmetic, precomputed (`1` for a self-loop, else
+    /// `1 + dist(u, from)`, minimized over the edges). [`GraphProbe`], and
+    /// the sharded backend through it, sweeps forward from `from`'s
+    /// successors.
     fn has_cycle_within(
         &self,
         g: &Graph,
@@ -240,13 +240,48 @@ impl DistProbe for DistanceMatrix {
 ///
 /// A sweep marks visited nodes with an epoch stamp in an O(|V|) buffer
 /// that is reused, not re-zeroed, across calls: each thread probing at
-/// once takes a buffer from the probe's pool and puts it back, so a probe
+/// once takes a buffer from a sweep pool and puts it back, so a probe
 /// built per evaluation allocates one buffer per concurrent thread. The
-/// pool is the only state, and the probe stays `Sync` for the scoped
-/// refinement workers of `ProbeReach::with_workers` (rpq-core).
+/// pool is the only state — the probe's own, or one lent by an index that
+/// sweeps its graph ([`ShardedLabels`](crate::ShardedLabels)) — and the
+/// probe stays `Sync` for the scoped refinement workers of
+/// `ProbeReach::with_workers` (rpq-core).
 pub struct GraphProbe<'g> {
     g: &'g Graph,
-    pool: Mutex<Vec<Sweep>>,
+    pool: Pool<'g>,
+}
+
+enum Pool<'g> {
+    Own(SweepPool),
+    Lent(&'g SweepPool),
+}
+
+/// Sweep buffers for the [`GraphProbe`]s over one graph, one per thread
+/// probing at once.
+#[derive(Default)]
+pub(crate) struct SweepPool(Mutex<Vec<Sweep>>);
+
+impl SweepPool {
+    /// Run `f` on a buffer of this pool (a fresh one sized for `n` nodes
+    /// when every buffer is in use, e.g. by another worker or a nested
+    /// call).
+    fn with<R>(&self, n: usize, f: impl FnOnce(&mut Sweep) -> R) -> R {
+        let pooled = self.0.lock().expect("sweep pool poisoned").pop();
+        let mut sweep = pooled.unwrap_or_else(|| Sweep {
+            seen: vec![0; n],
+            epoch: 0,
+            queue: Vec::new(),
+        });
+        let out = f(&mut sweep);
+        self.0.lock().expect("sweep pool poisoned").push(sweep);
+        out
+    }
+}
+
+impl std::fmt::Debug for SweepPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("SweepPool")
+    }
 }
 
 /// One thread's sweep scratch: `seen[v] == epoch` marks `v` visited by the
@@ -334,22 +369,25 @@ impl<'g> GraphProbe<'g> {
     pub fn new(g: &'g Graph) -> Self {
         GraphProbe {
             g,
-            pool: Mutex::new(Vec::new()),
+            pool: Pool::Own(SweepPool::default()),
         }
     }
 
-    /// Run `f` on a sweep buffer of this probe's pool (a fresh one when
-    /// every buffer is in use, e.g. by another worker or a nested call).
+    /// A probe over `g` sweeping with `pool`'s buffers, which outlive it.
+    /// Every probe sharing a pool must be over the same graph.
+    pub(crate) fn with_pool(g: &'g Graph, pool: &'g SweepPool) -> Self {
+        GraphProbe {
+            g,
+            pool: Pool::Lent(pool),
+        }
+    }
+
     fn with_sweep<R>(&self, f: impl FnOnce(&mut Sweep) -> R) -> R {
-        let pooled = self.pool.lock().expect("sweep pool poisoned").pop();
-        let mut sweep = pooled.unwrap_or_else(|| Sweep {
-            seen: vec![0; self.g.node_count()],
-            epoch: 0,
-            queue: Vec::new(),
-        });
-        let out = f(&mut sweep);
-        self.pool.lock().expect("sweep pool poisoned").push(sweep);
-        out
+        let pool = match &self.pool {
+            Pool::Own(pool) => pool,
+            Pool::Lent(pool) => pool,
+        };
+        pool.with(self.g.node_count(), f)
     }
 
     /// The nodes one admitted edge out of `from` reaches: where a nonempty

@@ -42,17 +42,23 @@
 //! stitched minimum too: the shortest path between two nodes of one shard
 //! may leave the shard and return.
 //!
-//! The stitched minimum is never evaluated pairwise: the source side is
-//! folded over overlay hubs once ([`OverlayLayer::aggregate_out`]), the
-//! target side once, and bulk PQ refinement
-//! ([`DistProbe::sources_reaching_within`]) pushes the same aggregation
-//! through the per-shard labels ([`HopLabels::in_aggregate`]), so a whole
-//! `Join`-step costs label-linear work, exactly like the unsharded
-//! backend.
+//! The stitched minimum is never evaluated over boundary pairs: `u`'s
+//! exits are folded over overlay hubs once
+//! ([`OverlayLayer::aggregate_out`]), `v`'s entries once, and the two
+//! tables combined.
+//!
+//! Only the **point** questions stitch — [`DistProbe::dist`] and the
+//! trait's `reaches_within` over it. Every **set** question (bounded
+//! scans, the nonempty-cycle test, whole `Join` steps) is a bounded sweep
+//! of the graph the index was built or repaired for — [`GraphProbe`] over
+//! `sharded.graph()`, with sweep buffers pooled in the index. A stitched
+//! scan pays exits, an overlay fold and a label scan per boundary node;
+//! the sweep touches only what it reaches, and on `clustered(3000, …)`
+//! evaluates an RQ about 5× faster.
 
-use crate::labels::{HopBuildError, HopConfig, HopLabels, Top2};
+use crate::labels::{HopBuildError, HopConfig, HopLabels};
 use crate::overlay::{OverlayEdge, OverlayLayer};
-use crate::probe::DistProbe;
+use crate::probe::{DistProbe, GraphProbe, SweepPool};
 use rpq_graph::{Color, Graph, NodeId, ShardedGraph, INFINITY};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -159,6 +165,9 @@ pub struct ShardedLabels {
     /// was built from, retained so a repair recomputes only the rows of
     /// shards whose labels or boundary set actually changed.
     closures: Vec<Vec<ShardClosure>>,
+    /// Buffers for the sweeps that answer set questions over
+    /// `sharded.graph()`.
+    sweeps: SweepPool,
     colors: usize,
     n: usize,
 }
@@ -324,6 +333,7 @@ impl ShardedLabels {
                 shard_labels,
                 overlay,
                 closures,
+                sweeps: SweepPool::default(),
             },
             shards_carried: k - repaired - rebuilt,
             shards_repaired: repaired,
@@ -532,6 +542,12 @@ impl ShardedLabels {
             .unwrap_or_else(|| panic!("no sharded layer for {color:?} (check has_layer first)"))
     }
 
+    /// The graph this index was built or repaired for, asked the set
+    /// questions with this index's sweep buffers.
+    fn graph_probe(&self) -> GraphProbe<'_> {
+        GraphProbe::with_pool(self.sharded.graph(), &self.sweeps)
+    }
+
     /// `(shard, local)` of a global node.
     #[inline]
     fn to_local(&self, v: NodeId) -> (usize, NodeId) {
@@ -668,63 +684,43 @@ impl DistProbe for ShardedLabels {
     }
 
     fn for_each_within(&self, from: NodeId, color: Color, max: u16, f: &mut dyn FnMut(NodeId)) {
-        let (sf, lf) = self.to_local(from);
-        let part = self.sharded.partition();
-        // local part: everything reachable without leaving the shard
-        self.shard_labels[sf].for_each_within(lf, color, max, &mut |z| {
-            f(part.to_global(sf, z));
-        });
-        // stitched part: out through the boundary, across the overlay,
-        // down into every shard (including sf again — a globally shorter
-        // leave-and-return path may beat the local one; the callback
-        // contract tolerates the duplicates)
-        let layer = self.overlay_or_panic(color);
-        if layer.hubs() == 0 || max == 0 {
-            return;
-        }
-        let exits: Vec<(u32, u16)> = self
-            .exits_of(sf, lf, color)
-            .into_iter()
-            .filter(|&(_, d)| d <= max)
-            .collect();
-        if exits.is_empty() {
-            return;
-        }
-        let mut agg_out = Vec::new();
-        layer.aggregate_out(&exits, &mut agg_out);
-        for (oi, &bg) in self.sharded.boundary_globals().iter().enumerate() {
-            let a = layer.dist_to(&agg_out, oi as u32);
-            // a == 0 only for `from` itself (every segment would be empty)
-            if a == 0 || a > max as u32 {
-                continue;
-            }
-            if bg != from {
-                f(bg);
-            }
-            let rem = max - a as u16;
-            if rem == 0 {
-                continue;
-            }
-            let (sb, lb) = self.to_local(bg);
-            self.shard_labels[sb].for_each_within(lb, color, rem, &mut |z| {
-                let zg = part.to_global(sb, z);
-                if zg != from {
-                    f(zg);
-                }
-            });
-        }
+        self.graph_probe().for_each_within(from, color, max, f);
     }
 
-    /// Bulk refinement without pairwise stitches: per-shard target
-    /// aggregation, folded over the overlay once, then pushed back
-    /// through each source shard's labels as a weighted boundary set —
-    /// label-linear end to end, like the unsharded [`HopLabels`]
-    /// override. The stitched pipeline runs on origin-tracked `Top2`
-    /// values: a plain per-hub minimum forgets *which* target produced
-    /// it, so a boundary source that is itself a target would mask every
-    /// other witness behind its own zero-length path — the runner-up
-    /// over a distinct origin survives all three aggregation levels and
-    /// restores the diagonal-excluded answer at the end.
+    fn for_each_reaching_within(
+        &self,
+        g: &Graph,
+        from: NodeId,
+        color: Color,
+        max_len: Option<u32>,
+        f: &mut dyn FnMut(NodeId),
+    ) {
+        self.graph_probe()
+            .for_each_reaching_within(g, from, color, max_len, f);
+    }
+
+    fn for_each_reaching_from(
+        &self,
+        g: &Graph,
+        frontier: &[NodeId],
+        color: Color,
+        max_len: Option<u32>,
+        f: &mut dyn FnMut(NodeId),
+    ) {
+        self.graph_probe()
+            .for_each_reaching_from(g, frontier, color, max_len, f);
+    }
+
+    fn has_cycle_within(
+        &self,
+        g: &Graph,
+        from: NodeId,
+        color: Color,
+        max_len: Option<u32>,
+    ) -> bool {
+        self.graph_probe().has_cycle_within(g, from, color, max_len)
+    }
+
     fn sources_reaching_within(
         &self,
         g: &Graph,
@@ -733,108 +729,8 @@ impl DistProbe for ShardedLabels {
         color: Color,
         max_len: Option<u32>,
     ) -> Vec<bool> {
-        let budget = max_len.unwrap_or(u32::MAX);
-        if budget == 0 || targets.is_empty() {
-            return vec![false; sources.len()];
-        }
-        let k = self.sharded.k();
-        let part = self.sharded.partition();
-        let layer = self.overlay_or_panic(color);
-
-        let mut is_target = vec![false; self.n];
-        let mut targets_local2: Vec<Vec<(NodeId, Top2)>> = vec![Vec::new(); k];
-        for &y in targets {
-            is_target[y.index()] = true;
-            let (s, l) = part.to_local(y);
-            targets_local2[s].push((l, Top2::leaf(0, y.0)));
-        }
-        // per-shard "distance into the local target set" aggregation —
-        // origin-tracked, serving both the pure-local witness (min /
-        // excluding for the diagonal) and the stitched pipeline
-        let target_agg2: Vec<Option<crate::labels::InSetAgg2>> = (0..k)
-            .map(|s| {
-                (!targets_local2[s].is_empty())
-                    .then(|| self.shard_labels[s].in_aggregate2(color, &targets_local2[s]))
-            })
-            .collect();
-
-        // overlay fold of the target side: for each boundary node b₂ of a
-        // target-bearing shard, its local cost into the target set
-        let mut entry_seeds: Vec<(u32, Top2)> = Vec::new();
-        for (s, slot) in target_agg2.iter().enumerate() {
-            let Some(agg2) = slot else {
-                continue;
-            };
-            for &b in self.sharded.boundary_locals(s) {
-                let t2 = self.shard_labels[s].dist_into2(b, agg2);
-                if !t2.is_none() {
-                    let bg = part.to_global(s, b);
-                    entry_seeds.push((self.sharded.overlay_index(bg).expect("boundary"), t2));
-                }
-            }
-        }
-        // per-source-shard: fold "boundary exit → overlay → target" costs
-        // back into that shard's label space as a weighted boundary set
-        let stitch_agg: Vec<Option<crate::labels::InSetAgg2>> = if layer.hubs() == 0
-            || entry_seeds.is_empty()
-        {
-            (0..k).map(|_| None).collect()
-        } else {
-            let mut agg_in = Vec::new();
-            layer.aggregate_in2(&entry_seeds, &mut agg_in);
-            (0..k)
-                .map(|s| {
-                    let seeds: Vec<(NodeId, Top2)> = self
-                        .sharded
-                        .boundary_locals(s)
-                        .iter()
-                        .filter_map(|&b| {
-                            let bg = part.to_global(s, b);
-                            let oi = self.sharded.overlay_index(bg).expect("boundary");
-                            let cost = layer.dist_from2(oi, &agg_in);
-                            (!cost.is_none()).then_some((b, cost))
-                        })
-                        .collect();
-                    (!seeds.is_empty()).then(|| self.shard_labels[s].in_aggregate2(color, &seeds))
-                })
-                .collect()
-        };
-
-        sources
-            .iter()
-            .map(|&x| {
-                let (s, l) = part.to_local(x);
-                let diagonal = is_target[x.index()];
-                // purely local witness (diagonal-safe via the tracked
-                // runner-up origin)
-                if let Some(agg) = &target_agg2[s] {
-                    let t2 = self.shard_labels[s].dist_into2(l, agg);
-                    let d = if diagonal {
-                        t2.excluding(x.0)
-                    } else {
-                        t2.min()
-                    };
-                    if d != INFINITY && (d as u32) <= budget {
-                        return true;
-                    }
-                }
-                // stitched witness to a target other than x — paths back
-                // to x itself (the diagonal) are the cycle check's job
-                if let Some(agg) = &stitch_agg[s] {
-                    let t2 = self.shard_labels[s].dist_into2(l, agg);
-                    let d = if diagonal {
-                        t2.excluding(x.0)
-                    } else {
-                        t2.min()
-                    };
-                    if d != INFINITY && (d as u32) <= budget {
-                        return true;
-                    }
-                }
-                // nonempty-path diagonal: x ∈ targets answered by a cycle
-                diagonal && self.has_cycle_within(g, x, color, max_len)
-            })
-            .collect()
+        self.graph_probe()
+            .sources_reaching_within(g, sources, targets, color, max_len)
     }
 }
 
@@ -1151,6 +1047,88 @@ mod tests {
             )
             .unwrap();
         assert_probe_parity(&g2, &rep.labels);
+    }
+
+    /// Two shards, {n0..n3} and {n4..n7}: an `r` ring through both cut
+    /// edges n3 → n4 and n7 → n0, and an `s` two-cycle in each shard.
+    fn two_rings() -> (Arc<ShardedGraph>, Vec<NodeId>, [Color; 2]) {
+        let mut b = GraphBuilder::new();
+        let n: Vec<NodeId> = (0..8).map(|i| b.add_node(&format!("n{i}"), [])).collect();
+        let (r, s) = (b.color("r"), b.color("s"));
+        for i in 0..8 {
+            b.add_edge(n[i], n[(i + 1) % 8], r);
+        }
+        for (u, v) in [(0, 2), (2, 0), (5, 7), (7, 5), (1, 6)] {
+            b.add_edge(n[u], n[v], s);
+        }
+        let g = Arc::new(b.build());
+        let shard_of = (0..8).map(|v| v / 4).collect();
+        let part = Partition::from_shard_of(shard_of, 2);
+        (Arc::new(ShardedGraph::with_partition(g, part)), n, [r, s])
+    }
+
+    #[test]
+    fn sweeps_follow_the_repaired_version() {
+        let (sg, n, [r, s]) = two_rings();
+        let config = ShardedConfig::default();
+        let labels = ShardedLabels::build_on(Arc::clone(&sg), &config, None).unwrap();
+        // intra-shard: a self-loop on n2 and n0 → n1 gone; cross-shard:
+        // n4 → n3 closes a two-cycle that leaves n3's shard
+        let changes = [(n[2], n[2], r), (n[0], n[1], r), (n[4], n[3], r)];
+        let mut b = GraphBuilder::from_graph(sg.graph());
+        assert!(b.insert_edge(n[2], n[2], r));
+        assert!(b.remove_edge(n[0], n[1], r));
+        assert!(b.insert_edge(n[4], n[3], r));
+        let g2 = Arc::new(b.build());
+        let rep = labels
+            .repair(Arc::clone(&g2), &changes, &config, None)
+            .unwrap();
+        let touched = rep.shards_repaired + rep.shards_rebuilt;
+        assert_eq!((rep.shards_carried, touched), (1, 1));
+        let labels = rep.labels;
+        // what only the new version answers
+        assert!(labels.has_cycle_within(&g2, n[2], r, Some(1)), "self-loop");
+        assert!(
+            labels.has_cycle_within(&g2, n[3], r, Some(2)),
+            "cycle via n4"
+        );
+        let mut reached = Vec::new();
+        labels.for_each_reaching_within(&g2, n[0], r, Some(3), &mut |z| reached.push(z));
+        assert!(reached.is_empty(), "n0's only r edge is gone: {reached:?}");
+
+        let graph = GraphProbe::new(&g2);
+        let scan = |p: &dyn DistProbe, from, c, max| {
+            let mut out = Vec::new();
+            p.for_each_reaching_within(&g2, from, c, max, &mut |z| out.push(z));
+            out.sort_unstable();
+            out.dedup();
+            out
+        };
+        let nodes: Vec<NodeId> = g2.nodes().collect();
+        let target_sets: Vec<Vec<NodeId>> = (nodes.iter().map(|&v| vec![v]))
+            .chain([nodes.clone()])
+            .collect();
+        for c in [r, s] {
+            for max in [Some(0), Some(1), Some(2), Some(3), None] {
+                for &v in &nodes {
+                    let at = format!("{v:?} {c:?} within {max:?}");
+                    assert_eq!(scan(&labels, v, c, max), scan(&graph, v, c, max), "{at}");
+                    assert_eq!(
+                        labels.has_cycle_within(&g2, v, c, max),
+                        graph.has_cycle_within(&g2, v, c, max),
+                        "cycle {at}"
+                    );
+                }
+                for targets in &target_sets {
+                    assert_eq!(
+                        labels.sources_reaching_within(&g2, &nodes, targets, c, max),
+                        graph.sources_reaching_within(&g2, &nodes, targets, c, max),
+                        "sources into {targets:?}, {c:?} within {max:?}"
+                    );
+                }
+            }
+        }
+        assert_probe_parity(&g2, &labels);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!   workers, the sharded labels on the case's own partition, the label
 //!   indices on the queries they cover), and `eval_bibfs`;
 //! * **versions**: an `UpdatableEngine` per regime with a standing PQ,
-//!   queried after every update round as published and again with its
-//!   index forced, plus the standing answer and plan;
+//!   queried after every update round as published (on the hop and
+//!   sharded regimes, by a repaired index too) and again with its index
+//!   forced, plus the standing answer and plan;
 //! * **wire**: an `rpq_server::Server` on loopback over that engine; each
 //!   version's body must spell the checked answers of the snapshot named
 //!   by `X-Rpq-Version`.
@@ -476,6 +477,7 @@ fn assert_covered(ledger: &BTreeMap<String, u64>) {
         for state in ["Rebuilding", "Repaired", "Ready"] {
             required.push(format!("state {regime} {state}"));
         }
+        required.push(format!("served {regime} Repaired"));
     }
     let missing: Vec<&String> = required.iter().filter(|k| count(k) == 0).collect();
     assert!(missing.is_empty(), "never checked: {missing:?}");
@@ -756,7 +758,14 @@ fn sweep_versions(case: &Case, g: &Arc<Graph>, queries: &[Query]) {
                 }
                 assert_eq!(out.items()[standing].plan.algo(), Algo::Standing, "{at}");
             };
-            check_batch(&snap.run_batch(&batch), &at("as published"));
+            let published = snap.run_batch(&batch);
+            check_batch(&published, &at("as published"));
+            // a repaired index served what it covers: its probes (the
+            // sharded sweeps included) read this version's graph
+            let on_index = published.items().iter().any(|i| i.plan.backend() == b);
+            if snap.index_state() == IndexState::Repaired && on_index {
+                tally(format!("served {r} Repaired"));
+            }
             let engine = snap.engine();
             let hop = engine.hop().force().map(|_| format!("{:?}", engine.hop()));
             let sharded = engine
