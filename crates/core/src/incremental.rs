@@ -35,9 +35,10 @@
 use crate::join_match::{refine, refine_from};
 use crate::pq::{Pq, PqResult};
 use crate::reach::ProbeReach;
+use crate::rq::Rq;
 use rpq_graph::{Color, Graph, GraphBuilder, NodeId};
-use rpq_index::GraphProbe;
-use std::collections::VecDeque;
+use rpq_index::{DistProbe, GraphProbe};
+use rpq_regex::FRegex;
 use std::sync::Arc;
 
 /// A data graph that accepts edge insertions and deletions.
@@ -204,45 +205,95 @@ impl IncrementalMatcher {
     }
 }
 
-/// Incremental RQ maintenance: the RQ special case is simple enough to
-/// answer by re-running the product search over affected sources only.
+/// One logged edge change, `(tail, head, colour)`: an insertion or a
+/// deletion alike — the cone below needs only where the edge was.
+pub type EdgeChange = (NodeId, NodeId, Color);
+
+/// The nodes whose reach set under `regex` the edge `changes` can alter,
+/// ascending: every node with a path of at most `max_word_len − 1` edges
+/// (any length when `regex` has a `+`), each of a colour the regex admits,
+/// to the **tail** of a change whose colour it admits — the tails
+/// themselves included. One backward breadth-first sweep from all tails
+/// at once, restricted to the regex's colours (all of them when it has
+/// `_`), on the current graph.
 ///
-/// Sources whose reach set can change are those that reach an updated
-/// edge's source endpoint through a (wildcard) path prefix — a conservative
-/// but sound overapproximation (any regex-constrained path is in particular
-/// a wildcard path, so the wildcard test subsumes the per-regex one).
-///
-/// Cost: one multi-source backward BFS from all touched endpoints,
-/// O(|V| + |E|) *total* — the work is hoisted out of the per-source loop
-/// (one forward BFS per source, with a linear `touched` scan per node,
-/// would be O(|mat(u1)|·(|V| + |E|) + |V|·|touched|)).
-pub fn rq_affected_sources(g: &Graph, rq: &crate::rq::Rq, updates: &[Update]) -> Vec<NodeId> {
-    let touched = updates.iter().map(|u| match *u {
-        Update::Insert(a, _, _) | Update::Delete(a, _, _) => a,
-    });
-    // one backward wildcard BFS seeded with every touched endpoint at once:
-    // marks exactly the nodes with a (possibly empty) path to some touched
-    // node — including the touched nodes themselves
-    let mut reaches_touched = vec![false; g.node_count()];
-    let mut queue = VecDeque::new();
-    for t in touched {
-        if !reaches_touched[t.index()] {
-            reaches_touched[t.index()] = true;
-            queue.push_back(t);
+/// Why this is sound: take any path of length ≤ L = `max_word_len` that
+/// spells a word of `L(regex)` in one of the two graphs but not in the
+/// other. Its first changed edge `(u, v)` is preceded by unchanged,
+/// admitted edges, fewer than L of them; that prefix exists in both
+/// graphs, so the path's source lies in the cone from `u`. A source
+/// outside the cone therefore has the same reach set in both graphs.
+pub fn rq_source_cone(g: &Graph, regex: &FRegex, changes: &[EdgeChange]) -> Vec<NodeId> {
+    let admits = |c: Color| regex.atoms().iter().any(|a| a.color.admits(c));
+    let admitted: Vec<bool> = (0..=u8::MAX).map(|c| admits(Color(c))).collect();
+    // the first changed edge of a path sits behind at most L − 1 edges
+    let cap = regex.max_word_len().map_or(u64::MAX, |l| l - 1);
+    let mut seen = vec![false; g.node_count()];
+    let mut cone = Vec::new();
+    for &(u, _, c) in changes {
+        if admitted[c.0 as usize] && !seen[u.index()] {
+            seen[u.index()] = true;
+            cone.push(u);
         }
     }
-    while let Some(v) = queue.pop_front() {
-        for e in g.in_edges(v) {
-            if !reaches_touched[e.node.index()] {
-                reaches_touched[e.node.index()] = true;
-                queue.push_back(e.node);
+    // level by level: `cone[level..]` is the frontier at distance `depth`
+    let (mut level, mut depth) = (0, 0);
+    while level < cone.len() && depth < cap {
+        let frontier = level..cone.len();
+        level = cone.len();
+        for i in frontier {
+            for e in g.in_edges(cone[i]) {
+                if admitted[e.color.0 as usize] && !seen[e.node.index()] {
+                    seen[e.node.index()] = true;
+                    cone.push(e.node);
+                }
             }
         }
+        depth += 1;
     }
-    rq.matches_from(g)
-        .into_iter()
-        .filter(|&s| reaches_touched[s.index()])
-        .collect()
+    cone.sort_unstable();
+    cone
+}
+
+/// `rq`'s answer on `g`, from its answer `old` (sorted, duplicate-free)
+/// on an earlier version that differs from `g` by at most the edge
+/// `changes`: the rows of the candidate sources in
+/// [`rq_source_cone`] are re-evaluated through `probe`
+/// ([`Rq::eval_with_dist_from`]) and spliced into the rows of every
+/// other source, which cannot have changed. Edge updates never change
+/// node attributes, so the candidate sources are the same on both
+/// versions.
+///
+/// `None` when the cone holds more than half of the candidate sources: a
+/// full [`Rq::eval_with_dist`] is then cheaper than the patch.
+pub fn patch_reach_set<D: DistProbe + ?Sized>(
+    g: &Graph,
+    rq: &Rq,
+    probe: &D,
+    old: &[(NodeId, NodeId)],
+    changes: &[EdgeChange],
+) -> Option<Vec<(NodeId, NodeId)>> {
+    let mut cone = rq_source_cone(g, &rq.regex, changes);
+    cone.retain(|&v| rq.from.matches(g.attrs(v)));
+    if cone.len() * 2 > g.nodes().filter(|&v| rq.from.matches(g.attrs(v))).count() {
+        return None;
+    }
+    let fresh = rq.eval_with_dist_from(g, probe, cone.clone()).into_pairs();
+    // both sides ascend by source, and their sources are disjoint once the
+    // cone's old rows are dropped
+    let mut out = Vec::with_capacity(old.len() + fresh.len());
+    let mut fresh = fresh.into_iter().peekable();
+    for row in old.chunk_by(|a, b| a.0 == b.0) {
+        let x = row[0].0;
+        while let Some(p) = fresh.next_if(|p| p.0 < x) {
+            out.push(p);
+        }
+        if cone.binary_search(&x).is_err() {
+            out.extend_from_slice(row);
+        }
+    }
+    out.extend(fresh);
+    Some(out)
 }
 
 #[cfg(test)]
@@ -468,22 +519,88 @@ mod tests {
     }
 
     #[test]
-    fn rq_affected_sources_is_conservative() {
+    fn rq_source_cone_is_conservative_and_bounded() {
         let g = essembly();
-        let rq = crate::rq::Rq::new(
-            Predicate::parse("job = \"biologist\"", g.schema()).unwrap(),
-            Predicate::parse("job = \"doctor\"", g.schema()).unwrap(),
-            FRegex::parse("fa^2 fn", g.alphabet()).unwrap(),
-        );
-        let c3 = g.node_by_label("C3").unwrap();
-        let b1 = g.node_by_label("B1").unwrap();
+        let re = FRegex::parse("fa^2 fn", g.alphabet()).unwrap();
+        let n = |lbl: &str| g.node_by_label(lbl).unwrap();
         let fnc = g.alphabet().get("fn").unwrap();
-        let affected = rq_affected_sources(&g, &rq, &[Update::Delete(c3, b1, fnc)]);
-        // every source whose result could change must be listed: deleting
-        // C3->B1 affects C1, C2 (their paths run through C3) and C3
+        // deleting C3->B1 affects C1, C2 (their paths run through C3) and C3
+        let cone = rq_source_cone(&g, &re, &[(n("C3"), n("B1"), fnc)]);
         for lbl in ["C1", "C2", "C3"] {
-            let v = g.node_by_label(lbl).unwrap();
-            assert!(affected.contains(&v), "{lbl} must be affected");
+            assert!(cone.contains(&n(lbl)), "{lbl} must be in the cone");
         }
+        assert!(cone.is_sorted());
+        // a colour the regex does not admit seeds nothing
+        let sn = g.alphabet().get("sn").unwrap();
+        assert!(rq_source_cone(&g, &re, &[(n("C3"), n("B1"), sn)]).is_empty());
+
+        // on a one-colour chain 0 → 1 → … → 9, a change at the tail 9
+        // reaches back exactly `max_word_len − 1` edges, or all the way
+        // with `+`
+        let mut b = GraphBuilder::new();
+        let c = b.color("c");
+        let nodes: Vec<NodeId> = (0..10).map(|i| b.add_node(&format!("v{i}"), [])).collect();
+        for w in nodes.windows(2) {
+            b.add_edge(w[0], w[1], c);
+        }
+        let chain = b.build();
+        let cone = |text: &str| {
+            let re = FRegex::parse(text, chain.alphabet()).unwrap();
+            rq_source_cone(&chain, &re, &[(nodes[9], nodes[0], c)])
+        };
+        assert_eq!(cone("c^3"), nodes[7..].to_vec());
+        assert_eq!(cone("c c"), nodes[8..].to_vec());
+        assert_eq!(cone("c"), nodes[9..].to_vec());
+        assert_eq!(cone("c+"), nodes);
+        assert_eq!(cone("_^2"), nodes[8..].to_vec());
+    }
+
+    #[test]
+    fn patched_reach_sets_equal_full_evaluation() {
+        // a reach set computed on one version, patched across a log of one
+        // to three later batches, equals a full evaluation on the last
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(35);
+        let (mut patched, mut declined) = (0, 0);
+        for trial in 0..24u64 {
+            // sparse to dense: the cone of a `_+` regex on the dense graphs
+            // holds most sources, and the patch declines
+            let g = synthetic(60, 60 * (1 + trial as usize % 4), 2, 3, 900 + trial);
+            let regex = ["c0^2 c1", "c1+", "_ c2", "c0 _^2", "c2^3", "_+"][trial as usize % 6];
+            let rq = Rq::new(
+                Predicate::parse(&format!("a0 <= {}", trial % 6), g.schema()).unwrap(),
+                Predicate::always_true(),
+                FRegex::parse(regex, g.alphabet()).unwrap(),
+            );
+            let old = rq.eval_bfs(&g).into_pairs();
+            let mut dg = DynamicGraph::new(g);
+            let mut log = Vec::new();
+            for _ in 0..1 + trial % 3 {
+                let edges: Vec<_> = dg.graph().edges().collect();
+                let (u, v, c) = edges[rng.gen_range(0..edges.len())];
+                let x = NodeId(rng.gen_range(0..60));
+                let y = NodeId(rng.gen_range(0..60));
+                let color = Color(rng.gen_range(0..3));
+                for u in dg.apply(&[Update::Delete(u, v, c), Update::Insert(x, y, color)]) {
+                    log.push(match u {
+                        Update::Insert(a, b, c) | Update::Delete(a, b, c) => (a, b, c),
+                    });
+                }
+            }
+            let g = dg.graph();
+            let probe = GraphProbe::new(g);
+            match patch_reach_set(g, &rq, &probe, &old, &log) {
+                Some(pairs) => {
+                    assert_eq!(pairs, rq.eval_bfs(g).into_pairs(), "trial {trial}: {regex}");
+                    patched += 1;
+                }
+                None => declined += 1,
+            }
+        }
+        assert!(
+            patched > 0 && declined > 0,
+            "{patched} patched, {declined} declined"
+        );
     }
 }

@@ -161,9 +161,23 @@ impl Rq {
     /// come out ascending and each row's bits in target order, so the
     /// pairs are sorted as produced.
     pub fn eval_with_dist<D: DistProbe + ?Sized>(&self, g: &Graph, m: &D) -> RqResult {
+        self.eval_with_dist_from(g, m, self.matches_from(g))
+    }
+
+    /// [`eval_with_dist`](Rq::eval_with_dist)'s recorded pass from the
+    /// given `sources` only — ascending, each a candidate source — so the
+    /// answer holds exactly the pairs of those sources. The live layer's
+    /// memo re-runs it over the sources an update batch can reach
+    /// ([`patch_reach_set`](crate::incremental::patch_reach_set)).
+    pub fn eval_with_dist_from<D: DistProbe + ?Sized>(
+        &self,
+        g: &Graph,
+        m: &D,
+        sources: Vec<NodeId>,
+    ) -> RqResult {
         const NONE: u32 = u32::MAX;
         let n = g.node_count();
-        let mut levels: Vec<Vec<NodeId>> = vec![self.matches_from(g)];
+        let mut levels: Vec<Vec<NodeId>> = vec![sources];
         let mut steps: Vec<Step> = Vec::with_capacity(self.regex.len());
         // stamp[z]: the last row whose scan hit z (per-row deduplication);
         // slot[z]: z's position in the level being built (NONE = absent)

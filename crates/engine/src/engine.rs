@@ -8,6 +8,7 @@ use crate::memo::{CacheKind, Lookup, SemanticMemo, SemanticStats};
 use crate::planner::{self, Algo, Backend, Plan, Rationale, Uncovered};
 use crate::slot::IndexSlot;
 use rpq_core::canonical::{canonical_pq, canonical_rq};
+use rpq_core::incremental::patch_reach_set;
 use rpq_core::join_match::JoinMatch;
 use rpq_core::pq::Pq;
 use rpq_core::predicate::Predicate;
@@ -213,9 +214,11 @@ pub struct QueryEngine {
     /// The one reach-set memo of this graph version: an RQ's reach set
     /// is a function of (graph, source predicate, regex) alone, so every
     /// run on this engine shares it. The graph is immutable for the life
-    /// of the engine, so nothing ever invalidates an entry; the live
-    /// layer publishes a fresh engine — and with it an empty memo — per
-    /// version.
+    /// of the engine, so nothing ever invalidates a fresh entry. The live
+    /// layer publishes a new engine per version whose memo inherits the
+    /// predecessor's cells ([`SemanticMemo::carry`]); a miss patches an
+    /// inherited cell instead of evaluating in full. A read-only engine
+    /// starts empty and inherits nothing.
     memo: SemanticMemo,
     /// `run_batch` calls in flight on this engine: they share the worker
     /// budget between them.
@@ -310,6 +313,18 @@ impl QueryEngine {
         );
         engine.sharded.adopt(Arc::new(labels));
         Ok(engine)
+    }
+
+    /// This engine with `memo` — the predecessor version's memo carried
+    /// over one batch ([`SemanticMemo::carry`]) — in place of its empty one.
+    pub(crate) fn with_memo(mut self, memo: SemanticMemo) -> Self {
+        self.memo = memo;
+        self
+    }
+
+    /// This version's reach-set memo.
+    pub(crate) fn memo(&self) -> &SemanticMemo {
+        &self.memo
     }
 
     /// The shared graph.
@@ -567,10 +582,11 @@ impl QueryEngine {
         let hit = lookup.map(|l| l.kind);
         profile.memo_hits = u64::from(matches!(hit, Some(Some(_))));
         profile.memo_misses = u64::from(hit == Some(None));
-        profile.semcache = match hit {
-            Some(Some(CacheKind::Exact)) => "exact_hit",
-            Some(Some(CacheKind::Subsumption)) => "subsumption_hit",
-            Some(None) => "miss",
+        profile.semcache = match lookup.map(|l| (l.kind, l.patched)) {
+            Some((Some(CacheKind::Exact), _)) => "exact_hit",
+            Some((Some(CacheKind::Subsumption), _)) => "subsumption_hit",
+            Some((None, true)) => "patched",
+            Some((None, false)) => "miss",
             // the plan never consulted the cache (PQ backends)
             None => "",
         }
@@ -714,17 +730,18 @@ impl QueryEngine {
             },
         };
         before_eval();
-        let (out, probes) = self.evaluate(job);
+        let (out, probes, patched) = self.evaluate(job);
+        let lookup = lookup.map(|miss| if patched { Lookup::PATCHED } else { miss });
         (out, probes, lookup)
     }
 
     /// What the memo could not answer: resolve `plan`'s backend to its
     /// probe — an index, or on [`Backend::Search`] the graph itself
     /// ([`GraphProbe`]) — and evaluate the plan's algorithm over it.
-    /// Returns the output and — with `count_probes`, the explain surface —
-    /// the number of distance probes issued (0 for `biBFS`, which probes
-    /// nothing).
-    fn evaluate(&self, job: Job<'_>) -> (QueryOutput, u64) {
+    /// Returns the output, the number of distance probes issued (counted
+    /// only with `count_probes`, the explain surface; 0 for `biBFS`, which
+    /// probes nothing), and whether an inherited memo cell was patched.
+    fn evaluate(&self, job: Job<'_>) -> (QueryOutput, u64, bool) {
         match job.plan.backend() {
             Backend::Matrix => eval_on(job, self.matrix.get().expect("prepared by the caller")),
             Backend::Hop => eval_on(job, self.hop.ready()),
@@ -811,23 +828,26 @@ struct Job<'a> {
 /// shares, statically dispatched per probe type. Profiling is the
 /// [`CountingProbe`] decorator around the same call: it still delegates to
 /// the backend's optimized bulk implementations.
-fn eval_on<P: DistProbe + Sync>(job: Job<'_>, probe: &P) -> (QueryOutput, u64) {
+fn eval_on<P: DistProbe + Sync>(job: Job<'_>, probe: &P) -> (QueryOutput, u64, bool) {
     if job.count_probes {
         let counting = CountingProbe::new(probe);
-        (eval_probing(job, &counting), counting.probes())
+        let (out, patched) = eval_probing(job, &counting);
+        (out, counting.probes(), patched)
     } else {
-        (eval_probing(job, probe), 0)
+        let (out, patched) = eval_probing(job, probe);
+        (out, 0, patched)
     }
 }
 
-fn eval_probing<P: DistProbe + Sync>(job: Job<'_>, probe: &P) -> QueryOutput {
+/// The output, and whether an inherited memo cell was patched.
+fn eval_probing<P: DistProbe + Sync>(job: Job<'_>, probe: &P) -> (QueryOutput, bool) {
     match (job.query, job.plan.algo()) {
         (Query::Rq(rq), Algo::RqDm | Algo::RqBfsMemo) => rq_indexed(job.g, rq, probe, job.memo),
         // the paper's baseline, servable when forced: it probes nothing
-        (Query::Rq(rq), Algo::RqBiBfs) => QueryOutput::Rq(rq.eval_bibfs(job.g)),
+        (Query::Rq(rq), Algo::RqBiBfs) => (QueryOutput::Rq(rq.eval_bibfs(job.g)), false),
         (Query::Pq(pq), algo) => {
             let mut reach = ProbeReach::with_workers(probe, job.pq_workers);
-            eval_pq(algo, pq, job.g, &mut reach)
+            (eval_pq(algo, pq, job.g, &mut reach), false)
         }
         (Query::Rq(_), algo) => mismatched(algo),
     }
@@ -877,19 +897,31 @@ fn rq_targets(g: &Graph, rq: &Rq, pairs: &[(NodeId, NodeId)]) -> QueryOutput {
 }
 
 /// Probe-backed RQ evaluation after a declined cache probe: the key's
-/// *full* reach set is computed through the index (or the graph) —
-/// target predicate widened to `true`, trading the backward-pruning pass
-/// for a reusable cache entry — installed via [`SemanticMemo::insert`],
-/// and filtered down to the query's targets; the next exact or contained
-/// query on the key is a cache hit.
-fn rq_indexed<D: DistProbe>(g: &Graph, rq: &Rq, probe: &D, memo: &SemanticMemo) -> QueryOutput {
+/// *full* reach set — target predicate widened to `true`, trading the
+/// backward-pruning pass for a reusable cache entry — is patched from the
+/// cell an earlier graph version left in the memo, re-evaluating through
+/// the index (or the graph) only the sources the changes since can reach
+/// ([`SemanticMemo::patch`], [`patch_reach_set`]); without one, or when
+/// the patch would touch most sources, it is computed in full and
+/// installed via [`SemanticMemo::insert`]. Either way the set is filtered
+/// down to the query's targets, and the next exact or contained query on
+/// the key is a cache hit. Also returns whether it patched.
+fn rq_indexed<D: DistProbe>(
+    g: &Graph,
+    rq: &Rq,
+    probe: &D,
+    memo: &SemanticMemo,
+) -> (QueryOutput, bool) {
     let wide = Rq::new(rq.from.clone(), Predicate::always_true(), rq.regex.clone());
-    let pairs = memo.insert(
-        &rq.from,
-        &rq.regex,
-        wide.eval_with_dist(g, probe).into_pairs(),
-    );
-    rq_targets(g, rq, &pairs)
+    let patch = |old: &[_], changes: &[_]| patch_reach_set(g, &wide, probe, old, changes);
+    let (pairs, patched) = match memo.patch(&rq.from, &rq.regex, patch) {
+        Some(pairs) => (pairs, true),
+        None => {
+            let full = wide.eval_with_dist(g, probe).into_pairs();
+            (memo.insert(&rq.from, &rq.regex, full), false)
+        }
+    };
+    (rq_targets(g, rq, &pairs), patched)
 }
 
 /// The query with every regex in run-normal canonical form

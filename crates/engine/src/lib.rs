@@ -44,7 +44,8 @@
 //!   [`Update`](rpq_core::incremental::Update) batches and publish
 //!   immutable versioned [`Snapshot`]s via an `Arc` swap, readers query a
 //!   pinned snapshot without ever blocking on writers, indices are
-//!   versioned per snapshot, and registered standing PQs are maintained
+//!   versioned per snapshot, each version's memo inherits the previous
+//!   version's reach sets to patch, and registered standing PQs are maintained
 //!   incrementally and served from their standing answers
 //!   ([`Algo::Standing`]) instead of being re-evaluated;
 //! * [`QueryService`] unifies the three engine types behind one

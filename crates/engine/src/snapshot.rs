@@ -6,20 +6,25 @@
 //! * one graph version (an `Arc<Graph>` shared with the writer that
 //!   published it),
 //! * the indices for that version — the lazily-built
-//!   [`DistanceMatrix`](rpq_graph::DistanceMatrix) (small graphs) or
-//!   hop-label index (`rpq_index::HopLabels`, built in the background off
-//!   the first over-limit batch) and the reach-set memo, all inside an
-//!   owned [`QueryEngine`] and so *versioned with the snapshot*: an
-//!   update batch publishes a fresh snapshot with a fresh engine (lazily
-//!   rebuilt indices, empty memo), so no reader ever sees an index or a
-//!   cached reach set computed against a different graph version. Until a version's label build lands, its
-//!   queries fall back to search — stale indices are never consulted —
-//!   and publishing a newer version retires the superseded build
-//!   ([`QueryEngine::retire_index_builds`]), and
+//!   [`DistanceMatrix`](rpq_graph::DistanceMatrix) (small graphs) or a
+//!   label index (`rpq_index::HopLabels` / `ShardedLabels`, repaired from
+//!   the predecessor's or built in the background) — and the reach-set
+//!   memo, all inside an owned [`QueryEngine`] and so *versioned with the
+//!   snapshot*: an update batch publishes a fresh snapshot with a fresh
+//!   engine, so no reader ever sees an index computed against a different
+//!   graph version. Until a version's label index is repaired or built,
+//!   its queries fall back to search — stale indices are never consulted
+//!   — and publishing a newer version retires the superseded build
+//!   ([`QueryEngine::retire_index_builds`]). The new engine's memo
+//!   inherits the predecessor's reach sets with the batch's edge changes
+//!   ([`SemanticMemo::carry`](crate::SemanticMemo::carry)): an inherited
+//!   set never answers as it is, only a miss reads it, and patches the
+//!   sources the changes can reach; and
 //! * the standing answers: for every registered standing PQ, the match
 //!   sets maintained by
 //!   [`IncrementalMatcher`](rpq_core::incremental::IncrementalMatcher) as
-//!   of this version, pre-assembled into a [`PqResult`].
+//!   of this version; the full [`PqResult`] is assembled lazily, on its
+//!   first read ([`StandingEntry`]).
 //!
 //! Because a snapshot owns `Arc`s of everything it needs, batches keep
 //! running against it — unaffected — while writers publish newer versions:

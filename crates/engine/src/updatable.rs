@@ -28,9 +28,9 @@
 use crate::engine::{EngineConfig, QueryEngine};
 use crate::error::EngineError;
 use crate::snapshot::{IndexState, Snapshot, StandingEntry};
-use rpq_core::incremental::{DynamicGraph, IncrementalMatcher, Update};
+use rpq_core::incremental::{DynamicGraph, EdgeChange, IncrementalMatcher, Update};
 use rpq_core::pq::{Pq, PqResult};
-use rpq_graph::{Color, Graph, NodeId};
+use rpq_graph::Graph;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -312,20 +312,20 @@ impl UpdatableEngine {
             .map(|m| StandingEntry::new(m.pq().clone(), m.match_sets().to_vec()))
             .collect();
         let t_standing = Instant::now();
-        let new_graph = state.dynamic.graph_arc();
-        let engine = Arc::new(QueryEngine::with_config(
-            Arc::clone(&new_graph),
-            self.config.clone(),
-        ));
-        // carry the predecessor's label index through a repair step
-        // instead of unconditionally retiring it
-        let changes: Vec<(NodeId, NodeId, Color)> = effective
+        let changes: Vec<EdgeChange> = effective
             .iter()
             .map(|u| match *u {
                 Update::Insert(a, b, c) | Update::Delete(a, b, c) => (a, b, c),
             })
             .collect();
+        // the new version's engine inherits the predecessor's memo cells,
+        // to be patched on a miss, and its label index through a repair
+        // step instead of unconditionally retiring it
         let prev = self.snapshot();
+        let engine = Arc::new(
+            QueryEngine::with_config(state.dynamic.graph_arc(), self.config.clone())
+                .with_memo(prev.engine().memo().carry(&changes)),
+        );
         let mut index = carry_index(&prev, &engine, &changes);
         let t_carried = Instant::now();
         let snapshot = Arc::new(Snapshot::new(
@@ -415,7 +415,7 @@ const HOP_REPAIR_LIMIT_DIVISOR: usize = 4;
 fn carry_index(
     prev: &Snapshot,
     next_engine: &QueryEngine,
-    changes: &[(NodeId, NodeId, Color)],
+    changes: &[EdgeChange],
 ) -> IndexMaintenance {
     let t0 = Instant::now();
     let (new_graph, config) = (next_engine.graph(), next_engine.config());
@@ -500,6 +500,7 @@ mod tests {
     use rpq_core::predicate::Predicate;
     use rpq_core::rq::Rq;
     use rpq_graph::gen::essembly;
+    use rpq_graph::{Color, NodeId};
     use rpq_regex::FRegex;
 
     fn fn_pq(g: &Graph) -> Pq {

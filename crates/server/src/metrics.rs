@@ -196,6 +196,9 @@ pub struct Metrics {
     pub semcache_subsumption: AtomicU64,
     /// Semantic reach-cache lookups no cached entry could answer.
     pub semcache_misses: AtomicU64,
+    /// The misses answered by patching a reach set inherited from an
+    /// earlier graph version — a subset of `semcache_misses`.
+    pub semcache_patched: AtomicU64,
     /// Cumulative µs spent filtering/re-verifying cached reach sets for
     /// subsumption answers.
     semcache_filter_us: AtomicU64,
@@ -232,6 +235,7 @@ impl Metrics {
             semcache_exact: AtomicU64::new(0),
             semcache_subsumption: AtomicU64::new(0),
             semcache_misses: AtomicU64::new(0),
+            semcache_patched: AtomicU64::new(0),
             semcache_filter_us: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
             latency: LatencyHistogram::default(),
@@ -265,6 +269,7 @@ impl Metrics {
         add(&self.semcache_exact, lookups.exact_hits);
         add(&self.semcache_subsumption, lookups.subsumption_hits);
         add(&self.semcache_misses, lookups.misses);
+        add(&self.semcache_patched, lookups.patched);
         add(
             &self.semcache_filter_us,
             lookups.filter_time.as_micros() as u64,
@@ -405,6 +410,12 @@ impl Metrics {
             "rpq_semcache_misses_total",
             "Semantic reach-cache lookups no cached entry could answer.",
             g(&self.semcache_misses),
+        );
+        counter(
+            "rpq_semcache_patched_total",
+            "Semantic reach-cache misses answered by patching a reach set \
+             inherited from an earlier graph version (a subset of the misses).",
+            g(&self.semcache_patched),
         );
         counter(
             "rpq_worker_panics_total",
@@ -735,6 +746,7 @@ mod tests {
             exact_hits: 5,
             subsumption_hits: 2,
             misses: 3,
+            patched: 2,
             filter_time: std::time::Duration::from_micros(1500),
         });
         m.worker_panics.fetch_add(1, Ordering::Relaxed);
@@ -777,6 +789,7 @@ mod tests {
         assert_eq!(get("rpq_semcache_hits_total{kind=\"exact\"}"), 5.0);
         assert_eq!(get("rpq_semcache_hits_total{kind=\"subsumption\"}"), 2.0);
         assert_eq!(get("rpq_semcache_misses_total"), 3.0);
+        assert_eq!(get("rpq_semcache_patched_total"), 2.0);
         assert!((get("rpq_semcache_filter_seconds_total") - 0.0015).abs() < 1e-9);
     }
 

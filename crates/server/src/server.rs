@@ -726,6 +726,10 @@ fn handle_explain(req: &Request, shared: &Shared) -> Response {
             "exact_hit" => lookups.exact_hits += 1,
             "subsumption_hit" => lookups.subsumption_hits += 1,
             "miss" => lookups.misses += 1,
+            "patched" => {
+                lookups.misses += 1;
+                lookups.patched += 1;
+            }
             _ => {} // a PQ: no lookup
         }
         out.push_str(&profile.to_json());

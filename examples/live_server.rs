@@ -104,6 +104,8 @@ fn main() {
             *per_plan.entry(item.plan.name()).or_insert(0) += 1;
         }
         let (hits, misses) = result.memo_stats();
+        // misses on a key an earlier version computed patch its reach set
+        let patched = result.semantic_stats().patched;
         let wall = result.wall_time();
         println!(
             "tick {tick}: v{} ({}/{} updates applied in {apply_time:?}), {} queries in {wall:?} ({:.0} q/s)",
@@ -114,7 +116,7 @@ fn main() {
             result.len() as f64 / wall.as_secs_f64(),
         );
         println!(
-            "  plans: {per_plan:?}  memo: {hits} hits / {misses} misses  standing answer: {} matches",
+            "  plans: {per_plan:?}  memo: {hits} hits / {misses} misses ({patched} patched)  standing answer: {} matches",
             snap.standing_result(standing_id).unwrap().size(),
         );
     }

@@ -479,6 +479,12 @@ fn assert_covered(ledger: &BTreeMap<String, u64>) {
         }
         required.push(format!("served {regime} Repaired"));
     }
+    // a write carries the memo: a version's misses patch what the
+    // previous ones computed, also over a log of two batches or more
+    for regime in ["matrix", "hop", "sharded"] {
+        required.push(format!("memo patched {regime}"));
+        required.push(format!("memo patched {regime} over 2+ batches"));
+    }
     let missing: Vec<&String> = required.iter().filter(|k| count(k) == 0).collect();
     assert!(missing.is_empty(), "never checked: {missing:?}");
     for regime in ["matrix", "hop", "sharded"] {
@@ -706,18 +712,24 @@ fn reversed(pq: &Pq) -> Pq {
 /// The update stream through an `UpdatableEngine` per regime, with a
 /// standing PQ and its node-permuted twin registered (one matcher each)
 /// and a server on loopback over the same engine.
+///
+/// Each version's memo inherits the cells of the one before, so the
+/// first batch on a version patches what the last one computed. The
+/// first RQ's four queries rest on odd rounds: when they are asked again,
+/// their cells carry the change log of two batches or more.
 fn sweep_versions(case: &Case, g: &Arc<Graph>, queries: &[Query]) {
+    const RESTING: usize = 4;
     for b in [Backend::Matrix, Backend::Hop, Backend::Sharded] {
         let r = format!("{b:?}").to_lowercase();
         let live = Arc::new(UpdatableEngine::with_config(
             Graph::clone(g),
             config(b, case.shards),
         ));
-        let standing = queries.len();
         let id = live.register_pq(case.pqs[0].build(g));
         let twin = reversed(&case.pqs[0].build(g));
         let twin_id = live.register_pq(twin.clone());
         let twin = Query::Pq(twin);
+        // the standing PQ comes last in every batch
         let mut batch = queries.to_vec();
         batch.push(Query::Pq(case.pqs[0].build(g)));
         let server = Server::start(Arc::clone(&live), ServerConfig::default()).unwrap();
@@ -726,6 +738,8 @@ fn sweep_versions(case: &Case, g: &Arc<Graph>, queries: &[Query]) {
         let mut pinned: HashMap<u64, Rc<(Arc<Snapshot>, Truth)>> = HashMap::new();
         let mut current = live.snapshot();
         let mut deleted = Vec::new();
+        // the version the resting queries were last asked on
+        let mut rested_at = current.version();
         for round in 0..=case.rounds.len() {
             if round > 0 {
                 let graph = current.graph();
@@ -751,15 +765,37 @@ fn sweep_versions(case: &Case, g: &Arc<Graph>, queries: &[Query]) {
             let (snap, truth) = &*version;
             tally(format!("versions {r}"));
             let at = |what: &str| format!("{r} v{} round {round}: {what}", snap.version());
-            let check_batch = |out: &BatchResult, at: &str| {
-                for (q, item) in batch.iter().zip(out.items()) {
+            let rests = round % 2 == 1;
+            let batch = &batch[if rests { RESTING } else { 0 }..];
+            let standing = batch.last().unwrap();
+            let check_batch = |qs: &[Query], out: &BatchResult, at: &str| {
+                for (q, item) in qs.iter().zip(out.items()) {
                     truth.check(q, &item.output, at);
                     tally(format!("plan {}", item.plan.name()));
                 }
-                assert_eq!(out.items()[standing].plan.algo(), Algo::Standing, "{at}");
+                if qs.last() == Some(standing) {
+                    assert_eq!(
+                        out.items().last().unwrap().plan.algo(),
+                        Algo::Standing,
+                        "{at}"
+                    );
+                }
+                if out.semantic_stats().patched > 0 {
+                    tally(format!("memo patched {r}"));
+                }
             };
-            let published = snap.run_batch(&batch);
-            check_batch(&published, &at("as published"));
+            if !rests {
+                // the resting queries first, on their own: what they patch
+                // was logged over every version since they were last asked
+                let woke = snap.run_batch(&batch[..RESTING]);
+                check_batch(&batch[..RESTING], &woke, &at("woken"));
+                if woke.semantic_stats().patched > 0 && snap.version() >= rested_at + 2 {
+                    tally(format!("memo patched {r} over 2+ batches"));
+                }
+                rested_at = snap.version();
+            }
+            let published = snap.run_batch(batch);
+            check_batch(batch, &published, &at("as published"));
             // a repaired index served what it covers: its probes (the
             // sharded sweeps included) read this version's graph
             let on_index = published.items().iter().any(|i| i.plan.backend() == b);
@@ -776,8 +812,8 @@ fn sweep_versions(case: &Case, g: &Arc<Graph>, queries: &[Query]) {
                 assert_eq!(state, "Ready", "{}", at("forced"));
                 tally(format!("state {r} Ready"));
             }
-            let forced = snap.run_batch(&batch);
-            check_batch(&forced, &at("forced"));
+            let forced = snap.run_batch(batch);
+            check_batch(batch, &forced, &at("forced"));
             // with its index forced, the regime's backend serves every
             // query it covers, and the graph every `_`-bearing one
             for (q, item) in batch.iter().zip(forced.items()) {
@@ -795,18 +831,18 @@ fn sweep_versions(case: &Case, g: &Arc<Graph>, queries: &[Query]) {
                 }
             }
             let kept = QueryOutput::Pq(snap.standing_result(id).unwrap());
-            truth.check(&batch[standing], &kept, &at("standing answer"));
-            assert_eq!(snap.plan_query(&batch[standing]).algo(), Algo::Standing);
+            truth.check(standing, &kept, &at("standing answer"));
+            assert_eq!(snap.plan_query(standing).algo(), Algo::Standing);
             let kept = QueryOutput::Pq(snap.standing_result(twin_id).unwrap());
             truth.check(&twin, &kept, &at("twin standing answer"));
             assert_eq!(snap.plan_query(&twin).algo(), Algo::Standing);
             tally(format!("standing {r}"));
 
-            let resp = client.query(&batch, snap.graph()).unwrap();
+            let resp = client.query(batch, snap.graph()).unwrap();
             assert!(resp.is_ok(), "{}: {}", at("wire"), resp.body);
             let served = &pinned[&resp.version.expect("X-Rpq-Version")];
-            let items = served.0.run_batch(&batch);
-            check_batch(&items, &at("wire"));
+            let items = served.0.run_batch(batch);
+            check_batch(batch, &items, &at("wire"));
             assert_eq!(
                 resp.body,
                 wire::encode_items(items.items()),
