@@ -1,4 +1,4 @@
-//! The [`QueryEngine`]: one immutable graph, lazily-built shared indices,
+//! The [`QueryEngine`]: one immutable graph, the one index built for it,
 //! and scoped-thread batch evaluation.
 
 use crate::batch::{BatchItem, BatchResult, Query, QueryOutput};
@@ -6,7 +6,6 @@ use crate::error::{ConfigError, EngineError};
 use crate::explain::{query_summary, CountingProbe};
 use crate::memo::{CacheKind, Lookup, SemanticMemo, SemanticStats};
 use crate::planner::{self, Algo, Backend, Plan, Rationale, Uncovered};
-use crate::slot::IndexSlot;
 use rpq_core::canonical::{canonical_pq, canonical_rq};
 use rpq_core::incremental::patch_reach_set;
 use rpq_core::join_match::JoinMatch;
@@ -16,11 +15,13 @@ use rpq_core::reach::ProbeReach;
 use rpq_core::rq::{Rq, RqResult};
 use rpq_core::split_match::SplitMatch;
 use rpq_graph::{DistanceMatrix, Graph, NodeId};
-use rpq_index::{DistProbe, GraphProbe, HopConfig, HopLabels, ShardedConfig, ShardedLabels};
+use rpq_index::{
+    DistProbe, GraphProbe, HopBuildError, HopConfig, HopLabels, ShardedConfig, ShardedLabels,
+};
 use rpq_trace::QueryProfile;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Engine tuning knobs.
 ///
@@ -44,18 +45,17 @@ use std::time::Instant;
 pub struct EngineConfig {
     /// Worker threads per batch; `0` means one per available core.
     pub workers: usize,
-    /// Build the per-color distance matrix lazily iff
-    /// `|V| <= matrix_node_limit` (the matrix costs O(|Σ|·|V|²) memory —
-    /// the default keeps it a few tens of megabytes).
+    /// Build the per-color distance matrix iff `|V| <= matrix_node_limit`
+    /// (the matrix costs O(|Σ|·|V|²) memory — the default keeps it a few
+    /// tens of megabytes).
     pub matrix_node_limit: usize,
     /// Byte budget for the pruned 2-hop label index built for graphs
-    /// *above* the matrix node limit (`0` disables hop labels entirely).
-    /// The build runs in the background off the first over-limit batch;
-    /// until it lands, queries are answered over the graph itself (the
-    /// search backend's plans). The index holds one layer per concrete
+    /// *above* the matrix node limit (`0` disables hop labels entirely),
+    /// at engine construction. The index holds one layer per concrete
     /// color — queries mentioning `_` are always answered by the graph —
-    /// and if those layers do not fit the budget, nothing is published and
-    /// the engine serves search plans permanently.
+    /// and if those layers do not fit the budget, the engine falls through
+    /// to the sharded index (when configured) or serves search plans
+    /// permanently.
     pub hop_label_budget: usize,
     /// Number of shards for the partitioned fallback backend; `< 2`
     /// disables sharding. With `shards ≥ 2`, a graph over the matrix
@@ -122,8 +122,8 @@ impl EngineConfig {
         }
     }
 
-    /// The one derivation of the sharded build's settings — background
-    /// builds, [`QueryEngine::build_sharded`] and the live-update repair
+    /// The one derivation of the sharded build's settings — engine
+    /// construction, [`QueryEngine::build_sharded`] and the live-update repair
     /// all go through it, so a repaired index can never be built under
     /// different settings from a fresh one.
     pub(crate) fn sharded_config(&self) -> ShardedConfig {
@@ -201,16 +201,92 @@ impl EngineConfigBuilder {
     }
 }
 
-/// A shared, immutable graph plus lazily-built indices, evaluating batches
-/// of mixed [`Query::Rq`] / [`Query::Pq`] queries on scoped worker threads.
+/// The one reachability index of an engine's graph version, decided and
+/// built with the engine ([`Index::build`]) or carried into it through a
+/// repair by the live-update layer.
+#[derive(Debug)]
+pub(crate) enum Index {
+    /// The per-color distance matrix: graphs at or under
+    /// [`matrix_node_limit`](EngineConfig::matrix_node_limit).
+    Matrix(DistanceMatrix),
+    /// The whole-graph hop-label index.
+    Hop(HopLabels),
+    /// The partitioned label index.
+    Sharded(ShardedLabels),
+    /// No index fits this configuration: the graph answers every query.
+    None,
+}
+
+impl Index {
+    /// The deployment policy, one rung after the other: the matrix at or
+    /// under the node limit; otherwise hop labels under
+    /// [`hop_label_budget`](EngineConfig::hop_label_budget); otherwise
+    /// sharded labels when [`shards`](EngineConfig::shards) ≥ 2. A build
+    /// over its budget falls through to the next rung, and the last rung
+    /// is graph-only — a pinned verdict for this graph version.
+    pub(crate) fn build(g: &Arc<Graph>, config: &EngineConfig) -> Index {
+        if g.node_count() <= config.matrix_node_limit {
+            return Index::Matrix(DistanceMatrix::build(g));
+        }
+        if config.hop_label_budget > 0 {
+            let hop = HopConfig {
+                budget_bytes: config.hop_label_budget,
+            };
+            let built = traced_build("hop", || HopLabels::build_with(g, &hop));
+            if let Some(labels) = built {
+                return Index::Hop(labels);
+            }
+        }
+        if config.shards >= 2 {
+            let sharded = config.sharded_config();
+            let built = traced_build("sharded", || ShardedLabels::build_with(g, &sharded));
+            if let Some(labels) = built {
+                return Index::Sharded(labels);
+            }
+        }
+        Index::None
+    }
+
+    /// Is this a label index (hop or sharded) — the kind a write repairs?
+    pub(crate) fn is_label(&self) -> bool {
+        matches!(self, Index::Hop(_) | Index::Sharded(_))
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            Index::Matrix(_) => "matrix",
+            Index::Hop(_) => "hop",
+            Index::Sharded(_) => "sharded",
+            Index::None => "none",
+        }
+    }
+}
+
+/// Run one label build and record it as an `index/<name>-build` span:
+/// the index, or `None` over budget.
+fn traced_build<T>(name: &str, build: impl FnOnce() -> Result<T, HopBuildError>) -> Option<T> {
+    let t0 = Instant::now();
+    let built = build();
+    let detail = match &built {
+        Ok(_) => "ok".to_owned(),
+        Err(e) => format!("{e}: next rung"),
+    };
+    rpq_trace::tracer().record_span("index", &format!("{name}-build"), t0.elapsed(), &detail);
+    built.ok()
+}
+
+/// A shared, immutable graph plus the one index built for it, evaluating
+/// batches of mixed [`Query::Rq`] / [`Query::Pq`] queries on scoped worker
+/// threads.
 ///
-/// The engine is `Sync`: one instance can serve batches from many threads;
-/// index construction happens at most once.
+/// The engine is `Sync`: one instance can serve batches from many threads.
 #[derive(Debug)]
 pub struct QueryEngine {
     graph: Arc<Graph>,
     config: EngineConfig,
-    matrix: OnceLock<DistanceMatrix>,
+    /// Decided and built at construction: every query plans against an
+    /// index that exists.
+    index: Index,
     /// The one reach-set memo of this graph version: an RQ's reach set
     /// is a function of (graph, source predicate, regex) alone, so every
     /// run on this engine shares it. The graph is immutable for the life
@@ -223,16 +299,6 @@ pub struct QueryEngine {
     /// `run_batch` calls in flight on this engine: they share the worker
     /// budget between them.
     running_batches: AtomicUsize,
-    /// Set by [`retire_index_builds`](QueryEngine::retire_index_builds)
-    /// (or drop): in-flight background label builds abort at their next
-    /// checkpoint. Shared with both slots.
-    retired: Arc<AtomicBool>,
-    /// The whole-graph label index, built in the background off the first
-    /// over-limit batch (or by [`hop().force()`](IndexSlot::force)).
-    hop: Arc<IndexSlot<HopLabels>>,
-    /// The partitioned fallback index: built once the single hop-label
-    /// build has failed its budget (or is disabled) and `shards ≥ 2`.
-    sharded: Arc<IndexSlot<ShardedLabels>>,
 }
 
 impl QueryEngine {
@@ -241,52 +307,25 @@ impl QueryEngine {
         Self::with_config(graph, EngineConfig::default())
     }
 
-    /// Engine over `graph` with explicit configuration.
+    /// Engine over `graph` with explicit configuration: builds the index
+    /// the configuration calls for before returning — the matrix at or
+    /// under [`matrix_node_limit`](EngineConfig::matrix_node_limit), else
+    /// hop labels, else sharded labels, each under its budget, else none.
     pub fn with_config(graph: Arc<Graph>, config: EngineConfig) -> Self {
-        let retired = Arc::new(AtomicBool::new(false));
-        // policy, build closure and description: the only per-backend
-        // lifecycle code. Hop labels: over the matrix limit (under it the
-        // strictly faster matrix wins) with a nonzero budget.
-        let over_limit = graph.node_count() > config.matrix_node_limit;
-        let hop_allowed = over_limit && config.hop_label_budget > 0;
-        let build_config = HopConfig {
-            budget_bytes: config.hop_label_budget,
-        };
-        let g = Arc::clone(&graph);
-        let hop = IndexSlot::new(
-            "hop",
-            &retired,
-            move || hop_allowed,
-            |l: &HopLabels| format!("bytes={}", l.bytes()),
-            move |cancel| HopLabels::build_with(&g, &build_config, cancel),
-        );
-        // Sharded labels: only when a single-machine index cannot serve —
-        // sharding configured, and the hop build either disabled by policy
-        // or already failed its budget. While a single-index build is
-        // still possible (or in flight) it stays preferred: its probes
-        // don't pay the overlay stitch.
-        let sharded_wanted = over_limit && config.shards >= 2;
-        let (g, build_config) = (Arc::clone(&graph), config.sharded_config());
-        let single = Arc::clone(&hop);
-        let sharded = IndexSlot::new(
-            "sharded",
-            &retired,
-            move || sharded_wanted && (!hop_allowed || single.over_budget()),
-            |l: &ShardedLabels| {
-                let stats = l.stats();
-                format!("shards={} bytes={}", stats.shards, stats.total_bytes())
-            },
-            move |cancel| ShardedLabels::build_with(&g, &build_config, cancel),
-        );
+        let index = Index::build(&graph, &config);
+        Self::with_index(graph, config, index)
+    }
+
+    /// Engine over `graph` serving `index`, which must answer for
+    /// `graph` — built for it, or repaired into it by the live-update
+    /// layer.
+    pub(crate) fn with_index(graph: Arc<Graph>, config: EngineConfig, index: Index) -> Self {
         QueryEngine {
             graph,
             config,
-            matrix: OnceLock::new(),
+            index,
             memo: SemanticMemo::new(),
             running_batches: AtomicUsize::new(0),
-            retired,
-            hop,
-            sharded,
         }
     }
 
@@ -299,20 +338,16 @@ impl QueryEngine {
     /// hop index race the planner, and a per-shard build over its budget
     /// fails here with [`EngineError::IndexOverBudget`] instead of
     /// degrading to search plans. The index is reachable through
-    /// [`sharded().get()`](QueryEngine::sharded).
+    /// [`sharded()`](QueryEngine::sharded).
     pub fn build_sharded(graph: Arc<Graph>, config: EngineConfig) -> Result<Self, EngineError> {
-        let labels = ShardedLabels::build_with(&graph, &config.sharded_config(), None)?;
-        let engine = Self::with_config(
-            graph,
-            EngineConfig {
-                matrix_node_limit: 0,
-                hop_label_budget: 0,
-                shards: labels.sharded_graph().k(),
-                ..config
-            },
-        );
-        engine.sharded.adopt(Arc::new(labels));
-        Ok(engine)
+        let labels = ShardedLabels::build_with(&graph, &config.sharded_config())?;
+        let config = EngineConfig {
+            matrix_node_limit: 0,
+            hop_label_budget: 0,
+            shards: labels.sharded_graph().k(),
+            ..config
+        };
+        Ok(Self::with_index(graph, config, Index::Sharded(labels)))
     }
 
     /// This engine with `memo` — the predecessor version's memo carried
@@ -337,57 +372,46 @@ impl QueryEngine {
         &self.config
     }
 
-    /// Would the planner see a distance matrix for this graph? True once
-    /// built, or when the graph is small enough that the engine will build
-    /// it on first use.
-    pub fn matrix_available(&self) -> bool {
-        self.matrix.get().is_some() || self.graph.node_count() <= self.config.matrix_node_limit
+    /// This engine's index.
+    pub(crate) fn index(&self) -> &Index {
+        &self.index
     }
 
-    /// The distance matrix, building it first if the policy allows;
-    /// `None` when the graph is over the node limit and no matrix exists.
+    /// The distance matrix, when this engine was built with one.
     pub fn matrix(&self) -> Option<&DistanceMatrix> {
-        if self.graph.node_count() <= self.config.matrix_node_limit {
-            Some(self.force_matrix())
-        } else {
-            self.matrix.get()
+        match &self.index {
+            Index::Matrix(matrix) => Some(matrix),
+            _ => None,
         }
     }
 
-    /// Build the matrix unconditionally (callers who know the footprint is
-    /// acceptable can opt in above the node limit).
-    pub fn force_matrix(&self) -> &DistanceMatrix {
-        self.matrix
-            .get_or_init(|| DistanceMatrix::build(&self.graph))
+    /// The whole-graph hop-label index, when this engine was built (or
+    /// repaired) with one. It holds one layer per concrete color; queries
+    /// mentioning `_` are answered by the graph.
+    pub fn hop(&self) -> Option<&HopLabels> {
+        match &self.index {
+            Index::Hop(labels) => Some(labels),
+            _ => None,
+        }
     }
 
-    /// The whole-graph hop-label index: [`get`](IndexSlot::get) it once
-    /// the background build has published it, or
-    /// [`force`](IndexSlot::force) the build on the calling thread. It
-    /// holds one layer per concrete color; queries mentioning `_` are
-    /// answered by the graph. Policy allows it over the matrix limit with
-    /// a nonzero [`hop_label_budget`](EngineConfig::hop_label_budget).
-    pub fn hop(&self) -> &IndexSlot<HopLabels> {
-        &self.hop
+    /// The partitioned label index, when this engine was built (or
+    /// repaired) with one.
+    pub fn sharded(&self) -> Option<&ShardedLabels> {
+        match &self.index {
+            Index::Sharded(labels) => Some(labels),
+            _ => None,
+        }
     }
 
-    /// The partitioned fallback index. Policy allows it only once the
-    /// single hop-label index is out (disabled, or failed its budget) and
-    /// [`shards`](EngineConfig::shards) ≥ 2.
-    pub fn sharded(&self) -> &IndexSlot<ShardedLabels> {
-        &self.sharded
-    }
-
-    /// Bytes held by the indices built so far (matrix + hop labels +
-    /// sharded labels). A gauge: it never triggers a build.
+    /// Bytes held by this engine's index (`/metrics` `rpq_index_bytes`).
     pub fn index_bytes(&self) -> u64 {
-        let matrix = self
-            .matrix
-            .get()
-            .map_or(0, |_| DistanceMatrix::bytes_for(&self.graph));
-        let hop = self.hop.get().map_or(0, |l| l.bytes());
-        let sharded = self.sharded.get().map_or(0, |l| l.stats().total_bytes());
-        (matrix + hop + sharded) as u64
+        (match &self.index {
+            Index::Matrix(_) => DistanceMatrix::bytes_for(&self.graph),
+            Index::Hop(labels) => labels.bytes(),
+            Index::Sharded(labels) => labels.stats().total_bytes(),
+            Index::None => 0,
+        }) as u64
     }
 
     /// Cumulative counters of this engine's semantic reach-set memo —
@@ -397,44 +421,15 @@ impl QueryEngine {
         self.memo.semantic_stats()
     }
 
-    /// Does this deployment's config call for a label index (hop or
-    /// sharded) on this graph at all? The live-update layer's
-    /// `Rebuilding` vs `Stale` verdict.
-    pub(crate) fn label_index_expected(&self) -> bool {
-        self.hop.allowed() || self.sharded.allowed()
-    }
-
-    /// Without a matrix, kick off whichever background label build
-    /// policy allows and nobody has started; queries keep planning
-    /// against whatever is ready right now (fallback-while-stale).
-    fn ensure_index_builds(&self) {
-        if !self.matrix_available() {
-            self.hop.ensure_background();
-            self.sharded.ensure_background();
-        }
-    }
-
-    /// Mark this engine's graph version as superseded: any in-flight
-    /// background index build aborts at its next checkpoint instead of
-    /// finishing work nobody will read. Called by the live-update layer
-    /// when a newer snapshot is published; queries against this engine
-    /// stay correct (they simply keep their search fallback).
-    pub fn retire_index_builds(&self) {
-        self.retired.store(true, Ordering::Relaxed);
-    }
-
-    /// The best backend usable for `query` right now: matrix → hop →
-    /// sharded → search, a label index counting only once published and
-    /// holding a layer for every color the query probes.
+    /// The best backend for `query`: this engine's index, when it is the
+    /// matrix or a label index holding a layer for every color the query
+    /// probes; otherwise the graph ([`Backend::Search`]).
     fn best_backend(&self, query: &Query) -> Backend {
-        if self.matrix_available() {
-            Backend::Matrix
-        } else if self.hop.covers(query, HopLabels::has_layer) {
-            Backend::Hop
-        } else if self.sharded.covers(query, ShardedLabels::has_layer) {
-            Backend::Sharded
-        } else {
-            Backend::Search
+        match &self.index {
+            Index::Matrix(_) => Backend::Matrix,
+            Index::Hop(labels) if query.all_colors(|c| labels.has_layer(c)) => Backend::Hop,
+            Index::Sharded(labels) if query.all_colors(|c| labels.has_layer(c)) => Backend::Sharded,
+            _ => Backend::Search,
         }
     }
 
@@ -473,8 +468,8 @@ impl QueryEngine {
 
     /// Profiled evaluation under a **caller-chosen** plan, bypassing the
     /// planner — the test/bench surface that lets the differential oracle drive
-    /// every servable entry of [`Plan::ALL`] (like [`IndexSlot::force`],
-    /// this is for deterministic harnesses, not production traffic). It
+    /// every servable entry of [`Plan::ALL`] (this is for deterministic
+    /// harnesses, not production traffic). It
     /// also bypasses the engine's memo: the run evaluates against a
     /// scratch memo local to the call, so it exercises the plan rather
     /// than the cache, and leaves [`semantic_stats`](Self::semantic_stats)
@@ -483,7 +478,7 @@ impl QueryEngine {
     /// # Panics
     ///
     /// Panics if `plan` does not match the query kind, requires an index
-    /// that is not built (force the build first), or is the `standing`
+    /// this engine was not built with, or is the `standing`
     /// plan — standing answers are served by the snapshot layer
     /// (`Snapshot::run_query_profiled`), not the engine.
     pub fn run_query_with_plan_profiled(
@@ -495,16 +490,14 @@ impl QueryEngine {
         (out, profile.expect("profiled run"))
     }
 
-    /// The one prologue of every run: canonicalise → kick the background
-    /// index builds → plan each query (or take the `forced` plan) → build
-    /// the matrix if a plan needs it, before any worker starts. Returns
-    /// the canonical queries, their plans, and the instant planning
-    /// ended and index preparation began (a profile's stage boundary).
+    /// The one prologue of every run: canonicalise → plan each query (or
+    /// take the `forced` plan). Returns the canonical queries and their
+    /// plans.
     fn prologue(
         &self,
         queries: &[Query],
         forced: Option<Plan>,
-    ) -> (Vec<Query>, Vec<(Plan, Rationale)>, Instant) {
+    ) -> (Vec<Query>, Vec<(Plan, Rationale)>) {
         // minimize-before-plan: every query is rewritten into its
         // run-normal canonical form (shape- and answer-preserving), so
         // syntactic variants of one language share a memo key, a plan,
@@ -512,24 +505,17 @@ impl QueryEngine {
         let queries: Vec<Query> = queries.iter().map(canonical_query).collect();
         let plans: Vec<(Plan, Rationale)> = match forced {
             Some(plan) => vec![(plan, Rationale::Forced(plan)); queries.len()],
-            None => {
-                self.ensure_index_builds();
-                queries.iter().map(|q| self.plan(q)).collect()
-            }
+            None => queries.iter().map(|q| self.plan(q)).collect(),
         };
-        let planned = Instant::now();
-        if plans.iter().any(|(p, _)| p.backend() == Backend::Matrix) {
-            self.matrix();
-        }
-        (queries, plans, planned)
+        (queries, plans)
     }
 
     /// The one single-query path: [`prologue`](Self::prologue) → eval, on
     /// the calling thread with the whole worker budget. With `profiled`,
     /// the same evaluation runs behind a probe-counting decorator and the
     /// stage boundaries become a [`QueryProfile`] — contiguous
-    /// sub-intervals of one clock (`t0 → t1 → t2 → t3`), so their sum
-    /// equals the wall time exactly.
+    /// sub-intervals of one clock (`t0 → t1 → t2`), so their sum equals
+    /// the wall time exactly.
     fn run_one(
         &self,
         query: &Query,
@@ -537,9 +523,9 @@ impl QueryEngine {
         profiled: bool,
     ) -> (QueryOutput, Option<QueryProfile>) {
         let t0 = Instant::now();
-        let (canon, plans, t1) = self.prologue(std::slice::from_ref(query), forced);
+        let (canon, plans) = self.prologue(std::slice::from_ref(query), forced);
         let (canon, (plan, why)) = (&canon[0], plans[0]);
-        let t2 = Instant::now();
+        let t1 = Instant::now();
         // a forced plan must exercise the plan, not the cache
         let scratch = forced.map(|_| SemanticMemo::new());
         let memo = scratch.as_ref().unwrap_or(&self.memo);
@@ -553,8 +539,8 @@ impl QueryEngine {
             count_probes: profiled,
         };
         let (out, probes, lookup) = self.answer(job, || {});
-        let t3 = Instant::now();
-        self.note_if_slow(canon, plan, t3 - t2);
+        let t2 = Instant::now();
+        self.note_if_slow(canon, plan, t2 - t1);
         if !profiled {
             return (out, None);
         }
@@ -567,15 +553,10 @@ impl QueryEngine {
         if canon != query {
             profile.canonical = query_summary(canon, &self.graph);
         }
-        let indices = format!("hop={:?} sharded={:?}", self.hop, self.sharded);
-        profile.stage("plan", t1 - t0, indices);
-        let prepared = if plan.backend() == Backend::Matrix {
-            "distance matrix ready"
-        } else {
-            "no shared index to prepare"
-        };
-        profile.stage("prepare", t2 - t1, prepared.to_owned());
-        profile.stage("eval", t3 - t2, format!("probes={probes}"));
+        profile.stage("plan", t1 - t0, format!("index={}", self.index.name()));
+        // the index was built with the engine: nothing left to prepare
+        profile.stage("prepare", Duration::ZERO, String::new());
+        profile.stage("eval", t2 - t1, format!("probes={probes}"));
         profile.probes = probes;
         // this query's own lookup, not a delta of the shared counters:
         // exact whatever else runs on the memo meanwhile
@@ -592,11 +573,11 @@ impl QueryEngine {
         }
         .to_owned();
         profile.workers = workers;
-        if plan.backend() == Backend::Sharded {
-            profile.shard_fanout = self.sharded.ready().sharded_graph().k() as u32;
+        if let (Backend::Sharded, Some(labels)) = (plan.backend(), self.sharded()) {
+            profile.shard_fanout = labels.sharded_graph().k() as u32;
         }
         profile.matches = out.match_count() as u64;
-        profile.wall = t3 - t0;
+        profile.wall = t2 - t0;
 
         let tracer = rpq_trace::tracer();
         if tracer.enabled() {
@@ -632,7 +613,7 @@ impl QueryEngine {
         if queries.is_empty() {
             return BatchResult::new(Vec::new(), t0.elapsed(), 0, SemanticStats::default());
         }
-        let (queries, plans, _) = self.prologue(queries, None);
+        let (queries, plans) = self.prologue(queries, None);
 
         let running = RunningBatch::enter(&self.running_batches);
         let budget = (self.config.worker_budget() / running.count).max(1);
@@ -742,11 +723,15 @@ impl QueryEngine {
     /// only with `count_probes`, the explain surface; 0 for `biBFS`, which
     /// probes nothing), and whether an inherited memo cell was patched.
     fn evaluate(&self, job: Job<'_>) -> (QueryOutput, u64, bool) {
-        match job.plan.backend() {
-            Backend::Matrix => eval_on(job, self.matrix.get().expect("prepared by the caller")),
-            Backend::Hop => eval_on(job, self.hop.ready()),
-            Backend::Sharded => eval_on(job, self.sharded.ready()),
-            Backend::Search => eval_on(job, &GraphProbe::new(job.g)),
+        match (job.plan.backend(), &self.index) {
+            (Backend::Matrix, Index::Matrix(matrix)) => eval_on(job, matrix),
+            (Backend::Hop, Index::Hop(labels)) => eval_on(job, labels),
+            (Backend::Sharded, Index::Sharded(labels)) => eval_on(job, labels),
+            (Backend::Search, _) => eval_on(job, &GraphProbe::new(job.g)),
+            (backend, index) => panic!(
+                "the plan requires the {backend:?} index; this engine holds {}",
+                index.name()
+            ),
         }
     }
 
@@ -757,7 +742,7 @@ impl QueryEngine {
     /// text, plan, and duration. Costs one integer compare when the
     /// threshold is 0.
     #[inline]
-    fn note_if_slow(&self, query: &Query, plan: Plan, dur: std::time::Duration) {
+    fn note_if_slow(&self, query: &Query, plan: Plan, dur: Duration) {
         let threshold = self.config.slow_query_us;
         if threshold == 0 || (dur.as_micros() as u64) < threshold {
             return;
@@ -775,17 +760,6 @@ impl QueryEngine {
                 ),
             );
         }
-    }
-}
-
-impl Drop for QueryEngine {
-    /// An engine being dropped can never serve the index its background
-    /// thread is building — cancel it instead of letting it run seconds of
-    /// CPU and keep the graph alive for a result nobody can read. (The
-    /// live-update layer additionally retires superseded engines eagerly,
-    /// while readers may still pin them.)
-    fn drop(&mut self) {
-        self.retired.store(true, Ordering::Relaxed);
     }
 }
 
@@ -1002,21 +976,16 @@ mod tests {
     }
 
     #[test]
-    fn small_graph_builds_matrix_lazily() {
+    fn small_graph_builds_matrix_with_the_engine() {
         let g = Arc::new(essembly());
         let engine = QueryEngine::new(Arc::clone(&g));
-        assert!(engine.matrix_available());
-        assert!(engine.matrix.get().is_none(), "matrix must be lazy");
-        assert_eq!(engine.index_bytes(), 0);
-        assert!(engine.matrix.get().is_none(), "the gauge must not build");
+        assert!(engine.matrix().is_some(), "built at construction");
+        assert_eq!(engine.index_bytes(), DistanceMatrix::bytes_for(&g) as u64);
+        assert!(engine.hop().is_none() && engine.sharded().is_none());
         let q = Query::Rq(rq(&g, "job = \"doctor\"", "job = \"doctor\"", "fa"));
         assert_eq!(engine.plan_query(&q).name(), "DM");
-        engine.run_query(&q);
-        assert!(
-            engine.matrix.get().is_some(),
-            "DM plan should have built it"
-        );
-        assert!(engine.index_bytes() > 0);
+        let (_, profile) = engine.run_query_profiled(&q);
+        assert_eq!(profile.stages[0].detail, "index=matrix");
     }
 
     #[test]
@@ -1028,13 +997,12 @@ mod tests {
                 matrix_node_limit: 0,
                 // one worker: the batch's lookups happen in order
                 workers: 1,
-                // keep plans deterministic: no background label build racing
-                // the batch's planning pass
+                // no label index either: the graph answers
                 hop_label_budget: 0,
                 ..EngineConfig::default()
             },
         );
-        assert!(!engine.matrix_available());
+        assert!(engine.matrix().is_none());
         let shared = rq(&g, "job = \"biologist\"", "job = \"doctor\"", "fa^2 fn");
         let solo = rq(&g, "job = \"doctor\"", "job = \"biologist\"", "fa fn");
         let batch = engine.run_batch(&[
@@ -1042,7 +1010,7 @@ mod tests {
             Query::Rq(shared.clone()),
             Query::Rq(solo.clone()),
         ]);
-        assert!(engine.matrix.get().is_none());
+        assert_eq!(engine.index_bytes(), 0);
         // search RQs plan the memoized per-atom sweep over the graph,
         // whatever the batch shape
         for item in batch.items() {
@@ -1115,9 +1083,7 @@ mod tests {
                             ..EngineConfig::default()
                         },
                     );
-                    if budget > 0 {
-                        engine.hop().force().expect("within budget");
-                    }
+                    assert_eq!(engine.hop().is_some(), budget > 0);
                     engine.run_batch(&queries).len()
                 })
                 .unwrap()
@@ -1266,13 +1232,9 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        assert!(!engine.matrix_available());
-        assert!(engine.hop().get().is_none(), "index must be lazy");
+        assert!(engine.matrix().is_none());
+        assert!(engine.hop().is_some(), "built at construction");
         let q = rq(&g, "a0 <= 4", "a1 >= 6", "c0^2 c1");
-
-        // deterministic path for the assertion: build inline
-        engine.hop().force().expect("within default budget");
-        assert!(engine.hop().get().is_some());
         assert_eq!(engine.plan_query(&Query::Rq(q.clone())).name(), "hop");
 
         let batch = engine.run_batch(&[Query::Rq(q.clone()), Query::Rq(q.clone())]);
@@ -1302,8 +1264,7 @@ mod tests {
             },
         );
         // a small acyclic pattern and a large cyclic one: over the matrix
-        // limit both route to JoinMatch (split is a matrix-only pick), and
-        // the backend flips search → hop once the index lands
+        // limit both route to JoinMatch (split is a matrix-only pick)
         let mut join_pq = Pq::new();
         let a = join_pq.add_node("a", Predicate::parse("a0 <= 4", g.schema()).unwrap());
         let b = join_pq.add_node("b", Predicate::parse("a1 >= 5", g.schema()).unwrap());
@@ -1321,15 +1282,6 @@ mod tests {
             );
         }
 
-        // before the index lands: the search backend's plans
-        for pq in [&join_pq, &ring_pq] {
-            assert_eq!(
-                engine.plan_query(&Query::Pq(pq.clone())).name(),
-                "JoinMatch/cache"
-            );
-        }
-
-        engine.hop().force().expect("within default budget");
         let batch = engine.run_batch(&[Query::Pq(join_pq.clone()), Query::Pq(ring_pq.clone())]);
         assert_eq!(batch.items()[0].plan.name(), "JoinMatch/hop");
         assert_eq!(batch.items()[1].plan.name(), "JoinMatch/hop");
@@ -1386,8 +1338,8 @@ mod tests {
     #[test]
     fn wildcard_dropped_on_budget_falls_back_for_pqs() {
         // `_` is answered by the graph whether or not an index serves the
-        // concrete colors; a hop build one byte over its budget publishes
-        // nothing, which pins search for every query
+        // concrete colors; a hop build one byte over its budget leaves the
+        // engine without an index, which pins search for every query
         let g = Arc::new(rpq_graph::gen::synthetic(600, 2400, 2, 3, 21));
         let (queries, reference) = layer_probe_queries(&g);
         let full = HopLabels::build(&g).bytes();
@@ -1401,12 +1353,8 @@ mod tests {
                     ..EngineConfig::default()
                 },
             );
-            assert_eq!(engine.hop().force().is_some(), indexed);
-            let slot = if indexed {
-                "hop=Ready"
-            } else {
-                "hop=OverBudget"
-            };
+            assert_eq!(engine.hop().is_some(), indexed);
+            let index = if indexed { "index=hop" } else { "index=none" };
             for (i, (q, want)) in queries.iter().zip(&reference).enumerate() {
                 let wildcard = i % 2 == 1;
                 let (out, profile) = engine.run_query_profiled(q);
@@ -1423,39 +1371,9 @@ mod tests {
                     assert!(why.contains("no usable index"), "{why}");
                 }
                 let detail = &profile.stages[0].detail;
-                assert!(detail.contains(slot), "{detail}");
+                assert_eq!(detail, index);
             }
         }
-    }
-
-    #[test]
-    fn background_build_lands_and_later_batches_use_it() {
-        let g = Arc::new(rpq_graph::gen::synthetic(300, 1200, 2, 3, 5));
-        let engine = QueryEngine::with_config(
-            Arc::clone(&g),
-            EngineConfig {
-                matrix_node_limit: 0,
-                ..EngineConfig::default()
-            },
-        );
-        let q = rq(&g, "a0 <= 5", "a1 >= 5", "c0 c1");
-        // first batch: kicks the build; its own plan is a search fallback
-        // or (if the tiny build won the race) already hop — both correct
-        let first = engine.run_batch(&[Query::Rq(q.clone())]);
-        let reference = q.eval_bfs(&g);
-        assert_eq!(first.items()[0].output.as_rq().unwrap(), &reference);
-        // wait for the background build to land
-        let t0 = std::time::Instant::now();
-        while engine.hop().get().is_none() && t0.elapsed() < std::time::Duration::from_secs(30) {
-            std::thread::yield_now();
-        }
-        assert!(
-            engine.hop().get().is_some(),
-            "background build never landed"
-        );
-        let second = engine.run_batch(&[Query::Rq(q.clone())]);
-        assert_eq!(second.items()[0].plan.name(), "hop");
-        assert_eq!(second.items()[0].output.as_rq().unwrap(), &reference);
     }
 
     #[test]
@@ -1469,7 +1387,7 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        assert!(engine.hop().force().is_none());
+        assert!(engine.hop().is_none());
         let q = rq(&g, "a0 <= 5", "a1 >= 5", "c0 c1");
         assert_eq!(
             engine.plan_query(&Query::Rq(q.clone())).backend(),
@@ -1495,14 +1413,10 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        // while the hop build hasn't failed yet, sharding stays out of
-        // policy — the single index is still preferred
-        assert!(engine.sharded().force().is_none());
-        assert!(engine.hop().force().is_none(), "hop build over budget");
-        // now the flip: policy admits the sharded fallback
-        let labels = engine.sharded().force().expect("sharded build fits");
+        // the hop build busts its budget, so the next rung is built
+        assert!(engine.hop().is_none(), "hop build over budget");
+        let labels = engine.sharded().expect("sharded build fits");
         assert_eq!(labels.sharded_graph().k(), 4);
-        assert!(engine.sharded().get().is_some());
 
         let q = rq(&g, "a0 <= 4", "a1 >= 6", "c0^2 c1");
         assert_eq!(engine.plan_query(&Query::Rq(q.clone())).name(), "sharded");
@@ -1534,12 +1448,11 @@ mod tests {
             },
         )
         .expect("unbudgeted build");
-        let labels = engine.sharded().get().expect("built eagerly");
+        let labels = engine.sharded().expect("built eagerly");
         assert_eq!(labels.sharded_graph().k(), 4);
         assert_eq!(engine.index_bytes(), labels.stats().total_bytes() as u64);
         // the sharded regime is pinned: no other index can race the planner
-        assert!(!engine.matrix_available());
-        assert!(engine.hop().force().is_none());
+        assert!(engine.matrix().is_none() && engine.hop().is_none());
 
         let q = rq(&g, "a0 <= 4", "a1 >= 6", "c0^2 c1");
         assert_eq!(engine.plan_query(&Query::Rq(q.clone())).name(), "sharded");
@@ -1578,36 +1491,39 @@ mod tests {
 
     #[test]
     fn backend_preference_is_matrix_hop_sharded_search() {
-        // the one place index availability is ranked: each better index,
-        // once usable, displaces the one below it for RQs and PQs alike
+        // the one place index policy is ranked: each configuration builds
+        // the best rung it allows, for RQs and PQs alike
         let g = Arc::new(rpq_graph::gen::clustered(300, 1200, 3, 2, 3, 60, 11));
-        let engine = QueryEngine::with_config(
-            Arc::clone(&g),
-            EngineConfig {
-                matrix_node_limit: 0,
-                ..EngineConfig::default()
-            },
-        );
         let q = Query::Rq(rq(&g, "a0 <= 4", "a1 >= 6", "c0^2 c1"));
         let mut pq = Pq::new();
         let a = pq.add_node("a", Predicate::parse("a0 <= 3", g.schema()).unwrap());
         let b = pq.add_node("b", Predicate::always_true());
         pq.add_edge(a, b, FRegex::parse("c0 c1", g.alphabet()).unwrap());
         let pq = Query::Pq(pq);
-        let backends = || [&q, &pq].map(|query| engine.plan_query(query).backend());
-
-        assert_eq!(backends(), [Backend::Search; 2]);
-        // (policy only builds the sharded index once the single index is
-        // out, so seed it the way the carry path does)
-        let sharded = ShardedLabels::build_with(&g, &engine.config.sharded_config(), None);
-        engine.sharded().adopt(Arc::new(sharded.unwrap()));
-        assert_eq!(backends(), [Backend::Sharded; 2]);
-        engine.hop().force().expect("within default budget");
-        assert_eq!(backends(), [Backend::Hop; 2]);
-        engine.force_matrix();
-        assert_eq!(backends(), [Backend::Matrix; 2]);
-        // and every rung answers identically
-        assert_eq!(engine.run_query(&q), QueryEngine::new(g).run_query(&q));
+        let reference = QueryEngine::new(Arc::clone(&g)).run_query(&q);
+        // (matrix_node_limit, hop_label_budget, shards) → the rung built
+        let rungs = [
+            ((300, 0, 1), Backend::Matrix),
+            ((0, 256 << 20, 3), Backend::Hop),
+            ((0, 0, 3), Backend::Sharded),
+            ((0, 1, 3), Backend::Sharded),
+            ((0, 0, 1), Backend::Search),
+        ];
+        for ((limit, budget, shards), backend) in rungs {
+            let engine = QueryEngine::with_config(
+                Arc::clone(&g),
+                EngineConfig {
+                    matrix_node_limit: limit,
+                    hop_label_budget: budget,
+                    shards,
+                    ..EngineConfig::default()
+                },
+            );
+            let planned = [&q, &pq].map(|query| engine.plan_query(query).backend());
+            assert_eq!(planned, [backend; 2], "{limit} {budget} {shards}");
+            // and every rung answers identically
+            assert_eq!(engine.run_query(&q), reference);
+        }
     }
 
     #[test]
@@ -1635,27 +1551,6 @@ mod tests {
             EngineConfig::builder().workers(usize::MAX).build(),
             Err(ConfigError::TooManyWorkers { .. })
         ));
-    }
-
-    #[test]
-    fn retired_engine_never_pins_failure() {
-        let g = Arc::new(rpq_graph::gen::synthetic(150, 500, 2, 3, 2));
-        let engine = QueryEngine::with_config(
-            Arc::clone(&g),
-            EngineConfig {
-                matrix_node_limit: 0,
-                ..EngineConfig::default()
-            },
-        );
-        engine.retire_index_builds();
-        engine.ensure_index_builds();
-        // a retired engine never starts a background build, so nothing
-        // can pin a failure
-        assert!(engine.hop().get().is_none());
-        assert!(!engine.hop.over_budget(), "cancel must not pin a failure");
-        // a forced build on a retired engine still works (force is
-        // deliberate and synchronous, so the epoch flag does not apply)
-        assert!(engine.hop().force().is_some());
     }
 
     proptest! {

@@ -46,8 +46,6 @@ pub enum EngineError {
         /// Estimated bytes at the moment the build gave up.
         reached: usize,
     },
-    /// An index build was cancelled (its graph version was superseded).
-    BuildCancelled,
     /// An incremental index repair invalidated more of the index than its
     /// cost model allows — the caller should rebuild from scratch.
     RepairTooBroad {
@@ -77,7 +75,6 @@ impl fmt::Display for EngineError {
             EngineError::IndexOverBudget { budget, reached } => {
                 write!(f, "index budget exceeded: {reached} > {budget} bytes")
             }
-            EngineError::BuildCancelled => write!(f, "index build cancelled"),
             EngineError::RepairTooBroad { invalidated, limit } => {
                 write!(
                     f,
@@ -97,7 +94,6 @@ impl From<HopBuildError> for EngineError {
             HopBuildError::OverBudget { budget, reached } => {
                 EngineError::IndexOverBudget { budget, reached }
             }
-            HopBuildError::Cancelled => EngineError::BuildCancelled,
             HopBuildError::RepairTooBroad { invalidated, limit } => {
                 EngineError::RepairTooBroad { invalidated, limit }
             }

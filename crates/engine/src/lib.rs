@@ -4,24 +4,22 @@
 //! this crate is the serving layer that amortizes shared work across
 //! *batches* of concurrent queries against one immutable graph:
 //!
-//! * [`QueryEngine`] owns an `Arc<Graph>`, lazily-built shared indices
-//!   (the per-color [`DistanceMatrix`](rpq_graph::DistanceMatrix) when the
-//!   graph is small enough to afford its O(|Σ|·|V|²) footprint) and the
-//!   one reach-set memo of that graph version;
+//! * [`QueryEngine`] owns an `Arc<Graph>`, the one index built for it at
+//!   construction (the per-color
+//!   [`DistanceMatrix`](rpq_graph::DistanceMatrix) when the graph is small
+//!   enough to afford its O(|Σ|·|V|²) footprint, else a label index) and
+//!   the one reach-set memo of that graph version;
 //! * every query runs under a [`Plan`] = [`Algo`] × [`Backend`], the way
 //!   the paper states its evaluators once and parameterises them by the
-//!   reachability oracle: the engine picks the best usable backend
-//!   (matrix → hop labels → sharded labels → search, where the graph
-//!   itself is the probe) and the [`planner`] the algorithm on it — **DM**
+//!   reachability oracle: the backend is the engine's index (matrix, hop
+//!   labels or sharded labels) where it covers the query, else search,
+//!   where the graph itself is the probe; the [`planner`] picks the
+//!   algorithm on it — **DM**
 //!   probes for RQs, `JoinMatch`/`SplitMatch` for PQs by pattern shape —
 //!   replacing the hard-picked strategy calls in `rpq_core::rq`. One
 //!   generic evaluator serves every probe type;
 //!   [`Plan::ALL`] is the table of servable combinations (see the
 //!   [`planner`] docs for the ones that are servable but never planned);
-//! * the label indices behind [`Backend::Hop`] and [`Backend::Sharded`]
-//!   share one lifecycle, [`IndexSlot`]: built in the background off the
-//!   first batch that needs them, forced on demand, cancelled when their
-//!   graph version is superseded, pinned when over budget;
 //! * the engine's concurrent semantic [`memo`] table, keyed on `(source
 //!   predicate, canonical regex)`, shares reach sets across every run on
 //!   the engine (an RQ's reach set depends on nothing else): queries are
@@ -38,16 +36,17 @@
 //!   regime (per-shard label builds on a per-shard worker set,
 //!   boundary-overlay stitching, a typed eager failure when a shard
 //!   busts its budget), answers bit-identical to every other backend;
-//!   a plain [`QueryEngine`] reaches the same index as a background
-//!   fallback when its single hop-label build busts the budget;
+//!   a plain [`QueryEngine`] builds the same index when its single
+//!   hop-label build busts the budget;
 //! * [`UpdatableEngine`] serves a *mutating* graph (§7): writers apply
 //!   [`Update`](rpq_core::incremental::Update) batches and publish
 //!   immutable versioned [`Snapshot`]s via an `Arc` swap, readers query a
-//!   pinned snapshot without ever blocking on writers, indices are
-//!   versioned per snapshot, each version's memo inherits the previous
-//!   version's reach sets to patch, and registered standing PQs are maintained
-//!   incrementally and served from their standing answers
-//!   ([`Algo::Standing`]) instead of being re-evaluated;
+//!   pinned snapshot without ever blocking on writers, each version is
+//!   published with its index repaired or rebuilt inside the write, its
+//!   memo inherits the previous version's reach sets to patch, and
+//!   registered standing PQs are maintained incrementally and served from
+//!   their standing answers ([`Algo::Standing`]) instead of being
+//!   re-evaluated;
 //! * [`QueryService`] unifies the three engine types behind one
 //!   object-safe trait, with boundary failures surfaced as typed
 //!   [`EngineError`] values instead of panics.
@@ -84,7 +83,6 @@ mod explain;
 pub mod memo;
 pub mod planner;
 mod service;
-mod slot;
 mod snapshot;
 mod updatable;
 
@@ -94,7 +92,6 @@ pub use error::{ConfigError, EngineError};
 pub use memo::{CacheKind, Lookup, SemanticMemo, SemanticStats};
 pub use planner::{Algo, Backend, Plan, Rationale, Uncovered};
 pub use service::QueryService;
-pub use slot::IndexSlot;
 pub use snapshot::{IndexState, Snapshot};
 pub use updatable::{ApplyReport, IndexMaintenance, StandingId, UpdatableEngine};
 // the profile types live in rpq-trace (every layer records into it);

@@ -5,11 +5,11 @@
 //! and `SplitMatch` "using the distance matrix or the cache" for PQs. A
 //! plan is that pair, and the two halves are chosen independently:
 //!
-//! * the **backend** is the engine's call, from index availability alone:
-//!   the best usable of matrix → hop labels → sharded labels → search
-//!   (an index is *usable* once published with a layer for every color
-//!   the query probes — never for `_`, which label indices do not hold:
-//!   such queries plan search, and [`Rationale`] says why).
+//! * the **backend** is the engine's call, from its one index alone: the
+//!   index built with it — matrix, else hop labels, else sharded labels —
+//!   where it holds a layer for every color the query probes, else search
+//!   (label indices hold no layer for `_`: such queries plan search, and
+//!   [`Rationale`] says why).
 //!   Matrix probes are O(1) but cost O(|Σ|·|V|²) memory, so the matrix
 //!   exists only under the configured node limit; hop labels cost memory
 //!   proportional to label size; sharded labels stitch per-shard labels
@@ -146,8 +146,7 @@ impl Plan {
 /// Why a query planned on [`Backend::Search`] found no index to probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Uncovered {
-    /// No label index is published: none allowed, still building, or
-    /// over budget.
+    /// The engine holds no index: none allowed, or over budget.
     NoIndex,
     /// The query probes `_`: label indices hold concrete colors only.
     Wildcard,

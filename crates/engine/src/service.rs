@@ -56,8 +56,8 @@ pub trait QueryService: Send + Sync {
     /// returned handle pins the version current at the time of the call.
     fn graph(&self) -> Arc<Graph>;
 
-    /// The plan this service would pick for `query` right now (batch
-    /// context and in-flight index builds can still shift it).
+    /// The plan this service would pick for `query` right now (a live
+    /// engine's next published version can still shift it).
     fn plan_query(&self, query: &Query) -> Plan;
 
     /// Evaluate one query (a batch of one).

@@ -5,17 +5,16 @@
 //!
 //! * one graph version (an `Arc<Graph>` shared with the writer that
 //!   published it),
-//! * the indices for that version — the lazily-built
+//! * the index for that version — the
 //!   [`DistanceMatrix`](rpq_graph::DistanceMatrix) (small graphs) or a
 //!   label index (`rpq_index::HopLabels` / `ShardedLabels`, repaired from
-//!   the predecessor's or built in the background) — and the reach-set
+//!   the predecessor's or rebuilt inside the write) — and the reach-set
 //!   memo, all inside an owned [`QueryEngine`] and so *versioned with the
 //!   snapshot*: an update batch publishes a fresh snapshot with a fresh
 //!   engine, so no reader ever sees an index computed against a different
-//!   graph version. Until a version's label index is repaired or built,
-//!   its queries fall back to search — stale indices are never consulted
-//!   — and publishing a newer version retires the superseded build
-//!   ([`QueryEngine::retire_index_builds`]). The new engine's memo
+//!   graph version. A version is published only once its index is
+//!   complete; until then readers keep serving the previous version with
+//!   its index. The new engine's memo
 //!   inherits the predecessor's reach sets with the batch's edge changes
 //!   ([`SemanticMemo::carry`](crate::SemanticMemo::carry)): an inherited
 //!   set never answers as it is, only a miss reads it, and patches the
@@ -76,29 +75,29 @@ impl StandingEntry {
 /// How this snapshot came by its label index (hop or sharded), published
 /// by [`UpdatableEngine::apply`](crate::UpdatableEngine::apply) so
 /// operators and tests can see whether the update path is *carrying*
-/// indices forward or perpetually rebuilding them.
+/// indices forward or rebuilding them.
 ///
 /// * [`Repaired`](IndexState::Repaired) — the predecessor snapshot's
-///   label index was carried through an incremental repair and adopted
-///   by this snapshot's engine: label-backed plans are available
-///   immediately, no rebuild is running.
-/// * [`Rebuilding`](IndexState::Rebuilding) — this version's
-///   configuration calls for a label index but none could be carried
-///   (the predecessor had not finished building one, or the repair cost
-///   model declined — too many landmarks invalidated, too many shards
-///   touched, or over budget). Queries fall back to search until the
-///   background build for *this* version lands.
-/// * [`Stale`](IndexState::Stale) — no label index is part of this
-///   deployment's plan for this graph (matrix regime, or labels disabled
-///   by config): there was nothing to carry and nothing to rebuild. The
-///   name is the operator's view from the update stream: whatever label
-///   state existed before the stream is not coming back by itself.
+///   label index was carried through an incremental repair into this
+///   snapshot's engine.
+/// * [`Built`](IndexState::Built) — this version's label index was built
+///   from scratch: at construction, or inside the write because the
+///   repair cost model declined (too many landmarks invalidated) or the
+///   repair went over budget.
+/// * [`Stale`](IndexState::Stale) — this snapshot holds no label index
+///   (matrix regime, labels disabled by config, or over budget): there
+///   was nothing to carry. The name is the operator's view from the
+///   update stream: whatever label state existed before the stream is
+///   not coming back by itself.
+///
+/// Either way a snapshot is published with its index complete: label-backed
+/// plans are available from its first query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexState {
     /// Label index carried forward via incremental repair.
     Repaired,
-    /// Label index pending a (background) rebuild for this version.
-    Rebuilding,
+    /// Label index built from scratch for this version.
+    Built,
     /// No label index applies to this snapshot.
     Stale,
 }
@@ -108,7 +107,7 @@ impl IndexState {
     pub fn as_str(self) -> &'static str {
         match self {
             IndexState::Repaired => "repaired",
-            IndexState::Rebuilding => "rebuilding",
+            IndexState::Built => "built",
             IndexState::Stale => "stale",
         }
     }
@@ -144,8 +143,8 @@ impl Snapshot {
     }
 
     /// How this snapshot came by its label index: carried through an
-    /// incremental [`Repaired`](IndexState::Repaired) step, pending a
-    /// [`Rebuilding`](IndexState::Rebuilding) background build, or
+    /// incremental [`Repaired`](IndexState::Repaired) step,
+    /// [`Built`](IndexState::Built) from scratch, or
     /// [`Stale`](IndexState::Stale) (no label index applies). See
     /// [`IndexState`] for the full contract; the per-batch numbers behind
     /// a `Repaired` verdict ride on
@@ -166,7 +165,7 @@ impl Snapshot {
         self.engine.graph()
     }
 
-    /// The per-version batch engine (shared indices live here).
+    /// The per-version batch engine (the version's index lives here).
     pub fn engine(&self) -> &QueryEngine {
         &self.engine
     }
@@ -219,9 +218,8 @@ impl Snapshot {
     /// The plan this snapshot would pick for `query`: a PQ equal to a
     /// registered standing query is served from its maintained match sets
     /// (the `standing` plan, which beats any evaluation strategy);
-    /// everything else gets the batch engine's plan — including this
-    /// version's label index once its build has landed, so a live
-    /// snapshot never silently serves the cached fallback past that point.
+    /// everything else gets the batch engine's plan over this version's
+    /// index.
     pub fn plan_query(&self, query: &Query) -> Plan {
         match query {
             Query::Pq(pq) if self.standing_match(pq).is_some() => planner::plan_standing().0,

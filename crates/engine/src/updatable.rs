@@ -11,8 +11,8 @@
 //!   standing PQ is maintained through its
 //!   [`IncrementalMatcher`](rpq_core::incremental::IncrementalMatcher)
 //!   (fixpoint restart from the standing match sets — §7's insertion/
-//!   deletion monotonicity), and a fresh [`Snapshot`] is published by
-//!   swapping one `Arc`.
+//!   deletion monotonicity), the index is repaired or rebuilt for the new
+//!   graph, and a fresh [`Snapshot`] is published by swapping one `Arc`.
 //! * **Readers** call [`UpdatableEngine::snapshot`] (a read-lock `Arc`
 //!   clone, no contention with the writer's update work) and run batches
 //!   against it. A reader holding a snapshot is never blocked by — and
@@ -25,7 +25,7 @@
 //! batch path serves a matching PQ from those answers with plan
 //! [`Algo::Standing`](crate::Algo::Standing).
 
-use crate::engine::{EngineConfig, QueryEngine};
+use crate::engine::{EngineConfig, Index, QueryEngine};
 use crate::error::EngineError;
 use crate::snapshot::{IndexState, Snapshot, StandingEntry};
 use rpq_core::incremental::{DynamicGraph, EdgeChange, IncrementalMatcher, Update};
@@ -52,8 +52,8 @@ pub struct ApplyReport {
     pub version: u64,
     /// How many of the submitted updates actually changed the graph.
     pub applied: usize,
-    /// What happened to the label index on this batch — carried, repaired,
-    /// or handed to a rebuild — with the work counts behind the verdict.
+    /// What happened to the label index on this batch — repaired or
+    /// rebuilt — with the work counts behind the verdict.
     pub index: IndexMaintenance,
     /// The snapshot now current — gives writers read-your-writes without a
     /// second lookup.
@@ -180,7 +180,7 @@ impl UpdatableEngine {
     pub fn with_config(graph: Graph, config: EngineConfig) -> Self {
         let dynamic = DynamicGraph::new(graph);
         let engine = QueryEngine::with_config(dynamic.graph_arc(), config.clone());
-        let state = regime_state(&engine);
+        let state = built_state(engine.index());
         let snapshot = Arc::new(Snapshot::new(
             dynamic.version(),
             Arc::new(engine),
@@ -248,13 +248,12 @@ impl UpdatableEngine {
     /// Under the writer lock: the dynamic graph rebuilds once, every
     /// standing matcher maintains its answer from the effective updates,
     /// the predecessor snapshot's label index is **carried forward
-    /// through an incremental repair** where the cost model allows (see
-    /// [`IndexState`] and [`ApplyReport::index`] — repairs that would
-    /// touch too much of the index fall back to the background rebuild
-    /// instead), and the new snapshot (carried or fresh per-version
-    /// indices, refreshed standing answers) replaces the current one with
-    /// a single `Arc` swap. A batch that changes nothing publishes
-    /// nothing.
+    /// through an incremental repair** where the cost model allows, and
+    /// rebuilt from scratch otherwise (see [`IndexState`] and
+    /// [`ApplyReport::index`]), and the new snapshot (its index complete,
+    /// refreshed standing answers) replaces the current one with a single
+    /// `Arc` swap. Readers keep serving the previous version, with its
+    /// index, until then. A batch that changes nothing publishes nothing.
     ///
     /// # Errors
     ///
@@ -320,13 +319,13 @@ impl UpdatableEngine {
             .collect();
         // the new version's engine inherits the predecessor's memo cells,
         // to be patched on a miss, and its label index through a repair
-        // step instead of unconditionally retiring it
         let prev = self.snapshot();
+        let graph = state.dynamic.graph_arc();
+        let (carried, mut index) = carry_index(prev.engine(), &graph, &self.config, &changes);
         let engine = Arc::new(
-            QueryEngine::with_config(state.dynamic.graph_arc(), self.config.clone())
+            QueryEngine::with_index(graph, self.config.clone(), carried)
                 .with_memo(prev.engine().memo().carry(&changes)),
         );
-        let mut index = carry_index(&prev, &engine, &changes);
         let t_carried = Instant::now();
         let snapshot = Arc::new(Snapshot::new(
             state.dynamic.version(),
@@ -334,15 +333,7 @@ impl UpdatableEngine {
             standing,
             index.state,
         ));
-        let superseded = std::mem::replace(
-            &mut *self.current.write().expect("snapshot lock poisoned"),
-            Arc::clone(&snapshot),
-        );
-        // epoch invalidation: an index build still in flight for the old
-        // version is building for nobody — readers pinning that snapshot
-        // keep their (correct) search fallback, new readers get the new
-        // version, so abort the stale build instead of finishing it
-        superseded.engine().retire_index_builds();
+        *self.current.write().expect("snapshot lock poisoned") = Arc::clone(&snapshot);
         let t_published = Instant::now();
         // the carry step's own inner phases (invalidate/re-bfs, or
         // scatter/overlay) come after the five top-level ones
@@ -387,110 +378,92 @@ impl UpdatableEngine {
     }
 }
 
-/// The index state a snapshot starts in before any carry has happened:
-/// `Rebuilding` when the engine's own build policy calls for a label
-/// index on its graph (a background build will serve it), `Stale` when
-/// none applies (matrix regime, or labels disabled).
-fn regime_state(engine: &QueryEngine) -> IndexState {
-    if engine.label_index_expected() {
-        IndexState::Rebuilding
+/// The state of a version whose index was built from scratch: `Built`
+/// for a label index, `Stale` for the matrix or no index at all.
+fn built_state(index: &Index) -> IndexState {
+    if index.is_label() {
+        IndexState::Built
     } else {
         IndexState::Stale
     }
 }
 
 /// Fraction of the hop index's landmarks a repair may invalidate before
-/// the cost model prefers a from-scratch rebuild: each invalidated
-/// landmark re-runs both pruned BFS directions, so past a quarter of the
-/// order the repair approaches full-build cost without its cache
-/// locality.
+/// the cost model prefers a from-scratch rebuild, inside the same write:
+/// each invalidated landmark re-runs both pruned BFS directions, so past
+/// a quarter of the order the repair approaches full-build cost without
+/// its cache locality.
 const HOP_REPAIR_LIMIT_DIVISOR: usize = 4;
 
-/// Carry the predecessor snapshot's label index into `next_engine`
-/// through an incremental repair, recording what happened. Runs under
-/// the writer lock — the cost model (invalidation limit for the hop
-/// index, touched-shard majority for the sharded one) is what keeps the
-/// carried work bounded there; anything broader is declined in favor of
-/// the background rebuild the new engine will kick off on its own.
+/// The index of `graph` — `prev`'s graph with `changes` applied — and
+/// what it took: `prev`'s label index carried through an incremental
+/// repair, or, when there is none to carry or the repair declines
+/// (too many landmarks invalidated for the hop index, over budget),
+/// [`Index::build`] from scratch. Runs under the writer lock, so the new
+/// version is published only with its index complete.
 fn carry_index(
-    prev: &Snapshot,
-    next_engine: &QueryEngine,
+    prev: &QueryEngine,
+    graph: &Arc<Graph>,
+    config: &EngineConfig,
     changes: &[EdgeChange],
-) -> IndexMaintenance {
+) -> (Index, IndexMaintenance) {
     let t0 = Instant::now();
-    let (new_graph, config) = (next_engine.graph(), next_engine.config());
-    let mut m = IndexMaintenance {
-        state: regime_state(next_engine),
-        ..IndexMaintenance::default()
-    };
-    if let Some(hop) = prev.engine().hop().get() {
-        let landmarks = hop.node_count();
-        let limit = (landmarks / HOP_REPAIR_LIMIT_DIVISOR).max(1);
-        match hop.repair(new_graph, changes, config.hop_label_budget, limit, None) {
-            Ok(rep) => {
-                // the unit is one landmark's label set in one layer: the
-                // invalidation count sums over layers, so the total does too
-                let label_sets = landmarks * new_graph.alphabet().len();
-                m.state = IndexState::Repaired;
-                m.landmarks_invalidated = rep.landmarks_invalidated;
-                m.labels_repaired = rep.landmarks_invalidated;
-                m.labels_carried = label_sets - rep.landmarks_invalidated;
-                m.phases = rep.phases;
-                next_engine.hop().adopt(Arc::new(rep.labels));
-            }
-            // RepairTooBroad / OverBudget: keep the Rebuilding verdict —
-            // the new engine's background build takes over
-            Err(e) => rpq_trace::tracer().event(
-                "apply",
-                "carry-fallback",
-                &format!("hop repair declined: {e}; background rebuild takes over"),
-            ),
+    let mut m = IndexMaintenance::default();
+    let repaired = match prev.index() {
+        Index::Hop(hop) => {
+            let landmarks = hop.node_count();
+            let limit = (landmarks / HOP_REPAIR_LIMIT_DIVISOR).max(1);
+            Some(
+                hop.repair(graph, changes, config.hop_label_budget, limit)
+                    .map(|rep| {
+                        // the unit is one landmark's label set in one
+                        // layer: the invalidation count sums over layers,
+                        // so the total does too
+                        let label_sets = landmarks * graph.alphabet().len();
+                        m.landmarks_invalidated = rep.landmarks_invalidated;
+                        m.labels_repaired = rep.landmarks_invalidated;
+                        m.labels_carried = label_sets - rep.landmarks_invalidated;
+                        m.phases = rep.phases;
+                        Index::Hop(rep.labels)
+                    }),
+            )
         }
-    } else if let Some(sl) = prev.engine().sharded().get() {
-        // cost model: how many shards would the label layer rework? The
-        // partition is fixed for the life of the index
-        let part = sl.sharded_graph().partition();
-        let k = part.k();
-        let mut reworked = vec![false; k];
-        for &(u, v, _) in changes {
-            if part.shard_of(u) == part.shard_of(v) {
-                reworked[part.shard_of(u)] = true;
-            }
-        }
-        m.shards_touched = reworked.iter().filter(|&&t| t).count();
-        if m.shards_touched <= k / 2 {
-            let scfg = config.sharded_config();
-            match sl.repair(Arc::clone(new_graph), changes, &scfg, None) {
-                Ok(rep) => {
-                    m.state = IndexState::Repaired;
+        // the repair reworks only the shards holding an intra-shard change
+        Index::Sharded(labels) => Some(
+            labels
+                .repair(Arc::clone(graph), changes, &config.sharded_config())
+                .map(|rep| {
+                    m.shards_touched = rep.shards_repaired + rep.shards_rebuilt;
                     m.labels_carried = rep.shards_carried;
                     m.labels_repaired = rep.shards_repaired;
                     m.labels_rebuilt = rep.shards_rebuilt;
                     m.landmarks_invalidated = rep.landmarks_invalidated;
                     m.phases = rep.phases;
-                    next_engine.sharded().adopt(Arc::new(rep.labels));
-                }
-                Err(e) => rpq_trace::tracer().event(
+                    Index::Sharded(rep.labels)
+                }),
+        ),
+        Index::Matrix(_) | Index::None => None,
+    };
+    let index = match repaired {
+        Some(Ok(index)) => {
+            m.state = IndexState::Repaired;
+            index
+        }
+        declined => {
+            if let Some(Err(e)) = declined {
+                rpq_trace::tracer().event(
                     "apply",
                     "carry-fallback",
-                    &format!("sharded repair declined, background rebuild takes over: {e}"),
-                ),
+                    &format!("repair declined: {e}; rebuilding inside the write"),
+                );
             }
-        } else {
-            rpq_trace::tracer().event(
-                "apply",
-                "carry-fallback",
-                &format!(
-                    "{}/{k} shards touched — majority reworked, background rebuild takes over",
-                    m.shards_touched
-                ),
-            );
+            let index = Index::build(graph, config);
+            m.state = built_state(&index);
+            index
         }
-        // a majority of shards touched, or an over-budget repair: keep
-        // the Rebuilding verdict and let the background build take over
-    }
+    };
     m.repair_time = t0.elapsed();
-    m
+    (index, m)
 }
 
 #[cfg(test)]
@@ -683,11 +656,11 @@ mod tests {
                 .unwrap(),
         );
         let first = engine.snapshot();
-        assert_eq!(first.index_state(), crate::IndexState::Rebuilding);
-        first.engine().hop().force().expect("fits budget");
+        assert_eq!(first.index_state(), crate::IndexState::Built);
+        assert!(first.engine().hop().is_some(), "fits budget");
         let n = first.graph().node_count();
 
-        // a small batch: the labels must be carried, not retired
+        // a small batch: the labels must be repaired, not rebuilt
         let g0 = first.graph().clone();
         let c0 = rpq_graph::Color(0);
         let report = engine
@@ -702,10 +675,7 @@ mod tests {
             .unwrap();
         assert_eq!(report.index.state, crate::IndexState::Repaired);
         assert_eq!(report.snapshot.index_state(), crate::IndexState::Repaired);
-        assert!(
-            report.snapshot.engine().hop().get().is_some(),
-            "carried labels must be adopted, not rebuilt"
-        );
+        assert!(report.snapshot.engine().hop().is_some());
         assert!(report.index.landmarks_invalidated > 0);
         assert_eq!(
             report.index.labels_carried + report.index.labels_repaired,
@@ -768,12 +738,7 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        engine
-            .snapshot()
-            .engine()
-            .hop()
-            .force()
-            .expect("fits budget");
+        assert!(engine.snapshot().engine().hop().is_some(), "fits budget");
         let g0 = engine.snapshot().graph().clone();
         let (n, colors) = (g0.node_count(), g0.alphabet().len());
         let mut seed = 1u64;
@@ -824,17 +789,14 @@ mod tests {
     }
 
     #[test]
-    fn too_broad_hop_repair_falls_back_to_rebuilding() {
+    fn too_broad_hop_repair_rebuilds_in_the_write() {
         let g = rpq_graph::gen::synthetic(300, 1200, 2, 3, 41);
-        let engine = UpdatableEngine::with_config(
-            g,
-            EngineConfig::builder()
-                .matrix_node_limit(0)
-                .workers(2)
-                .build()
-                .unwrap(),
-        );
-        engine.snapshot().engine().hop().force().unwrap();
+        let config = EngineConfig::builder()
+            .matrix_node_limit(0)
+            .workers(2)
+            .build()
+            .unwrap();
+        let engine = UpdatableEngine::with_config(g, config.clone());
         // a hub-making batch: 150 new edges out of one node invalidate
         // far more than a quarter of the landmarks
         let c0 = rpq_graph::Color(0);
@@ -842,21 +804,54 @@ mod tests {
             .map(|v| Update::Insert(rpq_graph::NodeId(0), rpq_graph::NodeId(v), c0))
             .collect();
         let report = engine.apply(&batch).unwrap();
-        assert_eq!(report.index.state, crate::IndexState::Rebuilding);
-        assert_eq!(report.snapshot.index_state(), crate::IndexState::Rebuilding);
-        assert!(
-            report.snapshot.engine().hop().get().is_none(),
-            "declined repair must not adopt stale labels"
-        );
-        // answers stay correct on the fallback path
+        assert_eq!(report.index.state, crate::IndexState::Built);
+        assert_eq!(report.snapshot.index_state(), crate::IndexState::Built);
+        assert_eq!(report.index.landmarks_invalidated, 0, "no repair ran");
+        // the published snapshot is served from its rebuilt index at once
         let g1 = report.snapshot.graph().clone();
-        let q = rq(&g1, "a0 <= 4", "a1 >= 6", "c0 c1");
-        assert_eq!(
-            report
-                .snapshot
-                .run_query(&Query::Rq(q.clone()))
-                .as_rq()
+        let q = Query::Rq(rq(&g1, "a0 <= 4", "a1 >= 6", "c0 c1"));
+        assert_eq!(report.snapshot.plan_query(&q).name(), "hop");
+        let fresh = QueryEngine::with_config(Arc::clone(&g1), config);
+        assert_eq!(report.snapshot.run_query(&q), fresh.run_query(&q));
+    }
+
+    #[test]
+    fn a_write_touching_every_shard_is_repaired() {
+        let g = rpq_graph::gen::clustered(400, 1600, 4, 2, 3, 60, 7);
+        let engine = UpdatableEngine::with_config(
+            g,
+            EngineConfig::builder()
+                .matrix_node_limit(0)
+                .hop_label_budget(0)
+                .shards(4)
+                .workers(2)
+                .build()
                 .unwrap(),
+        );
+        let first = engine.snapshot();
+        let (g0, labels) = (first.graph(), first.engine().sharded().unwrap());
+        let part = labels.sharded_graph().partition();
+        // one new intra-shard edge in every shard
+        let c0 = Color(0);
+        let batch: Vec<Update> = (0..part.k())
+            .map(|s| {
+                let nodes = part.shard_nodes(s);
+                let (u, v) = (nodes.windows(2))
+                    .map(|w| (w[0], w[1]))
+                    .find(|&(u, v)| !g0.has_edge(u, v, c0))
+                    .expect("a shard with a missing edge");
+                Update::Insert(u, v, c0)
+            })
+            .collect();
+        let report = engine.apply(&batch).unwrap();
+        assert_eq!(report.index.state, crate::IndexState::Repaired);
+        assert_eq!(report.index.shards_touched, part.k());
+        let g1 = report.snapshot.graph().clone();
+        let q = rq(&g1, "a0 <= 4", "a1 >= 6", "c0^2 c1");
+        let query = Query::Rq(q.clone());
+        assert_eq!(report.snapshot.plan_query(&query).name(), "sharded");
+        assert_eq!(
+            report.snapshot.run_query(&query).as_rq().unwrap(),
             &q.eval_bfs(&g1)
         );
     }
@@ -875,13 +870,13 @@ mod tests {
                 .unwrap(),
         );
         let first = engine.snapshot();
-        let built = first.engine().sharded().force().expect("builds");
+        let built = first.engine().sharded().expect("builds");
 
         let g0 = first.graph().clone();
         let (u, v, c) = g0.edges().next().unwrap();
         let report = engine.apply(&[Update::Delete(u, v, c)]).unwrap();
         assert_eq!(report.index.state, crate::IndexState::Repaired);
-        assert!(report.snapshot.engine().sharded().get().is_some());
+        assert!(report.snapshot.engine().sharded().is_some());
         assert_eq!(
             report.index.labels_carried
                 + report.index.labels_repaired
@@ -932,7 +927,7 @@ mod tests {
         // the partition is fixed for the life of the index: every repaired
         // version keeps the first build's node→shard assignment
         let last = engine.snapshot();
-        let published = last.engine().sharded().get().unwrap();
+        let published = last.engine().sharded().unwrap();
         let (p0, p1) = (
             built.sharded_graph().partition(),
             published.sharded_graph().partition(),

@@ -47,7 +47,6 @@ use rpq_graph::algo::condensation;
 use rpq_graph::{Color, Graph, NodeId, INFINITY};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -77,9 +76,6 @@ pub enum HopBuildError {
         /// Estimated bytes at the moment the build gave up.
         reached: usize,
     },
-    /// The cancellation flag handed to [`HopLabels::build_with`] was set
-    /// (e.g. the graph version this build was for has been superseded).
-    Cancelled,
     /// A [`HopLabels::repair`] would have re-run more landmarks than the
     /// caller's limit — the caller should fall back to a full rebuild,
     /// which amortizes better once most of the index is dirty anyway.
@@ -98,7 +94,6 @@ impl fmt::Display for HopBuildError {
             HopBuildError::OverBudget { budget, reached } => {
                 write!(f, "hop-label budget exceeded: {reached} > {budget} bytes")
             }
-            HopBuildError::Cancelled => write!(f, "hop-label build cancelled"),
             HopBuildError::RepairTooBroad { invalidated, limit } => {
                 write!(
                     f,
@@ -229,18 +224,12 @@ pub struct HopLabels {
 impl HopLabels {
     /// Build labels with default configuration (no budget). Cannot fail.
     pub fn build(g: &Graph) -> Self {
-        Self::build_with(g, &HopConfig::default(), None)
-            .expect("unbudgeted, uncancelled build cannot fail")
+        Self::build_with(g, &HopConfig::default()).expect("unbudgeted build cannot fail")
     }
 
     /// Rank the landmarks and build every color layer under
-    /// `config.budget_bytes`, checking `cancel` between landmarks so a
-    /// superseded build (newer graph version) stops wasting CPU.
-    pub fn build_with(
-        g: &Graph,
-        config: &HopConfig,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<Self, HopBuildError> {
+    /// `config.budget_bytes`.
+    pub fn build_with(g: &Graph, config: &HopConfig) -> Result<Self, HopBuildError> {
         let n = g.node_count();
         let m = g.alphabet().len();
 
@@ -267,7 +256,7 @@ impl HopLabels {
 
         // maintenance from nothing: no old layer, every rank to run
         let plan = (0..m).map(|c| (Color(c as u8), None, vec![true; n]));
-        let layers = LayerBuilder::run_layers(g, &order, plan, config.budget_bytes, cancel)?;
+        let layers = LayerBuilder::run_layers(g, &order, plan, config.budget_bytes)?;
         Ok(HopLabels {
             n,
             layers,
@@ -312,7 +301,6 @@ impl HopLabels {
         changes: &[(NodeId, NodeId, Color)],
         budget_bytes: usize,
         invalidation_limit: usize,
-        cancel: Option<&AtomicBool>,
     ) -> Result<HopRepair, HopBuildError> {
         assert_eq!(g.node_count(), self.n, "updates must preserve the node set");
         assert_eq!(
@@ -355,7 +343,7 @@ impl HopLabels {
         // exactly those landmarks on the new graph; untouched layers are
         // carried by reference.
         let t_invalidated = Instant::now();
-        let layers = LayerBuilder::run_layers(g, &self.order, plan, budget_bytes, cancel)?;
+        let layers = LayerBuilder::run_layers(g, &self.order, plan, budget_bytes)?;
 
         let t_rebuilt = Instant::now();
         let phases = vec![
@@ -700,7 +688,6 @@ impl<'a> LayerBuilder<'a> {
         order: &[u32],
         plan: impl IntoIterator<Item = LayerPlan<'p>>,
         budget: usize,
-        cancel: Option<&AtomicBool>,
     ) -> Result<Vec<Layer>, HopBuildError> {
         let mut builder = LayerBuilder::new(g, order);
         let mut layers = Vec::new();
@@ -710,8 +697,7 @@ impl<'a> LayerBuilder<'a> {
                 Some(old) if !rerun.contains(&true) => old.clone(),
                 _ => {
                     let tl = Instant::now();
-                    let layer =
-                        builder.repair_layer(color, old, &rerun, budget, bytes_so_far, cancel)?;
+                    let layer = builder.repair_layer(color, old, &rerun, budget, bytes_so_far)?;
                     let detail = format!("color={color} bytes={}", layer.bytes());
                     rpq_trace::tracer().record_span("index", "hop-layer", tl.elapsed(), &detail);
                     layer
@@ -740,7 +726,6 @@ impl<'a> LayerBuilder<'a> {
         rerun: &[bool],
         budget: usize,
         bytes_before: usize,
-        cancel: Option<&AtomicBool>,
     ) -> Result<Layer, HopBuildError> {
         let n = self.g.node_count();
         let thaw = |label: (&[u32], &[u16])| -> Vec<(u32, u16)> {
@@ -762,11 +747,6 @@ impl<'a> LayerBuilder<'a> {
         let mut out_entries: usize = lout.iter().map(Vec::len).sum();
 
         for (rank, _) in rerun.iter().enumerate().filter(|&(_, &hit)| hit) {
-            if let Some(flag) = cancel {
-                if flag.load(Ordering::Relaxed) {
-                    return Err(HopBuildError::Cancelled);
-                }
-            }
             let r = NodeId(self.order[rank]);
 
             // forward pruned BFS: covers r → u through hubs of Lout(r)
@@ -1077,7 +1057,7 @@ mod tests {
             let h = HopLabels::build(&g);
             let (g2, eff) = random_mutation_round(&g, 12, seed ^ 0xBEEF);
             assert!(!eff.is_empty());
-            let repaired = h.repair(&g2, &eff, 0, 0, None).unwrap();
+            let repaired = h.repair(&g2, &eff, 0, 0).unwrap();
             assert!(repaired.landmarks_invalidated > 0);
             assert_probe_parity(&g2, &repaired.labels);
         }
@@ -1089,7 +1069,7 @@ mod tests {
         let mut h = HopLabels::build(&g);
         for round in 0..4u64 {
             let (g2, eff) = random_mutation_round(&g, 6, 101 + round);
-            h = h.repair(&g2, &eff, 0, 0, None).unwrap().labels;
+            h = h.repair(&g2, &eff, 0, 0).unwrap().labels;
             g = g2;
         }
         assert_probe_parity(&g, &h);
@@ -1099,7 +1079,7 @@ mod tests {
     fn repair_with_no_changes_carries_everything() {
         let g = synthetic(25, 70, 2, 2, 3);
         let h = HopLabels::build(&g);
-        let r = h.repair(&g, &[], 0, 0, None).unwrap();
+        let r = h.repair(&g, &[], 0, 0).unwrap();
         assert_eq!(r.landmarks_invalidated, 0);
         assert_probe_parity(&g, &r.labels);
     }
@@ -1109,25 +1089,13 @@ mod tests {
         let g = synthetic(40, 200, 2, 2, 9);
         let h = HopLabels::build(&g);
         let (g2, eff) = random_mutation_round(&g, 10, 0xC0FFEE);
-        match h.repair(&g2, &eff, 0, 1, None) {
+        match h.repair(&g2, &eff, 0, 1) {
             Err(HopBuildError::RepairTooBroad { invalidated, limit }) => {
                 assert!(invalidated > 1);
                 assert_eq!(limit, 1);
             }
             other => panic!("expected RepairTooBroad, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn repair_cancel_aborts() {
-        let g = synthetic(40, 140, 2, 2, 4);
-        let h = HopLabels::build(&g);
-        let (g2, eff) = random_mutation_round(&g, 8, 0xDEAD);
-        let flag = AtomicBool::new(true);
-        assert_eq!(
-            h.repair(&g2, &eff, 0, 0, Some(&flag)).unwrap_err(),
-            HopBuildError::Cancelled
-        );
     }
 
     #[test]
@@ -1185,10 +1153,9 @@ mod tests {
         for repair in [false, true] {
             let run = |budget_bytes: usize| {
                 if repair {
-                    old.repair(&g, &eff, budget_bytes, 0, None)
-                        .map(|r| r.labels)
+                    old.repair(&g, &eff, budget_bytes, 0).map(|r| r.labels)
                 } else {
-                    HopLabels::build_with(&g, &HopConfig { budget_bytes }, None)
+                    HopLabels::build_with(&g, &HopConfig { budget_bytes })
                 }
             };
             // 1 byte: even the first layer cannot fit — nothing degrades,
@@ -1215,7 +1182,7 @@ mod tests {
             budget_bytes: full.bytes() - 1,
         };
         assert!(matches!(
-            HopLabels::build_with(&g, &short, None),
+            HopLabels::build_with(&g, &short),
             Err(HopBuildError::OverBudget { .. })
         ));
     }
@@ -1272,16 +1239,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn cancel_aborts() {
-        let g = synthetic(100, 300, 1, 2, 4);
-        let flag = AtomicBool::new(true);
-        assert!(matches!(
-            HopLabels::build_with(&g, &HopConfig::default(), Some(&flag)),
-            Err(HopBuildError::Cancelled)
-        ));
     }
 
     #[test]

@@ -53,21 +53,7 @@ pub(crate) struct OverlayLayer {
 
 impl OverlayLayer {
     /// Build exact labels for the weighted digraph on `b` overlay nodes.
-    #[cfg(test)]
     pub(crate) fn build(b: usize, edges: &[OverlayEdge]) -> OverlayLayer {
-        Self::build_with(b, edges, None).expect("uncancelled overlay build cannot fail")
-    }
-
-    /// [`build`](OverlayLayer::build) with a cancellation flag, checked
-    /// between Dijkstra sources: on overlay-heavy partitions the labeling
-    /// here is a large share of the whole index build, and a superseded
-    /// build must be able to stop mid-overlay, not only at per-shard
-    /// landmark checkpoints. Returns `None` when cancelled.
-    pub(crate) fn build_with(
-        b: usize,
-        edges: &[OverlayEdge],
-        cancel: Option<&std::sync::atomic::AtomicBool>,
-    ) -> Option<OverlayLayer> {
         // CSR adjacency, both directions
         let mut fwd_off = vec![0u32; b + 1];
         let mut bwd_off = vec![0u32; b + 1];
@@ -172,9 +158,6 @@ impl OverlayLayer {
             };
 
         for (rank, &r) in order.iter().enumerate() {
-            if cancel.is_some_and(|f| f.load(std::sync::atomic::Ordering::Relaxed)) {
-                return None;
-            }
             let seed: Vec<(u32, u16)> = lout[r as usize].clone();
             pruned_dijkstra(
                 rank,
@@ -233,7 +216,7 @@ impl OverlayLayer {
             &mut layer.in_hubs,
             &mut layer.in_dists,
         );
-        Some(layer)
+        layer
     }
 
     /// Number of hub ranks (= overlay nodes; every node is processed).
@@ -344,17 +327,6 @@ impl OverlayLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cancel_stops_between_sources() {
-        // the flag is polled before every Dijkstra source, so a pre-set
-        // flag aborts before any labeling work
-        let edges: Vec<OverlayEdge> = (0..20u32).map(|i| (i, (i + 1) % 20, 1)).collect();
-        let flag = std::sync::atomic::AtomicBool::new(true);
-        assert!(OverlayLayer::build_with(20, &edges, Some(&flag)).is_none());
-        flag.store(false, std::sync::atomic::Ordering::Relaxed);
-        assert!(OverlayLayer::build_with(20, &edges, Some(&flag)).is_some());
-    }
 
     /// Dijkstra ground truth over the same weighted edges.
     fn dijkstra_row(b: usize, edges: &[OverlayEdge], src: u32) -> Vec<u16> {

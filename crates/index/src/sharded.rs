@@ -60,7 +60,6 @@ use crate::labels::{HopBuildError, HopConfig, HopLabels};
 use crate::overlay::{OverlayEdge, OverlayLayer};
 use crate::probe::{DistProbe, GraphProbe, SweepPool};
 use rpq_graph::{Color, Graph, NodeId, ShardedGraph, INFINITY};
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -182,30 +181,23 @@ impl ShardedLabels {
                 shards,
                 ..ShardedConfig::default()
             },
-            None,
         )
-        .expect("unbudgeted, uncancelled build cannot fail")
+        .expect("unbudgeted build cannot fail")
     }
 
-    /// Partition and build under `config`, checking `cancel` between
-    /// landmarks of every per-shard build.
-    pub fn build_with(
-        g: &Arc<Graph>,
-        config: &ShardedConfig,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<Self, HopBuildError> {
+    /// Partition and build under `config`.
+    pub fn build_with(g: &Arc<Graph>, config: &ShardedConfig) -> Result<Self, HopBuildError> {
         let sharded = Arc::new(ShardedGraph::new(Arc::clone(g), config.shards));
-        Self::build_on(sharded, config, cancel)
+        Self::build_on(sharded, config)
     }
 
     /// Build over a prebuilt partition (custom partitioners, tests).
     pub fn build_on(
         sharded: Arc<ShardedGraph>,
         config: &ShardedConfig,
-        cancel: Option<&AtomicBool>,
     ) -> Result<Self, HopBuildError> {
         let rebuild_all = vec![Action::Rebuild; sharded.k()];
-        Self::maintain(None, sharded, &rebuild_all, &[], config, cancel).map(|r| r.labels)
+        Self::maintain(None, sharded, &rebuild_all, &[], config).map(|r| r.labels)
     }
 
     /// The one construction path — a fresh build is maintenance from
@@ -215,10 +207,7 @@ impl ShardedLabels {
     /// shard against `prev`.
     ///
     /// Scatter: one worker per shard, each individually budgeted
-    /// ([`ShardedConfig::shard_budget_bytes`]) and checking `cancel`
-    /// before it starts, so a superseded call stops *between* shards too,
-    /// not only at the landmark checkpoints inside one shard's labeling.
-    /// `Carry` costs one reference count; `Repair` runs
+    /// ([`ShardedConfig::shard_budget_bytes`]). `Carry` costs one reference count; `Repair` runs
     /// [`HopLabels::repair`] over `intra[shard]` (local ids) and falls
     /// back to `Rebuild` when more than half the shard's landmarks are
     /// dirty or the repaired labels outgrow the budget a freshly pruned
@@ -232,7 +221,6 @@ impl ShardedLabels {
         action: &[Action],
         intra: &[Vec<(NodeId, NodeId, Color)>],
         config: &ShardedConfig,
-        cancel: Option<&AtomicBool>,
     ) -> Result<ShardedRepair, HopBuildError> {
         let k = sharded.k();
         let hop_config = HopConfig {
@@ -240,9 +228,6 @@ impl ShardedLabels {
         };
         let t0 = Instant::now();
         let run_shard = |s: usize| -> Result<(Arc<HopLabels>, Action, usize), HopBuildError> {
-            if cancelled(cancel) {
-                return Err(HopBuildError::Cancelled);
-            }
             let old = prev.map(|p| &p.shard_labels[s]);
             let shard_g = sharded.shard(s);
             let ts = Instant::now();
@@ -250,29 +235,22 @@ impl ShardedLabels {
                 (Action::Carry, Some(old)) => return Ok((Arc::clone(old), Action::Carry, 0)),
                 (Action::Repair, Some(old)) => {
                     let limit = (old.node_count() / 2).max(1);
-                    match old.repair(shard_g, &intra[s], hop_config.budget_bytes, limit, cancel) {
-                        Ok(r) => {
-                            rpq_trace::tracer().record_span(
-                                "index",
-                                "shard-repair",
-                                ts.elapsed(),
-                                &format!("shard={s} invalidated={}", r.landmarks_invalidated),
-                            );
-                            return Ok((
-                                Arc::new(r.labels),
-                                Action::Repair,
-                                r.landmarks_invalidated,
-                            ));
-                        }
-                        Err(
-                            HopBuildError::RepairTooBroad { .. } | HopBuildError::OverBudget { .. },
-                        ) => {}
-                        Err(e) => return Err(e),
+                    // too broad or over budget falls through to a fresh
+                    // pruned build, which might fit where the repaired
+                    // labels do not
+                    if let Ok(r) = old.repair(shard_g, &intra[s], hop_config.budget_bytes, limit) {
+                        rpq_trace::tracer().record_span(
+                            "index",
+                            "shard-repair",
+                            ts.elapsed(),
+                            &format!("shard={s} invalidated={}", r.landmarks_invalidated),
+                        );
+                        return Ok((Arc::new(r.labels), Action::Repair, r.landmarks_invalidated));
                     }
                 }
                 _ => {}
             }
-            let labels = HopLabels::build_with(shard_g, &hop_config, cancel)?;
+            let labels = HopLabels::build_with(shard_g, &hop_config)?;
             rpq_trace::tracer().record_span(
                 "index",
                 "shard-rebuild",
@@ -313,16 +291,11 @@ impl ShardedLabels {
             })
             .collect();
         let colors = sharded.graph().alphabet().len();
-        let (overlay, closures) = Self::build_overlays(
-            &sharded,
-            &shard_labels,
-            colors,
-            |layer, shard| {
+        let (overlay, closures) =
+            Self::build_overlays(&sharded, &shard_labels, colors, |layer, shard| {
                 prev.filter(|_| reusable[shard])
                     .map(|p| p.closures[layer][shard].clone())
-            },
-            cancel,
-        )?;
+            });
         let t_overlaid = Instant::now();
 
         Ok(ShardedRepair {
@@ -351,18 +324,13 @@ impl ShardedLabels {
     /// per-shard boundary closures. `reuse` may return a previously
     /// computed closure for a `(layer, shard)` whose rows are known to be
     /// unchanged; everything else is recomputed from the shard labels.
-    /// The cancel flag is honored between closure shards and between the
-    /// overlay labeling's Dijkstra sources: on a poor partition the
-    /// closure is the dominant build cost, and a superseded build must
-    /// not burn it on an index nobody will read.
     #[allow(clippy::type_complexity)]
     fn build_overlays(
         sharded: &Arc<ShardedGraph>,
         shard_labels: &[Arc<HopLabels>],
         colors: usize,
         reuse: impl Fn(usize, usize) -> Option<ShardClosure> + Sync,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<(Vec<OverlayLayer>, Vec<Vec<ShardClosure>>), HopBuildError> {
+    ) -> (Vec<OverlayLayer>, Vec<Vec<ShardClosure>>) {
         let k = sharded.k();
         let b = sharded.boundary_globals().len();
 
@@ -381,57 +349,49 @@ impl ShardedLabels {
             })
             .collect();
 
-        let mut built: Vec<Option<(OverlayLayer, Vec<ShardClosure>)>> =
-            (0..colors).map(|_| None).collect();
         std::thread::scope(|s| {
-            for (li, slot) in built.iter_mut().enumerate() {
-                let color = Color(li as u8);
-                let boundary_ov = &boundary_ov;
-                let reuse = &reuse;
-                s.spawn(move || {
-                    let mut shard_closures: Vec<ShardClosure> = Vec::with_capacity(k);
-                    for (shard, labels) in shard_labels.iter().enumerate().take(k) {
-                        if cancelled(cancel) {
-                            return;
+            let workers: Vec<_> = (0..colors)
+                .map(|li| {
+                    let color = Color(li as u8);
+                    let (boundary_ov, reuse) = (&boundary_ov, &reuse);
+                    s.spawn(move || {
+                        let shard_closures: Vec<ShardClosure> = (shard_labels.iter().enumerate())
+                            .take(k)
+                            .map(|(shard, labels)| {
+                                reuse(li, shard)
+                                    .unwrap_or_else(|| shard_closure(sharded, labels, shard, color))
+                            })
+                            .collect();
+                        let mut edges: Vec<OverlayEdge> = Vec::new();
+                        for &(u, v, ec) in sharded.cut_edges() {
+                            if color.admits(ec) {
+                                let ou = sharded
+                                    .overlay_index(u)
+                                    .expect("cut endpoints are boundary");
+                                let ov = sharded
+                                    .overlay_index(v)
+                                    .expect("cut endpoints are boundary");
+                                edges.push((ou, ov, 1));
+                            }
                         }
-                        shard_closures.push(
-                            reuse(li, shard)
-                                .unwrap_or_else(|| shard_closure(sharded, labels, shard, color)),
-                        );
-                    }
-                    let mut edges: Vec<OverlayEdge> = Vec::new();
-                    for &(u, v, ec) in sharded.cut_edges() {
-                        if color.admits(ec) {
-                            let ou = sharded
-                                .overlay_index(u)
-                                .expect("cut endpoints are boundary");
-                            let ov = sharded
-                                .overlay_index(v)
-                                .expect("cut endpoints are boundary");
-                            edges.push((ou, ov, 1));
+                        for (shard, rows) in shard_closures.iter().enumerate() {
+                            for &(i, j, d) in rows {
+                                edges.push((
+                                    boundary_ov[shard][i as usize],
+                                    boundary_ov[shard][j as usize],
+                                    d,
+                                ));
+                            }
                         }
-                    }
-                    for (shard, rows) in shard_closures.iter().enumerate() {
-                        for &(i, j, d) in rows {
-                            edges.push((
-                                boundary_ov[shard][i as usize],
-                                boundary_ov[shard][j as usize],
-                                d,
-                            ));
-                        }
-                    }
-                    if let Some(layer) = OverlayLayer::build_with(b, &edges, cancel) {
-                        *slot = Some((layer, shard_closures));
-                    }
-                });
-            }
-        });
-        // a layer missing its slot stopped on the cancel flag
-        let built: Option<Vec<_>> = built.into_iter().collect();
-        match built {
-            Some(layers) if !cancelled(cancel) => Ok(layers.into_iter().unzip()),
-            _ => Err(HopBuildError::Cancelled),
-        }
+                        (OverlayLayer::build(b, &edges), shard_closures)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("overlay worker panicked"))
+                .unzip()
+        })
     }
 
     /// Repair this index after `changes` were applied to the graph it was
@@ -464,7 +424,6 @@ impl ShardedLabels {
         new_graph: Arc<Graph>,
         changes: &[(NodeId, NodeId, Color)],
         config: &ShardedConfig,
-        cancel: Option<&AtomicBool>,
     ) -> Result<ShardedRepair, HopBuildError> {
         assert_eq!(
             new_graph.alphabet().len(),
@@ -487,7 +446,7 @@ impl ShardedLabels {
             // relabeling reads fresh off `new_sharded`
         }
 
-        let repair = Self::maintain(Some(self), new_sharded, &action, &intra, config, cancel)?;
+        let repair = Self::maintain(Some(self), new_sharded, &action, &intra, config)?;
         let tracer = rpq_trace::tracer();
         if tracer.enabled() {
             tracer.record_span(
@@ -610,10 +569,6 @@ pub struct ShardedRepair {
     /// closure relabeling). The live-update layer bubbles these into its
     /// `IndexMaintenance::phases` accounting.
     pub phases: Vec<(&'static str, Duration)>,
-}
-
-fn cancelled(cancel: Option<&AtomicBool>) -> bool {
-    cancel.is_some_and(|f| f.load(std::sync::atomic::Ordering::Relaxed))
 }
 
 /// One shard's closure rows for one layer: every ordered boundary pair
@@ -807,8 +762,7 @@ mod tests {
             Partition::from_shard_of(shard_of, 2),
         ));
         assert_eq!(sg.cut_edges().len(), g.edge_count(), "degenerate cut");
-        let labels =
-            ShardedLabels::build_on(Arc::clone(&sg), &ShardedConfig::default(), None).unwrap();
+        let labels = ShardedLabels::build_on(Arc::clone(&sg), &ShardedConfig::default()).unwrap();
         assert_probe_parity(&g, &labels);
     }
 
@@ -867,7 +821,7 @@ mod tests {
             shard_budget_bytes: 1,
         };
         assert!(matches!(
-            ShardedLabels::build_with(&g, &tiny, None),
+            ShardedLabels::build_with(&g, &tiny),
             Err(HopBuildError::OverBudget { budget: 1, .. })
         ));
         // a budget of exactly the largest shard's footprint fits every
@@ -877,7 +831,7 @@ mod tests {
             shards: 3,
             shard_budget_bytes: full.stats().max_shard_bytes(),
         };
-        let labels = ShardedLabels::build_with(&g, &fit, None).expect("every shard fits");
+        let labels = ShardedLabels::build_with(&g, &fit).expect("every shard fits");
         assert!(!labels.has_layer(WILDCARD));
         for c in g.alphabet().colors() {
             assert!(labels.has_layer(c));
@@ -943,7 +897,7 @@ mod tests {
             let (g2, eff) = random_mutation_round(&g, 12, seed ^ 0xFACE);
             assert!(!eff.is_empty());
             let r = labels
-                .repair(Arc::clone(&g2), &eff, &ShardedConfig::default(), None)
+                .repair(Arc::clone(&g2), &eff, &ShardedConfig::default())
                 .unwrap();
             assert_eq!(
                 r.shards_carried + r.shards_repaired + r.shards_rebuilt,
@@ -971,12 +925,7 @@ mod tests {
         assert!(applied);
         let g2 = Arc::new(b.build());
         let r = labels
-            .repair(
-                Arc::clone(&g2),
-                &[(u, v, c)],
-                &ShardedConfig::default(),
-                None,
-            )
+            .repair(Arc::clone(&g2), &[(u, v, c)], &ShardedConfig::default())
             .unwrap();
         assert_eq!(r.shards_repaired + r.shards_rebuilt, 1);
         assert_eq!(r.shards_carried, k - 1);
@@ -997,12 +946,7 @@ mod tests {
         assert!(applied);
         let g2 = Arc::new(b.build());
         let r = labels
-            .repair(
-                Arc::clone(&g2),
-                &[(u, v, c)],
-                &ShardedConfig::default(),
-                None,
-            )
+            .repair(Arc::clone(&g2), &[(u, v, c)], &ShardedConfig::default())
             .unwrap();
         // only the overlay moves: every shard's labels carried by reference
         assert_eq!(r.shards_carried, k);
@@ -1031,8 +975,7 @@ mod tests {
             Arc::clone(&g),
             Partition::from_shard_of(shard_of, 2),
         ));
-        let labels =
-            ShardedLabels::build_on(Arc::clone(&sg), &ShardedConfig::default(), None).unwrap();
+        let labels = ShardedLabels::build_on(Arc::clone(&sg), &ShardedConfig::default()).unwrap();
         // delete one ring edge, insert a chord — both cross-shard
         let mut gb = GraphBuilder::from_graph(&g);
         assert!(gb.remove_edge(nodes[0], nodes[1], r));
@@ -1043,7 +986,6 @@ mod tests {
                 Arc::clone(&g2),
                 &[(nodes[0], nodes[1], r), (nodes[2], nodes[9], s)],
                 &ShardedConfig::default(),
-                None,
             )
             .unwrap();
         assert_probe_parity(&g2, &rep.labels);
@@ -1071,7 +1013,7 @@ mod tests {
     fn sweeps_follow_the_repaired_version() {
         let (sg, n, [r, s]) = two_rings();
         let config = ShardedConfig::default();
-        let labels = ShardedLabels::build_on(Arc::clone(&sg), &config, None).unwrap();
+        let labels = ShardedLabels::build_on(Arc::clone(&sg), &config).unwrap();
         // intra-shard: a self-loop on n2 and n0 → n1 gone; cross-shard:
         // n4 → n3 closes a two-cycle that leaves n3's shard
         let changes = [(n[2], n[2], r), (n[0], n[1], r), (n[4], n[3], r)];
@@ -1080,9 +1022,7 @@ mod tests {
         assert!(b.remove_edge(n[0], n[1], r));
         assert!(b.insert_edge(n[4], n[3], r));
         let g2 = Arc::new(b.build());
-        let rep = labels
-            .repair(Arc::clone(&g2), &changes, &config, None)
-            .unwrap();
+        let rep = labels.repair(Arc::clone(&g2), &changes, &config).unwrap();
         let touched = rep.shards_repaired + rep.shards_rebuilt;
         assert_eq!((rep.shards_carried, touched), (1, 1));
         let labels = rep.labels;
@@ -1129,28 +1069,6 @@ mod tests {
             }
         }
         assert_probe_parity(&g2, &labels);
-    }
-
-    #[test]
-    fn repair_cancel_aborts() {
-        let g = Arc::new(synthetic(40, 150, 2, 2, 3));
-        let labels = ShardedLabels::build(&g, 3);
-        let (g2, eff) = random_mutation_round(&g, 6, 77);
-        let flag = AtomicBool::new(true);
-        assert!(matches!(
-            labels.repair(g2, &eff, &ShardedConfig::default(), Some(&flag)),
-            Err(HopBuildError::Cancelled)
-        ));
-    }
-
-    #[test]
-    fn cancel_aborts() {
-        let g = Arc::new(synthetic(80, 240, 1, 2, 4));
-        let flag = AtomicBool::new(true);
-        assert!(matches!(
-            ShardedLabels::build_with(&g, &ShardedConfig::default(), Some(&flag)),
-            Err(HopBuildError::Cancelled)
-        ));
     }
 
     #[test]

@@ -105,7 +105,7 @@ fn hundred_k_nodes_probe_parity() {
     let cfg = HopConfig {
         budget_bytes: 512 << 20, // far more than the color layers need
     };
-    let labels = HopLabels::build_with(&g, &cfg, None).expect("build within budget");
+    let labels = HopLabels::build_with(&g, &cfg).expect("build within budget");
     let stats = labels.stats();
     println!("built in {:?}: {stats}", t0.elapsed());
     assert!(!labels.has_layer(WILDCARD), "no wildcard layer");
@@ -167,7 +167,7 @@ fn hundred_k_nodes_probe_parity() {
     let g2 = b.build();
     let t0 = std::time::Instant::now();
     let repaired = labels
-        .repair(&g2, &changes, cfg.budget_bytes, 0, None)
+        .repair(&g2, &changes, cfg.budget_bytes, 0)
         .expect("repair within budget");
     println!(
         "repaired {} edge changes in {:?}: {} landmarks re-run",

@@ -178,16 +178,16 @@ pub struct Metrics {
     ///
     /// [`IndexState::Repaired`]: rpq_engine::IndexState::Repaired
     pub index_repairs: AtomicU64,
-    /// Update batches that retired the label index and fell back to a
-    /// background rebuild ([`IndexState::Rebuilding`]).
+    /// Update batches whose label index was rebuilt from scratch inside
+    /// the write ([`IndexState::Built`]).
     ///
-    /// [`IndexState::Rebuilding`]: rpq_engine::IndexState::Rebuilding
+    /// [`IndexState::Built`]: rpq_engine::IndexState::Built
     pub index_rebuilds: AtomicU64,
     /// Cumulative landmarks invalidated across every repair (the work the
     /// incremental path did instead of full rebuilds).
     pub landmarks_invalidated: AtomicU64,
     /// Micros since `started` at the last moment the label index was
-    /// known fresh (a `Repaired` publication). Zero = never.
+    /// known fresh (a `Repaired` or `Built` publication). Zero = never.
     index_fresh_at_us: AtomicU64,
     /// Semantic reach-cache lookups answered by the exact canonical key.
     pub semcache_exact: AtomicU64,
@@ -277,21 +277,20 @@ impl Metrics {
     }
 
     /// Fold one update's index-maintenance outcome into the counters:
-    /// `Repaired` counts a repair and refreshes the freshness clock,
-    /// `Rebuilding` counts a fallback, `Stale` (matrix regime) counts
-    /// neither. Phase durations accumulate into the
-    /// `rpq_repair_phase_seconds_total` family.
+    /// `Repaired` counts a repair, `Built` a rebuild inside the write, and
+    /// both publish a complete new index, so both refresh the freshness
+    /// clock; `Stale` (matrix regime) does neither. Phase durations
+    /// accumulate into the `rpq_repair_phase_seconds_total` family.
     pub fn record_index(&self, m: &rpq_engine::IndexMaintenance) {
-        match m.state {
-            rpq_engine::IndexState::Repaired => {
-                self.index_repairs.fetch_add(1, Ordering::Relaxed);
-                let us = (self.started.elapsed().as_micros() as u64).max(1);
-                self.index_fresh_at_us.store(us, Ordering::Relaxed);
-            }
-            rpq_engine::IndexState::Rebuilding => {
-                self.index_rebuilds.fetch_add(1, Ordering::Relaxed);
-            }
-            rpq_engine::IndexState::Stale => {}
+        let counter = match m.state {
+            rpq_engine::IndexState::Repaired => Some(&self.index_repairs),
+            rpq_engine::IndexState::Built => Some(&self.index_rebuilds),
+            rpq_engine::IndexState::Stale => None,
+        };
+        if let Some(counter) = counter {
+            counter.fetch_add(1, Ordering::Relaxed);
+            let us = (self.started.elapsed().as_micros() as u64).max(1);
+            self.index_fresh_at_us.store(us, Ordering::Relaxed);
         }
         self.landmarks_invalidated
             .fetch_add(m.landmarks_invalidated as u64, Ordering::Relaxed);
@@ -308,9 +307,9 @@ impl Metrics {
     }
 
     /// Seconds since the label index was last published fresh (a
-    /// `Repaired` apply). Falls back to the server's uptime when no
-    /// repair has happened yet — "fresh at some point before we started"
-    /// is the most honest bound available.
+    /// `Repaired` or `Built` apply). Falls back to the server's uptime
+    /// when no write has published an index yet — "fresh at some point
+    /// before we started" is the most honest bound available.
     pub fn index_fresh_secs(&self) -> f64 {
         let at = self.index_fresh_at_us.load(Ordering::Relaxed);
         if at == 0 {
@@ -393,7 +392,7 @@ impl Metrics {
         );
         counter(
             "rpq_index_rebuilds_total",
-            "Update batches that fell back to a background index rebuild.",
+            "Update batches that rebuilt the index inside the write.",
             g(&self.index_rebuilds),
         );
         counter(
@@ -487,7 +486,7 @@ impl Metrics {
             "# HELP rpq_index_state Current index state, one-hot.\n",
             "# TYPE rpq_index_state gauge\n"
         ));
-        for state in ["stale", "repaired", "rebuilding"] {
+        for state in ["stale", "repaired", "built"] {
             out.push_str(&format!(
                 "rpq_index_state{{state=\"{state}\"}} {}\n",
                 u8::from(state == index_state)
@@ -848,15 +847,23 @@ mod tests {
             landmarks_invalidated: 12,
             ..Default::default()
         };
-        let rebuilding = rpq_engine::IndexMaintenance {
-            state: rpq_engine::IndexState::Rebuilding,
+        let built = rpq_engine::IndexMaintenance {
+            state: rpq_engine::IndexState::Built,
             ..Default::default()
         };
         // before any repair: freshness falls back to uptime
         assert!((m.index_fresh_secs() - m.uptime_secs()).abs() < 1e-3);
         m.record_index(&repaired);
         m.record_index(&repaired);
-        m.record_index(&rebuilding);
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let aged = m.index_fresh_secs();
+        assert!(aged >= 0.05, "{aged}");
+        // a rebuilt index is as fresh as a repaired one
+        m.record_index(&built);
+        assert!(
+            m.index_fresh_secs() < aged,
+            "a built index resets the clock"
+        );
         m.record_index(&rpq_engine::IndexMaintenance::default()); // Stale
         assert_eq!(m.index_repairs.load(Ordering::Relaxed), 2);
         assert_eq!(m.index_rebuilds.load(Ordering::Relaxed), 1);
@@ -868,6 +875,7 @@ mod tests {
         assert_eq!(get("rpq_index_repairs_total"), 2.0);
         assert_eq!(get("rpq_index_rebuilds_total"), 1.0);
         assert_eq!(get("rpq_landmarks_invalidated_total"), 24.0);
-        assert!(get("rpq_index_fresh_seconds") >= 0.0);
+        let fresh = get("rpq_index_fresh_seconds");
+        assert!((0.0..aged).contains(&fresh), "{fresh} vs {aged}");
     }
 }

@@ -448,7 +448,7 @@ pub fn status_for(e: &EngineError) -> u16 {
         EngineError::BadQuery { .. }
         | EngineError::NodeOutOfRange { .. }
         | EngineError::WildcardEdge => 400,
-        EngineError::IndexOverBudget { .. } | EngineError::BuildCancelled => 503,
+        EngineError::IndexOverBudget { .. } => 503,
         EngineError::Config(_) => 500,
         _ => 500, // EngineError is #[non_exhaustive]
     }

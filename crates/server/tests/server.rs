@@ -10,7 +10,7 @@ use rpq_bench::loadgen::scrape_metrics;
 use rpq_bench::querygen::{generate_pq, generate_rq, QueryParams};
 use rpq_core::incremental::Update;
 use rpq_engine::{EngineConfig, Query, UpdatableEngine};
-use rpq_graph::{gen::youtube_like, Color, Graph, NodeId, WILDCARD};
+use rpq_graph::{gen::youtube_like, Color, DistanceMatrix, Graph, NodeId, WILDCARD};
 use rpq_server::{Client, Server, ServerConfig, WireResponse};
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -457,7 +457,8 @@ fn metrics_scrape_reflects_served_traffic() {
 }
 
 /// In the label regime, `/metrics` reports the published snapshot's index
-/// state and counts update batches that fell back to a rebuild.
+/// state and counts update batches that repaired the index or rebuilt it
+/// inside the write.
 #[test]
 fn metrics_report_index_maintenance() {
     let engine = Arc::new(UpdatableEngine::with_config(
@@ -472,39 +473,45 @@ fn metrics_report_index_maintenance() {
     let server = Server::start(Arc::clone(&engine), ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
 
-    // no labels have been built yet, so there is nothing to carry: the
-    // update must retire the (unbuilt) index and count a rebuild fallback.
-    // Repeating the insert applies nothing, so it maintains nothing: the
-    // counters must not move
+    // the engine was built with its labels
+    assert_eq!(scrape(&mut client)("rpq_index_state{state=\"built\"}"), 1.0);
+    // a one-edge write repairs them. Repeating the insert applies nothing,
+    // so it maintains nothing: the counters must not move
     for _ in 0..2 {
         client
             .update(&[Update::Insert(NodeId(0), NodeId(7), Color(0))], &graph)
             .unwrap();
         let get = scrape(&mut client);
-        assert_eq!(get("rpq_index_state{state=\"rebuilding\"}"), 1.0);
-        assert_eq!(get("rpq_index_rebuilds_total"), 1.0);
-        assert_eq!(get("rpq_index_repairs_total"), 0.0);
+        assert_eq!(get("rpq_index_state{state=\"repaired\"}"), 1.0);
+        assert_eq!(get("rpq_index_repairs_total"), 1.0);
+        assert_eq!(get("rpq_index_rebuilds_total"), 0.0);
     }
+    // a hub-making write invalidates too many landmarks to repair: the
+    // labels are rebuilt inside the write
+    let hub: Vec<Update> = (100..300)
+        .map(|v| Update::Insert(NodeId(1), NodeId(v), Color(0)))
+        .collect();
+    client.update(&hub, &graph).unwrap();
+    let get = scrape(&mut client);
+    assert_eq!(get("rpq_index_state{state=\"built\"}"), 1.0);
+    assert_eq!(get("rpq_index_rebuilds_total"), 1.0);
+    assert_eq!(get("rpq_index_repairs_total"), 1.0);
     server.shutdown();
 }
 
-/// The `index_bytes` gauge reads what is built and never builds: a scrape
-/// before the first query leaves the matrix unbuilt, and a sharded-regime
-/// server reports its labels once they are ready.
+/// The `index_bytes` gauge reads the one index each engine was built with:
+/// the matrix in the matrix regime, the labels in the sharded regime.
 #[test]
 fn metrics_index_gauge_covers_every_index_without_building() {
     let (engine, server, graph) = start(ServerConfig::default());
     let mut client = Client::connect(server.addr()).unwrap();
     let gauge = |client: &mut Client| scrape(client)("rpq_index_bytes") as u64;
-    assert_eq!(gauge(&mut client), 0);
-    assert_eq!(
-        engine.snapshot().engine().index_bytes(),
-        0,
-        "the scrape built the matrix"
-    );
+    let matrix = DistanceMatrix::bytes_for(&graph) as u64;
+    assert!(engine.snapshot().engine().matrix().is_some());
+    assert_eq!(gauge(&mut client), matrix, "built with the engine");
     let queries = mixed_queries(&graph, 3, 5);
     assert_eq!(client.query(&queries, &graph).unwrap().status, 200);
-    assert!(gauge(&mut client) > 0, "matrix built by the first batch");
+    assert_eq!(gauge(&mut client), matrix, "queries build nothing");
     server.shutdown();
 
     let engine = Arc::new(UpdatableEngine::with_config(
@@ -516,8 +523,9 @@ fn metrics_index_gauge_covers_every_index_without_building() {
             .build()
             .unwrap(),
     ));
-    let labels = engine.snapshot().engine().sharded().force();
-    let bytes = labels.expect("unbudgeted build").stats().total_bytes() as u64;
+    let snapshot = engine.snapshot();
+    let labels = snapshot.engine().sharded().expect("unbudgeted build");
+    let bytes = labels.stats().total_bytes() as u64;
     let server = Server::start(Arc::clone(&engine), ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     assert!(bytes > 0);

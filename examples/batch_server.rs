@@ -32,16 +32,20 @@ fn main() {
         t0.elapsed()
     );
 
+    let t0 = Instant::now();
     let engine = QueryEngine::new(Arc::clone(&g));
+    let index = if engine.matrix().is_some() {
+        "distance matrix"
+    } else if engine.hop().is_some() {
+        "hop labels"
+    } else {
+        "none"
+    };
     println!(
-        "engine: {} workers (0 = one per core), matrix {} (limit {})\n",
+        "engine: {} workers (0 = one per core), index: {index} (matrix limit {}), built in {:?}\n",
         engine.config().workers,
-        if engine.matrix_available() {
-            "available"
-        } else {
-            "skipped"
-        },
         engine.config().matrix_node_limit,
+        t0.elapsed(),
     );
 
     let pq_params = QueryParams::defaults();

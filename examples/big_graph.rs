@@ -2,11 +2,9 @@
 //! node limit.
 //!
 //! Demonstrates the hop-label subsystem end to end: generate (or load) a
-//! large 4-color graph, watch the first batch fall back to search while
-//! the label index builds in the background, then watch later batches
-//! switch to `hop` / `JoinMatch/hop` plans and report the speedup. One
-//! query in eight is a pattern query, so the tick lines show both query
-//! classes flipping off their fallbacks at once.
+//! large 4-color graph, build the engine — and with it the label index —
+//! and serve every batch under `hop` / `JoinMatch/hop` plans. One query in
+//! eight is a pattern query, so the tick lines show both query classes.
 //!
 //! ```text
 //! cargo run --release --example big_graph [nodes] [batch] [ticks]
@@ -19,7 +17,7 @@
 use rpq::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn workload(g: &Graph, batch: usize, tick: usize) -> Vec<Query> {
     let names: Vec<String> = g
@@ -98,11 +96,12 @@ fn main() {
     let ticks: usize = rest.get(1).and_then(|a| a.parse().ok()).unwrap_or(6);
     let g = Arc::new(g);
 
+    let t0 = Instant::now();
     let engine = QueryEngine::new(Arc::clone(&g));
     println!(
-        "matrix: {} (limit {}, would need {:.1} GiB); hop-label budget {} MiB\n",
-        if engine.matrix_available() {
-            "available"
+        "matrix: {} (limit {}, would need {:.1} GiB); hop-label budget {} MiB",
+        if engine.matrix().is_some() {
+            "built"
         } else {
             "over limit"
         },
@@ -110,6 +109,11 @@ fn main() {
         DistanceMatrix::bytes_for(&g) as f64 / (1 << 30) as f64,
         engine.config().hop_label_budget >> 20,
     );
+    match engine.hop() {
+        Some(labels) => println!("index: built in {:?}, {}\n", t0.elapsed(), labels.stats()),
+        None if engine.matrix().is_none() => println!("index: over budget, serving search\n"),
+        None => println!(),
+    }
 
     for tick in 0..ticks {
         let queries = workload(&g, batch, tick);
@@ -130,15 +134,5 @@ fn main() {
                 .map(|i| i.output.match_count())
                 .sum::<usize>(),
         );
-        if let Some(labels) = engine.hop().get() {
-            if tick == 0 || per_plan.contains_key("hop") {
-                println!("  index: {:?}, {}", engine.hop(), labels.stats());
-            }
-        } else if !engine.matrix_available() {
-            println!("  index: {:?}, serving search fallback", engine.hop());
-            // give the background build a moment before the next tick, so
-            // the demo visibly flips from fallback to hop plans
-            std::thread::sleep(Duration::from_millis(500));
-        }
     }
 }

@@ -58,7 +58,7 @@ fn main() {
         EngineConfig::builder().shards(shards).build().unwrap(),
     )
     .expect("unbudgeted build cannot fail");
-    let stats = engine.sharded().get().expect("built eagerly").stats();
+    let stats = engine.sharded().expect("built eagerly").stats();
     println!("sharded build in {:.2?}: {stats}", t0.elapsed());
     println!(
         "  per-shard label KiB: {:?} (total {} KiB incl. overlay)",
@@ -95,7 +95,7 @@ fn main() {
             .build()
             .unwrap(),
     );
-    reference.hop().force().expect("fits default budget");
+    assert!(reference.hop().is_some(), "fits default budget");
     let ref_out = reference.run_batch(&queries);
     let agree = out
         .items()

@@ -23,12 +23,13 @@
 //!   [`QueryProfile`](prelude::QueryProfile) EXPLAIN surface every
 //!   engine layer can emit,
 //! * [`engine`] — the serving layer: a
-//!   [`QueryEngine`](prelude::QueryEngine) that owns a shared graph,
-//!   plans a strategy per query, and evaluates
+//!   [`QueryEngine`](prelude::QueryEngine) that owns a shared graph and
+//!   the one index built for it, plans a strategy per query, and evaluates
 //!   batches of mixed RQs/PQs on scoped worker threads, sharing reach
 //!   sets through the one memo of its graph version; an
 //!   [`UpdatableEngine`](prelude::UpdatableEngine) serving a *mutating*
-//!   graph through versioned snapshots and incrementally maintained
+//!   graph through versioned snapshots, each published with its index
+//!   repaired or rebuilt inside the write, and incrementally maintained
 //!   standing queries; and
 //!   [`QueryEngine::build_sharded`](prelude::QueryEngine::build_sharded),
 //!   serving graphs past any single-index memory budget from a
@@ -154,8 +155,8 @@ pub mod prelude {
     pub use rpq_core::split_match::SplitMatch;
     pub use rpq_engine::{
         Algo, ApplyReport, Backend, BatchItem, BatchResult, CacheKind, ConfigError, EngineConfig,
-        EngineConfigBuilder, EngineError, IndexMaintenance, IndexSlot, IndexState, Plan, Query,
-        QueryEngine, QueryOutput, QueryService, SemanticMemo, SemanticStats, Snapshot, StandingId,
+        EngineConfigBuilder, EngineError, IndexMaintenance, IndexState, Plan, Query, QueryEngine,
+        QueryOutput, QueryService, SemanticMemo, SemanticStats, Snapshot, StandingId,
         UpdatableEngine,
     };
     pub use rpq_graph::{

@@ -31,14 +31,14 @@ fn batch_of_64_rqs_on_10k_graph_matches_sequential() {
         Arc::clone(&g),
         EngineConfig::builder()
             .workers(4)
-            // this test asserts the *search* planning regime; disable the
-            // hop-label index so its background build cannot race the batch
+            // this test asserts the *search* planning regime: no hop-label
+            // index
             .hop_label_budget(0)
             .build()
             .unwrap(),
     );
     // 10k nodes is over the matrix limit: the engine must plan around it
-    assert!(!engine.matrix_available());
+    assert!(engine.matrix().is_none());
 
     let rqs = rq_workload(&g, 64);
     let queries: Vec<Query> = rqs.iter().cloned().map(Query::Rq).collect();
@@ -74,13 +74,13 @@ fn batch_of_64_rqs_on_10k_graph_matches_sequential() {
     );
 }
 
-/// Mixed RQ/PQ batch on a small graph: the engine builds the matrix
-/// lazily and every output equals the corresponding sequential strategy.
+/// Mixed RQ/PQ batch on a small graph: the engine is built with the
+/// matrix and every output equals the corresponding sequential strategy.
 #[test]
 fn mixed_batch_on_small_graph_matches_sequential() {
     let g = Arc::new(rpq::graph::gen::youtube_like(1200, 42));
     let engine = QueryEngine::new(Arc::clone(&g));
-    assert!(engine.matrix_available());
+    assert!(engine.matrix().is_some());
 
     let params = QueryParams::defaults();
     let rqs: Vec<Rq> = (0..12).map(|i| generate_rq(&g, 2, 4, 2, i)).collect();

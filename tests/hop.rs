@@ -48,7 +48,7 @@ fn reference(q: &Query, g: &Graph) -> RqResult {
 fn planner_selects_hop_over_the_limit_and_answers_match_search() {
     let g = Arc::new(test_graph(77));
     let engine = QueryEngine::with_config(Arc::clone(&g), over_limit_config());
-    let labels = engine.hop().force().expect("fits default budget");
+    let labels = engine.hop().expect("fits default budget");
     assert!(labels.bytes() < DistanceMatrix::bytes_for(&g));
 
     let qs = queries(&g);
@@ -72,7 +72,7 @@ fn planner_selects_hop_over_the_limit_and_answers_match_search() {
 fn pinned_snapshot_keeps_its_own_index_version() {
     let engine = UpdatableEngine::with_config(test_graph(3), over_limit_config());
     let pinned = engine.snapshot();
-    pinned.engine().hop().force().unwrap();
+    assert!(pinned.engine().hop().is_some());
     let g0 = pinned.graph().clone();
     let qs = queries(&g0);
     let before: Vec<_> = qs.iter().map(|q| pinned.run_query(q)).collect();
@@ -90,7 +90,7 @@ fn pinned_snapshot_keeps_its_own_index_version() {
     }
     // and the current version answers against the *new* graph
     let now = engine.snapshot();
-    now.engine().hop().force().unwrap();
+    assert!(now.engine().hop().is_some());
     let g1 = now.graph().clone();
     for q in &qs {
         assert_eq!(now.run_query(q).as_rq().unwrap(), &reference(q, &g1));

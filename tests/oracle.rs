@@ -18,9 +18,9 @@
 //!   workers, the sharded labels on the case's own partition, the label
 //!   indices on the queries they cover), and `eval_bibfs`;
 //! * **versions**: an `UpdatableEngine` per regime with a standing PQ,
-//!   queried after every update round as published (on the hop and
-//!   sharded regimes, by a repaired index too) and again with its index
-//!   forced, plus the standing answer and plan;
+//!   queried after every update round as published — every version with
+//!   its index built or repaired, the regime's backend serving what it
+//!   covers — plus the standing answer and plan;
 //! * **wire**: an `rpq_server::Server` on loopback over that engine; each
 //!   version's body must spell the checked answers of the snapshot named
 //!   by `X-Rpq-Version`.
@@ -474,10 +474,10 @@ fn assert_covered(ledger: &BTreeMap<String, u64>) {
         required.push(format!("wire {regime}"));
     }
     for regime in ["hop", "sharded"] {
-        for state in ["Rebuilding", "Repaired", "Ready"] {
+        for state in ["Built", "Repaired"] {
             required.push(format!("state {regime} {state}"));
+            required.push(format!("served {regime} {state}"));
         }
-        required.push(format!("served {regime} Repaired"));
     }
     // a write carries the memo: a version's misses patch what the
     // previous ones computed, also over a log of two batches or more
@@ -534,14 +534,12 @@ fn config(b: Backend, shards: usize) -> EngineConfig {
     .unwrap()
 }
 
-/// A fresh engine of that regime with its index built.
+/// A fresh engine of that regime, built with its index.
 fn fresh_engine(b: Backend, g: &Arc<Graph>, shards: usize) -> QueryEngine {
     if b == Backend::Sharded {
         return QueryEngine::build_sharded(Arc::clone(g), config(b, shards)).unwrap();
     }
-    let engine = QueryEngine::with_config(Arc::clone(g), config(b, shards));
-    engine.hop().force();
-    engine
+    QueryEngine::with_config(Arc::clone(g), config(b, shards))
 }
 
 /// Every engine regime: batches cold and warm, every plan row of its
@@ -622,7 +620,7 @@ fn sweep_core(case: &Case, g: &Arc<Graph>, queries: &[Query], truth: &Truth) {
     };
     let m = DistanceMatrix::build(g);
     let hop = HopLabels::build(g);
-    let sharded = ShardedLabels::build_on(Arc::new(sg), &config, None).unwrap();
+    let sharded = ShardedLabels::build_on(Arc::new(sg), &config).unwrap();
     let graph = GraphProbe::new(g);
     let partition = format!("sharded/{partition}");
     let all: [(&str, &(dyn DistProbe + Sync)); 4] = [
@@ -737,6 +735,8 @@ fn sweep_versions(case: &Case, g: &Arc<Graph>, queries: &[Query]) {
         // every published version with the answers it is held to
         let mut pinned: HashMap<u64, Rc<(Arc<Snapshot>, Truth)>> = HashMap::new();
         let mut current = live.snapshot();
+        // the first version's index was built with the engine
+        tally(format!("state {r} {:?}", current.index_state()));
         let mut deleted = Vec::new();
         // the version the resting queries were last asked on
         let mut rested_at = current.version();
@@ -796,39 +796,32 @@ fn sweep_versions(case: &Case, g: &Arc<Graph>, queries: &[Query]) {
             }
             let published = snap.run_batch(batch);
             check_batch(batch, &published, &at("as published"));
-            // a repaired index served what it covers: its probes (the
-            // sharded sweeps included) read this version's graph
-            let on_index = published.items().iter().any(|i| i.plan.backend() == b);
-            if snap.index_state() == IndexState::Repaired && on_index {
-                tally(format!("served {r} Repaired"));
-            }
-            let engine = snap.engine();
-            let hop = engine.hop().force().map(|_| format!("{:?}", engine.hop()));
-            let sharded = engine
-                .sharded()
-                .force()
-                .map(|_| format!("{:?}", engine.sharded()));
-            for state in hop.into_iter().chain(sharded) {
-                assert_eq!(state, "Ready", "{}", at("forced"));
-                tally(format!("state {r} Ready"));
-            }
-            let forced = snap.run_batch(batch);
-            check_batch(batch, &forced, &at("forced"));
-            // with its index forced, the regime's backend serves every
-            // query it covers, and the graph every `_`-bearing one
-            for (q, item) in batch.iter().zip(forced.items()) {
+            // every version is published with its index: the regime's
+            // backend serves every query it covers, and the graph every
+            // `_`-bearing one
+            for (q, item) in batch.iter().zip(published.items()) {
                 if item.plan.algo() == Algo::Standing {
                     continue;
                 }
                 let on = planned_backend(b, q);
-                assert_eq!(item.plan.backend(), on, "{}", at("forced"));
+                assert_eq!(item.plan.backend(), on, "{}", at("as published"));
                 if on != b {
                     let (out, profile) = snap.run_query_profiled(q);
                     truth.check(q, &out, &at("profiled"));
                     let why = &profile.rationale;
-                    assert!(why.starts_with(WILDCARD_CLAUSE), "{}: {why}", at("forced"));
+                    assert!(
+                        why.starts_with(WILDCARD_CLAUSE),
+                        "{}: {why}",
+                        at("as published")
+                    );
                     tally("wildcard search".to_owned());
                 }
+            }
+            // a built or repaired index served what it covers: its probes
+            // (the sharded sweeps included) read this version's graph
+            let on_index = published.items().iter().any(|i| i.plan.backend() == b);
+            if snap.index_state() != IndexState::Stale && on_index {
+                tally(format!("served {r} {:?}", snap.index_state()));
             }
             let kept = QueryOutput::Pq(snap.standing_result(id).unwrap());
             truth.check(standing, &kept, &at("standing answer"));

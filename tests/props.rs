@@ -279,7 +279,7 @@ proptest! {
             // unlimited budget and invalidation cap: the proptest checks
             // equivalence, the cost model is exercised by the unit tests
             labels = labels
-                .repair(&g2, &eff, 0, 0, None)
+                .repair(&g2, &eff, 0, 0)
                 .expect("unbudgeted repair cannot fail")
                 .labels;
             g = g2;
@@ -307,17 +307,17 @@ proptest! {
             ShardedGraph::new(Arc::clone(&g), k)
         });
         let config = ShardedConfig { shards: k, ..ShardedConfig::default() };
-        let labels = ShardedLabels::build_on(Arc::clone(&sharded), &config, None)
+        let labels = ShardedLabels::build_on(Arc::clone(&sharded), &config)
             .expect("unbudgeted build cannot fail");
 
         let (g2, eff) = mutation_round(&g, flips, seed ^ 0xA5A5);
         let g2 = Arc::new(g2);
         let repaired = labels
-            .repair(Arc::clone(&g2), &eff, &config, None)
+            .repair(Arc::clone(&g2), &eff, &config)
             .expect("unbudgeted repair cannot fail")
             .labels;
         let new_sharded = ShardedGraph::with_partition(Arc::clone(&g2), sharded.partition().clone());
-        let fresh = ShardedLabels::build_on(Arc::new(new_sharded), &config, None).unwrap();
+        let fresh = ShardedLabels::build_on(Arc::new(new_sharded), &config).unwrap();
         assert_probe_equal(&g2, &repaired, &fresh, false);
     }
 }
