@@ -173,9 +173,11 @@ pub struct BatchItem {
     pub plan: Plan,
     /// Wall-clock evaluation time of this query on its worker.
     pub time: Duration,
-    /// Execution profile, present only on the profiled/explain paths
-    /// (`run_query_profiled` and `POST /v1/explain`); `None` on the hot
-    /// path, which pays nothing for the field.
+    /// Execution profile: `Some` on every item of a profiled run —
+    /// `Snapshot::run_batch_profiled`, and the batch of one behind each
+    /// `run_query_profiled` / `run_query_with_plan_profiled` (so
+    /// `POST /v1/explain`); `None` on `run_batch`, the hot path, which
+    /// pays nothing for the field.
     pub profile: Option<Arc<rpq_trace::QueryProfile>>,
 }
 
@@ -206,12 +208,6 @@ impl BatchResult {
     /// Per-query records, in the order the queries were submitted.
     pub fn items(&self) -> &[BatchItem] {
         &self.items
-    }
-
-    /// Consume the result, yielding the per-query records (used by the
-    /// snapshot layer to splice standing-query answers into a sub-batch).
-    pub(crate) fn into_items(self) -> Vec<BatchItem> {
-        self.items
     }
 
     /// Just the outputs, in submission order.

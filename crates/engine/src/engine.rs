@@ -6,6 +6,7 @@ use crate::error::{ConfigError, EngineError};
 use crate::explain::{query_summary, CountingProbe};
 use crate::memo::{CacheKind, Lookup, SemanticMemo, SemanticStats};
 use crate::planner::{self, Algo, Backend, Plan, Rationale, Uncovered};
+use crate::snapshot::StandingEntry;
 use rpq_core::canonical::{canonical_pq, canonical_rq};
 use rpq_core::incremental::patch_reach_set;
 use rpq_core::join_match::JoinMatch;
@@ -433,7 +434,24 @@ impl QueryEngine {
         }
     }
 
-    fn plan(&self, query: &Query) -> (Plan, Rationale) {
+    /// The plan for `query`, and the entry of `standing` (a snapshot's
+    /// standing answers) that serves it: a PQ of a registered shape
+    /// ([`rpq_core::pq_same_shape`]) plans `standing`; everything else is
+    /// planned over this engine's index.
+    pub(crate) fn plan<'s>(
+        &self,
+        query: &Query,
+        standing: &'s [StandingEntry],
+    ) -> (Plan, Rationale, Option<&'s StandingEntry>) {
+        if let Query::Pq(pq) = query {
+            if let Some(entry) = standing.iter().find(|s| rpq_core::pq_same_shape(&s.pq, pq)) {
+                let plan = Plan {
+                    algo: Algo::Standing,
+                    backend: Backend::Search,
+                };
+                return (plan, Rationale::Standing, Some(entry));
+            }
+        }
         let backend = self.best_backend(query);
         let (plan, why) = match query {
             Query::Rq(rq) => planner::plan_rq(&rq.regex, backend),
@@ -441,19 +459,20 @@ impl QueryEngine {
         };
         // off the matrix, a query mentioning `_` is never index-backed
         if backend == Backend::Search && !query.all_colors(|c| !c.is_wildcard()) {
-            return (plan, why.uncovered(Uncovered::Wildcard));
+            return (plan, why.uncovered(Uncovered::Wildcard), None);
         }
-        (plan, why)
+        (plan, why, None)
     }
 
     /// The plan the engine would pick for `query` outside any batch.
     pub fn plan_query(&self, query: &Query) -> Plan {
-        self.plan(query).0
+        self.plan(query, &[]).0
     }
 
     /// Evaluate one query (a batch of one, on the calling thread).
     pub fn run_query(&self, query: &Query) -> QueryOutput {
-        self.run_one(query, None, false).0
+        let batch = self.run(std::slice::from_ref(query), &[], Mode::Serve);
+        batch.items()[0].output.clone()
     }
 
     /// Evaluate one query and return its execution profile alongside the
@@ -462,8 +481,7 @@ impl QueryEngine {
     /// counts, memo hit/miss, shard fan-out, and worker utilization.
     /// This is the `explain` surface.
     pub fn run_query_profiled(&self, query: &Query) -> (QueryOutput, QueryProfile) {
-        let (out, profile) = self.run_one(query, None, true);
-        (out, profile.expect("profiled run"))
+        self.profile_one(query, &[], Mode::Profile)
     }
 
     /// Profiled evaluation under a **caller-chosen** plan, bypassing the
@@ -486,109 +504,21 @@ impl QueryEngine {
         query: &Query,
         plan: Plan,
     ) -> (QueryOutput, QueryProfile) {
-        let (out, profile) = self.run_one(query, Some(plan), true);
-        (out, profile.expect("profiled run"))
+        self.profile_one(query, &[], Mode::Force(plan))
     }
 
-    /// The one prologue of every run: canonicalise → plan each query (or
-    /// take the `forced` plan). Returns the canonical queries and their
-    /// plans.
-    fn prologue(
-        &self,
-        queries: &[Query],
-        forced: Option<Plan>,
-    ) -> (Vec<Query>, Vec<(Plan, Rationale)>) {
-        // minimize-before-plan: every query is rewritten into its
-        // run-normal canonical form (shape- and answer-preserving), so
-        // syntactic variants of one language share a memo key, a plan,
-        // and one reach-set computation
-        let queries: Vec<Query> = queries.iter().map(canonical_query).collect();
-        let plans: Vec<(Plan, Rationale)> = match forced {
-            Some(plan) => vec![(plan, Rationale::Forced(plan)); queries.len()],
-            None => queries.iter().map(|q| self.plan(q)).collect(),
-        };
-        (queries, plans)
-    }
-
-    /// The one single-query path: [`prologue`](Self::prologue) → eval, on
-    /// the calling thread with the whole worker budget. With `profiled`,
-    /// the same evaluation runs behind a probe-counting decorator and the
-    /// stage boundaries become a [`QueryProfile`] — contiguous
-    /// sub-intervals of one clock (`t0 → t1 → t2`), so their sum equals
-    /// the wall time exactly.
-    fn run_one(
+    /// A profiled batch of one through [`run`](Self::run): its output and
+    /// the profile its item carries.
+    pub(crate) fn profile_one(
         &self,
         query: &Query,
-        forced: Option<Plan>,
-        profiled: bool,
-    ) -> (QueryOutput, Option<QueryProfile>) {
-        let t0 = Instant::now();
-        let (canon, plans) = self.prologue(std::slice::from_ref(query), forced);
-        let (canon, (plan, why)) = (&canon[0], plans[0]);
-        let t1 = Instant::now();
-        // a forced plan must exercise the plan, not the cache
-        let scratch = forced.map(|_| SemanticMemo::new());
-        let memo = scratch.as_ref().unwrap_or(&self.memo);
-        let workers = self.config.worker_budget();
-        let job = Job {
-            g: &self.graph,
-            query: canon,
-            plan,
-            memo,
-            pq_workers: workers,
-            count_probes: profiled,
-        };
-        let (out, probes, lookup) = self.answer(job, || {});
-        let t2 = Instant::now();
-        self.note_if_slow(canon, plan, t2 - t1);
-        if !profiled {
-            return (out, None);
-        }
-
-        let mut profile = QueryProfile::new(
-            query_summary(query, &self.graph),
-            plan.name().to_owned(),
-            why.to_string(),
-        );
-        if canon != query {
-            profile.canonical = query_summary(canon, &self.graph);
-        }
-        profile.stage("plan", t1 - t0, format!("index={}", self.index.name()));
-        // the index was built with the engine: nothing left to prepare
-        profile.stage("prepare", Duration::ZERO, String::new());
-        profile.stage("eval", t2 - t1, format!("probes={probes}"));
-        profile.probes = probes;
-        // this query's own lookup, not a delta of the shared counters:
-        // exact whatever else runs on the memo meanwhile
-        let hit = lookup.map(|l| l.kind);
-        profile.memo_hits = u64::from(matches!(hit, Some(Some(_))));
-        profile.memo_misses = u64::from(hit == Some(None));
-        profile.semcache = match lookup.map(|l| (l.kind, l.patched)) {
-            Some((Some(CacheKind::Exact), _)) => "exact_hit",
-            Some((Some(CacheKind::Subsumption), _)) => "subsumption_hit",
-            Some((None, true)) => "patched",
-            Some((None, false)) => "miss",
-            // the plan never consulted the cache (PQ backends)
-            None => "",
-        }
-        .to_owned();
-        profile.workers = workers;
-        if let (Backend::Sharded, Some(labels)) = (plan.backend(), self.sharded()) {
-            profile.shard_fanout = labels.sharded_graph().k() as u32;
-        }
-        profile.matches = out.match_count() as u64;
-        profile.wall = t2 - t0;
-
-        let tracer = rpq_trace::tracer();
-        if tracer.enabled() {
-            let detail = format!(
-                "plan={} probes={probes} matches={}",
-                plan.name(),
-                profile.matches
-            );
-            tracer.record_span("engine", "explain", profile.wall, &detail);
-        }
-        (out, Some(profile))
+        standing: &[StandingEntry],
+        mode: Mode,
+    ) -> (QueryOutput, QueryProfile) {
+        let batch = self.run(std::slice::from_ref(query), standing, mode);
+        let item = &batch.items()[0];
+        let profile = item.profile.as_deref().expect("profiled run");
+        (item.output.clone(), profile.clone())
     }
 
     /// Evaluate a batch: plan each query, then pull queries
@@ -608,12 +538,26 @@ impl QueryEngine {
     /// than once per batch; the reported semantic stats are this batch's
     /// own lookups, tallied per item.
     pub fn run_batch(&self, queries: &[Query]) -> BatchResult {
+        self.run(queries, &[], Mode::Serve)
+    }
+
+    /// The one evaluation loop behind every run of this engine and of
+    /// its snapshots, which pass their `standing` answers in.
+    pub(crate) fn run(
+        &self,
+        queries: &[Query],
+        standing: &[StandingEntry],
+        mode: Mode,
+    ) -> BatchResult {
         let t0 = Instant::now();
-        let memo = &self.memo;
         if queries.is_empty() {
             return BatchResult::new(Vec::new(), t0.elapsed(), 0, SemanticStats::default());
         }
-        let (queries, plans) = self.prologue(queries, None);
+        let planned = self.prologue(queries, standing, mode);
+        let profiled = mode != Mode::Serve;
+        // a forced plan must exercise the plan, not the cache
+        let scratch = matches!(mode, Mode::Force(_)).then(SemanticMemo::new);
+        let memo = scratch.as_ref().unwrap_or(&self.memo);
 
         let running = RunningBatch::enter(&self.running_batches);
         let budget = (self.config.worker_budget() / running.count).max(1);
@@ -634,24 +578,29 @@ impl QueryEngine {
             if i >= queries.len() {
                 break;
             }
+            let p = &planned[i];
             let job = Job {
                 g: &self.graph,
-                query: &queries[i],
-                plan: plans[i].0,
+                query: &p.query,
+                plan: p.plan,
                 memo,
                 pq_workers,
-                count_probes: false,
+                count_probes: profiled,
             };
             let t = Instant::now();
-            let (output, _, lookup) = self.answer(job, || before_eval(i));
+            let (output, probes, lookup) = self.answer(job, p.standing, || before_eval(i));
             let time = t.elapsed();
             self.note_if_slow(job.query, job.plan, time);
-            let item = BatchItem {
+            let mut item = BatchItem {
                 output,
                 plan: job.plan,
                 time,
                 profile: None,
             };
+            if profiled {
+                let profile = self.profile(&queries[i], p, &item, probes, lookup, pq_workers);
+                item.profile = Some(Arc::new(profile));
+            }
             slots[i]
                 .set((item, lookup))
                 .unwrap_or_else(|_| unreachable!("each index is claimed once"));
@@ -686,10 +635,107 @@ impl QueryEngine {
         BatchResult::new(items, t0.elapsed(), threads, semantic)
     }
 
-    /// Answer `job`: from the memo if it can, else by evaluating the plan
-    /// (`before_eval` runs first). Returns the output, the distance
-    /// probes issued (see [`evaluate`](Self::evaluate)) and the one memo
-    /// lookup the query made — `None` for a PQ, which has no cell.
+    /// The one prologue of every run: canonicalise → plan each query (or
+    /// take the forced plan). Minimize-before-plan: syntactic variants of
+    /// one language share a memo key, a plan, and one reach-set
+    /// computation. The standing test sees the submitted PQ's verdict:
+    /// [`rpq_core::pq_same_shape`] compares canonical regexes.
+    fn prologue<'s>(
+        &self,
+        queries: &[Query],
+        standing: &'s [StandingEntry],
+        mode: Mode,
+    ) -> Vec<Planned<'s>> {
+        queries
+            .iter()
+            .map(|query| {
+                // the hot path reads no clock here
+                let t = (mode != Mode::Serve).then(Instant::now);
+                let query = canonical_query(query);
+                let (plan, why, standing) = match mode {
+                    Mode::Force(plan) => (plan, Rationale::Forced(plan), None),
+                    _ => self.plan(&query, standing),
+                };
+                Planned {
+                    query,
+                    plan,
+                    why,
+                    standing,
+                    planning: t.map_or(Duration::ZERO, |t| t.elapsed()),
+                }
+            })
+            .collect()
+    }
+
+    /// The profile of one answered query. Its stages are contiguous
+    /// (planning, then answering), so they sum to the wall time exactly:
+    /// `plan` and `standing-answer` for a standing answer, else `plan`,
+    /// `prepare` (zero: the index was built with the engine) and `eval`.
+    fn profile(
+        &self,
+        submitted: &Query,
+        p: &Planned<'_>,
+        item: &BatchItem,
+        probes: u64,
+        lookup: Option<Lookup>,
+        workers: usize,
+    ) -> QueryProfile {
+        let mut profile = QueryProfile::new(
+            query_summary(submitted, &self.graph),
+            p.plan.name().to_owned(),
+            p.why.to_string(),
+        );
+        if p.query != *submitted {
+            profile.canonical = query_summary(&p.query, &self.graph);
+        }
+        if p.standing.is_some() {
+            profile.stage("plan", p.planning, "standing query matched".to_owned());
+            profile.stage("standing-answer", item.time, String::new());
+        } else {
+            profile.stage("plan", p.planning, format!("index={}", self.index.name()));
+            profile.stage("prepare", Duration::ZERO, String::new());
+            profile.stage("eval", item.time, format!("probes={probes}"));
+        }
+        profile.probes = probes;
+        // this query's own lookup, not a delta of the shared counters:
+        // exact whatever else runs on the memo meanwhile
+        let hit = lookup.map(|l| l.kind);
+        profile.memo_hits = u64::from(matches!(hit, Some(Some(_))));
+        profile.memo_misses = u64::from(hit == Some(None));
+        profile.semcache = match lookup.map(|l| (l.kind, l.patched)) {
+            Some((Some(CacheKind::Exact), _)) => "exact_hit",
+            Some((Some(CacheKind::Subsumption), _)) => "subsumption_hit",
+            Some((None, true)) => "patched",
+            Some((None, false)) => "miss",
+            // the plan never consulted the cache (PQs)
+            None => "",
+        }
+        .to_owned();
+        profile.workers = workers;
+        if let (Backend::Sharded, Some(labels)) = (p.plan.backend(), self.sharded()) {
+            profile.shard_fanout = labels.sharded_graph().k() as u32;
+        }
+        profile.matches = item.output.match_count() as u64;
+        profile.wall = p.planning + item.time;
+
+        let tracer = rpq_trace::tracer();
+        if tracer.enabled() {
+            let detail = format!(
+                "plan={} probes={probes} matches={}",
+                p.plan.name(),
+                profile.matches
+            );
+            tracer.record_span("engine", "explain", profile.wall, &detail);
+        }
+        profile
+    }
+
+    /// Answer `job`: from `standing` — the snapshot's maintained answer,
+    /// the PQ counterpart of a memo hit — or from the memo if it can,
+    /// else by evaluating the plan (`before_eval` runs first). Returns
+    /// the output, the distance probes issued (see
+    /// [`evaluate`](Self::evaluate)) and the one memo lookup the query
+    /// made — `None` for a PQ, which has no cell.
     ///
     /// Every RQ plan probes the semantic cache first: a completed exact
     /// cell or a containing cached entry answers — filtered down by the
@@ -700,12 +746,14 @@ impl QueryEngine {
     fn answer(
         &self,
         job: Job<'_>,
+        standing: Option<&StandingEntry>,
         before_eval: impl FnOnce(),
     ) -> (QueryOutput, u64, Option<Lookup>) {
         let Job { g, memo, .. } = job;
-        let lookup = match job.query {
-            Query::Pq(_) => None,
-            Query::Rq(rq) => match memo.try_answer(g, &rq.from, &rq.regex) {
+        let lookup = match (job.query, standing) {
+            (_, Some(entry)) => return (QueryOutput::Pq(entry.answer(g)), 0, None),
+            (Query::Pq(_), None) => None,
+            (Query::Rq(rq), None) => match memo.try_answer(g, &rq.from, &rq.regex) {
                 Some((pairs, hit)) => return (rq_targets(g, rq, &pairs), 0, Some(hit)),
                 None => Some(Lookup::MISS),
             },
@@ -763,7 +811,31 @@ impl QueryEngine {
     }
 }
 
-/// One `run_batch` call counted into its engine's `running_batches`
+/// What one run records besides the outputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mode {
+    /// The serving path: no profiles, no probe counting, no extra clock.
+    Serve,
+    /// A [`QueryProfile`] in every item's [`BatchItem::profile`].
+    Profile,
+    /// Profiled under the caller's plan, against a scratch memo (the
+    /// test/bench harness).
+    Force(Plan),
+}
+
+/// One query after the prologue.
+struct Planned<'s> {
+    /// The canonical form, what runs.
+    query: Query,
+    plan: Plan,
+    why: Rationale,
+    /// The standing entry that answers it, when the plan is `standing`.
+    standing: Option<&'s StandingEntry>,
+    /// Canonicalising and planning it (zero on the serving path).
+    planning: Duration,
+}
+
+/// One run counted into its engine's `running_batches`
 /// until dropped — also when the batch panics, so a caught panic does
 /// not halve the worker budget for good.
 struct RunningBatch<'a> {
@@ -816,7 +888,7 @@ fn eval_on<P: DistProbe + Sync>(job: Job<'_>, probe: &P) -> (QueryOutput, u64, b
 /// The output, and whether an inherited memo cell was patched.
 fn eval_probing<P: DistProbe + Sync>(job: Job<'_>, probe: &P) -> (QueryOutput, bool) {
     match (job.query, job.plan.algo()) {
-        (Query::Rq(rq), Algo::RqDm | Algo::RqBfsMemo) => rq_indexed(job.g, rq, probe, job.memo),
+        (Query::Rq(rq), Algo::RqDm) => rq_indexed(job.g, rq, probe, job.memo),
         // the paper's baseline, servable when forced: it probes nothing
         (Query::Rq(rq), Algo::RqBiBfs) => (QueryOutput::Rq(rq.eval_bibfs(job.g)), false),
         (Query::Pq(pq), algo) => {
@@ -1014,7 +1086,10 @@ mod tests {
         // search RQs plan the memoized per-atom sweep over the graph,
         // whatever the batch shape
         for item in batch.items() {
-            assert_eq!(item.plan.algo(), Algo::RqBfsMemo);
+            assert_eq!(
+                (item.plan.algo(), item.plan.backend()),
+                (Algo::RqDm, Backend::Search)
+            );
         }
         // outputs still equal the reference strategies
         assert_eq!(

@@ -46,7 +46,8 @@
 //!   memo inherits the previous version's reach sets to patch, and
 //!   registered standing PQs are maintained incrementally and served from
 //!   their standing answers ([`Algo::Standing`]) instead of being
-//!   re-evaluated;
+//!   re-evaluated — a snapshot runs every query through the engine's one
+//!   evaluation loop, its standing answers the PQ counterpart of the memo;
 //! * [`QueryService`] unifies the three engine types behind one
 //!   object-safe trait, with boundary failures surfaced as typed
 //!   [`EngineError`] values instead of panics.

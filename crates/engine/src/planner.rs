@@ -41,16 +41,15 @@ use std::fmt;
 /// The evaluation algorithm half of a [`Plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algo {
-    /// RQ by per-atom distance probes (`Rq::eval_with_dist`, §4 "DM") —
-    /// over the matrix, or over label indices beyond the node limit.
+    /// RQ by per-atom distance probes (`Rq::eval_with_dist`, §4 "DM"),
+    /// its reach set memoized per `(source predicate, regex)` — over the
+    /// matrix, over label indices beyond the node limit, or on the search
+    /// backend over the graph itself (bounded BFS through `GraphProbe`,
+    /// named `BFS+memo`).
     RqDm,
     /// RQ by bi-directional product search (`Rq::eval_bibfs`, §4 "biBFS"):
     /// the paper's baseline, servable when forced but never planned.
     RqBiBfs,
-    /// RQ on the search backend: per-atom bounded BFS over the graph
-    /// (`Rq::eval_with_dist` over `GraphProbe`), its reach set memoized per
-    /// `(source predicate, regex)`.
-    RqBfsMemo,
     /// PQ by `JoinMatch` (normalized, §5.1).
     Join,
     /// PQ by `SplitMatch` (§5.2).
@@ -80,8 +79,8 @@ pub enum Backend {
 /// [`Backend`]. Only the combinations in [`Plan::ALL`] exist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Plan {
-    algo: Algo,
-    backend: Backend,
+    pub(crate) algo: Algo,
+    pub(crate) backend: Backend,
 }
 
 impl Plan {
@@ -96,7 +95,7 @@ impl Plan {
             p(RqDm, Matrix),
             p(RqDm, Hop),
             p(RqBiBfs, Search),
-            p(RqBfsMemo, Search),
+            p(RqDm, Search),
             p(Join, Matrix),
             p(Join, Hop),
             p(Join, Search),
@@ -127,8 +126,8 @@ impl Plan {
             (Algo::RqDm, Matrix) => "DM",
             (Algo::RqDm, Hop) => "hop",
             (Algo::RqDm, Sharded) => "sharded",
+            (Algo::RqDm, Search) => "BFS+memo",
             (Algo::RqBiBfs, _) => "biBFS",
-            (Algo::RqBfsMemo, _) => "BFS+memo",
             (Algo::Join, Matrix) => "JoinMatch/DM",
             (Algo::Join, Hop) => "JoinMatch/hop",
             (Algo::Join, Sharded) => "JoinMatch/sharded",
@@ -138,7 +137,6 @@ impl Plan {
             (Algo::Split, Sharded) => "SplitMatch/sharded",
             (Algo::Split, Search) => "SplitMatch/cache",
             (Algo::Standing, _) => "standing",
-            (Algo::RqDm, Search) => unreachable!("not in Plan::ALL"),
         }
     }
 }
@@ -219,7 +217,7 @@ impl fmt::Display for Rationale {
             },
         })?;
         match (*self, plan.algo) {
-            (Rationale::Rq(_, atoms, _), Algo::RqBfsMemo) => write!(
+            (Rationale::Rq(_, atoms, _), _) if plan.backend == Backend::Search => write!(
                 f,
                 "; {atoms}-atom regex — one bounded BFS per level node and atom, reach set memoized"
             ),
@@ -239,14 +237,13 @@ impl fmt::Display for Rationale {
 }
 
 /// Choose the algorithm for one RQ over `backend` — the best index usable
-/// for this regex, per the engine. Every backend probes: `DM` over an
-/// index, `BFS+memo` (the same algorithm over the graph) on search.
+/// for this regex, per the engine. Every backend probes with the one RQ
+/// algorithm: `DM` over an index, named `BFS+memo` over the graph.
 pub fn plan_rq(regex: &FRegex, backend: Backend) -> (Plan, Rationale) {
-    let algo = match backend {
-        Backend::Search => Algo::RqBfsMemo,
-        _ => Algo::RqDm,
+    let plan = Plan {
+        algo: Algo::RqDm,
+        backend,
     };
-    let plan = Plan { algo, backend };
     let atoms = regex.atoms().len();
     (plan, Rationale::Rq(plan, atoms, Uncovered::NoIndex))
 }
@@ -299,17 +296,6 @@ pub fn plan_pq(pq: &Pq, backend: Backend) -> (Plan, Rationale) {
     };
     let plan = Plan { algo, backend };
     (plan, Rationale::Pq(plan, size, cyclic, Uncovered::NoIndex))
-}
-
-/// The plan for a PQ equal to a registered standing query on a live
-/// snapshot: served from its maintained match sets, which beats any
-/// evaluation strategy whatever the index state.
-pub fn plan_standing() -> (Plan, Rationale) {
-    let plan = Plan {
-        algo: Algo::Standing,
-        backend: Backend::Search,
-    };
-    (plan, Rationale::Standing)
 }
 
 #[cfg(test)]
@@ -408,8 +394,12 @@ mod tests {
                 assert!(!why.to_string().is_empty());
             }
         }
-        assert_eq!(plan_standing().0.name(), "standing");
-        assert!(Plan::ALL.contains(&plan_standing().0));
+        let standing = Plan {
+            algo: Algo::Standing,
+            backend: Backend::Search,
+        };
+        assert_eq!(standing.name(), "standing");
+        assert!(Plan::ALL.contains(&standing));
     }
 
     #[test]
@@ -435,7 +425,8 @@ mod tests {
         // frozen name `BFS+memo`, whatever the regex shape; biBFS is
         // servable when forced, never planned
         for atoms in 1..4 {
-            assert_eq!(rq(atoms, Backend::Search).algo(), Algo::RqBfsMemo);
+            let plan = rq(atoms, Backend::Search);
+            assert_eq!((plan.algo(), plan.backend()), (Algo::RqDm, Backend::Search));
         }
         for backend in BACKENDS {
             assert_ne!(rq(2, backend).algo(), Algo::RqBiBfs);

@@ -3,10 +3,11 @@
 //! The repo has three engine types — [`QueryEngine`] (one immutable
 //! graph, whichever index regime its config or constructor picks),
 //! [`Snapshot`] (one pinned version of a live graph) and
-//! [`UpdatableEngine`] (the live writer/reader pair). Anything that
-//! serves queries without caring which one backs it (parity tests, the
-//! examples) programs against [`QueryService`], the one trait they all
-//! implement, and the choice of backend becomes deployment configuration.
+//! [`UpdatableEngine`] (the live writer/reader pair). [`QueryService`] is
+//! the one trait they all implement, for code that serves queries without
+//! caring which one backs it; today that is this module's own parity test
+//! and the benchmark ledger (`bench/`), which drives the live engine
+//! through it.
 
 use crate::batch::{BatchResult, Query, QueryOutput};
 use crate::engine::QueryEngine;
@@ -24,7 +25,7 @@ use std::sync::Arc;
 /// | implementor | graph | notes |
 /// |---|---|---|
 /// | [`QueryEngine`] | immutable | matrix / hop / sharded indices, one reach-set memo |
-/// | [`Snapshot`] | one pinned version | standing-query answers spliced in |
+/// | [`Snapshot`] | one pinned version | the engine's loop, standing answers as one more answer source |
 /// | [`UpdatableEngine`] | live | each call runs on the *current* snapshot |
 ///
 /// The contract every implementor keeps: outputs are **bit-identical**

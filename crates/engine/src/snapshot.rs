@@ -25,18 +25,24 @@
 //!   of this version; the full [`PqResult`] is assembled lazily, on its
 //!   first read ([`StandingEntry`]).
 //!
+//! A snapshot has no evaluation loop of its own: plans, batches, single
+//! queries and profiles all run through its engine's one loop
+//! (`QueryEngine::run`), handed this version's standing answers as one
+//! more answer source. The prologue plans `standing` for a PQ of a
+//! registered shape, and the loop answers it from the maintained match
+//! sets in its submission slot — the PQ counterpart of a memo hit.
+//!
 //! Because a snapshot owns `Arc`s of everything it needs, batches keep
 //! running against it — unaffected — while writers publish newer versions:
 //! that is the snapshot-isolation guarantee the live tests assert.
 
-use crate::batch::{BatchItem, BatchResult, Query, QueryOutput};
-use crate::engine::QueryEngine;
-use crate::planner::{self, Plan};
+use crate::batch::{BatchResult, Query, QueryOutput};
+use crate::engine::{Mode, QueryEngine};
+use crate::planner::Plan;
 use crate::updatable::StandingId;
 use rpq_core::pq::{Pq, PqResult};
 use rpq_graph::{Graph, NodeId};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 /// One registered standing query as of a snapshot's version: the
 /// maintained match sets, and the full per-edge [`PqResult`] assembled
@@ -61,7 +67,7 @@ impl StandingEntry {
         }
     }
 
-    fn answer(&self, g: &Graph) -> Arc<PqResult> {
+    pub(crate) fn answer(&self, g: &Graph) -> Arc<PqResult> {
         Arc::clone(self.cell.get_or_init(|| {
             Arc::new(if self.mats.iter().any(|m| m.is_empty()) {
                 PqResult::empty(&self.pq)
@@ -170,10 +176,6 @@ impl Snapshot {
         &self.engine
     }
 
-    pub(crate) fn engine_arc(&self) -> Arc<QueryEngine> {
-        Arc::clone(&self.engine)
-    }
-
     /// Cumulative counters of this version's semantic reach-set memo —
     /// exact hits, subsumption hits, misses, and filter time — since the
     /// version was published (the memo lives in the per-version engine,
@@ -184,8 +186,13 @@ impl Snapshot {
         self.engine.semantic_stats()
     }
 
-    pub(crate) fn standing_entries(&self) -> &[StandingEntry] {
-        &self.standing
+    /// This snapshot with one more standing answer: the same version
+    /// and engine — its index and memo carry over.
+    pub(crate) fn with_standing(&self, entry: StandingEntry) -> Snapshot {
+        let mut standing = self.standing.clone();
+        standing.push(entry);
+        let engine = Arc::clone(&self.engine);
+        Snapshot::new(self.version, engine, standing, self.index_state)
     }
 
     /// Number of standing queries this snapshot carries answers for.
@@ -203,130 +210,142 @@ impl Snapshot {
             .map(|s| s.answer(self.graph()))
     }
 
-    /// Find a standing entry that can serve `pq` *bit-identically*:
-    /// structural equality, or [`rpq_core::pq_same_shape`] — the same node
-    /// and edge structure with language-equal (canonical-form) regex
-    /// spellings — so syntactic variants of a registered query are served
-    /// from the maintained match sets too. A variant that also permutes
-    /// node order is evaluated, unless it is registered itself.
-    fn standing_match(&self, pq: &Pq) -> Option<usize> {
-        self.standing
-            .iter()
-            .position(|s| rpq_core::pq_same_shape(&s.pq, pq))
-    }
-
-    /// The plan this snapshot would pick for `query`: a PQ equal to a
-    /// registered standing query is served from its maintained match sets
-    /// (the `standing` plan, which beats any evaluation strategy);
-    /// everything else gets the batch engine's plan over this version's
-    /// index.
+    /// The plan this snapshot would pick for `query`: a PQ of the same
+    /// shape as a registered standing query is served from its
+    /// maintained match sets (the `standing` plan, which beats any
+    /// evaluation strategy); everything else gets the engine's plan over
+    /// this version's index.
     pub fn plan_query(&self, query: &Query) -> Plan {
-        match query {
-            Query::Pq(pq) if self.standing_match(pq).is_some() => planner::plan_standing().0,
-            _ => self.engine.plan_query(query),
-        }
+        self.engine.plan(query, &self.standing).0
     }
 
-    /// Evaluate one query against this snapshot (standing answers are
-    /// served without evaluation; everything else runs on this version's
-    /// engine).
+    /// Evaluate one query against this snapshot (a batch of one through
+    /// [`run_batch`](Self::run_batch)'s loop).
     pub fn run_query(&self, query: &Query) -> QueryOutput {
-        if let Query::Pq(pq) = query {
-            if let Some(i) = self.standing_match(pq) {
-                return QueryOutput::Pq(self.standing[i].answer(self.graph()));
-            }
-        }
-        self.engine.run_query(query)
+        let batch = self
+            .engine
+            .run(std::slice::from_ref(query), &self.standing, Mode::Serve);
+        batch.items()[0].output.clone()
     }
 
     /// Evaluate one query with its execution profile (the snapshot's
-    /// explain surface). A PQ equal to a registered standing query is
-    /// served from the maintained match sets and profiled as a
-    /// `standing` answer (one `standing-answer` stage covering
-    /// lazy assembly); everything else delegates to the engine's
-    /// detailed profiled path, planned with this snapshot's live state.
+    /// explain surface). A standing answer profiles as stages `plan` and
+    /// `standing-answer` (the latter covers the lazy assembly on a
+    /// version's first read) with no probes; everything else as the
+    /// engine's `plan` / `prepare` / `eval`.
     pub fn run_query_profiled(&self, query: &Query) -> (QueryOutput, rpq_trace::QueryProfile) {
-        if let Query::Pq(pq) = query {
-            if let Some(i) = self.standing_match(pq) {
-                let t0 = Instant::now();
-                let (plan, why) = planner::plan_standing();
-                let g = self.graph();
-                let mut profile = rpq_trace::QueryProfile::new(
-                    format!("standing pq #{i} (version {})", self.version),
-                    plan.name().to_owned(),
-                    why.to_string(),
-                );
-                let t1 = Instant::now();
-                profile.stage(
-                    "plan",
-                    t1 - t0,
-                    "matched registered standing query".to_owned(),
-                );
-                let assembled = self.standing[i].cell.get().is_some();
-                let output = QueryOutput::Pq(self.standing[i].answer(g));
-                let t2 = Instant::now();
-                profile.stage(
-                    "standing-answer",
-                    t2 - t1,
-                    if assembled {
-                        "answer already assembled for this version".to_owned()
-                    } else {
-                        "assembled from maintained match sets (first read)".to_owned()
-                    },
-                );
-                profile.matches = output.match_count() as u64;
-                profile.wall = t2 - t0;
-                return (output, profile);
-            }
-        }
-        self.engine.run_query_profiled(query)
+        self.engine
+            .profile_one(query, &self.standing, Mode::Profile)
     }
 
-    /// Evaluate a batch against this snapshot. Identical to
-    /// [`QueryEngine::run_batch`] except that PQs equal to a registered
-    /// standing query are answered from the maintained match sets (the
-    /// `standing` plan) instead of being re-evaluated.
+    /// Evaluate a batch against this snapshot: [`QueryEngine::run_batch`]'s
+    /// one loop, with this version's standing answers as one more answer
+    /// source. A PQ of the same shape as a registered standing query
+    /// ([`rpq_core::pq_same_shape`]: the same node and edge structure,
+    /// language-equal regex spellings) plans `standing` and is answered
+    /// from the maintained match sets instead of being re-evaluated — the
+    /// PQ counterpart of a memo hit: it starts no helper thread, and
+    /// passes through the slow-query log like every other item. A variant
+    /// that also permutes node order is evaluated, unless it is
+    /// registered itself.
     pub fn run_batch(&self, queries: &[Query]) -> BatchResult {
-        let t0 = Instant::now();
-        let standing_of: Vec<Option<usize>> = queries
-            .iter()
-            .map(|q| match q {
-                Query::Pq(pq) => self.standing_match(pq),
-                Query::Rq(_) => None,
-            })
-            .collect();
-        if standing_of.iter().all(Option::is_none) {
-            return self.engine.run_batch(queries);
-        }
+        self.engine.run(queries, &self.standing, Mode::Serve)
+    }
 
-        let rest: Vec<Query> = queries
-            .iter()
-            .zip(&standing_of)
-            .filter(|(_, s)| s.is_none())
-            .map(|(q, _)| q.clone())
-            .collect();
-        let sub = self.engine.run_batch(&rest);
-        let workers = sub.workers();
-        let semantic = sub.semantic_stats();
-        let mut rest_items = sub.into_items().into_iter();
-        let items: Vec<BatchItem> = standing_of
-            .iter()
-            .map(|s| match s {
-                Some(i) => {
-                    let t = Instant::now();
-                    let output = QueryOutput::Pq(self.standing[*i].answer(self.graph()));
-                    BatchItem {
-                        output,
-                        plan: planner::plan_standing().0,
-                        time: t.elapsed(),
-                        profile: None,
-                    }
-                }
-                None => rest_items
-                    .next()
-                    .expect("one evaluated item per non-standing query"),
-            })
-            .collect();
-        BatchResult::new(items, t0.elapsed(), workers, semantic)
+    /// [`run_batch`](Self::run_batch) with every item's profile in
+    /// [`BatchItem::profile`](crate::BatchItem::profile) — the explain
+    /// surface for a whole batch.
+    pub fn run_batch_profiled(&self, queries: &[Query]) -> BatchResult {
+        self.engine.run(queries, &self.standing, Mode::Profile)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{EngineConfig, Query, QueryEngine, UpdatableEngine};
+    use rpq_core::pq::Pq;
+    use rpq_core::predicate::Predicate;
+    use rpq_graph::gen::essembly;
+    use rpq_graph::Graph;
+    use rpq_regex::FRegex;
+    use std::sync::Arc;
+
+    fn pq(g: &Graph, labels: [&str; 2], from: &str, regex: &str) -> Pq {
+        let mut pq = Pq::new();
+        let a = pq.add_node(labels[0], Predicate::parse(from, g.schema()).unwrap());
+        let b = pq.add_node(labels[1], Predicate::always_true());
+        pq.add_edge(a, b, FRegex::parse(regex, g.alphabet()).unwrap());
+        pq
+    }
+
+    #[test]
+    fn an_interleaved_batch_keeps_order_and_plans_standing_where_the_shape_matches() {
+        let engine = UpdatableEngine::new(essembly());
+        let g = Arc::clone(engine.snapshot().graph());
+        let registered = pq(&g, ["a", "b"], "job = \"doctor\"", "fn fn^2");
+        let id = engine.register_pq(registered.clone());
+        let snap = engine.snapshot();
+        let rq = |from: &str, re: &str| Query::parse_rq(from, "", re, &g).unwrap();
+        let queries = vec![
+            Query::Pq(registered.clone()),
+            rq("job = \"biologist\"", "fa^2 fn"),
+            // the registered pattern, labels renamed and regex respelled
+            Query::Pq(pq(&g, ["p", "q"], "job = \"doctor\"", "fn^2 fn")),
+            rq("job = \"doctor\"", "sa sa^2"),
+            // the same regexes from another source: evaluated
+            Query::Pq(pq(&g, ["a", "b"], "job = \"biologist\"", "fn fn^2")),
+            rq("job = \"biologist\"", "fa^2 fn"),
+        ];
+        let batch = snap.run_batch(&queries);
+
+        let fresh = QueryEngine::new(Arc::clone(&g)).run_batch(&queries);
+        let outputs: Vec<_> = batch.outputs().collect();
+        assert_eq!(outputs, fresh.outputs().collect::<Vec<_>>());
+        for (i, (q, item)) in queries.iter().zip(batch.items()).enumerate() {
+            let standing = matches!(q, Query::Pq(p) if rpq_core::pq_same_shape(&registered, p));
+            assert_eq!(item.plan.name() == "standing", standing, "item {i}");
+            assert_eq!(item.plan, snap.plan_query(q), "item {i}");
+            if standing {
+                assert_eq!(item.output.as_pq(), snap.standing_result(id).as_deref());
+            }
+        }
+        assert_eq!(
+            batch
+                .items()
+                .iter()
+                .filter(|it| it.plan.name() == "standing")
+                .count(),
+            2
+        );
+        // one memo lookup per RQ; neither PQ kind consults a cell
+        let rqs = queries.iter().filter(|q| matches!(q, Query::Rq(_))).count() as u64;
+        let stats = batch.semantic_stats();
+        assert_eq!(stats.hits() + stats.misses, rqs);
+        let total = snap.semantic_stats();
+        assert_eq!(total.hits() + total.misses, rqs);
+        // a batch of standing answers alone never leaves its caller
+        assert_eq!(snap.run_batch(&queries[..1]).workers(), 1);
+    }
+
+    #[test]
+    fn standing_answers_reach_the_slow_query_log() {
+        let g = rpq_graph::gen::synthetic(600, 2400, 2, 3, 21);
+        let config = EngineConfig::builder().slow_query_us(1).build().unwrap();
+        let engine = UpdatableEngine::with_config(g, config);
+        let g = Arc::clone(engine.snapshot().graph());
+        // a broad pattern: its first read assembles a large answer
+        let pattern = pq(&g, ["a", "b"], "", "c0 c1");
+        let id = engine.register_pq(pattern.clone());
+        let snap = engine.snapshot();
+        let tracer = rpq_trace::tracer();
+        let before = tracer.slow_queries();
+        let batch = snap.run_batch(&[Query::Pq(pattern)]);
+        assert_eq!(batch.items()[0].plan.name(), "standing");
+        assert!(!snap.standing_result(id).unwrap().is_empty());
+        assert!(
+            tracer.slow_queries() > before,
+            "the standing item took {:?}, over the 1 µs threshold",
+            batch.items()[0].time
+        );
     }
 }

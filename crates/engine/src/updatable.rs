@@ -232,14 +232,7 @@ impl UpdatableEngine {
         // republish: same graph version, same engine — its (possibly
         // warmed) indices and memo carry over — one more standing answer
         let mut current = self.current.write().expect("snapshot lock poisoned");
-        let mut standing = current.standing_entries().to_vec();
-        standing.push(entry);
-        *current = Arc::new(Snapshot::new(
-            current.version(),
-            current.engine_arc(),
-            standing,
-            current.index_state(),
-        ));
+        *current = Arc::new(current.with_standing(entry));
         id
     }
 

@@ -132,7 +132,7 @@ fn drive_backend(backend: Backend) -> Vec<(Plan, QueryProfile)> {
         .filter(|plan| plan.backend() == backend)
         .filter_map(|plan| {
             let query = match plan.algo() {
-                Algo::RqDm | Algo::RqBiBfs | Algo::RqBfsMemo => rq(g),
+                Algo::RqDm | Algo::RqBiBfs => rq(g),
                 Algo::Join | Algo::Split => pq(g),
                 Algo::Standing => return None,
             };
@@ -202,11 +202,45 @@ fn standing_plan_profiles_through_the_snapshot() {
     };
     engine.register_pq(pattern.clone());
     let snapshot = engine.snapshot();
+    let stage_names = |p: &QueryProfile| p.stages.iter().map(|s| s.name).collect::<Vec<_>>();
     // every plan `drive_backend` leaves to the snapshot layer
     for plan in Plan::ALL.into_iter().filter(|p| p.algo() == Algo::Standing) {
         let (out, profile) = snapshot.run_query_profiled(&Query::Pq(pattern.clone()));
         assert_well_formed(&profile, plan);
+        assert_eq!(stage_names(&profile), ["plan", "standing-answer"]);
+        assert_eq!(profile.probes, 0, "a standing answer probes nothing");
         assert_eq!(out, snapshot.run_query(&Query::Pq(pattern.clone())));
+    }
+
+    // profiles travel in the batch items: never on the hot path, on
+    // every item of a profiled run
+    let other = Query::parse_pq("node a: job = \"biologist\"; node b; edge a -> b: fn+", &g);
+    let queries = [Query::Pq(pattern.clone()), rq(&g), other.unwrap()];
+    let served = snapshot.run_batch(&queries);
+    assert!(served.items().iter().all(|item| item.profile.is_none()));
+    let profiled = snapshot.run_batch_profiled(&queries);
+    let items = profiled.items().iter().zip(served.items());
+    for ((item, plain), query) in items.zip(&queries) {
+        assert_eq!((&item.output, item.plan), (&plain.output, plain.plan));
+        let profile = item.profile.as_deref().expect("a profiled run fills it");
+        assert_well_formed(profile, item.plan);
+        assert_eq!(profile.matches, item.output.match_count() as u64);
+        // `run_query_profiled` is a batch of one through the same loop,
+        // returning its item's profile
+        let (out, single) = snapshot.run_query_profiled(query);
+        assert_eq!(out, item.output);
+        let shape = |p: &QueryProfile| {
+            let (plan, why, query) = (p.plan.clone(), p.rationale.clone(), p.query.clone());
+            (
+                plan,
+                why,
+                query,
+                stage_names(p),
+                p.probes,
+                p.semcache.clone(),
+            )
+        };
+        assert_eq!(shape(&single), shape(profile));
     }
 }
 

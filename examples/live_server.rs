@@ -4,8 +4,10 @@
 //!
 //! Each "tick" the writer applies a batch of random edge updates (a new
 //! snapshot version is published), then a reader drains a batch of RQs —
-//! plus the registered standing PQ, which is served from its maintained
-//! answer (`standing` plan) instead of being re-evaluated.
+//! plus the registered standing PQ at every eighth slot, which is served
+//! from its maintained answer (`standing` plan) instead of being
+//! re-evaluated. Each tick asserts that every such slot planned
+//! `standing` and carries `standing_result`.
 //!
 //! ```text
 //! cargo run --release --example live_server [nodes] [batch] [ticks] [updates]
@@ -98,6 +100,12 @@ fn main() {
             })
             .collect();
         let result = snap.run_batch(&queries);
+        // every standing slot is served from the maintained answer
+        let answer = snap.standing_result(standing_id).unwrap();
+        for (i, item) in result.items().iter().enumerate().skip(7).step_by(8) {
+            assert_eq!(item.plan.name(), "standing", "tick {tick} slot {i}");
+            assert_eq!(item.output.as_pq(), Some(&*answer), "tick {tick} slot {i}");
+        }
 
         let mut per_plan: BTreeMap<&'static str, usize> = BTreeMap::new();
         for item in result.items() {
@@ -117,7 +125,7 @@ fn main() {
         );
         println!(
             "  plans: {per_plan:?}  memo: {hits} hits / {misses} misses ({patched} patched)  standing answer: {} matches",
-            snap.standing_result(standing_id).unwrap().size(),
+            answer.size(),
         );
     }
 }

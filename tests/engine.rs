@@ -66,7 +66,7 @@ fn batch_of_64_rqs_on_10k_graph_matches_sequential() {
     let memoized = batch
         .items()
         .iter()
-        .filter(|it| it.plan.algo() == Algo::RqBfsMemo)
+        .filter(|it| (it.plan.algo(), it.plan.backend()) == (Algo::RqDm, Backend::Search))
         .count();
     assert!(
         memoized >= 16,
@@ -177,7 +177,10 @@ fn batch_result_reports_plans_and_timing() {
     // without an index every RQ sweeps the graph, memoized — shared key
     // or not; biBFS, the paper's baseline, is never planned
     for item in batch.items() {
-        assert_eq!(item.plan.algo(), Algo::RqBfsMemo);
+        assert_eq!(
+            (item.plan.algo(), item.plan.backend()),
+            (Algo::RqDm, Backend::Search)
+        );
         assert_eq!(item.plan.name(), "BFS+memo");
     }
     assert!(batch.wall_time().as_nanos() > 0);

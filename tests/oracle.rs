@@ -569,7 +569,7 @@ fn sweep_engines(case: &Case, g: &Arc<Graph>, queries: &[Query], truth: &Truth) 
             .into_iter()
             .filter(|p| p.backend() == b && p.algo() != Algo::Standing);
         for plan in rows {
-            let rq_plan = matches!(plan.algo(), Algo::RqDm | Algo::RqBiBfs | Algo::RqBfsMemo);
+            let rq_plan = matches!(plan.algo(), Algo::RqDm | Algo::RqBiBfs);
             // a label index is forced only onto the queries it covers
             for q in queries
                 .iter()
