@@ -1,16 +1,22 @@
 //! Reachability queries with **general** regular expressions (§7).
 //!
 //! Evaluation carries over from RQs unchanged — the product-space search
-//! only needs an automaton, and [`GNfa`] provides the same interface as
-//! the class-F NFA. What does *not* carry over are the static analyses:
-//! containment/equivalence of general expressions is PSPACE-complete
-//! (Jiang & Ravikumar), so [`GRq`] deliberately exposes no `contained_in`.
+//! only needs an automaton, and [`Nfa::from_general`] builds the same
+//! automaton type as the class F, so [`GRq::eval`] runs the very loop of
+//! [`Rq::eval_bfs`](crate::rq::Rq::eval_bfs). What does *not* carry over
+//! are the static analyses: containment/equivalence of general
+//! expressions is PSPACE-complete (Jiang & Ravikumar), so [`GRq`]
+//! deliberately exposes no `contained_in`.
+//!
+//! `GRq` is not an engine query class: no workload, client or wire
+//! syntax sends one, and an engine plan would need a `Query` variant, a
+//! wire syntax, a planner branch and a memo exclusion. The `rpq grq`
+//! command and the tests call [`GRq::eval`] directly.
 
 use crate::predicate::Predicate;
-use crate::rq::{matches_of, RqResult};
-use rpq_graph::{Graph, NodeId};
-use rpq_regex::{GNfa, GRegex};
-use std::collections::VecDeque;
+use crate::rq::{product_search, RqResult};
+use rpq_graph::Graph;
+use rpq_regex::{GRegex, Nfa};
 
 /// A reachability query whose edge constraint is a general regular
 /// expression, e.g. `"(fa | sa)+ fn"`.
@@ -34,53 +40,8 @@ impl GRq {
     /// source (the BFS strategy; general expressions have no distance-
     /// matrix decomposition because their atoms are not single colors).
     pub fn eval(&self, g: &Graph) -> RqResult {
-        let nfa = GNfa::compile(&self.regex);
-        let targets = matches_of(g, &self.to);
-        let mut is_target = vec![false; g.node_count()];
-        for &t in &targets {
-            is_target[t.index()] = true;
-        }
-        let mut pairs = Vec::new();
-        for x in matches_of(g, &self.from) {
-            for y in product_reach_set_general(g, &nfa, x) {
-                if is_target[y.index()] {
-                    pairs.push((x, y));
-                }
-            }
-        }
-        RqResult::from_pairs(pairs)
+        product_search(g, &Nfa::from_general(&self.regex), &self.from, &self.to)
     }
-}
-
-/// All nodes `y` with a nonempty path `x ⇝ y` whose colors spell a word of
-/// the general expression — forward BFS over the (node × GNfa state)
-/// product.
-pub fn product_reach_set_general(g: &Graph, nfa: &GNfa, x: NodeId) -> Vec<NodeId> {
-    let states = nfa.state_count();
-    let mut visited = vec![false; g.node_count() * states];
-    let mut hit = vec![false; g.node_count()];
-    let mut queue = VecDeque::new();
-    visited[x.index() * states + nfa.start() as usize] = true;
-    queue.push_back((x, nfa.start()));
-    while let Some((u, s)) = queue.pop_front() {
-        for e in g.out_edges(u) {
-            for t in nfa.successors(s, e.color) {
-                let slot = e.node.index() * states + t as usize;
-                if !visited[slot] {
-                    visited[slot] = true;
-                    if nfa.is_accepting(t) {
-                        hit[e.node.index()] = true;
-                    }
-                    queue.push_back((e.node, t));
-                }
-            }
-        }
-    }
-    hit.iter()
-        .enumerate()
-        .filter(|(_, &h)| h)
-        .map(|(i, _)| NodeId(i as u32))
-        .collect()
 }
 
 #[cfg(test)]

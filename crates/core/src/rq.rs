@@ -118,18 +118,7 @@ impl Rq {
     /// **BFS** strategy: forward product-automaton search from every
     /// candidate source. O(|mat(u1)| · |F-states| · (|V| + |E|)).
     pub fn eval_bfs(&self, g: &Graph) -> RqResult {
-        let nfa = Nfa::from_regex(&self.regex);
-        let targets = self.matches_to(g);
-        let is_target = node_mask(g, &targets);
-        let mut pairs = Vec::new();
-        for x in self.matches_from(g) {
-            for y in product_reach_set(g, &nfa, x) {
-                if is_target[y.index()] {
-                    pairs.push((x, y));
-                }
-            }
-        }
-        RqResult::new(pairs)
+        product_search(g, &Nfa::from_regex(&self.regex), &self.from, &self.to)
     }
 
     /// **DM** strategy (§4): decompose `fe` into single-color atoms (the
@@ -347,12 +336,24 @@ impl Step {
     }
 }
 
-fn node_mask(g: &Graph, nodes: &[NodeId]) -> Vec<bool> {
-    let mut mask = vec![false; g.node_count()];
-    for &v in nodes {
-        mask[v.index()] = true;
+/// The BFS strategy over any automaton — an F expression's
+/// ([`Rq::eval_bfs`]) or a general one's
+/// ([`GRq::eval`](crate::grq::GRq::eval)): every candidate source's
+/// product reach set, kept where `to` holds.
+pub(crate) fn product_search(g: &Graph, nfa: &Nfa, from: &Predicate, to: &Predicate) -> RqResult {
+    let mut is_target = vec![false; g.node_count()];
+    for y in matches_of(g, to) {
+        is_target[y.index()] = true;
     }
-    mask
+    let mut pairs = Vec::new();
+    for x in matches_of(g, from) {
+        for y in product_reach_set(g, nfa, x) {
+            if is_target[y.index()] {
+                pairs.push((x, y));
+            }
+        }
+    }
+    RqResult::new(pairs)
 }
 
 /// All nodes `x` such that `(x, y) ⊨ re`, by *backward* product search from

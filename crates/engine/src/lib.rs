@@ -27,8 +27,9 @@
 //!   syntactic variants share one cell, and on an exact miss the
 //!   [`SemanticMemo`] looks for a cached *containing* entry
 //!   (wider predicate or containing regex) and derives the answer by
-//!   filtering/re-verifying the cached reach set instead of
-//!   re-traversing the graph;
+//!   filtering the cached reach set (and, for a strictly narrower
+//!   regex, re-evaluating only its surviving sources over the graph)
+//!   instead of evaluating every candidate source;
 //! * [`BatchResult`] carries per-query outputs, chosen plans and timings
 //!   for the bench harness;
 //! * [`QueryEngine::build_sharded`] serves graphs known up front to

@@ -23,12 +23,15 @@
 //!    [`rpq_regex::canon::contains_fast`]). A hit is answered by
 //!    filtering the cached pair set instead of re-traversing the graph:
 //!    an equal-language donor needs only a source-predicate filter; a
-//!    strictly-containing donor additionally re-verifies each surviving
-//!    source with the probe's (tighter) automaton — still skipping the
-//!    full `matches_of` scan and every source the donor already proved
-//!    unreachable (with [`product_reach_set`]). The derived set is
-//!    inserted as a first-class cell, so repeats of the narrow query
-//!    exact-hit from then on.
+//!    strictly-containing donor's surviving sources are re-evaluated
+//!    under the probe's (tighter) regex by the engine's own RQ evaluator
+//!    over the graph ([`Rq::eval_with_dist_from`] on a [`GraphProbe`]) —
+//!    still skipping the full `matches_of` scan and every source the
+//!    donor already proved unreachable, and never building an automaton,
+//!    whose state count would grow with the regex's bounds. So a
+//!    subsumption hit costs at most a miss over the graph. The derived
+//!    set is inserted as a first-class cell, so repeats of the narrow
+//!    query exact-hit from then on.
 //!
 //! Completed cells are bounded by an LRU byte budget; eviction removes a
 //! cell from the table and the candidate index while outstanding `Arc`s
@@ -58,10 +61,11 @@
 
 use rpq_core::incremental::EdgeChange;
 use rpq_core::predicate::Predicate;
-use rpq_core::reach::product_reach_set;
+use rpq_core::rq::Rq;
 use rpq_graph::{Color, Graph, NodeId};
+use rpq_index::GraphProbe;
 use rpq_regex::canon::{canonicalize, contains_fast, skeleton, wildcard_skeleton};
-use rpq_regex::{FRegex, Nfa};
+use rpq_regex::FRegex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -630,9 +634,9 @@ impl SemanticMemo {
 /// Answer `(from, regex)` from a containing donor's pair set. With an
 /// equal-language donor the answer is the donor filtered to sources
 /// satisfying the (narrower) probe predicate. With a strictly-containing
-/// regex, each surviving donor source is re-verified with the probe's
-/// automaton — sources the donor proved unreachable are skipped, as is
-/// the full `matches_of` scan.
+/// regex, the surviving donor sources are re-evaluated under `regex` by
+/// [`Rq::eval_with_dist_from`] over the graph — sources the donor proved
+/// unreachable are skipped, as is the full `matches_of` scan.
 fn derive_from_donor(
     g: &Graph,
     from: &Predicate,
@@ -648,22 +652,15 @@ fn derive_from_donor(
     if equal_language {
         return surviving.flatten().copied().collect();
     }
-    let nfa = Nfa::from_regex(regex);
-    let mut pairs = Vec::new();
-    for block in surviving {
-        let x = block[0].0;
-        for y in product_reach_set(g, &nfa, x) {
-            pairs.push((x, y));
-        }
-    }
-    pairs.sort_unstable();
-    pairs
+    let sources = surviving.map(|block| block[0].0).collect();
+    Rq::new(from.clone(), Predicate::always_true(), regex.clone())
+        .eval_with_dist_from(g, &GraphProbe::new(g), sources)
+        .into_pairs()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpq_core::rq::Rq;
     use rpq_graph::gen::essembly;
 
     /// The key's complete reach set, by the reference evaluator.
@@ -802,6 +799,34 @@ mod tests {
             reach(&g, &from, &narrow),
             "tighter regex re-verified per source"
         );
+    }
+
+    /// A narrower regex is re-checked at the cost of a miss, however
+    /// large its bound: `_^k` from a cached `_+`, with `k` up to two
+    /// million — a product search over an automaton with one state per
+    /// unit of bound takes minutes on it.
+    #[test]
+    fn narrower_bound_costs_no_more_than_a_miss() {
+        let g = rpq_graph::gen::youtube_like(200, 1);
+        let from = Predicate::always_true();
+        for k in [2, g.node_count(), 2_000_000] {
+            let memo = SemanticMemo::new();
+            let _ = answer(
+                &memo,
+                &g,
+                &from,
+                &FRegex::parse("_+", g.alphabet()).unwrap(),
+            );
+            let re = FRegex::parse(&format!("_^{k}"), g.alphabet()).unwrap();
+            let started = Instant::now();
+            let (served, lookup) = memo.try_answer(&g, &from, &re).expect("donor answers");
+            let took = started.elapsed();
+            assert_eq!(lookup.kind, Some(CacheKind::Subsumption), "_^{k}");
+            let fresh = Rq::new(from.clone(), Predicate::always_true(), re)
+                .eval_with_dist(&g, &GraphProbe::new(&g));
+            assert_eq!(*served, fresh.into_pairs(), "_^{k}");
+            assert!(took < Duration::from_secs(1), "_^{k} took {took:?}");
+        }
     }
 
     #[test]

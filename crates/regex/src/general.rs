@@ -7,8 +7,8 @@
 //!
 //! This module supplies the expressive side of that trade-off: full
 //! regular expressions (union, concatenation, Kleene star/plus, grouping)
-//! compiled through Thompson construction into an ε-free NFA with the same
-//! navigation interface as the class-F automaton, so the *evaluation*
+//! compiled through Thompson construction into the same ε-free automaton
+//! type as the class F ([`Nfa::from_general`]), so the *evaluation*
 //! machinery (product-space search) extends unchanged — exactly as the
 //! paper predicts. The PSPACE-hard static analyses are deliberately **not**
 //! provided for this class; that asymmetry is the paper's argument for the
@@ -20,6 +20,7 @@
 //! nemeses edge.
 
 use crate::ast::{FRegex, Quant};
+use crate::nfa::{Nfa, StateId};
 use rpq_graph::{Alphabet, Color};
 use std::fmt;
 
@@ -90,7 +91,7 @@ impl GRegex {
 
     /// Does `word` belong to `L(self)`? Decided on the compiled NFA.
     pub fn matches(&self, word: &[Color]) -> bool {
-        GNfa::compile(self).accepts(word)
+        Nfa::from_general(self).accepts(word)
     }
 
     /// Render with color names from `alphabet`.
@@ -336,15 +337,6 @@ impl GRegex {
     }
 }
 
-/// ε-free NFA for a general regular expression — same navigation interface
-/// as [`crate::Nfa`], so product-space graph search works identically.
-#[derive(Debug, Clone)]
-pub struct GNfa {
-    accepting: Vec<bool>,
-    fwd: Vec<Vec<(Color, u32)>>,
-    bwd: Vec<Vec<(Color, u32)>>,
-}
-
 /// Thompson fragment during construction: ε-NFA with single start, single
 /// accept, transitions on colors or ε.
 struct Frag {
@@ -437,118 +429,38 @@ impl Builder {
     }
 }
 
-impl GNfa {
-    /// Compile via Thompson construction, then eliminate ε-transitions.
-    pub fn compile(re: &GRegex) -> GNfa {
+impl Nfa {
+    /// Compile a general expression: Thompson construction, then
+    /// ε-elimination. State 0 is a fresh start state; Thompson state `s`
+    /// becomes `s + 1`.
+    pub fn from_general(re: &GRegex) -> Nfa {
         let mut b = Builder {
             eps: Vec::new(),
             steps: Vec::new(),
         };
         let frag = b.build(re);
         let n = b.eps.len();
-        let mut fwd: Vec<Vec<(Color, u32)>> = vec![Vec::new(); n + 1];
+        let mut fwd: Vec<Vec<(Color, StateId)>> = vec![Vec::new(); n + 1];
         let mut accepting = vec![false; n + 1];
-        // state ids shifted by 1; 0 is the fresh start state
-        let start_closure = b.closure(frag.start);
-        for &s in &start_closure {
-            if s == frag.accept {
-                // nonempty-language discipline makes this unreachable for
-                // validated expressions, but stay safe
-                accepting[0] = true;
-            }
-            for &(c, t) in &b.steps[s as usize] {
-                for &tc in &b.closure(t) {
-                    if !fwd[0].contains(&(c, tc + 1)) {
-                        fwd[0].push((c, tc + 1));
-                    }
-                }
-            }
-        }
-        for s in 0..n as u32 {
-            for &cs in &b.closure(s) {
+        let origins =
+            std::iter::once((0, frag.start)).chain((0..n as u32).map(|s| (s as usize + 1, s)));
+        for (state, origin) in origins {
+            for &cs in &b.closure(origin) {
                 if cs == frag.accept {
-                    accepting[s as usize + 1] = true;
+                    // the nonempty-language discipline makes this
+                    // unreachable from the start of a validated expression
+                    accepting[state] = true;
                 }
                 for &(c, t) in &b.steps[cs as usize] {
                     for &tc in &b.closure(t) {
-                        if !fwd[s as usize + 1].contains(&(c, tc + 1)) {
-                            fwd[s as usize + 1].push((c, tc + 1));
+                        if !fwd[state].contains(&(c, tc + 1)) {
+                            fwd[state].push((c, tc + 1));
                         }
                     }
                 }
             }
         }
-        let mut bwd: Vec<Vec<(Color, u32)>> = vec![Vec::new(); n + 1];
-        for (s, outs) in fwd.iter().enumerate() {
-            for &(c, t) in outs {
-                bwd[t as usize].push((c, s as u32));
-            }
-        }
-        GNfa {
-            accepting,
-            fwd,
-            bwd,
-        }
-    }
-
-    /// The start state.
-    pub fn start(&self) -> u32 {
-        0
-    }
-
-    /// Number of states.
-    pub fn state_count(&self) -> usize {
-        self.accepting.len()
-    }
-
-    /// Is `s` accepting?
-    pub fn is_accepting(&self, s: u32) -> bool {
-        self.accepting[s as usize]
-    }
-
-    /// All accepting states.
-    pub fn accepting_states(&self) -> impl Iterator<Item = u32> + '_ {
-        self.accepting
-            .iter()
-            .enumerate()
-            .filter(|(_, &a)| a)
-            .map(|(i, _)| i as u32)
-    }
-
-    /// States reachable by one data edge of `data_color`.
-    pub fn successors(&self, s: u32, data_color: Color) -> impl Iterator<Item = u32> + '_ {
-        self.fwd[s as usize]
-            .iter()
-            .filter(move |(qc, _)| qc.admits(data_color))
-            .map(|&(_, t)| t)
-    }
-
-    /// Reverse transitions.
-    pub fn predecessors(&self, s: u32, data_color: Color) -> impl Iterator<Item = u32> + '_ {
-        self.bwd[s as usize]
-            .iter()
-            .filter(move |(qc, _)| qc.admits(data_color))
-            .map(|&(_, t)| t)
-    }
-
-    /// Run on a whole word.
-    pub fn accepts(&self, word: &[Color]) -> bool {
-        let mut cur = vec![false; self.state_count()];
-        cur[0] = true;
-        for &c in word {
-            let mut next = vec![false; self.state_count()];
-            for (s, &live) in cur.iter().enumerate() {
-                if live {
-                    for t in self.successors(s as u32, c) {
-                        next[t as usize] = true;
-                    }
-                }
-            }
-            cur = next;
-        }
-        cur.iter()
-            .enumerate()
-            .any(|(s, &live)| live && self.accepting[s])
+        Nfa::new(accepting, fwd)
     }
 }
 
@@ -668,8 +580,8 @@ mod tests {
     fn gnfa_predecessors_invert() {
         let al = al();
         let re = GRegex::parse("(a | b)+ c", &al).unwrap();
-        let nfa = GNfa::compile(&re);
-        for s in 0..nfa.state_count() as u32 {
+        let nfa = Nfa::from_general(&re);
+        for s in 0..nfa.state_count() as StateId {
             for color in [c(0), c(1), c(2)] {
                 for t in nfa.successors(s, color) {
                     assert!(nfa.predecessors(t, color).any(|p| p == s));

@@ -17,10 +17,15 @@
 //! expressions.
 //!
 //! This crate provides the AST ([`FRegex`], [`Atom`], [`Quant`]), a parser,
-//! word matching, an NFA view used by the runtime path search
-//! ([`nfa::Nfa`]), two containment deciders ([`contain`]), and the
-//! run-normal canonical form with its run-level containment fast path
-//! ([`canon`]) that the engine's semantic cache keys on.
+//! word matching, two containment deciders ([`contain`]), the run-normal
+//! canonical form with its run-level containment fast path ([`canon`])
+//! that the engine's semantic cache keys on, and the §7 general
+//! expressions ([`GRegex`]).
+//!
+//! One automaton type, [`Nfa`], serves both classes through two
+//! constructors: [`Nfa::from_regex`] for an F expression and
+//! [`Nfa::from_general`] for a general one. The reference evaluators'
+//! product-space search runs on it; the plans the engine picks do not.
 
 pub mod ast;
 pub mod canon;
@@ -30,6 +35,6 @@ pub mod nfa;
 pub mod parse;
 
 pub use ast::{Atom, FRegex, Quant};
-pub use general::{GNfa, GParseError, GRegex};
+pub use general::{GParseError, GRegex};
 pub use nfa::Nfa;
 pub use parse::ParseError;

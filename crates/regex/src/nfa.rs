@@ -1,13 +1,17 @@
-//! A nondeterministic finite automaton view of an F expression.
+//! The one nondeterministic finite automaton type, for F expressions and
+//! general ones alike.
 //!
-//! The runtime evaluation strategy of §4 (bi-directional search without a
-//! distance matrix) explores the product of the data graph with the
-//! automaton of the edge constraint, forward from candidate sources and
-//! backward from candidate targets. This module builds that automaton.
+//! The reference evaluation strategies of §4 (BFS, and bi-directional
+//! search without a distance matrix) explore the product of the data graph
+//! with the automaton of the edge constraint, forward from candidate
+//! sources and backward from candidate targets. [`Nfa::from_regex`] builds
+//! that automaton for an F expression; [`Nfa::from_general`] for a §7
+//! general expression (Thompson construction, then ε-elimination).
 //!
 //! For an atom `c^k` we materialize `k` counter states; `c+` is a single
 //! state with a self-loop; so the automaton has `1 + Σ kᵢ` states — tiny for
-//! the single-digit bounds the paper's workloads use.
+//! the single-digit bounds the paper's workloads use. The count grows with
+//! the bound, which is why no plan the engine picks builds an automaton.
 
 use crate::ast::{FRegex, Quant};
 use rpq_graph::Color;
@@ -15,7 +19,7 @@ use rpq_graph::Color;
 /// NFA state index (0 is the start state).
 pub type StateId = u32;
 
-/// ε-free NFA for one F expression.
+/// ε-free NFA for one F or general expression.
 #[derive(Debug, Clone)]
 pub struct Nfa {
     accepting: Vec<bool>,
@@ -76,8 +80,14 @@ impl Nfa {
         for j in 0..reps[last] {
             accepting[(base[last] + j) as usize] = true;
         }
+        Nfa::new(accepting, fwd)
+    }
 
-        let mut bwd: Vec<Vec<(Color, StateId)>> = vec![Vec::new(); n_states];
+    /// The automaton with these accepting states and forward transitions
+    /// (state 0 starts); the reversed transitions are derived here, in
+    /// forward order, for both constructors.
+    pub(crate) fn new(accepting: Vec<bool>, fwd: Vec<Vec<(Color, StateId)>>) -> Nfa {
+        let mut bwd: Vec<Vec<(Color, StateId)>> = vec![Vec::new(); fwd.len()];
         for (s, outs) in fwd.iter().enumerate() {
             for &(c, t) in outs {
                 bwd[t as usize].push((c, s as StateId));
@@ -90,7 +100,7 @@ impl Nfa {
         }
     }
 
-    /// The start state (never accepting: L(F) has no ε).
+    /// The start state (never accepting: a query language has no ε).
     #[inline]
     pub fn start(&self) -> StateId {
         0
@@ -141,8 +151,8 @@ impl Nfa {
             .map(|&(_, t)| t)
     }
 
-    /// Run the NFA on a whole word (used to cross-check
-    /// [`FRegex::matches`]).
+    /// Run the NFA on a whole word (cross-checks [`FRegex::matches`];
+    /// decides [`GRegex::matches`](crate::GRegex::matches)).
     pub fn accepts(&self, word: &[Color]) -> bool {
         let mut cur = vec![false; self.state_count()];
         cur[0] = true;

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rpq_graph::{Color, WILDCARD};
 use rpq_regex::contain::{contains_exact, contains_scan, equivalent_scan};
-use rpq_regex::{Atom, FRegex, GNfa, GRegex, Nfa, Quant};
+use rpq_regex::{Atom, FRegex, GRegex, Nfa, Quant};
 
 const NUM_COLORS: usize = 3;
 
@@ -138,7 +138,7 @@ proptest! {
     #[test]
     fn general_nfa_consistency(re in arb_gregex(), w in arb_word()) {
         prop_assert!(re.validate().is_ok());
-        let nfa = GNfa::compile(&re);
+        let nfa = Nfa::from_general(&re);
         prop_assert!(!nfa.accepts(&[]));
         prop_assert_eq!(nfa.accepts(&w), re.matches(&w));
         // plus is idempotent at the language level for already-plus exprs:

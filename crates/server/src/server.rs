@@ -81,7 +81,7 @@
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::metrics::{Gauges, Metrics};
 use crate::wire;
-use rpq_engine::{BatchResult, Query, SemanticStats, UpdatableEngine};
+use rpq_engine::{BatchResult, Query, UpdatableEngine};
 use rpq_graph::AttrId;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, Write};
@@ -700,12 +700,13 @@ fn handle_update(req: &Request, shared: &Shared) -> Response {
     }
 }
 
-/// `POST /v1/explain` — same wire body as `/v1/query`, but every query
-/// runs through the profiled path and the response is one
-/// [`QueryProfile`](rpq_trace::QueryProfile) JSON object per line instead
-/// of answers. Explain bypasses the admission queue: it is a diagnostic
-/// read against the current snapshot, not throughput traffic, and its
-/// profiles should not be distorted by coalescing with the hot path.
+/// `POST /v1/explain` — same wire body as `/v1/query`, but the queries
+/// run as one profiled batch (`Snapshot::run_batch_profiled`) and the
+/// response is one [`QueryProfile`](rpq_trace::QueryProfile) JSON object
+/// per line instead of answers; a profile's `workers` is the batch's.
+/// Explain bypasses the admission queue: it is a diagnostic read against
+/// the current snapshot, not throughput traffic, and its profiles should
+/// not be distorted by coalescing with the hot path.
 fn handle_explain(req: &Request, shared: &Shared) -> Response {
     let Some(body) = req.body_str() else {
         return Response::error(400, "body is not valid utf-8");
@@ -716,26 +717,13 @@ fn handle_explain(req: &Request, shared: &Shared) -> Response {
         Ok(q) => q,
         Err(e) => return engine_error_response(&e),
     };
+    let result = snapshot.run_batch_profiled(&queries);
     let mut out = String::new();
-    // each profile names its own query's lookup; the filter time of a
-    // subsumption answer is not in it, and goes uncounted here
-    let mut lookups = SemanticStats::default();
-    for query in &queries {
-        let (_, profile) = snapshot.run_query_profiled(query);
-        match profile.semcache.as_str() {
-            "exact_hit" => lookups.exact_hits += 1,
-            "subsumption_hit" => lookups.subsumption_hits += 1,
-            "miss" => lookups.misses += 1,
-            "patched" => {
-                lookups.misses += 1;
-                lookups.patched += 1;
-            }
-            _ => {} // a PQ: no lookup
-        }
-        out.push_str(&profile.to_json());
+    for item in result.items() {
+        out.push_str(&item.profile.as_deref().expect("profiled run").to_json());
         out.push('\n');
     }
-    shared.metrics.record_semcache(&lookups);
+    shared.metrics.record_semcache(&result.semantic_stats());
     shared
         .metrics
         .latency

@@ -609,8 +609,20 @@ fn explain_endpoint_profiles_every_query() {
             .is_empty());
         assert!(profile.get("wall_us").unwrap().as_u64().is_some());
     }
-    // explained traffic counts as served queries
-    assert_eq!(scrape(&mut client)("rpq_queries_total"), 5.0);
+    // explained traffic counts as served queries, and each RQ's memo
+    // lookup reaches the semantic-cache counters
+    let rqs = queries.iter().filter(|q| matches!(q, Query::Rq(_))).count() as f64;
+    let get = scrape(&mut client);
+    assert_eq!(get("rpq_queries_total"), 5.0);
+    let exact = get("rpq_semcache_hits_total{kind=\"exact\"}");
+    let lookups = exact
+        + get("rpq_semcache_hits_total{kind=\"subsumption\"}")
+        + get("rpq_semcache_misses_total");
+    assert_eq!(lookups, rqs);
+    // explaining them again is answered from the memo
+    assert_eq!(client.explain(&queries, &graph).unwrap().status, 200);
+    let get = scrape(&mut client);
+    assert_eq!(get("rpq_semcache_hits_total{kind=\"exact\"}"), exact + rqs);
     server.shutdown();
 }
 

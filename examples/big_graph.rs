@@ -3,8 +3,10 @@
 //!
 //! Demonstrates the hop-label subsystem end to end: generate (or load) a
 //! large 4-color graph, build the engine — and with it the label index —
-//! and serve every batch under `hop` / `JoinMatch/hop` plans. One query in
-//! eight is a pattern query, so the tick lines show both query classes.
+//! and serve every batch under `hop` / `JoinMatch/hop` plans through
+//! `QueryEngine::run_batch`. One query in eight is a pattern query, so the
+//! tick lines show both query classes, and the queries recur across ticks,
+//! so they show the memo's hits and misses too.
 //!
 //! ```text
 //! cargo run --release --example big_graph [nodes] [batch] [ticks]
@@ -124,8 +126,10 @@ fn main() {
         for item in result.items() {
             *per_plan.entry(item.plan.name()).or_insert(0) += 1;
         }
+        let (hits, misses) = result.memo_stats();
         println!(
-            "tick {tick}: {} queries in {wall:?} ({:.0} q/s)  plans: {per_plan:?}  matches: {}",
+            "tick {tick}: {} queries in {wall:?} ({:.0} q/s)  plans: {per_plan:?}  \
+             memo: {hits} hits / {misses} misses  matches: {}",
             result.len(),
             result.len() as f64 / wall.as_secs_f64(),
             result

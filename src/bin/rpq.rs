@@ -1,8 +1,8 @@
 //! `rpq` — command-line front end.
 //!
 //! ```text
-//! rpq <GRAPH-FILE> pq  <QUERY-FILE> [--algo join|split] [--backend matrix|cache]
 //! rpq <GRAPH-FILE> rq  "<from-pred>" "<to-pred>" "<F-regex>"
+//! rpq <GRAPH-FILE> pq  <QUERY-FILE>
 //! rpq <GRAPH-FILE> grq "<from-pred>" "<to-pred>" "<general-regex>"
 //! rpq <GRAPH-FILE> min <QUERY-FILE>
 //! rpq <GRAPH-FILE> stats
@@ -10,22 +10,25 @@
 //!
 //! Graph files use the `rpq-graph` text format (see `rpq_graph::io`);
 //! pattern-query files use the `rpq-core` query language (see
-//! `rpq_core::lang`). `pq --backend matrix` probes the per-color distance
-//! matrix; `--backend cache` (the name the engine's `JoinMatch/cache` /
-//! `SplitMatch/cache` plans share) builds no index and probes the graph
-//! itself, one breadth-first sweep per refinement step.
+//! `rpq_core::lang`). `rq` and `pq` run through the query engine, which
+//! builds the index its default configuration calls for, and print the
+//! plan it chose before the answer. `grq` evaluates a §7 general
+//! expression by product-automaton search (`GRq::eval`, the one evaluator
+//! of that class). Exit status: 0 on success; 2 on any error — usage, an
+//! unreadable file, a bad predicate, regex or query — after printing
+//! `error: …`.
 
 use rpq::core::lang::{format_pq, parse_pq};
-use rpq::core::reach::ProbeReach;
-use rpq::core::{minimize, GRq, JoinMatch, MatrixReach, Rq, SplitMatch};
+use rpq::core::{minimize, GRq};
+use rpq::engine::{Query, QueryEngine, QueryOutput};
 use rpq::graph::io::read_graph;
-use rpq::graph::{DistanceMatrix, Graph};
-use rpq::index::GraphProbe;
-use rpq::prelude::{FRegex, Predicate};
+use rpq::graph::{DistanceMatrix, Graph, NodeId};
+use rpq::prelude::Predicate;
 use rpq_regex::GRegex;
 use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 fn main() -> ExitCode {
     match run() {
@@ -46,19 +49,35 @@ fn run() -> Result<(), String> {
     let file = File::open(graph_path).map_err(|e| format!("cannot open {graph_path}: {e}"))?;
     let g = read_graph(&mut BufReader::new(file)).map_err(|e| e.to_string())?;
 
+    let rest = &args[2..];
     match args[1].as_str() {
         "stats" => stats(&g),
-        "rq" => rq(&g, &args[2..], false),
-        "grq" => rq(&g, &args[2..], true),
-        "pq" => pq(&g, &args[2..]),
-        "min" => min(&g, &args[2..]),
+        "rq" => {
+            let [from, to, regex] = rest else {
+                return Err(format!("rq needs FROM TO REGEX\n{USAGE}"));
+            };
+            let query = Query::parse_rq(from, to, regex, &g).map_err(|e| e.to_string())?;
+            serve(g, query)
+        }
+        "pq" => {
+            let query = Query::parse_pq(&query_file("pq", rest)?, &g).map_err(|e| e.to_string())?;
+            serve(g, query)
+        }
+        "grq" => grq(&g, rest),
+        "min" => min(&g, rest),
         other => Err(format!("unknown command {other:?}\n{USAGE}")),
     }
 }
 
-const USAGE: &str = "usage: rpq <GRAPH-FILE> <stats | rq FROM TO REGEX | grq FROM TO REGEX | pq QUERY-FILE [--algo join|split] [--backend matrix|cache] | min QUERY-FILE>
-  pq --backend matrix: probe the per-color distance matrix (built first)
-  pq --backend cache:  no index, probe the graph itself by breadth-first sweeps";
+const USAGE: &str = "usage: rpq <GRAPH-FILE> <stats | rq FROM TO REGEX | pq QUERY-FILE | grq FROM TO REGEX | min QUERY-FILE>";
+
+/// The text of the one QUERY-FILE argument `cmd` takes.
+fn query_file(cmd: &str, rest: &[String]) -> Result<String, String> {
+    let [path] = rest else {
+        return Err(format!("{cmd} needs one QUERY-FILE\n{USAGE}"));
+    };
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
 
 fn stats(g: &Graph) -> Result<(), String> {
     println!("nodes:  {}", g.node_count());
@@ -76,93 +95,60 @@ fn stats(g: &Graph) -> Result<(), String> {
     Ok(())
 }
 
-fn rq(g: &Graph, rest: &[String], general: bool) -> Result<(), String> {
-    let [from_src, to_src, regex_src] = rest else {
-        return Err(format!("rq needs FROM TO REGEX\n{USAGE}"));
-    };
-    let from = Predicate::parse(from_src, g.schema()).map_err(|e| e.to_string())?;
-    let to = Predicate::parse(to_src, g.schema()).map_err(|e| e.to_string())?;
-    let result = if general {
-        GRq::new(
-            from,
-            to,
-            GRegex::parse(regex_src, g.alphabet()).map_err(|e| e.to_string())?,
-        )
-        .eval(g)
-    } else {
-        Rq::new(
-            from,
-            to,
-            FRegex::parse(regex_src, g.alphabet()).map_err(|e| e.to_string())?,
-        )
-        .eval_bfs(g)
-    };
-    println!("{} pairs", result.len());
-    for &(x, y) in result.as_slice() {
-        println!("{} -> {}", g.label(x), g.label(y));
+/// Plan and answer `query` on an engine over `g`.
+fn serve(g: Graph, query: Query) -> Result<(), String> {
+    let engine = QueryEngine::new(Arc::new(g));
+    let g = engine.graph();
+    println!("plan: {}", engine.plan_query(&query).name());
+    match (engine.run_query(&query), &query) {
+        (QueryOutput::Rq(result), _) => print_pairs(g, result.as_slice()),
+        (QueryOutput::Pq(res), Query::Pq(query)) => {
+            if res.is_empty() {
+                println!("no match");
+                return Ok(());
+            }
+            for u in 0..query.node_count() {
+                let labels: Vec<&str> = res.node_matches(u).iter().map(|&v| g.label(v)).collect();
+                println!("{}: {}", query.node(u).label, labels.join(", "));
+            }
+            for (ei, e) in query.edges().iter().enumerate() {
+                println!(
+                    "edge {} -> {} ({} pairs)",
+                    query.node(e.from).label,
+                    query.node(e.to).label,
+                    res.edge_matches(ei).len()
+                );
+            }
+        }
+        (QueryOutput::Pq(_), Query::Rq(_)) => unreachable!("an RQ has an RQ answer"),
     }
     Ok(())
 }
 
-fn pq(g: &Graph, rest: &[String]) -> Result<(), String> {
-    let Some(query_path) = rest.first() else {
-        return Err(format!("pq needs a QUERY-FILE\n{USAGE}"));
+fn grq(g: &Graph, rest: &[String]) -> Result<(), String> {
+    let [from, to, regex] = rest else {
+        return Err(format!("grq needs FROM TO REGEX\n{USAGE}"));
     };
-    let mut algo = "join";
-    let mut backend = "matrix";
-    let mut it = rest[1..].iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--algo" => algo = it.next().ok_or("--algo needs a value")?,
-            "--backend" => backend = it.next().ok_or("--backend needs a value")?,
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    let text = std::fs::read_to_string(query_path)
-        .map_err(|e| format!("cannot read {query_path}: {e}"))?;
-    let query = parse_pq(&text, g.schema(), g.alphabet()).map_err(|e| e.to_string())?;
-
-    let graph = GraphProbe::new(g);
-    let res = match (algo, backend) {
-        ("join", "matrix") => {
-            let m = DistanceMatrix::build(g);
-            JoinMatch::eval(&query, g, &mut MatrixReach::new(&m))
-        }
-        ("join", "cache") => JoinMatch::eval(&query, g, &mut ProbeReach::new(&graph)),
-        ("split", "matrix") => {
-            let m = DistanceMatrix::build(g);
-            SplitMatch::eval(&query, g, &mut MatrixReach::new(&m))
-        }
-        ("split", "cache") => SplitMatch::eval(&query, g, &mut ProbeReach::new(&graph)),
-        _ => return Err(format!("unknown algo/backend {algo:?}/{backend:?}")),
-    };
-
-    if res.is_empty() {
-        println!("no match");
-        return Ok(());
-    }
-    for u in 0..query.node_count() {
-        let labels: Vec<&str> = res.node_matches(u).iter().map(|&v| g.label(v)).collect();
-        println!("{}: {}", query.node(u).label, labels.join(", "));
-    }
-    for (ei, e) in query.edges().iter().enumerate() {
-        println!(
-            "edge {} -> {} ({} pairs)",
-            query.node(e.from).label,
-            query.node(e.to).label,
-            res.edge_matches(ei).len()
-        );
-    }
+    let result = GRq::new(
+        Predicate::parse(from, g.schema()).map_err(|e| e.to_string())?,
+        Predicate::parse(to, g.schema()).map_err(|e| e.to_string())?,
+        GRegex::parse(regex, g.alphabet()).map_err(|e| e.to_string())?,
+    )
+    .eval(g);
+    print_pairs(g, result.as_slice());
     Ok(())
+}
+
+fn print_pairs(g: &Graph, pairs: &[(NodeId, NodeId)]) {
+    println!("{} pairs", pairs.len());
+    for &(x, y) in pairs {
+        println!("{} -> {}", g.label(x), g.label(y));
+    }
 }
 
 fn min(g: &Graph, rest: &[String]) -> Result<(), String> {
-    let Some(query_path) = rest.first() else {
-        return Err(format!("min needs a QUERY-FILE\n{USAGE}"));
-    };
-    let text = std::fs::read_to_string(query_path)
-        .map_err(|e| format!("cannot read {query_path}: {e}"))?;
-    let query = parse_pq(&text, g.schema(), g.alphabet()).map_err(|e| e.to_string())?;
+    let query =
+        parse_pq(&query_file("min", rest)?, g.schema(), g.alphabet()).map_err(|e| e.to_string())?;
     let slim = minimize(&query);
     eprintln!("|Q| {} -> {}", query.size(), slim.size());
     print!("{}", format_pq(&slim, g.schema(), g.alphabet()));
