@@ -175,6 +175,38 @@ mod tests {
         assert_eq!(pq, again);
     }
 
+    /// `minimize` names the copies of a class after its label; the printed
+    /// minimum parses back to itself and is equivalent to the input. The
+    /// second pattern needs two copies of `C`'s class and already has a
+    /// node named like a copy.
+    #[test]
+    fn a_minimized_pattern_prints_and_parses_back() {
+        let g = essembly();
+        let fig3 = r#"
+            node B: job = "doctor";
+            node C: job = "biologist";
+            node C_0: job = "biologist";
+            node C_1: job = "biologist";
+            edge B -> C: fa;
+            edge B -> C_0: fa^2;
+            edge B -> C_1: fa^3;
+            edge B -> C: sn;
+        "#;
+        let m = DistanceMatrix::build(&g);
+        for text in [Q2_TEXT, fig3] {
+            let pq = parse_pq(text, g.schema(), g.alphabet()).unwrap();
+            let slim = crate::minimize::minimize(&pq);
+            let printed = format_pq(&slim, g.schema(), g.alphabet());
+            let back = parse_pq(&printed, g.schema(), g.alphabet())
+                .unwrap_or_else(|e| panic!("{e}:\n{printed}"));
+            assert_eq!(back, slim, "{printed}");
+            assert!(crate::contain::pq_equivalent(&back, &pq), "{printed}");
+            let eval = |q: &Pq| JoinMatch::eval(q, &g, &mut MatrixReach::new(&m));
+            assert_eq!(eval(&back), eval(&slim));
+            assert_eq!(eval(&back).is_empty(), eval(&pq).is_empty());
+        }
+    }
+
     #[test]
     fn nodes_without_predicates_and_inline_statements() {
         let g = essembly();

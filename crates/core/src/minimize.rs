@@ -21,9 +21,9 @@
 //! validated against query equivalence before it is committed. Batch
 //! removal can delete two edges that each justified the other, and even a
 //! single removal by the literal step-3 rule can be unsound: with two
-//! equivalent copies `C#0, C#1` each carrying one `d`-edge to `B`, the rule
-//! deems `C#0`'s edge redundant (witnessed by `C#1`'s), yet deleting it
-//! frees `C#0`'s matches from the `d` constraint and the queries diverge.
+//! equivalent copies `C_0, C_1` each carrying one `d`-edge to `B`, the rule
+//! deems `C_0`'s edge redundant (witnessed by `C_1`'s), yet deleting it
+//! frees `C_0`'s matches from the `d` constraint and the queries diverge.
 //! The validation keeps the algorithm sound; its cost is another cubic
 //! check per removal, and queries are tiny.
 
@@ -31,7 +31,7 @@ use crate::pq::{Pq, PqEdge};
 use crate::simulation::{equivalence_classes, revised_similarity};
 use rpq_regex::contain::{contains_scan, equivalent_scan};
 use rpq_regex::FRegex;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Compute a minimum equivalent PQ of `q` (Fig. 6).
 ///
@@ -68,14 +68,19 @@ pub fn minimize(q: &Pq) -> Pq {
 
     let mut qm = Pq::new();
     let mut copy_ids: Vec<Vec<usize>> = Vec::with_capacity(n_classes);
+    // copy `i` of a class is `label_i`, a name the query language reads
+    // back as one label; distinct labels give distinct names, and a
+    // pattern that repeats a label still gets names `parse_pq` accepts
+    let mut names = HashSet::new();
     for (cid, members) in classes.iter().enumerate() {
         let rep = members[0];
         let mut ids = Vec::with_capacity(copies[cid]);
         for i in 0..copies[cid] {
-            ids.push(qm.add_node(
-                &format!("{}#{i}", q.node(rep).label),
-                q.node(rep).pred.clone(),
-            ));
+            let mut name = format!("{}_{i}", q.node(rep).label);
+            while !names.insert(name.clone()) {
+                name.push('_');
+            }
+            ids.push(qm.add_node(&name, q.node(rep).pred.clone()));
         }
         copy_ids.push(ids);
     }

@@ -21,6 +21,9 @@ use rpq_graph::{DistanceMatrix, Graph, NodeId};
 use rpq_index::DistProbe;
 use rpq_regex::{FRegex, Nfa};
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A reachability query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,9 +37,38 @@ pub struct Rq {
 }
 
 /// Result of an RQ: the sorted set of matching `(source, target)` pairs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A clone shares the pairs — one `Arc`, no copy — and one rendering slot
+/// ([`rendered`](Self::rendered)). Equality and `Debug` look at the pairs
+/// only.
+#[derive(Clone)]
 pub struct RqResult {
+    shared: Arc<Shared>,
+}
+
+/// What every clone of one [`RqResult`] shares.
+struct Shared {
     pairs: Vec<(NodeId, NodeId)>,
+    /// Whether [`RqResult::rendered`] was asked before: a hint that
+    /// publishes nothing (`rendered` publishes the bytes), so `Relaxed`.
+    asked: AtomicBool,
+    rendered: OnceLock<Box<[u8]>>,
+}
+
+impl PartialEq for RqResult {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.shared, &other.shared) || self.shared.pairs == other.shared.pairs
+    }
+}
+
+impl Eq for RqResult {}
+
+impl fmt::Debug for RqResult {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RqResult")
+            .field("pairs", &self.shared.pairs)
+            .finish()
+    }
 }
 
 impl RqResult {
@@ -44,11 +76,21 @@ impl RqResult {
         Self::from_pairs(pairs)
     }
 
+    fn of(pairs: Vec<(NodeId, NodeId)>) -> Self {
+        RqResult {
+            shared: Arc::new(Shared {
+                pairs,
+                asked: AtomicBool::new(false),
+                rendered: OnceLock::new(),
+            }),
+        }
+    }
+
     /// Build a result from raw pairs (sorted and deduplicated here).
     pub fn from_pairs(mut pairs: Vec<(NodeId, NodeId)>) -> Self {
         pairs.sort_unstable();
         pairs.dedup();
-        RqResult { pairs }
+        Self::of(pairs)
     }
 
     /// Build a result from pairs that are already strictly increasing —
@@ -59,38 +101,62 @@ impl RqResult {
         pairs
             .windows(2)
             .all(|w| w[0] < w[1])
-            .then_some(RqResult { pairs })
+            .then(|| Self::of(pairs))
     }
 
     /// The matching pairs, sorted.
     pub fn pairs(&self) -> Vec<(NodeId, NodeId)> {
-        self.pairs.clone()
+        self.shared.pairs.clone()
     }
 
     /// The matching pairs, sorted, without the copy [`pairs`](Self::pairs)
-    /// makes — for a caller that is done with the result.
+    /// makes — for a caller that is done with the result (a result other
+    /// clones still share is copied).
     pub fn into_pairs(self) -> Vec<(NodeId, NodeId)> {
-        self.pairs
+        Arc::try_unwrap(self.shared).map_or_else(|shared| shared.pairs.clone(), |own| own.pairs)
+    }
+
+    /// The pairs as `render` lays them out, made at most once and shared
+    /// by every clone — for a caller that writes one answer out many
+    /// times, such as a server answering repeated queries from a cache.
+    /// The first call only notes the request and returns `None`: most
+    /// results are written once, and that caller lays the pairs out
+    /// straight into its own output. The second call renders into the
+    /// shared slot; it and every later call return those bytes. `render`
+    /// must depend on the pairs alone, the same function on every call.
+    pub fn rendered(&self, render: impl FnOnce(&[(NodeId, NodeId)]) -> Vec<u8>) -> Option<&[u8]> {
+        let shared = &*self.shared;
+        if let Some(bytes) = shared.rendered.get() {
+            return Some(bytes);
+        }
+        if !shared.asked.swap(true, Ordering::Relaxed) {
+            return None;
+        }
+        Some(
+            shared
+                .rendered
+                .get_or_init(|| render(&shared.pairs).into_boxed_slice()),
+        )
     }
 
     /// Borrowed view of the matching pairs.
     pub fn as_slice(&self) -> &[(NodeId, NodeId)] {
-        &self.pairs
+        &self.shared.pairs
     }
 
     /// Number of matching pairs.
     pub fn len(&self) -> usize {
-        self.pairs.len()
+        self.shared.pairs.len()
     }
 
     /// True if no pair matched.
     pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
+        self.shared.pairs.is_empty()
     }
 
     /// Membership test.
     pub fn contains(&self, x: NodeId, y: NodeId) -> bool {
-        self.pairs.binary_search(&(x, y)).is_ok()
+        self.shared.pairs.binary_search(&(x, y)).is_ok()
     }
 }
 
@@ -417,6 +483,34 @@ mod tests {
         assert_eq!(RqResult::from_sorted_pairs(vec![p(2, 1), p(0, 3)]), None);
         assert_eq!(RqResult::from_sorted_pairs(vec![p(0, 7), p(0, 3)]), None);
         assert_eq!(RqResult::from_sorted_pairs(vec![p(0, 3), p(0, 3)]), None);
+    }
+
+    #[test]
+    fn clones_share_pairs_and_one_rendering() {
+        let r = RqResult::from_pairs(vec![(NodeId(2), NodeId(1)), (NodeId(0), NodeId(3))]);
+        let twin = r.clone();
+        assert_eq!(r.as_slice().as_ptr(), twin.as_slice().as_ptr());
+        let mut renders = 0;
+        let mut render = |pairs: &[(NodeId, NodeId)]| {
+            renders += 1;
+            format!("{pairs:?}").into_bytes()
+        };
+        // the first ask only notes it; the second renders, once for all clones
+        assert_eq!(r.rendered(&mut render), None);
+        let bytes = twin.rendered(&mut render).expect("asked before").as_ptr();
+        assert_eq!(r.rendered(&mut render).unwrap().as_ptr(), bytes);
+        assert_eq!(renders, 1);
+        assert_eq!(
+            twin.rendered(|_| unreachable!()).unwrap(),
+            b"[(NodeId(0), NodeId(3)), (NodeId(2), NodeId(1))]"
+        );
+        // the rendering is not part of the value
+        assert_eq!(r, RqResult::from_pairs(r.pairs()));
+        assert_eq!(
+            format!("{r:?}"),
+            format!("{:?}", RqResult::from_pairs(r.pairs()))
+        );
+        assert_eq!(r.into_pairs(), twin.pairs());
     }
 
     /// Example 2.2: Q1(G) = {(C1,B1), (C1,B2), (C2,B1), (C2,B2)}.

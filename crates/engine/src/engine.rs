@@ -738,8 +738,9 @@ impl QueryEngine {
     /// made — `None` for a PQ, which has no cell.
     ///
     /// Every RQ plan probes the semantic cache first: a completed exact
-    /// cell or a containing cached entry answers — filtered down by the
-    /// query's target predicate — without touching the index or the
+    /// cell or a containing cached entry answers — with the answer the
+    /// cell keeps for the query's target predicate, or its reach set
+    /// filtered down to that target — without touching the index or the
     /// graph; a cold cache costs one lookup and declines
     /// (`SemanticMemo::try_answer` never blocks on in-flight
     /// computations).
@@ -753,8 +754,8 @@ impl QueryEngine {
         let lookup = match (job.query, standing) {
             (_, Some(entry)) => return (QueryOutput::Pq(entry.answer(g)), 0, None),
             (Query::Pq(_), None) => None,
-            (Query::Rq(rq), None) => match memo.try_answer(g, &rq.from, &rq.regex) {
-                Some((pairs, hit)) => return (rq_targets(g, rq, &pairs), 0, Some(hit)),
+            (Query::Rq(rq), None) => match memo.try_answer(g, rq) {
+                Some((answer, hit)) => return (QueryOutput::Rq(answer), 0, Some(hit)),
                 None => Some(Lookup::MISS),
             },
         };
@@ -917,29 +918,23 @@ fn mismatched(plan: impl std::fmt::Debug) -> ! {
     unreachable!("{plan:?} does not evaluate this query kind on this backend")
 }
 
-/// `pairs` — a memoized reach set of `rq`'s `(source predicate, regex)`
-/// key, sorted and duplicate-free — filtered down to the query's target
-/// predicate. The predicate is evaluated once per distinct target node
-/// (the verdict table fills on first sight), and not at all when it is
-/// trivially true; a filtered slice of a sorted set is still sorted, so
-/// the result is checked, not re-sorted.
-fn rq_targets(g: &Graph, rq: &Rq, pairs: &[(NodeId, NodeId)]) -> QueryOutput {
-    let hits = if rq.to.is_trivial() {
+/// `pairs` — a memoized reach set, sorted and duplicate-free — filtered
+/// down to the target predicate `to`. The predicate is evaluated once per
+/// distinct target node (the verdict table fills on first sight), and not
+/// at all when it is trivially true; a filtered slice of a sorted set is
+/// still sorted, so the result is checked, not re-sorted.
+pub(crate) fn rq_targets(g: &Graph, to: &Predicate, pairs: &[(NodeId, NodeId)]) -> RqResult {
+    let hits = if to.is_trivial() {
         pairs.to_vec()
     } else {
         let mut verdicts: Vec<Option<bool>> = vec![None; g.node_count()];
         pairs
             .iter()
-            .filter(|&&(_, y)| {
-                *verdicts[y.index()].get_or_insert_with(|| rq.to.matches(g.attrs(y)))
-            })
+            .filter(|&&(_, y)| *verdicts[y.index()].get_or_insert_with(|| to.matches(g.attrs(y))))
             .copied()
             .collect()
     };
-    QueryOutput::Rq(
-        RqResult::from_sorted_pairs(hits)
-            .expect("memoized reach sets are sorted and duplicate-free"),
-    )
+    RqResult::from_sorted_pairs(hits).expect("memoized reach sets are sorted and duplicate-free")
 }
 
 /// Probe-backed RQ evaluation after a declined cache probe: the key's
@@ -949,9 +944,11 @@ fn rq_targets(g: &Graph, rq: &Rq, pairs: &[(NodeId, NodeId)]) -> QueryOutput {
 /// the index (or the graph) only the sources the changes since can reach
 /// ([`SemanticMemo::patch`], [`patch_reach_set`]); without one, or when
 /// the patch would touch most sources, it is computed in full and
-/// installed via [`SemanticMemo::insert`]. Either way the set is filtered
-/// down to the query's targets, and the next exact or contained query on
-/// the key is a cache hit. Also returns whether it patched.
+/// installed via [`SemanticMemo::insert`]. Either way the query's answer
+/// is the set filtered down to its targets ([`SemanticMemo::answer`], which
+/// keeps it for the next exact hit with the same target), and the next
+/// exact or contained query on the key is a cache hit. Also returns
+/// whether it patched.
 fn rq_indexed<D: DistProbe>(
     g: &Graph,
     rq: &Rq,
@@ -967,7 +964,7 @@ fn rq_indexed<D: DistProbe>(
             (memo.insert(&rq.from, &rq.regex, full), false)
         }
     };
-    (rq_targets(g, rq, &pairs), patched)
+    (QueryOutput::Rq(memo.answer(g, rq, &pairs)), patched)
 }
 
 /// The query with every regex in run-normal canonical form
@@ -1655,8 +1652,7 @@ mod tests {
                 .filter(|&&(_, y)| query.to.matches(g.attrs(y)))
                 .copied()
                 .collect();
-            let expected = QueryOutput::Rq(RqResult::from_pairs(kept));
-            prop_assert_eq!(rq_targets(&g, &query, &pairs), expected);
+            prop_assert_eq!(rq_targets(&g, &query.to, &pairs), RqResult::from_pairs(kept));
         }
     }
 }

@@ -33,16 +33,35 @@
 //!    set is inserted as a first-class cell, so repeats of the narrow
 //!    query exact-hit from then on.
 //!
-//! Completed cells are bounded by an LRU byte budget; eviction removes a
-//! cell from the table and the candidate index while outstanding `Arc`s
-//! keep served answers alive.
+//! 4. **Per-target answers.** A query's answer is its key's reach set
+//!    filtered down to its *target* predicate. A completed cell keeps the
+//!    first answer any lookup produces for each target it is asked with
+//!    ([`SemanticMemo::answer`]), so an exact hit with a target seen
+//!    before is one lock and one `Arc` clone — no filter, no copy. The
+//!    answer is an [`RqResult`], whose clones share one rendering slot: a
+//!    server that encodes the answer again copies the bytes it encoded
+//!    before.
+//!
+//! Keys are `(source predicate, canonical regex)`: every entry point
+//! takes its regex in run-normal form ([`rpq_regex::canon::canonicalize`])
+//! — the engine's prologue canonicalises every query once — so every
+//! syntactic variant of a language lands on one cell.
+//!
+//! Completed cells are bounded by an LRU byte budget, which also pays for
+//! their per-target answers. Answers only use the room the reach sets
+//! leave: past the budget they are dropped first, least recently used
+//! cell first, and only then are cells evicted — from the table and the
+//! candidate index, while outstanding `Arc`s keep served answers alive.
+//! So which reach sets a workload keeps does not depend on its answers.
 //!
 //! **Versions.** A memo belongs to one [`QueryEngine`](crate::QueryEngine),
 //! whose graph never changes, so a completed cell is never wrong for the
 //! engine that computed it. The updatable engine publishes a new engine
 //! with every snapshot version, and its memo *inherits* the predecessor's
 //! completed cells ([`SemanticMemo::carry`]): their `Arc` pair sets, no
-//! copy, plus the batch's edge changes. An inherited cell is stale by
+//! copy, plus the batch's edge changes — reach sets only, so no
+//! per-target answer, and none of its encoded bytes, reaches a later
+//! version. An inherited cell is stale by
 //! construction — it is never an exact hit and never a containment donor.
 //! Only the miss path reads it ([`SemanticMemo::patch`]): the caller
 //! re-evaluates the sources the logged changes can reach
@@ -59,12 +78,13 @@
 //! caller evaluates itself — the first `insert` wins the cell, and every
 //! racer gets its `Arc`.
 
+use crate::engine::rq_targets;
 use rpq_core::incremental::EdgeChange;
 use rpq_core::predicate::Predicate;
-use rpq_core::rq::Rq;
+use rpq_core::rq::{Rq, RqResult};
 use rpq_graph::{Color, Graph, NodeId};
 use rpq_index::GraphProbe;
-use rpq_regex::canon::{canonicalize, contains_fast, skeleton, wildcard_skeleton};
+use rpq_regex::canon::{contains_fast, is_canonical, skeleton, wildcard_skeleton};
 use rpq_regex::FRegex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,9 +94,19 @@ use std::time::{Duration, Instant};
 type PairSet = Arc<Vec<(NodeId, NodeId)>>;
 type Cell = Arc<OnceLock<PairSet>>;
 
-/// Default byte budget for completed cells: pairs only, at the 8 bytes
-/// `register_completed` charges per `(NodeId, NodeId)` — about 4 M pairs.
+/// Default byte budget for completed cells: about 4 M reach-set pairs at
+/// [`PAIR_BYTES`] each, fewer as per-target answers take their share.
 const DEFAULT_BYTE_BUDGET: usize = 32 << 20;
+
+/// What a reach-set pair is charged: its size.
+const PAIR_BYTES: usize = std::mem::size_of::<(NodeId, NodeId)>();
+
+/// What a pair of a kept per-target answer is charged: the pair, plus the
+/// most its wire encoding can take (`[x,y],` with two ten-digit ids is
+/// 24 bytes). The charge is made when the answer is kept, whether or not
+/// it is ever encoded, so the bound holds without the memo seeing the
+/// bytes.
+const ANSWER_BYTES_PER_PAIR: usize = PAIR_BYTES + 24;
 
 /// How many versions an inherited cell may go unread before
 /// [`SemanticMemo::carry`] drops it: a cell computed at version `v` can be
@@ -198,10 +228,16 @@ impl Lookup {
     }
 }
 
-/// LRU bookkeeping of a completed (computed) cell.
+/// A completed (computed) cell's LRU bookkeeping and its answers.
 struct Completed {
+    /// What the reach set is charged.
     bytes: usize,
     tick: u64,
+    /// The answer kept for each target predicate asked since the answers
+    /// were last dropped.
+    answers: HashMap<Predicate, RqResult>,
+    /// What the answers are charged.
+    answer_bytes: usize,
 }
 
 /// One key's slot in the table: the cell, plus its LRU state once the
@@ -232,8 +268,10 @@ struct Table {
     /// fresh cell of the same key.
     inherited: HashMap<Predicate, HashMap<FRegex, Inherited>>,
     tick: u64,
-    /// Bytes of completed and inherited cells.
+    /// Bytes of completed and inherited cells, answers included.
     bytes: usize,
+    /// The answers' share of `bytes`.
+    answer_bytes: usize,
 }
 
 impl Table {
@@ -250,14 +288,77 @@ impl Table {
         }
     }
 
-    /// The cell of `(from, regex)`, marked most recently used.
-    fn touch(&mut self, from: &Predicate, regex: &FRegex) -> Option<&Cell> {
+    /// The entry of `(from, regex)`, marked most recently used.
+    fn touch(&mut self, from: &Predicate, regex: &FRegex) -> Option<&Entry> {
         let entry = self.map.get_mut(from)?.get_mut(regex)?;
         self.tick += 1;
         if let Some(c) = &mut entry.completed {
             c.tick = self.tick;
         }
-        Some(&entry.cell)
+        Some(entry)
+    }
+
+    /// The completed cell of `(from, regex)`, if it is still in the table.
+    fn completed(&mut self, from: &Predicate, regex: &FRegex) -> Option<&mut Completed> {
+        self.map.get_mut(from)?.get_mut(regex)?.completed.as_mut()
+    }
+
+    /// Bring the charged bytes within `budget`. Kept answers go first,
+    /// least recently used cell first — the next hit remakes one from its
+    /// reach set — then least recently used cells, completed or
+    /// inherited, other than `keep`. So answers live in the room reach
+    /// sets leave, and never cost a reach set its place.
+    fn make_room(&mut self, budget: usize, keep: (&Predicate, &FRegex)) {
+        while self.bytes > budget && self.drop_lru_answers() {}
+        while self.bytes > budget {
+            let completed = (self.map.iter())
+                .flat_map(|(p, inner)| inner.iter().map(move |(r, e)| (p, r, e)))
+                .filter(|&(p, r, _)| (p, r) != keep)
+                .filter_map(|(p, r, e)| Some((e.completed.as_ref()?.tick, p, r, false)));
+            let inherited = (self.inherited.iter())
+                .flat_map(|(p, inner)| inner.iter().map(move |(r, c)| (c.tick, p, r, true)));
+            let Some((victim, is_inherited)) = completed
+                .chain(inherited)
+                .min_by_key(|&(tick, ..)| tick)
+                .map(|(_, p, r, i)| ((p.clone(), r.clone()), i))
+            else {
+                break;
+            };
+            if is_inherited {
+                self.drop_inherited(&victim.0, &victim.1);
+                continue;
+            }
+            if let Some(bucket) = self.index.get_mut(&skeleton(&victim.1)) {
+                bucket.retain(|k| *k != victim);
+            }
+            let inner = self.map.get_mut(&victim.0).expect("victim is in the map");
+            if let Some(freed) = inner.remove(&victim.1).and_then(|e| e.completed) {
+                self.bytes -= freed.bytes + freed.answer_bytes;
+                self.answer_bytes -= freed.answer_bytes;
+            }
+            if inner.is_empty() {
+                self.map.remove(&victim.0);
+            }
+        }
+    }
+
+    /// Drop the answers of the least recently used cell that keeps any;
+    /// `false` when none does.
+    fn drop_lru_answers(&mut self) -> bool {
+        if self.answer_bytes == 0 {
+            return false;
+        }
+        let done = (self.map.values_mut())
+            .flat_map(|inner| inner.values_mut())
+            .filter_map(|e| e.completed.as_mut())
+            .filter(|done| done.answer_bytes > 0)
+            .min_by_key(|done| done.tick)
+            .expect("answer bytes are kept by some cell");
+        self.bytes -= done.answer_bytes;
+        self.answer_bytes -= done.answer_bytes;
+        done.answers.clear();
+        done.answer_bytes = 0;
+        true
     }
 
     /// Claim `(from, regex)`: its existing cell, or a fresh one.
@@ -317,9 +418,9 @@ impl Table {
 /// containment-driven reuse. See the module docs for the full contract.
 ///
 /// The key is split across two map levels (`predicate → regex → cell`) so
-/// that lookups hash the caller's *borrowed* predicate directly; regexes
-/// are canonicalized on entry so every syntactic variant of a language
-/// lands on one cell.
+/// that lookups hash the caller's *borrowed* predicate directly; callers
+/// pass regexes in canonical form, so every syntactic variant of a
+/// language lands on one cell.
 #[derive(Default)]
 pub struct SemanticMemo {
     cells: Mutex<Table>,
@@ -350,10 +451,11 @@ impl SemanticMemo {
         Self::with_byte_budget(DEFAULT_BYTE_BUDGET)
     }
 
-    /// Empty table bounding completed pair sets to roughly
-    /// `byte_budget` bytes (8 bytes per cached pair); least-recently
-    /// used cells are evicted past the budget. A budget of 0 keeps at
-    /// most one completed cell.
+    /// Empty table bounding completed pair sets and their per-target
+    /// answers to roughly `byte_budget` bytes (8 bytes per reach-set pair,
+    /// 32 per answer pair); past the budget, least-recently used answers
+    /// are dropped first, then least-recently used cells. A budget of 0
+    /// keeps at most one completed cell, and no answers.
     pub fn with_byte_budget(byte_budget: usize) -> Self {
         SemanticMemo {
             byte_budget,
@@ -362,32 +464,39 @@ impl SemanticMemo {
     }
 
     /// The one lookup: a completed exact cell or a containing donor
-    /// answers — and a derived answer is installed as a new cell — but a
-    /// full miss returns `None` without claiming anything, leaving the
-    /// caller to evaluate over its index or the graph and
-    /// [`insert`](SemanticMemo::insert) the result. `None` is always a
-    /// miss ([`Lookup::MISS`]): the returned [`Lookup`] is a hit's.
-    pub fn try_answer(
-        &self,
-        g: &Graph,
-        from: &Predicate,
-        regex: &FRegex,
-    ) -> Option<(PairSet, Lookup)> {
-        let canon = canonicalize(regex);
+    /// answers `rq` — and a derived reach set is installed as a new cell —
+    /// but a full miss returns `None` without claiming anything, leaving
+    /// the caller to evaluate over its index or the graph,
+    /// [`insert`](SemanticMemo::insert) the reach set and take its
+    /// [`answer`](SemanticMemo::answer). `None` is always a miss
+    /// ([`Lookup::MISS`]): the returned [`Lookup`] is a hit's. An exact hit
+    /// on a target asked before returns the answer the cell keeps for it,
+    /// under the one lock the lookup takes.
+    pub fn try_answer(&self, g: &Graph, rq: &Rq) -> Option<(RqResult, Lookup)> {
+        let (from, canon) = (&rq.from, &rq.regex);
+        debug_assert!(is_canonical(canon), "memo keys are canonical");
         let derive = {
             let mut table = self.cells.lock().expect("memo poisoned");
-            match table.touch(from, &canon).map(|cell| cell.get().cloned()) {
-                Some(Some(pairs)) => {
-                    self.exact_hits.fetch_add(1, Ordering::Relaxed);
-                    return Some((pairs, Lookup::hit(CacheKind::Exact, Duration::ZERO)));
-                }
-                // in flight on another worker: don't wait on it, the
-                // caller's own probes answer faster than an unfinished
-                // evaluation hands its result over
-                Some(None) => None,
+            match table.touch(from, canon) {
+                Some(entry) => match (entry.cell.get(), &entry.completed) {
+                    (Some(pairs), done) => {
+                        self.exact_hits.fetch_add(1, Ordering::Relaxed);
+                        let hit = Lookup::hit(CacheKind::Exact, Duration::ZERO);
+                        if let Some(kept) = done.as_ref().and_then(|d| d.answers.get(&rq.to)) {
+                            return Some((kept.clone(), hit));
+                        }
+                        let pairs = Arc::clone(pairs);
+                        drop(table);
+                        return Some((self.keep(rq, rq_targets(g, &rq.to, &pairs)), hit));
+                    }
+                    // in flight on another worker: don't wait on it, the
+                    // caller's own probes answer faster than an unfinished
+                    // evaluation hands its result over
+                    (None, _) => None,
+                },
                 None => table
-                    .find_donor(from, &canon)
-                    .map(|(pairs, equal)| (table.claim(from, &canon), pairs, equal)),
+                    .find_donor(from, canon)
+                    .map(|(pairs, equal)| (table.claim(from, canon), pairs, equal)),
             }
         };
         let Some((cell, donor, equal)) = derive else {
@@ -396,15 +505,56 @@ impl SemanticMemo {
         };
         self.subsumption_hits.fetch_add(1, Ordering::Relaxed);
         let mut filter_time = Duration::ZERO;
-        let pairs = self.fill(from, &canon, &cell, || {
+        let pairs = self.fill(from, canon, &cell, || {
             let started = Instant::now();
-            let derived = derive_from_donor(g, from, &canon, &donor, equal);
+            let derived = derive_from_donor(g, from, canon, &donor, equal);
             filter_time = started.elapsed();
             self.filter_nanos
                 .fetch_add(filter_time.as_nanos() as u64, Ordering::Relaxed);
             derived
         });
-        Some((pairs, Lookup::hit(CacheKind::Subsumption, filter_time)))
+        let hit = Lookup::hit(CacheKind::Subsumption, filter_time);
+        Some((self.answer(g, rq, &pairs), hit))
+    }
+
+    /// `rq`'s answer from `pairs`, the complete reach set of its key that
+    /// [`insert`](Self::insert) or [`patch`](Self::patch) returned: the
+    /// answer the key's cell keeps for `rq.to`, else `pairs` filtered down
+    /// to `rq.to` and kept in the cell for the next query with that
+    /// target. Answers are charged to the byte budget but only use the
+    /// room the reach sets leave: keeping one drops least recently used
+    /// answers, never a cell. An answer that does not fit beside the reach
+    /// sets, or whose cell was evicted meanwhile, is served unkept.
+    pub fn answer(&self, g: &Graph, rq: &Rq, pairs: &[(NodeId, NodeId)]) -> RqResult {
+        let kept = (self.cells.lock().expect("memo poisoned"))
+            .completed(&rq.from, &rq.regex)
+            .and_then(|done| done.answers.get(&rq.to).cloned());
+        kept.unwrap_or_else(|| self.keep(rq, rq_targets(g, &rq.to, pairs)))
+    }
+
+    /// Keep `answer` as the cell's answer for `rq.to`, charged to the
+    /// budget, unless a racer kept one first (that one is returned).
+    fn keep(&self, rq: &Rq, answer: RqResult) -> RqResult {
+        let charge = answer.len() * ANSWER_BYTES_PER_PAIR;
+        let mut table = self.cells.lock().expect("memo poisoned");
+        match table
+            .completed(&rq.from, &rq.regex)
+            .map(|d| d.answers.get(&rq.to))
+        {
+            None => return answer,
+            Some(Some(kept)) => return kept.clone(),
+            Some(None) => {}
+        }
+        if table.bytes - table.answer_bytes + charge > self.byte_budget {
+            return answer;
+        }
+        while table.bytes + charge > self.byte_budget && table.drop_lru_answers() {}
+        table.bytes += charge;
+        table.answer_bytes += charge;
+        let done = (table.completed(&rq.from, &rq.regex)).expect("dropping answers keeps cells");
+        done.answer_bytes += charge;
+        done.answers.insert(rq.to.clone(), answer.clone());
+        answer
     }
 
     /// Install an externally computed reach set for `(from, regex)`.
@@ -426,10 +576,11 @@ impl SemanticMemo {
         regex: &FRegex,
         mut pairs: Vec<(NodeId, NodeId)>,
     ) -> PairSet {
+        debug_assert!(is_canonical(regex), "memo keys are canonical");
         if !pairs.is_sorted() {
             pairs.sort_unstable();
         }
-        self.install(from, &canonicalize(regex), pairs)
+        self.install(from, regex, pairs)
     }
 
     fn install(&self, from: &Predicate, canon: &FRegex, pairs: Vec<(NodeId, NodeId)>) -> PairSet {
@@ -454,22 +605,22 @@ impl SemanticMemo {
         if !self.inherits {
             return None;
         }
-        let canon = canonicalize(regex);
         let (old, changes) = {
             let table = self.cells.lock().expect("memo poisoned");
-            let cell = table.inherited.get(from)?.get(&canon)?;
+            let cell = table.inherited.get(from)?.get(regex)?;
             (Arc::clone(&cell.pairs), cell.changes.clone())
         };
         let pairs = patch(&old, &changes)?;
         self.patched.fetch_add(1, Ordering::Relaxed);
-        Some(self.install(from, &canon, pairs))
+        Some(self.install(from, regex, pairs))
     }
 
     /// The memo of the next graph version, one batch of edge `changes`
     /// later: every completed cell of this memo, and every inherited one
     /// unread for fewer than `CARRY_VERSIONS` (four) versions, inherited with
-    /// `changes` appended to its log. Pair sets are shared, not copied;
-    /// LRU order and the byte budget carry over; counters start at zero.
+    /// `changes` appended to its log. Pair sets are shared, not copied,
+    /// and per-target answers are not inherited; LRU order and the byte
+    /// budget carry over; counters start at zero.
     pub fn carry(&self, changes: &[EdgeChange]) -> SemanticMemo {
         let table = self.cells.lock().expect("memo poisoned");
         let mut next = Table {
@@ -499,6 +650,7 @@ impl SemanticMemo {
                 let (Some(done), Some(pairs)) = (&entry.completed, entry.cell.get()) else {
                     continue;
                 };
+                // the reach set alone: its answers stay with this version
                 let cell = Inherited {
                     pairs: Arc::clone(pairs),
                     changes: changes.to_vec(),
@@ -541,7 +693,7 @@ impl SemanticMemo {
     /// Make a freshly computed cell visible to containment lookups and
     /// charge it to the byte budget, evicting LRU cells past it.
     fn register_completed(&self, from: &Predicate, canon: &FRegex, len: usize) {
-        let bytes = len * std::mem::size_of::<(NodeId, NodeId)>();
+        let bytes = len * PAIR_BYTES;
         let mut table = self.cells.lock().expect("memo poisoned");
         let table = &mut *table;
         table.tick += 1;
@@ -556,7 +708,12 @@ impl SemanticMemo {
         if entry.completed.is_some() {
             return; // eviction + recompute race: already registered
         }
-        entry.completed = Some(Completed { bytes, tick });
+        entry.completed = Some(Completed {
+            bytes,
+            tick,
+            answers: HashMap::new(),
+            answer_bytes: 0,
+        });
         table
             .index
             .entry(skeleton(canon))
@@ -564,36 +721,7 @@ impl SemanticMemo {
             .push((from.clone(), canon.clone()));
         table.bytes += bytes;
         table.drop_inherited(from, canon);
-        while table.bytes > self.byte_budget {
-            // the least recently used cell, completed or inherited, other
-            // than this one
-            let completed = (table.map.iter())
-                .flat_map(|(p, inner)| inner.iter().map(move |(r, e)| (p, r, e)))
-                .filter(|&(p, r, _)| (p, r) != (from, canon))
-                .filter_map(|(p, r, e)| Some((e.completed.as_ref()?.tick, p, r, false)));
-            let inherited = (table.inherited.iter())
-                .flat_map(|(p, inner)| inner.iter().map(move |(r, c)| (c.tick, p, r, true)));
-            let Some((victim, is_inherited)) = completed
-                .chain(inherited)
-                .min_by_key(|&(tick, ..)| tick)
-                .map(|(_, p, r, i)| ((p.clone(), r.clone()), i))
-            else {
-                break;
-            };
-            if is_inherited {
-                table.drop_inherited(&victim.0, &victim.1);
-                continue;
-            }
-            if let Some(bucket) = table.index.get_mut(&skeleton(&victim.1)) {
-                bucket.retain(|k| *k != victim);
-            }
-            let inner = table.map.get_mut(&victim.0).expect("victim is in the map");
-            let freed = inner.remove(&victim.1).and_then(|e| e.completed);
-            table.bytes -= freed.map_or(0, |c| c.bytes);
-            if inner.is_empty() {
-                table.map.remove(&victim.0);
-            }
-        }
+        table.make_room(self.byte_budget, (from, canon));
     }
 
     /// Per-kind counters of the semantic layer: every
@@ -662,6 +790,7 @@ fn derive_from_donor(
 mod tests {
     use super::*;
     use rpq_graph::gen::essembly;
+    use rpq_regex::canon::canonicalize;
 
     /// The key's complete reach set, by the reference evaluator.
     fn reach(g: &Graph, from: &Predicate, re: &FRegex) -> Vec<(NodeId, NodeId)> {
@@ -670,13 +799,36 @@ mod tests {
             .into_pairs()
     }
 
-    /// What the engine does for an RQ: look up, and on a miss evaluate and
-    /// install.
-    fn answer(memo: &SemanticMemo, g: &Graph, from: &Predicate, re: &FRegex) -> PairSet {
-        match memo.try_answer(g, from, re) {
-            Some((pairs, _)) => pairs,
-            None => memo.insert(from, re, reach(g, from, re)),
+    /// The RQ of `(from, re)` with a trivially true target, whose answer
+    /// is the key's reach set; `re` canonicalised, as the engine's
+    /// prologue does.
+    fn key(from: &Predicate, re: &FRegex) -> Rq {
+        Rq::new(from.clone(), Predicate::always_true(), canonicalize(re))
+    }
+
+    /// What the engine does for an RQ: look up, and on a miss evaluate,
+    /// install and take the answer.
+    fn ask(memo: &SemanticMemo, g: &Graph, rq: &Rq) -> RqResult {
+        match memo.try_answer(g, rq) {
+            Some((answer, _)) => answer,
+            None => {
+                let pairs = memo.insert(&rq.from, &rq.regex, reach(g, &rq.from, &rq.regex));
+                memo.answer(g, rq, &pairs)
+            }
         }
+    }
+
+    fn answer(memo: &SemanticMemo, g: &Graph, from: &Predicate, re: &FRegex) -> RqResult {
+        ask(memo, g, &key(from, re))
+    }
+
+    /// Whether two nonempty answers are one shared pair list.
+    fn shared(a: &RqResult, b: &RqResult) -> bool {
+        assert!(
+            !a.is_empty() && !b.is_empty(),
+            "an empty list has no address"
+        );
+        a.as_slice().as_ptr() == b.as_slice().as_ptr()
     }
 
     #[test]
@@ -687,21 +839,20 @@ mod tests {
         let re = FRegex::parse("fa^2 fn", g.alphabet()).unwrap();
         let a = answer(&memo, &g, &from, &re);
         let b = answer(&memo, &g, &from, &re);
-        assert!(Arc::ptr_eq(&a, &b), "same key must share one Arc");
+        assert!(shared(&a, &b), "same key must share one answer");
         let s = memo.semantic_stats();
         assert_eq!((s.hits(), s.misses), (1, 1));
         assert_eq!(memo.len(), 1);
 
-        let other = Predicate::parse("job = \"doctor\"", g.schema()).unwrap();
-        let c = answer(&memo, &g, &other, &re);
-        assert!(!Arc::ptr_eq(&a, &c));
+        let c = answer(&memo, &g, &Predicate::always_true(), &re);
+        assert!(!shared(&a, &c));
         assert_eq!(memo.len(), 2);
 
         // same predicate, different regex: a distinct key in the second
         // map level
         let re2 = FRegex::parse("fn", g.alphabet()).unwrap();
         let d = answer(&memo, &g, &from, &re2);
-        assert!(!Arc::ptr_eq(&a, &d));
+        assert!(!shared(&a, &d));
         assert_eq!(memo.len(), 3);
         assert!(!memo.is_empty());
     }
@@ -717,7 +868,10 @@ mod tests {
         let narrow =
             Predicate::parse("job = \"biologist\" && sp = \"cloning\"", g.schema()).unwrap();
         for from in [&broad, &broad, &narrow] {
-            assert_eq!(*answer(&memo, &g, from, &re), reach(&g, from, &re));
+            assert_eq!(
+                answer(&memo, &g, from, &re).as_slice(),
+                reach(&g, from, &re)
+            );
         }
         let s = memo.semantic_stats();
         assert_eq!((s.exact_hits, s.subsumption_hits, s.misses), (1, 1, 1));
@@ -729,19 +883,21 @@ mod tests {
         let memo = SemanticMemo::new();
         let from = Predicate::always_true();
         let re = FRegex::parse("fa+", g.alphabet()).unwrap();
-        let sets: Vec<_> = std::thread::scope(|s| {
+        let answers: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|_| s.spawn(|| answer(&memo, &g, &from, &re)))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        for w in &sets[1..] {
-            assert!(Arc::ptr_eq(&sets[0], w));
-        }
         let s = memo.semantic_stats();
         assert_eq!(s.hits() + s.misses, 8);
         assert_eq!(memo.len(), 1);
-        assert_eq!(*sets[0], reach(&g, &from, &re));
+        for a in &answers {
+            assert_eq!(a.as_slice(), reach(&g, &from, &re));
+        }
+        // however the racers interleaved, one answer is kept from then on
+        let kept = answer(&memo, &g, &from, &re);
+        assert!(shared(&kept, &answer(&memo, &g, &from, &re)));
     }
 
     #[test]
@@ -752,7 +908,7 @@ mod tests {
         let re = |text: &str| FRegex::parse(text, g.alphabet()).unwrap();
         let a = answer(&memo, &g, &from, &re("fa^2 fa"));
         let b = answer(&memo, &g, &from, &re("fa fa^2"));
-        assert!(Arc::ptr_eq(&a, &b), "canonical keys unify variants");
+        assert!(shared(&a, &b), "canonical keys unify variants");
         assert_eq!(memo.len(), 1);
         let s = memo.semantic_stats();
         assert_eq!((s.exact_hits, s.subsumption_hits, s.misses), (1, 0, 1));
@@ -767,7 +923,9 @@ mod tests {
         let narrow =
             Predicate::parse("job = \"biologist\" && sp = \"cloning\"", g.schema()).unwrap();
         let _ = answer(&memo, &g, &broad, &re);
-        let (served, lookup) = memo.try_answer(&g, &narrow, &re).expect("donor answers");
+        let (served, lookup) = memo
+            .try_answer(&g, &key(&narrow, &re))
+            .expect("donor answers");
         assert_eq!(lookup.kind, Some(CacheKind::Subsumption));
         let s = memo.semantic_stats();
         assert_eq!(
@@ -777,11 +935,11 @@ mod tests {
         );
         assert!(s.filter_time > Duration::ZERO);
         // bit-identical to direct evaluation
-        assert_eq!(*served, reach(&g, &narrow, &re));
+        assert_eq!(served.as_slice(), reach(&g, &narrow, &re));
         // and now cached exactly
-        let (again, lookup) = memo.try_answer(&g, &narrow, &re).expect("installed");
+        let (again, lookup) = memo.try_answer(&g, &key(&narrow, &re)).expect("installed");
         assert_eq!(lookup.kind, Some(CacheKind::Exact));
-        assert!(Arc::ptr_eq(&served, &again));
+        assert!(shared(&served, &again));
     }
 
     #[test]
@@ -792,10 +950,12 @@ mod tests {
         let broad = FRegex::parse("fa^3 fn", g.alphabet()).unwrap();
         let narrow = FRegex::parse("fa^2 fn", g.alphabet()).unwrap();
         let _ = answer(&memo, &g, &from, &broad);
-        let (served, _) = memo.try_answer(&g, &from, &narrow).expect("donor answers");
+        let (served, _) = memo
+            .try_answer(&g, &key(&from, &narrow))
+            .expect("donor answers");
         assert_eq!(memo.semantic_stats().subsumption_hits, 1);
         assert_eq!(
-            *served,
+            served.as_slice(),
             reach(&g, &from, &narrow),
             "tighter regex re-verified per source"
         );
@@ -819,12 +979,14 @@ mod tests {
             );
             let re = FRegex::parse(&format!("_^{k}"), g.alphabet()).unwrap();
             let started = Instant::now();
-            let (served, lookup) = memo.try_answer(&g, &from, &re).expect("donor answers");
+            let (served, lookup) = memo
+                .try_answer(&g, &key(&from, &re))
+                .expect("donor answers");
             let took = started.elapsed();
             assert_eq!(lookup.kind, Some(CacheKind::Subsumption), "_^{k}");
             let fresh = Rq::new(from.clone(), Predicate::always_true(), re)
                 .eval_with_dist(&g, &GraphProbe::new(&g));
-            assert_eq!(*served, fresh.into_pairs(), "_^{k}");
+            assert_eq!(served, fresh, "_^{k}");
             assert!(took < Duration::from_secs(1), "_^{k} took {took:?}");
         }
     }
@@ -835,16 +997,19 @@ mod tests {
         let memo = SemanticMemo::new();
         let from = Predicate::parse("job = \"biologist\"", g.schema()).unwrap();
         let re = FRegex::parse("fa^2 fn", g.alphabet()).unwrap();
-        assert!(memo.try_answer(&g, &from, &re).is_none(), "cold cache");
+        assert!(
+            memo.try_answer(&g, &key(&from, &re)).is_none(),
+            "cold cache"
+        );
         assert!(memo.is_empty(), "a declined lookup claims nothing");
         assert_eq!(memo.semantic_stats().misses, 1);
         let computed = memo.insert(&from, &re, reach(&g, &from, &re));
-        let (pairs, lookup) = memo.try_answer(&g, &from, &re).expect("now cached");
+        let (answer, lookup) = memo.try_answer(&g, &key(&from, &re)).expect("now cached");
         assert_eq!(lookup.kind, Some(CacheKind::Exact));
-        assert!(Arc::ptr_eq(&computed, &pairs));
+        assert_eq!(answer.as_slice(), computed.as_slice());
         // an unrelated key still declines
         let other = FRegex::parse("sn", g.alphabet()).unwrap();
-        assert!(memo.try_answer(&g, &from, &other).is_none());
+        assert!(memo.try_answer(&g, &key(&from, &other)).is_none());
         assert_eq!(memo.semantic_stats().misses, 2);
     }
 
@@ -867,7 +1032,7 @@ mod tests {
     fn byte_budget_evicts_lru_completed_cells() {
         let g = essembly();
         // budget of one pair: every new completed cell evicts the last
-        let memo = SemanticMemo::with_byte_budget(std::mem::size_of::<(NodeId, NodeId)>());
+        let memo = SemanticMemo::with_byte_budget(PAIR_BYTES);
         let from = Predicate::always_true();
         let re = |text: &str| FRegex::parse(text, g.alphabet()).unwrap();
         let res = ["fa", "fn", "sa"];
@@ -880,6 +1045,139 @@ mod tests {
         let before = memo.semantic_stats().misses;
         let _ = answer(&memo, &g, &from, &re("fa"));
         assert_eq!(memo.semantic_stats().misses, before + 1);
+    }
+
+    /// `(source predicate, regex, target predicate)` of the essembly graph.
+    fn rq(g: &Graph, from: &str, re: &str, to: &str) -> Rq {
+        Rq::new(
+            Predicate::parse(from, g.schema()).unwrap(),
+            Predicate::parse(to, g.schema()).unwrap(),
+            canonicalize(&FRegex::parse(re, g.alphabet()).unwrap()),
+        )
+    }
+
+    #[test]
+    fn exact_hits_share_the_answer_kept_for_their_target() {
+        let g = essembly();
+        let memo = SemanticMemo::new();
+        let doctors = rq(&g, "job = \"biologist\"", "fa^2 fn", "job = \"doctor\"");
+        let anyone = rq(&g, "job = \"biologist\"", "fa^2 fn", "");
+        // the miss path's answer is the one kept
+        let first = ask(&memo, &g, &doctors);
+        assert_eq!(first, doctors.eval_bfs(&g));
+        for _ in 0..2 {
+            let (hit, lookup) = memo.try_answer(&g, &doctors).expect("cached");
+            assert_eq!(lookup.kind, Some(CacheKind::Exact));
+            assert!(shared(&first, &hit), "no filter, no copy");
+        }
+        // another target on the same cell: its own answer, kept beside
+        let (wide, _) = memo.try_answer(&g, &anyone).expect("cached");
+        assert_eq!(wide, anyone.eval_bfs(&g));
+        assert!(!shared(&wide, &first));
+        assert!(shared(&wide, &memo.try_answer(&g, &anyone).unwrap().0));
+        assert_eq!(memo.len(), 1, "one cell, two answers");
+        // charged: the reach set, plus both answers at the per-pair bound
+        let reach_bytes = wide.len() * PAIR_BYTES;
+        let answer_bytes = (first.len() + wide.len()) * ANSWER_BYTES_PER_PAIR;
+        assert_eq!(memo.cached_bytes(), reach_bytes + answer_bytes);
+    }
+
+    /// What one key's reach set is charged.
+    fn reach_bytes(g: &Graph, rq: &Rq) -> usize {
+        reach(g, &rq.from, &rq.regex).len() * PAIR_BYTES
+    }
+
+    /// What one answer is charged.
+    fn answer_bytes(g: &Graph, rq: &Rq) -> usize {
+        rq.eval_bfs(g).len() * ANSWER_BYTES_PER_PAIR
+    }
+
+    #[test]
+    fn evicting_a_cell_drops_its_answers() {
+        let g = essembly();
+        let a = rq(&g, "", "fn", "");
+        let b = rq(&g, "", "fa", "job = \"doctor\"");
+        let wide = rq(&g, "", "_+", "");
+        // room for `a` with its answer
+        let budget = reach_bytes(&g, &a) + answer_bytes(&g, &a);
+        assert!(reach_bytes(&g, &a) + reach_bytes(&g, &b) + answer_bytes(&g, &b) <= budget);
+        assert!(reach_bytes(&g, &wide) + reach_bytes(&g, &a) > budget);
+        let memo = SemanticMemo::with_byte_budget(budget);
+        let kept = ask(&memo, &g, &a);
+        assert!(shared(&kept, &ask(&memo, &g, &a)));
+        assert_eq!(memo.cached_bytes(), budget, "the answer is charged");
+        // `b` needs room: `a`'s answer goes, with its charge, and its
+        // cell stays
+        let _ = ask(&memo, &g, &b);
+        assert_eq!(memo.len(), 2);
+        let b_total = reach_bytes(&g, &b) + answer_bytes(&g, &b);
+        assert_eq!(memo.cached_bytes(), reach_bytes(&g, &a) + b_total);
+        let (again, lookup) = memo.try_answer(&g, &a).expect("the cell stayed");
+        assert_eq!(lookup.kind, Some(CacheKind::Exact));
+        assert_eq!(again, kept);
+        assert!(!shared(&again, &kept), "remade from the reach set");
+        // a reach set that needs the room evicts cells: their answers
+        // leave with them, and no byte of theirs stays charged
+        let _ = ask(&memo, &g, &wide);
+        assert_eq!(memo.len(), 1, "`a` and `b` evicted");
+        assert_eq!(memo.cached_bytes(), reach_bytes(&g, &wide));
+    }
+
+    #[test]
+    fn a_carried_memo_serves_no_answer_of_the_version_before() {
+        let g = essembly();
+        let memo = SemanticMemo::new();
+        let doctors = rq(&g, "job = \"biologist\"", "fa^2 fn", "job = \"doctor\"");
+        let old = ask(&memo, &g, &doctors);
+        let reach_bytes = reach(&g, &doctors.from, &doctors.regex).len() * PAIR_BYTES;
+        let next = memo.carry(&batch(0));
+        assert_eq!(next.cached_bytes(), reach_bytes, "the reach set alone");
+        // the first lookup of the key misses, and its answer is made anew
+        assert!(next.try_answer(&g, &doctors).is_none());
+        let pairs = next
+            .patch(&doctors.from, &doctors.regex, |old, _| Some(old.to_vec()))
+            .expect("inherited");
+        let fresh = next.answer(&g, &doctors, &pairs);
+        assert_eq!(fresh, old);
+        assert!(!shared(&fresh, &old), "not the old version's answer");
+        assert!(shared(&fresh, &next.try_answer(&g, &doctors).unwrap().0));
+    }
+
+    #[test]
+    fn answers_past_the_budget_never_evict_a_cell() {
+        let g = essembly();
+        // a trivial target: each answer is its whole reach set
+        let keys = [
+            rq(&g, "", "fa+", ""),
+            rq(&g, "", "fn+", ""),
+            rq(&g, "", "sa+", ""),
+        ];
+        let total = |k: &Rq| reach_bytes(&g, k) + answer_bytes(&g, k);
+        // room for every reach set, and for each cell with its answer;
+        // not for all the answers
+        let budget = keys.iter().map(total).max().unwrap();
+        assert!(keys.iter().map(|k| reach_bytes(&g, k)).sum::<usize>() <= budget);
+        assert!(keys.iter().map(total).sum::<usize>() > budget);
+        let memo = SemanticMemo::with_byte_budget(budget);
+        for _ in 0..2 {
+            for k in &keys {
+                assert_eq!(ask(&memo, &g, k), k.eval_bfs(&g));
+                assert!(
+                    memo.cached_bytes() <= budget,
+                    "{} > {budget}",
+                    memo.cached_bytes()
+                );
+            }
+        }
+        assert_eq!(memo.len(), keys.len());
+        assert_eq!(
+            memo.semantic_stats().misses,
+            keys.len() as u64,
+            "no cell evicted"
+        );
+        // the one asked last keeps its answer
+        let last = &keys[keys.len() - 1];
+        assert!(shared(&ask(&memo, &g, last), &ask(&memo, &g, last)));
     }
 
     /// One logged change: the batch of one version.
@@ -895,12 +1193,12 @@ mod tests {
         let broad = Predicate::parse("job = \"biologist\"", g.schema()).unwrap();
         let narrow =
             Predicate::parse("job = \"biologist\" && sp = \"cloning\"", g.schema()).unwrap();
-        let computed = answer(&memo, &g, &broad, &re);
+        let computed = memo.insert(&broad, &re, reach(&g, &broad, &re));
         let next = memo.carry(&batch(0));
         assert_eq!(next.semantic_stats(), SemanticStats::default());
         // neither an exact hit nor a donor for the narrower key
-        assert!(next.try_answer(&g, &broad, &re).is_none());
-        assert!(next.try_answer(&g, &narrow, &re).is_none());
+        assert!(next.try_answer(&g, &key(&broad, &re)).is_none());
+        assert!(next.try_answer(&g, &key(&narrow, &re)).is_none());
         assert_eq!(next.semantic_stats().misses, 2);
         assert!(next.is_empty(), "a declined lookup claims nothing");
         // the miss path patches it: the closure gets the shared pair set
@@ -913,9 +1211,9 @@ mod tests {
             })
             .expect("inherited");
         assert_eq!(next.semantic_stats().patched, 1);
-        let (hit, lookup) = next.try_answer(&g, &broad, &re).expect("fresh now");
+        let (hit, lookup) = next.try_answer(&g, &key(&broad, &re)).expect("fresh now");
         assert_eq!(lookup.kind, Some(CacheKind::Exact));
-        assert!(Arc::ptr_eq(&hit, &patched));
+        assert_eq!(hit.as_slice(), patched.as_slice());
         // the fresh cell superseded the inherited one
         assert!(next.patch(&broad, &re, |_, _| unreachable!()).is_none());
         // a declined patch installs nothing
@@ -933,31 +1231,32 @@ mod tests {
     #[test]
     fn inherited_cells_are_charged_to_the_byte_budget() {
         let g = essembly();
-        let pair = std::mem::size_of::<(NodeId, NodeId)>();
         let from = Predicate::always_true();
         let re = |text: &str| FRegex::parse(text, g.alphabet()).unwrap();
+        // reach sets only, as a miss installs them
+        let install =
+            |memo: &SemanticMemo, r: &str| memo.insert(&from, &re(r), reach(&g, &from, &re(r)));
         let memo = SemanticMemo::new();
-        let fa = answer(&memo, &g, &from, &re("fa"));
-        let fnc = answer(&memo, &g, &from, &re("fn"));
+        let fa = install(&memo, "fa");
+        let fnc = install(&memo, "fn");
         let next = memo.carry(&batch(0));
         assert_eq!(next.cached_bytes(), memo.cached_bytes());
-        assert_eq!(next.cached_bytes(), (fa.len() + fnc.len()) * pair);
+        assert_eq!(next.cached_bytes(), (fa.len() + fnc.len()) * PAIR_BYTES);
         // patching replaces the inherited charge with the fresh one
         let _ = next.patch(&from, &re("fa"), |old, _| Some(old.to_vec()));
         assert_eq!(next.cached_bytes(), memo.cached_bytes());
 
         // with room for one cell, a fresh cell evicts the inherited one
-        let tight = SemanticMemo::with_byte_budget(fa.len() * pair);
-        let _ = answer(&tight, &g, &from, &re("fa"));
+        let tight = SemanticMemo::with_byte_budget(fa.len() * PAIR_BYTES);
+        let _ = install(&tight, "fa");
         let next = tight.carry(&batch(0));
-        assert_eq!(next.cached_bytes(), fa.len() * pair);
-        let sa = answer(&next, &g, &from, &re("sa"));
+        assert_eq!(next.cached_bytes(), fa.len() * PAIR_BYTES);
+        let sa = install(&next, "sa");
         assert!(next
             .patch(&from, &re("fa"), |_, _| unreachable!())
             .is_none());
-        assert_eq!(next.cached_bytes(), sa.len() * pair);
+        assert_eq!(next.cached_bytes(), sa.len() * PAIR_BYTES);
     }
-
     #[test]
     fn inherited_cells_expire_after_carry_versions() {
         let g = essembly();

@@ -25,6 +25,14 @@
 //! Encoding is canonical — one byte string per answer — which is what
 //! makes the server's "bit-identical to in-process evaluation" acceptance
 //! checkable by literal string comparison.
+//!
+//! An RQ pair list is rendered once per shared answer. The engine's memo
+//! answers every exact hit with a clone of one kept
+//! [`RqResult`](rpq_core::rq::RqResult), and the clones share one byte slot:
+//! the first encode writes the pairs straight into the body, the second
+//! renders them into the slot, and every later one copies the slot. A
+//! result encoded once — a miss no query repeats — pays nothing for the
+//! slot. PQ answers are laid out afresh on every encode.
 
 use rpq_core::incremental::Update;
 use rpq_core::lang::format_pq;
@@ -374,15 +382,37 @@ fn write_pairs<S: Sink>(out: &mut S, pairs: &[(NodeId, NodeId)]) {
     write_list(out, pairs, |out, (x, y)| out.pair(x.0, y.0));
 }
 
-/// One answered query as its canonical JSON line, newline included.
-fn write_item<S: Sink>(out: &mut S, item: &BatchItem) {
+/// An RQ answer's pair list as its bytes, the second time the answer —
+/// or a clone of it, such as the memo's answer to an exact hit — is
+/// encoded, and every time after
+/// ([`RqResult::rendered`](rpq_core::rq::RqResult::rendered)); `None` the
+/// first time, and for a PQ answer.
+fn rendered_pairs(item: &BatchItem) -> Option<&[u8]> {
+    let QueryOutput::Rq(r) = &item.output else {
+        return None;
+    };
+    r.rendered(|pairs| {
+        let mut len = ByteCount(0);
+        write_pairs(&mut len, pairs);
+        let mut bytes = Vec::with_capacity(len.0);
+        write_pairs(&mut bytes, pairs);
+        bytes
+    })
+}
+
+/// One answered query as its canonical JSON line, newline included. An
+/// RQ's pair list is `rendered` when its bytes are at hand.
+fn write_item<S: Sink>(out: &mut S, item: &BatchItem, rendered: Option<&[u8]>) {
     let plan = crate::json::escape(item.plan.name());
     match &item.output {
         QueryOutput::Rq(r) => {
             out.bytes(b"{\"kind\":\"rq\",\"plan\":\"");
             out.bytes(plan.as_bytes());
             out.bytes(b"\",\"pairs\":[");
-            write_pairs(out, r.as_slice());
+            match rendered {
+                Some(bytes) => out.bytes(bytes),
+                None => write_pairs(out, r.as_slice()),
+            }
             out.bytes(b"]}\n");
         }
         QueryOutput::Pq(r) => {
@@ -407,16 +437,18 @@ fn write_item<S: Sink>(out: &mut S, item: &BatchItem) {
 
 /// Append the canonical JSON lines of `items` — the body of a `/v1/query`
 /// response — to `out`. The layout is counted first and `out` grown once,
-/// by exactly that much; no pair, id or line allocates on its own.
+/// by exactly that much; no pair, id or line allocates on its own. An RQ
+/// pair list encoded before is copied from its rendered bytes.
 pub fn encode_items_into(out: &mut Vec<u8>, items: &[BatchItem]) {
+    let rendered: Vec<Option<&[u8]>> = items.iter().map(rendered_pairs).collect();
     let mut len = ByteCount(0);
-    for item in items {
-        write_item(&mut len, item);
+    for (item, &bytes) in items.iter().zip(&rendered) {
+        write_item(&mut len, item, bytes);
     }
     out.reserve_exact(len.0);
     let start = out.len();
-    for item in items {
-        write_item(out, item);
+    for (item, &bytes) in items.iter().zip(&rendered) {
+        write_item(out, item, bytes);
     }
     debug_assert_eq!(
         out.len() - start,
@@ -548,6 +580,9 @@ mod tests {
 
         /// The allocation-free encoder writes the oracle's bytes: per line,
         /// per body, and appended behind whatever the buffer already holds.
+        /// The three encodes of each answer take the three paths of an RQ
+        /// pair list: written straight, rendered into the shared slot,
+        /// copied from it.
         #[test]
         fn encoder_matches_the_format_oracle(
             outputs in proptest::collection::vec((output(), 0usize..14), 0..5),
@@ -565,6 +600,114 @@ mod tests {
             let mut body = b"kept".to_vec();
             encode_items_into(&mut body, &items);
             prop_assert_eq!(body, [b"kept", expected.as_bytes()].concat());
+        }
+    }
+
+    #[test]
+    fn an_answer_encoded_again_is_copied_from_its_rendered_pairs() {
+        let answer = RqResult::from_pairs(vec![(NodeId(7), NodeId(10)), (NodeId(0), NodeId(99))]);
+        let first = item(QueryOutput::Rq(answer.clone()), 0);
+        // a clone, as the memo hands every exact hit
+        let again = item(QueryOutput::Rq(answer.clone()), 1);
+        let bodies: Vec<String> = (0..3)
+            .map(|_| encode_items(&[first.clone(), again.clone()]))
+            .collect();
+        let expected = format!(
+            "{}\n{}\n",
+            encode_item_by_format(&first),
+            encode_item_by_format(&again)
+        );
+        for body in &bodies {
+            assert_eq!(body, &expected);
+        }
+        let slot = answer.rendered(|_| unreachable!("rendered by the encoder"));
+        assert_eq!(slot, Some(&b"[0,99],[7,10]"[..]));
+    }
+
+    /// Arbitrary request bodies made of the wire format's own pieces —
+    /// op names, tabs, escapes, predicate, regex and pattern syntax,
+    /// numbers past the types' edges — laid out as lines of tab-separated
+    /// fields, with stray bytes (lossy UTF-8) mixed in.
+    fn hostile_body() -> impl Strategy<Value = String> {
+        const PIECES: &[&str] = &[
+            "rq",
+            "pq",
+            "ins",
+            "del",
+            "\t",
+            "\n",
+            "\r",
+            "\\",
+            "\\\\",
+            "\\t",
+            "\\n",
+            "\\x",
+            "\t\t",
+            "fa",
+            "fn",
+            "sa",
+            "_",
+            "+",
+            "^",
+            "^0",
+            "^1",
+            "^4294967295",
+            "^99999999999",
+            " ",
+            "\"",
+            "=",
+            "!=",
+            "<=",
+            ">",
+            "&&",
+            "job",
+            "sp",
+            "\"doctor\"",
+            "node a",
+            "node b",
+            "edge a -> b",
+            "edge a -> a",
+            "->",
+            ":",
+            ";",
+            "#",
+            "0",
+            "1",
+            "4294967295",
+            "4294967296",
+            "-1",
+            "é",
+            "\u{0}",
+        ];
+        let piece = prop_oneof![
+            4 => (0..PIECES.len()).prop_map(|i| PIECES[i].as_bytes().to_vec()),
+            1 => proptest::collection::vec(any::<u8>(), 1..4),
+        ];
+        let field = proptest::collection::vec(piece, 0..3).prop_map(|parts| parts.concat());
+        let line = (0usize..5, proptest::collection::vec(field, 0..5)).prop_map(|(op, fields)| {
+            let op = ["rq", "pq", "ins", "del", ""][op].as_bytes().to_vec();
+            [vec![op], fields].concat().join(&b'\t')
+        });
+        proptest::collection::vec(line, 1..4)
+            .prop_map(|lines| String::from_utf8_lossy(&lines.join(&b'\n')).into_owned())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8192))]
+
+        /// No request body panics the parsers: each is a query or update
+        /// batch, or a typed error.
+        #[test]
+        fn parsers_never_panic(body in hostile_body()) {
+            let g = essembly();
+            match parse_query_body(&body, &g) {
+                Ok(_) | Err(EngineError::BadQuery { .. }) => {}
+                Err(other) => prop_assert!(false, "{other:?}"),
+            }
+            match parse_update_body(&body, &g) {
+                Ok(_) | Err(EngineError::BadQuery { .. }) => {}
+                Err(other) => prop_assert!(false, "{other:?}"),
+            }
         }
     }
 

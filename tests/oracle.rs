@@ -226,6 +226,10 @@ impl Case {
             out.push(rq(&from, q.regex.clone()));
             out.push(rq(&from, respell(&q.regex, &q.picks)));
             out.push(rq(&pred(&narrowed, g), q.regex.clone()));
+            // the same memo key with another target: a cell keeps one
+            // answer per target, and an exact hit must take its own
+            let retarget = pred(&narrowed, g);
+            out.push(Query::Rq(Rq::new(from.clone(), retarget, q.regex.clone())));
         }
         for p in &self.pqs {
             let respelled = PqSpec {
@@ -472,6 +476,7 @@ fn assert_covered(ledger: &BTreeMap<String, u64>) {
     required.push("wildcard search".to_owned());
     for regime in ["matrix", "hop", "sharded"] {
         required.push(format!("wire {regime}"));
+        required.push(format!("wire cached {regime}"));
     }
     for regime in ["hop", "sharded"] {
         for state in ["Built", "Repaired"] {
@@ -663,13 +668,7 @@ fn sweep_core(case: &Case, g: &Arc<Graph>, queries: &[Query], truth: &Truth) {
 /// answers themselves — independent of the server's encoder.
 fn render(items: &[BatchItem]) -> String {
     let join = |parts: Vec<String>| parts.join(",");
-    let pairs = |ps: &[(NodeId, NodeId)]| {
-        join(
-            ps.iter()
-                .map(|(x, y)| format!("[{},{}]", x.0, y.0))
-                .collect(),
-        )
-    };
+    let pairs = pair_list;
     let mut body = String::new();
     for item in items {
         let plan = item.plan.name();
@@ -692,6 +691,15 @@ fn render(items: &[BatchItem]) -> String {
         };
     }
     body
+}
+
+/// `[x,y],…`: a pair list as a `/v1/query` body spells it.
+fn pair_list(pairs: &[(NodeId, NodeId)]) -> String {
+    let pairs: Vec<String> = pairs
+        .iter()
+        .map(|(x, y)| format!("[{},{}]", x.0, y.0))
+        .collect();
+    pairs.join(",")
 }
 
 /// `pq` with its node order reversed: the same query, numbered apart.
@@ -732,6 +740,8 @@ fn sweep_versions(case: &Case, g: &Arc<Graph>, queries: &[Query]) {
         batch.push(Query::Pq(case.pqs[0].build(g)));
         let server = Server::start(Arc::clone(&live), ServerConfig::default()).unwrap();
         let mut client = Client::connect(server.addr()).unwrap();
+        // the answers this leg asked for their rendered pairs
+        let mut asked: Vec<RqResult> = Vec::new();
         // every published version with the answers it is held to
         let mut pinned: HashMap<u64, Rc<(Arc<Snapshot>, Truth)>> = HashMap::new();
         let mut current = live.snapshot();
@@ -833,7 +843,8 @@ fn sweep_versions(case: &Case, g: &Arc<Graph>, queries: &[Query]) {
 
             let resp = client.query(batch, snap.graph()).unwrap();
             assert!(resp.is_ok(), "{}: {}", at("wire"), resp.body);
-            let served = &pinned[&resp.version.expect("X-Rpq-Version")];
+            let version = resp.version.expect("X-Rpq-Version");
+            let served = &pinned[&version];
             let items = served.0.run_batch(batch);
             check_batch(batch, &items, &at("wire"));
             assert_eq!(
@@ -844,6 +855,38 @@ fn sweep_versions(case: &Case, g: &Arc<Graph>, queries: &[Query]) {
             );
             assert_eq!(resp.body, render(items.items()), "{}", at("wire"));
             tally(format!("wire {r}"));
+            // the same batch again: its RQ answers are the memo's kept
+            // ones, encoded twice by now, so the body copies their
+            // rendered pair lists
+            let again = client.query(batch, snap.graph()).unwrap();
+            assert!(again.is_ok(), "{}: {}", at("wire again"), again.body);
+            assert_eq!(again.version, Some(version), "{}", at("wire again"));
+            assert_eq!(again.body, resp.body, "{}", at("wire again"));
+            assert_eq!(again.body, render(items.items()), "{}", at("wire again"));
+            let mut from_slot = false;
+            for item in items.items() {
+                if let QueryOutput::Rq(r) = &item.output {
+                    // ask each answer once: a second ask of this leg's own
+                    // would fill the slot itself
+                    let first = r.as_slice().as_ptr();
+                    if r.is_empty() || asked.iter().any(|a| a.as_slice().as_ptr() == first) {
+                        continue;
+                    }
+                    asked.push(r.clone());
+                    let mut now = false;
+                    let slot = r.rendered(|pairs| {
+                        now = true;
+                        pair_list(pairs).into_bytes()
+                    });
+                    if let Some(bytes) = slot {
+                        assert_eq!(bytes, pair_list(r.as_slice()).as_bytes(), "{}", at("slot"));
+                        from_slot |= !now;
+                    }
+                }
+            }
+            if from_slot {
+                tally(format!("wire cached {r}"));
+            }
         }
         drop(client);
         server.shutdown();
@@ -892,6 +935,14 @@ proptest! {
             prop_assert!(rpq::core::pq_equivalent(&slim, &pq), "{:?}", pq);
             prop_assert!(slim.size() <= pq.size());
             prop_assert_eq!(slim.eval_naive(&g).is_empty(), pq.eval_naive(&g).is_empty());
+            // the printed minimum is a query: it parses back to itself,
+            // and answers like the input
+            let printed = format_pq(&slim, g.schema(), g.alphabet());
+            let back = parse_pq(&printed, g.schema(), g.alphabet());
+            prop_assert_eq!(back.as_ref(), Ok(&slim), "{}", printed);
+            let back = back.unwrap();
+            prop_assert!(rpq::core::pq_equivalent(&back, &pq), "{}", printed);
+            prop_assert_eq!(back.eval_naive(&g).is_empty(), pq.eval_naive(&g).is_empty());
         }
     }
 }
