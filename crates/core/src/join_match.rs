@@ -143,8 +143,8 @@ pub(crate) fn refine_from<P: DistProbe + Sync + ?Sized>(
 /// One refinement step's witness test, shared by [`refine_from`] and
 /// `SplitMatch`: `out[i]` = does `sources[i]` reach some target through
 /// `regex`? The edges they refine are single-atom, so this is one bulk
-/// [`ProbeReach::sources_reaching_atom`] call (index backends answer it
-/// from aggregated label/row scans, possibly on several threads).
+/// [`ProbeReach::sources_reaching_atom`] call (answered from aggregated
+/// label scans or one graph sweep, possibly on several threads).
 pub(crate) fn survivors<P: DistProbe + Sync + ?Sized>(
     g: &Graph,
     engine: &mut ProbeReach<'_, P>,

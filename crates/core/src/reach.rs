@@ -123,14 +123,15 @@ pub type MatrixReach<'a> = ProbeReach<'a, DistanceMatrix>;
 impl<P: DistProbe + Sync + ?Sized> ProbeReach<'_, P> {
     /// Advance a frontier through `atoms` one at a time — the paper's
     /// dummy-node decomposition evaluated in place, using bounded
-    /// neighborhood scans (row scans on the matrix, inverted hub lists on
-    /// labels, one sweep over the graph — never per-pair probes against
-    /// all of V). Returns the set of nodes reachable from `x` through
-    /// every atom, i.e. exactly `{ y : (x, y) ⊨ atoms }` under the
-    /// nonempty-path semantics ([`DistProbe::for_each_reaching_from`] is
-    /// the per-atom step). Each step costs scan-output work, not O(|V|):
-    /// the reusable scratch mask only dedups, and is restored to all-false
-    /// via the nodes actually collected.
+    /// neighborhood scans (inverted hub lists per frontier node on hop
+    /// labels; one forward sweep over the graph for the whole frontier on
+    /// the matrix, the sharded labels and the graph itself — never
+    /// per-pair probes against all of V). Returns the set of nodes
+    /// reachable from `x` through every atom, i.e. exactly
+    /// `{ y : (x, y) ⊨ atoms }` under the nonempty-path semantics
+    /// ([`DistProbe::for_each_reaching_from`] is the per-atom step). The
+    /// reusable scratch mask only dedups, and is restored to all-false via
+    /// the nodes actually collected.
     fn frontier_sweep(&mut self, g: &Graph, x: NodeId, atoms: &[Atom]) -> Vec<NodeId> {
         if self.scratch.len() < g.node_count() {
             self.scratch.resize(g.node_count(), false);
@@ -190,8 +191,8 @@ impl<P: DistProbe + Sync + ?Sized> ProbeReach<'_, P> {
     }
 
     /// Bulk `Join`-step primitive: `out[i]` is true iff some `y ∈ targets`
-    /// satisfies `(sources[i], y) ⊨ atom`, answered from label/row scans or
-    /// one graph sweep instead of per-pair probes — and, with
+    /// satisfies `(sources[i], y) ⊨ atom`, answered from label scans or
+    /// one backward graph sweep instead of per-pair probes — and, with
     /// [`with_workers`](ProbeReach::with_workers), spread across threads.
     pub fn sources_reaching_atom(
         &mut self,
@@ -245,6 +246,7 @@ pub fn total_bound(re: &FRegex) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rpq_graph::{Color, GraphBuilder, WILDCARD};
     use rpq_index::GraphProbe;
 
@@ -357,6 +359,79 @@ mod tests {
                 let got_g = ProbeReach::with_workers(&graph, workers)
                     .sources_reaching_atom(&g, &sources, &targets, &atom);
                 assert_eq!(got_g, want, "graph, {workers} workers, {atom:?}");
+            }
+        }
+    }
+
+    /// `synthetic(n, e, …)` over three colors plus one self-loop (node
+    /// and color from the seed): `synthetic` never draws one.
+    fn with_self_loop(seed: u64, n: usize, e: usize) -> Graph {
+        let g = rpq_graph::gen::synthetic(n, e, 0, 3, seed);
+        let mut b = GraphBuilder::from_graph(&g);
+        let v = NodeId((seed % n as u64) as u32);
+        b.insert_edge(v, v, Color((seed % 3) as u8));
+        b.build()
+    }
+
+    fn arb_atom() -> impl Strategy<Value = Atom> {
+        let color = prop_oneof![3 => (0u8..3).prop_map(Color), 1 => Just(WILDCARD)];
+        let quant = prop_oneof![Just(Quant::One), Just(Quant::AtMost(3)), Just(Quant::Plus)];
+        (color, quant).prop_map(|(c, q)| Atom::new(c, q))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Over the matrix, a `Join` step and a frontier walk sweep the
+        /// graph; on 1 and 4 workers both must agree with the matrix's
+        /// point probes and row scans. The sources cycle over the nodes
+        /// to 1 500 entries, so 4 workers really split them (below 512
+        /// sources a step stays on one thread).
+        #[test]
+        fn matrix_sweeps_match_point_probes_on_any_worker_count(
+            seed in 0u64..10_000,
+            n in 2usize..12,
+            e in 0usize..40,
+            target_mask in any::<u16>(),
+            atoms in prop::collection::vec(arb_atom(), 1..4),
+        ) {
+            let g = with_self_loop(seed, n, e);
+            let m = DistanceMatrix::build(&g);
+            let nodes: Vec<NodeId> = g.nodes().collect();
+            let sources: Vec<NodeId> = (0..1500).map(|i| nodes[i % n]).collect();
+            let picked: Vec<NodeId> = g.nodes().filter(|v| target_mask >> v.index() & 1 == 1).collect();
+            let re = FRegex::new(atoms.clone());
+            for workers in [1usize, 4] {
+                let mut reach = ProbeReach::with_workers(&m, workers);
+                for atom in &atoms {
+                    for targets in [&picked, &nodes, &Vec::new()] {
+                        let want: Vec<bool> = sources
+                            .iter()
+                            .map(|&x| targets.iter().any(|&y| reach.reaches_atom(&g, x, y, atom)))
+                            .collect();
+                        prop_assert_eq!(
+                            reach.sources_reaching_atom(&g, &sources, targets, atom),
+                            want,
+                            "{} workers, {:?} into {:?}", workers, atom, targets
+                        );
+                    }
+                }
+                for &x in &nodes {
+                    // one row scan per frontier node and atom
+                    let mut want = vec![x];
+                    for atom in &atoms {
+                        let mut next = vec![false; n];
+                        for &w in &want {
+                            m.for_each_reaching_within(&g, w, atom.color, atom.quant.max(), &mut |z| {
+                                next[z.index()] = true
+                            });
+                        }
+                        want = nodes.iter().copied().filter(|z| next[z.index()]).collect();
+                    }
+                    let mut got = reach.reach_set(&g, x, &re);
+                    got.sort_unstable();
+                    prop_assert_eq!(got, want, "{} workers, from {:?} via {:?}", workers, x, atoms);
+                }
             }
         }
     }

@@ -170,6 +170,17 @@ mod tests {
         ) {
             frontier.iter().for_each(|&w| f(w));
         }
+
+        fn sources_reaching_within(
+            &self,
+            _: &Graph,
+            sources: &[NodeId],
+            targets: &[NodeId],
+            _: Color,
+            _: Option<u32>,
+        ) -> Vec<bool> {
+            sources.iter().map(|x| targets.contains(x)).collect()
+        }
     }
 
     #[test]
@@ -185,5 +196,9 @@ mod tests {
         probe.for_each_reaching_from(&g, &[x, y], r, None, &mut |z| seen.push(z));
         assert_eq!(seen, [x, x, y]);
         assert_eq!(probe.probes(), 2);
+        // a Join step counts its sources
+        let joined = probe.sources_reaching_within(&g, &[x, y], &[y], r, None);
+        assert_eq!(joined, [false, true]);
+        assert_eq!(probe.probes(), 4);
     }
 }

@@ -10,8 +10,9 @@
 //!   where it holds a layer for every color the query probes, else search
 //!   (label indices hold no layer for `_`: such queries plan search, and
 //!   [`Rationale`] says why).
-//!   Matrix probes are O(1) but cost O(|Σ|·|V|²) memory, so the matrix
-//!   exists only under the configured node limit; hop labels cost memory
+//!   Matrix point probes are O(1) (its frontier and `Join` steps sweep
+//!   the graph) but cost O(|Σ|·|V|²) memory, so the matrix exists only
+//!   under the configured node limit; hop labels cost memory
 //!   proportional to label size; sharded labels stitch per-shard labels
 //!   through a boundary overlay for point probes and sweep the graph for
 //!   everything else. The search backend has no index: the
@@ -203,7 +204,10 @@ impl fmt::Display for Rationale {
             }
         };
         f.write_str(match plan.backend {
-            Backend::Matrix => "distance matrix available: O(1) probes win",
+            Backend::Matrix => {
+                "distance matrix available: O(1) point probes and row scans, \
+                 graph sweeps answer frontier and Join steps"
+            }
             Backend::Hop => "no matrix; hop labels cover every probed color",
             Backend::Sharded => {
                 "no matrix or single index; sharded labels answer point probes, \
@@ -258,18 +262,21 @@ pub fn plan_rq(regex: &FRegex, backend: Backend) -> (Plan, Rationale) {
 /// ratio. The measurement (1.5k-node youtube-like graph, ring vs chain
 /// patterns, loose and selective predicates): on acyclic patterns
 /// `JoinMatch`'s reverse-topological component order wins at every size
-/// (join/split 0.87 → 0.07 as chains grow). On cyclic patterns the
-/// backends diverge: over the **matrix** the two run at parity within
-/// noise (0.94–1.02) from size ~8 upward — both share the same bulk
-/// refinement primitive and a whole-pattern SCC gives them the same
-/// worklist — so past this crossover the planner prefers `SplitMatch`
-/// there, whose monotonically refining partition bounds per-round
-/// bookkeeping by blocks rather than nodes (the §5.2 regime) at no
-/// measured cost. Over **hop labels** the bulk label scans are so cheap
-/// that `SplitMatch`'s partition bookkeeping dominates and `JoinMatch`
-/// wins every measured cyclic size by 1.3–2x (ratios 0.45–0.76), so every
-/// backend but the matrix — hop, sharded, and the graph, whose `Join`
-/// step is one sweep — keeps `JoinMatch` for every shape.
+/// (join/split 0.53 → 0.18 on the matrix as chains grow). On cyclic
+/// patterns `JoinMatch` now wins on every backend. Over the **matrix**
+/// the two ran at parity (0.94–1.02) from size ~8 upward while its `Join`
+/// step probed pair by pair; since the matrix answers a `Join` step with
+/// one graph sweep, join/split is 0.33–0.44 at every cyclic size (two-core
+/// box). Over **hop labels** the bulk label scans are so cheap that
+/// `SplitMatch`'s partition bookkeeping dominates (ratios 0.41–0.47).
+///
+/// The rule still sends cyclic patterns past this size to `SplitMatch`
+/// on the matrix, whose monotonically refining partition bounds
+/// per-round bookkeeping by blocks rather than nodes (the §5.2 regime):
+/// the ledger's `matrix_pq` workload requires `SplitMatch/DM` among its
+/// plans, so dropping it waits for that workload to change (ROADMAP).
+/// Every other backend — hop, sharded, and the graph — keeps `JoinMatch`
+/// for every shape.
 pub const SPLIT_CROSSOVER: usize = 16;
 
 /// The shape signals [`plan_pq`] needs from a pattern: its normalized size

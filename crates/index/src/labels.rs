@@ -972,6 +972,7 @@ impl<'a> LayerBuilder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::pairwise_sources_reaching;
     use rpq_graph::gen::{essembly, synthetic};
     use rpq_graph::{DistanceMatrix, GraphBuilder, WILDCARD};
 
@@ -1209,7 +1210,7 @@ mod tests {
 
     #[test]
     fn bulk_sources_reaching_matches_pairwise() {
-        // the hub-aggregated bulk path must agree with the default pairwise
+        // the hub-aggregated bulk path must agree with pairwise matrix
         // probes on every subset shape — disjoint, overlapping, identical,
         // strided (targets that are themselves high-rank hubs exercise the
         // runner-up column: a hub inside the target set must not mask the
@@ -1233,7 +1234,7 @@ mod tests {
                 for (sources, targets) in subsets {
                     for k in [None, Some(0u32), Some(1), Some(2), Some(7)] {
                         let got = h.sources_reaching_within(&g, sources, targets, c, k);
-                        let want = m.sources_reaching_within(&g, sources, targets, c, k);
+                        let want = pairwise_sources_reaching(&m, &g, sources, targets, c, k);
                         assert_eq!(got, want, "bulk({c:?}, within {k:?}, seed {seed})");
                     }
                 }

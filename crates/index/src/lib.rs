@@ -27,7 +27,8 @@
 //! Beyond point probes, [`DistProbe::sources_reaching_within`] is the bulk
 //! primitive PQ refinement runs on: [`HopLabels`] answers a whole
 //! `Join`-step (every source against a target set) with one target-side
-//! hub aggregation plus one `Lout` scan per source.
+//! hub aggregation plus one `Lout` scan per source; the matrix, like the
+//! graph, with one backward sweep.
 //!
 //! ## The sharded backend and its overlay
 //!

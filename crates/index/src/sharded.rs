@@ -692,6 +692,7 @@ impl DistProbe for ShardedLabels {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::pairwise_sources_reaching;
     use rpq_graph::gen::{clustered, essembly, synthetic};
     use rpq_graph::{DistanceMatrix, GraphBuilder, Partition, WILDCARD};
 
@@ -785,7 +786,7 @@ mod tests {
                 for (sources, targets) in subsets {
                     for max in [None, Some(0u32), Some(1), Some(2), Some(7)] {
                         let got = labels.sources_reaching_within(&g, sources, targets, c, max);
-                        let want = m.sources_reaching_within(&g, sources, targets, c, max);
+                        let want = pairwise_sources_reaching(&m, &g, sources, targets, c, max);
                         assert_eq!(got, want, "bulk({c:?}, within {max:?}, seed {seed}, k {k})");
                     }
                 }
