@@ -13,7 +13,6 @@
 //! timing out SubIso on graphs of a few hundred nodes).
 
 use crate::pq::Pq;
-use crate::rq::matches_of;
 use rpq_graph::{Graph, NodeId};
 use std::collections::HashSet;
 
@@ -42,7 +41,7 @@ pub fn subiso_match(pq: &Pq, g: &Graph, max_steps: u64) -> SubIsoResult {
         };
     }
     // initial candidates: predicate matches
-    let mut cands: Vec<Vec<NodeId>> = (0..n).map(|u| matches_of(g, &pq.node(u).pred)).collect();
+    let mut cands: Vec<Vec<NodeId>> = (0..n).map(|u| pq.node(u).pred.select(g)).collect();
 
     // Ullmann refinement: x is a candidate of u only if, for each query
     // edge (u, u'), x has an out-neighbor of admissible color among the

@@ -34,6 +34,7 @@
 
 use crate::join_match::{refine, refine_from};
 use crate::pq::{Pq, PqResult};
+use crate::predicate::selected;
 use crate::reach::ProbeReach;
 use crate::rq::Rq;
 use rpq_graph::{Color, Graph, GraphBuilder, NodeId};
@@ -273,9 +274,10 @@ pub fn patch_reach_set<D: DistProbe + ?Sized>(
     old: &[(NodeId, NodeId)],
     changes: &[EdgeChange],
 ) -> Option<Vec<(NodeId, NodeId)>> {
+    let sources = rq.from.select_bits(g);
     let mut cone = rq_source_cone(g, &rq.regex, changes);
-    cone.retain(|&v| rq.from.matches(g.attrs(v)));
-    if cone.len() * 2 > g.nodes().filter(|&v| rq.from.matches(g.attrs(v))).count() {
+    cone.retain(|&v| selected(&sources, v));
+    if cone.len() * 2 > sources.iter().map(|w| w.count_ones() as usize).sum() {
         return None;
     }
     let fresh = rq.eval_with_dist_from(g, probe, cone.clone()).into_pairs();
@@ -333,10 +335,13 @@ mod tests {
         let b1 = dg.graph().node_by_label("B1").unwrap();
         let fnc = dg.graph().alphabet().get("fn").unwrap();
         assert!(!dg.graph().has_edge(c1, b1, fnc));
+        let before = dg.graph_arc();
         let eff = dg.apply(&[Update::Insert(c1, b1, fnc)]);
         assert_eq!(eff.len(), 1);
         assert!(dg.graph().has_edge(c1, b1, fnc));
         assert_eq!(dg.version(), 1);
+        // an edge write shares the attribute columns instead of rebuilding them
+        assert!(std::ptr::eq(before.columns(), dg.graph().columns()));
         // duplicate insert is a no-op
         assert!(dg.apply(&[Update::Insert(c1, b1, fnc)]).is_empty());
         assert_eq!(dg.version(), 1);

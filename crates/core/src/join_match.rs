@@ -19,7 +19,6 @@
 
 use crate::pq::{Pq, PqResult};
 use crate::reach::ProbeReach;
-use crate::rq::matches_of;
 use rpq_graph::algo::condensation;
 use rpq_graph::{Graph, NodeId};
 use rpq_index::{DistProbe, GraphProbe};
@@ -51,7 +50,7 @@ pub(crate) fn refine<P: DistProbe + Sync + ?Sized>(
     engine: &mut ProbeReach<'_, P>,
 ) -> Option<Vec<Vec<NodeId>>> {
     let seed = (0..work.node_count())
-        .map(|u| matches_of(g, &work.node(u).pred))
+        .map(|u| work.node(u).pred.select(g))
         .collect();
     refine_from(work, g, engine, seed)
 }

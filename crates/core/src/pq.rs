@@ -11,7 +11,6 @@
 
 use crate::predicate::Predicate;
 use crate::reach::product_reach_set;
-use crate::rq::matches_of;
 use rpq_graph::{Graph, NodeId};
 use rpq_regex::{FRegex, Nfa};
 
@@ -175,11 +174,13 @@ impl Pq {
     /// Reference semantics: the greatest fixpoint, computed naively.
     ///
     /// Exponentially simpler than `JoinMatch`/`SplitMatch` but asymptotically
-    /// slower; used as the test oracle and for small graphs.
+    /// slower; used as the test oracle and for small graphs. Predicates are
+    /// tested row by row ([`Predicate::matches`]), not by column scan.
     pub fn eval_naive(&self, g: &Graph) -> PqResult {
         // candidate matches per query node
-        let mut mats: Vec<Vec<NodeId>> =
-            self.nodes.iter().map(|n| matches_of(g, &n.pred)).collect();
+        let mut mats: Vec<Vec<NodeId>> = (self.nodes.iter())
+            .map(|n| g.nodes().filter(|&v| n.pred.matches(g.attrs(v))).collect())
+            .collect();
         // reach sets per (edge, source node), computed once
         let nfas: Vec<Nfa> = self
             .edges

@@ -4,6 +4,11 @@
 //! `A op a` with `op ∈ {<, ≤, =, ≠, >, ≥}` (§2). A data node `v` *matches*
 //! a query node `u` (written `v ∼ u`) if every atom holds on `f_A(v)`.
 //!
+//! Evaluation reads the graph by column: [`Predicate::select_bits`] ANDs
+//! one pass per conjunct over the attribute's column into a node bitmap,
+//! and [`Predicate::select`] lists it — `mat(u)`, the candidate set every
+//! §4–§5 evaluator starts from. [`Predicate::matches`] tests one row.
+//!
 //! [`Predicate::implies`] is the syntactic implication test from the proof
 //! of Prop. 3.3, used by the containment analyses: `p.implies(q)` holds iff
 //! every atom of `q` is implied by the bounds/equalities/inequalities `p`
@@ -12,7 +17,7 @@
 //! integer-gap reasoning such as `A>3 ∧ A<5 ⟹ A=4`, nor detect
 //! unsatisfiable antecedents).
 
-use rpq_graph::{AttrId, AttrValue, Attrs, Schema};
+use rpq_graph::{AttrId, AttrValue, Attrs, Graph, NodeId, Schema};
 use std::fmt;
 
 /// Comparison operator of an atomic formula.
@@ -137,6 +142,47 @@ impl Predicate {
         })
     }
 
+    /// The nodes of `g` that satisfy every conjunct, as a bitmap: bit
+    /// `v % 64` of word `v / 64` is set iff
+    /// [`matches`](Predicate::matches)`(g.attrs(v))` holds, and no bit at
+    /// or past `g.node_count()` is. Each conjunct is one pass over its
+    /// attribute's column ([`rpq_graph::Columns`]), ANDed in; a node
+    /// without the attribute, or holding it in the other domain, is
+    /// cleared, exactly where `matches` fails. The empty conjunction sets
+    /// every node's bit without reading a column.
+    pub fn select_bits(&self, g: &Graph) -> Vec<u64> {
+        let n = g.node_count();
+        let mut bits = vec![!0u64; n.div_ceil(64)];
+        if !n.is_multiple_of(64) {
+            bits[n / 64] = (1 << (n % 64)) - 1;
+        }
+        let columns = g.columns();
+        for atom in &self.atoms {
+            match &atom.value {
+                AttrValue::Int(k) => match columns.ints(atom.attr) {
+                    Some(col) => and_int(&mut bits, col.values(), col.present(), atom.op, *k),
+                    None => bits.fill(0),
+                },
+                AttrValue::Str(s) => match columns.strs(atom.attr) {
+                    Some(col) => {
+                        and_code(&mut bits, col.codes(), col.present(), atom.op, col.rank(s))
+                    }
+                    None => bits.fill(0),
+                },
+            }
+        }
+        bits
+    }
+
+    /// `mat(u)` for this predicate: the nodes of `g` that satisfy it,
+    /// ascending — [`select_bits`](Predicate::select_bits), listed.
+    pub fn select(&self, g: &Graph) -> Vec<NodeId> {
+        if self.is_trivial() {
+            return g.nodes().collect();
+        }
+        listed(&self.select_bits(g))
+    }
+
     /// Syntactic implication: does `self ⟹ other` hold (every node matching
     /// `self` matches `other`)?
     ///
@@ -216,6 +262,80 @@ impl Predicate {
     /// Render with attribute names from `schema`.
     pub fn display<'a>(&'a self, schema: &'a Schema) -> impl fmt::Display + 'a {
         DisplayPred { p: self, schema }
+    }
+}
+
+/// Is node `v`'s bit set in a [`Predicate::select_bits`] bitmap?
+#[inline]
+pub fn selected(bits: &[u64], v: NodeId) -> bool {
+    bits[v.index() / 64] >> (v.index() % 64) & 1 == 1
+}
+
+/// The nodes whose bits are set in a node bitmap, ascending.
+pub fn listed(bits: &[u64]) -> Vec<NodeId> {
+    let mut out = Vec::with_capacity(bits.iter().map(|w| w.count_ones() as usize).sum());
+    for (i, &word) in bits.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            out.push(NodeId((i * 64) as u32 + word.trailing_zeros()));
+            word &= word - 1;
+        }
+    }
+    out
+}
+
+/// AND into `bits`, word by word, the nodes of `present` whose value
+/// passes `keep`. A word already clear is skipped; the others compare
+/// their 64 values branch-free.
+#[inline]
+fn and_pass<T: Copy>(bits: &mut [u64], values: &[T], present: &[u64], keep: impl Fn(T) -> bool) {
+    for ((word, &has), chunk) in bits.iter_mut().zip(present).zip(values.chunks(64)) {
+        if *word == 0 {
+            continue;
+        }
+        let mut m = 0u64;
+        for (j, &x) in chunk.iter().enumerate() {
+            m |= u64::from(keep(x)) << j;
+        }
+        *word &= has & m;
+    }
+}
+
+/// One integer conjunct `A op k`.
+fn and_int(bits: &mut [u64], values: &[i64], present: &[u64], op: CompOp, k: i64) {
+    match op {
+        CompOp::Lt => and_pass(bits, values, present, |x| x < k),
+        CompOp::Le => and_pass(bits, values, present, |x| x <= k),
+        CompOp::Eq => and_pass(bits, values, present, |x| x == k),
+        CompOp::Ne => and_pass(bits, values, present, |x| x != k),
+        CompOp::Gt => and_pass(bits, values, present, |x| x > k),
+        CompOp::Ge => and_pass(bits, values, present, |x| x >= k),
+    }
+}
+
+/// One string conjunct `A op s`, over dictionary codes. `rank` is
+/// [`StrColumn::rank`](rpq_graph::StrColumn::rank) of `s`: `Ok(c)`
+/// compares codes with `c` as the strings compare with `s`; for `Err(r)`,
+/// `s` lies strictly between codes `r - 1` and `r`, so no code equals it,
+/// `<` and `≤` mean `< r`, and `>` and `≥` mean `≥ r`.
+fn and_code(bits: &mut [u64], codes: &[u32], present: &[u64], op: CompOp, rank: Result<u32, u32>) {
+    match (op, rank) {
+        (CompOp::Lt, Ok(c) | Err(c)) | (CompOp::Le, Err(c)) => {
+            and_pass(bits, codes, present, |x| x < c)
+        }
+        (CompOp::Le, Ok(c)) => and_pass(bits, codes, present, |x| x <= c),
+        (CompOp::Gt, Ok(c)) => and_pass(bits, codes, present, |x| x > c),
+        (CompOp::Ge, Ok(c) | Err(c)) | (CompOp::Gt, Err(c)) => {
+            and_pass(bits, codes, present, |x| x >= c)
+        }
+        (CompOp::Eq, Ok(c)) => and_pass(bits, codes, present, |x| x == c),
+        (CompOp::Ne, Ok(c)) => and_pass(bits, codes, present, |x| x != c),
+        (CompOp::Eq, Err(_)) => bits.fill(0),
+        (CompOp::Ne, Err(_)) => {
+            for (word, &has) in bits.iter_mut().zip(present) {
+                *word &= has;
+            }
+        }
     }
 }
 
@@ -331,6 +451,7 @@ impl Predicate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn schema() -> Schema {
         let mut s = Schema::new();
@@ -499,6 +620,108 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Per node: `mixed` a string (0), an integer (1) or missing (2), its
+    /// string and integer, `num`, and `word`'s string.
+    type NodeSpec = (u8, usize, i64, i64, usize);
+
+    /// Held strings: every other letter, so constants fall on, between,
+    /// below and above them.
+    const HELD: [&str; 3] = ["b", "d", "f"];
+
+    /// A graph over `mixed`, `num`, `word` and `unused` (interned, on no
+    /// node) from `nodes`.
+    fn column_graph(nodes: &[NodeSpec]) -> Graph {
+        let mut b = rpq_graph::GraphBuilder::new();
+        let (mixed, num, word) = (b.attr("mixed"), b.attr("num"), b.attr("word"));
+        b.attr("unused");
+        for (i, &(kind, s, k, x, w)) in nodes.iter().enumerate() {
+            let mut pairs = vec![(num, AttrValue::Int(x)), (word, HELD[w].into())];
+            match kind {
+                0 => pairs.push((mixed, HELD[s].into())),
+                1 => pairs.push((mixed, AttrValue::Int(k))),
+                _ => {}
+            }
+            b.add_node(&format!("v{i}"), pairs);
+        }
+        b.build()
+    }
+
+    /// `A op a` over the four attributes, every operator, integer
+    /// constants around the held ones and string constants `a`..`g`.
+    fn random_atom() -> impl Strategy<Value = PredAtom> {
+        const OPS: [CompOp; 6] = [
+            CompOp::Lt,
+            CompOp::Le,
+            CompOp::Eq,
+            CompOp::Ne,
+            CompOp::Gt,
+            CompOp::Ge,
+        ];
+        let value = prop_oneof![
+            (-4i64..5).prop_map(AttrValue::Int),
+            (b'a'..b'h').prop_map(|c| AttrValue::Str((c as char).to_string())),
+        ];
+        (0u16..4, 0usize..6, value).prop_map(|(attr, op, value)| PredAtom {
+            attr: AttrId(attr),
+            op: OPS[op],
+            value,
+        })
+    }
+
+    fn row_filter(p: &Predicate, g: &Graph) -> Vec<NodeId> {
+        g.nodes().filter(|&v| p.matches(g.attrs(v))).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn select_equals_the_row_filter(
+            nodes in prop_oneof![1 => Just(0usize), 1 => Just(64usize), 4 => 1usize..200]
+                .prop_flat_map(|n| {
+                    let node = (0u8..3, 0usize..3, -3i64..4, -3i64..4, 0usize..3);
+                    prop::collection::vec(node, n..n + 1)
+                }),
+            atoms in prop::collection::vec(random_atom(), 0..4),
+        ) {
+            let g = column_graph(&nodes);
+            let p = Predicate::new(atoms);
+            let rows = row_filter(&p, &g);
+            prop_assert_eq!(p.select(&g), rows.clone(), "{}", p.display(g.schema()));
+            prop_assert_eq!(listed(&p.select_bits(&g)), rows);
+        }
+    }
+
+    #[test]
+    fn select_on_word_boundaries_and_absent_attributes() {
+        let s = |t: &str, g: &Graph| Predicate::parse(t, g.schema()).unwrap();
+        for n in [0usize, 1, 63, 64, 65, 130] {
+            let nodes: Vec<NodeSpec> = (0..n)
+                .map(|i| ((i % 3) as u8, i % 3, i as i64 % 7 - 3, 1, i % 3))
+                .collect();
+            let g = column_graph(&nodes);
+            let all: Vec<NodeId> = g.nodes().collect();
+            assert_eq!(Predicate::always_true().select(&g), all, "n = {n}");
+            assert_eq!(
+                listed(&Predicate::always_true().select_bits(&g)),
+                all,
+                "n = {n}"
+            );
+            for text in ["unused = 1", "unused != \"a\"", "num = \"b\"", "word > 0"] {
+                assert!(s(text, &g).select(&g).is_empty(), "{text}, n = {n}");
+            }
+            for text in [
+                "mixed != \"c\"",
+                "mixed >= \"c\"",
+                "mixed < 0",
+                "num >= 1 && word <= \"e\"",
+            ] {
+                let p = s(text, &g);
+                assert_eq!(p.select(&g), row_filter(&p, &g), "{text}, n = {n}");
             }
         }
     }

@@ -15,7 +15,7 @@
 //! * **BFS** ([`Rq::eval_bfs`]) — plain forward product-automaton search
 //!   from every candidate source; the uncached baseline.
 
-use crate::predicate::Predicate;
+use crate::predicate::{listed, selected, Predicate};
 use crate::reach::product_reach_set;
 use rpq_graph::{DistanceMatrix, Graph, NodeId};
 use rpq_index::DistProbe;
@@ -160,25 +160,10 @@ impl RqResult {
     }
 }
 
-/// All data nodes satisfying `pred`.
-pub fn matches_of(g: &Graph, pred: &Predicate) -> Vec<NodeId> {
-    g.nodes().filter(|&v| pred.matches(g.attrs(v))).collect()
-}
-
 impl Rq {
     /// Build an RQ.
     pub fn new(from: Predicate, to: Predicate, regex: FRegex) -> Self {
         Rq { from, to, regex }
-    }
-
-    /// Candidate sources (`v ∼ u1`).
-    pub fn matches_from(&self, g: &Graph) -> Vec<NodeId> {
-        matches_of(g, &self.from)
-    }
-
-    /// Candidate targets (`v ∼ u2`).
-    pub fn matches_to(&self, g: &Graph) -> Vec<NodeId> {
-        matches_of(g, &self.to)
     }
 
     /// **BFS** strategy: forward product-automaton search from every
@@ -208,7 +193,8 @@ impl Rq {
     /// contiguous row scans for the matrix, inverted hub lists for labels,
     /// with the |path| ≥ 1 diagonal folded in), and its hits are recorded,
     /// deduplicated per row, as a CSR row into the next level. The target
-    /// predicate is evaluated on the last level only. The paper's
+    /// predicate's bitmap ([`Predicate::select_bits`]) is tested on the
+    /// last level only. The paper's
     /// "compose these partial results" then runs backward over the
     /// recorded rows: a level node's bitset over the kept targets is the
     /// OR of its successors' — one `|level| × ⌈targets / 64⌉` word table
@@ -216,7 +202,7 @@ impl Rq {
     /// come out ascending and each row's bits in target order, so the
     /// pairs are sorted as produced.
     pub fn eval_with_dist<D: DistProbe + ?Sized>(&self, g: &Graph, m: &D) -> RqResult {
-        self.eval_with_dist_from(g, m, self.matches_from(g))
+        self.eval_with_dist_from(g, m, self.from.select(g))
     }
 
     /// [`eval_with_dist`](Rq::eval_with_dist)'s recorded pass from the
@@ -279,11 +265,12 @@ impl Rq {
 
         // kept targets: the last level's nodes that match `to`, ascending;
         // bit_of[p] = the bit of last-level position p (NONE = not kept)
+        let targets = self.to.select_bits(g);
         let mut kept: Vec<NodeId> = Vec::new();
         let bit_of: Vec<u32> = levels[levels.len() - 1]
             .iter()
             .map(|&y| {
-                if !self.to.matches(g.attrs(y)) {
+                if !selected(&targets, y) {
                     return NONE;
                 }
                 kept.push(y);
@@ -329,8 +316,9 @@ impl Rq {
     /// backward through the suffix, then join on the meeting nodes.
     pub fn eval_bibfs(&self, g: &Graph) -> RqResult {
         let atoms = self.regex.atoms();
-        let sources = self.matches_from(g);
-        let targets = self.matches_to(g);
+        let sources = self.from.select(g);
+        let to_bits = self.to.select_bits(g);
+        let targets = listed(&to_bits);
         if sources.is_empty() || targets.is_empty() {
             return RqResult::new(Vec::new());
         }
@@ -361,7 +349,7 @@ impl Rq {
         let mut pairs = Vec::new();
         if back.is_empty() {
             for (&mnode, xs) in &mid_to_sources {
-                if self.to.matches(g.attrs(mnode)) {
+                if selected(&to_bits, mnode) {
                     pairs.extend(xs.iter().map(|&x| (x, mnode)));
                 }
             }
@@ -405,14 +393,13 @@ impl Step {
 /// The BFS strategy over any automaton — an F expression's
 /// ([`Rq::eval_bfs`]) or a general one's
 /// ([`GRq::eval`](crate::grq::GRq::eval)): every candidate source's
-/// product reach set, kept where `to` holds.
+/// product reach set, kept where `to` holds. Being the reference answer,
+/// it tests predicates row by row ([`Predicate::matches`]), independently
+/// of the column scans ([`Predicate::select`]) the evaluators use.
 pub(crate) fn product_search(g: &Graph, nfa: &Nfa, from: &Predicate, to: &Predicate) -> RqResult {
-    let mut is_target = vec![false; g.node_count()];
-    for y in matches_of(g, to) {
-        is_target[y.index()] = true;
-    }
+    let is_target: Vec<bool> = g.nodes().map(|y| to.matches(g.attrs(y))).collect();
     let mut pairs = Vec::new();
-    for x in matches_of(g, from) {
+    for x in g.nodes().filter(|&x| from.matches(g.attrs(x))) {
         for y in product_reach_set(g, nfa, x) {
             if is_target[y.index()] {
                 pairs.push((x, y));

@@ -17,6 +17,7 @@
 //! blocks by `O(|V|·|V'p|)` as in the paper's analysis.
 
 use crate::pq::{Pq, PqResult};
+use crate::predicate::selected;
 use crate::reach::ProbeReach;
 use rpq_graph::{Graph, NodeId};
 use rpq_index::DistProbe;
@@ -92,23 +93,30 @@ impl SplitMatch {
             block_of: vec![0; g.node_count()],
         };
         let mut rel: Vec<HashSet<u32>> = vec![HashSet::new(); nq];
+        // a node's signature: the pattern nodes whose predicate selects it
+        let selects: Vec<Vec<u64>> = (0..nq).map(|u| work.node(u).pred.select_bits(g)).collect();
+        let mut sig = vec![0u64; words];
         for v in g.nodes() {
-            let mut sig = vec![0u64; words];
-            for u in 0..nq {
-                if work.node(u).pred.matches(g.attrs(v)) {
+            sig.fill(0);
+            for (u, bits) in selects.iter().enumerate() {
+                if selected(bits, v) {
                     sig[u / 64] |= 1 << (u % 64);
                 }
             }
-            let next_id = partition.blocks.len() as u32;
-            let b = *sig_to_block.entry(sig.clone()).or_insert_with(|| {
-                partition.blocks.push(Vec::new());
-                for (u, rel_u) in rel.iter_mut().enumerate() {
-                    if sig[u / 64] & (1 << (u % 64)) != 0 {
-                        rel_u.insert(next_id);
+            let b = match sig_to_block.get(&sig) {
+                Some(&b) => b,
+                None => {
+                    let b = partition.blocks.len() as u32;
+                    partition.blocks.push(Vec::new());
+                    for (u, rel_u) in rel.iter_mut().enumerate() {
+                        if sig[u / 64] & (1 << (u % 64)) != 0 {
+                            rel_u.insert(b);
+                        }
                     }
+                    sig_to_block.insert(sig.clone(), b);
+                    b
                 }
-                next_id
-            });
+            };
             partition.blocks[b as usize].push(v);
             partition.block_of[v.index()] = b;
         }

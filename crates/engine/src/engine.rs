@@ -11,7 +11,7 @@ use rpq_core::canonical::{canonical_pq, canonical_rq};
 use rpq_core::incremental::patch_reach_set;
 use rpq_core::join_match::JoinMatch;
 use rpq_core::pq::Pq;
-use rpq_core::predicate::Predicate;
+use rpq_core::predicate::{selected, Predicate};
 use rpq_core::reach::ProbeReach;
 use rpq_core::rq::{Rq, RqResult};
 use rpq_core::split_match::SplitMatch;
@@ -919,18 +919,18 @@ fn mismatched(plan: impl std::fmt::Debug) -> ! {
 }
 
 /// `pairs` — a memoized reach set, sorted and duplicate-free — filtered
-/// down to the target predicate `to`. The predicate is evaluated once per
-/// distinct target node (the verdict table fills on first sight), and not
-/// at all when it is trivially true; a filtered slice of a sorted set is
-/// still sorted, so the result is checked, not re-sorted.
+/// down to the target predicate `to`: one column scan
+/// ([`Predicate::select_bits`]), then a bit test per pair; nothing at all
+/// when `to` is trivially true. A filtered slice of a sorted set is still
+/// sorted, so the result is checked, not re-sorted.
 pub(crate) fn rq_targets(g: &Graph, to: &Predicate, pairs: &[(NodeId, NodeId)]) -> RqResult {
     let hits = if to.is_trivial() {
         pairs.to_vec()
     } else {
-        let mut verdicts: Vec<Option<bool>> = vec![None; g.node_count()];
+        let targets = to.select_bits(g);
         pairs
             .iter()
-            .filter(|&&(_, y)| *verdicts[y.index()].get_or_insert_with(|| to.matches(g.attrs(y))))
+            .filter(|&&(_, y)| selected(&targets, y))
             .copied()
             .collect()
     };

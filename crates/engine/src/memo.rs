@@ -26,8 +26,8 @@
 //!    strictly-containing donor's surviving sources are re-evaluated
 //!    under the probe's (tighter) regex by the engine's own RQ evaluator
 //!    over the graph ([`Rq::eval_with_dist_from`] on a [`GraphProbe`]) —
-//!    still skipping the full `matches_of` scan and every source the
-//!    donor already proved unreachable, and never building an automaton,
+//!    still skipping every source the donor already proved
+//!    unreachable, and never building an automaton,
 //!    whose state count would grow with the regex's bounds. So a
 //!    subsumption hit costs at most a miss over the graph. The derived
 //!    set is inserted as a first-class cell, so repeats of the narrow
@@ -80,7 +80,7 @@
 
 use crate::engine::rq_targets;
 use rpq_core::incremental::EdgeChange;
-use rpq_core::predicate::Predicate;
+use rpq_core::predicate::{selected, Predicate};
 use rpq_core::rq::{Rq, RqResult};
 use rpq_graph::{Color, Graph, NodeId};
 use rpq_index::GraphProbe;
@@ -764,7 +764,8 @@ impl SemanticMemo {
 /// satisfying the (narrower) probe predicate. With a strictly-containing
 /// regex, the surviving donor sources are re-evaluated under `regex` by
 /// [`Rq::eval_with_dist_from`] over the graph — sources the donor proved
-/// unreachable are skipped, as is the full `matches_of` scan.
+/// unreachable are skipped, and each of the others is one bit test
+/// against the predicate's column scan.
 fn derive_from_donor(
     g: &Graph,
     from: &Predicate,
@@ -773,10 +774,11 @@ fn derive_from_donor(
     equal_language: bool,
 ) -> Vec<(NodeId, NodeId)> {
     // the donor is sorted: each distinct source is one contiguous block,
-    // and the predicate is evaluated once per block
+    // tested once against the predicate's bitmap
+    let sources = from.select_bits(g);
     let surviving = donor
         .chunk_by(|a, b| a.0 == b.0)
-        .filter(|block| from.matches(g.attrs(block[0].0)));
+        .filter(|block| selected(&sources, block[0].0));
     if equal_language {
         return surviving.flatten().copied().collect();
     }

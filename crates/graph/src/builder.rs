@@ -1,9 +1,10 @@
 //! Mutable construction of [`Graph`]s.
 
-use crate::attr::{AttrValue, Attrs, Schema};
+use crate::attr::{AttrValue, Attrs, NodeAttrs, Schema};
 use crate::color::{Alphabet, Color};
 use crate::graph::{EdgeRef, Graph, NodeId};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Accumulates nodes and edges, then freezes them into the CSR [`Graph`].
 ///
@@ -30,7 +31,10 @@ pub struct GraphBuilder {
     schema: Schema,
     alphabet: Alphabet,
     labels: Vec<String>,
+    /// Rows of the nodes; empty while `shared` holds them.
     attrs: Vec<Attrs>,
+    /// The parent graph's attribute store, until a node is added.
+    shared: Option<Arc<NodeAttrs>>,
     edges: HashSet<(NodeId, NodeId, Color)>,
 }
 
@@ -55,13 +59,16 @@ impl GraphBuilder {
     /// small set of edge insertions/deletions and calling
     /// [`build`](GraphBuilder::build) costs O(|V| + |E| + updates) total,
     /// instead of re-adding every node and scanning the edge list per
-    /// update.
+    /// update. The builder shares `g`'s attribute rows and columns until a
+    /// node is added, so an edge-only rebuild neither copies nor
+    /// re-encodes them.
     pub fn from_graph(g: &Graph) -> Self {
         GraphBuilder {
             schema: g.schema.clone(),
             alphabet: g.alphabet.clone(),
             labels: g.labels.clone(),
-            attrs: g.attrs.clone(),
+            attrs: Vec::new(),
+            shared: Some(Arc::clone(&g.attrs)),
             edges: g.edges().collect(),
         }
     }
@@ -71,9 +78,21 @@ impl GraphBuilder {
         self.schema.intern(name)
     }
 
+    /// Intern an attribute name, or `None` if the schema is full
+    /// ([`Schema::try_intern`]).
+    pub fn try_attr(&mut self, name: &str) -> Option<crate::attr::AttrId> {
+        self.schema.try_intern(name)
+    }
+
     /// Intern an edge color.
     pub fn color(&mut self, name: &str) -> Color {
         self.alphabet.intern(name)
+    }
+
+    /// Intern an edge color, or `None` if the alphabet is full
+    /// ([`Alphabet::try_intern`]).
+    pub fn try_color(&mut self, name: &str) -> Option<Color> {
+        self.alphabet.try_intern(name)
     }
 
     /// Add a node with a label and attribute pairs; returns its id.
@@ -83,6 +102,9 @@ impl GraphBuilder {
         attrs: impl IntoIterator<Item = (crate::attr::AttrId, AttrValue)>,
     ) -> NodeId {
         let id = NodeId(u32::try_from(self.labels.len()).expect("more than u32::MAX nodes"));
+        if let Some(shared) = self.shared.take() {
+            self.attrs = shared.rows.clone();
+        }
         self.labels.push(label.to_owned());
         self.attrs.push(Attrs::from_pairs(attrs));
         id
@@ -207,7 +229,9 @@ impl GraphBuilder {
             schema: self.schema,
             alphabet: self.alphabet,
             labels: self.labels,
-            attrs: self.attrs,
+            attrs: self
+                .shared
+                .unwrap_or_else(|| Arc::new(NodeAttrs::new(self.attrs))),
             out_offsets,
             out_adj,
             in_offsets,
@@ -308,6 +332,33 @@ mod tests {
         assert!(!g2.has_edge(x, y, c));
         assert!(g2.has_edge(z, x, c));
         assert!(g2.has_edge(y, z, d));
+    }
+
+    #[test]
+    fn edge_only_rebuilds_share_the_attributes_and_add_node_rebuilds_them() {
+        let mut b = GraphBuilder::new();
+        let age = b.attr("age");
+        let x = b.add_node("x", [(age, 3.into())]);
+        let y = b.add_node("y", [(age, 5.into())]);
+        let c = b.color("c");
+        b.add_edge(x, y, c);
+        let g = b.build();
+
+        let mut edges_only = GraphBuilder::from_graph(&g);
+        edges_only.remove_edge(x, y, c);
+        edges_only.insert_edge(y, x, c);
+        let g2 = edges_only.build();
+        assert!(std::ptr::eq(g.columns(), g2.columns()), "columns shared");
+        assert!(std::ptr::eq(g.attrs(x), g2.attrs(x)), "rows shared");
+
+        let mut grown = GraphBuilder::from_graph(&g2);
+        let z = grown.add_node("z", [(age, 8.into())]);
+        let g3 = grown.build();
+        assert!(!std::ptr::eq(g2.columns(), g3.columns()), "columns rebuilt");
+        assert_eq!(g3.columns().ints(age).unwrap().values(), &[3, 5, 8]);
+        assert_eq!(g3.attrs(z).get(age), Some(&AttrValue::Int(8)));
+        let parent = g2.columns().ints(age).unwrap().values();
+        assert_eq!(parent, &[3, 5], "the parent is untouched");
     }
 
     #[test]

@@ -54,17 +54,25 @@ impl Alphabet {
     /// Intern `name`, returning its color (existing or fresh).
     ///
     /// # Panics
-    /// If more than 254 distinct colors are interned (color 255 is reserved
-    /// for the wildcard). The paper's graphs use at most a handful.
+    /// If more than 255 distinct colors are interned (color 255 is reserved
+    /// for the wildcard); [`try_intern`](Alphabet::try_intern) reports it
+    /// instead. The paper's graphs use at most a handful.
     pub fn intern(&mut self, name: &str) -> Color {
+        self.try_intern(name).expect("alphabet overflow")
+    }
+
+    /// Intern `name`, or `None` if it is new and every color is taken.
+    pub fn try_intern(&mut self, name: &str) -> Option<Color> {
         if let Some(&c) = self.index.get(name) {
-            return c;
+            return Some(c);
         }
-        assert!(self.names.len() < WILDCARD.0 as usize, "alphabet overflow");
+        if self.names.len() >= usize::from(WILDCARD.0) {
+            return None;
+        }
         let c = Color(self.names.len() as u8);
         self.names.push(name.to_owned());
         self.index.insert(name.to_owned(), c);
-        c
+        Some(c)
     }
 
     /// Look up an already-interned color by name. `"_"` resolves to the

@@ -4,8 +4,9 @@
 //! adjacency are stored as offset/target arrays so that BFS in either
 //! direction — the bi-directional search of §4 needs both — is a linear scan.
 
-use crate::attr::{Attrs, Schema};
+use crate::attr::{Attrs, Columns, NodeAttrs, Schema};
 use crate::color::{Alphabet, Color};
+use std::sync::Arc;
 
 /// Identifier of a node in a [`Graph`]: a dense index in `0..graph.node_count()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -39,7 +40,9 @@ pub struct Graph {
     pub(crate) schema: Schema,
     pub(crate) alphabet: Alphabet,
     pub(crate) labels: Vec<String>,
-    pub(crate) attrs: Vec<Attrs>,
+    /// Rows and columns: shared, not copied, by a graph derived through
+    /// edge updates ([`crate::GraphBuilder::from_graph`]).
+    pub(crate) attrs: Arc<NodeAttrs>,
     pub(crate) out_offsets: Vec<u32>,
     pub(crate) out_adj: Vec<EdgeRef>,
     pub(crate) in_offsets: Vec<u32>,
@@ -50,7 +53,7 @@ impl Graph {
     /// Number of nodes `|V|`.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.attrs.len()
+        self.labels.len()
     }
 
     /// Number of edges `|E|` (counting parallel edges of distinct colors).
@@ -95,7 +98,13 @@ impl Graph {
     /// The attribute tuple `f_A(v)`.
     #[inline]
     pub fn attrs(&self, v: NodeId) -> &Attrs {
-        &self.attrs[v.index()]
+        &self.attrs.rows[v.index()]
+    }
+
+    /// Every node's attributes by column: what predicate selection scans.
+    #[inline]
+    pub fn columns(&self) -> &Columns {
+        &self.attrs.columns
     }
 
     /// Human-readable node label (may be empty). Labels carry no semantics;

@@ -22,6 +22,7 @@
 
 use crate::attr::AttrValue;
 use crate::builder::GraphBuilder;
+use crate::color::{Color, WILDCARD};
 use crate::graph::Graph;
 use std::collections::HashMap;
 use std::fmt;
@@ -176,7 +177,7 @@ pub fn read_graph(r: &mut impl BufRead) -> Result<Graph, GraphIoError> {
             continue;
         }
         if let Some(name) = stmt.strip_prefix("color ") {
-            b.color(name.trim());
+            color(&mut b, name.trim(), line_no)?;
         } else if let Some(rest) = stmt.strip_prefix("node ") {
             let rest = rest.trim();
             let (label, attrs_src) = match rest.split_once(char::is_whitespace) {
@@ -191,7 +192,14 @@ pub fn read_graph(r: &mut impl BufRead) -> Result<Graph, GraphIoError> {
             }
             let mut pairs = Vec::new();
             for (key, raw) in split_attrs(attrs_src, line_no)? {
-                let attr = b.attr(&key);
+                let attr = b.try_attr(&key).ok_or_else(|| {
+                    GraphIoError::Parse(
+                        line_no,
+                        format!(
+                            "too many distinct attribute names (max 65536), starting with {key:?}"
+                        ),
+                    )
+                })?;
                 let value = if let Some(stripped) = raw.strip_prefix('"') {
                     let inner = stripped.strip_suffix('"').ok_or_else(|| {
                         GraphIoError::Parse(line_no, format!("bad string value {raw:?}"))
@@ -220,7 +228,8 @@ pub fn read_graph(r: &mut impl BufRead) -> Result<Graph, GraphIoError> {
             let &to = node_ids.get(parts[1]).ok_or_else(|| {
                 GraphIoError::Parse(line_no, format!("unknown node {:?}", parts[1]))
             })?;
-            b.add_edge_named(from, to, parts[2]);
+            let c = color(&mut b, parts[2], line_no)?;
+            b.add_edge(from, to, c);
         } else {
             return Err(GraphIoError::Parse(
                 line_no,
@@ -229,6 +238,20 @@ pub fn read_graph(r: &mut impl BufRead) -> Result<Graph, GraphIoError> {
         }
     }
     Ok(b.build())
+}
+
+/// Intern the color `name`, or report a full alphabet (one byte per
+/// color, 255 reserved for the wildcard) as a parse error at `line`.
+fn color(b: &mut GraphBuilder, name: &str, line: usize) -> Result<Color, GraphIoError> {
+    b.try_color(name).ok_or_else(|| {
+        GraphIoError::Parse(
+            line,
+            format!(
+                "too many distinct colors (max {}), starting with {name:?}",
+                WILDCARD.0
+            ),
+        )
+    })
 }
 
 /// Parse from a string (convenience over [`read_graph`]).
@@ -258,7 +281,6 @@ pub const DEFAULT_EDGE_COLOR: &str = "e";
 pub fn read_edge_list(r: &mut impl BufRead) -> Result<Graph, GraphIoError> {
     let mut b = GraphBuilder::new();
     let mut node_ids: HashMap<String, crate::graph::NodeId> = HashMap::new();
-    let mut colors: std::collections::HashSet<String> = std::collections::HashSet::new();
     for (lineno, line) in r.lines().enumerate() {
         let line_no = lineno + 1;
         let line = line?;
@@ -291,21 +313,7 @@ pub fn read_edge_list(r: &mut impl BufRead) -> Result<Graph, GraphIoError> {
                 format!("trailing tokens after 'FROM TO COLOR' in {stmt:?}"),
             ));
         }
-        // the alphabet stores colors as one byte with 255 reserved for the
-        // wildcard; reject oversized inputs as a parse error instead of
-        // letting the interner's assert abort the process
-        if !colors.contains(color) {
-            if colors.len() >= usize::from(crate::color::WILDCARD.0) {
-                return Err(GraphIoError::Parse(
-                    line_no,
-                    format!(
-                        "too many distinct colors (max {}), starting with {color:?}",
-                        crate::color::WILDCARD.0
-                    ),
-                ));
-            }
-            colors.insert(color.to_owned());
-        }
+        let c = self::color(&mut b, color, line_no)?;
         let mut node = |label: &str, b: &mut GraphBuilder| {
             *node_ids
                 .entry(label.to_owned())
@@ -313,7 +321,7 @@ pub fn read_edge_list(r: &mut impl BufRead) -> Result<Graph, GraphIoError> {
         };
         let f = node(from, &mut b);
         let t = node(to, &mut b);
-        b.add_edge_named(f, t, color);
+        b.add_edge(f, t, c);
     }
     Ok(b.build())
 }
@@ -507,6 +515,36 @@ mod tests {
             big.push_str(&format!("a b c{i}\n"));
         }
         assert!(err(&big).contains("too many distinct colors"));
+    }
+
+    #[test]
+    fn too_many_attribute_names_is_a_parse_error() {
+        // one past the 65 536 names an `AttrId` can hold, on line 2
+        let mut text = String::from("color c\nnode a");
+        for i in 0..=65_536 {
+            text.push_str(&format!(" k{i}=0"));
+        }
+        let msg = graph_from_str(&text).unwrap_err().to_string();
+        assert!(msg.starts_with("line 2: "), "{msg}");
+        assert!(msg.contains("too many distinct attribute names"), "{msg}");
+    }
+
+    #[test]
+    fn too_many_colors_is_a_parse_error() {
+        // 255 colors fit (255 is the wildcard); the 256th is on line 258,
+        // after the two node lines, whether declared or used by an edge
+        let mut text = String::from("node a\nnode b\n");
+        for i in 0..255 {
+            text.push_str(&format!("color c{i}\n"));
+        }
+        let declared = format!("{text}color extra\n");
+        let used = format!("{text}edge a b extra\n");
+        for text in [declared, used] {
+            let msg = graph_from_str(&text).unwrap_err().to_string();
+            assert!(msg.starts_with("line 258: "), "{msg}");
+            assert!(msg.contains("too many distinct colors"), "{msg}");
+        }
+        assert_eq!(graph_from_str(&text).unwrap().alphabet().len(), 255);
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //!
 //! * the graph representation itself ([`Graph`], [`GraphBuilder`]) — CSR
 //!   forward and reverse adjacency for cache-friendly traversal,
-//! * attribute storage and interning ([`attr`]),
+//! * attribute storage and interning ([`attr`]): each node's row, and the
+//!   same values by column ([`Columns`]: an `i64` column and a
+//!   dictionary-coded string column per attribute, each with a presence
+//!   bitmap), which predicate selection scans. Rows and columns sit behind
+//!   one `Arc` that graphs derived by edge updates share,
 //! * the color alphabet ([`color`]),
 //! * graph algorithms the query engine relies on ([`algo`]): per-color BFS,
 //!   Tarjan's strongly-connected components, reverse topological order,
@@ -33,7 +37,7 @@ pub mod graph;
 pub mod io;
 pub mod partition;
 
-pub use attr::{AttrId, AttrValue, Attrs, Schema};
+pub use attr::{AttrId, AttrValue, Attrs, Columns, IntColumn, Schema, StrColumn};
 pub use builder::GraphBuilder;
 pub use color::{Alphabet, Color, WILDCARD};
 pub use distance::{DistanceMatrix, INFINITY};

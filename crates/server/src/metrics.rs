@@ -450,7 +450,8 @@ impl Metrics {
         gauge(
             "rpq_uptime_seconds",
             "Seconds since the server started.",
-            format!("{:.3}", self.uptime_secs()),
+            // shortest round-trip form: a young server's uptime stays positive
+            self.uptime_secs().to_string(),
         );
         gauge(
             "rpq_queue_depth",
@@ -877,5 +878,13 @@ mod tests {
         assert_eq!(get("rpq_landmarks_invalidated_total"), 24.0);
         let fresh = get("rpq_index_fresh_seconds");
         assert!((0.0..aged).contains(&fresh), "{fresh} vs {aged}");
+    }
+
+    #[test]
+    fn a_fresh_server_renders_a_positive_uptime() {
+        let text = Metrics::new().render_prometheus(&Gauges::default());
+        let samples = parse_prometheus_text(&text).unwrap();
+        let uptime = sample(&samples, "rpq_uptime_seconds").unwrap();
+        assert!(uptime > 0.0, "{uptime} in:\n{text}");
     }
 }

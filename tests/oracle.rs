@@ -43,10 +43,25 @@ use std::sync::{Arc, Mutex};
 
 // ---- the generator -------------------------------------------------------
 
+/// The strings the mixed-domain attribute `a2` holds: every other
+/// letter, so a constant drawn from `a`..`g` may lie on, between, below or
+/// above them.
+const A2_HELD: [&str; 3] = ["b", "d", "f"];
+
+/// Node `v`'s `a2`: a string on every third node, an integer on the next,
+/// missing on the rest — the column scan's three cases under one name.
+fn a2_of(v: usize) -> Option<AttrValue> {
+    match v % 3 {
+        0 => Some(A2_HELD[v / 3 % 3].into()),
+        1 => Some(AttrValue::Int((v / 3 % 5) as i64)),
+        _ => None,
+    }
+}
+
 #[derive(Debug, Clone)]
 enum GraphSpec {
-    /// `synthetic(nodes, edges)` over attributes `a0`, `a1`, plus one
-    /// self-loop.
+    /// `synthetic(nodes, edges)` over attributes `a0`, `a1`, plus the
+    /// mixed-domain `a2` ([`a2_of`]) and one self-loop.
     Synthetic {
         nodes: usize,
         edges: usize,
@@ -78,10 +93,18 @@ impl GraphSpec {
                 colors,
                 seed,
             } => {
+                let g = rpq::graph::gen::synthetic(nodes, edges, 2, colors, seed);
+                let mut b = GraphBuilder::with_vocabulary(g.schema().clone(), g.alphabet().clone());
+                let a2 = b.attr("a2");
+                for v in g.nodes() {
+                    let row = g.attrs(v).iter().map(|(a, x)| (a, x.clone()));
+                    b.add_node(g.label(v), row.chain(a2_of(v.index()).map(|x| (a2, x))));
+                }
+                for (u, v, c) in g.edges() {
+                    b.add_edge(u, v, c);
+                }
                 // `synthetic` never draws a self-loop; one is added so the
                 // |path| ≥ 1 diagonal's shortest case is always present
-                let g = rpq::graph::gen::synthetic(nodes, edges, 2, colors, seed);
-                let mut b = GraphBuilder::from_graph(&g);
                 let v = NodeId((seed % nodes as u64) as u32);
                 b.insert_edge(v, v, Color((seed % colors as u64) as u8));
                 return b.build();
@@ -109,13 +132,12 @@ impl GraphSpec {
         };
         let (n, colors) = self.size();
         let mut b = GraphBuilder::new();
-        let (a0, a1) = (b.attr("a0"), b.attr("a1"));
+        let (a0, a1, a2) = (b.attr("a0"), b.attr("a1"), b.attr("a2"));
         let nodes: Vec<NodeId> = (0..n as i64)
             .map(|i| {
-                b.add_node(
-                    &format!("n{i}"),
-                    [(a0, (i % 10).into()), (a1, (i * 7 % 10).into())],
-                )
+                let row = [(a0, (i % 10).into()), (a1, (i * 7 % 10).into())];
+                let mixed = a2_of(i as usize).map(|x| (a2, x));
+                b.add_node(&format!("n{i}"), row.into_iter().chain(mixed))
             })
             .collect();
         let c: Vec<Color> = (0..colors).map(|i| b.color(&format!("c{i}"))).collect();
@@ -260,10 +282,24 @@ fn random_regex(colors: usize) -> impl Strategy<Value = FRegex> {
 
 fn random_pred() -> impl Strategy<Value = String> {
     prop_oneof![
-        1 => Just(String::new()),
-        2 => (2i64..10).prop_map(|v| format!("a0 <= {v}")),
-        1 => (0i64..5, 0i64..10).prop_map(|(lo, v)| format!("a0 >= {lo} && a1 != {v}")),
+        2 => Just(String::new()),
+        4 => (2i64..10).prop_map(|v| format!("a0 <= {v}")),
+        2 => (0i64..5, 0i64..10).prop_map(|(lo, v)| format!("a0 >= {lo} && a1 != {v}")),
+        1 => mixed_atom(),
+        1 => (mixed_atom(), 2i64..10).prop_map(|(m, v)| format!("{m} && a0 <= {v}")),
     ]
+}
+
+/// A conjunct on the mixed-domain `a2`: any operator, against an integer
+/// around the held ones or a string from `a`..`g`, most of which no node
+/// holds.
+fn mixed_atom() -> impl Strategy<Value = String> {
+    const OPS: [&str; 6] = ["<", "<=", "=", "!=", ">", ">="];
+    let constant = prop_oneof![
+        (-1i64..6).prop_map(|k| k.to_string()),
+        (b'a'..b'h').prop_map(|c| format!("\"{}\"", c as char)),
+    ];
+    (0..OPS.len(), constant).prop_map(|(op, c)| format!("a2 {} {c}", OPS[op]))
 }
 
 fn random_rq(colors: usize) -> impl Strategy<Value = RqSpec> {
@@ -490,6 +526,8 @@ fn assert_covered(ledger: &BTreeMap<String, u64>) {
         required.push(format!("memo patched {regime}"));
         required.push(format!("memo patched {regime} over 2+ batches"));
     }
+    // the column scan met an attribute held as a string, an integer or not at all
+    required.push("predicate mixed-domain".to_owned());
     let missing: Vec<&String> = required.iter().filter(|k| count(k) == 0).collect();
     assert!(missing.is_empty(), "never checked: {missing:?}");
     for regime in ["matrix", "hop", "sharded"] {
@@ -893,9 +931,29 @@ fn sweep_versions(case: &Case, g: &Arc<Graph>, queries: &[Query]) {
     }
 }
 
+/// Every predicate of `queries` selects by column scan
+/// ([`Predicate::select`]) exactly the nodes it matches row by row.
+fn check_selections(g: &Graph, queries: &[Query]) {
+    let a2 = g.schema().get("a2").expect("every case holds a2");
+    for q in queries {
+        let preds: Vec<&Predicate> = match q {
+            Query::Rq(rq) => vec![&rq.from, &rq.to],
+            Query::Pq(pq) => (0..pq.node_count()).map(|u| &pq.node(u).pred).collect(),
+        };
+        for p in preds {
+            let rows: Vec<NodeId> = g.nodes().filter(|&v| p.matches(g.attrs(v))).collect();
+            assert_eq!(p.select(g), rows, "{}", p.display(g.schema()));
+            if p.atoms().iter().any(|a| a.attr == a2) {
+                tally("predicate mixed-domain".to_owned());
+            }
+        }
+    }
+}
+
 fn sweep(case: &Case) {
     let g = Arc::new(case.graph.build());
     let queries = case.queries(&g);
+    check_selections(&g, &queries);
     let truth = Truth::of(&g);
     sweep_engines(case, &g, &queries, &truth);
     sweep_core(case, &g, &queries, &truth);
@@ -1011,8 +1069,10 @@ fn reference_equals_path_semantics() {
         pq.add_edge(a, b, parse(there));
         pq.add_edge(b, a, parse(back));
         let sets = [reach(&parse(there)), reach(&parse(back))];
-        let mut mats = [
-            rpq::core::rq::matches_of(&g, &pq.node(a).pred),
+        let mut mats: [Vec<NodeId>; 2] = [
+            g.nodes()
+                .filter(|&v| pq.node(a).pred.matches(g.attrs(v)))
+                .collect(),
             g.nodes().collect(),
         ];
         loop {
