@@ -15,11 +15,13 @@
 //!
 //! Node predicates use the [`crate::predicate::Predicate::parse`] syntax;
 //! edge constraints use the [`rpq_regex::FRegex::parse`] syntax. Statements
-//! end with `;` (a newline also terminates a statement). [`format_pq`]
+//! end with `;` (a newline also terminates a statement); a `;` or `#`
+//! inside a string constant is part of the constant. [`format_pq`]
 //! prints a query back in this syntax; parsing its output round-trips.
 
 use crate::pq::Pq;
 use crate::predicate::{PredParseError, Predicate};
+use rpq_graph::attr::split_unquoted;
 use rpq_graph::{Alphabet, Schema};
 use rpq_regex::{FRegex, ParseError};
 use std::collections::HashMap;
@@ -69,8 +71,8 @@ pub fn parse_pq(input: &str, schema: &Schema, alphabet: &Alphabet) -> Result<Pq,
 
     for (lineno, raw_line) in input.lines().enumerate() {
         let line = lineno + 1;
-        let uncommented = raw_line.split('#').next().unwrap_or("");
-        for stmt in uncommented.split(';') {
+        let uncommented = split_unquoted(raw_line, "#").next().unwrap_or("");
+        for stmt in split_unquoted(uncommented, ";") {
             let stmt = stmt.trim();
             if stmt.is_empty() {
                 continue;
@@ -265,5 +267,34 @@ mod tests {
         .unwrap();
         assert_eq!(pq.node_count(), 1);
         assert_eq!(pq.edge_count(), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// A printed pattern parses back to itself, whatever its string
+        /// constants hold: quotes, backslashes, `&&`, `#`, `;`.
+        #[test]
+        fn format_parses_back(
+            preds in proptest::collection::vec(
+                crate::predicate::tests::random_predicate(4, 0..3),
+                1..4,
+            ),
+            edges in proptest::collection::vec((0usize..4, 0usize..4, 0usize..4), 0..5),
+        ) {
+            let g = essembly();
+            let regexes = ["fa", "fn^2", "fa+ sn", "_^3"];
+            let mut pq = Pq::new();
+            for (i, pred) in preds.iter().enumerate() {
+                pq.add_node(&format!("n{i}"), pred.clone());
+            }
+            for (from, to, re) in edges {
+                let regex = FRegex::parse(regexes[re], g.alphabet()).unwrap();
+                pq.add_edge(from % preds.len(), to % preds.len(), regex);
+            }
+            let text = format_pq(&pq, g.schema(), g.alphabet());
+            let back = parse_pq(&text, g.schema(), g.alphabet());
+            proptest::prop_assert_eq!(back, Ok(pq), "{}", text);
+        }
     }
 }

@@ -17,6 +17,7 @@
 //! integer-gap reasoning such as `A>3 ∧ A<5 ⟹ A=4`, nor detect
 //! unsatisfiable antecedents).
 
+use rpq_graph::attr::{split_unquoted, unquote};
 use rpq_graph::{AttrId, AttrValue, Attrs, Graph, NodeId, Schema};
 use std::fmt;
 
@@ -404,11 +405,13 @@ impl std::error::Error for PredParseError {}
 
 impl Predicate {
     /// Parse `"job = \"doctor\" && age > 300"` against `schema`. Integer
-    /// constants are bare; string constants are double-quoted. The empty
-    /// string parses to the trivial predicate.
+    /// constants are bare; string constants are double-quoted, as
+    /// [`AttrValue`]'s `Display` writes them (`\"` and `\\` escapes), so a
+    /// displayed predicate parses back to itself. The empty string parses
+    /// to the trivial predicate.
     pub fn parse(input: &str, schema: &Schema) -> Result<Self, PredParseError> {
         let mut atoms = Vec::new();
-        for conjunct in input.split("&&") {
+        for conjunct in split_unquoted(input, "&&") {
             let conjunct = conjunct.trim();
             if conjunct.is_empty() {
                 continue;
@@ -432,11 +435,11 @@ impl Predicate {
             let attr = schema
                 .get(name)
                 .ok_or_else(|| PredParseError::UnknownAttr(name.to_owned()))?;
-            let value = if let Some(stripped) = rhs.strip_prefix('"') {
-                let inner = stripped
-                    .strip_suffix('"')
-                    .ok_or_else(|| PredParseError::BadValue(rhs.to_owned()))?;
-                AttrValue::Str(inner.to_owned())
+            let value = if rhs.starts_with('"') {
+                match unquote(rhs) {
+                    Some((value, "")) => AttrValue::Str(value),
+                    _ => return Err(PredParseError::BadValue(rhs.to_owned())),
+                }
             } else {
                 rhs.parse::<i64>()
                     .map(AttrValue::Int)
@@ -449,7 +452,7 @@ impl Predicate {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -650,17 +653,18 @@ mod tests {
         b.build()
     }
 
+    const OPS: [CompOp; 6] = [
+        CompOp::Lt,
+        CompOp::Le,
+        CompOp::Eq,
+        CompOp::Ne,
+        CompOp::Gt,
+        CompOp::Ge,
+    ];
+
     /// `A op a` over the four attributes, every operator, integer
     /// constants around the held ones and string constants `a`..`g`.
     fn random_atom() -> impl Strategy<Value = PredAtom> {
-        const OPS: [CompOp; 6] = [
-            CompOp::Lt,
-            CompOp::Le,
-            CompOp::Eq,
-            CompOp::Ne,
-            CompOp::Gt,
-            CompOp::Ge,
-        ];
         let value = prop_oneof![
             (-4i64..5).prop_map(AttrValue::Int),
             (b'a'..b'h').prop_map(|c| AttrValue::Str((c as char).to_string())),
@@ -732,5 +736,66 @@ mod tests {
         let p = Predicate::parse("job = \"doctor\" && age > 300", &s).unwrap();
         assert_eq!(p.display(&s).to_string(), "job = \"doctor\" && age > 300");
         assert_eq!(Predicate::always_true().display(&s).to_string(), "true");
+    }
+
+    /// String constants over printable ASCII, often the characters the
+    /// predicate and pattern-text syntaxes give a meaning to, a tab and a
+    /// letter outside ASCII.
+    fn constant() -> impl Strategy<Value = String> {
+        const SPECIAL: [char; 9] = ['"', '\\', '#', ';', '&', ' ', '=', '\t', 'é'];
+        let c = prop_oneof![
+            (0..SPECIAL.len()).prop_map(|i| SPECIAL[i]),
+            (0x20u8..0x7f).prop_map(char::from),
+        ];
+        prop::collection::vec(c, 0..8).prop_map(String::from_iter)
+    }
+
+    /// Conjunctions of `atoms` atoms over the first `attrs` attributes of
+    /// a schema, with any operator and any integer or string constant.
+    pub(crate) fn random_predicate(
+        attrs: u16,
+        atoms: std::ops::Range<usize>,
+    ) -> impl Strategy<Value = Predicate> {
+        let value = prop_oneof![
+            (-1000i64..1000).prop_map(AttrValue::Int),
+            (0usize..2).prop_map(|i| AttrValue::Int([i64::MIN, i64::MAX][i])),
+            constant().prop_map(AttrValue::Str),
+        ];
+        let atom = (0..attrs, 0usize..6, value).prop_map(|(attr, op, value)| PredAtom {
+            attr: AttrId(attr),
+            op: OPS[op],
+            value,
+        });
+        prop::collection::vec(atom, atoms).prop_map(Predicate::new)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// A displayed predicate parses back to itself, whatever its
+        /// string constants hold: quotes, backslashes, `&&`, `#`, `;`.
+        #[test]
+        fn display_parses_back(p in random_predicate(3, 1..4)) {
+            let s = schema();
+            let text = p.display(&s).to_string();
+            prop_assert_eq!(Predicate::parse(&text, &s), Ok(p), "{}", text);
+        }
+    }
+
+    #[test]
+    fn string_constants_take_the_quoted_syntax() {
+        let s = schema();
+        let job = |v: &str| Predicate::eq(s.get("job").unwrap(), AttrValue::Str(v.into()));
+        for (text, value) in [
+            (r#"job = "a\\b""#, r"a\b"),
+            (r#"job = "say \"hi\"""#, r#"say "hi""#),
+            (r#"job = "x && y""#, "x && y"),
+            (r#"job = "\q""#, "q"),
+        ] {
+            assert_eq!(Predicate::parse(text, &s), Ok(job(value)), "{text}");
+        }
+        for bad in [r#"job = "open"#, r#"job = "a" b"#, r#"job = "a\""#] {
+            assert!(Predicate::parse(bad, &s).is_err(), "{bad}");
+        }
     }
 }

@@ -4,7 +4,7 @@
 use crate::batch::{BatchItem, BatchResult, Query, QueryOutput};
 use crate::error::{ConfigError, EngineError};
 use crate::explain::{query_summary, CountingProbe};
-use crate::memo::{CacheKind, Lookup, SemanticMemo, SemanticStats};
+use crate::memo::{Lookup, SemanticMemo, SemanticStats};
 use crate::planner::{self, Algo, Backend, Plan, Rationale, Uncovered};
 use crate::snapshot::StandingEntry;
 use rpq_core::canonical::{canonical_pq, canonical_rq};
@@ -699,18 +699,12 @@ impl QueryEngine {
         profile.probes = probes;
         // this query's own lookup, not a delta of the shared counters:
         // exact whatever else runs on the memo meanwhile
-        let hit = lookup.map(|l| l.kind);
-        profile.memo_hits = u64::from(matches!(hit, Some(Some(_))));
-        profile.memo_misses = u64::from(hit == Some(None));
-        profile.semcache = match lookup.map(|l| (l.kind, l.patched)) {
-            Some((Some(CacheKind::Exact), _)) => "exact_hit",
-            Some((Some(CacheKind::Subsumption), _)) => "subsumption_hit",
-            Some((None, true)) => "patched",
-            Some((None, false)) => "miss",
-            // the plan never consulted the cache (PQs)
-            None => "",
+        if let Some(lookup) = lookup {
+            let hit = matches!(lookup, Lookup::Exact | Lookup::Subsumption { .. });
+            profile.memo_hits = u64::from(hit);
+            profile.memo_misses = u64::from(!hit);
+            profile.semcache = lookup.as_str().to_owned();
         }
-        .to_owned();
         profile.workers = workers;
         if let (Backend::Sharded, Some(labels)) = (p.plan.backend(), self.sharded()) {
             profile.shard_fanout = labels.sharded_graph().k() as u32;
@@ -737,13 +731,12 @@ impl QueryEngine {
     /// [`evaluate`](Self::evaluate)) and the one memo lookup the query
     /// made — `None` for a PQ, which has no cell.
     ///
-    /// Every RQ plan probes the semantic cache first: a completed exact
-    /// cell or a containing cached entry answers — with the answer the
-    /// cell keeps for the query's target predicate, or its reach set
-    /// filtered down to that target — without touching the index or the
-    /// graph; a cold cache costs one lookup and declines
-    /// (`SemanticMemo::try_answer` never blocks on in-flight
-    /// computations).
+    /// Every RQ plan probes the semantic cache first: a fresh exact cell
+    /// or a containing cached entry answers — with the answer the cell
+    /// keeps for the query's target predicate, or its reach set filtered
+    /// down to that target — without touching the index or the graph; a
+    /// cold cache costs one lookup and declines (a cell enters the memo
+    /// complete, so there is nothing to wait on).
     fn answer(
         &self,
         job: Job<'_>,
@@ -751,18 +744,17 @@ impl QueryEngine {
         before_eval: impl FnOnce(),
     ) -> (QueryOutput, u64, Option<Lookup>) {
         let Job { g, memo, .. } = job;
-        let lookup = match (job.query, standing) {
+        match (job.query, standing) {
             (_, Some(entry)) => return (QueryOutput::Pq(entry.answer(g)), 0, None),
-            (Query::Pq(_), None) => None,
-            (Query::Rq(rq), None) => match memo.try_answer(g, rq) {
-                Some((answer, hit)) => return (QueryOutput::Rq(answer), 0, Some(hit)),
-                None => Some(Lookup::MISS),
-            },
-        };
+            (Query::Rq(rq), None) => {
+                if let Some((answer, hit)) = memo.try_answer(g, rq) {
+                    return (QueryOutput::Rq(answer), 0, Some(hit));
+                }
+            }
+            (Query::Pq(_), None) => {}
+        }
         before_eval();
-        let (out, probes, patched) = self.evaluate(job);
-        let lookup = lookup.map(|miss| if patched { Lookup::PATCHED } else { miss });
-        (out, probes, lookup)
+        self.evaluate(job)
     }
 
     /// What the memo could not answer: resolve `plan`'s backend to its
@@ -770,8 +762,8 @@ impl QueryEngine {
     /// ([`GraphProbe`]) — and evaluate the plan's algorithm over it.
     /// Returns the output, the number of distance probes issued (counted
     /// only with `count_probes`, the explain surface; 0 for `biBFS`, which
-    /// probes nothing), and whether an inherited memo cell was patched.
-    fn evaluate(&self, job: Job<'_>) -> (QueryOutput, u64, bool) {
+    /// probes nothing), and an RQ's memo miss: patched or evaluated.
+    fn evaluate(&self, job: Job<'_>) -> (QueryOutput, u64, Option<Lookup>) {
         match (job.plan.backend(), &self.index) {
             (Backend::Matrix, Index::Matrix(matrix)) => eval_on(job, matrix),
             (Backend::Hop, Index::Hop(labels)) => eval_on(job, labels),
@@ -875,26 +867,31 @@ struct Job<'a> {
 /// shares, statically dispatched per probe type. Profiling is the
 /// [`CountingProbe`] decorator around the same call: it still delegates to
 /// the backend's optimized bulk implementations.
-fn eval_on<P: DistProbe + Sync>(job: Job<'_>, probe: &P) -> (QueryOutput, u64, bool) {
+fn eval_on<P: DistProbe + Sync>(job: Job<'_>, probe: &P) -> (QueryOutput, u64, Option<Lookup>) {
     if job.count_probes {
         let counting = CountingProbe::new(probe);
-        let (out, patched) = eval_probing(job, &counting);
-        (out, counting.probes(), patched)
+        let (out, lookup) = eval_probing(job, &counting);
+        (out, counting.probes(), lookup)
     } else {
-        let (out, patched) = eval_probing(job, probe);
-        (out, 0, patched)
+        let (out, lookup) = eval_probing(job, probe);
+        (out, 0, lookup)
     }
 }
 
-/// The output, and whether an inherited memo cell was patched.
-fn eval_probing<P: DistProbe + Sync>(job: Job<'_>, probe: &P) -> (QueryOutput, bool) {
+/// The output, and an RQ's memo miss: patched or evaluated.
+fn eval_probing<P: DistProbe + Sync>(job: Job<'_>, probe: &P) -> (QueryOutput, Option<Lookup>) {
     match (job.query, job.plan.algo()) {
-        (Query::Rq(rq), Algo::RqDm) => rq_indexed(job.g, rq, probe, job.memo),
+        (Query::Rq(rq), Algo::RqDm) => {
+            let (out, lookup) = rq_indexed(job.g, rq, probe, job.memo);
+            (out, Some(lookup))
+        }
         // the paper's baseline, servable when forced: it probes nothing
-        (Query::Rq(rq), Algo::RqBiBfs) => (QueryOutput::Rq(rq.eval_bibfs(job.g)), false),
+        (Query::Rq(rq), Algo::RqBiBfs) => {
+            (QueryOutput::Rq(rq.eval_bibfs(job.g)), Some(Lookup::Miss))
+        }
         (Query::Pq(pq), algo) => {
             let mut reach = ProbeReach::with_workers(probe, job.pq_workers);
-            (eval_pq(algo, pq, job.g, &mut reach), false)
+            (eval_pq(algo, pq, job.g, &mut reach), None)
         }
         (Query::Rq(_), algo) => mismatched(algo),
     }
@@ -947,24 +944,24 @@ pub(crate) fn rq_targets(g: &Graph, to: &Predicate, pairs: &[(NodeId, NodeId)]) 
 /// installed via [`SemanticMemo::insert`]. Either way the query's answer
 /// is the set filtered down to its targets ([`SemanticMemo::answer`], which
 /// keeps it for the next exact hit with the same target), and the next
-/// exact or contained query on the key is a cache hit. Also returns
-/// whether it patched.
+/// exact or contained query on the key is a cache hit. Also returns the
+/// miss: [`Lookup::Patched`] or [`Lookup::Miss`].
 fn rq_indexed<D: DistProbe>(
     g: &Graph,
     rq: &Rq,
     probe: &D,
     memo: &SemanticMemo,
-) -> (QueryOutput, bool) {
+) -> (QueryOutput, Lookup) {
     let wide = Rq::new(rq.from.clone(), Predicate::always_true(), rq.regex.clone());
     let patch = |old: &[_], changes: &[_]| patch_reach_set(g, &wide, probe, old, changes);
-    let (pairs, patched) = match memo.patch(&rq.from, &rq.regex, patch) {
-        Some(pairs) => (pairs, true),
+    let (pairs, lookup) = match memo.patch(&rq.from, &rq.regex, patch) {
+        Some(pairs) => (pairs, Lookup::Patched),
         None => {
             let full = wide.eval_with_dist(g, probe).into_pairs();
-            (memo.insert(&rq.from, &rq.regex, full), false)
+            (memo.insert(&rq.from, &rq.regex, full), Lookup::Miss)
         }
     };
-    (QueryOutput::Rq(memo.answer(g, rq, &pairs)), patched)
+    (QueryOutput::Rq(memo.answer(g, rq, &pairs)), lookup)
 }
 
 /// The query with every regex in run-normal canonical form

@@ -91,7 +91,7 @@ mod updatable;
 pub use batch::{BatchItem, BatchResult, Query, QueryOutput};
 pub use engine::{EngineConfig, EngineConfigBuilder, QueryEngine};
 pub use error::{ConfigError, EngineError};
-pub use memo::{CacheKind, Lookup, SemanticMemo, SemanticStats};
+pub use memo::{Lookup, SemanticMemo, SemanticStats};
 pub use planner::{Algo, Backend, Plan, Rationale, Uncovered};
 pub use service::QueryService;
 pub use snapshot::{IndexState, Snapshot};

@@ -17,7 +17,7 @@
 //!    ([`SemanticMemo::insert`]); every later lookup gets the `Arc` for
 //!    free.
 //! 3. **Containment answering.** On an exact miss the memo consults a
-//!    candidate index — completed cells bucketed by regex *skeleton*
+//!    candidate index — fresh cells bucketed by regex *skeleton*
 //!    (run-color sequence) — for a cached entry whose predicate/regex
 //!    *contains* the probe (`Predicate::implies` +
 //!    [`rpq_regex::canon::contains_fast`]). A hit is answered by
@@ -34,7 +34,7 @@
 //!    query exact-hit from then on.
 //!
 //! 4. **Per-target answers.** A query's answer is its key's reach set
-//!    filtered down to its *target* predicate. A completed cell keeps the
+//!    filtered down to its *target* predicate. A fresh cell keeps the
 //!    first answer any lookup produces for each target it is asked with
 //!    ([`SemanticMemo::answer`]), so an exact hit with a target seen
 //!    before is one lock and one `Arc` clone — no filter, no copy. The
@@ -47,36 +47,36 @@
 //! — the engine's prologue canonicalises every query once — so every
 //! syntactic variant of a language lands on one cell.
 //!
-//! Completed cells are bounded by an LRU byte budget, which also pays for
-//! their per-target answers. Answers only use the room the reach sets
-//! leave: past the budget they are dropped first, least recently used
-//! cell first, and only then are cells evicted — from the table and the
+//! Cells are bounded by an LRU byte budget, which also pays for the
+//! per-target answers. Answers only use the room the reach sets leave:
+//! past the budget they are dropped first, least recently used cell
+//! first, and only then are cells evicted — from the table and the
 //! candidate index, while outstanding `Arc`s keep served answers alive.
 //! So which reach sets a workload keeps does not depend on its answers.
 //!
 //! **Versions.** A memo belongs to one [`QueryEngine`](crate::QueryEngine),
-//! whose graph never changes, so a completed cell is never wrong for the
+//! whose graph never changes, so a fresh cell is never wrong for the
 //! engine that computed it. The updatable engine publishes a new engine
 //! with every snapshot version, and its memo *inherits* the predecessor's
-//! completed cells ([`SemanticMemo::carry`]): their `Arc` pair sets, no
-//! copy, plus the batch's edge changes — reach sets only, so no
-//! per-target answer, and none of its encoded bytes, reaches a later
-//! version. An inherited cell is stale by
-//! construction — it is never an exact hit and never a containment donor.
-//! Only the miss path reads it ([`SemanticMemo::patch`]): the caller
-//! re-evaluates the sources the logged changes can reach
-//! ([`rpq_core::incremental::patch_reach_set`]) and installs the patched
-//! set as a fresh cell. A cell left unread keeps appending later batches
-//! to its log, and is dropped after `CARRY_VERSIONS` (four) unread versions.
-//! Inherited cells are charged to the same byte budget.
+//! cells ([`SemanticMemo::carry`]): their `Arc` pair sets, no copy, plus
+//! the batch's edge changes — reach sets only, so no per-target answer,
+//! and none of its encoded bytes, reaches a later version. An inherited
+//! cell is stale by construction — it is never an exact hit and never a
+//! containment donor. Only the miss path reads it
+//! ([`SemanticMemo::patch`]): the caller re-evaluates the sources the
+//! logged changes can reach ([`rpq_core::incremental::patch_reach_set`])
+//! and installs the patched set, which supersedes the inherited cell. A
+//! cell left unread keeps appending later batches to its log, and is
+//! dropped after `CARRY_VERSIONS` (four) unread versions. Inherited cells
+//! share the table, the LRU order and the byte budget with fresh ones.
 //!
-//! Concurrency scheme: a mutex-guarded map from key to a per-key
-//! `OnceLock` cell. The map lock is held only to clone the cell's `Arc`
-//! (and, on a miss, to consult the candidate index); reach-set
-//! computation and donor filtering run outside it. A lookup never waits
-//! on a key another worker is still filling: it declines, and the
-//! caller evaluates itself — the first `insert` wins the cell, and every
-//! racer gets its `Arc`.
+//! Concurrency scheme: one mutex over the table, held to look a key up,
+//! clone a cell's `Arc` and install a computed set; reach-set
+//! computation, donor derivation and target filtering run outside it. A
+//! cell enters the table complete, so a lookup never waits: a key with no
+//! fresh cell is derived from a donor or declined, and the caller
+//! evaluates itself. When callers compute one key at once, the first
+//! install wins and every later one gets its `Arc`.
 
 use crate::engine::rq_targets;
 use rpq_core::incremental::EdgeChange;
@@ -88,13 +88,12 @@ use rpq_regex::canon::{contains_fast, is_canonical, skeleton, wildcard_skeleton}
 use rpq_regex::FRegex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 type PairSet = Arc<Vec<(NodeId, NodeId)>>;
-type Cell = Arc<OnceLock<PairSet>>;
 
-/// Default byte budget for completed cells: about 4 M reach-set pairs at
+/// Default byte budget for cells: about 4 M reach-set pairs at
 /// [`PAIR_BYTES`] each, fewer as per-target answers take their share.
 const DEFAULT_BYTE_BUDGET: usize = 32 << 20;
 
@@ -129,25 +128,6 @@ const ANSWER_BYTES_PER_PAIR: usize = PAIR_BYTES + 24;
 /// log grows memory past a quarter.
 const CARRY_VERSIONS: usize = 4;
 
-/// How a semantic-memo lookup was answered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheKind {
-    /// The canonical key was already cached.
-    Exact,
-    /// Answered by filtering a containing entry's pair set.
-    Subsumption,
-}
-
-impl CacheKind {
-    /// Label for metrics/profiles (`"exact"` / `"subsumption"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CacheKind::Exact => "exact",
-            CacheKind::Subsumption => "subsumption",
-        }
-    }
-}
-
 /// Counters of the semantic layer, split by hit kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SemanticStats {
@@ -178,167 +158,207 @@ impl SemanticStats {
     /// memo's cumulative [`semantic_stats`](SemanticMemo::semantic_stats)
     /// taken around the work are not.
     pub fn record(&mut self, lookup: Lookup) {
-        match lookup.kind {
-            Some(CacheKind::Exact) => self.exact_hits += 1,
-            Some(CacheKind::Subsumption) => self.subsumption_hits += 1,
-            None => {
+        match lookup {
+            Lookup::Exact => self.exact_hits += 1,
+            Lookup::Subsumption { filter_time } => {
+                self.subsumption_hits += 1;
+                self.filter_time += filter_time;
+            }
+            Lookup::Miss => self.misses += 1,
+            Lookup::Patched => {
                 self.misses += 1;
-                self.patched += u64::from(lookup.patched);
+                self.patched += 1;
             }
         }
-        self.filter_time += lookup.filter_time;
     }
 }
 
-/// What one lookup did: the counter of [`SemanticStats`] it moved, and
-/// the filter time it spent doing so.
+/// How one lookup was answered: the counter of [`SemanticStats`] it
+/// moved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Lookup {
-    /// How the lookup was answered; `None` is a miss — nothing cached
-    /// could answer, or the key was still being computed elsewhere.
-    pub kind: Option<CacheKind>,
-    /// Time this lookup spent filtering a donor's pair set (zero unless
-    /// it derived a subsumption answer itself).
-    pub filter_time: Duration,
+pub enum Lookup {
+    /// The canonical key was cached.
+    Exact,
+    /// Derived from a containing entry's pair set, in `filter_time`.
+    Subsumption {
+        /// Time this lookup spent filtering the donor's pair set.
+        filter_time: Duration,
+    },
+    /// Nothing cached could answer: the caller evaluated in full.
+    Miss,
     /// A miss the caller answered by patching an inherited cell
     /// ([`SemanticMemo::patch`]).
-    pub patched: bool,
+    Patched,
 }
 
 impl Lookup {
-    /// A lookup no cached entry could answer.
-    pub const MISS: Lookup = Lookup {
-        kind: None,
-        filter_time: Duration::ZERO,
-        patched: false,
-    };
-
-    /// A miss answered by patching an inherited cell.
-    pub const PATCHED: Lookup = Lookup {
-        patched: true,
-        ..Lookup::MISS
-    };
-
-    fn hit(kind: CacheKind, filter_time: Duration) -> Self {
-        Lookup {
-            kind: Some(kind),
-            filter_time,
-            patched: false,
+    /// Label for profiles: `exact_hit`, `subsumption_hit`, `miss` or
+    /// `patched`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Lookup::Exact => "exact_hit",
+            Lookup::Subsumption { .. } => "subsumption_hit",
+            Lookup::Miss => "miss",
+            Lookup::Patched => "patched",
         }
     }
 }
 
-/// A completed (computed) cell's LRU bookkeeping and its answers.
-struct Completed {
-    /// What the reach set is charged.
-    bytes: usize,
-    tick: u64,
-    /// The answer kept for each target predicate asked since the answers
-    /// were last dropped.
-    answers: HashMap<Predicate, RqResult>,
-    /// What the answers are charged.
-    answer_bytes: usize,
-}
-
-/// One key's slot in the table: the cell, plus its LRU state once the
-/// value has been computed and charged to the byte budget.
-struct Entry {
-    cell: Cell,
-    completed: Option<Completed>,
-}
-
-/// A completed cell of an earlier graph version: its pair set and every
-/// edge change since, with its LRU state. Never served as it is.
-#[derive(Clone)]
-struct Inherited {
+/// One key's reach set, with its LRU tick.
+struct Cell {
     pairs: PairSet,
-    changes: Vec<EdgeChange>,
-    /// Batches in `changes`: the versions the cell has gone unread.
-    versions: usize,
-    bytes: usize,
     tick: u64,
+    state: State,
+}
+
+enum State {
+    /// Computed on this version: served, a donor, and the keeper of the
+    /// answer made for each target predicate asked since its answers were
+    /// last dropped, with what they are charged.
+    Fresh {
+        answers: HashMap<Predicate, RqResult>,
+        answer_bytes: usize,
+    },
+    /// Computed on an earlier version, with every edge change since; never
+    /// served as it is. `versions` counts the batches in `changes`: the
+    /// versions the cell has gone unread.
+    Inherited {
+        changes: Vec<EdgeChange>,
+        versions: usize,
+    },
+}
+
+impl Cell {
+    fn is_fresh(&self) -> bool {
+        matches!(self.state, State::Fresh { .. })
+    }
+
+    /// What the cell is charged: its reach set, and its answers.
+    fn bytes(&self) -> usize {
+        let answers = match self.state {
+            State::Fresh { answer_bytes, .. } => answer_bytes,
+            State::Inherited { .. } => 0,
+        };
+        self.pairs.len() * PAIR_BYTES + answers
+    }
 }
 
 #[derive(Default)]
 struct Table {
-    map: HashMap<Predicate, HashMap<FRegex, Entry>>,
-    /// Candidate index over *completed* cells: regex skeleton → keys.
+    map: HashMap<Predicate, HashMap<FRegex, Cell>>,
+    /// Candidate index over *fresh* cells: regex skeleton → keys.
     index: HashMap<Vec<Color>, Vec<(Predicate, FRegex)>>,
-    /// Cells inherited from earlier versions, not yet superseded by a
-    /// fresh cell of the same key.
-    inherited: HashMap<Predicate, HashMap<FRegex, Inherited>>,
     tick: u64,
-    /// Bytes of completed and inherited cells, answers included.
+    /// What every cell is charged, answers included.
     bytes: usize,
     /// The answers' share of `bytes`.
     answer_bytes: usize,
 }
 
 impl Table {
-    /// Drop the inherited cell of `(from, canon)`, if any.
-    fn drop_inherited(&mut self, from: &Predicate, canon: &FRegex) {
-        let Some(inner) = self.inherited.get_mut(from) else {
+    /// The fresh cell of `(from, regex)`.
+    fn fresh(&mut self, from: &Predicate, regex: &FRegex) -> Option<&mut Cell> {
+        (self.map.get_mut(from)?.get_mut(regex)).filter(|cell| cell.is_fresh())
+    }
+
+    /// The fresh cell of `(from, regex)`, marked most recently used.
+    fn touch(&mut self, from: &Predicate, regex: &FRegex) -> Option<&mut Cell> {
+        self.tick += 1;
+        let tick = self.tick;
+        let cell = self.fresh(from, regex)?;
+        cell.tick = tick;
+        Some(cell)
+    }
+
+    /// The answers the fresh cell of `(from, regex)` keeps, and their
+    /// charge.
+    fn answers(
+        &mut self,
+        from: &Predicate,
+        regex: &FRegex,
+    ) -> Option<(&mut HashMap<Predicate, RqResult>, &mut usize)> {
+        match &mut self.map.get_mut(from)?.get_mut(regex)?.state {
+            State::Fresh {
+                answers,
+                answer_bytes,
+            } => Some((answers, answer_bytes)),
+            State::Inherited { .. } => None,
+        }
+    }
+
+    /// Install `pairs` as the fresh cell of `(from, canon)`, superseding
+    /// an inherited one, visible to containment lookups and charged to
+    /// `budget` (least recently used cells are evicted past it). The
+    /// first install wins: with a fresh cell there already, its set is
+    /// returned and `pairs` dropped.
+    fn install(
+        &mut self,
+        from: &Predicate,
+        canon: &FRegex,
+        pairs: Vec<(NodeId, NodeId)>,
+        budget: usize,
+    ) -> PairSet {
+        if let Some(cell) = self.fresh(from, canon) {
+            return Arc::clone(&cell.pairs);
+        }
+        self.remove(from, canon);
+        let pairs = Arc::new(pairs);
+        self.tick += 1;
+        let cell = Cell {
+            pairs: Arc::clone(&pairs),
+            tick: self.tick,
+            state: State::Fresh {
+                answers: HashMap::new(),
+                answer_bytes: 0,
+            },
+        };
+        self.bytes += cell.bytes();
+        let inner = self.map.entry(from.clone()).or_default();
+        inner.insert(canon.clone(), cell);
+        let bucket = self.index.entry(skeleton(canon)).or_default();
+        bucket.push((from.clone(), canon.clone()));
+        self.make_room(budget, (from, canon));
+        pairs
+    }
+
+    /// Take the cell of `(from, canon)` out of the table, the candidate
+    /// index and the charged bytes.
+    fn remove(&mut self, from: &Predicate, canon: &FRegex) {
+        let Some(inner) = self.map.get_mut(from) else {
             return;
         };
-        if let Some(old) = inner.remove(canon) {
-            self.bytes -= old.bytes;
-        }
+        let Some(cell) = inner.remove(canon) else {
+            return;
+        };
         if inner.is_empty() {
-            self.inherited.remove(from);
+            self.map.remove(from);
         }
-    }
-
-    /// The entry of `(from, regex)`, marked most recently used.
-    fn touch(&mut self, from: &Predicate, regex: &FRegex) -> Option<&Entry> {
-        let entry = self.map.get_mut(from)?.get_mut(regex)?;
-        self.tick += 1;
-        if let Some(c) = &mut entry.completed {
-            c.tick = self.tick;
+        self.bytes -= cell.bytes();
+        if let State::Fresh { answer_bytes, .. } = cell.state {
+            self.answer_bytes -= answer_bytes;
+            if let Some(bucket) = self.index.get_mut(&skeleton(canon)) {
+                bucket.retain(|(p, r)| (p, r) != (from, canon));
+            }
         }
-        Some(entry)
-    }
-
-    /// The completed cell of `(from, regex)`, if it is still in the table.
-    fn completed(&mut self, from: &Predicate, regex: &FRegex) -> Option<&mut Completed> {
-        self.map.get_mut(from)?.get_mut(regex)?.completed.as_mut()
     }
 
     /// Bring the charged bytes within `budget`. Kept answers go first,
     /// least recently used cell first — the next hit remakes one from its
-    /// reach set — then least recently used cells, completed or
-    /// inherited, other than `keep`. So answers live in the room reach
-    /// sets leave, and never cost a reach set its place.
+    /// reach set — then least recently used cells, fresh or inherited,
+    /// other than `keep`. So answers live in the room reach sets leave,
+    /// and never cost a reach set its place.
     fn make_room(&mut self, budget: usize, keep: (&Predicate, &FRegex)) {
         while self.bytes > budget && self.drop_lru_answers() {}
         while self.bytes > budget {
-            let completed = (self.map.iter())
-                .flat_map(|(p, inner)| inner.iter().map(move |(r, e)| (p, r, e)))
-                .filter(|&(p, r, _)| (p, r) != keep)
-                .filter_map(|(p, r, e)| Some((e.completed.as_ref()?.tick, p, r, false)));
-            let inherited = (self.inherited.iter())
-                .flat_map(|(p, inner)| inner.iter().map(move |(r, c)| (c.tick, p, r, true)));
-            let Some((victim, is_inherited)) = completed
-                .chain(inherited)
+            let Some((from, canon)) = (self.map.iter())
+                .flat_map(|(p, inner)| inner.iter().map(move |(r, cell)| (cell.tick, p, r)))
+                .filter(|&(_, p, r)| (p, r) != keep)
                 .min_by_key(|&(tick, ..)| tick)
-                .map(|(_, p, r, i)| ((p.clone(), r.clone()), i))
+                .map(|(_, p, r)| (p.clone(), r.clone()))
             else {
                 break;
             };
-            if is_inherited {
-                self.drop_inherited(&victim.0, &victim.1);
-                continue;
-            }
-            if let Some(bucket) = self.index.get_mut(&skeleton(&victim.1)) {
-                bucket.retain(|k| *k != victim);
-            }
-            let inner = self.map.get_mut(&victim.0).expect("victim is in the map");
-            if let Some(freed) = inner.remove(&victim.1).and_then(|e| e.completed) {
-                self.bytes -= freed.bytes + freed.answer_bytes;
-                self.answer_bytes -= freed.answer_bytes;
-            }
-            if inner.is_empty() {
-                self.map.remove(&victim.0);
-            }
+            self.remove(&from, &canon);
         }
     }
 
@@ -348,37 +368,29 @@ impl Table {
         if self.answer_bytes == 0 {
             return false;
         }
-        let done = (self.map.values_mut())
+        let (answers, bytes) = (self.map.values_mut())
             .flat_map(|inner| inner.values_mut())
-            .filter_map(|e| e.completed.as_mut())
-            .filter(|done| done.answer_bytes > 0)
-            .min_by_key(|done| done.tick)
+            .filter_map(|cell| match &mut cell.state {
+                State::Fresh {
+                    answers,
+                    answer_bytes,
+                } if *answer_bytes > 0 => Some((cell.tick, answers, answer_bytes)),
+                _ => None,
+            })
+            .min_by_key(|&(tick, ..)| tick)
+            .map(|(_, answers, bytes)| (answers, bytes))
             .expect("answer bytes are kept by some cell");
-        self.bytes -= done.answer_bytes;
-        self.answer_bytes -= done.answer_bytes;
-        done.answers.clear();
-        done.answer_bytes = 0;
+        self.bytes -= *bytes;
+        self.answer_bytes -= *bytes;
+        answers.clear();
+        *bytes = 0;
         true
     }
 
-    /// Claim `(from, regex)`: its existing cell, or a fresh one.
-    fn claim(&mut self, from: &Predicate, regex: &FRegex) -> Cell {
-        let entry = self
-            .map
-            .entry(from.clone())
-            .or_default()
-            .entry(regex.clone())
-            .or_insert_with(|| Entry {
-                cell: Arc::new(OnceLock::new()),
-                completed: None,
-            });
-        Arc::clone(&entry.cell)
-    }
-
-    /// Find a completed cached entry containing `(from, regex)`:
-    /// same-skeleton bucket first, then the all-wildcard bucket. Prefers
-    /// an equal-language (regex-identical, predicate-narrowing) donor —
-    /// served by a pure filter — over a strictly-containing one.
+    /// Find a fresh cell containing `(from, regex)`: same-skeleton bucket
+    /// first, then the all-wildcard bucket. Prefers an equal-language
+    /// (regex-identical, predicate-narrowing) donor — served by a pure
+    /// filter — over a strictly-containing one.
     fn find_donor(&self, from: &Predicate, regex: &FRegex) -> Option<(PairSet, bool)> {
         let probe_skel = skeleton(regex);
         let wild = wildcard_skeleton();
@@ -397,13 +409,7 @@ impl Table {
                 if !equal && !contains_fast(regex, dregex) {
                     continue;
                 }
-                let pairs = self
-                    .map
-                    .get(dpred)
-                    .and_then(|inner| inner.get(dregex))
-                    .and_then(|entry| entry.cell.get())
-                    .cloned();
-                let Some(pairs) = pairs else { continue };
+                let pairs = Arc::clone(&self.map[dpred][dregex].pairs);
                 if equal {
                     return Some((pairs, true));
                 }
@@ -430,9 +436,6 @@ pub struct SemanticMemo {
     patched: AtomicU64,
     filter_nanos: AtomicU64,
     byte_budget: usize,
-    /// Whether cells were inherited at construction: without,
-    /// [`patch`](Self::patch) returns at once without taking the lock.
-    inherits: bool,
 }
 
 impl std::fmt::Debug for SemanticMemo {
@@ -451,11 +454,11 @@ impl SemanticMemo {
         Self::with_byte_budget(DEFAULT_BYTE_BUDGET)
     }
 
-    /// Empty table bounding completed pair sets and their per-target
-    /// answers to roughly `byte_budget` bytes (8 bytes per reach-set pair,
-    /// 32 per answer pair); past the budget, least-recently used answers
-    /// are dropped first, then least-recently used cells. A budget of 0
-    /// keeps at most one completed cell, and no answers.
+    /// Empty table bounding cached pair sets and their per-target answers
+    /// to roughly `byte_budget` bytes (8 bytes per reach-set pair, 32 per
+    /// answer pair); past the budget, least-recently used answers are
+    /// dropped first, then least-recently used cells. A budget of 0 keeps
+    /// at most one cell, and no answers.
     pub fn with_byte_budget(byte_budget: usize) -> Self {
         SemanticMemo {
             byte_budget,
@@ -463,58 +466,49 @@ impl SemanticMemo {
         }
     }
 
-    /// The one lookup: a completed exact cell or a containing donor
-    /// answers `rq` — and a derived reach set is installed as a new cell —
-    /// but a full miss returns `None` without claiming anything, leaving
-    /// the caller to evaluate over its index or the graph,
+    /// The one lookup: a fresh exact cell or a containing donor answers
+    /// `rq` — and a derived reach set is installed as a new cell — but a
+    /// full miss returns `None` without installing anything, leaving the
+    /// caller to evaluate over its index or the graph,
     /// [`insert`](SemanticMemo::insert) the reach set and take its
-    /// [`answer`](SemanticMemo::answer). `None` is always a miss
-    /// ([`Lookup::MISS`]): the returned [`Lookup`] is a hit's. An exact hit
+    /// [`answer`](SemanticMemo::answer). `None` is always a
+    /// [`Lookup::Miss`]: the returned [`Lookup`] is a hit's. An exact hit
     /// on a target asked before returns the answer the cell keeps for it,
     /// under the one lock the lookup takes.
     pub fn try_answer(&self, g: &Graph, rq: &Rq) -> Option<(RqResult, Lookup)> {
         let (from, canon) = (&rq.from, &rq.regex);
         debug_assert!(is_canonical(canon), "memo keys are canonical");
-        let derive = {
+        let donor = {
             let mut table = self.cells.lock().expect("memo poisoned");
             match table.touch(from, canon) {
-                Some(entry) => match (entry.cell.get(), &entry.completed) {
-                    (Some(pairs), done) => {
-                        self.exact_hits.fetch_add(1, Ordering::Relaxed);
-                        let hit = Lookup::hit(CacheKind::Exact, Duration::ZERO);
-                        if let Some(kept) = done.as_ref().and_then(|d| d.answers.get(&rq.to)) {
-                            return Some((kept.clone(), hit));
+                Some(cell) => {
+                    self.exact_hits.fetch_add(1, Ordering::Relaxed);
+                    if let State::Fresh { answers, .. } = &cell.state {
+                        if let Some(kept) = answers.get(&rq.to) {
+                            return Some((kept.clone(), Lookup::Exact));
                         }
-                        let pairs = Arc::clone(pairs);
-                        drop(table);
-                        return Some((self.keep(rq, rq_targets(g, &rq.to, &pairs)), hit));
                     }
-                    // in flight on another worker: don't wait on it, the
-                    // caller's own probes answer faster than an unfinished
-                    // evaluation hands its result over
-                    (None, _) => None,
-                },
-                None => table
-                    .find_donor(from, canon)
-                    .map(|(pairs, equal)| (table.claim(from, canon), pairs, equal)),
+                    let pairs = Arc::clone(&cell.pairs);
+                    drop(table);
+                    let answer = self.keep(rq, rq_targets(g, &rq.to, &pairs));
+                    return Some((answer, Lookup::Exact));
+                }
+                None => table.find_donor(from, canon),
             }
         };
-        let Some((cell, donor, equal)) = derive else {
+        let Some((donor, equal)) = donor else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         };
         self.subsumption_hits.fetch_add(1, Ordering::Relaxed);
-        let mut filter_time = Duration::ZERO;
-        let pairs = self.fill(from, canon, &cell, || {
-            let started = Instant::now();
-            let derived = derive_from_donor(g, from, canon, &donor, equal);
-            filter_time = started.elapsed();
-            self.filter_nanos
-                .fetch_add(filter_time.as_nanos() as u64, Ordering::Relaxed);
-            derived
-        });
-        let hit = Lookup::hit(CacheKind::Subsumption, filter_time);
-        Some((self.answer(g, rq, &pairs), hit))
+        let started = Instant::now();
+        let derived = derive_from_donor(g, from, canon, &donor, equal);
+        let filter_time = started.elapsed();
+        self.filter_nanos
+            .fetch_add(filter_time.as_nanos() as u64, Ordering::Relaxed);
+        let pairs = self.install(from, canon, derived);
+        let lookup = Lookup::Subsumption { filter_time };
+        Some((self.answer(g, rq, &pairs), lookup))
     }
 
     /// `rq`'s answer from `pairs`, the complete reach set of its key that
@@ -527,8 +521,8 @@ impl SemanticMemo {
     /// sets, or whose cell was evicted meanwhile, is served unkept.
     pub fn answer(&self, g: &Graph, rq: &Rq, pairs: &[(NodeId, NodeId)]) -> RqResult {
         let kept = (self.cells.lock().expect("memo poisoned"))
-            .completed(&rq.from, &rq.regex)
-            .and_then(|done| done.answers.get(&rq.to).cloned());
+            .answers(&rq.from, &rq.regex)
+            .and_then(|(answers, _)| answers.get(&rq.to).cloned());
         kept.unwrap_or_else(|| self.keep(rq, rq_targets(g, &rq.to, pairs)))
     }
 
@@ -538,8 +532,8 @@ impl SemanticMemo {
         let charge = answer.len() * ANSWER_BYTES_PER_PAIR;
         let mut table = self.cells.lock().expect("memo poisoned");
         match table
-            .completed(&rq.from, &rq.regex)
-            .map(|d| d.answers.get(&rq.to))
+            .answers(&rq.from, &rq.regex)
+            .map(|(answers, _)| answers.get(&rq.to))
         {
             None => return answer,
             Some(Some(kept)) => return kept.clone(),
@@ -551,9 +545,10 @@ impl SemanticMemo {
         while table.bytes + charge > self.byte_budget && table.drop_lru_answers() {}
         table.bytes += charge;
         table.answer_bytes += charge;
-        let done = (table.completed(&rq.from, &rq.regex)).expect("dropping answers keeps cells");
-        done.answer_bytes += charge;
-        done.answers.insert(rq.to.clone(), answer.clone());
+        let (answers, bytes) =
+            (table.answers(&rq.from, &rq.regex)).expect("dropping answers keeps cells");
+        *bytes += charge;
+        answers.insert(rq.to.clone(), answer.clone());
         answer
     }
 
@@ -584,8 +579,8 @@ impl SemanticMemo {
     }
 
     fn install(&self, from: &Predicate, canon: &FRegex, pairs: Vec<(NodeId, NodeId)>) -> PairSet {
-        let cell = self.cells.lock().expect("memo poisoned").claim(from, canon);
-        self.fill(from, canon, &cell, || pairs)
+        let mut table = self.cells.lock().expect("memo poisoned");
+        table.install(from, canon, pairs, self.byte_budget)
     }
 
     /// The miss path's second chance: if this memo inherited a cell of
@@ -602,13 +597,13 @@ impl SemanticMemo {
         regex: &FRegex,
         patch: impl FnOnce(&[(NodeId, NodeId)], &[EdgeChange]) -> Option<Vec<(NodeId, NodeId)>>,
     ) -> Option<PairSet> {
-        if !self.inherits {
-            return None;
-        }
         let (old, changes) = {
             let table = self.cells.lock().expect("memo poisoned");
-            let cell = table.inherited.get(from)?.get(regex)?;
-            (Arc::clone(&cell.pairs), cell.changes.clone())
+            let cell = table.map.get(from)?.get(regex)?;
+            let State::Inherited { changes, .. } = &cell.state else {
+                return None;
+            };
+            (Arc::clone(&cell.pairs), changes.clone())
         };
         let pairs = patch(&old, &changes)?;
         self.patched.fetch_add(1, Ordering::Relaxed);
@@ -616,7 +611,7 @@ impl SemanticMemo {
     }
 
     /// The memo of the next graph version, one batch of edge `changes`
-    /// later: every completed cell of this memo, and every inherited one
+    /// later: every fresh cell of this memo, and every inherited one
     /// unread for fewer than `CARRY_VERSIONS` (four) versions, inherited with
     /// `changes` appended to its log. Pair sets are shared, not copied,
     /// and per-target answers are not inherited; LRU order and the byte
@@ -627,101 +622,38 @@ impl SemanticMemo {
             tick: table.tick,
             ..Table::default()
         };
-        let mut keep = |from: &Predicate, canon: &FRegex, cell: Inherited| {
-            next.bytes += cell.bytes;
-            let inner = next.inherited.entry(from.clone()).or_default();
-            if let Some(old) = inner.insert(canon.clone(), cell) {
-                next.bytes -= old.bytes;
-            }
-        };
-        for (from, inner) in &table.inherited {
-            for (canon, cell) in inner {
-                if cell.versions < CARRY_VERSIONS {
-                    let mut cell = cell.clone();
-                    cell.changes.extend_from_slice(changes);
-                    cell.versions += 1;
-                    keep(from, canon, cell);
-                }
-            }
-        }
-        // a fresh cell supersedes an inherited one of the same key
         for (from, inner) in &table.map {
-            for (canon, entry) in inner {
-                let (Some(done), Some(pairs)) = (&entry.completed, entry.cell.get()) else {
-                    continue;
+            for (canon, cell) in inner {
+                let state = match &cell.state {
+                    // the reach set alone: its answers stay with this version
+                    State::Fresh { .. } => State::Inherited {
+                        changes: changes.to_vec(),
+                        versions: 1,
+                    },
+                    State::Inherited { versions, .. } if *versions >= CARRY_VERSIONS => continue,
+                    State::Inherited {
+                        changes: log,
+                        versions,
+                    } => State::Inherited {
+                        changes: [log, changes].concat(),
+                        versions: versions + 1,
+                    },
                 };
-                // the reach set alone: its answers stay with this version
-                let cell = Inherited {
-                    pairs: Arc::clone(pairs),
-                    changes: changes.to_vec(),
-                    versions: 1,
-                    bytes: done.bytes,
-                    tick: done.tick,
+                let cell = Cell {
+                    pairs: Arc::clone(&cell.pairs),
+                    tick: cell.tick,
+                    state,
                 };
-                keep(from, canon, cell);
+                next.bytes += cell.bytes();
+                let inner = next.map.entry(from.clone()).or_default();
+                inner.insert(canon.clone(), cell);
             }
         }
         SemanticMemo {
-            inherits: !next.inherited.is_empty(),
             cells: Mutex::new(next),
             byte_budget: self.byte_budget,
             ..SemanticMemo::default()
         }
-    }
-
-    /// Fill `cell` with `compute()` unless a racer already did, then
-    /// register the completed result with the candidate index and the LRU
-    /// budget. Returns the cell's value, whoever computed it.
-    fn fill(
-        &self,
-        from: &Predicate,
-        canon: &FRegex,
-        cell: &Cell,
-        compute: impl FnOnce() -> Vec<(NodeId, NodeId)>,
-    ) -> PairSet {
-        let mut computed = false;
-        let pairs = Arc::clone(cell.get_or_init(|| {
-            computed = true;
-            Arc::new(compute())
-        }));
-        if computed {
-            self.register_completed(from, canon, pairs.len());
-        }
-        pairs
-    }
-
-    /// Make a freshly computed cell visible to containment lookups and
-    /// charge it to the byte budget, evicting LRU cells past it.
-    fn register_completed(&self, from: &Predicate, canon: &FRegex, len: usize) {
-        let bytes = len * PAIR_BYTES;
-        let mut table = self.cells.lock().expect("memo poisoned");
-        let table = &mut *table;
-        table.tick += 1;
-        let tick = table.tick;
-        let Some(entry) = table
-            .map
-            .get_mut(from)
-            .and_then(|inner| inner.get_mut(canon))
-        else {
-            return;
-        };
-        if entry.completed.is_some() {
-            return; // eviction + recompute race: already registered
-        }
-        entry.completed = Some(Completed {
-            bytes,
-            tick,
-            answers: HashMap::new(),
-            answer_bytes: 0,
-        });
-        table
-            .index
-            .entry(skeleton(canon))
-            .or_default()
-            .push((from.clone(), canon.clone()));
-        table.bytes += bytes;
-        table.drop_inherited(from, canon);
-        table.make_room(self.byte_budget, (from, canon));
     }
 
     /// Per-kind counters of the semantic layer: every
@@ -736,24 +668,20 @@ impl SemanticMemo {
         }
     }
 
-    /// Number of distinct keys claimed so far.
+    /// Number of fresh cells: the keys computed on this version and still
+    /// held (the candidate index lists each once).
     pub fn len(&self) -> usize {
-        self.cells
-            .lock()
-            .expect("memo poisoned")
-            .map
-            .values()
-            .map(|inner| inner.len())
-            .sum()
+        let table = self.cells.lock().expect("memo poisoned");
+        table.index.values().map(Vec::len).sum()
     }
 
-    /// True if no key has been claimed.
+    /// True if no fresh cell is held.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Bytes currently charged against the budget: completed and
-    /// inherited cells.
+    /// Bytes currently charged against the budget: every cell, fresh or
+    /// inherited, and the answers fresh cells keep.
     pub fn cached_bytes(&self) -> usize {
         self.cells.lock().expect("memo poisoned").bytes
     }
@@ -928,7 +856,7 @@ mod tests {
         let (served, lookup) = memo
             .try_answer(&g, &key(&narrow, &re))
             .expect("donor answers");
-        assert_eq!(lookup.kind, Some(CacheKind::Subsumption));
+        assert!(matches!(lookup, Lookup::Subsumption { .. }));
         let s = memo.semantic_stats();
         assert_eq!(
             (s.subsumption_hits, s.misses),
@@ -940,7 +868,7 @@ mod tests {
         assert_eq!(served.as_slice(), reach(&g, &narrow, &re));
         // and now cached exactly
         let (again, lookup) = memo.try_answer(&g, &key(&narrow, &re)).expect("installed");
-        assert_eq!(lookup.kind, Some(CacheKind::Exact));
+        assert_eq!(lookup, Lookup::Exact);
         assert!(shared(&served, &again));
     }
 
@@ -985,7 +913,7 @@ mod tests {
                 .try_answer(&g, &key(&from, &re))
                 .expect("donor answers");
             let took = started.elapsed();
-            assert_eq!(lookup.kind, Some(CacheKind::Subsumption), "_^{k}");
+            assert!(matches!(lookup, Lookup::Subsumption { .. }), "_^{k}");
             let fresh = Rq::new(from.clone(), Predicate::always_true(), re)
                 .eval_with_dist(&g, &GraphProbe::new(&g));
             assert_eq!(served, fresh, "_^{k}");
@@ -1003,11 +931,11 @@ mod tests {
             memo.try_answer(&g, &key(&from, &re)).is_none(),
             "cold cache"
         );
-        assert!(memo.is_empty(), "a declined lookup claims nothing");
+        assert!(memo.is_empty(), "a declined lookup installs nothing");
         assert_eq!(memo.semantic_stats().misses, 1);
         let computed = memo.insert(&from, &re, reach(&g, &from, &re));
         let (answer, lookup) = memo.try_answer(&g, &key(&from, &re)).expect("now cached");
-        assert_eq!(lookup.kind, Some(CacheKind::Exact));
+        assert_eq!(lookup, Lookup::Exact);
         assert_eq!(answer.as_slice(), computed.as_slice());
         // an unrelated key still declines
         let other = FRegex::parse("sn", g.alphabet()).unwrap();
@@ -1069,7 +997,7 @@ mod tests {
         assert_eq!(first, doctors.eval_bfs(&g));
         for _ in 0..2 {
             let (hit, lookup) = memo.try_answer(&g, &doctors).expect("cached");
-            assert_eq!(lookup.kind, Some(CacheKind::Exact));
+            assert_eq!(lookup, Lookup::Exact);
             assert!(shared(&first, &hit), "no filter, no copy");
         }
         // another target on the same cell: its own answer, kept beside
@@ -1115,7 +1043,7 @@ mod tests {
         let b_total = reach_bytes(&g, &b) + answer_bytes(&g, &b);
         assert_eq!(memo.cached_bytes(), reach_bytes(&g, &a) + b_total);
         let (again, lookup) = memo.try_answer(&g, &a).expect("the cell stayed");
-        assert_eq!(lookup.kind, Some(CacheKind::Exact));
+        assert_eq!(lookup, Lookup::Exact);
         assert_eq!(again, kept);
         assert!(!shared(&again, &kept), "remade from the reach set");
         // a reach set that needs the room evicts cells: their answers
@@ -1202,7 +1130,7 @@ mod tests {
         assert!(next.try_answer(&g, &key(&broad, &re)).is_none());
         assert!(next.try_answer(&g, &key(&narrow, &re)).is_none());
         assert_eq!(next.semantic_stats().misses, 2);
-        assert!(next.is_empty(), "a declined lookup claims nothing");
+        assert!(next.is_empty(), "a declined lookup installs nothing");
         // the miss path patches it: the closure gets the shared pair set
         // and the batch's changes, and what it returns becomes a fresh cell
         let patched = next
@@ -1214,7 +1142,7 @@ mod tests {
             .expect("inherited");
         assert_eq!(next.semantic_stats().patched, 1);
         let (hit, lookup) = next.try_answer(&g, &key(&broad, &re)).expect("fresh now");
-        assert_eq!(lookup.kind, Some(CacheKind::Exact));
+        assert_eq!(lookup, Lookup::Exact);
         assert_eq!(hit.as_slice(), patched.as_slice());
         // the fresh cell superseded the inherited one
         assert!(next.patch(&broad, &re, |_, _| unreachable!()).is_none());
@@ -1282,5 +1210,114 @@ mod tests {
         let memo = memo.carry(&batch(CARRY_VERSIONS as u32));
         assert!(memo.patch(&from, &re, |_, _| unreachable!()).is_none());
         assert_eq!(memo.cached_bytes(), 0);
+    }
+
+    /// The table's charges recomputed from its cells, checked against its
+    /// counters; returns the bytes charged.
+    fn recount(memo: &SemanticMemo) -> usize {
+        let table = memo.cells.lock().unwrap();
+        let (mut bytes, mut answer_bytes, mut fresh) = (0, 0, 0);
+        for cell in table.map.values().flat_map(HashMap::values) {
+            bytes += cell.pairs.len() * PAIR_BYTES;
+            if let State::Fresh {
+                answers,
+                answer_bytes: charged,
+            } = &cell.state
+            {
+                let kept = answers.values().map(|a| a.len() * ANSWER_BYTES_PER_PAIR);
+                assert_eq!(*charged, kept.sum::<usize>(), "a cell's answer charge");
+                answer_bytes += charged;
+                fresh += 1;
+            }
+        }
+        assert_eq!(table.answer_bytes, answer_bytes, "the answers' share");
+        assert_eq!(table.bytes, bytes + answer_bytes, "the charged bytes");
+        let listed = table.index.values().map(Vec::len).sum::<usize>();
+        assert_eq!(listed, fresh, "the candidate index lists fresh cells");
+        table.bytes
+    }
+
+    /// Keys with containment between them, so that lookups derive from
+    /// donors, and two targets per key.
+    fn accounting_queries(g: &Graph) -> Vec<Rq> {
+        let froms = [
+            "",
+            "job = \"biologist\"",
+            "job = \"biologist\" && sp = \"cloning\"",
+        ];
+        let res = ["fa", "fa^2 fn", "fa^3 fn", "fa+", "_+", "fn sa"];
+        let tos = ["", "job = \"doctor\""];
+        let mut queries = Vec::new();
+        for from in froms {
+            for re in res {
+                for to in tos {
+                    queries.push(rq(g, from, re, to));
+                }
+            }
+        }
+        queries
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// Random asks, patches and carries under budgets from none to a
+        /// few cells: every answer is the reference evaluation's on the
+        /// current graph, the charged bytes are what the cells hold, and
+        /// they stay within the budget unless one cell alone exceeds it.
+        #[test]
+        fn accounting_holds_over_random_asks_carries_and_patches(
+            budget in proptest::prop_oneof![
+                proptest::strategy::Just(0usize),
+                0usize..1024,
+                proptest::strategy::Just(DEFAULT_BYTE_BUDGET),
+            ],
+            steps in proptest::collection::vec(
+                (0u8..4, 0usize..36, (0u32..7, 0u32..7, 0u8..4)),
+                1..24,
+            ),
+        ) {
+            let mut g = essembly();
+            let queries = accounting_queries(&g);
+            let mut memo = SemanticMemo::with_byte_budget(budget);
+            for (op, i, (u, v, c)) in steps {
+                let query = &queries[i];
+                let served = match op {
+                    // the engine's miss path: patch an inherited cell first
+                    0 | 1 => memo.try_answer(&g, query).map(|(a, _)| a).unwrap_or_else(|| {
+                        let wide = key(&query.from, &query.regex);
+                        let probe = GraphProbe::new(&g);
+                        let patch = |old: &[_], changes: &[_]| {
+                            rpq_core::incremental::patch_reach_set(&g, &wide, &probe, old, changes)
+                        };
+                        let pairs = memo.patch(&query.from, &query.regex, patch).unwrap_or_else(
+                            || memo.insert(&query.from, &query.regex, reach(&g, &query.from, &query.regex)),
+                        );
+                        memo.answer(&g, query, &pairs)
+                    }),
+                    2 => ask(&memo, &g, query),
+                    // a logged batch: flip one edge
+                    _ => {
+                        let change = (NodeId(u), NodeId(v), Color(c));
+                        let mut b = rpq_graph::GraphBuilder::from_graph(&g);
+                        if !b.remove_edge(change.0, change.1, change.2) {
+                            b.add_edge(change.0, change.1, change.2);
+                        }
+                        g = b.build();
+                        memo = memo.carry(&[change]);
+                        recount(&memo);
+                        continue;
+                    }
+                };
+                proptest::prop_assert_eq!(&served, &query.eval_bfs(&g), "{:?}", query);
+                let bytes = recount(&memo);
+                let table = memo.cells.lock().unwrap();
+                let cells = table.map.values().map(HashMap::len).sum::<usize>();
+                proptest::prop_assert!(
+                    bytes <= budget || (cells == 1 && table.answer_bytes == 0),
+                    "{bytes} bytes in {cells} cells over a budget of {budget}"
+                );
+            }
+        }
     }
 }

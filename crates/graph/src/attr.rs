@@ -48,13 +48,73 @@ impl AttrValue {
     }
 }
 
+/// Integers print bare; strings print as the one string-constant syntax
+/// of graph files, predicates and pattern texts: in double quotes, with
+/// `"` and `\` escaped by a backslash. [`unquote`] reads it back.
 impl fmt::Display for AttrValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use fmt::Write;
         match self {
             AttrValue::Int(i) => write!(f, "{i}"),
-            AttrValue::Str(s) => write!(f, "{s:?}"),
+            AttrValue::Str(s) => {
+                f.write_char('"')?;
+                for c in s.chars() {
+                    if matches!(c, '"' | '\\') {
+                        f.write_char('\\')?;
+                    }
+                    f.write_char(c)?;
+                }
+                f.write_char('"')
+            }
         }
     }
+}
+
+/// Read the string constant `s` starts with, as [`AttrValue`]'s `Display`
+/// writes it: its value, and the rest of `s` after the closing quote.
+/// Inside the quotes a backslash takes the next character as it is.
+/// `None` unless `s` starts with `"` and the constant is closed.
+pub fn unquote(s: &str) -> Option<(String, &str)> {
+    let inner = s.strip_prefix('"')?;
+    let mut value = String::new();
+    let mut chars = inner.char_indices();
+    while let Some((i, c)) = chars.next() {
+        match c {
+            '"' => return Some((value, &inner[i + 1..])),
+            '\\' => value.push(chars.next()?.1),
+            c => value.push(c),
+        }
+    }
+    None
+}
+
+/// `s` cut at every `sep` that is not inside a string constant (an
+/// unclosed constant runs to the end of `s`). `sep` is ASCII.
+pub fn split_unquoted<'a>(s: &'a str, sep: &'a str) -> impl Iterator<Item = &'a str> {
+    let first = sep.as_bytes()[0];
+    let mut rest = Some(s);
+    std::iter::from_fn(move || {
+        let s = rest?;
+        let mut from = 0;
+        while let Some(i) = (s.as_bytes()[from..].iter())
+            .position(|&b| b == b'"' || b == first)
+            .map(|i| from + i)
+        {
+            if s.as_bytes()[i] == b'"' {
+                let Some((_, after)) = unquote(&s[i..]) else {
+                    break;
+                };
+                from = s.len() - after.len();
+            } else if s[i..].starts_with(sep) {
+                rest = Some(&s[i + sep.len()..]);
+                return Some(&s[..i]);
+            } else {
+                from = i + 1;
+            }
+        }
+        rest = None;
+        Some(s)
+    })
 }
 
 impl From<i64> for AttrValue {

@@ -112,36 +112,6 @@ impl DistanceMatrix {
         self.data[self.layer(color) * self.n * self.n + from.index() * self.n + to.index()]
     }
 
-    /// Constant-time atom test: is there a **nonempty** path `from → to`
-    /// whose edges all have color `color`, of length at most `max_len`
-    /// (`None` = unbounded, the regex `c+`)?
-    ///
-    /// A self-loop-free node does not reach itself via an empty path: the
-    /// paper's semantics requires |path| ≥ 1, which is why `from == to`
-    /// needs the one-step detour check below.
-    #[inline]
-    pub fn reaches_within(
-        &self,
-        g: &Graph,
-        from: NodeId,
-        to: NodeId,
-        color: Color,
-        max_len: Option<u32>,
-    ) -> bool {
-        if from == to {
-            // need a nonempty cycle: step one admitted edge, then come back
-            return self.has_cycle_within(g, from, color, max_len);
-        }
-        let d = self.dist(from, to, color);
-        if d == INFINITY || d == 0 {
-            return false;
-        }
-        match max_len {
-            None => true,
-            Some(k) => (d as u32) <= k,
-        }
-    }
-
     /// Number of nodes this matrix was built for.
     pub fn node_count(&self) -> usize {
         self.n
@@ -156,33 +126,6 @@ impl DistanceMatrix {
     pub fn row(&self, from: NodeId, color: Color) -> &[u16] {
         let base = self.layer(color) * self.n * self.n + from.index() * self.n;
         &self.data[base..base + self.n]
-    }
-
-    /// Nonempty-cycle test at `from` (color-constrained): one admitted edge
-    /// out of `from`, then back, within `max_len` total hops. This is the
-    /// diagonal case row scans cannot read off the matrix (the diagonal
-    /// stores 0, but the semantics needs paths of length ≥ 1).
-    pub fn has_cycle_within(
-        &self,
-        g: &Graph,
-        from: NodeId,
-        color: Color,
-        max_len: Option<u32>,
-    ) -> bool {
-        let budget = max_len.unwrap_or(u32::MAX);
-        if budget == 0 {
-            return false;
-        }
-        g.out_edges(from).iter().any(|e| {
-            if !color.admits(e.color) {
-                return false;
-            }
-            if e.node == from {
-                return true;
-            }
-            let back = self.dist(e.node, from, color);
-            back != INFINITY && (back as u32 + 1) <= budget
-        })
     }
 }
 
@@ -221,36 +164,6 @@ mod tests {
         assert_eq!(m.dist(a, d, WILDCARD), 2);
         assert_eq!(m.dist(d, a, r), 1);
         assert_eq!(m.dist(d, a, s), INFINITY);
-    }
-
-    #[test]
-    fn reaches_within_bounds() {
-        let g = diamond();
-        let m = DistanceMatrix::build(&g);
-        let a = g.node_by_label("a").unwrap();
-        let d = g.node_by_label("d").unwrap();
-        let r = g.alphabet().get("r").unwrap();
-        assert!(m.reaches_within(&g, a, d, r, Some(2)));
-        assert!(!m.reaches_within(&g, a, d, r, Some(1)));
-        assert!(m.reaches_within(&g, a, d, r, None));
-        // nonempty-path semantics at the same node: a -r-> b -r-> d -r-> a
-        assert!(m.reaches_within(&g, a, a, r, Some(3)));
-        assert!(!m.reaches_within(&g, a, a, r, Some(2)));
-        assert!(m.reaches_within(&g, a, a, r, None));
-        let s = g.alphabet().get("s").unwrap();
-        assert!(!m.reaches_within(&g, a, a, s, None));
-    }
-
-    #[test]
-    fn self_loop_counts_as_cycle() {
-        let mut b = GraphBuilder::new();
-        let x = b.add_node("x", []);
-        let r = b.color("r");
-        b.add_edge(x, x, r);
-        let g = b.build();
-        let m = DistanceMatrix::build(&g);
-        assert!(m.reaches_within(&g, x, x, r, Some(1)));
-        assert!(!m.reaches_within(&g, x, x, r, Some(0)));
     }
 
     #[test]

@@ -14,13 +14,14 @@
 //!
 //! * `color NAME` declares an edge color (order defines the alphabet),
 //! * `node LABEL [attr=value]…` declares a node; integer values are bare,
-//!   string values are double-quoted (with `\"` and `\\` escapes),
+//!   string values are double-quoted (with `\"` and `\\` escapes; a
+//!   backslash takes the next character as it is),
 //! * `edge FROM TO COLOR` declares an edge by node labels,
-//! * `#` starts a comment; blank lines are ignored.
+//! * `#` outside a string value starts a comment; blank lines are ignored.
 //!
 //! Node labels must be unique and contain no whitespace.
 
-use crate::attr::AttrValue;
+use crate::attr::{split_unquoted, unquote, AttrValue};
 use crate::builder::GraphBuilder;
 use crate::color::{Color, WILDCARD};
 use crate::graph::Graph;
@@ -54,20 +55,6 @@ impl From<io::Error> for GraphIoError {
     }
 }
 
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Write `g` in the text format.
 pub fn write_graph(g: &Graph, w: &mut impl Write) -> io::Result<()> {
     writeln!(w, "# rpq graph v1")?;
@@ -77,10 +64,7 @@ pub fn write_graph(g: &Graph, w: &mut impl Write) -> io::Result<()> {
     for v in g.nodes() {
         write!(w, "node {}", g.label(v))?;
         for (id, val) in g.attrs(v).iter() {
-            match val {
-                AttrValue::Int(i) => write!(w, " {}={i}", g.schema().name(id))?,
-                AttrValue::Str(s) => write!(w, " {}={}", g.schema().name(id), quote(s))?,
-            }
+            write!(w, " {}={val}", g.schema().name(id))?;
         }
         writeln!(w)?;
     }
@@ -103,65 +87,42 @@ pub fn graph_to_string(g: &Graph) -> String {
     String::from_utf8(buf).expect("format is ASCII/UTF-8")
 }
 
-/// Tokenize one node line's attribute section, honoring quoted values.
-fn split_attrs(rest: &str, line: usize) -> Result<Vec<(String, String)>, GraphIoError> {
+/// Tokenize one node line's attribute section: `name=value` pairs, a
+/// value an integer or a string constant (which may hold whitespace).
+fn split_attrs(mut rest: &str, line: usize) -> Result<Vec<(&str, AttrValue)>, GraphIoError> {
     let mut pairs = Vec::new();
-    let mut chars = rest.chars().peekable();
     loop {
-        while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-            chars.next();
+        rest = rest.trim_start();
+        if rest.is_empty() {
+            return Ok(pairs);
         }
-        if chars.peek().is_none() {
-            break;
-        }
-        let mut key = String::new();
-        let mut saw_eq = false;
-        for c in chars.by_ref() {
-            if c == '=' {
-                saw_eq = true;
-                break;
-            }
-            if c.is_whitespace() {
-                break;
-            }
-            key.push(c);
-        }
-        if !saw_eq {
-            return Err(GraphIoError::Parse(
-                line,
-                format!("attribute {key:?} missing '='"),
-            ));
-        }
+        let key_end = rest
+            .find(|c: char| c == '=' || c.is_whitespace())
+            .unwrap_or(rest.len());
+        let key = &rest[..key_end];
+        let Some(after) = rest[key_end..].strip_prefix('=') else {
+            let msg = format!("attribute {key:?} missing '='");
+            return Err(GraphIoError::Parse(line, msg));
+        };
         if key.is_empty() {
             return Err(GraphIoError::Parse(line, "empty attribute name".into()));
         }
-        let mut value = String::new();
-        if chars.peek() == Some(&'"') {
-            chars.next();
-            value.push('"');
-            let mut escaped = false;
-            loop {
-                match chars.next() {
-                    None => return Err(GraphIoError::Parse(line, "unterminated string".into())),
-                    Some('\\') if !escaped => escaped = true,
-                    Some(c) => {
-                        if c == '"' && !escaped {
-                            value.push('"');
-                            break;
-                        }
-                        value.push(c);
-                        escaped = false;
-                    }
-                }
-            }
+        let value = if after.starts_with('"') {
+            let (value, after) = unquote(after)
+                .ok_or_else(|| GraphIoError::Parse(line, "unterminated string".into()))?;
+            rest = after;
+            AttrValue::Str(value)
         } else {
-            while matches!(chars.peek(), Some(c) if !c.is_whitespace()) {
-                value.push(chars.next().expect("peeked"));
-            }
-        }
+            let end = after.find(char::is_whitespace).unwrap_or(after.len());
+            let raw = &after[..end];
+            rest = &after[end..];
+            AttrValue::Int(
+                raw.parse()
+                    .map_err(|_| GraphIoError::Parse(line, format!("bad integer value {raw:?}")))?,
+            )
+        };
         pairs.push((key, value));
     }
-    Ok(pairs)
 }
 
 /// Read a graph in the text format.
@@ -172,7 +133,7 @@ pub fn read_graph(r: &mut impl BufRead) -> Result<Graph, GraphIoError> {
     for (lineno, line) in r.lines().enumerate() {
         let line_no = lineno + 1;
         let line = line?;
-        let stmt = line.split('#').next().unwrap_or("").trim();
+        let stmt = split_unquoted(&line, "#").next().unwrap_or("").trim();
         if stmt.is_empty() {
             continue;
         }
@@ -191,8 +152,8 @@ pub fn read_graph(r: &mut impl BufRead) -> Result<Graph, GraphIoError> {
                 ));
             }
             let mut pairs = Vec::new();
-            for (key, raw) in split_attrs(attrs_src, line_no)? {
-                let attr = b.try_attr(&key).ok_or_else(|| {
+            for (key, value) in split_attrs(attrs_src, line_no)? {
+                let attr = b.try_attr(key).ok_or_else(|| {
                     GraphIoError::Parse(
                         line_no,
                         format!(
@@ -200,16 +161,6 @@ pub fn read_graph(r: &mut impl BufRead) -> Result<Graph, GraphIoError> {
                         ),
                     )
                 })?;
-                let value = if let Some(stripped) = raw.strip_prefix('"') {
-                    let inner = stripped.strip_suffix('"').ok_or_else(|| {
-                        GraphIoError::Parse(line_no, format!("bad string value {raw:?}"))
-                    })?;
-                    AttrValue::Str(inner.to_owned())
-                } else {
-                    raw.parse::<i64>().map(AttrValue::Int).map_err(|_| {
-                        GraphIoError::Parse(line_no, format!("bad integer value {raw:?}"))
-                    })?
-                };
                 pairs.push((attr, value));
             }
             let id = b.add_node(label, pairs);
@@ -418,7 +369,7 @@ mod tests {
         let text = r#"
             color c
             node a name="he said \"hi\" \\ bye" n=3
-            node b
+            node b tag="C#;x" # a comment
             edge a b c
         "#;
         let g = graph_from_str(text).unwrap();
@@ -428,6 +379,11 @@ mod tests {
             g.attrs(a).get(name),
             Some(&AttrValue::Str("he said \"hi\" \\ bye".into()))
         );
+        let (tag, b) = (
+            g.schema().get("tag").unwrap(),
+            g.node_by_label("b").unwrap(),
+        );
+        assert_eq!(g.attrs(b).get(tag), Some(&AttrValue::Str("C#;x".into())));
         // and it round-trips
         let back = graph_from_str(&graph_to_string(&g)).unwrap();
         assert_same_graph(&g, &back);

@@ -200,27 +200,6 @@ impl DistProbe for DistanceMatrix {
         }
     }
 
-    fn has_cycle_within(
-        &self,
-        g: &Graph,
-        from: NodeId,
-        color: Color,
-        max_len: Option<u32>,
-    ) -> bool {
-        DistanceMatrix::has_cycle_within(self, g, from, color, max_len)
-    }
-
-    fn reaches_within(
-        &self,
-        g: &Graph,
-        from: NodeId,
-        to: NodeId,
-        color: Color,
-        max_len: Option<u32>,
-    ) -> bool {
-        DistanceMatrix::reaches_within(self, g, from, to, color, max_len)
-    }
-
     // the set questions sweep `g`: a row scan per frontier node and a
     // probe per (source, target) pair cost more than one O(|V| + |E|) pass
 
@@ -621,6 +600,52 @@ mod tests {
     fn graph_probe_answers_like_the_matrix() {
         let (g, nodes, r) = triangle();
         probe_the_triangle(&g, &GraphProbe::new(&g), nodes, r);
+    }
+
+    /// a -r-> b -r-> d,  a -s-> c -s-> d,  d -r-> a
+    fn diamond() -> Graph {
+        let mut b = GraphBuilder::new();
+        let [a, bb, c, d] = ["a", "b", "c", "d"].map(|l| b.add_node(l, []));
+        let r = b.color("r");
+        let s = b.color("s");
+        b.add_edge(a, bb, r);
+        b.add_edge(bb, d, r);
+        b.add_edge(a, c, s);
+        b.add_edge(c, d, s);
+        b.add_edge(d, a, r);
+        b.build()
+    }
+
+    #[test]
+    fn reaches_within_bounds() {
+        let g = diamond();
+        let [a, d] = ["a", "d"].map(|l| g.node_by_label(l).unwrap());
+        let [r, s] = ["r", "s"].map(|c| g.alphabet().get(c).unwrap());
+        let probes: [&dyn DistProbe; 2] = [&DistanceMatrix::build(&g), &GraphProbe::new(&g)];
+        for p in probes {
+            assert!(p.reaches_within(&g, a, d, r, Some(2)));
+            assert!(!p.reaches_within(&g, a, d, r, Some(1)));
+            assert!(p.reaches_within(&g, a, d, r, None));
+            // nonempty-path semantics at the same node: a -r-> b -r-> d -r-> a
+            assert!(p.reaches_within(&g, a, a, r, Some(3)));
+            assert!(!p.reaches_within(&g, a, a, r, Some(2)));
+            assert!(p.reaches_within(&g, a, a, r, None));
+            assert!(!p.reaches_within(&g, a, a, s, None));
+        }
+    }
+
+    #[test]
+    fn self_loop_counts_as_cycle() {
+        let mut b = GraphBuilder::new();
+        let x = b.add_node("x", []);
+        let r = b.color("r");
+        b.add_edge(x, x, r);
+        let g = b.build();
+        let probes: [&dyn DistProbe; 2] = [&DistanceMatrix::build(&g), &GraphProbe::new(&g)];
+        for p in probes {
+            assert!(p.reaches_within(&g, x, x, r, Some(1)));
+            assert!(!p.reaches_within(&g, x, x, r, Some(0)));
+        }
     }
 
     /// A random graph of 1–9 nodes over three colors: random edges (which

@@ -491,7 +491,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rpq_core::pq::PqResult;
-    use rpq_core::rq::RqResult;
+    use rpq_core::predicate::Predicate;
+    use rpq_core::rq::{Rq, RqResult};
     use rpq_engine::Plan;
     use rpq_graph::gen::essembly;
     use std::sync::Arc;
@@ -782,6 +783,37 @@ mod tests {
         assert!(!line.contains('\n'), "pq must travel as one line");
         let back = parse_query_line(1, &line, &g).unwrap();
         assert_eq!(encode_query(&back, &g), line);
+    }
+
+    /// String constants holding the predicate and pattern syntaxes'
+    /// own characters reach the server as the client's queries.
+    #[test]
+    fn string_constants_survive_the_wire() {
+        let g = essembly();
+        let attr = |name: &str, value: &str| {
+            let id = g.schema().get(name).unwrap();
+            Predicate::eq(id, rpq_graph::AttrValue::Str(value.into()))
+        };
+        let regex = |text: &str| rpq_regex::FRegex::parse(text, g.alphabet()).unwrap();
+        let mut pq = rpq_core::pq::Pq::new();
+        let a = pq.add_node("a", attr("job", "C#"));
+        let b = pq.add_node("b", attr("sp", "a;b\t\"c\""));
+        pq.add_edge(a, b, regex("fa+"));
+        let queries = vec![
+            Query::Rq(Rq::new(
+                attr("job", r"a\b"),
+                attr("sp", r#"say "hi""#),
+                regex("fa"),
+            )),
+            Query::Rq(Rq::new(
+                attr("uid", "x && y"),
+                Predicate::always_true(),
+                regex("fn"),
+            )),
+            Query::Pq(pq),
+        ];
+        let body = encode_queries(&queries, &g);
+        assert_eq!(parse_query_body(&body, &g), Ok(queries), "{body}");
     }
 
     #[test]

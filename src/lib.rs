@@ -154,7 +154,7 @@ pub mod prelude {
     pub use rpq_core::rq::{Rq, RqResult};
     pub use rpq_core::split_match::SplitMatch;
     pub use rpq_engine::{
-        Algo, ApplyReport, Backend, BatchItem, BatchResult, CacheKind, ConfigError, EngineConfig,
+        Algo, ApplyReport, Backend, BatchItem, BatchResult, ConfigError, EngineConfig,
         EngineConfigBuilder, EngineError, IndexMaintenance, IndexState, Plan, Query, QueryEngine,
         QueryOutput, QueryService, SemanticMemo, SemanticStats, Snapshot, StandingId,
         UpdatableEngine,
