@@ -40,7 +40,7 @@ pub fn to_bounded_wildcard(pq: &Pq) -> Pq {
 
 /// Evaluate the `Match` baseline: bounded simulation of `pq`'s relaxation
 /// on `g`. Returns a [`PqResult`] over the same node/edge indices as `pq`.
-pub fn bounded_sim_match<P: DistProbe + Sync + ?Sized>(
+pub fn bounded_sim_match<P: DistProbe + ?Sized>(
     pq: &Pq,
     g: &Graph,
     engine: &mut ProbeReach<'_, P>,

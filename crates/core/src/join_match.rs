@@ -29,7 +29,7 @@ pub struct JoinMatch;
 
 impl JoinMatch {
     /// Evaluate `pq` on `g` using `engine` for reachability probes.
-    pub fn eval<P: DistProbe + Sync + ?Sized>(
+    pub fn eval<P: DistProbe + ?Sized>(
         pq: &Pq,
         g: &Graph,
         engine: &mut ProbeReach<'_, P>,
@@ -44,7 +44,7 @@ impl JoinMatch {
 
 /// From-scratch refinement: [`refine_from`] seeded with every
 /// predicate-eligible node.
-pub(crate) fn refine<P: DistProbe + Sync + ?Sized>(
+pub(crate) fn refine<P: DistProbe + ?Sized>(
     work: &Pq,
     g: &Graph,
     engine: &mut ProbeReach<'_, P>,
@@ -64,7 +64,7 @@ pub(crate) fn refine<P: DistProbe + Sync + ?Sized>(
 /// predicate matches ([`refine`]), maintenance after a delete-only batch
 /// with the standing sets. Pruning only filters, so each set keeps its
 /// seed's order.
-pub(crate) fn refine_from<P: DistProbe + Sync + ?Sized>(
+pub(crate) fn refine_from<P: DistProbe + ?Sized>(
     work: &Pq,
     g: &Graph,
     engine: &mut ProbeReach<'_, P>,
@@ -108,7 +108,7 @@ pub(crate) fn refine_from<P: DistProbe + Sync + ?Sized>(
             let (u_from, u_to) = (edge.from, edge.to);
             // procedure Join: prune sources with no surviving witness, as
             // ONE bulk backend call so index backends answer the whole step
-            // from label/row scans — and can parallelize it.
+            // from label/row scans.
             let (kept, removed) = {
                 let (from_mat, to_mat) = (&mats[u_from], &mats[u_to]);
                 let ok = survivors(g, engine, from_mat, to_mat, &edge.regex);
@@ -142,11 +142,11 @@ pub(crate) fn refine_from<P: DistProbe + Sync + ?Sized>(
 /// One refinement step's witness test, shared by [`refine_from`] and
 /// `SplitMatch`: `out[i]` = does `sources[i]` reach some target through
 /// `regex`? The edges they refine are single-atom, so this is one bulk
-/// [`ProbeReach::sources_reaching_atom`] call (answered from aggregated
-/// label scans or one graph sweep, possibly on several threads).
-pub(crate) fn survivors<P: DistProbe + Sync + ?Sized>(
+/// [`DistProbe::sources_reaching_within`] call (answered from aggregated
+/// label scans or one graph sweep).
+pub(crate) fn survivors<P: DistProbe + ?Sized>(
     g: &Graph,
-    engine: &mut ProbeReach<'_, P>,
+    engine: &ProbeReach<'_, P>,
     sources: &[NodeId],
     targets: &[NodeId],
     regex: &rpq_regex::FRegex,
@@ -154,7 +154,9 @@ pub(crate) fn survivors<P: DistProbe + Sync + ?Sized>(
     let [atom] = regex.atoms() else {
         panic!("refinement runs on single-atom edges (normalize the pattern first)");
     };
-    engine.sources_reaching_atom(g, sources, targets, atom)
+    engine
+        .probe()
+        .sources_reaching_within(g, sources, targets, atom.color, atom.quant.max())
 }
 
 /// Result assembly (Fig. 7 lines 15-16) over the *original* edges: for each
@@ -177,7 +179,7 @@ pub fn assemble(pq: &Pq, g: &Graph, mats: &[Vec<NodeId>]) -> PqResult {
 /// bounded neighborhood scans instead of product-space searches — on large
 /// graphs the assembly step would otherwise dominate the whole hop-backed
 /// evaluation. Identical output by construction.
-pub fn assemble_with<P: DistProbe + Sync + ?Sized>(
+pub fn assemble_with<P: DistProbe + ?Sized>(
     pq: &Pq,
     g: &Graph,
     mats: &[Vec<NodeId>],

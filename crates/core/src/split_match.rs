@@ -77,7 +77,7 @@ struct SplitOutcome {
 
 impl SplitMatch {
     /// Evaluate `pq` on `g` using `engine` for reachability probes.
-    pub fn eval<P: DistProbe + Sync + ?Sized>(
+    pub fn eval<P: DistProbe + ?Sized>(
         pq: &Pq,
         g: &Graph,
         engine: &mut ProbeReach<'_, P>,

@@ -561,12 +561,10 @@ impl QueryEngine {
 
         let running = RunningBatch::enter(&self.running_batches);
         let budget = (self.config.worker_budget() / running.count).max(1);
+        // each query is evaluated on the one thread that takes it: the
+        // batch is the only unit of parallelism, so a batch of one runs on
+        // its caller whatever the budget
         let workers = budget.min(queries.len());
-        // worker budget left over by a short batch goes to PQ refinement:
-        // each index-backed PQ evaluation chunks its per-edge source tests
-        // over this many threads, so one big PQ in a batch of one still
-        // saturates the machine
-        let pq_workers = (budget / workers).max(1);
         let next = AtomicUsize::new(0);
         let slots: Vec<OnceLock<(BatchItem, Option<Lookup>)>> =
             queries.iter().map(|_| OnceLock::new()).collect();
@@ -584,7 +582,6 @@ impl QueryEngine {
                 query: &p.query,
                 plan: p.plan,
                 memo,
-                pq_workers,
                 count_probes: profiled,
             };
             let t = Instant::now();
@@ -598,7 +595,7 @@ impl QueryEngine {
                 profile: None,
             };
             if profiled {
-                let profile = self.profile(&queries[i], p, &item, probes, lookup, pq_workers);
+                let profile = self.profile(&queries[i], p, &item, probes, lookup);
                 item.profile = Some(Arc::new(profile));
             }
             slots[i]
@@ -678,7 +675,6 @@ impl QueryEngine {
         item: &BatchItem,
         probes: u64,
         lookup: Option<Lookup>,
-        workers: usize,
     ) -> QueryProfile {
         let mut profile = QueryProfile::new(
             query_summary(submitted, &self.graph),
@@ -705,7 +701,6 @@ impl QueryEngine {
             profile.memo_misses = u64::from(!hit);
             profile.semcache = lookup.as_str().to_owned();
         }
-        profile.workers = workers;
         if let (Backend::Sharded, Some(labels)) = (p.plan.backend(), self.sharded()) {
             profile.shard_fanout = labels.sharded_graph().k() as u32;
         }
@@ -858,8 +853,6 @@ struct Job<'a> {
     query: &'a Query,
     plan: Plan,
     memo: &'a SemanticMemo,
-    /// Threads an index-backed PQ chunks its bulk refinement steps over.
-    pq_workers: usize,
     count_probes: bool,
 }
 
@@ -867,7 +860,7 @@ struct Job<'a> {
 /// shares, statically dispatched per probe type. Profiling is the
 /// [`CountingProbe`] decorator around the same call: it still delegates to
 /// the backend's optimized bulk implementations.
-fn eval_on<P: DistProbe + Sync>(job: Job<'_>, probe: &P) -> (QueryOutput, u64, Option<Lookup>) {
+fn eval_on<P: DistProbe>(job: Job<'_>, probe: &P) -> (QueryOutput, u64, Option<Lookup>) {
     if job.count_probes {
         let counting = CountingProbe::new(probe);
         let (out, lookup) = eval_probing(job, &counting);
@@ -879,7 +872,7 @@ fn eval_on<P: DistProbe + Sync>(job: Job<'_>, probe: &P) -> (QueryOutput, u64, O
 }
 
 /// The output, and an RQ's memo miss: patched or evaluated.
-fn eval_probing<P: DistProbe + Sync>(job: Job<'_>, probe: &P) -> (QueryOutput, Option<Lookup>) {
+fn eval_probing<P: DistProbe>(job: Job<'_>, probe: &P) -> (QueryOutput, Option<Lookup>) {
     match (job.query, job.plan.algo()) {
         (Query::Rq(rq), Algo::RqDm) => {
             let (out, lookup) = rq_indexed(job.g, rq, probe, job.memo);
@@ -890,7 +883,7 @@ fn eval_probing<P: DistProbe + Sync>(job: Job<'_>, probe: &P) -> (QueryOutput, O
             (QueryOutput::Rq(rq.eval_bibfs(job.g)), Some(Lookup::Miss))
         }
         (Query::Pq(pq), algo) => {
-            let mut reach = ProbeReach::with_workers(probe, job.pq_workers);
+            let mut reach = ProbeReach::new(probe);
             (eval_pq(algo, pq, job.g, &mut reach), None)
         }
         (Query::Rq(_), algo) => mismatched(algo),
@@ -898,7 +891,7 @@ fn eval_probing<P: DistProbe + Sync>(job: Job<'_>, probe: &P) -> (QueryOutput, O
 }
 
 /// §5's two PQ algorithms over whichever probe backs `reach`.
-fn eval_pq<P: DistProbe + Sync + ?Sized>(
+fn eval_pq<P: DistProbe + ?Sized>(
     algo: Algo,
     pq: &Pq,
     g: &Graph,

@@ -306,6 +306,7 @@ impl Graph {
 mod tests {
     use super::*;
     use crate::gen::{essembly, synthetic};
+    use proptest::prelude::*;
 
     fn assert_same_graph(a: &Graph, b: &Graph) {
         assert_eq!(a.node_count(), b.node_count());
@@ -533,5 +534,98 @@ mod tests {
         let third = Graph::from_edge_list(std::str::from_utf8(&buf2).unwrap()).unwrap();
         assert_eq!(back.node_count(), third.node_count());
         assert_eq!(key(&back), key(&third));
+    }
+
+    /// Graph-file bytes built from the statements both formats know, broken
+    /// pieces of them and arbitrary bytes (non-UTF-8 included), mixed line
+    /// endings, cut at an arbitrary byte.
+    fn hostile_graph_file() -> impl Strategy<Value = Vec<u8>> {
+        const PIECES: &[&str] = &[
+            "# rpq graph v1",
+            "color fa",
+            "color _",
+            "color ",
+            "node a",
+            "node b",
+            "node b x=1 s=\"v\"",
+            "node c s=\"q\\\"#;\" t=-7",
+            "node a x=",
+            "node d =1",
+            "node e x=\"unterminated",
+            "node f x=99999999999999999999",
+            "node g x=1 x=2",
+            "edge a b fa",
+            "edge a a _",
+            "edge b z fa",
+            "edge a b",
+            "edge",
+            "1 2",
+            "1 2 knows",
+            "1 1 _",
+            "1 2 c d",
+            "onlyone",
+            "% comment",
+            "\u{feff}1 2",
+            "#",
+            " ",
+            "\t",
+            "\"",
+            "\\",
+            "=",
+        ];
+        // well-formed openings, so the hostile lines also meet declared
+        // nodes and colors
+        const OPENINGS: &[&str] = &[
+            "",
+            "node a\nnode b\n",
+            "color fa\nnode a x=1\nnode b s=\"v\"\nedge a b fa\n",
+            "1 2 fa\n2 1\n",
+        ];
+        let piece = prop_oneof![
+            8 => (0..PIECES.len()).prop_map(|i| PIECES[i].as_bytes().to_vec()),
+            1 => proptest::collection::vec(any::<u8>(), 1..6),
+        ];
+        let line = prop_oneof![
+            4 => proptest::collection::vec(piece.clone(), 1..2),
+            1 => proptest::collection::vec(piece, 2..4),
+        ]
+        .prop_map(|parts| parts.join(&b' '));
+        let ending = prop_oneof![Just(&b"\n"[..]), Just(&b"\r\n"[..]), Just(&b"\r"[..])];
+        let lines = proptest::collection::vec((line, ending), 0..8);
+        let file = (0..OPENINGS.len(), lines).prop_map(|(opening, lines)| {
+            let mut file = OPENINGS[opening].as_bytes().to_vec();
+            for (line, end) in lines {
+                file.extend(line);
+                file.extend(end);
+            }
+            file
+        });
+        (file, any::<u16>()).prop_map(|(file, cut)| {
+            // uncut about half the time
+            let keep = cut as usize % (2 * file.len() + 1);
+            file[..keep.min(file.len())].to_vec()
+        })
+    }
+
+    /// A parse error names a 1-based line; an I/O error on an in-memory
+    /// file can only be bytes that are not UTF-8.
+    fn typed(outcome: Result<Graph, GraphIoError>) -> Result<(), String> {
+        match outcome {
+            Ok(_) => Ok(()),
+            Err(GraphIoError::Parse(line, _)) if line >= 1 => Ok(()),
+            Err(GraphIoError::Io(e)) if e.kind() == io::ErrorKind::InvalidData => Ok(()),
+            Err(other) => Err(format!("{other:?}")),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// No file panics either reader: each is a graph or a typed error.
+        #[test]
+        fn readers_never_panic(file in hostile_graph_file()) {
+            prop_assert_eq!(typed(read_graph(&mut &file[..])), Ok(()));
+            prop_assert_eq!(typed(read_edge_list(&mut &file[..])), Ok(()));
+        }
     }
 }

@@ -259,8 +259,8 @@ thread_local! {
 /// built per evaluation allocates one buffer per concurrent thread. The
 /// pool is the only state — the probe's own, or one lent by an index that
 /// sweeps its graph ([`ShardedLabels`](crate::ShardedLabels), or the
-/// [`DistanceMatrix`]'s per-thread pool) — and the probe stays `Sync` for
-/// the scoped refinement workers of `ProbeReach::with_workers` (rpq-core).
+/// [`DistanceMatrix`]'s per-thread pool) — so the probe stays `Sync`, and
+/// the worker threads of a batch share one index that lends its pool.
 pub struct GraphProbe<'g> {
     g: &'g Graph,
     pool: Pool<'g>,

@@ -164,6 +164,8 @@ pub enum GParseError {
     Empty,
     /// The expression can match the empty word, which query edges forbid.
     Nullable,
+    /// Groups or repetition operators nest deeper than [`MAX_NESTING`].
+    TooDeep,
 }
 
 impl fmt::Display for GParseError {
@@ -178,6 +180,7 @@ impl fmt::Display for GParseError {
                     "expression may match the empty path (query edges must consume ≥1 edge)"
                 )
             }
+            GParseError::TooDeep => write!(f, "nested deeper than {MAX_NESTING} levels"),
         }
     }
 }
@@ -238,10 +241,32 @@ fn lex(input: &str) -> Result<Vec<Tok>, GParseError> {
     Ok(toks)
 }
 
+/// Deepest nesting [`GRegex::parse`] accepts, counted two ways: groups
+/// open at once, and the height of the expression tree (each union,
+/// concatenation, `*` or `+` over its operands). The parser recurses once
+/// per group, and every walk over a [`GRegex`] (including dropping it)
+/// once per level of the tree, so 100 000 nested `(` or stacked `+` would
+/// otherwise overflow the stack.
+pub const MAX_NESTING: usize = 256;
+
 struct Parser<'a> {
     toks: Vec<Tok>,
     pos: usize,
     alphabet: &'a Alphabet,
+    /// Groups open around `pos`.
+    groups: usize,
+}
+
+/// A parsed subexpression and the height of its tree.
+type Parsed = (GRegex, usize);
+
+/// `inner` under one more node: its height, checked against [`MAX_NESTING`].
+fn above(inner: usize) -> Result<usize, GParseError> {
+    if inner < MAX_NESTING {
+        Ok(inner + 1)
+    } else {
+        Err(GParseError::TooDeep)
+    }
 }
 
 impl Parser<'_> {
@@ -249,50 +274,54 @@ impl Parser<'_> {
         self.toks.get(self.pos)
     }
 
-    fn union(&mut self) -> Result<GRegex, GParseError> {
+    /// `parts` as one node: the part itself when it is alone.
+    fn join(
+        mut parts: Vec<Parsed>,
+        node: fn(Vec<GRegex>) -> GRegex,
+    ) -> Result<Parsed, GParseError> {
+        if parts.len() == 1 {
+            return Ok(parts.pop().expect("one element"));
+        }
+        let height = above(parts.iter().map(|p| p.1).max().unwrap_or(0))?;
+        Ok((node(parts.into_iter().map(|p| p.0).collect()), height))
+    }
+
+    fn union(&mut self) -> Result<Parsed, GParseError> {
         let mut alts = vec![self.concat()?];
         while self.peek() == Some(&Tok::Pipe) {
             self.pos += 1;
             alts.push(self.concat()?);
         }
-        Ok(if alts.len() == 1 {
-            alts.pop().expect("one element")
-        } else {
-            GRegex::Union(alts)
-        })
+        Self::join(alts, GRegex::Union)
     }
 
-    fn concat(&mut self) -> Result<GRegex, GParseError> {
+    fn concat(&mut self) -> Result<Parsed, GParseError> {
         let mut parts = Vec::new();
         while matches!(self.peek(), Some(Tok::Name(_)) | Some(Tok::LParen)) {
             parts.push(self.postfix()?);
         }
-        match parts.len() {
-            0 => Err(GParseError::Empty),
-            1 => Ok(parts.pop().expect("one element")),
-            _ => Ok(GRegex::Concat(parts)),
+        if parts.is_empty() {
+            return Err(GParseError::Empty);
         }
+        Self::join(parts, GRegex::Concat)
     }
 
-    fn postfix(&mut self) -> Result<GRegex, GParseError> {
-        let mut base = self.primary()?;
+    fn postfix(&mut self) -> Result<Parsed, GParseError> {
+        let (mut base, mut height) = self.primary()?;
         loop {
-            match self.peek() {
-                Some(Tok::Star) => {
-                    self.pos += 1;
-                    base = GRegex::Star(Box::new(base));
-                }
-                Some(Tok::Plus) => {
-                    self.pos += 1;
-                    base = GRegex::Plus(Box::new(base));
-                }
+            let wrap = match self.peek() {
+                Some(Tok::Star) => GRegex::Star,
+                Some(Tok::Plus) => GRegex::Plus,
                 _ => break,
-            }
+            };
+            self.pos += 1;
+            height = above(height)?;
+            base = wrap(Box::new(base));
         }
-        Ok(base)
+        Ok((base, height))
     }
 
-    fn primary(&mut self) -> Result<GRegex, GParseError> {
+    fn primary(&mut self) -> Result<Parsed, GParseError> {
         match self.peek().cloned() {
             Some(Tok::Name(name)) => {
                 self.pos += 1;
@@ -300,15 +329,17 @@ impl Parser<'_> {
                     .alphabet
                     .get(&name)
                     .ok_or(GParseError::UnknownColor(name))?;
-                Ok(GRegex::Color(color))
+                Ok((GRegex::Color(color), 1))
             }
             Some(Tok::LParen) => {
                 self.pos += 1;
+                self.groups = above(self.groups)?;
                 let inner = self.union()?;
                 if self.peek() != Some(&Tok::RParen) {
                     return Err(GParseError::Syntax("expected ')'".into()));
                 }
                 self.pos += 1;
+                self.groups -= 1;
                 Ok(inner)
             }
             other => Err(GParseError::Syntax(format!("unexpected {other:?}"))),
@@ -327,8 +358,9 @@ impl GRegex {
             toks,
             pos: 0,
             alphabet,
+            groups: 0,
         };
-        let re = p.union()?;
+        let (re, _) = p.union()?;
         if p.pos != p.toks.len() {
             return Err(GParseError::Syntax("trailing input".into()));
         }
@@ -517,6 +549,27 @@ mod tests {
             Err(GParseError::Syntax(_))
         ));
         assert!(matches!(GRegex::parse("| a", &al), Err(GParseError::Empty)));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_nesting() {
+        let al = al();
+        let groups = |depth: usize| format!("{}a b{}", "(".repeat(depth), ")".repeat(depth));
+        let stacked = |ops: usize| format!("a{}", "+".repeat(ops));
+        // a concatenation and its two colors sit under the groups
+        assert!(GRegex::parse(&groups(MAX_NESTING), &al).is_ok());
+        assert!(GRegex::parse(&stacked(MAX_NESTING - 1), &al).is_ok());
+        for deep in [
+            groups(MAX_NESTING + 1),
+            stacked(MAX_NESTING),
+            // few groups, each holding a concatenation under a `+`
+            "(a ".repeat(MAX_NESTING / 2 + 1) + &")+".repeat(MAX_NESTING / 2 + 1),
+            // deep enough to overflow any thread's stack one frame a level
+            "(".repeat(100_000) + "a",
+            stacked(100_000),
+        ] {
+            assert_eq!(GRegex::parse(&deep, &al), Err(GParseError::TooDeep));
+        }
     }
 
     #[test]

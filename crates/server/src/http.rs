@@ -288,6 +288,7 @@ pub fn read_response(r: &mut impl BufRead) -> Result<RawResponse, HttpError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::BufReader;
 
     #[test]
@@ -409,5 +410,146 @@ mod tests {
         assert!(headers
             .iter()
             .any(|(k, v)| k == "X-Rpq-Version" && v == "7"));
+    }
+
+    /// A reader that hands out at most `step` bytes per call, like a peer
+    /// dribbling its request (slow-loris).
+    struct Dribble<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.step.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Several requests for one reader: request lines and headers, mostly
+    /// well formed; a `Content-Length` that is honest, absent, lying in
+    /// either direction or not a number; heads that are not UTF-8, bare
+    /// `\n` and `\r` line endings, arbitrary bytes; the stream cut at an
+    /// arbitrary byte.
+    fn hostile_stream() -> impl Strategy<Value = Vec<u8>> {
+        fn pick(pieces: &'static [&'static str]) -> impl Strategy<Value = Vec<u8>> {
+            (0..pieces.len()).prop_map(move |i| pieces[i].as_bytes().to_vec())
+        }
+        let garbage = || {
+            prop_oneof![
+                1 => proptest::collection::vec(any::<u8>(), 0..6),
+                1 => Just(b"X-Bad: \xff\xfe".to_vec()),
+            ]
+        };
+        let line = prop_oneof![
+            10 => pick(&["GET / HTTP/1.1", "POST /v1/query HTTP/1.1", "POST /v1/explain HTTP/1.0"]),
+            1 => pick(&["GET", "GET /", "POST /v1/query HTTP/2", "", " GET  /  HTTP/1.1 "]),
+            1 => garbage(),
+        ];
+        let header = prop_oneof![
+            10 => pick(&["Host: x", "Connection: close", "content-length: 1", "X-A:b:c"]),
+            1 => pick(&["no colon", ": empty name", "Content-Length: 2"]),
+            1 => garbage(),
+        ];
+        let length = prop_oneof![
+            4 => Just(None),
+            1 => pick(&["3x", "-1", "", "18446744073709551616", "4 4", "+4"]).prop_map(Some),
+        ];
+        let ending = prop_oneof![
+            10 => Just(&b"\r\n"[..]),
+            1 => Just(&b"\n"[..]),
+            1 => Just(&b"\r"[..]),
+        ];
+        let request = (
+            line,
+            proptest::collection::vec(header, 0..3),
+            (0usize..4, length),
+            proptest::collection::vec(any::<u8>(), 0..24),
+            ending,
+        )
+            .prop_map(|(line, headers, (lie, length), body, end)| {
+                // honest, absent, 5 bytes over or 5 under, or not a number
+                let declared = match (lie, length) {
+                    (_, Some(text)) => Some(text),
+                    (0, None) => Some(body.len().to_string().into_bytes()),
+                    (1, None) => None,
+                    (2, None) => Some((body.len() + 5).to_string().into_bytes()),
+                    (_, None) => Some(body.len().saturating_sub(5).to_string().into_bytes()),
+                };
+                let mut out = line;
+                for h in headers
+                    .into_iter()
+                    .chain(declared.map(|d| [&b"Content-Length: "[..], &d].concat()))
+                {
+                    out.extend(end);
+                    out.extend(h);
+                }
+                out.extend(end);
+                out.extend(end);
+                out.extend(body);
+                out
+            });
+        (proptest::collection::vec(request, 1..4), any::<u16>()).prop_map(|(requests, cut)| {
+            let stream = requests.concat();
+            // uncut about half the time
+            let keep = cut as usize % (2 * stream.len() + 1);
+            stream[..keep.min(stream.len())].to_vec()
+        })
+    }
+
+    /// The requests `r` yields up to the end of the stream or the first
+    /// error, each rendered with the length of its body, then the error.
+    fn read_all(r: &mut impl BufRead, max_body: usize) -> Result<Vec<String>, String> {
+        let mut seen = Vec::new();
+        loop {
+            match read_request(r, max_body) {
+                Ok(None) => return Ok(seen),
+                Ok(Some(req)) => {
+                    if req.body.len() > max_body {
+                        return Err(format!(
+                            "a {}-byte body under max_body {max_body}",
+                            req.body.len()
+                        ));
+                    }
+                    seen.push(format!(
+                        "{} {} {:?} {}",
+                        req.method,
+                        req.path,
+                        req.headers,
+                        req.body.len()
+                    ));
+                }
+                Err(HttpError::Io(e)) if e.kind() != io::ErrorKind::UnexpectedEof => {
+                    return Err(format!("in-memory read failed: {e}"));
+                }
+                Err(e) => {
+                    seen.push(format!("{e:?}"));
+                    return Ok(seen);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// No byte stream panics the request reader: each read is a
+        /// request whose body fits `max_body`, the clean end of the
+        /// stream, or an `HttpError` (a truncated body is an unexpected
+        /// EOF, nothing else fails on memory). A peer that dribbles the
+        /// same bytes gets the same requests and the same error.
+        #[test]
+        fn request_reader_never_panics(
+            stream in hostile_stream(),
+            max_body in 0usize..20,
+            step in 1usize..8,
+        ) {
+            let whole = read_all(&mut BufReader::new(&stream[..]), max_body);
+            prop_assert!(whole.is_ok(), "{:?}", whole);
+            let dribbled = BufReader::new(Dribble { bytes: &stream, step });
+            prop_assert_eq!(read_all(&mut { dribbled }, max_body), whole);
+        }
     }
 }

@@ -40,10 +40,22 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so a document of a few hundred
+/// kilobytes of `[` would otherwise overflow the stack of the thread
+/// parsing it; the documents the wire and the ledger exchange nest well
+/// under ten deep.
+pub const MAX_DEPTH: usize = 128;
+
 impl Json {
-    /// Parse one JSON document; trailing garbage is an error.
+    /// Parse one JSON document; trailing garbage, and nesting deeper than
+    /// [`MAX_DEPTH`], are errors.
     pub fn parse(s: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { text: s, pos: 0 };
+        let mut p = Parser {
+            text: s,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -93,6 +105,8 @@ impl Json {
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -137,8 +151,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
@@ -214,6 +228,20 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+    }
+
+    /// `parse` one level deeper, or an error past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than MAX_DEPTH"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -306,6 +334,25 @@ mod tests {
         let v = Json::parse(&doc).unwrap();
         assert_eq!(v.as_str(), Some(text.as_str()));
         assert!(t.elapsed().as_secs_f64() < 2.0, "took {:?}", t.elapsed());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(Json::parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest("{\"k\":", "}", MAX_DEPTH)).is_ok());
+        for doc in [
+            nest("[", "]", MAX_DEPTH + 1),
+            nest("{\"k\":", "}", MAX_DEPTH + 1),
+            // deep enough to overflow any thread's stack one frame a level
+            "[".repeat(100_000),
+            "[{\"k\":".repeat(50_000),
+        ] {
+            let err = Json::parse(&doc).unwrap_err();
+            assert_eq!(err.msg, "nesting deeper than MAX_DEPTH");
+        }
     }
 
     #[test]

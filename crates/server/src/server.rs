@@ -703,7 +703,8 @@ fn handle_update(req: &Request, shared: &Shared) -> Response {
 /// `POST /v1/explain` — same wire body as `/v1/query`, but the queries
 /// run as one profiled batch (`Snapshot::run_batch_profiled`) and the
 /// response is one [`QueryProfile`](rpq_trace::QueryProfile) JSON object
-/// per line instead of answers; a profile's `workers` is the batch's.
+/// per line instead of answers. Each query is evaluated on one thread,
+/// so a profile carries no thread count.
 /// Explain bypasses the admission queue: it is a diagnostic read against
 /// the current snapshot, not throughput traffic, and its profiles should
 /// not be distorted by coalescing with the hot path.

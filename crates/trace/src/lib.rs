@@ -325,8 +325,6 @@ pub struct QueryProfile {
     pub memo_misses: u64,
     /// Shards scattered to (0 for unsharded plans).
     pub shard_fanout: u32,
-    /// Refinement worker threads used by the evaluation.
-    pub workers: usize,
     /// Result size (pairs for an RQ, matched nodes for a PQ).
     pub matches: u64,
     /// Semantic-cache outcome for the evaluation: `"exact_hit"`,
@@ -353,7 +351,6 @@ impl QueryProfile {
             memo_hits: 0,
             memo_misses: 0,
             shard_fanout: 0,
-            workers: 1,
             matches: 0,
             semcache: String::new(),
             canonical: String::new(),
@@ -392,7 +389,7 @@ impl QueryProfile {
         format!(
             "{{\"query\":\"{}\",\"plan\":\"{}\",\"rationale\":\"{}\",\"stages\":[{}],\
              \"probes\":{},\"memo_hits\":{},\"memo_misses\":{},\"shard_fanout\":{},\
-             \"workers\":{},\"matches\":{},\"semcache\":\"{}\",\"canonical\":\"{}\",\
+             \"matches\":{},\"semcache\":\"{}\",\"canonical\":\"{}\",\
              \"wall_us\":{}}}",
             escape_json(&self.query),
             escape_json(&self.plan),
@@ -402,7 +399,6 @@ impl QueryProfile {
             self.memo_hits,
             self.memo_misses,
             self.shard_fanout,
-            self.workers,
             self.matches,
             escape_json(&self.semcache),
             escape_json(&self.canonical),

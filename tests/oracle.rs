@@ -14,9 +14,9 @@
 //!   Label indices hold concrete colors only: on the hop and sharded
 //!   regimes a `_`-bearing query plans search, and says so;
 //! * **core**: `eval_with_dist`, `JoinMatch` and `SplitMatch` over the
-//!   matrix, hop, sharded and graph probes (one and four refinement
-//!   workers, the sharded labels on the case's own partition, the label
-//!   indices on the queries they cover), and `eval_bibfs`;
+//!   matrix, hop, sharded and graph probes (the sharded labels on the
+//!   case's own partition, the label indices on the queries they cover),
+//!   and `eval_bibfs`;
 //! * **versions**: an `UpdatableEngine` per regime with a standing PQ,
 //!   queried after every update round as published — every version with
 //!   its index built or repaired, the regime's backend serving what it
@@ -666,7 +666,7 @@ fn sweep_core(case: &Case, g: &Arc<Graph>, queries: &[Query], truth: &Truth) {
     let sharded = ShardedLabels::build_on(Arc::new(sg), &config).unwrap();
     let graph = GraphProbe::new(g);
     let partition = format!("sharded/{partition}");
-    let all: [(&str, &(dyn DistProbe + Sync)); 4] = [
+    let all: [(&str, &dyn DistProbe); 4] = [
         ("matrix", &m),
         ("graph", &graph),
         ("hop", &hop),
@@ -687,14 +687,11 @@ fn sweep_core(case: &Case, g: &Arc<Graph>, queries: &[Query], truth: &Truth) {
             }
             Query::Pq(pq) => {
                 for &(name, probe) in probes {
-                    for workers in [1, 4] {
-                        let at = format!("over {name}, {workers} workers");
-                        let mut reach = ProbeReach::with_workers(probe, workers);
-                        let join = JoinMatch::eval(pq, g, &mut reach);
-                        truth.check(q, &pq_out(join), &format!("JoinMatch {at}"));
-                        let split = SplitMatch::eval(pq, g, &mut reach);
-                        truth.check(q, &pq_out(split), &format!("SplitMatch {at}"));
-                    }
+                    let mut reach = ProbeReach::new(probe);
+                    let join = JoinMatch::eval(pq, g, &mut reach);
+                    truth.check(q, &pq_out(join), &format!("JoinMatch over {name}"));
+                    let split = SplitMatch::eval(pq, g, &mut reach);
+                    truth.check(q, &pq_out(split), &format!("SplitMatch over {name}"));
                     tally(format!("core {name}"));
                 }
             }
