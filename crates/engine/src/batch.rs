@@ -171,7 +171,7 @@ pub struct BatchItem {
     pub output: QueryOutput,
     /// The strategy the planner chose.
     pub plan: Plan,
-    /// Wall-clock evaluation time of this query on its worker.
+    /// Wall-clock time of answering this query.
     pub time: Duration,
     /// Execution profile: `Some` on every item of a profiled run —
     /// `Snapshot::run_batch_profiled`, and the batch of one behind each
@@ -186,21 +186,14 @@ pub struct BatchItem {
 pub struct BatchResult {
     items: Vec<BatchItem>,
     wall: Duration,
-    workers: usize,
     semantic: SemanticStats,
 }
 
 impl BatchResult {
-    pub(crate) fn new(
-        items: Vec<BatchItem>,
-        wall: Duration,
-        workers: usize,
-        semantic: SemanticStats,
-    ) -> Self {
+    pub(crate) fn new(items: Vec<BatchItem>, wall: Duration, semantic: SemanticStats) -> Self {
         BatchResult {
             items,
             wall,
-            workers,
             semantic,
         }
     }
@@ -225,7 +218,7 @@ impl BatchResult {
         self.items.is_empty()
     }
 
-    /// Wall-clock time of the whole batch (parallel).
+    /// Wall-clock time of the whole batch, planning included.
     pub fn wall_time(&self) -> Duration {
         self.wall
     }
@@ -235,14 +228,9 @@ impl BatchResult {
         self.items.iter().map(|i| i.time).sum()
     }
 
-    /// Number of worker threads the batch ran on.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// What this batch's own lookups did in the engine's reach-set memo:
     /// one exact hit, subsumption hit or miss per RQ (a PQ consults no
-    /// cell). Tallied per item by the batch's workers, so the counts are
+    /// cell). Tallied per item as the batch runs, so the counts are
     /// exact however many other batches share the memo.
     pub fn semantic_stats(&self) -> SemanticStats {
         self.semantic

@@ -1,5 +1,5 @@
 //! The [`QueryEngine`]: one immutable graph, the one index built for it,
-//! and scoped-thread batch evaluation.
+//! and batch evaluation on the calling thread.
 
 use crate::batch::{BatchItem, BatchResult, Query, QueryOutput};
 use crate::error::{ConfigError, EngineError};
@@ -20,8 +20,7 @@ use rpq_index::{
     DistProbe, GraphProbe, HopBuildError, HopConfig, HopLabels, ShardedConfig, ShardedLabels,
 };
 use rpq_trace::QueryProfile;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Engine tuning knobs.
@@ -35,17 +34,14 @@ use std::time::{Duration, Instant};
 /// ```
 /// use rpq_engine::EngineConfig;
 /// let config = EngineConfig::builder()
-///     .workers(4)
 ///     .matrix_node_limit(0)
 ///     .build()
 ///     .unwrap();
-/// assert_eq!(config.workers, 4);
+/// assert_eq!(config.matrix_node_limit, 0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct EngineConfig {
-    /// Worker threads per batch; `0` means one per available core.
-    pub workers: usize,
     /// Build the per-color distance matrix iff `|V| <= matrix_node_limit`
     /// (the matrix costs O(|Σ|·|V|²) memory — the default keeps it a few
     /// tens of megabytes).
@@ -89,7 +85,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            workers: 0,
             matrix_node_limit: 2048,
             hop_label_budget: 256 << 20,
             shards: 1,
@@ -107,19 +102,6 @@ impl EngineConfig {
     pub fn builder() -> EngineConfigBuilder {
         EngineConfigBuilder {
             config: EngineConfig::default(),
-        }
-    }
-
-    /// [`workers`](EngineConfig::workers) with its `0` resolved: the
-    /// number of threads this deployment evaluates queries on — one per
-    /// available core unless configured. One batch spreads over that many
-    /// (`run_batch`), and the server runs at most that many batches at
-    /// once.
-    pub fn worker_budget(&self) -> usize {
-        if self.workers == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.workers
         }
     }
 
@@ -142,17 +124,6 @@ pub struct EngineConfigBuilder {
 }
 
 impl EngineConfigBuilder {
-    /// Sanity cap on [`workers`](EngineConfigBuilder::workers): the engine
-    /// runs a batch on up to this many scoped threads, so a typo'd huge
-    /// value is a config error, not a fork bomb.
-    pub const MAX_WORKERS: usize = 4096;
-
-    /// Worker threads per batch; `0` (default) means one per core.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
-        self
-    }
-
     /// Largest node count that still gets the per-color distance matrix
     /// (`0` disables the matrix regime entirely).
     pub fn matrix_node_limit(mut self, limit: usize) -> Self {
@@ -188,15 +159,8 @@ impl EngineConfigBuilder {
 
     /// Validate and produce the config.
     pub fn build(self) -> Result<EngineConfig, ConfigError> {
-        let c = &self.config;
-        if c.shards == 0 {
+        if self.config.shards == 0 {
             return Err(ConfigError::ZeroShards);
-        }
-        if c.workers > Self::MAX_WORKERS {
-            return Err(ConfigError::TooManyWorkers {
-                workers: c.workers,
-                max: Self::MAX_WORKERS,
-            });
         }
         Ok(self.config)
     }
@@ -277,10 +241,11 @@ fn traced_build<T>(name: &str, build: impl FnOnce() -> Result<T, HopBuildError>)
 }
 
 /// A shared, immutable graph plus the one index built for it, evaluating
-/// batches of mixed [`Query::Rq`] / [`Query::Pq`] queries on scoped worker
-/// threads.
+/// batches of mixed [`Query::Rq`] / [`Query::Pq`] queries, each batch on
+/// the thread that submits it.
 ///
-/// The engine is `Sync`: one instance can serve batches from many threads.
+/// The engine is `Sync`: one instance serves batches from many threads at
+/// once, and they share its memo.
 #[derive(Debug)]
 pub struct QueryEngine {
     graph: Arc<Graph>,
@@ -297,9 +262,6 @@ pub struct QueryEngine {
     /// inherited cell instead of evaluating in full. A read-only engine
     /// starts empty and inherits nothing.
     memo: SemanticMemo,
-    /// `run_batch` calls in flight on this engine: they share the worker
-    /// budget between them.
-    running_batches: AtomicUsize,
 }
 
 impl QueryEngine {
@@ -326,7 +288,6 @@ impl QueryEngine {
             config,
             index,
             memo: SemanticMemo::new(),
-            running_batches: AtomicUsize::new(0),
         }
     }
 
@@ -478,7 +439,7 @@ impl QueryEngine {
     /// Evaluate one query and return its execution profile alongside the
     /// output: chosen plan + rationale, contiguous stage timings (their
     /// sum equals the profile's wall time by construction), probe
-    /// counts, memo hit/miss, shard fan-out, and worker utilization.
+    /// counts, memo hit/miss and shard fan-out.
     /// This is the `explain` surface.
     pub fn run_query_profiled(&self, query: &Query) -> (QueryOutput, QueryProfile) {
         self.profile_one(query, &[], Mode::Profile)
@@ -521,22 +482,15 @@ impl QueryEngine {
         (item.output.clone(), profile.clone())
     }
 
-    /// Evaluate a batch: plan each query, then pull queries
-    /// off a shared counter — on the calling thread, joined by scoped
-    /// helper threads from the first query the memo cannot answer. A
-    /// batch of cache hits therefore never leaves its caller: starting
-    /// and joining a thread costs more than filtering a cached pair set
-    /// (`engine.run_batch_ms` on the ledger's `hop_zipf`: 0.88 ms with
-    /// the threads, 0.40 without). The worker budget is shared between
-    /// the batches running on this engine at once: a batch that starts
-    /// while `k − 1` others run takes `budget / k` threads (at least its
-    /// caller), so concurrent callers do not each start a full set of
-    /// helpers onto the same cores. Outputs come back in submission order
-    /// and are identical to sequential single-query evaluation — the
-    /// strategies differ only in cost. Reach sets are shared through the
-    /// engine's memo, so hot keys are computed once per engine rather
-    /// than once per batch; the reported semantic stats are this batch's
-    /// own lookups, tallied per item.
+    /// Evaluate a batch on the calling thread: plan each query, then
+    /// answer them one after the other, in submission order. Outputs are
+    /// identical to sequential single-query evaluation — the strategies
+    /// differ only in cost. Batches are the unit of parallelism above the
+    /// engine: any number of threads may run batches on one engine at
+    /// once (the server runs one per executor role), and they share its
+    /// memo, so hot keys are computed once per engine rather than once
+    /// per batch; the reported semantic stats are this batch's own
+    /// lookups, tallied per item.
     pub fn run_batch(&self, queries: &[Query]) -> BatchResult {
         self.run(queries, &[], Mode::Serve)
     }
@@ -550,33 +504,15 @@ impl QueryEngine {
         mode: Mode,
     ) -> BatchResult {
         let t0 = Instant::now();
-        if queries.is_empty() {
-            return BatchResult::new(Vec::new(), t0.elapsed(), 0, SemanticStats::default());
-        }
         let planned = self.prologue(queries, standing, mode);
         let profiled = mode != Mode::Serve;
         // a forced plan must exercise the plan, not the cache
         let scratch = matches!(mode, Mode::Force(_)).then(SemanticMemo::new);
         let memo = scratch.as_ref().unwrap_or(&self.memo);
 
-        let running = RunningBatch::enter(&self.running_batches);
-        let budget = (self.config.worker_budget() / running.count).max(1);
-        // each query is evaluated on the one thread that takes it: the
-        // batch is the only unit of parallelism, so a batch of one runs on
-        // its caller whatever the budget
-        let workers = budget.min(queries.len());
-        let next = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<(BatchItem, Option<Lookup>)>> =
-            queries.iter().map(|_| OnceLock::new()).collect();
-
-        // one worker's loop; `before_eval(i)` runs when query `i` turns
-        // out to need evaluating, before it is evaluated
-        let work = |before_eval: &mut dyn FnMut(usize)| loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= queries.len() {
-                break;
-            }
-            let p = &planned[i];
+        let mut semantic = SemanticStats::default();
+        let mut items = Vec::with_capacity(queries.len());
+        for (submitted, p) in queries.iter().zip(&planned) {
             let job = Job {
                 g: &self.graph,
                 query: &p.query,
@@ -585,9 +521,12 @@ impl QueryEngine {
                 count_probes: profiled,
             };
             let t = Instant::now();
-            let (output, probes, lookup) = self.answer(job, p.standing, || before_eval(i));
+            let (output, probes, lookup) = self.answer(job, p.standing);
             let time = t.elapsed();
             self.note_if_slow(job.query, job.plan, time);
+            if let Some(lookup) = lookup {
+                semantic.record(lookup);
+            }
             let mut item = BatchItem {
                 output,
                 plan: job.plan,
@@ -595,41 +534,12 @@ impl QueryEngine {
                 profile: None,
             };
             if profiled {
-                let profile = self.profile(&queries[i], p, &item, probes, lookup);
+                let profile = self.profile(submitted, p, &item, probes, lookup);
                 item.profile = Some(Arc::new(profile));
             }
-            slots[i]
-                .set((item, lookup))
-                .unwrap_or_else(|_| unreachable!("each index is claimed once"));
-        };
-        let mut threads = 1;
-        std::thread::scope(|s| {
-            let work = &work;
-            work(&mut |i| {
-                // the caller's first real evaluation: the queries behind
-                // it are now worth a thread each, up to the budget
-                if threads == 1 {
-                    threads += (workers - 1).min(queries.len() - 1 - i);
-                    for _ in 1..threads {
-                        s.spawn(move || work(&mut |_| {}));
-                    }
-                }
-            });
-        });
-        drop(running);
-
-        let mut semantic = SemanticStats::default();
-        let items = slots
-            .into_iter()
-            .map(|slot| {
-                let (item, lookup) = slot.into_inner().expect("worker filled every slot");
-                if let Some(lookup) = lookup {
-                    semantic.record(lookup);
-                }
-                item
-            })
-            .collect();
-        BatchResult::new(items, t0.elapsed(), threads, semantic)
+            items.push(item);
+        }
+        BatchResult::new(items, t0.elapsed(), semantic)
     }
 
     /// The one prologue of every run: canonicalise → plan each query (or
@@ -721,10 +631,9 @@ impl QueryEngine {
 
     /// Answer `job`: from `standing` — the snapshot's maintained answer,
     /// the PQ counterpart of a memo hit — or from the memo if it can,
-    /// else by evaluating the plan (`before_eval` runs first). Returns
-    /// the output, the distance probes issued (see
-    /// [`evaluate`](Self::evaluate)) and the one memo lookup the query
-    /// made — `None` for a PQ, which has no cell.
+    /// else by evaluating the plan. Returns the output, the distance
+    /// probes issued (see [`evaluate`](Self::evaluate)) and the one memo
+    /// lookup the query made — `None` for a PQ, which has no cell.
     ///
     /// Every RQ plan probes the semantic cache first: a fresh exact cell
     /// or a containing cached entry answers — with the answer the cell
@@ -736,7 +645,6 @@ impl QueryEngine {
         &self,
         job: Job<'_>,
         standing: Option<&StandingEntry>,
-        before_eval: impl FnOnce(),
     ) -> (QueryOutput, u64, Option<Lookup>) {
         let Job { g, memo, .. } = job;
         match (job.query, standing) {
@@ -748,7 +656,6 @@ impl QueryEngine {
             }
             (Query::Pq(_), None) => {}
         }
-        before_eval();
         self.evaluate(job)
     }
 
@@ -821,29 +728,6 @@ struct Planned<'s> {
     standing: Option<&'s StandingEntry>,
     /// Canonicalising and planning it (zero on the serving path).
     planning: Duration,
-}
-
-/// One run counted into its engine's `running_batches`
-/// until dropped — also when the batch panics, so a caught panic does
-/// not halve the worker budget for good.
-struct RunningBatch<'a> {
-    running: &'a AtomicUsize,
-    /// Batches running when this one started, itself included.
-    count: usize,
-}
-
-impl<'a> RunningBatch<'a> {
-    fn enter(running: &'a AtomicUsize) -> Self {
-        // a statistic that sizes a thread count: publishes no data
-        let count = running.fetch_add(1, Ordering::Relaxed) + 1;
-        RunningBatch { running, count }
-    }
-}
-
-impl Drop for RunningBatch<'_> {
-    fn drop(&mut self) {
-        self.running.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 /// What one probe-backed evaluation needs besides the probe.
@@ -989,13 +873,7 @@ mod tests {
     #[test]
     fn batch_equals_sequential_on_essembly() {
         let g = Arc::new(essembly());
-        let engine = QueryEngine::with_config(
-            Arc::clone(&g),
-            EngineConfig {
-                workers: 3,
-                ..EngineConfig::default()
-            },
-        );
+        let engine = QueryEngine::new(Arc::clone(&g));
         let q1 = rq(
             &g,
             "job = \"biologist\" && sp = \"cloning\"",
@@ -1018,7 +896,6 @@ mod tests {
         ];
         let batch = engine.run_batch(&queries);
         assert_eq!(batch.len(), 4);
-        assert_eq!(batch.workers(), 3);
 
         let m = DistanceMatrix::build(&g);
         assert_eq!(
@@ -1054,8 +931,6 @@ mod tests {
             Arc::clone(&g),
             EngineConfig {
                 matrix_node_limit: 0,
-                // one worker: the batch's lookups happen in order
-                workers: 1,
                 // no label index either: the graph answers
                 hop_label_budget: 0,
                 ..EngineConfig::default()
@@ -1104,7 +979,6 @@ mod tests {
         let engine = QueryEngine::new(Arc::new(essembly()));
         let batch = engine.run_batch(&[]);
         assert!(batch.is_empty());
-        assert_eq!(batch.workers(), 0);
     }
 
     /// `run_batch` evaluates on its caller's stack, and the server calls
@@ -1141,7 +1015,6 @@ mod tests {
                         EngineConfig {
                             matrix_node_limit: limit,
                             hop_label_budget: budget,
-                            workers: 1,
                             ..EngineConfig::default()
                         },
                     );
@@ -1155,85 +1028,9 @@ mod tests {
     }
 
     #[test]
-    fn helper_threads_start_at_the_first_query_the_memo_cannot_answer() {
-        let g = Arc::new(essembly());
-        let engine = QueryEngine::with_config(
-            Arc::clone(&g),
-            EngineConfig {
-                workers: 3,
-                ..EngineConfig::default()
-            },
-        );
-        let hot: Vec<Query> = ["fa", "fn", "sa", "sn"]
-            .iter()
-            .map(|re| Query::Rq(rq(&g, "job = \"doctor\"", "job = \"biologist\"", re)))
-            .collect();
-        let cold = engine.run_batch(&hot);
-        assert_eq!(cold.workers(), 3, "nothing cached: the whole budget");
-
-        // every answer is in the memo now: the batch never leaves its caller
-        let warm = engine.run_batch(&hot);
-        assert_eq!(warm.workers(), 1);
-        assert_eq!(warm.memo_stats(), (4, 0));
-        for (c, w) in cold.items().iter().zip(warm.items()) {
-            assert_eq!(c.output, w.output);
-        }
-
-        // two hits, then a miss with one query left behind it: one helper
-        let mut mixed = hot[..2].to_vec();
-        mixed.push(Query::Rq(rq(&g, "job = \"doctor\"", "", "fa^2 fn")));
-        mixed.push(hot[3].clone());
-        let batch = engine.run_batch(&mixed);
-        assert_eq!(batch.workers(), 2);
-        assert_eq!(batch.items()[3].output, cold.items()[3].output);
-        // ... and a miss in last place has nothing to hand a helper
-        mixed.swap(2, 3);
-        mixed[3] = Query::Rq(rq(&g, "job = \"doctor\"", "", "sa^2 sn"));
-        assert_eq!(engine.run_batch(&mixed).workers(), 1);
-    }
-
-    #[test]
-    fn batches_running_at_once_share_the_worker_budget() {
-        let g = Arc::new(essembly());
-        let engine = QueryEngine::with_config(
-            Arc::clone(&g),
-            EngineConfig {
-                workers: 4,
-                ..EngineConfig::default()
-            },
-        );
-        let cold = |res: [&str; 4]| -> Vec<Query> {
-            res.iter()
-                .map(|re| Query::Rq(rq(&g, "job = \"doctor\"", "job = \"biologist\"", re)))
-                .collect()
-        };
-        // with another batch in flight a cold batch takes half the budget
-        let other = RunningBatch::enter(&engine.running_batches);
-        assert_eq!(
-            engine.run_batch(&cold(["fa", "fn", "sa", "sn"])).workers(),
-            2
-        );
-        drop(other);
-        // ... alone, all of it; and a panicking batch does not stay counted
-        let unwound = std::panic::catch_unwind(|| {
-            let _running = RunningBatch::enter(&engine.running_batches);
-            panic!("a batch panics");
-        });
-        assert!(unwound.is_err());
-        let batch = engine.run_batch(&cold(["fa^2", "fn^2", "sa^2", "sn^2"]));
-        assert_eq!(batch.workers(), 4);
-    }
-
-    #[test]
     fn overlapping_batches_each_tally_their_own_lookups() {
         let g = Arc::new(essembly());
-        let engine = QueryEngine::with_config(
-            Arc::clone(&g),
-            EngineConfig {
-                workers: 2,
-                ..EngineConfig::default()
-            },
-        );
+        let engine = QueryEngine::new(Arc::clone(&g));
         let mut pq = Pq::new();
         let a = pq.add_node("a", Predicate::always_true());
         let b = pq.add_node("b", Predicate::always_true());
@@ -1290,7 +1087,6 @@ mod tests {
             Arc::clone(&g),
             EngineConfig {
                 matrix_node_limit: 0, // force the over-limit regime
-                workers: 2,
                 ..EngineConfig::default()
             },
         );
@@ -1321,7 +1117,6 @@ mod tests {
             Arc::clone(&g),
             EngineConfig {
                 matrix_node_limit: 0, // force the over-limit regime
-                workers: 2,
                 ..EngineConfig::default()
             },
         );
@@ -1411,7 +1206,6 @@ mod tests {
                 EngineConfig {
                     matrix_node_limit: 0,
                     hop_label_budget: budget,
-                    workers: 2,
                     ..EngineConfig::default()
                 },
             );
@@ -1471,7 +1265,6 @@ mod tests {
                 hop_label_budget: 1,  // the single-index build cannot fit
                 shards: 4,
                 shard_memory_budget: 0, // unlimited per-shard builds
-                workers: 2,
                 ..EngineConfig::default()
             },
         );
@@ -1505,7 +1298,6 @@ mod tests {
             Arc::clone(&g),
             EngineConfig {
                 shards: 4,
-                workers: 2,
                 ..EngineConfig::default()
             },
         )
@@ -1591,12 +1383,10 @@ mod tests {
     #[test]
     fn builder_validates() {
         let built = EngineConfig::builder()
-            .workers(2)
             .shards(4)
             .shard_memory_budget(1 << 20)
             .build()
             .unwrap();
-        assert_eq!(built.workers, 2);
         assert_eq!(built.shards, 4);
         assert_eq!(built.shard_memory_budget, 1 << 20);
         // untouched fields keep their defaults
@@ -1609,10 +1399,6 @@ mod tests {
             EngineConfig::builder().shards(0).build(),
             Err(ConfigError::ZeroShards)
         );
-        assert!(matches!(
-            EngineConfig::builder().workers(usize::MAX).build(),
-            Err(ConfigError::TooManyWorkers { .. })
-        ));
     }
 
     proptest! {

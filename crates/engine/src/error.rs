@@ -114,14 +114,6 @@ pub enum ConfigError {
     /// `shards` was zero — `1` means "sharding disabled"; zero shards can
     /// partition nothing.
     ZeroShards,
-    /// `workers` exceeded the sanity cap (the engine spawns this many
-    /// scoped threads per batch).
-    TooManyWorkers {
-        /// The requested worker count.
-        workers: usize,
-        /// The cap ([`crate::EngineConfigBuilder::MAX_WORKERS`]).
-        max: usize,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -129,9 +121,6 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroShards => {
                 write!(f, "shards must be at least 1 (1 = sharding disabled)")
-            }
-            ConfigError::TooManyWorkers { workers, max } => {
-                write!(f, "workers = {workers} exceeds the cap of {max}")
             }
         }
     }

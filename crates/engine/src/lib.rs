@@ -1,4 +1,4 @@
-//! # rpq-engine — parallel batch query engine
+//! # rpq-engine — batch query engine
 //!
 //! The paper (Fan et al., ICDE 2011) evaluates RQs and PQs one at a time;
 //! this crate is the serving layer that amortizes shared work across
@@ -53,8 +53,10 @@
 //!   object-safe trait, with boundary failures surfaced as typed
 //!   [`EngineError`] values instead of panics.
 //!
-//! Workers are plain `std::thread::scope` scoped threads pulling query
-//! indices off an atomic counter — no external dependencies.
+//! A batch runs on the thread that submits it, one query after the
+//! other; the engine starts no thread to evaluate. Parallelism is the
+//! caller's: many threads may run batches on one engine (or snapshot) at
+//! once, sharing its memo — the server runs one per executor role.
 //!
 //! ## Example
 //!

@@ -644,7 +644,6 @@ mod tests {
             g,
             EngineConfig::builder()
                 .matrix_node_limit(0)
-                .workers(2)
                 .build()
                 .unwrap(),
         );
@@ -727,7 +726,6 @@ mod tests {
             g,
             EngineConfig::builder()
                 .matrix_node_limit(0)
-                .workers(2)
                 .build()
                 .unwrap(),
         );
@@ -786,7 +784,6 @@ mod tests {
         let g = rpq_graph::gen::synthetic(300, 1200, 2, 3, 41);
         let config = EngineConfig::builder()
             .matrix_node_limit(0)
-            .workers(2)
             .build()
             .unwrap();
         let engine = UpdatableEngine::with_config(g, config.clone());
@@ -817,7 +814,6 @@ mod tests {
                 .matrix_node_limit(0)
                 .hop_label_budget(0)
                 .shards(4)
-                .workers(2)
                 .build()
                 .unwrap(),
         );
@@ -858,7 +854,6 @@ mod tests {
                 .matrix_node_limit(0)
                 .hop_label_budget(0) // single-index path disabled
                 .shards(4)
-                .workers(2)
                 .build()
                 .unwrap(),
         );

@@ -260,7 +260,8 @@ thread_local! {
 /// pool is the only state — the probe's own, or one lent by an index that
 /// sweeps its graph ([`ShardedLabels`](crate::ShardedLabels), or the
 /// [`DistanceMatrix`]'s per-thread pool) — so the probe stays `Sync`, and
-/// the worker threads of a batch share one index that lends its pool.
+/// the threads running batches at once share one index that lends its
+/// pool.
 pub struct GraphProbe<'g> {
     g: &'g Graph,
     pool: Pool<'g>,

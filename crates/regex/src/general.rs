@@ -500,6 +500,7 @@ impl Nfa {
 mod tests {
     use super::*;
     use crate::ast::Atom;
+    use proptest::prelude::*;
 
     fn al() -> Alphabet {
         Alphabet::from_names(["a", "b", "c"])
@@ -642,5 +643,70 @@ mod tests {
             }
         }
         let _ = Atom::new(c(0), Quant::One); // keep the import honest
+    }
+
+    /// Regex-shaped text: the grammar's tokens, known and unknown names,
+    /// runs of `(` and `+` around [`MAX_NESTING`] and arbitrary
+    /// characters, in any order, cut at an arbitrary character.
+    fn hostile_text() -> impl Strategy<Value = String> {
+        const PIECES: &[&str] = &[
+            "(",
+            ")",
+            "|",
+            "*",
+            "+",
+            " ",
+            "\t",
+            "a",
+            "b",
+            "c",
+            "_",
+            "zz",
+            "ab",
+            "a(",
+            "é",
+            " a b ",
+            " (a | b) ",
+            " c+ ",
+            " _* ",
+            " (c a)+ ",
+        ];
+        let token = prop_oneof![
+            8 => (0..PIECES.len()).prop_map(|i| PIECES[i].to_owned()),
+            1 => any::<u32>().prop_map(|u| char::from_u32(u % 0x11_0000).map_or_else(String::new, String::from)),
+            1 => (0usize..2, MAX_NESTING - 2..MAX_NESTING + 3)
+                .prop_map(|(op, n)| ["(", "+"][op].repeat(n)),
+        ];
+        (proptest::collection::vec(token, 0..24), any::<u16>()).prop_map(|(tokens, cut)| {
+            let text = tokens.concat();
+            // uncut about half the time
+            let keep = usize::from(cut) % (2 * text.chars().count() + 1);
+            text.chars().take(keep).collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// No text panics the parser, and what it accepts compiles,
+        /// matches words, and prints as text that parses back to the
+        /// same language.
+        #[test]
+        fn hostile_text_never_panics(
+            text in hostile_text(),
+            words in proptest::collection::vec(proptest::collection::vec(0u8..3, 0..5), 4..5),
+        ) {
+            let al = al();
+            if let Ok(re) = GRegex::parse(&text, &al) {
+                let shown = re.display(&al).to_string();
+                let again = GRegex::parse(&shown, &al);
+                prop_assert!(again.is_ok(), "{:?} prints as {:?}: {:?}", text, shown, again);
+                let again = again.unwrap();
+                for word in words {
+                    let word: Vec<Color> = word.into_iter().map(c).collect();
+                    prop_assert_eq!(re.matches(&word), again.matches(&word), "{:?} on {:?}", text, word);
+                }
+            }
+        }
     }
 }

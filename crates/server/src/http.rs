@@ -124,15 +124,22 @@ pub fn read_request(r: &mut impl BufRead, max_body: usize) -> Result<Option<Requ
         headers.push((name.trim().to_owned(), value.trim().to_owned()));
     }
 
-    let content_length = headers
+    // one length, all ASCII digits: a second header could frame the body
+    // differently from a proxy in front (request smuggling), and
+    // `usize::from_str` alone would take a leading `+`
+    let mut lengths = headers
         .iter()
-        .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-        .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| HttpError::Malformed("bad content-length"))
-        })
-        .transpose()?
-        .unwrap_or(0);
+        .filter(|(k, _)| k.eq_ignore_ascii_case("content-length"));
+    let content_length = match (lengths.next(), lengths.next()) {
+        (None, _) => 0,
+        (Some(_), Some(_)) => return Err(HttpError::Malformed("repeated content-length")),
+        (Some((_, v)), None) => v
+            .bytes()
+            .all(|b| b.is_ascii_digit())
+            .then(|| v.parse::<usize>().ok())
+            .flatten()
+            .ok_or(HttpError::Malformed("bad content-length"))?,
+    };
     if content_length > max_body {
         return Err(HttpError::TooLarge);
     }
@@ -314,6 +321,34 @@ mod tests {
             read_request(&mut BufReader::new(&b"NOT-HTTP\r\n\r\n"[..]), 1024),
             Err(HttpError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn a_content_length_is_one_header_of_ascii_digits() {
+        let read = |head: &str| {
+            let raw = format!("POST / HTTP/1.1\r\n{head}\r\n\r\nhello");
+            read_request(&mut BufReader::new(raw.as_bytes()), 1024)
+        };
+        // a repeat, agreeing or not, would leave the framing to whichever
+        // header a reader takes
+        for second in ["Content-Length: 5", "content-length: 1"] {
+            assert!(matches!(
+                read(&format!("content-length: 1\r\n{second}")),
+                Err(HttpError::Malformed("repeated content-length"))
+            ));
+        }
+        for bad in ["+4", "-0", "0x4", "4.0", "", "4 4", "\u{0664}"] {
+            assert!(
+                matches!(
+                    read(&format!("Content-Length: {bad}")),
+                    Err(HttpError::Malformed("bad content-length"))
+                ),
+                "{bad:?}"
+            );
+        }
+        // surrounding blanks are the header syntax's, not the value's
+        let req = read("Content-Length:  0005 ").unwrap().unwrap();
+        assert_eq!(req.body, b"hello");
     }
 
     #[test]

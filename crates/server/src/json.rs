@@ -299,6 +299,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_the_shapes_the_wire_uses() {
@@ -368,6 +369,104 @@ mod tests {
             "[1 2]",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    /// A well-formed document drawn from `seed`, nested at most `depth`
+    /// levels: every value kind, numbers in both signs and with
+    /// exponents, strings holding escapes and multi-byte characters.
+    fn document(seed: &mut impl Iterator<Item = u8>, depth: usize) -> String {
+        let b = seed.next().unwrap_or(0);
+        let width = usize::from(b / 8 % 4);
+        let mut children =
+            |depth| -> Vec<String> { (0..width).map(|_| document(seed, depth)).collect() };
+        match b % 8 {
+            0 => "null".to_owned(),
+            1 => (b >= 128).to_string(),
+            2 => format!("-{}.{}e{}", b / 3, b % 10, i32::from(b % 7) - 3),
+            3 => {
+                let text: String = "ü\"\u{1}\n ẞ".chars().take(width + 1).collect();
+                format!("\"{}\"", escape(&text))
+            }
+            4 | 5 if depth > 0 => format!("[{}]", children(depth - 1).join(",")),
+            6 | 7 if depth > 0 => {
+                let fields: Vec<String> = children(depth - 1)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, v)| format!("\"k{i}\" : {v}"))
+                    .collect();
+                format!("{{ {} }}", fields.join(" , "))
+            }
+            _ => b.to_string(),
+        }
+    }
+
+    /// JSON-shaped text: the grammar's tokens, whole and broken escapes,
+    /// runs of brackets around [`MAX_DEPTH`] and arbitrary characters, in
+    /// any order, cut at an arbitrary character.
+    fn hostile_text() -> impl Strategy<Value = String> {
+        const PIECES: &[&str] = &[
+            "{",
+            "}",
+            "[",
+            "]",
+            ":",
+            ",",
+            " ",
+            "\"k\"",
+            "\"",
+            "\\",
+            "\\n",
+            "\"\\u00e9\"",
+            "\"\\ud800\"",
+            "\"\\u12",
+            "\"\\x\"",
+            "1",
+            "-",
+            "-0",
+            "1.5e3",
+            "1e999",
+            "0.",
+            ".5",
+            "true",
+            "tru",
+            "null",
+            "ü",
+        ];
+        let token = prop_oneof![
+            8 => (0..PIECES.len()).prop_map(|i| PIECES[i].to_owned()),
+            1 => any::<u32>().prop_map(|u| char::from_u32(u % 0x11_0000).map_or_else(String::new, String::from)),
+            1 => (0usize..2, MAX_DEPTH - 2..MAX_DEPTH + 3)
+                .prop_map(|(open, n)| ["[", "{\"k\":"][open].repeat(n)),
+        ];
+        (proptest::collection::vec(token, 0..24), any::<u16>()).prop_map(|(tokens, cut)| {
+            let text = tokens.concat();
+            // uncut about half the time
+            let keep = usize::from(cut) % (2 * text.chars().count() + 1);
+            text.chars().take(keep).collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// A well-formed document parses, and none of its prefixes panics
+        /// the parser.
+        #[test]
+        fn documents_parse_and_their_prefixes_do_not_panic(
+            seed in proptest::collection::vec(any::<u8>(), 0..64),
+            cut in any::<u16>(),
+        ) {
+            let doc = document(&mut seed.into_iter(), 6);
+            prop_assert!(Json::parse(&doc).is_ok(), "{}", doc);
+            let prefix: String = doc.chars().take(usize::from(cut) % (doc.chars().count() + 1)).collect();
+            let _ = Json::parse(&prefix);
+        }
+
+        /// No text panics the parser.
+        #[test]
+        fn hostile_text_never_panics(text in hostile_text()) {
+            let _ = Json::parse(&text);
         }
     }
 }

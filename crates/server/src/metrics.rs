@@ -465,7 +465,7 @@ impl Metrics {
         );
         gauge(
             "rpq_executors_cap",
-            "Most batches that run at once (the engine's worker budget).",
+            "Most batches that run at once (the server's executor roles).",
             executors_cap.to_string(),
         );
         gauge(

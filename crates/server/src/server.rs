@@ -1,7 +1,6 @@
 //! The threaded serving core: listener, connection threads, and a bounded
 //! admission queue whose batches are run by the connection threads that
-//! submitted them — up to as many at once as the engine has worker
-//! threads.
+//! submitted them — up to [`ServerConfig::executors`] at once.
 //!
 //! ## Threading model
 //!
@@ -33,11 +32,12 @@
 //!
 //!   Evaluation only reads the graph and its indices, so batches on
 //!   immutable snapshots cannot change one another's answers. The cap is
-//!   the engine's worker budget ([`EngineConfig::worker_budget`]: its
-//!   `workers`, one per core when 0) — on one core batches run one at a
-//!   time. A request that finds a role free is parsed, evaluated, encoded
-//!   and written by one thread: it waits for no other thread to wake, and
-//!   nothing waits for it. (With a dedicated coalescer thread every
+//!   [`ServerConfig::executors`] (one per core when 0) — on one core
+//!   batches run one at a time. The engine runs a batch on the thread
+//!   that drained it and starts no thread of its own, so these roles are
+//!   the only parallelism in query serving. A request that finds a role
+//!   free is parsed, evaluated, encoded and written by one thread: it
+//!   waits for no other thread to wake, and nothing waits for it. (With a dedicated coalescer thread every
 //!   request paid two cross-thread wake-ups, and on the ledger's two-core
 //!   box their cost — not evaluation — set `hop_zipf`'s throughput; with
 //!   one role, the second closed-loop connection spent half of every
@@ -49,17 +49,17 @@
 //!   per-batch costs (one snapshot pin, one planning pass) across
 //!   connections; reach-set memoization does not depend on it — the memo
 //!   lives as long as the graph version and is shared by every batch on
-//!   the snapshot, coalesced or not, concurrent or not. The engine shares
-//!   its worker budget between the batches running on it
-//!   ([`QueryEngine::run_batch`](rpq_engine::QueryEngine::run_batch)):
-//!   two concurrent batches on two cores each evaluate on their caller
-//!   alone instead of both starting a helper thread.
+//!   the snapshot, coalesced or not, concurrent or not.
 //!
-//!   Both engine-side questions were settled on the ledger (two cores,
-//!   two closed-loop connections). Sharing the helper budget **stays**:
-//!   without it `hop_unique` read 7.3 ms `read_p50_ms` / 974 q/s /
-//!   166 MiB peak RSS, with it 6.8 ms / 1076 q/s / 143 MiB, same runs
-//!   alternated. Turning the semantic memo's exact-hit path into a read
+//!   One level of parallelism was measured on the ledger (two cores,
+//!   two closed-loop connections, seed 1, 15 s runs, medians of runs
+//!   alternated with and without the engine's helper threads). Running
+//!   every batch on the thread that drained it, with no helper threads
+//!   and no budget shared between them, moved `read_qps` 1 746 → 1 786
+//!   on `hop_unique` (10 pairs), 2 942 → 3 139 on `matrix_pq`, 45 860 →
+//!   58 900 on `hop_zipf` and 1 909 → 2 097 on `sharded_live` (5 pairs
+//!   each), every answer correct; `hop_unique`'s peak RSS rose 96.7 →
+//!   100.8 MiB. Turning the semantic memo's exact-hit path into a read
 //!   lock was **not** done: on `hop_zipf`'s 91 %-hit stream 0.36 % of
 //!   `try_answer`'s lock acquisitions found the mutex held (526 of
 //!   146 568), waiting 0.57 ms in total over 36 665 requests — about
@@ -75,8 +75,6 @@
 //! it. A batch whose evaluation panics answers each of its submissions
 //! **500** (`rpq_worker_panics_total`); its connection threads and its
 //! role survive it.
-//!
-//! [`EngineConfig::worker_budget`]: rpq_engine::EngineConfig::worker_budget
 
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::metrics::{Gauges, Metrics};
@@ -101,6 +99,10 @@ pub struct ServerConfig {
     /// Admission-queue capacity in *requests*; a full queue answers 429.
     /// It also bounds how many submissions one engine batch takes.
     pub queue_capacity: usize,
+    /// Executor roles: most batches evaluated at once, each on the
+    /// connection thread that drained it; `0` means one per available
+    /// core.
+    pub executors: usize,
     /// Concurrent update requests admitted before writers get 429.
     pub max_pending_updates: usize,
     /// Per-connection read timeout (bounds idle keep-alives).
@@ -114,6 +116,7 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             queue_capacity: 128,
+            executors: 0,
             max_pending_updates: 32,
             read_timeout: Duration::from_secs(30),
             max_body_bytes: 8 << 20,
@@ -339,9 +342,11 @@ impl Server {
                 io::Error::new(io::ErrorKind::InvalidInput, "unresolvable addr")
             })?)?;
         let addr = listener.local_addr()?;
-        // as many batches at once as the engine has threads to run them
-        // on: on one core, one at a time
-        let cap = engine.config().worker_budget().max(1);
+        // on one core, one batch at a time
+        let cap = match config.executors {
+            0 => thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
         let shared = Arc::new(Shared {
             engine,
             metrics: Arc::new(Metrics::new()),

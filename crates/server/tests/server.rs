@@ -37,13 +37,18 @@ fn start_with_one_role(config: ServerConfig) -> (Arc<UpdatableEngine>, Server, A
     let engine = UpdatableEngine::with_config(
         youtube_like(500, 3),
         EngineConfig::builder()
-            .workers(1)
             .matrix_node_limit(0)
             .hop_label_budget(0)
             .build()
             .unwrap(),
     );
-    start_engine(engine, config)
+    start_engine(
+        engine,
+        ServerConfig {
+            executors: 1,
+            ..config
+        },
+    )
 }
 
 /// Send a deliberately slow query on a connection of its own — a ring of
@@ -465,7 +470,6 @@ fn metrics_report_index_maintenance() {
         youtube_like(500, 3),
         rpq_engine::EngineConfig::builder()
             .matrix_node_limit(0) // force the label regime
-            .workers(2)
             .build()
             .unwrap(),
     ));

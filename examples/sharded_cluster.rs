@@ -73,12 +73,7 @@ fn main() {
     let queries = workload(&g, batch);
     let t1 = Instant::now();
     let out = engine.run_batch(&queries);
-    println!(
-        "batch of {} in {:.2?} on {} workers:",
-        out.len(),
-        t1.elapsed(),
-        out.workers()
-    );
+    println!("batch of {} in {:.2?}:", out.len(), t1.elapsed());
     let mut by_plan: std::collections::BTreeMap<&str, usize> = Default::default();
     for item in out.items() {
         *by_plan.entry(item.plan.name()).or_default() += 1;

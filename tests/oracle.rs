@@ -566,7 +566,7 @@ fn planned_backend(b: Backend, q: &Query) -> Backend {
 
 /// The engine configuration of the regime whose best backend is `b`.
 fn config(b: Backend, shards: usize) -> EngineConfig {
-    let c = EngineConfig::builder().workers(2);
+    let c = EngineConfig::builder();
     match b {
         Backend::Matrix => c,
         Backend::Hop => c.matrix_node_limit(0),
