@@ -55,20 +55,41 @@ pub(crate) fn refine<P: DistProbe + ?Sized>(
     refine_from(work, g, engine, seed)
 }
 
-/// The one refinement loop (`JoinMatch`, the baselines and the standing
-/// matcher all run it) over a pattern of single-atom edges (a normalized
-/// one): shrinks the seed `mats` to the greatest
-/// simulation-style fixpoint of match sets over `work`'s nodes, or `None`
-/// if some set empties. The fixpoint is a *greatest* one, so any seed that
-/// contains the answer converges to it — a fresh evaluation seeds with the
-/// predicate matches ([`refine`]), maintenance after a delete-only batch
-/// with the standing sets. Pruning only filters, so each set keeps its
-/// seed's order.
+/// [`refine_pruned`] with `JoinMatch`'s step: a source without a witness
+/// leaves its match set. `JoinMatch`, the baselines and the standing
+/// matcher all refine through it; `SplitMatch` passes its own step.
 pub(crate) fn refine_from<P: DistProbe + ?Sized>(
     work: &Pq,
     g: &Graph,
     engine: &mut ProbeReach<'_, P>,
+    mats: Vec<Vec<NodeId>>,
+) -> Option<Vec<Vec<NodeId>>> {
+    refine_pruned(work, g, engine, mats, |mats, u, ok| {
+        let mut ok = ok.iter();
+        mats[u].retain(|_| *ok.next().unwrap());
+    })
+}
+
+/// The one refinement loop over a pattern of single-atom edges (a
+/// normalized one): shrinks the seed `mats` to the greatest
+/// simulation-style fixpoint of match sets over `work`'s nodes, or `None`
+/// if some set empties. The fixpoint is a *greatest* one, so any seed that
+/// contains the answer converges to it — a fresh evaluation seeds with the
+/// predicate matches ([`refine`]), maintenance after a delete-only batch
+/// with the standing sets.
+///
+/// Each `Join` step tests `mats[u]` against one out-edge of `u`; when
+/// some source lost its witness, `prune(mats, u, ok)` must drop exactly
+/// the sources whose `ok[i]` is false from `mats[u]` (keeping the others
+/// in order) and may touch nothing else of `mats`. The step is where the
+/// algorithms differ: [`refine_from`] filters the set, `SplitMatch` splits
+/// its partition and reads the set back from it.
+pub(crate) fn refine_pruned<P: DistProbe + ?Sized>(
+    work: &Pq,
+    g: &Graph,
+    engine: &mut ProbeReach<'_, P>,
     mut mats: Vec<Vec<NodeId>>,
+    mut prune: impl FnMut(&mut [Vec<NodeId>], usize, &[bool]),
 ) -> Option<Vec<Vec<NodeId>>> {
     let n = work.node_count();
     if mats.iter().any(|m| m.is_empty()) {
@@ -109,29 +130,24 @@ pub(crate) fn refine_from<P: DistProbe + ?Sized>(
             // procedure Join: prune sources with no surviving witness, as
             // ONE bulk backend call so index backends answer the whole step
             // from label/row scans.
-            let (kept, removed) = {
-                let (from_mat, to_mat) = (&mats[u_from], &mats[u_to]);
-                let ok = survivors(g, engine, from_mat, to_mat, &edge.regex);
-                let kept: Vec<NodeId> = from_mat
-                    .iter()
-                    .zip(&ok)
-                    .filter(|(_, &o)| o)
-                    .map(|(&x, _)| x)
-                    .collect();
-                let removed = kept.len() != from_mat.len();
-                (kept, removed)
-            };
-            if removed {
-                mats[u_from] = kept;
-                if mats[u_from].is_empty() {
-                    return None; // Fig. 7 line 11
-                }
-                // lines 12-13: predecessors of u_from must be re-checked
-                for &e2 in work.in_edges(u_from) {
-                    if !queued[e2] {
-                        queued[e2] = true;
-                        worklist.push_back(e2);
-                    }
+            let ok = survivors(g, engine, &mats[u_from], &mats[u_to], &edge.regex);
+            if ok.iter().all(|&o| o) {
+                continue;
+            }
+            prune(&mut mats, u_from, &ok);
+            debug_assert_eq!(
+                mats[u_from].len(),
+                ok.iter().filter(|&&o| o).count(),
+                "a step drops exactly the unwitnessed sources"
+            );
+            if mats[u_from].is_empty() {
+                return None; // Fig. 7 line 11
+            }
+            // lines 12-13: predecessors of u_from must be re-checked
+            for &e2 in work.in_edges(u_from) {
+                if !queued[e2] {
+                    queued[e2] = true;
+                    worklist.push_back(e2);
                 }
             }
         }
@@ -139,12 +155,12 @@ pub(crate) fn refine_from<P: DistProbe + ?Sized>(
     Some(mats)
 }
 
-/// One refinement step's witness test, shared by [`refine_from`] and
-/// `SplitMatch`: `out[i]` = does `sources[i]` reach some target through
-/// `regex`? The edges they refine are single-atom, so this is one bulk
+/// One refinement step's witness test in [`refine_pruned`]: `out[i]` =
+/// does `sources[i]` reach some target through `regex`? The edges they
+/// refine are single-atom, so this is one bulk
 /// [`DistProbe::sources_reaching_within`] call (answered from aggregated
 /// label scans or one graph sweep).
-pub(crate) fn survivors<P: DistProbe + ?Sized>(
+fn survivors<P: DistProbe + ?Sized>(
     g: &Graph,
     engine: &ProbeReach<'_, P>,
     sources: &[NodeId],

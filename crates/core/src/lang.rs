@@ -82,6 +82,10 @@ pub fn parse_pq(input: &str, schema: &Schema, alphabet: &Alphabet) -> Result<Pq,
                     Some((n, p)) => (n.trim(), p.trim()),
                     None => (rest.trim(), ""),
                 };
+                // a nameless node would print as a bare `node`
+                if name.is_empty() {
+                    return Err(LangError::BadStatement(line, stmt.to_owned()));
+                }
                 if ids.contains_key(name) {
                     return Err(LangError::DuplicateNode(line, name.to_owned()));
                 }
@@ -141,7 +145,9 @@ pub fn format_pq(pq: &Pq, schema: &Schema, alphabet: &Alphabet) -> String {
 mod tests {
     use super::*;
     use crate::join_match::JoinMatch;
+    use crate::predicate::tests::{cut_anywhere, token};
     use crate::reach::MatrixReach;
+    use proptest::prelude::*;
     use rpq_graph::gen::essembly;
     use rpq_graph::DistanceMatrix;
 
@@ -229,6 +235,10 @@ mod tests {
         let err = |t: &str| parse_pq(t, g.schema(), g.alphabet()).unwrap_err();
         assert!(matches!(err("frob A"), LangError::BadStatement(1, _)));
         assert!(matches!(
+            err("node A;\nnode :;"),
+            LangError::BadStatement(2, _)
+        ));
+        assert!(matches!(
             err("node A;\nnode A;"),
             LangError::DuplicateNode(2, _)
         ));
@@ -269,32 +279,70 @@ mod tests {
         assert_eq!(pq.edge_count(), 0);
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+    /// A pattern over `essembly`'s vocabulary: random predicates, whose
+    /// string constants hold quotes, backslashes, `&&`, `#` and `;`, and
+    /// random edges.
+    fn pattern() -> impl Strategy<Value = Pq> {
+        (
+            prop::collection::vec(crate::predicate::tests::random_predicate(4, 0..3), 1..4),
+            prop::collection::vec((0usize..4, 0usize..4, 0usize..4), 0..5),
+        )
+            .prop_map(|(preds, edges)| {
+                let g = essembly();
+                let regexes = ["fa", "fn^2", "fa+ sn", "_^3"];
+                let mut pq = Pq::new();
+                for (i, pred) in preds.iter().enumerate() {
+                    pq.add_node(&format!("n{i}"), pred.clone());
+                }
+                for (from, to, re) in edges {
+                    let regex = FRegex::parse(regexes[re], g.alphabet()).unwrap();
+                    pq.add_edge(from % preds.len(), to % preds.len(), regex);
+                }
+                pq
+            })
+    }
 
-        /// A printed pattern parses back to itself, whatever its string
-        /// constants hold: quotes, backslashes, `&&`, `#`, `;`.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A printed pattern parses back to itself.
         #[test]
-        fn format_parses_back(
-            preds in proptest::collection::vec(
-                crate::predicate::tests::random_predicate(4, 0..3),
-                1..4,
-            ),
-            edges in proptest::collection::vec((0usize..4, 0usize..4, 0usize..4), 0..5),
-        ) {
+        fn format_parses_back(pq in pattern()) {
             let g = essembly();
-            let regexes = ["fa", "fn^2", "fa+ sn", "_^3"];
-            let mut pq = Pq::new();
-            for (i, pred) in preds.iter().enumerate() {
-                pq.add_node(&format!("n{i}"), pred.clone());
-            }
-            for (from, to, re) in edges {
-                let regex = FRegex::parse(regexes[re], g.alphabet()).unwrap();
-                pq.add_edge(from % preds.len(), to % preds.len(), regex);
-            }
             let text = format_pq(&pq, g.schema(), g.alphabet());
             let back = parse_pq(&text, g.schema(), g.alphabet());
-            proptest::prop_assert_eq!(back, Ok(pq), "{}", text);
+            prop_assert_eq!(back, Ok(pq), "{}", text);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// No text panics the parser — token soup of statements, names,
+        /// `:`, `->`, `;`, `#`, line breaks, predicates and regexes, or a
+        /// printed pattern, cut anywhere — and what it accepts prints as
+        /// text that parses back to the same pattern.
+        #[test]
+        fn hostile_text_never_panics(
+            text in cut_anywhere(prop_oneof![
+                1 => prop::collection::vec(token(&[
+                    "node ", "edge ", "node", "A", "B", "C", " ", ":", ";", "\n", "\r\n", "#",
+                    "->", " -> ", "-", "job = \"doctor\"", "\"x;y#\"", "\"", "&&", "true",
+                    "fa^2 fn", "_+", "zz", "node A: job = \"a\";\n", "node B;", "edge A -> B: fa;\n",
+                    "edge B -> A: sn^2;", "node :;", "é",
+                ]), 0..16).prop_map(|t| t.concat()),
+                1 => pattern().prop_map(|pq| {
+                    let g = essembly();
+                    format_pq(&pq, g.schema(), g.alphabet())
+                }),
+            ]),
+        ) {
+            let g = essembly();
+            if let Ok(pq) = parse_pq(&text, g.schema(), g.alphabet()) {
+                let shown = format_pq(&pq, g.schema(), g.alphabet());
+                let back = parse_pq(&shown, g.schema(), g.alphabet());
+                prop_assert_eq!(back, Ok(pq), "{:?} prints as {:?}", text, shown);
+            }
         }
     }
 }

@@ -407,13 +407,14 @@ impl Predicate {
     /// Parse `"job = \"doctor\" && age > 300"` against `schema`. Integer
     /// constants are bare; string constants are double-quoted, as
     /// [`AttrValue`]'s `Display` writes them (`\"` and `\\` escapes), so a
-    /// displayed predicate parses back to itself. The empty string parses
-    /// to the trivial predicate.
+    /// displayed predicate parses back to itself. The empty string, and
+    /// `true` (the trivial predicate's display), parse to the trivial
+    /// predicate; a `true` conjunct adds no condition.
     pub fn parse(input: &str, schema: &Schema) -> Result<Self, PredParseError> {
         let mut atoms = Vec::new();
         for conjunct in split_unquoted(input, "&&") {
             let conjunct = conjunct.trim();
-            if conjunct.is_empty() {
+            if conjunct.is_empty() || conjunct == "true" {
                 continue;
             }
             // longest operators first
@@ -780,6 +781,61 @@ pub(crate) mod tests {
             let text = p.display(&s).to_string();
             prop_assert_eq!(Predicate::parse(&text, &s), Ok(p), "{}", text);
         }
+    }
+
+    /// `text` cut at an arbitrary character about half the time.
+    pub(crate) fn cut_anywhere(
+        text: impl Strategy<Value = String>,
+    ) -> impl Strategy<Value = String> {
+        (text, any::<u16>()).prop_map(|(text, cut)| {
+            let keep = usize::from(cut) % (2 * text.chars().count() + 1);
+            text.chars().take(keep).collect()
+        })
+    }
+
+    /// One of `pieces`, or (one time in nine) an arbitrary character.
+    pub(crate) fn token(pieces: &'static [&'static str]) -> impl Strategy<Value = String> {
+        prop_oneof![
+            8 => (0..pieces.len()).prop_map(move |i| pieces[i].to_owned()),
+            1 => any::<u32>().prop_map(|u| char::from_u32(u % 0x11_0000).map_or_else(String::new, String::from)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// No text panics the parser — token soup of names, operators,
+        /// constants quoted, unclosed and escaped, and `&&`, or a printed
+        /// predicate, cut anywhere — and what it accepts prints as text
+        /// that parses back to the same predicate.
+        #[test]
+        fn hostile_text_never_panics(
+            text in cut_anywhere(prop_oneof![
+                1 => prop::collection::vec(token(&[
+                    "job", "age", "view", "nope", "true", " ", "=", "!=", "<=", ">=", "<", ">",
+                    "&&", "&", "\"", "\\", "\"doctor\"", "\"a && b\"", "\"\\\"\"", "-3", "42",
+                    "+7", "99999999999999999999", " && ", "é",
+                ]), 0..16).prop_map(|t| t.concat()),
+                1 => random_predicate(3, 0..4).prop_map(|p| p.display(&schema()).to_string()),
+            ]),
+        ) {
+            let s = schema();
+            if let Ok(p) = Predicate::parse(&text, &s) {
+                let shown = p.display(&s).to_string();
+                prop_assert_eq!(Predicate::parse(&shown, &s), Ok(p), "{:?} prints as {:?}", text, shown);
+            }
+        }
+    }
+
+    #[test]
+    fn true_is_the_trivial_predicate() {
+        let s = schema();
+        let shown = Predicate::always_true().display(&s).to_string();
+        assert_eq!(Predicate::parse(&shown, &s), Ok(Predicate::always_true()));
+        assert_eq!(
+            Predicate::parse("true && age > 3", &s),
+            Predicate::parse("age > 3", &s)
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::batch::{BatchItem, BatchResult, Query, QueryOutput};
 use crate::error::{ConfigError, EngineError};
-use crate::explain::{query_summary, CountingProbe};
+use crate::explain::query_summary;
 use crate::memo::{Lookup, SemanticMemo, SemanticStats};
 use crate::planner::{self, Algo, Backend, Plan, Rationale, Uncovered};
 use crate::snapshot::StandingEntry;
@@ -17,7 +17,8 @@ use rpq_core::rq::{Rq, RqResult};
 use rpq_core::split_match::SplitMatch;
 use rpq_graph::{DistanceMatrix, Graph, NodeId};
 use rpq_index::{
-    DistProbe, GraphProbe, HopBuildError, HopConfig, HopLabels, ShardedConfig, ShardedLabels,
+    CountingProbe, DistProbe, GraphProbe, HopBuildError, HopConfig, HopLabels, ShardedConfig,
+    ShardedLabels,
 };
 use rpq_trace::QueryProfile;
 use std::sync::Arc;

@@ -260,15 +260,16 @@ pub fn plan_rq(regex: &FRegex, backend: Backend) -> (Plan, Rationale) {
 /// Measured, not guessed — `cargo bench --bench pq` sweeps pattern size ×
 /// shape on both index backends and prints the per-shape join/split
 /// ratio. The measurement (1.5k-node youtube-like graph, ring vs chain
-/// patterns, loose and selective predicates): on acyclic patterns
-/// `JoinMatch`'s reverse-topological component order wins at every size
-/// (join/split 0.53 → 0.18 on the matrix as chains grow). On cyclic
-/// patterns `JoinMatch` now wins on every backend. Over the **matrix**
-/// the two ran at parity (0.94–1.02) from size ~8 upward while its `Join`
-/// step probed pair by pair; since the matrix answers a `Join` step with
-/// one graph sweep, join/split is 0.33–0.44 at every cyclic size (two-core
-/// box). Over **hop labels** the bulk label scans are so cheap that
-/// `SplitMatch`'s partition bookkeeping dominates (ratios 0.41–0.47).
+/// patterns, two runs, two-core box): `JoinMatch` wins on every backend
+/// and shape, by join/split 0.53–0.86 on matrix rings, 0.72–0.94 on hop
+/// rings and 0.54–0.95 on chains (one chain row read 1.14 once). The
+/// margin is only the partition now: `SplitMatch` refines through
+/// `JoinMatch`'s own loop, so both run the same `Join` steps and the
+/// same probes, and a split costs O(|rmv|). While `SplitMatch` ran its
+/// own worklist and re-expanded its candidate lists from their blocks
+/// every step, the ratios were 0.23–0.40 on matrix rings, 0.41–0.45 on
+/// hop rings and down to 0.11 on long chains; and while the matrix
+/// probed a `Join` step pair by pair, the two ran at parity (0.94–1.02).
 ///
 /// The rule still sends cyclic patterns past this size to `SplitMatch`
 /// on the matrix, whose monotonically refining partition bounds

@@ -84,5 +84,5 @@ mod probe;
 mod sharded;
 
 pub use labels::{HopBuildError, HopConfig, HopLabels, HopRepair, HopStats, InSetAgg};
-pub use probe::{DistProbe, GraphProbe};
+pub use probe::{CountingProbe, DistProbe, GraphProbe};
 pub use sharded::{ShardedConfig, ShardedLabels, ShardedRepair, ShardedStats};

@@ -87,6 +87,7 @@ fn parse_atom(token: &str, alphabet: &Alphabet) -> Result<Atom, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rpq_graph::WILDCARD;
 
     fn al() -> Alphabet {
@@ -158,5 +159,72 @@ mod tests {
         assert!(ParseError::UnknownColor("x".into())
             .to_string()
             .contains("unknown"));
+    }
+
+    /// Atom-shaped text: either token soup — names known and unknown,
+    /// quantifiers with good, zero, signed, huge and missing bounds,
+    /// blanks and arbitrary characters — or a well-formed expression; cut
+    /// at an arbitrary character about half the time.
+    fn hostile_text() -> impl Strategy<Value = String> {
+        const PIECES: &[&str] = &[
+            "fa",
+            "fn",
+            "sa",
+            "sn",
+            "_",
+            "zz",
+            "f",
+            "^",
+            "+",
+            "^2",
+            "^0",
+            "^+3",
+            "^-1",
+            "^x",
+            "^4294967296",
+            "^4294967295",
+            "++",
+            " ",
+            "\t",
+            "\u{a0}",
+            "é",
+            "fa^2",
+            "_+",
+            "sn+",
+        ];
+        let token = prop_oneof![
+            8 => (0..PIECES.len()).prop_map(|i| PIECES[i].to_owned()),
+            1 => any::<u32>().prop_map(|u| char::from_u32(u % 0x11_0000).map_or_else(String::new, String::from)),
+        ];
+        let soup = proptest::collection::vec(token, 0..16).prop_map(|t| t.concat());
+        let atom = (0usize..5, 0usize..3, 1u32..6).prop_map(|(c, q, k)| {
+            let name = ["fa", "fn", "sa", "sn", "_"][c];
+            match q {
+                0 => name.to_owned(),
+                1 => format!("{name}^{k}"),
+                _ => format!("{name}+"),
+            }
+        });
+        let well_formed = proptest::collection::vec(atom, 1..6).prop_map(|a| a.join(" "));
+        let text = prop_oneof![1 => soup, 1 => well_formed];
+        (text, any::<u16>()).prop_map(|(text, cut)| {
+            let keep = usize::from(cut) % (2 * text.chars().count() + 1);
+            text.chars().take(keep).collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// No text panics the parser, and what it accepts prints as text
+        /// that parses back to the same expression.
+        #[test]
+        fn hostile_text_never_panics(text in hostile_text()) {
+            let al = al();
+            if let Ok(re) = FRegex::parse(&text, &al) {
+                let shown = re.display(&al).to_string();
+                prop_assert_eq!(FRegex::parse(&shown, &al), Ok(re), "{:?} prints as {:?}", text, shown);
+            }
+        }
     }
 }

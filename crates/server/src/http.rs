@@ -124,27 +124,11 @@ pub fn read_request(r: &mut impl BufRead, max_body: usize) -> Result<Option<Requ
         headers.push((name.trim().to_owned(), value.trim().to_owned()));
     }
 
-    // one length, all ASCII digits: a second header could frame the body
-    // differently from a proxy in front (request smuggling), and
-    // `usize::from_str` alone would take a leading `+`
-    let mut lengths = headers
-        .iter()
-        .filter(|(k, _)| k.eq_ignore_ascii_case("content-length"));
-    let content_length = match (lengths.next(), lengths.next()) {
-        (None, _) => 0,
-        (Some(_), Some(_)) => return Err(HttpError::Malformed("repeated content-length")),
-        (Some((_, v)), None) => v
-            .bytes()
-            .all(|b| b.is_ascii_digit())
-            .then(|| v.parse::<usize>().ok())
-            .flatten()
-            .ok_or(HttpError::Malformed("bad content-length"))?,
-    };
+    let content_length = content_length(&headers)?;
     if content_length > max_body {
         return Err(HttpError::TooLarge);
     }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body)?;
+    let body = read_body(r, content_length)?;
 
     Ok(Some(Request {
         method,
@@ -153,6 +137,44 @@ pub fn read_request(r: &mut impl BufRead, max_body: usize) -> Result<Option<Requ
         body,
     }))
 }
+
+/// The body length a head declares, for requests and responses alike:
+/// 0 without a `Content-Length`, else the value of the one such header,
+/// all ASCII digits. A second header could frame the body differently
+/// from a proxy in front (request smuggling) and `usize::from_str` alone
+/// would take a leading `+`, so either is `Malformed`.
+fn content_length(headers: &[(String, String)]) -> Result<usize, HttpError> {
+    let mut lengths = headers
+        .iter()
+        .filter(|(k, _)| k.eq_ignore_ascii_case("content-length"));
+    match (lengths.next(), lengths.next()) {
+        (None, _) => Ok(0),
+        (Some(_), Some(_)) => Err(HttpError::Malformed("repeated content-length")),
+        (Some((_, v)), None) => v
+            .bytes()
+            .all(|b| b.is_ascii_digit())
+            .then(|| v.parse::<usize>().ok())
+            .flatten()
+            .ok_or(HttpError::Malformed("bad content-length")),
+    }
+}
+
+/// Read a body of `len` declared bytes; fewer is an unexpected EOF. The
+/// first [`BODY_RESERVE`] bytes are read into a buffer of their size, the
+/// rest through `take` into one that grows with the bytes that arrive, so
+/// a declared length costs no memory the peer does not send.
+fn read_body(r: &mut impl BufRead, len: usize) -> Result<Vec<u8>, HttpError> {
+    let mut body = vec![0u8; len.min(BODY_RESERVE)];
+    r.read_exact(&mut body)?;
+    let rest = (len - body.len()) as u64;
+    if rest > 0 && r.take(rest).read_to_end(&mut body)? as u64 != rest {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
+    Ok(body)
+}
+
+/// The most [`read_body`] allocates before the bytes arrive.
+const BODY_RESERVE: usize = 1 << 20;
 
 /// One response about to be written.
 #[derive(Debug, Clone)]
@@ -282,13 +304,7 @@ pub fn read_response(r: &mut impl BufRead) -> Result<RawResponse, HttpError> {
             headers.push((name.trim().to_owned(), value.trim().to_owned()));
         }
     }
-    let content_length = headers
-        .iter()
-        .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.parse::<usize>().ok())
-        .unwrap_or(0);
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body)?;
+    let body = read_body(r, content_length(&headers)?)?;
     Ok((status, headers, body))
 }
 
@@ -445,6 +461,56 @@ mod tests {
         assert!(headers
             .iter()
             .any(|(k, v)| k == "X-Rpq-Version" && v == "7"));
+    }
+
+    #[test]
+    fn a_response_length_is_one_header_of_ascii_digits() {
+        let read = |head: &str| {
+            let raw = format!("HTTP/1.1 200 OK\r\n{head}\r\n\r\nhello");
+            read_response(&mut BufReader::new(raw.as_bytes()))
+        };
+        assert_eq!(read("Content-Length: 5").unwrap().2, b"hello");
+        assert_eq!(read("X-A: b").unwrap().2, b"");
+        // a misread length would leave the rest of a keep-alive stream
+        // out of step with its responses
+        for bad in ["x", "+4", "4 4", ""] {
+            assert!(
+                matches!(
+                    read(&format!("Content-Length: {bad}")),
+                    Err(HttpError::Malformed("bad content-length"))
+                ),
+                "{bad:?}"
+            );
+        }
+        assert!(matches!(
+            read("Content-Length: 5\r\ncontent-length: 3"),
+            Err(HttpError::Malformed("repeated content-length"))
+        ));
+        // a length far past what arrives: an unexpected EOF, not an
+        // allocation of the declared size
+        for declared in [6, 1usize << 40] {
+            assert!(
+                matches!(
+                    read(&format!("Content-Length: {declared}")),
+                    Err(HttpError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof
+                ),
+                "{declared}"
+            );
+        }
+        // past the up-front buffer, the rest arrives through `take`
+        let big: Vec<u8> = (0..BODY_RESERVE + 5).map(|i| i as u8).collect();
+        for (declared, whole) in [(big.len(), true), (big.len() + 1, false)] {
+            let mut raw =
+                format!("HTTP/1.1 200 OK\r\nContent-Length: {declared}\r\n\r\n").into_bytes();
+            raw.extend(&big);
+            match read_response(&mut BufReader::new(&raw[..])) {
+                Ok((_, _, body)) => assert!(whole && body == big),
+                Err(HttpError::Io(e)) => {
+                    assert!(!whole && e.kind() == io::ErrorKind::UnexpectedEof)
+                }
+                Err(e) => panic!("{e:?}"),
+            }
+        }
     }
 
     /// A reader that hands out at most `step` bytes per call, like a peer
