@@ -62,39 +62,54 @@ fn crossover_sweep(_c: &mut Criterion) {
         pq
     };
 
-    fn timed(mut f: impl FnMut() -> usize) -> (f64, usize) {
-        let mut size = 0;
-        let t0 = Instant::now();
-        for _ in 0..3 {
-            size = f();
+    /// Timed runs per row and algorithm, after one untimed warm-up each:
+    /// the ratio compares medians, and the min–max beside each median
+    /// shows how far one run strays.
+    const RUNS: usize = 9;
+
+    /// Times join and split in alternation, so both meet the same
+    /// machine: each one's median, min and max milliseconds, and its
+    /// answer size (from the warm-up).
+    fn race(algos: [&dyn Fn() -> usize; 2]) -> [([f64; 3], usize); 2] {
+        let sizes = algos.map(|f| f());
+        let mut ms = [Vec::new(), Vec::new()];
+        for _ in 0..RUNS {
+            for (f, ms) in algos.iter().zip(&mut ms) {
+                let t0 = Instant::now();
+                f();
+                ms.push(t0.elapsed().as_secs_f64() * 1e3);
+            }
         }
-        (t0.elapsed().as_secs_f64() / 3.0, size)
+        [0, 1].map(|i| {
+            ms[i].sort_by(f64::total_cmp);
+            ([ms[i][RUNS / 2], ms[i][0], ms[i][RUNS - 1]], sizes[i])
+        })
     }
 
     println!("crossover sweep (1.5k nodes): join vs split, ring & chain patterns");
     println!("planner constant: SPLIT_CROSSOVER = {SPLIT_CROSSOVER} (normalized |Vp|+|Ep|)");
-    println!("size | shape | backend |   join (s) |  split (s) | join/split");
+    println!("each time is the median of {RUNS} alternated runs, min-max in brackets");
+    println!(
+        "size | shape | backend |  join (ms) [   min-max   ] | split (ms) [   min-max   ] | join/split"
+    );
     for edges in [2usize, 4, 8, 12, 16, 24] {
         for ring in [true, false] {
             let pq = pattern(edges, ring);
             let norm_size = pq.size(); // single-atom edges: already normal
-            type Timing = (f64, usize);
-            let runs: [(&str, Timing, Timing); 2] = [
-                (
-                    "dm",
-                    timed(|| JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m)).size()),
-                    timed(|| SplitMatch::eval(&pq, &g, &mut ProbeReach::new(&m)).size()),
-                ),
-                (
-                    "hop",
-                    timed(|| JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&labels)).size()),
-                    timed(|| SplitMatch::eval(&pq, &g, &mut ProbeReach::new(&labels)).size()),
-                ),
-            ];
-            for (backend, (tj, sj), (ts, ss)) in runs {
+            let dm = race([
+                &|| JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m)).size(),
+                &|| SplitMatch::eval(&pq, &g, &mut ProbeReach::new(&m)).size(),
+            ]);
+            let hop = race([
+                &|| JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&labels)).size(),
+                &|| SplitMatch::eval(&pq, &g, &mut ProbeReach::new(&labels)).size(),
+            ]);
+            for (backend, [([tj, jlo, jhi], sj), ([ts, slo, shi], ss)]) in
+                [("dm", dm), ("hop", hop)]
+            {
                 assert_eq!(sj, ss, "join and split disagree at size {norm_size}");
                 println!(
-                    "{norm_size:4} | {} | {backend:>7} | {tj:10.4} | {ts:10.4} | {:10.2}",
+                    "{norm_size:4} | {} | {backend:>7} | {tj:10.3} [{jlo:5.3}-{jhi:5.3}] | {ts:10.3} [{slo:5.3}-{shi:5.3}] | {:10.2}",
                     if ring { "ring " } else { "chain" },
                     tj / ts.max(1e-9)
                 );

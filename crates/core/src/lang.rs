@@ -30,7 +30,8 @@ use std::fmt;
 /// Why a query text failed to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LangError {
-    /// A statement is neither `node …` nor `edge …`.
+    /// A statement is neither `node …` nor `edge …`, or a `node` whose
+    /// name is empty or holds `->`.
     BadStatement(usize, String),
     /// Node declared twice.
     DuplicateNode(usize, String),
@@ -82,8 +83,9 @@ pub fn parse_pq(input: &str, schema: &Schema, alphabet: &Alphabet) -> Result<Pq,
                     Some((n, p)) => (n.trim(), p.trim()),
                     None => (rest.trim(), ""),
                 };
-                // a nameless node would print as a bare `node`
-                if name.is_empty() {
+                // a nameless node would print as a bare `node`, and no
+                // edge could name one holding `->` as its source
+                if name.is_empty() || name.contains("->") {
                     return Err(LangError::BadStatement(line, stmt.to_owned()));
                 }
                 if ids.contains_key(name) {
@@ -236,6 +238,10 @@ mod tests {
         assert!(matches!(err("frob A"), LangError::BadStatement(1, _)));
         assert!(matches!(
             err("node A;\nnode :;"),
+            LangError::BadStatement(2, _)
+        ));
+        assert!(matches!(
+            err("node A;\nnode a->b;"),
             LangError::BadStatement(2, _)
         ));
         assert!(matches!(

@@ -258,11 +258,11 @@ mod tests {
 
         /// A `Join` step (`sources_reaching_within` over 1 500 sources
         /// cycling over the nodes) and a frontier walk (`reach_set`) on
-        /// every probe — the matrix built on 1 and on 4 workers, the hop
-        /// labels on concrete colors, the graph — must agree with the
-        /// one-worker matrix's point probes and row scans.
+        /// every probe — the matrix, the hop labels on concrete colors,
+        /// the graph — must agree with the matrix's point probes and row
+        /// scans.
         #[test]
-        fn matrix_sweeps_match_point_probes_on_any_worker_count(
+        fn sweeps_match_matrix_point_probes(
             seed in 0u64..10_000,
             n in 2usize..12,
             e in 0usize..40,
@@ -270,13 +270,11 @@ mod tests {
             atoms in prop::collection::vec(arb_atom(), 1..4),
         ) {
             let g = with_self_loop(seed, n, e);
-            let m = DistanceMatrix::build_with_workers(&g, 1);
-            let m4 = DistanceMatrix::build_with_workers(&g, 4);
+            let m = DistanceMatrix::build(&g);
             let labels = rpq_index::HopLabels::build(&g);
             let graph = GraphProbe::new(&g);
             let labelled = atoms.iter().all(|a| !a.color.is_wildcard());
-            let mut probes: Vec<(&str, &dyn DistProbe)> =
-                vec![("matrix", &m), ("matrix on 4 workers", &m4), ("graph", &graph)];
+            let mut probes: Vec<(&str, &dyn DistProbe)> = vec![("matrix", &m), ("graph", &graph)];
             if labelled {
                 probes.push(("hop labels", &labels));
             }
@@ -321,13 +319,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_bulk_matches_sequential() {
-        // one bulk step over a matrix built on 4 workers, the hop labels
-        // and the graph must agree with pairwise probes of a matrix built
-        // on one worker
+    fn bulk_step_matches_pairwise_probes() {
+        // one bulk step over the matrix, the hop labels and the graph must
+        // agree with the matrix's pairwise probes
         let g = rpq_graph::gen::synthetic(1500, 6000, 1, 3, 13);
-        let sequential = DistanceMatrix::build_with_workers(&g, 1);
-        let parallel = DistanceMatrix::build_with_workers(&g, 4);
+        let matrix = DistanceMatrix::build(&g);
         let labels = rpq_index::HopLabels::build(&g);
         let graph = GraphProbe::new(&g);
         let sources: Vec<NodeId> = g.nodes().collect();
@@ -343,11 +339,11 @@ mod tests {
                 .map(|&x| {
                     targets
                         .iter()
-                        .any(|&y| sequential.reaches_within(&g, x, y, c, max))
+                        .any(|&y| matrix.reaches_within(&g, x, y, c, max))
                 })
                 .collect();
-            let got_m = parallel.sources_reaching_within(&g, &sources, &targets, c, max);
-            assert_eq!(got_m, want, "matrix on 4 workers, {atom:?}");
+            let got_m = matrix.sources_reaching_within(&g, &sources, &targets, c, max);
+            assert_eq!(got_m, want, "matrix, {atom:?}");
             // the labels hold concrete colors only
             if !c.is_wildcard() {
                 let got_h = labels.sources_reaching_within(&g, &sources, &targets, c, max);

@@ -59,7 +59,7 @@ pub struct EngineConfig {
     /// disables sharding. With `shards ≥ 2`, a graph over the matrix
     /// limit whose single hop-label build **fails its budget** (or is
     /// disabled) gets a sharded index instead: k per-shard label builds —
-    /// run in parallel, each under [`shard_memory_budget`](EngineConfig::shard_memory_budget)
+    /// one after another, each under [`shard_memory_budget`](EngineConfig::shard_memory_budget)
     /// — plus boundary-overlay labels, serving the `sharded` /
     /// `JoinMatch/sharded` plans. The single-index build stays preferred
     /// when it fits: its probes don't pay the overlay stitch.
@@ -218,7 +218,7 @@ impl Index {
         matches!(self, Index::Hop(_) | Index::Sharded(_))
     }
 
-    fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Index::Matrix(_) => "matrix",
             Index::Hop(_) => "hop",
@@ -294,8 +294,8 @@ impl QueryEngine {
 
     /// Engine whose one index is the sharded backend, built **now**: the
     /// graph is partitioned into `config.shards` pieces (clamped to
-    /// `1..=|V|` by the partitioner) and labelled by parallel per-shard
-    /// builds, each under `config.shard_memory_budget` bytes (`0` =
+    /// `1..=|V|` by the partitioner) and labelled by per-shard builds on
+    /// the calling thread, each under `config.shard_memory_budget` bytes (`0` =
     /// unlimited). What a deployment runs when the graph is known up
     /// front to exceed any single-index budget: no matrix and no single
     /// hop index race the planner, and a per-shard build over its budget

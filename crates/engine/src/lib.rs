@@ -34,7 +34,7 @@
 //!   for the bench harness;
 //! * [`QueryEngine::build_sharded`] serves graphs known up front to
 //!   exceed any single-index budget: the shard topology as the primary
-//!   regime (per-shard label builds on a per-shard worker set,
+//!   regime (per-shard label builds on the caller's thread,
 //!   boundary-overlay stitching, a typed eager failure when a shard
 //!   busts its budget), answers bit-identical to every other backend;
 //!   a plain [`QueryEngine`] builds the same index when its single

@@ -259,10 +259,13 @@ pub fn plan_rq(regex: &FRegex, backend: Backend) -> (Plan, Rationale) {
 ///
 /// Measured, not guessed — `cargo bench --bench pq` sweeps pattern size ×
 /// shape on both index backends and prints the per-shape join/split
-/// ratio. The measurement (1.5k-node youtube-like graph, ring vs chain
-/// patterns, two runs, two-core box): `JoinMatch` wins on every backend
-/// and shape, by join/split 0.53–0.86 on matrix rings, 0.72–0.94 on hop
-/// rings and 0.54–0.95 on chains (one chain row read 1.14 once). The
+/// ratio, each time the median of 9 alternated runs. The measurement
+/// (1.5k-node youtube-like graph, ring vs chain patterns, two runs,
+/// two-core box): `JoinMatch` wins on every backend and shape, by
+/// join/split 0.64–0.69 on matrix rings, 0.74–0.78 on hop rings and
+/// 0.52–0.87 on chains; no row moved by more than 0.10 between the two
+/// runs (means of 3 runs moved by up to 0.2, and a chain row read 1.14
+/// once). The
 /// margin is only the partition now: `SplitMatch` refines through
 /// `JoinMatch`'s own loop, so both run the same `Join` steps and the
 /// same probes, and a split costs O(|rmv|). While `SplitMatch` ran its

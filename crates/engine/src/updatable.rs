@@ -63,37 +63,22 @@ pub struct ApplyReport {
 /// Index-maintenance accounting for one [`UpdatableEngine::apply`] batch:
 /// how the predecessor snapshot's label index was carried into the new
 /// one, observable without timing side channels.
-///
-/// The `labels_*` counters speak the unit of the regime that ran: for a
-/// whole-graph hop index they count **label sets**, one per (layer,
-/// landmark) and `n × layers` in all (carried = kept verbatim, repaired =
-/// re-run pruned BFS); for the sharded index they count **shards**
-/// (carried by `Arc`, repaired in place, or rebuilt from scratch when a
-/// shard repair is too broad).
 #[derive(Debug, Clone)]
 pub struct IndexMaintenance {
     /// The verdict, also published as
     /// [`Snapshot::index_state`](crate::Snapshot::index_state).
     pub state: IndexState,
-    /// Label units carried into the new version unchanged.
-    pub labels_carried: usize,
-    /// Label units repaired incrementally.
-    pub labels_repaired: usize,
-    /// Label units rebuilt from scratch (sharded regime only).
-    pub labels_rebuilt: usize,
     /// Landmarks whose pruned-BFS labels were invalidated by the batch,
     /// summed across layers (and shards).
     pub landmarks_invalidated: usize,
     /// Shards the batch touched (those holding an intra-shard change);
     /// `0` in the whole-graph regime.
     pub shards_touched: usize,
-    /// Wall-clock time of the carry/repair step (zero when nothing ran).
-    pub repair_time: Duration,
     /// Per-phase wall-clock breakdown of the whole `apply` call, in
     /// execution order: `validate` (whole-batch precondition checks),
     /// `apply` (dynamic-graph rebuild), `standing` (incremental standing
-    /// matcher maintenance), `carry` (index carry/repair — equals
-    /// [`repair_time`](IndexMaintenance::repair_time)), `publish`
+    /// matcher maintenance), `carry` (index carry/repair, or the rebuild
+    /// that replaces a declined repair), `publish`
     /// (snapshot construction and the `Arc` swap) — followed by the carry
     /// step's inner repair phases when a repair ran (`invalidate` /
     /// `re-bfs` for the hop index, `scatter` / `overlay` for the sharded
@@ -106,12 +91,8 @@ impl Default for IndexMaintenance {
     fn default() -> Self {
         IndexMaintenance {
             state: IndexState::Stale,
-            labels_carried: 0,
-            labels_repaired: 0,
-            labels_rebuilt: 0,
             landmarks_invalidated: 0,
             shards_touched: 0,
-            repair_time: Duration::ZERO,
             phases: Vec::new(),
         }
     }
@@ -346,13 +327,12 @@ impl UpdatableEngine {
                 "publish",
                 t_published - t0,
                 &format!(
-                    "version={} applied={} state={:?} carried={} repaired={} rebuilt={}",
+                    "version={} applied={} state={:?} invalidated={} shards_touched={}",
                     snapshot.version(),
                     effective.len(),
                     index.state,
-                    index.labels_carried,
-                    index.labels_repaired,
-                    index.labels_rebuilt,
+                    index.landmarks_invalidated,
+                    index.shards_touched,
                 ),
             );
         }
@@ -400,22 +380,14 @@ fn carry_index(
     config: &EngineConfig,
     changes: &[EdgeChange],
 ) -> (Index, IndexMaintenance) {
-    let t0 = Instant::now();
     let mut m = IndexMaintenance::default();
     let repaired = match prev.index() {
         Index::Hop(hop) => {
-            let landmarks = hop.node_count();
-            let limit = (landmarks / HOP_REPAIR_LIMIT_DIVISOR).max(1);
+            let limit = (hop.node_count() / HOP_REPAIR_LIMIT_DIVISOR).max(1);
             Some(
                 hop.repair(graph, changes, config.hop_label_budget, limit)
                     .map(|rep| {
-                        // the unit is one landmark's label set in one
-                        // layer: the invalidation count sums over layers,
-                        // so the total does too
-                        let label_sets = landmarks * graph.alphabet().len();
                         m.landmarks_invalidated = rep.landmarks_invalidated;
-                        m.labels_repaired = rep.landmarks_invalidated;
-                        m.labels_carried = label_sets - rep.landmarks_invalidated;
                         m.phases = rep.phases;
                         Index::Hop(rep.labels)
                     }),
@@ -427,9 +399,6 @@ fn carry_index(
                 .repair(Arc::clone(graph), changes, &config.sharded_config())
                 .map(|rep| {
                     m.shards_touched = rep.shards_repaired + rep.shards_rebuilt;
-                    m.labels_carried = rep.shards_carried;
-                    m.labels_repaired = rep.shards_repaired;
-                    m.labels_rebuilt = rep.shards_rebuilt;
                     m.landmarks_invalidated = rep.landmarks_invalidated;
                     m.phases = rep.phases;
                     Index::Sharded(rep.labels)
@@ -455,7 +424,6 @@ fn carry_index(
             index
         }
     };
-    m.repair_time = t0.elapsed();
     (index, m)
 }
 
@@ -669,14 +637,9 @@ mod tests {
         assert_eq!(report.snapshot.index_state(), crate::IndexState::Repaired);
         assert!(report.snapshot.engine().hop().is_some());
         assert!(report.index.landmarks_invalidated > 0);
-        assert_eq!(
-            report.index.labels_carried + report.index.labels_repaired,
-            n * 3,
-            "every label set — one per landmark in each of the three color \
-             layers — is either carried or repaired"
-        );
+        // one label set per landmark in each of the three color layers
         assert!(
-            report.index.labels_carried > report.index.labels_repaired,
+            2 * report.index.landmarks_invalidated < n * 3,
             "a 2-edge batch must not invalidate most of the index"
         );
 
@@ -716,10 +679,30 @@ mod tests {
         );
     }
 
+    /// The ledger's write: two inserts anywhere and two deletes of
+    /// existing edges of `g`, drawn from `seed`.
+    fn ledger_shaped_batch(g: &Graph, seed: &mut u64) -> Vec<Update> {
+        let (n, colors) = (g.node_count(), g.alphabet().len());
+        let mut next = |bound: usize| {
+            *seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (*seed >> 33) as usize % bound
+        };
+        let edges: Vec<_> = g.edges().collect();
+        let mut updates = Vec::new();
+        for _ in 0..2 {
+            let (u, v) = (NodeId(next(n) as u32), NodeId(next(n) as u32));
+            updates.push(Update::Insert(u, v, Color(next(colors) as u8)));
+            let (u, v, c) = edges[next(edges.len())];
+            updates.push(Update::Delete(u, v, c));
+        }
+        updates
+    }
+
     #[test]
     fn ledger_shaped_writes_repair_the_hop_index() {
-        // the ledger's hop-regime write, twelve times in a row: two
-        // inserts anywhere and two deletes of existing edges. Every batch
+        // the ledger's hop-regime write, twelve times in a row. Every batch
         // is repaired in place — no write retires the index
         let g = rpq_graph::gen::youtube_like(2000, 1);
         let engine = UpdatableEngine::with_config(
@@ -730,24 +713,10 @@ mod tests {
                 .unwrap(),
         );
         assert!(engine.snapshot().engine().hop().is_some(), "fits budget");
-        let g0 = engine.snapshot().graph().clone();
-        let (n, colors) = (g0.node_count(), g0.alphabet().len());
+        let n = engine.snapshot().graph().node_count();
         let mut seed = 1u64;
-        let mut next = |bound: usize| {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (seed >> 33) as usize % bound
-        };
         for batch in 0..12 {
-            let edges: Vec<_> = engine.snapshot().graph().edges().collect();
-            let mut updates = Vec::new();
-            for _ in 0..2 {
-                let (u, v) = (NodeId(next(n) as u32), NodeId(next(n) as u32));
-                updates.push(Update::Insert(u, v, Color(next(colors) as u8)));
-                let (u, v, c) = edges[next(edges.len())];
-                updates.push(Update::Delete(u, v, c));
-            }
+            let updates = ledger_shaped_batch(engine.snapshot().graph(), &mut seed);
             let report = engine.apply(&updates).unwrap();
             let m = &report.index;
             assert_eq!(m.state, crate::IndexState::Repaired, "batch {batch}");
@@ -755,11 +724,6 @@ mod tests {
                 m.landmarks_invalidated < n / 4,
                 "batch {batch}: {} landmarks invalidated",
                 m.landmarks_invalidated
-            );
-            assert_eq!(
-                m.labels_carried + m.labels_repaired,
-                n * colors,
-                "batch {batch}: one label set per landmark and color layer"
             );
             let g1 = report.snapshot.graph().clone();
             let q = rq(&g1, "cat = \"Music\"", "", "fc^2 fr");
@@ -776,6 +740,47 @@ mod tests {
                 &q.eval_bfs(&g1),
                 "batch {batch}"
             );
+        }
+    }
+
+    /// A write rebuilds the matrix, or repairs the hop or sharded labels,
+    /// on its caller's stack, and the server applies writes on connection
+    /// threads with 256 KiB of it: every regime has to fit half of that.
+    #[test]
+    fn a_write_fits_half_a_connection_threads_stack() {
+        let hop = EngineConfig::builder().matrix_node_limit(0);
+        let sharded = hop.clone().hop_label_budget(0).shards(4);
+        let regimes = [
+            (
+                "matrix",
+                rpq_graph::gen::youtube_like(600, 1),
+                EngineConfig::builder(),
+            ),
+            ("hop", rpq_graph::gen::youtube_like(600, 1), hop),
+            (
+                "sharded",
+                rpq_graph::gen::clustered(1200, 3600, 4, 2, 3, 3, 1),
+                sharded,
+            ),
+        ];
+        for (name, g, config) in regimes {
+            let config = config.build().unwrap();
+            std::thread::Builder::new()
+                .stack_size(128 * 1024)
+                .spawn(move || {
+                    let engine = UpdatableEngine::with_config(g, config);
+                    let index = engine.snapshot().engine().index().name();
+                    assert_eq!(index, name);
+                    let mut seed = 7u64;
+                    for _ in 0..20 {
+                        let updates = ledger_shaped_batch(engine.snapshot().graph(), &mut seed);
+                        engine.apply(&updates).unwrap();
+                    }
+                    assert_eq!(engine.snapshot().engine().index().name(), name);
+                })
+                .unwrap()
+                .join()
+                .unwrap_or_else(|_| panic!("{name}: applied without overflowing"));
         }
     }
 
@@ -865,13 +870,6 @@ mod tests {
         let report = engine.apply(&[Update::Delete(u, v, c)]).unwrap();
         assert_eq!(report.index.state, crate::IndexState::Repaired);
         assert!(report.snapshot.engine().sharded().is_some());
-        assert_eq!(
-            report.index.labels_carried
-                + report.index.labels_repaired
-                + report.index.labels_rebuilt,
-            4,
-            "every shard accounted for"
-        );
         assert!(report.index.shards_touched <= 2);
 
         let g1 = report.snapshot.graph().clone();
@@ -935,7 +933,8 @@ mod tests {
         let fnc = g.alphabet().get("fn").unwrap();
         let report = engine.apply(&[Update::Insert(c1, b1, fnc)]).unwrap();
         assert_eq!(report.index.state, crate::IndexState::Stale);
-        assert_eq!(report.index.labels_carried, 0);
+        assert_eq!(report.index.landmarks_invalidated, 0);
+        assert_eq!(report.index.shards_touched, 0);
         // noop applies echo the current state
         let noop = engine.apply(&[Update::Insert(c1, b1, fnc)]).unwrap();
         assert_eq!(noop.applied, 0);

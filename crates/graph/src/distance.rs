@@ -4,7 +4,8 @@
 //! using only edges of color `c`; the extra wildcard layer records shortest
 //! distances over edges of arbitrary colors. With the matrix, the atom tests
 //! of the regex class F — "is there a path of color `c` and length ≤ k?" —
-//! take constant time.
+//! take constant time. The build is one BFS per row, run on the caller's
+//! thread.
 //!
 //! As the paper notes, the O((m+1)·|V|²) space is the price of the fastest
 //! evaluation strategy; for graphs where it is unaffordable, the engine
@@ -30,60 +31,30 @@ pub struct DistanceMatrix {
 
 impl DistanceMatrix {
     /// Build the matrix by running one BFS per (node, color) pair plus one
-    /// wildcard BFS per node: O((m+1)·|V|·(|V|+|E|)) work, as in §4,
-    /// parallelized across source nodes on one scoped thread per available
-    /// core (the per-(node, color) BFSs are independent and each writes
-    /// exactly one matrix row, so workers take disjoint contiguous row
-    /// stripes and write in place — no post-merge, no per-BFS allocation).
+    /// wildcard BFS per node: O((m+1)·|V|·(|V|+|E|)) work, as in §4. Each
+    /// BFS writes its matrix row in place through one reused queue, so the
+    /// build allocates nothing per (node, color).
     pub fn build(g: &Graph) -> Self {
-        Self::build_with_workers(g, 0)
-    }
-
-    /// [`build`](DistanceMatrix::build) with an explicit worker count
-    /// (`0` = one per available core).
-    pub fn build_with_workers(g: &Graph, workers: usize) -> Self {
         let n = g.node_count();
         let m = g.alphabet().len();
         let mut data = vec![INFINITY; (m + 1) * n * n];
-        let total_rows = (m + 1) * n;
-        if total_rows == 0 {
-            return DistanceMatrix { n, colors: m, data };
+        let mut queue = VecDeque::new();
+        for (idx, row) in data.chunks_mut(n.max(1)).enumerate() {
+            let (layer, src) = (idx / n, idx % n);
+            let color = if layer == m {
+                WILDCARD
+            } else {
+                Color(layer as u8)
+            };
+            bfs_distances_into(
+                g,
+                NodeId(src as u32),
+                color,
+                Direction::Forward,
+                row,
+                &mut queue,
+            );
         }
-        let hw = std::thread::available_parallelism().map_or(1, |c| c.get());
-        let workers = (if workers == 0 { hw } else { workers }).clamp(1, total_rows);
-        let rows_per = total_rows.div_ceil(workers);
-
-        std::thread::scope(|s| {
-            let mut rest: &mut [u16] = &mut data;
-            let mut start = 0usize;
-            while start < total_rows {
-                let take = rows_per.min(total_rows - start);
-                let (stripe, tail) = rest.split_at_mut(take * n);
-                rest = tail;
-                let lo = start;
-                s.spawn(move || {
-                    let mut queue = VecDeque::new();
-                    for (i, row) in stripe.chunks_mut(n).enumerate() {
-                        let idx = lo + i;
-                        let (layer, src) = (idx / n, idx % n);
-                        let color = if layer == m {
-                            WILDCARD
-                        } else {
-                            Color(layer as u8)
-                        };
-                        bfs_distances_into(
-                            g,
-                            NodeId(src as u32),
-                            color,
-                            Direction::Forward,
-                            row,
-                            &mut queue,
-                        );
-                    }
-                });
-                start += take;
-            }
-        });
         DistanceMatrix { n, colors: m, data }
     }
 
@@ -173,13 +144,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_serial() {
+    fn every_row_is_a_bfs_from_its_source() {
         let g = crate::gen::synthetic(97, 400, 2, 3, 13);
-        let serial = DistanceMatrix::build_with_workers(&g, 1);
-        for workers in [2, 3, 8, 1000] {
-            let par = DistanceMatrix::build_with_workers(&g, workers);
-            assert_eq!(par.data, serial.data, "workers = {workers}");
+        let m = DistanceMatrix::build(&g);
+        let colors = (0..g.alphabet().len()).map(|c| Color(c as u8));
+        for color in colors.chain([WILDCARD]) {
+            for v in g.nodes() {
+                let bfs = crate::algo::bfs_distances(&g, v, color, Direction::Forward);
+                assert_eq!(m.row(v, color), &bfs[..], "row of {v:?} in {color:?}");
+            }
         }
-        assert_eq!(DistanceMatrix::build(&g).data, serial.data);
     }
 }

@@ -213,25 +213,33 @@ impl Partition {
         let cap_lpa = cap;
         let mut label: Vec<u32> = (0..n as u32).collect();
         let mut comm_size: Vec<u32> = vec![1; n];
-        let mut tally: HashMap<u32, u32> = HashMap::new();
+        // neighbor votes per label, dense over the label space (labels are
+        // node ids); `voted` lists the labels to reset after each node
+        let mut tally: Vec<u32> = vec![0; n];
+        let mut voted: Vec<u32> = Vec::new();
         for _round in 0..40 {
             let mut changed = 0usize;
             for v in 0..n {
                 let id = NodeId(v as u32);
-                tally.clear();
                 for e in g.out_edges(id).iter().chain(g.in_edges(id)) {
                     if e.node != id {
-                        *tally.entry(label[e.node.index()]).or_insert(0) += 1;
+                        let l = label[e.node.index()];
+                        if tally[l as usize] == 0 {
+                            voted.push(l);
+                        }
+                        tally[l as usize] += 1;
                     }
                 }
                 let cur = label[v];
-                let Some(best) = tally
-                    .iter()
-                    .filter(|&(&l, _)| l == cur || (comm_size[l as usize] as usize) < cap_lpa)
-                    .map(|(&l, &c)| (c, std::cmp::Reverse(l)))
+                let best = (voted.iter())
+                    .filter(|&&l| l == cur || (comm_size[l as usize] as usize) < cap_lpa)
+                    .map(|&l| (tally[l as usize], std::cmp::Reverse(l)))
                     .max()
-                    .map(|(_, std::cmp::Reverse(l))| l)
-                else {
+                    .map(|(_, std::cmp::Reverse(l))| l);
+                for l in voted.drain(..) {
+                    tally[l as usize] = 0;
+                }
+                let Some(best) = best else {
                     continue; // isolated node (or every neighbor full)
                 };
                 if best != cur {

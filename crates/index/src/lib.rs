@@ -36,8 +36,8 @@
 //! one machine (or one budget). [`ShardedLabels`] removes that cap by
 //! re-founding the index on a shard topology
 //! ([`ShardedGraph`](rpq_graph::ShardedGraph)): one independent
-//! [`HopLabels`] **per shard** — built in parallel, each under the
-//! per-shard byte budget — plus exact 2-hop labels over the **boundary
+//! [`HopLabels`] **per shard** — built one after another on the
+//! caller's thread, each under the per-shard byte budget — plus exact 2-hop labels over the **boundary
 //! overlay**, the weighted digraph whose nodes are the endpoints of cut
 //! edges and whose edges are (a) the cut edges themselves at weight 1 and
 //! (b) a closure edge per intra-shard boundary pair, weighted by that

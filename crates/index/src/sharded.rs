@@ -9,8 +9,9 @@
 //! [`ShardedLabels::repair`]: a fresh build is maintenance from nothing,
 //! every shard rebuilt and no label or closure row to carry —
 //!
-//! 1. builds one [`HopLabels`] **per shard, in parallel**, each over that
-//!    shard's local graph and each under the *per-shard* byte budget
+//! 1. builds one [`HopLabels`] **per shard**, one after another on the
+//!    caller's thread, each over that shard's local graph and each under
+//!    the *per-shard* byte budget
 //!    ([`ShardedConfig::shard_budget_bytes`]) — this is the memory cap the
 //!    whole design exists for: no single build ever needs the footprint of
 //!    a whole-graph labeling;
@@ -206,7 +207,7 @@ impl ShardedLabels {
     /// [`repair`](ShardedLabels::repair) for carry / repair / rebuild per
     /// shard against `prev`.
     ///
-    /// Scatter: one worker per shard, each individually budgeted
+    /// Scatter: shard by shard, each individually budgeted
     /// ([`ShardedConfig::shard_budget_bytes`]). `Carry` costs one reference count; `Repair` runs
     /// [`HopLabels::repair`] over `intra[shard]` (local ids) and falls
     /// back to `Rebuild` when more than half the shard's landmarks are
@@ -259,22 +260,10 @@ impl ShardedLabels {
             );
             Ok((Arc::new(labels), Action::Rebuild, 0))
         };
-        let results: Vec<_> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..k)
-                .map(|s| {
-                    let run_shard = &run_shard;
-                    scope.spawn(move || run_shard(s))
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("shard worker panicked"))
-                .collect()
-        });
         let mut shard_labels = Vec::with_capacity(k);
         let (mut repaired, mut rebuilt, mut invalidated) = (0usize, 0usize, 0usize);
-        for r in results {
-            let (labels, done, dirty) = r?;
+        for s in 0..k {
+            let (labels, done, dirty) = run_shard(s)?;
             repaired += usize::from(done == Action::Repair);
             rebuilt += usize::from(done == Action::Rebuild);
             invalidated += dirty;
@@ -320,7 +309,7 @@ impl ShardedLabels {
     }
 
     /// Gather step of [`maintain`](Self::maintain): one overlay layer per
-    /// color, built in parallel — cut edges at weight 1 plus
+    /// color, cut edges at weight 1 plus
     /// per-shard boundary closures. `reuse` may return a previously
     /// computed closure for a `(layer, shard)` whose rows are known to be
     /// unchanged; everything else is recomputed from the shard labels.
@@ -329,7 +318,7 @@ impl ShardedLabels {
         sharded: &Arc<ShardedGraph>,
         shard_labels: &[Arc<HopLabels>],
         colors: usize,
-        reuse: impl Fn(usize, usize) -> Option<ShardClosure> + Sync,
+        reuse: impl Fn(usize, usize) -> Option<ShardClosure>,
     ) -> (Vec<OverlayLayer>, Vec<Vec<ShardClosure>>) {
         let k = sharded.k();
         let b = sharded.boundary_globals().len();
@@ -349,49 +338,40 @@ impl ShardedLabels {
             })
             .collect();
 
-        std::thread::scope(|s| {
-            let workers: Vec<_> = (0..colors)
-                .map(|li| {
-                    let color = Color(li as u8);
-                    let (boundary_ov, reuse) = (&boundary_ov, &reuse);
-                    s.spawn(move || {
-                        let shard_closures: Vec<ShardClosure> = (shard_labels.iter().enumerate())
-                            .take(k)
-                            .map(|(shard, labels)| {
-                                reuse(li, shard)
-                                    .unwrap_or_else(|| shard_closure(sharded, labels, shard, color))
-                            })
-                            .collect();
-                        let mut edges: Vec<OverlayEdge> = Vec::new();
-                        for &(u, v, ec) in sharded.cut_edges() {
-                            if color.admits(ec) {
-                                let ou = sharded
-                                    .overlay_index(u)
-                                    .expect("cut endpoints are boundary");
-                                let ov = sharded
-                                    .overlay_index(v)
-                                    .expect("cut endpoints are boundary");
-                                edges.push((ou, ov, 1));
-                            }
-                        }
-                        for (shard, rows) in shard_closures.iter().enumerate() {
-                            for &(i, j, d) in rows {
-                                edges.push((
-                                    boundary_ov[shard][i as usize],
-                                    boundary_ov[shard][j as usize],
-                                    d,
-                                ));
-                            }
-                        }
-                        (OverlayLayer::build(b, &edges), shard_closures)
+        (0..colors)
+            .map(|li| {
+                let color = Color(li as u8);
+                let shard_closures: Vec<ShardClosure> = (shard_labels.iter().enumerate())
+                    .take(k)
+                    .map(|(shard, labels)| {
+                        reuse(li, shard)
+                            .unwrap_or_else(|| shard_closure(sharded, labels, shard, color))
                     })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("overlay worker panicked"))
-                .unzip()
-        })
+                    .collect();
+                let mut edges: Vec<OverlayEdge> = Vec::new();
+                for &(u, v, ec) in sharded.cut_edges() {
+                    if color.admits(ec) {
+                        let ou = sharded
+                            .overlay_index(u)
+                            .expect("cut endpoints are boundary");
+                        let ov = sharded
+                            .overlay_index(v)
+                            .expect("cut endpoints are boundary");
+                        edges.push((ou, ov, 1));
+                    }
+                }
+                for (shard, rows) in shard_closures.iter().enumerate() {
+                    for &(i, j, d) in rows {
+                        edges.push((
+                            boundary_ov[shard][i as usize],
+                            boundary_ov[shard][j as usize],
+                            d,
+                        ));
+                    }
+                }
+                (OverlayLayer::build(b, &edges), shard_closures)
+            })
+            .unzip()
     }
 
     /// Repair this index after `changes` were applied to the graph it was
@@ -565,8 +545,7 @@ pub struct ShardedRepair {
     /// Landmarks re-run across all repaired shards.
     pub landmarks_invalidated: usize,
     /// Wall-clock phase breakdown: `scatter` (per-shard carry / repair /
-    /// rebuild across the worker set) and `overlay` (cut-edge + boundary
-    /// closure relabeling). The live-update layer bubbles these into its
+    /// rebuild) and `overlay` (cut-edge + boundary closure relabeling). The live-update layer bubbles these into its
     /// `IndexMaintenance::phases` accounting.
     pub phases: Vec<(&'static str, Duration)>,
 }

@@ -121,7 +121,10 @@ fn repaired_index_serves_a_mixed_stream_at_50k() {
             "round {round}: repair work must stay bounded ({} shards touched)",
             report.index.shards_touched
         );
-        total_repair += report.index.repair_time;
+        total_repair += (report.index.phases.iter())
+            .filter(|&&(phase, _)| phase == "carry")
+            .map(|&(_, d)| d)
+            .sum::<Duration>();
         total_applied += report.applied;
 
         // interleaved reads on the just-published snapshot vs. read-only

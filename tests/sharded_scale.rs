@@ -88,7 +88,7 @@ fn sharded_batch_matches_hop_backend_at_100k() {
     );
     assert!(g.node_count() >= 100_000);
 
-    // the sharded stack: partition + 4 parallel per-shard builds + overlay
+    // the sharded stack: partition + 4 per-shard builds + overlay
     let t1 = Instant::now();
     let sharded_engine = QueryEngine::build_sharded(
         Arc::clone(&g),
