@@ -5,8 +5,8 @@
 //! primitive: *does a nonempty path from `x` to `y` spell a word of
 //! `L(fe)`?* [`ProbeReach`] answers it over **any** [`DistProbe`]: the dense
 //! per-color [`DistanceMatrix`] (O(1) atom tests, the regime under the
-//! engine's matrix node limit), the pruned 2-hop or sharded labels of
-//! `rpq_index` beyond it, and — with no index at all — the graph itself
+//! engine's matrix node limit), the pruned 2-hop labels of `rpq_index`
+//! beyond it, and — with no index at all — the graph itself
 //! ([`GraphProbe`](rpq_index::GraphProbe): breadth-first sweeps). Atom
 //! tests are cheap on every one of them, so callers *normalize* queries
 //! (split every edge into single-atom edges with dummy nodes) and get the
@@ -104,7 +104,7 @@ impl<'a, P: DistProbe + ?Sized> ProbeReach<'a, P> {
     /// dummy-node decomposition evaluated in place, using bounded
     /// neighborhood scans (inverted hub lists per frontier node on hop
     /// labels; one forward sweep over the graph for the whole frontier on
-    /// the matrix, the sharded labels and the graph itself — never
+    /// the matrix, the sharded regime and the graph itself — never
     /// per-pair probes against all of V). Returns the set of nodes
     /// reachable from `x` through every atom, i.e. exactly
     /// `{ y : (x, y) ⊨ atoms }` under the nonempty-path semantics

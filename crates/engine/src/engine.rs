@@ -2,7 +2,7 @@
 //! and batch evaluation on the calling thread.
 
 use crate::batch::{BatchItem, BatchResult, Query, QueryOutput};
-use crate::error::{ConfigError, EngineError};
+use crate::error::ConfigError;
 use crate::explain::query_summary;
 use crate::memo::{Lookup, SemanticMemo, SemanticStats};
 use crate::planner::{self, Algo, Backend, Plan, Rationale, Uncovered};
@@ -17,8 +17,7 @@ use rpq_core::rq::{Rq, RqResult};
 use rpq_core::split_match::SplitMatch;
 use rpq_graph::{DistanceMatrix, Graph, NodeId};
 use rpq_index::{
-    CountingProbe, DistProbe, GraphProbe, HopBuildError, HopConfig, HopLabels, ShardedConfig,
-    ShardedLabels,
+    CountingProbe, DistProbe, GraphProbe, HopBuildError, HopConfig, HopLabels, ShardedLabels,
 };
 use rpq_trace::QueryProfile;
 use std::sync::Arc;
@@ -52,27 +51,18 @@ pub struct EngineConfig {
     /// at engine construction. The index holds one layer per concrete
     /// color — queries mentioning `_` are always answered by the graph —
     /// and if those layers do not fit the budget, the engine falls through
-    /// to the sharded index (when configured) or serves search plans
+    /// to the sharded regime (when configured) or serves search plans
     /// permanently.
     pub hop_label_budget: usize,
-    /// Number of shards for the partitioned fallback backend; `< 2`
-    /// disables sharding. With `shards ≥ 2`, a graph over the matrix
-    /// limit whose single hop-label build **fails its budget** (or is
-    /// disabled) gets a sharded index instead: k per-shard label builds —
-    /// one after another, each under [`shard_memory_budget`](EngineConfig::shard_memory_budget)
-    /// — plus boundary-overlay labels, serving the `sharded` /
-    /// `JoinMatch/sharded` plans. The single-index build stays preferred
-    /// when it fits: its probes don't pay the overlay stitch.
+    /// Number of shards of the sharded regime; `< 2` disables it. With
+    /// `shards ≥ 2`, a graph over the matrix limit whose hop-label build
+    /// **fails its budget** (or is disabled) gets a
+    /// [`ShardedLabels`]: the graph plus an edge-cut partition into
+    /// `shards` pieces, serving the `sharded` / `JoinMatch/sharded` plans
+    /// by sweeping the graph — the answers and the cost of search, with a
+    /// write's touched shards counted in
+    /// [`IndexMaintenance::shards_touched`](crate::IndexMaintenance::shards_touched).
     pub shards: usize,
-    /// Byte budget for **each** per-shard label build of the sharded
-    /// backend; `0` means unlimited (matching `HopConfig::budget_bytes`
-    /// and `ShardedConfig::shard_budget_bytes` — but note
-    /// [`hop_label_budget`](EngineConfig::hop_label_budget) is the odd
-    /// one out: `0` there *disables* hop labels entirely). Memory-capped
-    /// deployments set this explicitly — e.g. `hop_label_budget /
-    /// shards`, the reading "the same memory, but no single build ever
-    /// holds more than one shard's index".
-    pub shard_memory_budget: usize,
     /// Slow-query threshold in microseconds; `0` (the default) disables
     /// the slow-query log. A query whose evaluation exceeds the threshold
     /// is counted on the process tracer (surfaced by the server as
@@ -89,7 +79,6 @@ impl Default for EngineConfig {
             matrix_node_limit: 2048,
             hop_label_budget: 256 << 20,
             shards: 1,
-            shard_memory_budget: 0,
             slow_query_us: 0,
         }
     }
@@ -103,17 +92,6 @@ impl EngineConfig {
     pub fn builder() -> EngineConfigBuilder {
         EngineConfigBuilder {
             config: EngineConfig::default(),
-        }
-    }
-
-    /// The one derivation of the sharded build's settings — engine
-    /// construction, [`QueryEngine::build_sharded`] and the live-update repair
-    /// all go through it, so a repaired index can never be built under
-    /// different settings from a fresh one.
-    pub(crate) fn sharded_config(&self) -> ShardedConfig {
-        ShardedConfig {
-            shards: self.shards,
-            shard_budget_bytes: self.shard_memory_budget,
         }
     }
 }
@@ -139,16 +117,9 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Shard count for the partitioned fallback backend (`1` disables
-    /// sharding; must be ≥ 1).
+    /// Shard count of the sharded regime (`1` disables it; must be ≥ 1).
     pub fn shards(mut self, shards: usize) -> Self {
         self.config.shards = shards;
-        self
-    }
-
-    /// Byte budget for **each** per-shard label build (`0` = unlimited).
-    pub fn shard_memory_budget(mut self, bytes: usize) -> Self {
-        self.config.shard_memory_budget = bytes;
         self
     }
 
@@ -177,7 +148,7 @@ pub(crate) enum Index {
     Matrix(DistanceMatrix),
     /// The whole-graph hop-label index.
     Hop(HopLabels),
-    /// The partitioned label index.
+    /// The graph plus an edge-cut partition of it.
     Sharded(ShardedLabels),
     /// No index fits this configuration: the graph answers every query.
     None,
@@ -187,9 +158,9 @@ impl Index {
     /// The deployment policy, one rung after the other: the matrix at or
     /// under the node limit; otherwise hop labels under
     /// [`hop_label_budget`](EngineConfig::hop_label_budget); otherwise
-    /// sharded labels when [`shards`](EngineConfig::shards) ≥ 2. A build
-    /// over its budget falls through to the next rung, and the last rung
-    /// is graph-only — a pinned verdict for this graph version.
+    /// the sharded regime when [`shards`](EngineConfig::shards) ≥ 2. A
+    /// hop build over its budget falls through to the next rung, and the
+    /// last rung is graph-only — a pinned verdict for this graph version.
     pub(crate) fn build(g: &Arc<Graph>, config: &EngineConfig) -> Index {
         if g.node_count() <= config.matrix_node_limit {
             return Index::Matrix(DistanceMatrix::build(g));
@@ -204,16 +175,14 @@ impl Index {
             }
         }
         if config.shards >= 2 {
-            let sharded = config.sharded_config();
-            let built = traced_build("sharded", || ShardedLabels::build_with(g, &sharded));
-            if let Some(labels) = built {
-                return Index::Sharded(labels);
-            }
+            let built = traced_build("sharded", || Ok(ShardedLabels::build(g, config.shards)));
+            return Index::Sharded(built.expect("a partition has no budget to bust"));
         }
         Index::None
     }
 
-    /// Is this a label index (hop or sharded) — the kind a write repairs?
+    /// Is this a label index (hop) or the sharded regime — the kind a
+    /// write repairs?
     pub(crate) fn is_label(&self) -> bool {
         matches!(self, Index::Hop(_) | Index::Sharded(_))
     }
@@ -274,7 +243,7 @@ impl QueryEngine {
     /// Engine over `graph` with explicit configuration: builds the index
     /// the configuration calls for before returning — the matrix at or
     /// under [`matrix_node_limit`](EngineConfig::matrix_node_limit), else
-    /// hop labels, else sharded labels, each under its budget, else none.
+    /// hop labels under their budget, else the sharded regime, else none.
     pub fn with_config(graph: Arc<Graph>, config: EngineConfig) -> Self {
         let index = Index::build(&graph, &config);
         Self::with_index(graph, config, index)
@@ -290,27 +259,6 @@ impl QueryEngine {
             index,
             memo: SemanticMemo::new(),
         }
-    }
-
-    /// Engine whose one index is the sharded backend, built **now**: the
-    /// graph is partitioned into `config.shards` pieces (clamped to
-    /// `1..=|V|` by the partitioner) and labelled by per-shard builds on
-    /// the calling thread, each under `config.shard_memory_budget` bytes (`0` =
-    /// unlimited). What a deployment runs when the graph is known up
-    /// front to exceed any single-index budget: no matrix and no single
-    /// hop index race the planner, and a per-shard build over its budget
-    /// fails here with [`EngineError::IndexOverBudget`] instead of
-    /// degrading to search plans. The index is reachable through
-    /// [`sharded()`](QueryEngine::sharded).
-    pub fn build_sharded(graph: Arc<Graph>, config: EngineConfig) -> Result<Self, EngineError> {
-        let labels = ShardedLabels::build_with(&graph, &config.sharded_config())?;
-        let config = EngineConfig {
-            matrix_node_limit: 0,
-            hop_label_budget: 0,
-            shards: labels.sharded_graph().k(),
-            ..config
-        };
-        Ok(Self::with_index(graph, config, Index::Sharded(labels)))
     }
 
     /// This engine with `memo` — the predecessor version's memo carried
@@ -358,8 +306,8 @@ impl QueryEngine {
         }
     }
 
-    /// The partitioned label index, when this engine was built (or
-    /// repaired) with one.
+    /// The sharded regime's graph and partition, when this engine was
+    /// built (or repaired) with one.
     pub fn sharded(&self) -> Option<&ShardedLabels> {
         match &self.index {
             Index::Sharded(labels) => Some(labels),
@@ -613,7 +561,7 @@ impl QueryEngine {
             profile.semcache = lookup.as_str().to_owned();
         }
         if let (Backend::Sharded, Some(labels)) = (p.plan.backend(), self.sharded()) {
-            profile.shard_fanout = labels.sharded_graph().k() as u32;
+            profile.shard_fanout = labels.partition().k() as u32;
         }
         profile.matches = item.output.match_count() as u64;
         profile.wall = p.planning + item.time;
@@ -1265,14 +1213,14 @@ mod tests {
                 matrix_node_limit: 0, // over-limit regime
                 hop_label_budget: 1,  // the single-index build cannot fit
                 shards: 4,
-                shard_memory_budget: 0, // unlimited per-shard builds
                 ..EngineConfig::default()
             },
         );
         // the hop build busts its budget, so the next rung is built
         assert!(engine.hop().is_none(), "hop build over budget");
-        let labels = engine.sharded().expect("sharded build fits");
-        assert_eq!(labels.sharded_graph().k(), 4);
+        let labels = engine.sharded().expect("the next rung");
+        assert_eq!(labels.partition().k(), 4);
+        assert_eq!(engine.index_bytes(), labels.stats().total_bytes() as u64);
 
         let q = rq(&g, "a0 <= 4", "a1 >= 6", "c0^2 c1");
         assert_eq!(engine.plan_query(&Query::Rq(q.clone())).name(), "sharded");
@@ -1290,58 +1238,6 @@ mod tests {
         assert_eq!(batch.items()[1].plan.name(), "JoinMatch/sharded");
         assert_eq!(batch.items()[0].output.as_rq().unwrap(), &q.eval_bfs(&g));
         assert_eq!(batch.items()[1].output.as_pq().unwrap(), &pq.eval_naive(&g));
-    }
-
-    #[test]
-    fn build_sharded_serves_sharded_plans() {
-        let g = Arc::new(rpq_graph::gen::clustered(500, 2000, 4, 2, 3, 60, 17));
-        let engine = QueryEngine::build_sharded(
-            Arc::clone(&g),
-            EngineConfig {
-                shards: 4,
-                ..EngineConfig::default()
-            },
-        )
-        .expect("unbudgeted build");
-        let labels = engine.sharded().expect("built eagerly");
-        assert_eq!(labels.sharded_graph().k(), 4);
-        assert_eq!(engine.index_bytes(), labels.stats().total_bytes() as u64);
-        // the sharded regime is pinned: no other index can race the planner
-        assert!(engine.matrix().is_none() && engine.hop().is_none());
-
-        let q = rq(&g, "a0 <= 4", "a1 >= 6", "c0^2 c1");
-        assert_eq!(engine.plan_query(&Query::Rq(q.clone())).name(), "sharded");
-
-        let mut pq = Pq::new();
-        let a = pq.add_node("a", Predicate::parse("a0 <= 3", g.schema()).unwrap());
-        let b = pq.add_node("b", Predicate::parse("a1 >= 5", g.schema()).unwrap());
-        pq.add_edge(a, b, FRegex::parse("c0 c1", g.alphabet()).unwrap());
-        assert_eq!(
-            engine.plan_query(&Query::Pq(pq.clone())).name(),
-            "JoinMatch/sharded"
-        );
-
-        let batch = engine.run_batch(&[Query::Rq(q.clone()), Query::Pq(pq.clone())]);
-        for item in batch.items() {
-            assert_eq!(item.plan.backend(), Backend::Sharded);
-        }
-        // bit-identical to the search references
-        assert_eq!(batch.items()[0].output.as_rq().unwrap(), &q.eval_bfs(&g));
-        assert_eq!(batch.items()[1].output.as_pq().unwrap(), &pq.eval_naive(&g));
-    }
-
-    #[test]
-    fn build_sharded_fails_eagerly_over_budget() {
-        let g = Arc::new(rpq_graph::gen::synthetic(300, 1200, 2, 3, 3));
-        let err = QueryEngine::build_sharded(
-            Arc::clone(&g),
-            EngineConfig {
-                shards: 3,
-                shard_memory_budget: 1,
-                ..EngineConfig::default()
-            },
-        );
-        assert!(matches!(err, Err(EngineError::IndexOverBudget { .. })));
     }
 
     #[test]
@@ -1385,11 +1281,10 @@ mod tests {
     fn builder_validates() {
         let built = EngineConfig::builder()
             .shards(4)
-            .shard_memory_budget(1 << 20)
+            .slow_query_us(7)
             .build()
             .unwrap();
-        assert_eq!(built.shards, 4);
-        assert_eq!(built.shard_memory_budget, 1 << 20);
+        assert_eq!((built.shards, built.slow_query_us), (4, 7));
         // untouched fields keep their defaults
         assert_eq!(
             built.matrix_node_limit,

@@ -2,15 +2,13 @@
 //!
 //! The seed library panicked its way through boundary failures: bad query
 //! text bubbled up as `unwrap`s on the parse results, an update naming a
-//! node the graph does not have hit the graph builder's `assert!`, and an
-//! over-budget index build surfaced as the index crate's own error type.
-//! None of that matters in-process — but a serving front-end
+//! node the graph does not have hit the graph builder's `assert!`. None
+//! of that matters in-process — but a serving front-end
 //! (`rpq-server`) cannot let one malformed request kill a connection
 //! thread. [`EngineError`] is the one enum every boundary failure maps
 //! into, and the server maps its variants onto HTTP status codes instead
 //! of unwinding.
 
-use rpq_index::HopBuildError;
 use std::fmt;
 
 /// Why a request failed at the engine boundary.
@@ -39,21 +37,6 @@ pub enum EngineError {
     /// An update tried to insert/delete a wildcard-colored edge — data
     /// edges carry concrete colors only.
     WildcardEdge,
-    /// An index build exceeded its configured byte budget.
-    IndexOverBudget {
-        /// The configured budget.
-        budget: usize,
-        /// Estimated bytes at the moment the build gave up.
-        reached: usize,
-    },
-    /// An incremental index repair invalidated more of the index than its
-    /// cost model allows — the caller should rebuild from scratch.
-    RepairTooBroad {
-        /// Landmarks the update batch invalidated.
-        invalidated: usize,
-        /// The invalidation cap the repair was given.
-        limit: usize,
-    },
     /// A configuration value failed validation.
     Config(ConfigError),
 }
@@ -72,34 +55,12 @@ impl fmt::Display for EngineError {
                     "updates must name a concrete edge color, not the wildcard"
                 )
             }
-            EngineError::IndexOverBudget { budget, reached } => {
-                write!(f, "index budget exceeded: {reached} > {budget} bytes")
-            }
-            EngineError::RepairTooBroad { invalidated, limit } => {
-                write!(
-                    f,
-                    "index repair too broad: {invalidated} landmarks invalidated > limit {limit}"
-                )
-            }
             EngineError::Config(e) => write!(f, "bad configuration: {e}"),
         }
     }
 }
 
 impl std::error::Error for EngineError {}
-
-impl From<HopBuildError> for EngineError {
-    fn from(e: HopBuildError) -> Self {
-        match e {
-            HopBuildError::OverBudget { budget, reached } => {
-                EngineError::IndexOverBudget { budget, reached }
-            }
-            HopBuildError::RepairTooBroad { invalidated, limit } => {
-                EngineError::RepairTooBroad { invalidated, limit }
-            }
-        }
-    }
-}
 
 impl From<ConfigError> for EngineError {
     fn from(e: ConfigError) -> Self {

@@ -12,7 +12,7 @@
 //! * every query runs under a [`Plan`] = [`Algo`] × [`Backend`], the way
 //!   the paper states its evaluators once and parameterises them by the
 //!   reachability oracle: the backend is the engine's index (matrix, hop
-//!   labels or sharded labels) where it covers the query, else search,
+//!   labels or the sharded regime) where it covers the query, else search,
 //!   where the graph itself is the probe; the [`planner`] picks the
 //!   algorithm on it — **DM**
 //!   probes for RQs, `JoinMatch`/`SplitMatch` for PQs by pattern shape —
@@ -32,13 +32,9 @@
 //!   instead of evaluating every candidate source;
 //! * [`BatchResult`] carries per-query outputs, chosen plans and timings
 //!   for the bench harness;
-//! * [`QueryEngine::build_sharded`] serves graphs known up front to
-//!   exceed any single-index budget: the shard topology as the primary
-//!   regime (per-shard label builds on the caller's thread,
-//!   boundary-overlay stitching, a typed eager failure when a shard
-//!   busts its budget), answers bit-identical to every other backend;
-//!   a plain [`QueryEngine`] builds the same index when its single
-//!   hop-label build busts the budget;
+//! * with [`EngineConfig::shards`] ≥ 2, a [`QueryEngine`] whose hop-label
+//!   build busts its budget (or is disabled) builds the sharded regime:
+//!   the graph plus an edge-cut partition, answering by graph sweeps;
 //! * [`UpdatableEngine`] serves a *mutating* graph (§7): writers apply
 //!   [`Update`](rpq_core::incremental::Update) batches and publish
 //!   immutable versioned [`Snapshot`]s via an `Arc` swap, readers query a

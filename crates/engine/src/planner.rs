@@ -6,16 +6,17 @@
 //! plan is that pair, and the two halves are chosen independently:
 //!
 //! * the **backend** is the engine's call, from its one index alone: the
-//!   index built with it — matrix, else hop labels, else sharded labels —
+//!   index built with it — matrix, else hop labels, else the sharded
+//!   regime —
 //!   where it holds a layer for every color the query probes, else search
 //!   (label indices hold no layer for `_`: such queries plan search, and
 //!   [`Rationale`] says why).
 //!   Matrix point probes are O(1) (its frontier and `Join` steps sweep
 //!   the graph) but cost O(|Σ|·|V|²) memory, so the matrix exists only
 //!   under the configured node limit; hop labels cost memory
-//!   proportional to label size; sharded labels stitch per-shard labels
-//!   through a boundary overlay for point probes and sweep the graph for
-//!   everything else. The search backend has no index: the
+//!   proportional to label size; the sharded regime is the graph plus an
+//!   edge-cut partition and sweeps the graph for every question, as
+//!   search does. The search backend has no index: the
 //!   graph itself answers the same probes by breadth-first sweeps
 //!   ([`GraphProbe`](rpq_index::GraphProbe)), which replaced §4's pairwise
 //!   distance cache;
@@ -67,8 +68,8 @@ pub enum Backend {
     Matrix,
     /// Pruned 2-hop labels (`rpq_index::HopLabels`).
     Hop,
-    /// Per-shard labels stitched through the boundary overlay for point
-    /// probes, graph sweeps for set questions (`rpq_index::ShardedLabels`).
+    /// The graph plus an edge-cut partition, answering every question by
+    /// a graph sweep (`rpq_index::ShardedLabels`).
     Sharded,
     /// No index: the graph itself answers the probes
     /// ([`GraphProbe`](rpq_index::GraphProbe), breadth-first sweeps) — also
@@ -210,8 +211,8 @@ impl fmt::Display for Rationale {
             }
             Backend::Hop => "no matrix; hop labels cover every probed color",
             Backend::Sharded => {
-                "no matrix or single index; sharded labels answer point probes, \
-                 graph sweeps answer scans and Join steps"
+                "no matrix or single index; the graph is partitioned into shards, \
+                 graph sweeps answer every probe"
             }
             Backend::Search => match uncovered {
                 Uncovered::NoIndex => "no usable index — the graph answers",
@@ -422,11 +423,11 @@ mod tests {
                 assert_eq!((plan.algo(), plan.backend()), (Algo::RqDm, backend));
             }
         }
-        // the sharded clause says which questions its labels keep
+        // the sharded clause says the graph answers
         assert_eq!(
             plan_rq(&re(2), Backend::Sharded).1.to_string(),
-            "no matrix or single index; sharded labels answer point probes, \
-             graph sweeps answer scans and Join steps"
+            "no matrix or single index; the graph is partitioned into shards, \
+             graph sweeps answer every probe"
         );
     }
 

@@ -69,7 +69,7 @@ pub struct IndexMaintenance {
     /// [`Snapshot::index_state`](crate::Snapshot::index_state).
     pub state: IndexState,
     /// Landmarks whose pruned-BFS labels were invalidated by the batch,
-    /// summed across layers (and shards).
+    /// summed across layers; 0 in the sharded regime, which holds no labels.
     pub landmarks_invalidated: usize,
     /// Shards the batch touched (those holding an intra-shard change);
     /// `0` in the whole-graph regime.
@@ -80,9 +80,8 @@ pub struct IndexMaintenance {
     /// matcher maintenance), `carry` (index carry/repair, or the rebuild
     /// that replaces a declined repair), `publish`
     /// (snapshot construction and the `Arc` swap) — followed by the carry
-    /// step's inner repair phases when a repair ran (`invalidate` /
-    /// `re-bfs` for the hop index, `scatter` / `overlay` for the sharded
-    /// one). Empty for a no-op batch. The server exports these as
+    /// step's inner repair phases when the hop index was repaired
+    /// (`invalidate` / `re-bfs`). Empty for a no-op batch. The server exports these as
     /// `rpq_repair_phase_seconds_total{phase=...}`.
     pub phases: Vec<(&'static str, Duration)>,
 }
@@ -309,8 +308,8 @@ impl UpdatableEngine {
         ));
         *self.current.write().expect("snapshot lock poisoned") = Arc::clone(&snapshot);
         let t_published = Instant::now();
-        // the carry step's own inner phases (invalidate/re-bfs, or
-        // scatter/overlay) come after the five top-level ones
+        // the carry step's own inner phases (invalidate/re-bfs) come after
+        // the five top-level ones
         let inner = std::mem::take(&mut index.phases);
         index.phases = vec![
             ("validate", t_validated - t0),
@@ -393,17 +392,13 @@ fn carry_index(
                     }),
             )
         }
-        // the repair reworks only the shards holding an intra-shard change
-        Index::Sharded(labels) => Some(
-            labels
-                .repair(Arc::clone(graph), changes, &config.sharded_config())
-                .map(|rep| {
-                    m.shards_touched = rep.shards_repaired + rep.shards_rebuilt;
-                    m.landmarks_invalidated = rep.landmarks_invalidated;
-                    m.phases = rep.phases;
-                    Index::Sharded(rep.labels)
-                }),
-        ),
+        // the partition is carried; the shards a change lands inside
+        // are counted
+        Index::Sharded(labels) => {
+            let (labels, touched) = labels.repair(Arc::clone(graph), changes);
+            m.shards_touched = touched;
+            Some(Ok(Index::Sharded(labels)))
+        }
         Index::Matrix(_) | Index::None => None,
     };
     let index = match repaired {
@@ -743,9 +738,10 @@ mod tests {
         }
     }
 
-    /// A write rebuilds the matrix, or repairs the hop or sharded labels,
-    /// on its caller's stack, and the server applies writes on connection
-    /// threads with 256 KiB of it: every regime has to fit half of that.
+    /// A write rebuilds the matrix, or repairs the hop labels or the
+    /// sharded regime, on its caller's stack, and the server applies
+    /// writes on connection threads with 256 KiB of it: every regime has
+    /// to fit half of that.
     #[test]
     fn a_write_fits_half_a_connection_threads_stack() {
         let hop = EngineConfig::builder().matrix_node_limit(0);
@@ -824,12 +820,12 @@ mod tests {
         );
         let first = engine.snapshot();
         let (g0, labels) = (first.graph(), first.engine().sharded().unwrap());
-        let part = labels.sharded_graph().partition();
+        let part = labels.partition();
         // one new intra-shard edge in every shard
         let c0 = Color(0);
         let batch: Vec<Update> = (0..part.k())
             .map(|s| {
-                let nodes = part.shard_nodes(s);
+                let nodes: Vec<_> = g0.nodes().filter(|&v| part.shard_of(v) == s).collect();
                 let (u, v) = (nodes.windows(2))
                     .map(|w| (w[0], w[1]))
                     .find(|&(u, v)| !g0.has_edge(u, v, c0))
@@ -840,6 +836,7 @@ mod tests {
         let report = engine.apply(&batch).unwrap();
         assert_eq!(report.index.state, crate::IndexState::Repaired);
         assert_eq!(report.index.shards_touched, part.k());
+        assert_eq!(report.index.landmarks_invalidated, 0, "no label work");
         let g1 = report.snapshot.graph().clone();
         let q = rq(&g1, "a0 <= 4", "a1 >= 6", "c0^2 c1");
         let query = Query::Rq(q.clone());
@@ -914,12 +911,9 @@ mod tests {
         // version keeps the first build's node→shard assignment
         let last = engine.snapshot();
         let published = last.engine().sharded().unwrap();
-        let (p0, p1) = (
-            built.sharded_graph().partition(),
-            published.sharded_graph().partition(),
-        );
+        let (p0, p1) = (built.partition(), published.partition());
         for v in g0.nodes() {
-            assert_eq!(p1.to_local(v), p0.to_local(v), "node {v:?} moved");
+            assert_eq!(p1.shard_of(v), p0.shard_of(v), "node {v:?} moved");
         }
     }
 

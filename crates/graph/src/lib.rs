@@ -22,10 +22,8 @@
 //!   Tarjan's strongly-connected components, reverse topological order,
 //! * the per-color shortest-distance matrix of §4 ([`distance`]),
 //! * dataset generators standing in for the paper's real-life data ([`gen`]),
-//! * edge-cut partitioning and the sharded storage view ([`partition`]):
-//!   [`Partition`] assigns nodes to `k` balanced shards, [`ShardedGraph`]
-//!   materializes per-shard local graphs plus the cut-edge/boundary residue
-//!   that `rpq-index` builds its overlay labels over.
+//! * edge-cut partitioning ([`partition`]): [`Partition`] assigns nodes to
+//!   `k` balanced shards.
 
 pub mod algo;
 pub mod attr;
@@ -42,4 +40,4 @@ pub use builder::GraphBuilder;
 pub use color::{Alphabet, Color, WILDCARD};
 pub use distance::{DistanceMatrix, INFINITY};
 pub use graph::{EdgeRef, Graph, NodeId};
-pub use partition::{Partition, ShardStats, ShardedGraph};
+pub use partition::Partition;

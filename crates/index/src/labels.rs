@@ -442,7 +442,7 @@ impl HopLabels {
     /// distinct for the runner-up column to be meaningful.
     ///
     /// Cost: one pass over the targets' `Lin` labels — `O(Σ|Lin(y)|)`.
-    pub fn in_aggregate(&self, color: Color, targets: &[NodeId]) -> InSetAgg {
+    fn in_aggregate(&self, color: Color, targets: &[NodeId]) -> InSetAgg {
         let layer = self.layer_or_panic(color);
         const NO_Y: u32 = u32::MAX;
         let mut agg = InSetAgg {
@@ -476,7 +476,7 @@ impl HopLabels {
     /// to the runner-up, yielding `min over y ≠ x` — the diagonal case of
     /// bulk refinement. Returns [`INFINITY`] when no target is reachable;
     /// finite results saturate at the BFS cap like every other probe.
-    pub fn dist_into(&self, from: NodeId, agg: &InSetAgg, exclude: Option<NodeId>) -> u16 {
+    fn dist_into(&self, from: NodeId, agg: &InSetAgg, exclude: Option<NodeId>) -> u16 {
         let layer = self.layer_or_panic(agg.color);
         let (oh, od) = layer.out_label(from.index());
         let mut best = u32::MAX;
@@ -516,11 +516,9 @@ pub struct HopRepair {
 }
 
 /// Per-hub minima over a target set — see
-/// [`HopLabels::in_aggregate`]. Opaque outside the crate; produced once
-/// per (set, color) and consumed by any number of
-/// [`HopLabels::dist_into`] scans.
-#[derive(Debug, Clone)]
-pub struct InSetAgg {
+/// [`HopLabels::in_aggregate`]. Produced once per (set, color) and
+/// consumed by any number of [`HopLabels::dist_into`] scans.
+struct InSetAgg {
     color: Color,
     /// per hub rank: min over targets of `dist(h → y)` ([`UNSET`] = none).
     best: Vec<u16>,

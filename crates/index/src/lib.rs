@@ -30,34 +30,14 @@
 //! hub aggregation plus one `Lout` scan per source; the matrix, like the
 //! graph, with one backward sweep.
 //!
-//! ## The sharded backend and its overlay
+//! ## The sharded backend
 //!
-//! One whole-graph labeling is still one build: its working set must fit
-//! one machine (or one budget). [`ShardedLabels`] removes that cap by
-//! re-founding the index on a shard topology
-//! ([`ShardedGraph`](rpq_graph::ShardedGraph)): one independent
-//! [`HopLabels`] **per shard** — built one after another on the
-//! caller's thread, each under the per-shard byte budget — plus exact 2-hop labels over the **boundary
-//! overlay**, the weighted digraph whose nodes are the endpoints of cut
-//! edges and whose edges are (a) the cut edges themselves at weight 1 and
-//! (b) a closure edge per intra-shard boundary pair, weighted by that
-//! shard's local distance, one layer per concrete color. Neither index
-//! holds a layer for the wildcard `_`: the engine answers `_` over the
-//! graph itself ([`GraphProbe`]).
-//!
-//! *Exactness.* A global path either stays inside one shard — then it
-//! appears verbatim in that shard's local graph — or it uses ≥ 1 cut
-//! edge, in which case it splits at the first cut edge's source `b₁` and
-//! the last cut edge's target `b₂`: the prefix and suffix are intra-shard
-//! (no cut edge), and the middle alternates cut edges with intra-shard
-//! boundary-to-boundary segments, each dominated by its closure edge. So
-//! `dist(u,v) = min(local(u,v) [same shard],
-//! min_{b₁,b₂} local(u,b₁) + overlay(b₁,b₂) + local(b₂,v))`, every term
-//! realizable by a real path — probes are bit-identical to a whole-graph
-//! index, which the parity suite asserts against both the matrix and
-//! unsharded labels. Only point probes (`dist`) stitch; the set
-//! questions — bounded scans, cycle tests, whole `Join` steps — sweep the
-//! graph the index was built or repaired for, through [`GraphProbe`].
+//! [`ShardedLabels`] is the graph plus an edge-cut
+//! [`Partition`](rpq_graph::Partition) of it. It holds no labels: every
+//! question, point probes included, is a [`GraphProbe`] sweep of the graph
+//! it was built or repaired for, and a repair carries the partition
+//! forward and counts the shards a write touched. It stays while the
+//! benchmark's `sharded_live` workload is configured into that regime.
 //!
 //! ## Example
 //!
@@ -79,10 +59,9 @@
 //! ```
 
 mod labels;
-mod overlay;
 mod probe;
 mod sharded;
 
-pub use labels::{HopBuildError, HopConfig, HopLabels, HopRepair, HopStats, InSetAgg};
+pub use labels::{HopBuildError, HopConfig, HopLabels, HopRepair, HopStats};
 pub use probe::{CountingProbe, DistProbe, GraphProbe};
-pub use sharded::{ShardedConfig, ShardedLabels, ShardedRepair, ShardedStats};
+pub use sharded::{ShardedLabels, ShardedStats};

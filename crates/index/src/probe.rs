@@ -168,8 +168,8 @@ pub trait DistProbe {
     /// `|S|·|T|` pairwise probes: [`HopLabels`](crate::HopLabels) folds
     /// every target's `Lin` into one per-hub minimum and then answers each
     /// source with a single `Lout` scan (`O(Σ|Lin| + Σ|Lout|)` label
-    /// entries); [`GraphProbe`], and the matrix and sharded labels through
-    /// it, run one backward sweep over `g`.
+    /// entries); [`GraphProbe`], and the matrix and the sharded backend
+    /// through it, run one backward sweep over `g`.
     fn sources_reaching_within(
         &self,
         g: &Graph,

@@ -473,14 +473,12 @@ pub fn encode_items(items: &[BatchItem]) -> String {
 }
 
 /// The HTTP status an [`EngineError`] maps onto: client mistakes are
-/// 400s, resource exhaustion on the serving side is a 503, config
-/// problems are the server operator's bug (500).
+/// 400s, config problems are the server operator's bug (500).
 pub fn status_for(e: &EngineError) -> u16 {
     match e {
         EngineError::BadQuery { .. }
         | EngineError::NodeOutOfRange { .. }
         | EngineError::WildcardEdge => 400,
-        EngineError::IndexOverBudget { .. } => 503,
         EngineError::Config(_) => 500,
         _ => 500, // EngineError is #[non_exhaustive]
     }

@@ -11,8 +11,9 @@ use rpq_bench::querygen::{generate_pq, generate_rq, QueryParams};
 use rpq_core::incremental::Update;
 use rpq_engine::{EngineConfig, Query, UpdatableEngine};
 use rpq_graph::{gen::youtube_like, Color, DistanceMatrix, Graph, NodeId, WILDCARD};
-use rpq_server::{Client, Server, ServerConfig, WireResponse};
-use std::net::SocketAddr;
+use rpq_server::{http, Client, Server, ServerConfig, WireResponse};
+use std::io::{BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -367,6 +368,35 @@ fn errors_map_to_statuses_not_dead_connections() {
     // …and the same connection still answers real queries afterwards
     let queries = mixed_queries(&graph, 2, 5);
     assert_eq!(client.query(&queries, &graph).unwrap().status, 200);
+
+    // every 4xx so far is one error and no rejection (429 is the only
+    // rejection)
+    let counters = |client: &mut Client| {
+        let get = scrape(client);
+        (get("rpq_errors_total"), get("rpq_rejected_total"))
+    };
+    assert_eq!(counters(&mut client), (6.0, 0.0));
+
+    // a body that is not UTF-8: 400, and the connection keeps serving
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    raw.write_all(b"POST /v1/query HTTP/1.1\r\nContent-Length: 2\r\n\r\n\xff\xfe")
+        .unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    let (status, _, body) = http::read_response(&mut reader).unwrap();
+    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+    raw.write_all(b"GET /v1/schema HTTP/1.1\r\n\r\n").unwrap();
+    assert_eq!(http::read_response(&mut reader).unwrap().0, 200);
+    assert_eq!(counters(&mut client), (7.0, 0.0));
+
+    // a malformed request head: 400, then the server closes the connection
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    raw.write_all(b"NONSENSE\r\n\r\n").unwrap();
+    let mut reader = BufReader::new(raw);
+    assert_eq!(http::read_response(&mut reader).unwrap().0, 400);
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "the server closed the connection");
+    assert_eq!(counters(&mut client), (8.0, 0.0));
     server.shutdown();
 }
 

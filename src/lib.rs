@@ -30,13 +30,11 @@
 //!   [`UpdatableEngine`](prelude::UpdatableEngine) serving a *mutating*
 //!   graph through versioned snapshots, each published with its index
 //!   repaired or rebuilt inside the write, and incrementally maintained
-//!   standing queries; and
-//!   [`QueryEngine::build_sharded`](prelude::QueryEngine::build_sharded),
-//!   serving graphs past any single-index memory budget from a
-//!   partitioned [`ShardedGraph`](prelude::ShardedGraph) — per-shard
-//!   label indices stitched through boundary-overlay labels
-//!   ([`ShardedLabels`](prelude::ShardedLabels)), answers bit-identical
-//!   to every other backend. Every entry point minimizes queries to
+//!   standing queries. Past the hop-label budget, an engine configured
+//!   with shards builds the sharded regime
+//!   ([`ShardedLabels`](prelude::ShardedLabels)): the graph plus an
+//!   edge-cut [`Partition`](prelude::Partition), answering every question
+//!   by a graph sweep. Every entry point minimizes queries to
 //!   canonical form before planning and serves repeats, respellings and
 //!   *contained* queries from the engine's semantic subsumption cache
 //!   ([`SemanticMemo`](prelude::SemanticMemo)).
@@ -162,11 +160,10 @@ pub mod prelude {
     };
     pub use rpq_graph::{
         Alphabet, AttrId, AttrValue, Attrs, Color, DistanceMatrix, Graph, GraphBuilder, NodeId,
-        Partition, Schema, ShardStats, ShardedGraph, WILDCARD,
+        Partition, Schema, WILDCARD,
     };
     pub use rpq_index::{
-        DistProbe, GraphProbe, HopConfig, HopLabels, HopStats, ShardedConfig, ShardedLabels,
-        ShardedStats,
+        DistProbe, GraphProbe, HopConfig, HopLabels, HopStats, ShardedLabels, ShardedStats,
     };
     pub use rpq_regex::{FRegex, GRegex};
     pub use rpq_trace::{tracer, QueryProfile, StageTiming, TraceEvent, Tracer};

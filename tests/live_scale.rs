@@ -6,16 +6,13 @@
 //! ```
 //!
 //! A long mixed read/write stream against an [`UpdatableEngine`] on a
-//! 50k-node clustered graph in the sharded label regime. The contract
-//! under test is the update-aware index path:
+//! 50k-node clustered graph in the sharded regime (the graph plus an
+//! edge-cut partition). The contract under test is the update-aware
+//! index path:
 //!
-//! * every write batch carries the label index forward through an
-//!   incremental repair (`IndexState::Repaired` on each published
-//!   snapshot) instead of rebuilding it;
-//! * per-batch repair work is a fraction of the from-scratch rebuild a
-//!   declined repair pays inside the write (asserted against a
-//!   measured build of the same graph, and bounded structurally:
-//!   every batch touches at most half the shards);
+//! * every write batch carries the index forward through a repair
+//!   (`IndexState::Repaired` on each published snapshot) instead of
+//!   rebuilding it, touching at most half the shards;
 //! * steady-state query latency on the written-to engine stays within
 //!   ~2x of a read-only engine serving the same graph;
 //! * served answers are bit-identical to uncached BFS evaluation.
@@ -34,8 +31,7 @@ const UPDATES_PER_BATCH: usize = 6;
 const READS_PER_ROUND: usize = 16;
 
 /// Concrete-color RQ workload (the planner sends these through the
-/// sharded labels; wildcard atoms would run search fallbacks instead of
-/// exercising the index under test).
+/// sharded regime; wildcard atoms would plan search instead).
 fn workload(g: &Graph, count: usize, seed: u64) -> Vec<Query> {
     let mut rng = StdRng::seed_from_u64(seed);
     let pool = ["c0^2 c1", "c1^3", "c0 c1^2", "c2^2", "c2 c0^2"];
@@ -90,14 +86,11 @@ fn repaired_index_serves_a_mixed_stream_at_50k() {
         .shards(SHARDS)
         .build()
         .unwrap();
-    // the engine is built with its index: construction measures what a
-    // rebuild inside the write would pay per batch
     let t1 = Instant::now();
     let engine = UpdatableEngine::with_config(g.clone(), config.clone());
-    let rebuild_time = t1.elapsed();
     let built = engine.snapshot().engine().sharded().is_some();
-    assert!(built, "unbudgeted build cannot fail");
-    println!("initial sharded build (= per-batch rebuild cost): {rebuild_time:.1?}");
+    assert!(built, "the sharded regime is built with the engine");
+    println!("initial sharded build: {:.1?}", t1.elapsed());
 
     // the read-only reference: same graph, same config, no writes
     let frozen = UpdatableEngine::with_config(g, config);
@@ -160,13 +153,7 @@ fn repaired_index_serves_a_mixed_stream_at_50k() {
     let avg_repair = total_repair / WRITE_BATCHES as u32;
     println!(
         "{WRITE_BATCHES} write batches ({total_applied} effective updates): \
-         avg repair {avg_repair:.1?}/batch vs rebuild {rebuild_time:.1?}"
-    );
-    // the headline: repairing after a batch costs a fraction of the
-    // from-scratch rebuild the old design paid on every batch
-    assert!(
-        avg_repair < rebuild_time / 2,
-        "repair ({avg_repair:.1?}) must beat half the rebuild ({rebuild_time:.1?})"
+         avg repair {avg_repair:.1?}/batch"
     );
 
     println!("reads: live {live_read:.1?} vs read-only {ro_read:.1?} (totals)");

@@ -4,8 +4,8 @@
 //! evaluator, backend, plan, memo state, graph version and transport must
 //! return exactly those answers. The reference is `Rq::eval_bfs` /
 //! `Pq::eval_naive` ([`Truth::check`] is the one assertion), and one seeded
-//! [`Case`] — a graph, a partition, an update stream and a mix of RQs and
-//! PQs — is swept over
+//! [`Case`] — a graph, a shard count, an update stream and a mix of RQs
+//! and PQs — is swept over
 //!
 //! * **engines**: the matrix, hop, sharded and search-only regimes, each
 //!   answering `run_batch` cold and warm and every `Plan::ALL` row of its
@@ -14,9 +14,8 @@
 //!   Label indices hold concrete colors only: on the hop and sharded
 //!   regimes a `_`-bearing query plans search, and says so;
 //! * **core**: `eval_with_dist`, `JoinMatch` and `SplitMatch` over the
-//!   matrix, hop, sharded and graph probes (the sharded labels on the
-//!   case's own partition, the label indices on the queries they cover),
-//!   and `eval_bibfs`;
+//!   matrix, hop, sharded and graph probes (the label indices and the
+//!   sharded regime on the queries they cover), and `eval_bibfs`;
 //! * **versions**: an `UpdatableEngine` per regime with a standing PQ,
 //!   queried after every update round as published — every version with
 //!   its index built or repaired, the regime's backend serving what it
@@ -68,8 +67,8 @@ enum GraphSpec {
         colors: usize,
         seed: u64,
     },
-    /// 16 nodes, edges only between even and odd ones: split by parity,
-    /// every edge is cut and every path threads the overlay.
+    /// 16 nodes, edges only between even and odd ones: every path
+    /// alternates parity.
     Bipartite,
     /// Six nodes holding a self-loop, a 2-cycle and a 3-cycle.
     Loops,
@@ -217,9 +216,6 @@ impl PqSpec {
 #[derive(Debug, Clone)]
 struct Case {
     graph: GraphSpec,
-    /// Nodes dealt `v mod shards` (nearly every edge cut) instead of
-    /// label propagation.
-    round_robin: bool,
     shards: usize,
     rounds: Vec<Vec<UpdateSpec>>,
     rqs: Vec<RqSpec>,
@@ -361,15 +357,13 @@ fn random_round(nodes: usize, colors: usize) -> impl Strategy<Value = Vec<Update
 fn workload(graph: GraphSpec) -> impl Strategy<Value = Case> {
     let (nodes, colors) = graph.size();
     (
-        any::<bool>(),
         2usize..5,
         prop::collection::vec(random_round(nodes, colors), 1..5),
         prop::collection::vec(random_rq(colors), 1..3),
         prop::collection::vec(random_pq(colors), 1..3),
     )
-        .prop_map(move |(round_robin, shards, rounds, rqs, pqs)| Case {
+        .prop_map(move |(shards, rounds, rqs, pqs)| Case {
             graph: graph.clone(),
-            round_robin,
             shards,
             rounds,
             rqs,
@@ -390,13 +384,12 @@ fn random_case() -> impl Strategy<Value = Case> {
     )
 }
 
-/// The fixed cases beside the random ones: the bipartite graph split by
-/// parity (every edge cut), and the cycle graph.
+/// The fixed cases beside the random ones: the bipartite graph in two
+/// shards, and the cycle graph.
 fn fixed_cases() -> Vec<Case> {
     let draw = |graph, name| workload(graph).generate(&mut TestRng::for_case(name, 0));
     vec![
         Case {
-            round_robin: true,
             shards: 2,
             ..draw(GraphSpec::Bipartite, "bipartite")
         },
@@ -579,9 +572,6 @@ fn config(b: Backend, shards: usize) -> EngineConfig {
 
 /// A fresh engine of that regime, built with its index.
 fn fresh_engine(b: Backend, g: &Arc<Graph>, shards: usize) -> QueryEngine {
-    if b == Backend::Sharded {
-        return QueryEngine::build_sharded(Arc::clone(g), config(b, shards)).unwrap();
-    }
     QueryEngine::with_config(Arc::clone(g), config(b, shards))
 }
 
@@ -641,36 +631,17 @@ fn sweep_engines(case: &Case, g: &Arc<Graph>, queries: &[Query], truth: &Truth) 
     }
 }
 
-/// The evaluators below the engine, over every probe type — the sharded
-/// labels on the case's own partition, which `build_sharded` cannot take.
+/// The evaluators below the engine, over every probe type.
 fn sweep_core(case: &Case, g: &Arc<Graph>, queries: &[Query], truth: &Truth) {
-    let k = case.shards;
-    let (partition, sg) = if case.round_robin {
-        let shard_of = (0..g.node_count() as u32).map(|v| v % k as u32).collect();
-        let sg = ShardedGraph::with_partition(Arc::clone(g), Partition::from_shard_of(shard_of, k));
-        // an edge is cut iff its ends differ mod k: on the bipartite case, every edge
-        let cut = g
-            .edges()
-            .filter(|(u, v, _)| u.0 % k as u32 != v.0 % k as u32);
-        assert_eq!(sg.cut_edges().len(), cut.count());
-        ("round-robin", sg)
-    } else {
-        ("label-propagation", ShardedGraph::new(Arc::clone(g), k))
-    };
-    let config = ShardedConfig {
-        shards: k,
-        ..ShardedConfig::default()
-    };
     let m = DistanceMatrix::build(g);
     let hop = HopLabels::build(g);
-    let sharded = ShardedLabels::build_on(Arc::new(sg), &config).unwrap();
+    let sharded = ShardedLabels::build(g, case.shards);
     let graph = GraphProbe::new(g);
-    let partition = format!("sharded/{partition}");
     let all: [(&str, &dyn DistProbe); 4] = [
         ("matrix", &m),
         ("graph", &graph),
         ("hop", &hop),
-        (&partition, &sharded),
+        ("sharded", &sharded),
     ];
     let pq_out = |r: PqResult| QueryOutput::Pq(Arc::new(r));
     for q in queries {
