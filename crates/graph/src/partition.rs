@@ -353,6 +353,18 @@ impl Partition {
             sizes[s] += 1;
         }
 
+        Partition::from_shard_of(shard_of, k)
+    }
+
+    /// Build a partition from an explicit node→shard assignment (every
+    /// entry must be `< k`). This is the injection point for external
+    /// partitioners — and for the degenerate cases the test suite pins
+    /// (e.g. a partition cutting every edge).
+    pub fn from_shard_of(shard_of: Vec<u32>, k: usize) -> Partition {
+        let k = k.max(1);
+        for (v, &s) in shard_of.iter().enumerate() {
+            assert!((s as usize) < k, "node {v} assigned to shard {s} >= k={k}");
+        }
         Partition { shard_of, k }
     }
 
@@ -387,7 +399,7 @@ impl Partition {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use crate::gen::{clustered, synthetic};
+    use crate::gen::{clustered, essembly, synthetic};
 
     #[test]
     fn partition_is_balanced_and_total() {
@@ -426,6 +438,42 @@ mod tests {
         }
     }
 
+    /// Cut edges of `g` under `p`.
+    fn cut_count(g: &Graph, p: &Partition) -> usize {
+        g.edges()
+            .filter(|&(u, v, _)| p.shard_of(u) != p.shard_of(v))
+            .count()
+    }
+
+    /// The sharding of a graph is total, in range, and deterministic: every
+    /// node sits in exactly one shard `< k`, the shard sizes add up to
+    /// `|V|`, and partitioning the same graph again assigns the same shards.
+    fn check_invariants(g: &Graph, p: &Partition) {
+        assert_eq!(p.node_count(), g.node_count());
+        for v in g.nodes() {
+            assert!(p.shard_of(v) < p.k(), "{v:?} in shard {}", p.shard_of(v));
+        }
+        let total: usize = (0..p.k()).map(|s| p.shard_size(s)).sum();
+        assert_eq!(total, g.node_count());
+        assert_eq!(p.bytes(), g.node_count() * 4);
+        let again = Partition::edge_cut(g, p.k());
+        assert!(g.nodes().all(|v| again.shard_of(v) == p.shard_of(v)));
+    }
+
+    #[test]
+    fn sharded_graph_invariants() {
+        for k in [1usize, 2, 3, 4] {
+            let g = synthetic(60, 240, 2, 3, 11);
+            let p = Partition::edge_cut(&g, k);
+            check_invariants(&g, &p);
+            if k == 1 {
+                assert_eq!(cut_count(&g, &p), 0, "one shard cuts nothing");
+            }
+        }
+        let e = essembly();
+        check_invariants(&e, &Partition::edge_cut(&e, 3));
+    }
+
     #[test]
     fn clustered_graphs_cut_few_edges() {
         let g = clustered(400, 1600, 4, 2, 3, 30, 5);
@@ -442,6 +490,33 @@ mod tests {
         let largest = (0..4).map(|s| p.shard_size(s)).max().unwrap();
         assert_eq!(largest, 100, "balanced at |V|/k");
         assert_eq!(p.bytes(), 400 * 4);
+    }
+
+    #[test]
+    fn explicit_partition_and_degenerate_cut() {
+        // even/odd split of a path graph cuts every edge
+        let mut b = GraphBuilder::new();
+        let nodes: Vec<_> = (0..8).map(|i| b.add_node(&format!("n{i}"), [])).collect();
+        let c = b.color("c");
+        for w in nodes.windows(2) {
+            b.add_edge(w[0], w[1], c);
+        }
+        let g = b.build();
+        let shard_of: Vec<u32> = (0..8).map(|v| (v % 2) as u32).collect();
+        let p = Partition::from_shard_of(shard_of, 2);
+        assert_eq!(p.k(), 2);
+        assert_eq!((p.shard_size(0), p.shard_size(1)), (4, 4));
+        assert!(nodes.iter().all(|&v| p.shard_of(v) == v.index() % 2));
+        assert_eq!(cut_count(&g, &p), g.edge_count());
+        // one singleton shard per node cuts every edge as well
+        let singletons = Partition::edge_cut(&g, 8);
+        assert_eq!(cut_count(&g, &singletons), g.edge_count());
+    }
+
+    #[test]
+    #[should_panic(expected = ">= k")]
+    fn from_shard_of_validates() {
+        Partition::from_shard_of(vec![0, 5], 2);
     }
 
     #[test]

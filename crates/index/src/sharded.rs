@@ -188,8 +188,268 @@ impl DistProbe for ShardedLabels {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpq_graph::gen::synthetic;
-    use rpq_graph::GraphBuilder;
+    use crate::probe::pairwise_sources_reaching;
+    use rpq_graph::gen::{clustered, essembly, synthetic};
+    use rpq_graph::{DistanceMatrix, GraphBuilder};
+
+    /// The largest finite distance a probe reports.
+    const DIST_CAP: u16 = u16::MAX - 1;
+
+    fn all_colors(g: &Graph) -> Vec<Color> {
+        g.alphabet().colors().collect()
+    }
+
+    fn assert_probe_parity(g: &Arc<Graph>, labels: &ShardedLabels) {
+        let m = DistanceMatrix::build(g);
+        for c in all_colors(g) {
+            for u in g.nodes() {
+                for v in g.nodes() {
+                    assert_eq!(
+                        DistProbe::dist(labels, u, v, c),
+                        m.dist(u, v, c),
+                        "dist({u:?},{v:?},{c:?})"
+                    );
+                }
+                for max in [0u16, 1, 2, 5, DIST_CAP] {
+                    let mut want = vec![false; g.node_count()];
+                    DistProbe::for_each_within(&m, u, c, max, &mut |z| want[z.index()] = true);
+                    let mut got = vec![false; g.node_count()];
+                    labels.for_each_within(u, c, max, &mut |z| got[z.index()] = true);
+                    assert_eq!(got, want, "scan from {u:?} color {c:?} max {max}");
+                }
+            }
+        }
+    }
+
+    /// The shards holding an intra-shard change of `changes` under `p`.
+    fn shards_touched(p: &Partition, changes: &[(NodeId, NodeId, Color)]) -> usize {
+        let mut shards: Vec<usize> = (changes.iter())
+            .filter(|&&(u, v, _)| p.shard_of(u) == p.shard_of(v))
+            .map(|&(u, _, _)| p.shard_of(u))
+            .collect();
+        shards.sort_unstable();
+        shards.dedup();
+        shards.len()
+    }
+
+    /// Node `v` in shard `v % 2`: every edge between nodes of different
+    /// parity is cut.
+    fn even_odd(g: &Arc<Graph>) -> ShardedLabels {
+        let shard_of = (0..g.node_count() as u32).map(|v| v % 2).collect();
+        ShardedLabels::over(Arc::clone(g), Partition::from_shard_of(shard_of, 2))
+    }
+
+    #[test]
+    fn parity_on_synthetic_graphs() {
+        for (seed, k) in [(5u64, 2usize), (9, 3), (23, 4)] {
+            let g = Arc::new(synthetic(40, 150, 2, 3, seed));
+            let labels = ShardedLabels::build(&g, k);
+            assert_eq!(labels.partition().k(), k);
+            assert_probe_parity(&g, &labels);
+        }
+    }
+
+    #[test]
+    fn parity_on_clustered_and_essembly() {
+        let g = Arc::new(clustered(80, 320, 4, 2, 3, 80, 3));
+        assert_probe_parity(&g, &ShardedLabels::build(&g, 4));
+        let e = Arc::new(essembly());
+        assert_probe_parity(&e, &ShardedLabels::build(&e, 3));
+    }
+
+    /// Two colors on an even ring with odd-length chords: an even/odd
+    /// partition cuts every edge.
+    fn all_cut_ring(chords: bool) -> (Arc<Graph>, Vec<NodeId>, [Color; 2]) {
+        let mut b = GraphBuilder::new();
+        let nodes: Vec<NodeId> = (0..12).map(|i| b.add_node(&format!("n{i}"), [])).collect();
+        let r = b.color("r");
+        let s = b.color("s");
+        for i in 0..12 {
+            b.add_edge(
+                nodes[i],
+                nodes[(i + 1) % 12],
+                if i % 2 == 0 { r } else { s },
+            );
+            if chords {
+                b.add_edge(nodes[i], nodes[(i + 5) % 12], r);
+            }
+        }
+        (Arc::new(b.build()), nodes, [r, s])
+    }
+
+    #[test]
+    fn parity_with_every_edge_cut() {
+        let (g, _, _) = all_cut_ring(true);
+        let labels = even_odd(&g);
+        let part = labels.partition();
+        let cut = g
+            .edges()
+            .filter(|&(u, v, _)| part.shard_of(u) != part.shard_of(v));
+        assert_eq!(cut.count(), g.edge_count(), "degenerate cut");
+        assert_probe_parity(&g, &labels);
+    }
+
+    #[test]
+    fn bulk_matches_pairwise_and_matrix() {
+        for (seed, k) in [(11u64, 2usize), (29, 3), (77, 4)] {
+            let g = Arc::new(synthetic(50, 200, 2, 3, seed));
+            let m = DistanceMatrix::build(&g);
+            let labels = ShardedLabels::build(&g, k);
+            let nodes: Vec<NodeId> = g.nodes().collect();
+            let every_3rd: Vec<NodeId> = nodes.iter().copied().step_by(3).collect();
+            let subsets: [(&[NodeId], &[NodeId]); 5] = [
+                (&nodes[0..20], &nodes[25..45]),
+                (&nodes[10..35], &nodes[20..30]),
+                (&nodes[0..50], &nodes[0..50]),
+                (&nodes[7..8], &nodes[7..8]),
+                (&nodes[0..50], &every_3rd),
+            ];
+            for c in all_colors(&g) {
+                for (sources, targets) in subsets {
+                    for max in [None, Some(0u32), Some(1), Some(2), Some(7)] {
+                        let got = labels.sources_reaching_within(&g, sources, targets, c, max);
+                        let want = pairwise_sources_reaching(&m, &g, sources, targets, c, max);
+                        assert_eq!(got, want, "bulk({c:?}, within {max:?}, seed {seed}, k {k})");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reaches_and_cycles_agree_with_matrix() {
+        let g = Arc::new(synthetic(36, 140, 2, 2, 13));
+        let m = DistanceMatrix::build(&g);
+        let labels = ShardedLabels::build(&g, 3);
+        for c in all_colors(&g) {
+            for u in g.nodes() {
+                for max in [None, Some(0u32), Some(1), Some(3)] {
+                    assert_eq!(
+                        labels.has_cycle_within(&g, u, c, max),
+                        m.has_cycle_within(&g, u, c, max),
+                        "cycle at {u:?} {c:?} within {max:?}"
+                    );
+                }
+                for v in g.nodes() {
+                    for max in [None, Some(0u32), Some(1), Some(3)] {
+                        assert_eq!(
+                            labels.reaches_within(&g, u, v, c, max),
+                            m.reaches_within(&g, u, v, c, max),
+                            "reaches {u:?}->{v:?} {c:?} within {max:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    fn lcg(s: &mut u64) -> u64 {
+        *s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *s >> 33
+    }
+
+    /// Apply pseudo-random edge flips, returning the new graph and the
+    /// effective change list.
+    fn random_mutation_round(
+        g: &Graph,
+        count: usize,
+        seed: u64,
+    ) -> (Arc<Graph>, Vec<(NodeId, NodeId, Color)>) {
+        let n = g.node_count() as u64;
+        let m = g.alphabet().len() as u64;
+        let mut b = GraphBuilder::from_graph(g);
+        let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
+        let mut eff = Vec::new();
+        for _ in 0..count {
+            let u = NodeId((lcg(&mut s) % n) as u32);
+            let v = NodeId((lcg(&mut s) % n) as u32);
+            let c = Color((lcg(&mut s) % m) as u8);
+            let applied = match lcg(&mut s) % 2 {
+                0 => b.insert_edge(u, v, c) || b.remove_edge(u, v, c),
+                _ => b.remove_edge(u, v, c) || b.insert_edge(u, v, c),
+            };
+            if applied {
+                eff.push((u, v, c));
+            }
+        }
+        (Arc::new(b.build()), eff)
+    }
+
+    #[test]
+    fn repair_matches_rebuild_after_updates() {
+        for (seed, k) in [(5u64, 2usize), (9, 3), (23, 4)] {
+            let g = Arc::new(synthetic(40, 150, 2, 3, seed));
+            let labels = ShardedLabels::build(&g, k);
+            let (g2, eff) = random_mutation_round(&g, 12, seed ^ 0xFACE);
+            assert!(!eff.is_empty());
+            let (repaired, touched) = labels.repair(Arc::clone(&g2), &eff);
+            assert!(touched <= k);
+            assert_eq!(touched, shards_touched(labels.partition(), &eff));
+            // the partition is carried: the same node → shard assignment
+            let (before, after) = (labels.partition(), repaired.partition());
+            assert_eq!(after.k(), k);
+            assert!(g.nodes().all(|v| before.shard_of(v) == after.shard_of(v)));
+            assert_probe_parity(&g2, &repaired);
+        }
+    }
+
+    #[test]
+    fn intra_shard_change_touches_one_shard() {
+        let g = Arc::new(synthetic(40, 150, 2, 2, 31));
+        let k = 4;
+        let labels = ShardedLabels::build(&g, k);
+        let part = labels.partition();
+        // two distinct nodes of shard 0
+        let (u, v) = {
+            let mut it = g.nodes().filter(|&v| part.shard_of(v) == 0);
+            (it.next().unwrap(), it.next().unwrap())
+        };
+        let c = Color(0);
+        let mut b = GraphBuilder::from_graph(&g);
+        let applied = b.insert_edge(u, v, c) || b.remove_edge(u, v, c);
+        assert!(applied);
+        let g2 = Arc::new(b.build());
+        let (repaired, touched) = labels.repair(Arc::clone(&g2), &[(u, v, c)]);
+        assert_eq!(touched, 1);
+        assert_probe_parity(&g2, &repaired);
+    }
+
+    #[test]
+    fn cross_shard_change_carries_every_shard() {
+        let g = Arc::new(synthetic(40, 150, 2, 2, 17));
+        let k = 3;
+        let labels = ShardedLabels::build(&g, k);
+        let part = labels.partition();
+        let u = g.nodes().find(|&v| part.shard_of(v) == 0).unwrap();
+        let v = g.nodes().find(|&v| part.shard_of(v) == 1).unwrap();
+        let c = Color(1);
+        let mut b = GraphBuilder::from_graph(&g);
+        let applied = b.insert_edge(u, v, c) || b.remove_edge(u, v, c);
+        assert!(applied);
+        let g2 = Arc::new(b.build());
+        let (repaired, touched) = labels.repair(Arc::clone(&g2), &[(u, v, c)]);
+        // a change between two shards touches none of them
+        assert_eq!(touched, 0);
+        assert_eq!(repaired.partition().k(), k);
+        assert_probe_parity(&g2, &repaired);
+    }
+
+    #[test]
+    fn repair_with_every_edge_cut_partition() {
+        let (g, nodes, [r, s]) = all_cut_ring(false);
+        let labels = even_odd(&g);
+        // delete one ring edge, insert a chord — both cross-shard
+        let mut gb = GraphBuilder::from_graph(&g);
+        assert!(gb.remove_edge(nodes[0], nodes[1], r));
+        assert!(gb.insert_edge(nodes[2], nodes[9], s));
+        let g2 = Arc::new(gb.build());
+        let changes = [(nodes[0], nodes[1], r), (nodes[2], nodes[9], s)];
+        let (repaired, touched) = labels.repair(Arc::clone(&g2), &changes);
+        assert_eq!(touched, 0);
+        assert_probe_parity(&g2, &repaired);
+    }
 
     /// An `r` ring through eight nodes, two `s` two-cycles and one `s`
     /// chord.
@@ -218,18 +478,9 @@ mod tests {
         assert!(b.remove_edge(n[0], n[1], r));
         assert!(b.insert_edge(n[4], n[3], r));
         let g2 = Arc::new(b.build());
-        let mut shards: Vec<usize> = (changes.iter())
-            .filter(|&&(u, v, _)| part.shard_of(u) == part.shard_of(v))
-            .map(|&(u, _, _)| part.shard_of(u))
-            .collect();
-        shards.sort_unstable();
-        shards.dedup();
+        let want = shards_touched(part, &changes);
         let (labels, touched) = labels.repair(Arc::clone(&g2), &changes);
-        assert_eq!(
-            touched,
-            shards.len(),
-            "shards holding an intra-shard change"
-        );
+        assert_eq!(touched, want, "shards holding an intra-shard change");
         // what only the new version answers
         assert!(labels.has_cycle_within(&g2, n[2], r, Some(1)), "self-loop");
         assert!(

@@ -4,8 +4,9 @@
 //! * regex matching agrees with its NFA compilation,
 //! * minimization preserves equivalence and never grows a query,
 //! * PQ containment is a preorder consistent with evaluation,
-//! * incremental hop-label repair is observationally identical to a
-//!   from-scratch rebuild, and the graph probe to the distance matrix.
+//! * incremental index repair is observationally identical to a
+//!   from-scratch rebuild (hop labels and sharded labels alike), and the
+//!   graph probe to the distance matrix.
 //!
 //! Answers of the evaluators themselves are the differential oracle's
 //! (`tests/oracle.rs`).
@@ -279,5 +280,39 @@ proptest! {
         }
         assert_probe_equal(&g, &labels, &rpq::index::HopLabels::build(&g), false);
         assert_probe_equal(&g, &GraphProbe::new(&g), &DistanceMatrix::build(&g), true);
+    }
+
+    /// A repaired sharded index equals a from-scratch sharded build of the
+    /// new graph and keeps its partition, on a clustered partition and on
+    /// the degenerate one with a shard per node, where every edge but a
+    /// self-loop is cut and no change touches a shard's interior.
+    #[test]
+    fn sharded_repair_equals_rebuild(
+        (seed, n, e) in arb_graph(),
+        flips in 1usize..8,
+        degenerate in any::<bool>(),
+    ) {
+        use std::sync::Arc;
+        let n = n.max(8);
+        let g = Arc::new(build_graph(seed.wrapping_add(29), n, e));
+        let k = if degenerate { n } else { 3 };
+        let labels = ShardedLabels::build(&g, k);
+
+        let (g2, eff) = mutation_round(&g, flips, seed ^ 0xA5A5);
+        let g2 = Arc::new(g2);
+        let (repaired, touched) = labels.repair(Arc::clone(&g2), &eff);
+        let (before, after) = (labels.partition(), repaired.partition());
+        assert_eq!(after.k(), k);
+        assert!(g.nodes().all(|v| before.shard_of(v) == after.shard_of(v)));
+        assert!(touched <= k);
+        if degenerate {
+            let loops = eff.iter().filter(|&&(u, v, _)| u == v);
+            let mut looped: Vec<NodeId> = loops.map(|&(u, _, _)| u).collect();
+            looped.sort_unstable();
+            looped.dedup();
+            assert_eq!(touched, looped.len(), "only a self-loop is intra-shard");
+        }
+        let fresh = ShardedLabels::build(&g2, k);
+        assert_probe_equal(&g2, &repaired, &fresh, false);
     }
 }
