@@ -317,6 +317,7 @@ pub fn assert_observability(addr: &str) -> Result<(), String> {
         "rpq_queries_total",
         "rpq_request_latency_seconds_count",
         "rpq_uptime_seconds",
+        "rpq_semcache_declined_total",
     ] {
         if rpq_server::metrics::sample(&samples, family).is_none() {
             return Err(format!("/metrics lacks the {family} series"));

@@ -761,17 +761,22 @@ pub(crate) fn rq_targets(g: &Graph, to: &Predicate, pairs: &[(NodeId, NodeId)]) 
 }
 
 /// Probe-backed RQ evaluation after a declined cache probe: the key's
-/// *full* reach set — target predicate widened to `true`, trading the
-/// backward-pruning pass for a reusable cache entry — is patched from the
-/// cell an earlier graph version left in the memo, re-evaluating through
-/// the index (or the graph) only the sources the changes since can reach
-/// ([`SemanticMemo::patch`], [`patch_reach_set`]); without one, or when
-/// the patch would touch most sources, it is computed in full and
-/// installed via [`SemanticMemo::insert`]. Either way the query's answer
-/// is the set filtered down to its targets ([`SemanticMemo::answer`], which
-/// keeps it for the next exact hit with the same target), and the next
-/// exact or contained query on the key is a cache hit. Also returns the
-/// miss: [`Lookup::Patched`] or [`Lookup::Miss`].
+/// *full* reach set — target predicate widened to `true` — is patched
+/// from the cell an earlier graph version left in the memo,
+/// re-evaluating through the index (or the graph) only the sources the
+/// changes since can reach ([`SemanticMemo::patch`], [`patch_reach_set`]).
+/// Without one, or when the patch would touch most sources, the memo
+/// decides whether the key is worth a cell ([`SemanticMemo::admit`]).
+/// Admitted — always while the memo has room, else from the key's second
+/// miss — the set is computed in full and installed via
+/// [`SemanticMemo::insert`], trading the backward-pruning pass for a
+/// reusable cache entry. Patched or admitted, the query's answer is the
+/// set filtered down to its targets ([`SemanticMemo::answer`], which keeps
+/// it for the next exact hit with the same target), and the next exact or
+/// contained query on the key is a cache hit. Declined, the query alone is
+/// evaluated (§4's DM tests its target predicate on the last level) and
+/// nothing is installed. Also returns the miss: [`Lookup::Patched`],
+/// [`Lookup::Miss`] or [`Lookup::Declined`].
 fn rq_indexed<D: DistProbe>(
     g: &Graph,
     rq: &Rq,
@@ -782,9 +787,15 @@ fn rq_indexed<D: DistProbe>(
     let patch = |old: &[_], changes: &[_]| patch_reach_set(g, &wide, probe, old, changes);
     let (pairs, lookup) = match memo.patch(&rq.from, &rq.regex, patch) {
         Some(pairs) => (pairs, Lookup::Patched),
-        None => {
+        None if memo.admit(&rq.from, &rq.regex) => {
             let full = wide.eval_with_dist(g, probe).into_pairs();
             (memo.insert(&rq.from, &rq.regex, full), Lookup::Miss)
+        }
+        None => {
+            return (
+                QueryOutput::Rq(rq.eval_with_dist(g, probe)),
+                Lookup::Declined,
+            )
         }
     };
     (QueryOutput::Rq(memo.answer(g, rq, &pairs)), lookup)
@@ -1274,6 +1285,63 @@ mod tests {
             assert_eq!(planned, [backend; 2], "{limit} {budget} {shards}");
             // and every rung answers identically
             assert_eq!(engine.run_query(&q), reference);
+        }
+    }
+
+    /// Every backend answers through a full memo exactly as the
+    /// reference evaluator does: on a key's declined first miss, on its
+    /// admitted second miss, and on the exact hits after it. The memo's
+    /// budget holds a few wide reach sets, so it fills early in the first
+    /// round, which asks every query once; the second round asks each
+    /// three times in a row.
+    #[test]
+    fn a_full_memo_answers_alike_on_every_outcome() {
+        use rpq_bench::querygen::generate_rq;
+        let g = Arc::new(rpq_graph::gen::youtube_like(600, 1));
+        let rqs: Vec<Rq> = (0..24).map(|seed| generate_rq(&g, 2, 3, 2, seed)).collect();
+        let truth: Vec<RqResult> = rqs.iter().map(|rq| rq.eval_bfs(&g)).collect();
+        let queries: Vec<Query> = rqs.into_iter().map(Query::Rq).collect();
+        // (matrix_node_limit, hop_label_budget, shards) → the rung built
+        let rungs = [
+            ((2048, 0, 1), Backend::Matrix),
+            ((0, 256 << 20, 1), Backend::Hop),
+            ((0, 0, 3), Backend::Sharded),
+            ((0, 0, 1), Backend::Search),
+        ];
+        for ((limit, budget, shards), backend) in rungs {
+            let config = EngineConfig {
+                matrix_node_limit: limit,
+                hop_label_budget: budget,
+                shards,
+                ..EngineConfig::default()
+            };
+            let engine = QueryEngine::with_config(Arc::clone(&g), config)
+                .with_memo(SemanticMemo::with_byte_budget(64 << 10));
+            let mut declined = vec![false; queries.len()];
+            let (mut admitted, mut exact) = (0, 0);
+            for (round, asks) in [(1, 1), (2, 3)] {
+                for (i, query) in queries.iter().enumerate() {
+                    for _ in 0..asks {
+                        let batch = engine.run_batch(std::slice::from_ref(query));
+                        let item = &batch.items()[0];
+                        assert_eq!(item.plan.backend(), backend);
+                        let answer = item.output.as_rq().expect("an RQ answer");
+                        assert_eq!(answer, &truth[i], "{backend:?} query {i} round {round}");
+                        let s = batch.semantic_stats();
+                        if s.declined == 1 {
+                            declined[i] = true;
+                        } else if s.misses == 1 && declined[i] {
+                            admitted += 1;
+                        }
+                        exact += s.exact_hits;
+                    }
+                }
+            }
+            let declined = declined.iter().filter(|&&d| d).count();
+            assert!(
+                declined > 0 && admitted > 0 && exact > 0,
+                "{backend:?}: {declined} keys declined, {admitted} admitted, {exact} exact hits"
+            );
         }
     }
 

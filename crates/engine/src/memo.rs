@@ -15,7 +15,12 @@
 //!    ([`SemanticMemo::try_answer`]) computes the key's full pair set
 //!    over its index or the graph and installs it
 //!    ([`SemanticMemo::insert`]); every later lookup gets the `Arc` for
-//!    free.
+//!    free. That holds while the memo has room. Once it has had to evict
+//!    a cell to stay within its byte budget, a key is installed from its
+//!    *second* miss ([`SemanticMemo::admit`], the "doorkeeper" of TinyLFU:
+//!    Einziger, Friedman and Manes, ACM ToS 2017): a first miss answers
+//!    its query alone and installs nothing, so a key that never comes
+//!    back neither pays for its wide reach set nor evicts a cell.
 //! 3. **Containment answering.** On an exact miss the memo consults a
 //!    candidate index — fresh cells bucketed by regex *skeleton*
 //!    (run-color sequence) — for a cached entry whose predicate/regex
@@ -53,6 +58,9 @@
 //! first, and only then are cells evicted — from the table and the
 //! candidate index, while outstanding `Arc`s keep served answers alive.
 //! So which reach sets a workload keeps does not depend on its answers.
+//! The first cell evicted allocates the *seen set* of admission: a
+//! direct-mapped table of 64-bit key hashes, one slot per 4 KiB of
+//! budget, so a memo that never fills pays nothing for it.
 //!
 //! **Versions.** A memo belongs to one [`QueryEngine`](crate::QueryEngine),
 //! whose graph never changes, so a fresh cell is never wrong for the
@@ -68,7 +76,10 @@
 //! and installs the patched set, which supersedes the inherited cell. A
 //! cell left unread keeps appending later batches to its log, and is
 //! dropped after `CARRY_VERSIONS` (four) unread versions. Inherited cells
-//! share the table, the LRU order and the byte budget with fresh ones.
+//! share the table, the LRU order and the byte budget with fresh ones,
+//! and the next version shares the seen set (through an `Arc`), so a
+//! full memo stays full and a key first seen at one version is admitted
+//! on its second miss at the next.
 //!
 //! Concurrency scheme: one mutex over the table, held to look a key up,
 //! clone a cell's `Arc` and install a computed set; reach-set
@@ -86,9 +97,11 @@ use rpq_graph::{Color, Graph, NodeId};
 use rpq_index::GraphProbe;
 use rpq_regex::canon::{contains_fast, is_canonical, skeleton, wildcard_skeleton};
 use rpq_regex::FRegex;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 type PairSet = Arc<Vec<(NodeId, NodeId)>>;
@@ -128,6 +141,44 @@ const ANSWER_BYTES_PER_PAIR: usize = PAIR_BYTES + 24;
 /// log grows memory past a quarter.
 const CARRY_VERSIONS: usize = 4;
 
+/// Bytes of byte budget per slot of the seen set: 8 192 slots (64 KiB) at
+/// the default 32 MiB. A full memo holds far fewer cells than that — on
+/// `hop_unique` a wide reach set is ≈ 9 300 pairs, ≈ 73 KiB — so the set
+/// remembers the keys of many cells' worth of first misses.
+const BUDGET_PER_SEEN_SLOT: usize = 4 << 10;
+
+/// The keys that missed once since the memo first evicted a cell: a
+/// direct-mapped table of full 64-bit key hashes, 0 for an empty slot.
+/// A key is admitted when its slot still holds its hash. A key hashed to
+/// a taken slot overwrites it, which only makes the table forget the
+/// other key — one more first miss for it, never a wrong answer — and a
+/// key is admitted only on a full 64-bit match.
+struct Seen {
+    slots: Box<[AtomicU64]>,
+}
+
+impl Seen {
+    fn new(byte_budget: usize) -> Self {
+        let slots = (byte_budget / BUDGET_PER_SEEN_SLOT).max(1);
+        Seen {
+            slots: (0..slots).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// Record a miss on `(from, canon)`: whether the key's slot already
+    /// held it.
+    fn missed_before(&self, from: &Predicate, canon: &FRegex) -> bool {
+        let mut hasher = DefaultHasher::new();
+        (from, canon).hash(&mut hasher);
+        let hash = hasher.finish().max(1);
+        let slot = &self.slots[(hash % self.slots.len() as u64) as usize];
+        // a slot publishes nothing but its own value: versions and racing
+        // misses may see each other's records late, which costs at most
+        // one more first miss
+        slot.swap(hash, Ordering::Relaxed) == hash
+    }
+}
+
 /// Counters of the semantic layer, split by hit kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SemanticStats {
@@ -141,6 +192,11 @@ pub struct SemanticStats {
     /// graph version instead of evaluating in full — a subset of
     /// [`misses`](Self::misses), so hit and miss rates keep their meaning.
     pub patched: u64,
+    /// The misses a full memo declined to install
+    /// ([`SemanticMemo::admit`]): the key's first miss since the memo
+    /// filled, answered by evaluating the query alone. A subset of
+    /// [`misses`](Self::misses), like [`patched`](Self::patched).
+    pub declined: u64,
     /// Time spent filtering/re-verifying cached pair sets for
     /// subsumption answers.
     pub filter_time: Duration,
@@ -169,6 +225,10 @@ impl SemanticStats {
                 self.misses += 1;
                 self.patched += 1;
             }
+            Lookup::Declined => {
+                self.misses += 1;
+                self.declined += 1;
+            }
         }
     }
 }
@@ -184,21 +244,27 @@ pub enum Lookup {
         /// Time this lookup spent filtering the donor's pair set.
         filter_time: Duration,
     },
-    /// Nothing cached could answer: the caller evaluated in full.
+    /// Nothing cached could answer: the caller evaluated the key's reach
+    /// set in full and installed it — on a memo that has evicted a cell,
+    /// only from the key's second miss ([`SemanticMemo::admit`]).
     Miss,
     /// A miss the caller answered by patching an inherited cell
     /// ([`SemanticMemo::patch`]).
     Patched,
+    /// A first miss on a full memo: the caller evaluated the query alone
+    /// and installed nothing ([`SemanticMemo::admit`]).
+    Declined,
 }
 
 impl Lookup {
     /// Label for profiles: `exact_hit`, `subsumption_hit`, `miss` or
-    /// `patched`.
+    /// `patched`. A declined miss reads `miss`: it is one, and only the
+    /// [`declined`](SemanticStats::declined) counter tells it apart.
     pub fn as_str(self) -> &'static str {
         match self {
             Lookup::Exact => "exact_hit",
             Lookup::Subsumption { .. } => "subsumption_hit",
-            Lookup::Miss => "miss",
+            Lookup::Miss | Lookup::Declined => "miss",
             Lookup::Patched => "patched",
         }
     }
@@ -290,16 +356,17 @@ impl Table {
     /// an inherited one, visible to containment lookups and charged to
     /// `budget` (least recently used cells are evicted past it). The
     /// first install wins: with a fresh cell there already, its set is
-    /// returned and `pairs` dropped.
+    /// returned and `pairs` dropped. Also returns whether a cell was
+    /// evicted.
     fn install(
         &mut self,
         from: &Predicate,
         canon: &FRegex,
         pairs: Vec<(NodeId, NodeId)>,
         budget: usize,
-    ) -> PairSet {
+    ) -> (PairSet, bool) {
         if let Some(cell) = self.fresh(from, canon) {
-            return Arc::clone(&cell.pairs);
+            return (Arc::clone(&cell.pairs), false);
         }
         self.remove(from, canon);
         let pairs = Arc::new(pairs);
@@ -317,8 +384,8 @@ impl Table {
         inner.insert(canon.clone(), cell);
         let bucket = self.index.entry(skeleton(canon)).or_default();
         bucket.push((from.clone(), canon.clone()));
-        self.make_room(budget, (from, canon));
-        pairs
+        let evicted = self.make_room(budget, (from, canon));
+        (pairs, evicted)
     }
 
     /// Take the cell of `(from, canon)` out of the table, the candidate
@@ -346,9 +413,11 @@ impl Table {
     /// least recently used cell first — the next hit remakes one from its
     /// reach set — then least recently used cells, fresh or inherited,
     /// other than `keep`. So answers live in the room reach sets leave,
-    /// and never cost a reach set its place.
-    fn make_room(&mut self, budget: usize, keep: (&Predicate, &FRegex)) {
+    /// and never cost a reach set its place. Returns whether a cell was
+    /// evicted.
+    fn make_room(&mut self, budget: usize, keep: (&Predicate, &FRegex)) -> bool {
         while self.bytes > budget && self.drop_lru_answers() {}
+        let mut evicted = false;
         while self.bytes > budget {
             let Some((from, canon)) = (self.map.iter())
                 .flat_map(|(p, inner)| inner.iter().map(move |(r, cell)| (cell.tick, p, r)))
@@ -359,7 +428,9 @@ impl Table {
                 break;
             };
             self.remove(&from, &canon);
+            evicted = true;
         }
+        evicted
     }
 
     /// Drop the answers of the least recently used cell that keeps any;
@@ -434,8 +505,13 @@ pub struct SemanticMemo {
     subsumption_hits: AtomicU64,
     misses: AtomicU64,
     patched: AtomicU64,
+    declined: AtomicU64,
     filter_nanos: AtomicU64,
     byte_budget: usize,
+    /// Set when the first cell is evicted, and shared with every later
+    /// version: whether the memo is full, and the keys seen to miss once
+    /// since ([`admit`](Self::admit)).
+    seen: OnceLock<Arc<Seen>>,
 }
 
 impl std::fmt::Debug for SemanticMemo {
@@ -469,7 +545,8 @@ impl SemanticMemo {
     /// The one lookup: a fresh exact cell or a containing donor answers
     /// `rq` — and a derived reach set is installed as a new cell — but a
     /// full miss returns `None` without installing anything, leaving the
-    /// caller to evaluate over its index or the graph,
+    /// caller to evaluate over its index or the graph — when the memo
+    /// [`admit`](SemanticMemo::admit)s the key,
     /// [`insert`](SemanticMemo::insert) the reach set and take its
     /// [`answer`](SemanticMemo::answer). `None` is always a
     /// [`Lookup::Miss`]: the returned [`Lookup`] is a hit's. An exact hit
@@ -555,7 +632,8 @@ impl SemanticMemo {
     /// Install an externally computed reach set for `(from, regex)`.
     ///
     /// Every RQ plan but `biBFS` calls this after a declined
-    /// [`try_answer`](SemanticMemo::try_answer), so the reach sets it
+    /// [`try_answer`](SemanticMemo::try_answer) on a key the memo
+    /// [`admit`](SemanticMemo::admit)s, so the reach sets it
     /// computes through its index or the graph become donors for later
     /// exact and containment lookups. `pairs` must be the key's *complete*
     /// reach set — every `(x, y)` with `x ⊨ from`, unfiltered by any
@@ -580,7 +658,33 @@ impl SemanticMemo {
 
     fn install(&self, from: &Predicate, canon: &FRegex, pairs: Vec<(NodeId, NodeId)>) -> PairSet {
         let mut table = self.cells.lock().expect("memo poisoned");
-        table.install(from, canon, pairs, self.byte_budget)
+        let (pairs, evicted) = table.install(from, canon, pairs, self.byte_budget);
+        drop(table);
+        if evicted {
+            self.seen
+                .get_or_init(|| Arc::new(Seen::new(self.byte_budget)));
+        }
+        pairs
+    }
+
+    /// Whether a miss on `(from, regex)` that no inherited cell patched
+    /// should compute the key's complete reach set and
+    /// [`insert`](Self::insert) it. Always, while this memo (or one it was
+    /// carried from) has never evicted a cell. Once one has, only on the
+    /// key's second miss: a first miss is recorded in the seen set,
+    /// counted as [`declined`](SemanticStats::declined), and the caller
+    /// evaluates the query alone and installs nothing — a key that never
+    /// comes back evicts no cell and pays only for its own answer.
+    pub fn admit(&self, from: &Predicate, regex: &FRegex) -> bool {
+        debug_assert!(is_canonical(regex), "memo keys are canonical");
+        let Some(seen) = self.seen.get() else {
+            return true;
+        };
+        if seen.missed_before(from, regex) {
+            return true;
+        }
+        self.declined.fetch_add(1, Ordering::Relaxed);
+        false
     }
 
     /// The miss path's second chance: if this memo inherited a cell of
@@ -589,8 +693,10 @@ impl SemanticMemo {
     /// key's complete, sorted reach set on this version — is installed as
     /// a fresh cell (superseding the inherited one) and counted as
     /// [`patched`](SemanticStats::patched). `None` when nothing was
-    /// inherited for the key or `patch` declined: the caller evaluates in
-    /// full and [`insert`](Self::insert)s. `patch` runs outside the lock.
+    /// inherited for the key or `patch` declined: the caller asks
+    /// [`admit`](Self::admit), then evaluates in full and
+    /// [`insert`](Self::insert)s or evaluates the query alone. `patch`
+    /// runs outside the lock.
     pub fn patch(
         &self,
         from: &Predicate,
@@ -614,8 +720,9 @@ impl SemanticMemo {
     /// later: every fresh cell of this memo, and every inherited one
     /// unread for fewer than `CARRY_VERSIONS` (four) versions, inherited with
     /// `changes` appended to its log. Pair sets are shared, not copied,
-    /// and per-target answers are not inherited; LRU order and the byte
-    /// budget carry over; counters start at zero.
+    /// and per-target answers are not inherited; LRU order, the byte
+    /// budget and the seen set of admission (shared, so the next version
+    /// is full if this one is) carry over; counters start at zero.
     pub fn carry(&self, changes: &[EdgeChange]) -> SemanticMemo {
         let table = self.cells.lock().expect("memo poisoned");
         let mut next = Table {
@@ -652,6 +759,7 @@ impl SemanticMemo {
         SemanticMemo {
             cells: Mutex::new(next),
             byte_budget: self.byte_budget,
+            seen: self.seen.clone(),
             ..SemanticMemo::default()
         }
     }
@@ -664,6 +772,7 @@ impl SemanticMemo {
             subsumption_hits: self.subsumption_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             patched: self.patched.load(Ordering::Relaxed),
+            declined: self.declined.load(Ordering::Relaxed),
             filter_time: Duration::from_nanos(self.filter_nanos.load(Ordering::Relaxed)),
         }
     }
@@ -736,16 +845,27 @@ mod tests {
         Rq::new(from.clone(), Predicate::always_true(), canonicalize(re))
     }
 
-    /// What the engine does for an RQ: look up, and on a miss evaluate,
-    /// install and take the answer.
+    /// What the engine does for an RQ: look up; on a miss the memo
+    /// admits, evaluate the key's reach set, install it and take the
+    /// answer; on one it declines, evaluate the query alone.
     fn ask(memo: &SemanticMemo, g: &Graph, rq: &Rq) -> RqResult {
         match memo.try_answer(g, rq) {
             Some((answer, _)) => answer,
-            None => {
-                let pairs = memo.insert(&rq.from, &rq.regex, reach(g, &rq.from, &rq.regex));
-                memo.answer(g, rq, &pairs)
-            }
+            None => miss(memo, g, rq, None),
         }
+    }
+
+    /// The engine's miss path after `patched` (the pairs an inherited
+    /// cell was patched into, if it was).
+    fn miss(memo: &SemanticMemo, g: &Graph, rq: &Rq, patched: Option<PairSet>) -> RqResult {
+        let pairs = match patched {
+            Some(pairs) => pairs,
+            None if memo.admit(&rq.from, &rq.regex) => {
+                memo.insert(&rq.from, &rq.regex, reach(g, &rq.from, &rq.regex))
+            }
+            None => return rq.eval_with_dist(g, &GraphProbe::new(g)),
+        };
+        memo.answer(g, rq, &pairs)
     }
 
     fn answer(memo: &SemanticMemo, g: &Graph, from: &Predicate, re: &FRegex) -> RqResult {
@@ -1212,6 +1332,106 @@ mod tests {
         assert_eq!(memo.cached_bytes(), 0);
     }
 
+    #[test]
+    fn under_budget_a_first_miss_installs() {
+        let g = essembly();
+        let memo = SemanticMemo::new();
+        let q = rq(&g, "job = \"biologist\"", "fa^2 fn", "job = \"doctor\"");
+        assert_eq!(ask(&memo, &g, &q), q.eval_bfs(&g));
+        assert_eq!(memo.len(), 1, "installed on its first miss");
+        assert!(memo.seen.get().is_none(), "no eviction, no seen set");
+        let s = memo.semantic_stats();
+        assert_eq!((s.misses, s.declined), (1, 0));
+        assert_eq!(memo.try_answer(&g, &q).unwrap().1, Lookup::Exact);
+    }
+
+    /// A memo with room for one reach set, which has had to evict one:
+    /// its seen set has one slot.
+    fn full_memo(g: &Graph) -> SemanticMemo {
+        let memo = SemanticMemo::with_byte_budget(PAIR_BYTES);
+        for re in ["fa", "fn"] {
+            let _ = ask(&memo, g, &rq(g, "", re, ""));
+        }
+        assert_eq!(memo.len(), 1, "`fa` evicted");
+        assert_eq!(
+            memo.semantic_stats().declined,
+            0,
+            "admitted while there was room"
+        );
+        let seen = memo
+            .seen
+            .get()
+            .expect("the first eviction allocates the seen set");
+        assert_eq!(seen.slots.len(), 1);
+        memo
+    }
+
+    #[test]
+    fn a_full_memo_installs_a_key_on_its_second_miss() {
+        let g = essembly();
+        let memo = full_memo(&g);
+        let q = rq(&g, "job = \"biologist\"", "fa^2 fn", "job = \"doctor\"");
+        let truth = q.eval_bfs(&g);
+        let bytes = memo.cached_bytes();
+        // the first miss answers the query alone and installs nothing
+        assert_eq!(ask(&memo, &g, &q), truth);
+        let s = memo.semantic_stats();
+        assert_eq!((s.misses, s.declined), (3, 1));
+        assert_eq!(memo.cached_bytes(), bytes);
+        assert!(memo
+            .cells
+            .lock()
+            .unwrap()
+            .fresh(&q.from, &q.regex)
+            .is_none());
+        // the second installs the key's reach set
+        assert_eq!(ask(&memo, &g, &q), truth);
+        let s = memo.semantic_stats();
+        assert_eq!((s.misses, s.declined), (4, 1));
+        // and the third is an exact hit
+        let (hit, lookup) = memo.try_answer(&g, &q).expect("installed");
+        assert_eq!(lookup, Lookup::Exact);
+        assert_eq!(hit, truth);
+    }
+
+    #[test]
+    fn a_carried_memo_keeps_the_full_state_and_the_seen_set() {
+        let g = essembly();
+        let memo = full_memo(&g);
+        let q = rq(&g, "job = \"biologist\"", "fa^2 fn", "job = \"doctor\"");
+        // first seen at version v ...
+        let _ = ask(&memo, &g, &q);
+        assert_eq!(memo.semantic_stats().declined, 1);
+        let next = memo.carry(&batch(0));
+        let shared = (next.seen.get().zip(memo.seen.get())).is_some_and(|(a, b)| Arc::ptr_eq(a, b));
+        assert!(shared, "one seen set across versions");
+        // ... and admitted on its second miss at v + 1
+        assert_eq!(ask(&next, &g, &q), q.eval_bfs(&g));
+        assert_eq!(next.semantic_stats().declined, 0);
+        assert_eq!(next.try_answer(&g, &q).unwrap().1, Lookup::Exact);
+        // the new version is full too: a key it never saw is declined
+        let other = rq(&g, "", "sa", "");
+        assert_eq!(ask(&next, &g, &other), other.eval_bfs(&g));
+        assert_eq!(next.semantic_stats().declined, 1);
+    }
+
+    #[test]
+    fn a_slot_collision_only_forgets_a_key() {
+        assert_eq!(Seen::new(DEFAULT_BYTE_BUDGET).slots.len(), 8192);
+        let g = essembly();
+        // one slot: every key collides with every other
+        let memo = full_memo(&g);
+        let a = rq(&g, "job = \"biologist\"", "fa^2 fn", "job = \"doctor\"");
+        let b = rq(&g, "", "sa", "");
+        // `b` is not admitted for sharing `a`'s slot, and it makes the
+        // slot forget `a`: a third first miss, then an install
+        for (q, declined) in [(&a, 1), (&b, 2), (&a, 3), (&a, 3)] {
+            assert_eq!(ask(&memo, &g, q), q.eval_bfs(&g));
+            assert_eq!(memo.semantic_stats().declined, declined);
+        }
+        assert_eq!(memo.try_answer(&g, &a).unwrap().1, Lookup::Exact);
+    }
+
     /// The table's charges recomputed from its cells, checked against its
     /// counters; returns the bytes charged.
     fn recount(memo: &SemanticMemo) -> usize {
@@ -1262,9 +1482,12 @@ mod tests {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
 
         /// Random asks, patches and carries under budgets from none to a
-        /// few cells: every answer is the reference evaluation's on the
-        /// current graph, the charged bytes are what the cells hold, and
-        /// they stay within the budget unless one cell alone exceeds it.
+        /// few cells — so the memo fills, first misses are declined, and
+        /// a carry can fall between a key's first and second miss: every
+        /// answer is the reference evaluation's on the current graph, a
+        /// declined miss installs nothing, the charged bytes are what the
+        /// cells hold, and they stay within the budget unless one cell
+        /// alone exceeds it.
         #[test]
         fn accounting_holds_over_random_asks_carries_and_patches(
             budget in proptest::prop_oneof![
@@ -1282,6 +1505,7 @@ mod tests {
             let mut memo = SemanticMemo::with_byte_budget(budget);
             for (op, i, (u, v, c)) in steps {
                 let query = &queries[i];
+                let before = (memo.semantic_stats().declined, memo.cached_bytes());
                 let served = match op {
                     // the engine's miss path: patch an inherited cell first
                     0 | 1 => memo.try_answer(&g, query).map(|(a, _)| a).unwrap_or_else(|| {
@@ -1290,10 +1514,8 @@ mod tests {
                         let patch = |old: &[_], changes: &[_]| {
                             rpq_core::incremental::patch_reach_set(&g, &wide, &probe, old, changes)
                         };
-                        let pairs = memo.patch(&query.from, &query.regex, patch).unwrap_or_else(
-                            || memo.insert(&query.from, &query.regex, reach(&g, &query.from, &query.regex)),
-                        );
-                        memo.answer(&g, query, &pairs)
+                        let patched = memo.patch(&query.from, &query.regex, patch);
+                        miss(&memo, &g, query, patched)
                     }),
                     2 => ask(&memo, &g, query),
                     // a logged batch: flip one edge
@@ -1310,6 +1532,11 @@ mod tests {
                     }
                 };
                 proptest::prop_assert_eq!(&served, &query.eval_bfs(&g), "{:?}", query);
+                if memo.semantic_stats().declined > before.0 {
+                    proptest::prop_assert_eq!(
+                        memo.cached_bytes(), before.1, "a declined miss installs nothing"
+                    );
+                }
                 let bytes = recount(&memo);
                 let table = memo.cells.lock().unwrap();
                 let cells = table.map.values().map(HashMap::len).sum::<usize>();

@@ -199,6 +199,10 @@ pub struct Metrics {
     /// The misses answered by patching a reach set inherited from an
     /// earlier graph version — a subset of `semcache_misses`.
     pub semcache_patched: AtomicU64,
+    /// The misses a full memo answered without installing the key's
+    /// reach set (its first miss since the memo filled) — a subset of
+    /// `semcache_misses`.
+    pub semcache_declined: AtomicU64,
     /// Cumulative µs spent filtering/re-verifying cached reach sets for
     /// subsumption answers.
     semcache_filter_us: AtomicU64,
@@ -236,6 +240,7 @@ impl Metrics {
             semcache_subsumption: AtomicU64::new(0),
             semcache_misses: AtomicU64::new(0),
             semcache_patched: AtomicU64::new(0),
+            semcache_declined: AtomicU64::new(0),
             semcache_filter_us: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
             latency: LatencyHistogram::default(),
@@ -270,6 +275,7 @@ impl Metrics {
         add(&self.semcache_subsumption, lookups.subsumption_hits);
         add(&self.semcache_misses, lookups.misses);
         add(&self.semcache_patched, lookups.patched);
+        add(&self.semcache_declined, lookups.declined);
         add(
             &self.semcache_filter_us,
             lookups.filter_time.as_micros() as u64,
@@ -415,6 +421,13 @@ impl Metrics {
             "Semantic reach-cache misses answered by patching a reach set \
              inherited from an earlier graph version (a subset of the misses).",
             g(&self.semcache_patched),
+        );
+        counter(
+            "rpq_semcache_declined_total",
+            "Semantic reach-cache misses a full cache answered without \
+             installing the reach set: the key's first miss since it filled \
+             (a subset of the misses).",
+            g(&self.semcache_declined),
         );
         counter(
             "rpq_worker_panics_total",
@@ -747,6 +760,7 @@ mod tests {
             subsumption_hits: 2,
             misses: 3,
             patched: 2,
+            declined: 1,
             filter_time: std::time::Duration::from_micros(1500),
         });
         m.worker_panics.fetch_add(1, Ordering::Relaxed);
@@ -790,6 +804,7 @@ mod tests {
         assert_eq!(get("rpq_semcache_hits_total{kind=\"subsumption\"}"), 2.0);
         assert_eq!(get("rpq_semcache_misses_total"), 3.0);
         assert_eq!(get("rpq_semcache_patched_total"), 2.0);
+        assert_eq!(get("rpq_semcache_declined_total"), 1.0);
         assert!((get("rpq_semcache_filter_seconds_total") - 0.0015).abs() < 1e-9);
     }
 
