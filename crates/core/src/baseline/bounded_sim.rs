@@ -18,7 +18,6 @@ use crate::join_match::JoinMatch;
 use crate::pq::{Pq, PqResult};
 use crate::reach::{total_bound, ProbeReach};
 use rpq_graph::{Graph, WILDCARD};
-use rpq_index::DistProbe;
 use rpq_regex::{FRegex, Quant};
 
 /// Rewrite a PQ into its bounded-simulation relaxation: same nodes and
@@ -40,11 +39,7 @@ pub fn to_bounded_wildcard(pq: &Pq) -> Pq {
 
 /// Evaluate the `Match` baseline: bounded simulation of `pq`'s relaxation
 /// on `g`. Returns a [`PqResult`] over the same node/edge indices as `pq`.
-pub fn bounded_sim_match<P: DistProbe + ?Sized>(
-    pq: &Pq,
-    g: &Graph,
-    engine: &mut ProbeReach<'_, P>,
-) -> PqResult {
+pub fn bounded_sim_match(pq: &Pq, g: &Graph, engine: &mut ProbeReach<'_>) -> PqResult {
     let relaxed = to_bounded_wildcard(pq);
     JoinMatch::eval(&relaxed, g, engine)
 }
@@ -53,7 +48,7 @@ pub fn bounded_sim_match<P: DistProbe + ?Sized>(
 mod tests {
     use super::*;
     use crate::predicate::Predicate;
-    use crate::reach::MatrixReach;
+    use crate::reach::ProbeReach;
     use rpq_graph::gen::essembly;
     use rpq_graph::DistanceMatrix;
 
@@ -88,8 +83,8 @@ mod tests {
         let g = essembly();
         let pq = q1_pattern(&g);
         let m = DistanceMatrix::build(&g);
-        let truth = JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m));
-        let relaxed = bounded_sim_match(&pq, &g, &mut MatrixReach::new(&m));
+        let truth = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m));
+        let relaxed = bounded_sim_match(&pq, &g, &mut ProbeReach::new(&m));
         // every true edge match is found (full recall)
         for &p in truth.edge_matches(0) {
             assert!(

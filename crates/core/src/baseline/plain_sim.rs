@@ -41,7 +41,7 @@ pub fn plain_sim_match(pq: &Pq, g: &Graph) -> PqResult {
 mod tests {
     use super::*;
     use crate::predicate::Predicate;
-    use crate::reach::MatrixReach;
+    use crate::reach::ProbeReach;
     use rpq_graph::gen::essembly;
     use rpq_graph::DistanceMatrix;
 
@@ -83,7 +83,7 @@ mod tests {
         pq.add_edge(c, b, FRegex::parse("fn^3", g.alphabet()).unwrap());
 
         let plain = plain_sim_match(&pq, &g);
-        let full = JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m));
+        let full = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m));
         for &x in plain.node_matches(0) {
             assert!(full.node_matches(0).contains(&x));
         }

@@ -267,10 +267,10 @@ pub fn rq_source_cone(g: &Graph, regex: &FRegex, changes: &[EdgeChange]) -> Vec<
 ///
 /// `None` when the cone holds more than half of the candidate sources: a
 /// full [`Rq::eval_with_dist`] is then cheaper than the patch.
-pub fn patch_reach_set<D: DistProbe + ?Sized>(
+pub fn patch_reach_set(
     g: &Graph,
     rq: &Rq,
-    probe: &D,
+    probe: &dyn DistProbe,
     old: &[(NodeId, NodeId)],
     changes: &[EdgeChange],
 ) -> Option<Vec<(NodeId, NodeId)>> {

@@ -21,7 +21,7 @@ use crate::pq::{Pq, PqResult};
 use crate::reach::ProbeReach;
 use rpq_graph::algo::condensation;
 use rpq_graph::{Graph, NodeId};
-use rpq_index::{DistProbe, GraphProbe};
+use rpq_index::GraphProbe;
 use std::collections::VecDeque;
 
 /// Marker type for the join-based algorithm.
@@ -29,11 +29,7 @@ pub struct JoinMatch;
 
 impl JoinMatch {
     /// Evaluate `pq` on `g` using `engine` for reachability probes.
-    pub fn eval<P: DistProbe + ?Sized>(
-        pq: &Pq,
-        g: &Graph,
-        engine: &mut ProbeReach<'_, P>,
-    ) -> PqResult {
+    pub fn eval(pq: &Pq, g: &Graph, engine: &mut ProbeReach<'_>) -> PqResult {
         let mats = match refine(&pq.normalize(), g, engine) {
             Some(mats) => mats,
             None => return PqResult::empty(pq),
@@ -44,10 +40,10 @@ impl JoinMatch {
 
 /// From-scratch refinement: [`refine_from`] seeded with every
 /// predicate-eligible node.
-pub(crate) fn refine<P: DistProbe + ?Sized>(
+pub(crate) fn refine(
     work: &Pq,
     g: &Graph,
-    engine: &mut ProbeReach<'_, P>,
+    engine: &mut ProbeReach<'_>,
 ) -> Option<Vec<Vec<NodeId>>> {
     let seed = (0..work.node_count())
         .map(|u| work.node(u).pred.select(g))
@@ -58,10 +54,10 @@ pub(crate) fn refine<P: DistProbe + ?Sized>(
 /// [`refine_pruned`] with `JoinMatch`'s step: a source without a witness
 /// leaves its match set. `JoinMatch`, the baselines and the standing
 /// matcher all refine through it; `SplitMatch` passes its own step.
-pub(crate) fn refine_from<P: DistProbe + ?Sized>(
+pub(crate) fn refine_from(
     work: &Pq,
     g: &Graph,
-    engine: &mut ProbeReach<'_, P>,
+    engine: &mut ProbeReach<'_>,
     mats: Vec<Vec<NodeId>>,
 ) -> Option<Vec<Vec<NodeId>>> {
     refine_pruned(work, g, engine, mats, |mats, u, ok| {
@@ -84,10 +80,10 @@ pub(crate) fn refine_from<P: DistProbe + ?Sized>(
 /// in order) and may touch nothing else of `mats`. The step is where the
 /// algorithms differ: [`refine_from`] filters the set, `SplitMatch` splits
 /// its partition and reads the set back from it.
-pub(crate) fn refine_pruned<P: DistProbe + ?Sized>(
+pub(crate) fn refine_pruned(
     work: &Pq,
     g: &Graph,
-    engine: &mut ProbeReach<'_, P>,
+    engine: &mut ProbeReach<'_>,
     mut mats: Vec<Vec<NodeId>>,
     mut prune: impl FnMut(&mut [Vec<NodeId>], usize, &[bool]),
 ) -> Option<Vec<Vec<NodeId>>> {
@@ -158,11 +154,11 @@ pub(crate) fn refine_pruned<P: DistProbe + ?Sized>(
 /// One refinement step's witness test in [`refine_pruned`]: `out[i]` =
 /// does `sources[i]` reach some target through `regex`? The edges they
 /// refine are single-atom, so this is one bulk
-/// [`DistProbe::sources_reaching_within`] call (answered from aggregated
-/// label scans or one graph sweep).
-fn survivors<P: DistProbe + ?Sized>(
+/// [`DistProbe::sources_reaching_within`](rpq_index::DistProbe::sources_reaching_within)
+/// call (answered from aggregated label scans or one graph sweep).
+fn survivors(
     g: &Graph,
-    engine: &ProbeReach<'_, P>,
+    engine: &ProbeReach<'_>,
     sources: &[NodeId],
     targets: &[NodeId],
     regex: &rpq_regex::FRegex,
@@ -195,11 +191,11 @@ pub fn assemble(pq: &Pq, g: &Graph, mats: &[Vec<NodeId>]) -> PqResult {
 /// bounded neighborhood scans instead of product-space searches — on large
 /// graphs the assembly step would otherwise dominate the whole hop-backed
 /// evaluation. Identical output by construction.
-pub fn assemble_with<P: DistProbe + ?Sized>(
+pub fn assemble_with(
     pq: &Pq,
     g: &Graph,
     mats: &[Vec<NodeId>],
-    engine: &mut ProbeReach<'_, P>,
+    engine: &mut ProbeReach<'_>,
 ) -> PqResult {
     let mut edge_matches = Vec::with_capacity(pq.edge_count());
     for e in pq.edges() {
@@ -242,7 +238,7 @@ fn finish_assembly(
 mod tests {
     use super::*;
     use crate::predicate::Predicate;
-    use crate::reach::MatrixReach;
+    use crate::reach::ProbeReach;
     use rpq_graph::gen::{essembly, synthetic};
     use rpq_graph::DistanceMatrix;
     use rpq_regex::FRegex;
@@ -276,7 +272,7 @@ mod tests {
         let pq = q2(&g);
         let oracle = pq.eval_naive(&g);
         let m = DistanceMatrix::build(&g);
-        let with_matrix = JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m));
+        let with_matrix = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m));
         assert_eq!(with_matrix, oracle, "JoinMatchM");
         // "cache": the no-index backend's frozen name — over the graph
         let graph = GraphProbe::new(&g);
@@ -292,7 +288,7 @@ mod tests {
         let g = essembly();
         let pq = q2(&g);
         let m = DistanceMatrix::build(&g);
-        let res = JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m));
+        let res = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m));
         let n = |l: &str| g.node_by_label(l).unwrap();
         assert_eq!(res.node_matches(0), &[n("B1"), n("B2")]);
         assert_eq!(res.node_matches(1), &[n("C3")]);
@@ -311,7 +307,7 @@ mod tests {
         pq.add_edge(b, a, re);
         let oracle = pq.eval_naive(&g);
         let m = DistanceMatrix::build(&g);
-        assert_eq!(JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m)), oracle);
+        assert_eq!(JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m)), oracle);
         let graph = GraphProbe::new(&g);
         assert_eq!(
             JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&graph)),
@@ -348,7 +344,7 @@ mod tests {
             }
             let oracle = pq.eval_naive(&g);
             let m = DistanceMatrix::build(&g);
-            let a = JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m));
+            let a = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m));
             let b = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&GraphProbe::new(&g)));
             assert_eq!(a, oracle, "matrix vs naive, trial {trial}");
             assert_eq!(b, oracle, "graph vs naive, trial {trial}");
@@ -366,7 +362,7 @@ mod tests {
         let b = pq.add_node("Y", Predicate::always_true());
         pq.add_edge(a, b, FRegex::parse("fa", g.alphabet()).unwrap());
         let m = DistanceMatrix::build(&g);
-        let res = JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m));
+        let res = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m));
         assert!(res.is_empty());
         assert_eq!(res, pq.eval_naive(&g));
     }

@@ -148,7 +148,7 @@ mod tests {
     use super::*;
     use crate::join_match::JoinMatch;
     use crate::predicate::tests::{cut_anywhere, token};
-    use crate::reach::MatrixReach;
+    use crate::reach::ProbeReach;
     use proptest::prelude::*;
     use rpq_graph::gen::essembly;
     use rpq_graph::DistanceMatrix;
@@ -172,7 +172,7 @@ mod tests {
         assert_eq!(pq.node_count(), 3);
         assert_eq!(pq.edge_count(), 5);
         let m = DistanceMatrix::build(&g);
-        let res = JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m));
+        let res = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m));
         assert_eq!(res.size(), 8); // Example 2.3's table
     }
 
@@ -211,7 +211,7 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{e}:\n{printed}"));
             assert_eq!(back, slim, "{printed}");
             assert!(crate::contain::pq_equivalent(&back, &pq), "{printed}");
-            let eval = |q: &Pq| JoinMatch::eval(q, &g, &mut MatrixReach::new(&m));
+            let eval = |q: &Pq| JoinMatch::eval(q, &g, &mut ProbeReach::new(&m));
             assert_eq!(eval(&back), eval(&slim));
             assert_eq!(eval(&back).is_empty(), eval(&pq).is_empty());
         }

@@ -48,6 +48,6 @@ pub use join_match::JoinMatch;
 pub use minimize::minimize;
 pub use pq::{Pq, PqEdge, PqNode, PqResult};
 pub use predicate::{CompOp, PredAtom, Predicate};
-pub use reach::MatrixReach;
+pub use reach::ProbeReach;
 pub use rq::{Rq, RqResult};
 pub use split_match::SplitMatch;

@@ -4,10 +4,11 @@
 //! Both PQ evaluation algorithms (§5) and RQ evaluation (§4) reduce to one
 //! primitive: *does a nonempty path from `x` to `y` spell a word of
 //! `L(fe)`?* [`ProbeReach`] answers it over **any** [`DistProbe`]: the dense
-//! per-color [`DistanceMatrix`] (O(1) atom tests, the regime under the
-//! engine's matrix node limit), the pruned 2-hop labels of `rpq_index`
-//! beyond it, and — with no index at all — the graph itself
-//! ([`GraphProbe`](rpq_index::GraphProbe): breadth-first sweeps). Atom
+//! per-color [`DistanceMatrix`](rpq_graph::DistanceMatrix) (O(1) atom
+//! tests, the regime under the engine's matrix node limit), the pruned
+//! 2-hop labels of `rpq_index` beyond it, and — with no index at all — the
+//! graph itself ([`GraphProbe`](rpq_index::GraphProbe): breadth-first
+//! sweeps). Atom
 //! tests are cheap on every one of them, so callers *normalize* queries
 //! (split every edge into single-atom edges with dummy nodes) and get the
 //! paper's per-edge refinement; the bulk
@@ -22,15 +23,16 @@
 //! PQ shape (≈ 2000× per concrete-pattern `JoinMatch` on a 5 000-node
 //! graph).
 //!
-//! [`MatrixReach`] survives as an alias for `ProbeReach<DistanceMatrix>`:
-//! the unification of this layer means `JoinMatch`/`SplitMatch` run
-//! *unchanged* over any backend — the planner picks it, the algorithms
-//! stay the same.
+//! [`ProbeReach`] holds its probe as a `&dyn DistProbe`, so
+//! `JoinMatch`/`SplitMatch` are compiled once and run *unchanged* over any
+//! backend — the planner picks it, the algorithms stay the same. Only the
+//! top-level probe call goes through the vtable; inside each backend,
+//! label merges, sweeps and row scans are statically dispatched.
 //!
 //! The free function [`product_reach_set`] is the underlying product-space
 //! search, usable on its own (the reference evaluators are built on it).
 
-use rpq_graph::{DistanceMatrix, Graph, NodeId};
+use rpq_graph::{Graph, NodeId};
 use rpq_index::DistProbe;
 use rpq_regex::{Atom, FRegex, Nfa, Quant};
 use std::collections::VecDeque;
@@ -73,22 +75,22 @@ pub fn product_reach_set(g: &Graph, nfa: &Nfa, x: NodeId) -> Vec<NodeId> {
 /// place), so every backend serves `JoinMatch`/`SplitMatch` through one
 /// code path.
 ///
-/// The probe itself is shared immutably (`&P`): one index can back any
-/// number of concurrently running engines. The only per-engine state is
-/// a reusable dedup scratch mask for frontier sweeps (kept all-false
-/// between calls), so result assembly over thousands of sources doesn't
-/// re-zero an O(|V|) buffer per source.
-#[derive(Debug)]
-pub struct ProbeReach<'a, P: DistProbe + ?Sized> {
-    probe: &'a P,
+/// The probe itself is shared immutably (`&dyn DistProbe`): one index can
+/// back any number of concurrently running engines. The only per-engine
+/// state is a reusable dedup scratch mask for frontier sweeps (kept
+/// all-false between calls), so result assembly over thousands of sources
+/// doesn't re-zero an O(|V|) buffer per source.
+pub struct ProbeReach<'a> {
+    probe: &'a dyn DistProbe,
     scratch: Vec<bool>,
 }
 
-impl<'a, P: DistProbe + ?Sized> ProbeReach<'a, P> {
-    /// Wrap a probe: a pre-built index (a [`DistanceMatrix`],
+impl<'a> ProbeReach<'a> {
+    /// Wrap a probe: a pre-built index (a
+    /// [`DistanceMatrix`](rpq_graph::DistanceMatrix),
     /// `rpq_index::HopLabels`, …) or the graph's
     /// [`GraphProbe`](rpq_index::GraphProbe).
-    pub fn new(probe: &'a P) -> Self {
+    pub fn new(probe: &'a dyn DistProbe) -> Self {
         ProbeReach {
             probe,
             scratch: Vec::new(),
@@ -96,7 +98,7 @@ impl<'a, P: DistProbe + ?Sized> ProbeReach<'a, P> {
     }
 
     /// Access the underlying index.
-    pub fn probe(&self) -> &'a P {
+    pub fn probe(&self) -> &'a dyn DistProbe {
         self.probe
     }
 
@@ -145,10 +147,6 @@ impl<'a, P: DistProbe + ?Sized> ProbeReach<'a, P> {
     }
 }
 
-/// Matrix-backed engine — the historical name, now just [`ProbeReach`]
-/// over the dense [`DistanceMatrix`].
-pub type MatrixReach<'a> = ProbeReach<'a, DistanceMatrix>;
-
 /// Quantifier helper: total hop budget of a regex (`None` if unbounded),
 /// used by the bounded-simulation baseline.
 pub fn total_bound(re: &FRegex) -> Option<u32> {
@@ -163,7 +161,7 @@ pub fn total_bound(re: &FRegex) -> Option<u32> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rpq_graph::{Color, GraphBuilder, WILDCARD};
+    use rpq_graph::{Color, DistanceMatrix, GraphBuilder, WILDCARD};
     use rpq_index::GraphProbe;
 
     /// The Essembly graph from Fig. 1.
@@ -193,12 +191,7 @@ mod tests {
     }
 
     /// `x`'s reach set through `r`, sorted.
-    fn sorted_reach<P: DistProbe + ?Sized>(
-        reach: &mut ProbeReach<'_, P>,
-        g: &Graph,
-        x: NodeId,
-        r: &FRegex,
-    ) -> Vec<NodeId> {
+    fn sorted_reach(reach: &mut ProbeReach<'_>, g: &Graph, x: NodeId, r: &FRegex) -> Vec<NodeId> {
         let mut set = reach.reach_set(g, x, r);
         set.sort_unstable();
         set
@@ -218,7 +211,7 @@ mod tests {
         let matrix = DistanceMatrix::build(&g);
         let labels = rpq_index::HopLabels::build(&g);
         let graph = GraphProbe::new(&g);
-        let mut mx = MatrixReach::new(&matrix);
+        let mut mx = ProbeReach::new(&matrix);
         let mut hop = ProbeReach::new(&labels);
         let mut search = ProbeReach::new(&graph);
         for r in &regexes {
@@ -366,7 +359,7 @@ mod tests {
         let g = b.build();
         let matrix = DistanceMatrix::build(&g);
         let graph = GraphProbe::new(&g);
-        let mut mx = MatrixReach::new(&matrix);
+        let mut mx = ProbeReach::new(&matrix);
         let mut search = ProbeReach::new(&graph);
         let rc = FRegex::parse("c+", g.alphabet()).unwrap();
         assert_eq!(sorted_reach(&mut mx, &g, x, &rc), [x, y]);
@@ -388,7 +381,7 @@ mod tests {
         b.add_edge(ns[3], ns[4], s);
         let g = b.build();
         let matrix = DistanceMatrix::build(&g);
-        let mut mx = MatrixReach::new(&matrix);
+        let mut mx = ProbeReach::new(&matrix);
         let re = FRegex::parse("r^2 s^2", g.alphabet()).unwrap();
         // n2 needs at least one s
         assert_eq!(sorted_reach(&mut mx, &g, ns[0], &re), [ns[3], ns[4]]);
@@ -399,7 +392,7 @@ mod tests {
     fn wildcard_atom_reach() {
         let g = g();
         let matrix = DistanceMatrix::build(&g);
-        let mut mx = MatrixReach::new(&matrix);
+        let mut mx = ProbeReach::new(&matrix);
         let d1 = g.node_by_label("D1").unwrap();
         let h1 = g.node_by_label("H1").unwrap();
         let w = FRegex::new(vec![Atom::new(WILDCARD, Quant::AtMost(2))]);

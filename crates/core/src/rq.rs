@@ -201,7 +201,7 @@ impl Rq {
     /// per level, never one per graph node, and no second scan. Sources
     /// come out ascending and each row's bits in target order, so the
     /// pairs are sorted as produced.
-    pub fn eval_with_dist<D: DistProbe + ?Sized>(&self, g: &Graph, m: &D) -> RqResult {
+    pub fn eval_with_dist(&self, g: &Graph, m: &dyn DistProbe) -> RqResult {
         self.eval_with_dist_from(g, m, self.from.select(g))
     }
 
@@ -210,10 +210,10 @@ impl Rq {
     /// answer holds exactly the pairs of those sources. The live layer's
     /// memo re-runs it over the sources an update batch can reach
     /// ([`patch_reach_set`](crate::incremental::patch_reach_set)).
-    pub fn eval_with_dist_from<D: DistProbe + ?Sized>(
+    pub fn eval_with_dist_from(
         &self,
         g: &Graph,
-        m: &D,
+        m: &dyn DistProbe,
         sources: Vec<NodeId>,
     ) -> RqResult {
         const NONE: u32 = u32::MAX;

@@ -39,7 +39,6 @@ use crate::pq::{Pq, PqResult};
 use crate::predicate::{listed, selected};
 use crate::reach::ProbeReach;
 use rpq_graph::{Graph, NodeId};
-use rpq_index::DistProbe;
 
 /// Marker type for the split-based algorithm.
 pub struct SplitMatch;
@@ -164,11 +163,7 @@ impl Partition {
 
 impl SplitMatch {
     /// Evaluate `pq` on `g` using `engine` for reachability probes.
-    pub fn eval<P: DistProbe + ?Sized>(
-        pq: &Pq,
-        g: &Graph,
-        engine: &mut ProbeReach<'_, P>,
-    ) -> PqResult {
+    pub fn eval(pq: &Pq, g: &Graph, engine: &mut ProbeReach<'_>) -> PqResult {
         let work = pq.normalize();
         let nq = work.node_count();
         let n = g.node_count();
@@ -256,12 +251,12 @@ mod tests {
     use super::*;
     use crate::join_match::JoinMatch;
     use crate::predicate::Predicate;
-    use crate::reach::{MatrixReach, ProbeReach};
+    use crate::reach::ProbeReach;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rpq_graph::gen::{essembly, synthetic};
     use rpq_graph::DistanceMatrix;
-    use rpq_index::{CountingProbe, GraphProbe};
+    use rpq_index::{CountingProbe, DistProbe, GraphProbe};
     use rpq_regex::FRegex;
 
     fn q2(g: &Graph) -> Pq {
@@ -294,7 +289,7 @@ mod tests {
         let pq = q2(&g);
         let oracle = pq.eval_naive(&g);
         let m = DistanceMatrix::build(&g);
-        assert_eq!(SplitMatch::eval(&pq, &g, &mut MatrixReach::new(&m)), oracle);
+        assert_eq!(SplitMatch::eval(&pq, &g, &mut ProbeReach::new(&m)), oracle);
         let graph = GraphProbe::new(&g);
         assert_eq!(
             SplitMatch::eval(&pq, &g, &mut ProbeReach::new(&graph)),
@@ -305,7 +300,7 @@ mod tests {
     /// Run JoinMatch and SplitMatch over `probe`, each through its own
     /// [`CountingProbe`], and check that they agree on the answer and on
     /// the number of probes; returns the answer.
-    fn split_as_join<P: DistProbe>(pq: &Pq, g: &Graph, probe: &P, what: &str) -> PqResult {
+    fn split_as_join(pq: &Pq, g: &Graph, probe: &dyn DistProbe, what: &str) -> PqResult {
         let (join_probe, split_probe) = (CountingProbe::new(probe), CountingProbe::new(probe));
         let join = JoinMatch::eval(pq, g, &mut ProbeReach::new(&join_probe));
         let split = SplitMatch::eval(pq, g, &mut ProbeReach::new(&split_probe));
@@ -481,6 +476,6 @@ mod tests {
         pq.add_edge(a, b, re);
         let naive = pq.eval_naive(&g);
         let m = DistanceMatrix::build(&g);
-        assert_eq!(SplitMatch::eval(&pq, &g, &mut MatrixReach::new(&m)), naive);
+        assert_eq!(SplitMatch::eval(&pq, &g, &mut ProbeReach::new(&m)), naive);
     }
 }

@@ -10,7 +10,6 @@ use crate::snapshot::StandingEntry;
 use rpq_core::canonical::{canonical_pq, canonical_rq};
 use rpq_core::incremental::patch_reach_set;
 use rpq_core::join_match::JoinMatch;
-use rpq_core::pq::Pq;
 use rpq_core::predicate::{selected, Predicate};
 use rpq_core::reach::ProbeReach;
 use rpq_core::rq::{Rq, RqResult};
@@ -467,7 +466,6 @@ impl QueryEngine {
                 query: &p.query,
                 plan: p.plan,
                 memo,
-                count_probes: profiled,
             };
             let t = Instant::now();
             let (output, probes, lookup) = self.answer(job, p.standing);
@@ -610,21 +608,28 @@ impl QueryEngine {
 
     /// What the memo could not answer: resolve `plan`'s backend to its
     /// probe — an index, or on [`Backend::Search`] the graph itself
-    /// ([`GraphProbe`]) — and evaluate the plan's algorithm over it.
-    /// Returns the output, the number of distance probes issued (counted
-    /// only with `count_probes`, the explain surface; 0 for `biBFS`, which
-    /// probes nothing), and an RQ's memo miss: patched or evaluated.
+    /// ([`GraphProbe`]) — and evaluate the plan's algorithm over it,
+    /// through one [`CountingProbe`]. Returns the output, the number of
+    /// distance probes issued (0 for `biBFS`, which probes nothing; only
+    /// profiles read it), and an RQ's memo miss: patched or evaluated.
     fn evaluate(&self, job: Job<'_>) -> (QueryOutput, u64, Option<Lookup>) {
-        match (job.plan.backend(), &self.index) {
-            (Backend::Matrix, Index::Matrix(matrix)) => eval_on(job, matrix),
-            (Backend::Hop, Index::Hop(labels)) => eval_on(job, labels),
-            (Backend::Sharded, Index::Sharded(labels)) => eval_on(job, labels),
-            (Backend::Search, _) => eval_on(job, &GraphProbe::new(job.g)),
+        let graph;
+        let probe: &dyn DistProbe = match (job.plan.backend(), &self.index) {
+            (Backend::Matrix, Index::Matrix(matrix)) => matrix,
+            (Backend::Hop, Index::Hop(labels)) => labels,
+            (Backend::Sharded, Index::Sharded(labels)) => labels,
+            (Backend::Search, _) => {
+                graph = GraphProbe::new(job.g);
+                &graph
+            }
             (backend, index) => panic!(
                 "the plan requires the {backend:?} index; this engine holds {}",
                 index.name()
             ),
-        }
+        };
+        let counting = CountingProbe::new(probe);
+        let (out, lookup) = eval_probing(job, &counting);
+        (out, counting.probes(), lookup)
     }
 
     /// Slow-query log hook: with a nonzero
@@ -658,7 +663,7 @@ impl QueryEngine {
 /// What one run records besides the outputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Mode {
-    /// The serving path: no profiles, no probe counting, no extra clock.
+    /// The serving path: no profiles, no extra clock.
     Serve,
     /// A [`QueryProfile`] in every item's [`BatchItem::profile`].
     Profile,
@@ -686,26 +691,13 @@ struct Job<'a> {
     query: &'a Query,
     plan: Plan,
     memo: &'a SemanticMemo,
-    count_probes: bool,
 }
 
-/// Evaluate `job` over `probe` — the one generic evaluator every backend
-/// shares, statically dispatched per probe type. Profiling is the
-/// [`CountingProbe`] decorator around the same call: it still delegates to
-/// the backend's optimized bulk implementations.
-fn eval_on<P: DistProbe>(job: Job<'_>, probe: &P) -> (QueryOutput, u64, Option<Lookup>) {
-    if job.count_probes {
-        let counting = CountingProbe::new(probe);
-        let (out, lookup) = eval_probing(job, &counting);
-        (out, counting.probes(), lookup)
-    } else {
-        let (out, lookup) = eval_probing(job, probe);
-        (out, 0, lookup)
-    }
-}
-
-/// The output, and an RQ's memo miss: patched or evaluated.
-fn eval_probing<P: DistProbe>(job: Job<'_>, probe: &P) -> (QueryOutput, Option<Lookup>) {
+/// Evaluate `job` over `probe` — the one evaluator every backend shares,
+/// compiled once: the probe is a trait object, and each backend still
+/// answers a call with its own optimized implementation. Returns the
+/// output, and an RQ's memo miss: patched or evaluated.
+fn eval_probing(job: Job<'_>, probe: &dyn DistProbe) -> (QueryOutput, Option<Lookup>) {
     match (job.query, job.plan.algo()) {
         (Query::Rq(rq), Algo::RqDm) => {
             let (out, lookup) = rq_indexed(job.g, rq, probe, job.memo);
@@ -715,26 +707,18 @@ fn eval_probing<P: DistProbe>(job: Job<'_>, probe: &P) -> (QueryOutput, Option<L
         (Query::Rq(rq), Algo::RqBiBfs) => {
             (QueryOutput::Rq(rq.eval_bibfs(job.g)), Some(Lookup::Miss))
         }
+        // §5's two PQ algorithms
         (Query::Pq(pq), algo) => {
-            let mut reach = ProbeReach::new(probe);
-            (eval_pq(algo, pq, job.g, &mut reach), None)
+            let reach = &mut ProbeReach::new(probe);
+            let answer = match algo {
+                Algo::Join => JoinMatch::eval(pq, job.g, reach),
+                Algo::Split => SplitMatch::eval(pq, job.g, reach),
+                _ => mismatched(algo),
+            };
+            (QueryOutput::Pq(Arc::new(answer)), None)
         }
         (Query::Rq(_), algo) => mismatched(algo),
     }
-}
-
-/// §5's two PQ algorithms over whichever probe backs `reach`.
-fn eval_pq<P: DistProbe + ?Sized>(
-    algo: Algo,
-    pq: &Pq,
-    g: &Graph,
-    reach: &mut ProbeReach<'_, P>,
-) -> QueryOutput {
-    QueryOutput::Pq(Arc::new(match algo {
-        Algo::Join => JoinMatch::eval(pq, g, reach),
-        Algo::Split => SplitMatch::eval(pq, g, reach),
-        _ => mismatched(algo),
-    }))
 }
 
 fn mismatched(plan: impl std::fmt::Debug) -> ! {
@@ -777,10 +761,10 @@ pub(crate) fn rq_targets(g: &Graph, to: &Predicate, pairs: &[(NodeId, NodeId)]) 
 /// evaluated (§4's DM tests its target predicate on the last level) and
 /// nothing is installed. Also returns the miss: [`Lookup::Patched`],
 /// [`Lookup::Miss`] or [`Lookup::Declined`].
-fn rq_indexed<D: DistProbe>(
+fn rq_indexed(
     g: &Graph,
     rq: &Rq,
-    probe: &D,
+    probe: &dyn DistProbe,
     memo: &SemanticMemo,
 ) -> (QueryOutput, Lookup) {
     let wide = Rq::new(rq.from.clone(), Predicate::always_true(), rq.regex.clone());

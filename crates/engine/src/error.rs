@@ -37,6 +37,13 @@ pub enum EngineError {
     /// An update tried to insert/delete a wildcard-colored edge — data
     /// edges carry concrete colors only.
     WildcardEdge,
+    /// An update named an edge color its graph's alphabet does not hold.
+    ColorOutOfRange {
+        /// The offending color id.
+        color: u8,
+        /// The number of colors in the graph's alphabet.
+        colors: usize,
+    },
     /// A configuration value failed validation.
     Config(ConfigError),
 }
@@ -53,6 +60,12 @@ impl fmt::Display for EngineError {
                 write!(
                     f,
                     "updates must name a concrete edge color, not the wildcard"
+                )
+            }
+            EngineError::ColorOutOfRange { color, colors } => {
+                write!(
+                    f,
+                    "edge color {color} out of range (graph has {colors} colors)"
                 )
             }
             EngineError::Config(e) => write!(f, "bad configuration: {e}"),

@@ -16,8 +16,10 @@
 //!   where the graph itself is the probe; the [`planner`] picks the
 //!   algorithm on it — **DM**
 //!   probes for RQs, `JoinMatch`/`SplitMatch` for PQs by pattern shape —
-//!   replacing the hard-picked strategy calls in `rpq_core::rq`. One
-//!   generic evaluator serves every probe type;
+//!   replacing the hard-picked strategy calls in `rpq_core::rq`. Each
+//!   evaluator is compiled once and takes its probe as a
+//!   `&dyn DistProbe`, wrapped in one counting decorator, so the serving
+//!   path and the explain surface run the same code;
 //!   [`Plan::ALL`] is the table of servable combinations (see the
 //!   [`planner`] docs for the ones that are servable but never planned);
 //! * the engine's concurrent semantic [`memo`] table, keyed on `(source
@@ -45,9 +47,10 @@
 //!   their standing answers ([`Algo::Standing`]) instead of being
 //!   re-evaluated — a snapshot runs every query through the engine's one
 //!   evaluation loop, its standing answers the PQ counterpart of the memo;
-//! * [`QueryService`] unifies the three engine types behind one
-//!   object-safe trait, with boundary failures surfaced as typed
-//!   [`EngineError`] values instead of panics.
+//! * [`QueryService`] is the live engine's object-safe serving trait
+//!   ([`QueryEngine`] and [`Snapshot`] have inherent methods of the same
+//!   names), with boundary failures surfaced as typed [`EngineError`]
+//!   values instead of panics.
 //!
 //! A batch runs on the thread that submits it, one query after the
 //! other; the engine starts no thread to evaluate. Parallelism is the

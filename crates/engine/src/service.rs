@@ -1,40 +1,28 @@
-//! The unified serving surface: [`QueryService`].
+//! The live engine's serving surface: [`QueryService`].
 //!
-//! The repo has three engine types — [`QueryEngine`] (one immutable
-//! graph, whichever index regime its config or constructor picks),
-//! [`Snapshot`] (one pinned version of a live graph) and
-//! [`UpdatableEngine`] (the live writer/reader pair). [`QueryService`] is
-//! the one trait they all implement, for code that serves queries without
-//! caring which one backs it; today that is this module's own parity test
-//! and the benchmark ledger (`bench/`), which drives the live engine
-//! through it.
+//! [`UpdatableEngine`] (the live writer/reader pair) implements it, for
+//! code that serves queries from whatever version is current; today that
+//! is the benchmark ledger (`bench/`), which drives the live engine
+//! through it. [`QueryEngine`](crate::QueryEngine) (one immutable graph)
+//! and [`Snapshot`](crate::Snapshot) (one pinned version of a live graph)
+//! have inherent methods of the same names and contract, and the server
+//! calls [`Snapshot::run_batch`](crate::Snapshot::run_batch) directly.
 
 use crate::batch::{BatchResult, Query, QueryOutput};
-use crate::engine::QueryEngine;
 use crate::planner::Plan;
-use crate::snapshot::Snapshot;
 use crate::updatable::UpdatableEngine;
 use rpq_graph::Graph;
 use std::sync::Arc;
 
-/// A backend that evaluates RQ/PQ queries: the one interface parity
-/// tests and backend-agnostic serving code program against.
+/// A backend that evaluates RQ/PQ queries against its current graph
+/// version.
 ///
-/// All three engine types implement it:
+/// The contract: outputs are **bit-identical** to those of a
+/// [`QueryEngine`](crate::QueryEngine) over the same graph and to sequential single-query
+/// evaluation — strategies differ only in cost. `run_batch` returns
+/// outputs in submission order.
 ///
-/// | implementor | graph | notes |
-/// |---|---|---|
-/// | [`QueryEngine`] | immutable | matrix / hop / sharded indices, one reach-set memo |
-/// | [`Snapshot`] | one pinned version | the engine's loop, standing answers as one more answer source |
-/// | [`UpdatableEngine`] | live | each call runs on the *current* snapshot |
-///
-/// The contract every implementor keeps: outputs are **bit-identical**
-/// across backends and to sequential single-query evaluation —
-/// strategies differ only in cost. `run_batch` returns outputs in
-/// submission order.
-///
-/// The trait is object-safe; serving code takes `&dyn QueryService` so
-/// the backend is chosen at deployment time, not compile time:
+/// The trait is object-safe; serving code may take `&dyn QueryService`:
 ///
 /// ```
 /// use std::sync::Arc;
@@ -49,7 +37,8 @@ use std::sync::Arc;
 /// let text = "node a: job = \"doctor\"; node b; edge a -> b: fn+";
 /// let fixed = QueryEngine::new(Arc::new(essembly()));
 /// let live = UpdatableEngine::new(essembly());
-/// assert_eq!(answer(&fixed, text), answer(&live, text));
+/// let q = Query::parse_pq(text, fixed.graph()).unwrap();
+/// assert_eq!(answer(&live, text), fixed.run_query(&q).match_count());
 /// ```
 pub trait QueryService: Send + Sync {
     /// The graph this service answers against. An owned `Arc` because a
@@ -73,54 +62,11 @@ pub trait QueryService: Send + Sync {
     fn run_query_profiled(&self, query: &Query) -> (QueryOutput, rpq_trace::QueryProfile);
 }
 
-impl QueryService for QueryEngine {
-    fn graph(&self) -> Arc<Graph> {
-        Arc::clone(QueryEngine::graph(self))
-    }
-
-    fn plan_query(&self, query: &Query) -> Plan {
-        QueryEngine::plan_query(self, query)
-    }
-
-    fn run_query(&self, query: &Query) -> QueryOutput {
-        QueryEngine::run_query(self, query)
-    }
-
-    fn run_batch(&self, queries: &[Query]) -> BatchResult {
-        QueryEngine::run_batch(self, queries)
-    }
-
-    fn run_query_profiled(&self, query: &Query) -> (QueryOutput, rpq_trace::QueryProfile) {
-        QueryEngine::run_query_profiled(self, query)
-    }
-}
-
-impl QueryService for Snapshot {
-    fn graph(&self) -> Arc<Graph> {
-        Arc::clone(Snapshot::graph(self))
-    }
-
-    fn plan_query(&self, query: &Query) -> Plan {
-        Snapshot::plan_query(self, query)
-    }
-
-    fn run_query(&self, query: &Query) -> QueryOutput {
-        Snapshot::run_query(self, query)
-    }
-
-    fn run_batch(&self, queries: &[Query]) -> BatchResult {
-        Snapshot::run_batch(self, queries)
-    }
-
-    fn run_query_profiled(&self, query: &Query) -> (QueryOutput, rpq_trace::QueryProfile) {
-        Snapshot::run_query_profiled(self, query)
-    }
-}
-
 /// Every call runs against the snapshot current *at that call* — two
 /// queries of one `run_batch` see one version, two `run_batch` calls may
-/// not. Pin a [`Snapshot`] (itself a `QueryService`) when several batches
-/// must agree on a version.
+/// not. Pin a [`Snapshot`](crate::Snapshot)
+/// ([`UpdatableEngine::snapshot`]) when several batches must agree on a
+/// version.
 impl QueryService for UpdatableEngine {
     fn graph(&self) -> Arc<Graph> {
         Arc::clone(self.snapshot().graph())
@@ -146,6 +92,7 @@ impl QueryService for UpdatableEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::QueryEngine;
     use rpq_graph::gen::essembly;
 
     #[test]
@@ -153,13 +100,7 @@ mod tests {
         let g = Arc::new(essembly());
         let fixed = QueryEngine::new(Arc::clone(&g));
         let live = UpdatableEngine::new(essembly());
-        // a snapshot pulled out of a live engine is a service of its own
         let snapshot = live.snapshot();
-        let services: [(&str, &dyn QueryService); 3] = [
-            ("engine", &fixed),
-            ("live", &live),
-            ("snapshot", &*snapshot),
-        ];
         let rq = Query::parse_rq(
             "job = \"biologist\" && sp = \"cloning\"",
             "job = \"doctor\"",
@@ -168,17 +109,26 @@ mod tests {
         )
         .unwrap();
         let pq = Query::parse_pq("node a: job = \"doctor\"; node b; edge a -> b: fn+", &g).unwrap();
-        let mut reference: Option<Vec<QueryOutput>> = None;
-        for (name, svc) in services {
-            assert_eq!(svc.graph().node_count(), g.node_count(), "{name}");
-            let batch = svc.run_batch(&[rq.clone(), pq.clone()]);
-            let outputs: Vec<QueryOutput> = batch.outputs().cloned().collect();
-            assert_eq!(outputs[0], svc.run_query(&rq), "{name}: batch vs single");
-            match &reference {
-                None => reference = Some(outputs),
-                Some(r) => assert_eq!(r, &outputs, "{name}: backend disagrees"),
-            }
+        let queries = [rq.clone(), pq.clone()];
+        let svc: &dyn QueryService = &live;
+        assert_eq!(svc.graph().node_count(), g.node_count());
+        let outputs = |batch: BatchResult| batch.outputs().cloned().collect::<Vec<_>>();
+        let reference = outputs(fixed.run_batch(&queries));
+        for (name, got, single) in [
+            ("live", outputs(svc.run_batch(&queries)), svc.run_query(&rq)),
+            (
+                "snapshot",
+                outputs(snapshot.run_batch(&queries)),
+                snapshot.run_query(&rq),
+            ),
+        ] {
+            assert_eq!(got[0], single, "{name}: batch vs single");
+            assert_eq!(got, reference, "{name}: disagrees with the engine");
         }
-        assert_eq!(reference.unwrap()[0].match_count(), 4, "Example 2.2");
+        for q in &queries {
+            assert_eq!(svc.plan_query(q), fixed.plan_query(q));
+            assert_eq!(svc.run_query_profiled(q).0, fixed.run_query(q));
+        }
+        assert_eq!(reference[0].match_count(), 4, "Example 2.2");
     }
 }

@@ -232,16 +232,18 @@ impl UpdatableEngine {
     ///
     /// The whole batch is validated before any of it is applied — an
     /// update naming a node the graph does not have
-    /// ([`EngineError::NodeOutOfRange`]) or a wildcard edge color
-    /// ([`EngineError::WildcardEdge`]) rejects the batch atomically, with
-    /// the graph unchanged and no snapshot published. (The seed panicked
-    /// inside the graph builder instead; a serving front-end needs the
-    /// `Err`.)
+    /// ([`EngineError::NodeOutOfRange`]), a wildcard edge color
+    /// ([`EngineError::WildcardEdge`]) or a color the graph's alphabet does
+    /// not hold ([`EngineError::ColorOutOfRange`]) rejects the batch
+    /// atomically, with the graph unchanged and no snapshot published.
+    /// (The seed panicked inside the graph builder instead; a serving
+    /// front-end needs the `Err`.)
     pub fn apply(&self, updates: &[Update]) -> Result<ApplyReport, EngineError> {
         let mut writer = self.writer.lock().expect("writer lock poisoned");
         let state = &mut *writer;
         let t0 = Instant::now();
         let node_count = state.dynamic.graph_arc().node_count();
+        let colors = state.dynamic.graph_arc().alphabet().len();
         for update in updates {
             let (u, v, color) = match *update {
                 Update::Insert(u, v, c) | Update::Delete(u, v, c) => (u, v, c),
@@ -256,6 +258,12 @@ impl UpdatableEngine {
             }
             if color.is_wildcard() {
                 return Err(EngineError::WildcardEdge);
+            }
+            if usize::from(color.0) >= colors {
+                return Err(EngineError::ColorOutOfRange {
+                    color: color.0,
+                    colors,
+                });
             }
         }
         let t_validated = Instant::now();
@@ -587,6 +595,35 @@ mod tests {
         // graph unchanged, no snapshot published
         assert!(Arc::ptr_eq(&before, &engine.snapshot()));
         assert!(!engine.snapshot().graph().has_edge(c1, b1, fnc));
+    }
+
+    #[test]
+    fn a_color_outside_the_alphabet_is_rejected_atomically() {
+        let engine = UpdatableEngine::new(essembly());
+        let g = engine.snapshot().graph().clone();
+        let colors = g.alphabet().len();
+        let x = g.node_by_label("C1").unwrap();
+        let y = g.node_by_label("B1").unwrap();
+        let fnc = g.alphabet().get("fn").unwrap();
+        let ghost = Color(colors as u8);
+        let before = engine.snapshot();
+        let err = engine
+            .apply(&[Update::Insert(x, y, fnc), Update::Insert(x, y, ghost)])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            crate::EngineError::ColorOutOfRange {
+                color: colors as u8,
+                colors
+            }
+        );
+        // the whole batch is refused: no version, no edge of either color
+        assert!(Arc::ptr_eq(&before, &engine.snapshot()));
+        assert_eq!(engine.snapshot().version(), 0);
+        let g = engine.snapshot().graph().clone();
+        assert!(!g.has_edge(x, y, ghost) && !g.has_edge(x, y, fnc));
+        // the graph still prints
+        rpq_graph::io::graph_to_string(&g);
     }
 
     fn rq(g: &Graph, from: &str, to: &str, re: &str) -> Rq {

@@ -3,11 +3,16 @@
 //! spans, stage timings that sum to the profile's wall time (within 10%),
 //! a rationale, and an output identical to the unprofiled path.
 
+use rpq_core::predicate::Predicate;
+use rpq_core::reach::ProbeReach;
+use rpq_core::rq::Rq;
+use rpq_core::{canonical_pq, canonical_rq, JoinMatch};
 use rpq_engine::{
     Algo, Backend, EngineConfig, Plan, Query, QueryEngine, QueryProfile, UpdatableEngine,
 };
 use rpq_graph::gen::essembly;
 use rpq_graph::Graph;
+use rpq_index::{CountingProbe, DistProbe, GraphProbe};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -317,5 +322,60 @@ fn forced_plans_bypass_the_engine_memo() {
             assert_eq!(profile.semcache, "miss", "{}", plan.name());
         }
         assert_eq!(engine.semantic_stats(), stats, "{backend:?}");
+    }
+}
+
+/// A profile's probe count is exactly one count per top-level probe call
+/// of the core evaluator over the regime's probe: the miss path's
+/// target-widened `Rq::eval_with_dist` for an RQ, `JoinMatch::eval` for a
+/// PQ. A probe counted twice, or not at all, breaks the equality.
+#[test]
+fn profiles_count_each_probe_call_once() {
+    for backend in [
+        Backend::Matrix,
+        Backend::Hop,
+        Backend::Sharded,
+        Backend::Search,
+    ] {
+        let engine = engine_on(backend);
+        let g = engine.graph();
+        let graph = GraphProbe::new(g);
+        let probe: &dyn DistProbe = match backend {
+            Backend::Matrix => engine.matrix().unwrap(),
+            Backend::Hop => engine.hop().unwrap(),
+            Backend::Sharded => engine.sharded().unwrap(),
+            Backend::Search => &graph,
+        };
+        let plan = |algo| {
+            let mut plans = Plan::ALL.into_iter();
+            plans
+                .find(|p| p.backend() == backend && p.algo() == algo)
+                .unwrap()
+        };
+        let (Query::Rq(rq_query), Query::Pq(pq_query)) = (rq(g), pq(g)) else {
+            unreachable!()
+        };
+
+        let rq_query = canonical_rq(&rq_query);
+        let wide = Rq::new(
+            rq_query.from.clone(),
+            Predicate::always_true(),
+            rq_query.regex.clone(),
+        );
+        let counting = CountingProbe::new(probe);
+        wide.eval_with_dist(g, &counting);
+        let (_, profile) =
+            engine.run_query_with_plan_profiled(&Query::Rq(rq_query), plan(Algo::RqDm));
+        assert_eq!(profile.semcache, "miss", "{backend:?}");
+        assert!(counting.probes() > 0, "{backend:?}: the RQ probes");
+        assert_eq!(profile.probes, counting.probes(), "{backend:?}: RQ");
+
+        let pq_query = canonical_pq(&pq_query);
+        let counting = CountingProbe::new(probe);
+        JoinMatch::eval(&pq_query, g, &mut ProbeReach::new(&counting));
+        let (_, profile) =
+            engine.run_query_with_plan_profiled(&Query::Pq(pq_query), plan(Algo::Join));
+        assert!(counting.probes() > 0, "{backend:?}: the PQ probes");
+        assert_eq!(profile.probes, counting.probes(), "{backend:?}: PQ");
     }
 }

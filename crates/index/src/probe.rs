@@ -32,8 +32,8 @@
 //! (source, target) pair and a row scan per frontier node.
 
 use rpq_graph::{Color, DistanceMatrix, Graph, NodeId, INFINITY};
+use std::cell::Cell;
 use std::ops::RangeInclusive;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// A per-color shortest-distance oracle usable as an RQ atom-test backend.
@@ -535,43 +535,51 @@ impl DistProbe for GraphProbe<'_> {
 }
 
 /// A [`DistProbe`] decorator that counts probe calls while delegating
-/// every method to the wrapped backend — so the profiled path exercises
+/// every method to the wrapped backend — so a counted evaluation exercises
 /// the backend's own optimized implementations (e.g. the hop-label bulk
 /// `sources_reaching_within`, the graph's one-sweep frontier step), not
 /// the trait defaults. A call counts once, whatever it fans out to, except
 /// `sources_reaching_within`, which counts its sources.
-pub struct CountingProbe<'a, P: DistProbe + ?Sized> {
-    inner: &'a P,
-    probes: AtomicU64,
+///
+/// The engine wraps every evaluation's probe in one; only profiles read
+/// the count. The counter is a plain [`Cell`]: a probe serves the one
+/// thread that runs its query.
+pub struct CountingProbe<'a> {
+    inner: &'a dyn DistProbe,
+    probes: Cell<u64>,
 }
 
-impl<'a, P: DistProbe + ?Sized> CountingProbe<'a, P> {
+impl<'a> CountingProbe<'a> {
     /// Wrap `inner`, with no probe counted yet.
-    pub fn new(inner: &'a P) -> Self {
+    pub fn new(inner: &'a dyn DistProbe) -> Self {
         CountingProbe {
             inner,
-            probes: AtomicU64::new(0),
+            probes: Cell::new(0),
         }
     }
 
     /// Probes issued so far.
     pub fn probes(&self) -> u64 {
-        self.probes.load(Ordering::Relaxed)
+        self.probes.get()
+    }
+
+    fn count(&self, calls: u64) {
+        self.probes.set(self.probes.get() + calls);
     }
 }
 
-impl<P: DistProbe + ?Sized> DistProbe for CountingProbe<'_, P> {
+impl DistProbe for CountingProbe<'_> {
     fn node_count(&self) -> usize {
         self.inner.node_count()
     }
 
     fn dist(&self, from: NodeId, to: NodeId, color: Color) -> u16 {
-        self.probes.fetch_add(1, Ordering::Relaxed);
+        self.count(1);
         self.inner.dist(from, to, color)
     }
 
     fn for_each_within(&self, from: NodeId, color: Color, max: u16, f: &mut dyn FnMut(NodeId)) {
-        self.probes.fetch_add(1, Ordering::Relaxed);
+        self.count(1);
         self.inner.for_each_within(from, color, max, f)
     }
 
@@ -583,7 +591,7 @@ impl<P: DistProbe + ?Sized> DistProbe for CountingProbe<'_, P> {
         max_len: Option<u32>,
         f: &mut dyn FnMut(NodeId),
     ) {
-        self.probes.fetch_add(1, Ordering::Relaxed);
+        self.count(1);
         self.inner
             .for_each_reaching_within(g, from, color, max_len, f)
     }
@@ -596,7 +604,7 @@ impl<P: DistProbe + ?Sized> DistProbe for CountingProbe<'_, P> {
         max_len: Option<u32>,
         f: &mut dyn FnMut(NodeId),
     ) {
-        self.probes.fetch_add(1, Ordering::Relaxed);
+        self.count(1);
         self.inner
             .for_each_reaching_from(g, frontier, color, max_len, f)
     }
@@ -608,7 +616,7 @@ impl<P: DistProbe + ?Sized> DistProbe for CountingProbe<'_, P> {
         color: Color,
         max_len: Option<u32>,
     ) -> bool {
-        self.probes.fetch_add(1, Ordering::Relaxed);
+        self.count(1);
         self.inner.has_cycle_within(g, from, color, max_len)
     }
 
@@ -620,7 +628,7 @@ impl<P: DistProbe + ?Sized> DistProbe for CountingProbe<'_, P> {
         color: Color,
         max_len: Option<u32>,
     ) -> bool {
-        self.probes.fetch_add(1, Ordering::Relaxed);
+        self.count(1);
         self.inner.reaches_within(g, from, to, color, max_len)
     }
 
@@ -632,8 +640,7 @@ impl<P: DistProbe + ?Sized> DistProbe for CountingProbe<'_, P> {
         color: Color,
         max_len: Option<u32>,
     ) -> Vec<bool> {
-        self.probes
-            .fetch_add(sources.len() as u64, Ordering::Relaxed);
+        self.count(sources.len() as u64);
         self.inner
             .sources_reaching_within(g, sources, targets, color, max_len)
     }

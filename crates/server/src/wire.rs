@@ -478,7 +478,8 @@ pub fn status_for(e: &EngineError) -> u16 {
     match e {
         EngineError::BadQuery { .. }
         | EngineError::NodeOutOfRange { .. }
-        | EngineError::WildcardEdge => 400,
+        | EngineError::WildcardEdge
+        | EngineError::ColorOutOfRange { .. } => 400,
         EngineError::Config(_) => 500,
         _ => 500, // EngineError is #[non_exhaustive]
     }
@@ -727,6 +728,23 @@ mod tests {
             }
         }
         assert_eq!(encode_items(&[]), "");
+    }
+
+    #[test]
+    fn a_refused_update_is_the_client_s_mistake() {
+        for e in [
+            EngineError::NodeOutOfRange {
+                node: 7,
+                node_count: 7,
+            },
+            EngineError::WildcardEdge,
+            EngineError::ColorOutOfRange {
+                color: 4,
+                colors: 4,
+            },
+        ] {
+            assert_eq!(status_for(&e), 400, "{e}");
+        }
     }
 
     #[test]

@@ -81,7 +81,7 @@ fn main() {
     pq.add_edge(student, sys, FRegex::parse("co", g.alphabet()).unwrap());
     pq.add_edge(sys, student, FRegex::parse("co", g.alphabet()).unwrap());
 
-    let res = JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&matrix));
+    let res = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&matrix));
     println!("\nPQ matches (JoinMatch, matrix backend):");
     for (u, name) in [(advisor, "advisor"), (student, "student"), (sys, "sys")] {
         let labels: Vec<&str> = res.node_matches(u).iter().map(|&v| g.label(v)).collect();

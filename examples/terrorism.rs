@@ -36,7 +36,7 @@ fn main() {
     pq.add_edge(bnode, c, re("_^3"));
 
     let matrix = DistanceMatrix::build(&g);
-    let res = JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&matrix));
+    let res = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&matrix));
     let gn = g.schema().get("gn").unwrap();
     let name = |v: rpq::graph::NodeId| match g.attrs(v).get(gn) {
         Some(rpq::graph::AttrValue::Str(s)) => s.clone(),
@@ -77,7 +77,7 @@ fn main() {
     }
 
     // contrast with the color-blind bounded-simulation baseline
-    let relaxed = rpq::core::baseline::bounded_sim_match(&pq, &g, &mut MatrixReach::new(&matrix));
+    let relaxed = rpq::core::baseline::bounded_sim_match(&pq, &g, &mut ProbeReach::new(&matrix));
     println!(
         "\nbounded simulation (Match, colors ignored) finds {} edge matches — {}x the PQ's, most of them spurious",
         relaxed.size(),

@@ -149,7 +149,7 @@ pub mod prelude {
     pub use rpq_core::minimize::minimize;
     pub use rpq_core::pq::{Pq, PqResult};
     pub use rpq_core::predicate::Predicate;
-    pub use rpq_core::reach::{MatrixReach, ProbeReach};
+    pub use rpq_core::reach::ProbeReach;
     pub use rpq_core::rq::{Rq, RqResult};
     pub use rpq_core::split_match::SplitMatch;
     pub use rpq_engine::{

@@ -28,7 +28,7 @@ fn queries_on_the_empty_graph() {
     let a = pq.add_node("a", Predicate::always_true());
     let b2 = pq.add_node("b", Predicate::always_true());
     pq.add_edge(a, b2, FRegex::parse("c", g.alphabet()).unwrap());
-    assert!(JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m)).is_empty());
+    assert!(JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m)).is_empty());
     assert!(SplitMatch::eval(&pq, &g, &mut ProbeReach::new(&GraphProbe::new(&g))).is_empty());
 
     // the truly empty graph (no colors either) at least survives stats
@@ -62,7 +62,7 @@ fn single_node_self_loop_world() {
     let mut pq = Pq::new();
     let a = pq.add_node("a", Predicate::always_true());
     pq.add_edge(a, a, FRegex::parse("c+", g.alphabet()).unwrap());
-    let res = JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m));
+    let res = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m));
     assert_eq!(res.node_matches(0), &[x]);
 }
 
@@ -113,8 +113,8 @@ fn unsatisfiable_predicate_combinations() {
     let a = pq.add_node("a", p);
     let b = pq.add_node("b", Predicate::always_true());
     pq.add_edge(b, a, FRegex::parse("_", g.alphabet()).unwrap());
-    assert!(JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m)).is_empty());
-    assert!(SplitMatch::eval(&pq, &g, &mut MatrixReach::new(&m)).is_empty());
+    assert!(JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m)).is_empty());
+    assert!(SplitMatch::eval(&pq, &g, &mut ProbeReach::new(&m)).is_empty());
     assert!(pq.eval_naive(&g).is_empty());
 }
 
@@ -138,7 +138,7 @@ fn pattern_larger_than_graph() {
     for w in nodes.windows(2) {
         pq.add_edge(w[0], w[1], re.clone());
     }
-    let res = JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m));
+    let res = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m));
     assert!(
         !res.is_empty(),
         "simulation folds the chain onto the 2-cycle"

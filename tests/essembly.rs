@@ -65,7 +65,7 @@ fn example_2_3_q2_result_all_algorithms() {
     let variants: Vec<(&str, PqResult)> = vec![
         (
             "JoinMatchM",
-            JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m)),
+            JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m)),
         ),
         (
             "JoinMatchC",
@@ -73,7 +73,7 @@ fn example_2_3_q2_result_all_algorithms() {
         ),
         (
             "SplitMatchM",
-            SplitMatch::eval(&pq, &g, &mut MatrixReach::new(&m)),
+            SplitMatch::eval(&pq, &g, &mut ProbeReach::new(&m)),
         ),
         (
             "SplitMatchC",
@@ -102,7 +102,7 @@ fn q1_as_single_edge_pq_matches_rq() {
     let rq = q1(&g);
     let pq = Pq::from_rq(&rq);
     let m = DistanceMatrix::build(&g);
-    let pq_res = JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m));
+    let pq_res = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m));
     assert_eq!(
         pq_res.edge_matches(0),
         rq.eval_with_matrix(&g, &m).as_slice()
@@ -126,7 +126,7 @@ fn baselines_show_the_fig9b_split() {
     pq.add_edge(c, b, FRegex::parse("fa^2 fn", g.alphabet()).unwrap());
 
     let m = DistanceMatrix::build(&g);
-    let truth = JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m));
+    let truth = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m));
     let truth_pairs: std::collections::HashSet<(usize, NodeId)> = (0..pq.node_count())
         .flat_map(|u| truth.node_matches(u).iter().map(move |&x| (u, x)))
         .collect();
@@ -142,7 +142,7 @@ fn baselines_show_the_fig9b_split() {
         truth_pairs.len()
     );
 
-    let relaxed = rpq::core::baseline::bounded_sim_match(&pq, &g, &mut MatrixReach::new(&m));
+    let relaxed = rpq::core::baseline::bounded_sim_match(&pq, &g, &mut ProbeReach::new(&m));
     let relaxed_pairs: std::collections::HashSet<(usize, NodeId)> = (0..pq.node_count())
         .flat_map(|u| relaxed.node_matches(u).iter().map(move |&x| (u, x)))
         .collect();
@@ -165,7 +165,7 @@ fn minimization_preserves_q2_semantics() {
     // evaluating the minimized query yields matching per-class answers:
     // total match-set size is preserved under the containment mappings
     let m = DistanceMatrix::build(&g);
-    let a = JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m));
-    let b = JoinMatch::eval(&slim, &g, &mut MatrixReach::new(&m));
+    let a = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m));
+    let b = JoinMatch::eval(&slim, &g, &mut ProbeReach::new(&m));
     assert_eq!(a.is_empty(), b.is_empty());
 }

@@ -121,8 +121,8 @@ fn expressiveness_ladder() {
     pq.add_edge(c, b, FRegex::parse("fa^2 fn", g.alphabet()).unwrap());
 
     let plain = plain_sim_match(&pq, &g); // one fa hop required — nobody matches
-    let full = JoinMatch::eval(&pq, &g, &mut MatrixReach::new(&m));
-    let relaxed = bounded_sim_match(&pq, &g, &mut MatrixReach::new(&m));
+    let full = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m));
+    let relaxed = bounded_sim_match(&pq, &g, &mut ProbeReach::new(&m));
 
     let pairs = |r: &PqResult| -> Vec<NodeId> { r.node_matches(0).to_vec() };
     for x in pairs(&plain) {
