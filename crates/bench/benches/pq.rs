@@ -97,12 +97,12 @@ fn crossover_sweep(_c: &mut Criterion) {
             let pq = pattern(edges, ring);
             let norm_size = pq.size(); // single-atom edges: already normal
             let dm = race([
-                &|| JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m)).size(),
-                &|| SplitMatch::eval(&pq, &g, &mut ProbeReach::new(&m)).size(),
+                &|| JoinMatch::eval(&pq, &g, &ProbeReach::new(&m)).size(),
+                &|| SplitMatch::eval(&pq, &g, &ProbeReach::new(&m)).size(),
             ]);
             let hop = race([
-                &|| JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&labels)).size(),
-                &|| SplitMatch::eval(&pq, &g, &mut ProbeReach::new(&labels)).size(),
+                &|| JoinMatch::eval(&pq, &g, &ProbeReach::new(&labels)).size(),
+                &|| SplitMatch::eval(&pq, &g, &ProbeReach::new(&labels)).size(),
             ]);
             for (backend, [([tj, jlo, jhi], sj), ([ts, slo, shi], ss)]) in
                 [("dm", dm), ("hop", hop)]

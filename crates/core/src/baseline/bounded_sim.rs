@@ -39,7 +39,7 @@ pub fn to_bounded_wildcard(pq: &Pq) -> Pq {
 
 /// Evaluate the `Match` baseline: bounded simulation of `pq`'s relaxation
 /// on `g`. Returns a [`PqResult`] over the same node/edge indices as `pq`.
-pub fn bounded_sim_match(pq: &Pq, g: &Graph, engine: &mut ProbeReach<'_>) -> PqResult {
+pub fn bounded_sim_match(pq: &Pq, g: &Graph, engine: &ProbeReach<'_>) -> PqResult {
     let relaxed = to_bounded_wildcard(pq);
     JoinMatch::eval(&relaxed, g, engine)
 }
@@ -83,8 +83,8 @@ mod tests {
         let g = essembly();
         let pq = q1_pattern(&g);
         let m = DistanceMatrix::build(&g);
-        let truth = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m));
-        let relaxed = bounded_sim_match(&pq, &g, &mut ProbeReach::new(&m));
+        let truth = JoinMatch::eval(&pq, &g, &ProbeReach::new(&m));
+        let relaxed = bounded_sim_match(&pq, &g, &ProbeReach::new(&m));
         // every true edge match is found (full recall)
         for &p in truth.edge_matches(0) {
             assert!(
@@ -108,6 +108,20 @@ mod tests {
         let a = pq.add_node("a", Predicate::always_true());
         let b = pq.add_node("b", Predicate::always_true());
         pq.add_edge(a, b, FRegex::parse("fa^2 fn+", g.alphabet()).unwrap());
+        let relaxed = to_bounded_wildcard(&pq);
+        assert_eq!(relaxed.edge(0).regex.atoms()[0].quant, Quant::Plus);
+    }
+
+    #[test]
+    fn a_bound_past_u32_max_becomes_unbounded_wildcard() {
+        let g = essembly();
+        let re = |s: &str| FRegex::parse(s, g.alphabet()).unwrap();
+        assert_eq!(total_bound(&re("fa^4294967295")), Some(u32::MAX));
+        assert_eq!(total_bound(&re("fa^4294967295 fn")), None);
+        let mut pq = Pq::new();
+        let a = pq.add_node("a", Predicate::always_true());
+        let b = pq.add_node("b", Predicate::always_true());
+        pq.add_edge(a, b, re("fa^4294967295 fn"));
         let relaxed = to_bounded_wildcard(&pq);
         assert_eq!(relaxed.edge(0).regex.atoms()[0].quant, Quant::Plus);
     }

@@ -34,7 +34,7 @@ pub fn to_plain(pq: &Pq) -> Pq {
 /// constraint of [`to_plain`]'s pattern is one hop of one color, so each
 /// refinement probe over the graph is a direct edge lookup.
 pub fn plain_sim_match(pq: &Pq, g: &Graph) -> PqResult {
-    JoinMatch::eval(&to_plain(pq), g, &mut ProbeReach::new(&GraphProbe::new(g)))
+    JoinMatch::eval(&to_plain(pq), g, &ProbeReach::new(&GraphProbe::new(g)))
 }
 
 #[cfg(test)]
@@ -83,7 +83,7 @@ mod tests {
         pq.add_edge(c, b, FRegex::parse("fn^3", g.alphabet()).unwrap());
 
         let plain = plain_sim_match(&pq, &g);
-        let full = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m));
+        let full = JoinMatch::eval(&pq, &g, &ProbeReach::new(&m));
         for &x in plain.node_matches(0) {
             assert!(full.node_matches(0).contains(&x));
         }

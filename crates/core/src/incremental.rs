@@ -135,12 +135,8 @@ impl IncrementalMatcher {
     /// Evaluate `pq` on the current graph and set up maintenance state.
     pub fn new(pq: Pq, g: &DynamicGraph) -> Self {
         let work = pq.normalize();
-        let mats = refine(
-            &work,
-            g.graph(),
-            &mut ProbeReach::new(&GraphProbe::new(g.graph())),
-        )
-        .unwrap_or_else(|| vec![Vec::new(); work.node_count()]);
+        let mats = refine(&work, g.graph(), &GraphProbe::new(g.graph()))
+            .unwrap_or_else(|| vec![Vec::new(); work.node_count()]);
         IncrementalMatcher { pq, work, mats }
     }
 
@@ -180,21 +176,17 @@ impl IncrementalMatcher {
             return;
         }
         let graph = GraphProbe::new(g.graph());
-        let reach = &mut ProbeReach::new(&graph);
         let refined = if effective.iter().any(|u| matches!(u, Update::Insert(..))) {
-            refine(&self.work, g.graph(), reach)
+            refine(&self.work, g.graph(), &graph)
         } else {
             let standing = std::mem::take(&mut self.mats);
-            refine_from(&self.work, g.graph(), reach, standing)
+            refine_from(&self.work, g.graph(), &graph, standing)
         };
         self.mats = refined.unwrap_or_else(|| vec![Vec::new(); self.work.node_count()]);
     }
 
     /// Assemble the full per-edge result from the standing match sets.
     pub fn result(&self, g: &DynamicGraph) -> PqResult {
-        if self.is_empty() {
-            return PqResult::empty(&self.pq);
-        }
         crate::join_match::assemble(&self.pq, g.graph(), self.match_sets())
     }
 
@@ -202,7 +194,7 @@ impl IncrementalMatcher {
     /// incremental answer against this).
     pub fn full_reeval(&self, g: &DynamicGraph) -> PqResult {
         let graph = GraphProbe::new(g.graph());
-        crate::join_match::JoinMatch::eval(&self.pq, g.graph(), &mut ProbeReach::new(&graph))
+        crate::join_match::JoinMatch::eval(&self.pq, g.graph(), &ProbeReach::new(&graph))
     }
 }
 

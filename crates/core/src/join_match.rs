@@ -11,7 +11,9 @@
 //!    nodes that violate an edge constraint (procedure `Join`), until a
 //!    fixpoint is reached per component.
 //! 4. If any match set empties, the result is ∅; otherwise assemble the
-//!    per-edge match sets `Se` of the *original* query.
+//!    per-edge match sets `Se` of the *original* query ([`assemble`]):
+//!    per edge `(u, u')`, §4's DM level scan from `mat(u)` into `mat(u')`
+//!    — the RQ evaluator, run between two node sets over the graph.
 //!
 //! With the matrix backend this runs in O(|E'p|·|V|²) refinement time as
 //! the paper shows; over the graph itself (no index) each `Join` step is
@@ -19,36 +21,32 @@
 
 use crate::pq::{Pq, PqResult};
 use crate::reach::ProbeReach;
+use crate::rq::level_scan;
 use rpq_graph::algo::condensation;
 use rpq_graph::{Graph, NodeId};
-use rpq_index::GraphProbe;
+use rpq_index::{DistProbe, GraphProbe};
 use std::collections::VecDeque;
 
 /// Marker type for the join-based algorithm.
 pub struct JoinMatch;
 
 impl JoinMatch {
-    /// Evaluate `pq` on `g` using `engine` for reachability probes.
-    pub fn eval(pq: &Pq, g: &Graph, engine: &mut ProbeReach<'_>) -> PqResult {
-        let mats = match refine(&pq.normalize(), g, engine) {
-            Some(mats) => mats,
-            None => return PqResult::empty(pq),
-        };
-        assemble_with(pq, g, &mats, engine)
+    /// Evaluate `pq` on `g`, refining through `engine`'s probe.
+    pub fn eval(pq: &Pq, g: &Graph, engine: &ProbeReach<'_>) -> PqResult {
+        match refine(&pq.normalize(), g, engine.probe()) {
+            Some(mats) => assemble(pq, g, &mats),
+            None => PqResult::empty(pq),
+        }
     }
 }
 
 /// From-scratch refinement: [`refine_from`] seeded with every
 /// predicate-eligible node.
-pub(crate) fn refine(
-    work: &Pq,
-    g: &Graph,
-    engine: &mut ProbeReach<'_>,
-) -> Option<Vec<Vec<NodeId>>> {
+pub(crate) fn refine(work: &Pq, g: &Graph, probe: &dyn DistProbe) -> Option<Vec<Vec<NodeId>>> {
     let seed = (0..work.node_count())
         .map(|u| work.node(u).pred.select(g))
         .collect();
-    refine_from(work, g, engine, seed)
+    refine_from(work, g, probe, seed)
 }
 
 /// [`refine_pruned`] with `JoinMatch`'s step: a source without a witness
@@ -57,10 +55,10 @@ pub(crate) fn refine(
 pub(crate) fn refine_from(
     work: &Pq,
     g: &Graph,
-    engine: &mut ProbeReach<'_>,
+    probe: &dyn DistProbe,
     mats: Vec<Vec<NodeId>>,
 ) -> Option<Vec<Vec<NodeId>>> {
-    refine_pruned(work, g, engine, mats, |mats, u, ok| {
+    refine_pruned(work, g, probe, mats, |mats, u, ok| {
         let mut ok = ok.iter();
         mats[u].retain(|_| *ok.next().unwrap());
     })
@@ -83,7 +81,7 @@ pub(crate) fn refine_from(
 pub(crate) fn refine_pruned(
     work: &Pq,
     g: &Graph,
-    engine: &mut ProbeReach<'_>,
+    probe: &dyn DistProbe,
     mut mats: Vec<Vec<NodeId>>,
     mut prune: impl FnMut(&mut [Vec<NodeId>], usize, &[bool]),
 ) -> Option<Vec<Vec<NodeId>>> {
@@ -126,7 +124,7 @@ pub(crate) fn refine_pruned(
             // procedure Join: prune sources with no surviving witness, as
             // ONE bulk backend call so index backends answer the whole step
             // from label/row scans.
-            let ok = survivors(g, engine, &mats[u_from], &mats[u_to], &edge.regex);
+            let ok = survivors(g, probe, &mats[u_from], &mats[u_to], &edge.regex);
             if ok.iter().all(|&o| o) {
                 continue;
             }
@@ -158,7 +156,7 @@ pub(crate) fn refine_pruned(
 /// call (answered from aggregated label scans or one graph sweep).
 fn survivors(
     g: &Graph,
-    engine: &ProbeReach<'_>,
+    probe: &dyn DistProbe,
     sources: &[NodeId],
     targets: &[NodeId],
     regex: &rpq_regex::FRegex,
@@ -166,14 +164,15 @@ fn survivors(
     let [atom] = regex.atoms() else {
         panic!("refinement runs on single-atom edges (normalize the pattern first)");
     };
-    engine
-        .probe()
-        .sources_reaching_within(g, sources, targets, atom.color, atom.quant.max())
+    probe.sources_reaching_within(g, sources, targets, atom.color, atom.quant.max())
 }
 
-/// Result assembly (Fig. 7 lines 15-16) over the *original* edges: for each
-/// surviving source, enumerate its regex-reachable targets and intersect
-/// with the target match set.
+/// Result assembly (Fig. 7 lines 15-16) over the *original* edges: per
+/// edge `e = (u, u')`, the pairs of `mat(u) × mat(u')` that satisfy `f_e`
+/// — an RQ between two node sets, answered by §4's DM level scan from
+/// `mat(u)` into `mat(u')`'s bitmap over the graph itself
+/// ([`GraphProbe`]). The pairs come out sorted. If any match set is empty
+/// the answer is ∅ (§5), whatever the other sets hold.
 ///
 /// Public because serving layers that carry raw match sets (e.g. a
 /// snapshot holding a standing query's maintained sets) assemble the full
@@ -181,53 +180,29 @@ fn survivors(
 /// `mats[u]` must be the match set of query node `u` at a fixpoint of the
 /// refinement on `g` (entries past `pq`'s nodes, e.g. the dummies of a
 /// normalized refinement, are ignored) — anything else yields garbage
-/// pairs, not an error. Enumerates over the graph itself ([`GraphProbe`]).
+/// pairs, not an error.
 pub fn assemble(pq: &Pq, g: &Graph, mats: &[Vec<NodeId>]) -> PqResult {
-    assemble_with(pq, g, mats, &mut ProbeReach::new(&GraphProbe::new(g)))
-}
-
-/// [`assemble`] through a [`ProbeReach`]: per-source enumeration goes
-/// through [`ProbeReach::reach_set`], so index backends assemble from
-/// bounded neighborhood scans instead of product-space searches — on large
-/// graphs the assembly step would otherwise dominate the whole hop-backed
-/// evaluation. Identical output by construction.
-pub fn assemble_with(
-    pq: &Pq,
-    g: &Graph,
-    mats: &[Vec<NodeId>],
-    engine: &mut ProbeReach<'_>,
-) -> PqResult {
-    let mut edge_matches = Vec::with_capacity(pq.edge_count());
-    for e in pq.edges() {
-        let mut target_mask = vec![false; g.node_count()];
-        for &y in &mats[e.to] {
-            target_mask[y.index()] = true;
-        }
-        let mut pairs = Vec::new();
-        for &x in &mats[e.from] {
-            pairs.extend(
-                engine
-                    .reach_set(g, x, &e.regex)
-                    .into_iter()
-                    .filter(|y| target_mask[y.index()])
-                    .map(|y| (x, y)),
-            );
-        }
-        pairs.sort_unstable();
-        edge_matches.push(pairs);
+    let mats = &mats[..pq.node_count()];
+    if mats.iter().any(Vec::is_empty) {
+        return PqResult::empty(pq);
     }
-    finish_assembly(pq, mats, edge_matches)
-}
-
-fn finish_assembly(
-    pq: &Pq,
-    mats: &[Vec<NodeId>],
-    edge_matches: Vec<Vec<(NodeId, NodeId)>>,
-) -> PqResult {
-    let mut node_matches: Vec<Vec<NodeId>> = mats[..pq.node_count()].to_vec();
-    for m in &mut node_matches {
-        m.sort_unstable();
-    }
+    let node_matches: Vec<Vec<NodeId>> = (mats.iter())
+        .map(|m| {
+            let mut m = m.clone();
+            m.sort_unstable();
+            m
+        })
+        .collect();
+    let graph = GraphProbe::new(g);
+    let edge_matches = (pq.edges().iter())
+        .map(|e| {
+            let mut targets = vec![0u64; g.node_count().div_ceil(64)];
+            for y in &node_matches[e.to] {
+                targets[y.index() / 64] |= 1 << (y.index() % 64);
+            }
+            level_scan(g, &graph, &e.regex, &node_matches[e.from], &targets)
+        })
+        .collect();
     PqResult {
         node_matches,
         edge_matches,
@@ -239,9 +214,10 @@ mod tests {
     use super::*;
     use crate::predicate::Predicate;
     use crate::reach::ProbeReach;
+    use proptest::prelude::*;
     use rpq_graph::gen::{essembly, synthetic};
-    use rpq_graph::DistanceMatrix;
-    use rpq_regex::FRegex;
+    use rpq_graph::{Color, DistanceMatrix, GraphBuilder, WILDCARD};
+    use rpq_regex::{Atom, FRegex, Quant};
 
     fn q2(g: &Graph) -> Pq {
         let mut pq = Pq::new();
@@ -272,11 +248,11 @@ mod tests {
         let pq = q2(&g);
         let oracle = pq.eval_naive(&g);
         let m = DistanceMatrix::build(&g);
-        let with_matrix = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m));
+        let with_matrix = JoinMatch::eval(&pq, &g, &ProbeReach::new(&m));
         assert_eq!(with_matrix, oracle, "JoinMatchM");
         // "cache": the no-index backend's frozen name — over the graph
         let graph = GraphProbe::new(&g);
-        let with_graph = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&graph));
+        let with_graph = JoinMatch::eval(&pq, &g, &ProbeReach::new(&graph));
         assert_eq!(with_graph, oracle, "JoinMatch over the graph");
         assert_eq!(with_matrix.size(), 8);
     }
@@ -288,7 +264,7 @@ mod tests {
         let g = essembly();
         let pq = q2(&g);
         let m = DistanceMatrix::build(&g);
-        let res = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m));
+        let res = JoinMatch::eval(&pq, &g, &ProbeReach::new(&m));
         let n = |l: &str| g.node_by_label(l).unwrap();
         assert_eq!(res.node_matches(0), &[n("B1"), n("B2")]);
         assert_eq!(res.node_matches(1), &[n("C3")]);
@@ -307,12 +283,9 @@ mod tests {
         pq.add_edge(b, a, re);
         let oracle = pq.eval_naive(&g);
         let m = DistanceMatrix::build(&g);
-        assert_eq!(JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m)), oracle);
+        assert_eq!(JoinMatch::eval(&pq, &g, &ProbeReach::new(&m)), oracle);
         let graph = GraphProbe::new(&g);
-        assert_eq!(
-            JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&graph)),
-            oracle
-        );
+        assert_eq!(JoinMatch::eval(&pq, &g, &ProbeReach::new(&graph)), oracle);
     }
 
     #[test]
@@ -344,8 +317,8 @@ mod tests {
             }
             let oracle = pq.eval_naive(&g);
             let m = DistanceMatrix::build(&g);
-            let a = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m));
-            let b = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&GraphProbe::new(&g)));
+            let a = JoinMatch::eval(&pq, &g, &ProbeReach::new(&m));
+            let b = JoinMatch::eval(&pq, &g, &ProbeReach::new(&GraphProbe::new(&g)));
             assert_eq!(a, oracle, "matrix vs naive, trial {trial}");
             assert_eq!(b, oracle, "graph vs naive, trial {trial}");
         }
@@ -362,8 +335,70 @@ mod tests {
         let b = pq.add_node("Y", Predicate::always_true());
         pq.add_edge(a, b, FRegex::parse("fa", g.alphabet()).unwrap());
         let m = DistanceMatrix::build(&g);
-        let res = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m));
+        let res = JoinMatch::eval(&pq, &g, &ProbeReach::new(&m));
         assert!(res.is_empty());
         assert_eq!(res, pq.eval_naive(&g));
+    }
+
+    #[test]
+    fn assembly_is_empty_when_any_match_set_is() {
+        // two components: a -fa-> b, and c with an empty match set; the
+        // sets are a fixpoint (c has no edge to refine it), and §5 says
+        // the answer is ∅
+        let g = essembly();
+        let mut pq = Pq::new();
+        let a = pq.add_node("a", Predicate::always_true());
+        let b = pq.add_node("b", Predicate::always_true());
+        pq.add_node("c", Predicate::always_true());
+        pq.add_edge(a, b, FRegex::parse("fa", g.alphabet()).unwrap());
+        let mut mats = pq.eval_naive(&g).node_matches;
+        assert!(!mats[a].is_empty() && !mats[b].is_empty());
+        mats[2].clear();
+        assert_eq!(assemble(&pq, &g, &mats), PqResult::empty(&pq));
+    }
+
+    /// A pattern over `synthetic(n, e, 1, 3, seed)` plus one self-loop:
+    /// node predicates `a0 <= k` (trivial for k ≥ 8), edges of one or two
+    /// atoms over the three colors and `_`, each `c`, `c^3` or `c+`.
+    fn arb_case() -> impl Strategy<Value = (Graph, Pq)> {
+        let color = prop_oneof![3 => (0u8..3).prop_map(Color), 1 => Just(WILDCARD)];
+        let quant = prop_oneof![Just(Quant::One), Just(Quant::AtMost(3)), Just(Quant::Plus)];
+        let atom = (color, quant).prop_map(|(c, q)| Atom::new(c, q));
+        let regex = prop::collection::vec(atom, 1..3).prop_map(FRegex::new);
+        let graph = (0u64..10_000, 2usize..12, 0usize..60);
+        let nodes = prop::collection::vec(0i64..16, 1..5);
+        let edges = prop::collection::vec((0usize..4, 0usize..4, regex), 1..5);
+        (graph, nodes, edges).prop_map(|((seed, n, e), nodes, edges)| {
+            let g = synthetic(n, e, 1, 3, seed);
+            let mut b = GraphBuilder::from_graph(&g);
+            let v = NodeId((seed % n as u64) as u32);
+            b.insert_edge(v, v, Color((seed % 3) as u8));
+            let g = b.build();
+            let mut pq = Pq::new();
+            for (i, &k) in nodes.iter().enumerate() {
+                let pred = match k {
+                    8.. => Predicate::always_true(),
+                    _ => Predicate::parse(&format!("a0 <= {k}"), g.schema()).unwrap(),
+                };
+                pq.add_node(&format!("u{i}"), pred);
+            }
+            for (u, v, regex) in edges {
+                pq.add_edge(u % nodes.len(), v % nodes.len(), regex);
+            }
+            (g, pq)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Assembling the reference evaluator's match sets gives its edge
+        /// matches: the level scan over the graph enumerates exactly the
+        /// pairs the product-automaton search finds.
+        #[test]
+        fn assembly_of_naive_match_sets_is_the_naive_answer((g, pq) in arb_case()) {
+            let naive = pq.eval_naive(&g);
+            prop_assert_eq!(assemble(&pq, &g, &naive.node_matches), naive);
+        }
     }
 }

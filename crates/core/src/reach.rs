@@ -3,18 +3,23 @@
 //!
 //! Both PQ evaluation algorithms (§5) and RQ evaluation (§4) reduce to one
 //! primitive: *does a nonempty path from `x` to `y` spell a word of
-//! `L(fe)`?* [`ProbeReach`] answers it over **any** [`DistProbe`]: the dense
-//! per-color [`DistanceMatrix`](rpq_graph::DistanceMatrix) (O(1) atom
-//! tests, the regime under the engine's matrix node limit), the pruned
-//! 2-hop labels of `rpq_index` beyond it, and — with no index at all — the
-//! graph itself ([`GraphProbe`](rpq_index::GraphProbe): breadth-first
-//! sweeps). Atom
+//! `L(fe)`?* Any [`DistProbe`] answers it: the dense per-color
+//! [`DistanceMatrix`](rpq_graph::DistanceMatrix) (O(1) atom tests, the
+//! regime under the engine's matrix node limit), the pruned 2-hop labels
+//! of `rpq_index` beyond it, and — with no index at all — the graph itself
+//! ([`GraphProbe`](rpq_index::GraphProbe): breadth-first sweeps). Atom
 //! tests are cheap on every one of them, so callers *normalize* queries
 //! (split every edge into single-atom edges with dummy nodes) and get the
 //! paper's per-edge refinement; the bulk
 //! [`DistProbe::sources_reaching_within`] lets a backend answer a whole
 //! `Join` step at once — one target-side label aggregation, or one
 //! backward sweep over the graph — on the thread that runs the query.
+//!
+//! Answer pairs come from one place, §4's DM level scan
+//! ([`Rq::eval_with_dist_from`](crate::rq::Rq::eval_with_dist_from)): an
+//! RQ runs it into its target predicate, and PQ assembly
+//! ([`join_match::assemble`](crate::join_match::assemble)) runs it per
+//! pattern edge from one match set into the other, over the graph.
 //!
 //! §4's fallback for graphs too big for the matrix, a "distance cache using
 //! hashmap as indices" memoizing pairwise bi-directional searches, is gone:
@@ -23,10 +28,10 @@
 //! PQ shape (≈ 2000× per concrete-pattern `JoinMatch` on a 5 000-node
 //! graph).
 //!
-//! [`ProbeReach`] holds its probe as a `&dyn DistProbe`, so
-//! `JoinMatch`/`SplitMatch` are compiled once and run *unchanged* over any
-//! backend — the planner picks it, the algorithms stay the same. Only the
-//! top-level probe call goes through the vtable; inside each backend,
+//! [`ProbeReach`] hands `JoinMatch`/`SplitMatch` their probe as a
+//! `&dyn DistProbe`, so both are compiled once and run *unchanged* over
+//! any backend — the planner picks it, the algorithms stay the same. Only
+//! the top-level probe call goes through the vtable; inside each backend,
 //! label merges, sweeps and row scans are statically dispatched.
 //!
 //! The free function [`product_reach_set`] is the underlying product-space
@@ -34,7 +39,7 @@
 
 use rpq_graph::{Graph, NodeId};
 use rpq_index::DistProbe;
-use rpq_regex::{Atom, FRegex, Nfa, Quant};
+use rpq_regex::{FRegex, Nfa, Quant};
 use std::collections::VecDeque;
 
 /// All nodes `y` such that `(x, y) ⊨ re`, by forward BFS over the
@@ -67,22 +72,14 @@ pub fn product_reach_set(g: &Graph, nfa: &Nfa, x: NodeId) -> Vec<NodeId> {
         .collect()
 }
 
-/// The one reachability engine, over any [`DistProbe`] — an index, or the
+/// The probe `JoinMatch`/`SplitMatch` refine through — an index, or the
 /// graph itself ([`GraphProbe`](rpq_index::GraphProbe)). A refinement
 /// step is one bulk probe ([`DistProbe::sources_reaching_within`] on
-/// [`probe`](ProbeReach::probe)); per-source enumeration steps a frontier
-/// through the atoms (the paper's dummy-node decomposition, evaluated in
-/// place), so every backend serves `JoinMatch`/`SplitMatch` through one
-/// code path.
-///
-/// The probe itself is shared immutably (`&dyn DistProbe`): one index can
-/// back any number of concurrently running engines. The only per-engine
-/// state is a reusable dedup scratch mask for frontier sweeps (kept
-/// all-false between calls), so result assembly over thousands of sources
-/// doesn't re-zero an O(|V|) buffer per source.
+/// [`probe`](ProbeReach::probe)), so every backend serves both algorithms
+/// through one code path. The probe is shared immutably: one index can
+/// back any number of concurrently running engines.
 pub struct ProbeReach<'a> {
     probe: &'a dyn DistProbe,
-    scratch: Vec<bool>,
 }
 
 impl<'a> ProbeReach<'a> {
@@ -91,68 +88,23 @@ impl<'a> ProbeReach<'a> {
     /// `rpq_index::HopLabels`, …) or the graph's
     /// [`GraphProbe`](rpq_index::GraphProbe).
     pub fn new(probe: &'a dyn DistProbe) -> Self {
-        ProbeReach {
-            probe,
-            scratch: Vec::new(),
-        }
+        ProbeReach { probe }
     }
 
     /// Access the underlying index.
     pub fn probe(&self) -> &'a dyn DistProbe {
         self.probe
     }
-
-    /// Advance a frontier through `atoms` one at a time — the paper's
-    /// dummy-node decomposition evaluated in place, using bounded
-    /// neighborhood scans (inverted hub lists per frontier node on hop
-    /// labels; one forward sweep over the graph for the whole frontier on
-    /// the matrix, the sharded regime and the graph itself — never
-    /// per-pair probes against all of V). Returns the set of nodes
-    /// reachable from `x` through every atom, i.e. exactly
-    /// `{ y : (x, y) ⊨ atoms }` under the nonempty-path semantics
-    /// ([`DistProbe::for_each_reaching_from`] is the per-atom step). The
-    /// reusable scratch mask only dedups, and is restored to all-false via
-    /// the nodes actually collected.
-    fn frontier_sweep(&mut self, g: &Graph, x: NodeId, atoms: &[Atom]) -> Vec<NodeId> {
-        if self.scratch.len() < g.node_count() {
-            self.scratch.resize(g.node_count(), false);
-        }
-        let probe = self.probe;
-        let mask = &mut self.scratch;
-        let mut frontier: Vec<NodeId> = vec![x];
-        for atom in atoms {
-            let mut next: Vec<NodeId> = Vec::new();
-            probe.for_each_reaching_from(g, &frontier, atom.color, atom.quant.max(), &mut |z| {
-                if !mask[z.index()] {
-                    mask[z.index()] = true;
-                    next.push(z);
-                }
-            });
-            for &z in &next {
-                mask[z.index()] = false;
-            }
-            if next.is_empty() {
-                return next;
-            }
-            frontier = next;
-        }
-        frontier
-    }
-
-    /// All `y` with `(x, y) ⊨ re` — the per-source enumeration PQ result
-    /// assembly is built from, by per-atom frontier stepping (never the
-    /// product space).
-    pub fn reach_set(&mut self, g: &Graph, x: NodeId, re: &FRegex) -> Vec<NodeId> {
-        self.frontier_sweep(g, x, re.atoms())
-    }
 }
 
 /// Quantifier helper: total hop budget of a regex (`None` if unbounded),
-/// used by the bounded-simulation baseline.
+/// used by the bounded-simulation baseline. A sum past `u32::MAX` is also
+/// `None`: a path that long revisits nodes, so no bound beyond `|V|`
+/// differs from `+`.
 pub fn total_bound(re: &FRegex) -> Option<u32> {
     re.atoms().iter().try_fold(0u32, |acc, a| match a.quant {
-        Quant::One => Some(acc + 1),
-        Quant::AtMost(k) => Some(acc + k),
+        Quant::One => acc.checked_add(1),
+        Quant::AtMost(k) => acc.checked_add(k),
         Quant::Plus => None,
     })
 }
@@ -160,9 +112,12 @@ pub fn total_bound(re: &FRegex) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predicate::Predicate;
+    use crate::rq::Rq;
     use proptest::prelude::*;
     use rpq_graph::{Color, DistanceMatrix, GraphBuilder, WILDCARD};
     use rpq_index::GraphProbe;
+    use rpq_regex::Atom;
 
     /// The Essembly graph from Fig. 1.
     fn g() -> Graph {
@@ -190,11 +145,13 @@ mod tests {
         assert!(!set3.contains(&b1));
     }
 
-    /// `x`'s reach set through `r`, sorted.
-    fn sorted_reach(reach: &mut ProbeReach<'_>, g: &Graph, x: NodeId, r: &FRegex) -> Vec<NodeId> {
-        let mut set = reach.reach_set(g, x, r);
-        set.sort_unstable();
-        set
+    /// `x`'s reach set through `r` over `probe`, ascending: the level scan
+    /// of an RQ with trivial predicates, from `x` alone.
+    fn sorted_reach(probe: &dyn DistProbe, g: &Graph, x: NodeId, r: &FRegex) -> Vec<NodeId> {
+        let any = Predicate::always_true();
+        let rq = Rq::new(any.clone(), any, r.clone());
+        let pairs = rq.eval_with_dist_from(g, probe, vec![x]).into_pairs();
+        pairs.into_iter().map(|(_, y)| y).collect()
     }
 
     #[test]
@@ -211,9 +168,6 @@ mod tests {
         let matrix = DistanceMatrix::build(&g);
         let labels = rpq_index::HopLabels::build(&g);
         let graph = GraphProbe::new(&g);
-        let mut mx = ProbeReach::new(&matrix);
-        let mut hop = ProbeReach::new(&labels);
-        let mut search = ProbeReach::new(&graph);
         for r in &regexes {
             let nfa = Nfa::from_regex(r);
             // the labels hold concrete colors; `_` is the graph's to answer
@@ -221,11 +175,11 @@ mod tests {
             for x in g.nodes() {
                 let oracle = product_reach_set(&g, &nfa, x);
                 let at = format!("from {} via {}", g.label(x), r.display(g.alphabet()));
-                assert_eq!(sorted_reach(&mut mx, &g, x, r), oracle, "matrix {at}");
+                assert_eq!(sorted_reach(&matrix, &g, x, r), oracle, "matrix {at}");
                 if labelled {
-                    assert_eq!(sorted_reach(&mut hop, &g, x, r), oracle, "hop labels {at}");
+                    assert_eq!(sorted_reach(&labels, &g, x, r), oracle, "hop labels {at}");
                 }
-                assert_eq!(sorted_reach(&mut search, &g, x, r), oracle, "graph {at}");
+                assert_eq!(sorted_reach(&graph, &g, x, r), oracle, "graph {at}");
             }
         }
     }
@@ -250,7 +204,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// A `Join` step (`sources_reaching_within` over 1 500 sources
-        /// cycling over the nodes) and a frontier walk (`reach_set`) on
+        /// cycling over the nodes) and a single-source level scan on
         /// every probe — the matrix, the hop labels on concrete colors,
         /// the graph — must agree with the matrix's point probes and row
         /// scans.
@@ -304,7 +258,7 @@ mod tests {
                     want = nodes.iter().copied().filter(|z| next[z.index()]).collect();
                 }
                 for &(name, probe) in &probes {
-                    let got = sorted_reach(&mut ProbeReach::new(probe), &g, x, &re);
+                    let got = sorted_reach(probe, &g, x, &re);
                     prop_assert_eq!(got, want.clone(), "{}: from {:?} via {:?}", name, x, atoms);
                 }
             }
@@ -358,14 +312,13 @@ mod tests {
         b.add_edge(x, y, c);
         let g = b.build();
         let matrix = DistanceMatrix::build(&g);
+        let labels = rpq_index::HopLabels::build(&g);
         let graph = GraphProbe::new(&g);
-        let mut mx = ProbeReach::new(&matrix);
-        let mut search = ProbeReach::new(&graph);
         let rc = FRegex::parse("c+", g.alphabet()).unwrap();
-        assert_eq!(sorted_reach(&mut mx, &g, x, &rc), [x, y]);
-        assert_eq!(sorted_reach(&mut search, &g, x, &rc), [x, y]);
-        assert!(mx.reach_set(&g, y, &rc).is_empty());
-        assert!(search.reach_set(&g, y, &rc).is_empty());
+        for probe in [&matrix as &dyn DistProbe, &labels, &graph] {
+            assert_eq!(sorted_reach(probe, &g, x, &rc), [x, y]);
+            assert!(sorted_reach(probe, &g, y, &rc).is_empty());
+        }
     }
 
     #[test]
@@ -381,22 +334,28 @@ mod tests {
         b.add_edge(ns[3], ns[4], s);
         let g = b.build();
         let matrix = DistanceMatrix::build(&g);
-        let mut mx = ProbeReach::new(&matrix);
+        let labels = rpq_index::HopLabels::build(&g);
+        let graph = GraphProbe::new(&g);
         let re = FRegex::parse("r^2 s^2", g.alphabet()).unwrap();
-        // n2 needs at least one s
-        assert_eq!(sorted_reach(&mut mx, &g, ns[0], &re), [ns[3], ns[4]]);
-        assert_eq!(sorted_reach(&mut mx, &g, ns[1], &re), [ns[3], ns[4]]);
+        for probe in [&matrix as &dyn DistProbe, &labels, &graph] {
+            // n2 needs at least one s
+            assert_eq!(sorted_reach(probe, &g, ns[0], &re), [ns[3], ns[4]]);
+            assert_eq!(sorted_reach(probe, &g, ns[1], &re), [ns[3], ns[4]]);
+        }
     }
 
     #[test]
     fn wildcard_atom_reach() {
         let g = g();
         let matrix = DistanceMatrix::build(&g);
-        let mut mx = ProbeReach::new(&matrix);
+        let graph = GraphProbe::new(&g);
         let d1 = g.node_by_label("D1").unwrap();
         let h1 = g.node_by_label("H1").unwrap();
         let w = FRegex::new(vec![Atom::new(WILDCARD, Quant::AtMost(2))]);
-        assert!(mx.reach_set(&g, d1, &w).contains(&h1));
+        // the labels hold concrete colors; `_` is the graph's to answer
+        for probe in [&matrix as &dyn DistProbe, &graph] {
+            assert!(sorted_reach(probe, &g, d1, &w).contains(&h1));
+        }
     }
 
     #[test]

@@ -186,21 +186,10 @@ impl Rq {
     /// `hop` plan) beyond it. Results are identical across backends;
     /// only the probe cost differs.
     ///
-    /// Implementation notes — one recorded pass, rows only for live nodes.
-    /// Level 0 is the sorted sources; level `i + 1` is the sorted set of
-    /// distinct nodes the scans of atom `i` hit from level `i`. Each level
-    /// node is scanned once ([`DistProbe::for_each_reaching_within`] —
-    /// contiguous row scans for the matrix, inverted hub lists for labels,
-    /// with the |path| ≥ 1 diagonal folded in), and its hits are recorded,
-    /// deduplicated per row, as a CSR row into the next level. The target
-    /// predicate's bitmap ([`Predicate::select_bits`]) is tested on the
-    /// last level only. The paper's
-    /// "compose these partial results" then runs backward over the
-    /// recorded rows: a level node's bitset over the kept targets is the
-    /// OR of its successors' — one `|level| × ⌈targets / 64⌉` word table
-    /// per level, never one per graph node, and no second scan. Sources
-    /// come out ascending and each row's bits in target order, so the
-    /// pairs are sorted as produced.
+    /// One recorded pass, the crate's one producer of answer pairs: each
+    /// level node is scanned once per atom, and the target predicate's
+    /// bitmap ([`Predicate::select_bits`]) is tested on the last level
+    /// only.
     pub fn eval_with_dist(&self, g: &Graph, m: &dyn DistProbe) -> RqResult {
         self.eval_with_dist_from(g, m, self.from.select(g))
     }
@@ -216,98 +205,7 @@ impl Rq {
         m: &dyn DistProbe,
         sources: Vec<NodeId>,
     ) -> RqResult {
-        const NONE: u32 = u32::MAX;
-        let n = g.node_count();
-        let mut levels: Vec<Vec<NodeId>> = vec![sources];
-        let mut steps: Vec<Step> = Vec::with_capacity(self.regex.len());
-        // stamp[z]: the last row whose scan hit z (per-row deduplication);
-        // slot[z]: z's position in the level being built (NONE = absent)
-        let (mut stamp, mut slot) = (vec![NONE; n], vec![NONE; n]);
-        let mut row_id = 0u32;
-        for atom in self.regex.atoms() {
-            let level = levels.last().expect("level 0 is the sources");
-            if level.is_empty() {
-                return RqResult::new(Vec::new());
-            }
-            let mut step = Step {
-                offsets: Vec::with_capacity(level.len() + 1),
-                hits: Vec::new(),
-            };
-            step.offsets.push(0);
-            for &w in level {
-                m.for_each_reaching_within(g, w, atom.color, atom.quant.max(), &mut |z| {
-                    let zi = z.index();
-                    if stamp[zi] != row_id {
-                        stamp[zi] = row_id;
-                        slot[zi] = 0;
-                        step.hits.push(z.0);
-                    }
-                });
-                row_id += 1;
-                step.offsets.push(step.hits.len());
-            }
-            let mut next = Vec::new();
-            for (z, s) in slot.iter_mut().enumerate() {
-                if *s != NONE {
-                    *s = next.len() as u32;
-                    next.push(NodeId(z as u32));
-                }
-            }
-            for hit in &mut step.hits {
-                *hit = slot[*hit as usize];
-            }
-            for z in &next {
-                slot[z.index()] = NONE;
-            }
-            steps.push(step);
-            levels.push(next);
-        }
-
-        // kept targets: the last level's nodes that match `to`, ascending;
-        // bit_of[p] = the bit of last-level position p (NONE = not kept)
-        let targets = self.to.select_bits(g);
-        let mut kept: Vec<NodeId> = Vec::new();
-        let bit_of: Vec<u32> = levels[levels.len() - 1]
-            .iter()
-            .map(|&y| {
-                if !selected(&targets, y) {
-                    return NONE;
-                }
-                kept.push(y);
-                kept.len() as u32 - 1
-            })
-            .collect();
-        if kept.is_empty() {
-            return RqResult::new(Vec::new());
-        }
-        let words = kept.len().div_ceil(64);
-        let last = steps.pop().expect("F expressions are nonempty");
-        let mut rows = last.compose(words, |p, row| {
-            let b = bit_of[p as usize];
-            if b != NONE {
-                row[b as usize / 64] |= 1 << (b % 64);
-            }
-        });
-        while let Some(step) = steps.pop() {
-            rows = step.compose(words, |p, row| {
-                let succ = &rows[p as usize * words..(p as usize + 1) * words];
-                for (a, &s) in row.iter_mut().zip(succ) {
-                    *a |= s;
-                }
-            });
-        }
-
-        let mut pairs = Vec::new();
-        for (&x, bits) in levels[0].iter().zip(rows.chunks_exact(words)) {
-            for (w, &word) in bits.iter().enumerate() {
-                let mut word = word;
-                while word != 0 {
-                    let b = word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    pairs.push((x, kept[w * 64 + b]));
-                }
-            }
-        }
+        let pairs = level_scan(g, m, &self.regex, &sources, &self.to.select_bits(g));
         RqResult::from_sorted_pairs(pairs).expect("ascending sources, ascending targets per source")
     }
 
@@ -367,7 +265,129 @@ impl Rq {
     }
 }
 
-/// One atom's recorded scans in [`Rq::eval_with_dist`]: row `r` (the
+/// §4's DM pass, the one code that produces answer pairs: every
+/// `(x, y)` with `x` in `sources` (ascending, distinct), `y` in the node
+/// bitmap `targets`, and a nonempty path `x ⇝ y` spelling a word of
+/// `regex`, sorted. [`Rq::eval_with_dist_from`] runs it into the target
+/// predicate's bitmap; PQ assembly
+/// ([`join_match::assemble`](crate::join_match::assemble)) runs it per
+/// pattern edge from one match set into the other's.
+///
+/// One recorded pass, rows only for live nodes. Level 0 is the sources;
+/// level `i + 1` is the sorted set of distinct nodes the scans of atom
+/// `i` hit from level `i`. Each level node is scanned once
+/// ([`DistProbe::for_each_reaching_within`] — contiguous row scans for the
+/// matrix, inverted hub lists for labels, a forward sweep over the graph,
+/// with the |path| ≥ 1 diagonal folded in), and its hits are recorded,
+/// deduplicated per row, as a CSR row into the next level. `targets` is
+/// tested on the last level only. The paper's "compose these partial
+/// results" then runs backward over the recorded rows: a level node's
+/// bitset over the kept targets is the OR of its successors' — one
+/// `|level| × ⌈targets / 64⌉` word table per level, never one per graph
+/// node, and no second scan. Sources come out ascending and each row's
+/// bits in target order, so the pairs are sorted as produced.
+pub(crate) fn level_scan(
+    g: &Graph,
+    probe: &dyn DistProbe,
+    regex: &FRegex,
+    sources: &[NodeId],
+    targets: &[u64],
+) -> Vec<(NodeId, NodeId)> {
+    const NONE: u32 = u32::MAX;
+    let n = g.node_count();
+    // the deepest level built (None: only level 0, the sources)
+    let mut deepest: Option<Vec<NodeId>> = None;
+    let mut steps: Vec<Step> = Vec::with_capacity(regex.len());
+    // stamp[z]: the last row whose scan hit z (per-row deduplication);
+    // slot[z]: z's position in the level being built (NONE = absent)
+    let (mut stamp, mut slot) = (vec![NONE; n], vec![NONE; n]);
+    let mut row_id = 0u32;
+    for atom in regex.atoms() {
+        let level = deepest.as_deref().unwrap_or(sources);
+        if level.is_empty() {
+            return Vec::new();
+        }
+        let mut step = Step {
+            offsets: Vec::with_capacity(level.len() + 1),
+            hits: Vec::new(),
+        };
+        step.offsets.push(0);
+        for &w in level {
+            probe.for_each_reaching_within(g, w, atom.color, atom.quant.max(), &mut |z| {
+                let zi = z.index();
+                if stamp[zi] != row_id {
+                    stamp[zi] = row_id;
+                    slot[zi] = 0;
+                    step.hits.push(z.0);
+                }
+            });
+            row_id += 1;
+            step.offsets.push(step.hits.len());
+        }
+        let mut next = Vec::new();
+        for (z, s) in slot.iter_mut().enumerate() {
+            if *s != NONE {
+                *s = next.len() as u32;
+                next.push(NodeId(z as u32));
+            }
+        }
+        for hit in &mut step.hits {
+            *hit = slot[*hit as usize];
+        }
+        for z in &next {
+            slot[z.index()] = NONE;
+        }
+        steps.push(step);
+        deepest = Some(next);
+    }
+
+    // kept targets: the last level's nodes in `targets`, ascending;
+    // bit_of[p] = the bit of last-level position p (NONE = not kept)
+    let mut kept: Vec<NodeId> = Vec::new();
+    let bit_of: Vec<u32> = (deepest.iter().flatten())
+        .map(|&y| {
+            if !selected(targets, y) {
+                return NONE;
+            }
+            kept.push(y);
+            kept.len() as u32 - 1
+        })
+        .collect();
+    if kept.is_empty() {
+        return Vec::new();
+    }
+    let words = kept.len().div_ceil(64);
+    let last = steps.pop().expect("F expressions are nonempty");
+    let mut rows = last.compose(words, |p, row| {
+        let b = bit_of[p as usize];
+        if b != NONE {
+            row[b as usize / 64] |= 1 << (b % 64);
+        }
+    });
+    while let Some(step) = steps.pop() {
+        rows = step.compose(words, |p, row| {
+            let succ = &rows[p as usize * words..(p as usize + 1) * words];
+            for (a, &s) in row.iter_mut().zip(succ) {
+                *a |= s;
+            }
+        });
+    }
+
+    let mut pairs = Vec::new();
+    for (&x, bits) in sources.iter().zip(rows.chunks_exact(words)) {
+        for (w, &word) in bits.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let b = word.trailing_zeros() as usize;
+                word &= word - 1;
+                pairs.push((x, kept[w * 64 + b]));
+            }
+        }
+    }
+    pairs
+}
+
+/// One atom's recorded scans in [`level_scan`]: row `r` (the
 /// `r`-th node of a level) hit the next level's positions
 /// `hits[offsets[r]..offsets[r + 1]]`, each once — so the record grows
 /// with the scans' own distinct output, 4 bytes per (row, hit).

@@ -34,7 +34,7 @@
 //! ledger's cyclic 6×8 patterns over `youtube_like(600, 1)` and the
 //! matrix, 1.2× JoinMatch's time (two-core box).
 
-use crate::join_match::{assemble_with, refine_pruned};
+use crate::join_match::{assemble, refine_pruned};
 use crate::pq::{Pq, PqResult};
 use crate::predicate::{listed, selected};
 use crate::reach::ProbeReach;
@@ -162,8 +162,8 @@ impl Partition {
 }
 
 impl SplitMatch {
-    /// Evaluate `pq` on `g` using `engine` for reachability probes.
-    pub fn eval(pq: &Pq, g: &Graph, engine: &mut ProbeReach<'_>) -> PqResult {
+    /// Evaluate `pq` on `g`, refining through `engine`'s probe.
+    pub fn eval(pq: &Pq, g: &Graph, engine: &ProbeReach<'_>) -> PqResult {
         let work = pq.normalize();
         let nq = work.node_count();
         let n = g.node_count();
@@ -208,7 +208,7 @@ impl SplitMatch {
         // --- refinement (Fig. 8 lines 8-14): JoinMatch's loop, splitting
         // the partition against rmv(e) wherever a step removes candidates
         let mut rmv: Vec<NodeId> = Vec::new();
-        let refined = refine_pruned(&work, g, engine, cand, |cand, u, ok| {
+        let refined = refine_pruned(&work, g, engine.probe(), cand, |cand, u, ok| {
             rmv.clear();
             rmv.extend(cand[u].iter().zip(ok).filter(|(_, &o)| !o).map(|(&x, _)| x));
             partition.split(&rmv, &mut split);
@@ -233,7 +233,7 @@ impl SplitMatch {
 
         // --- result collection (Fig. 8 lines 15-18) -------------------
         match refined {
-            Some(mats) => assemble_with(pq, g, &mats, engine),
+            Some(mats) => assemble(pq, g, &mats),
             None => PqResult::empty(pq),
         }
     }
@@ -289,12 +289,9 @@ mod tests {
         let pq = q2(&g);
         let oracle = pq.eval_naive(&g);
         let m = DistanceMatrix::build(&g);
-        assert_eq!(SplitMatch::eval(&pq, &g, &mut ProbeReach::new(&m)), oracle);
+        assert_eq!(SplitMatch::eval(&pq, &g, &ProbeReach::new(&m)), oracle);
         let graph = GraphProbe::new(&g);
-        assert_eq!(
-            SplitMatch::eval(&pq, &g, &mut ProbeReach::new(&graph)),
-            oracle
-        );
+        assert_eq!(SplitMatch::eval(&pq, &g, &ProbeReach::new(&graph)), oracle);
     }
 
     /// Run JoinMatch and SplitMatch over `probe`, each through its own
@@ -302,8 +299,8 @@ mod tests {
     /// the number of probes; returns the answer.
     fn split_as_join(pq: &Pq, g: &Graph, probe: &dyn DistProbe, what: &str) -> PqResult {
         let (join_probe, split_probe) = (CountingProbe::new(probe), CountingProbe::new(probe));
-        let join = JoinMatch::eval(pq, g, &mut ProbeReach::new(&join_probe));
-        let split = SplitMatch::eval(pq, g, &mut ProbeReach::new(&split_probe));
+        let join = JoinMatch::eval(pq, g, &ProbeReach::new(&join_probe));
+        let split = SplitMatch::eval(pq, g, &ProbeReach::new(&split_probe));
         assert_eq!(split, join, "{what}: SplitMatch's answer");
         assert_eq!(
             split_probe.probes(),
@@ -476,6 +473,6 @@ mod tests {
         pq.add_edge(a, b, re);
         let naive = pq.eval_naive(&g);
         let m = DistanceMatrix::build(&g);
-        assert_eq!(SplitMatch::eval(&pq, &g, &mut ProbeReach::new(&m)), naive);
+        assert_eq!(SplitMatch::eval(&pq, &g, &ProbeReach::new(&m)), naive);
     }
 }

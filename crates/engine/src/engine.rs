@@ -610,7 +610,8 @@ impl QueryEngine {
     /// probe — an index, or on [`Backend::Search`] the graph itself
     /// ([`GraphProbe`]) — and evaluate the plan's algorithm over it,
     /// through one [`CountingProbe`]. Returns the output, the number of
-    /// distance probes issued (0 for `biBFS`, which probes nothing; only
+    /// distance probes issued (0 for `biBFS`, which probes nothing; a PQ's
+    /// refinement only, its assembly scanning the graph uncounted; only
     /// profiles read it), and an RQ's memo miss: patched or evaluated.
     fn evaluate(&self, job: Job<'_>) -> (QueryOutput, u64, Option<Lookup>) {
         let graph;
@@ -709,7 +710,7 @@ fn eval_probing(job: Job<'_>, probe: &dyn DistProbe) -> (QueryOutput, Option<Loo
         }
         // §5's two PQ algorithms
         (Query::Pq(pq), algo) => {
-            let reach = &mut ProbeReach::new(probe);
+            let reach = &ProbeReach::new(probe);
             let answer = match algo {
                 Algo::Join => JoinMatch::eval(pq, job.g, reach),
                 Algo::Split => SplitMatch::eval(pq, job.g, reach),
@@ -848,7 +849,7 @@ mod tests {
         );
         assert_eq!(
             batch.items()[1].output.as_pq().unwrap(),
-            &JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&m))
+            &JoinMatch::eval(&pq, &g, &ProbeReach::new(&m))
         );
         assert_eq!(batch.items()[0].output, batch.items()[2].output);
         assert!(batch.items()[3].output.as_rq().unwrap().is_empty());

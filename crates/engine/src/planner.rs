@@ -11,8 +11,7 @@
 //!   where it holds a layer for every color the query probes, else search
 //!   (label indices hold no layer for `_`: such queries plan search, and
 //!   [`Rationale`] says why).
-//!   Matrix point probes are O(1) (its frontier and `Join` steps sweep
-//!   the graph) but cost O(|Σ|·|V|²) memory, so the matrix exists only
+//!   Matrix point probes are O(1) (its `Join` steps sweep the graph) but cost O(|Σ|·|V|²) memory, so the matrix exists only
 //!   under the configured node limit; hop labels cost memory
 //!   proportional to label size; the sharded regime is the graph plus an
 //!   edge-cut partition and sweeps the graph for every question, as
@@ -207,7 +206,7 @@ impl fmt::Display for Rationale {
         f.write_str(match plan.backend {
             Backend::Matrix => {
                 "distance matrix available: O(1) point probes and row scans, \
-                 graph sweeps answer frontier and Join steps"
+                 graph sweeps answer Join steps"
             }
             Backend::Hop => "no matrix; hop labels cover every probed color",
             Backend::Sharded => {
@@ -262,14 +261,13 @@ pub fn plan_rq(regex: &FRegex, backend: Backend) -> (Plan, Rationale) {
 /// shape on both index backends and prints the per-shape join/split
 /// ratio, each time the median of 9 alternated runs. The measurement
 /// (1.5k-node youtube-like graph, ring vs chain patterns, two runs,
-/// two-core box): `JoinMatch` wins on every backend and shape, by
-/// join/split 0.64–0.69 on matrix rings, 0.74–0.78 on hop rings and
-/// 0.52–0.87 on chains; no row moved by more than 0.10 between the two
-/// runs (means of 3 runs moved by up to 0.2, and a chain row read 1.14
-/// once). The
-/// margin is only the partition now: `SplitMatch` refines through
-/// `JoinMatch`'s own loop, so both run the same `Join` steps and the
-/// same probes, and a split costs O(|rmv|). While `SplitMatch` ran its
+/// two-core box, both algorithms assembling their answer with the same
+/// level scan over the graph): `JoinMatch` wins on every backend and
+/// shape, by join/split 0.60–0.70 on matrix rings, 0.70–0.80 on hop rings
+/// and 0.61–0.88 on chains; no row moved by more than 0.07 between the two
+/// runs. The margin is only the partition now: `SplitMatch` refines
+/// through `JoinMatch`'s own loop, so both run the same `Join` steps and
+/// the same probes, and a split costs O(|rmv|). While `SplitMatch` ran its
 /// own worklist and re-expanded its candidate lists from their blocks
 /// every step, the ratios were 0.23–0.40 on matrix rings, 0.41–0.45 on
 /// hop rings and down to 0.11 on long chains; and while the matrix

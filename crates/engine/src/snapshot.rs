@@ -46,9 +46,9 @@ use std::sync::{Arc, OnceLock};
 
 /// One registered standing query as of a snapshot's version: the
 /// maintained match sets, and the full per-edge [`PqResult`] assembled
-/// lazily on first read (assembly runs reachability probes per pattern
-/// edge — paying it inside the writer's `apply` for answers nobody reads
-/// would serialize that work under the writer lock).
+/// lazily on first read (assembly runs one level scan over the graph per
+/// pattern edge — paying it inside the writer's `apply` for answers nobody
+/// reads would serialize that work under the writer lock).
 #[derive(Debug, Clone)]
 pub(crate) struct StandingEntry {
     pub(crate) pq: Pq,
@@ -68,13 +68,10 @@ impl StandingEntry {
     }
 
     pub(crate) fn answer(&self, g: &Graph) -> Arc<PqResult> {
-        Arc::clone(self.cell.get_or_init(|| {
-            Arc::new(if self.mats.iter().any(|m| m.is_empty()) {
-                PqResult::empty(&self.pq)
-            } else {
-                rpq_core::join_match::assemble(&self.pq, g, &self.mats)
-            })
-        }))
+        Arc::clone(
+            self.cell
+                .get_or_init(|| Arc::new(rpq_core::join_match::assemble(&self.pq, g, &self.mats))),
+        )
     }
 }
 

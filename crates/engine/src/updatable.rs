@@ -541,7 +541,7 @@ mod tests {
         let reference = rpq_core::join_match::JoinMatch::eval(
             &pq,
             report.snapshot.graph(),
-            &mut rpq_core::reach::ProbeReach::new(&graph),
+            &rpq_core::reach::ProbeReach::new(&graph),
         );
         assert_eq!(&*maintained, &reference);
         assert_ne!(&*maintained, &*initial, "the cut must change the answer");

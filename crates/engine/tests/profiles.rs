@@ -372,7 +372,7 @@ fn profiles_count_each_probe_call_once() {
 
         let pq_query = canonical_pq(&pq_query);
         let counting = CountingProbe::new(probe);
-        JoinMatch::eval(&pq_query, g, &mut ProbeReach::new(&counting));
+        JoinMatch::eval(&pq_query, g, &ProbeReach::new(&counting));
         let (_, profile) =
             engine.run_query_with_plan_profiled(&Query::Pq(pq_query), plan(Algo::Join));
         assert!(counting.probes() > 0, "{backend:?}: the PQ probes");

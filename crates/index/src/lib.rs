@@ -13,7 +13,7 @@
 //!
 //! The [`DistProbe`] trait is the seam: both the dense matrix and the hop
 //! labels implement it, so RQ evaluation in `rpq-core`
-//! (`Rq::eval_with_dist`) **and PQ evaluation** (`ProbeReach`, over a
+//! (`Rq::eval_with_dist`) **and PQ refinement** (`ProbeReach`, over a
 //! `&dyn DistProbe`, backs `JoinMatch`/`SplitMatch`) are
 //! backend-generic and the engine's planner is free to pick
 //!

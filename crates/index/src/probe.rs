@@ -23,13 +23,14 @@
 //! picks the index, the algorithm stays the same. With no index at all,
 //! [`GraphProbe`] asks the graph the same questions by breadth-first sweeps.
 //!
-//! PQ evaluation also asks two set questions: a whole `Join` step
-//! ([`DistProbe::sources_reaching_within`], every backend answers it at
-//! once) and a whole frontier step
-//! ([`DistProbe::for_each_reaching_from`]). The matrix keeps its point
-//! probes and row scans for RQs and answers both set questions with one
-//! [`GraphProbe`] sweep over the graph, O(|V| + |E|) — not a probe per
-//! (source, target) pair and a row scan per frontier node.
+//! PQ refinement also asks one set question, a whole `Join` step
+//! ([`DistProbe::sources_reaching_within`]), which every backend answers
+//! at once. The matrix keeps its point probes and row scans for RQs and
+//! answers it with one [`GraphProbe`] sweep over the graph,
+//! O(|V| + |E|) — not a probe per (source, target) pair. Answer pairs,
+//! an RQ's and a PQ's alike, come from the per-node scan
+//! ([`DistProbe::for_each_reaching_within`]) in `rpq-core`'s DM level
+//! scan.
 
 use rpq_graph::{Color, DistanceMatrix, Graph, NodeId, INFINITY};
 use std::cell::Cell;
@@ -64,8 +65,8 @@ pub trait DistProbe {
     /// nonempty path `from → z` of length ≤ `max_len` (`None` =
     /// unbounded) — [`for_each_within`](DistProbe::for_each_within) plus
     /// `from` itself when a cycle through it fits the bound. This is the
-    /// one-atom step both RQ evaluation and PQ frontier sweeps are built
-    /// from; it lives here so the subtle diagonal rule (the matrix/label
+    /// one-atom step of the DM level scan that answers RQs and assembles
+    /// PQs; it lives here so the subtle diagonal rule (the matrix/label
     /// diagonal stores 0, but the semantics requires |path| ≥ 1) is
     /// encoded once. Like the underlying scan, `f` may be called more
     /// than once per node.
@@ -82,25 +83,6 @@ pub trait DistProbe {
         self.for_each_within(from, color, max, f);
         if self.has_cycle_within(g, from, color, max_len) {
             f(from);
-        }
-    }
-
-    /// [`for_each_reaching_within`](DistProbe::for_each_reaching_within)
-    /// from every node of `frontier`: `f(z)` for every `z` with a nonempty
-    /// path of length ≤ `max_len` from some frontier node — one step of a
-    /// frontier sweep through an atom. The default scans per frontier
-    /// node; [`GraphProbe`] advances the whole frontier in one sweep. `f`
-    /// may be called more than once per node.
-    fn for_each_reaching_from(
-        &self,
-        g: &Graph,
-        frontier: &[NodeId],
-        color: Color,
-        max_len: Option<u32>,
-        f: &mut dyn FnMut(NodeId),
-    ) {
-        for &w in frontier {
-            self.for_each_reaching_within(g, w, color, max_len, f);
         }
     }
 
@@ -201,22 +183,8 @@ impl DistProbe for DistanceMatrix {
         }
     }
 
-    // the set questions sweep `g`: a row scan per frontier node and a
-    // probe per (source, target) pair cost more than one O(|V| + |E|) pass
-
-    fn for_each_reaching_from(
-        &self,
-        g: &Graph,
-        frontier: &[NodeId],
-        color: Color,
-        max_len: Option<u32>,
-        f: &mut dyn FnMut(NodeId),
-    ) {
-        MATRIX_SWEEPS.with(|pool| {
-            GraphProbe::with_pool(g, pool).for_each_reaching_from(g, frontier, color, max_len, f)
-        });
-    }
-
+    // a Join step sweeps `g`: a probe per (source, target) pair costs
+    // more than one O(|V| + |E|) pass
     fn sources_reaching_within(
         &self,
         g: &Graph,
@@ -243,7 +211,7 @@ thread_local! {
 /// The graph itself as a [`DistProbe`]: no index, every question answered
 /// by a breadth-first sweep over the edges of `g` that `color` admits — the
 /// backend of the engine's search plans, the standing-query matcher and
-/// engine-less PQ assembly.
+/// PQ assembly.
 ///
 /// Sweeps are set-at-a-time where the question is.
 /// [`sources_reaching_within`](DistProbe::sources_reaching_within) runs
@@ -251,8 +219,8 @@ thread_local! {
 /// `k − 1`, and keeps a source iff one of its admitted out-edges lands
 /// inside it: the nonempty-path rule for a whole `Join` step in
 /// O(|V| + |E|), whatever |S| and |T|.
-/// [`for_each_reaching_from`](DistProbe::for_each_reaching_from) advances
-/// a whole frontier with one forward sweep seeded at depth 1.
+/// [`for_each_reaching_within`](DistProbe::for_each_reaching_within) is
+/// one forward sweep seeded at depth 1 with `from`'s admitted successors.
 ///
 /// A sweep marks visited nodes with an epoch stamp in an O(|V|) buffer
 /// that is reused, not re-zeroed, across calls: each thread probing at
@@ -456,24 +424,13 @@ impl DistProbe for GraphProbe<'_> {
 
     fn for_each_reaching_within(
         &self,
-        g: &Graph,
+        _: &Graph,
         from: NodeId,
         color: Color,
         max_len: Option<u32>,
         f: &mut dyn FnMut(NodeId),
     ) {
-        self.for_each_reaching_from(g, &[from], color, max_len, f);
-    }
-
-    fn for_each_reaching_from(
-        &self,
-        _: &Graph,
-        frontier: &[NodeId],
-        color: Color,
-        max_len: Option<u32>,
-        f: &mut dyn FnMut(NodeId),
-    ) {
-        let seeds = frontier.iter().flat_map(|&w| self.successors(w, color));
+        let seeds = self.successors(from, color);
         let max = max_len.unwrap_or(u32::MAX);
         self.with_sweep(|s| {
             s.run(self.g, false, color, seeds, 1..=max, |z, _| {
@@ -537,13 +494,14 @@ impl DistProbe for GraphProbe<'_> {
 /// A [`DistProbe`] decorator that counts probe calls while delegating
 /// every method to the wrapped backend — so a counted evaluation exercises
 /// the backend's own optimized implementations (e.g. the hop-label bulk
-/// `sources_reaching_within`, the graph's one-sweep frontier step), not
-/// the trait defaults. A call counts once, whatever it fans out to, except
+/// `sources_reaching_within`, the graph's one-sweep scan), not the trait
+/// defaults. A call counts once, whatever it fans out to, except
 /// `sources_reaching_within`, which counts its sources.
 ///
 /// The engine wraps every evaluation's probe in one; only profiles read
-/// the count. The counter is a plain [`Cell`]: a probe serves the one
-/// thread that runs its query.
+/// the count. A PQ's count is its refinement: assembly scans the graph
+/// with a probe of its own, which nothing counts. The counter is a plain
+/// [`Cell`]: a probe serves the one thread that runs its query.
 pub struct CountingProbe<'a> {
     inner: &'a dyn DistProbe,
     probes: Cell<u64>,
@@ -594,19 +552,6 @@ impl DistProbe for CountingProbe<'_> {
         self.count(1);
         self.inner
             .for_each_reaching_within(g, from, color, max_len, f)
-    }
-
-    fn for_each_reaching_from(
-        &self,
-        g: &Graph,
-        frontier: &[NodeId],
-        color: Color,
-        max_len: Option<u32>,
-        f: &mut dyn FnMut(NodeId),
-    ) {
-        self.count(1);
-        self.inner
-            .for_each_reaching_from(g, frontier, color, max_len, f)
     }
 
     fn has_cycle_within(
@@ -779,26 +724,17 @@ mod tests {
         })
     }
 
-    /// The nodes `visit` reports, as a membership mask.
-    fn reached(g: &Graph, visit: impl FnOnce(&mut dyn FnMut(NodeId))) -> Vec<bool> {
-        let mut hit = vec![false; g.node_count()];
-        visit(&mut |z| hit[z.index()] = true);
-        hit
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The matrix answers its set questions by sweeping the graph;
-        /// they must agree with its own point probes and row scans — for
-        /// every color and `_`, sources that are also targets (the
-        /// |path| ≥ 1 diagonal), empty target and frontier sets, and
-        /// bounds 0, 1, 3 and none.
+        /// The matrix answers a `Join` step by sweeping the graph; it must
+        /// agree with its own point probes — for every color and `_`,
+        /// sources that are also targets (the |path| ≥ 1 diagonal), empty
+        /// target sets, and bounds 0, 1, 3 and none.
         #[test]
         fn matrix_set_questions_match_point_probes_and_row_scans(
             g in arb_graph(),
             target_mask in any::<u16>(),
-            frontier_mask in any::<u16>(),
         ) {
             let m = DistanceMatrix::build(&g);
             let nodes: Vec<NodeId> = g.nodes().collect();
@@ -815,27 +751,13 @@ mod tests {
                             "sources reaching {:?} along {:?} within {:?}", targets, c, max_len
                         );
                     }
-                    for frontier in [pick(frontier_mask), nodes.clone(), Vec::new()] {
-                        let swept = reached(&g, |f| {
-                            m.for_each_reaching_from(&g, &frontier, c, max_len, f)
-                        });
-                        let scanned = reached(&g, |f| {
-                            for &w in &frontier {
-                                m.for_each_reaching_within(&g, w, c, max_len, f);
-                            }
-                        });
-                        prop_assert_eq!(
-                            swept, scanned,
-                            "reached from {:?} along {:?} within {:?}", frontier, c, max_len
-                        );
-                    }
                 }
             }
         }
     }
 
-    /// A backend whose scans exist only as the reaching overrides: the
-    /// trait defaults, which go through `for_each_within`, panic.
+    /// A backend whose scans exist only as the reaching override: the
+    /// trait default, which goes through `for_each_within`, panics.
     struct OverridesOnly;
 
     impl DistProbe for OverridesOnly {
@@ -862,17 +784,6 @@ mod tests {
             f(from);
         }
 
-        fn for_each_reaching_from(
-            &self,
-            _: &Graph,
-            frontier: &[NodeId],
-            _: Color,
-            _: Option<u32>,
-            f: &mut dyn FnMut(NodeId),
-        ) {
-            frontier.iter().for_each(|&w| f(w));
-        }
-
         fn sources_reaching_within(
             &self,
             _: &Graph,
@@ -895,8 +806,8 @@ mod tests {
         let probe = CountingProbe::new(&OverridesOnly);
         let mut seen = Vec::new();
         probe.for_each_reaching_within(&g, x, r, Some(2), &mut |z| seen.push(z));
-        probe.for_each_reaching_from(&g, &[x, y], r, None, &mut |z| seen.push(z));
-        assert_eq!(seen, [x, x, y]);
+        probe.for_each_reaching_within(&g, y, r, None, &mut |z| seen.push(z));
+        assert_eq!(seen, [x, y]);
         assert_eq!(probe.probes(), 2);
         // a Join step counts its sources
         let joined = probe.sources_reaching_within(&g, &[x, y], &[y], r, None);

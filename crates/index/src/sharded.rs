@@ -138,18 +138,6 @@ impl DistProbe for ShardedLabels {
             .for_each_reaching_within(g, from, color, max_len, f);
     }
 
-    fn for_each_reaching_from(
-        &self,
-        g: &Graph,
-        frontier: &[NodeId],
-        color: Color,
-        max_len: Option<u32>,
-        f: &mut dyn FnMut(NodeId),
-    ) {
-        self.graph_probe()
-            .for_each_reaching_from(g, frontier, color, max_len, f);
-    }
-
     fn has_cycle_within(
         &self,
         g: &Graph,

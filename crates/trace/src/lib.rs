@@ -317,7 +317,9 @@ pub struct QueryProfile {
     /// Contiguous stage timings; they sum to [`wall`](QueryProfile::wall)
     /// within instrumentation noise.
     pub stages: Vec<StageTiming>,
-    /// Index distance probes issued (0 when the plan does not probe).
+    /// Index distance probes issued (0 when the plan does not probe). A
+    /// PQ's are its refinement's: result assembly scans the graph and is
+    /// not counted.
     pub probes: u64,
     /// Batch-memo hits attributable to this query.
     pub memo_hits: u64,

@@ -48,7 +48,7 @@ fn main() {
     );
 
     let t1 = Instant::now();
-    let res = JoinMatch::eval(&pq, &g, &mut ProbeReach::new(&matrix));
+    let res = JoinMatch::eval(&pq, &g, &ProbeReach::new(&matrix));
     println!("JoinMatchM evaluated Q1 in {:.2?}", t1.elapsed());
     if res.is_empty() {
         println!("no matches — try another seed");
@@ -77,10 +77,10 @@ fn main() {
     );
 
     let t3 = Instant::now();
-    let res_fat = JoinMatch::eval(&fat, &g, &mut ProbeReach::new(&matrix));
+    let res_fat = JoinMatch::eval(&fat, &g, &ProbeReach::new(&matrix));
     let t_fat = t3.elapsed();
     let t4 = Instant::now();
-    let res_slim = JoinMatch::eval(&slim, &g, &mut ProbeReach::new(&matrix));
+    let res_slim = JoinMatch::eval(&slim, &g, &ProbeReach::new(&matrix));
     let t_slim = t4.elapsed();
     println!("evaluating the original took {t_fat:.2?}, the minimized {t_slim:.2?}");
     // the surviving A-class node has the same matches

@@ -119,7 +119,7 @@ fn mixed_batch_on_small_graph_matches_sequential() {
         // join/split choice); the answer must equal JoinMatch's regardless
         assert_eq!(
             batch.items()[12 + i].output.as_pq().unwrap(),
-            &JoinMatch::eval(pq, &g, &mut ProbeReach::new(&m)),
+            &JoinMatch::eval(pq, &g, &ProbeReach::new(&m)),
             "PQ {i}"
         );
         let plan = batch.items()[12 + i].plan;

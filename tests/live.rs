@@ -50,7 +50,7 @@ fn random_updates(rng: &mut StdRng, count: usize) -> Vec<Update> {
 }
 
 fn full_eval(pq: &Pq, g: &Graph) -> PqResult {
-    JoinMatch::eval(pq, g, &mut ProbeReach::new(&GraphProbe::new(g)))
+    JoinMatch::eval(pq, g, &ProbeReach::new(&GraphProbe::new(g)))
 }
 
 /// Acceptance: an RQ/PQ batch issued against a snapshot taken *before* an

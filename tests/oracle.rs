@@ -658,10 +658,10 @@ fn sweep_core(case: &Case, g: &Arc<Graph>, queries: &[Query], truth: &Truth) {
             }
             Query::Pq(pq) => {
                 for &(name, probe) in probes {
-                    let mut reach = ProbeReach::new(probe);
-                    let join = JoinMatch::eval(pq, g, &mut reach);
+                    let reach = ProbeReach::new(probe);
+                    let join = JoinMatch::eval(pq, g, &reach);
                     truth.check(q, &pq_out(join), &format!("JoinMatch over {name}"));
-                    let split = SplitMatch::eval(pq, g, &mut reach);
+                    let split = SplitMatch::eval(pq, g, &reach);
                     truth.check(q, &pq_out(split), &format!("SplitMatch over {name}"));
                     tally(format!("core {name}"));
                 }
