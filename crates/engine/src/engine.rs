@@ -268,7 +268,7 @@ impl QueryEngine {
     }
 
     /// This version's reach-set memo.
-    pub(crate) fn memo(&self) -> &SemanticMemo {
+    pub fn memo(&self) -> &SemanticMemo {
         &self.memo
     }
 
@@ -752,8 +752,8 @@ pub(crate) fn rq_targets(g: &Graph, to: &Predicate, pairs: &[(NodeId, NodeId)]) 
 /// changes since can reach ([`SemanticMemo::patch`], [`patch_reach_set`]).
 /// Without one, or when the patch would touch most sources, the memo
 /// decides whether the key is worth a cell ([`SemanticMemo::admit`]).
-/// Admitted — always while the memo has room, else from the key's second
-/// miss — the set is computed in full and installed via
+/// Admitted — always until the memo first evicts a cell, else from the
+/// key's second miss — the set is computed in full and installed via
 /// [`SemanticMemo::insert`], trading the backward-pruning pass for a
 /// reusable cache entry. Patched or admitted, the query's answer is the
 /// set filtered down to its targets ([`SemanticMemo::answer`], which keeps

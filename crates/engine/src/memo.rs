@@ -15,8 +15,7 @@
 //!    ([`SemanticMemo::try_answer`]) computes the key's full pair set
 //!    over its index or the graph and installs it
 //!    ([`SemanticMemo::insert`]); every later lookup gets the `Arc` for
-//!    free. That holds while the memo has room. Once it has had to evict
-//!    a cell to stay within its byte budget, a key is installed from its
+//!    free. Once the memo has evicted a cell, a key is installed from its
 //!    *second* miss ([`SemanticMemo::admit`], the "doorkeeper" of TinyLFU:
 //!    Einziger, Friedman and Manes, ACM ToS 2017): a first miss answers
 //!    its query alone and installs nothing, so a key that never comes
@@ -52,15 +51,19 @@
 //! — the engine's prologue canonicalises every query once — so every
 //! syntactic variant of a language lands on one cell.
 //!
-//! Cells are bounded by an LRU byte budget, which also pays for the
-//! per-target answers. Answers only use the room the reach sets leave:
-//! past the budget they are dropped first, least recently used cell
-//! first, and only then are cells evicted — from the table and the
-//! candidate index, while outstanding `Arc`s keep served answers alive.
-//! So which reach sets a workload keeps does not depend on its answers.
-//! The first cell evicted allocates the *seen set* of admission: a
-//! direct-mapped table of 64-bit key hashes, one slot per 4 KiB of
-//! budget, so a memo that never fills pays nothing for it.
+//! Cells are bounded by a byte budget, which also pays for the
+//! per-target answers, under one policy after S3-FIFO (Yang et al., SOSP
+//! 2023). A first-miss install or a derivation goes on *probation*, a FIFO
+//! whose reach sets are capped at a tenth of the budget even when the
+//! budget is not full, so a cell nothing reads is pushed out by later
+//! installs. A read (an exact hit, a donor use) moves a cell to *main*, an
+//! LRU, as does a patch or an install whose key the *ghost set* holds:
+//! the 64-bit hashes of evicted and declined keys, one slot per 4 KiB of
+//! budget, allocated at the first eviction. Past the budget, answers are
+//! dropped first, least recently used cell first, then main's cells —
+//! from the table and the candidate index, while outstanding `Arc`s keep
+//! served answers alive. So which reach sets a workload keeps does not
+//! depend on its answers.
 //!
 //! **Versions.** A memo belongs to one [`QueryEngine`](crate::QueryEngine),
 //! whose graph never changes, so a fresh cell is never wrong for the
@@ -76,10 +79,10 @@
 //! and installs the patched set, which supersedes the inherited cell. A
 //! cell left unread keeps appending later batches to its log, and is
 //! dropped after `CARRY_VERSIONS` (four) unread versions. Inherited cells
-//! share the table, the LRU order and the byte budget with fresh ones,
-//! and the next version shares the seen set (through an `Arc`), so a
-//! full memo stays full and a key first seen at one version is admitted
-//! on its second miss at the next.
+//! keep their queue and share the table, the eviction order and the byte
+//! budget with fresh ones, and the next version shares the ghost set
+//! (through an `Arc`), so a full memo stays full and a key first seen at
+//! one version is admitted on its second miss at the next.
 //!
 //! Concurrency scheme: one mutex over the table, held to look a key up,
 //! clone a cell's `Arc` and install a computed set; reach-set
@@ -101,7 +104,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 type PairSet = Arc<Vec<(NodeId, NodeId)>>;
@@ -141,37 +144,49 @@ const ANSWER_BYTES_PER_PAIR: usize = PAIR_BYTES + 24;
 /// log grows memory past a quarter.
 const CARRY_VERSIONS: usize = 4;
 
-/// Bytes of byte budget per slot of the seen set: 8 192 slots (64 KiB) at
+/// Probation holds `byte_budget / PROBATION_SHARE` bytes of reach sets,
+/// S3-FIFO's small queue: at the default 32 MiB, a `hop_unique` cell of
+/// ≈ 73 KiB that nothing reads is pushed out ≈ 45 installs later.
+const PROBATION_SHARE: usize = 10;
+
+/// Bytes of byte budget per slot of the ghost set: 8 192 slots (64 KiB) at
 /// the default 32 MiB. A full memo holds far fewer cells than that — on
 /// `hop_unique` a wide reach set is ≈ 9 300 pairs, ≈ 73 KiB — so the set
-/// remembers the keys of many cells' worth of first misses.
-const BUDGET_PER_SEEN_SLOT: usize = 4 << 10;
+/// remembers the keys of many cells' worth of evictions and first misses.
+const BUDGET_PER_GHOST_SLOT: usize = 4 << 10;
 
-/// The keys that missed once since the memo first evicted a cell: a
-/// direct-mapped table of full 64-bit key hashes, 0 for an empty slot.
-/// A key is admitted when its slot still holds its hash. A key hashed to
-/// a taken slot overwrites it, which only makes the table forget the
-/// other key — one more first miss for it, never a wrong answer — and a
-/// key is admitted only on a full 64-bit match.
-struct Seen {
-    slots: Box<[AtomicU64]>,
+/// The keys evicted or declined since the memo first evicted a cell: a
+/// direct-mapped table of full 64-bit key hashes, 0 for an empty slot,
+/// allocated by that eviction. A key hashed to a taken slot overwrites
+/// it, which only makes the table forget the other key — one more first
+/// miss for it, never a wrong answer — and a key is held only on a full
+/// 64-bit match.
+#[derive(Default)]
+struct Ghost {
+    slots: OnceLock<Box<[AtomicU64]>>,
 }
 
-impl Seen {
-    fn new(byte_budget: usize) -> Self {
-        let slots = (byte_budget / BUDGET_PER_SEEN_SLOT).max(1);
-        Seen {
-            slots: (0..slots).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Record a miss on `(from, canon)`: whether the key's slot already
-    /// held it.
-    fn missed_before(&self, from: &Predicate, canon: &FRegex) -> bool {
+impl Ghost {
+    fn slot(&self, from: &Predicate, canon: &FRegex) -> Option<(&AtomicU64, u64)> {
+        let slots = self.slots.get()?;
         let mut hasher = DefaultHasher::new();
         (from, canon).hash(&mut hasher);
         let hash = hasher.finish().max(1);
-        let slot = &self.slots[(hash % self.slots.len() as u64) as usize];
+        Some((&slots[(hash % slots.len() as u64) as usize], hash))
+    }
+
+    fn holds(&self, from: &Predicate, canon: &FRegex) -> bool {
+        (self.slot(from, canon)).is_some_and(|(slot, hash)| slot.load(Ordering::Relaxed) == hash)
+    }
+
+    /// Record `(from, canon)`, allocating the set for `byte_budget` on the
+    /// first record: whether the key's slot already held it.
+    fn record(&self, from: &Predicate, canon: &FRegex, byte_budget: usize) -> bool {
+        self.slots.get_or_init(|| {
+            let slots = (byte_budget / BUDGET_PER_GHOST_SLOT).max(1);
+            (0..slots).map(|_| AtomicU64::new(0)).collect()
+        });
+        let (slot, hash) = self.slot(from, canon).expect("allocated");
         // a slot publishes nothing but its own value: versions and racing
         // misses may see each other's records late, which costs at most
         // one more first miss
@@ -270,10 +285,12 @@ impl Lookup {
     }
 }
 
-/// One key's reach set, with its LRU tick.
+/// One key's reach set, with its tick: its install while on probation
+/// (not read since), its last read in main.
 struct Cell {
     pairs: PairSet,
     tick: u64,
+    probation: bool,
     state: State,
 }
 
@@ -299,13 +316,18 @@ impl Cell {
         matches!(self.state, State::Fresh { .. })
     }
 
+    /// What the cell's reach set is charged.
+    fn reach_bytes(&self) -> usize {
+        self.pairs.len() * PAIR_BYTES
+    }
+
     /// What the cell is charged: its reach set, and its answers.
     fn bytes(&self) -> usize {
         let answers = match self.state {
             State::Fresh { answer_bytes, .. } => answer_bytes,
             State::Inherited { .. } => 0,
         };
-        self.pairs.len() * PAIR_BYTES + answers
+        self.reach_bytes() + answers
     }
 }
 
@@ -319,6 +341,10 @@ struct Table {
     bytes: usize,
     /// The answers' share of `bytes`.
     answer_bytes: usize,
+    /// The reach sets on probation: their share of `bytes`.
+    probation_bytes: usize,
+    budget: usize,
+    ghost: Arc<Ghost>, // shared with every later version
 }
 
 impl Table {
@@ -327,12 +353,14 @@ impl Table {
         (self.map.get_mut(from)?.get_mut(regex)).filter(|cell| cell.is_fresh())
     }
 
-    /// The fresh cell of `(from, regex)`, marked most recently used.
+    /// The fresh cell of `(from, regex)`, read: most recently used, in main.
     fn touch(&mut self, from: &Predicate, regex: &FRegex) -> Option<&mut Cell> {
         self.tick += 1;
-        let tick = self.tick;
-        let cell = self.fresh(from, regex)?;
-        cell.tick = tick;
+        let cell = (self.map.get_mut(from)?.get_mut(regex)).filter(|cell| cell.is_fresh())?;
+        cell.tick = self.tick;
+        if std::mem::take(&mut cell.probation) {
+            self.probation_bytes -= cell.reach_bytes();
+        }
         Some(cell)
     }
 
@@ -352,40 +380,44 @@ impl Table {
         }
     }
 
-    /// Install `pairs` as the fresh cell of `(from, canon)`, superseding
-    /// an inherited one, visible to containment lookups and charged to
-    /// `budget` (least recently used cells are evicted past it). The
-    /// first install wins: with a fresh cell there already, its set is
-    /// returned and `pairs` dropped. Also returns whether a cell was
-    /// evicted.
+    /// Install `pairs` as the fresh cell of `(from, canon)` — in main if
+    /// `patched` or the ghost set holds the key, else on probation —
+    /// superseding an inherited one, visible to containment lookups and
+    /// charged to the budget. The first install wins: with a fresh cell
+    /// there already, its set is returned and `pairs` dropped.
     fn install(
         &mut self,
         from: &Predicate,
         canon: &FRegex,
         pairs: Vec<(NodeId, NodeId)>,
-        budget: usize,
-    ) -> (PairSet, bool) {
+        patched: bool,
+    ) -> PairSet {
         if let Some(cell) = self.fresh(from, canon) {
-            return (Arc::clone(&cell.pairs), false);
+            return Arc::clone(&cell.pairs);
         }
+        let main = patched || self.ghost.holds(from, canon);
         self.remove(from, canon);
         let pairs = Arc::new(pairs);
         self.tick += 1;
         let cell = Cell {
             pairs: Arc::clone(&pairs),
             tick: self.tick,
+            probation: !main,
             state: State::Fresh {
                 answers: HashMap::new(),
                 answer_bytes: 0,
             },
         };
         self.bytes += cell.bytes();
+        if !main {
+            self.probation_bytes += cell.reach_bytes();
+        }
         let inner = self.map.entry(from.clone()).or_default();
         inner.insert(canon.clone(), cell);
         let bucket = self.index.entry(skeleton(canon)).or_default();
         bucket.push((from.clone(), canon.clone()));
-        let evicted = self.make_room(budget, (from, canon));
-        (pairs, evicted)
+        self.make_room((from, canon));
+        pairs
     }
 
     /// Take the cell of `(from, canon)` out of the table, the candidate
@@ -401,6 +433,9 @@ impl Table {
             self.map.remove(from);
         }
         self.bytes -= cell.bytes();
+        if cell.probation {
+            self.probation_bytes -= cell.reach_bytes();
+        }
         if let State::Fresh { answer_bytes, .. } = cell.state {
             self.answer_bytes -= answer_bytes;
             if let Some(bucket) = self.index.get_mut(&skeleton(canon)) {
@@ -409,28 +444,31 @@ impl Table {
         }
     }
 
-    /// Bring the charged bytes within `budget`. Kept answers go first,
-    /// least recently used cell first — the next hit remakes one from its
-    /// reach set — then least recently used cells, fresh or inherited,
-    /// other than `keep`. So answers live in the room reach sets leave,
-    /// and never cost a reach set its place. Returns whether a cell was
-    /// evicted.
-    fn make_room(&mut self, budget: usize, keep: (&Predicate, &FRegex)) -> bool {
-        while self.bytes > budget && self.drop_lru_answers() {}
-        let mut evicted = false;
-        while self.bytes > budget {
-            let Some((from, canon)) = (self.map.iter())
-                .flat_map(|(p, inner)| inner.iter().map(move |(r, cell)| (cell.tick, p, r)))
-                .filter(|&(_, p, r)| (p, r) != keep)
-                .min_by_key(|&(tick, ..)| tick)
-                .map(|(_, p, r)| (p.clone(), r.clone()))
-            else {
-                break;
-            };
-            self.remove(&from, &canon);
-            evicted = true;
-        }
-        evicted
+    /// Bring probation within its cap, whether or not the budget is full,
+    /// then the charged bytes within the budget: kept answers go first —
+    /// the next hit remakes one from its reach set — then cells. So
+    /// answers live in the room reach sets leave, and never cost a reach
+    /// set its place. `keep` stays.
+    fn make_room(&mut self, keep: (&Predicate, &FRegex)) {
+        while self.probation_bytes > self.budget / PROBATION_SHARE && self.evict(keep, true) {}
+        while self.bytes > self.budget && self.drop_lru_answers() {}
+        while self.bytes > self.budget && self.evict(keep, false) {}
+    }
+
+    /// Evict probation's oldest cell, or main's least recently used (else
+    /// probation's), other than `keep`, into the ghost set; `false` if none.
+    fn evict(&mut self, keep: (&Predicate, &FRegex), probation_only: bool) -> bool {
+        let Some((from, canon)) = (self.map.iter())
+            .flat_map(|(p, inner)| inner.iter().map(move |(r, cell)| (p, r, cell)))
+            .filter(|&(p, r, cell)| (p, r) != keep && (cell.probation || !probation_only))
+            .min_by_key(|&(.., cell)| (cell.probation, cell.tick))
+            .map(|(p, r, _)| (p.clone(), r.clone()))
+        else {
+            return false;
+        };
+        self.remove(&from, &canon);
+        self.ghost.record(&from, &canon, self.budget);
+        true
     }
 
     /// Drop the answers of the least recently used cell that keeps any;
@@ -461,8 +499,9 @@ impl Table {
     /// Find a fresh cell containing `(from, regex)`: same-skeleton bucket
     /// first, then the all-wildcard bucket. Prefers an equal-language
     /// (regex-identical, predicate-narrowing) donor — served by a pure
-    /// filter — over a strictly-containing one.
-    fn find_donor(&self, from: &Predicate, regex: &FRegex) -> Option<(PairSet, bool)> {
+    /// filter — over a strictly-containing one. Its use is a read
+    /// ([`touch`](Table::touch)).
+    fn find_donor(&mut self, from: &Predicate, regex: &FRegex) -> Option<(PairSet, bool)> {
         let probe_skel = skeleton(regex);
         let wild = wildcard_skeleton();
         let buckets = if probe_skel == wild {
@@ -470,24 +509,27 @@ impl Table {
         } else {
             vec![&probe_skel, &wild]
         };
-        let mut fallback: Option<PairSet> = None;
-        for skel in buckets {
+        let mut donor = None;
+        'search: for skel in buckets {
             for (dpred, dregex) in self.index.get(skel).into_iter().flatten() {
                 if !from.implies(dpred) {
                     continue;
                 }
                 let equal = dregex == regex;
-                if !equal && !contains_fast(regex, dregex) {
+                if !equal && (donor.is_some() || !contains_fast(regex, dregex)) {
                     continue;
                 }
-                let pairs = Arc::clone(&self.map[dpred][dregex].pairs);
+                donor = Some((dpred.clone(), dregex.clone(), equal));
                 if equal {
-                    return Some((pairs, true));
+                    break 'search;
                 }
-                fallback.get_or_insert(pairs);
             }
         }
-        fallback.map(|p| (p, false))
+        let (dpred, dregex, equal) = donor?;
+        let cell = self
+            .touch(&dpred, &dregex)
+            .expect("the index lists fresh cells");
+        Some((Arc::clone(&cell.pairs), equal))
     }
 }
 
@@ -507,11 +549,6 @@ pub struct SemanticMemo {
     patched: AtomicU64,
     declined: AtomicU64,
     filter_nanos: AtomicU64,
-    byte_budget: usize,
-    /// Set when the first cell is evicted, and shared with every later
-    /// version: whether the memo is full, and the keys seen to miss once
-    /// since ([`admit`](Self::admit)).
-    seen: OnceLock<Arc<Seen>>,
 }
 
 impl std::fmt::Debug for SemanticMemo {
@@ -525,6 +562,10 @@ impl std::fmt::Debug for SemanticMemo {
 }
 
 impl SemanticMemo {
+    fn table(&self) -> MutexGuard<'_, Table> {
+        self.cells.lock().expect("memo poisoned")
+    }
+
     /// Empty table with the default byte budget.
     pub fn new() -> Self {
         Self::with_byte_budget(DEFAULT_BYTE_BUDGET)
@@ -532,12 +573,15 @@ impl SemanticMemo {
 
     /// Empty table bounding cached pair sets and their per-target answers
     /// to roughly `byte_budget` bytes (8 bytes per reach-set pair, 32 per
-    /// answer pair); past the budget, least-recently used answers are
-    /// dropped first, then least-recently used cells. A budget of 0 keeps
-    /// at most one cell, and no answers.
+    /// answer pair), a tenth of it for the reach sets on probation; past
+    /// the budget, least-recently used answers are dropped first, then
+    /// cells. A budget of 0 keeps at most one cell, and no answers.
     pub fn with_byte_budget(byte_budget: usize) -> Self {
         SemanticMemo {
-            byte_budget,
+            cells: Mutex::new(Table {
+                budget: byte_budget,
+                ..Table::default()
+            }),
             ..SemanticMemo::default()
         }
     }
@@ -556,7 +600,7 @@ impl SemanticMemo {
         let (from, canon) = (&rq.from, &rq.regex);
         debug_assert!(is_canonical(canon), "memo keys are canonical");
         let donor = {
-            let mut table = self.cells.lock().expect("memo poisoned");
+            let mut table = self.table();
             match table.touch(from, canon) {
                 Some(cell) => {
                     self.exact_hits.fetch_add(1, Ordering::Relaxed);
@@ -583,7 +627,7 @@ impl SemanticMemo {
         let filter_time = started.elapsed();
         self.filter_nanos
             .fetch_add(filter_time.as_nanos() as u64, Ordering::Relaxed);
-        let pairs = self.install(from, canon, derived);
+        let pairs = self.table().install(from, canon, derived, false);
         let lookup = Lookup::Subsumption { filter_time };
         Some((self.answer(g, rq, &pairs), lookup))
     }
@@ -597,8 +641,7 @@ impl SemanticMemo {
     /// answers, never a cell. An answer that does not fit beside the reach
     /// sets, or whose cell was evicted meanwhile, is served unkept.
     pub fn answer(&self, g: &Graph, rq: &Rq, pairs: &[(NodeId, NodeId)]) -> RqResult {
-        let kept = (self.cells.lock().expect("memo poisoned"))
-            .answers(&rq.from, &rq.regex)
+        let kept = (self.table().answers(&rq.from, &rq.regex))
             .and_then(|(answers, _)| answers.get(&rq.to).cloned());
         kept.unwrap_or_else(|| self.keep(rq, rq_targets(g, &rq.to, pairs)))
     }
@@ -607,7 +650,7 @@ impl SemanticMemo {
     /// budget, unless a racer kept one first (that one is returned).
     fn keep(&self, rq: &Rq, answer: RqResult) -> RqResult {
         let charge = answer.len() * ANSWER_BYTES_PER_PAIR;
-        let mut table = self.cells.lock().expect("memo poisoned");
+        let mut table = self.table();
         match table
             .answers(&rq.from, &rq.regex)
             .map(|(answers, _)| answers.get(&rq.to))
@@ -616,10 +659,10 @@ impl SemanticMemo {
             Some(Some(kept)) => return kept.clone(),
             Some(None) => {}
         }
-        if table.bytes - table.answer_bytes + charge > self.byte_budget {
+        if table.bytes - table.answer_bytes + charge > table.budget {
             return answer;
         }
-        while table.bytes + charge > self.byte_budget && table.drop_lru_answers() {}
+        while table.bytes + charge > table.budget && table.drop_lru_answers() {}
         table.bytes += charge;
         table.answer_bytes += charge;
         let (answers, bytes) =
@@ -635,7 +678,8 @@ impl SemanticMemo {
     /// [`try_answer`](SemanticMemo::try_answer) on a key the memo
     /// [`admit`](SemanticMemo::admit)s, so the reach sets it
     /// computes through its index or the graph become donors for later
-    /// exact and containment lookups. `pairs` must be the key's *complete*
+    /// exact and containment lookups: in main when the ghost set holds
+    /// the key, else on probation. `pairs` must be the key's *complete*
     /// reach set — every `(x, y)` with `x ⊨ from`, unfiltered by any
     /// target predicate (order is established here: checked in one pass,
     /// and sorted only if the check fails — index evaluation already
@@ -653,34 +697,21 @@ impl SemanticMemo {
         if !pairs.is_sorted() {
             pairs.sort_unstable();
         }
-        self.install(from, regex, pairs)
-    }
-
-    fn install(&self, from: &Predicate, canon: &FRegex, pairs: Vec<(NodeId, NodeId)>) -> PairSet {
-        let mut table = self.cells.lock().expect("memo poisoned");
-        let (pairs, evicted) = table.install(from, canon, pairs, self.byte_budget);
-        drop(table);
-        if evicted {
-            self.seen
-                .get_or_init(|| Arc::new(Seen::new(self.byte_budget)));
-        }
-        pairs
+        self.table().install(from, regex, pairs, false)
     }
 
     /// Whether a miss on `(from, regex)` that no inherited cell patched
     /// should compute the key's complete reach set and
-    /// [`insert`](Self::insert) it. Always, while this memo (or one it was
-    /// carried from) has never evicted a cell. Once one has, only on the
-    /// key's second miss: a first miss is recorded in the seen set,
-    /// counted as [`declined`](SemanticStats::declined), and the caller
-    /// evaluates the query alone and installs nothing — a key that never
-    /// comes back evicts no cell and pays only for its own answer.
+    /// [`insert`](Self::insert) it: always while this memo (or one it was
+    /// carried from) has never evicted a cell; once one has, only if the
+    /// ghost set holds the key (its cell was evicted, or its first miss
+    /// declined). Any other miss is recorded in the ghost set, counted as
+    /// [`declined`](SemanticStats::declined), and the caller evaluates the
+    /// query alone: a key that never comes back pays for its answer only.
     pub fn admit(&self, from: &Predicate, regex: &FRegex) -> bool {
         debug_assert!(is_canonical(regex), "memo keys are canonical");
-        let Some(seen) = self.seen.get() else {
-            return true;
-        };
-        if seen.missed_before(from, regex) {
+        let table = self.table();
+        if table.ghost.slots.get().is_none() || table.ghost.record(from, regex, table.budget) {
             return true;
         }
         self.declined.fetch_add(1, Ordering::Relaxed);
@@ -691,7 +722,7 @@ impl SemanticMemo {
     /// `(from, regex)` from an earlier graph version, `patch` gets its
     /// pair set and the edge changes since, and a `Some` it returns — the
     /// key's complete, sorted reach set on this version — is installed as
-    /// a fresh cell (superseding the inherited one) and counted as
+    /// a fresh cell in main (superseding the inherited one) and counted as
     /// [`patched`](SemanticStats::patched). `None` when nothing was
     /// inherited for the key or `patch` declined: the caller asks
     /// [`admit`](Self::admit), then evaluates in full and
@@ -704,7 +735,7 @@ impl SemanticMemo {
         patch: impl FnOnce(&[(NodeId, NodeId)], &[EdgeChange]) -> Option<Vec<(NodeId, NodeId)>>,
     ) -> Option<PairSet> {
         let (old, changes) = {
-            let table = self.cells.lock().expect("memo poisoned");
+            let table = self.table();
             let cell = table.map.get(from)?.get(regex)?;
             let State::Inherited { changes, .. } = &cell.state else {
                 return None;
@@ -713,20 +744,23 @@ impl SemanticMemo {
         };
         let pairs = patch(&old, &changes)?;
         self.patched.fetch_add(1, Ordering::Relaxed);
-        Some(self.install(from, regex, pairs))
+        Some(self.table().install(from, regex, pairs, true))
     }
 
     /// The memo of the next graph version, one batch of edge `changes`
     /// later: every fresh cell of this memo, and every inherited one
     /// unread for fewer than `CARRY_VERSIONS` (four) versions, inherited with
     /// `changes` appended to its log. Pair sets are shared, not copied,
-    /// and per-target answers are not inherited; LRU order, the byte
-    /// budget and the seen set of admission (shared, so the next version
-    /// is full if this one is) carry over; counters start at zero.
+    /// and per-target answers are not inherited; each cell's queue and
+    /// tick, the byte budget and the ghost set (shared, so the next
+    /// version is full if this one is) carry over; counters start at
+    /// zero.
     pub fn carry(&self, changes: &[EdgeChange]) -> SemanticMemo {
-        let table = self.cells.lock().expect("memo poisoned");
+        let table = self.table();
         let mut next = Table {
             tick: table.tick,
+            budget: table.budget,
+            ghost: Arc::clone(&table.ghost),
             ..Table::default()
         };
         for (from, inner) in &table.map {
@@ -749,17 +783,19 @@ impl SemanticMemo {
                 let cell = Cell {
                     pairs: Arc::clone(&cell.pairs),
                     tick: cell.tick,
+                    probation: cell.probation,
                     state,
                 };
                 next.bytes += cell.bytes();
+                if cell.probation {
+                    next.probation_bytes += cell.reach_bytes();
+                }
                 let inner = next.map.entry(from.clone()).or_default();
                 inner.insert(canon.clone(), cell);
             }
         }
         SemanticMemo {
             cells: Mutex::new(next),
-            byte_budget: self.byte_budget,
-            seen: self.seen.clone(),
             ..SemanticMemo::default()
         }
     }
@@ -780,7 +816,7 @@ impl SemanticMemo {
     /// Number of fresh cells: the keys computed on this version and still
     /// held (the candidate index lists each once).
     pub fn len(&self) -> usize {
-        let table = self.cells.lock().expect("memo poisoned");
+        let table = self.table();
         table.index.values().map(Vec::len).sum()
     }
 
@@ -792,7 +828,14 @@ impl SemanticMemo {
     /// Bytes currently charged against the budget: every cell, fresh or
     /// inherited, and the answers fresh cells keep.
     pub fn cached_bytes(&self) -> usize {
-        self.cells.lock().expect("memo poisoned").bytes
+        self.table().bytes
+    }
+
+    /// [`cached_bytes`](Self::cached_bytes) by queue: the reach sets on
+    /// probation, and the rest — main's cells and every kept answer.
+    pub fn queue_bytes(&self) -> (usize, usize) {
+        let table = self.table();
+        (table.probation_bytes, table.bytes - table.probation_bytes)
     }
 }
 
@@ -830,6 +873,11 @@ mod tests {
     use super::*;
     use rpq_graph::gen::essembly;
     use rpq_regex::canon::canonicalize;
+
+    /// Whether the memo has evicted a cell, and so declines first misses.
+    fn full(memo: &SemanticMemo) -> bool {
+        memo.table().ghost.slots.get().is_some()
+    }
 
     /// The key's complete reach set, by the reference evaluator.
     fn reach(g: &Graph, from: &Predicate, re: &FRegex) -> Vec<(NodeId, NodeId)> {
@@ -1211,12 +1259,16 @@ mod tests {
         let memo = SemanticMemo::with_byte_budget(budget);
         for _ in 0..2 {
             for k in &keys {
-                assert_eq!(ask(&memo, &g, k), k.eval_bfs(&g));
-                assert!(
-                    memo.cached_bytes() <= budget,
-                    "{} > {budget}",
-                    memo.cached_bytes()
-                );
+                // each key is read before the next install, which would
+                // push it off probation unread
+                for _ in 0..2 {
+                    assert_eq!(ask(&memo, &g, k), k.eval_bfs(&g));
+                    assert!(
+                        memo.cached_bytes() <= budget,
+                        "{} > {budget}",
+                        memo.cached_bytes()
+                    );
+                }
             }
         }
         assert_eq!(memo.len(), keys.len());
@@ -1339,14 +1391,14 @@ mod tests {
         let q = rq(&g, "job = \"biologist\"", "fa^2 fn", "job = \"doctor\"");
         assert_eq!(ask(&memo, &g, &q), q.eval_bfs(&g));
         assert_eq!(memo.len(), 1, "installed on its first miss");
-        assert!(memo.seen.get().is_none(), "no eviction, no seen set");
+        assert!(!full(&memo), "no eviction, no ghost set");
         let s = memo.semantic_stats();
         assert_eq!((s.misses, s.declined), (1, 0));
         assert_eq!(memo.try_answer(&g, &q).unwrap().1, Lookup::Exact);
     }
 
     /// A memo with room for one reach set, which has had to evict one:
-    /// its seen set has one slot.
+    /// its ghost set has one slot.
     fn full_memo(g: &Graph) -> SemanticMemo {
         let memo = SemanticMemo::with_byte_budget(PAIR_BYTES);
         for re in ["fa", "fn"] {
@@ -1358,11 +1410,11 @@ mod tests {
             0,
             "admitted while there was room"
         );
-        let seen = memo
-            .seen
-            .get()
-            .expect("the first eviction allocates the seen set");
-        assert_eq!(seen.slots.len(), 1);
+        let table = memo.table();
+        let slots = table.ghost.slots.get();
+        let slots = slots.expect("the first eviction allocates the ghost set");
+        assert_eq!(slots.len(), 1);
+        drop(table);
         memo
     }
 
@@ -1403,8 +1455,10 @@ mod tests {
         let _ = ask(&memo, &g, &q);
         assert_eq!(memo.semantic_stats().declined, 1);
         let next = memo.carry(&batch(0));
-        let shared = (next.seen.get().zip(memo.seen.get())).is_some_and(|(a, b)| Arc::ptr_eq(a, b));
-        assert!(shared, "one seen set across versions");
+        assert!(
+            Arc::ptr_eq(&next.table().ghost, &memo.table().ghost),
+            "one ghost set across versions"
+        );
         // ... and admitted on its second miss at v + 1
         assert_eq!(ask(&next, &g, &q), q.eval_bfs(&g));
         assert_eq!(next.semantic_stats().declined, 0);
@@ -1417,8 +1471,11 @@ mod tests {
 
     #[test]
     fn a_slot_collision_only_forgets_a_key() {
-        assert_eq!(Seen::new(DEFAULT_BYTE_BUDGET).slots.len(), 8192);
         let g = essembly();
+        let ghost = Ghost::default();
+        let fa = FRegex::parse("fa", g.alphabet()).unwrap();
+        ghost.record(&Predicate::always_true(), &fa, DEFAULT_BYTE_BUDGET);
+        assert_eq!(ghost.slots.get().unwrap().len(), 8192);
         // one slot: every key collides with every other
         let memo = full_memo(&g);
         let a = rq(&g, "job = \"biologist\"", "fa^2 fn", "job = \"doctor\"");
@@ -1432,13 +1489,133 @@ mod tests {
         assert_eq!(memo.try_answer(&g, &a).unwrap().1, Lookup::Exact);
     }
 
+    /// The queue of the fresh cell of `rq`'s key: `Some(true)` on
+    /// probation, `Some(false)` in main.
+    fn on_probation(memo: &SemanticMemo, rq: &Rq) -> Option<bool> {
+        let mut table = memo.cells.lock().unwrap();
+        table.fresh(&rq.from, &rq.regex).map(|cell| cell.probation)
+    }
+
+    /// `_^k` from every node: a distinct key for every `k`.
+    fn bounded(g: &Graph, k: usize) -> Rq {
+        rq(g, "", &format!("_^{k}"), "")
+    }
+
+    /// Install first-miss cells of fresh keys until probation has pushed
+    /// one out: the memo is full.
+    fn fill(memo: &SemanticMemo, g: &Graph, keys: &mut impl Iterator<Item = Rq>) {
+        while !full(memo) {
+            let k = keys.next().unwrap();
+            memo.insert(&k.from, &k.regex, reach(g, &k.from, &k.regex));
+        }
+    }
+
+    #[test]
+    fn a_donor_use_is_a_read() {
+        let g = essembly();
+        let donor = rq(&g, "", "fa+", "");
+        let narrow = rq(&g, "job = \"biologist\"", "fa+", "");
+        let unread = rq(&g, "", "fn", "");
+        let first = [&donor, &narrow, &unread].map(|k| reach_bytes(&g, k));
+        let memo = SemanticMemo::with_byte_budget(10 * first.iter().sum::<usize>());
+        for k in [&donor, &unread] {
+            memo.insert(&k.from, &k.regex, reach(&g, &k.from, &k.regex));
+        }
+        // the donor is read only to answer `narrow`
+        let (_, lookup) = memo.try_answer(&g, &narrow).expect("derived");
+        assert!(matches!(lookup, Lookup::Subsumption { .. }));
+        let mut later = (1..).map(|k| bounded(&g, k));
+        while on_probation(&memo, &unread).is_some() {
+            let k = later.next().unwrap();
+            memo.insert(&k.from, &k.regex, reach(&g, &k.from, &k.regex));
+        }
+        // the cell never read is pushed out; the donor outlives it
+        assert_eq!(on_probation(&memo, &donor), Some(false), "promoted");
+        assert_eq!(memo.try_answer(&g, &donor).unwrap().1, Lookup::Exact);
+    }
+
+    #[test]
+    fn first_misses_stay_on_probation_and_evict_no_main_cell() {
+        let g = essembly();
+        let cell = reach_bytes(&g, &bounded(&g, 1));
+        assert!(cell > 0);
+        // probation holds a few cells
+        let budget = 40 * cell;
+        let memo = SemanticMemo::with_byte_budget(budget);
+        let mut keys = (1..).map(|k| bounded(&g, k));
+        let read: Vec<Rq> = keys.by_ref().take(2).collect();
+        for k in &read {
+            let _ = ask(&memo, &g, k);
+            assert_eq!(memo.try_answer(&g, k).unwrap().1, Lookup::Exact);
+            assert_eq!(on_probation(&memo, k), Some(false), "a read promotes");
+        }
+        fill(&memo, &g, &mut keys);
+        let main = memo.queue_bytes().1;
+        for k in keys.take(200) {
+            memo.insert(&k.from, &k.regex, reach(&g, &k.from, &k.regex));
+            assert_eq!(on_probation(&memo, &k), Some(true), "{k:?}");
+            let (probation, rest) = memo.queue_bytes();
+            assert!(
+                probation <= budget / PROBATION_SHARE,
+                "{probation} on probation"
+            );
+            assert_eq!(rest, main, "main keeps its cells");
+        }
+        for k in &read {
+            assert_eq!(memo.try_answer(&g, k).unwrap().1, Lookup::Exact);
+        }
+        recount(&memo);
+    }
+
+    #[test]
+    fn a_derived_cell_on_a_full_memo_enters_probation() {
+        let g = essembly();
+        let broad = rq(&g, "", "fa+", "");
+        let narrow = rq(&g, "job = \"biologist\"", "fa+", "");
+        let memo = SemanticMemo::with_byte_budget(10 * reach_bytes(&g, &broad));
+        let _ = ask(&memo, &g, &broad);
+        assert_eq!(memo.try_answer(&g, &broad).unwrap().1, Lookup::Exact);
+        fill(&memo, &g, &mut (1..).map(|k| bounded(&g, k)));
+        let (derived, lookup) = memo.try_answer(&g, &narrow).expect("derived");
+        assert!(matches!(lookup, Lookup::Subsumption { .. }));
+        assert_eq!(on_probation(&memo, &narrow), Some(true));
+        // one exact hit promotes it
+        let (hit, lookup) = memo.try_answer(&g, &narrow).expect("installed");
+        assert_eq!(lookup, Lookup::Exact);
+        assert!(shared(&derived, &hit));
+        assert_eq!(on_probation(&memo, &narrow), Some(false));
+        recount(&memo);
+    }
+
+    #[test]
+    fn a_patch_installs_into_main() {
+        let g = essembly();
+        let q = rq(&g, "job = \"biologist\"", "fa^2 fn", "");
+        let memo = SemanticMemo::new();
+        let _ = ask(&memo, &g, &q);
+        assert_eq!(on_probation(&memo, &q), Some(true), "a first miss");
+        let next = memo.carry(&batch(0));
+        assert_eq!(
+            next.queue_bytes(),
+            (reach_bytes(&g, &q), 0),
+            "carried as it was"
+        );
+        let pairs = next.patch(&q.from, &q.regex, |old, _| Some(old.to_vec()));
+        assert!(pairs.is_some(), "inherited");
+        assert_eq!(on_probation(&next, &q), Some(false));
+        assert_eq!(next.queue_bytes(), (0, reach_bytes(&g, &q)));
+    }
+
     /// The table's charges recomputed from its cells, checked against its
     /// counters; returns the bytes charged.
     fn recount(memo: &SemanticMemo) -> usize {
         let table = memo.cells.lock().unwrap();
-        let (mut bytes, mut answer_bytes, mut fresh) = (0, 0, 0);
+        let (mut bytes, mut answer_bytes, mut fresh, mut probation) = (0, 0, 0, 0);
         for cell in table.map.values().flat_map(HashMap::values) {
             bytes += cell.pairs.len() * PAIR_BYTES;
+            if cell.probation {
+                probation += cell.pairs.len() * PAIR_BYTES;
+            }
             if let State::Fresh {
                 answers,
                 answer_bytes: charged,
@@ -1451,6 +1628,7 @@ mod tests {
             }
         }
         assert_eq!(table.answer_bytes, answer_bytes, "the answers' share");
+        assert_eq!(table.probation_bytes, probation, "probation's share");
         assert_eq!(table.bytes, bytes + answer_bytes, "the charged bytes");
         let listed = table.index.values().map(Vec::len).sum::<usize>();
         assert_eq!(listed, fresh, "the candidate index lists fresh cells");
@@ -1482,12 +1660,14 @@ mod tests {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
 
         /// Random asks, patches and carries under budgets from none to a
-        /// few cells — so the memo fills, first misses are declined, and
-        /// a carry can fall between a key's first and second miss: every
-        /// answer is the reference evaluation's on the current graph, a
-        /// declined miss installs nothing, the charged bytes are what the
-        /// cells hold, and they stay within the budget unless one cell
-        /// alone exceeds it.
+        /// few cells — so every install path runs (a first or second miss,
+        /// a derivation, a patch), the memo fills, first misses are
+        /// declined, and a carry can fall between a key's first and
+        /// second miss: every answer is the reference evaluation's on the
+        /// current graph, a declined miss installs nothing, the charged
+        /// bytes (probation's share too) are what the cells hold, they
+        /// stay within the budget unless one cell alone exceeds it, and
+        /// probation within its cap unless it holds one cell.
         #[test]
         fn accounting_holds_over_random_asks_carries_and_patches(
             budget in proptest::prop_oneof![
@@ -1543,6 +1723,13 @@ mod tests {
                 proptest::prop_assert!(
                     bytes <= budget || (cells == 1 && table.answer_bytes == 0),
                     "{bytes} bytes in {cells} cells over a budget of {budget}"
+                );
+                let on_probation = (table.map.values().flat_map(HashMap::values))
+                    .filter(|cell| cell.probation)
+                    .count();
+                proptest::prop_assert!(
+                    table.probation_bytes <= budget / PROBATION_SHARE || on_probation == 1,
+                    "{} bytes in {on_probation} cells on probation", table.probation_bytes
                 );
             }
         }

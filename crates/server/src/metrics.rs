@@ -337,7 +337,8 @@ impl Metrics {
     /// * gauges: `rpq_uptime_seconds`, `rpq_queue_depth`,
     ///   `rpq_executors_busy`, `rpq_executors_cap`,
     ///   `rpq_snapshot_version`, `rpq_index_bytes`,
-    ///   `rpq_index_fresh_seconds`, one-hot `rpq_index_state{state=...}`;
+    ///   `rpq_index_fresh_seconds`, one-hot `rpq_index_state{state=...}`,
+    ///   `rpq_semcache_bytes{queue="probation"|"main"}`;
     /// * `rpq_request_latency_seconds` histogram with power-of-two `le`
     ///   bounds (cumulative counts are exact, not interpolated);
     /// * per-plan `rpq_plan_latency_seconds{plan=...}` summaries
@@ -352,6 +353,7 @@ impl Metrics {
             snapshot_version,
             index_bytes,
             index_state,
+            semcache_bytes,
         } = *gauges;
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let mut out = String::with_capacity(4096);
@@ -425,8 +427,9 @@ impl Metrics {
         counter(
             "rpq_semcache_declined_total",
             "Semantic reach-cache misses a full cache answered without \
-             installing the reach set: the key's first miss since it filled \
-             (a subset of the misses).",
+             installing the reach set: the key held neither a cell nor a \
+             ghost-set slot, having been neither evicted nor missed since \
+             the cache first evicted a cell (a subset of the misses).",
             g(&self.semcache_declined),
         );
         counter(
@@ -504,6 +507,17 @@ impl Metrics {
             out.push_str(&format!(
                 "rpq_index_state{{state=\"{state}\"}} {}\n",
                 u8::from(state == index_state)
+            ));
+        }
+        out.push_str(concat!(
+            "# HELP rpq_semcache_bytes Bytes the current snapshot's semantic reach ",
+            "cache charges: reach sets on probation (not read since installed), ",
+            "and main (read reach sets, and every kept answer).\n",
+            "# TYPE rpq_semcache_bytes gauge\n"
+        ));
+        for (queue, bytes) in [("probation", semcache_bytes.0), ("main", semcache_bytes.1)] {
+            out.push_str(&format!(
+                "rpq_semcache_bytes{{queue=\"{queue}\"}} {bytes}\n"
             ));
         }
 
@@ -590,6 +604,9 @@ pub struct Gauges {
     /// The current snapshot's
     /// [`IndexState::as_str`](rpq_engine::IndexState::as_str).
     pub index_state: &'static str,
+    /// The current snapshot's memo bytes on probation and in main
+    /// ([`SemanticMemo::queue_bytes`](rpq_engine::SemanticMemo::queue_bytes)).
+    pub semcache_bytes: (usize, usize),
 }
 
 /// The value of `series` (metric name with its label set verbatim)
@@ -771,6 +788,7 @@ mod tests {
             snapshot_version: 9,
             index_bytes: 4096,
             index_state: "repaired",
+            semcache_bytes: (1024, 8192),
         });
         let samples = parse_prometheus_text(&text).expect("exposition must parse");
         let get = |series: &str| {
@@ -786,6 +804,8 @@ mod tests {
         assert_eq!(get("rpq_index_bytes"), 4096.0);
         assert_eq!(get("rpq_index_state{state=\"repaired\"}"), 1.0);
         assert_eq!(get("rpq_index_state{state=\"stale\"}"), 0.0);
+        assert_eq!(get("rpq_semcache_bytes{queue=\"probation\"}"), 1024.0);
+        assert_eq!(get("rpq_semcache_bytes{queue=\"main\"}"), 8192.0);
         // exact cumulative counts at power-of-two le edges
         assert_eq!(
             get("rpq_request_latency_seconds_bucket{le=\"0.001024\"}"),

@@ -769,6 +769,7 @@ fn handle_metrics(shared: &Shared) -> Response {
             snapshot_version: snapshot.version(),
             index_bytes: snapshot.engine().index_bytes(),
             index_state: snapshot.index_state().as_str(),
+            semcache_bytes: snapshot.engine().memo().queue_bytes(),
         }),
     )
 }

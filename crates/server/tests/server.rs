@@ -657,6 +657,9 @@ fn explain_endpoint_profiles_every_query() {
     assert_eq!(client.explain(&queries, &graph).unwrap().status, 200);
     let get = scrape(&mut client);
     assert_eq!(get("rpq_semcache_hits_total{kind=\"exact\"}"), exact + rqs);
+    // and an exact hit is a read: no cell is left on probation
+    assert_eq!(get("rpq_semcache_bytes{queue=\"probation\"}"), 0.0);
+    assert!(get("rpq_semcache_bytes{queue=\"main\"}") >= 0.0);
     server.shutdown();
 }
 
