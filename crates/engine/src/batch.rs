@@ -175,9 +175,8 @@ pub struct BatchItem {
     pub time: Duration,
     /// Execution profile: `Some` on every item of a profiled run —
     /// `Snapshot::run_batch_profiled`, and the batch of one behind each
-    /// `run_query_profiled` / `run_query_with_plan_profiled` (so
-    /// `POST /v1/explain`); `None` on `run_batch`, the hot path, which
-    /// pays nothing for the field.
+    /// `run_query_profiled` (so `POST /v1/explain`); `None` on
+    /// `run_batch`, the hot path, which pays nothing for the field.
     pub profile: Option<Arc<rpq_trace::QueryProfile>>,
 }
 

@@ -194,6 +194,16 @@ impl Index {
             Index::None => "none",
         }
     }
+
+    /// This index as a distance probe; `None` when there is none.
+    pub(crate) fn probe(&self) -> Option<&dyn DistProbe> {
+        match self {
+            Index::Matrix(matrix) => Some(matrix),
+            Index::Hop(labels) => Some(labels),
+            Index::Sharded(labels) => Some(labels),
+            Index::None => None,
+        }
+    }
 }
 
 /// Run one label build and record it as an `index/<name>-build` span:
@@ -393,29 +403,6 @@ impl QueryEngine {
         self.profile_one(query, &[], Mode::Profile)
     }
 
-    /// Profiled evaluation under a **caller-chosen** plan, bypassing the
-    /// planner — the test/bench surface that lets the differential oracle drive
-    /// every servable entry of [`Plan::ALL`] (this is for deterministic
-    /// harnesses, not production traffic). It
-    /// also bypasses the engine's memo: the run evaluates against a
-    /// scratch memo local to the call, so it exercises the plan rather
-    /// than the cache, and leaves [`semantic_stats`](Self::semantic_stats)
-    /// untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plan` does not match the query kind, requires an index
-    /// this engine was not built with, or is the `standing`
-    /// plan — standing answers are served by the snapshot layer
-    /// (`Snapshot::run_query_profiled`), not the engine.
-    pub fn run_query_with_plan_profiled(
-        &self,
-        query: &Query,
-        plan: Plan,
-    ) -> (QueryOutput, QueryProfile) {
-        self.profile_one(query, &[], Mode::Force(plan))
-    }
-
     /// A profiled batch of one through [`run`](Self::run): its output and
     /// the profile its item carries.
     pub(crate) fn profile_one(
@@ -453,30 +440,21 @@ impl QueryEngine {
     ) -> BatchResult {
         let t0 = Instant::now();
         let planned = self.prologue(queries, standing, mode);
-        let profiled = mode != Mode::Serve;
-        // a forced plan must exercise the plan, not the cache
-        let scratch = matches!(mode, Mode::Force(_)).then(SemanticMemo::new);
-        let memo = scratch.as_ref().unwrap_or(&self.memo);
+        let profiled = mode == Mode::Profile;
 
         let mut semantic = SemanticStats::default();
         let mut items = Vec::with_capacity(queries.len());
         for (submitted, p) in queries.iter().zip(&planned) {
-            let job = Job {
-                g: &self.graph,
-                query: &p.query,
-                plan: p.plan,
-                memo,
-            };
             let t = Instant::now();
-            let (output, probes, lookup) = self.answer(job, p.standing);
+            let (output, probes, lookup) = self.answer(&p.query, p.plan, p.standing);
             let time = t.elapsed();
-            self.note_if_slow(job.query, job.plan, time);
+            self.note_if_slow(&p.query, p.plan, time);
             if let Some(lookup) = lookup {
                 semantic.record(lookup);
             }
             let mut item = BatchItem {
                 output,
-                plan: job.plan,
+                plan: p.plan,
                 time,
                 profile: None,
             };
@@ -489,10 +467,10 @@ impl QueryEngine {
         BatchResult::new(items, t0.elapsed(), semantic)
     }
 
-    /// The one prologue of every run: canonicalise → plan each query (or
-    /// take the forced plan). Minimize-before-plan: syntactic variants of
-    /// one language share a memo key, a plan, and one reach-set
-    /// computation. The standing test sees the submitted PQ's verdict:
+    /// The one prologue of every run: canonicalise → plan each query.
+    /// Minimize-before-plan: syntactic variants of one language share a
+    /// memo key, a plan, and one reach-set computation. The standing test
+    /// sees the submitted PQ's verdict:
     /// [`rpq_core::pq_same_shape`] compares canonical regexes.
     fn prologue<'s>(
         &self,
@@ -504,12 +482,9 @@ impl QueryEngine {
             .iter()
             .map(|query| {
                 // the hot path reads no clock here
-                let t = (mode != Mode::Serve).then(Instant::now);
+                let t = (mode == Mode::Profile).then(Instant::now);
                 let query = canonical_query(query);
-                let (plan, why, standing) = match mode {
-                    Mode::Force(plan) => (plan, Rationale::Forced(plan), None),
-                    _ => self.plan(&query, standing),
-                };
+                let (plan, why, standing) = self.plan(&query, standing);
                 Planned {
                     query,
                     plan,
@@ -576,7 +551,7 @@ impl QueryEngine {
         profile
     }
 
-    /// Answer `job`: from `standing` — the snapshot's maintained answer,
+    /// Answer `query`: from `standing` — the snapshot's maintained answer,
     /// the PQ counterpart of a memo hit — or from the memo if it can,
     /// else by evaluating the plan. Returns the output, the distance
     /// probes issued (see [`evaluate`](Self::evaluate)) and the one memo
@@ -590,46 +565,58 @@ impl QueryEngine {
     /// complete, so there is nothing to wait on).
     fn answer(
         &self,
-        job: Job<'_>,
+        query: &Query,
+        plan: Plan,
         standing: Option<&StandingEntry>,
     ) -> (QueryOutput, u64, Option<Lookup>) {
-        let Job { g, memo, .. } = job;
-        match (job.query, standing) {
+        let g = &self.graph;
+        match (query, standing) {
             (_, Some(entry)) => return (QueryOutput::Pq(entry.answer(g)), 0, None),
             (Query::Rq(rq), None) => {
-                if let Some((answer, hit)) = memo.try_answer(g, rq) {
+                if let Some((answer, hit)) = self.memo.try_answer(g, rq) {
                     return (QueryOutput::Rq(answer), 0, Some(hit));
                 }
             }
             (Query::Pq(_), None) => {}
         }
-        self.evaluate(job)
+        self.evaluate(query, plan)
     }
 
-    /// What the memo could not answer: resolve `plan`'s backend to its
-    /// probe — an index, or on [`Backend::Search`] the graph itself
-    /// ([`GraphProbe`]) — and evaluate the plan's algorithm over it,
-    /// through one [`CountingProbe`]. Returns the output, the number of
-    /// distance probes issued (0 for `biBFS`, which probes nothing; a PQ's
-    /// refinement only, its assembly scanning the graph uncounted; only
-    /// profiles read it), and an RQ's memo miss: patched or evaluated.
-    fn evaluate(&self, job: Job<'_>) -> (QueryOutput, u64, Option<Lookup>) {
+    /// What the memo could not answer: evaluate `plan`'s algorithm over
+    /// this engine's index — or, on [`Backend::Search`], the graph itself
+    /// ([`GraphProbe`]) — through one [`CountingProbe`]. Each evaluator is
+    /// compiled once: the probe is a trait object, and each backend still
+    /// answers a call with its own optimized implementation. Returns the
+    /// output, the number of distance probes issued (a PQ's refinement
+    /// only, its assembly scanning the graph uncounted; only profiles read
+    /// it), and an RQ's memo miss: patched or evaluated.
+    fn evaluate(&self, query: &Query, plan: Plan) -> (QueryOutput, u64, Option<Lookup>) {
+        let g = &self.graph;
         let graph;
-        let probe: &dyn DistProbe = match (job.plan.backend(), &self.index) {
-            (Backend::Matrix, Index::Matrix(matrix)) => matrix,
-            (Backend::Hop, Index::Hop(labels)) => labels,
-            (Backend::Sharded, Index::Sharded(labels)) => labels,
-            (Backend::Search, _) => {
-                graph = GraphProbe::new(job.g);
-                &graph
+        let probe = match self.index.probe() {
+            Some(index) if plan.backend() != Backend::Search => index,
+            _ => {
+                graph = GraphProbe::new(g);
+                &graph as &dyn DistProbe
             }
-            (backend, index) => panic!(
-                "the plan requires the {backend:?} index; this engine holds {}",
-                index.name()
-            ),
         };
         let counting = CountingProbe::new(probe);
-        let (out, lookup) = eval_probing(job, &counting);
+        let (out, lookup) = match query {
+            Query::Rq(rq) => {
+                let (out, lookup) = rq_indexed(g, rq, &counting, &self.memo);
+                (out, Some(lookup))
+            }
+            // §5's two PQ algorithms: `SplitMatch` where the planner
+            // picked it, else `JoinMatch`
+            Query::Pq(pq) => {
+                let reach = &ProbeReach::new(&counting);
+                let answer = match plan.algo() {
+                    Algo::Split => SplitMatch::eval(pq, g, reach),
+                    _ => JoinMatch::eval(pq, g, reach),
+                };
+                (QueryOutput::Pq(Arc::new(answer)), None)
+            }
+        };
         (out, counting.probes(), lookup)
     }
 
@@ -668,9 +655,6 @@ pub(crate) enum Mode {
     Serve,
     /// A [`QueryProfile`] in every item's [`BatchItem::profile`].
     Profile,
-    /// Profiled under the caller's plan, against a scratch memo (the
-    /// test/bench harness).
-    Force(Plan),
 }
 
 /// One query after the prologue.
@@ -683,47 +667,6 @@ struct Planned<'s> {
     standing: Option<&'s StandingEntry>,
     /// Canonicalising and planning it (zero on the serving path).
     planning: Duration,
-}
-
-/// What one probe-backed evaluation needs besides the probe.
-#[derive(Clone, Copy)]
-struct Job<'a> {
-    g: &'a Graph,
-    query: &'a Query,
-    plan: Plan,
-    memo: &'a SemanticMemo,
-}
-
-/// Evaluate `job` over `probe` — the one evaluator every backend shares,
-/// compiled once: the probe is a trait object, and each backend still
-/// answers a call with its own optimized implementation. Returns the
-/// output, and an RQ's memo miss: patched or evaluated.
-fn eval_probing(job: Job<'_>, probe: &dyn DistProbe) -> (QueryOutput, Option<Lookup>) {
-    match (job.query, job.plan.algo()) {
-        (Query::Rq(rq), Algo::RqDm) => {
-            let (out, lookup) = rq_indexed(job.g, rq, probe, job.memo);
-            (out, Some(lookup))
-        }
-        // the paper's baseline, servable when forced: it probes nothing
-        (Query::Rq(rq), Algo::RqBiBfs) => {
-            (QueryOutput::Rq(rq.eval_bibfs(job.g)), Some(Lookup::Miss))
-        }
-        // §5's two PQ algorithms
-        (Query::Pq(pq), algo) => {
-            let reach = &ProbeReach::new(probe);
-            let answer = match algo {
-                Algo::Join => JoinMatch::eval(pq, job.g, reach),
-                Algo::Split => SplitMatch::eval(pq, job.g, reach),
-                _ => mismatched(algo),
-            };
-            (QueryOutput::Pq(Arc::new(answer)), None)
-        }
-        (Query::Rq(_), algo) => mismatched(algo),
-    }
-}
-
-fn mismatched(plan: impl std::fmt::Debug) -> ! {
-    unreachable!("{plan:?} does not evaluate this query kind on this backend")
 }
 
 /// `pairs` — a memoized reach set, sorted and duplicate-free — filtered
@@ -909,14 +852,6 @@ mod tests {
         let (hits, misses) = batch.memo_stats();
         assert_eq!(hits, 1, "second probe reused it");
         assert_eq!(misses, 2, "shared key computed once");
-        // biBFS, the paper's baseline, is served only when forced
-        let bibfs = Plan::ALL
-            .into_iter()
-            .find(|p| p.algo() == Algo::RqBiBfs)
-            .unwrap();
-        let (out, profile) = engine.run_query_with_plan_profiled(&Query::Rq(solo.clone()), bibfs);
-        assert_eq!(out.as_rq().unwrap(), &solo.eval_bfs(&g));
-        assert_eq!((profile.plan.as_str(), profile.probes), ("biBFS", 0));
     }
 
     #[test]

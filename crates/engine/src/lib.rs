@@ -20,8 +20,10 @@
 //!   evaluator is compiled once and takes its probe as a
 //!   `&dyn DistProbe`, wrapped in one counting decorator, so the serving
 //!   path and the explain surface run the same code;
-//!   [`Plan::ALL`] is the table of servable combinations (see the
-//!   [`planner`] docs for the ones that are servable but never planned);
+//!   [`Plan::ALL`] is exactly the set of plans the planner returns, so a
+//!   query reaches an evaluator one way only: canonicalise, plan,
+//!   evaluate (the paper's `biBFS` and `SplitMatch` off the matrix stay
+//!   in `rpq_core`, see the [`planner`] docs);
 //! * the engine's concurrent semantic [`memo`] table, keyed on `(source
 //!   predicate, canonical regex)`, shares reach sets across every run on
 //!   the engine (an RQ's reach set depends on nothing else): queries are

@@ -674,7 +674,7 @@ impl SemanticMemo {
 
     /// Install an externally computed reach set for `(from, regex)`.
     ///
-    /// Every RQ plan but `biBFS` calls this after a declined
+    /// Every RQ plan calls this after a declined
     /// [`try_answer`](SemanticMemo::try_answer) on a key the memo
     /// [`admit`](SemanticMemo::admit)s, so the reach sets it
     /// computes through its index or the graph become donors for later

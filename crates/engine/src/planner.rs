@@ -25,15 +25,16 @@
 //!   that plan keeps its frozen name `BFS+memo` — per-atom bounded BFS
 //!   over the graph, its reach set memoized. PQs take `SplitMatch` only
 //!   for cyclic patterns past the measured [`SPLIT_CROSSOVER`] **on the
-//!   matrix**, and `JoinMatch` everywhere else; on search the frozen names
-//!   `JoinMatch/cache` / `SplitMatch/cache` mean "no index: over the
-//!   graph".
+//!   matrix**, and `JoinMatch` everywhere else; on search the frozen name
+//!   `JoinMatch/cache` means "no index: over the graph".
 //!
-//! [`Plan::ALL`] is the table of servable combinations. Some rows are
-//! servable — the differential oracle and the benches drive them
-//! directly — but never planned: `biBFS`, the paper's bi-directional
-//! baseline, which every probe-based plan beats, and `SplitMatch` off the
-//! matrix, where `JoinMatch` measured ahead on every shape.
+//! [`Plan::ALL`] is exactly the set of plans the planner returns: a
+//! query reaches an evaluator one way only — canonicalise, plan,
+//! evaluate. The paper's other combinations stay in `rpq-core`, where the
+//! differential oracle checks them and the ledger times them: `biBFS`,
+//! the bi-directional baseline every probe-based plan beats, and
+//! `SplitMatch` off the matrix, where `JoinMatch` measured ahead on every
+//! shape.
 
 use rpq_core::pq::Pq;
 use rpq_regex::FRegex;
@@ -48,12 +49,9 @@ pub enum Algo {
     /// backend over the graph itself (bounded BFS through `GraphProbe`,
     /// named `BFS+memo`).
     RqDm,
-    /// RQ by bi-directional product search (`Rq::eval_bibfs`, §4 "biBFS"):
-    /// the paper's baseline, servable when forced but never planned.
-    RqBiBfs,
     /// PQ by `JoinMatch` (normalized, §5.1).
     Join,
-    /// PQ by `SplitMatch` (§5.2).
+    /// PQ by `SplitMatch` (§5.2), planned on the matrix only.
     Split,
     /// PQ answered from a registered standing query's incrementally
     /// maintained match sets — no evaluation at all (§7, live serving).
@@ -85,8 +83,8 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Every servable combination, in report order.
-    pub const ALL: [Plan; 14] = {
+    /// Every combination the planner returns, in report order.
+    pub const ALL: [Plan; 10] = {
         use Algo::*;
         use Backend::*;
         const fn p(algo: Algo, backend: Backend) -> Plan {
@@ -95,17 +93,13 @@ impl Plan {
         [
             p(RqDm, Matrix),
             p(RqDm, Hop),
-            p(RqBiBfs, Search),
             p(RqDm, Search),
             p(Join, Matrix),
             p(Join, Hop),
             p(Join, Search),
             p(Split, Matrix),
-            p(Split, Hop),
-            p(Split, Search),
             p(RqDm, Sharded),
             p(Join, Sharded),
-            p(Split, Sharded),
             p(Standing, Search),
         ]
     };
@@ -128,15 +122,11 @@ impl Plan {
             (Algo::RqDm, Hop) => "hop",
             (Algo::RqDm, Sharded) => "sharded",
             (Algo::RqDm, Search) => "BFS+memo",
-            (Algo::RqBiBfs, _) => "biBFS",
             (Algo::Join, Matrix) => "JoinMatch/DM",
             (Algo::Join, Hop) => "JoinMatch/hop",
             (Algo::Join, Sharded) => "JoinMatch/sharded",
             (Algo::Join, Search) => "JoinMatch/cache",
-            (Algo::Split, Matrix) => "SplitMatch/DM",
-            (Algo::Split, Hop) => "SplitMatch/hop",
-            (Algo::Split, Sharded) => "SplitMatch/sharded",
-            (Algo::Split, Search) => "SplitMatch/cache",
+            (Algo::Split, _) => "SplitMatch/DM",
             (Algo::Standing, _) => "standing",
         }
     }
@@ -165,8 +155,6 @@ pub enum Rationale {
     Pq(Plan, usize, bool, Uncovered),
     /// The pattern equals a registered standing query.
     Standing,
-    /// The caller picked the plan (test/bench surface).
-    Forced(Plan),
 }
 
 impl Rationale {
@@ -193,13 +181,6 @@ impl fmt::Display for Rationale {
                 return f.write_str(
                     "pattern equals a registered standing query — answered from its \
                      incrementally maintained match sets, no evaluation",
-                )
-            }
-            Rationale::Forced(plan) => {
-                return write!(
-                    f,
-                    "plan {} forced by caller (test/bench surface)",
-                    plan.name()
                 )
             }
         };
@@ -372,17 +353,13 @@ mod tests {
             [
                 "DM",
                 "hop",
-                "biBFS",
                 "BFS+memo",
                 "JoinMatch/DM",
                 "JoinMatch/hop",
                 "JoinMatch/cache",
                 "SplitMatch/DM",
-                "SplitMatch/hop",
-                "SplitMatch/cache",
                 "sharded",
                 "JoinMatch/sharded",
-                "SplitMatch/sharded",
                 "standing",
             ]
         );
@@ -391,17 +368,20 @@ mod tests {
         }
     }
 
+    /// `Plan::ALL` is exactly what the planner returns: a row nothing
+    /// plans fails here, and so does a plan missing from the table.
     #[test]
     fn the_planner_only_returns_servable_plans() {
+        let mut planned = std::collections::HashSet::new();
         for backend in BACKENDS {
             for atoms in 1..4 {
-                assert!(Plan::ALL.contains(&rq(atoms, backend)));
+                planned.insert(rq(atoms, backend));
             }
             for pat in [chain(2), ring(2), ring(SPLIT_CROSSOVER)] {
                 let (plan, why) = plan_pq(&pat, backend);
-                assert!(Plan::ALL.contains(&plan));
                 assert_eq!(plan.backend(), backend, "the backend is the engine's call");
                 assert!(!why.to_string().is_empty());
+                planned.insert(plan);
             }
         }
         let standing = Plan {
@@ -409,7 +389,8 @@ mod tests {
             backend: Backend::Search,
         };
         assert_eq!(standing.name(), "standing");
-        assert!(Plan::ALL.contains(&standing));
+        planned.insert(standing);
+        assert_eq!(planned, Plan::ALL.into_iter().collect());
     }
 
     #[test]
@@ -432,14 +413,14 @@ mod tests {
     #[test]
     fn search_rqs_sweep_the_graph_and_bibfs_is_never_planned() {
         // search probes the graph with the same algorithm, under its
-        // frozen name `BFS+memo`, whatever the regex shape; biBFS is
-        // servable when forced, never planned
+        // frozen name `BFS+memo`, whatever the regex shape; biBFS stays
+        // in `rpq-core`, never planned
         for atoms in 1..4 {
             let plan = rq(atoms, Backend::Search);
             assert_eq!((plan.algo(), plan.backend()), (Algo::RqDm, Backend::Search));
         }
         for backend in BACKENDS {
-            assert_ne!(rq(2, backend).algo(), Algo::RqBiBfs);
+            assert_eq!(rq(2, backend).algo(), Algo::RqDm);
         }
         assert_eq!(rq(2, Backend::Search).name(), "BFS+memo");
         assert_eq!(pq(&chain(1), Backend::Search).name(), "JoinMatch/cache");

@@ -1,7 +1,8 @@
-//! Plan-coverage suite for the explain surface: every [`Plan::ALL`] entry
-//! must yield a well-formed [`QueryProfile`] — named stages with nonzero
-//! spans, stage timings that sum to the profile's wall time (within 10%),
-//! a rationale, and an output identical to the unprofiled path.
+//! Plan-coverage suite for the explain surface: every [`Plan::ALL`] entry,
+//! planned by the regime that serves it, must yield a well-formed
+//! [`QueryProfile`] — named stages with nonzero spans, stage timings that
+//! sum to the profile's wall time (within 10%), a rationale, and an output
+//! identical to the unprofiled path.
 
 use rpq_core::predicate::Predicate;
 use rpq_core::reach::ProbeReach;
@@ -30,6 +31,20 @@ fn pq(g: &Graph) -> Query {
     Query::parse_pq("node a: job = \"doctor\"; node b; edge a -> b: fn+", g).unwrap()
 }
 
+/// A directed ring of 8 single-atom edges: cyclic, normalized size 16 —
+/// at the split crossover, so the matrix plans `SplitMatch`.
+fn ring_pq(g: &Graph) -> Query {
+    let mut text = String::from("node n0: job = \"doctor\"");
+    for i in 1..8 {
+        text += &format!("; node n{i}");
+    }
+    for i in 0..8 {
+        let color = if i % 2 == 0 { "fa" } else { "fn" };
+        text += &format!("; edge n{i} -> n{}: {color}", (i + 1) % 8);
+    }
+    Query::parse_pq(&text, g).unwrap()
+}
+
 /// The matrix-regime engine (default config on a small graph).
 fn matrix_engine() -> QueryEngine {
     QueryEngine::new(Arc::new(essembly()))
@@ -56,6 +71,18 @@ fn sharded_engine() -> QueryEngine {
         .unwrap();
     let engine = QueryEngine::with_config(Arc::new(essembly()), config);
     assert!(engine.sharded().is_some(), "unbudgeted build fits");
+    engine
+}
+
+/// A search-regime engine: no index at all, the graph answers.
+fn search_engine() -> QueryEngine {
+    let config = EngineConfig::builder()
+        .matrix_node_limit(0)
+        .hop_label_budget(0)
+        .build()
+        .unwrap();
+    let engine = QueryEngine::with_config(Arc::new(essembly()), config);
+    assert_eq!(engine.index_bytes(), 0, "no index built");
     engine
 }
 
@@ -96,10 +123,10 @@ fn assert_well_formed(profile: &QueryProfile, plan: Plan) {
     assert!(json.contains(&format!("\"plan\":\"{}\"", plan.name())));
 }
 
-/// Force `plan` on `engine`, check well-formedness and output parity
-/// against the engine's own planner-chosen evaluation.
+/// Run `query` profiled on `engine`, which must plan `plan` for it; check
+/// well-formedness and output parity against the unprofiled path.
 fn drive(engine: &QueryEngine, query: &Query, plan: Plan) -> QueryProfile {
-    let (out, profile) = engine.run_query_with_plan_profiled(query, plan);
+    let (out, profile) = engine.run_query_profiled(query);
     assert_well_formed(&profile, plan);
     assert_eq!(
         out,
@@ -116,19 +143,20 @@ fn drive(engine: &QueryEngine, query: &Query, plan: Plan) -> QueryProfile {
 /// engine here.
 fn engine_on(backend: Backend) -> QueryEngine {
     match backend {
-        // searches need no index: any engine evaluates them
-        Backend::Matrix | Backend::Search => matrix_engine(),
+        Backend::Matrix => matrix_engine(),
         Backend::Hop => hop_engine(),
         Backend::Sharded => sharded_engine(),
+        Backend::Search => search_engine(),
     }
 }
 
 const INDEX_BACKENDS: [Backend; 3] = [Backend::Matrix, Backend::Hop, Backend::Sharded];
 
-/// Drive every [`Plan::ALL`] entry the engine evaluates on `backend`
-/// (all but `standing`, which the snapshot layer serves). The match on
-/// [`Algo`] is exhaustive on purpose, like [`engine_on`]'s: a future plan
-/// cannot dodge profile coverage.
+/// Drive every [`Plan::ALL`] entry the engine plans on `backend` (all
+/// but `standing`, which the snapshot layer serves), each with a query of
+/// the shape that plans it, on a fresh engine of that regime. The match
+/// on [`Algo`] is exhaustive on purpose, like [`engine_on`]'s: a future
+/// plan cannot dodge profile coverage.
 fn drive_backend(backend: Backend) -> Vec<(Plan, QueryProfile)> {
     let engine = engine_on(backend);
     let g = engine.graph();
@@ -137,8 +165,9 @@ fn drive_backend(backend: Backend) -> Vec<(Plan, QueryProfile)> {
         .filter(|plan| plan.backend() == backend)
         .filter_map(|plan| {
             let query = match plan.algo() {
-                Algo::RqDm | Algo::RqBiBfs => rq(g),
-                Algo::Join | Algo::Split => pq(g),
+                Algo::RqDm => rq(g),
+                Algo::Join => pq(g),
+                Algo::Split => ring_pq(g),
                 Algo::Standing => return None,
             };
             Some((plan, drive(&engine, &query, plan)))
@@ -157,19 +186,15 @@ fn matrix_backed_plans_profile_with_probe_counts() {
 }
 
 #[test]
-fn search_plans_probe_the_graph_and_bibfs_probes_nothing() {
+fn search_plans_probe_the_graph() {
     let driven = drive_backend(Backend::Search);
     assert!(!driven.is_empty());
     for (plan, p) in driven {
-        if plan.algo() == Algo::RqBiBfs {
-            assert_eq!(p.probes, 0, "biBFS searches the product space");
-        } else {
-            assert!(
-                p.probes > 0,
-                "{}: the graph answers the probes",
-                plan.name()
-            );
-        }
+        assert!(
+            p.probes > 0,
+            "{}: the graph answers the probes",
+            plan.name()
+        );
         assert_eq!(p.shard_fanout, 0);
     }
 }
@@ -301,34 +326,11 @@ fn profiles_report_engine_memo_hits_on_every_index_backend() {
     }
 }
 
-/// A forced plan evaluates against a scratch memo: however warm the
-/// engine's memo is, the harness entry exercises the plan's index and
-/// leaves the engine's counters alone.
-#[test]
-fn forced_plans_bypass_the_engine_memo() {
-    for backend in INDEX_BACKENDS {
-        let engine = engine_on(backend);
-        let query = rq(engine.graph());
-        let warm = engine.run_query(&query);
-        let stats = engine.semantic_stats();
-        assert_eq!(stats.misses, 1, "{backend:?}: the warm-up populated");
-        let forced = Plan::ALL
-            .into_iter()
-            .filter(|p| p.backend() == backend && p.algo() == Algo::RqDm);
-        for plan in forced {
-            let (out, profile) = engine.run_query_with_plan_profiled(&query, plan);
-            assert_eq!(out, warm);
-            assert!(profile.probes > 0, "{}: served from a cache", plan.name());
-            assert_eq!(profile.semcache, "miss", "{}", plan.name());
-        }
-        assert_eq!(engine.semantic_stats(), stats, "{backend:?}");
-    }
-}
-
 /// A profile's probe count is exactly one count per top-level probe call
 /// of the core evaluator over the regime's probe: the miss path's
-/// target-widened `Rq::eval_with_dist` for an RQ, `JoinMatch::eval` for a
-/// PQ. A probe counted twice, or not at all, breaks the equality.
+/// target-widened `Rq::eval_with_dist` for an RQ on a cold engine,
+/// `JoinMatch::eval` for a PQ. A probe counted twice, or not at all,
+/// breaks the equality.
 #[test]
 fn profiles_count_each_probe_call_once() {
     for backend in [
@@ -346,12 +348,6 @@ fn profiles_count_each_probe_call_once() {
             Backend::Sharded => engine.sharded().unwrap(),
             Backend::Search => &graph,
         };
-        let plan = |algo| {
-            let mut plans = Plan::ALL.into_iter();
-            plans
-                .find(|p| p.backend() == backend && p.algo() == algo)
-                .unwrap()
-        };
         let (Query::Rq(rq_query), Query::Pq(pq_query)) = (rq(g), pq(g)) else {
             unreachable!()
         };
@@ -364,8 +360,9 @@ fn profiles_count_each_probe_call_once() {
         );
         let counting = CountingProbe::new(probe);
         wide.eval_with_dist(g, &counting);
-        let (_, profile) =
-            engine.run_query_with_plan_profiled(&Query::Rq(rq_query), plan(Algo::RqDm));
+        let rq_query = Query::Rq(rq_query);
+        assert_eq!(engine.plan_query(&rq_query).backend(), backend);
+        let (_, profile) = engine.run_query_profiled(&rq_query);
         assert_eq!(profile.semcache, "miss", "{backend:?}");
         assert!(counting.probes() > 0, "{backend:?}: the RQ probes");
         assert_eq!(profile.probes, counting.probes(), "{backend:?}: RQ");
@@ -373,8 +370,9 @@ fn profiles_count_each_probe_call_once() {
         let pq_query = canonical_pq(&pq_query);
         let counting = CountingProbe::new(probe);
         JoinMatch::eval(&pq_query, g, &ProbeReach::new(&counting));
-        let (_, profile) =
-            engine.run_query_with_plan_profiled(&Query::Pq(pq_query), plan(Algo::Join));
+        let pq_query = Query::Pq(pq_query);
+        assert_eq!(engine.plan_query(&pq_query).algo(), Algo::Join);
+        let (_, profile) = engine.run_query_profiled(&pq_query);
         assert!(counting.probes() > 0, "{backend:?}: the PQ probes");
         assert_eq!(profile.probes, counting.probes(), "{backend:?}: PQ");
     }

@@ -19,7 +19,7 @@
 //!
 //! * the **matrix** under its node limit (fastest probes),
 //! * **hop labels** above it while the label budget holds
-//!   (the `Backend::Hop` plans — `hop`, `JoinMatch/hop`, `SplitMatch/hop` — in
+//!   (the `Backend::Hop` plans — `hop` and `JoinMatch/hop` — in
 //!   `rpq-engine`), and
 //! * the graph itself ([`GraphProbe`]: breadth-first sweeps, one backward
 //!   sweep per `Join` step) when no index is usable.

@@ -854,7 +854,7 @@ mod tests {
                     for i in 0..per_thread {
                         m.latency.record(t * 100 + i);
                         m.queries.fetch_add(1, Ordering::Relaxed);
-                        m.plan_histogram(if i % 2 == 0 { "DM" } else { "biBFS" })
+                        m.plan_histogram(if i % 2 == 0 { "DM" } else { "BFS+memo" })
                             .record(i);
                     }
                 });
@@ -870,7 +870,7 @@ mod tests {
         assert_eq!(m.latency.count(), total);
         assert_eq!(m.queries.load(Ordering::Relaxed), total);
         let dm = m.plan_histogram("DM").count();
-        let bfs = m.plan_histogram("biBFS").count();
+        let bfs = m.plan_histogram("BFS+memo").count();
         assert_eq!(dm + bfs, total);
         assert_eq!(dm, bfs);
     }

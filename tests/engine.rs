@@ -199,12 +199,4 @@ fn batch_result_reports_plans_and_timing() {
     // single-query path agrees with the batch path
     let single = engine.run_query(&queries[2]);
     assert_eq!(&single, &batch.items()[2].output);
-    // ... and so does biBFS, reached only by forcing it
-    let bibfs = *Plan::ALL
-        .iter()
-        .find(|p| p.algo() == Algo::RqBiBfs)
-        .unwrap();
-    let (forced, profile) = engine.run_query_with_plan_profiled(&queries[2], bibfs);
-    assert_eq!(&forced, &batch.items()[2].output);
-    assert_eq!(profile.plan, "biBFS");
 }

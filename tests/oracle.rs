@@ -8,9 +8,10 @@
 //! and PQs — is swept over
 //!
 //! * **engines**: the matrix, hop, sharded and search-only regimes, each
-//!   answering `run_batch` cold and warm and every `Plan::ALL` row of its
-//!   backend forced, then every query once more on a fresh engine whose
-//!   profiles name the memo path taken (miss, exact or subsumption hit).
+//!   answering `run_batch` cold and warm under the plans it picks — every
+//!   `Plan::ALL` row is earned by planning alone — then every query once
+//!   more on a fresh engine whose profiles name the memo path taken
+//!   (miss, exact or subsumption hit).
 //!   Label indices hold concrete colors only: on the hop and sharded
 //!   regimes a `_`-bearing query plans search, and says so;
 //! * **core**: `eval_with_dist`, `JoinMatch` and `SplitMatch` over the
@@ -575,8 +576,8 @@ fn fresh_engine(b: Backend, g: &Arc<Graph>, shards: usize) -> QueryEngine {
     QueryEngine::with_config(Arc::clone(g), config(b, shards))
 }
 
-/// Every engine regime: batches cold and warm, every plan row of its
-/// backend forced, and the memo path of each query read off its profile.
+/// Every engine regime: batches cold and warm under the plans it picks,
+/// and the memo path of each query read off its profile.
 fn sweep_engines(case: &Case, g: &Arc<Graph>, queries: &[Query], truth: &Truth) {
     for b in [
         Backend::Matrix,
@@ -596,21 +597,6 @@ fn sweep_engines(case: &Case, g: &Arc<Graph>, queries: &[Query], truth: &Truth) 
                     "{r} batch {pass}: the regime's backend plans"
                 );
                 tally(format!("plan {}", item.plan.name()));
-            }
-        }
-        let rows = Plan::ALL
-            .into_iter()
-            .filter(|p| p.backend() == b && p.algo() != Algo::Standing);
-        for plan in rows {
-            let rq_plan = matches!(plan.algo(), Algo::RqDm | Algo::RqBiBfs);
-            // a label index is forced only onto the queries it covers
-            for q in queries
-                .iter()
-                .filter(|q| matches!(q, Query::Rq(_)) == rq_plan && planned_backend(b, q) == b)
-            {
-                let (out, _) = engine.run_query_with_plan_profiled(q, plan);
-                truth.check(q, &out, &format!("{r} forced {}", plan.name()));
-                tally(format!("plan {}", plan.name()));
             }
         }
         let fresh = fresh_engine(b, g, case.shards);
