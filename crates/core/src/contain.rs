@@ -1,35 +1,28 @@
 //! Containment and equivalence of RQs and PQs (§3.1).
 //!
 //! * RQs: `Q1 ⊑ Q2` iff `u1 ⊢ w1`, `u2 ⊢ w2` and `L(fe1) ⊆ L(fe2)` —
-//!   decidable in quadratic time (Prop. 3.3).
+//!   decidable in quadratic time (Prop. 3.3). The regex half is
+//!   [`contains_fast`], the one containment decider of the workspace (the
+//!   engine's memo, PQ simulation and minPQs use it too).
 //! * PQs: `Q1 ⊑ Q2` iff `Q2 ⊴ Q1` (Lemma 3.1), decidable in cubic time via
 //!   the revised similarity (Thm. 3.2).
 
 use crate::pq::Pq;
 use crate::rq::Rq;
 use crate::simulation::revised_similar;
-use rpq_regex::contain::contains_scan;
+use rpq_regex::canon::contains_fast;
 
 /// RQ containment `a ⊑ b`: for every graph, every match pair of `a` is a
-/// match pair of `b`.
+/// match pair of `b`. Sound and linear in the regexes: besides the
+/// paper's atom-aligned scan it accepts the containments only the
+/// run-level check sees, such as `a a ⊑ a^2`.
 pub fn rq_contained_in(a: &Rq, b: &Rq) -> bool {
-    a.from.implies(&b.from) && a.to.implies(&b.to) && contains_scan(&a.regex, &b.regex)
+    a.from.implies(&b.from) && a.to.implies(&b.to) && contains_fast(&a.regex, &b.regex)
 }
 
 /// RQ equivalence `a ≡ b`.
 pub fn rq_equivalent(a: &Rq, b: &Rq) -> bool {
     rq_contained_in(a, b) && rq_contained_in(b, a)
-}
-
-/// RQ containment with the run-level regex fast path of
-/// [`rpq_regex::canon`]: strictly more complete than [`rq_contained_in`]
-/// (it additionally accepts containments the atom-aligned scan is blind
-/// to, such as `a a ⊑ a^2`), still sound and linear-time. This is the
-/// decider the engine's subsumption cache probes with.
-pub fn rq_contained_in_fast(a: &Rq, b: &Rq) -> bool {
-    a.from.implies(&b.from)
-        && a.to.implies(&b.to)
-        && rpq_regex::canon::contains_fast(&a.regex, &b.regex)
 }
 
 /// PQ containment `a ⊑ b` (Lemma 3.1: `a ⊑ b` iff `b ⊴ a`).
@@ -72,6 +65,22 @@ mod tests {
         let other = rq("age > 10", "age = 3", "c");
         assert!(!rq_contained_in(&tight, &other));
         assert!(rq_contained_in(&other, &loose));
+    }
+
+    /// The run-level half of the decider: `a a` and `a^2` have different
+    /// atom counts, so the atom-aligned scan cannot align them, yet every
+    /// word of `a a` is one of `a^2`.
+    #[test]
+    fn rq_containment_sees_runs() {
+        let g = essembly();
+        let from = Predicate::parse("job = \"biologist\"", g.schema()).unwrap();
+        let rq = |re: &str| {
+            let regex = FRegex::parse(re, g.alphabet()).unwrap();
+            Rq::new(from.clone(), from.clone(), regex)
+        };
+        assert!(rq_contained_in(&rq("fa fa"), &rq("fa^2")));
+        assert!(!rq_contained_in(&rq("fa^2"), &rq("fa fa")));
+        assert!(!rq_equivalent(&rq("fa fa"), &rq("fa^2")));
     }
 
     /// Semantic validation of RQ containment: on concrete graphs, if

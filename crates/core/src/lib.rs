@@ -39,9 +39,7 @@ pub mod simulation;
 pub mod split_match;
 
 pub use canonical::{canonical_pq, canonical_rq, pq_same_shape};
-pub use contain::{
-    pq_contained_in, pq_equivalent, rq_contained_in, rq_contained_in_fast, rq_equivalent,
-};
+pub use contain::{pq_contained_in, pq_equivalent, rq_contained_in, rq_equivalent};
 pub use grq::GRq;
 pub use incremental::{DynamicGraph, IncrementalMatcher, Update};
 pub use join_match::JoinMatch;

@@ -29,7 +29,7 @@
 
 use crate::pq::{Pq, PqEdge};
 use crate::simulation::{equivalence_classes, revised_similarity};
-use rpq_regex::contain::{contains_scan, equivalent_scan};
+use rpq_regex::canon::{contains_fast, equivalent_canonical};
 use rpq_regex::FRegex;
 use std::collections::{HashMap, HashSet};
 
@@ -50,7 +50,7 @@ pub fn minimize(q: &Pq) -> Pq {
     for e in q.edges() {
         let key = (class_of[e.from], class_of[e.to]);
         let set = pair_res.entry(key).or_default();
-        if !set.iter().any(|r| equivalent_scan(r, &e.regex)) {
+        if !set.iter().any(|r| equivalent_canonical(r, &e.regex)) {
             set.push(e.regex.clone());
         }
     }
@@ -153,11 +153,11 @@ fn drop_middles(set: Vec<FRegex>) -> Vec<FRegex> {
             let below = set
                 .iter()
                 .enumerate()
-                .any(|(j, s)| j != i && contains_scan(s, r));
+                .any(|(j, s)| j != i && contains_fast(s, r));
             let above = set
                 .iter()
                 .enumerate()
-                .any(|(j, s)| j != i && contains_scan(r, s));
+                .any(|(j, s)| j != i && contains_fast(r, s));
             below && above
         })
         .collect();
@@ -179,7 +179,7 @@ fn find_redundant_edges(qm: &Pq, sr: &[Vec<bool>]) -> Vec<usize> {
                 }
                 let e1 = qm.edge(j);
                 // e's endpoints are simulated by e1's, and e1 ⊨ e
-                sr[e.from][e1.from] && sr[e.to][e1.to] && contains_scan(&e1.regex, &e.regex)
+                sr[e.from][e1.from] && sr[e.to][e1.to] && contains_fast(&e1.regex, &e.regex)
             });
             if !has_e1 {
                 return false;
@@ -190,7 +190,7 @@ fn find_redundant_edges(qm: &Pq, sr: &[Vec<bool>]) -> Vec<usize> {
                 }
                 let e2 = qm.edge(j);
                 // e2's endpoints are simulated by e's, and e ⊨ e2
-                sr[e2.from][e.from] && sr[e2.to][e.to] && contains_scan(&e.regex, &e2.regex)
+                sr[e2.from][e.from] && sr[e2.to][e.to] && contains_fast(&e.regex, &e2.regex)
             })
         })
         .collect()

@@ -19,6 +19,7 @@ use rpq_index::{
     CountingProbe, DistProbe, GraphProbe, HopBuildError, HopConfig, HopLabels, ShardedLabels,
 };
 use rpq_trace::QueryProfile;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -241,6 +242,8 @@ pub struct QueryEngine {
     /// inherited cell instead of evaluating in full. A read-only engine
     /// starts empty and inherits nothing.
     memo: SemanticMemo,
+    /// Every batch's memo lookups, added up as each batch ends.
+    lookups: Tally,
 }
 
 impl QueryEngine {
@@ -267,6 +270,7 @@ impl QueryEngine {
             config,
             index,
             memo: SemanticMemo::new(),
+            lookups: Tally::default(),
         }
     }
 
@@ -334,11 +338,12 @@ impl QueryEngine {
         }) as u64
     }
 
-    /// Cumulative counters of this engine's semantic reach-set memo —
-    /// exact hits, subsumption hits, misses, and filter time — over
-    /// every query run since construction.
+    /// This engine's memo lookups — exact hits, subsumption hits, misses,
+    /// and filter time — over every query run since construction: the
+    /// sum of every finished batch's
+    /// [`BatchResult::semantic_stats`].
     pub fn semantic_stats(&self) -> SemanticStats {
-        self.memo.semantic_stats()
+        self.lookups.get()
     }
 
     /// The best backend for `query`: this engine's index, when it is the
@@ -464,6 +469,7 @@ impl QueryEngine {
             }
             items.push(item);
         }
+        self.lookups.add(&semantic);
         BatchResult::new(items, t0.elapsed(), semantic)
     }
 
@@ -525,7 +531,7 @@ impl QueryEngine {
             profile.stage("eval", item.time, format!("probes={probes}"));
         }
         profile.probes = probes;
-        // this query's own lookup, not a delta of the shared counters:
+        // this query's own lookup, not a delta of the engine's shared tally:
         // exact whatever else runs on the memo meanwhile
         if let Some(lookup) = lookup {
             let hit = matches!(lookup, Lookup::Exact | Lookup::Subsumption { .. });
@@ -644,6 +650,47 @@ impl QueryEngine {
                     query_summary(query, &self.graph)
                 ),
             );
+        }
+    }
+}
+
+/// A [`SemanticStats`] that batches on many threads add to: one counter
+/// per field, so adding a batch never waits. A blocking lock here, taken
+/// once per batch, cost `hop_zipf` 3 % of `read_p50_ms` and 7 % of
+/// `read_p95_ms` (10 alternated 15 s pairs, two-core box). A read taken
+/// while batches end may see one batch's fields half added.
+#[derive(Debug, Default)]
+struct Tally([AtomicU64; 6]);
+
+impl Tally {
+    fn add(&self, batch: &SemanticStats) {
+        let fields = [
+            batch.exact_hits,
+            batch.subsumption_hits,
+            batch.misses,
+            batch.patched,
+            batch.declined,
+            batch.filter_time.as_nanos() as u64,
+        ];
+        for (counter, n) in self.0.iter().zip(fields) {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+
+    fn get(&self) -> SemanticStats {
+        let [exact_hits, subsumption_hits, misses, patched, declined, nanos] = self
+            .0
+            .each_ref()
+            .map(|counter| counter.load(Ordering::Relaxed));
+        SemanticStats {
+            exact_hits,
+            subsumption_hits,
+            misses,
+            patched,
+            declined,
+            filter_time: Duration::from_nanos(nanos),
         }
     }
 }

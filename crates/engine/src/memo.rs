@@ -69,20 +69,28 @@
 //! whose graph never changes, so a fresh cell is never wrong for the
 //! engine that computed it. The updatable engine publishes a new engine
 //! with every snapshot version, and its memo *inherits* the predecessor's
-//! cells ([`SemanticMemo::carry`]): their `Arc` pair sets, no copy, plus
-//! the batch's edge changes — reach sets only, so no per-target answer,
-//! and none of its encoded bytes, reaches a later version. An inherited
-//! cell is stale by construction — it is never an exact hit and never a
-//! containment donor. Only the miss path reads it
-//! ([`SemanticMemo::patch`]): the caller re-evaluates the sources the
-//! logged changes can reach ([`rpq_core::incremental::patch_reach_set`])
-//! and installs the patched set, which supersedes the inherited cell. A
-//! cell left unread keeps appending later batches to its log, and is
-//! dropped after `CARRY_VERSIONS` (four) unread versions. Inherited cells
-//! keep their queue and share the table, the eviction order and the byte
-//! budget with fresh ones, and the next version shares the ghost set
-//! (through an `Arc`), so a full memo stays full and a key first seen at
-//! one version is admitted on its second miss at the next.
+//! cells ([`SemanticMemo::carry`]): their `Arc` pair sets, no copy — reach
+//! sets only, so no per-target answer, and none of its encoded bytes,
+//! reaches a later version. Each memo has a version, one more than the
+//! memo it was carried from, and one change log: the edge changes of the
+//! last `CARRY_VERSIONS` (four) batches, each batch shared through an
+//! `Arc` by the memos that log it. Each cell is stamped with the version
+//! it was computed at, and is fresh while that is the memo's version. An
+//! inherited cell is stale by construction — it is never an exact hit and
+//! never a containment donor. Only the miss path reads it
+//! ([`SemanticMemo::patch`]): the caller gets the batches logged since
+//! the cell's version, re-evaluates the sources those changes can reach
+//! ([`rpq_core::incremental::patch_reach_set`]) and installs the patched
+//! set, which supersedes the inherited cell. A carry drops every cell
+//! computed more than `CARRY_VERSIONS` versions before the new memo: its
+//! changes have left the log. Carried cells keep their queue and share
+//! the table, the eviction order and the byte budget with fresh ones, and
+//! the next version shares the ghost set (through an `Arc`), so a full
+//! memo stays full and a key first seen at one version is admitted on its
+//! second miss at the next.
+//!
+//! The memo counts nothing: every lookup returns its [`Lookup`], and the
+//! engine tallies them per batch ([`SemanticStats`]).
 //!
 //! Concurrency scheme: one mutex over the table, held to look a key up,
 //! clone a cell's `Arc` and install a computed set; reach-set
@@ -123,11 +131,12 @@ const PAIR_BYTES: usize = std::mem::size_of::<(NodeId, NodeId)>();
 /// bytes.
 const ANSWER_BYTES_PER_PAIR: usize = PAIR_BYTES + 24;
 
-/// How many versions an inherited cell may go unread before
-/// [`SemanticMemo::carry`] drops it: a cell computed at version `v` can be
-/// patched at `v + 1 ..= v + CARRY_VERSIONS`, over a log of that many
-/// batches. A longer window keeps more cells for the Zipf tail of the
-/// traffic, and holds their pair sets longer. Seed-1 `sharded_live` (a
+/// How many batches a memo's change log holds, and so how many versions
+/// an inherited cell may go unread before [`SemanticMemo::carry`] drops
+/// it: a cell computed at version `v` can be patched at
+/// `v + 1 ..= v + CARRY_VERSIONS`, from the log's last `1 ..=
+/// CARRY_VERSIONS` batches. A longer window keeps more cells for the
+/// Zipf tail of the traffic, and holds their pair sets longer. Seed-1 `sharded_live` (a
 /// fifth of the requests write four edge changes, a read asks three RQs),
 /// 15 s runs on a two-core box, alternated with the version that
 /// discarded the memo on every write:
@@ -194,7 +203,15 @@ impl Ghost {
     }
 }
 
-/// Counters of the semantic layer, split by hit kind.
+/// A tally of memo lookups, split by how each was answered. Every lookup
+/// comes back to its caller as a [`Lookup`], and a caller tallies its
+/// own: a batch ([`BatchResult::semantic_stats`]), an explain request.
+/// Such a tally is exact however many other callers share the memo. An
+/// engine adds every batch's tally to its own
+/// ([`QueryEngine::semantic_stats`]); the memo counts nothing.
+///
+/// [`BatchResult::semantic_stats`]: crate::BatchResult::semantic_stats
+/// [`QueryEngine::semantic_stats`]: crate::QueryEngine::semantic_stats
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SemanticStats {
     /// Lookups answered by the exact canonical key.
@@ -223,11 +240,7 @@ impl SemanticStats {
         self.exact_hits + self.subsumption_hits
     }
 
-    /// Count one lookup. A caller that tallies the lookups *it* made —
-    /// one batch, one explain request — gets counters that are exact
-    /// however many other callers share the memo, which deltas of the
-    /// memo's cumulative [`semantic_stats`](SemanticMemo::semantic_stats)
-    /// taken around the work are not.
+    /// Count one lookup.
     pub fn record(&mut self, lookup: Lookup) {
         match lookup {
             Lookup::Exact => self.exact_hits += 1,
@@ -285,35 +298,30 @@ impl Lookup {
     }
 }
 
-/// One key's reach set, with its tick: its install while on probation
-/// (not read since), its last read in main.
+/// One key's reach set, stamped with the memo version it was computed at,
+/// with its tick: its install while on probation (not read since), its
+/// last read in main. A fresh cell keeps the answer made for each target
+/// predicate asked since its answers were last dropped, with what they
+/// are charged; an inherited cell keeps none.
 struct Cell {
     pairs: PairSet,
+    version: u64,
     tick: u64,
     probation: bool,
-    state: State,
-}
-
-enum State {
-    /// Computed on this version: served, a donor, and the keeper of the
-    /// answer made for each target predicate asked since its answers were
-    /// last dropped, with what they are charged.
-    Fresh {
-        answers: HashMap<Predicate, RqResult>,
-        answer_bytes: usize,
-    },
-    /// Computed on an earlier version, with every edge change since; never
-    /// served as it is. `versions` counts the batches in `changes`: the
-    /// versions the cell has gone unread.
-    Inherited {
-        changes: Vec<EdgeChange>,
-        versions: usize,
-    },
+    answers: HashMap<Predicate, RqResult>,
+    answer_bytes: usize,
 }
 
 impl Cell {
-    fn is_fresh(&self) -> bool {
-        matches!(self.state, State::Fresh { .. })
+    fn new(pairs: PairSet, version: u64, tick: u64, probation: bool) -> Cell {
+        Cell {
+            pairs,
+            version,
+            tick,
+            probation,
+            answers: HashMap::new(),
+            answer_bytes: 0,
+        }
     }
 
     /// What the cell's reach set is charged.
@@ -323,11 +331,7 @@ impl Cell {
 
     /// What the cell is charged: its reach set, and its answers.
     fn bytes(&self) -> usize {
-        let answers = match self.state {
-            State::Fresh { answer_bytes, .. } => answer_bytes,
-            State::Inherited { .. } => 0,
-        };
-        self.reach_bytes() + answers
+        self.reach_bytes() + self.answer_bytes
     }
 }
 
@@ -336,6 +340,13 @@ struct Table {
     map: HashMap<Predicate, HashMap<FRegex, Cell>>,
     /// Candidate index over *fresh* cells: regex skeleton → keys.
     index: HashMap<Vec<Color>, Vec<(Predicate, FRegex)>>,
+    /// The memo's version: 0 when new, one more per carry. A cell stamped
+    /// with it is fresh; any other is inherited.
+    version: u64,
+    /// The edge changes of the last `CARRY_VERSIONS` batches, oldest
+    /// first: the last one led to `version`. Each batch is shared with the
+    /// versions before and after that log it too.
+    log: Vec<Arc<[EdgeChange]>>,
     tick: u64,
     /// What every cell is charged, answers included.
     bytes: usize,
@@ -350,34 +361,21 @@ struct Table {
 impl Table {
     /// The fresh cell of `(from, regex)`.
     fn fresh(&mut self, from: &Predicate, regex: &FRegex) -> Option<&mut Cell> {
-        (self.map.get_mut(from)?.get_mut(regex)).filter(|cell| cell.is_fresh())
+        let version = self.version;
+        (self.map.get_mut(from)?.get_mut(regex)).filter(|cell| cell.version == version)
     }
 
     /// The fresh cell of `(from, regex)`, read: most recently used, in main.
     fn touch(&mut self, from: &Predicate, regex: &FRegex) -> Option<&mut Cell> {
         self.tick += 1;
-        let cell = (self.map.get_mut(from)?.get_mut(regex)).filter(|cell| cell.is_fresh())?;
+        let version = self.version;
+        let cell =
+            (self.map.get_mut(from)?.get_mut(regex)).filter(|cell| cell.version == version)?;
         cell.tick = self.tick;
         if std::mem::take(&mut cell.probation) {
             self.probation_bytes -= cell.reach_bytes();
         }
         Some(cell)
-    }
-
-    /// The answers the fresh cell of `(from, regex)` keeps, and their
-    /// charge.
-    fn answers(
-        &mut self,
-        from: &Predicate,
-        regex: &FRegex,
-    ) -> Option<(&mut HashMap<Predicate, RqResult>, &mut usize)> {
-        match &mut self.map.get_mut(from)?.get_mut(regex)?.state {
-            State::Fresh {
-                answers,
-                answer_bytes,
-            } => Some((answers, answer_bytes)),
-            State::Inherited { .. } => None,
-        }
     }
 
     /// Install `pairs` as the fresh cell of `(from, canon)` — in main if
@@ -399,15 +397,7 @@ impl Table {
         self.remove(from, canon);
         let pairs = Arc::new(pairs);
         self.tick += 1;
-        let cell = Cell {
-            pairs: Arc::clone(&pairs),
-            tick: self.tick,
-            probation: !main,
-            state: State::Fresh {
-                answers: HashMap::new(),
-                answer_bytes: 0,
-            },
-        };
+        let cell = Cell::new(Arc::clone(&pairs), self.version, self.tick, !main);
         self.bytes += cell.bytes();
         if !main {
             self.probation_bytes += cell.reach_bytes();
@@ -433,11 +423,11 @@ impl Table {
             self.map.remove(from);
         }
         self.bytes -= cell.bytes();
+        self.answer_bytes -= cell.answer_bytes;
         if cell.probation {
             self.probation_bytes -= cell.reach_bytes();
         }
-        if let State::Fresh { answer_bytes, .. } = cell.state {
-            self.answer_bytes -= answer_bytes;
+        if cell.version == self.version {
             if let Some(bucket) = self.index.get_mut(&skeleton(canon)) {
                 bucket.retain(|(p, r)| (p, r) != (from, canon));
             }
@@ -477,22 +467,15 @@ impl Table {
         if self.answer_bytes == 0 {
             return false;
         }
-        let (answers, bytes) = (self.map.values_mut())
+        let cell = (self.map.values_mut())
             .flat_map(|inner| inner.values_mut())
-            .filter_map(|cell| match &mut cell.state {
-                State::Fresh {
-                    answers,
-                    answer_bytes,
-                } if *answer_bytes > 0 => Some((cell.tick, answers, answer_bytes)),
-                _ => None,
-            })
-            .min_by_key(|&(tick, ..)| tick)
-            .map(|(_, answers, bytes)| (answers, bytes))
+            .filter(|cell| cell.answer_bytes > 0)
+            .min_by_key(|cell| cell.tick)
             .expect("answer bytes are kept by some cell");
-        self.bytes -= *bytes;
-        self.answer_bytes -= *bytes;
-        answers.clear();
-        *bytes = 0;
+        self.bytes -= cell.answer_bytes;
+        self.answer_bytes -= cell.answer_bytes;
+        cell.answers.clear();
+        cell.answer_bytes = 0;
         true
     }
 
@@ -543,20 +526,13 @@ impl Table {
 #[derive(Default)]
 pub struct SemanticMemo {
     cells: Mutex<Table>,
-    exact_hits: AtomicU64,
-    subsumption_hits: AtomicU64,
-    misses: AtomicU64,
-    patched: AtomicU64,
-    declined: AtomicU64,
-    filter_nanos: AtomicU64,
 }
 
 impl std::fmt::Debug for SemanticMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.semantic_stats();
         f.debug_struct("SemanticMemo")
             .field("len", &self.len())
-            .field("stats", &s)
+            .field("cached_bytes", &self.cached_bytes())
             .finish()
     }
 }
@@ -582,7 +558,6 @@ impl SemanticMemo {
                 budget: byte_budget,
                 ..Table::default()
             }),
-            ..SemanticMemo::default()
         }
     }
 
@@ -599,34 +574,24 @@ impl SemanticMemo {
     pub fn try_answer(&self, g: &Graph, rq: &Rq) -> Option<(RqResult, Lookup)> {
         let (from, canon) = (&rq.from, &rq.regex);
         debug_assert!(is_canonical(canon), "memo keys are canonical");
-        let donor = {
+        let (donor, equal) = {
             let mut table = self.table();
             match table.touch(from, canon) {
                 Some(cell) => {
-                    self.exact_hits.fetch_add(1, Ordering::Relaxed);
-                    if let State::Fresh { answers, .. } = &cell.state {
-                        if let Some(kept) = answers.get(&rq.to) {
-                            return Some((kept.clone(), Lookup::Exact));
-                        }
+                    if let Some(kept) = cell.answers.get(&rq.to) {
+                        return Some((kept.clone(), Lookup::Exact));
                     }
                     let pairs = Arc::clone(&cell.pairs);
                     drop(table);
                     let answer = self.keep(rq, rq_targets(g, &rq.to, &pairs));
                     return Some((answer, Lookup::Exact));
                 }
-                None => table.find_donor(from, canon),
+                None => table.find_donor(from, canon)?,
             }
         };
-        let Some((donor, equal)) = donor else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        self.subsumption_hits.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
         let derived = derive_from_donor(g, from, canon, &donor, equal);
         let filter_time = started.elapsed();
-        self.filter_nanos
-            .fetch_add(filter_time.as_nanos() as u64, Ordering::Relaxed);
         let pairs = self.table().install(from, canon, derived, false);
         let lookup = Lookup::Subsumption { filter_time };
         Some((self.answer(g, rq, &pairs), lookup))
@@ -641,8 +606,8 @@ impl SemanticMemo {
     /// answers, never a cell. An answer that does not fit beside the reach
     /// sets, or whose cell was evicted meanwhile, is served unkept.
     pub fn answer(&self, g: &Graph, rq: &Rq, pairs: &[(NodeId, NodeId)]) -> RqResult {
-        let kept = (self.table().answers(&rq.from, &rq.regex))
-            .and_then(|(answers, _)| answers.get(&rq.to).cloned());
+        let kept = (self.table().fresh(&rq.from, &rq.regex))
+            .and_then(|cell| cell.answers.get(&rq.to).cloned());
         kept.unwrap_or_else(|| self.keep(rq, rq_targets(g, &rq.to, pairs)))
     }
 
@@ -651,10 +616,7 @@ impl SemanticMemo {
     fn keep(&self, rq: &Rq, answer: RqResult) -> RqResult {
         let charge = answer.len() * ANSWER_BYTES_PER_PAIR;
         let mut table = self.table();
-        match table
-            .answers(&rq.from, &rq.regex)
-            .map(|(answers, _)| answers.get(&rq.to))
-        {
+        match (table.fresh(&rq.from, &rq.regex)).map(|cell| cell.answers.get(&rq.to)) {
             None => return answer,
             Some(Some(kept)) => return kept.clone(),
             Some(None) => {}
@@ -665,10 +627,9 @@ impl SemanticMemo {
         while table.bytes + charge > table.budget && table.drop_lru_answers() {}
         table.bytes += charge;
         table.answer_bytes += charge;
-        let (answers, bytes) =
-            (table.answers(&rq.from, &rq.regex)).expect("dropping answers keeps cells");
-        *bytes += charge;
-        answers.insert(rq.to.clone(), answer.clone());
+        let cell = (table.fresh(&rq.from, &rq.regex)).expect("dropping answers keeps cells");
+        cell.answer_bytes += charge;
+        cell.answers.insert(rq.to.clone(), answer.clone());
         answer
     }
 
@@ -683,10 +644,8 @@ impl SemanticMemo {
     /// reach set — every `(x, y)` with `x ⊨ from`, unfiltered by any
     /// target predicate (order is established here: checked in one pass,
     /// and sorted only if the check fails — index evaluation already
-    /// yields its pairs sorted). Counters are
-    /// untouched: the probe that preceded the computation already
-    /// recorded the miss. Returns the cached set — the caller's, or the
-    /// racing winner's if another worker installed the key first.
+    /// yields its pairs sorted). Returns the cached set — the caller's, or
+    /// the racing winner's if another worker installed the key first.
     pub fn insert(
         &self,
         from: &Predicate,
@@ -705,29 +664,25 @@ impl SemanticMemo {
     /// [`insert`](Self::insert) it: always while this memo (or one it was
     /// carried from) has never evicted a cell; once one has, only if the
     /// ghost set holds the key (its cell was evicted, or its first miss
-    /// declined). Any other miss is recorded in the ghost set, counted as
-    /// [`declined`](SemanticStats::declined), and the caller evaluates the
-    /// query alone: a key that never comes back pays for its answer only.
+    /// declined). Any other miss is recorded in the ghost set, and the
+    /// caller evaluates the query alone ([`Lookup::Declined`]): a key
+    /// that never comes back pays for its answer only.
     pub fn admit(&self, from: &Predicate, regex: &FRegex) -> bool {
         debug_assert!(is_canonical(regex), "memo keys are canonical");
         let table = self.table();
-        if table.ghost.slots.get().is_none() || table.ghost.record(from, regex, table.budget) {
-            return true;
-        }
-        self.declined.fetch_add(1, Ordering::Relaxed);
-        false
+        table.ghost.slots.get().is_none() || table.ghost.record(from, regex, table.budget)
     }
 
     /// The miss path's second chance: if this memo inherited a cell of
     /// `(from, regex)` from an earlier graph version, `patch` gets its
-    /// pair set and the edge changes since, and a `Some` it returns — the
-    /// key's complete, sorted reach set on this version — is installed as
-    /// a fresh cell in main (superseding the inherited one) and counted as
-    /// [`patched`](SemanticStats::patched). `None` when nothing was
-    /// inherited for the key or `patch` declined: the caller asks
-    /// [`admit`](Self::admit), then evaluates in full and
-    /// [`insert`](Self::insert)s or evaluates the query alone. `patch`
-    /// runs outside the lock.
+    /// pair set and the edge changes of the batches logged since the
+    /// cell's version, oldest first, and a `Some` it returns — the key's
+    /// complete, sorted reach set on this version — is installed as a
+    /// fresh cell in main (superseding the inherited one): a
+    /// [`Lookup::Patched`]. `None` when nothing was inherited for the key
+    /// or `patch` declined: the caller asks [`admit`](Self::admit), then
+    /// evaluates in full and [`insert`](Self::insert)s or evaluates the
+    /// query alone. `patch` runs outside the lock.
     pub fn patch(
         &self,
         from: &Predicate,
@@ -737,27 +692,34 @@ impl SemanticMemo {
         let (old, changes) = {
             let table = self.table();
             let cell = table.map.get(from)?.get(regex)?;
-            let State::Inherited { changes, .. } = &cell.state else {
+            let since = (table.version - cell.version) as usize;
+            if since == 0 {
                 return None;
-            };
-            (Arc::clone(&cell.pairs), changes.clone())
+            }
+            let batches = &table.log[table.log.len() - since..];
+            (Arc::clone(&cell.pairs), batches.concat())
         };
         let pairs = patch(&old, &changes)?;
-        self.patched.fetch_add(1, Ordering::Relaxed);
         Some(self.table().install(from, regex, pairs, true))
     }
 
     /// The memo of the next graph version, one batch of edge `changes`
-    /// later: every fresh cell of this memo, and every inherited one
-    /// unread for fewer than `CARRY_VERSIONS` (four) versions, inherited with
-    /// `changes` appended to its log. Pair sets are shared, not copied,
-    /// and per-target answers are not inherited; each cell's queue and
-    /// tick, the byte budget and the ghost set (shared, so the next
-    /// version is full if this one is) carry over; counters start at
-    /// zero.
+    /// later: its log is this one's with `changes` appended (the oldest
+    /// batch dropped past `CARRY_VERSIONS`), and it inherits every cell
+    /// computed at most `CARRY_VERSIONS` (four) versions before it. Pair
+    /// sets are shared, not copied, and per-target answers are not
+    /// inherited; each cell's version stamp, queue and tick, the byte
+    /// budget and the ghost set (shared, so the next version is full if
+    /// this one is) carry over.
     pub fn carry(&self, changes: &[EdgeChange]) -> SemanticMemo {
         let table = self.table();
+        let version = table.version + 1;
+        let kept = table.log.len().min(CARRY_VERSIONS - 1);
+        let mut log = table.log[table.log.len() - kept..].to_vec();
+        log.push(changes.into());
         let mut next = Table {
+            version,
+            log,
             tick: table.tick,
             budget: table.budget,
             ghost: Arc::clone(&table.ghost),
@@ -765,27 +727,16 @@ impl SemanticMemo {
         };
         for (from, inner) in &table.map {
             for (canon, cell) in inner {
-                let state = match &cell.state {
-                    // the reach set alone: its answers stay with this version
-                    State::Fresh { .. } => State::Inherited {
-                        changes: changes.to_vec(),
-                        versions: 1,
-                    },
-                    State::Inherited { versions, .. } if *versions >= CARRY_VERSIONS => continue,
-                    State::Inherited {
-                        changes: log,
-                        versions,
-                    } => State::Inherited {
-                        changes: [log, changes].concat(),
-                        versions: versions + 1,
-                    },
-                };
-                let cell = Cell {
-                    pairs: Arc::clone(&cell.pairs),
-                    tick: cell.tick,
-                    probation: cell.probation,
-                    state,
-                };
+                if version - cell.version > CARRY_VERSIONS as u64 {
+                    continue;
+                }
+                // the reach set alone: its answers stay with this version
+                let cell = Cell::new(
+                    Arc::clone(&cell.pairs),
+                    cell.version,
+                    cell.tick,
+                    cell.probation,
+                );
                 next.bytes += cell.bytes();
                 if cell.probation {
                     next.probation_bytes += cell.reach_bytes();
@@ -796,20 +747,6 @@ impl SemanticMemo {
         }
         SemanticMemo {
             cells: Mutex::new(next),
-            ..SemanticMemo::default()
-        }
-    }
-
-    /// Per-kind counters of the semantic layer: every
-    /// [`try_answer`](SemanticMemo::try_answer) counts once.
-    pub fn semantic_stats(&self) -> SemanticStats {
-        SemanticStats {
-            exact_hits: self.exact_hits.load(Ordering::Relaxed),
-            subsumption_hits: self.subsumption_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            patched: self.patched.load(Ordering::Relaxed),
-            declined: self.declined.load(Ordering::Relaxed),
-            filter_time: Duration::from_nanos(self.filter_nanos.load(Ordering::Relaxed)),
         }
     }
 
@@ -895,29 +832,37 @@ mod tests {
 
     /// What the engine does for an RQ: look up; on a miss the memo
     /// admits, evaluate the key's reach set, install it and take the
-    /// answer; on one it declines, evaluate the query alone.
-    fn ask(memo: &SemanticMemo, g: &Graph, rq: &Rq) -> RqResult {
-        match memo.try_answer(g, rq) {
-            Some((answer, _)) => answer,
-            None => miss(memo, g, rq, None),
-        }
+    /// answer; on one it declines, evaluate the query alone. Returns the
+    /// answer and the lookup the engine tallies.
+    fn ask(memo: &SemanticMemo, g: &Graph, rq: &Rq) -> (RqResult, Lookup) {
+        memo.try_answer(g, rq)
+            .unwrap_or_else(|| miss(memo, g, rq, None))
     }
 
     /// The engine's miss path after `patched` (the pairs an inherited
     /// cell was patched into, if it was).
-    fn miss(memo: &SemanticMemo, g: &Graph, rq: &Rq, patched: Option<PairSet>) -> RqResult {
-        let pairs = match patched {
-            Some(pairs) => pairs,
+    fn miss(
+        memo: &SemanticMemo,
+        g: &Graph,
+        rq: &Rq,
+        patched: Option<PairSet>,
+    ) -> (RqResult, Lookup) {
+        let (pairs, lookup) = match patched {
+            Some(pairs) => (pairs, Lookup::Patched),
             None if memo.admit(&rq.from, &rq.regex) => {
-                memo.insert(&rq.from, &rq.regex, reach(g, &rq.from, &rq.regex))
+                let full = reach(g, &rq.from, &rq.regex);
+                (memo.insert(&rq.from, &rq.regex, full), Lookup::Miss)
             }
-            None => return rq.eval_with_dist(g, &GraphProbe::new(g)),
+            None => {
+                let alone = rq.eval_with_dist(g, &GraphProbe::new(g));
+                return (alone, Lookup::Declined);
+            }
         };
-        memo.answer(g, rq, &pairs)
+        (memo.answer(g, rq, &pairs), lookup)
     }
 
     fn answer(memo: &SemanticMemo, g: &Graph, from: &Predicate, re: &FRegex) -> RqResult {
-        ask(memo, g, &key(from, re))
+        ask(memo, g, &key(from, re)).0
     }
 
     /// Whether two nonempty answers are one shared pair list.
@@ -935,11 +880,10 @@ mod tests {
         let memo = SemanticMemo::new();
         let from = Predicate::parse("job = \"biologist\"", g.schema()).unwrap();
         let re = FRegex::parse("fa^2 fn", g.alphabet()).unwrap();
-        let a = answer(&memo, &g, &from, &re);
-        let b = answer(&memo, &g, &from, &re);
+        let (a, first) = ask(&memo, &g, &key(&from, &re));
+        let (b, second) = ask(&memo, &g, &key(&from, &re));
+        assert_eq!((first, second), (Lookup::Miss, Lookup::Exact));
         assert!(shared(&a, &b), "same key must share one answer");
-        let s = memo.semantic_stats();
-        assert_eq!((s.hits(), s.misses), (1, 1));
         assert_eq!(memo.len(), 1);
 
         let c = answer(&memo, &g, &Predicate::always_true(), &re);
@@ -965,13 +909,12 @@ mod tests {
         let broad = Predicate::parse("job = \"biologist\"", g.schema()).unwrap();
         let narrow =
             Predicate::parse("job = \"biologist\" && sp = \"cloning\"", g.schema()).unwrap();
+        let mut s = SemanticStats::default();
         for from in [&broad, &broad, &narrow] {
-            assert_eq!(
-                answer(&memo, &g, from, &re).as_slice(),
-                reach(&g, from, &re)
-            );
+            let (served, lookup) = ask(&memo, &g, &key(from, &re));
+            assert_eq!(served.as_slice(), reach(&g, from, &re));
+            s.record(lookup);
         }
-        let s = memo.semantic_stats();
         assert_eq!((s.exact_hits, s.subsumption_hits, s.misses), (1, 1, 1));
     }
 
@@ -981,18 +924,18 @@ mod tests {
         let memo = SemanticMemo::new();
         let from = Predicate::always_true();
         let re = FRegex::parse("fa+", g.alphabet()).unwrap();
-        let answers: Vec<_> = std::thread::scope(|s| {
+        let asked: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
-                .map(|_| s.spawn(|| answer(&memo, &g, &from, &re)))
+                .map(|_| s.spawn(|| ask(&memo, &g, &key(&from, &re))))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        let s = memo.semantic_stats();
-        assert_eq!(s.hits() + s.misses, 8);
         assert_eq!(memo.len(), 1);
-        for a in &answers {
+        for (a, lookup) in &asked {
             assert_eq!(a.as_slice(), reach(&g, &from, &re));
+            assert!(matches!(lookup, Lookup::Miss | Lookup::Exact), "{lookup:?}");
         }
+        assert!(asked.iter().any(|(_, lookup)| *lookup == Lookup::Miss));
         // however the racers interleaved, one answer is kept from then on
         let kept = answer(&memo, &g, &from, &re);
         assert!(shared(&kept, &answer(&memo, &g, &from, &re)));
@@ -1004,12 +947,11 @@ mod tests {
         let memo = SemanticMemo::new();
         let from = Predicate::parse("job = \"biologist\"", g.schema()).unwrap();
         let re = |text: &str| FRegex::parse(text, g.alphabet()).unwrap();
-        let a = answer(&memo, &g, &from, &re("fa^2 fa"));
-        let b = answer(&memo, &g, &from, &re("fa fa^2"));
+        let (a, first) = ask(&memo, &g, &key(&from, &re("fa^2 fa")));
+        let (b, second) = ask(&memo, &g, &key(&from, &re("fa fa^2")));
+        assert_eq!((first, second), (Lookup::Miss, Lookup::Exact));
         assert!(shared(&a, &b), "canonical keys unify variants");
         assert_eq!(memo.len(), 1);
-        let s = memo.semantic_stats();
-        assert_eq!((s.exact_hits, s.subsumption_hits, s.misses), (1, 0, 1));
     }
 
     #[test]
@@ -1020,18 +962,14 @@ mod tests {
         let broad = Predicate::parse("job = \"biologist\"", g.schema()).unwrap();
         let narrow =
             Predicate::parse("job = \"biologist\" && sp = \"cloning\"", g.schema()).unwrap();
-        let _ = answer(&memo, &g, &broad, &re);
+        assert_eq!(ask(&memo, &g, &key(&broad, &re)).1, Lookup::Miss);
         let (served, lookup) = memo
             .try_answer(&g, &key(&narrow, &re))
             .expect("donor answers");
-        assert!(matches!(lookup, Lookup::Subsumption { .. }));
-        let s = memo.semantic_stats();
-        assert_eq!(
-            (s.subsumption_hits, s.misses),
-            (1, 1),
-            "filtered from the broad entry"
-        );
-        assert!(s.filter_time > Duration::ZERO);
+        let Lookup::Subsumption { filter_time } = lookup else {
+            panic!("filtered from the broad entry, not {lookup:?}");
+        };
+        assert!(filter_time > Duration::ZERO);
         // bit-identical to direct evaluation
         assert_eq!(served.as_slice(), reach(&g, &narrow, &re));
         // and now cached exactly
@@ -1048,10 +986,10 @@ mod tests {
         let broad = FRegex::parse("fa^3 fn", g.alphabet()).unwrap();
         let narrow = FRegex::parse("fa^2 fn", g.alphabet()).unwrap();
         let _ = answer(&memo, &g, &from, &broad);
-        let (served, _) = memo
+        let (served, lookup) = memo
             .try_answer(&g, &key(&from, &narrow))
             .expect("donor answers");
-        assert_eq!(memo.semantic_stats().subsumption_hits, 1);
+        assert!(matches!(lookup, Lookup::Subsumption { .. }));
         assert_eq!(
             served.as_slice(),
             reach(&g, &from, &narrow),
@@ -1100,7 +1038,6 @@ mod tests {
             "cold cache"
         );
         assert!(memo.is_empty(), "a declined lookup installs nothing");
-        assert_eq!(memo.semantic_stats().misses, 1);
         let computed = memo.insert(&from, &re, reach(&g, &from, &re));
         let (answer, lookup) = memo.try_answer(&g, &key(&from, &re)).expect("now cached");
         assert_eq!(lookup, Lookup::Exact);
@@ -1108,7 +1045,6 @@ mod tests {
         // an unrelated key still declines
         let other = FRegex::parse("sn", g.alphabet()).unwrap();
         assert!(memo.try_answer(&g, &key(&from, &other)).is_none());
-        assert_eq!(memo.semantic_stats().misses, 2);
     }
 
     #[test]
@@ -1140,9 +1076,11 @@ mod tests {
         assert!(memo.len() < res.len(), "older cells evicted");
         assert!(memo.cached_bytes() > 0);
         // evicted keys miss again, not hit
-        let before = memo.semantic_stats().misses;
-        let _ = answer(&memo, &g, &from, &re("fa"));
-        assert_eq!(memo.semantic_stats().misses, before + 1);
+        let (_, lookup) = ask(&memo, &g, &key(&from, &re("fa")));
+        assert!(
+            matches!(lookup, Lookup::Miss | Lookup::Declined),
+            "{lookup:?}"
+        );
     }
 
     /// `(source predicate, regex, target predicate)` of the essembly graph.
@@ -1154,6 +1092,16 @@ mod tests {
         )
     }
 
+    /// What one key's reach set is charged.
+    fn reach_bytes(g: &Graph, rq: &Rq) -> usize {
+        reach(g, &rq.from, &rq.regex).len() * PAIR_BYTES
+    }
+
+    /// What one answer is charged.
+    fn answer_bytes(g: &Graph, rq: &Rq) -> usize {
+        rq.eval_bfs(g).len() * ANSWER_BYTES_PER_PAIR
+    }
+
     #[test]
     fn exact_hits_share_the_answer_kept_for_their_target() {
         let g = essembly();
@@ -1161,8 +1109,8 @@ mod tests {
         let doctors = rq(&g, "job = \"biologist\"", "fa^2 fn", "job = \"doctor\"");
         let anyone = rq(&g, "job = \"biologist\"", "fa^2 fn", "");
         // the miss path's answer is the one kept
-        let first = ask(&memo, &g, &doctors);
-        assert_eq!(first, doctors.eval_bfs(&g));
+        let (first, lookup) = ask(&memo, &g, &doctors);
+        assert_eq!((&first, lookup), (&doctors.eval_bfs(&g), Lookup::Miss));
         for _ in 0..2 {
             let (hit, lookup) = memo.try_answer(&g, &doctors).expect("cached");
             assert_eq!(lookup, Lookup::Exact);
@@ -1180,16 +1128,6 @@ mod tests {
         assert_eq!(memo.cached_bytes(), reach_bytes + answer_bytes);
     }
 
-    /// What one key's reach set is charged.
-    fn reach_bytes(g: &Graph, rq: &Rq) -> usize {
-        reach(g, &rq.from, &rq.regex).len() * PAIR_BYTES
-    }
-
-    /// What one answer is charged.
-    fn answer_bytes(g: &Graph, rq: &Rq) -> usize {
-        rq.eval_bfs(g).len() * ANSWER_BYTES_PER_PAIR
-    }
-
     #[test]
     fn evicting_a_cell_drops_its_answers() {
         let g = essembly();
@@ -1201,8 +1139,8 @@ mod tests {
         assert!(reach_bytes(&g, &a) + reach_bytes(&g, &b) + answer_bytes(&g, &b) <= budget);
         assert!(reach_bytes(&g, &wide) + reach_bytes(&g, &a) > budget);
         let memo = SemanticMemo::with_byte_budget(budget);
-        let kept = ask(&memo, &g, &a);
-        assert!(shared(&kept, &ask(&memo, &g, &a)));
+        let (kept, _) = ask(&memo, &g, &a);
+        assert!(shared(&kept, &ask(&memo, &g, &a).0));
         assert_eq!(memo.cached_bytes(), budget, "the answer is charged");
         // `b` needs room: `a`'s answer goes, with its charge, and its
         // cell stays
@@ -1226,8 +1164,8 @@ mod tests {
         let g = essembly();
         let memo = SemanticMemo::new();
         let doctors = rq(&g, "job = \"biologist\"", "fa^2 fn", "job = \"doctor\"");
-        let old = ask(&memo, &g, &doctors);
-        let reach_bytes = reach(&g, &doctors.from, &doctors.regex).len() * PAIR_BYTES;
+        let (old, _) = ask(&memo, &g, &doctors);
+        let reach_bytes = reach_bytes(&g, &doctors);
         let next = memo.carry(&batch(0));
         assert_eq!(next.cached_bytes(), reach_bytes, "the reach set alone");
         // the first lookup of the key misses, and its answer is made anew
@@ -1257,12 +1195,15 @@ mod tests {
         assert!(keys.iter().map(|k| reach_bytes(&g, k)).sum::<usize>() <= budget);
         assert!(keys.iter().map(total).sum::<usize>() > budget);
         let memo = SemanticMemo::with_byte_budget(budget);
+        let mut s = SemanticStats::default();
         for _ in 0..2 {
             for k in &keys {
                 // each key is read before the next install, which would
                 // push it off probation unread
                 for _ in 0..2 {
-                    assert_eq!(ask(&memo, &g, k), k.eval_bfs(&g));
+                    let (served, lookup) = ask(&memo, &g, k);
+                    assert_eq!(served, k.eval_bfs(&g));
+                    s.record(lookup);
                     assert!(
                         memo.cached_bytes() <= budget,
                         "{} > {budget}",
@@ -1272,14 +1213,10 @@ mod tests {
             }
         }
         assert_eq!(memo.len(), keys.len());
-        assert_eq!(
-            memo.semantic_stats().misses,
-            keys.len() as u64,
-            "no cell evicted"
-        );
+        assert_eq!(s.misses, keys.len() as u64, "no cell evicted");
         // the one asked last keeps its answer
         let last = &keys[keys.len() - 1];
-        assert!(shared(&ask(&memo, &g, last), &ask(&memo, &g, last)));
+        assert!(shared(&ask(&memo, &g, last).0, &ask(&memo, &g, last).0));
     }
 
     /// One logged change: the batch of one version.
@@ -1297,11 +1234,9 @@ mod tests {
             Predicate::parse("job = \"biologist\" && sp = \"cloning\"", g.schema()).unwrap();
         let computed = memo.insert(&broad, &re, reach(&g, &broad, &re));
         let next = memo.carry(&batch(0));
-        assert_eq!(next.semantic_stats(), SemanticStats::default());
         // neither an exact hit nor a donor for the narrower key
         assert!(next.try_answer(&g, &key(&broad, &re)).is_none());
         assert!(next.try_answer(&g, &key(&narrow, &re)).is_none());
-        assert_eq!(next.semantic_stats().misses, 2);
         assert!(next.is_empty(), "a declined lookup installs nothing");
         // the miss path patches it: the closure gets the shared pair set
         // and the batch's changes, and what it returns becomes a fresh cell
@@ -1312,7 +1247,6 @@ mod tests {
                 Some(old.to_vec())
             })
             .expect("inherited");
-        assert_eq!(next.semantic_stats().patched, 1);
         let (hit, lookup) = next.try_answer(&g, &key(&broad, &re)).expect("fresh now");
         assert_eq!(lookup, Lookup::Exact);
         assert_eq!(hit.as_slice(), patched.as_slice());
@@ -1324,7 +1258,6 @@ mod tests {
         let next = memo.carry(&batch(0));
         assert!(next.patch(&broad, &other, |_, _| None).is_none());
         assert!(next.is_empty());
-        assert_eq!(next.semantic_stats().patched, 0);
         // a memo that inherited nothing never asks
         let fresh = SemanticMemo::new();
         assert!(fresh.patch(&broad, &re, |_, _| unreachable!()).is_none());
@@ -1359,29 +1292,38 @@ mod tests {
             .is_none());
         assert_eq!(next.cached_bytes(), sa.len() * PAIR_BYTES);
     }
+
+    /// A cell installed at version `v` and left unread is patched at each
+    /// of the next `CARRY_VERSIONS` versions from exactly the batches
+    /// logged since `v`, oldest first — also once the log has dropped
+    /// batches older than `v` — and the carry after them drops it.
     #[test]
     fn inherited_cells_expire_after_carry_versions() {
         let g = essembly();
         let from = Predicate::always_true();
         let re = FRegex::parse("fa+", g.alphabet()).unwrap();
-        let memo = SemanticMemo::new();
-        let _ = answer(&memo, &g, &from, &re);
-        // unread for CARRY_VERSIONS versions, with every batch logged
-        let mut memo = memo.carry(&batch(0));
-        for v in 1..CARRY_VERSIONS as u32 {
-            memo = memo.carry(&batch(v));
+        for installed in 0..=CARRY_VERSIONS as u32 {
+            let mut memo = SemanticMemo::new();
+            for v in 0..installed {
+                memo = memo.carry(&batch(v));
+            }
+            let _ = answer(&memo, &g, &from, &re);
+            for k in 1..=CARRY_VERSIONS as u32 {
+                memo = memo.carry(&batch(installed + k - 1));
+                let mut seen = Vec::new();
+                let declined = memo.patch(&from, &re, |_, changes| {
+                    seen = changes.to_vec();
+                    None
+                });
+                assert!(declined.is_none());
+                let since: Vec<EdgeChange> = (installed..installed + k).flat_map(batch).collect();
+                assert_eq!(seen, since, "{k} batches after an install at {installed}");
+            }
+            // one more unread version drops it, and its charge
+            let memo = memo.carry(&batch(installed + CARRY_VERSIONS as u32));
+            assert!(memo.patch(&from, &re, |_, _| unreachable!()).is_none());
+            assert_eq!(memo.cached_bytes(), 0);
         }
-        let mut seen = Vec::new();
-        let _ = memo.patch(&from, &re, |_, changes| {
-            seen = changes.to_vec();
-            None
-        });
-        let logged: Vec<EdgeChange> = (0..CARRY_VERSIONS as u32).flat_map(batch).collect();
-        assert_eq!(seen, logged);
-        // one more unread version drops it, and its charge
-        let memo = memo.carry(&batch(CARRY_VERSIONS as u32));
-        assert!(memo.patch(&from, &re, |_, _| unreachable!()).is_none());
-        assert_eq!(memo.cached_bytes(), 0);
     }
 
     #[test]
@@ -1389,11 +1331,9 @@ mod tests {
         let g = essembly();
         let memo = SemanticMemo::new();
         let q = rq(&g, "job = \"biologist\"", "fa^2 fn", "job = \"doctor\"");
-        assert_eq!(ask(&memo, &g, &q), q.eval_bfs(&g));
+        assert_eq!(ask(&memo, &g, &q), (q.eval_bfs(&g), Lookup::Miss));
         assert_eq!(memo.len(), 1, "installed on its first miss");
         assert!(!full(&memo), "no eviction, no ghost set");
-        let s = memo.semantic_stats();
-        assert_eq!((s.misses, s.declined), (1, 0));
         assert_eq!(memo.try_answer(&g, &q).unwrap().1, Lookup::Exact);
     }
 
@@ -1402,14 +1342,10 @@ mod tests {
     fn full_memo(g: &Graph) -> SemanticMemo {
         let memo = SemanticMemo::with_byte_budget(PAIR_BYTES);
         for re in ["fa", "fn"] {
-            let _ = ask(&memo, g, &rq(g, "", re, ""));
+            let (_, lookup) = ask(&memo, g, &rq(g, "", re, ""));
+            assert_eq!(lookup, Lookup::Miss, "admitted while there was room");
         }
         assert_eq!(memo.len(), 1, "`fa` evicted");
-        assert_eq!(
-            memo.semantic_stats().declined,
-            0,
-            "admitted while there was room"
-        );
         let table = memo.table();
         let slots = table.ghost.slots.get();
         let slots = slots.expect("the first eviction allocates the ghost set");
@@ -1426,9 +1362,7 @@ mod tests {
         let truth = q.eval_bfs(&g);
         let bytes = memo.cached_bytes();
         // the first miss answers the query alone and installs nothing
-        assert_eq!(ask(&memo, &g, &q), truth);
-        let s = memo.semantic_stats();
-        assert_eq!((s.misses, s.declined), (3, 1));
+        assert_eq!(ask(&memo, &g, &q), (truth.clone(), Lookup::Declined));
         assert_eq!(memo.cached_bytes(), bytes);
         assert!(memo
             .cells
@@ -1437,9 +1371,7 @@ mod tests {
             .fresh(&q.from, &q.regex)
             .is_none());
         // the second installs the key's reach set
-        assert_eq!(ask(&memo, &g, &q), truth);
-        let s = memo.semantic_stats();
-        assert_eq!((s.misses, s.declined), (4, 1));
+        assert_eq!(ask(&memo, &g, &q), (truth.clone(), Lookup::Miss));
         // and the third is an exact hit
         let (hit, lookup) = memo.try_answer(&g, &q).expect("installed");
         assert_eq!(lookup, Lookup::Exact);
@@ -1452,21 +1384,21 @@ mod tests {
         let memo = full_memo(&g);
         let q = rq(&g, "job = \"biologist\"", "fa^2 fn", "job = \"doctor\"");
         // first seen at version v ...
-        let _ = ask(&memo, &g, &q);
-        assert_eq!(memo.semantic_stats().declined, 1);
+        assert_eq!(ask(&memo, &g, &q).1, Lookup::Declined);
         let next = memo.carry(&batch(0));
         assert!(
             Arc::ptr_eq(&next.table().ghost, &memo.table().ghost),
             "one ghost set across versions"
         );
         // ... and admitted on its second miss at v + 1
-        assert_eq!(ask(&next, &g, &q), q.eval_bfs(&g));
-        assert_eq!(next.semantic_stats().declined, 0);
+        assert_eq!(ask(&next, &g, &q), (q.eval_bfs(&g), Lookup::Miss));
         assert_eq!(next.try_answer(&g, &q).unwrap().1, Lookup::Exact);
         // the new version is full too: a key it never saw is declined
         let other = rq(&g, "", "sa", "");
-        assert_eq!(ask(&next, &g, &other), other.eval_bfs(&g));
-        assert_eq!(next.semantic_stats().declined, 1);
+        assert_eq!(
+            ask(&next, &g, &other),
+            (other.eval_bfs(&g), Lookup::Declined)
+        );
     }
 
     #[test]
@@ -1482,9 +1414,14 @@ mod tests {
         let b = rq(&g, "", "sa", "");
         // `b` is not admitted for sharing `a`'s slot, and it makes the
         // slot forget `a`: a third first miss, then an install
-        for (q, declined) in [(&a, 1), (&b, 2), (&a, 3), (&a, 3)] {
-            assert_eq!(ask(&memo, &g, q), q.eval_bfs(&g));
-            assert_eq!(memo.semantic_stats().declined, declined);
+        let declined = Lookup::Declined;
+        for (q, lookup) in [
+            (&a, declined),
+            (&b, declined),
+            (&a, declined),
+            (&a, Lookup::Miss),
+        ] {
+            assert_eq!(ask(&memo, &g, q), (q.eval_bfs(&g), lookup));
         }
         assert_eq!(memo.try_answer(&g, &a).unwrap().1, Lookup::Exact);
     }
@@ -1616,16 +1553,22 @@ mod tests {
             if cell.probation {
                 probation += cell.pairs.len() * PAIR_BYTES;
             }
-            if let State::Fresh {
-                answers,
-                answer_bytes: charged,
-            } = &cell.state
-            {
-                let kept = answers.values().map(|a| a.len() * ANSWER_BYTES_PER_PAIR);
-                assert_eq!(*charged, kept.sum::<usize>(), "a cell's answer charge");
-                answer_bytes += charged;
-                fresh += 1;
-            }
+            let kept = cell
+                .answers
+                .values()
+                .map(|a| a.len() * ANSWER_BYTES_PER_PAIR);
+            assert_eq!(
+                cell.answer_bytes,
+                kept.sum::<usize>(),
+                "a cell's answer charge"
+            );
+            let fresh_cell = cell.version == table.version;
+            assert!(
+                fresh_cell || cell.answers.is_empty(),
+                "only fresh cells keep answers"
+            );
+            answer_bytes += cell.answer_bytes;
+            fresh += usize::from(cell.version == table.version);
         }
         assert_eq!(table.answer_bytes, answer_bytes, "the answers' share");
         assert_eq!(table.probation_bytes, probation, "probation's share");
@@ -1685,10 +1628,10 @@ mod tests {
             let mut memo = SemanticMemo::with_byte_budget(budget);
             for (op, i, (u, v, c)) in steps {
                 let query = &queries[i];
-                let before = (memo.semantic_stats().declined, memo.cached_bytes());
-                let served = match op {
+                let before = memo.cached_bytes();
+                let (served, lookup) = match op {
                     // the engine's miss path: patch an inherited cell first
-                    0 | 1 => memo.try_answer(&g, query).map(|(a, _)| a).unwrap_or_else(|| {
+                    0 | 1 => memo.try_answer(&g, query).unwrap_or_else(|| {
                         let wide = key(&query.from, &query.regex);
                         let probe = GraphProbe::new(&g);
                         let patch = |old: &[_], changes: &[_]| {
@@ -1712,9 +1655,9 @@ mod tests {
                     }
                 };
                 proptest::prop_assert_eq!(&served, &query.eval_bfs(&g), "{:?}", query);
-                if memo.semantic_stats().declined > before.0 {
+                if lookup == Lookup::Declined {
                     proptest::prop_assert_eq!(
-                        memo.cached_bytes(), before.1, "a declined miss installs nothing"
+                        memo.cached_bytes(), before, "a declined miss installs nothing"
                     );
                 }
                 let bytes = recount(&memo);

@@ -173,11 +173,11 @@ impl Snapshot {
         &self.engine
     }
 
-    /// Cumulative counters of this version's semantic reach-set memo —
-    /// exact hits, subsumption hits, misses, and filter time — since the
-    /// version was published (the memo lives in the per-version engine,
-    /// so a fresh version starts from zero). Cumulative over *every*
-    /// caller: what one batch did is
+    /// This version's memo lookups — exact hits, subsumption hits,
+    /// misses, and filter time — since the version was published: the
+    /// per-version engine's sum of every batch's tally
+    /// ([`QueryEngine::semantic_stats`]), so a fresh version starts from
+    /// zero. Cumulative over *every* caller: what one batch did is
     /// [`BatchResult::semantic_stats`](crate::BatchResult::semantic_stats).
     pub fn semantic_stats(&self) -> crate::memo::SemanticStats {
         self.engine.semantic_stats()

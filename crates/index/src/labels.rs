@@ -529,10 +529,6 @@ struct InSetAgg {
 }
 
 impl DistProbe for HopLabels {
-    fn node_count(&self) -> usize {
-        self.n
-    }
-
     fn dist(&self, from: NodeId, to: NodeId, color: Color) -> u16 {
         if from == to {
             return 0;

@@ -45,9 +45,6 @@ use std::sync::Mutex;
 /// `u16::MAX - 1` exactly like
 /// [`bfs_distances`](rpq_graph::algo::bfs_distances).
 pub trait DistProbe {
-    /// Number of nodes the index was built for.
-    fn node_count(&self) -> usize;
-
     /// Shortest distance from `from` to `to` along edges admitted by
     /// `color`; [`INFINITY`] if unreachable, 0 if `from == to`.
     fn dist(&self, from: NodeId, to: NodeId, color: Color) -> u16;
@@ -163,10 +160,6 @@ pub trait DistProbe {
 }
 
 impl DistProbe for DistanceMatrix {
-    fn node_count(&self) -> usize {
-        DistanceMatrix::node_count(self)
-    }
-
     #[inline]
     fn dist(&self, from: NodeId, to: NodeId, color: Color) -> u16 {
         DistanceMatrix::dist(self, from, to, color)
@@ -391,10 +384,6 @@ impl<'g> GraphProbe<'g> {
 }
 
 impl DistProbe for GraphProbe<'_> {
-    fn node_count(&self) -> usize {
-        self.g.node_count()
-    }
-
     fn dist(&self, from: NodeId, to: NodeId, color: Color) -> u16 {
         if from == to {
             return 0;
@@ -527,10 +516,6 @@ impl<'a> CountingProbe<'a> {
 }
 
 impl DistProbe for CountingProbe<'_> {
-    fn node_count(&self) -> usize {
-        self.inner.node_count()
-    }
-
     fn dist(&self, from: NodeId, to: NodeId, color: Color) -> u16 {
         self.count(1);
         self.inner.dist(from, to, color)
@@ -632,7 +617,6 @@ mod tests {
     }
 
     fn probe_the_triangle(g: &Graph, p: &dyn DistProbe, [x, y, z]: [NodeId; 3], r: Color) {
-        assert_eq!(p.node_count(), 3);
         assert_eq!(p.dist(x, z, r), 2);
         assert_eq!(p.dist(x, x, r), 0);
         assert!(p.reaches_within(g, x, x, r, Some(3)), "3-cycle");
@@ -761,10 +745,6 @@ mod tests {
     struct OverridesOnly;
 
     impl DistProbe for OverridesOnly {
-        fn node_count(&self) -> usize {
-            2
-        }
-
         fn dist(&self, _: NodeId, _: NodeId, _: Color) -> u16 {
             unreachable!("dist")
         }

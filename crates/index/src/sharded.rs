@@ -114,10 +114,6 @@ impl ShardedLabels {
 }
 
 impl DistProbe for ShardedLabels {
-    fn node_count(&self) -> usize {
-        self.graph.node_count()
-    }
-
     fn dist(&self, from: NodeId, to: NodeId, color: Color) -> u16 {
         self.graph_probe().dist(from, to, color)
     }
@@ -511,7 +507,6 @@ mod tests {
             let stats = labels.stats();
             assert_eq!((stats.shards, stats.nodes), (k, 30));
             assert_eq!(stats.total_bytes(), 30 * 4, "one shard id per node");
-            assert_eq!(labels.node_count(), 30);
         }
     }
 }

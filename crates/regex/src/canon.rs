@@ -149,8 +149,9 @@ pub fn is_canonical(re: &FRegex) -> bool {
 }
 
 /// Canonical-form language equality: `L(a) = L(b)` decided by comparing
-/// run-normal forms. Strictly stronger than `equivalent_scan` (it
-/// identifies `a^2 a` with `a a^2`), still linear time.
+/// run-normal forms. Strictly stronger than [`contains_scan`] both ways
+/// (it identifies `a^2 a` with `a a^2`), still linear time. The one
+/// equality decider of the workspace (minPQs dedups constraints with it).
 pub fn equivalent_canonical(a: &FRegex, b: &FRegex) -> bool {
     runs(a) == runs(b)
 }
@@ -169,8 +170,10 @@ pub fn contains_runs(sub: &FRegex, sup: &FRegex) -> bool {
 }
 
 /// The union of the two sound linear deciders: the paper's atom-aligned
-/// scan (Prop. 3.3(3)) and the run-level interval check. This is the
-/// containment test the engine's subsumption cache uses.
+/// scan (Prop. 3.3(3)) and the run-level interval check. The one
+/// containment decider of the workspace: the engine's subsumption cache,
+/// RQ containment (`rpq_core::rq_contained_in`), PQ simulation's edge
+/// entailment and minPQs all use it.
 pub fn contains_fast(sub: &FRegex, sup: &FRegex) -> bool {
     contains_scan(sub, sup) || contains_runs(sub, sup)
 }

@@ -37,11 +37,6 @@ pub fn contains_scan(sub: &FRegex, sup: &FRegex) -> bool {
     })
 }
 
-/// Scan-based language equality.
-pub fn equivalent_scan(a: &FRegex, b: &FRegex) -> bool {
-    contains_scan(a, b) && contains_scan(b, a)
-}
-
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct SubsetKey(Vec<u64>);
 
@@ -197,8 +192,6 @@ mod tests {
     fn exact_equivalence() {
         assert!(equivalent_exact(&re("a^2 b"), &re("a^2 b"), 4));
         assert!(!equivalent_exact(&re("a^2 b"), &re("a^3 b"), 4));
-        assert!(equivalent_scan(&re("a+ b^2"), &re("a+ b^2")));
-        assert!(!equivalent_scan(&re("a+ b^2"), &re("a+ b^3")));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use rpq_graph::{Color, WILDCARD};
-use rpq_regex::contain::{contains_exact, contains_scan, equivalent_scan};
+use rpq_regex::canon::equivalent_canonical;
+use rpq_regex::contain::{contains_exact, contains_scan};
 use rpq_regex::{Atom, FRegex, GRegex, Nfa, Quant};
 
 const NUM_COLORS: usize = 3;
@@ -76,8 +77,8 @@ proptest! {
         prop_assert_eq!(Nfa::from_regex(&re).accepts(&w), re.matches(&w));
     }
 
-    /// The scan decider is sound w.r.t. the exact decider, and equivalence
-    /// by scan implies word-level agreement.
+    /// The scan decider is sound w.r.t. the exact decider, and canonical
+    /// equivalence implies word-level agreement.
     #[test]
     fn scan_sound_and_equivalence_consistent(a in arb_fregex(), b in arb_fregex(), w in arb_word()) {
         if contains_scan(&a, &b) {
@@ -86,7 +87,7 @@ proptest! {
                 prop_assert!(b.matches(&w));
             }
         }
-        if equivalent_scan(&a, &b) {
+        if equivalent_canonical(&a, &b) {
             prop_assert_eq!(a.matches(&w), b.matches(&w));
         }
     }
