@@ -237,9 +237,4 @@ impl BatchResult {
     pub fn semantic_stats(&self) -> SemanticStats {
         self.semantic
     }
-
-    /// `(hits, misses)` of [`semantic_stats`](Self::semantic_stats).
-    pub fn memo_stats(&self) -> (u64, u64) {
-        (self.semantic.hits(), self.semantic.misses)
-    }
 }

@@ -8,13 +8,11 @@ use crate::memo::{Lookup, SemanticMemo, SemanticStats};
 use crate::planner::{self, Algo, Backend, Plan, Rationale, Uncovered};
 use crate::snapshot::StandingEntry;
 use rpq_core::canonical::{canonical_pq, canonical_rq};
-use rpq_core::incremental::patch_reach_set;
+use rpq_core::incremental::EdgeChange;
 use rpq_core::join_match::JoinMatch;
-use rpq_core::predicate::{selected, Predicate};
 use rpq_core::reach::ProbeReach;
-use rpq_core::rq::{Rq, RqResult};
 use rpq_core::split_match::SplitMatch;
-use rpq_graph::{DistanceMatrix, Graph, NodeId};
+use rpq_graph::{DistanceMatrix, Graph};
 use rpq_index::{
     CountingProbe, DistProbe, GraphProbe, HopBuildError, HopConfig, HopLabels, ShardedLabels,
 };
@@ -242,8 +240,9 @@ pub struct QueryEngine {
     /// inherited cell instead of evaluating in full. A read-only engine
     /// starts empty and inherits nothing.
     memo: SemanticMemo,
-    /// Every batch's memo lookups, added up as each batch ends.
-    lookups: Tally,
+    /// Every batch's memo lookups, added up as each batch ends: shared by
+    /// every version of a live engine.
+    lookups: Arc<Tally>,
 }
 
 impl QueryEngine {
@@ -270,14 +269,17 @@ impl QueryEngine {
             config,
             index,
             memo: SemanticMemo::new(),
-            lookups: Tally::default(),
+            lookups: Arc::default(),
         }
     }
 
-    /// This engine with `memo` — the predecessor version's memo carried
-    /// over one batch ([`SemanticMemo::carry`]) — in place of its empty one.
-    pub(crate) fn with_memo(mut self, memo: SemanticMemo) -> Self {
-        self.memo = memo;
+    /// This engine as the version after `prev`, one batch of edge
+    /// `changes` later: its memo inherits `prev`'s cells
+    /// ([`SemanticMemo::carry`]), and it adds its batches to `prev`'s
+    /// lookup tally, as the memo shares its ghost set.
+    pub(crate) fn succeeding(mut self, prev: &QueryEngine, changes: &[EdgeChange]) -> Self {
+        self.memo = prev.memo.carry(changes);
+        self.lookups = Arc::clone(&prev.lookups);
         self
     }
 
@@ -338,10 +340,12 @@ impl QueryEngine {
         }) as u64
     }
 
-    /// This engine's memo lookups — exact hits, subsumption hits, misses,
-    /// and filter time — over every query run since construction: the
-    /// sum of every finished batch's
-    /// [`BatchResult::semantic_stats`].
+    /// Memo lookups — exact hits, subsumption hits, misses, and filter
+    /// time — of every query run on this engine since it was built, and,
+    /// on a version a live engine published, on every version before it
+    /// since the live engine was built: the sum of every finished batch's
+    /// [`BatchResult::semantic_stats`], whoever ran it — the server, an
+    /// explain request or an in-process caller.
     pub fn semantic_stats(&self) -> SemanticStats {
         self.lookups.get()
     }
@@ -557,46 +561,23 @@ impl QueryEngine {
         profile
     }
 
-    /// Answer `query`: from `standing` — the snapshot's maintained answer,
-    /// the PQ counterpart of a memo hit — or from the memo if it can,
-    /// else by evaluating the plan. Returns the output, the distance
-    /// probes issued (see [`evaluate`](Self::evaluate)) and the one memo
-    /// lookup the query made — `None` for a PQ, which has no cell.
-    ///
-    /// Every RQ plan probes the semantic cache first: a fresh exact cell
-    /// or a containing cached entry answers — with the answer the cell
-    /// keeps for the query's target predicate, or its reach set filtered
-    /// down to that target — without touching the index or the graph; a
-    /// cold cache costs one lookup and declines (a cell enters the memo
-    /// complete, so there is nothing to wait on).
+    /// Answer `query` as planned: from `standing` — the snapshot's
+    /// maintained answer, the PQ counterpart of a memo hit — else over
+    /// `plan`'s backend: this engine's index or, on [`Backend::Search`],
+    /// the graph itself ([`GraphProbe`]), through one [`CountingProbe`].
+    /// An RQ is one memo call ([`SemanticMemo::answer`]), which reads the
+    /// probe only on a miss; a PQ runs `JoinMatch` or `SplitMatch`. Each
+    /// evaluator is compiled once: the probe is a trait object, and each
+    /// backend still answers a call with its own optimized implementation.
+    /// Returns the output, the distance probes issued (a PQ's refinement
+    /// only, its assembly scanning the graph uncounted; only profiles read
+    /// it), and the RQ's memo lookup — `None` for a PQ, which has no cell.
     fn answer(
         &self,
         query: &Query,
         plan: Plan,
         standing: Option<&StandingEntry>,
     ) -> (QueryOutput, u64, Option<Lookup>) {
-        let g = &self.graph;
-        match (query, standing) {
-            (_, Some(entry)) => return (QueryOutput::Pq(entry.answer(g)), 0, None),
-            (Query::Rq(rq), None) => {
-                if let Some((answer, hit)) = self.memo.try_answer(g, rq) {
-                    return (QueryOutput::Rq(answer), 0, Some(hit));
-                }
-            }
-            (Query::Pq(_), None) => {}
-        }
-        self.evaluate(query, plan)
-    }
-
-    /// What the memo could not answer: evaluate `plan`'s algorithm over
-    /// this engine's index — or, on [`Backend::Search`], the graph itself
-    /// ([`GraphProbe`]) — through one [`CountingProbe`]. Each evaluator is
-    /// compiled once: the probe is a trait object, and each backend still
-    /// answers a call with its own optimized implementation. Returns the
-    /// output, the number of distance probes issued (a PQ's refinement
-    /// only, its assembly scanning the graph uncounted; only profiles read
-    /// it), and an RQ's memo miss: patched or evaluated.
-    fn evaluate(&self, query: &Query, plan: Plan) -> (QueryOutput, u64, Option<Lookup>) {
         let g = &self.graph;
         let graph;
         let probe = match self.index.probe() {
@@ -607,14 +588,15 @@ impl QueryEngine {
             }
         };
         let counting = CountingProbe::new(probe);
-        let (out, lookup) = match query {
-            Query::Rq(rq) => {
-                let (out, lookup) = rq_indexed(g, rq, &counting, &self.memo);
-                (out, Some(lookup))
+        let (output, lookup) = match (query, standing) {
+            (_, Some(entry)) => (QueryOutput::Pq(entry.answer(g)), None),
+            (Query::Rq(rq), None) => {
+                let (answer, lookup) = self.memo.answer(g, rq, &counting);
+                (QueryOutput::Rq(answer), Some(lookup))
             }
             // §5's two PQ algorithms: `SplitMatch` where the planner
             // picked it, else `JoinMatch`
-            Query::Pq(pq) => {
+            (Query::Pq(pq), None) => {
                 let reach = &ProbeReach::new(&counting);
                 let answer = match plan.algo() {
                     Algo::Split => SplitMatch::eval(pq, g, reach),
@@ -623,7 +605,7 @@ impl QueryEngine {
                 (QueryOutput::Pq(Arc::new(answer)), None)
             }
         };
-        (out, counting.probes(), lookup)
+        (output, counting.probes(), lookup)
     }
 
     /// Slow-query log hook: with a nonzero
@@ -654,11 +636,12 @@ impl QueryEngine {
     }
 }
 
-/// A [`SemanticStats`] that batches on many threads add to: one counter
-/// per field, so adding a batch never waits. A blocking lock here, taken
-/// once per batch, cost `hop_zipf` 3 % of `read_p50_ms` and 7 % of
-/// `read_p95_ms` (10 alternated 15 s pairs, two-core box). A read taken
-/// while batches end may see one batch's fields half added.
+/// A [`SemanticStats`] that batches on many threads, and on every version
+/// of a live engine, add to: one counter per field, so adding a batch
+/// never waits. A blocking lock here, taken once per batch, cost
+/// `hop_zipf` 3 % of `read_p50_ms` and 7 % of `read_p95_ms` (10
+/// alternated 15 s pairs, two-core box). A read taken while batches end
+/// may see one batch's fields half added.
 #[derive(Debug, Default)]
 struct Tally([AtomicU64; 6]);
 
@@ -716,66 +699,6 @@ struct Planned<'s> {
     planning: Duration,
 }
 
-/// `pairs` — a memoized reach set, sorted and duplicate-free — filtered
-/// down to the target predicate `to`: one column scan
-/// ([`Predicate::select_bits`]), then a bit test per pair; nothing at all
-/// when `to` is trivially true. A filtered slice of a sorted set is still
-/// sorted, so the result is checked, not re-sorted.
-pub(crate) fn rq_targets(g: &Graph, to: &Predicate, pairs: &[(NodeId, NodeId)]) -> RqResult {
-    let hits = if to.is_trivial() {
-        pairs.to_vec()
-    } else {
-        let targets = to.select_bits(g);
-        pairs
-            .iter()
-            .filter(|&&(_, y)| selected(&targets, y))
-            .copied()
-            .collect()
-    };
-    RqResult::from_sorted_pairs(hits).expect("memoized reach sets are sorted and duplicate-free")
-}
-
-/// Probe-backed RQ evaluation after a declined cache probe: the key's
-/// *full* reach set — target predicate widened to `true` — is patched
-/// from the cell an earlier graph version left in the memo,
-/// re-evaluating through the index (or the graph) only the sources the
-/// changes since can reach ([`SemanticMemo::patch`], [`patch_reach_set`]).
-/// Without one, or when the patch would touch most sources, the memo
-/// decides whether the key is worth a cell ([`SemanticMemo::admit`]).
-/// Admitted — always until the memo first evicts a cell, else from the
-/// key's second miss — the set is computed in full and installed via
-/// [`SemanticMemo::insert`], trading the backward-pruning pass for a
-/// reusable cache entry. Patched or admitted, the query's answer is the
-/// set filtered down to its targets ([`SemanticMemo::answer`], which keeps
-/// it for the next exact hit with the same target), and the next exact or
-/// contained query on the key is a cache hit. Declined, the query alone is
-/// evaluated (§4's DM tests its target predicate on the last level) and
-/// nothing is installed. Also returns the miss: [`Lookup::Patched`],
-/// [`Lookup::Miss`] or [`Lookup::Declined`].
-fn rq_indexed(
-    g: &Graph,
-    rq: &Rq,
-    probe: &dyn DistProbe,
-    memo: &SemanticMemo,
-) -> (QueryOutput, Lookup) {
-    let wide = Rq::new(rq.from.clone(), Predicate::always_true(), rq.regex.clone());
-    let patch = |old: &[_], changes: &[_]| patch_reach_set(g, &wide, probe, old, changes);
-    let (pairs, lookup) = match memo.patch(&rq.from, &rq.regex, patch) {
-        Some(pairs) => (pairs, Lookup::Patched),
-        None if memo.admit(&rq.from, &rq.regex) => {
-            let full = wide.eval_with_dist(g, probe).into_pairs();
-            (memo.insert(&rq.from, &rq.regex, full), Lookup::Miss)
-        }
-        None => {
-            return (
-                QueryOutput::Rq(rq.eval_with_dist(g, probe)),
-                Lookup::Declined,
-            )
-        }
-    };
-    (QueryOutput::Rq(memo.answer(g, rq, &pairs)), lookup)
-}
-
 /// The query with every regex in run-normal canonical form
 /// ([`rpq_core::canonical`]) — shape- and answer-preserving, so outputs
 /// are bit-identical to evaluating the submitted spelling, but every
@@ -790,10 +713,9 @@ fn canonical_query(query: &Query) -> Query {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use rpq_core::pq::Pq;
     use rpq_core::predicate::Predicate;
-    use rpq_core::rq::Rq;
+    use rpq_core::rq::{Rq, RqResult};
     use rpq_graph::gen::essembly;
     use rpq_regex::FRegex;
 
@@ -896,9 +818,9 @@ mod tests {
         assert_eq!(batch.items()[2].output.as_rq().unwrap(), &solo.eval_bfs(&g));
         // three RQs, three lookups: the shared key computed once and then
         // reused, the solo's probe of the cold cache declined
-        let (hits, misses) = batch.memo_stats();
-        assert_eq!(hits, 1, "second probe reused it");
-        assert_eq!(misses, 2, "shared key computed once");
+        let stats = batch.semantic_stats();
+        assert_eq!(stats.hits(), 1, "second probe reused it");
+        assert_eq!(stats.misses, 2, "shared key computed once");
     }
 
     #[test]
@@ -1282,8 +1204,10 @@ mod tests {
                 shards,
                 ..EngineConfig::default()
             };
-            let engine = QueryEngine::with_config(Arc::clone(&g), config)
-                .with_memo(SemanticMemo::with_byte_budget(64 << 10));
+            let engine = QueryEngine {
+                memo: SemanticMemo::with_byte_budget(64 << 10),
+                ..QueryEngine::with_config(Arc::clone(&g), config)
+            };
             let mut declined = vec![false; queries.len()];
             let (mut admitted, mut exact) = (0, 0);
             for (round, asks) in [(1, 1), (2, 3)] {
@@ -1330,36 +1254,5 @@ mod tests {
             EngineConfig::builder().shards(0).build(),
             Err(ConfigError::ZeroShards)
         );
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// The hit-path filter (verdict table, checked sorted-input
-        /// constructor) returns what per-pair filtering plus a sort did,
-        /// for selective, unselective and trivial target predicates.
-        #[test]
-        fn rq_targets_matches_per_pair_filter_and_sort(
-            raw in proptest::collection::vec((0u32..200, 0u32..200), 0..300),
-            to in prop_oneof![
-                Just(String::new()),
-                (0i64..240).prop_map(|k| format!("len <= {k}")),
-                (0i64..240).prop_map(|k| format!("len >= {k} && cat = \"Music\"")),
-            ],
-        ) {
-            let g = rpq_graph::gen::youtube_like(200, 1);
-            let query = rq(&g, "", &to, "fc");
-            // a memoized reach set: sorted, duplicate-free
-            let mut pairs: Vec<(NodeId, NodeId)> =
-                raw.into_iter().map(|(x, y)| (NodeId(x), NodeId(y))).collect();
-            pairs.sort_unstable();
-            pairs.dedup();
-            let kept = pairs
-                .iter()
-                .filter(|&&(_, y)| query.to.matches(g.attrs(y)))
-                .copied()
-                .collect();
-            prop_assert_eq!(rq_targets(&g, &query.to, &pairs), RqResult::from_pairs(kept));
-        }
     }
 }

@@ -1,25 +1,27 @@
 //! Concurrent semantic memo for RQ reach sets: exact sharing plus
-//! containment-driven reuse.
+//! containment-driven reuse, behind one entry point.
 //!
 //! An RQ's reach set — every `(source, reachable)` pair — depends only on
 //! the query's *source predicate* and *regex*, not on its target
 //! predicate. Batches of real traffic repeat those keys constantly, and —
 //! at many-users scale — repeat them in *syntactic variants* and in
 //! *subsumed* forms. The [`SemanticMemo`] turns all three kinds of
-//! redundancy into cache hits:
+//! redundancy into cache hits. [`SemanticMemo::answer`] is its one query
+//! method: it answers an RQ, from the memo or over the caller's distance
+//! probe, and returns the [`Lookup`] that says how.
 //!
 //! 1. **Canonical keys.** Every regex is keyed by its run-normal form
 //!    ([`rpq_regex::canon::canonicalize`]), so `a^2 a` and `a a^2` share
 //!    one cell, one computation, one `Arc`.
-//! 2. **Exact sharing**: an evaluation that found nothing cached
-//!    ([`SemanticMemo::try_answer`]) computes the key's full pair set
-//!    over its index or the graph and installs it
-//!    ([`SemanticMemo::insert`]); every later lookup gets the `Arc` for
+//! 2. **Exact sharing**: a lookup that finds nothing cached computes the
+//!    key's full pair set over the caller's probe — the plan's index, or
+//!    the graph — and installs it; every later lookup gets the `Arc` for
 //!    free. Once the memo has evicted a cell, a key is installed from its
-//!    *second* miss ([`SemanticMemo::admit`], the "doorkeeper" of TinyLFU:
-//!    Einziger, Friedman and Manes, ACM ToS 2017): a first miss answers
-//!    its query alone and installs nothing, so a key that never comes
-//!    back neither pays for its wide reach set nor evicts a cell.
+//!    *second* miss (the "doorkeeper" of TinyLFU: Einziger, Friedman and
+//!    Manes, ACM ToS 2017): a first miss answers its query alone (§4's DM
+//!    tests its target predicate on the last level) and installs nothing,
+//!    so a key that never comes back neither pays for its wide reach set
+//!    nor evicts a cell.
 //! 3. **Containment answering.** On an exact miss the memo consults a
 //!    candidate index — fresh cells bucketed by regex *skeleton*
 //!    (run-color sequence) — for a cached entry whose predicate/regex
@@ -39,16 +41,15 @@
 //!
 //! 4. **Per-target answers.** A query's answer is its key's reach set
 //!    filtered down to its *target* predicate. A fresh cell keeps the
-//!    first answer any lookup produces for each target it is asked with
-//!    ([`SemanticMemo::answer`]), so an exact hit with a target seen
-//!    before is one lock and one `Arc` clone — no filter, no copy. The
-//!    answer is an [`RqResult`], whose clones share one rendering slot: a
-//!    server that encodes the answer again copies the bytes it encoded
-//!    before.
+//!    first answer any lookup produces for each target it is asked with,
+//!    so an exact hit with a target seen before is one lock and one `Arc`
+//!    clone — no filter, no copy. The answer is an [`RqResult`], whose
+//!    clones share one rendering slot: a server that encodes the answer
+//!    again copies the bytes it encoded before.
 //!
-//! Keys are `(source predicate, canonical regex)`: every entry point
-//! takes its regex in run-normal form ([`rpq_regex::canon::canonicalize`])
-//! — the engine's prologue canonicalises every query once — so every
+//! Keys are `(source predicate, canonical regex)`: the entry point takes
+//! its regex in run-normal form ([`rpq_regex::canon::canonicalize`]) —
+//! the engine's prologue canonicalises every query once — so every
 //! syntactic variant of a language lands on one cell.
 //!
 //! Cells are bounded by a byte budget, which also pays for the
@@ -77,11 +78,13 @@
 //! `Arc` by the memos that log it. Each cell is stamped with the version
 //! it was computed at, and is fresh while that is the memo's version. An
 //! inherited cell is stale by construction — it is never an exact hit and
-//! never a containment donor. Only the miss path reads it
-//! ([`SemanticMemo::patch`]): the caller gets the batches logged since
-//! the cell's version, re-evaluates the sources those changes can reach
-//! ([`rpq_core::incremental::patch_reach_set`]) and installs the patched
-//! set, which supersedes the inherited cell. A carry drops every cell
+//! never a containment donor. Only the miss path reads it: the changes
+//! logged since the cell's version name the sources whose reach they can
+//! alter, which are re-evaluated over the caller's probe
+//! ([`rpq_core::incremental::patch_reach_set`]), and the patched set is
+//! installed in main, superseding the inherited cell. A patch that would
+//! touch most sources declines, and the miss is served like any other. A
+//! carry drops every cell
 //! computed more than `CARRY_VERSIONS` versions before the new memo: its
 //! changes have left the log. Carried cells keep their queue and share
 //! the table, the eviction order and the byte budget with fresh ones, and
@@ -89,23 +92,22 @@
 //! memo stays full and a key first seen at one version is admitted on its
 //! second miss at the next.
 //!
-//! The memo counts nothing: every lookup returns its [`Lookup`], and the
-//! engine tallies them per batch ([`SemanticStats`]).
+//! The memo counts nothing: every answer returns its [`Lookup`], and the
+//! engine tallies them ([`SemanticStats`]).
 //!
 //! Concurrency scheme: one mutex over the table, held to look a key up,
 //! clone a cell's `Arc` and install a computed set; reach-set
-//! computation, donor derivation and target filtering run outside it. A
-//! cell enters the table complete, so a lookup never waits: a key with no
-//! fresh cell is derived from a donor or declined, and the caller
-//! evaluates itself. When callers compute one key at once, the first
-//! install wins and every later one gets its `Arc`.
+//! computation, patching, donor derivation and target filtering run
+//! outside it, on the calling thread. A cell enters the table complete,
+//! so a lookup never waits: a key with no fresh cell is derived from a
+//! donor or evaluated by its caller. When callers compute one key at
+//! once, the first install wins and every later one gets its `Arc`.
 
-use crate::engine::rq_targets;
-use rpq_core::incremental::EdgeChange;
+use rpq_core::incremental::{patch_reach_set, EdgeChange};
 use rpq_core::predicate::{selected, Predicate};
 use rpq_core::rq::{Rq, RqResult};
 use rpq_graph::{Color, Graph, NodeId};
-use rpq_index::GraphProbe;
+use rpq_index::{DistProbe, GraphProbe};
 use rpq_regex::canon::{contains_fast, is_canonical, skeleton, wildcard_skeleton};
 use rpq_regex::FRegex;
 use std::collections::hash_map::DefaultHasher;
@@ -203,12 +205,12 @@ impl Ghost {
     }
 }
 
-/// A tally of memo lookups, split by how each was answered. Every lookup
-/// comes back to its caller as a [`Lookup`], and a caller tallies its
-/// own: a batch ([`BatchResult::semantic_stats`]), an explain request.
-/// Such a tally is exact however many other callers share the memo. An
-/// engine adds every batch's tally to its own
-/// ([`QueryEngine::semantic_stats`]); the memo counts nothing.
+/// A tally of memo lookups, split by how each was answered. Every
+/// [`SemanticMemo::answer`] returns its [`Lookup`], and a batch tallies
+/// its own ([`BatchResult::semantic_stats`]), exact however many other
+/// batches share the memo. The live engine adds every batch's tally to
+/// one it keeps for all its versions ([`QueryEngine::semantic_stats`]);
+/// the memo counts nothing.
 ///
 /// [`BatchResult::semantic_stats`]: crate::BatchResult::semantic_stats
 /// [`QueryEngine::semantic_stats`]: crate::QueryEngine::semantic_stats
@@ -224,10 +226,9 @@ pub struct SemanticStats {
     /// graph version instead of evaluating in full — a subset of
     /// [`misses`](Self::misses), so hit and miss rates keep their meaning.
     pub patched: u64,
-    /// The misses a full memo declined to install
-    /// ([`SemanticMemo::admit`]): the key's first miss since the memo
-    /// filled, answered by evaluating the query alone. A subset of
-    /// [`misses`](Self::misses), like [`patched`](Self::patched).
+    /// The misses a full memo declined to install: the key's first miss
+    /// since the memo filled, answered by evaluating the query alone. A
+    /// subset of [`misses`](Self::misses), like [`patched`](Self::patched).
     pub declined: u64,
     /// Time spent filtering/re-verifying cached pair sets for
     /// subsumption answers.
@@ -272,15 +273,15 @@ pub enum Lookup {
         /// Time this lookup spent filtering the donor's pair set.
         filter_time: Duration,
     },
-    /// Nothing cached could answer: the caller evaluated the key's reach
-    /// set in full and installed it — on a memo that has evicted a cell,
-    /// only from the key's second miss ([`SemanticMemo::admit`]).
+    /// Nothing cached could answer: the key's reach set was evaluated in
+    /// full over the caller's probe and installed — on a memo that has
+    /// evicted a cell, only from the key's second miss.
     Miss,
-    /// A miss the caller answered by patching an inherited cell
-    /// ([`SemanticMemo::patch`]).
+    /// A miss answered by patching a cell inherited from an earlier graph
+    /// version.
     Patched,
-    /// A first miss on a full memo: the caller evaluated the query alone
-    /// and installed nothing ([`SemanticMemo::admit`]).
+    /// A first miss on a full memo: the query alone was evaluated over
+    /// the caller's probe, and nothing installed.
     Declined,
 }
 
@@ -561,17 +562,29 @@ impl SemanticMemo {
         }
     }
 
-    /// The one lookup: a fresh exact cell or a containing donor answers
-    /// `rq` — and a derived reach set is installed as a new cell — but a
-    /// full miss returns `None` without installing anything, leaving the
-    /// caller to evaluate over its index or the graph — when the memo
-    /// [`admit`](SemanticMemo::admit)s the key,
-    /// [`insert`](SemanticMemo::insert) the reach set and take its
-    /// [`answer`](SemanticMemo::answer). `None` is always a
-    /// [`Lookup::Miss`]: the returned [`Lookup`] is a hit's. An exact hit
-    /// on a target asked before returns the answer the cell keeps for it,
-    /// under the one lock the lookup takes.
-    pub fn try_answer(&self, g: &Graph, rq: &Rq) -> Option<(RqResult, Lookup)> {
+    /// Answer `rq`, its regex in run-normal form, and say how. A fresh
+    /// exact cell answers ([`Lookup::Exact`]) — with the answer it keeps
+    /// for `rq`'s target, under the one lock the lookup takes, if it was
+    /// asked with that target before — and so does a fresh cell whose key
+    /// contains `rq`'s ([`Lookup::Subsumption`]), its derived reach set
+    /// installed as a new cell. Neither reads `probe`. Anything else is a
+    /// miss, evaluated over `probe` — the plan's index, or the graph:
+    /// a cell inherited from an earlier graph version is patched
+    /// ([`Lookup::Patched`]); else the key's complete reach set is
+    /// computed and installed ([`Lookup::Miss`]) — on a memo that has
+    /// evicted a cell, only from the key's second miss; else the query is
+    /// evaluated alone and nothing is installed ([`Lookup::Declined`]).
+    /// A patched or installed set's answer is kept for the next exact hit
+    /// with the same target.
+    pub fn answer(&self, g: &Graph, rq: &Rq, probe: &dyn DistProbe) -> (RqResult, Lookup) {
+        self.try_answer(g, rq)
+            .unwrap_or_else(|| self.miss(g, rq, probe))
+    }
+
+    /// The hit path of [`answer`](Self::answer): a fresh exact cell or a
+    /// containing donor answers `rq`, and a derived reach set is installed
+    /// as a new cell. `None` on a miss, having installed nothing.
+    fn try_answer(&self, g: &Graph, rq: &Rq) -> Option<(RqResult, Lookup)> {
         let (from, canon) = (&rq.from, &rq.regex);
         debug_assert!(is_canonical(canon), "memo keys are canonical");
         let (donor, equal) = {
@@ -594,7 +607,26 @@ impl SemanticMemo {
         let filter_time = started.elapsed();
         let pairs = self.table().install(from, canon, derived, false);
         let lookup = Lookup::Subsumption { filter_time };
-        Some((self.answer(g, rq, &pairs), lookup))
+        Some((self.answer_from(g, rq, &pairs), lookup))
+    }
+
+    /// The miss path of [`answer`](Self::answer), over `probe`: patch the
+    /// key's inherited cell ([`patch_reach_set`]); else, if the memo
+    /// [`admit`](Self::admit)s the key, compute and install its *full*
+    /// reach set (target widened to `true`), trading DM's backward pruning
+    /// for a reusable cell; else evaluate the query alone.
+    fn miss(&self, g: &Graph, rq: &Rq, probe: &dyn DistProbe) -> (RqResult, Lookup) {
+        let wide = Rq::new(rq.from.clone(), Predicate::always_true(), rq.regex.clone());
+        let patch = |old: &[_], changes: &[_]| patch_reach_set(g, &wide, probe, old, changes);
+        let (pairs, lookup) = match self.patch(&rq.from, &rq.regex, patch) {
+            Some(pairs) => (pairs, Lookup::Patched),
+            None if self.admit(&rq.from, &rq.regex) => {
+                let full = wide.eval_with_dist(g, probe).into_pairs();
+                (self.insert(&rq.from, &rq.regex, full), Lookup::Miss)
+            }
+            None => return (rq.eval_with_dist(g, probe), Lookup::Declined),
+        };
+        (self.answer_from(g, rq, &pairs), lookup)
     }
 
     /// `rq`'s answer from `pairs`, the complete reach set of its key that
@@ -605,7 +637,7 @@ impl SemanticMemo {
     /// room the reach sets leave: keeping one drops least recently used
     /// answers, never a cell. An answer that does not fit beside the reach
     /// sets, or whose cell was evicted meanwhile, is served unkept.
-    pub fn answer(&self, g: &Graph, rq: &Rq, pairs: &[(NodeId, NodeId)]) -> RqResult {
+    fn answer_from(&self, g: &Graph, rq: &Rq, pairs: &[(NodeId, NodeId)]) -> RqResult {
         let kept = (self.table().fresh(&rq.from, &rq.regex))
             .and_then(|cell| cell.answers.get(&rq.to).cloned());
         kept.unwrap_or_else(|| self.keep(rq, rq_targets(g, &rq.to, pairs)))
@@ -633,20 +665,15 @@ impl SemanticMemo {
         answer
     }
 
-    /// Install an externally computed reach set for `(from, regex)`.
-    ///
-    /// Every RQ plan calls this after a declined
-    /// [`try_answer`](SemanticMemo::try_answer) on a key the memo
-    /// [`admit`](SemanticMemo::admit)s, so the reach sets it
-    /// computes through its index or the graph become donors for later
-    /// exact and containment lookups: in main when the ghost set holds
-    /// the key, else on probation. `pairs` must be the key's *complete*
+    /// Install a computed reach set for `(from, regex)`: in main when the
+    /// ghost set holds the key, else on probation, so it answers later
+    /// exact and containment lookups. `pairs` must be the key's *complete*
     /// reach set — every `(x, y)` with `x ⊨ from`, unfiltered by any
     /// target predicate (order is established here: checked in one pass,
     /// and sorted only if the check fails — index evaluation already
     /// yields its pairs sorted). Returns the cached set — the caller's, or
-    /// the racing winner's if another worker installed the key first.
-    pub fn insert(
+    /// the racing winner's if another caller installed the key first.
+    fn insert(
         &self,
         from: &Predicate,
         regex: &FRegex,
@@ -664,26 +691,24 @@ impl SemanticMemo {
     /// [`insert`](Self::insert) it: always while this memo (or one it was
     /// carried from) has never evicted a cell; once one has, only if the
     /// ghost set holds the key (its cell was evicted, or its first miss
-    /// declined). Any other miss is recorded in the ghost set, and the
-    /// caller evaluates the query alone ([`Lookup::Declined`]): a key
-    /// that never comes back pays for its answer only.
-    pub fn admit(&self, from: &Predicate, regex: &FRegex) -> bool {
+    /// declined). Any other miss is recorded in the ghost set and answered
+    /// alone ([`Lookup::Declined`]): a key that never comes back pays for
+    /// its answer only.
+    fn admit(&self, from: &Predicate, regex: &FRegex) -> bool {
         debug_assert!(is_canonical(regex), "memo keys are canonical");
         let table = self.table();
         table.ghost.slots.get().is_none() || table.ghost.record(from, regex, table.budget)
     }
 
-    /// The miss path's second chance: if this memo inherited a cell of
+    /// The miss path's first step: if this memo inherited a cell of
     /// `(from, regex)` from an earlier graph version, `patch` gets its
     /// pair set and the edge changes of the batches logged since the
     /// cell's version, oldest first, and a `Some` it returns — the key's
     /// complete, sorted reach set on this version — is installed as a
     /// fresh cell in main (superseding the inherited one): a
     /// [`Lookup::Patched`]. `None` when nothing was inherited for the key
-    /// or `patch` declined: the caller asks [`admit`](Self::admit), then
-    /// evaluates in full and [`insert`](Self::insert)s or evaluates the
-    /// query alone. `patch` runs outside the lock.
-    pub fn patch(
+    /// or `patch` declined. `patch` runs outside the lock.
+    fn patch(
         &self,
         from: &Predicate,
         regex: &FRegex,
@@ -805,9 +830,29 @@ fn derive_from_donor(
         .into_pairs()
 }
 
+/// `pairs` — a memoized reach set, sorted and duplicate-free — filtered
+/// down to the target predicate `to`: one column scan
+/// ([`Predicate::select_bits`]), then a bit test per pair; nothing at all
+/// when `to` is trivially true. A filtered slice of a sorted set is still
+/// sorted, so the result is checked, not re-sorted.
+fn rq_targets(g: &Graph, to: &Predicate, pairs: &[(NodeId, NodeId)]) -> RqResult {
+    let hits = if to.is_trivial() {
+        pairs.to_vec()
+    } else {
+        let targets = to.select_bits(g);
+        pairs
+            .iter()
+            .filter(|&&(_, y)| selected(&targets, y))
+            .copied()
+            .collect()
+    };
+    RqResult::from_sorted_pairs(hits).expect("memoized reach sets are sorted and duplicate-free")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::strategy::Strategy;
     use rpq_graph::gen::essembly;
     use rpq_regex::canon::canonicalize;
 
@@ -830,35 +875,10 @@ mod tests {
         Rq::new(from.clone(), Predicate::always_true(), canonicalize(re))
     }
 
-    /// What the engine does for an RQ: look up; on a miss the memo
-    /// admits, evaluate the key's reach set, install it and take the
-    /// answer; on one it declines, evaluate the query alone. Returns the
-    /// answer and the lookup the engine tallies.
+    /// What the engine does for an RQ, over the graph: the memo's one
+    /// entry. Returns the answer and the lookup the engine tallies.
     fn ask(memo: &SemanticMemo, g: &Graph, rq: &Rq) -> (RqResult, Lookup) {
-        memo.try_answer(g, rq)
-            .unwrap_or_else(|| miss(memo, g, rq, None))
-    }
-
-    /// The engine's miss path after `patched` (the pairs an inherited
-    /// cell was patched into, if it was).
-    fn miss(
-        memo: &SemanticMemo,
-        g: &Graph,
-        rq: &Rq,
-        patched: Option<PairSet>,
-    ) -> (RqResult, Lookup) {
-        let (pairs, lookup) = match patched {
-            Some(pairs) => (pairs, Lookup::Patched),
-            None if memo.admit(&rq.from, &rq.regex) => {
-                let full = reach(g, &rq.from, &rq.regex);
-                (memo.insert(&rq.from, &rq.regex, full), Lookup::Miss)
-            }
-            None => {
-                let alone = rq.eval_with_dist(g, &GraphProbe::new(g));
-                return (alone, Lookup::Declined);
-            }
-        };
-        (memo.answer(g, rq, &pairs), lookup)
+        memo.answer(g, rq, &GraphProbe::new(g))
     }
 
     fn answer(memo: &SemanticMemo, g: &Graph, from: &Predicate, re: &FRegex) -> RqResult {
@@ -1173,7 +1193,7 @@ mod tests {
         let pairs = next
             .patch(&doctors.from, &doctors.regex, |old, _| Some(old.to_vec()))
             .expect("inherited");
-        let fresh = next.answer(&g, &doctors, &pairs);
+        let fresh = next.answer_from(&g, &doctors, &pairs);
         assert_eq!(fresh, old);
         assert!(!shared(&fresh, &old), "not the old version's answer");
         assert!(shared(&fresh, &next.try_answer(&g, &doctors).unwrap().0));
@@ -1630,17 +1650,7 @@ mod tests {
                 let query = &queries[i];
                 let before = memo.cached_bytes();
                 let (served, lookup) = match op {
-                    // the engine's miss path: patch an inherited cell first
-                    0 | 1 => memo.try_answer(&g, query).unwrap_or_else(|| {
-                        let wide = key(&query.from, &query.regex);
-                        let probe = GraphProbe::new(&g);
-                        let patch = |old: &[_], changes: &[_]| {
-                            rpq_core::incremental::patch_reach_set(&g, &wide, &probe, old, changes)
-                        };
-                        let patched = memo.patch(&query.from, &query.regex, patch);
-                        miss(&memo, &g, query, patched)
-                    }),
-                    2 => ask(&memo, &g, query),
+                    0..=2 => ask(&memo, &g, query),
                     // a logged batch: flip one edge
                     _ => {
                         let change = (NodeId(u), NodeId(v), Color(c));
@@ -1675,6 +1685,37 @@ mod tests {
                     "{} bytes in {on_probation} cells on probation", table.probation_bytes
                 );
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// The hit-path filter (verdict table, checked sorted-input
+        /// constructor) returns what per-pair filtering plus a sort did,
+        /// for selective, unselective and trivial target predicates.
+        #[test]
+        fn rq_targets_matches_per_pair_filter_and_sort(
+            raw in proptest::collection::vec((0u32..200, 0u32..200), 0..300),
+            to in proptest::prop_oneof![
+                proptest::strategy::Just(String::new()),
+                (0i64..240).prop_map(|k| format!("len <= {k}")),
+                (0i64..240).prop_map(|k| format!("len >= {k} && cat = \"Music\"")),
+            ],
+        ) {
+            let g = rpq_graph::gen::youtube_like(200, 1);
+            let query = rq(&g, "", "fc", &to);
+            // a memoized reach set: sorted, duplicate-free
+            let mut pairs: Vec<(NodeId, NodeId)> =
+                raw.into_iter().map(|(x, y)| (NodeId(x), NodeId(y))).collect();
+            pairs.sort_unstable();
+            pairs.dedup();
+            let kept = pairs
+                .iter()
+                .filter(|&&(_, y)| query.to.matches(g.attrs(y)))
+                .copied()
+                .collect();
+            proptest::prop_assert_eq!(rq_targets(&g, &query.to, &pairs), RqResult::from_pairs(kept));
         }
     }
 }

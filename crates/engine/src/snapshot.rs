@@ -173,11 +173,12 @@ impl Snapshot {
         &self.engine
     }
 
-    /// This version's memo lookups — exact hits, subsumption hits,
-    /// misses, and filter time — since the version was published: the
-    /// per-version engine's sum of every batch's tally
-    /// ([`QueryEngine::semantic_stats`]), so a fresh version starts from
-    /// zero. Cumulative over *every* caller: what one batch did is
+    /// Memo lookups — exact hits, subsumption hits, misses, and filter
+    /// time — since the live engine was built: every version adds its
+    /// batches to one tally ([`QueryEngine::semantic_stats`]), so a new
+    /// version goes on from the count of the one before. Cumulative over
+    /// *every* caller, the server's batches and explains and in-process
+    /// runs alike: what one batch did is
     /// [`BatchResult::semantic_stats`](crate::BatchResult::semantic_stats).
     pub fn semantic_stats(&self) -> crate::memo::SemanticStats {
         self.engine.semantic_stats()

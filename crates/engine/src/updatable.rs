@@ -299,13 +299,14 @@ impl UpdatableEngine {
             })
             .collect();
         // the new version's engine inherits the predecessor's memo cells,
-        // to be patched on a miss, and its label index through a repair
+        // to be patched on a miss, its lookup tally, and its label index
+        // through a repair
         let prev = self.snapshot();
         let graph = state.dynamic.graph_arc();
         let (carried, mut index) = carry_index(prev.engine(), &graph, &self.config, &changes);
         let engine = Arc::new(
             QueryEngine::with_index(graph, self.config.clone(), carried)
-                .with_memo(prev.engine().memo().carry(&changes)),
+                .succeeding(prev.engine(), &changes),
         );
         let t_carried = Instant::now();
         let snapshot = Arc::new(Snapshot::new(
@@ -485,6 +486,51 @@ mod tests {
         // the new snapshot sees the deletion
         let after = engine.snapshot();
         assert!(after.run_query(&Query::Rq(rq)).as_rq().unwrap().is_empty());
+    }
+
+    /// A write publishes a new engine, and the new engine adds its
+    /// lookups to the tally the versions before it kept: one tally per
+    /// live engine, read alike through every snapshot.
+    #[test]
+    fn the_lookup_tally_survives_a_write() {
+        let engine = UpdatableEngine::new(essembly());
+        let g = engine.snapshot().graph().clone();
+        let rq = |from: &str, re: &str| {
+            Query::Rq(Rq::new(
+                Predicate::parse(from, g.schema()).unwrap(),
+                Predicate::always_true(),
+                FRegex::parse(re, g.alphabet()).unwrap(),
+            ))
+        };
+        // a miss, an exact hit, a subsumption hit and another miss
+        let queries = [
+            rq("job = \"biologist\"", "fa^2 fn"),
+            rq("job = \"biologist\"", "fa^2 fn"),
+            rq("job = \"biologist\" && sp = \"cloning\"", "fa^2 fn"),
+            rq("", "fn"),
+        ];
+        let v0 = engine.snapshot();
+        let first = v0.run_batch(&queries).semantic_stats();
+        assert_eq!((first.exact_hits, first.subsumption_hits), (1, 1));
+        assert!(first.filter_time > Duration::ZERO);
+        let c1 = g.node_by_label("C1").unwrap();
+        let b1 = g.node_by_label("B1").unwrap();
+        let fnc = g.alphabet().get("fn").unwrap();
+        engine.apply(&[Update::Insert(c1, b1, fnc)]).unwrap();
+        let v1 = engine.snapshot();
+        assert_eq!(v1.version(), 1);
+        let second = v1.run_batch(&queries).semantic_stats();
+        assert!(second.patched > 0, "{second:?}");
+        let both = crate::SemanticStats {
+            exact_hits: first.exact_hits + second.exact_hits,
+            subsumption_hits: first.subsumption_hits + second.subsumption_hits,
+            misses: first.misses + second.misses,
+            patched: first.patched + second.patched,
+            declined: first.declined + second.declined,
+            filter_time: first.filter_time + second.filter_time,
+        };
+        assert_eq!(v1.semantic_stats(), both);
+        assert_eq!(v0.semantic_stats(), both, "the version before reads it too");
     }
 
     #[test]

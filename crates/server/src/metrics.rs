@@ -7,12 +7,17 @@
 //! sub-buckets per octave, and quantiles interpolate linearly *within*
 //! the landing bucket (≤ one sub-bucket width of error instead of the
 //! mid-bucket ~19%), which is plenty for p50/p99 serving dashboards and
-//! needs no allocation and no locks. The only locks in this module guard
-//! cold maps (per-plan histogram registry, repair-phase accumulators)
-//! touched once per batch or per update, never per query.
+//! needs no allocation and no locks. The one lock in this module guards
+//! the repair-phase accumulators, touched once per update, never per
+//! query.
+//!
+//! The memo's lookup counts are not kept here: the live engine keeps the
+//! one tally of them, and `/metrics` renders it as sampled at scrape time
+//! ([`Gauges::semantic`]).
 
+use rpq_engine::{Plan, SemanticStats};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 const LINEAR_CUTOFF: u64 = 16;
@@ -154,7 +159,9 @@ const PROM_LE_BOUNDS_US: [u64; 10] = [
 ];
 
 /// The server's metrics registry. One instance per [`Server`], shared by
-/// every connection thread.
+/// every connection thread: what the server itself sees — requests,
+/// latencies, writes. What the engine counts, memo lookups among it, is
+/// sampled from the engine at scrape time ([`Gauges`]).
 ///
 /// [`Server`]: crate::Server
 pub struct Metrics {
@@ -189,32 +196,14 @@ pub struct Metrics {
     /// Micros since `started` at the last moment the label index was
     /// known fresh (a `Repaired` or `Built` publication). Zero = never.
     index_fresh_at_us: AtomicU64,
-    /// Semantic reach-cache lookups answered by the exact canonical key.
-    pub semcache_exact: AtomicU64,
-    /// Semantic reach-cache lookups answered by filtering a containing
-    /// cached entry (subsumption).
-    pub semcache_subsumption: AtomicU64,
-    /// Semantic reach-cache lookups no cached entry could answer.
-    pub semcache_misses: AtomicU64,
-    /// The misses answered by patching a reach set inherited from an
-    /// earlier graph version — a subset of `semcache_misses`.
-    pub semcache_patched: AtomicU64,
-    /// The misses a full memo answered without installing the key's
-    /// reach set (its first miss since the memo filled) — a subset of
-    /// `semcache_misses`.
-    pub semcache_declined: AtomicU64,
-    /// Cumulative µs spent filtering/re-verifying cached reach sets for
-    /// subsumption answers.
-    semcache_filter_us: AtomicU64,
     /// Batches whose evaluation panicked: every submission in one was
     /// answered 500, and the connection threads lived on.
     pub worker_panics: AtomicU64,
     /// Request latency (admission to response ready), µs.
     pub latency: LatencyHistogram,
-    /// Per-plan-variant engine evaluation latency, keyed by
-    /// [`Plan::name`](rpq_engine::Plan::name). Registered lazily by the
-    /// executing thread (one lock per plan per batch, not per query).
-    plan_latency: Mutex<Vec<(&'static str, Arc<LatencyHistogram>)>>,
+    /// Per-plan engine evaluation latency: one histogram per row of
+    /// [`Plan::ALL`], in its order.
+    plan_latency: [LatencyHistogram; Plan::ALL.len()],
     /// Cumulative µs per apply/repair phase, folded from
     /// [`IndexMaintenance::phases`](rpq_engine::IndexMaintenance) —
     /// exported as `rpq_repair_phase_seconds_total{phase=...}`.
@@ -236,50 +225,17 @@ impl Metrics {
             index_rebuilds: AtomicU64::new(0),
             landmarks_invalidated: AtomicU64::new(0),
             index_fresh_at_us: AtomicU64::new(0),
-            semcache_exact: AtomicU64::new(0),
-            semcache_subsumption: AtomicU64::new(0),
-            semcache_misses: AtomicU64::new(0),
-            semcache_patched: AtomicU64::new(0),
-            semcache_declined: AtomicU64::new(0),
-            semcache_filter_us: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
             latency: LatencyHistogram::default(),
-            plan_latency: Mutex::new(Vec::new()),
+            plan_latency: std::array::from_fn(|_| LatencyHistogram::default()),
             repair_phase_us: Mutex::new(Vec::new()),
         }
     }
 
-    /// The latency histogram for one plan variant, registering it on
-    /// first use. `plan` comes from [`Plan::name`](rpq_engine::Plan::name)
-    /// so the set is small and the scan is cheap.
-    pub fn plan_histogram(&self, plan: &'static str) -> Arc<LatencyHistogram> {
-        let mut reg = self.plan_latency.lock().expect("plan registry lock");
-        if let Some((_, h)) = reg.iter().find(|(name, _)| *name == plan) {
-            return Arc::clone(h);
-        }
-        let h = Arc::new(LatencyHistogram::default());
-        reg.push((plan, Arc::clone(&h)));
-        h
-    }
-
-    /// Fold the semantic-cache lookups one batch (or explain request)
-    /// made into the counters — its own tally
-    /// ([`BatchResult::semantic_stats`](rpq_engine::BatchResult::semantic_stats)),
-    /// so batches that overlap on one snapshot's memo are each counted
-    /// once, and the accumulator survives version rotation.
-    pub fn record_semcache(&self, lookups: &rpq_engine::SemanticStats) {
-        let add = |a: &AtomicU64, n: u64| {
-            a.fetch_add(n, Ordering::Relaxed);
-        };
-        add(&self.semcache_exact, lookups.exact_hits);
-        add(&self.semcache_subsumption, lookups.subsumption_hits);
-        add(&self.semcache_misses, lookups.misses);
-        add(&self.semcache_patched, lookups.patched);
-        add(&self.semcache_declined, lookups.declined);
-        add(
-            &self.semcache_filter_us,
-            lookups.filter_time.as_micros() as u64,
-        );
+    /// The evaluation-latency histogram of `plan`.
+    pub fn plan_histogram(&self, plan: Plan) -> &LatencyHistogram {
+        let row = Plan::ALL.iter().position(|&p| p == plan);
+        &self.plan_latency[row.expect("Plan::ALL lists every plan")]
     }
 
     /// Fold one update's index-maintenance outcome into the counters:
@@ -339,10 +295,13 @@ impl Metrics {
     ///   `rpq_snapshot_version`, `rpq_index_bytes`,
     ///   `rpq_index_fresh_seconds`, one-hot `rpq_index_state{state=...}`,
     ///   `rpq_semcache_bytes{queue="probation"|"main"}`;
+    /// * the `rpq_semcache_*` lookup counters, from the engine's tally
+    ///   in [`Gauges::semantic`];
     /// * `rpq_request_latency_seconds` histogram with power-of-two `le`
     ///   bounds (cumulative counts are exact, not interpolated);
     /// * per-plan `rpq_plan_latency_seconds{plan=...}` summaries
-    ///   (q0.5/q0.99 + `_sum`/`_count`);
+    ///   (q0.5/q0.99 + `_sum`/`_count`), in [`Plan::ALL`] order, for each
+    ///   plan that has served a query;
     /// * `rpq_repair_phase_seconds_total{phase=...}` counters from the
     ///   live engine's apply/repair phase accounting.
     pub fn render_prometheus(&self, gauges: &Gauges) -> String {
@@ -354,6 +313,7 @@ impl Metrics {
             index_bytes,
             index_state,
             semcache_bytes,
+            semantic,
         } = *gauges;
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let mut out = String::with_capacity(4096);
@@ -416,13 +376,13 @@ impl Metrics {
         counter(
             "rpq_semcache_misses_total",
             "Semantic reach-cache lookups no cached entry could answer.",
-            g(&self.semcache_misses),
+            semantic.misses,
         );
         counter(
             "rpq_semcache_patched_total",
             "Semantic reach-cache misses answered by patching a reach set \
              inherited from an earlier graph version (a subset of the misses).",
-            g(&self.semcache_patched),
+            semantic.patched,
         );
         counter(
             "rpq_semcache_declined_total",
@@ -430,7 +390,7 @@ impl Metrics {
              installing the reach set: the key held neither a cell nor a \
              ghost-set slot, having been neither evicted nor missed since \
              the cache first evicted a cell (a subset of the misses).",
-            g(&self.semcache_declined),
+            semantic.declined,
         );
         counter(
             "rpq_worker_panics_total",
@@ -443,8 +403,8 @@ impl Metrics {
             "# TYPE rpq_semcache_hits_total counter\n"
         ));
         for (kind, v) in [
-            ("exact", g(&self.semcache_exact)),
-            ("subsumption", g(&self.semcache_subsumption)),
+            ("exact", semantic.exact_hits),
+            ("subsumption", semantic.subsumption_hits),
         ] {
             out.push_str(&format!("rpq_semcache_hits_total{{kind=\"{kind}\"}} {v}\n"));
         }
@@ -455,7 +415,7 @@ impl Metrics {
                 "# TYPE rpq_semcache_filter_seconds_total counter\n",
                 "rpq_semcache_filter_seconds_total {}\n"
             ),
-            g(&self.semcache_filter_us) as f64 / 1e6
+            semantic.filter_time.as_secs_f64()
         ));
 
         let mut gauge = |name: &str, help: &str, value: String| {
@@ -545,30 +505,31 @@ impl Metrics {
             self.latency.count()
         ));
 
-        let plans = self.plan_latency.lock().expect("plan registry lock");
-        if !plans.is_empty() {
+        let plans = Plan::ALL.iter().zip(&self.plan_latency);
+        let mut plans = plans.filter(|(_, h)| h.count() > 0).peekable();
+        if plans.peek().is_some() {
             out.push_str(concat!(
                 "# HELP rpq_plan_latency_seconds Engine evaluation latency per plan variant.\n",
                 "# TYPE rpq_plan_latency_seconds summary\n"
             ));
-            for (plan, h) in plans.iter() {
-                for (q, label) in [(0.50, "0.5"), (0.99, "0.99")] {
-                    out.push_str(&format!(
-                        "rpq_plan_latency_seconds{{plan=\"{plan}\",quantile=\"{label}\"}} {}\n",
-                        h.quantile(q) as f64 / 1e6
-                    ));
-                }
+        }
+        for (plan, h) in plans {
+            let plan = plan.name();
+            for (q, label) in [(0.50, "0.5"), (0.99, "0.99")] {
                 out.push_str(&format!(
-                    "rpq_plan_latency_seconds_sum{{plan=\"{plan}\"}} {}\n",
-                    h.sum_us() as f64 / 1e6
-                ));
-                out.push_str(&format!(
-                    "rpq_plan_latency_seconds_count{{plan=\"{plan}\"}} {}\n",
-                    h.count()
+                    "rpq_plan_latency_seconds{{plan=\"{plan}\",quantile=\"{label}\"}} {}\n",
+                    h.quantile(q) as f64 / 1e6
                 ));
             }
+            out.push_str(&format!(
+                "rpq_plan_latency_seconds_sum{{plan=\"{plan}\"}} {}\n",
+                h.sum_us() as f64 / 1e6
+            ));
+            out.push_str(&format!(
+                "rpq_plan_latency_seconds_count{{plan=\"{plan}\"}} {}\n",
+                h.count()
+            ));
         }
-        drop(plans);
 
         let phases = self.repair_phase_us.lock().expect("phase accumulator lock");
         if !phases.is_empty() {
@@ -588,7 +549,7 @@ impl Metrics {
 }
 
 /// What [`Metrics::render_prometheus`] cannot count for itself: the
-/// admission queue's and the engine's state at scrape time.
+/// admission queue's and the engine's state, sampled at scrape time.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Gauges {
     /// Submissions in the admission queue.
@@ -607,6 +568,10 @@ pub struct Gauges {
     /// The current snapshot's memo bytes on probation and in main
     /// ([`SemanticMemo::queue_bytes`](rpq_engine::SemanticMemo::queue_bytes)).
     pub semcache_bytes: (usize, usize),
+    /// The live engine's memo lookups since it was built
+    /// ([`Snapshot::semantic_stats`](rpq_engine::Snapshot::semantic_stats)):
+    /// the `rpq_semcache_*` counters.
+    pub semantic: SemanticStats,
 }
 
 /// The value of `series` (metric name with its label set verbatim)
@@ -693,6 +658,12 @@ pub fn parse_prometheus_text(text: &str) -> Result<Vec<(String, f64)>, String> {
 mod tests {
     use super::*;
 
+    /// The plan named `name`.
+    fn plan(name: &str) -> Plan {
+        let found = Plan::ALL.into_iter().find(|p| p.name() == name);
+        found.unwrap_or_else(|| panic!("no plan is named {name}"))
+    }
+
     #[test]
     fn buckets_are_monotone_and_cover_u64() {
         let mut last = 0;
@@ -762,8 +733,8 @@ mod tests {
         m.latency.record(120);
         m.latency.record(90_000);
         m.queries.fetch_add(7, Ordering::Relaxed);
-        m.plan_histogram("DM").record(42);
-        m.plan_histogram("JoinMatch/hop").record(4_200);
+        m.plan_histogram(plan("DM")).record(42);
+        m.plan_histogram(plan("JoinMatch/hop")).record(4_200);
         m.record_index(&rpq_engine::IndexMaintenance {
             state: rpq_engine::IndexState::Repaired,
             phases: vec![
@@ -771,14 +742,6 @@ mod tests {
                 ("carry", std::time::Duration::from_micros(500)),
             ],
             ..Default::default()
-        });
-        m.record_semcache(&rpq_engine::SemanticStats {
-            exact_hits: 5,
-            subsumption_hits: 2,
-            misses: 3,
-            patched: 2,
-            declined: 1,
-            filter_time: std::time::Duration::from_micros(1500),
         });
         m.worker_panics.fetch_add(1, Ordering::Relaxed);
         let text = m.render_prometheus(&Gauges {
@@ -789,6 +752,14 @@ mod tests {
             index_bytes: 4096,
             index_state: "repaired",
             semcache_bytes: (1024, 8192),
+            semantic: SemanticStats {
+                exact_hits: 5,
+                subsumption_hits: 2,
+                misses: 3,
+                patched: 2,
+                declined: 1,
+                filter_time: std::time::Duration::from_micros(1500),
+            },
         });
         let samples = parse_prometheus_text(&text).expect("exposition must parse");
         let get = |series: &str| {
@@ -854,7 +825,7 @@ mod tests {
                     for i in 0..per_thread {
                         m.latency.record(t * 100 + i);
                         m.queries.fetch_add(1, Ordering::Relaxed);
-                        m.plan_histogram(if i % 2 == 0 { "DM" } else { "BFS+memo" })
+                        m.plan_histogram(plan(if i % 2 == 0 { "DM" } else { "BFS+memo" }))
                             .record(i);
                     }
                 });
@@ -869,8 +840,8 @@ mod tests {
         let total = threads * per_thread;
         assert_eq!(m.latency.count(), total);
         assert_eq!(m.queries.load(Ordering::Relaxed), total);
-        let dm = m.plan_histogram("DM").count();
-        let bfs = m.plan_histogram("BFS+memo").count();
+        let dm = m.plan_histogram(plan("DM")).count();
+        let bfs = m.plan_histogram(plan("BFS+memo")).count();
         assert_eq!(dm + bfs, total);
         assert_eq!(dm, bfs);
     }

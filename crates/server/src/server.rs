@@ -61,9 +61,10 @@
 //!   each), every answer correct; `hop_unique`'s peak RSS rose 96.7 →
 //!   100.8 MiB. Turning the semantic memo's exact-hit path into a read
 //!   lock was **not** done: on `hop_zipf`'s 91 %-hit stream 0.36 % of
-//!   `try_answer`'s lock acquisitions found the mutex held (526 of
-//!   146 568), waiting 0.57 ms in total over 36 665 requests — about
-//!   16 ns of a ≈ 300 µs `server.execute_us`.
+//!   the memo's lock acquisitions on its hit path
+//!   ([`SemanticMemo::answer`](rpq_engine::SemanticMemo::answer)) found
+//!   the mutex held (526 of 146 568), waiting 0.57 ms in total over
+//!   36 665 requests — about 16 ns of a ≈ 300 µs `server.execute_us`.
 //!
 //! ## Admission control
 //!
@@ -498,17 +499,13 @@ fn evaluate(shared: &Shared, batch: &[Pending], drained: Instant) -> (Arc<BatchR
         panic!("fail point: batch panics");
     }
     let result = Arc::new(snapshot.run_batch(&all));
-    // the batch's own lookups, not a delta of the snapshot memo's
-    // counters: batches overlapping on one snapshot would each count the
-    // other's
-    shared.metrics.record_semcache(&result.semantic_stats());
     let executed = Instant::now();
     // per-plan-variant evaluation latency (worker wall time, not
     // request time — isolates engine cost from queueing)
     for item in result.items() {
         shared
             .metrics
-            .plan_histogram(item.plan.name())
+            .plan_histogram(item.plan)
             .record(item.time.as_micros() as u64);
     }
     let version = snapshot.version();
@@ -729,7 +726,6 @@ fn handle_explain(req: &Request, shared: &Shared) -> Response {
         out.push_str(&item.profile.as_deref().expect("profiled run").to_json());
         out.push('\n');
     }
-    shared.metrics.record_semcache(&result.semantic_stats());
     shared
         .metrics
         .latency
@@ -770,6 +766,7 @@ fn handle_metrics(shared: &Shared) -> Response {
             index_bytes: snapshot.engine().index_bytes(),
             index_state: snapshot.index_state().as_str(),
             semcache_bytes: snapshot.engine().memo().queue_bytes(),
+            semantic: snapshot.semantic_stats(),
         }),
     )
 }

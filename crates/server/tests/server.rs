@@ -663,6 +663,52 @@ fn explain_endpoint_profiles_every_query() {
     server.shutdown();
 }
 
+/// `/metrics` renders the memo's lookups from the live engine's one
+/// tally: after queries, explains and a write, every `rpq_semcache_*`
+/// counter equals the field of `Snapshot::semantic_stats` it renders —
+/// the filter time to the nanosecond.
+#[test]
+fn semcache_series_render_the_engines_lookup_tally() {
+    let (engine, server, graph) = start(ServerConfig::default());
+    let mut client = Client::connect(server.addr()).unwrap();
+    let rq = |from: &str, re: &str| Query::parse_rq(from, "", re, &graph).unwrap();
+    // a miss, an exact hit and two subsumption hits, then a generated mix
+    let mut queries = vec![
+        rq("len <= 200", "fc^2 fr"),
+        rq("len <= 200", "fc^2 fr"),
+        rq("len <= 100", "fc^2 fr"),
+        rq("len <= 200", "fc fr"),
+    ];
+    queries.extend(mixed_queries(&graph, 6, 31));
+    assert_eq!(client.query(&queries, &graph).unwrap().status, 200);
+    assert_eq!(client.explain(&queries, &graph).unwrap().status, 200);
+    let colors: Vec<Color> = graph.alphabet().colors().collect();
+    let write = [Update::Insert(NodeId(1), NodeId(2), colors[0])];
+    assert_eq!(client.update(&write, &graph).unwrap().status, 200);
+    assert_eq!(client.query(&queries, &graph).unwrap().status, 200);
+
+    let stats = engine.snapshot().semantic_stats();
+    assert!(stats.subsumption_hits >= 2, "{stats:?}");
+    assert!(stats.filter_time > Duration::ZERO, "{stats:?}");
+    let get = scrape(&mut client);
+    for (series, value) in [
+        ("rpq_semcache_hits_total{kind=\"exact\"}", stats.exact_hits),
+        (
+            "rpq_semcache_hits_total{kind=\"subsumption\"}",
+            stats.subsumption_hits,
+        ),
+        ("rpq_semcache_misses_total", stats.misses),
+        ("rpq_semcache_patched_total", stats.patched),
+        ("rpq_semcache_declined_total", stats.declined),
+    ] {
+        assert_eq!(get(series), value as f64, "{series}");
+    }
+    let filter = get("rpq_semcache_filter_seconds_total");
+    assert_eq!(filter, stats.filter_time.as_secs_f64());
+    assert_eq!((filter * 1e9).round() as u128, stats.filter_time.as_nanos());
+    server.shutdown();
+}
+
 /// `/metrics` is Prometheus text exposition (which must round-trip the
 /// crate's own parser); `/debug/trace` yields JSON lines once tracing is
 /// on.

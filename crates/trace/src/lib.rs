@@ -13,8 +13,9 @@
 //!   it as JSON lines under `GET /debug/trace`.
 //! * **Query profiles** — [`QueryProfile`] is a per-query breakdown
 //!   (chosen plan + the planner's rationale, contiguous stage timings,
-//!   probe counts, memo hit/miss, shard fan-out, worker counts) built by
-//!   the engine's `run_query_profiled` path and served over
+//!   probe counts, memo hit/miss and the lookup's kind, shard fan-out,
+//!   matches, the canonical query) built by the engine's
+//!   `run_query_profiled` path and served over
 //!   `POST /v1/explain`.
 //!
 //! ## Overhead guarantee

@@ -126,7 +126,8 @@ fn main() {
         for item in result.items() {
             *per_plan.entry(item.plan.name()).or_insert(0) += 1;
         }
-        let (hits, misses) = result.memo_stats();
+        let memo = result.semantic_stats();
+        let (hits, misses) = (memo.hits(), memo.misses);
         println!(
             "tick {tick}: {} queries in {wall:?} ({:.0} q/s)  plans: {per_plan:?}  \
              memo: {hits} hits / {misses} misses  matches: {}",

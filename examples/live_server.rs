@@ -111,9 +111,9 @@ fn main() {
         for item in result.items() {
             *per_plan.entry(item.plan.name()).or_insert(0) += 1;
         }
-        let (hits, misses) = result.memo_stats();
         // misses on a key an earlier version computed patch its reach set
-        let patched = result.semantic_stats().patched;
+        let memo = result.semantic_stats();
+        let (hits, misses, patched) = (memo.hits(), memo.misses, memo.patched);
         let wall = result.wall_time();
         println!(
             "tick {tick}: v{} ({}/{} updates applied in {apply_time:?}), {} queries in {wall:?} ({:.0} q/s)",

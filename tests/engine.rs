@@ -67,7 +67,8 @@ fn batch_of_64_rqs_on_10k_graph_matches_sequential() {
         }
 
         // the hot keys must have been shared through the memo
-        let (hits, misses) = batch.memo_stats();
+        let stats = batch.semantic_stats();
+        let (hits, misses) = (stats.hits(), stats.misses);
         assert!(
             hits > 0,
             "thread {t}: repeated keys should hit the memo ({hits}/{misses})"
