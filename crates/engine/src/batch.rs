@@ -227,12 +227,12 @@ impl BatchResult {
         self.items.iter().map(|i| i.time).sum()
     }
 
-    /// What this batch's own lookups did in the engine's reach-set memo:
-    /// one exact hit, subsumption hit or miss per RQ (a PQ consults no
-    /// cell). Tallied per item as the batch runs, so the counts are
-    /// exact however many other batches share the memo; the engine adds
-    /// them to its own tally
-    /// ([`QueryEngine::semantic_stats`](crate::QueryEngine::semantic_stats))
+    /// What this batch's own lookups did in the snapshot's reach-set
+    /// memo: one exact hit, subsumption hit or miss per RQ (a PQ consults
+    /// no cell). Tallied per item as the batch runs, so the counts are
+    /// exact however many other batches share the memo; the live engine
+    /// adds them to its own tally
+    /// ([`Snapshot::semantic_stats`](crate::Snapshot::semantic_stats))
     /// as the batch ends.
     pub fn semantic_stats(&self) -> SemanticStats {
         self.semantic

@@ -1,5 +1,6 @@
 //! The [`QueryEngine`]: one immutable graph, the one index built for it,
-//! and batch evaluation on the calling thread.
+//! and batch evaluation on the calling thread — what a
+//! [`Snapshot`](crate::Snapshot) runs its queries through.
 
 use crate::batch::{BatchItem, BatchResult, Query, QueryOutput};
 use crate::error::ConfigError;
@@ -179,12 +180,6 @@ impl Index {
         Index::None
     }
 
-    /// Is this a label index (hop) or the sharded regime — the kind a
-    /// write repairs?
-    pub(crate) fn is_label(&self) -> bool {
-        matches!(self, Index::Hop(_) | Index::Sharded(_))
-    }
-
     pub(crate) fn name(&self) -> &'static str {
         match self {
             Index::Matrix(_) => "matrix",
@@ -192,6 +187,27 @@ impl Index {
             Index::Sharded(_) => "sharded",
             Index::None => "none",
         }
+    }
+
+    /// The backend this index serves; [`Backend::Search`] when there is
+    /// none, and the graph answers.
+    pub(crate) fn backend(&self) -> Backend {
+        match self {
+            Index::Matrix(_) => Backend::Matrix,
+            Index::Hop(_) => Backend::Hop,
+            Index::Sharded(_) => Backend::Sharded,
+            Index::None => Backend::Search,
+        }
+    }
+
+    /// Bytes held by this index of `g` (`/metrics` `rpq_index_bytes`).
+    pub(crate) fn bytes(&self, g: &Graph) -> u64 {
+        (match self {
+            Index::Matrix(_) => DistanceMatrix::bytes_for(g),
+            Index::Hop(labels) => labels.bytes(),
+            Index::Sharded(labels) => labels.stats().total_bytes(),
+            Index::None => 0,
+        }) as u64
     }
 
     /// This index as a distance probe; `None` when there is none.
@@ -220,46 +236,33 @@ fn traced_build<T>(name: &str, build: impl FnOnce() -> Result<T, HopBuildError>)
 
 /// A shared, immutable graph plus the one index built for it, evaluating
 /// batches of mixed [`Query::Rq`] / [`Query::Pq`] queries, each batch on
-/// the thread that submits it.
+/// the thread that submits it: the evaluation loop behind every
+/// [`Snapshot`](crate::Snapshot), which holds one per graph version.
 ///
 /// The engine is `Sync`: one instance serves batches from many threads at
 /// once, and they share its memo.
 #[derive(Debug)]
-pub struct QueryEngine {
-    graph: Arc<Graph>,
+pub(crate) struct QueryEngine {
+    pub(crate) graph: Arc<Graph>,
     config: EngineConfig,
     /// Decided and built at construction: every query plans against an
     /// index that exists.
-    index: Index,
+    pub(crate) index: Index,
     /// The one reach-set memo of this graph version: an RQ's reach set
     /// is a function of (graph, source predicate, regex) alone, so every
     /// run on this engine shares it. The graph is immutable for the life
     /// of the engine, so nothing ever invalidates a fresh entry. The live
     /// layer publishes a new engine per version whose memo inherits the
     /// predecessor's cells ([`SemanticMemo::carry`]); a miss patches an
-    /// inherited cell instead of evaluating in full. A read-only engine
-    /// starts empty and inherits nothing.
-    memo: SemanticMemo,
+    /// inherited cell instead of evaluating in full. The first version's
+    /// engine starts empty and inherits nothing.
+    pub(crate) memo: SemanticMemo,
     /// Every batch's memo lookups, added up as each batch ends: shared by
     /// every version of a live engine.
-    lookups: Arc<Tally>,
+    pub(crate) lookups: Arc<Tally>,
 }
 
 impl QueryEngine {
-    /// Engine over `graph` with default configuration.
-    pub fn new(graph: Arc<Graph>) -> Self {
-        Self::with_config(graph, EngineConfig::default())
-    }
-
-    /// Engine over `graph` with explicit configuration: builds the index
-    /// the configuration calls for before returning — the matrix at or
-    /// under [`matrix_node_limit`](EngineConfig::matrix_node_limit), else
-    /// hop labels under their budget, else the sharded regime, else none.
-    pub fn with_config(graph: Arc<Graph>, config: EngineConfig) -> Self {
-        let index = Index::build(&graph, &config);
-        Self::with_index(graph, config, index)
-    }
-
     /// Engine over `graph` serving `index`, which must answer for
     /// `graph` — built for it, or repaired into it by the live-update
     /// layer.
@@ -281,73 +284,6 @@ impl QueryEngine {
         self.memo = prev.memo.carry(changes);
         self.lookups = Arc::clone(&prev.lookups);
         self
-    }
-
-    /// This version's reach-set memo.
-    pub fn memo(&self) -> &SemanticMemo {
-        &self.memo
-    }
-
-    /// The shared graph.
-    pub fn graph(&self) -> &Arc<Graph> {
-        &self.graph
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// This engine's index.
-    pub(crate) fn index(&self) -> &Index {
-        &self.index
-    }
-
-    /// The distance matrix, when this engine was built with one.
-    pub fn matrix(&self) -> Option<&DistanceMatrix> {
-        match &self.index {
-            Index::Matrix(matrix) => Some(matrix),
-            _ => None,
-        }
-    }
-
-    /// The whole-graph hop-label index, when this engine was built (or
-    /// repaired) with one. It holds one layer per concrete color; queries
-    /// mentioning `_` are answered by the graph.
-    pub fn hop(&self) -> Option<&HopLabels> {
-        match &self.index {
-            Index::Hop(labels) => Some(labels),
-            _ => None,
-        }
-    }
-
-    /// The sharded regime's graph and partition, when this engine was
-    /// built (or repaired) with one.
-    pub fn sharded(&self) -> Option<&ShardedLabels> {
-        match &self.index {
-            Index::Sharded(labels) => Some(labels),
-            _ => None,
-        }
-    }
-
-    /// Bytes held by this engine's index (`/metrics` `rpq_index_bytes`).
-    pub fn index_bytes(&self) -> u64 {
-        (match &self.index {
-            Index::Matrix(_) => DistanceMatrix::bytes_for(&self.graph),
-            Index::Hop(labels) => labels.bytes(),
-            Index::Sharded(labels) => labels.stats().total_bytes(),
-            Index::None => 0,
-        }) as u64
-    }
-
-    /// Memo lookups — exact hits, subsumption hits, misses, and filter
-    /// time — of every query run on this engine since it was built, and,
-    /// on a version a live engine published, on every version before it
-    /// since the live engine was built: the sum of every finished batch's
-    /// [`BatchResult::semantic_stats`], whoever ran it — the server, an
-    /// explain request or an in-process caller.
-    pub fn semantic_stats(&self) -> SemanticStats {
-        self.lookups.get()
     }
 
     /// The best backend for `query`: this engine's index, when it is the
@@ -392,55 +328,11 @@ impl QueryEngine {
         (plan, why, None)
     }
 
-    /// The plan the engine would pick for `query` outside any batch.
-    pub fn plan_query(&self, query: &Query) -> Plan {
-        self.plan(query, &[]).0
-    }
-
-    /// Evaluate one query (a batch of one, on the calling thread).
-    pub fn run_query(&self, query: &Query) -> QueryOutput {
-        let batch = self.run(std::slice::from_ref(query), &[], Mode::Serve);
-        batch.items()[0].output.clone()
-    }
-
-    /// Evaluate one query and return its execution profile alongside the
-    /// output: chosen plan + rationale, contiguous stage timings (their
-    /// sum equals the profile's wall time by construction), probe
-    /// counts, memo hit/miss and shard fan-out.
-    /// This is the `explain` surface.
-    pub fn run_query_profiled(&self, query: &Query) -> (QueryOutput, QueryProfile) {
-        self.profile_one(query, &[], Mode::Profile)
-    }
-
-    /// A profiled batch of one through [`run`](Self::run): its output and
-    /// the profile its item carries.
-    pub(crate) fn profile_one(
-        &self,
-        query: &Query,
-        standing: &[StandingEntry],
-        mode: Mode,
-    ) -> (QueryOutput, QueryProfile) {
-        let batch = self.run(std::slice::from_ref(query), standing, mode);
-        let item = &batch.items()[0];
-        let profile = item.profile.as_deref().expect("profiled run");
-        (item.output.clone(), profile.clone())
-    }
-
-    /// Evaluate a batch on the calling thread: plan each query, then
-    /// answer them one after the other, in submission order. Outputs are
-    /// identical to sequential single-query evaluation — the strategies
-    /// differ only in cost. Batches are the unit of parallelism above the
-    /// engine: any number of threads may run batches on one engine at
-    /// once (the server runs one per executor role), and they share its
-    /// memo, so hot keys are computed once per engine rather than once
-    /// per batch; the reported semantic stats are this batch's own
-    /// lookups, tallied per item.
-    pub fn run_batch(&self, queries: &[Query]) -> BatchResult {
-        self.run(queries, &[], Mode::Serve)
-    }
-
-    /// The one evaluation loop behind every run of this engine and of
-    /// its snapshots, which pass their `standing` answers in.
+    /// The one evaluation loop behind every run of a snapshot, which
+    /// passes its `standing` answers in: see
+    /// [`Snapshot::run_batch`](crate::Snapshot::run_batch). Threads that
+    /// run batches on one engine at once share its memo, so hot keys are
+    /// computed once per engine rather than once per batch.
     pub(crate) fn run(
         &self,
         queries: &[Query],
@@ -543,7 +435,7 @@ impl QueryEngine {
             profile.memo_misses = u64::from(!hit);
             profile.semcache = lookup.as_str().to_owned();
         }
-        if let (Backend::Sharded, Some(labels)) = (p.plan.backend(), self.sharded()) {
+        if let (Backend::Sharded, Index::Sharded(labels)) = (p.plan.backend(), &self.index) {
             profile.shard_fanout = labels.partition().k() as u32;
         }
         profile.matches = item.output.match_count() as u64;
@@ -643,7 +535,7 @@ impl QueryEngine {
 /// alternated 15 s pairs, two-core box). A read taken while batches end
 /// may see one batch's fields half added.
 #[derive(Debug, Default)]
-struct Tally([AtomicU64; 6]);
+pub(crate) struct Tally([AtomicU64; 6]);
 
 impl Tally {
     fn add(&self, batch: &SemanticStats) {
@@ -662,7 +554,7 @@ impl Tally {
         }
     }
 
-    fn get(&self) -> SemanticStats {
+    pub(crate) fn get(&self) -> SemanticStats {
         let [exact_hits, subsumption_hits, misses, patched, declined, nanos] = self
             .0
             .each_ref()
@@ -713,11 +605,27 @@ fn canonical_query(query: &Query) -> Query {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Snapshot, UpdatableEngine};
     use rpq_core::pq::Pq;
     use rpq_core::predicate::Predicate;
     use rpq_core::rq::{Rq, RqResult};
     use rpq_graph::gen::essembly;
     use rpq_regex::FRegex;
+
+    /// The one snapshot of a live engine over `g` nobody writes to.
+    fn serve(g: &Arc<Graph>, config: EngineConfig) -> Arc<Snapshot> {
+        UpdatableEngine::with_config(Arc::clone(g), config).snapshot()
+    }
+
+    /// The regime `(matrix_node_limit, hop_label_budget, shards)`.
+    fn regime(matrix_node_limit: usize, hop_label_budget: usize, shards: usize) -> EngineConfig {
+        EngineConfig {
+            matrix_node_limit,
+            hop_label_budget,
+            shards,
+            ..EngineConfig::default()
+        }
+    }
 
     fn rq(g: &Graph, from: &str, to: &str, re: &str) -> Rq {
         Rq::new(
@@ -730,7 +638,7 @@ mod tests {
     #[test]
     fn batch_equals_sequential_on_essembly() {
         let g = Arc::new(essembly());
-        let engine = QueryEngine::new(Arc::clone(&g));
+        let engine = serve(&g, EngineConfig::default());
         let q1 = rq(
             &g,
             "job = \"biologist\" && sp = \"cloning\"",
@@ -771,10 +679,9 @@ mod tests {
     #[test]
     fn small_graph_builds_matrix_with_the_engine() {
         let g = Arc::new(essembly());
-        let engine = QueryEngine::new(Arc::clone(&g));
-        assert!(engine.matrix().is_some(), "built at construction");
+        let engine = serve(&g, EngineConfig::default());
+        assert_eq!(engine.backend(), Backend::Matrix, "built at construction");
         assert_eq!(engine.index_bytes(), DistanceMatrix::bytes_for(&g) as u64);
-        assert!(engine.hop().is_none() && engine.sharded().is_none());
         let q = Query::Rq(rq(&g, "job = \"doctor\"", "job = \"doctor\"", "fa"));
         assert_eq!(engine.plan_query(&q).name(), "DM");
         let (_, profile) = engine.run_query_profiled(&q);
@@ -784,16 +691,9 @@ mod tests {
     #[test]
     fn over_limit_graph_avoids_matrix() {
         let g = Arc::new(essembly());
-        let engine = QueryEngine::with_config(
-            Arc::clone(&g),
-            EngineConfig {
-                matrix_node_limit: 0,
-                // no label index either: the graph answers
-                hop_label_budget: 0,
-                ..EngineConfig::default()
-            },
-        );
-        assert!(engine.matrix().is_none());
+        // no label index either: the graph answers
+        let engine = serve(&g, regime(0, 0, 1));
+        assert_eq!(engine.backend(), Backend::Search);
         let shared = rq(&g, "job = \"biologist\"", "job = \"doctor\"", "fa^2 fn");
         let solo = rq(&g, "job = \"doctor\"", "job = \"biologist\"", "fa fn");
         let batch = engine.run_batch(&[
@@ -825,7 +725,7 @@ mod tests {
 
     #[test]
     fn empty_batch() {
-        let engine = QueryEngine::new(Arc::new(essembly()));
+        let engine = serve(&Arc::new(essembly()), EngineConfig::default());
         let batch = engine.run_batch(&[]);
         assert!(batch.is_empty());
     }
@@ -859,15 +759,8 @@ mod tests {
             std::thread::Builder::new()
                 .stack_size(128 * 1024)
                 .spawn(move || {
-                    let engine = QueryEngine::with_config(
-                        g,
-                        EngineConfig {
-                            matrix_node_limit: limit,
-                            hop_label_budget: budget,
-                            ..EngineConfig::default()
-                        },
-                    );
-                    assert_eq!(engine.hop().is_some(), budget > 0);
+                    let engine = serve(&g, regime(limit, budget, 1));
+                    assert_eq!(engine.backend() == Backend::Hop, budget > 0);
                     engine.run_batch(&queries).len()
                 })
                 .unwrap()
@@ -879,7 +772,7 @@ mod tests {
     #[test]
     fn overlapping_batches_each_tally_their_own_lookups() {
         let g = Arc::new(essembly());
-        let engine = QueryEngine::new(Arc::clone(&g));
+        let engine = serve(&g, EngineConfig::default());
         let mut pq = Pq::new();
         let a = pq.add_node("a", Predicate::always_true());
         let b = pq.add_node("b", Predicate::always_true());
@@ -932,15 +825,8 @@ mod tests {
     #[test]
     fn hop_labels_serve_over_limit_rqs() {
         let g = Arc::new(rpq_graph::gen::synthetic(600, 2400, 2, 3, 21));
-        let engine = QueryEngine::with_config(
-            Arc::clone(&g),
-            EngineConfig {
-                matrix_node_limit: 0, // force the over-limit regime
-                ..EngineConfig::default()
-            },
-        );
-        assert!(engine.matrix().is_none());
-        assert!(engine.hop().is_some(), "built at construction");
+        let engine = serve(&g, regime(0, 256 << 20, 1)); // the over-limit regime
+        assert_eq!(engine.backend(), Backend::Hop, "built at construction");
         let q = rq(&g, "a0 <= 4", "a1 >= 6", "c0^2 c1");
         assert_eq!(engine.plan_query(&Query::Rq(q.clone())).name(), "hop");
 
@@ -962,15 +848,9 @@ mod tests {
     #[test]
     fn hop_labels_serve_over_limit_pqs() {
         let g = Arc::new(rpq_graph::gen::synthetic(600, 2400, 2, 3, 21));
-        let engine = QueryEngine::with_config(
-            Arc::clone(&g),
-            EngineConfig {
-                matrix_node_limit: 0, // force the over-limit regime
-                ..EngineConfig::default()
-            },
-        );
-        // a small acyclic pattern and a large cyclic one: over the matrix
-        // limit both route to JoinMatch (split is a matrix-only pick)
+        let engine = serve(&g, regime(0, 256 << 20, 1)); // the over-limit regime
+                                                         // a small acyclic pattern and a large cyclic one: over the matrix
+                                                         // limit both route to JoinMatch (split is a matrix-only pick)
         let mut join_pq = Pq::new();
         let a = join_pq.add_node("a", Predicate::parse("a0 <= 4", g.schema()).unwrap());
         let b = join_pq.add_node("b", Predicate::parse("a1 >= 5", g.schema()).unwrap());
@@ -1001,7 +881,7 @@ mod tests {
             &ring_pq.eval_naive(&g)
         );
         // the same large ring under the matrix limit is the split regime
-        let small_engine = QueryEngine::new(Arc::clone(&g));
+        let small_engine = serve(&g, EngineConfig::default());
         assert_eq!(
             small_engine.plan_query(&Query::Pq(ring_pq.clone())).name(),
             "SplitMatch/DM"
@@ -1050,15 +930,8 @@ mod tests {
         let (queries, reference) = layer_probe_queries(&g);
         let full = HopLabels::build(&g).bytes();
         for (budget, indexed) in [(full, true), (full - 1, false)] {
-            let engine = QueryEngine::with_config(
-                Arc::clone(&g),
-                EngineConfig {
-                    matrix_node_limit: 0,
-                    hop_label_budget: budget,
-                    ..EngineConfig::default()
-                },
-            );
-            assert_eq!(engine.hop().is_some(), indexed);
+            let engine = serve(&g, regime(0, budget, 1));
+            assert_eq!(engine.backend() == Backend::Hop, indexed);
             let index = if indexed { "index=hop" } else { "index=none" };
             for (i, (q, want)) in queries.iter().zip(&reference).enumerate() {
                 let wildcard = i % 2 == 1;
@@ -1084,15 +957,8 @@ mod tests {
     #[test]
     fn over_budget_build_pins_search_fallback() {
         let g = Arc::new(rpq_graph::gen::synthetic(200, 800, 2, 3, 9));
-        let engine = QueryEngine::with_config(
-            Arc::clone(&g),
-            EngineConfig {
-                matrix_node_limit: 0,
-                hop_label_budget: 1, // nothing fits
-                ..EngineConfig::default()
-            },
-        );
-        assert!(engine.hop().is_none());
+        let engine = serve(&g, regime(0, 1, 1)); // no label index fits
+        assert_eq!(engine.backend(), Backend::Search);
         let q = rq(&g, "a0 <= 5", "a1 >= 5", "c0 c1");
         assert_eq!(
             engine.plan_query(&Query::Rq(q.clone())).backend(),
@@ -1107,18 +973,13 @@ mod tests {
     #[test]
     fn busted_hop_budget_flips_to_sharded_plans() {
         let g = Arc::new(rpq_graph::gen::clustered(400, 1600, 4, 2, 3, 60, 7));
-        let engine = QueryEngine::with_config(
-            Arc::clone(&g),
-            EngineConfig {
-                matrix_node_limit: 0, // over-limit regime
-                hop_label_budget: 1,  // the single-index build cannot fit
-                shards: 4,
-                ..EngineConfig::default()
-            },
-        );
+        // over the matrix limit, and the single-index build cannot fit
+        let engine = serve(&g, regime(0, 1, 4));
         // the hop build busts its budget, so the next rung is built
-        assert!(engine.hop().is_none(), "hop build over budget");
-        let labels = engine.sharded().expect("the next rung");
+        assert_eq!(engine.backend(), Backend::Sharded, "the next rung");
+        let Index::Sharded(labels) = &engine.engine().index else {
+            unreachable!("the backend names the index")
+        };
         assert_eq!(labels.partition().k(), 4);
         assert_eq!(engine.index_bytes(), labels.stats().total_bytes() as u64);
 
@@ -1151,7 +1012,7 @@ mod tests {
         let b = pq.add_node("b", Predicate::always_true());
         pq.add_edge(a, b, FRegex::parse("c0 c1", g.alphabet()).unwrap());
         let pq = Query::Pq(pq);
-        let reference = QueryEngine::new(Arc::clone(&g)).run_query(&q);
+        let reference = serve(&g, EngineConfig::default()).run_query(&q);
         // (matrix_node_limit, hop_label_budget, shards) → the rung built
         let rungs = [
             ((300, 0, 1), Backend::Matrix),
@@ -1161,15 +1022,8 @@ mod tests {
             ((0, 0, 1), Backend::Search),
         ];
         for ((limit, budget, shards), backend) in rungs {
-            let engine = QueryEngine::with_config(
-                Arc::clone(&g),
-                EngineConfig {
-                    matrix_node_limit: limit,
-                    hop_label_budget: budget,
-                    shards,
-                    ..EngineConfig::default()
-                },
-            );
+            let engine = serve(&g, regime(limit, budget, shards));
+            assert_eq!(engine.backend(), backend, "{limit} {budget} {shards}");
             let planned = [&q, &pq].map(|query| engine.plan_query(query).backend());
             assert_eq!(planned, [backend; 2], "{limit} {budget} {shards}");
             // and every rung answers identically
@@ -1198,22 +1052,17 @@ mod tests {
             ((0, 0, 1), Backend::Search),
         ];
         for ((limit, budget, shards), backend) in rungs {
-            let config = EngineConfig {
-                matrix_node_limit: limit,
-                hop_label_budget: budget,
-                shards,
-                ..EngineConfig::default()
-            };
+            let config = regime(limit, budget, shards);
             let engine = QueryEngine {
                 memo: SemanticMemo::with_byte_budget(64 << 10),
-                ..QueryEngine::with_config(Arc::clone(&g), config)
+                ..QueryEngine::with_index(Arc::clone(&g), config.clone(), Index::build(&g, &config))
             };
             let mut declined = vec![false; queries.len()];
             let (mut admitted, mut exact) = (0, 0);
             for (round, asks) in [(1, 1), (2, 3)] {
                 for (i, query) in queries.iter().enumerate() {
                     for _ in 0..asks {
-                        let batch = engine.run_batch(std::slice::from_ref(query));
+                        let batch = engine.run(std::slice::from_ref(query), &[], Mode::Serve);
                         let item = &batch.items()[0];
                         assert_eq!(item.plan.backend(), backend);
                         let answer = item.output.as_rq().expect("an RQ answer");

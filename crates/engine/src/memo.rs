@@ -66,7 +66,7 @@
 //! served answers alive. So which reach sets a workload keeps does not
 //! depend on its answers.
 //!
-//! **Versions.** A memo belongs to one [`QueryEngine`](crate::QueryEngine),
+//! **Versions.** A memo belongs to one graph version's engine,
 //! whose graph never changes, so a fresh cell is never wrong for the
 //! engine that computed it. The updatable engine publishes a new engine
 //! with every snapshot version, and its memo *inherits* the predecessor's
@@ -206,14 +206,14 @@ impl Ghost {
 }
 
 /// A tally of memo lookups, split by how each was answered. Every
-/// [`SemanticMemo::answer`] returns its [`Lookup`], and a batch tallies
+/// memo lookup returns its [`Lookup`], and a batch tallies
 /// its own ([`BatchResult::semantic_stats`]), exact however many other
 /// batches share the memo. The live engine adds every batch's tally to
-/// one it keeps for all its versions ([`QueryEngine::semantic_stats`]);
-/// the memo counts nothing.
+/// one it keeps for all its versions ([`Snapshot::semantic_stats`]); the
+/// memo counts nothing.
 ///
 /// [`BatchResult::semantic_stats`]: crate::BatchResult::semantic_stats
-/// [`QueryEngine::semantic_stats`]: crate::QueryEngine::semantic_stats
+/// [`Snapshot::semantic_stats`]: crate::Snapshot::semantic_stats
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SemanticStats {
     /// Lookups answered by the exact canonical key.
@@ -242,7 +242,7 @@ impl SemanticStats {
     }
 
     /// Count one lookup.
-    pub fn record(&mut self, lookup: Lookup) {
+    pub(crate) fn record(&mut self, lookup: Lookup) {
         match lookup {
             Lookup::Exact => self.exact_hits += 1,
             Lookup::Subsumption { filter_time } => {
@@ -525,7 +525,7 @@ impl Table {
 /// pass regexes in canonical form, so every syntactic variant of a
 /// language lands on one cell.
 #[derive(Default)]
-pub struct SemanticMemo {
+pub(crate) struct SemanticMemo {
     cells: Mutex<Table>,
 }
 
@@ -544,7 +544,7 @@ impl SemanticMemo {
     }
 
     /// Empty table with the default byte budget.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_byte_budget(DEFAULT_BYTE_BUDGET)
     }
 
@@ -553,7 +553,7 @@ impl SemanticMemo {
     /// answer pair), a tenth of it for the reach sets on probation; past
     /// the budget, least-recently used answers are dropped first, then
     /// cells. A budget of 0 keeps at most one cell, and no answers.
-    pub fn with_byte_budget(byte_budget: usize) -> Self {
+    pub(crate) fn with_byte_budget(byte_budget: usize) -> Self {
         SemanticMemo {
             cells: Mutex::new(Table {
                 budget: byte_budget,
@@ -576,7 +576,7 @@ impl SemanticMemo {
     /// evaluated alone and nothing is installed ([`Lookup::Declined`]).
     /// A patched or installed set's answer is kept for the next exact hit
     /// with the same target.
-    pub fn answer(&self, g: &Graph, rq: &Rq, probe: &dyn DistProbe) -> (RqResult, Lookup) {
+    pub(crate) fn answer(&self, g: &Graph, rq: &Rq, probe: &dyn DistProbe) -> (RqResult, Lookup) {
         self.try_answer(g, rq)
             .unwrap_or_else(|| self.miss(g, rq, probe))
     }
@@ -736,7 +736,7 @@ impl SemanticMemo {
     /// inherited; each cell's version stamp, queue and tick, the byte
     /// budget and the ghost set (shared, so the next version is full if
     /// this one is) carry over.
-    pub fn carry(&self, changes: &[EdgeChange]) -> SemanticMemo {
+    pub(crate) fn carry(&self, changes: &[EdgeChange]) -> SemanticMemo {
         let table = self.table();
         let version = table.version + 1;
         let kept = table.log.len().min(CARRY_VERSIONS - 1);
@@ -777,25 +777,20 @@ impl SemanticMemo {
 
     /// Number of fresh cells: the keys computed on this version and still
     /// held (the candidate index lists each once).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         let table = self.table();
         table.index.values().map(Vec::len).sum()
     }
 
-    /// True if no fresh cell is held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Bytes currently charged against the budget: every cell, fresh or
     /// inherited, and the answers fresh cells keep.
-    pub fn cached_bytes(&self) -> usize {
+    pub(crate) fn cached_bytes(&self) -> usize {
         self.table().bytes
     }
 
     /// [`cached_bytes`](Self::cached_bytes) by queue: the reach sets on
     /// probation, and the rest — main's cells and every kept answer.
-    pub fn queue_bytes(&self) -> (usize, usize) {
+    pub(crate) fn queue_bytes(&self) -> (usize, usize) {
         let table = self.table();
         (table.probation_bytes, table.bytes - table.probation_bytes)
     }
@@ -916,7 +911,7 @@ mod tests {
         let d = answer(&memo, &g, &from, &re2);
         assert!(!shared(&a, &d));
         assert_eq!(memo.len(), 3);
-        assert!(!memo.is_empty());
+        assert!(memo.len() > 0);
     }
 
     #[test]
@@ -1057,7 +1052,7 @@ mod tests {
             memo.try_answer(&g, &key(&from, &re)).is_none(),
             "cold cache"
         );
-        assert!(memo.is_empty(), "a declined lookup installs nothing");
+        assert_eq!(memo.len(), 0, "a declined lookup installs nothing");
         let computed = memo.insert(&from, &re, reach(&g, &from, &re));
         let (answer, lookup) = memo.try_answer(&g, &key(&from, &re)).expect("now cached");
         assert_eq!(lookup, Lookup::Exact);
@@ -1257,7 +1252,7 @@ mod tests {
         // neither an exact hit nor a donor for the narrower key
         assert!(next.try_answer(&g, &key(&broad, &re)).is_none());
         assert!(next.try_answer(&g, &key(&narrow, &re)).is_none());
-        assert!(next.is_empty(), "a declined lookup installs nothing");
+        assert_eq!(next.len(), 0, "a declined lookup installs nothing");
         // the miss path patches it: the closure gets the shared pair set
         // and the batch's changes, and what it returns becomes a fresh cell
         let patched = next
@@ -1277,7 +1272,7 @@ mod tests {
         let _ = answer(&memo, &g, &broad, &other);
         let next = memo.carry(&batch(0));
         assert!(next.patch(&broad, &other, |_, _| None).is_none());
-        assert!(next.is_empty());
+        assert_eq!(next.len(), 0);
         // a memo that inherited nothing never asks
         let fresh = SemanticMemo::new();
         assert!(fresh.patch(&broad, &re, |_, _| unreachable!()).is_none());

@@ -9,16 +9,15 @@
 //!   [`DistanceMatrix`](rpq_graph::DistanceMatrix) (small graphs) or a
 //!   label index (`rpq_index::HopLabels` / `ShardedLabels`, repaired from
 //!   the predecessor's or rebuilt inside the write) — and the reach-set
-//!   memo, all inside an owned [`QueryEngine`] and so *versioned with the
-//!   snapshot*: an update batch publishes a fresh snapshot with a fresh
-//!   engine, so no reader ever sees an index computed against a different
-//!   graph version. A version is published only once its index is
-//!   complete; until then readers keep serving the previous version with
-//!   its index. The new engine's memo
-//!   inherits the predecessor's reach sets with the batch's edge changes
-//!   ([`SemanticMemo::carry`](crate::SemanticMemo::carry)): an inherited
-//!   set never answers as it is, only a miss reads it, and patches the
-//!   sources the changes can reach; and
+//!   memo, all inside an owned, crate-private engine and so *versioned
+//!   with the snapshot*: an update batch publishes a fresh snapshot with
+//!   a fresh engine, so no reader ever sees an index computed against a
+//!   different graph version. A version is published only once its index
+//!   is complete; until then readers keep serving the previous version
+//!   with its index. The new engine's memo inherits the predecessor's
+//!   reach sets with the batch's edge changes (`SemanticMemo::carry`): an
+//!   inherited set never answers as it is, only a miss reads it, and
+//!   patches the sources the changes can reach; and
 //! * the standing answers: for every registered standing PQ, the match
 //!   sets maintained by
 //!   [`IncrementalMatcher`](rpq_core::incremental::IncrementalMatcher) as
@@ -38,7 +37,8 @@
 
 use crate::batch::{BatchResult, Query, QueryOutput};
 use crate::engine::{Mode, QueryEngine};
-use crate::planner::Plan;
+use crate::memo::SemanticStats;
+use crate::planner::{Backend, Plan};
 use crate::updatable::StandingId;
 use rpq_core::pq::{Pq, PqResult};
 use rpq_graph::{Graph, NodeId};
@@ -122,6 +122,9 @@ impl IndexState {
 /// Obtained from [`UpdatableEngine::snapshot`](crate::UpdatableEngine::snapshot)
 /// (or an [`ApplyReport`](crate::ApplyReport)); cheap to clone the `Arc`
 /// and safe to query from any thread for as long as the caller keeps it.
+/// It is the crate's one read handle: a graph that never changes is
+/// served by an [`UpdatableEngine`](crate::UpdatableEngine) nobody writes
+/// to, through its one snapshot.
 #[derive(Debug)]
 pub struct Snapshot {
     version: u64,
@@ -165,23 +168,44 @@ impl Snapshot {
 
     /// The graph image at this version.
     pub fn graph(&self) -> &Arc<Graph> {
-        self.engine.graph()
+        &self.engine.graph
     }
 
-    /// The per-version batch engine (the version's index lives here).
-    pub fn engine(&self) -> &QueryEngine {
+    /// The per-version engine (the version's index and memo live here).
+    pub(crate) fn engine(&self) -> &QueryEngine {
         &self.engine
+    }
+
+    /// The backend of this version's index: [`Backend::Matrix`],
+    /// [`Backend::Hop`] or [`Backend::Sharded`], or [`Backend::Search`]
+    /// when the configuration affords none and the graph answers every
+    /// query. A query the index does not cover (one mentioning `_`, off
+    /// the matrix) still plans search: see [`plan_query`](Self::plan_query).
+    pub fn backend(&self) -> Backend {
+        self.engine.index.backend()
+    }
+
+    /// Bytes held by this version's index (`/metrics` `rpq_index_bytes`);
+    /// 0 without one.
+    pub fn index_bytes(&self) -> u64 {
+        self.engine.index.bytes(&self.engine.graph)
+    }
+
+    /// Bytes this version's reach-set memo charges against its budget,
+    /// by queue: the reach sets on probation, and the rest — main's
+    /// cells and every kept answer (`/metrics` `rpq_semcache_bytes`).
+    pub fn memo_queue_bytes(&self) -> (usize, usize) {
+        self.engine.memo.queue_bytes()
     }
 
     /// Memo lookups — exact hits, subsumption hits, misses, and filter
     /// time — since the live engine was built: every version adds its
-    /// batches to one tally ([`QueryEngine::semantic_stats`]), so a new
-    /// version goes on from the count of the one before. Cumulative over
-    /// *every* caller, the server's batches and explains and in-process
-    /// runs alike: what one batch did is
-    /// [`BatchResult::semantic_stats`](crate::BatchResult::semantic_stats).
-    pub fn semantic_stats(&self) -> crate::memo::SemanticStats {
-        self.engine.semantic_stats()
+    /// batches to one tally, so a new version goes on from the count of
+    /// the one before. Cumulative over *every* caller, the server's
+    /// batches and explains and in-process runs alike: what one batch did
+    /// is [`BatchResult::semantic_stats`].
+    pub fn semantic_stats(&self) -> SemanticStats {
+        self.engine.lookups.get()
     }
 
     /// This snapshot with one more standing answer: the same version
@@ -220,9 +244,7 @@ impl Snapshot {
     /// Evaluate one query against this snapshot (a batch of one through
     /// [`run_batch`](Self::run_batch)'s loop).
     pub fn run_query(&self, query: &Query) -> QueryOutput {
-        let batch = self
-            .engine
-            .run(std::slice::from_ref(query), &self.standing, Mode::Serve);
+        let batch = self.run_batch(std::slice::from_ref(query));
         batch.items()[0].output.clone()
     }
 
@@ -232,20 +254,26 @@ impl Snapshot {
     /// version's first read) with no probes; everything else as the
     /// engine's `plan` / `prepare` / `eval`.
     pub fn run_query_profiled(&self, query: &Query) -> (QueryOutput, rpq_trace::QueryProfile) {
-        self.engine
-            .profile_one(query, &self.standing, Mode::Profile)
+        let batch = self.run_batch_profiled(std::slice::from_ref(query));
+        let item = &batch.items()[0];
+        let profile = item.profile.as_deref().expect("a profiled run");
+        (item.output.clone(), profile.clone())
     }
 
-    /// Evaluate a batch against this snapshot: [`QueryEngine::run_batch`]'s
-    /// one loop, with this version's standing answers as one more answer
-    /// source. A PQ of the same shape as a registered standing query
-    /// ([`rpq_core::pq_same_shape`]: the same node and edge structure,
-    /// language-equal regex spellings) plans `standing` and is answered
-    /// from the maintained match sets instead of being re-evaluated — the
-    /// PQ counterpart of a memo hit: it passes through the slow-query log
-    /// like every other item. A variant
-    /// that also permutes node order is evaluated, unless it is
-    /// registered itself.
+    /// Evaluate a batch against this snapshot, on the calling thread, one
+    /// query after the other: plan each query, then answer it, in
+    /// submission order. Outputs are identical to sequential single-query
+    /// evaluation — the strategies differ only in cost. Any number of
+    /// threads may run batches on one snapshot at once, sharing its memo
+    /// (the server runs one per executor role); the batch's semantic
+    /// stats are its own lookups. This version's standing answers are one
+    /// more answer source: a PQ of the same shape as a registered standing
+    /// query ([`rpq_core::pq_same_shape`]: the same node and edge
+    /// structure, language-equal regex spellings) plans `standing` and is
+    /// answered from the maintained match sets instead of being
+    /// re-evaluated — the PQ counterpart of a memo hit: it passes through
+    /// the slow-query log like every other item. A variant that also
+    /// permutes node order is evaluated, unless it is registered itself.
     pub fn run_batch(&self, queries: &[Query]) -> BatchResult {
         self.engine.run(queries, &self.standing, Mode::Serve)
     }
@@ -260,7 +288,7 @@ impl Snapshot {
 
 #[cfg(test)]
 mod tests {
-    use crate::{EngineConfig, Query, QueryEngine, UpdatableEngine};
+    use crate::{EngineConfig, Query, UpdatableEngine};
     use rpq_core::pq::Pq;
     use rpq_core::predicate::Predicate;
     use rpq_graph::gen::essembly;
@@ -296,7 +324,9 @@ mod tests {
         ];
         let batch = snap.run_batch(&queries);
 
-        let fresh = QueryEngine::new(Arc::clone(&g)).run_batch(&queries);
+        let fresh = UpdatableEngine::new(Arc::clone(&g))
+            .snapshot()
+            .run_batch(&queries);
         let outputs: Vec<_> = batch.outputs().collect();
         assert_eq!(outputs, fresh.outputs().collect::<Vec<_>>());
         for (i, (q, item)) in queries.iter().zip(batch.items()).enumerate() {
@@ -343,5 +373,59 @@ mod tests {
             "the standing item took {:?}, over the 1 µs threshold",
             batch.items()[0].time
         );
+    }
+
+    /// `backend()` names the index each regime builds and `index_bytes()`
+    /// is what an independently built one holds, before a write and after
+    /// it: the matrix is rebuilt, the labels repaired (or, where the
+    /// repair declines, rebuilt), and no index stays none.
+    #[test]
+    fn backend_and_index_bytes_name_the_built_index_across_a_write() {
+        use crate::{Backend, IndexState};
+        use rpq_core::incremental::Update;
+        use rpq_graph::{Color, DistanceMatrix, NodeId};
+        use rpq_index::{HopLabels, ShardedLabels};
+
+        let g = Arc::new(rpq_graph::gen::synthetic(300, 280, 2, 3, 41));
+        let change = (NodeId(3), NodeId(250), Color(0));
+        assert!(!g.has_edge(change.0, change.1, change.2));
+        let over = EngineConfig::builder().matrix_node_limit(0);
+        let regimes = [
+            (Backend::Matrix, EngineConfig::builder()),
+            (Backend::Hop, over.clone()),
+            (Backend::Sharded, over.clone().hop_label_budget(0).shards(2)),
+            (Backend::Search, over.hop_label_budget(0)),
+        ];
+        for (backend, config) in regimes {
+            let config = config.build().unwrap();
+            let budget = config.hop_label_budget;
+            let engine = UpdatableEngine::with_config(Arc::clone(&g), config);
+            // the bytes of `g1`'s index: built, or repaired from `g`'s
+            let bytes = |g1: &Arc<Graph>, repaired: bool| match backend {
+                Backend::Matrix => DistanceMatrix::bytes_for(g1),
+                Backend::Hop if repaired => {
+                    let labels = HopLabels::build(&g).repair(g1, &[change], budget, 0);
+                    labels.unwrap().labels.bytes()
+                }
+                Backend::Hop => HopLabels::build(g1).bytes(),
+                Backend::Sharded if repaired => {
+                    let labels = ShardedLabels::build(&g, 2).repair(Arc::clone(g1), &[change]);
+                    labels.0.stats().total_bytes()
+                }
+                Backend::Sharded => ShardedLabels::build(g1, 2).stats().total_bytes(),
+                Backend::Search => 0,
+            } as u64;
+            let first = engine.snapshot();
+            assert_eq!(first.backend(), backend);
+            assert_eq!(first.index_bytes(), bytes(&g, false), "{backend:?}");
+            assert!(backend == Backend::Search || first.index_bytes() > 0);
+
+            let report = engine.apply(&[Update::Insert(change.0, change.1, change.2)]);
+            let next = report.unwrap().snapshot;
+            let repaired = next.index_state() == IndexState::Repaired;
+            assert_eq!(next.backend(), backend, "{backend:?} after a write");
+            let want = bytes(next.graph(), repaired);
+            assert_eq!(next.index_bytes(), want, "{backend:?} after a write");
+        }
     }
 }

@@ -29,7 +29,7 @@ use crate::engine::{EngineConfig, Index, QueryEngine};
 use crate::error::EngineError;
 use crate::snapshot::{IndexState, Snapshot, StandingEntry};
 use rpq_core::incremental::{DynamicGraph, EdgeChange, IncrementalMatcher, Update};
-use rpq_core::pq::{Pq, PqResult};
+use rpq_core::pq::Pq;
 use rpq_graph::Graph;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -151,16 +151,21 @@ pub struct UpdatableEngine {
 
 impl UpdatableEngine {
     /// Live engine over `graph` with default configuration.
-    pub fn new(graph: Graph) -> Self {
+    pub fn new(graph: impl Into<Arc<Graph>>) -> Self {
         Self::with_config(graph, EngineConfig::default())
     }
 
     /// Live engine over `graph` with explicit configuration (applied to
-    /// every published snapshot's batch engine).
-    pub fn with_config(graph: Graph, config: EngineConfig) -> Self {
-        let dynamic = DynamicGraph::new(graph);
-        let engine = QueryEngine::with_config(dynamic.graph_arc(), config.clone());
-        let state = built_state(engine.index());
+    /// every published version), its first snapshot published with the
+    /// index the configuration calls for: the matrix at or under
+    /// [`matrix_node_limit`](EngineConfig::matrix_node_limit), else hop
+    /// labels under their budget, else the sharded regime, else none. A
+    /// graph handed in as an `Arc<Graph>` is shared, not copied.
+    pub fn with_config(graph: impl Into<Arc<Graph>>, config: EngineConfig) -> Self {
+        let dynamic = DynamicGraph::from_arc(graph.into());
+        let index = Index::build(&dynamic.graph_arc(), &config);
+        let state = built_state(&index);
+        let engine = QueryEngine::with_index(dynamic.graph_arc(), config.clone(), index);
         let snapshot = Arc::new(Snapshot::new(
             dynamic.version(),
             Arc::new(engine),
@@ -177,21 +182,11 @@ impl UpdatableEngine {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     /// The current snapshot: a consistent view of the latest published
     /// graph version. An `Arc` clone under a read lock — readers never
     /// wait on in-flight update work.
     pub fn snapshot(&self) -> Arc<Snapshot> {
         Arc::clone(&self.current.read().expect("snapshot lock poisoned"))
-    }
-
-    /// The currently published graph version.
-    pub fn version(&self) -> u64 {
-        self.snapshot().version()
     }
 
     /// Register a standing PQ: evaluated once now, incrementally maintained
@@ -351,21 +346,14 @@ impl UpdatableEngine {
             snapshot,
         })
     }
-
-    /// The maintained answer of standing query `id` in the current
-    /// snapshot.
-    pub fn standing_result(&self, id: StandingId) -> Option<Arc<PqResult>> {
-        self.snapshot().standing_result(id)
-    }
 }
 
 /// The state of a version whose index was built from scratch: `Built`
 /// for a label index, `Stale` for the matrix or no index at all.
 fn built_state(index: &Index) -> IndexState {
-    if index.is_label() {
-        IndexState::Built
-    } else {
-        IndexState::Stale
+    match index {
+        Index::Hop(_) | Index::Sharded(_) => IndexState::Built,
+        Index::Matrix(_) | Index::None => IndexState::Stale,
     }
 }
 
@@ -389,7 +377,7 @@ fn carry_index(
     changes: &[EdgeChange],
 ) -> (Index, IndexMaintenance) {
     let mut m = IndexMaintenance::default();
-    let repaired = match prev.index() {
+    let repaired = match &prev.index {
         Index::Hop(hop) => {
             let limit = (hop.node_count() / HOP_REPAIR_LIMIT_DIVISOR).max(1);
             Some(
@@ -566,7 +554,7 @@ mod tests {
         let pq = fn_pq(&g);
         let id = engine.register_pq(pq.clone());
         let pinned = engine.snapshot();
-        let initial = engine.standing_result(id).unwrap();
+        let initial = engine.snapshot().standing_result(id).unwrap();
         assert!(!initial.is_empty());
 
         // cut every fn edge out of B1: the answer must shrink accordingly
@@ -695,7 +683,7 @@ mod tests {
         );
         let first = engine.snapshot();
         assert_eq!(first.index_state(), crate::IndexState::Built);
-        assert!(first.engine().hop().is_some(), "fits budget");
+        assert_eq!(first.backend(), Backend::Hop, "fits budget");
         let n = first.graph().node_count();
 
         // a small batch: the labels must be repaired, not rebuilt
@@ -713,7 +701,7 @@ mod tests {
             .unwrap();
         assert_eq!(report.index.state, crate::IndexState::Repaired);
         assert_eq!(report.snapshot.index_state(), crate::IndexState::Repaired);
-        assert!(report.snapshot.engine().hop().is_some());
+        assert_eq!(report.snapshot.backend(), Backend::Hop);
         assert!(report.index.landmarks_invalidated > 0);
         // one label set per landmark in each of the three color layers
         assert!(
@@ -790,7 +778,7 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        assert!(engine.snapshot().engine().hop().is_some(), "fits budget");
+        assert_eq!(engine.snapshot().backend(), Backend::Hop, "fits budget");
         let n = engine.snapshot().graph().node_count();
         let mut seed = 1u64;
         for batch in 0..12 {
@@ -831,35 +819,34 @@ mod tests {
         let sharded = hop.clone().hop_label_budget(0).shards(4);
         let regimes = [
             (
-                "matrix",
+                Backend::Matrix,
                 rpq_graph::gen::youtube_like(600, 1),
                 EngineConfig::builder(),
             ),
-            ("hop", rpq_graph::gen::youtube_like(600, 1), hop),
+            (Backend::Hop, rpq_graph::gen::youtube_like(600, 1), hop),
             (
-                "sharded",
+                Backend::Sharded,
                 rpq_graph::gen::clustered(1200, 3600, 4, 2, 3, 3, 1),
                 sharded,
             ),
         ];
-        for (name, g, config) in regimes {
+        for (backend, g, config) in regimes {
             let config = config.build().unwrap();
             std::thread::Builder::new()
                 .stack_size(128 * 1024)
                 .spawn(move || {
                     let engine = UpdatableEngine::with_config(g, config);
-                    let index = engine.snapshot().engine().index().name();
-                    assert_eq!(index, name);
+                    assert_eq!(engine.snapshot().backend(), backend);
                     let mut seed = 7u64;
                     for _ in 0..20 {
                         let updates = ledger_shaped_batch(engine.snapshot().graph(), &mut seed);
                         engine.apply(&updates).unwrap();
                     }
-                    assert_eq!(engine.snapshot().engine().index().name(), name);
+                    assert_eq!(engine.snapshot().backend(), backend);
                 })
                 .unwrap()
                 .join()
-                .unwrap_or_else(|_| panic!("{name}: applied without overflowing"));
+                .unwrap_or_else(|_| panic!("{backend:?}: applied without overflowing"));
         }
     }
 
@@ -885,7 +872,7 @@ mod tests {
         let g1 = report.snapshot.graph().clone();
         let q = Query::Rq(rq(&g1, "a0 <= 4", "a1 >= 6", "c0 c1"));
         assert_eq!(report.snapshot.plan_query(&q).name(), "hop");
-        let fresh = QueryEngine::with_config(Arc::clone(&g1), config);
+        let fresh = UpdatableEngine::with_config(Arc::clone(&g1), config).snapshot();
         assert_eq!(report.snapshot.run_query(&q), fresh.run_query(&q));
     }
 
@@ -902,8 +889,10 @@ mod tests {
                 .unwrap(),
         );
         let first = engine.snapshot();
-        let (g0, labels) = (first.graph(), first.engine().sharded().unwrap());
-        let part = labels.partition();
+        let Index::Sharded(labels) = &first.engine().index else {
+            panic!("the sharded regime")
+        };
+        let (g0, part) = (first.graph(), labels.partition());
         // one new intra-shard edge in every shard
         let c0 = Color(0);
         let batch: Vec<Update> = (0..part.k())
@@ -943,13 +932,15 @@ mod tests {
                 .unwrap(),
         );
         let first = engine.snapshot();
-        let built = first.engine().sharded().expect("builds");
+        let Index::Sharded(built) = &first.engine().index else {
+            panic!("builds")
+        };
 
         let g0 = first.graph().clone();
         let (u, v, c) = g0.edges().next().unwrap();
         let report = engine.apply(&[Update::Delete(u, v, c)]).unwrap();
         assert_eq!(report.index.state, crate::IndexState::Repaired);
-        assert!(report.snapshot.engine().sharded().is_some());
+        assert_eq!(report.snapshot.backend(), Backend::Sharded);
         assert!(report.index.shards_touched <= 2);
 
         let g1 = report.snapshot.graph().clone();
@@ -993,7 +984,9 @@ mod tests {
         // the partition is fixed for the life of the index: every repaired
         // version keeps the first build's node→shard assignment
         let last = engine.snapshot();
-        let published = last.engine().sharded().unwrap();
+        let Index::Sharded(published) = &last.engine().index else {
+            panic!("the sharded regime stays")
+        };
         let (p0, p1) = (built.partition(), published.partition());
         for v in g0.nodes() {
             assert_eq!(p1.shard_of(v), p0.shard_of(v), "node {v:?} moved");

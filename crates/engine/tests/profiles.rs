@@ -9,11 +9,11 @@ use rpq_core::reach::ProbeReach;
 use rpq_core::rq::Rq;
 use rpq_core::{canonical_pq, canonical_rq, JoinMatch};
 use rpq_engine::{
-    Algo, Backend, EngineConfig, Plan, Query, QueryEngine, QueryProfile, UpdatableEngine,
+    Algo, Backend, EngineConfig, Plan, Query, QueryProfile, Snapshot, UpdatableEngine,
 };
 use rpq_graph::gen::essembly;
-use rpq_graph::Graph;
-use rpq_index::{CountingProbe, DistProbe, GraphProbe};
+use rpq_graph::{DistanceMatrix, Graph};
+use rpq_index::{CountingProbe, DistProbe, GraphProbe, HopLabels, ShardedLabels};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -45,43 +45,48 @@ fn ring_pq(g: &Graph) -> Query {
     Query::parse_pq(&text, g).unwrap()
 }
 
+/// The one snapshot of a live engine over essembly nobody writes to.
+fn serve(config: EngineConfig) -> Arc<Snapshot> {
+    UpdatableEngine::with_config(essembly(), config).snapshot()
+}
+
 /// The matrix-regime engine (default config on a small graph).
-fn matrix_engine() -> QueryEngine {
-    QueryEngine::new(Arc::new(essembly()))
+fn matrix_engine() -> Arc<Snapshot> {
+    serve(EngineConfig::default())
 }
 
 /// A label-regime engine: matrix disabled, the single hop index built.
-fn hop_engine() -> QueryEngine {
+fn hop_engine() -> Arc<Snapshot> {
     let config = EngineConfig::builder()
         .matrix_node_limit(0)
         .build()
         .unwrap();
-    let engine = QueryEngine::with_config(Arc::new(essembly()), config);
-    assert!(engine.hop().is_some(), "unbudgeted build fits");
+    let engine = serve(config);
+    assert_eq!(engine.backend(), Backend::Hop, "unbudgeted build fits");
     engine
 }
 
 /// A sharded-regime engine: matrix and single hop index disabled.
-fn sharded_engine() -> QueryEngine {
+fn sharded_engine() -> Arc<Snapshot> {
     let config = EngineConfig::builder()
         .matrix_node_limit(0)
         .hop_label_budget(0)
         .shards(2)
         .build()
         .unwrap();
-    let engine = QueryEngine::with_config(Arc::new(essembly()), config);
-    assert!(engine.sharded().is_some(), "unbudgeted build fits");
+    let engine = serve(config);
+    assert_eq!(engine.backend(), Backend::Sharded, "unbudgeted build fits");
     engine
 }
 
 /// A search-regime engine: no index at all, the graph answers.
-fn search_engine() -> QueryEngine {
+fn search_engine() -> Arc<Snapshot> {
     let config = EngineConfig::builder()
         .matrix_node_limit(0)
         .hop_label_budget(0)
         .build()
         .unwrap();
-    let engine = QueryEngine::with_config(Arc::new(essembly()), config);
+    let engine = serve(config);
     assert_eq!(engine.index_bytes(), 0, "no index built");
     engine
 }
@@ -125,7 +130,7 @@ fn assert_well_formed(profile: &QueryProfile, plan: Plan) {
 
 /// Run `query` profiled on `engine`, which must plan `plan` for it; check
 /// well-formedness and output parity against the unprofiled path.
-fn drive(engine: &QueryEngine, query: &Query, plan: Plan) -> QueryProfile {
+fn drive(engine: &Snapshot, query: &Query, plan: Plan) -> QueryProfile {
     let (out, profile) = engine.run_query_profiled(query);
     assert_well_formed(&profile, plan);
     assert_eq!(
@@ -141,7 +146,7 @@ fn drive(engine: &QueryEngine, query: &Query, plan: Plan) -> QueryProfile {
 /// A fresh engine serving `backend`. The match is exhaustive on
 /// purpose: a new [`Backend`] does not compile until it is given an
 /// engine here.
-fn engine_on(backend: Backend) -> QueryEngine {
+fn engine_on(backend: Backend) -> Arc<Snapshot> {
     match backend {
         Backend::Matrix => matrix_engine(),
         Backend::Hop => hop_engine(),
@@ -341,13 +346,15 @@ fn profiles_count_each_probe_call_once() {
     ] {
         let engine = engine_on(backend);
         let g = engine.graph();
-        let graph = GraphProbe::new(g);
-        let probe: &dyn DistProbe = match backend {
-            Backend::Matrix => engine.matrix().unwrap(),
-            Backend::Hop => engine.hop().unwrap(),
-            Backend::Sharded => engine.sharded().unwrap(),
-            Backend::Search => &graph,
+        // the regime's index, built again beside the engine's: builds
+        // are deterministic, so it answers every probe the same way
+        let probe: Box<dyn DistProbe + '_> = match backend {
+            Backend::Matrix => Box::new(DistanceMatrix::build(g)),
+            Backend::Hop => Box::new(HopLabels::build(g)),
+            Backend::Sharded => Box::new(ShardedLabels::build(g, 2)),
+            Backend::Search => Box::new(GraphProbe::new(g)),
         };
+        let probe = &*probe;
         let (Query::Rq(rq_query), Query::Pq(pq_query)) = (rq(g), pq(g)) else {
             unreachable!()
         };

@@ -18,7 +18,7 @@
 use rpq_engine::{Plan, SemanticStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const LINEAR_CUTOFF: u64 = 16;
 const SUBBUCKETS: usize = 4;
@@ -204,10 +204,11 @@ pub struct Metrics {
     /// Per-plan engine evaluation latency: one histogram per row of
     /// [`Plan::ALL`], in its order.
     plan_latency: [LatencyHistogram; Plan::ALL.len()],
-    /// Cumulative µs per apply/repair phase, folded from
+    /// Cumulative time per apply/repair phase, folded from
     /// [`IndexMaintenance::phases`](rpq_engine::IndexMaintenance) —
-    /// exported as `rpq_repair_phase_seconds_total{phase=...}`.
-    repair_phase_us: Mutex<Vec<(&'static str, u64)>>,
+    /// exported as `rpq_repair_phase_seconds_total{phase=...}`. Summed as
+    /// `Duration`s, so no phase loses its sub-µs remainder on a write.
+    repair_phases: Mutex<Vec<(&'static str, Duration)>>,
 }
 
 impl Metrics {
@@ -228,7 +229,7 @@ impl Metrics {
             worker_panics: AtomicU64::new(0),
             latency: LatencyHistogram::default(),
             plan_latency: std::array::from_fn(|_| LatencyHistogram::default()),
-            repair_phase_us: Mutex::new(Vec::new()),
+            repair_phases: Mutex::new(Vec::new()),
         }
     }
 
@@ -257,12 +258,11 @@ impl Metrics {
         self.landmarks_invalidated
             .fetch_add(m.landmarks_invalidated as u64, Ordering::Relaxed);
         if !m.phases.is_empty() {
-            let mut acc = self.repair_phase_us.lock().expect("phase accumulator lock");
+            let mut acc = self.repair_phases.lock().expect("phase accumulator lock");
             for &(phase, dur) in &m.phases {
-                let us = dur.as_micros() as u64;
                 match acc.iter_mut().find(|(name, _)| *name == phase) {
-                    Some((_, total)) => *total += us,
-                    None => acc.push((phase, us)),
+                    Some((_, total)) => *total += dur,
+                    None => acc.push((phase, dur)),
                 }
             }
         }
@@ -531,16 +531,16 @@ impl Metrics {
             ));
         }
 
-        let phases = self.repair_phase_us.lock().expect("phase accumulator lock");
+        let phases = self.repair_phases.lock().expect("phase accumulator lock");
         if !phases.is_empty() {
             out.push_str(concat!(
                 "# HELP rpq_repair_phase_seconds_total Cumulative apply/repair phase time.\n",
                 "# TYPE rpq_repair_phase_seconds_total counter\n"
             ));
-            for (phase, us) in phases.iter() {
+            for (phase, total) in phases.iter() {
                 out.push_str(&format!(
                     "rpq_repair_phase_seconds_total{{phase=\"{phase}\"}} {}\n",
-                    *us as f64 / 1e6
+                    total.as_secs_f64()
                 ));
             }
         }
@@ -560,13 +560,14 @@ pub struct Gauges {
     pub executors_cap: usize,
     /// Currently published snapshot version.
     pub snapshot_version: u64,
-    /// Resident bytes of the current snapshot's shared indices.
+    /// Resident bytes of the current snapshot's index
+    /// ([`Snapshot::index_bytes`](rpq_engine::Snapshot::index_bytes)).
     pub index_bytes: u64,
     /// The current snapshot's
     /// [`IndexState::as_str`](rpq_engine::IndexState::as_str).
     pub index_state: &'static str,
     /// The current snapshot's memo bytes on probation and in main
-    /// ([`SemanticMemo::queue_bytes`](rpq_engine::SemanticMemo::queue_bytes)).
+    /// ([`Snapshot::memo_queue_bytes`](rpq_engine::Snapshot::memo_queue_bytes)).
     pub semcache_bytes: (usize, usize),
     /// The live engine's memo lookups since it was built
     /// ([`Snapshot::semantic_stats`](rpq_engine::Snapshot::semantic_stats)):
@@ -725,6 +726,24 @@ mod tests {
         let lin = LatencyHistogram::default();
         lin.record(7);
         assert_eq!(lin.quantile(0.99), 7);
+    }
+
+    /// Phase times add up as `Duration`s: two 1 500 ns `carry` phases are
+    /// 3 µs, where summing whole microseconds would lose both remainders.
+    #[test]
+    fn repair_phases_keep_their_sub_microsecond_time() {
+        let m = Metrics::new();
+        let carry = rpq_engine::IndexMaintenance {
+            state: rpq_engine::IndexState::Repaired,
+            phases: vec![("carry", Duration::from_nanos(1_500))],
+            ..Default::default()
+        };
+        m.record_index(&carry);
+        m.record_index(&carry);
+        let text = m.render_prometheus(&Gauges::default());
+        let samples = parse_prometheus_text(&text).expect("exposition must parse");
+        let carried = sample(&samples, "rpq_repair_phase_seconds_total{phase=\"carry\"}");
+        assert_eq!(carried, Some(3e-6), "in:\n{text}");
     }
 
     #[test]

@@ -61,10 +61,10 @@
 //!   each), every answer correct; `hop_unique`'s peak RSS rose 96.7 →
 //!   100.8 MiB. Turning the semantic memo's exact-hit path into a read
 //!   lock was **not** done: on `hop_zipf`'s 91 %-hit stream 0.36 % of
-//!   the memo's lock acquisitions on its hit path
-//!   ([`SemanticMemo::answer`](rpq_engine::SemanticMemo::answer)) found
-//!   the mutex held (526 of 146 568), waiting 0.57 ms in total over
-//!   36 665 requests — about 16 ns of a ≈ 300 µs `server.execute_us`.
+//!   the memo's lock acquisitions on its hit path (its one query
+//!   method, inside `rpq-engine`) found the mutex held (526 of
+//!   146 568), waiting 0.57 ms in total over 36 665 requests — about
+//!   16 ns of a ≈ 300 µs `server.execute_us`.
 //!
 //! ## Admission control
 //!
@@ -601,11 +601,11 @@ fn handle_query(req: &Request, shared: &Shared) -> Response {
         Ok(q) => q,
         Err(e) => return engine_error_response(&e),
     };
-    drop(snapshot);
     let n = queries.len();
     if n == 0 {
-        return Response::json(200, "").with_header("X-Rpq-Version", shared.engine.version());
+        return Response::json(200, "").with_header("X-Rpq-Version", snapshot.version());
     }
+    drop(snapshot);
 
     let Ok(reply) = shared.queue.try_push(queries, started) else {
         shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
@@ -763,9 +763,9 @@ fn handle_metrics(shared: &Shared) -> Response {
             executors_busy: shared.queue.executing(),
             executors_cap: shared.queue.cap,
             snapshot_version: snapshot.version(),
-            index_bytes: snapshot.engine().index_bytes(),
+            index_bytes: snapshot.index_bytes(),
             index_state: snapshot.index_state().as_str(),
-            semcache_bytes: snapshot.engine().memo().queue_bytes(),
+            semcache_bytes: snapshot.memo_queue_bytes(),
             semantic: snapshot.semantic_stats(),
         }),
     )

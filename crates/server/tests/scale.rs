@@ -99,7 +99,10 @@ fn thousand_connection_mixed_load() {
         report.queries
     );
     assert!(served / get("rpq_uptime_seconds") > 0.0);
-    assert_eq!(get("rpq_snapshot_version"), engine.version() as f64);
+    assert_eq!(
+        get("rpq_snapshot_version"),
+        engine.snapshot().version() as f64
+    );
 
     // parity after the churn: wire answers are bit-identical to an
     // in-process run_batch on the final snapshot

@@ -9,8 +9,9 @@
 use rpq_bench::loadgen::scrape_metrics;
 use rpq_bench::querygen::{generate_pq, generate_rq, QueryParams};
 use rpq_core::incremental::Update;
-use rpq_engine::{EngineConfig, Query, UpdatableEngine};
+use rpq_engine::{Backend, EngineConfig, Query, UpdatableEngine};
 use rpq_graph::{gen::youtube_like, Color, DistanceMatrix, Graph, NodeId, WILDCARD};
+use rpq_index::{HopLabels, ShardedLabels};
 use rpq_server::{http, Client, Server, ServerConfig, WireResponse};
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -313,7 +314,7 @@ fn updates_advance_the_snapshot_version() {
     let ack = rpq_server::json::Json::parse(&resp.body).unwrap();
     assert_eq!(ack.get("version").unwrap().as_u64(), Some(1));
     assert!(ack.get("applied").unwrap().as_u64().unwrap() >= 1);
-    assert_eq!(engine.version(), 1);
+    assert_eq!(engine.snapshot().version(), 1);
 
     // queries now answer from the new version, still bit-identically
     let queries = mixed_queries(&graph, 4, 77);
@@ -473,7 +474,10 @@ fn metrics_scrape_reflects_served_traffic() {
     assert_eq!(get("rpq_queries_total"), 18.0);
     assert_eq!(get("rpq_query_requests_total"), 3.0);
     assert_eq!(get("rpq_update_requests_total"), 1.0);
-    assert_eq!(get("rpq_snapshot_version"), engine.version() as f64);
+    assert_eq!(
+        get("rpq_snapshot_version"),
+        engine.snapshot().version() as f64
+    );
     assert!(get("rpq_uptime_seconds") > 0.0, "qps has no denominator");
     // 3 query requests + 1 update request
     assert_eq!(get("rpq_request_latency_seconds_count"), 4.0);
@@ -533,38 +537,48 @@ fn metrics_report_index_maintenance() {
     server.shutdown();
 }
 
-/// The `index_bytes` gauge reads the one index each engine was built with:
-/// the matrix in the matrix regime, the labels in the sharded regime.
+/// The `index_bytes` gauge reads the one index each engine was built
+/// with, in every regime: the matrix, the hop labels, the sharded regime's
+/// graph and partition, or none. Each equals an independently built
+/// index's bytes, and serving queries builds nothing.
 #[test]
 fn metrics_index_gauge_covers_every_index_without_building() {
-    let (engine, server, graph) = start(ServerConfig::default());
-    let mut client = Client::connect(server.addr()).unwrap();
-    let gauge = |client: &mut Client| scrape(client)("rpq_index_bytes") as u64;
-    let matrix = DistanceMatrix::bytes_for(&graph) as u64;
-    assert!(engine.snapshot().engine().matrix().is_some());
-    assert_eq!(gauge(&mut client), matrix, "built with the engine");
+    let graph = Arc::new(youtube_like(500, 3));
+    let over = EngineConfig::builder().matrix_node_limit(0);
+    let regimes = [
+        (
+            Backend::Matrix,
+            EngineConfig::builder(),
+            DistanceMatrix::bytes_for(&graph),
+        ),
+        (Backend::Hop, over.clone(), HopLabels::build(&graph).bytes()),
+        (
+            Backend::Sharded,
+            over.clone().hop_label_budget(0).shards(2),
+            ShardedLabels::build(&graph, 2).stats().total_bytes(),
+        ),
+        (Backend::Search, over.hop_label_budget(0), 0),
+    ];
     let queries = mixed_queries(&graph, 3, 5);
-    assert_eq!(client.query(&queries, &graph).unwrap().status, 200);
-    assert_eq!(gauge(&mut client), matrix, "queries build nothing");
-    server.shutdown();
-
-    let engine = Arc::new(UpdatableEngine::with_config(
-        youtube_like(500, 3),
-        rpq_engine::EngineConfig::builder()
-            .matrix_node_limit(0)
-            .hop_label_budget(0)
-            .shards(2)
-            .build()
-            .unwrap(),
-    ));
-    let snapshot = engine.snapshot();
-    let labels = snapshot.engine().sharded().expect("unbudgeted build");
-    let bytes = labels.stats().total_bytes() as u64;
-    let server = Server::start(Arc::clone(&engine), ServerConfig::default()).unwrap();
-    let mut client = Client::connect(server.addr()).unwrap();
-    assert!(bytes > 0);
-    assert_eq!(gauge(&mut client), bytes);
-    server.shutdown();
+    for (backend, config, bytes) in regimes {
+        let engine = UpdatableEngine::with_config(Arc::clone(&graph), config.build().unwrap());
+        let (engine, server, _) = start_engine(engine, ServerConfig::default());
+        assert_eq!(engine.snapshot().backend(), backend);
+        let mut client = Client::connect(server.addr()).unwrap();
+        let gauge = |client: &mut Client| scrape(client)("rpq_index_bytes") as u64;
+        assert_eq!(
+            gauge(&mut client),
+            bytes as u64,
+            "{backend:?}: built with the engine"
+        );
+        assert_eq!(client.query(&queries, &graph).unwrap().status, 200);
+        assert_eq!(
+            gauge(&mut client),
+            bytes as u64,
+            "{backend:?}: queries build nothing"
+        );
+        server.shutdown();
+    }
 }
 
 /// `/v1/schema` hands a client the vocabulary it needs to build queries.

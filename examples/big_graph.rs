@@ -4,9 +4,10 @@
 //! Demonstrates the hop-label subsystem end to end: generate (or load) a
 //! large 4-color graph, build the engine — and with it the label index —
 //! and serve every batch under `hop` / `JoinMatch/hop` plans through
-//! `QueryEngine::run_batch`. One query in eight is a pattern query, so the
-//! tick lines show both query classes, and the queries recur across ticks,
-//! so they show the memo's hits and misses too.
+//! `Snapshot::run_batch` on a live engine nobody writes to. One query in
+//! eight is a pattern query, so the tick lines show both query classes,
+//! and the queries recur across ticks, so they show the memo's hits and
+//! misses too.
 //!
 //! ```text
 //! cargo run --release --example big_graph [nodes] [batch] [ticks]
@@ -99,22 +100,28 @@ fn main() {
     let g = Arc::new(g);
 
     let t0 = Instant::now();
-    let engine = QueryEngine::new(Arc::clone(&g));
+    let config = EngineConfig::default();
+    let engine = UpdatableEngine::with_config(Arc::clone(&g), config.clone()).snapshot();
+    let built = t0.elapsed();
+    let backend = engine.backend();
     println!(
         "matrix: {} (limit {}, would need {:.1} GiB); hop-label budget {} MiB",
-        if engine.matrix().is_some() {
+        if backend == Backend::Matrix {
             "built"
         } else {
             "over limit"
         },
-        engine.config().matrix_node_limit,
+        config.matrix_node_limit,
         DistanceMatrix::bytes_for(&g) as f64 / (1 << 30) as f64,
-        engine.config().hop_label_budget >> 20,
+        config.hop_label_budget >> 20,
     );
-    match engine.hop() {
-        Some(labels) => println!("index: built in {:?}, {}\n", t0.elapsed(), labels.stats()),
-        None if engine.matrix().is_none() => println!("index: over budget, serving search\n"),
-        None => println!(),
+    match backend {
+        Backend::Hop => println!(
+            "index: hop labels built in {built:?}, {:.1} MiB\n",
+            engine.index_bytes() as f64 / (1 << 20) as f64
+        ),
+        Backend::Search => println!("index: over budget, serving search\n"),
+        _ => println!(),
     }
 
     for tick in 0..ticks {

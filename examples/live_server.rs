@@ -57,7 +57,11 @@ fn main() {
         "registered standing PQ ({} nodes / {} edges), initial answer size {}\n",
         standing.node_count(),
         standing.edge_count(),
-        engine.standing_result(standing_id).unwrap().size(),
+        engine
+            .snapshot()
+            .standing_result(standing_id)
+            .unwrap()
+            .size(),
     );
 
     let mut rng = StdRng::seed_from_u64(99);

@@ -20,7 +20,7 @@
 
 use rpq::core::lang::{format_pq, parse_pq};
 use rpq::core::{minimize, GRq};
-use rpq::engine::{Query, QueryEngine, QueryOutput};
+use rpq::engine::{Query, QueryOutput, UpdatableEngine};
 use rpq::graph::io::read_graph;
 use rpq::graph::{DistanceMatrix, Graph, NodeId};
 use rpq::prelude::Predicate;
@@ -28,7 +28,6 @@ use rpq_regex::GRegex;
 use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 fn main() -> ExitCode {
     match run() {
@@ -97,7 +96,7 @@ fn stats(g: &Graph) -> Result<(), String> {
 
 /// Plan and answer `query` on an engine over `g`.
 fn serve(g: Graph, query: Query) -> Result<(), String> {
-    let engine = QueryEngine::new(Arc::new(g));
+    let engine = UpdatableEngine::new(g).snapshot();
     let g = engine.graph();
     println!("plan: {}", engine.plan_query(&query).name());
     match (engine.run_query(&query), &query) {

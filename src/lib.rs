@@ -22,22 +22,22 @@
 //!   span/event log, one relaxed atomic load when disabled) and the
 //!   [`QueryProfile`](prelude::QueryProfile) EXPLAIN surface every
 //!   engine layer can emit,
-//! * [`engine`] — the serving layer: a
-//!   [`QueryEngine`](prelude::QueryEngine) that owns a shared graph and
-//!   the one index built for it, plans a strategy per query, and evaluates
-//!   batches of mixed RQs/PQs on the calling thread, sharing reach
-//!   sets through the one memo of its graph version; an
-//!   [`UpdatableEngine`](prelude::UpdatableEngine) serving a *mutating*
-//!   graph through versioned snapshots, each published with its index
-//!   repaired or rebuilt inside the write, and incrementally maintained
-//!   standing queries. Past the hop-label budget, an engine configured
-//!   with shards builds the sharded regime
+//! * [`engine`] — the serving layer: one engine,
+//!   [`UpdatableEngine`](prelude::UpdatableEngine), serving a graph
+//!   (mutating or not) through versioned
+//!   [`Snapshot`](prelude::Snapshot)s, the one read handle. Each snapshot
+//!   holds its graph version, the one index built for it (or repaired
+//!   into it inside the write that published it) and the one memo of
+//!   that version; it plans a strategy per query and evaluates batches
+//!   of mixed RQs/PQs on the calling thread, and serves incrementally
+//!   maintained standing queries. Past the hop-label budget, an engine
+//!   configured with shards builds the sharded regime
 //!   ([`ShardedLabels`](prelude::ShardedLabels)): the graph plus an
 //!   edge-cut [`Partition`](prelude::Partition), answering every question
 //!   by a graph sweep. Every entry point minimizes queries to
 //!   canonical form before planning and serves repeats, respellings and
-//!   *contained* queries from the engine's semantic subsumption cache
-//!   ([`SemanticMemo`](prelude::SemanticMemo)).
+//!   *contained* queries from the snapshot's semantic subsumption cache
+//!   (its lookups tallied in [`SemanticStats`](prelude::SemanticStats)).
 //!
 //! ## Quickstart
 //!
@@ -66,12 +66,13 @@
 //!
 //! ## Batch evaluation
 //!
-//! Serving many queries against one graph? Hand them to the
-//! [`QueryEngine`](prelude::QueryEngine) instead of evaluating one at a
-//! time: it picks a plan per query (its index where the index covers the
-//! query, else a search over the graph), shares reach sets across every
-//! batch through its memo, and answers the batch on the calling thread —
-//! run batches from several threads for parallelism.
+//! Serving many queries against one graph? Hand them to a
+//! [`Snapshot`](prelude::Snapshot) of an
+//! [`UpdatableEngine`](prelude::UpdatableEngine) instead of evaluating
+//! one at a time: it picks a plan per query (its index where the index
+//! covers the query, else a search over the graph), shares reach sets
+//! across every batch through its memo, and answers the batch on the
+//! calling thread — run batches from several threads for parallelism.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -85,7 +86,8 @@
 //! b.add_edge(ann, bob, fa);
 //! let g = Arc::new(b.build());
 //!
-//! let engine = QueryEngine::new(Arc::clone(&g));
+//! // a graph handed in as an `Arc` is shared, not copied
+//! let engine = UpdatableEngine::new(Arc::clone(&g)).snapshot();
 //! let rq = Rq::new(
 //!     Predicate::parse("job = \"doctor\"", g.schema()).unwrap(),
 //!     Predicate::parse("job = \"biologist\"", g.schema()).unwrap(),
@@ -154,9 +156,8 @@ pub mod prelude {
     pub use rpq_core::split_match::SplitMatch;
     pub use rpq_engine::{
         Algo, ApplyReport, Backend, BatchItem, BatchResult, ConfigError, EngineConfig,
-        EngineConfigBuilder, EngineError, IndexMaintenance, IndexState, Plan, Query, QueryEngine,
-        QueryOutput, QueryService, SemanticMemo, SemanticStats, Snapshot, StandingId,
-        UpdatableEngine,
+        EngineConfigBuilder, EngineError, IndexMaintenance, IndexState, Plan, Query, QueryOutput,
+        QueryService, SemanticStats, Snapshot, StandingId, UpdatableEngine,
     };
     pub use rpq_graph::{
         Alphabet, AttrId, AttrValue, Attrs, Color, DistanceMatrix, Graph, GraphBuilder, NodeId,

@@ -27,7 +27,7 @@ fn rq_workload(g: &Graph, batch: usize) -> Vec<Rq> {
 fn batch_of_64_rqs_on_10k_graph_matches_sequential() {
     let g = Arc::new(rpq::graph::gen::youtube_like(10_000, 11));
     assert!(g.node_count() >= 10_000);
-    let engine = QueryEngine::with_config(
+    let engine = UpdatableEngine::with_config(
         Arc::clone(&g),
         EngineConfig::builder()
             // this test asserts the *search* planning regime: no hop-label
@@ -35,9 +35,10 @@ fn batch_of_64_rqs_on_10k_graph_matches_sequential() {
             .hop_label_budget(0)
             .build()
             .unwrap(),
-    );
+    )
+    .snapshot();
     // 10k nodes is over the matrix limit: the engine must plan around it
-    assert!(engine.matrix().is_none());
+    assert_eq!(engine.backend(), Backend::Search);
 
     let rqs = rq_workload(&g, 64);
     let queries: Vec<Query> = rqs.iter().cloned().map(Query::Rq).collect();
@@ -90,8 +91,8 @@ fn batch_of_64_rqs_on_10k_graph_matches_sequential() {
 #[test]
 fn mixed_batch_on_small_graph_matches_sequential() {
     let g = Arc::new(rpq::graph::gen::youtube_like(1200, 42));
-    let engine = QueryEngine::new(Arc::clone(&g));
-    assert!(engine.matrix().is_some());
+    let engine = UpdatableEngine::new(Arc::clone(&g)).snapshot();
+    assert_eq!(engine.backend(), Backend::Matrix);
 
     let params = QueryParams::defaults();
     let rqs: Vec<Rq> = (0..12).map(|i| generate_rq(&g, 2, 4, 2, i)).collect();
@@ -133,12 +134,12 @@ fn mixed_batch_on_small_graph_matches_sequential() {
     }
 }
 
-/// The engine is Sync: many threads can push batches at one engine and
+/// A snapshot is Sync: many threads can push batches at one snapshot and
 /// indices are built exactly once.
 #[test]
 fn engine_shared_across_threads() {
     let g = Arc::new(rpq::graph::gen::youtube_like(800, 3));
-    let engine = Arc::new(QueryEngine::new(Arc::clone(&g)));
+    let engine = UpdatableEngine::new(Arc::clone(&g)).snapshot();
     let rqs = rq_workload(&g, 16);
     let queries: Vec<Query> = rqs.iter().cloned().map(Query::Rq).collect();
 
@@ -168,14 +169,15 @@ fn engine_shared_across_threads() {
 #[test]
 fn batch_result_reports_plans_and_timing() {
     let g = Arc::new(rpq::graph::gen::youtube_like(600, 9));
-    let engine = QueryEngine::with_config(
+    let engine = UpdatableEngine::with_config(
         Arc::clone(&g),
         EngineConfig::builder()
             .matrix_node_limit(0) // force index-free plans…
             .hop_label_budget(0) // …and keep them index-free (no hop build)
             .build()
             .unwrap(),
-    );
+    )
+    .snapshot();
     let hot = generate_rq(&g, 2, 4, 2, 1);
     let queries = vec![
         Query::Rq(hot.clone()),

@@ -46,9 +46,9 @@ fn reference(q: &Query, g: &Graph) -> RqResult {
 #[test]
 fn planner_selects_hop_over_the_limit_and_answers_match_search() {
     let g = Arc::new(test_graph(77));
-    let engine = QueryEngine::with_config(Arc::clone(&g), over_limit_config());
-    let labels = engine.hop().expect("fits default budget");
-    assert!(labels.bytes() < DistanceMatrix::bytes_for(&g));
+    let engine = UpdatableEngine::with_config(Arc::clone(&g), over_limit_config()).snapshot();
+    assert_eq!(engine.backend(), Backend::Hop, "fits default budget");
+    assert!(engine.index_bytes() < DistanceMatrix::bytes_for(&g) as u64);
 
     let qs = queries(&g);
     let batch = engine.run_batch(&qs);
@@ -71,7 +71,7 @@ fn planner_selects_hop_over_the_limit_and_answers_match_search() {
 fn pinned_snapshot_keeps_its_own_index_version() {
     let engine = UpdatableEngine::with_config(test_graph(3), over_limit_config());
     let pinned = engine.snapshot();
-    assert!(pinned.engine().hop().is_some());
+    assert_eq!(pinned.backend(), Backend::Hop);
     let g0 = pinned.graph().clone();
     let qs = queries(&g0);
     let before: Vec<_> = qs.iter().map(|q| pinned.run_query(q)).collect();
@@ -83,13 +83,13 @@ fn pinned_snapshot_keeps_its_own_index_version() {
             .apply(&[Update::Insert(NodeId(i), NodeId(i + 50), c)])
             .unwrap();
     }
-    assert!(engine.version() > pinned.version());
+    assert!(engine.snapshot().version() > pinned.version());
     for (q, want) in qs.iter().zip(&before) {
         assert_eq!(&pinned.run_query(q), want, "pinned answers drifted");
     }
     // and the current version answers against the *new* graph
     let now = engine.snapshot();
-    assert!(now.engine().hop().is_some());
+    assert_eq!(now.backend(), Backend::Hop);
     let g1 = now.graph().clone();
     for q in &qs {
         assert_eq!(now.run_query(q).as_rq().unwrap(), &reference(q, &g1));

@@ -571,9 +571,10 @@ fn config(b: Backend, shards: usize) -> EngineConfig {
     .unwrap()
 }
 
-/// A fresh engine of that regime, built with its index.
-fn fresh_engine(b: Backend, g: &Arc<Graph>, shards: usize) -> QueryEngine {
-    QueryEngine::with_config(Arc::clone(g), config(b, shards))
+/// A fresh engine of that regime, built with its index, over `g`
+/// itself: its one snapshot.
+fn fresh_engine(b: Backend, g: &Arc<Graph>, shards: usize) -> Arc<Snapshot> {
+    UpdatableEngine::with_config(Arc::clone(g), config(b, shards)).snapshot()
 }
 
 /// Every engine regime: batches cold and warm under the plans it picks,
@@ -720,7 +721,7 @@ fn sweep_versions(case: &Case, g: &Arc<Graph>, queries: &[Query]) {
     for b in [Backend::Matrix, Backend::Hop, Backend::Sharded] {
         let r = format!("{b:?}").to_lowercase();
         let live = Arc::new(UpdatableEngine::with_config(
-            Graph::clone(g),
+            Arc::clone(g),
             config(b, case.shards),
         ));
         let id = live.register_pq(case.pqs[0].build(g));
