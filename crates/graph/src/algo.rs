@@ -58,11 +58,11 @@ pub fn bfs_distances_into(
         let du = dist[u.index()];
         let next = du.saturating_add(1).min(u16::MAX - 1);
         let adj = match dir {
-            Direction::Forward => g.out_edges(u),
-            Direction::Backward => g.in_edges(u),
+            Direction::Forward => g.out_edges_of(u, color),
+            Direction::Backward => g.in_edges_of(u, color),
         };
         for e in adj {
-            if color.admits(e.color) && dist[e.node.index()] == INFINITY {
+            if dist[e.node.index()] == INFINITY {
                 dist[e.node.index()] = next;
                 queue.push_back(e.node);
             }
@@ -100,10 +100,7 @@ pub fn bidirectional_distance(g: &Graph, from: NodeId, to: NodeId, color: Color)
             fdepth += 1;
             let mut next = Vec::new();
             for &u in &fq {
-                for e in g.out_edges(u) {
-                    if !color.admits(e.color) {
-                        continue;
-                    }
+                for e in g.out_edges_of(u, color) {
                     let vi = e.node.index();
                     if bwd[vi] != 0 {
                         return Some(fdepth + (bwd[vi] - 1));
@@ -119,10 +116,7 @@ pub fn bidirectional_distance(g: &Graph, from: NodeId, to: NodeId, color: Color)
             bdepth += 1;
             let mut next = Vec::new();
             for &u in &bq {
-                for e in g.in_edges(u) {
-                    if !color.admits(e.color) {
-                        continue;
-                    }
+                for e in g.in_edges_of(u, color) {
                     let vi = e.node.index();
                     if fwd[vi] != 0 {
                         return Some(bdepth + (fwd[vi] - 1));

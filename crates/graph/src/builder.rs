@@ -2,7 +2,7 @@
 
 use crate::attr::{AttrValue, Attrs, NodeAttrs, Schema};
 use crate::color::{Alphabet, Color};
-use crate::graph::{EdgeRef, Graph, NodeId};
+use crate::graph::{EdgeRef, Graph, NodeId, DENSE_COLORS};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -61,15 +61,19 @@ impl GraphBuilder {
     /// instead of re-adding every node and scanning the edge list per
     /// update. The builder shares `g`'s attribute rows and columns until a
     /// node is added, so an edge-only rebuild neither copies nor
-    /// re-encodes them.
+    /// re-encodes them. The edges are read off `g`'s rows as they lie:
+    /// [`build`](GraphBuilder::build) sorts them anyway.
     pub fn from_graph(g: &Graph) -> Self {
+        let edges = g
+            .nodes()
+            .flat_map(|u| (g.out_edges(u).iter()).map(move |e| (u, e.node, e.color)));
         GraphBuilder {
             schema: g.schema.clone(),
             alphabet: g.alphabet.clone(),
             labels: g.labels.clone(),
             attrs: Vec::new(),
             shared: Some(Arc::clone(&g.attrs)),
-            edges: g.edges().collect(),
+            edges: edges.collect(),
         }
     }
 
@@ -135,11 +139,16 @@ impl GraphBuilder {
     /// edge was not already present. O(1).
     ///
     /// # Panics
-    /// If `u` or `v` was not returned by `add_node`.
+    /// If `u` or `v` was not returned by `add_node`, or `c` is not a color
+    /// of the alphabet.
     pub fn insert_edge(&mut self, u: NodeId, v: NodeId, c: Color) -> bool {
         assert!(u.index() < self.labels.len(), "unknown source node");
         assert!(v.index() < self.labels.len(), "unknown target node");
         assert!(!c.is_wildcard(), "data edges must carry a concrete color");
+        assert!(
+            usize::from(c.0) < self.alphabet.len(),
+            "edge color {c} is not in the alphabet"
+        );
         self.edges.insert((u, v, c))
     }
 
@@ -170,60 +179,80 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Freeze into an immutable CSR [`Graph`]. Edges are sorted by
-    /// `(source, target, color)`, so each node's out-adjacency slice is
-    /// sorted by `(target, color)` — [`Graph::has_edge`] relies on this for
-    /// its binary search.
+    /// Freeze into an immutable CSR [`Graph`] with colour-major rows (see
+    /// [`crate::graph`]). There is no global sort: the out-rows are a
+    /// counting sort of the edges by (source, color) entry of the out-run
+    /// table, each run then sorted by target — [`Graph::has_edge`]
+    /// binary-searches a color's run by target. The in-rows are filled by
+    /// walking the out-rows in (source, color, target) order with one
+    /// cursor per (node, color) entry of the in-run table, so each in-run
+    /// is sorted by source as it is filled. Past
+    /// [`DENSE_COLORS`](crate::graph::DENSE_COLORS) colors there are no run
+    /// tables: an entry is a whole row, and each row is sorted by (color,
+    /// neighbor) in place.
     pub fn build(self) -> Graph {
         let n = self.labels.len();
-        let mut edges: Vec<(NodeId, NodeId, Color)> = self.edges.into_iter().collect();
-        edges.sort_unstable();
+        let k = self.alphabet.len();
+        let stride = if k <= DENSE_COLORS { k } else { 0 };
+        let per = stride.max(1);
+        // the run-table entry of (v, c); v's row without run tables
+        let slot = |v: NodeId, c: Color| match stride {
+            0 => v.index(),
+            s => v.index() * s + usize::from(c.0),
+        };
+        let blank = EdgeRef {
+            node: NodeId(0),
+            color: Color(0),
+        };
+        let edges: Vec<(NodeId, NodeId, Color)> = self.edges.into_iter().collect();
 
-        let mut out_offsets = vec![0u32; n + 1];
-        for &(u, _, _) in &edges {
-            out_offsets[u.index() + 1] += 1;
+        let sort_runs = |runs: &[u32], adj: &mut [EdgeRef]| {
+            for w in runs.windows(2).filter(|w| w[1] - w[0] > 1) {
+                adj[w[0] as usize..w[1] as usize].sort_unstable_by_key(|e| (e.color, e.node));
+            }
+        };
+
+        let mut out_runs = vec![0u32; n * per + 1];
+        for &(u, _, c) in &edges {
+            out_runs[slot(u, c) + 1] += 1;
         }
-        for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
+        running_sum(&mut out_runs);
+        let mut out_adj = vec![blank; edges.len()];
+        let mut cursor = out_runs.clone();
+        for &(u, v, c) in &edges {
+            let at = &mut cursor[slot(u, c)];
+            out_adj[*at as usize] = EdgeRef { node: v, color: c };
+            *at += 1;
         }
-        let mut out_adj = vec![
-            EdgeRef {
-                node: NodeId(0),
-                color: Color(0)
-            };
-            edges.len()
-        ];
-        {
-            let mut cursor = out_offsets.clone();
-            for &(u, v, c) in &edges {
-                let slot = cursor[u.index()] as usize;
-                out_adj[slot] = EdgeRef { node: v, color: c };
-                cursor[u.index()] += 1;
+        sort_runs(&out_runs, &mut out_adj);
+
+        let mut in_runs = vec![0u32; n * per + 1];
+        for e in &out_adj {
+            in_runs[slot(e.node, e.color) + 1] += 1;
+        }
+        running_sum(&mut in_runs);
+        let mut in_adj = vec![blank; edges.len()];
+        let mut cursor = in_runs.clone();
+        for u in 0..n {
+            let row = out_runs[u * per] as usize..out_runs[(u + 1) * per] as usize;
+            for e in &out_adj[row] {
+                let at = &mut cursor[slot(e.node, e.color)];
+                in_adj[*at as usize] = EdgeRef {
+                    node: NodeId(u as u32),
+                    color: e.color,
+                };
+                *at += 1;
             }
         }
 
-        let mut in_offsets = vec![0u32; n + 1];
-        for &(_, v, _) in &edges {
-            in_offsets[v.index() + 1] += 1;
-        }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut in_adj = vec![
-            EdgeRef {
-                node: NodeId(0),
-                color: Color(0)
-            };
-            edges.len()
-        ];
-        {
-            let mut cursor = in_offsets.clone();
-            for &(u, v, c) in &edges {
-                let slot = cursor[v.index()] as usize;
-                in_adj[slot] = EdgeRef { node: u, color: c };
-                cursor[v.index()] += 1;
-            }
-        }
+        // row starts: every `stride`-th run start, or the entries themselves
+        let (out_offsets, out_runs, in_offsets, in_runs) = if stride == 0 {
+            sort_runs(&in_runs, &mut in_adj);
+            (out_runs, Vec::new(), in_runs, Vec::new())
+        } else {
+            let rows = |runs: &[u32]| runs.iter().step_by(stride).copied().collect();
+            (rows(&out_runs), out_runs, rows(&in_runs), in_runs)
+        };
 
         Graph {
             schema: self.schema,
@@ -232,11 +261,21 @@ impl GraphBuilder {
             attrs: self
                 .shared
                 .unwrap_or_else(|| Arc::new(NodeAttrs::new(self.attrs))),
+            stride,
             out_offsets,
+            out_runs,
             out_adj,
             in_offsets,
+            in_runs,
             in_adj,
         }
+    }
+}
+
+/// Per-entry counts (each at its entry's successor) into starts.
+fn running_sum(starts: &mut [u32]) {
+    for i in 1..starts.len() {
+        starts[i] += starts[i - 1];
     }
 }
 

@@ -11,7 +11,8 @@
 //! This crate provides:
 //!
 //! * the graph representation itself ([`Graph`], [`GraphBuilder`]) — CSR
-//!   forward and reverse adjacency for cache-friendly traversal,
+//!   forward and reverse adjacency, each row colour-major, so a sweep over
+//!   one colour reads only that colour's edges ([`Graph::out_edges_of`]),
 //! * attribute storage and interning ([`attr`]): each node's row, and the
 //!   same values by column ([`Columns`]: an `i64` column and a
 //!   dictionary-coded string column per attribute, each with a presence

@@ -14,7 +14,8 @@ use std::collections::{HashMap, VecDeque};
 
 /// BFS order of `comm`'s members over the subgraph they induce, started
 /// from the lowest-id member; members unreached within the community
-/// (it need not be connected) restart the BFS in ascending order. Uses
+/// (it need not be connected) restart the BFS in ascending order. A node's
+/// unvisited neighbors are queued out-neighbors first, each side by id. Uses
 /// `scratch` (all-[`UNASSIGNED`] on entry) as a visited mark, restoring
 /// it before returning.
 fn bfs_order_within(g: &Graph, comm: &[u32], scratch: &mut [u32]) -> Vec<u32> {
@@ -32,12 +33,18 @@ fn bfs_order_within(g: &Graph, comm: &[u32], scratch: &mut [u32]) -> Vec<u32> {
         order.push(start);
         queue.push_back(NodeId(start));
         while let Some(u) = queue.pop_front() {
-            for e in g.out_edges(u).iter().chain(g.in_edges(u)) {
-                if scratch[e.node.index()] == IN_COMM {
-                    scratch[e.node.index()] = UNASSIGNED;
-                    order.push(e.node.0);
-                    queue.push_back(e.node);
+            for row in [g.out_edges(u), g.in_edges(u)] {
+                let fresh = order.len();
+                for e in row {
+                    if scratch[e.node.index()] == IN_COMM {
+                        scratch[e.node.index()] = UNASSIGNED;
+                        order.push(e.node.0);
+                    }
                 }
+                // rows are colour-major: queue a row's new members by id,
+                // so the order does not depend on the edges' colours
+                order[fresh..].sort_unstable();
+                queue.extend(order[fresh..].iter().map(|&v| NodeId(v)));
             }
         }
     }
@@ -400,6 +407,27 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::gen::{clustered, essembly, synthetic};
+
+    /// A row is colour-major, but the packing order is by id: node 0's
+    /// out-row lists 3 (colour a) before 1 and 2 (colour b).
+    #[test]
+    fn community_bfs_queues_neighbors_by_id() {
+        let mut b = GraphBuilder::new();
+        let v: Vec<_> = (0..5).map(|i| b.add_node(&format!("v{i}"), [])).collect();
+        let (a, c) = (b.color("a"), b.color("b"));
+        b.add_edge(v[0], v[3], a);
+        b.add_edge(v[0], v[2], c);
+        b.add_edge(v[0], v[1], c);
+        b.add_edge(v[4], v[0], a);
+        let g = b.build();
+        assert_eq!(g.out_edges(v[0])[0].node, v[3]);
+        let mut scratch = vec![UNASSIGNED; 5];
+        assert_eq!(
+            bfs_order_within(&g, &[0, 1, 2, 3, 4], &mut scratch),
+            [0, 1, 2, 3, 4]
+        );
+        assert!(scratch.iter().all(|&s| s == UNASSIGNED));
+    }
 
     #[test]
     fn partition_is_balanced_and_total() {

@@ -791,7 +791,7 @@ impl<'a> LayerBuilder<'a> {
             .map(|v| {
                 let mut shortest = NO_CYCLE;
                 let mut seeded = false;
-                for e in g.out_edges(v).iter().filter(|e| color.admits(e.color)) {
+                for e in g.out_edges_of(v, color) {
                     if e.node == v {
                         shortest = 1;
                         continue;
@@ -887,12 +887,12 @@ impl<'a> LayerBuilder<'a> {
             added += 1;
             let next = du.saturating_add(1).min(DIST_CAP);
             let adj = if forward {
-                g.out_edges(u)
+                g.out_edges_of(u, color)
             } else {
-                g.in_edges(u)
+                g.in_edges_of(u, color)
             };
             for e in adj {
-                if color.admits(e.color) && self.dist[e.node.index()] == UNSET {
+                if self.dist[e.node.index()] == UNSET {
                     self.dist[e.node.index()] = next;
                     self.touched.push(e.node.0);
                     self.queue.push_back(e.node);

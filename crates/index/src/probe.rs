@@ -104,10 +104,7 @@ pub trait DistProbe {
         if budget == 0 {
             return false;
         }
-        g.out_edges(from).iter().any(|e| {
-            if !color.admits(e.color) {
-                return false;
-            }
+        g.out_edges_of(from, color).iter().any(|e| {
             if e.node == from {
                 return true;
             }
@@ -202,9 +199,11 @@ thread_local! {
 }
 
 /// The graph itself as a [`DistProbe`]: no index, every question answered
-/// by a breadth-first sweep over the edges of `g` that `color` admits — the
-/// backend of the engine's search plans, the standing-query matcher and
-/// PQ assembly.
+/// by a breadth-first sweep over the edges `color` admits — the backend of
+/// the engine's search plans, the standing-query matcher and PQ assembly.
+/// A sweep step reads exactly one color's run of a row
+/// ([`Graph::out_edges_of`] / [`Graph::in_edges_of`]; the whole row for
+/// `_`), never the other colors' edges.
 ///
 /// Sweeps are set-at-a-time where the question is.
 /// [`sources_reaching_within`](DistProbe::sources_reaching_within) runs
@@ -275,8 +274,8 @@ struct Sweep {
 }
 
 impl Sweep {
-    /// Visit, breadth first over the `color`-admitted edges (in-edges when
-    /// `backward`), every node reachable from `seeds` — which sit at depth
+    /// Visit, breadth first over color `color`'s run of each row (in-edges
+    /// when `backward`), every node reachable from `seeds` — which sit at depth
     /// `depths.start()` — down to depth `depths.end()`. `reached(z, depth)`
     /// runs once per visited node, seeds included; returning `true` stops
     /// the sweep, and `run` returns `true`.
@@ -315,12 +314,12 @@ impl Sweep {
                 let u = self.queue[head];
                 head += 1;
                 let edges = if backward {
-                    g.in_edges(u)
+                    g.in_edges_of(u, color)
                 } else {
-                    g.out_edges(u)
+                    g.out_edges_of(u, color)
                 };
                 for e in edges {
-                    if color.admits(e.color) && self.mark(e.node) {
+                    if self.mark(e.node) {
                         self.queue.push(e.node);
                         if reached(e.node, depth) {
                             return true;
@@ -376,10 +375,7 @@ impl<'g> GraphProbe<'g> {
     /// path from `from` is at depth 1.
     fn successors(&self, from: NodeId, color: Color) -> impl Iterator<Item = NodeId> + 'g {
         let g: &'g Graph = self.g;
-        g.out_edges(from)
-            .iter()
-            .filter(move |e| color.admits(e.color))
-            .map(|e| e.node)
+        g.out_edges_of(from, color).iter().map(|e| e.node)
     }
 }
 
@@ -472,9 +468,7 @@ impl DistProbe for GraphProbe<'_> {
             });
             sources
                 .iter()
-                .map(|&x| {
-                    (g.out_edges(x).iter()).any(|e| color.admits(e.color) && s.visited(e.node))
-                })
+                .map(|&x| (g.out_edges_of(x, color).iter()).any(|e| s.visited(e.node)))
                 .collect()
         })
     }
